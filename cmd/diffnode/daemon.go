@@ -12,6 +12,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -596,10 +597,7 @@ func (d *Daemon) onDelivery(m *message.Message) {
 // installFilter interprets one config filter spec ("name" or
 // "name:<attrs>"); loop-confined.
 func (d *Daemon) installFilter(spec string) error {
-	name, pat := spec, ""
-	if i := indexByte(spec, ':'); i >= 0 {
-		name, pat = spec[:i], spec[i+1:]
-	}
+	name, pat, _ := strings.Cut(spec, ":")
 	var pattern attr.Vec
 	if pat != "" {
 		v, err := attr.ParseVec(pat)
@@ -623,16 +621,6 @@ func (d *Daemon) installFilter(spec string) error {
 	d.filterSpecs = append(d.filterSpecs, spec)
 	fmt.Fprintf(d.logw, "diffnode %d: installed filter %s\n", d.cfg.ID, spec)
 	return nil
-}
-
-// indexByte is strings.IndexByte without the import noise.
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // --- HTTP control plane ---

@@ -7,6 +7,7 @@ import (
 	"diffusion/internal/attr"
 	"diffusion/internal/message"
 	"diffusion/internal/sim"
+	"diffusion/internal/telemetry"
 )
 
 // testNet is a perfect in-memory link layer with an explicit adjacency
@@ -651,9 +652,17 @@ func TestReceiveGarbage(t *testing.T) {
 	n.Receive(2, []byte{1, 2, 3})
 	n.Receive(2, nil)
 	tn.s.RunUntil(time.Second)
-	// Must not panic or create state.
+	// Must not panic or create state, and must not vanish without a trace.
 	if n.Entries() != 0 {
 		t.Error("garbage must not create entries")
+	}
+	if n.Stats.ReceiveMalformed != 2 {
+		t.Errorf("ReceiveMalformed = %d, want 2", n.Stats.ReceiveMalformed)
+	}
+	reg := telemetry.NewRegistry("node1")
+	n.Instrument(reg)
+	if got := reg.Snapshot()["core.receive_malformed"]; got != 2 {
+		t.Errorf("core.receive_malformed = %v, want 2", got)
 	}
 }
 

@@ -39,6 +39,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		emit("core.seen_cache_size", float64(len(n.seen)))
 		emit("core.custody_captured", float64(s.CustodyCaptured))
 		emit("core.energy_shifts", float64(s.EnergyShifts))
+		emit("core.receive_malformed", float64(s.ReceiveMalformed))
 		ms := n.MatchStats()
 		emit("match.index_keys", float64(ms.IndexKeys))
 		emit("match.index_size", float64(ms.IndexSize))

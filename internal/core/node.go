@@ -195,6 +195,7 @@ type Stats struct {
 	NeighborRecoveries int // recovered-neighbor events
 	CustodyCaptured    int // data taken into local custody (no forward path)
 	EnergyShifts       int // reinforcements steered off the first deliverer
+	ReceiveMalformed   int // payloads from the link that did not unmarshal
 }
 
 type subscription struct {
@@ -659,13 +660,14 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 }
 
 // Receive is the link-layer upcall: the MAC delivers every reassembled
-// payload here. Malformed payloads are dropped.
+// payload here. Malformed payloads are dropped, and counted.
 func (n *Node) Receive(from uint32, payload []byte) {
 	if n.detached {
 		return
 	}
 	m, err := message.Unmarshal(payload)
 	if err != nil {
+		n.Stats.ReceiveMalformed++
 		return
 	}
 	// Trust the link sender over the (spoofable, possibly stale) header.

@@ -13,12 +13,12 @@
 //     parallel runs are bit-for-bit identical to sequential ones.
 //
 // A RealClock implementation of the same Clock interface lets identical
-// node code run live on goroutine timers (used by the examples' live mode).
+// node code run live on goroutine timers: internal/transport's link
+// engines run on it in a live endpoint and on a Scheduler under test.
 package sim
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -273,22 +273,15 @@ func (s *Scheduler) NextEventAt() (time.Duration, bool) {
 func (s *Scheduler) Pending() int { return s.events.live }
 
 // RealClock implements Clock over the wall clock, so the same node logic
-// can run live (the examples use it for interactive demos). It is safe for
-// concurrent use.
-type RealClock struct {
-	mu    sync.Mutex
-	start time.Time
-}
+// can run live. It is safe for concurrent use; callbacks run on the Go
+// runtime's timer goroutines.
+type RealClock struct{ start time.Time }
 
 // NewRealClock returns a RealClock anchored at the current instant.
 func NewRealClock() *RealClock { return &RealClock{start: time.Now()} }
 
 // Now returns the elapsed wall time since the clock was created.
-func (c *RealClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Since(c.start)
-}
+func (c *RealClock) Now() time.Duration { return time.Since(c.start) }
 
 // After schedules fn on a goroutine timer.
 func (c *RealClock) After(d time.Duration, fn func()) Timer {

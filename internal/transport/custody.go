@@ -1,7 +1,8 @@
 package transport
 
 import (
-	"sync"
+	"cmp"
+	"slices"
 	"time"
 
 	"diffusion/internal/message"
@@ -32,9 +33,10 @@ import (
 //     fresh, keeping hop-by-hop transfer exactly-once.
 
 // CustodyOptions wires the endpoint's custody frames to the custody
-// queue. Accept and Release are required; they are called from the
-// endpoint's goroutines (Accept from the reader — it may block briefly on
-// the journal fsync, which is the price of ack-after-durability).
+// queue. Accept and Release are required; both are called with the
+// endpoint's lock released (Accept by whoever handed the endpoint the
+// offer, live the socket reader — it may block briefly on the journal
+// fsync, which is the price of ack-after-durability).
 type CustodyOptions struct {
 	// Accept durably admits custody of (id, payload) offered by from.
 	// held reports the payload is vouched for (ack it); fresh reports it
@@ -59,208 +61,127 @@ func (c *CustodyOptions) fill() {
 	}
 }
 
-// custodyPayloadID extracts the message ID from a marshalled diffusion
-// payload (message.Marshal layout: class, hopcount, RandID, PktNum, ...).
-func custodyPayloadID(payload []byte) (message.ID, bool) {
-	m, err := message.Unmarshal(payload)
-	if err != nil {
-		return message.ID{}, false
-	}
-	return m.ID, true
-}
-
-// cusFrame is one pending custody offer.
-type cusFrame struct {
-	peer    uint32
-	seq     uint32
-	id      message.ID
-	payload []byte
-	tries   int
-	timer   *time.Timer
-}
-
-// custodian is the sender half of custody transfer for one endpoint.
+// custodian is the sender half of custody transfer for one endpoint
+// (engine contract: engine.go).
 type custodian struct {
-	cfg   CustodyOptions
-	stats *Stats
-	write func(peer uint32, kind uint8, seq uint32, payload []byte)
-
-	mu      sync.Mutex
+	cfg     CustodyOptions
+	stats   *Stats
 	nextSeq uint32
-	byID    map[message.ID]*cusFrame // pending offers, keyed by message ID
-	bySeq   map[uint32]*cusFrame     // the same offers, keyed by wire seq
-	closed  bool
+	byID    map[message.ID]*pending // pending offers, keyed by message ID
+	bySeq   map[uint32]*pending     // the same offers, keyed by wire seq
+	// next is the earliest retransmission. Acks only remove deadlines, so
+	// it may run early; tick recomputes it exactly.
+	next time.Duration
+	due  []*pending // tick's and reoffer's work list, reused
 }
 
-func newCustodian(cfg CustodyOptions, stats *Stats,
-	write func(peer uint32, kind uint8, seq uint32, payload []byte)) *custodian {
+func newCustodian(cfg CustodyOptions, stats *Stats) *custodian {
 	cfg.fill()
 	return &custodian{
 		cfg:   cfg,
 		stats: stats,
-		write: write,
-		byID:  map[message.ID]*cusFrame{},
-		bySeq: map[uint32]*cusFrame{},
+		byID:  map[message.ID]*pending{},
+		bySeq: map[uint32]*pending{},
+		next:  never,
 	}
 }
 
-// send offers custody of (id, payload) to peer. A pending offer of the
-// same ID to the same peer makes this a no-op (the core replays
-// periodically; the wire must not amplify that). An offer to a different
-// peer supersedes the old one — the reinforced path moved.
-func (c *custodian) send(peer uint32, id message.ID, payload []byte) {
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
+// nextDeadline is when the custodian next needs a tick.
+func (c *custodian) nextDeadline() time.Duration { return c.next }
 
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
+// send offers custody of (id, buf) to peer; the engine keeps buf. A
+// pending offer of the same ID to the same peer makes this a no-op (the
+// core replays periodically; the wire must not amplify that). An offer to
+// a different peer supersedes the old one — the reinforced path moved.
+func (c *custodian) send(peer uint32, id message.ID, buf []byte, now time.Duration, fx *effects) {
 	if f, ok := c.byID[id]; ok {
 		if f.peer == peer {
-			c.mu.Unlock()
 			return
 		}
-		c.dropLocked(f)
+		c.drop(f)
 	}
 	c.nextSeq++
-	f := &cusFrame{peer: peer, seq: c.nextSeq, id: id, payload: buf, tries: 1}
+	f := &pending{peer: peer, seq: c.nextSeq, id: id, payload: buf, tries: 1}
 	c.byID[id] = f
 	c.bySeq[f.seq] = f
-	c.armLocked(f)
-	c.mu.Unlock()
-
+	c.next = min(c.next, f.arm(now, c.cfg.RTO, c.cfg.MaxRTO))
 	c.stats.CustodySent.Add(1)
-	c.write(peer, kindCustody, f.seq, buf)
+	fx.send(peer, kindCustody, f.seq, buf)
 }
 
-// dropLocked forgets a pending offer (superseded or acked).
-func (c *custodian) dropLocked(f *cusFrame) {
-	if f.timer != nil {
-		f.timer.Stop()
-	}
+// drop forgets a pending offer (superseded or acked).
+func (c *custodian) drop(f *pending) {
 	delete(c.byID, f.id)
 	delete(c.bySeq, f.seq)
 }
 
-// armLocked schedules the next retransmission: RTO doubled per attempt,
-// capped at MaxRTO, never abandoned.
-func (c *custodian) armLocked(f *cusFrame) {
-	rto := c.cfg.RTO << (f.tries - 1)
-	if rto > c.cfg.MaxRTO || rto <= 0 {
-		rto = c.cfg.MaxRTO
+// collect fills the work list with the offers pick selects, in seq order.
+func (c *custodian) collect(pick func(*pending) bool) []*pending {
+	c.due = c.due[:0]
+	for _, f := range c.bySeq {
+		if pick(f) {
+			c.due = append(c.due, f)
+		}
 	}
-	seq := f.seq
-	f.timer = time.AfterFunc(rto, func() { c.onTimeout(seq) })
+	slices.SortFunc(c.due, func(a, b *pending) int { return cmp.Compare(a.seq, b.seq) })
+	return c.due
 }
 
-// onTimeout retransmits an unacknowledged offer.
-func (c *custodian) onTimeout(seq uint32) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+// tick retransmits every offer whose timeout has passed: RTO doubled per
+// attempt, capped at MaxRTO, never abandoned.
+func (c *custodian) tick(now time.Duration, fx *effects) {
+	for _, f := range c.collect(func(f *pending) bool { return f.due <= now }) {
+		f.tries++
+		c.retransmit(f, now, fx)
 	}
-	f, ok := c.bySeq[seq]
-	if !ok {
-		c.mu.Unlock()
-		return
+	c.next = never
+	for _, f := range c.bySeq {
+		c.next = min(c.next, f.due)
 	}
-	f.tries++
-	c.armLocked(f)
-	peer, payload := f.peer, f.payload
-	c.mu.Unlock()
+}
+
+// retransmit puts offer f on the wire again and re-arms it.
+func (c *custodian) retransmit(f *pending, now time.Duration, fx *effects) {
+	c.next = min(c.next, f.arm(now, c.cfg.RTO, c.cfg.MaxRTO))
 	c.stats.CustodyRetransmits.Add(1)
-	c.write(peer, kindCustody, seq, payload)
+	fx.send(f.peer, kindCustody, f.seq, f.payload)
 }
 
-// onAck completes a custody transfer: the peer durably holds the message,
+// ack completes a custody transfer: the peer durably holds the message,
 // so local custody is discharged via the Release callback.
-func (c *custodian) onAck(peer, seq uint32) {
+func (c *custodian) ack(peer, seq uint32, fx *effects) {
 	c.stats.CustodyAcksRecv.Add(1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	f, ok := c.bySeq[seq]
 	if !ok || f.peer != peer {
-		c.mu.Unlock()
 		return
 	}
-	c.dropLocked(f)
-	id := f.id
-	c.mu.Unlock()
+	c.drop(f)
 	if c.cfg.Release != nil {
-		c.cfg.Release(peer, id)
+		fx.calls = append(fx.calls, func() { c.cfg.Release(peer, f.id) })
 	}
 }
 
 // reoffer re-sends every pending offer toward peer immediately, resetting
 // its backoff — the failure detector just heard from it again.
-func (c *custodian) reoffer(peer uint32) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	var out []*cusFrame
-	for _, f := range c.bySeq {
-		if f.peer != peer {
-			continue
-		}
-		if f.timer != nil {
-			f.timer.Stop()
-		}
+func (c *custodian) reoffer(peer uint32, now time.Duration, fx *effects) {
+	for _, f := range c.collect(func(f *pending) bool { return f.peer == peer }) {
 		f.tries = 1
-		c.armLocked(f)
-		out = append(out, f)
-	}
-	c.mu.Unlock()
-	for _, f := range out {
-		c.stats.CustodyRetransmits.Add(1)
-		c.write(peer, kindCustody, f.seq, f.payload)
+		c.retransmit(f, now, fx)
 	}
 }
 
 // dropPeer forgets every pending offer toward one peer. The custody queue
 // still holds the data — nothing is released — so when the peer (or a
 // replacement upstream) comes back, the core's NeighborRecovered replay
-// re-offers it under fresh wire sequence numbers. Discovery calls this
-// when a peer is removed or restarts with a new boot nonce.
+// re-offers it under fresh wire sequence numbers. Asked for when a peer
+// is removed or restarts with a new boot nonce.
 func (c *custodian) dropPeer(peer uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, f := range c.bySeq {
 		if f.peer == peer {
-			c.dropLocked(f)
+			c.drop(f)
 		}
 	}
 }
 
-// pending returns the number of outstanding custody offers (tests,
-// introspection).
-func (c *custodian) pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.bySeq)
-}
-
-// close stops every retransmit timer. Pending offers are not released:
-// the custody queue still holds the data, and a restart re-offers it.
-func (c *custodian) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, f := range c.bySeq {
-		if f.timer != nil {
-			f.timer.Stop()
-		}
-	}
-	c.byID = map[message.ID]*cusFrame{}
-	c.bySeq = map[uint32]*cusFrame{}
-}
+// pending returns the number of outstanding custody offers.
+func (c *custodian) pending() int { return len(c.bySeq) }

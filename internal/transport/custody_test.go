@@ -23,14 +23,11 @@ func custodyPayload(seq uint32) ([]byte, message.ID) {
 // CustodyOptions and records releases, the shape cmd/diffnode uses.
 type custodyHarness struct {
 	q        *custody.Queue
-	released chan message.ID
+	released []message.ID
 }
 
 func newCustodyHarness(limit int) *custodyHarness {
-	return &custodyHarness{
-		q:        custody.NewQueue(limit, nil),
-		released: make(chan message.ID, 64),
-	}
+	return &custodyHarness{q: custody.NewQueue(limit, nil)}
 }
 
 func (h *custodyHarness) options(rto, maxRTO time.Duration) *CustodyOptions {
@@ -40,74 +37,89 @@ func (h *custodyHarness) options(rto, maxRTO time.Duration) *CustodyOptions {
 		},
 		Release: func(peer uint32, id message.ID) {
 			h.q.Release(id)
-			h.released <- id
+			h.released = append(h.released, id)
 		},
 		RTO:    rto,
 		MaxRTO: maxRTO,
 	}
 }
 
-// TestUDPCustodyTransfer walks the happy path over real sockets: the
-// sender holds custody, offers it, and discharges only after the
-// receiver's durable accept comes back as an ack. The payload is
-// delivered up exactly once.
-func TestUDPCustodyTransfer(t *testing.T) {
-	ha, hb := newCustodyHarness(16), newCustodyHarness(16)
-	a, _, _, cb := pair(t,
-		UDPConfig{Custody: ha.options(20*time.Millisecond, 100*time.Millisecond)},
-		UDPConfig{Custody: hb.options(20*time.Millisecond, 100*time.Millisecond)})
-
-	payload, id := custodyPayload(1)
-	// The sender is the current custodian: its queue vouches for the
-	// message until the peer's ack discharges it.
-	ha.q.Accept(id, payload)
+// offer takes custody of payload at the sender — its queue vouches for
+// the message until the peer's ack discharges it — and offers it to 2.
+func (h *custodyHarness) offer(t *testing.T, a *UDP, seq uint32) message.ID {
+	t.Helper()
+	payload, id := custodyPayload(seq)
+	h.q.Accept(id, payload)
 	if err := a.SendCustody(2, id, payload); err != nil {
 		t.Fatal(err)
 	}
+	return id
+}
 
-	waitFor(t, func() bool { return cb.count() == 1 }, "custody delivery")
-	select {
-	case got := <-ha.released:
-		if got != id {
-			t.Fatalf("released %v, want %v", got, id)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for custody release")
-	}
-	waitFor(t, func() bool { return a.CustodyPending() == 0 }, "offer to clear")
+const ms = time.Millisecond
 
-	if ha.q.Len() != 0 {
-		t.Fatalf("sender queue len = %d, want 0 after discharge", ha.q.Len())
+// TestUDPCustodyTransfer walks the happy path: the sender holds custody,
+// offers it, and discharges only after the receiver's durable accept
+// comes back as an ack. The payload is delivered up exactly once.
+func TestUDPCustodyTransfer(t *testing.T) {
+	ha, hb := newCustodyHarness(16), newCustodyHarness(16)
+	n := newSimNet(t)
+	a, _, _, cb := n.pair(
+		UDPConfig{Custody: ha.options(20*ms, 100*ms)},
+		UDPConfig{Custody: hb.options(20*ms, 100*ms)})
+
+	id := ha.offer(t, a, 1)
+	// One wire delay: delivered and durably held at b, not yet discharged
+	// at a — at every instant somebody vouches for the message.
+	n.run(n.delay)
+	if cb.count() != 1 || !hb.q.Has(id) {
+		t.Fatalf("after one wire delay: delivered %d, receiver holds %v", cb.count(), hb.q.Has(id))
 	}
-	if hb.q.Len() != 1 || !hb.q.Has(id) {
-		t.Fatalf("receiver queue len = %d, Has = %v; want custody held", hb.q.Len(), hb.q.Has(id))
+	if a.CustodyPending() != 1 || ha.q.Len() != 1 || len(ha.released) != 0 {
+		t.Fatal("sender discharged before the ack arrived")
 	}
-	if a.Stats().CustodySent.Load() == 0 || a.Stats().CustodyAcksRecv.Load() == 0 {
+	// One more: the ack discharges the sender.
+	n.run(n.delay)
+	if len(ha.released) != 1 || ha.released[0] != id {
+		t.Fatalf("released %v, want [%v]", ha.released, id)
+	}
+	if a.CustodyPending() != 0 || ha.q.Len() != 0 {
+		t.Fatalf("sender pending=%d queue=%d, want 0 after discharge", a.CustodyPending(), ha.q.Len())
+	}
+	if hb.q.Len() != 1 {
+		t.Fatalf("receiver queue len = %d, want custody held", hb.q.Len())
+	}
+	if a.Stats().CustodySent.Load() != 1 || a.Stats().CustodyAcksRecv.Load() != 1 {
 		t.Fatalf("sender accounting: sent=%d acksRecv=%d",
 			a.Stats().CustodySent.Load(), a.Stats().CustodyAcksRecv.Load())
+	}
+	// Nothing retransmits an acknowledged offer.
+	n.run(time.Second)
+	if a.Stats().CustodyRetransmits.Load() != 0 || cb.count() != 1 {
+		t.Fatal("acknowledged offer was retransmitted")
 	}
 }
 
 // TestUDPCustodyRetransmitsAcrossPartition blocks the receiver, offers
 // custody, and lets the offer ride out the partition on its capped
 // backoff: unlike reliable unicast there is no give-up, so the transfer
-// completes as soon as the partition heals.
+// completes on the first retransmission after the partition heals.
 func TestUDPCustodyRetransmitsAcrossPartition(t *testing.T) {
 	ha, hb := newCustodyHarness(16), newCustodyHarness(16)
-	a, _, _, cb := pair(t,
-		UDPConfig{Custody: ha.options(10*time.Millisecond, 40*time.Millisecond)},
-		UDPConfig{Custody: hb.options(10*time.Millisecond, 40*time.Millisecond)})
+	n := newSimNet(t)
+	a, _, _, cb := n.pair(
+		UDPConfig{Custody: ha.options(10*ms, 40*ms)},
+		UDPConfig{Custody: hb.options(10*ms, 40*ms)})
 
 	a.Block(2)
-	payload, id := custodyPayload(7)
-	ha.q.Accept(id, payload)
-	if err := a.SendCustody(2, id, payload); err != nil {
-		t.Fatal(err)
-	}
+	ha.offer(t, a, 7)
 
-	// The offer must keep retrying into the partition, not be abandoned.
-	waitFor(t, func() bool { return a.Stats().CustodyRetransmits.Load() >= 3 },
-		"retransmissions during partition")
+	// The offer keeps retrying into the partition, not abandoned:
+	// retransmissions at 10, 30, 70 and then every 40ms.
+	n.run(time.Second)
+	if got := a.Stats().CustodyRetransmits.Load(); got != 3+23 {
+		t.Fatalf("retransmits after 1s = %d, want 26", got)
+	}
 	if cb.count() != 0 {
 		t.Fatal("payload crossed a blocked link")
 	}
@@ -116,8 +128,10 @@ func TestUDPCustodyRetransmitsAcrossPartition(t *testing.T) {
 	}
 
 	a.Unblock(2)
-	waitFor(t, func() bool { return cb.count() == 1 }, "delivery after heal")
-	waitFor(t, func() bool { return a.CustodyPending() == 0 }, "discharge after heal")
+	n.run(40*ms + 2*n.delay)
+	if cb.count() != 1 || a.CustodyPending() != 0 {
+		t.Fatalf("one capped RTO after the heal: delivered %d, pending %d", cb.count(), a.CustodyPending())
+	}
 	if ha.q.Len() != 0 || hb.q.Len() != 1 {
 		t.Fatalf("queues after heal: sender=%d receiver=%d, want 0 and 1",
 			ha.q.Len(), hb.q.Len())
@@ -131,30 +145,30 @@ func TestUDPCustodyRetransmitsAcrossPartition(t *testing.T) {
 // still delivered exactly once.
 func TestUDPCustodyDuplicateOfferReacked(t *testing.T) {
 	ha, hb := newCustodyHarness(16), newCustodyHarness(16)
-	a, b, _, cb := pair(t,
-		UDPConfig{Custody: ha.options(10*time.Millisecond, 40*time.Millisecond)},
-		UDPConfig{Custody: hb.options(10*time.Millisecond, 40*time.Millisecond)})
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(
+		UDPConfig{Custody: ha.options(10*ms, 40*ms)},
+		UDPConfig{Custody: hb.options(10*ms, 40*ms)})
 
-	payload, id := custodyPayload(9)
-	ha.q.Accept(id, payload)
-	if err := a.SendCustody(2, id, payload); err != nil {
-		t.Fatal(err)
+	ha.offer(t, a, 9)
+	n.run(2 * n.delay)
+	if a.CustodyPending() != 0 {
+		t.Fatal("first transfer did not complete in one round trip")
 	}
-	waitFor(t, func() bool { return a.CustodyPending() == 0 }, "first transfer")
 
 	// Offer the same ID again, as a restarted custodian whose ack was
 	// lost would: the receiver re-acks from its held set without a second
 	// delivery, and the sender discharges again.
-	ha.q.Accept(id, payload)
-	if err := a.SendCustody(2, id, payload); err != nil {
-		t.Fatal(err)
+	ha.offer(t, a, 9)
+	n.run(2 * n.delay)
+	if a.CustodyPending() != 0 {
+		t.Fatal("duplicate offer was not re-acked")
 	}
-	waitFor(t, func() bool { return a.CustodyPending() == 0 }, "duplicate re-acked")
 	if got := cb.count(); got != 1 {
 		t.Fatalf("delivered %d times, want exactly 1", got)
 	}
-	if got := b.Stats().CustodyAcksSent.Load(); got < 2 {
-		t.Fatalf("acks sent = %d, want >= 2", got)
+	if got := b.Stats().CustodyAcksSent.Load(); got != 2 {
+		t.Fatalf("acks sent = %d, want 2", got)
 	}
 	if hb.q.Len() != 1 {
 		t.Fatalf("receiver queue len = %d, want 1", hb.q.Len())
@@ -164,35 +178,40 @@ func TestUDPCustodyDuplicateOfferReacked(t *testing.T) {
 // TestUDPCustodyRejectedWhenFull gives the receiver a zero-headroom
 // custody queue: offers are refused (no ack, counted as rejected) and
 // the payload is not delivered, so the sender retains custody. Once the
-// receiver frees a slot, a later retransmission is accepted.
+// receiver frees a slot, the next retransmission is accepted.
 func TestUDPCustodyRejectedWhenFull(t *testing.T) {
 	ha, hb := newCustodyHarness(16), newCustodyHarness(1)
-	a, b, _, cb := pair(t,
-		UDPConfig{Custody: ha.options(10*time.Millisecond, 40*time.Millisecond)},
-		UDPConfig{Custody: hb.options(10*time.Millisecond, 40*time.Millisecond)})
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(
+		UDPConfig{Custody: ha.options(10*ms, 40*ms)},
+		UDPConfig{Custody: hb.options(10*ms, 40*ms)})
 
 	// Fill the receiver's single slot with unrelated custody.
 	blocker, blockerID := custodyPayload(100)
 	hb.q.Accept(blockerID, blocker)
 
-	payload, id := custodyPayload(3)
-	ha.q.Accept(id, payload)
-	if err := a.SendCustody(2, id, payload); err != nil {
-		t.Fatal(err)
+	ha.offer(t, a, 3)
+	// The offer and its first two retransmissions (at 10 and 30ms) are
+	// all refused.
+	n.run(30*ms + n.delay)
+	if got := b.Stats().CustodyRejected.Load(); got != 3 {
+		t.Fatalf("rejected = %d, want 3", got)
 	}
-
-	waitFor(t, func() bool { return b.Stats().CustodyRejected.Load() >= 2 },
-		"offers rejected while full")
 	if cb.count() != 0 {
 		t.Fatal("rejected offer was delivered")
+	}
+	if b.Stats().CustodyAcksSent.Load() != 0 {
+		t.Fatal("rejected offer was acknowledged")
 	}
 	if ha.q.Len() != 1 {
 		t.Fatalf("sender queue len = %d, want 1 (custody retained)", ha.q.Len())
 	}
 
 	hb.q.Release(blockerID)
-	waitFor(t, func() bool { return cb.count() == 1 }, "accept after slot freed")
-	waitFor(t, func() bool { return a.CustodyPending() == 0 }, "discharge")
+	n.run(40*ms + n.delay) // the third retransmission, at 70ms
+	if cb.count() != 1 || a.CustodyPending() != 0 {
+		t.Fatalf("after the slot freed: delivered %d, pending %d", cb.count(), a.CustodyPending())
+	}
 }
 
 // TestUDPCustodyReofferOnRecovery pairs custody with the failure
@@ -200,57 +219,64 @@ func TestUDPCustodyRejectedWhenFull(t *testing.T) {
 // heal — the PeerAlive transition must re-offer pending custody
 // immediately instead of waiting out the full backoff.
 func TestUDPCustodyReofferOnRecovery(t *testing.T) {
-	lv := &LivenessConfig{
-		Interval:        10 * time.Millisecond,
-		SuspectAfter:    30 * time.Millisecond,
-		DeadAfter:       60 * time.Millisecond,
-		MaxProbeBackoff: 20 * time.Millisecond,
+	lv := LivenessConfig{
+		Interval:        10 * ms,
+		SuspectAfter:    30 * ms,
+		DeadAfter:       60 * ms,
+		MaxProbeBackoff: 20 * ms,
 	}
 	ha, hb := newCustodyHarness(16), newCustodyHarness(16)
 	// A long RTO so only the recovery hook can explain a prompt re-offer.
-	la, lb := *lv, *lv
-	a, b, _, cb := pair(t,
+	la, lb := lv, lv
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(
 		UDPConfig{Liveness: &la, Custody: ha.options(2*time.Second, 4*time.Second)},
 		UDPConfig{Liveness: &lb, Custody: hb.options(2*time.Second, 4*time.Second)})
 
-	// Partition both directions and wait for a to declare 2 dead.
+	// Partition both directions until a has declared 2 dead.
 	a.Block(2)
 	b.Block(1)
-	waitFor(t, func() bool { return a.Stats().PeerDeaths.Load() >= 1 }, "peer death")
-
-	payload, id := custodyPayload(5)
-	ha.q.Accept(id, payload)
-	if err := a.SendCustody(2, id, payload); err != nil {
-		t.Fatal(err)
+	n.run(lv.DeadAfter)
+	if a.Stats().PeerDeaths.Load() != 1 {
+		t.Fatalf("peer deaths after DeadAfter of partition = %d, want 1", a.Stats().PeerDeaths.Load())
 	}
-	time.Sleep(50 * time.Millisecond)
+
+	ha.offer(t, a, 5)
+	n.run(50 * ms)
 	if cb.count() != 0 {
 		t.Fatal("payload crossed the partition")
 	}
 
 	a.Unblock(2)
 	b.Unblock(1)
-	// Heartbeats resume, the detector flips 2 back to alive, and the
-	// recovery hook re-offers well before the 2 s RTO would fire.
-	waitFor(t, func() bool { return cb.count() == 1 }, "re-offer on recovery")
-	waitFor(t, func() bool { return a.CustodyPending() == 0 }, "discharge")
-	if a.Stats().PeerRecoveries.Load() == 0 {
-		t.Fatal("no recovery transition recorded")
+	// Heartbeats resume within the 20ms probe cap (plus jitter), the
+	// detector flips 2 back to alive, and the recovery hook re-offers well
+	// before the 2 s RTO would fire.
+	n.run(25*ms + 4*n.delay)
+	if cb.count() != 1 || a.CustodyPending() != 0 {
+		t.Fatalf("after recovery: delivered %d, pending %d; want the re-offer acked", cb.count(), a.CustodyPending())
+	}
+	if a.Stats().PeerRecoveries.Load() != 1 {
+		t.Fatalf("recoveries = %d, want 1", a.Stats().PeerRecoveries.Load())
+	}
+	if got := a.Stats().CustodyRetransmits.Load(); got != 1 {
+		t.Fatalf("custody retransmits = %d, want exactly the recovery re-offer", got)
 	}
 }
 
 // TestUDPCustodySupersede moves a pending offer to a new peer: the old
 // offer is dropped, and pending stays at one.
 func TestUDPCustodySupersede(t *testing.T) {
-	ha := newCustodyHarness(16)
-	hb := newCustodyHarness(16)
-	a, _, _, _ := pair(t,
-		UDPConfig{Custody: ha.options(time.Hour, time.Hour)},
-		UDPConfig{Custody: hb.options(time.Hour, time.Hour)})
+	ha, hb := newCustodyHarness(16), newCustodyHarness(16)
+	n := newSimNet(t)
+	cfg := UDPConfig{ID: 1, Neighbors: neighbors(2, 3), Custody: ha.options(time.Hour, time.Hour)}
+	a := n.endpoint(cfg)
+	n.endpoint(UDPConfig{ID: 2, Neighbors: neighbors(1), Custody: hb.options(time.Hour, time.Hour)})
 
 	payload, id := custodyPayload(11)
 	ha.q.Accept(id, payload)
 	a.Block(2)
+	a.Block(3)
 	if err := a.SendCustody(2, id, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +293,17 @@ func TestUDPCustodySupersede(t *testing.T) {
 	if got := a.Stats().CustodySent.Load(); got != 1 {
 		t.Fatalf("custody sent = %d, want 1 (re-offer suppressed)", got)
 	}
+	// Offering it to another peer replaces the offer instead of adding one.
+	if err := a.SendCustody(3, id, payload); err != nil {
+		t.Fatal(err)
+	}
+	if a.CustodyPending() != 1 || a.Stats().CustodySent.Load() != 2 {
+		t.Fatalf("after supersede: pending=%d sent=%d, want 1 and 2",
+			a.CustodyPending(), a.Stats().CustodySent.Load())
+	}
+	if a.cus.byID[id].peer != 3 {
+		t.Fatalf("pending offer is toward %d, want 3", a.cus.byID[id].peer)
+	}
 
 	// Unknown destinations are refused outright.
 	if err := a.SendCustody(99, id, payload); err == nil {
@@ -278,28 +315,26 @@ func TestUDPCustodySupersede(t *testing.T) {
 // a peer running without custody still delivers the payload — exactly
 // once, retransmits deduplicated by offer seq — but is never
 // acknowledged, so responsibility stays with the sender (the offer
-// remains pending and the queue keeps the item). Before this contract
-// the frame was dropped outright and the data never arrived at all.
+// remains pending and the queue keeps the item).
 func TestUDPCustodyToCustodylessPeer(t *testing.T) {
 	ha := newCustodyHarness(16)
-	a, _, _, cb := pair(t,
-		UDPConfig{Custody: ha.options(20*time.Millisecond, 50*time.Millisecond)},
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(
+		UDPConfig{Custody: ha.options(20*ms, 50*ms)},
 		UDPConfig{}) // receiver has no custody wired
 
-	payload, id := custodyPayload(7)
-	ha.q.Accept(id, payload)
-	if err := a.SendCustody(2, id, payload); err != nil {
-		t.Fatal(err)
-	}
-
-	waitFor(t, func() bool { return cb.count() == 1 }, "best-effort delivery")
-	// Let several retransmissions happen; none may double-deliver or ack.
-	time.Sleep(300 * time.Millisecond)
+	id := ha.offer(t, a, 7)
+	// Retransmissions at 20, 60 and then every 50ms; none may
+	// double-deliver or be acked.
+	n.run(300*ms + n.delay)
 	if got := cb.count(); got != 1 {
 		t.Fatalf("delivered %d times, want exactly 1", got)
 	}
-	if a.Stats().CustodyRetransmits.Load() == 0 {
-		t.Fatal("sender should still be retransmitting the unacknowledged offer")
+	if got := a.Stats().CustodyRetransmits.Load(); got != 6 {
+		t.Fatalf("retransmits in 300ms = %d, want 6", got)
+	}
+	if got := b.Stats().DupSuppressed.Load(); got != 6 {
+		t.Fatalf("duplicates suppressed = %d, want 6", got)
 	}
 	if a.Stats().CustodyAcksRecv.Load() != 0 {
 		t.Fatal("custody-less peer must never acknowledge an offer")
@@ -308,9 +343,7 @@ func TestUDPCustodyToCustodylessPeer(t *testing.T) {
 		t.Fatalf("pending=%d len=%d has=%v; sender must keep custody",
 			a.CustodyPending(), ha.q.Len(), ha.q.Has(id))
 	}
-	select {
-	case <-ha.released:
+	if len(ha.released) != 0 {
 		t.Fatal("custody must not be released without a durable accept")
-	default:
 	}
 }

@@ -1,11 +1,12 @@
 package transport
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"net"
-	"sync"
+	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -93,25 +94,13 @@ const (
 
 // String renders the event.
 func (e MemberEvent) String() string {
-	switch e {
-	case MemberJoined:
-		return "joined"
-	case MemberRejoined:
-		return "rejoined"
-	case MemberLeft:
-		return "left"
-	case MemberEvicted:
-		return "evicted"
-	case MemberDemoted:
-		return "demoted"
-	case MemberDead:
-		return "dead"
-	case MemberQuarantined:
-		return "quarantined"
-	default:
-		return "unknown"
+	if int(e) < len(memberEventNames) {
+		return memberEventNames[e]
 	}
+	return "unknown"
 }
+
+var memberEventNames = [...]string{"joined", "rejoined", "left", "evicted", "demoted", "dead", "quarantined"}
 
 // Membership table states, as reported in Member.Membership /
 // Member.MembershipCode. Neighbor means the peer is in the live neighbor
@@ -137,21 +126,13 @@ const (
 )
 
 func (s memberState) String() string {
-	switch s {
-	case stCandidate:
-		return "candidate"
-	case stNeighbor:
-		return "neighbor"
-	case stQuarantined:
-		return "quarantined"
-	case stLeft:
-		return "left"
-	case stDead:
-		return "dead"
-	default:
-		return "unknown"
+	if int(s) < len(memberStateNames) {
+		return memberStateNames[s]
 	}
+	return "unknown"
 }
+
+var memberStateNames = [...]string{"candidate", "neighbor", "quarantined", "left", "dead"}
 
 // Member is one row of the endpoint's membership view: every peer in the
 // live neighbor table plus every discovery record not (or no longer) in
@@ -184,6 +165,8 @@ type DiscoveryConfig struct {
 	Seeds []string
 	// Advertise is the UDP address announced to peers (default: the bound
 	// address — correct on loopback and when listening on a routable IP).
+	// Give a literal IP:port: receivers resolve no names and fall back to
+	// the datagram's source address.
 	Advertise string
 	// HTTPPort is the node's control-plane port, carried in announces so
 	// peers can derive the /neighbors address for mesh walking (0 = none).
@@ -205,9 +188,10 @@ type DiscoveryConfig struct {
 	// GossipFanout is how many known peers each announce samples
 	// (default 8).
 	GossipFanout int
-	// OnMember, when set, is invoked on membership changes. Called from
-	// transport-owned goroutines; do not call back into the endpoint
-	// synchronously — post onto the node's loop instead.
+	// OnMember, when set, is invoked on membership changes, after the
+	// endpoint has released its lock, from whichever goroutine made the
+	// change happen (the socket reader or the timer). A single-threaded
+	// consumer posts onto its own loop.
 	OnMember func(peer uint32, ev MemberEvent)
 }
 
@@ -288,20 +272,19 @@ type announce struct {
 	gossip   []gossipEntry
 }
 
+// gossipEntry is one peer an announce passes on: always a literal
+// IP:port. On the wire it is text; a received entry that does not parse
+// as a literal is dropped by the decoder, so nothing downstream can be
+// talked into resolving a name.
 type gossipEntry struct {
 	id   uint32
-	addr string
+	addr netip.AddrPort
 }
 
-// encodeAnnounce renders a to wire format. Addresses longer than 255
-// bytes cannot be encoded; the constructor rejects such an Advertise and
-// gossip skips them.
+// encodeAnnounce renders a to wire format. An Advertise longer than 255
+// bytes cannot be encoded; the constructor rejects it.
 func encodeAnnounce(a announce) []byte {
-	n := 15 + len(a.addr) + 1
-	for _, g := range a.gossip {
-		n += 5 + len(g.addr)
-	}
-	b := make([]byte, 0, n)
+	b := make([]byte, 0, 16+len(a.addr)+len(a.gossip)*32)
 	b = append(b, discoVersion, a.flags)
 	b = binary.BigEndian.AppendUint64(b, a.digest)
 	b = binary.BigEndian.AppendUint16(b, a.httpPort)
@@ -311,14 +294,23 @@ func encodeAnnounce(a announce) []byte {
 	b = append(b, byte(len(a.gossip)))
 	for _, g := range a.gossip {
 		b = binary.BigEndian.AppendUint32(b, g.id)
-		b = append(b, byte(len(g.addr)))
-		b = append(b, g.addr...)
+		at := len(b)
+		b = g.addr.AppendTo(append(b, 0))
+		b[at] = byte(len(b) - at - 1)
 	}
 	return b
 }
 
-// decodeAnnounce parses a wire announce, copying all strings out of the
-// receive buffer.
+// parseLiteral reads an address that arrived from the network: a literal
+// IP:port or nothing. Names are refused — resolving one would park the
+// caller on a DNS round-trip at any stranger's request — and so are IPv6
+// zones, which only mean something on the host that wrote them.
+func parseLiteral(s string) (netip.AddrPort, bool) {
+	ap, err := netip.ParseAddrPort(s)
+	return ap, err == nil && ap.Port() != 0 && ap.Addr().Zone() == ""
+}
+
+// decodeAnnounce parses a wire announce. Nothing in the result aliases b.
 func decodeAnnounce(b []byte) (announce, error) {
 	var a announce
 	if len(b) < 16 {
@@ -327,6 +319,7 @@ func decodeAnnounce(b []byte) (announce, error) {
 	if b[0] != discoVersion {
 		return a, fmt.Errorf("transport: announce version %d, want %d", b[0], discoVersion)
 	}
+	s := string(b)
 	a.flags = b[1]
 	a.digest = binary.BigEndian.Uint64(b[2:10])
 	a.httpPort = binary.BigEndian.Uint16(b[10:12])
@@ -336,10 +329,16 @@ func decodeAnnounce(b []byte) (announce, error) {
 	if len(b) < p+alen+1 {
 		return a, fmt.Errorf("transport: announce address truncated")
 	}
-	a.addr = string(b[p : p+alen])
+	a.addr = s[p : p+alen]
 	p += alen
 	count := int(b[p])
 	p++
+	// Every entry takes at least 5 bytes, so a count the payload cannot
+	// hold is refused before anything is allocated for it.
+	if len(b)-p < 5*count {
+		return a, fmt.Errorf("transport: announce gossip truncated")
+	}
+	a.gossip = make([]gossipEntry, 0, count)
 	for i := 0; i < count; i++ {
 		if len(b) < p+5 {
 			return a, fmt.Errorf("transport: announce gossip truncated")
@@ -350,7 +349,9 @@ func decodeAnnounce(b []byte) (announce, error) {
 		if len(b) < p+glen {
 			return a, fmt.Errorf("transport: announce gossip truncated")
 		}
-		a.gossip = append(a.gossip, gossipEntry{id: id, addr: string(b[p : p+glen])})
+		if ap, ok := parseLiteral(s[p : p+glen]); ok {
+			a.gossip = append(a.gossip, gossipEntry{id: id, addr: ap})
+		}
 		p += glen
 	}
 	return a, nil
@@ -358,224 +359,242 @@ func decodeAnnounce(b []byte) (announce, error) {
 
 // discoRec is one peer's discovery record — the endpoint's view of a
 // peer's announced identity and its place in the membership lifecycle.
+// Times are clock readings (offsets from the endpoint's start).
 type discoRec struct {
 	id         uint32
-	cfg        bool // statically configured: pinned, never evicted or demoted
-	addr       *net.UDPAddr
+	cfg        bool           // statically configured: pinned, never evicted or demoted
+	addr       netip.AddrPort // zero until learned
 	httpPort   uint16
 	boot       uint32
 	haveBoot   bool
 	score      uint64
 	energy     uint16 // permille
 	state      memberState
-	peered     bool      // peer's last announce this boot listed us as its neighbor
-	protected  bool      // admitted via the loneliness override: immune to score eviction
-	backoff    uint8     // consecutive failed handshakes, drives exponential retry damping
-	promotedAt time.Time // when we promoted it (handshake deadline base)
-	retryAt    time.Time // do not re-promote before this (handshake damping)
-	lastHeard  time.Time // last announce/probe from the peer
-	lastReply  time.Time // last rate-limited announce we sent it in response
-	lastProbe  time.Time // last solicitation we sent it
+	peered     bool          // peer's last announce this boot listed us as its neighbor
+	protected  bool          // admitted via the loneliness override: immune to score eviction
+	backoff    uint8         // consecutive failed handshakes, drives exponential retry damping
+	promotedAt time.Duration // when we promoted it (handshake deadline base)
+	retryAt    time.Duration // do not re-promote before this (handshake damping)
+	lastHeard  time.Duration // last announce/probe from the peer
+	lastReply  time.Duration // last rate-limited announce we sent it in response
+	lastProbe  time.Duration // last solicitation we sent it
+	slot       int           // index in discovery.pool
 }
 
-// memberEvt is a deferred OnMember callback, fired after d.mu unlocks.
-type memberEvt struct {
-	peer uint32
-	ev   MemberEvent
-}
-
-// discoSend is a deferred frame send, flushed after d.mu unlocks.
+// discoSend is one membership frame a step decided to send; flush renders
+// the batch (gossip sample, loneliness bid) once the step's table changes
+// are in.
 type discoSend struct {
 	dst    uint32 // 0 when the peer ID is unknown (header dst = Broadcast)
-	addr   *net.UDPAddr
+	addr   netip.AddrPort
 	kind   uint8
 	peered bool // announce peering bit
 }
 
-// discovery is one endpoint's membership engine. Lock order: d.mu may be
-// held while taking the detector's or peer table's lock, never the
-// reverse — detector callbacks fire outside its own lock.
+// discovery is one endpoint's membership engine (engine contract:
+// engine.go). What it wants done to the neighbor table, the failure
+// detector and the retransmission engines it says with table ops.
 type discovery struct {
 	cfg       DiscoveryConfig
-	u         *UDP
-	seeds     []*net.UDPAddr
+	id        uint32 // this node
+	stats     *Stats
+	seeds     []netip.AddrPort          // operator input, resolved once at start-up
+	pinned    map[uint32]netip.AddrPort // so are the operator's neighbors
+	pinnedIDs idSet
 	advertise string
-	energy    uint16 // permille
+	self      netip.AddrPort // advertise, when it is a literal: a seed list may name this node too
+	energy    uint16         // permille
 
-	mu              sync.Mutex
 	rng             *rand.Rand
 	recs            map[uint32]*discoRec
-	lastLonelyEvict time.Time // rate limit on loneliness-override evictions
-	lonelyRR        uint32    // rotates the single per-batch loneliness bid
-
-	stop chan struct{}
-	done chan struct{}
+	list            []*discoRec // the same records, in ID order when sorted
+	sorted          bool
+	pool            []*discoRec   // and in the order gossipSample's shuffles left them
+	nbrs            []*discoRec   // promoted (not pinned) neighbors, oldest first
+	lastLonelyEvict time.Duration // rate limit on loneliness-override evictions
+	lonelyRR        uint32        // rotates the single per-batch loneliness bid
+	next            time.Duration // next announce round
 }
 
-// newDiscovery builds the engine (ListenUDP starts its goroutine).
-func newDiscovery(cfg DiscoveryConfig, u *UDP, seed int64) (*discovery, error) {
+// newDiscovery builds the engine; its first round is due at now. seeds
+// and pinned (the configured neighbor table) are already resolved, local
+// is the bound address.
+func newDiscovery(cfg DiscoveryConfig, id uint32, seeds []netip.AddrPort, pinned map[uint32]netip.AddrPort,
+	local string, seed int64, stats *Stats, now time.Duration) (*discovery, error) {
 	cfg.fill()
 	d := &discovery{
-		cfg:  cfg,
-		u:    u,
-		rng:  rand.New(rand.NewSource(seed)),
-		recs: map[uint32]*discoRec{},
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:             cfg,
+		id:              id,
+		stats:           stats,
+		seeds:           seeds,
+		pinned:          pinned,
+		advertise:       cfg.Advertise,
+		energy:          uint16(cfg.Energy * 1000),
+		rng:             rand.New(rand.NewSource(seed)),
+		recs:            map[uint32]*discoRec{},
+		lastLonelyEvict: longAgo,
+		next:            now,
 	}
-	for _, s := range cfg.Seeds {
-		a, err := net.ResolveUDPAddr("udp", s)
-		if err != nil {
-			return nil, fmt.Errorf("transport: seed %q: %w", s, err)
-		}
-		d.seeds = append(d.seeds, a)
-	}
-	d.advertise = cfg.Advertise
 	if d.advertise == "" {
-		d.advertise = u.LocalAddr().String()
+		d.advertise = local
 	}
 	if len(d.advertise) > 255 {
 		return nil, fmt.Errorf("transport: advertise address %q too long", d.advertise)
 	}
-	d.energy = uint16(cfg.Energy * 1000)
+	d.self, _ = netip.ParseAddrPort(d.advertise)
+	for id := range pinned {
+		d.pinnedIDs.add(id)
+	}
 	return d, nil
 }
 
-// run is the announce goroutine: an immediate round, then one per
-// Interval. Each round also sweeps the record table (handshake deadlines,
-// stale-record expiry).
-func (d *discovery) run() {
-	defer close(d.done)
-	d.round()
-	t := time.NewTicker(d.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			d.round()
-		}
+// notify queues an OnMember callback.
+func (d *discovery) notify(fx *effects, peer uint32, ev MemberEvent) {
+	if d.cfg.OnMember != nil {
+		fx.calls = append(fx.calls, func() { d.cfg.OnMember(peer, ev) })
 	}
 }
 
-// round sweeps the table and announces to seeds, neighbors and a probe
-// batch of candidates.
-func (d *discovery) round() {
-	now := time.Now()
-	var sends []discoSend
-	var events []memberEvt
+// nextDeadline is when the next announce round is due.
+func (d *discovery) nextDeadline() time.Duration { return d.next }
 
-	d.mu.Lock()
-	for id, r := range d.recs {
-		if r.cfg {
-			continue
+// rec returns id's record, creating it on first sight.
+func (d *discovery) rec(id uint32) *discoRec {
+	r := d.recs[id]
+	if r == nil {
+		r = &discoRec{id: id, lastReply: longAgo}
+		if _, r.cfg = d.pinned[id]; r.cfg {
+			r.state = stNeighbor
 		}
-		switch r.state {
-		case stNeighbor:
+		d.recs[id] = r
+		d.list = append(d.list, r)
+		d.sorted = false
+		r.slot = len(d.pool)
+		d.pool = append(d.pool, r)
+	}
+	return r
+}
+
+// byID returns every record in ID order. Records are appended as they are
+// learned — gossip teaches dozens per round at fleet scale — and sorted
+// here, when a walk needs the order.
+func (d *discovery) byID() []*discoRec {
+	if !d.sorted {
+		slices.SortFunc(d.list, func(a, b *discoRec) int { return cmp.Compare(a.id, b.id) })
+		d.sorted = true
+	}
+	return d.list
+}
+
+// tick is one announce round: one walk of the table in ID order that
+// enforces handshake deadlines, expires stale records and picks whom to
+// announce to and whom to probe, then the announces to pinned neighbors
+// and seeds.
+func (d *discovery) tick(now time.Duration, fx *effects) {
+	d.next = now + d.cfg.Interval
+	var notices, announces []discoSend
+	var due [4]*discoRec // the least-recently-probed candidates, in ID order
+	nDue := 0
+	kept := d.list[:0]
+	for _, r := range d.byID() {
+		switch {
+		case r.state != stNeighbor:
+			if now < r.retryAt {
+				// Inside its courtship retry window a record neither
+				// expires nor is probed. Its silence is self-inflicted (we
+				// stopped probing it, so it stopped replying), and deleting
+				// it would wipe the escalating backoff counter; seed gossip
+				// re-teaches the record moments later with a fresh counter,
+				// and the saturation courtship loop the backoff exists to
+				// damp starts over at the floor.
+				break
+			}
+			if now-max(r.lastHeard, r.retryAt) > 10*d.cfg.Interval {
+				// Non-neighbor records expire after prolonged silence so
+				// the table tracks the mesh, not its history.
+				delete(d.recs, r.id)
+				d.swapPool(r.slot, len(d.pool)-1)
+				d.pool = d.pool[:len(d.pool)-1]
+				continue
+			}
+			if r.state != stCandidate || !r.addr.IsValid() {
+				break
+			}
+			if nDue < len(due) {
+				due[nDue] = r
+				nDue++
+				break
+			}
+			worst := 0
+			for i := range due {
+				if due[i].lastProbe > due[worst].lastProbe {
+					worst = i
+				}
+			}
+			if r.lastProbe <= due[worst].lastProbe {
+				copy(due[worst:], due[worst+1:])
+				due[len(due)-1] = r
+			}
+		case !r.cfg && !r.peered && now-r.promotedAt > 3*d.cfg.Interval:
 			// Handshake deadline: a promoted peer that never peered back
 			// within three intervals is full (we are below its cut) — stop
 			// holding a one-way slot for it.
-			if !r.peered && now.Sub(r.promotedAt) > 3*d.cfg.Interval {
-				d.demoteLocked(r, stCandidate)
-				r.retryAt = now.Add(d.handshakeBackoffLocked(r))
-				d.u.stats.MemberDemotions.Add(1)
-				events = append(events, memberEvt{id, MemberDemoted})
-				if r.addr != nil {
-					// Tell the peer explicitly (bit clear): if it admitted
-					// us in a race with this deadline, it frees its slot now
-					// instead of waiting out its failure detector against
-					// our heartbeat silence — the lag that otherwise keeps
-					// an asymmetric pair oscillating.
-					r.lastReply = now
-					sends = append(sends, discoSend{dst: id, addr: r.addr, kind: kindAnnounce})
-				}
+			d.demote(r, stCandidate, fx)
+			r.retryAt = now + d.handshakeBackoff(r)
+			d.stats.MemberDemotions.Add(1)
+			d.notify(fx, r.id, MemberDemoted)
+			if r.addr.IsValid() {
+				// Tell the peer explicitly (bit clear): if it admitted us
+				// in a race with this deadline, it frees its slot now
+				// instead of waiting out its failure detector against our
+				// heartbeat silence — the lag that otherwise keeps an
+				// asymmetric pair oscillating.
+				r.lastReply = now
+				notices = append(notices, discoSend{dst: r.id, addr: r.addr, kind: kindAnnounce})
 			}
-		default:
-			// Non-neighbor records expire after prolonged silence so the
-			// table tracks the mesh, not its history — except records inside
-			// their courtship retry window. Their silence is self-inflicted
-			// (we stopped probing them, so they stopped replying), and
-			// deleting them would wipe the escalating backoff counter; seed
-			// gossip re-teaches the record moments later with a fresh
-			// counter, and the saturation courtship loop the backoff exists
-			// to damp starts over at the floor.
-			if now.Sub(r.lastHeard) > 10*d.cfg.Interval && !now.Before(r.retryAt) {
-				delete(d.recs, id)
-			}
+		case r.addr.IsValid():
+			// Announce to every neighbor — dynamic and configured — with
+			// the peering bit set; that bit is the other side's proof the
+			// handshake completed.
+			announces = append(announces, discoSend{dst: r.id, addr: r.addr, kind: kindAnnounce, peered: true})
 		}
+		kept = append(kept, r)
 	}
+	clear(d.list[len(kept):])
+	d.list = kept
 
-	// Announce to every neighbor — dynamic and configured — with the
-	// peering bit set; that bit is the other side's proof the handshake
-	// completed.
-	covered := map[string]bool{}
-	for _, r := range d.recs {
-		if r.state == stNeighbor && r.addr != nil {
-			sends = append(sends, discoSend{dst: r.id, addr: r.addr, kind: kindAnnounce, peered: true})
-			covered[r.addr.String()] = true
-		}
+	covered := func(a netip.AddrPort) bool {
+		return slices.ContainsFunc(announces, func(s discoSend) bool { return s.addr == a })
 	}
-	for id, addr := range d.u.configuredPeers() {
-		if covered[addr.String()] {
-			continue
+	for _, id := range d.pinnedIDs {
+		if !covered(d.pinned[id]) {
+			announces = append(announces, discoSend{dst: id, addr: d.pinned[id], kind: kindAnnounce, peered: true})
 		}
-		sends = append(sends, discoSend{dst: id, addr: addr, kind: kindAnnounce, peered: true})
-		covered[addr.String()] = true
 	}
 	// Seeds are announced to every round regardless of membership: they
 	// are the mesh's rendezvous points, and their gossip replies are what
 	// spreads knowledge of everyone else.
-	for _, s := range d.seeds {
-		as := s.String()
-		if covered[as] || as == d.advertise {
-			continue
+	for _, seed := range d.seeds {
+		if !covered(seed) && seed != d.self {
+			announces = append(announces, discoSend{addr: seed, kind: kindAnnounce})
 		}
-		sends = append(sends, discoSend{dst: 0, addr: s, kind: kindAnnounce})
-		covered[as] = true
 	}
+	sends := append(notices, announces...)
 	// While below the cap, solicit announces from a few candidates per
 	// round (oldest-probed first). Candidates learned from gossip only
 	// become neighbors through a full announce — probes carry no digest
 	// or boot nonce — so this is what turns gossip into edges.
-	if d.roomLocked() > 0 {
-		var due []*discoRec
-		for _, r := range d.recs {
-			if !r.cfg && r.state == stCandidate && r.addr != nil && now.After(r.retryAt) {
-				due = append(due, r)
-			}
-		}
-		for len(due) > 0 && len(due) > 4 {
-			// Keep the 4 least-recently-probed.
-			worst := 0
-			for i, r := range due {
-				if r.lastProbe.After(due[worst].lastProbe) {
-					worst = i
-				}
-			}
-			due = append(due[:worst], due[worst+1:]...)
-		}
-		for _, r := range due {
+	if d.room() > 0 {
+		for _, r := range due[:nDue] {
 			r.lastProbe = now
 			sends = append(sends, discoSend{dst: r.id, addr: r.addr, kind: kindProbe})
 		}
 	}
-	d.mu.Unlock()
-
-	d.flush(sends)
-	d.fire(events)
+	d.flush(sends, fx)
 }
 
-// roomLocked is the number of free neighbor slots under the degree cap.
-func (d *discovery) roomLocked() int {
-	dyn := 0
-	for _, r := range d.recs {
-		if !r.cfg && r.state == stNeighbor {
-			dyn++
-		}
-	}
-	return d.cfg.DegreeCap - d.u.configuredCount() - dyn
-}
+// room is the number of free neighbor slots under the degree cap.
+func (d *discovery) room() int { return d.cfg.DegreeCap - len(d.pinned) - len(d.nbrs) }
 
 // better reports whether a is preferred over b for a neighbor slot:
 // higher cluster-head score, then higher energy, then higher ID. Strictly
@@ -591,19 +610,16 @@ func better(a, b *discoRec) bool {
 	return a.id > b.id
 }
 
-// weakestLocked returns the least-preferred evictable dynamic neighbor
-// (nil when there is none). Configured neighbors are pinned by the
-// operator, and loneliness-admitted ones are protected — evicting those
-// would re-isolate the node the override just rescued. Unless
-// includePeered is set, mutual links are off the table too: only one-way
-// placeholder slots are offered up.
-func (d *discovery) weakestLocked(includePeered bool) *discoRec {
+// weakest returns the least-preferred evictable dynamic neighbor (nil
+// when there is none). Configured neighbors are pinned by the operator,
+// and loneliness-admitted ones are protected — evicting those would
+// re-isolate the node the override just rescued. Unless includePeered is
+// set, mutual links are off the table too: only one-way placeholder slots
+// are offered up.
+func (d *discovery) weakest(includePeered bool) *discoRec {
 	var w *discoRec
-	for _, r := range d.recs {
-		if r.cfg || r.protected || r.state != stNeighbor {
-			continue
-		}
-		if r.peered && !includePeered {
+	for _, r := range d.nbrs {
+		if r.protected || r.peered && !includePeered {
 			continue
 		}
 		if w == nil || better(w, r) {
@@ -613,13 +629,14 @@ func (d *discovery) weakestLocked(includePeered bool) *discoRec {
 	return w
 }
 
-// promoteLocked installs r as a full neighbor: peer table, failure
-// detector, reliable/custody machinery all see it from here on.
-func (d *discovery) promoteLocked(r *discoRec, now time.Time) {
+// promote makes r a full neighbor: peer table, failure detector,
+// reliable/custody machinery all see it from here on.
+func (d *discovery) promote(r *discoRec, now time.Duration, fx *effects) {
 	r.state = stNeighbor
 	r.promotedAt = now
-	d.u.addNeighbor(r.id, r.addr)
-	d.u.stats.MemberJoins.Add(1)
+	d.nbrs = append(d.nbrs, r)
+	fx.ops = append(fx.ops, tableOp{kind: opAdd, peer: r.id, addr: r.addr})
+	d.stats.MemberJoins.Add(1)
 }
 
 // Courtship damping schedule. A failed two-way handshake retries after
@@ -632,18 +649,18 @@ const (
 	courtshipQuiesceIntervals = 5 << 10 // 5120 announce intervals
 )
 
-// handshakeBackoffLocked returns the retry damping after a failed
-// two-way handshake and escalates it for the next failure: 5 intervals,
-// then 10, then 20, then the quiescent ceiling. Without the ceiling a
-// sub-cap node bordering a saturated clique courts the same full peers
-// forever — promote, hold the one-way slot three intervals, demote,
-// retry — and every cycle purges its gradients (the demote is a
-// NeighborDead to the core) while flooding announces. Quiescing is safe
-// because the damped record is passive, not blind: the counter resets
-// the moment the peer does reciprocate or returns with a new boot, and
-// a peer that later frees a slot courts us itself — its peered announce
-// bypasses retryAt via the peerWantsUs override in considerLocked.
-func (d *discovery) handshakeBackoffLocked(r *discoRec) time.Duration {
+// handshakeBackoff returns the retry damping after a failed two-way
+// handshake and escalates it for the next failure: 5 intervals, then 10,
+// then 20, then the quiescent ceiling. Without the ceiling a sub-cap node
+// bordering a saturated clique courts the same full peers forever —
+// promote, hold the one-way slot three intervals, demote, retry — and
+// every cycle purges its gradients (the demote is a NeighborDead to the
+// core) while flooding announces. Quiescing is safe because the damped
+// record is passive, not blind: the counter resets the moment the peer
+// does reciprocate or returns with a new boot, and a peer that later
+// frees a slot courts us itself — its peered announce bypasses retryAt
+// via the peerWantsUs override in consider.
+func (d *discovery) handshakeBackoff(r *discoRec) time.Duration {
 	if r.backoff >= courtshipQuiesceAfter {
 		return courtshipQuiesceIntervals * d.cfg.Interval
 	}
@@ -652,17 +669,18 @@ func (d *discovery) handshakeBackoffLocked(r *discoRec) time.Duration {
 	return delay
 }
 
-// demoteLocked removes r from the neighbor table into the given record
-// state, dropping its detector, reliable and custody state.
-func (d *discovery) demoteLocked(r *discoRec, to memberState) {
+// demote takes neighbor r out of the table into the given record state,
+// dropping its detector, reliable and custody state.
+func (d *discovery) demote(r *discoRec, to memberState, fx *effects) {
 	r.state = to
 	r.peered = false
 	r.protected = false
-	d.u.removeNeighbor(r.id)
+	d.nbrs = slices.DeleteFunc(d.nbrs, func(n *discoRec) bool { return n == r })
+	fx.ops = append(fx.ops, tableOp{kind: opRemove, peer: r.id})
 }
 
-// considerLocked decides whether candidate r earns a neighbor slot:
-// promote into free room, or evict a strictly weaker dynamic neighbor.
+// consider decides whether candidate r earns a neighbor slot: promote
+// into free room, or evict a strictly weaker dynamic neighbor.
 // peerWantsUs (the announce carried the peering bit) overrides the
 // handshake-damping retry window — if the peer already holds a slot for
 // us, reciprocating immediately is what completes the handshake. lonely
@@ -673,20 +691,20 @@ func (d *discovery) demoteLocked(r *discoRec, to memberState) {
 // announce cannot re-isolate it. The evictee keeps its other links and
 // is therefore not lonely itself, so the displacement terminates instead
 // of cascading.
-func (d *discovery) considerLocked(r *discoRec, now time.Time, peerWantsUs, lonely bool) (promoted bool, evicted *discoRec) {
-	if !now.After(r.retryAt) && !peerWantsUs && !lonely {
+func (d *discovery) consider(r *discoRec, now time.Duration, peerWantsUs, lonely bool, fx *effects) (promoted bool, evicted *discoRec) {
+	if now < r.retryAt && !peerWantsUs && !lonely {
 		return false, nil
 	}
-	if d.roomLocked() > 0 {
-		d.promoteLocked(r, now)
+	if d.room() > 0 {
+		d.promote(r, now, fx)
 		return true, nil
 	}
 	// Score eviction: a strictly better candidate may displace a one-way
 	// placeholder, never a completed mutual link.
-	w := d.weakestLocked(false)
+	w := d.weakest(false)
 	protect := false
 	if w == nil || !better(r, w) {
-		if !lonely || now.Sub(d.lastLonelyEvict) < d.cfg.Interval {
+		if !lonely || now-d.lastLonelyEvict < d.cfg.Interval {
 			return false, nil
 		}
 		// Loneliness override: admit the isolated peer over whatever slot
@@ -694,7 +712,7 @@ func (d *discovery) considerLocked(r *discoRec, now time.Time, peerWantsUs, lone
 		// the last resort (its holder keeps cap-1 other links and is not
 		// itself lonely, so the displacement terminates).
 		if w == nil {
-			w = d.weakestLocked(true)
+			w = d.weakest(true)
 		}
 		if w == nil {
 			return false, nil
@@ -702,55 +720,44 @@ func (d *discovery) considerLocked(r *discoRec, now time.Time, peerWantsUs, lone
 		d.lastLonelyEvict = now
 		protect = true
 	}
-	d.demoteLocked(w, stCandidate)
-	w.retryAt = now.Add(d.handshakeBackoffLocked(w))
-	d.u.stats.MemberEvictions.Add(1)
-	d.promoteLocked(r, now)
+	d.demote(w, stCandidate, fx)
+	w.retryAt = now + d.handshakeBackoff(w)
+	d.stats.MemberEvictions.Add(1)
+	d.promote(r, now, fx)
 	r.protected = protect
 	return true, w
 }
 
-// onFrame dispatches a discovery frame from the endpoint's read loop.
-// src is the datagram's wire source address.
-func (d *discovery) onFrame(f frame, src *net.UDPAddr) {
+// frame handles a membership frame; src is the datagram's wire source
+// address.
+func (d *discovery) frame(f frame, src netip.AddrPort, now time.Duration, fx *effects) {
 	switch f.kind {
 	case kindAnnounce:
-		d.u.stats.AnnouncesRecv.Add(1)
+		d.stats.AnnouncesRecv.Add(1)
 		a, err := decodeAnnounce(f.payload)
 		if err != nil {
-			d.u.stats.RecvDropped.Add(1)
+			d.stats.RecvDropped.Add(1)
 			return
 		}
-		d.onAnnounce(f.from, f.boot, a, src)
+		d.onAnnounce(f.from, f.boot, a, src, now, fx)
 	case kindProbe:
-		d.u.stats.ProbesRecv.Add(1)
-		d.onProbe(f.from, src)
+		d.stats.ProbesRecv.Add(1)
+		d.onProbe(f.from, src, now, fx)
 	case kindLeave:
-		d.u.stats.LeavesRecv.Add(1)
-		d.onLeave(f.from)
+		d.stats.LeavesRecv.Add(1)
+		d.onLeave(f.from, fx)
 	}
 }
 
 // onAnnounce is the heart of the membership protocol; see the file
 // comment for the lifecycle it implements.
-func (d *discovery) onAnnounce(from, boot uint32, a announce, src *net.UDPAddr) {
-	addr, err := net.ResolveUDPAddr("udp", a.addr)
-	if err != nil || addr.Port == 0 {
+func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort, now time.Duration, fx *effects) {
+	addr, ok := parseLiteral(a.addr)
+	if !ok {
 		addr = src // unusable advertised address: fall back to the wire source
 	}
-	now := time.Now()
 	var sends []discoSend
-	var events []memberEvt
-
-	d.mu.Lock()
-	r := d.recs[from]
-	if r == nil {
-		r = &discoRec{id: from, cfg: d.u.isConfigured(from)}
-		if r.cfg {
-			r.state = stNeighbor
-		}
-		d.recs[from] = r
-	}
+	r := d.rec(from)
 	r.lastHeard = now
 
 	// Vocabulary gate: a peer whose ordered key vocabulary differs would
@@ -761,24 +768,20 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src *net.UDPAddr) 
 	if !r.cfg && a.digest != d.cfg.VocabDigest {
 		wasNeighbor := r.state == stNeighbor
 		if wasNeighbor {
-			d.demoteLocked(r, stQuarantined)
+			d.demote(r, stQuarantined, fx)
 		}
-		if r.state != stQuarantined {
-			r.state = stQuarantined
-		}
+		r.state = stQuarantined
 		if wasNeighbor || r.boot != boot || !r.haveBoot {
-			d.u.stats.MemberQuarantined.Add(1)
-			events = append(events, memberEvt{from, MemberQuarantined})
+			d.stats.MemberQuarantined.Add(1)
+			d.notify(fx, from, MemberQuarantined)
 		}
 		r.boot, r.haveBoot = boot, true
 		r.addr, r.httpPort = addr, a.httpPort
-		if now.Sub(r.lastReply) >= d.cfg.Interval/2 {
+		if now-r.lastReply >= d.cfg.Interval/2 {
 			r.lastReply = now
 			sends = append(sends, discoSend{dst: from, addr: addr, kind: kindAnnounce})
 		}
-		d.mu.Unlock()
-		d.flush(sends)
-		d.fire(events)
+		d.flush(sends, fx)
 		return
 	}
 	if r.state == stQuarantined {
@@ -790,14 +793,13 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src *net.UDPAddr) 
 	// old reliable frames or custody offers at it is at best noise — drop
 	// that state and give the detector a fresh grace window.
 	if r.haveBoot && r.boot != boot {
-		d.u.forgetPeer(from)
 		r.peered = false
 		r.backoff = 0
 		if r.state == stNeighbor {
-			d.u.refreshPeer(from)
+			fx.ops = append(fx.ops, tableOp{kind: opForget, peer: from}, tableOp{kind: opRefresh, peer: from})
 			r.promotedAt = now
-			d.u.stats.MemberRejoins.Add(1)
-			events = append(events, memberEvt{from, MemberRejoined})
+			d.stats.MemberRejoins.Add(1)
+			d.notify(fx, from, MemberRejoined)
 		}
 	}
 	r.boot, r.haveBoot = boot, true
@@ -809,10 +811,11 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src *net.UDPAddr) 
 		r.peered = true
 		r.backoff = 0
 	}
-	if r.addr == nil || r.addr.String() != addr.String() {
+	if r.addr != addr {
 		r.addr = addr
 		if r.state == stNeighbor && !r.cfg {
-			d.u.addNeighbor(from, addr) // re-point the live table at the new address
+			// Re-point the live table at the new address.
+			fx.ops = append(fx.ops, tableOp{kind: opAdd, peer: from, addr: addr})
 		}
 	}
 
@@ -827,24 +830,24 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src *net.UDPAddr) 
 			// failed handshake from our side — escalate the same damping as
 			// the deadline path, or a pair straddling a saturation boundary
 			// re-courts at the floor forever.
-			d.demoteLocked(r, stCandidate)
-			r.retryAt = now.Add(d.handshakeBackoffLocked(r))
-			d.u.stats.MemberDemotions.Add(1)
-			events = append(events, memberEvt{from, MemberDemoted})
+			d.demote(r, stCandidate, fx)
+			r.retryAt = now + d.handshakeBackoff(r)
+			d.stats.MemberDemotions.Add(1)
+			d.notify(fx, from, MemberDemoted)
 		}
 	default:
-		promoted, evicted := d.considerLocked(r, now, peerWantsUs, peerLonely)
+		promoted, evicted := d.consider(r, now, peerWantsUs, peerLonely, fx)
 		if promoted {
 			promotedNow = true
-			events = append(events, memberEvt{from, MemberJoined})
+			d.notify(fx, from, MemberJoined)
 			// The promotion announce (peering bit set) is what completes
 			// the handshake — send it now, not at the next tick.
 			r.lastReply = now
 			sends = append(sends, discoSend{dst: from, addr: addr, kind: kindAnnounce, peered: true})
 		}
 		if evicted != nil {
-			events = append(events, memberEvt{evicted.id, MemberEvicted})
-			if evicted.addr != nil {
+			d.notify(fx, evicted.id, MemberEvicted)
+			if evicted.addr.IsValid() {
 				// Tell the evictee immediately (bit clear) so it frees its
 				// slot for someone else instead of waiting out the deadline.
 				evicted.lastReply = now
@@ -859,69 +862,42 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src *net.UDPAddr) 
 	// is what lets bottom-scored nodes find each other once the
 	// high-score slots fill up.
 	for _, g := range a.gossip {
-		if g.id == d.u.id || g.id == Broadcast || g.id == from {
+		if g.id == d.id || g.id == Broadcast || g.id == from || d.recs[g.id] != nil {
 			continue
 		}
-		if _, ok := d.recs[g.id]; ok {
-			continue
-		}
-		ga, err := net.ResolveUDPAddr("udp", g.addr)
-		if err != nil {
-			continue
-		}
-		nr := &discoRec{id: g.id, cfg: d.u.isConfigured(g.id), addr: ga, lastHeard: now, lastProbe: now}
-		if nr.cfg {
-			nr.state = stNeighbor
-		}
-		d.recs[g.id] = nr
-		d.u.stats.GossipLearned.Add(1)
-		if !nr.cfg {
-			sends = append(sends, discoSend{dst: g.id, addr: ga, kind: kindProbe})
+		nr := d.rec(g.id)
+		nr.addr, nr.lastHeard, nr.lastProbe = g.addr, now, now
+		d.stats.GossipLearned.Add(1)
+		if !nr.cfg && d.room() > 0 {
+			sends = append(sends, discoSend{dst: g.id, addr: nr.addr, kind: kindProbe})
 		}
 	}
 
 	// Rate-limited reply, so a pair of nodes converges in one exchange
 	// instead of one announce interval per direction — skipped when the
 	// promotion announce above already answered.
-	if !promotedNow && now.Sub(r.lastReply) >= d.cfg.Interval/2 {
+	if !promotedNow && now-r.lastReply >= d.cfg.Interval/2 {
 		r.lastReply = now
 		sends = append(sends, discoSend{
 			dst: from, addr: addr, kind: kindAnnounce,
 			peered: r.cfg || r.state == stNeighbor,
 		})
 	}
-	d.mu.Unlock()
-
-	d.flush(sends)
-	d.fire(events)
+	d.flush(sends, fx)
 }
 
 // onProbe answers a solicitation with a unicast announce to the wire
 // source. A probe proves the prober exists but carries no digest or boot
 // nonce, so it can create a candidate record — never promote.
-func (d *discovery) onProbe(from uint32, src *net.UDPAddr) {
-	now := time.Now()
-	d.mu.Lock()
-	r := d.recs[from]
-	if r == nil {
-		r = &discoRec{id: from, cfg: d.u.isConfigured(from), addr: src}
-		if r.cfg {
-			r.state = stNeighbor
-		}
-		d.recs[from] = r
-	}
+func (d *discovery) onProbe(from uint32, src netip.AddrPort, now time.Duration, fx *effects) {
+	r := d.rec(from)
 	r.lastHeard = now
-	if r.addr == nil {
+	if !r.addr.IsValid() {
 		r.addr = src
 	}
-	reply := now.Sub(r.lastReply) >= d.cfg.Interval/2
-	if reply {
+	if now-r.lastReply >= d.cfg.Interval/2 {
 		r.lastReply = now
-	}
-	peered := r.cfg || r.state == stNeighbor
-	d.mu.Unlock()
-	if reply {
-		d.flush([]discoSend{{dst: from, addr: src, kind: kindAnnounce, peered: peered}})
+		d.flush([]discoSend{{dst: from, addr: src, kind: kindAnnounce, peered: r.cfg || r.state == stNeighbor}}, fx)
 	}
 }
 
@@ -929,104 +905,93 @@ func (d *discovery) onProbe(from uint32, src *net.UDPAddr) {
 // waiting out SuspectAfter/DeadAfter. A configured peer cannot be removed
 // from the table, so it is force-marked dead in the detector — any later
 // frame from it recovers it as usual.
-func (d *discovery) onLeave(from uint32) {
-	var events []memberEvt
-	d.mu.Lock()
+func (d *discovery) onLeave(from uint32, fx *effects) {
+	if _, pinned := d.pinned[from]; pinned {
+		fx.ops = append(fx.ops, tableOp{kind: opForceDead, peer: from})
+		return
+	}
 	r := d.recs[from]
-	if r != nil && !r.cfg {
-		if r.state == stNeighbor {
-			d.demoteLocked(r, stLeft)
-			d.u.stats.MemberDepartures.Add(1)
-			events = append(events, memberEvt{from, MemberLeft})
-		} else {
-			r.state = stLeft
-		}
+	if r == nil {
+		return
 	}
-	cfgPeer := d.u.isConfigured(from)
-	d.mu.Unlock()
-	if cfgPeer && d.u.det != nil {
-		d.u.det.forceDead(from)
+	if r.state == stNeighbor {
+		d.demote(r, stLeft, fx)
+		d.stats.MemberDepartures.Add(1)
+		d.notify(fx, from, MemberLeft)
+	} else {
+		r.state = stLeft
 	}
-	d.fire(events)
 }
 
-// onPeerDead reacts to the failure detector declaring a peer dead: a
+// peerDead reacts to the failure detector declaring a peer dead: a
 // discovered neighbor is removed from the live table (its slot frees up
 // for someone alive), keeping only the discovery record. A re-announce —
 // same or new boot — walks it back in through the normal promotion path.
-func (d *discovery) onPeerDead(peer uint32) {
-	var events []memberEvt
-	d.mu.Lock()
+func (d *discovery) peerDead(peer uint32, now time.Duration, fx *effects) {
 	r := d.recs[peer]
 	if r != nil && !r.cfg && r.state == stNeighbor {
-		d.demoteLocked(r, stDead)
-		r.retryAt = time.Now().Add(d.cfg.Interval)
-		d.u.stats.MemberDeadRemoved.Add(1)
-		events = append(events, memberEvt{peer, MemberDead})
+		d.demote(r, stDead, fx)
+		r.retryAt = now + d.cfg.Interval
+		d.stats.MemberDeadRemoved.Add(1)
+		d.notify(fx, peer, MemberDead)
 	}
-	d.mu.Unlock()
-	d.fire(events)
 }
 
 // leave notifies every neighbor of a graceful shutdown.
-func (d *discovery) leave() {
+func (d *discovery) leave(fx *effects) {
 	var sends []discoSend
-	d.mu.Lock()
-	for _, r := range d.recs {
-		if r.state == stNeighbor && !r.cfg && r.addr != nil {
+	for _, r := range d.byID() {
+		if r.state == stNeighbor && !r.cfg && r.addr.IsValid() {
 			sends = append(sends, discoSend{dst: r.id, addr: r.addr, kind: kindLeave})
 		}
 	}
-	d.mu.Unlock()
-	for id, addr := range d.u.configuredPeers() {
-		sends = append(sends, discoSend{dst: id, addr: addr, kind: kindLeave})
+	for _, id := range d.pinnedIDs {
+		sends = append(sends, discoSend{dst: id, addr: d.pinned[id], kind: kindLeave})
 	}
-	d.flush(sends)
+	d.flush(sends, fx)
 }
 
-// gossipSample draws up to GossipFanout known peer addresses, excluding
-// the announce's destination.
+// swapPool exchanges two pool slots.
+func (d *discovery) swapPool(i, j int) {
+	d.pool[i], d.pool[j] = d.pool[j], d.pool[i]
+	d.pool[i].slot, d.pool[j].slot = i, j
+}
+
+// gossipSample draws up to GossipFanout known peer addresses uniformly,
+// excluding the announce's destination: a Fisher–Yates shuffle of the
+// pool that stops as soon as it has dealt enough, so an announce costs
+// the fan-out, not the table.
 func (d *discovery) gossipSample(exclude uint32) []gossipEntry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var pool []gossipEntry
-	for id, r := range d.recs {
-		if id == exclude || r.addr == nil || r.state == stQuarantined {
-			continue
+	out := make([]gossipEntry, 0, d.cfg.GossipFanout)
+	for i := 0; i < len(d.pool) && len(out) < d.cfg.GossipFanout; i++ {
+		d.swapPool(i, i+d.rng.Intn(len(d.pool)-i))
+		r := d.pool[i]
+		if r.id != exclude && r.addr.IsValid() && r.state != stQuarantined {
+			out = append(out, gossipEntry{id: r.id, addr: r.addr})
 		}
-		as := r.addr.String()
-		if len(as) > 255 {
-			continue
-		}
-		pool = append(pool, gossipEntry{id: id, addr: as})
 	}
-	d.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > d.cfg.GossipFanout {
-		pool = pool[:d.cfg.GossipFanout]
-	}
-	return pool
+	return out
 }
 
 // isLonely reports whether this node currently has no mutual neighbor
 // link at all — the condition the announce loneliness flag advertises.
 func (d *discovery) isLonely() bool {
-	if d.u.configuredCount() > 0 {
+	if len(d.pinned) > 0 {
 		return false
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, r := range d.recs {
-		if r.state == stNeighbor && (r.peered || r.cfg) {
+	for _, r := range d.nbrs {
+		if r.peered {
 			return false
 		}
 	}
 	return true
 }
 
-// flush puts deferred sends on the wire (outside d.mu).
-func (d *discovery) flush(sends []discoSend) {
+// flush renders a step's membership frames into fx.
+func (d *discovery) flush(sends []discoSend, fx *effects) {
 	lonelyIdx := d.pickLonelyBid(sends)
 	for i, s := range sends {
+		var payload []byte
 		switch s.kind {
 		case kindAnnounce:
 			a := announce{
@@ -1042,15 +1007,16 @@ func (d *discovery) flush(sends []discoSend) {
 			if i == lonelyIdx {
 				a.flags |= annFlagLonely
 			}
-			d.u.writeDisco(s.dst, s.addr, kindAnnounce, encodeAnnounce(a))
-			d.u.stats.AnnouncesSent.Add(1)
+			payload = encodeAnnounce(a)
+			d.stats.AnnouncesSent.Add(1)
 		case kindProbe:
-			d.u.writeDisco(s.dst, s.addr, kindProbe, nil)
-			d.u.stats.ProbesSent.Add(1)
+			d.stats.ProbesSent.Add(1)
 		case kindLeave:
-			d.u.writeDisco(s.dst, s.addr, kindLeave, nil)
-			d.u.stats.LeavesSent.Add(1)
+			d.stats.LeavesSent.Add(1)
 		}
+		// To an explicit address: the peer need not be in the table, which
+		// is the point of discovery.
+		fx.push(outFrame{peer: s.dst, addr: s.addr, kind: s.kind, payload: payload})
 	}
 }
 
@@ -1063,89 +1029,54 @@ func (d *discovery) flush(sends []discoSend) {
 // the churn that follows. One bid per batch, rotating targets, finds a
 // single rescuer within a round or two.
 func (d *discovery) pickLonelyBid(sends []discoSend) int {
-	var ann []int
-	for i, s := range sends {
+	n := 0
+	for _, s := range sends {
 		if s.kind == kindAnnounce {
-			ann = append(ann, i)
+			n++
 		}
 	}
-	if len(ann) == 0 || !d.isLonely() {
+	if n == 0 || !d.isLonely() {
 		return -1
 	}
-	d.mu.Lock()
-	i := ann[int(d.lonelyRR)%len(ann)]
+	pick := int(d.lonelyRR) % n
 	d.lonelyRR++
-	d.mu.Unlock()
-	return i
-}
-
-// fire invokes deferred membership callbacks (outside d.mu).
-func (d *discovery) fire(events []memberEvt) {
-	if d.cfg.OnMember == nil {
-		return
-	}
-	for _, e := range events {
-		d.cfg.OnMember(e.peer, e.ev)
-	}
-}
-
-// fillMembers merges discovery metadata into the peer-table member rows
-// (matched by ID) and appends rows for records not in the table. The
-// record state overrides the table's membership verdict: the table
-// snapshot was taken under a different lock, so a demote+promote landing
-// between the two snapshots would otherwise show both the evictee's
-// stale "neighbor" row and the newcomer's — a phantom degree above the
-// cap. Under d.mu the record states are the consistent truth.
-func (d *discovery) fillMembers(rows []Member, seen map[uint32]bool) []Member {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for id, r := range d.recs {
-		if seen[id] {
-			for i := range rows {
-				if rows[i].ID == id {
-					if !r.cfg {
-						rows[i].Membership = r.state.String()
-						rows[i].MembershipCode = uint8(r.state)
-					}
-					d.annotateLocked(&rows[i], r)
-					break
-				}
+	for i, s := range sends {
+		if s.kind == kindAnnounce {
+			if pick == 0 {
+				return i
 			}
-			continue
+			pick--
 		}
-		m := Member{
-			ID:             id,
-			Origin:         "discovered",
-			Membership:     r.state.String(),
-			MembershipCode: uint8(r.state),
+	}
+	return -1
+}
+
+// members merges discovery metadata into the peer-table member rows
+// (sorted by ID) and appends rows for records not in the table.
+func (d *discovery) members(rows []Member) []Member {
+	table := len(rows)
+	for _, r := range d.byID() {
+		i, ok := slices.BinarySearchFunc(rows[:table], r.id, func(m Member, id uint32) int { return cmp.Compare(m.ID, id) })
+		if !ok {
+			i = len(rows)
+			rows = append(rows, Member{
+				ID:             r.id,
+				Origin:         "discovered",
+				Membership:     r.state.String(),
+				MembershipCode: uint8(r.state),
+			})
 		}
-		if r.cfg {
-			m.Origin = "configured"
+		m := &rows[i]
+		if r.addr.IsValid() {
+			m.Addr = r.addr.String()
+			if r.httpPort != 0 {
+				m.HTTPAddr = netip.AddrPortFrom(r.addr.Addr(), r.httpPort).String()
+			}
 		}
-		d.annotateLocked(&m, r)
-		rows = append(rows, m)
+		m.Peered = r.peered || r.cfg
+		m.Score = r.score
+		m.Energy = float64(r.energy) / 1000
+		m.Boot, m.HasBoot = r.boot, r.haveBoot
 	}
 	return rows
-}
-
-// annotateLocked copies a record's announced metadata into a member row.
-func (d *discovery) annotateLocked(m *Member, r *discoRec) {
-	if r.addr != nil {
-		m.Addr = r.addr.String()
-		if r.httpPort != 0 {
-			if host, _, err := net.SplitHostPort(m.Addr); err == nil {
-				m.HTTPAddr = net.JoinHostPort(host, fmt.Sprintf("%d", r.httpPort))
-			}
-		}
-	}
-	m.Peered = r.peered || r.cfg
-	m.Score = r.score
-	m.Energy = float64(r.energy) / 1000
-	m.Boot, m.HasBoot = r.boot, r.haveBoot
-}
-
-// close stops the announce goroutine.
-func (d *discovery) close() {
-	close(d.stop)
-	<-d.done
 }

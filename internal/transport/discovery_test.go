@@ -1,51 +1,33 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
-	"net"
-	"sync"
+	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
 	"diffusion/internal/message"
 )
 
-// Discovery tests drive the membership engine two ways: raw-socket fake
-// peers craft exact frames (boot nonces, digests, peering bits) to pin
-// down the protocol state machine, and small all-real-endpoint meshes
-// prove gossip, probing and the two-way handshake compose end to end.
+// Discovery tests drive the membership engine two ways, both in virtual
+// time (simnet_test.go): scripted peers craft exact frames (boot nonces,
+// digests, peering bits) to pin down the protocol state machine, and
+// all-real-endpoint meshes prove gossip, probing and the two-way
+// handshake compose end to end.
 
 var testVocab = VocabDigest([]string{"class", "temperature", "seq"})
 
-// memberLog records OnMember callbacks as "peer:event" strings.
-type memberLog struct {
-	mu  sync.Mutex
-	evs []string
-}
+// discoInterval is the announce period the scripted tests use. An
+// endpoint's rounds run at 0, discoInterval, 2×discoInterval, ...
+const discoInterval = 40 * time.Millisecond
 
-func (l *memberLog) on(peer uint32, ev MemberEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.evs = append(l.evs, fmt.Sprintf("%d:%s", peer, ev))
-}
-
-func (l *memberLog) has(want string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, e := range l.evs {
-		if e == want {
-			return true
-		}
-	}
-	return false
-}
-
-// discoEndpoint builds a discovery-enabled endpoint with fast timers.
-func discoEndpoint(t *testing.T, id uint32, disco DiscoveryConfig, mod func(*UDPConfig)) (*UDP, *memberLog) {
-	t.Helper()
+// disco attaches a discovery-enabled endpoint and runs its first round.
+func (n *simNet) disco(id uint32, disco DiscoveryConfig, mod func(*UDPConfig)) (*UDP, *memberLog) {
 	log := &memberLog{}
 	if disco.Interval == 0 {
-		disco.Interval = 40 * time.Millisecond
+		disco.Interval = discoInterval
 	}
 	if disco.VocabDigest == 0 {
 		disco.VocabDigest = testVocab
@@ -54,105 +36,30 @@ func discoEndpoint(t *testing.T, id uint32, disco DiscoveryConfig, mod func(*UDP
 		disco.OnMember = log.on
 	}
 	cfg := UDPConfig{
-		ID:     id,
-		Listen: "127.0.0.1:0",
-		Seed:   int64(id),
-		Deliver: func(uint32, []byte) {
-		},
+		ID:        id,
+		Seed:      int64(id),
 		Liveness:  &LivenessConfig{Interval: 25 * time.Millisecond},
 		Discovery: &disco,
 	}
 	if mod != nil {
 		mod(&cfg)
 	}
-	u, err := ListenUDP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { u.Close() })
+	u := n.endpoint(cfg)
+	n.run(0)
 	return u, log
 }
 
-// memberOf finds one row of the endpoint's membership view.
-func memberOf(u *UDP, id uint32) (Member, bool) {
-	for _, m := range u.Members() {
-		if m.ID == id {
-			return m, true
-		}
+// rankedPeers returns two scripted peers, the one with the worse
+// cluster-head score first.
+func (n *simNet) rankedPeers() (weak, strong *simPeer) {
+	weak, strong = n.peer(2, 7), n.peer(3, 7)
+	if better(
+		&discoRec{id: weak.id, score: clusterScore(weak.id, weak.boot), energy: 1000},
+		&discoRec{id: strong.id, score: clusterScore(strong.id, strong.boot), energy: 1000},
+	) {
+		weak, strong = strong, weak
 	}
-	return Member{}, false
-}
-
-// fakePeer is a raw UDP socket speaking hand-crafted v2 frames.
-type fakePeer struct {
-	t    *testing.T
-	id   uint32
-	boot uint32
-	conn *net.UDPConn
-}
-
-func newFakePeer(t *testing.T, id, boot uint32) *fakePeer {
-	t.Helper()
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return &fakePeer{t: t, id: id, boot: boot, conn: conn}
-}
-
-func (p *fakePeer) addr() string { return p.conn.LocalAddr().String() }
-
-func (p *fakePeer) send(to *net.UDPAddr, kind uint8, payload []byte) {
-	p.t.Helper()
-	if _, err := p.conn.WriteToUDP(encodeFrame(kind, p.id, Broadcast, p.boot, 0, payload), to); err != nil {
-		p.t.Fatal(err)
-	}
-}
-
-// announce sends an announce with this peer's own address, the test
-// vocabulary digest unless overridden, and the given peering bit.
-func (p *fakePeer) announce(to *net.UDPAddr, peered bool, digest uint64, gossip ...gossipEntry) {
-	p.t.Helper()
-	var flags byte
-	if peered {
-		flags |= annFlagPeered
-	}
-	p.announceFlags(to, flags, digest, gossip...)
-}
-
-// announceFlags is announce with the raw flags byte exposed.
-func (p *fakePeer) announceFlags(to *net.UDPAddr, flags byte, digest uint64, gossip ...gossipEntry) {
-	p.t.Helper()
-	a := announce{flags: flags, digest: digest, httpPort: 8080, energy: 1000, addr: p.addr(), gossip: gossip}
-	p.send(to, kindAnnounce, encodeAnnounce(a))
-}
-
-// expectKind reads frames until one of the wanted kind arrives (true) or
-// the deadline passes (false).
-func (p *fakePeer) expectKind(kind uint8, timeout time.Duration) (frame, bool) {
-	p.t.Helper()
-	buf := make([]byte, maxPayload+headerSize+traceExtSize)
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		p.conn.SetReadDeadline(deadline)
-		n, _, err := p.conn.ReadFromUDP(buf)
-		if err != nil {
-			return frame{}, false
-		}
-		f, err := decodeFrame(buf[:n])
-		if err != nil {
-			continue
-		}
-		if f.kind == kind {
-			// The payload aliases buf; copy so callers can keep it.
-			cp := make([]byte, len(f.payload))
-			copy(cp, f.payload)
-			f.payload = cp
-			return f, true
-		}
-	}
-	return frame{}, false
+	return weak, strong
 }
 
 func TestVocabDigest(t *testing.T) {
@@ -188,8 +95,8 @@ func TestAnnounceCodecRoundTrip(t *testing.T) {
 		energy:   750,
 		addr:     "127.0.0.1:7001",
 		gossip: []gossipEntry{
-			{id: 9, addr: "127.0.0.1:7009"},
-			{id: 11, addr: "10.0.0.2:7011"},
+			{id: 9, addr: netip.MustParseAddrPort("127.0.0.1:7009")},
+			{id: 11, addr: netip.MustParseAddrPort("[2001:db8::2]:7011")},
 		},
 	}
 	out, err := decodeAnnounce(encodeAnnounce(in))
@@ -217,22 +124,19 @@ func TestAnnounceCodecRoundTrip(t *testing.T) {
 }
 
 func TestDiscoveryPromotesAnnouncingPeer(t *testing.T) {
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{}, nil)
-	x := newFakePeer(t, 2, 7)
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{}, nil)
+	x := n.peer(2, 7)
 
-	x.announce(u.LocalAddr(), false, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor"
-	}, "peer 2 promoted")
-	if !log.has("2:joined") {
-		t.Errorf("missing joined event, got %v", log.evs)
+	x.announce(u, 0, testVocab)
+	m := memberOf(u, 2)
+	if m.Membership != "neighbor" || !log.has("2:joined") {
+		t.Fatalf("after one announce: %s, events %v; want promoted", m.Membership, log.evs)
 	}
-	m, _ := memberOf(u, 2)
 	if m.Origin != "discovered" {
 		t.Errorf("origin = %q, want discovered", m.Origin)
 	}
-	if m.HTTPAddr != "127.0.0.1:8080" {
+	if m.HTTPAddr != "10.0.0.2:8080" {
 		t.Errorf("http addr = %q", m.HTTPAddr)
 	}
 	if m.Score != clusterScore(2, 7) {
@@ -243,44 +147,38 @@ func TestDiscoveryPromotesAnnouncingPeer(t *testing.T) {
 	}
 
 	// The promotion announce must carry the peering bit — that is the
-	// handshake completing from our side.
-	f, ok := x.expectKind(kindAnnounce, 2*time.Second)
+	// handshake completing from our side — and arrives one wire delay on.
+	n.run(n.delay)
+	a, ok := x.takeAnnounce()
 	if !ok {
 		t.Fatal("no announce reply")
-	}
-	a, err := decodeAnnounce(f.payload)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if a.flags&annFlagPeered == 0 {
 		t.Error("promotion announce must set the peering bit")
 	}
 
 	// Completing the handshake from the peer's side marks it peered.
-	x.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Peered
-	}, "handshake completion")
+	x.announce(u, annFlagPeered, testVocab)
+	if !memberOf(u, 2).Peered {
+		t.Error("peered announce did not complete the handshake")
+	}
 }
 
 func TestDiscoveryQuarantineOnVocabMismatch(t *testing.T) {
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{}, nil)
-	x := newFakePeer(t, 2, 7)
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{}, nil)
+	x := n.peer(2, 7)
 
-	x.announce(u.LocalAddr(), false, testVocab+1)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "quarantined"
-	}, "peer 2 quarantined")
-	if !log.has("2:quarantined") {
-		t.Errorf("missing quarantined event, got %v", log.evs)
+	x.announce(u, 0, testVocab+1)
+	if m := memberOf(u, 2); m.Membership != "quarantined" || !log.has("2:quarantined") {
+		t.Fatalf("mismatched peer: %s, events %v; want quarantined", m.Membership, log.evs)
 	}
-	if got := u.Stats().MemberQuarantined.Load(); got == 0 {
-		t.Error("quarantine counter not bumped")
+	if got := u.Stats().MemberQuarantined.Load(); got != 1 {
+		t.Errorf("quarantine counter = %d, want 1", got)
 	}
 	// The reply lets the mismatched peer quarantine us symmetrically.
-	if _, ok := x.expectKind(kindAnnounce, 2*time.Second); !ok {
+	n.run(n.delay)
+	if _, ok := x.takeAnnounce(); !ok {
 		t.Fatal("quarantined peer must still get an announce reply")
 	}
 	if health := u.PeerHealth(); len(health) != 0 {
@@ -289,65 +187,55 @@ func TestDiscoveryQuarantineOnVocabMismatch(t *testing.T) {
 
 	// A restart with the fixed vocabulary clears the quarantine.
 	x.boot = 8
-	x.announce(u.LocalAddr(), false, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor"
-	}, "peer 2 rehabilitated")
+	x.announce(u, 0, testVocab)
+	if m := memberOf(u, 2); m.Membership != "neighbor" {
+		t.Fatalf("rehabilitated peer: %s, want neighbor", m.Membership)
+	}
 }
 
 func TestDiscoveryDegreeCapEviction(t *testing.T) {
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{DegreeCap: 1}, nil)
-	weak, strong := newFakePeer(t, 2, 7), newFakePeer(t, 3, 7)
-	if better(
-		&discoRec{id: weak.id, score: clusterScore(weak.id, weak.boot), energy: 1000},
-		&discoRec{id: strong.id, score: clusterScore(strong.id, strong.boot), energy: 1000},
-	) {
-		weak, strong = strong, weak
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{DegreeCap: 1}, nil)
+	weak, strong := n.rankedPeers()
+
+	weak.announce(u, 0, testVocab)
+	if m := memberOf(u, weak.id); m.Membership != "neighbor" {
+		t.Fatalf("weak peer into the free slot: %s", m.Membership)
 	}
 
-	weak.announce(u.LocalAddr(), false, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, weak.id)
-		return ok && m.Membership == "neighbor"
-	}, "weak peer promoted into the free slot")
-
 	// A better-scored peer displaces it; the cap holds at 1.
-	strong.announce(u.LocalAddr(), false, testVocab)
-	waitFor(t, func() bool {
-		s, ok1 := memberOf(u, strong.id)
-		w, ok2 := memberOf(u, weak.id)
-		return ok1 && ok2 && s.Membership == "neighbor" && w.Membership == "candidate"
-	}, "strong peer evicts weak")
+	strong.announce(u, 0, testVocab)
+	if s, w := memberOf(u, strong.id), memberOf(u, weak.id); s.Membership != "neighbor" || w.Membership != "candidate" {
+		t.Fatalf("strong=%s weak=%s, want strong to evict weak", s.Membership, w.Membership)
+	}
 	if !log.has(fmt.Sprintf("%d:evicted", weak.id)) {
 		t.Errorf("missing evicted event, got %v", log.evs)
 	}
-	if len(u.Neighbors()) != 1 {
-		t.Errorf("degree cap violated: table %v", u.Neighbors())
+	if got := u.Neighbors(); !slices.Equal(got, []uint32{strong.id}) {
+		t.Errorf("degree cap violated: table %v", got)
 	}
-	// The evictee is told immediately (announce without the peering bit).
-	// Earlier announces from its promotion still sit in the socket buffer,
-	// so drain until the bit-clear one arrives.
-	deadline := time.Now().Add(2 * time.Second)
-	notified := false
-	for !notified && time.Now().Before(deadline) {
-		f, ok := weak.expectKind(kindAnnounce, time.Until(deadline))
-		if !ok {
-			break
-		}
-		if a, err := decodeAnnounce(f.payload); err == nil && a.flags&annFlagPeered == 0 {
-			notified = true
-		}
-	}
-	if !notified {
-		t.Error("evictee never got a peering-bit-clear announce")
+	// The evictee is told immediately: after its promotion announce
+	// (peering bit set) comes one with the bit clear.
+	n.run(n.delay)
+	first, _ := weak.takeAnnounce()
+	second, ok := weak.takeAnnounce()
+	if !ok || first.flags&annFlagPeered == 0 || second.flags&annFlagPeered != 0 {
+		t.Errorf("evictee saw flags %#x then %#x (ok=%v), want peered then clear", first.flags, second.flags, ok)
 	}
 
-	// The weak peer announcing again does not displace the strong one.
-	weak.announce(u.LocalAddr(), true, testVocab)
-	time.Sleep(150 * time.Millisecond)
-	if m, _ := memberOf(u, strong.id); m.Membership != "neighbor" {
-		t.Error("weaker peer displaced a stronger neighbor")
+	// The weak peer announcing again does not displace the strong one, for
+	// as long as the strong one holds the slot: exactly three announce
+	// intervals, since it never set the peering bit itself.
+	weak.announce(u, annFlagPeered, testVocab)
+	n.run(3*discoInterval - n.delay)
+	weak.announce(u, annFlagPeered, testVocab)
+	if s, w := memberOf(u, strong.id), memberOf(u, weak.id); s.Membership != "neighbor" || w.Membership != "candidate" {
+		t.Fatalf("three intervals on: strong=%s weak=%s; weaker peer displaced a stronger neighbor", s.Membership, w.Membership)
+	}
+	// One round later the one-way slot is reclaimed.
+	n.run(discoInterval)
+	if s := memberOf(u, strong.id); s.Membership != "candidate" || !log.has(fmt.Sprintf("%d:demoted", strong.id)) {
+		t.Fatalf("four intervals on: strong=%s, events %v; want the handshake deadline to demote it", s.Membership, log.evs)
 	}
 }
 
@@ -358,69 +246,67 @@ func TestDiscoveryDegreeCapEviction(t *testing.T) {
 // score beats nobody, and the rescued slot must be protected so a
 // stronger peer cannot score its way back in and re-isolate it.
 func TestDiscoveryLonelyRescue(t *testing.T) {
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{DegreeCap: 1}, nil)
-	weak, strong := newFakePeer(t, 2, 7), newFakePeer(t, 3, 7)
-	if better(
-		&discoRec{id: weak.id, score: clusterScore(weak.id, weak.boot), energy: 1000},
-		&discoRec{id: strong.id, score: clusterScore(strong.id, strong.boot), energy: 1000},
-	) {
-		weak, strong = strong, weak
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{DegreeCap: 1}, nil)
+	weak, strong := n.rankedPeers()
+
+	strong.announce(u, annFlagPeered, testVocab)
+	if m := memberOf(u, strong.id); m.Membership != "neighbor" {
+		t.Fatalf("strong peer into the free slot: %s", m.Membership)
 	}
 
-	strong.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, strong.id)
-		return ok && m.Membership == "neighbor"
-	}, "strong peer promoted into the free slot")
-
-	// Without the flag the weaker peer loses on score and stays out.
-	weak.announce(u.LocalAddr(), true, testVocab)
-	time.Sleep(150 * time.Millisecond)
-	if m, _ := memberOf(u, weak.id); m.Membership == "neighbor" {
-		t.Fatal("weaker peer displaced a stronger neighbor without the loneliness flag")
+	// Without the flag the weaker peer loses on score and stays out,
+	// however often it asks.
+	for i := 0; i < 3; i++ {
+		weak.announce(u, annFlagPeered, testVocab)
+		if m := memberOf(u, weak.id); m.Membership == "neighbor" {
+			t.Fatal("weaker peer displaced a stronger neighbor without the loneliness flag")
+		}
+		n.run(discoInterval)
 	}
 
 	// The loneliness flag overrides the score order: weak is admitted and
 	// the stronger occupant is evicted.
-	weak.announceFlags(u.LocalAddr(), annFlagPeered|annFlagLonely, testVocab)
-	waitFor(t, func() bool {
-		w, ok1 := memberOf(u, weak.id)
-		s, ok2 := memberOf(u, strong.id)
-		return ok1 && ok2 && w.Membership == "neighbor" && s.Membership != "neighbor"
-	}, "lonely peer admitted over the score order")
+	weak.announce(u, annFlagPeered|annFlagLonely, testVocab)
+	if w, s := memberOf(u, weak.id), memberOf(u, strong.id); w.Membership != "neighbor" || s.Membership == "neighbor" {
+		t.Fatalf("weak=%s strong=%s, want the lonely peer admitted over the score order", w.Membership, s.Membership)
+	}
 	if !log.has(fmt.Sprintf("%d:joined", weak.id)) || !log.has(fmt.Sprintf("%d:evicted", strong.id)) {
 		t.Errorf("missing join/evict events, got %v", log.evs)
 	}
 
-	// The rescued slot is protected: the stronger peer's re-announce must
-	// not evict the lonely-admitted neighbor.
-	strong.announce(u.LocalAddr(), true, testVocab)
-	time.Sleep(150 * time.Millisecond)
-	if m, _ := memberOf(u, weak.id); m.Membership != "neighbor" {
-		t.Error("score eviction re-isolated the lonely-admitted neighbor")
-	}
-	if m, _ := memberOf(u, strong.id); m.Membership == "neighbor" {
-		t.Error("degree cap violated: both peers promoted")
+	// The rescued slot is protected: the stronger peer's re-announces must
+	// not evict the lonely-admitted neighbor, now or once its eviction
+	// damping (5 intervals) has run out.
+	for i := 0; i < 6; i++ {
+		strong.announce(u, annFlagPeered, testVocab)
+		weak.announce(u, annFlagPeered, testVocab) // keeps its record, and the detector, fresh
+		if m := memberOf(u, weak.id); m.Membership != "neighbor" {
+			t.Fatalf("round %d: score eviction re-isolated the lonely-admitted neighbor", i)
+		}
+		if m := memberOf(u, strong.id); m.Membership == "neighbor" {
+			t.Fatalf("round %d: degree cap violated: both peers promoted", i)
+		}
+		n.run(discoInterval)
 	}
 }
 
 func TestDiscoveryHandshakeTimeoutDemotes(t *testing.T) {
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{}, nil)
-	x := newFakePeer(t, 2, 7)
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{}, nil)
+	x := n.peer(2, 7)
 
 	// X announces but never sets the peering bit (it is full elsewhere):
-	// the one-way slot must be reclaimed after three announce intervals.
-	x.announce(u.LocalAddr(), false, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor"
-	}, "peer 2 promoted")
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "candidate"
-	}, "one-way peer demoted")
-	if !log.has("2:demoted") {
-		t.Errorf("missing demoted event, got %v", log.evs)
+	// the one-way slot is held for exactly three announce intervals and
+	// reclaimed by the next round.
+	x.announce(u, 0, testVocab)
+	n.run(3 * discoInterval)
+	if m := memberOf(u, 2); m.Membership != "neighbor" {
+		t.Fatalf("three intervals after promotion: %s, want the slot still held", m.Membership)
+	}
+	n.run(discoInterval)
+	if m := memberOf(u, 2); m.Membership != "candidate" || !log.has("2:demoted") {
+		t.Fatalf("four intervals after promotion: %s, events %v; want demoted", m.Membership, log.evs)
 	}
 }
 
@@ -432,7 +318,7 @@ func TestHandshakeBackoffEscalation(t *testing.T) {
 	d := &discovery{cfg: DiscoveryConfig{Interval: time.Millisecond}}
 	r := &discoRec{}
 	for i, want := range []time.Duration{5, 10, 20, 5 << 10, 5 << 10} {
-		if got := d.handshakeBackoffLocked(r); got != want*time.Millisecond {
+		if got := d.handshakeBackoff(r); got != want*time.Millisecond {
 			t.Errorf("failure %d: delay %v, want %v", i+1, got, want*time.Millisecond)
 		}
 	}
@@ -443,66 +329,58 @@ func TestHandshakeBackoffEscalation(t *testing.T) {
 // opens a retry window during which unpeered announces cannot re-promote;
 // a reciprocating announce bypasses the window and completes the link.
 func TestDiscoveryHandshakeBackoff(t *testing.T) {
-	u, _ := discoEndpoint(t, 1, DiscoveryConfig{}, nil)
-	x := newFakePeer(t, 2, 7)
+	n := newSimNet(t)
+	u, _ := n.disco(1, DiscoveryConfig{}, nil)
+	x := n.peer(2, 7)
 
-	x.announce(u.LocalAddr(), false, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor"
-	}, "peer 2 promoted")
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "candidate"
-	}, "one-way peer demoted")
-
-	// The demote is announced to the peer with the peering bit cleared so
-	// it can free its own slot without waiting out its failure detector.
-	sawClear := false
-	for !sawClear {
-		f, ok := x.expectKind(kindAnnounce, time.Second)
-		if !ok {
-			t.Fatal("no bit-clear announce after the handshake demote")
-		}
-		if a, err := decodeAnnounce(f.payload); err == nil && a.flags&annFlagPeered == 0 {
-			sawClear = true
-		}
+	x.announce(u, 0, testVocab)
+	n.run(4 * discoInterval) // promoted at 0, demoted by the round at 4 intervals
+	if m := memberOf(u, 2); m.Membership != "candidate" {
+		t.Fatalf("one-way peer: %s, want demoted", m.Membership)
 	}
 
-	// Inside the retry window an unpeered announce must not re-promote —
-	// that repeat courtship is exactly what the backoff damps.
-	x.announce(u.LocalAddr(), false, testVocab)
-	time.Sleep(100 * time.Millisecond) // window is 5 announce intervals (200ms)
-	if m, _ := memberOf(u, 2); m.Membership != "candidate" {
+	// The demote is announced to the peer with the peering bit cleared so
+	// it can free its own slot without waiting out its failure detector:
+	// the last announce it got.
+	n.run(n.delay)
+	var last announce
+	for a, ok := x.takeAnnounce(); ok; a, ok = x.takeAnnounce() {
+		last = a
+	}
+	if last.flags&annFlagPeered != 0 {
+		t.Fatal("no bit-clear announce after the handshake demote")
+	}
+
+	// Inside the retry window — 5 announce intervals from the demote — an
+	// unpeered announce must not re-promote: that repeat courtship is
+	// exactly what the backoff damps.
+	n.run(5*discoInterval - n.delay - 1)
+	x.announce(u, 0, testVocab)
+	if m := memberOf(u, 2); m.Membership != "candidate" {
 		t.Fatalf("unpeered announce re-promoted inside the retry window: %s", m.Membership)
 	}
 
 	// A reciprocating announce completes the handshake immediately: the
 	// peer holds a slot for us, so the damping no longer applies.
-	x.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor" && m.Peered
-	}, "reciprocating announce promoted through the retry window")
+	x.announce(u, annFlagPeered, testVocab)
+	if m := memberOf(u, 2); m.Membership != "neighbor" || !m.Peered {
+		t.Fatalf("reciprocating announce inside the retry window: %s peered=%v", m.Membership, m.Peered)
+	}
 }
 
 func TestDiscoveryLeaveDemotes(t *testing.T) {
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{}, nil)
-	x := newFakePeer(t, 2, 7)
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{}, nil)
+	x := n.peer(2, 7)
 
-	x.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor"
-	}, "peer 2 promoted")
+	x.announce(u, annFlagPeered, testVocab)
+	if m := memberOf(u, 2); m.Membership != "neighbor" {
+		t.Fatalf("peer 2: %s, want promoted", m.Membership)
+	}
 
-	x.send(u.LocalAddr(), kindLeave, nil)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "left"
-	}, "peer 2 left")
-	if !log.has("2:left") {
-		t.Errorf("missing left event, got %v", log.evs)
+	x.send(u, kindLeave, nil)
+	if m := memberOf(u, 2); m.Membership != "left" || !log.has("2:left") {
+		t.Fatalf("after leave: %s, events %v", m.Membership, log.evs)
 	}
 	if health := u.PeerHealth(); len(health) != 0 {
 		t.Errorf("departed peer still tracked by the detector: %v", health)
@@ -513,50 +391,34 @@ func TestDiscoveryLeaveDemotes(t *testing.T) {
 // liveness lifecycle: promoted → suspect → dead → removed from the table,
 // then re-announced under a new boot nonce as a fresh incarnation.
 func TestDiscoveryChurnToRemoval(t *testing.T) {
-	var states struct {
-		mu  sync.Mutex
-		seq []PeerState
+	var states []PeerState
+	lv := &LivenessConfig{
+		Interval:      20 * time.Millisecond,
+		SuspectAfter:  60 * time.Millisecond,
+		DeadAfter:     140 * time.Millisecond,
+		OnStateChange: func(peer uint32, s PeerState) { states = append(states, s) },
 	}
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{}, func(cfg *UDPConfig) {
-		cfg.Liveness = &LivenessConfig{
-			Interval:     20 * time.Millisecond,
-			SuspectAfter: 60 * time.Millisecond,
-			DeadAfter:    140 * time.Millisecond,
-			OnStateChange: func(peer uint32, s PeerState) {
-				states.mu.Lock()
-				states.seq = append(states.seq, s)
-				states.mu.Unlock()
-			},
-		}
-	})
-	x := newFakePeer(t, 2, 7)
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{}, func(cfg *UDPConfig) { cfg.Liveness = lv })
+	x := n.peer(2, 7)
 
-	x.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor"
-	}, "peer 2 promoted")
-
-	// Silence: the detector must walk it through suspect to dead, and
-	// discovery must then remove it from the live table.
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "dead"
-	}, "silent peer removed as dead")
-	states.mu.Lock()
-	seq := append([]PeerState(nil), states.seq...)
-	states.mu.Unlock()
-	sawSuspect, sawDead := false, false
-	for _, s := range seq {
-		if s == PeerSuspect {
-			sawSuspect = true
-		}
-		if s == PeerDead && sawSuspect {
-			sawDead = true
-		}
+	x.announce(u, annFlagPeered, testVocab)
+	if m := memberOf(u, 2); m.Membership != "neighbor" {
+		t.Fatalf("peer 2: %s, want promoted", m.Membership)
 	}
-	if !sawDead {
-		t.Errorf("liveness transitions missing suspect→dead: %v", seq)
+
+	// Silence: the detector walks it through suspect to dead on the
+	// thresholds, and discovery then removes it from the live table.
+	n.run(lv.SuspectAfter)
+	if m := memberOf(u, 2); m.Membership != "neighbor" || m.Health.State != PeerSuspect {
+		t.Fatalf("at SuspectAfter: %s/%v, want a suspect neighbor", m.Membership, m.Health.State)
+	}
+	n.run(lv.DeadAfter - lv.SuspectAfter)
+	if m := memberOf(u, 2); m.Membership != "dead" {
+		t.Fatalf("at DeadAfter: %s, want removed as dead", m.Membership)
+	}
+	if want := []PeerState{PeerSuspect, PeerDead}; !slices.Equal(states, want) {
+		t.Errorf("liveness transitions %v, want %v", states, want)
 	}
 	if !log.has("2:dead") {
 		t.Errorf("missing dead event, got %v", log.evs)
@@ -570,12 +432,11 @@ func TestDiscoveryChurnToRemoval(t *testing.T) {
 
 	// A new incarnation re-announces and walks back in as a fresh peer.
 	x.boot = 8
-	x.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor" && m.HasHealth && m.Health.State == PeerAlive
-	}, "new incarnation promoted")
-	if m, _ := memberOf(u, 2); m.Score != clusterScore(2, 8) {
+	x.announce(u, annFlagPeered, testVocab)
+	if m := memberOf(u, 2); m.Membership != "neighbor" || !m.HasHealth || m.Health.State != PeerAlive {
+		t.Fatalf("new incarnation: %s health=%v/%v", m.Membership, m.HasHealth, m.Health.State)
+	}
+	if m := memberOf(u, 2); m.Score != clusterScore(2, 8) {
 		t.Error("score must be recomputed for the new boot nonce")
 	}
 }
@@ -585,7 +446,8 @@ func TestDiscoveryChurnToRemoval(t *testing.T) {
 // not inherit pending reliable retransmissions or custody offers aimed at
 // its previous incarnation.
 func TestDiscoveryRebootClearsRetransmitState(t *testing.T) {
-	u, log := discoEndpoint(t, 1, DiscoveryConfig{}, func(cfg *UDPConfig) {
+	n := newSimNet(t)
+	u, log := n.disco(1, DiscoveryConfig{}, func(cfg *UDPConfig) {
 		// Huge RTOs: nothing retires on its own during the test.
 		cfg.Reliable = &ReliableConfig{RTO: time.Hour, MaxRTO: time.Hour}
 		cfg.Custody = &CustodyOptions{
@@ -594,36 +456,79 @@ func TestDiscoveryRebootClearsRetransmitState(t *testing.T) {
 			Release: func(uint32, message.ID) {},
 		}
 	})
-	x := newFakePeer(t, 2, 1)
+	x := n.peer(2, 1)
 
-	x.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool {
-		m, ok := memberOf(u, 2)
-		return ok && m.Membership == "neighbor"
-	}, "peer 2 promoted")
+	x.announce(u, annFlagPeered, testVocab)
+	if m := memberOf(u, 2); m.Membership != "neighbor" {
+		t.Fatalf("peer 2: %s, want promoted", m.Membership)
+	}
 
 	// One unacked reliable frame and one unacked custody offer in flight
-	// toward incarnation 1 (the fake peer never acks anything).
+	// toward incarnation 1 (the scripted peer never acks anything).
 	if err := u.Send(2, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.SendCustody(2, message.ID{RandID: 42}, []byte("custody")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return u.rel.pending(2) == 1 && u.CustodyPending() == 1 }, "in-flight state")
+	if u.rel.pending(2) != 1 || u.CustodyPending() != 1 {
+		t.Fatalf("in flight: reliable %d custody %d, want 1 and 1", u.rel.pending(2), u.CustodyPending())
+	}
 
 	// New incarnation announces: both must be dropped, not retransmitted
 	// into the reset sequence space.
 	x.boot = 2
-	x.announce(u.LocalAddr(), true, testVocab)
-	waitFor(t, func() bool { return u.rel.pending(2) == 0 && u.CustodyPending() == 0 },
-		"stale retransmit state dropped on boot change")
+	x.announce(u, annFlagPeered, testVocab)
+	if u.rel.pending(2) != 0 || u.CustodyPending() != 0 {
+		t.Fatalf("after the boot change: reliable %d custody %d still pending", u.rel.pending(2), u.CustodyPending())
+	}
 	if !log.has("2:rejoined") {
 		t.Errorf("missing rejoined event, got %v", log.evs)
 	}
-	if m, _ := memberOf(u, 2); m.Membership != "neighbor" {
+	if m := memberOf(u, 2); m.Membership != "neighbor" {
 		t.Error("rejoined peer must stay a neighbor")
 	}
+}
+
+// TestDiscoveryIgnoresHostnames: addresses inside an announce come from
+// the network, possibly from a peer not even in the table, and must never
+// reach a resolver. A hostname in the advertised address falls back to
+// the wire source; a hostname in a gossip entry is skipped.
+func TestDiscoveryIgnoresHostnames(t *testing.T) {
+	n := newSimNet(t)
+	u, _ := n.disco(1, DiscoveryConfig{}, nil)
+	x := n.peer(2, 7)
+
+	a := announce{digest: testVocab, energy: 1000, addr: "example.invalid:7000",
+		gossip: []gossipEntry{{id: 8, addr: simAddr(8)}, {id: 9, addr: simAddr(9)}}}
+	// Entry 8's address, rewritten in place to a name of the same length.
+	enc := encodeAnnounce(a)
+	name := []byte("a.b.test:7000")
+	if i := bytes.Index(enc, []byte(simAddr(8).String())); i < 0 || len(name) != len(simAddr(8).String()) {
+		t.Fatal("test setup: gossip entry not found in the encoding")
+	} else {
+		copy(enc[i:], name)
+	}
+	x.send(u, kindAnnounce, enc)
+
+	if m := memberOf(u, 2); m.Membership != "neighbor" || m.Addr != x.addr.String() {
+		t.Fatalf("peer 2: %s at %q, want a neighbor at its wire source %s", m.Membership, m.Addr, x.addr)
+	}
+	if m := memberOf(u, 8); m.Membership != "absent" {
+		t.Errorf("gossip entry with a hostname was recorded: %+v", m)
+	}
+	if m := memberOf(u, 9); m.Membership != "candidate" {
+		t.Errorf("literal gossip entry: %s, want candidate", m.Membership)
+	}
+	if got := u.Stats().GossipLearned.Load(); got != 1 {
+		t.Errorf("gossip learned = %d, want 1", got)
+	}
+}
+
+// mutual reports whether x holds id as a neighbor that has peered back.
+func mutual(x *UDP, id uint32) bool {
+	m := memberOf(x, id)
+	return m.Membership == "neighbor" && m.Peered
 }
 
 // TestDiscoveryGossipMesh proves the full bootstrap path with real
@@ -631,29 +536,52 @@ func TestDiscoveryRebootClearsRetransmitState(t *testing.T) {
 // its gossip, probe, handshake, and end up mutually promoted; a graceful
 // Leave then demotes everywhere without waiting for timeouts.
 func TestDiscoveryGossipMesh(t *testing.T) {
-	seed, _ := discoEndpoint(t, 1, DiscoveryConfig{}, nil)
-	seedAddr := seed.LocalAddr().String()
-	b, _ := discoEndpoint(t, 2, DiscoveryConfig{Seeds: []string{seedAddr}}, nil)
-	c, _ := discoEndpoint(t, 3, DiscoveryConfig{Seeds: []string{seedAddr}}, nil)
+	n := newSimNet(t)
+	seeds := []string{simAddr(1).String()}
+	seed, _ := n.disco(1, DiscoveryConfig{}, nil)
+	b, _ := n.disco(2, DiscoveryConfig{Seeds: seeds}, nil)
+	c, _ := n.disco(3, DiscoveryConfig{Seeds: seeds}, nil)
 
-	mutual := func(x *UDP, id uint32) bool {
-		m, ok := memberOf(x, id)
-		return ok && m.Membership == "neighbor" && m.Peered
+	// Announce → reply → peered announce with each side of the seed, then
+	// the seed's gossip → probe → announce → reply between b and c: well
+	// inside two rounds.
+	n.run(2 * discoInterval)
+	for _, link := range []struct {
+		at   *UDP
+		peer uint32
+	}{{seed, 2}, {seed, 3}, {b, 1}, {c, 1}, {b, 3}, {c, 2}} {
+		if !mutual(link.at, link.peer) {
+			t.Errorf("node %d does not hold %d as a mutual neighbor: %+v", link.at.ID(), link.peer, memberOf(link.at, link.peer))
+		}
 	}
-	waitFor(t, func() bool {
-		return mutual(seed, 2) && mutual(seed, 3) && mutual(b, 1) && mutual(c, 1) &&
-			mutual(b, 3) && mutual(c, 2) // via the seed's gossip
-	}, "three-node mesh fully meshed through one seed")
 	if got := b.Stats().GossipLearned.Load() + c.Stats().GossipLearned.Load(); got == 0 {
 		t.Error("b and c must have learned each other from gossip")
 	}
 
 	c.Leave()
-	waitFor(t, func() bool {
-		mb, okb := memberOf(b, 3)
-		ms, oks := memberOf(seed, 3)
-		return okb && oks && mb.Membership == "left" && ms.Membership == "left"
-	}, "graceful leave demoted everywhere")
+	n.run(n.delay)
+	if mb, ms := memberOf(b, 3), memberOf(seed, 3); mb.Membership != "left" || ms.Membership != "left" {
+		t.Fatalf("one wire delay after Leave: b sees %s, seed sees %s; want left", mb.Membership, ms.Membership)
+	}
+}
+
+// mesh attaches n discovery endpoints, IDs 1..n, everyone but node 1
+// knowing nothing but node 1's address.
+func (sn *simNet) mesh(n, degreeCap int, interval time.Duration) []*UDP {
+	nodes := make([]*UDP, n)
+	for i := range nodes {
+		cfg := DiscoveryConfig{Interval: interval, DegreeCap: degreeCap, VocabDigest: testVocab}
+		if i > 0 {
+			cfg.Seeds = []string{simAddr(1).String()}
+		}
+		nodes[i] = sn.endpoint(UDPConfig{
+			ID:        uint32(i + 1),
+			Seed:      int64(i + 1),
+			Liveness:  &LivenessConfig{Interval: 4 * interval},
+			Discovery: &cfg,
+		})
+	}
+	return nodes
 }
 
 // TestDiscoverySaturationQuiesce reproduces the DESIGN.md §10 saturation
@@ -666,92 +594,142 @@ func TestDiscoveryGossipMesh(t *testing.T) {
 // must make the mesh go quiet: after convergence the fleet-wide demotion
 // total has to stop growing and stay stopped.
 func TestDiscoverySaturationQuiesce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second saturation soak skipped in -short mode")
-	}
 	const (
 		n        = 10
 		cap      = 8
 		interval = 20 * time.Millisecond
 	)
-	nodes := make([]*UDP, 0, n)
-	defer func() {
-		for _, u := range nodes {
-			u.Close()
-		}
-	}()
-	mk := func(id uint32, seeds []string) *UDP {
-		u, err := ListenUDP(UDPConfig{
-			ID:       id,
-			Listen:   "127.0.0.1:0",
-			Seed:     int64(id),
-			Deliver:  func(uint32, []byte) {},
-			Liveness: &LivenessConfig{Interval: 50 * time.Millisecond},
-			Discovery: &DiscoveryConfig{
-				Seeds:       seeds,
-				Interval:    interval,
-				DegreeCap:   cap,
-				VocabDigest: testVocab,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return u
-	}
-	seed := mk(1, nil)
-	nodes = append(nodes, seed)
-	seedAddr := []string{seed.LocalAddr().String()}
-	for id := 2; id <= n; id++ {
-		nodes = append(nodes, mk(uint32(id), seedAddr))
-	}
-
-	converged := func() bool {
-		for _, u := range nodes {
-			ok := false
-			for _, m := range u.Members() {
-				if m.MembershipCode == MembershipNeighbor && m.Peered {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for !converged() {
-		if time.Now().After(deadline) {
-			t.Fatal("saturated mesh did not converge in 30s")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	demotions := func() uint64 {
-		var total uint64
+	sn := newSimNet(t)
+	nodes := sn.mesh(n, cap, interval)
+	demotions := func() (total uint64) {
 		for _, u := range nodes {
 			total += u.Stats().MemberDemotions.Load()
 		}
 		return total
 	}
-	// Quiescence: no demotion anywhere for 4 full seconds (200 announce
-	// intervals — pre-fix the churn loop demoted roughly every dozen
-	// intervals per courting pair, so a window this long cannot happen by
-	// luck). Allow up to 45s for the escalating schedule to play out.
-	last, lastChange := demotions(), time.Now()
-	soak := time.Now().Add(45 * time.Second)
-	for {
-		time.Sleep(100 * time.Millisecond)
-		if now, cur := time.Now(), demotions(); cur != last {
-			last, lastChange = cur, now
-		} else if now.Sub(lastChange) >= 4*time.Second {
-			break
+
+	// The escalating schedule plays out within a few hundred intervals
+	// (5+10+20 of damping plus three handshake deadlines per courtship).
+	sn.run(500 * interval)
+	for _, u := range nodes {
+		peered := 0
+		for _, m := range u.Members() {
+			if m.MembershipCode == MembershipNeighbor && m.Peered {
+				peered++
+			}
 		}
-		if time.Now().After(soak) {
-			t.Fatalf("demotions never quiesced: total %d still growing after 45s", last)
+		if peered == 0 {
+			t.Errorf("node %d has no mutual neighbor after 500 intervals", u.ID())
 		}
 	}
-	t.Logf("saturated n=%d cap=%d mesh quiesced at %d total demotions", n, cap, last)
+	settled := demotions()
+	// Quiescence: not one demotion anywhere in the next 1000 intervals —
+	// the churn loop this guards against demoted roughly every dozen
+	// intervals per courting pair.
+	sn.run(1000 * interval)
+	if got := demotions(); got != settled {
+		t.Fatalf("demotions grew from %d to %d over 1000 quiet intervals", settled, got)
+	}
+	t.Logf("saturated n=%d cap=%d mesh quiesced at %d total demotions", n, cap, settled)
+}
+
+// edges is the mesh's mutual neighbor graph: {a,b} with a < b, where each
+// holds the other in its table, sorted.
+func edges(t *testing.T, nodes []*UDP, degreeCap int) [][2]uint32 {
+	t.Helper()
+	has := map[[2]uint32]bool{}
+	for _, u := range nodes {
+		nbrs := u.Neighbors()
+		if len(nbrs) > degreeCap {
+			t.Errorf("node %d has degree %d, cap %d", u.ID(), len(nbrs), degreeCap)
+		}
+		for _, p := range nbrs {
+			has[[2]uint32{u.ID(), p}] = true
+		}
+	}
+	var out [][2]uint32
+	for e := range has {
+		if e[0] < e[1] && has[[2]uint32{e[1], e[0]}] {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b [2]uint32) int {
+		return slices.Compare(a[:], b[:])
+	})
+	return out
+}
+
+// ranLargeMesh records that this process has already converged the
+// n=1000 mesh.
+var ranLargeMesh bool
+
+// TestDiscoveryConvergesVirtual bootstraps a whole mesh from one seed
+// address in virtual time: every node ends with between 1 and cap mutual
+// neighbors, the neighbor graph is connected, and the run is repeatable
+// frame for frame. The n=1000 mesh — a million records, half a million
+// frames — runs once per process: a virtual-time run is a pure function
+// of its seeds, which the two runs here check, so -count has nothing to
+// find in further repeats, and under the race detector each costs most of
+// a minute.
+func TestDiscoveryConvergesVirtual(t *testing.T) {
+	sizes := []int{100}
+	if !testing.Short() && !ranLargeMesh {
+		ranLargeMesh = true
+		sizes = append(sizes, 1000)
+	}
+	const (
+		degreeCap = 8
+		interval  = 100 * time.Millisecond
+		rounds    = 6
+	)
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			type result struct {
+				frames int
+				graph  [][2]uint32
+			}
+			run := func(out chan<- result) {
+				sn := newSimNet(t)
+				nodes := sn.mesh(n, degreeCap, interval)
+				sn.run(rounds * interval)
+				out <- result{sn.frames, edges(t, nodes, degreeCap)}
+			}
+			// Same seeds, same schedule, twice — side by side, since each
+			// harness is its own single-threaded world.
+			results := make(chan result, 2)
+			go run(results)
+			run(results)
+			first, second := <-results, <-results
+			if second.frames != first.frames || !slices.Equal(second.graph, first.graph) {
+				t.Errorf("two runs differ: %d frames and %d edges, then %d frames and %d edges",
+					first.frames, len(first.graph), second.frames, len(second.graph))
+			}
+
+			// Every node has a mutual neighbor, and one flood from node 1
+			// over mutual links reaches all n.
+			adj := map[uint32][]uint32{}
+			for _, e := range first.graph {
+				adj[e[0]] = append(adj[e[0]], e[1])
+				adj[e[1]] = append(adj[e[1]], e[0])
+			}
+			for id := uint32(1); id <= uint32(n); id++ {
+				if len(adj[id]) == 0 {
+					t.Errorf("node %d has no mutual neighbor", id)
+				}
+			}
+			reached := map[uint32]bool{1: true}
+			for queue := []uint32{1}; len(queue) > 0; queue = queue[1:] {
+				for _, p := range adj[queue[0]] {
+					if !reached[p] {
+						reached[p] = true
+						queue = append(queue, p)
+					}
+				}
+			}
+			if len(reached) != n {
+				t.Errorf("neighbor graph is not connected: %d of %d nodes reachable from node 1", len(reached), n)
+			}
+			t.Logf("n=%d: %d edges, %d frames in %d rounds", n, len(first.graph), first.frames, rounds)
+		})
+	}
 }

@@ -1,0 +1,175 @@
+package transport
+
+import (
+	"math"
+	"net/netip"
+	"slices"
+	"time"
+
+	"diffusion/internal/message"
+)
+
+// This file states the contract the UDP endpoint's link engines — failure
+// detector (liveness.go), reliable unicast (reliable.go), custody offers
+// (custody.go), membership (discovery.go) and the peer/impairment table
+// (peers.go) — are written to. An engine is a plain state machine:
+//
+//	step(frame | tick, now) → frames to send, events, table changes
+//
+// collected in an effects value, plus nextDeadline(), the earliest time it
+// wants a tick. It holds no lock, starts no goroutine, never reads a
+// clock and never touches a socket or a resolver: time is the `now`
+// argument, randomness an injected stream, and every per-peer map is
+// walked in ID order wherever the order reaches an RNG draw, a tie-break
+// or the wire. A run is therefore a pure function of (seed, schedule), on
+// the wall clock and on internal/sim's virtual clock alike. The driver in
+// udp.go owns the lock, the timer and the socket.
+
+// engine is the scheduling half of that contract, all the driver's timer
+// needs to know.
+type engine interface {
+	// nextDeadline is the earliest time the engine wants a tick; it may
+	// run early, never late.
+	nextDeadline() time.Duration
+	// tick does whatever has come due at now.
+	tick(now time.Duration, fx *effects)
+}
+
+// never is the deadline of an engine with nothing scheduled.
+const never = time.Duration(math.MaxInt64)
+
+// longAgo initialises "last did X at" fields so the first rate-limit check
+// passes whatever the clock reads — a virtual clock starts at zero.
+const longAgo = time.Duration(math.MinInt64 / 2)
+
+// outFrame is one frame an engine wants on the wire.
+type outFrame struct {
+	peer    uint32         // destination link ID; 0 when not yet known (a seed address)
+	addr    netip.AddrPort // explicit destination (membership frames); zero means the peer's table address
+	kind    uint8
+	seq     uint32
+	payload []byte
+}
+
+// carriesMessage reports whether kind frames a diffusion message (as
+// opposed to link-layer chatter): the kinds the per-peer traffic counters
+// and the flight-path spans account.
+func carriesMessage(kind uint8) bool {
+	return kind == kindData || kind == kindReliable || kind == kindCustody
+}
+
+// opKind is a change the membership engine wants made to the rest of the
+// endpoint.
+type opKind uint8
+
+const (
+	opAdd       opKind = iota // install (or re-address) peer as a neighbor
+	opRemove                  // drop peer from the table with all its link state
+	opForget                  // drop retransmission state toward peer (new incarnation)
+	opRefresh                 // reset peer's failure-detector record to freshly alive
+	opForceDead               // mark a pinned peer dead now (it said goodbye)
+)
+
+// tableOp is one such change; the driver applies them in order before it
+// drops the lock.
+type tableOp struct {
+	kind opKind
+	peer uint32
+	addr netip.AddrPort
+}
+
+// effects is everything one entry into the endpoint produced. It lives on
+// the entering goroutine's stack and holds no pointer into itself, so the
+// common one- or two-frame step allocates nothing.
+type effects struct {
+	// The frames, in order: the first len(buf) inline, the rest in more.
+	n    int
+	buf  [4]outFrame
+	more []outFrame
+
+	calls       []func()     // user callbacks owed, run once the lock is released
+	ops         []tableOp    // what discovery wants done to the table
+	transitions []transition // what the failure detector decided
+
+	// The received frame, when the entry was a reception that owes a
+	// flight-path span or a Deliver upcall; its payload aliases the receive
+	// buffer and rxSize is the datagram's length on the wire.
+	rx            frame
+	rxSize        int
+	span, deliver bool
+}
+
+// at returns frame i.
+func (fx *effects) at(i int) *outFrame {
+	if i < len(fx.buf) {
+		return &fx.buf[i]
+	}
+	return &fx.more[i-len(fx.buf)]
+}
+
+// push appends a frame.
+func (fx *effects) push(f outFrame) {
+	if fx.n < len(fx.buf) {
+		fx.buf[fx.n] = f
+	} else {
+		fx.more = append(fx.more, f)
+	}
+	fx.n++
+}
+
+// truncate keeps the first n frames.
+func (fx *effects) truncate(n int) {
+	fx.n = n
+	fx.more = fx.more[:max(n-len(fx.buf), 0)]
+}
+
+// send queues a frame to table member peer.
+func (fx *effects) send(peer uint32, kind uint8, seq uint32, payload []byte) {
+	fx.push(outFrame{peer: peer, kind: kind, seq: seq, payload: payload})
+}
+
+// deliverUp hands frame f's payload, size bytes on the wire, to Deliver,
+// counting it against the sender's table row.
+func (fx *effects) deliverUp(from *peerEntry, f frame, size int) {
+	from.dataRecv++
+	fx.rx, fx.rxSize, fx.deliver = f, size, true
+}
+
+// idSet is a sorted set of link IDs: the iteration order of an engine's
+// per-peer map.
+type idSet []uint32
+
+func (s *idSet) add(id uint32) {
+	if i, ok := slices.BinarySearch(*s, id); !ok {
+		*s = slices.Insert(*s, i, id)
+	}
+}
+
+func (s *idSet) remove(id uint32) {
+	if i, ok := slices.BinarySearch(*s, id); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
+
+// pending is one unacknowledged frame. Reliable unicast and custody offers
+// retransmit on the same schedule and differ only in when they stop:
+// reliable frames are abandoned after MaxRetries, custody offers never.
+type pending struct {
+	peer    uint32
+	seq     uint32
+	id      message.ID // custody offers only
+	payload []byte
+	tries   int // transmission attempts so far
+	due     time.Duration
+}
+
+// arm schedules the next retransmission — rto doubled per attempt so far,
+// capped at maxRTO — and returns when it is due.
+func (p *pending) arm(now, rto, maxRTO time.Duration) time.Duration {
+	d := rto << (p.tries - 1)
+	if d > maxRTO || d <= 0 {
+		d = maxRTO
+	}
+	p.due = now + d
+	return p.due
+}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -34,17 +33,13 @@ const (
 
 // String renders the state.
 func (s PeerState) String() string {
-	switch s {
-	case PeerAlive:
-		return "alive"
-	case PeerSuspect:
-		return "suspect"
-	case PeerDead:
-		return "dead"
-	default:
-		return "unknown"
+	if int(s) < len(peerStateNames) {
+		return peerStateNames[s]
 	}
+	return "unknown"
 }
+
+var peerStateNames = [...]string{"alive", "suspect", "dead"}
 
 // PeerHealth is one neighbor's liveness snapshot.
 type PeerHealth struct {
@@ -72,9 +67,10 @@ type LivenessConfig struct {
 	// MaxProbeBackoff caps the exponential probe backoff toward suspect
 	// and dead peers (default 8×Interval).
 	MaxProbeBackoff time.Duration
-	// OnStateChange, when set, is invoked on every peer state transition.
-	// It is called from transport-owned goroutines and must not call back
-	// into the endpoint synchronously; post onto the node's loop instead.
+	// OnStateChange, when set, is invoked on every peer state transition,
+	// after the endpoint has released its lock, from whichever goroutine
+	// made the transition happen (the socket reader or the timer). A
+	// single-threaded consumer posts onto its own loop.
 	OnStateChange func(peer uint32, state PeerState)
 	// Seed drives the probe jitter stream (0 takes the endpoint's seed).
 	Seed int64
@@ -99,101 +95,81 @@ func (c *LivenessConfig) fill() {
 	}
 }
 
-// peerLiveness is the detector's per-neighbor record.
+// peerLiveness is the detector's per-neighbor record. Times are clock
+// readings (offsets from the endpoint's start), not wall-clock instants.
 type peerLiveness struct {
 	state     PeerState
-	lastHeard time.Time
-	nextProbe time.Time
+	lastHeard time.Duration
+	nextProbe time.Duration
 	backoff   time.Duration // current probe period (grows while silent)
-	pingSeq   uint32        // seq of the outstanding probe
-	pingAt    time.Time     // when it was sent
+	pingSeq   uint32        // seq of the outstanding probe, 0 when none
+	pingAt    time.Duration // when it was sent
 	rttMicros int64         // latest completed round trip
 }
 
-// detector is one endpoint's failure detector. sendProbe writes a ping
-// frame to the peer through the endpoint's impairment path.
-type detector struct {
-	cfg       LivenessConfig
-	stats     *Stats
-	sendProbe func(peer uint32, seq uint32)
-
-	mu      sync.Mutex
-	rng     *rand.Rand
-	peers   map[uint32]*peerLiveness
-	nextSeq uint32
-
-	stop chan struct{}
-	done chan struct{}
+// transition is one peer state change the detector decided on; the driver
+// routes it to whoever cares (udp.go, settle).
+type transition struct {
+	peer  uint32
+	state PeerState
 }
 
-// newDetector builds a detector for the given peers; run starts its
-// goroutine.
-func newDetector(cfg LivenessConfig, seed int64, peers []uint32, stats *Stats,
-	sendProbe func(peer, seq uint32)) *detector {
+// detector is one endpoint's failure detector (engine contract:
+// engine.go).
+type detector struct {
+	cfg     LivenessConfig
+	stats   *Stats
+	rng     *rand.Rand
+	peers   map[uint32]*peerLiveness
+	order   idSet
+	nextSeq uint32
+	// next is the earliest probe or classification deadline. Hearing from
+	// a peer only moves its deadlines later, so next may run early; tick
+	// recomputes it exactly.
+	next time.Duration
+}
+
+// newDetector builds a detector watching peers from now.
+func newDetector(cfg LivenessConfig, seed int64, peers []uint32, stats *Stats, now time.Duration) *detector {
 	cfg.fill()
 	if cfg.Seed != 0 {
 		seed = cfg.Seed
 	}
 	d := &detector{
-		cfg:       cfg,
-		stats:     stats,
-		sendProbe: sendProbe,
-		rng:       rand.New(rand.NewSource(seed)),
-		peers:     make(map[uint32]*peerLiveness, len(peers)),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:   cfg,
+		stats: stats,
+		rng:   rand.New(rand.NewSource(seed)),
+		peers: make(map[uint32]*peerLiveness, len(peers)),
+		next:  never,
 	}
-	now := time.Now()
 	for _, id := range peers {
-		// A fresh endpoint grants every neighbor a full DeadAfter of grace:
-		// peers start alive with "heard at boot".
-		d.peers[id] = &peerLiveness{
-			state:     PeerAlive,
-			lastHeard: now,
-			nextProbe: now, // probe immediately so RTTs appear early
-			backoff:   cfg.Interval,
-		}
+		d.add(id, now)
 	}
 	return d
 }
 
-// run is the detector goroutine: a coarse tick drives probing and state
-// classification. The tick is a fraction of the heartbeat interval so
-// transitions land within ~Interval/4 of their deadline.
-func (d *detector) run() {
-	defer close(d.done)
-	tick := d.cfg.Interval / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
+// nextDeadline is when the detector next needs a tick.
+func (d *detector) nextDeadline() time.Duration { return d.next }
+
+// deadline is when p next needs attention: its probe, or the silence
+// threshold that would worsen its state.
+func (d *detector) deadline(p *peerLiveness) time.Duration {
+	at := p.nextProbe
+	switch p.state {
+	case PeerAlive:
+		at = min(at, p.lastHeard+d.cfg.SuspectAfter)
+	case PeerSuspect:
+		at = min(at, p.lastHeard+d.cfg.DeadAfter)
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			d.tick(time.Now())
-		}
-	}
+	return at
 }
 
-// tick classifies every peer and sends due probes.
-func (d *detector) tick(now time.Time) {
-	type transition struct {
-		peer  uint32
-		state PeerState
-	}
-	var transitions []transition
-	type probe struct {
-		peer uint32
-		seq  uint32
-	}
-	var probes []probe
-
-	d.mu.Lock()
-	for id, p := range d.peers {
-		silence := now.Sub(p.lastHeard)
+// tick classifies every peer and queues due probes, in ID order.
+func (d *detector) tick(now time.Duration, fx *effects) {
+	d.next = never
+	for _, id := range d.order {
+		p := d.peers[id]
+		silence := now - p.lastHeard
 		want := p.state
 		switch {
 		case silence >= d.cfg.DeadAfter:
@@ -201,8 +177,8 @@ func (d *detector) tick(now time.Time) {
 		case silence >= d.cfg.SuspectAfter:
 			want = PeerSuspect
 		}
-		// Only the detector goroutine worsens a state; recovery happens in
-		// markHeard. A peer never goes dead → suspect here.
+		// Only tick worsens a state; recovery happens in heard. A peer
+		// never goes dead → suspect here.
 		if want > p.state {
 			if want == PeerSuspect {
 				d.stats.PeerSuspects.Add(1)
@@ -211,13 +187,13 @@ func (d *detector) tick(now time.Time) {
 				d.stats.PeerDeaths.Add(1)
 			}
 			p.state = want
-			transitions = append(transitions, transition{id, want})
+			fx.transitions = append(fx.transitions, transition{id, want})
 		}
-		if !now.Before(p.nextProbe) {
+		if now >= p.nextProbe {
 			d.nextSeq++
 			p.pingSeq = d.nextSeq
 			p.pingAt = now
-			probes = append(probes, probe{id, p.pingSeq})
+			fx.send(id, kindPing, p.pingSeq, nil)
 			if p.state == PeerAlive {
 				p.backoff = d.cfg.Interval
 			} else {
@@ -229,122 +205,95 @@ func (d *detector) tick(now time.Time) {
 			}
 			// ±25% jitter de-synchronizes probes across the cluster.
 			jitter := time.Duration(d.rng.Int63n(int64(p.backoff)/2+1)) - p.backoff/4
-			p.nextProbe = now.Add(p.backoff + jitter)
+			p.nextProbe = now + p.backoff + jitter
 		}
-	}
-	d.mu.Unlock()
-
-	for _, pr := range probes {
-		d.sendProbe(pr.peer, pr.seq)
-	}
-	if d.cfg.OnStateChange != nil {
-		for _, tr := range transitions {
-			d.cfg.OnStateChange(tr.peer, tr.state)
-		}
+		d.next = min(d.next, d.deadline(p))
 	}
 }
 
-// markHeard records proof of life from a peer (any well-formed frame).
-func (d *detector) markHeard(peer uint32) {
-	d.mu.Lock()
+// heard records proof of life from a peer (any well-formed frame), which
+// revives a suspect or dead one.
+func (d *detector) heard(peer uint32, now time.Duration, fx *effects) {
 	p, ok := d.peers[peer]
 	if !ok {
-		d.mu.Unlock()
 		return
 	}
-	p.lastHeard = time.Now()
-	recovered := p.state != PeerAlive
-	if recovered {
-		p.state = PeerAlive
-		p.backoff = d.cfg.Interval
-		p.nextProbe = p.lastHeard.Add(p.backoff)
-		d.stats.PeerRecoveries.Add(1)
+	p.lastHeard = now
+	if p.state == PeerAlive {
+		return
 	}
-	d.mu.Unlock()
-	if recovered && d.cfg.OnStateChange != nil {
-		d.cfg.OnStateChange(peer, PeerAlive)
-	}
+	p.state = PeerAlive
+	p.backoff = d.cfg.Interval
+	p.nextProbe = now + p.backoff
+	d.next = min(d.next, p.nextProbe)
+	d.stats.PeerRecoveries.Add(1)
+	fx.transitions = append(fx.transitions, transition{peer, PeerAlive})
 }
 
-// addPeer registers a peer with the detector, or resets an existing
-// record to freshly-alive. Discovery calls it when a peer is promoted to
-// neighbor and again when a promoted peer re-announces with a new boot
-// nonce: either way the peer earns a full DeadAfter of grace, and no
-// OnStateChange fires (membership events cover the promotion itself).
-func (d *detector) addPeer(peer uint32) {
-	now := time.Now()
-	d.mu.Lock()
-	if p, ok := d.peers[peer]; ok {
-		p.state = PeerAlive
-		p.lastHeard = now
-		p.nextProbe = now
-		p.backoff = d.cfg.Interval
-	} else {
-		d.peers[peer] = &peerLiveness{
-			state:     PeerAlive,
-			lastHeard: now,
-			nextProbe: now,
-			backoff:   d.cfg.Interval,
-		}
+// add registers a peer, or resets an existing record to freshly-alive.
+// Discovery asks for it when a peer is promoted to neighbor and again
+// when a promoted peer re-announces with a new boot nonce: either way the
+// peer earns a full DeadAfter of grace and is probed at once so an RTT
+// appears early, and no transition is reported (membership events cover
+// the promotion itself).
+func (d *detector) add(peer uint32, now time.Duration) {
+	p, ok := d.peers[peer]
+	if !ok {
+		p = &peerLiveness{}
+		d.peers[peer] = p
+		d.order.add(peer)
 	}
-	d.mu.Unlock()
+	p.state = PeerAlive
+	p.lastHeard = now
+	p.nextProbe = now
+	p.backoff = d.cfg.Interval
+	d.next = min(d.next, now)
 }
 
-// removePeer forgets a peer entirely: no more probes, no snapshot entry,
-// no further transitions. Discovery calls it when a discovered neighbor is
-// demoted or removed.
-func (d *detector) removePeer(peer uint32) {
-	d.mu.Lock()
+// remove forgets a peer entirely: no more probes, no snapshot entry, no
+// further transitions.
+func (d *detector) remove(peer uint32) {
 	delete(d.peers, peer)
-	d.mu.Unlock()
+	d.order.remove(peer)
 }
 
 // forceDead marks a peer dead immediately, as if DeadAfter of silence had
 // elapsed — the reaction to an explicit leave frame from a configured
-// neighbor. The usual OnStateChange fires, and any later frame from the
-// peer recovers it through markHeard as normal.
-func (d *detector) forceDead(peer uint32) {
-	d.mu.Lock()
+// neighbor. Any later frame from the peer recovers it through heard as
+// normal.
+func (d *detector) forceDead(peer uint32, now time.Duration, fx *effects) {
 	p, ok := d.peers[peer]
-	changed := ok && p.state != PeerDead
-	if changed {
-		p.state = PeerDead
-		// Backdate the silence so a snapshot agrees with the state and the
-		// probe path treats the peer like any other dead one.
-		p.lastHeard = time.Now().Add(-d.cfg.DeadAfter)
-		d.stats.PeerDeaths.Add(1)
+	if !ok || p.state == PeerDead {
+		return
 	}
-	d.mu.Unlock()
-	if changed && d.cfg.OnStateChange != nil {
-		d.cfg.OnStateChange(peer, PeerDead)
-	}
+	p.state = PeerDead
+	// Backdate the silence so a snapshot agrees with the state and the
+	// probe path treats the peer like any other dead one.
+	p.lastHeard = now - d.cfg.DeadAfter
+	d.stats.PeerDeaths.Add(1)
+	fx.transitions = append(fx.transitions, transition{peer, PeerDead})
 }
 
-// onPong completes an outstanding probe, recording its round trip.
-func (d *detector) onPong(peer, seq uint32) {
-	d.mu.Lock()
+// pong completes an outstanding probe, recording its round trip.
+func (d *detector) pong(peer, seq uint32, now time.Duration) {
 	p, ok := d.peers[peer]
-	if ok && p.pingSeq == seq && !p.pingAt.IsZero() {
-		rtt := time.Since(p.pingAt)
-		p.rttMicros = rtt.Microseconds()
-		p.pingAt = time.Time{}
-		d.stats.RTTMicrosSum.Add(uint64(rtt.Microseconds()))
-		d.stats.RTTCount.Add(1)
+	if !ok || seq == 0 || p.pingSeq != seq {
+		return
 	}
-	d.mu.Unlock()
-	d.markHeard(peer)
+	rtt := (now - p.pingAt).Microseconds()
+	p.rttMicros = rtt
+	p.pingSeq = 0
+	d.stats.RTTMicrosSum.Add(uint64(rtt))
+	d.stats.RTTCount.Add(1)
 }
 
 // snapshot returns every peer's health.
-func (d *detector) snapshot() map[uint32]PeerHealth {
-	now := time.Now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *detector) snapshot(now time.Duration) map[uint32]PeerHealth {
 	out := make(map[uint32]PeerHealth, len(d.peers))
 	for id, p := range d.peers {
 		out[id] = PeerHealth{
 			State:     p.state,
-			LastHeard: now.Sub(p.lastHeard),
+			LastHeard: now - p.lastHeard,
 			RTTMicros: p.rttMicros,
 		}
 	}
@@ -354,8 +303,6 @@ func (d *detector) snapshot() map[uint32]PeerHealth {
 // allDead reports whether the endpoint has neighbors and every one of
 // them is dead — the "isolated node" condition health checks act on.
 func (d *detector) allDead() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if len(d.peers) == 0 {
 		return false
 	}
@@ -365,10 +312,4 @@ func (d *detector) allDead() bool {
 		}
 	}
 	return true
-}
-
-// close stops the detector goroutine.
-func (d *detector) close() {
-	close(d.stop)
-	<-d.done
 }

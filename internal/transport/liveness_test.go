@@ -1,67 +1,74 @@
 package transport
 
 import (
-	"sync"
+	"slices"
 	"testing"
 	"time"
 )
 
-// transitionLog records OnStateChange callbacks thread-safely.
-type transitionLog struct {
-	mu  sync.Mutex
-	seq []PeerState
+// pings counts the probes a detector step queued.
+func pings(fx *effects) int {
+	n := 0
+	for i := 0; i < fx.n; i++ {
+		if fx.at(i).kind == kindPing {
+			n++
+		}
+	}
+	return n
 }
 
-func (l *transitionLog) record(peer uint32, s PeerState) {
-	l.mu.Lock()
-	l.seq = append(l.seq, s)
-	l.mu.Unlock()
-}
-
-func (l *transitionLog) snapshot() []PeerState {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]PeerState(nil), l.seq...)
-}
-
-// TestDetectorClassifiesSilence drives the detector's tick with synthetic
-// clock readings — no sleeping, no goroutine — and checks the full
-// alive → suspect → dead → alive cycle plus its accounting.
+// TestDetectorClassifiesSilence steps the detector engine at chosen clock
+// readings and checks the full alive → suspect → dead → alive cycle, its
+// accounting, and the deadlines it asks to be woken at.
 func TestDetectorClassifiesSilence(t *testing.T) {
 	var stats Stats
-	var log transitionLog
-	var probes []uint32
-	cfg := LivenessConfig{
-		Interval:      time.Second,
-		OnStateChange: func(peer uint32, s PeerState) { log.record(peer, s) },
+	var seen []PeerState
+	d := newDetector(LivenessConfig{Interval: time.Second}, 1, []uint32{2}, &stats, 0)
+	tick := func(now time.Duration) *effects {
+		fx := &effects{}
+		d.tick(now, fx)
+		for _, tr := range fx.transitions {
+			seen = append(seen, tr.state)
+		}
+		return fx
 	}
-	d := newDetector(cfg, 1, []uint32{2}, &stats,
-		func(peer, seq uint32) { probes = append(probes, seq) })
-	base := time.Now()
+	state := func(now time.Duration) PeerState { return d.snapshot(now)[2].State }
 
-	// Within SuspectAfter: still alive, but probes flow.
-	d.tick(base.Add(500 * time.Millisecond))
-	if got := d.snapshot()[2].State; got != PeerAlive {
-		t.Fatalf("state after 0.5s silence = %v, want alive", got)
+	// A new peer is probed at once so RTTs appear early.
+	if d.nextDeadline() != 0 {
+		t.Fatalf("first deadline = %v, want 0", d.nextDeadline())
 	}
-	if len(probes) == 0 {
-		t.Fatal("detector sent no probe")
+	if fx := tick(0); pings(fx) != 1 {
+		t.Fatalf("first tick queued %d probes, want 1", pings(fx))
 	}
 
-	// Past SuspectAfter (3×Interval default): suspect.
-	d.tick(base.Add(3500 * time.Millisecond))
-	if got := d.snapshot()[2].State; got != PeerSuspect {
-		t.Fatalf("state after 3.5s silence = %v, want suspect", got)
+	// Up to SuspectAfter (3×Interval default) of silence: still alive, and
+	// the detector wants waking no later than that threshold.
+	tick(2999 * time.Millisecond)
+	if got := state(2999 * time.Millisecond); got != PeerAlive {
+		t.Fatalf("state after 2.999s silence = %v, want alive", got)
+	}
+	if d.nextDeadline() > 3*time.Second {
+		t.Fatalf("next deadline %v is past the suspect threshold", d.nextDeadline())
+	}
+	// Exactly SuspectAfter: suspect.
+	tick(3 * time.Second)
+	if got := state(3 * time.Second); got != PeerSuspect {
+		t.Fatalf("state after 3s silence = %v, want suspect", got)
 	}
 	if stats.PeerSuspects.Load() != 1 {
 		t.Fatalf("suspects = %d, want 1", stats.PeerSuspects.Load())
 	}
 
-	// Past DeadAfter (8×Interval default): dead, and the node is isolated
-	// (its only neighbor is dead).
-	d.tick(base.Add(9 * time.Second))
-	if got := d.snapshot()[2].State; got != PeerDead {
-		t.Fatalf("state after 9s silence = %v, want dead", got)
+	// Exactly DeadAfter (8×Interval default): dead, and the node is
+	// isolated (its only neighbor is dead).
+	tick(8*time.Second - 1)
+	if got := state(8*time.Second - 1); got != PeerSuspect {
+		t.Fatalf("state just before DeadAfter = %v, want suspect", got)
+	}
+	tick(8 * time.Second)
+	if got := state(8 * time.Second); got != PeerDead {
+		t.Fatalf("state after 8s silence = %v, want dead", got)
 	}
 	if stats.PeerDeaths.Load() != 1 {
 		t.Fatalf("deaths = %d, want 1", stats.PeerDeaths.Load())
@@ -70,15 +77,20 @@ func TestDetectorClassifiesSilence(t *testing.T) {
 		t.Fatal("allDead should report isolation with the only neighbor dead")
 	}
 	// Re-ticking must not re-fire the transition.
-	d.tick(base.Add(10 * time.Second))
+	tick(10 * time.Second)
 	if stats.PeerDeaths.Load() != 1 {
 		t.Fatal("dead transition fired twice")
 	}
 
 	// Any frame heard revives instantly.
-	d.markHeard(2)
-	if got := d.snapshot()[2].State; got != PeerAlive {
-		t.Fatalf("state after markHeard = %v, want alive", got)
+	fx := &effects{}
+	d.heard(2, 11*time.Second, fx)
+	if len(fx.transitions) != 1 || fx.transitions[0] != (transition{2, PeerAlive}) {
+		t.Fatalf("heard reported %v, want the recovery", fx.transitions)
+	}
+	seen = append(seen, PeerAlive)
+	if got := state(11 * time.Second); got != PeerAlive {
+		t.Fatalf("state after heard = %v, want alive", got)
 	}
 	if stats.PeerRecoveries.Load() != 1 {
 		t.Fatalf("recoveries = %d, want 1", stats.PeerRecoveries.Load())
@@ -86,15 +98,11 @@ func TestDetectorClassifiesSilence(t *testing.T) {
 	if d.allDead() {
 		t.Fatal("recovered peer still counted dead")
 	}
-	want := []PeerState{PeerSuspect, PeerDead, PeerAlive}
-	got := log.snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("transitions = %v, want %v", got, want)
+	if d.heard(2, 12*time.Second, fx); len(fx.transitions) != 1 {
+		t.Fatal("hearing from an alive peer is not a recovery")
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("transitions = %v, want %v", got, want)
-		}
+	if want := []PeerState{PeerSuspect, PeerDead, PeerAlive}; !slices.Equal(seen, want) {
+		t.Fatalf("transitions = %v, want %v", seen, want)
 	}
 }
 
@@ -103,64 +111,80 @@ func TestDetectorClassifiesSilence(t *testing.T) {
 // RTT.
 func TestDetectorProbeBackoff(t *testing.T) {
 	var stats Stats
-	var probes int
 	cfg := LivenessConfig{Interval: time.Second, MaxProbeBackoff: 4 * time.Second}
-	d := newDetector(cfg, 1, []uint32{7}, &stats, func(peer, seq uint32) { probes++ })
-	base := time.Now()
+	d := newDetector(cfg, 1, []uint32{7}, &stats, 0)
 
-	// Step a synthetic clock in fine increments over a long silence; with
-	// backoff doubling 1s → 2s → 4s (cap), far fewer probes must go out
-	// than the ~120 an un-backed-off 1 Hz probe stream would send.
-	for ms := 0; ms < 120_000; ms += 250 {
-		d.tick(base.Add(time.Duration(ms) * time.Millisecond))
-	}
-	if probes == 0 {
-		t.Fatal("no probes sent")
+	// Wake the detector exactly when it asks, over two minutes of silence;
+	// with backoff doubling 1s → 2s → 4s (cap), far fewer probes must go
+	// out than the ~120 an un-backed-off 1 Hz probe stream would send.
+	probes := 0
+	var now time.Duration
+	for now = d.nextDeadline(); now < 2*time.Minute; now = d.nextDeadline() {
+		fx := &effects{}
+		d.tick(now, fx)
+		probes += pings(fx)
 	}
 	// 120s at the 4s cap is ~30 probes plus the pre-cap ramp, with ±25%
-	// jitter. Allow slack but reject anything near per-interval probing.
-	if probes > 60 {
-		t.Fatalf("probes = %d, backoff not applied", probes)
+	// jitter.
+	if probes < 20 || probes > 45 {
+		t.Fatalf("probes = %d over 120s of silence, want about 30", probes)
 	}
 
-	// A pong matching the outstanding probe seq records an RTT.
-	d.mu.Lock()
-	seq := d.peers[7].pingSeq
-	d.peers[7].pingAt = time.Now().Add(-3 * time.Millisecond)
-	d.mu.Unlock()
-	d.onPong(7, seq)
-	if stats.RTTCount.Load() != 1 || stats.RTTMicrosSum.Load() == 0 {
-		t.Fatalf("rtt accounting: count=%d sum=%d",
+	// A pong matching the outstanding probe seq records the RTT.
+	p := d.peers[7]
+	d.pong(7, p.pingSeq+1, p.pingAt+time.Millisecond)
+	if stats.RTTCount.Load() != 0 {
+		t.Fatal("a pong for another probe must not record an RTT")
+	}
+	d.pong(7, p.pingSeq, p.pingAt+3*time.Millisecond)
+	if stats.RTTCount.Load() != 1 || stats.RTTMicrosSum.Load() != 3000 {
+		t.Fatalf("rtt accounting: count=%d sum=%dus, want 1 and 3000",
 			stats.RTTCount.Load(), stats.RTTMicrosSum.Load())
 	}
 }
 
-// TestUDPLivenessEndToEnd runs the detector over real sockets: a
-// partition (Block) silences the peer, which must go suspect then dead;
-// healing it must revive the peer and record heartbeat RTTs.
+// TestUDPLivenessEndToEnd runs the detector between two endpoints: a
+// partition (Block) silences the peer, which must go suspect then dead
+// exactly on the configured thresholds; healing it must revive the peer.
 func TestUDPLivenessEndToEnd(t *testing.T) {
 	live := &LivenessConfig{
 		Interval:     25 * time.Millisecond,
 		SuspectAfter: 75 * time.Millisecond,
 		DeadAfter:    150 * time.Millisecond,
 	}
-	a, b, _, _ := pair(t, UDPConfig{Liveness: live}, UDPConfig{Liveness: live})
-	_ = b
+	n := newSimNet(t)
+	a, _, _, _ := n.pair(UDPConfig{Liveness: live}, UDPConfig{Liveness: live})
 
-	// Heartbeats alone must keep the peer alive and measure RTTs.
-	waitFor(t, func() bool { return a.Stats().RTTCount.Load() >= 1 }, "first RTT")
-	if h := a.PeerHealth()[2]; h.State != PeerAlive {
-		t.Fatalf("peer 2 = %v, want alive", h.State)
+	// Heartbeats alone keep the peer alive and measure the wire's RTT.
+	n.run(time.Second)
+	if h := a.PeerHealth()[2]; h.State != PeerAlive || h.RTTMicros != 2*n.delay.Microseconds() {
+		t.Fatalf("peer 2 = %v rtt %dus, want alive and %dus", h.State, h.RTTMicros, 2*n.delay.Microseconds())
 	}
 	if a.Isolated() {
 		t.Fatal("node with a live neighbor reports isolated")
 	}
+	if a.Stats().PeerSuspects.Load() != 0 {
+		t.Fatal("a heartbeating peer was suspected")
+	}
 
-	// Partition: a drops all frames to and from 2. With its only neighbor
-	// dead, a is isolated.
+	// Partition: a drops all frames to and from 2. Silence is measured
+	// from the last frame heard, at most one heartbeat interval (plus
+	// jitter) ago.
+	lastHeard := n.sched.Now() - a.PeerHealth()[2].LastHeard
 	a.Block(2)
-	waitFor(t, func() bool { return a.PeerHealth()[2].State == PeerDead }, "peer death")
-	if a.Stats().PeerSuspects.Load() == 0 || a.Stats().PeerDeaths.Load() == 0 {
+	n.run(lastHeard + live.SuspectAfter - n.sched.Now() - 1)
+	if got := a.PeerHealth()[2].State; got != PeerAlive {
+		t.Fatalf("just before SuspectAfter: %v, want alive", got)
+	}
+	n.run(1)
+	if got := a.PeerHealth()[2].State; got != PeerSuspect {
+		t.Fatalf("at SuspectAfter: %v, want suspect", got)
+	}
+	n.run(lastHeard + live.DeadAfter - n.sched.Now())
+	if got := a.PeerHealth()[2].State; got != PeerDead {
+		t.Fatalf("at DeadAfter: %v, want dead", got)
+	}
+	if a.Stats().PeerSuspects.Load() != 1 || a.Stats().PeerDeaths.Load() != 1 {
 		t.Fatalf("transition accounting: suspects=%d deaths=%d",
 			a.Stats().PeerSuspects.Load(), a.Stats().PeerDeaths.Load())
 	}
@@ -171,11 +195,16 @@ func TestUDPLivenessEndToEnd(t *testing.T) {
 		t.Fatal("partition drops not accounted")
 	}
 
-	// Heal: the next probe exchange revives the peer.
+	// Heal: the next probe exchange revives the peer. Probes toward a dead
+	// peer have backed off, at most to MaxProbeBackoff (default 8×Interval)
+	// plus 25% jitter.
 	a.Unblock(2)
-	waitFor(t, func() bool { return a.PeerHealth()[2].State == PeerAlive }, "peer recovery")
-	if a.Stats().PeerRecoveries.Load() == 0 {
-		t.Fatal("recovery not accounted")
+	n.run(10*live.Interval + 2*n.delay)
+	if got := a.PeerHealth()[2].State; got != PeerAlive {
+		t.Fatalf("after heal: %v, want alive", got)
+	}
+	if a.Stats().PeerRecoveries.Load() != 1 {
+		t.Fatalf("recoveries = %d, want 1", a.Stats().PeerRecoveries.Load())
 	}
 	if a.Stats().HeartbeatsSent.Load() == 0 || a.Stats().HeartbeatsRecv.Load() == 0 {
 		t.Fatalf("heartbeat accounting: sent=%d recv=%d",

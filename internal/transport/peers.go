@@ -1,0 +1,141 @@
+package transport
+
+import (
+	"math/rand"
+	"net"
+	"net/netip"
+	"slices"
+	"time"
+)
+
+// This file is the endpoint's neighbor table and the impairment applied on
+// the way out of it — the fifth link engine (contract: engine.go). The
+// other engines name frames by peer ID; admit turns those into frames for
+// the wire, or into counted drops.
+
+// peerEntry is one row of the live neighbor table: the peer's address,
+// whether the operator pinned it (configured) or discovery promoted it,
+// per-peer payload traffic counters (announce/heartbeat chatter is
+// excluded, so the counters identify which links actually carry data),
+// and the receive-side duplicate windows.
+type peerEntry struct {
+	addr       *net.UDPAddr
+	configured bool
+	dataRecv   uint64
+	dataSent   uint64
+	relDup     dupWindow // reliable frames
+	// Custody offers number their own wire-seq space, so they get their
+	// own window — a shared one would let a reliable frame and a custody
+	// offer with colliding seqs suppress each other.
+	cusDup dupWindow
+}
+
+// addrPort is a's value form, IPv4 as IPv4 whatever form a holds it in.
+func addrPort(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// delayedFrame is an admitted frame waiting out the injected latency.
+type delayedFrame struct {
+	at time.Duration
+	f  outFrame
+}
+
+// peerTable is the neighbor table plus the runtime impairment — blocked
+// peers, injected loss, injected latency — every outgoing frame passes.
+// Static without discovery; discovery adds and removes rows at runtime.
+type peerTable struct {
+	peers   map[uint32]*peerEntry
+	ids     idSet // the table's IDs in order: broadcast fan-out order
+	rng     *rand.Rand
+	loss    float64
+	latency time.Duration
+	blocked map[uint32]bool
+	delayed []delayedFrame // FIFO: the latency is one constant
+}
+
+// put installs or re-addresses a row.
+func (t *peerTable) put(id uint32, addr *net.UDPAddr, configured bool) {
+	if e, ok := t.peers[id]; ok {
+		e.addr = addr
+		return
+	}
+	t.peers[id] = &peerEntry{addr: addr, configured: configured}
+	t.ids.add(id)
+}
+
+// drop removes a discovered row and reports whether it did; configured
+// rows are pinned.
+func (t *peerTable) drop(id uint32) bool {
+	e, ok := t.peers[id]
+	if !ok || e.configured {
+		return false
+	}
+	delete(t.peers, id)
+	t.ids.remove(id)
+	return true
+}
+
+// nextDeadline is when the oldest delayed frame is due on the wire.
+func (t *peerTable) nextDeadline() time.Duration {
+	if len(t.delayed) == 0 {
+		return never
+	}
+	return t.delayed[0].at
+}
+
+// admit is the single egress point: data, reliable frames,
+// retransmissions, acks, heartbeats and membership frames all pass through
+// it, so a partition or loss ramp affects every frame kind, exactly like
+// a real bad link. It rewrites fx's frames to what should be written now —
+// dropping frames to peers no longer in the table, to blocked peers and to
+// the injected loss, in that order, parking the rest for the injected
+// latency — and then appends the parked frames that have come due.
+func (t *peerTable) admit(fx *effects, stats *Stats, now time.Duration) {
+	kept := 0
+	for i := 0; i < fx.n; i++ {
+		f := *fx.at(i)
+		if !f.addr.IsValid() {
+			e := t.peers[f.peer]
+			if e == nil {
+				continue
+			}
+			f.addr = addrPort(e.addr)
+			if carriesMessage(f.kind) {
+				e.dataSent++
+			}
+		}
+		// A seed address has no ID yet (peer 0), so no partition can name it.
+		if f.peer != 0 && t.blocked[f.peer] {
+			stats.PartitionDropped.Add(1)
+			continue
+		}
+		if t.loss > 0 && t.rng.Float64() < t.loss {
+			stats.LossInjected.Add(1)
+			continue
+		}
+		switch f.kind {
+		case kindPing, kindPong:
+			stats.HeartbeatsSent.Add(1)
+		case kindAck:
+			stats.AcksSent.Add(1)
+		case kindCustodyAck:
+			stats.CustodyAcksSent.Add(1)
+		}
+		if t.latency > 0 {
+			// The caller may reuse its payload buffer once Send returns.
+			f.payload = slices.Clone(f.payload)
+			t.delayed = append(t.delayed, delayedFrame{at: now + t.latency, f: f})
+			continue
+		}
+		*fx.at(kept) = f
+		kept++
+	}
+	fx.truncate(kept)
+	for len(t.delayed) > 0 && t.delayed[0].at <= now {
+		fx.push(t.delayed[0].f)
+		t.delayed[0] = delayedFrame{}
+		t.delayed = t.delayed[1:]
+	}
+}

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"sync"
+	"slices"
 	"time"
 
 	"diffusion/internal/message"
@@ -85,190 +85,137 @@ func sheddable(payload []byte) bool {
 	return false
 }
 
-// relFrame is one queued or in-flight reliable payload.
-type relFrame struct {
-	seq     uint32
-	payload []byte
-	tries   int // transmission attempts so far
-	timer   *time.Timer
-}
-
 // relPeer is the sender-side state toward one neighbor.
 type relPeer struct {
 	nextSeq  uint32
-	inflight map[uint32]*relFrame
-	queue    []*relFrame
+	inflight []pending // on the wire, unacked, in send order
+	queue    []pending // waiting for window room
 	// retransmits counts this neighbor's ack-timeout resends, for the
 	// per-peer metrics series (Stats.Retransmits keeps the endpoint sum).
 	retransmits uint64
 }
 
-// reliable is the sender half of reliable unicast for one endpoint.
+// reliable is the sender half of reliable unicast for one endpoint
+// (engine contract: engine.go).
 type reliable struct {
 	cfg   ReliableConfig
 	stats *Stats
-	write func(peer uint32, kind uint8, seq uint32, payload []byte)
-
-	mu     sync.Mutex
-	peers  map[uint32]*relPeer
-	closed bool
+	peers map[uint32]*relPeer
+	order idSet
+	// next is the earliest ack timeout. Acks only remove deadlines, so it
+	// may run early; tick recomputes it exactly.
+	next time.Duration
 }
 
-func newReliable(cfg ReliableConfig, stats *Stats,
-	write func(peer uint32, kind uint8, seq uint32, payload []byte)) *reliable {
+func newReliable(cfg ReliableConfig, stats *Stats) *reliable {
 	cfg.fill()
-	return &reliable{cfg: cfg, stats: stats, write: write, peers: map[uint32]*relPeer{}}
+	return &reliable{cfg: cfg, stats: stats, peers: map[uint32]*relPeer{}, next: never}
 }
 
-// send enqueues payload toward peer, applying the overload-shedding
-// policy, and pumps the window. Shedding is not an error: the link-layer
-// contract is best effort, and the diffusion layer's own refresh
-// machinery recovers what overload drops.
-func (r *reliable) send(peer uint32, payload []byte) {
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
+// nextDeadline is when the sender next needs a tick.
+func (r *reliable) nextDeadline() time.Duration { return r.next }
 
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
+// send enqueues buf — which the engine keeps — toward peer, applying the
+// overload-shedding policy, and pumps the window. Shedding is not an
+// error: the link-layer contract is best effort, and the diffusion layer's
+// own refresh machinery recovers what overload drops.
+func (r *reliable) send(peer uint32, buf []byte, now time.Duration, fx *effects) {
 	p, ok := r.peers[peer]
 	if !ok {
-		p = &relPeer{inflight: map[uint32]*relFrame{}}
+		p = &relPeer{}
 		r.peers[peer] = p
+		r.order.add(peer)
 	}
-	if len(p.inflight)+len(p.queue) >= r.cfg.QueueLimit {
-		if !r.shedLocked(p, buf) {
-			r.mu.Unlock()
-			return // the new frame itself was shed
-		}
+	if len(p.inflight)+len(p.queue) >= r.cfg.QueueLimit && !r.shed(p, buf) {
+		return // the new frame itself was shed
 	}
 	p.nextSeq++
-	p.queue = append(p.queue, &relFrame{seq: p.nextSeq, payload: buf})
-	sends := r.pumpLocked(peer, p)
-	r.mu.Unlock()
-	r.flush(peer, sends)
+	p.queue = append(p.queue, pending{peer: peer, seq: p.nextSeq, payload: buf})
+	r.pump(p, now, fx)
 }
 
-// shedLocked makes room in a full queue. It prefers dropping a queued
-// sheddable frame (oldest first); failing that, an incoming sheddable
-// frame; failing that, the oldest queued frame of any class. In-flight
-// frames are never shed — they are already on the wire. Returns false
-// when the incoming frame is the one dropped.
-func (r *reliable) shedLocked(p *relPeer, incoming []byte) bool {
+// shed makes room in a full queue. It prefers dropping a queued sheddable
+// frame (oldest first); failing that, an incoming sheddable frame; failing
+// that, the oldest queued frame of any class. In-flight frames are never
+// shed — they are already on the wire. Returns false when the incoming
+// frame is the one dropped.
+func (r *reliable) shed(p *relPeer, incoming []byte) bool {
+	r.stats.QueueDrops.Add(1)
 	for i, f := range p.queue {
 		if sheddable(f.payload) {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			r.stats.QueueDrops.Add(1)
+			p.queue = slices.Delete(p.queue, i, i+1)
 			return true
 		}
 	}
 	if sheddable(incoming) || len(p.queue) == 0 {
-		r.stats.QueueDrops.Add(1)
 		return false
 	}
-	p.queue = p.queue[1:]
-	r.stats.QueueDrops.Add(1)
+	p.queue = slices.Delete(p.queue, 0, 1)
 	return true
 }
 
-// pumpLocked moves queued frames into the in-flight window, arming their
-// retransmit timers, and returns the frames to put on the wire (written
-// by the caller outside the lock).
-func (r *reliable) pumpLocked(peer uint32, p *relPeer) []*relFrame {
-	var out []*relFrame
+// pump moves queued frames into the in-flight window, putting each on the
+// wire and setting its ack timeout.
+func (r *reliable) pump(p *relPeer, now time.Duration, fx *effects) {
 	for len(p.inflight) < r.cfg.Window && len(p.queue) > 0 {
 		f := p.queue[0]
-		p.queue = p.queue[1:]
-		p.inflight[f.seq] = f
+		p.queue = slices.Delete(p.queue, 0, 1) // shifts down: the queue keeps its capacity
 		f.tries = 1
-		r.armLocked(peer, f)
-		out = append(out, f)
-	}
-	return out
-}
-
-// armLocked schedules frame f's next ack timeout: RTO doubled per attempt,
-// capped at MaxRTO.
-func (r *reliable) armLocked(peer uint32, f *relFrame) {
-	rto := r.cfg.RTO << (f.tries - 1)
-	if rto > r.cfg.MaxRTO || rto <= 0 {
-		rto = r.cfg.MaxRTO
-	}
-	seq := f.seq
-	f.timer = time.AfterFunc(rto, func() { r.onTimeout(peer, seq) })
-}
-
-// flush writes frames to the wire.
-func (r *reliable) flush(peer uint32, frames []*relFrame) {
-	for _, f := range frames {
-		r.write(peer, kindReliable, f.seq, f.payload)
+		r.next = min(r.next, f.arm(now, r.cfg.RTO, r.cfg.MaxRTO))
+		p.inflight = append(p.inflight, f)
+		fx.send(f.peer, kindReliable, f.seq, f.payload)
 	}
 }
 
-// onTimeout retransmits an unacked frame or abandons it after MaxRetries.
-func (r *reliable) onTimeout(peer, seq uint32) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
+// tick retransmits every frame whose ack timeout has passed, abandons
+// those already retransmitted MaxRetries times, and refills the windows
+// that frees — peers in ID order, frames in send order.
+func (r *reliable) tick(now time.Duration, fx *effects) {
+	r.next = never
+	for _, id := range r.order {
+		p := r.peers[id]
+		kept := p.inflight[:0]
+		for _, f := range p.inflight {
+			if f.due <= now {
+				if f.tries > r.cfg.MaxRetries {
+					r.stats.ReliableDrops.Add(1)
+					continue
+				}
+				f.tries++
+				p.retransmits++
+				r.stats.Retransmits.Add(1)
+				f.arm(now, r.cfg.RTO, r.cfg.MaxRTO)
+				fx.send(id, kindReliable, f.seq, f.payload)
+			}
+			kept = append(kept, f)
+		}
+		clear(p.inflight[len(kept):]) // release abandoned payloads
+		p.inflight = kept
+		r.pump(p, now, fx)
+		for i := range p.inflight {
+			r.next = min(r.next, p.inflight[i].due)
+		}
 	}
-	p, ok := r.peers[peer]
-	if !ok {
-		r.mu.Unlock()
-		return
-	}
-	f, ok := p.inflight[seq]
-	if !ok {
-		r.mu.Unlock()
-		return
-	}
-	if f.tries > r.cfg.MaxRetries {
-		delete(p.inflight, seq)
-		r.stats.ReliableDrops.Add(1)
-		sends := r.pumpLocked(peer, p)
-		r.mu.Unlock()
-		r.flush(peer, sends)
-		return
-	}
-	f.tries++
-	p.retransmits++
-	r.stats.Retransmits.Add(1)
-	r.armLocked(peer, f)
-	r.mu.Unlock()
-	r.write(peer, kindReliable, seq, f.payload)
 }
 
-// onAck completes an in-flight frame and pumps the window.
-func (r *reliable) onAck(peer, seq uint32) {
+// ack completes an in-flight frame and pumps the window.
+func (r *reliable) ack(peer, seq uint32, now time.Duration, fx *effects) {
 	r.stats.AcksRecv.Add(1)
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
 	p, ok := r.peers[peer]
 	if !ok {
-		r.mu.Unlock()
 		return
 	}
-	f, ok := p.inflight[seq]
-	if !ok {
-		r.mu.Unlock()
-		return
+	for i := range p.inflight {
+		if p.inflight[i].seq == seq {
+			p.inflight = slices.Delete(p.inflight, i, i+1)
+			r.pump(p, now, fx)
+			return
+		}
 	}
-	f.timer.Stop()
-	delete(p.inflight, seq)
-	sends := r.pumpLocked(peer, p)
-	r.mu.Unlock()
-	r.flush(peer, sends)
 }
 
 // perPeerRetransmits snapshots every neighbor's retransmission count.
 func (r *reliable) perPeerRetransmits() map[uint32]uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[uint32]uint64, len(r.peers))
 	for id, p := range r.peers {
 		out[id] = p.retransmits
@@ -276,56 +223,20 @@ func (r *reliable) perPeerRetransmits() map[uint32]uint64 {
 	return out
 }
 
-// pending returns in-flight plus queued frames toward peer (tests).
-func (r *reliable) pending(peer uint32) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.peers[peer]
-	if !ok {
-		return 0
-	}
-	return len(p.inflight) + len(p.queue)
-}
-
 // dropPeer discards all sender-side state toward one peer: in-flight
-// timers stopped, queue dropped, sequence space forgotten. Discovery calls
-// it when a peer is removed or re-announces under a new boot nonce — the
-// restarted peer's receive windows reset with its boot, so retransmitting
-// old frames at it would only produce spurious deliveries.
+// frames, queue, sequence space. Asked for when a peer is removed or
+// re-announces under a new boot nonce — the restarted peer's receive
+// windows reset with its boot, so retransmitting old frames at it would
+// only produce spurious deliveries.
 func (r *reliable) dropPeer(peer uint32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.peers[peer]
-	if !ok {
-		return
-	}
-	for _, f := range p.inflight {
-		f.timer.Stop()
-	}
 	delete(r.peers, peer)
-}
-
-// close stops every retransmit timer and drops all queues.
-func (r *reliable) close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.closed = true
-	for _, p := range r.peers {
-		for _, f := range p.inflight {
-			f.timer.Stop()
-		}
-		p.inflight = map[uint32]*relFrame{}
-		p.queue = nil
-	}
+	r.order.remove(peer)
 }
 
 // dupWindow is the receive-side duplicate-suppression state toward one
 // neighbor: a 64-entry sliding bitmap below the highest sequence seen,
-// keyed on the sender's boot nonce. It is owned by the endpoint's single
-// reader goroutine, so it needs no locking.
+// keyed on the sender's boot nonce. It lives in the neighbor's table row
+// (peers.go), so it goes when the neighbor does.
 type dupWindow struct {
 	boot uint32
 	max  uint32

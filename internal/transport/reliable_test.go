@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,24 +14,26 @@ func payloadOf(c message.Class, tag string) []byte {
 	return append([]byte{byte(c)}, tag...)
 }
 
-// writeLog records frames the reliable sender puts on the wire.
-type writeLog struct {
-	mu   sync.Mutex
+// pending returns in-flight plus queued frames toward peer.
+func (r *reliable) pending(peer uint32) int {
+	p, ok := r.peers[peer]
+	if !ok {
+		return 0
+	}
+	return len(p.inflight) + len(p.queue)
+}
+
+// wireLog is what a reliable sender put on the wire, step by step.
+type wireLog struct {
 	tags []string
 	seqs []uint32
 }
 
-func (w *writeLog) write(peer uint32, kind uint8, seq uint32, payload []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.tags = append(w.tags, string(payload[1:]))
-	w.seqs = append(w.seqs, seq)
-}
-
-func (w *writeLog) snapshot() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.tags...)
+func (w *wireLog) add(fx *effects) {
+	for i := 0; i < fx.n; i++ {
+		w.tags = append(w.tags, string(fx.at(i).payload[1:]))
+		w.seqs = append(w.seqs, fx.at(i).seq)
+	}
 }
 
 func TestDupWindow(t *testing.T) {
@@ -101,28 +103,32 @@ func TestSheddable(t *testing.T) {
 // reinforced data survives as long as anything else can go.
 func TestReliableShedsInterestBeforeData(t *testing.T) {
 	var stats Stats
-	log := &writeLog{}
+	var log wireLog
 	r := newReliable(ReliableConfig{
 		RTO: time.Hour, Window: 1, QueueLimit: 3, MaxRetries: 1,
-	}, &stats, log.write)
-	defer r.close()
+	}, &stats)
+	send := func(c message.Class, tag string) {
+		fx := &effects{}
+		r.send(9, payloadOf(c, tag), 0, fx)
+		log.add(fx)
+	}
 
-	r.send(9, payloadOf(message.Data, "d1")) // in flight (window 1)
-	r.send(9, payloadOf(message.Interest, "i1"))
-	r.send(9, payloadOf(message.Data, "d2")) // queue: [i1 d2], pending 3
+	send(message.Data, "d1") // in flight (window 1)
+	send(message.Interest, "i1")
+	send(message.Data, "d2") // queue: [i1 d2], pending 3
 	// Queue full; a queued interest exists, so it is shed for new data.
-	r.send(9, payloadOf(message.Data, "d3"))
+	send(message.Data, "d3")
 	if got := stats.QueueDrops.Load(); got != 1 {
 		t.Fatalf("queue drops = %d, want 1 (i1 shed)", got)
 	}
 	// Queue full of data; an incoming exploratory frame sheds itself.
-	r.send(9, payloadOf(message.ExploratoryData, "e1"))
+	send(message.ExploratoryData, "e1")
 	if got := stats.QueueDrops.Load(); got != 2 {
 		t.Fatalf("queue drops = %d, want 2 (e1 shed)", got)
 	}
 	// Queue full of data and more data arrives: the oldest queued data
 	// frame gives way.
-	r.send(9, payloadOf(message.Data, "d4"))
+	send(message.Data, "d4")
 	if got := stats.QueueDrops.Load(); got != 3 {
 		t.Fatalf("queue drops = %d, want 3 (d2 evicted)", got)
 	}
@@ -133,20 +139,12 @@ func TestReliableShedsInterestBeforeData(t *testing.T) {
 	// Drain by acking whatever is written; the wire sequence must be all
 	// data, in order, with the shed frames never transmitted.
 	for i := 0; i < 3; i++ {
-		log.mu.Lock()
-		seq := log.seqs[len(log.seqs)-1]
-		log.mu.Unlock()
-		r.onAck(9, seq)
+		fx := &effects{}
+		r.ack(9, log.seqs[len(log.seqs)-1], 0, fx)
+		log.add(fx)
 	}
-	want := []string{"d1", "d3", "d4"}
-	got := log.snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("wire = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("wire = %v, want %v", got, want)
-		}
+	if want := []string{"d1", "d3", "d4"}; !slices.Equal(log.tags, want) {
+		t.Fatalf("wire = %v, want %v", log.tags, want)
 	}
 	if r.pending(9) != 0 {
 		t.Fatalf("pending after drain = %d", r.pending(9))
@@ -154,68 +152,100 @@ func TestReliableShedsInterestBeforeData(t *testing.T) {
 }
 
 // TestReliableRetransmitsThenGivesUp leaves acks unanswered: the sender
-// must retransmit MaxRetries times with backoff and then abandon the
-// frame, freeing the window.
+// must retransmit MaxRetries times on the doubling schedule and then
+// abandon the frame, freeing the window.
 func TestReliableRetransmitsThenGivesUp(t *testing.T) {
 	var stats Stats
-	log := &writeLog{}
+	var log wireLog
 	r := newReliable(ReliableConfig{
-		RTO: 5 * time.Millisecond, MaxRTO: 20 * time.Millisecond,
-		MaxRetries: 2, Window: 4, QueueLimit: 8,
-	}, &stats, log.write)
-	defer r.close()
+		RTO: 5 * time.Millisecond, MaxRTO: 15 * time.Millisecond,
+		MaxRetries: 3, Window: 4, QueueLimit: 8,
+	}, &stats)
 
-	r.send(3, payloadOf(message.Data, "lost"))
-	waitFor(t, func() bool { return stats.ReliableDrops.Load() == 1 }, "give-up")
-	if got := stats.Retransmits.Load(); got != 2 {
-		t.Fatalf("retransmits = %d, want 2", got)
+	fx := &effects{}
+	r.send(3, payloadOf(message.Data, "lost"), 0, fx)
+	log.add(fx)
+	// Wake the sender exactly when it asks: 5ms after the send, then 10ms
+	// later, then at the 15ms cap twice — the last wake-up abandons.
+	var woke []time.Duration
+	for r.nextDeadline() != never {
+		now := r.nextDeadline()
+		woke = append(woke, now)
+		fx := &effects{}
+		r.tick(now, fx)
+		log.add(fx)
 	}
-	if got := len(log.snapshot()); got != 3 {
-		t.Fatalf("wire attempts = %d, want 3 (1 + 2 retries)", got)
+	ms := time.Millisecond
+	if want := []time.Duration{5 * ms, 15 * ms, 30 * ms, 45 * ms}; !slices.Equal(woke, want) {
+		t.Fatalf("woken at %v, want %v", woke, want)
+	}
+	if got := stats.Retransmits.Load(); got != 3 {
+		t.Fatalf("retransmits = %d, want 3", got)
+	}
+	if stats.ReliableDrops.Load() != 1 {
+		t.Fatalf("reliable drops = %d, want 1", stats.ReliableDrops.Load())
+	}
+	if want := []string{"lost", "lost", "lost", "lost"}; !slices.Equal(log.tags, want) {
+		t.Fatalf("wire attempts = %v, want 1 + 3 retries", log.tags)
 	}
 	if r.pending(3) != 0 {
 		t.Fatalf("abandoned frame still pending")
 	}
 }
 
-// TestUDPReliableEndToEnd runs reliable unicast over real sockets through
-// a one-way ack blackout: the receiver keeps delivering exactly once
-// (duplicates suppressed), and once the blackout heals the sender's
+// TestUDPReliableEndToEnd runs reliable unicast between two endpoints
+// through a one-way ack blackout: the receiver keeps delivering exactly
+// once (duplicates suppressed), and once the blackout heals the sender's
 // window drains.
 func TestUDPReliableEndToEnd(t *testing.T) {
 	rel := &ReliableConfig{RTO: 15 * time.Millisecond, MaxRTO: 30 * time.Millisecond,
 		MaxRetries: 50, Window: 4, QueueLimit: 16}
-	a, b, _, cb := pair(t, UDPConfig{Reliable: rel}, UDPConfig{Reliable: rel})
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(UDPConfig{Reliable: rel}, UDPConfig{Reliable: rel})
 
-	// Plain delivery: one send, one delivery, acked.
+	// Plain delivery: one send, one delivery one wire delay later, acked
+	// one more after that.
 	if err := a.Send(2, payloadOf(message.Data, "first")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return cb.count() == 1 }, "reliable delivery")
-	waitFor(t, func() bool { return a.rel.pending(2) == 0 }, "ack to drain window")
-	if a.Stats().AcksRecv.Load() == 0 || b.Stats().AcksSent.Load() == 0 {
+	n.run(n.delay)
+	if cb.count() != 1 || a.rel.pending(2) != 1 {
+		t.Fatalf("after one wire delay: %d delivered, %d pending; want 1 and 1", cb.count(), a.rel.pending(2))
+	}
+	n.run(n.delay)
+	if a.rel.pending(2) != 0 {
+		t.Fatal("ack did not drain the window")
+	}
+	if a.Stats().AcksRecv.Load() != 1 || b.Stats().AcksSent.Load() != 1 {
 		t.Fatalf("ack accounting: recv=%d sent=%d",
 			a.Stats().AcksRecv.Load(), b.Stats().AcksSent.Load())
 	}
 
 	// Blackout b→a (egress loss on b only): data still flows a→b, but
-	// acks die, so a retransmits and b must suppress the duplicates.
+	// acks die, so a retransmits and b must suppress the duplicates. Three
+	// RTOs in — 15ms, then 30ms at the cap twice — a has retransmitted
+	// three times.
 	b.SetLoss(1)
 	if err := a.Send(2, payloadOf(message.Data, "second")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return cb.count() == 2 }, "delivery through blackout")
-	waitFor(t, func() bool { return b.Stats().DupSuppressed.Load() >= 1 }, "dup suppression")
+	n.run(75*time.Millisecond + n.delay)
 	if cb.count() != 2 {
-		t.Fatalf("duplicate reached the application: %d deliveries", cb.count())
+		t.Fatalf("deliveries through the blackout = %d, want 2 (exactly once each)", cb.count())
 	}
-	if a.Stats().Retransmits.Load() == 0 {
-		t.Fatal("no retransmissions through an ack blackout")
+	if got := a.Stats().Retransmits.Load(); got != 3 {
+		t.Fatalf("retransmits = %d, want 3", got)
+	}
+	if got := b.Stats().DupSuppressed.Load(); got != 3 {
+		t.Fatalf("duplicates suppressed = %d, want 3", got)
 	}
 
 	// Heal: the next retransmission gets acked and the window drains.
 	b.SetLoss(0)
-	waitFor(t, func() bool { return a.rel.pending(2) == 0 }, "window drain after heal")
+	n.run(rel.MaxRTO + 2*n.delay)
+	if a.rel.pending(2) != 0 {
+		t.Fatal("window did not drain after the heal")
+	}
 	if cb.count() != 2 {
 		t.Fatalf("deliveries after heal = %d, want still 2", cb.count())
 	}

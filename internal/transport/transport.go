@@ -12,22 +12,32 @@
 // diffusion core was designed for: duplicate suppression, exploratory
 // flooding and reinforcement already assume a lossy link.
 //
-// On top of that baseline the UDP endpoint offers two resilience options
-// the paper's soft-state repair needs in real deployments:
+// On top of that baseline the UDP endpoint offers what the paper's
+// soft-state repair needs in real deployments, each a link engine written
+// to one contract (engine.go) — a state machine stepped with the time and
+// a frame, holding no lock, goroutine, clock or socket of its own:
 //
 //   - a heartbeat failure detector (liveness.go) that classifies each
-//     neighbor alive → suspect → dead from frame arrivals and probe
-//     responses, so the diffusion layer can stop using gradients toward
-//     dead peers instead of waiting for them to age out; and
+//     neighbor alive → suspect → dead, so the diffusion layer can stop
+//     using gradients toward dead peers instead of waiting them out;
 //   - reliable unicast (reliable.go): per-neighbor ack/retransmit with
-//     capped exponential backoff, a bounded send queue with an
-//     overload-shedding policy that drops exploratory/interest traffic
-//     before reinforced data, and duplicate suppression on receive.
+//     capped exponential backoff, a bounded send queue that sheds
+//     exploratory/interest traffic before reinforced data, and duplicate
+//     suppression on receive;
+//   - custody offers (custody.go), acknowledged only after a durable
+//     accept and never abandoned;
+//   - membership (discovery.go): seeds, gossip, a degree-capped neighbor
+//     table that changes at runtime.
 //
-// A transport delivers received payloads through a Deliver callback from
-// its own reader goroutine; callers that feed a single-threaded core.Node
-// must post the upcall onto the node's rt.Loop. cmd/diffnode wires this
-// up.
+// The endpoint (udp.go) drives them: one lock around every entry, one
+// timer at the earliest engine deadline, one goroutine reading the socket.
+// Frames are written and user code — Deliver, the liveness, membership and
+// custody callbacks — is called only with the lock released, from
+// whichever goroutine made the entry: the caller of Send, the socket
+// reader, the timer. Callers that feed a single-threaded core.Node post
+// the upcalls onto the node's rt.Loop; cmd/diffnode wires this up. The
+// same driver over a virtual clock and an in-memory wire is what the
+// package's protocol tests run on (simnet_test.go).
 package transport
 
 import (
@@ -45,9 +55,9 @@ import (
 // message package (the value core.Broadcast resolves to).
 const Broadcast = uint32(message.Broadcast)
 
-// Deliver is the reception upcall: one reassembled payload from a
-// neighbor. Implementations call it from transport-owned goroutines; the
-// payload is owned by the callee.
+// Deliver is the reception upcall: one payload from a neighbor, owned by
+// the callee. A transport calls it holding no lock of its own, from the
+// goroutine the datagram arrived on.
 type Deliver func(from uint32, payload []byte)
 
 // Frame layout: a fixed header in front of the diffusion payload.
@@ -199,9 +209,9 @@ func newBootNonce() uint32 {
 }
 
 // Stats is the per-packet accounting both transports maintain. Fields are
-// atomics because sends happen on the node's loop while receptions land on
-// the transport's reader goroutine; the simulator's plain Stats structs
-// rely on single-threadedness the live runtime does not have.
+// atomics so that the engines can count under the endpoint's lock while
+// metrics scrapes, and the frame writes made outside it, read and count
+// without it.
 type Stats struct {
 	Sent         atomic.Uint64 // datagrams handed to the medium
 	SentBytes    atomic.Uint64

@@ -1,15 +1,17 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
+	"net/netip"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"diffusion/internal/message"
+	"diffusion/internal/sim"
 	"diffusion/internal/telemetry"
 )
 
@@ -23,12 +25,13 @@ type UDPConfig struct {
 	Listen string
 	// Neighbors maps neighbor link IDs to their UDP addresses. Broadcast
 	// sends one datagram per neighbor — the neighbor table takes the place
-	// of the radio's spatial reachability. The table is static for the
+	// of the radio's spatial reachability. These rows are pinned for the
 	// life of the endpoint, like the paper's testbed's fixed node
-	// placement.
+	// placement; only Discovery adds and removes others.
 	Neighbors map[uint32]string
-	// Deliver receives every well-formed datagram from a configured
-	// neighbor. Required. Called from the endpoint's reader goroutine.
+	// Deliver receives every well-formed payload from a table member.
+	// Required. Called with the endpoint's lock released, by whoever handed
+	// the endpoint the datagram — live, the socket reader goroutine.
 	Deliver Deliver
 	// Loss, in [0,1), drops each outgoing datagram independently with
 	// this probability — injected loss for parity testing against the
@@ -78,15 +81,13 @@ type UDPConfig struct {
 	SpanClock func() time.Duration
 }
 
-// peerEntry is one row of the live neighbor table: the peer's address,
-// whether the operator pinned it (configured) or discovery promoted it,
-// and per-peer payload traffic counters (announce/heartbeat chatter is
-// excluded, so the counters identify which links actually carry data).
-type peerEntry struct {
-	addr       *net.UDPAddr
-	configured bool
-	dataRecv   atomic.Uint64
-	dataSent   atomic.Uint64
+// wire is the datagram medium the driver writes to: the UDP socket live, an
+// in-memory switch under the virtual-time test harness (which hands
+// receptions straight to receive instead of running a reader).
+type wire interface {
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
+	LocalAddr() net.Addr
+	Close() error
 }
 
 // UDP is a core.Link over UDP datagrams: unicast sends one datagram to the
@@ -95,138 +96,315 @@ type peerEntry struct {
 // so a stray datagram cannot inject traffic under an unknown ID;
 // membership frames (announce/probe/leave) are the one exception, since
 // their whole point is to introduce unknown peers.
+//
+// UDP is also the link engines' driver; the package comment says how.
 type UDP struct {
 	id        uint32
 	boot      uint32
-	conn      *net.UDPConn
+	wire      wire
+	clock     sim.Clock
 	deliver   Deliver
 	stats     Stats
-	det       *detector
-	rel       *reliable
-	cus       *custodian
-	disco     *discovery
 	spans     *telemetry.SpanRing
 	spanClock func() time.Duration
-	start     time.Time
-	readerWG  sync.WaitGroup
+	// timed is false for a bare endpoint — no engine, no injected latency —
+	// whose entries then skip reading the clock.
+	timed      bool
+	readerDone chan struct{} // closed when the reader goroutine exits; nil without one
 
-	// peersMu guards the neighbor table. Static without discovery;
-	// discovery adds and removes rows at runtime. Leaf lock: nothing else
-	// is acquired while it is held.
-	peersMu sync.RWMutex
-	peers   map[uint32]*peerEntry
-
-	mu      sync.Mutex
-	rng     *rand.Rand
-	loss    float64
-	latency time.Duration
-	blocked map[uint32]bool
-	closed  bool
+	// peersMu is the endpoint's one lock. It guards the neighbor table and
+	// every engine — all of it state about peers — and is never held across
+	// a socket call, a user callback or the custody Accept.
+	peersMu sync.Mutex
+	peerTable
+	det     *detector
+	rel     *reliable
+	cus     *custodian
+	disco   *discovery
+	engines []engine // those of the four that are configured, in that order
+	// The one timer, armed at timerAt (never when idle). timerGen tells a
+	// firing that lost the race with a re-arm that it is stale.
+	timer    sim.Timer
+	timerAt  time.Duration
+	timerGen uint64
+	closed   bool
 }
 
-// ListenUDP binds cfg.Listen and starts the reader goroutine (plus the
-// failure-detector goroutine when cfg.Liveness is set). The caller must
-// Close the endpoint to release them.
+// ListenUDP binds cfg.Listen and starts the reader goroutine. The caller
+// must Close the endpoint to release it.
 func ListenUDP(cfg UDPConfig) (*UDP, error) {
+	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %q: %w", cfg.Listen, err)
+	}
+	conn, err := net.ListenUDP("udp", laddr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	u, err := newUDP(cfg, sim.NewRealClock(), conn, newBootNonce())
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	u.readerDone = make(chan struct{})
+	go u.readLoop(conn)
+	return u, nil
+}
+
+// newUDP builds the driver and its engines over the given clock, medium
+// and boot nonce, and arms the timer. Neighbor and seed addresses are
+// operator input and are resolved here, once.
+func newUDP(cfg UDPConfig, clock sim.Clock, w wire, boot uint32) (*UDP, error) {
 	if cfg.ID == Broadcast {
 		return nil, fmt.Errorf("transport: node ID %d is the broadcast address", cfg.ID)
 	}
 	if cfg.Deliver == nil {
 		return nil, fmt.Errorf("transport: UDPConfig requires Deliver")
 	}
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %q: %w", cfg.Listen, err)
+	u := &UDP{
+		id:        cfg.ID,
+		boot:      boot,
+		wire:      w,
+		clock:     clock,
+		deliver:   cfg.Deliver,
+		spans:     cfg.Spans,
+		spanClock: cfg.SpanClock,
+		timerAt:   never,
+		peerTable: peerTable{
+			peers:   make(map[uint32]*peerEntry, len(cfg.Neighbors)),
+			rng:     rand.New(rand.NewSource(cfg.Seed)),
+			loss:    cfg.Loss,
+			latency: cfg.Latency,
+			blocked: map[uint32]bool{},
+		},
 	}
-	peers := make(map[uint32]*peerEntry, len(cfg.Neighbors))
+	pinned := make(map[uint32]netip.AddrPort, len(cfg.Neighbors))
 	for id, addr := range cfg.Neighbors {
 		a, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
 			return nil, fmt.Errorf("transport: neighbor %d %q: %w", id, addr, err)
 		}
-		peers[id] = &peerEntry{addr: a, configured: true}
+		pinned[id] = addrPort(a)
+		u.put(id, a, true)
 	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
-	}
-	u := &UDP{
-		id:        cfg.ID,
-		boot:      newBootNonce(),
-		conn:      conn,
-		peers:     peers,
-		deliver:   cfg.Deliver,
-		spans:     cfg.Spans,
-		spanClock: cfg.SpanClock,
-		start:     time.Now(),
-		loss:      cfg.Loss,
-		latency:   cfg.Latency,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		blocked:   map[uint32]bool{},
+	now := clock.Now()
+	if cfg.Liveness != nil {
+		u.det = newDetector(*cfg.Liveness, cfg.Seed^int64(cfg.ID), u.ids, &u.stats, now)
+		u.engines = append(u.engines, u.det)
 	}
 	if cfg.Reliable != nil {
-		u.rel = newReliable(*cfg.Reliable, &u.stats, u.writeTo)
+		u.rel = newReliable(*cfg.Reliable, &u.stats)
+		u.engines = append(u.engines, u.rel)
 	}
 	if cfg.Custody != nil {
 		if cfg.Custody.Accept == nil {
-			conn.Close()
 			return nil, fmt.Errorf("transport: CustodyOptions requires Accept")
 		}
-		u.cus = newCustodian(*cfg.Custody, &u.stats, u.writeTo)
+		u.cus = newCustodian(*cfg.Custody, &u.stats)
+		u.engines = append(u.engines, u.cus)
 	}
 	if cfg.Discovery != nil {
 		if cfg.Liveness == nil {
-			conn.Close()
 			return nil, fmt.Errorf("transport: Discovery requires Liveness (promoted peers need the failure detector)")
 		}
-		disco, err := newDiscovery(*cfg.Discovery, u, cfg.Seed^int64(cfg.ID))
+		var seeds []netip.AddrPort
+		for _, s := range cfg.Discovery.Seeds {
+			a, err := net.ResolveUDPAddr("udp", s)
+			if err != nil {
+				return nil, fmt.Errorf("transport: seed %q: %w", s, err)
+			}
+			seeds = append(seeds, addrPort(a))
+		}
+		var err error
+		u.disco, err = newDiscovery(*cfg.Discovery, cfg.ID, seeds, pinned, w.LocalAddr().String(),
+			cfg.Seed^int64(cfg.ID), &u.stats, now)
 		if err != nil {
-			conn.Close()
 			return nil, err
 		}
-		u.disco = disco
+		u.engines = append(u.engines, u.disco)
 	}
-	if cfg.Liveness != nil {
-		// Chain the endpoint's own reactions around the caller's
-		// state-change hook: a recovered neighbor gets pending custody
-		// re-offered before the diffusion layer even reacts, and a dead
-		// discovered neighbor is removed from the table after the caller
-		// has seen the death.
-		user := cfg.Liveness.OnStateChange
-		lv := *cfg.Liveness
-		lv.OnStateChange = func(peer uint32, state PeerState) {
-			if state == PeerAlive && u.cus != nil {
-				u.cus.reoffer(peer)
-			}
-			if user != nil {
-				user(peer, state)
-			}
-			if state == PeerDead && u.disco != nil {
-				u.disco.onPeerDead(peer)
-			}
-		}
-		ids := make([]uint32, 0, len(peers))
-		for id := range peers {
-			ids = append(ids, id)
-		}
-		u.det = newDetector(lv, cfg.Seed^int64(cfg.ID), ids, &u.stats,
-			func(peer, seq uint32) { u.writeTo(peer, kindPing, seq, nil) })
-		go u.det.run()
-	}
-	if u.disco != nil {
-		go u.disco.run()
-	}
-	u.readerWG.Add(1)
-	go u.readLoop()
+	u.timed = len(u.engines) > 0 || u.latency > 0
+	u.peersMu.Lock()
+	u.rearm(now)
+	u.peersMu.Unlock()
 	return u, nil
 }
 
-// spanNow is the timestamp source for span events.
-func (u *UDP) spanNow() time.Duration {
-	if u.spanClock != nil {
-		return u.spanClock()
+// enter takes the lock and reads the clock: the start of every entry.
+func (u *UDP) enter() (now time.Duration) {
+	u.peersMu.Lock()
+	if u.timed {
+		now = u.clock.Now()
 	}
-	return time.Since(u.start)
+	return now
+}
+
+// leave ends an entry: settle what the engines asked of each other, pass
+// the frames through the impairment, re-arm the timer, release the lock,
+// and only then touch the socket and the user.
+func (u *UDP) leave(fx *effects, now time.Duration) {
+	u.settle(fx, now)
+	u.admit(fx, &u.stats, now)
+	if !u.closed {
+		u.rearm(now)
+	}
+	u.peersMu.Unlock()
+	u.perform(fx)
+}
+
+// settle routes the failure detector's transitions and carries out
+// discovery's table ops, in order, until neither raises more of the other
+// (a goodbye from a pinned peer → forced dead → discovery hears of it).
+// A recovered neighbor gets pending custody re-offered before the
+// diffusion layer even reacts, and a dead discovered neighbor leaves the
+// table after the caller has been told of the death.
+func (u *UDP) settle(fx *effects, now time.Duration) {
+	for len(fx.transitions) > 0 || len(fx.ops) > 0 {
+		for _, tr := range fx.transitions {
+			if tr.state == PeerAlive && u.cus != nil {
+				u.cus.reoffer(tr.peer, now, fx)
+			}
+			if cb := u.det.cfg.OnStateChange; cb != nil {
+				fx.calls = append(fx.calls, func() { cb(tr.peer, tr.state) })
+			}
+			if tr.state == PeerDead && u.disco != nil {
+				u.disco.peerDead(tr.peer, now, fx)
+			}
+		}
+		fx.transitions = fx.transitions[:0]
+		for _, op := range fx.ops {
+			switch op.kind {
+			case opAdd:
+				u.put(op.peer, net.UDPAddrFromAddrPort(op.addr), false)
+				u.det.add(op.peer, now)
+			case opRemove:
+				if u.drop(op.peer) {
+					u.det.remove(op.peer)
+					u.forgetPeer(op.peer)
+				}
+			case opForget:
+				u.forgetPeer(op.peer)
+			case opRefresh:
+				u.det.add(op.peer, now)
+			case opForceDead:
+				u.det.forceDead(op.peer, now, fx)
+			}
+		}
+		fx.ops = fx.ops[:0]
+	}
+}
+
+// forgetPeer drops retransmission state toward a peer that was removed or
+// whose incarnation changed: its receive windows reset with its boot
+// nonce, so old reliable frames and custody offers are noise at best.
+// Custody data itself stays in the queue — NeighborRecovered replays it.
+func (u *UDP) forgetPeer(id uint32) {
+	if u.rel != nil {
+		u.rel.dropPeer(id)
+	}
+	if u.cus != nil {
+		u.cus.dropPeer(id)
+	}
+}
+
+// nextDeadline is the earliest deadline of any engine.
+func (u *UDP) nextDeadline() time.Duration {
+	next := u.peerTable.nextDeadline()
+	for _, e := range u.engines {
+		next = min(next, e.nextDeadline())
+	}
+	return next
+}
+
+// rearm moves the timer when the earliest deadline is before what it is
+// armed for. Deadlines that moved later are left to fire early: onTimer
+// finds nothing due and re-arms, which is cheaper than a timer operation
+// per acknowledged frame.
+func (u *UDP) rearm(now time.Duration) {
+	next := u.nextDeadline()
+	if next >= u.timerAt {
+		return
+	}
+	if u.timer != nil {
+		u.timer.Cancel()
+	}
+	u.timerGen++
+	gen := u.timerGen
+	u.timerAt = next
+	u.timer = u.clock.After(next-now, func() { u.onTimer(gen) })
+}
+
+// onTimer is the timer entry: tick every engine with something due.
+func (u *UDP) onTimer(gen uint64) {
+	var fx effects
+	now := u.enter()
+	if u.closed || gen != u.timerGen {
+		u.peersMu.Unlock()
+		return
+	}
+	u.timer, u.timerAt = nil, never
+	for _, e := range u.engines {
+		if e.nextDeadline() <= now {
+			e.tick(now, &fx)
+		}
+	}
+	u.leave(&fx, now)
+}
+
+// perform does, with the lock released, what an entry decided under it:
+// frames to the wire, then callbacks, then the delivery upcall.
+func (u *UDP) perform(fx *effects) {
+	if fx.span {
+		u.span(telemetry.SpanRecv, fx.rx.from, fx.rx.flow, fx.rx.hop, fx.rx.payload)
+	}
+	for i := 0; i < fx.n; i++ {
+		f := fx.at(i)
+		b := u.encode(f)
+		if _, err := u.wire.WriteToUDPAddrPort(b, f.addr); err != nil {
+			u.stats.SendErrors.Add(1)
+			continue
+		}
+		u.stats.onSend(len(b))
+	}
+	for _, call := range fx.calls {
+		call()
+	}
+	if fx.deliver {
+		u.stats.onRecv(fx.rxSize)
+		u.deliver(fx.rx.from, slices.Clone(fx.rx.payload))
+	}
+}
+
+// encode renders f for the wire, stamping a tx span when it carries a
+// sampled message.
+func (u *UDP) encode(f *outFrame) []byte {
+	var flow uint16
+	var hop uint8
+	if u.spans != nil && carriesMessage(f.kind) {
+		if flow, hop = message.PeekTrace(f.payload); flow != 0 {
+			u.span(telemetry.SpanTx, f.peer, flow, hop, f.payload)
+		}
+	}
+	dst := f.peer
+	if dst == 0 {
+		dst = Broadcast // a seed whose ID is not known yet; every receiver accepts it
+	}
+	return encodeFrameTraced(f.kind, u.id, dst, u.boot, f.seq, flow, hop, f.payload)
+}
+
+// span records one transport-layer flight-path span.
+func (u *UDP) span(ev telemetry.SpanEvent, peer uint32, flow uint16, hop uint8, payload []byte) {
+	at := u.spanClock
+	if at == nil {
+		at = u.clock.Now
+	}
+	cls, _ := message.PeekClass(payload)
+	u.spans.Record(telemetry.Span{
+		At: at(), Node: u.id, Peer: peer,
+		ID: message.PeekID(payload), Flow: flow, Hop: hop,
+		Event: ev, Layer: telemetry.SpanLayerTransport,
+		Class: cls,
+	})
 }
 
 // ID returns this node's link-layer identifier (core.Link).
@@ -238,122 +416,17 @@ func (u *UDP) ID() uint32 { return u.id }
 func (u *UDP) Boot() uint32 { return u.boot }
 
 // LocalAddr returns the bound address (useful with port 0).
-func (u *UDP) LocalAddr() *net.UDPAddr { return u.conn.LocalAddr().(*net.UDPAddr) }
+func (u *UDP) LocalAddr() *net.UDPAddr { return u.wire.LocalAddr().(*net.UDPAddr) }
 
 // Stats returns the endpoint's packet accounting.
 func (u *UDP) Stats() *Stats { return &u.stats }
 
 // Neighbors returns the current neighbor-table IDs — configured plus
-// discovery-promoted — as a fresh slice, any order.
+// discovery-promoted — as a fresh slice.
 func (u *UDP) Neighbors() []uint32 {
-	u.peersMu.RLock()
-	defer u.peersMu.RUnlock()
-	out := make([]uint32, 0, len(u.peers))
-	for id := range u.peers {
-		out = append(out, id)
-	}
-	return out
-}
-
-// peerAddr looks up a table member's address (nil when id is not a
-// neighbor).
-func (u *UDP) peerAddr(id uint32) *net.UDPAddr {
-	u.peersMu.RLock()
-	e := u.peers[id]
-	u.peersMu.RUnlock()
-	if e == nil {
-		return nil
-	}
-	return e.addr
-}
-
-// isConfigured reports whether id is an operator-pinned neighbor.
-func (u *UDP) isConfigured(id uint32) bool {
-	u.peersMu.RLock()
-	e := u.peers[id]
-	u.peersMu.RUnlock()
-	return e != nil && e.configured
-}
-
-// configuredCount counts operator-pinned neighbors.
-func (u *UDP) configuredCount() int {
-	u.peersMu.RLock()
-	defer u.peersMu.RUnlock()
-	n := 0
-	for _, e := range u.peers {
-		if e.configured {
-			n++
-		}
-	}
-	return n
-}
-
-// configuredPeers snapshots the operator-pinned rows of the table.
-func (u *UDP) configuredPeers() map[uint32]*net.UDPAddr {
-	u.peersMu.RLock()
-	defer u.peersMu.RUnlock()
-	out := map[uint32]*net.UDPAddr{}
-	for id, e := range u.peers {
-		if e.configured {
-			out[id] = e.addr
-		}
-	}
-	return out
-}
-
-// addNeighbor installs (or re-addresses) a discovered peer in the live
-// table and registers it with the failure detector. Discovery only.
-func (u *UDP) addNeighbor(id uint32, addr *net.UDPAddr) {
 	u.peersMu.Lock()
-	if e, ok := u.peers[id]; ok {
-		e.addr = addr
-	} else {
-		u.peers[id] = &peerEntry{addr: addr}
-	}
-	u.peersMu.Unlock()
-	if u.det != nil {
-		u.det.addPeer(id)
-	}
-}
-
-// removeNeighbor drops a discovered peer from the live table along with
-// its detector, reliable-unicast and custody state. Configured peers are
-// pinned: the call is a no-op for them.
-func (u *UDP) removeNeighbor(id uint32) {
-	u.peersMu.Lock()
-	e, ok := u.peers[id]
-	if !ok || e.configured {
-		u.peersMu.Unlock()
-		return
-	}
-	delete(u.peers, id)
-	u.peersMu.Unlock()
-	if u.det != nil {
-		u.det.removePeer(id)
-	}
-	u.forgetPeer(id)
-}
-
-// forgetPeer drops retransmission state toward a peer whose incarnation
-// changed: its receive windows reset with its boot nonce, so old reliable
-// frames and custody offers are noise at best. Custody data itself stays
-// in the queue — NeighborRecovered replays it.
-func (u *UDP) forgetPeer(id uint32) {
-	if u.rel != nil {
-		u.rel.dropPeer(id)
-	}
-	if u.cus != nil {
-		u.cus.dropPeer(id)
-	}
-}
-
-// refreshPeer resets a table member's failure-detector record to
-// freshly-alive (a peer that just re-announced under a new boot earns a
-// full grace window).
-func (u *UDP) refreshPeer(id uint32) {
-	if u.det != nil {
-		u.det.addPeer(id)
-	}
+	defer u.peersMu.Unlock()
+	return append([]uint32{}, u.ids...)
 }
 
 // Members returns the endpoint's full membership view: every neighbor-
@@ -361,34 +434,34 @@ func (u *UDP) refreshPeer(id uint32) {
 // with every discovery record, sorted by ID. Without discovery it is just
 // the configured table.
 func (u *UDP) Members() []Member {
-	health := u.PeerHealth()
-	seen := map[uint32]bool{}
-	var rows []Member
-	u.peersMu.RLock()
-	for id, e := range u.peers {
+	now := u.enter()
+	defer u.peersMu.Unlock()
+	var health map[uint32]PeerHealth
+	if u.det != nil {
+		health = u.det.snapshot(now)
+	}
+	rows := make([]Member, 0, len(u.ids))
+	for _, id := range u.ids {
+		e := u.peers[id]
 		m := Member{
 			ID:             id,
 			Addr:           e.addr.String(),
 			Origin:         "discovered",
 			Membership:     "neighbor",
 			MembershipCode: MembershipNeighbor,
-			DataRecv:       e.dataRecv.Load(),
-			DataSent:       e.dataSent.Load(),
+			DataRecv:       e.dataRecv,
+			DataSent:       e.dataSent,
 		}
 		if e.configured {
 			m.Origin = "configured"
 		}
-		if h, ok := health[id]; ok {
-			m.Health, m.HasHealth = h, true
-		}
+		m.Health, m.HasHealth = health[id]
 		rows = append(rows, m)
-		seen[id] = true
 	}
-	u.peersMu.RUnlock()
 	if u.disco != nil {
-		rows = u.disco.fillMembers(rows, seen)
+		rows = u.disco.members(rows)
+		slices.SortFunc(rows, func(a, b Member) int { return cmp.Compare(a.ID, b.ID) })
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 	return rows
 }
 
@@ -409,45 +482,15 @@ func (u *UDP) DiscoveryEnabled() bool { return u.disco != nil }
 // Call it right before Close on planned shutdowns. No-op without
 // discovery.
 func (u *UDP) Leave() {
-	if u.disco != nil {
-		u.disco.leave()
-	}
-}
-
-// writeDisco frames and writes one membership frame (announce, probe or
-// leave) to an explicit address — the peer need not be in the neighbor
-// table, which is the point of discovery. Runtime impairment (partition,
-// loss, latency) applies exactly as on the writeTo path; dst 0 means the
-// peer's ID is unknown (a seed address) and the frame is headed to the
-// broadcast ID, which every receiver accepts.
-func (u *UDP) writeDisco(dst uint32, addr *net.UDPAddr, kind uint8, payload []byte) {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
+	if u.disco == nil {
 		return
 	}
-	if dst != 0 && u.blocked[dst] {
-		u.mu.Unlock()
-		u.stats.PartitionDropped.Add(1)
-		return
+	var fx effects
+	now := u.enter()
+	if !u.closed {
+		u.disco.leave(&fx)
 	}
-	drop := u.loss > 0 && u.rng.Float64() < u.loss
-	latency := u.latency
-	u.mu.Unlock()
-	if drop {
-		u.stats.LossInjected.Add(1)
-		return
-	}
-	hdrDst := dst
-	if hdrDst == 0 {
-		hdrDst = Broadcast
-	}
-	frame := encodeFrame(kind, u.id, hdrDst, u.boot, 0, payload)
-	if latency > 0 {
-		time.AfterFunc(latency, func() { u.write(frame, addr) })
-		return
-	}
-	u.write(frame, addr)
+	u.leave(&fx, now)
 }
 
 // PeerHealth returns every neighbor's liveness snapshot, or nil when the
@@ -456,14 +499,21 @@ func (u *UDP) PeerHealth() map[uint32]PeerHealth {
 	if u.det == nil {
 		return nil
 	}
-	return u.det.snapshot()
+	now := u.enter()
+	defer u.peersMu.Unlock()
+	return u.det.snapshot(now)
 }
 
 // Isolated reports whether the failure detector considers every neighbor
 // dead — the condition /healthz turns into a 503. Always false without a
 // detector.
 func (u *UDP) Isolated() bool {
-	return u.det != nil && u.det.allDead()
+	if u.det == nil {
+		return false
+	}
+	u.peersMu.Lock()
+	defer u.peersMu.Unlock()
+	return u.det.allDead()
 }
 
 // PeerRetransmits snapshots per-neighbor reliable-unicast retransmission
@@ -472,27 +522,23 @@ func (u *UDP) PeerRetransmits() map[uint32]uint64 {
 	if u.rel == nil {
 		return nil
 	}
+	u.peersMu.Lock()
+	defer u.peersMu.Unlock()
 	return u.rel.perPeerRetransmits()
 }
 
 // SetLoss changes the injected-loss probability at runtime (chaos
 // harness). Values are clamped to [0,1].
 func (u *UDP) SetLoss(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	u.mu.Lock()
-	u.loss = p
-	u.mu.Unlock()
+	u.peersMu.Lock()
+	u.loss = min(max(p, 0), 1)
+	u.peersMu.Unlock()
 }
 
 // Loss returns the current injected-loss probability.
 func (u *UDP) Loss() float64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.peersMu.Lock()
+	defer u.peersMu.Unlock()
 	return u.loss
 }
 
@@ -501,16 +547,16 @@ func (u *UDP) Loss() float64 {
 // failure detector keeps probing through the partition, so it will mark
 // the peer suspect and then dead.
 func (u *UDP) Block(peer uint32) {
-	u.mu.Lock()
+	u.peersMu.Lock()
 	u.blocked[peer] = true
-	u.mu.Unlock()
+	u.peersMu.Unlock()
 }
 
 // Unblock heals a partition created by Block.
 func (u *UDP) Unblock(peer uint32) {
-	u.mu.Lock()
+	u.peersMu.Lock()
 	delete(u.blocked, peer)
-	u.mu.Unlock()
+	u.peersMu.Unlock()
 }
 
 // SetBlocked replaces the whole blocked-peer set (chaos harness: one call
@@ -520,15 +566,15 @@ func (u *UDP) SetBlocked(peers []uint32) {
 	for _, p := range peers {
 		set[p] = true
 	}
-	u.mu.Lock()
+	u.peersMu.Lock()
 	u.blocked = set
-	u.mu.Unlock()
+	u.peersMu.Unlock()
 }
 
 // Blocked returns the currently blocked peers (fresh slice, any order).
 func (u *UDP) Blocked() []uint32 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.peersMu.Lock()
+	defer u.peersMu.Unlock()
 	out := make([]uint32, 0, len(u.blocked))
 	for p := range u.blocked {
 		out = append(out, p)
@@ -547,28 +593,30 @@ func (u *UDP) Send(dst uint32, payload []byte) error {
 		u.stats.SendErrors.Add(1)
 		return ErrTooLarge
 	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return ErrClosed
+	reliable := u.rel != nil && dst != Broadcast
+	if reliable {
+		payload = slices.Clone(payload) // the engine keeps it for retransmission
 	}
-	u.mu.Unlock()
-	if dst != Broadcast {
-		if u.peerAddr(dst) == nil {
-			u.stats.SendErrors.Add(1)
-			return fmt.Errorf("transport: %d is not a neighbor of %d", dst, u.id)
+	var fx effects
+	var err error
+	now := u.enter()
+	switch {
+	case u.closed:
+		err = ErrClosed
+	case dst == Broadcast:
+		for _, id := range u.ids {
+			fx.send(id, kindData, 0, payload)
 		}
-		if u.rel != nil {
-			u.rel.send(dst, payload)
-			return nil
-		}
-		u.writeTo(dst, kindData, 0, payload)
-		return nil
+	case u.peers[dst] == nil:
+		u.stats.SendErrors.Add(1)
+		err = fmt.Errorf("transport: %d is not a neighbor of %d", dst, u.id)
+	case reliable:
+		u.rel.send(dst, payload, now, &fx)
+	default:
+		fx.send(dst, kindData, 0, payload)
 	}
-	for _, id := range u.Neighbors() {
-		u.writeTo(id, kindData, 0, payload)
-	}
-	return nil
+	u.leave(&fx, now)
+	return err
 }
 
 // SendCustody offers custody of a diffusion payload to neighbor dst
@@ -584,18 +632,21 @@ func (u *UDP) SendCustody(dst uint32, id message.ID, payload []byte) error {
 		u.stats.SendErrors.Add(1)
 		return ErrTooLarge
 	}
-	if u.peerAddr(dst) == nil || dst == Broadcast {
+	buf := slices.Clone(payload)
+	var fx effects
+	var err error
+	now := u.enter()
+	switch {
+	case u.peers[dst] == nil:
 		u.stats.SendErrors.Add(1)
-		return fmt.Errorf("transport: %d is not a neighbor of %d", dst, u.id)
+		err = fmt.Errorf("transport: %d is not a neighbor of %d", dst, u.id)
+	case u.closed:
+		err = ErrClosed
+	default:
+		u.cus.send(dst, id, buf, now, &fx)
 	}
-	u.mu.Lock()
-	closed := u.closed
-	u.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	u.cus.send(dst, id, payload)
-	return nil
+	u.leave(&fx, now)
+	return err
 }
 
 // CustodyPending returns the number of outstanding custody offers
@@ -604,285 +655,187 @@ func (u *UDP) CustodyPending() int {
 	if u.cus == nil {
 		return 0
 	}
+	u.peersMu.Lock()
+	defer u.peersMu.Unlock()
 	return u.cus.pending()
 }
 
-// writeTo frames and writes one datagram to neighbor id, applying runtime
-// impairment — blocked peers, injected loss, injected latency — in that
-// order. It is the single egress point: data, reliable frames,
-// retransmissions, acks and heartbeats all pass through it, so a
-// partition or loss ramp affects every frame kind, exactly like a real
-// bad link.
-func (u *UDP) writeTo(id uint32, kind uint8, seq uint32, payload []byte) {
-	u.peersMu.RLock()
-	e := u.peers[id]
-	u.peersMu.RUnlock()
-	if e == nil {
-		return
-	}
-	peer := e.addr
-	switch kind {
-	case kindData, kindReliable, kindCustody:
-		e.dataSent.Add(1)
-	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return
-	}
-	if u.blocked[id] {
-		u.mu.Unlock()
-		u.stats.PartitionDropped.Add(1)
-		return
-	}
-	drop := u.loss > 0 && u.rng.Float64() < u.loss
-	latency := u.latency
-	u.mu.Unlock()
-	if drop {
-		u.stats.LossInjected.Add(1)
-		return
-	}
-	switch kind {
-	case kindPing, kindPong:
-		u.stats.HeartbeatsSent.Add(1)
-	case kindAck:
-		u.stats.AcksSent.Add(1)
-	case kindCustodyAck:
-		u.stats.CustodyAcksSent.Add(1)
-	}
-	var flow uint16
-	var hop uint8
-	if u.spans != nil {
-		if flow, hop = message.PeekTrace(payload); flow != 0 {
-			cls, _ := message.PeekClass(payload)
-			u.spans.Record(telemetry.Span{
-				At: u.spanNow(), Node: u.id, Peer: id,
-				ID: message.PeekID(payload), Flow: flow, Hop: hop,
-				Event: telemetry.SpanTx, Layer: telemetry.SpanLayerTransport,
-				Class: cls,
-			})
-		}
-	}
-	frame := encodeFrameTraced(kind, u.id, id, u.boot, seq, flow, hop, payload)
-	if latency > 0 {
-		time.AfterFunc(latency, func() { u.write(frame, peer) })
-		return
-	}
-	u.write(frame, peer)
-}
-
-// write puts one frame on the wire, accounting the outcome.
-func (u *UDP) write(frame []byte, peer *net.UDPAddr) {
-	if _, err := u.conn.WriteToUDP(frame, peer); err != nil {
-		u.stats.SendErrors.Add(1)
-		return
-	}
-	u.stats.onSend(len(frame))
-}
-
-// readLoop receives datagrams until the socket closes, validating the
-// frame and the sender, then dispatching on kind. Any valid frame counts
-// as proof of life for the failure detector. The per-neighbor duplicate
-// windows are owned by this goroutine, so they need no locking.
-func (u *UDP) readLoop() {
-	defer u.readerWG.Done()
+// readLoop feeds the socket's datagrams to receive until the socket
+// closes.
+func (u *UDP) readLoop(conn *net.UDPConn) {
+	defer close(u.readerDone)
 	buf := make([]byte, maxPayload+headerSize+traceExtSize)
-	dups := map[uint32]*dupWindow{}
-	// Custody offers number their own wire-seq space, so they get their
-	// own duplicate windows — a shared window would let a reliable frame
-	// and a custody offer with colliding seqs suppress each other.
-	cusDups := map[uint32]*dupWindow{}
 	for {
-		n, src, err := u.conn.ReadFromUDP(buf)
+		n, src, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			// Closed socket (or a transient error after close): exit.
-			u.mu.Lock()
+			u.peersMu.Lock()
 			closed := u.closed
-			u.mu.Unlock()
+			u.peersMu.Unlock()
 			if closed {
 				return
 			}
 			continue
 		}
-		f, err := decodeFrame(buf[:n])
-		if err != nil {
-			u.stats.RecvDropped.Add(1)
-			continue
-		}
-		u.peersMu.RLock()
-		entry := u.peers[f.from]
-		u.peersMu.RUnlock()
-		if f.from == u.id {
-			u.stats.RecvDropped.Add(1)
-			continue
-		}
-		if entry == nil {
-			// Unknown senders may only speak the membership protocol —
-			// that is how they become known.
-			if u.disco != nil {
-				switch f.kind {
-				case kindAnnounce, kindProbe, kindLeave:
-					if f.dst == Broadcast || f.dst == u.id {
-						u.disco.onFrame(f, src)
-						continue
-					}
-				}
-			}
-			u.stats.RecvDropped.Add(1)
-			continue
-		}
-		if f.dst != Broadcast && f.dst != u.id {
-			u.stats.RecvDropped.Add(1)
-			continue
-		}
-		u.mu.Lock()
-		blocked := u.blocked[f.from]
-		u.mu.Unlock()
-		if blocked {
-			u.stats.PartitionDropped.Add(1)
-			continue
-		}
-		if u.det != nil {
-			if f.kind == kindPong {
-				u.det.onPong(f.from, f.seq) // records RTT, then marks heard
-			} else {
-				u.det.markHeard(f.from)
-			}
-		}
-		if u.spans != nil && f.flow != 0 {
-			cls, _ := message.PeekClass(f.payload)
-			u.spans.Record(telemetry.Span{
-				At: u.spanNow(), Node: u.id, Peer: f.from,
-				ID: message.PeekID(f.payload), Flow: f.flow, Hop: f.hop,
-				Event: telemetry.SpanRecv, Layer: telemetry.SpanLayerTransport,
-				Class: cls,
-			})
-		}
-		switch f.kind {
-		case kindPing:
-			u.stats.HeartbeatsRecv.Add(1)
-			u.writeTo(f.from, kindPong, f.seq, nil)
-		case kindPong:
-			u.stats.HeartbeatsRecv.Add(1)
-		case kindAck:
-			if u.rel != nil {
-				u.rel.onAck(f.from, f.seq)
-			}
-		case kindReliable:
-			// Ack first, duplicates included: the sender needs the ack to
-			// stop retransmitting whether or not we deliver.
-			u.writeTo(f.from, kindAck, f.seq, nil)
-			w := dups[f.from]
-			if w == nil {
-				w = &dupWindow{}
-				dups[f.from] = w
-			}
-			if !w.fresh(f.boot, f.seq) {
-				u.stats.DupSuppressed.Add(1)
-				continue
-			}
-			u.deliverUp(f.from, entry, f.payload, n)
-		case kindData:
-			u.deliverUp(f.from, entry, f.payload, n)
-		case kindCustody:
-			if u.cus == nil {
-				// This node runs without custody, so it cannot vouch for
-				// the payload and must not ack — responsibility stays with
-				// the sender, which keeps the offer pending (visible in its
-				// /custody pending count) and retransmits at the capped
-				// backoff. The data itself is still delivered, deduplicated
-				// by offer seq so those retransmits cannot double-deliver:
-				// a mixed deployment makes progress, it just cannot drain
-				// upstream custody queues. Enable custody at this node
-				// (memory-only suffices) to complete transfers.
-				w := cusDups[f.from]
-				if w == nil {
-					w = &dupWindow{}
-					cusDups[f.from] = w
-				}
-				if !w.fresh(f.boot, f.seq) {
-					u.stats.DupSuppressed.Add(1)
-					continue
-				}
-				u.deliverUp(f.from, entry, f.payload, n)
-				continue
-			}
-			id, ok := custodyPayloadID(f.payload)
-			if !ok {
-				u.stats.RecvDropped.Add(1)
-				continue
-			}
-			// Durable accept BEFORE the ack: the sender discharges its
-			// custody on our acknowledgment, so the ack must mean the
-			// payload is safe here. held-but-not-fresh covers lost acks:
-			// re-acked, not re-delivered.
-			held, fresh := u.cus.cfg.Accept(f.from, id, f.payload)
-			if !held {
-				u.stats.CustodyRejected.Add(1)
-				continue
-			}
-			u.writeTo(f.from, kindCustodyAck, f.seq, nil)
-			if fresh {
-				u.deliverUp(f.from, entry, f.payload, n)
-			}
-		case kindCustodyAck:
-			if u.cus != nil {
-				u.cus.onAck(f.from, f.seq)
-			}
-		case kindAnnounce, kindProbe:
-			if u.disco != nil {
-				u.disco.onFrame(f, src)
-			}
-		case kindLeave:
-			if u.disco != nil {
-				u.disco.onFrame(f, src)
-			} else if u.det != nil {
-				// No membership engine, but the peer said goodbye: treat it
-				// as instantly dead so the diffusion layer repairs now
-				// rather than after DeadAfter of silence.
-				u.stats.LeavesRecv.Add(1)
-				u.det.forceDead(f.from)
-			}
-		}
+		u.receive(buf[:n], netip.AddrPortFrom(src.Addr().Unmap(), src.Port()))
 	}
 }
 
-// deliverUp copies a payload out of the receive buffer and hands it to the
-// Deliver callback, counting it against the sender's table entry.
-func (u *UDP) deliverUp(from uint32, e *peerEntry, payload []byte, n int) {
-	u.stats.onRecv(n)
-	if e != nil {
-		e.dataRecv.Add(1)
+// receive is the reception entry: one datagram b from wire address src.
+// It validates the frame and the sender, then dispatches on kind. Any
+// valid frame from a table member counts as proof of life for the failure
+// detector. b is only read, and not after receive returns.
+func (u *UDP) receive(b []byte, src netip.AddrPort) {
+	f, err := decodeFrame(b)
+	if err != nil || f.from == u.id {
+		u.stats.RecvDropped.Add(1)
+		return
 	}
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	u.deliver(from, out)
+	var fx effects
+	now := u.enter()
+	offer := !u.closed && u.onFrame(f, src, len(b), now, &fx)
+	u.leave(&fx, now)
+	if offer {
+		u.acceptOffer(f, len(b))
+	}
 }
 
-// Close shuts the endpoint down — failure detector, retransmit timers,
-// socket — and waits for the reader goroutine to exit. It is idempotent;
-// Sends after Close return ErrClosed.
+// onFrame handles one decoded frame under the lock. It reports true for a
+// custody offer this node can vouch for, which the caller must put through
+// Accept — an fsync — with the lock released.
+func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, fx *effects) (offer bool) {
+	membership := f.kind == kindAnnounce || f.kind == kindProbe || f.kind == kindLeave
+	entry := u.peers[f.from]
+	if f.dst != Broadcast && f.dst != u.id {
+		u.stats.RecvDropped.Add(1)
+		return false
+	}
+	if entry == nil {
+		// Unknown senders may only speak the membership protocol — that is
+		// how they become known.
+		if u.disco != nil && membership {
+			u.disco.frame(f, src, now, fx)
+		} else {
+			u.stats.RecvDropped.Add(1)
+		}
+		return false
+	}
+	if u.blocked[f.from] {
+		u.stats.PartitionDropped.Add(1)
+		return false
+	}
+	if u.det != nil {
+		if f.kind == kindPong {
+			u.det.pong(f.from, f.seq, now) // the RTT, before the proof of life
+		}
+		u.det.heard(f.from, now, fx)
+	}
+	fx.rx, fx.span = f, u.spans != nil && f.flow != 0
+	switch f.kind {
+	case kindPing:
+		u.stats.HeartbeatsRecv.Add(1)
+		fx.send(f.from, kindPong, f.seq, nil)
+	case kindPong:
+		u.stats.HeartbeatsRecv.Add(1)
+	case kindAck:
+		if u.rel != nil {
+			u.rel.ack(f.from, f.seq, now, fx)
+		}
+	case kindReliable:
+		// Ack first, duplicates included: the sender needs the ack to
+		// stop retransmitting whether or not we deliver.
+		fx.send(f.from, kindAck, f.seq, nil)
+		if !entry.relDup.fresh(f.boot, f.seq) {
+			u.stats.DupSuppressed.Add(1)
+			return false
+		}
+		fx.deliverUp(entry, f, size)
+	case kindData:
+		fx.deliverUp(entry, f, size)
+	case kindCustody:
+		if u.cus != nil {
+			return true
+		}
+		// This node runs without custody, so it cannot vouch for the
+		// payload and must not ack — responsibility stays with the
+		// sender, which keeps the offer pending (visible in its /custody
+		// pending count) and retransmits at the capped backoff. The data
+		// itself is still delivered, deduplicated by offer seq so those
+		// retransmits cannot double-deliver: a mixed deployment makes
+		// progress, it just cannot drain upstream custody queues. Enable
+		// custody at this node (memory-only suffices) to complete
+		// transfers.
+		if !entry.cusDup.fresh(f.boot, f.seq) {
+			u.stats.DupSuppressed.Add(1)
+			return false
+		}
+		fx.deliverUp(entry, f, size)
+	case kindCustodyAck:
+		if u.cus != nil {
+			u.cus.ack(f.from, f.seq, fx)
+		}
+	case kindAnnounce, kindProbe:
+		if u.disco != nil {
+			u.disco.frame(f, src, now, fx)
+		}
+	case kindLeave:
+		if u.disco != nil {
+			u.disco.frame(f, src, now, fx)
+		} else if u.det != nil {
+			// No membership engine, but the peer said goodbye: treat it as
+			// instantly dead so the diffusion layer repairs now rather than
+			// after DeadAfter of silence.
+			u.stats.LeavesRecv.Add(1)
+			u.det.forceDead(f.from, now, fx)
+		}
+	}
+	return false
+}
+
+// acceptOffer finishes a custody offer with the lock released. Durable
+// accept BEFORE the ack: the sender discharges its custody on our
+// acknowledgment, so the ack must mean the payload is safe here.
+// held-but-not-fresh covers lost acks: re-acked, not re-delivered.
+func (u *UDP) acceptOffer(f frame, size int) {
+	m, err := message.Unmarshal(f.payload)
+	if err != nil {
+		u.stats.RecvDropped.Add(1)
+		return
+	}
+	held, fresh := u.cus.cfg.Accept(f.from, m.ID, f.payload)
+	if !held {
+		u.stats.CustodyRejected.Add(1)
+		return
+	}
+	var fx effects
+	now := u.enter()
+	if entry := u.peers[f.from]; entry != nil && !u.closed {
+		fx.send(f.from, kindCustodyAck, f.seq, nil)
+		if fresh {
+			fx.deliverUp(entry, f, size)
+		}
+	}
+	u.leave(&fx, now)
+}
+
+// Close shuts the endpoint down — timer, engines, socket — and waits for
+// the reader goroutine to exit. It is idempotent; Sends after Close
+// return ErrClosed. Pending custody offers are not released: the custody
+// queue still holds the data, and a restart re-offers it.
 func (u *UDP) Close() error {
-	u.mu.Lock()
+	u.peersMu.Lock()
 	if u.closed {
-		u.mu.Unlock()
+		u.peersMu.Unlock()
 		return nil
 	}
 	u.closed = true
-	u.mu.Unlock()
-	if u.disco != nil {
-		u.disco.close()
+	if u.timer != nil {
+		u.timer.Cancel()
 	}
-	if u.det != nil {
-		u.det.close()
+	u.peersMu.Unlock()
+	err := u.wire.Close()
+	if u.readerDone != nil {
+		<-u.readerDone
 	}
-	if u.rel != nil {
-		u.rel.close()
-	}
-	if u.cus != nil {
-		u.cus.close()
-	}
-	err := u.conn.Close()
-	u.readerWG.Wait()
 	return err
 }

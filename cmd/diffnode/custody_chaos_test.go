@@ -30,7 +30,8 @@ import (
 //     sink's duplicate suppression keep delivery exactly-once (the
 //     sink's -seen-ttl outlives the partition by design);
 //   - custody metrics (accepted/released/replayed/shed) are served by
-//     every node, and the restarted custodian reports restored items.
+//     every node, every custody queue drains once the acks have travelled
+//     back up the line, and the restarted custodian reports restored items.
 //
 // Gated behind DIFFUSION_CHAOS=1 like the other live chaos tests.
 func TestChaosCustodyLongPartition(t *testing.T) {
@@ -249,10 +250,19 @@ func TestChaosCustodyLongPartition(t *testing.T) {
 				t.Errorf("node %d metrics missing %s", id, series)
 			}
 		}
-		if v := sentValue(t, body,
-			fmt.Sprintf(`diffusion_custody_queue_len{scope="node%d"}`, id)); v != 0 {
-			t.Errorf("node %d custody queue not drained: %v items", id, v)
-		}
+	}
+	// The queues empty hop by hop after the last delivery, not with it: a
+	// custodian releases an item when the next hop's durable-accept ack
+	// comes back, and the sink's ack still has the line to travel when the
+	// sink counts its last sequence. So the drained state is awaited — every
+	// node's /custody showing no queued item and no outstanding offer —
+	// under a deadline, instead of being asserted the instant the stream
+	// completes (which failed about two runs in five).
+	for _, p := range procs {
+		waitCluster(t, 15*time.Second, fmt.Sprintf("node %d to drain its custody queue", p.ID()), func() bool {
+			_, c := chaosGet(t, p, "/custody")
+			return c["len"] == 0.0 && c["pending_offers"] == 0.0
+		})
 	}
 	if v := sentValue(t, promBody(t, httpPorts[2]),
 		`diffusion_custody_restored{scope="node3"}`); v < 1 {

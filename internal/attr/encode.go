@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"unsafe"
 )
 
 // Wire format. Attribute vectors are encoded as:
@@ -65,7 +66,10 @@ func (v Vec) AppendEncode(dst []byte) []byte {
 func (v Vec) Encode() []byte { return v.AppendEncode(make([]byte, 0, v.Size())) }
 
 // DecodeVec decodes one attribute vector from the front of b and returns it
-// together with the number of bytes consumed.
+// together with the number of bytes consumed. The result shares nothing with
+// b: string and blob values are windows onto one arena copied out of it, so
+// the decode costs two allocations however many attributes there are, and
+// retaining any one value pins the variable-length bytes of the whole vector.
 func DecodeVec(b []byte) (Vec, int, error) {
 	if len(b) < vecHeaderSize {
 		return nil, 0, ErrTruncated
@@ -74,53 +78,72 @@ func DecodeVec(b []byte) (Vec, int, error) {
 	if n > maxVecLen {
 		return nil, 0, ErrTooManyAtt
 	}
-	off := vecHeaderSize
-	v := make(Vec, 0, n)
+	// First pass: validate every tuple, find the end, size the arena.
+	off, arenaSize := vecHeaderSize, 0
 	for i := 0; i < n; i++ {
 		if len(b)-off < attrHeaderSize {
 			return nil, 0, ErrTruncated
 		}
-		a := Attribute{
-			Key: Key(binary.BigEndian.Uint32(b[off:])),
-			Op:  Op(b[off+4]),
+		if op := Op(b[off+4]); !op.Valid() {
+			return nil, 0, fmt.Errorf("%w: %d", ErrBadOp, op)
 		}
 		t := Type(b[off+5])
 		off += attrHeaderSize
-		if !a.Op.Valid() {
-			return nil, 0, fmt.Errorf("%w: %d", ErrBadOp, a.Op)
-		}
+		size := 0
 		switch t {
 		case TypeInt32, TypeFloat32:
-			if len(b)-off < 4 {
-				return nil, 0, ErrTruncated
-			}
-			a.Val = Value{Type: t, num: uint64(binary.BigEndian.Uint32(b[off:]))}
-			off += 4
+			size = 4
 		case TypeInt64, TypeFloat64:
-			if len(b)-off < 8 {
-				return nil, 0, ErrTruncated
-			}
-			a.Val = Value{Type: t, num: binary.BigEndian.Uint64(b[off:])}
-			off += 8
+			size = 8
 		case TypeString, TypeBlob:
 			if len(b)-off < 2 {
 				return nil, 0, ErrTruncated
 			}
 			l := int(binary.BigEndian.Uint16(b[off:]))
-			off += 2
-			if len(b)-off < l {
-				return nil, 0, ErrTruncated
-			}
-			if t == TypeString {
-				a.Val = StringValue(string(b[off : off+l]))
-			} else {
-				a.Val = BlobValue(b[off : off+l])
-			}
-			off += l
+			size = 2 + l
+			arenaSize += l
 		default:
 			return nil, 0, fmt.Errorf("%w: %d", ErrBadType, t)
 		}
-		v = append(v, a)
+		if len(b)-off < size {
+			return nil, 0, ErrTruncated
+		}
+		off += size
+	}
+	// Second pass: fill. Nothing below can fail.
+	v := make(Vec, n)
+	arena := make([]byte, 0, arenaSize)
+	off = vecHeaderSize
+	for i := range v {
+		a := &v[i]
+		a.Key = Key(binary.BigEndian.Uint32(b[off:]))
+		a.Op = Op(b[off+4])
+		a.Val.Type = Type(b[off+5])
+		off += attrHeaderSize
+		switch a.Val.Type {
+		case TypeInt32, TypeFloat32:
+			a.Val.num = uint64(binary.BigEndian.Uint32(b[off:]))
+			off += 4
+		case TypeInt64, TypeFloat64:
+			a.Val.num = binary.BigEndian.Uint64(b[off:])
+			off += 8
+		default:
+			l := int(binary.BigEndian.Uint16(b[off:]))
+			off += 2
+			arena = append(arena, b[off:off+l]...)
+			// Capacity-clipped, so an append to one value reallocates
+			// instead of running into its neighbour.
+			w := arena[len(arena)-l : len(arena) : len(arena)]
+			if a.Val.Type == TypeBlob {
+				a.Val.blob = w
+			} else if l > 0 {
+				// The arena is written only here, before v is returned;
+				// Blob's callers must not modify their window, and no
+				// window overlaps a string's.
+				a.Val.str = unsafe.String(&w[0], l)
+			}
+			off += l
+		}
 	}
 	return v, off, nil
 }

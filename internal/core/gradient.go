@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"diffusion/internal/attr"
@@ -348,7 +349,10 @@ func (n *Node) coreData(m *message.Message, local bool) {
 	now := n.cfg.Clock.Now()
 	isSinkFor := false
 	anyForward := false
-	reinforcedTargets := map[message.NodeID]bool{}
+	// Reinforced next hops, deduplicated across entries; rarely more than
+	// one or two, so they live on the stack.
+	var targetBuf [8]message.NodeID
+	targets := targetBuf[:0]
 	if m.Class == message.ExploratoryData && !local {
 		n.expFrom[m.ID] = m.PrevHop
 		if n.cfg.EnergyAware {
@@ -378,8 +382,8 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			}
 			if m.Class == message.ExploratoryData {
 				anyForward = true
-			} else if g.reinforced(now) {
-				reinforcedTargets[nb] = true
+			} else if g.reinforced(now) && !slices.Contains(targets, nb) {
+				targets = append(targets, nb)
 			}
 		}
 	}
@@ -457,13 +461,13 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			n.custodyCapture(m)
 		}
 	case message.Data:
-		if local && len(reinforcedTargets) == 0 {
+		if local && len(targets) == 0 {
 			// Locally originated data with no reinforced path yet: it is
 			// dropped, as in the paper ("subsequent messages are sent
 			// only on reinforced paths").
 			n.Stats.DataNoPath++
 		}
-		if len(reinforcedTargets) == 0 && !isSinkFor && !n.custodyCapture(m) {
+		if len(targets) == 0 && !isSinkFor && !n.custodyCapture(m) {
 			// Reinforced-class data with nowhere to go: the reinforced
 			// path decayed (partition) or never reformed after a restart.
 			// Custody holds it until reinforcement returns; without custody
@@ -471,20 +475,18 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropNoPath)
 		}
 		// Sorted iteration: map order would make runs nondeterministic.
-		targets := make([]message.NodeID, 0, len(reinforcedTargets))
-		for nb := range reinforcedTargets {
-			targets = append(targets, nb)
-		}
 		sortAscending(targets)
 		for _, nb := range targets {
-			out := m.Clone()
+			// The forward differs from m in its header only; Attrs is
+			// immutable and shared.
+			out := *m
 			out.HopCount++
 			out.PrevHop = selfID(n)
 			out.NextHop = nb
 			// Same congestion rule as the exploratory forward: a frame
 			// the link refuses goes into custody, not the floor.
-			if n.transmit(out) != nil {
-				n.custodyCapture(out)
+			if n.transmit(&out) != nil {
+				n.custodyCapture(&out)
 			}
 		}
 	}

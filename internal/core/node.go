@@ -49,6 +49,9 @@ type Link interface {
 	// ID returns this node's link-layer identifier.
 	ID() uint32
 	// Send transmits payload to dst (a neighbor ID or message.Broadcast).
+	// payload is borrowed for the call: the node reuses the buffer for its
+	// next transmission, so a link that queues, delays or retransmits
+	// copies what it keeps before Send returns.
 	Send(dst uint32, payload []byte) error
 }
 
@@ -171,7 +174,9 @@ type (
 
 // DataCallback is invoked on local delivery of a matching message (paper:
 // "a callback function is then invoked whenever relevant data arrives at
-// the node"). The callback must not retain or mutate m.
+// the node"). m is borrowed: the callback must not retain or mutate it, and
+// a value it does keep (an attribute's string or blob) pins the message's
+// whole decode arena.
 type DataCallback func(m *message.Message)
 
 // Stats counts a node's diffusion-layer activity. BytesSent over all nodes,
@@ -278,6 +283,9 @@ type Node struct {
 	detached bool
 
 	housekeep sim.Timer
+
+	// txBuf is the marshal buffer transmit reuses; Link.Send only borrows it.
+	txBuf []byte
 
 	Stats Stats
 }
@@ -627,9 +635,10 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 	if !ok {
 		return fmt.Errorf("%w: publication %d", ErrUnknownHandle, h)
 	}
-	attrs := p.attrs.With(extra...)
+	attrs := make(attr.Vec, 0, len(p.attrs)+len(extra)+1)
+	attrs = append(append(attrs, p.attrs...), extra...)
 	if _, ok := attrs.FindActual(attr.KeyClass); !ok {
-		attrs = attrs.With(attr.ClassIsData())
+		attrs = append(attrs, attr.ClassIsData())
 	}
 	cls := message.Data
 	switch {
@@ -715,7 +724,8 @@ func (n *Node) transmit(m *message.Message) error {
 	if n.detached {
 		return nil
 	}
-	payload := m.Marshal()
+	n.txBuf = m.AppendMarshal(n.txBuf[:0])
+	payload := n.txBuf
 	n.Stats.BytesSent += len(payload)
 	if int(m.Class) < len(n.Stats.SentByClass) {
 		n.Stats.SentByClass[m.Class]++

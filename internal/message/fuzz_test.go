@@ -1,9 +1,12 @@
 package message
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"diffusion/internal/attr"
 )
 
 // TestUnmarshalNeverPanics throws random byte soup at the wire decoder:
@@ -50,4 +53,65 @@ func TestTruncationsNeverPanic(t *testing.T) {
 	for i := 0; i <= len(base); i++ {
 		_, _ = Unmarshal(base[:i])
 	}
+}
+
+// FuzzUnmarshal holds the message decoder to its contract: it never panics,
+// what decodes re-encodes to exactly the bytes consumed, the header agrees
+// with the Peek helpers link layers use on the same bytes, and the message
+// shares nothing with its input. The attribute vector is attr.DecodeVec's,
+// which FuzzDecodeVec compares against the decoder it replaced. The seed
+// corpus is the files under testdata/fuzz/FuzzUnmarshal, named for what
+// each one is.
+func FuzzUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		orig := bytes.Clone(b)
+		m, err := Unmarshal(b)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("failed decode returned %v", m)
+			}
+			return
+		}
+		if !m.Class.Valid() {
+			t.Fatalf("decoded invalid class %d", m.Class)
+		}
+		enc := m.Marshal()
+		if len(enc) != m.Size() {
+			t.Fatalf("Size() = %d but the encoding is %d bytes", m.Size(), len(enc))
+		}
+		// A flagged header carrying flow 0 decodes as unsampled and is not
+		// re-emitted with the flag; everything else is byte-identical.
+		if flagged := orig[0]&flowFlag != 0; flagged && m.Flow == 0 {
+			if !bytes.Equal(enc[headerSize:], orig[headerSize+2:len(enc)+2]) {
+				t.Fatalf("re-encoded attributes differ:\n got %x\nwant %x", enc, orig)
+			}
+		} else if !bytes.Equal(enc, orig[:len(enc)]) {
+			t.Fatalf("re-encoding differs from the bytes consumed:\n got %x\nwant %x", enc, orig[:len(enc)])
+		}
+		if c, ok := PeekClass(orig); !ok || c != m.Class {
+			t.Fatalf("PeekClass = %v, %v; decoded %v", c, ok, m.Class)
+		}
+		if id := PeekID(orig); id != m.ID {
+			t.Fatalf("PeekID = %v, decoded %v", id, m.ID)
+		}
+		if flow, hop := PeekTrace(orig); flow != m.Flow || (flow != 0 && hop != m.HopCount) {
+			t.Fatalf("PeekTrace = %#x, %d; decoded %#x, %d", flow, hop, m.Flow, m.HopCount)
+		}
+		// No aliasing: the input is the caller's to overwrite.
+		for i := range b {
+			b[i] ^= 0xFF
+		}
+		if again := m.Marshal(); !bytes.Equal(again, enc) {
+			t.Fatalf("overwriting the input changed the decoded message:\n got %x\nwant %x", again, enc)
+		}
+		// No neighbours: growing one blob must not reach the next value.
+		for _, a := range m.Attrs {
+			if a.Val.Type == attr.TypeBlob {
+				_ = append(a.Val.Blob(), 0xA5, 0xA5, 0xA5, 0xA5)
+			}
+		}
+		if again := m.Marshal(); !bytes.Equal(again, enc) {
+			t.Fatalf("appending to a decoded blob changed the message:\n got %x\nwant %x", again, enc)
+		}
+	})
 }

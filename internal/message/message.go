@@ -137,8 +137,11 @@ func (m *Message) Clone() *Message {
 }
 
 // Marshal returns the wire encoding of m.
-func (m *Message) Marshal() []byte {
-	b := make([]byte, 0, m.Size())
+func (m *Message) Marshal() []byte { return m.AppendMarshal(make([]byte, 0, m.Size())) }
+
+// AppendMarshal appends the wire encoding of m to b and returns the
+// extended slice, so a sender can encode into a buffer it reuses.
+func (m *Message) AppendMarshal(b []byte) []byte {
 	cls := byte(m.Class)
 	if m.Flow != 0 {
 		cls |= flowFlag
@@ -160,7 +163,8 @@ var (
 	ErrBadClass    = errors.New("message: invalid class")
 )
 
-// Unmarshal decodes a message from b.
+// Unmarshal decodes a message from b. The message shares nothing with b;
+// its string and blob values share one arena (see attr.DecodeVec).
 func Unmarshal(b []byte) (*Message, error) {
 	if len(b) < headerSize {
 		return nil, ErrShortHeader

@@ -40,7 +40,6 @@ type Loop struct {
 	cond     *sync.Cond
 	queue    []func()
 	stopping bool
-	stopped  bool
 	done     chan struct{}
 }
 
@@ -55,22 +54,27 @@ func NewLoop() *Loop {
 
 // run is the loop goroutine: it drains posted callbacks in order until the
 // loop is stopped, then executes whatever was already queued and exits.
+// Each wake-up takes the whole queue in one lock acquisition and leaves
+// Post the previous batch's array to fill, so the two arrays alternate and
+// a steady stream of posts allocates nothing.
 func (l *Loop) run() {
 	defer close(l.done)
+	var batch []func()
 	for {
 		l.mu.Lock()
 		for len(l.queue) == 0 && !l.stopping {
 			l.cond.Wait()
 		}
-		if len(l.queue) == 0 && l.stopping {
-			l.stopped = true
+		if len(l.queue) == 0 {
 			l.mu.Unlock()
 			return
 		}
-		fn := l.queue[0]
-		l.queue = l.queue[1:]
+		batch, l.queue = l.queue, batch[:0]
 		l.mu.Unlock()
-		fn()
+		for i, fn := range batch {
+			batch[i] = nil // a closure that has run must not pin what it captured
+			fn()
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,4 +200,75 @@ func goroutinesSettle(base int) bool {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return false
+}
+
+// TestLoopReleasesRunClosures: a callback that has run is no longer
+// reachable from the loop, nor is what it captured. The queue used to
+// advance a slice head over one backing array, which kept every executed
+// closure — and the datagram it carried — alive until the array was next
+// re-grown.
+func TestLoopReleasesRunClosures(t *testing.T) {
+	l := NewLoop()
+	defer l.Stop()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	const n, size = 16, 1 << 20
+	sum := 0
+	for i := 0; i < n; i++ {
+		payload := make([]byte, size)
+		payload[size-1] = 1
+		l.Post(func() { sum += int(payload[size-1]) })
+	}
+	if err := l.Call(func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if sum != n {
+		t.Fatalf("ran %d of %d callbacks", sum, n)
+	}
+	if held := int64(heap()) - int64(base); held > 2*size {
+		t.Errorf("%d KiB still live after %d callbacks carrying %d KiB each have run", held>>10, n, size>>10)
+	}
+}
+
+// TestStopAcrossBatchBoundary pins Stop's guarantee where the batch drain
+// could break it: with one batch executing and another queued behind it,
+// Stop still lets everything accepted so far run, in order, and nothing
+// posted afterwards.
+func TestStopAcrossBatchBoundary(t *testing.T) {
+	l := NewLoop()
+	started, gate := make(chan struct{}), make(chan struct{})
+	var order []int
+	l.Post(func() {
+		close(started)
+		<-gate
+		order = append(order, 0)
+	})
+	<-started // the first batch, this callback alone, is executing
+	for i := 1; i <= 5; i++ {
+		i := i
+		l.Post(func() { order = append(order, i) }) // the second batch
+	}
+	stopped := make(chan struct{})
+	go func() {
+		l.Stop()
+		close(stopped)
+	}()
+	accepted, ran := 0, 0
+	for l.Post(func() { ran++ }) { // until Stop has taken effect
+		accepted++
+		runtime.Gosched()
+	}
+	close(gate)
+	<-stopped
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Errorf("callbacks queued before Stop ran as %v, want %v", order, want)
+	}
+	if ran != accepted {
+		t.Errorf("%d callbacks were accepted while Stop was pending, %d ran", accepted, ran)
+	}
 }

@@ -1,0 +1,47 @@
+//go:build !race
+
+package transport
+
+import (
+	"net"
+	"net/netip"
+	"testing"
+
+	"diffusion/internal/sim"
+)
+
+// discardWire is the in-memory wire without simWire's copy and scheduled
+// delivery, whose allocations would be counted as the endpoint's.
+type discardWire struct{ frames, bytes int }
+
+func (w *discardWire) LocalAddr() net.Addr { return net.UDPAddrFromAddrPort(simAddr(1)) }
+func (w *discardWire) Close() error        { return nil }
+func (w *discardWire) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
+	w.frames++
+	w.bytes += len(b)
+	return len(b), nil
+}
+
+// A fire-and-forget Send borrows the payload and frames it into a pooled
+// buffer: nothing is allocated per datagram.
+func TestAllocsUDPSend(t *testing.T) {
+	w := &discardWire{}
+	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2, 3), Deliver: func(uint32, []byte) {}}, sim.New(1), w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	payload := make([]byte, 119)
+	for _, dst := range []uint32{2, Broadcast} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := u.Send(dst, payload); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Send to %d allocates %.0f/op", dst, n)
+		}
+	}
+	if want := 101 * (1 + 2); w.frames != want || w.bytes != want*(headerSize+len(payload)) {
+		t.Errorf("wire saw %d frames, %d bytes; want %d frames of %d bytes", w.frames, w.bytes, want, headerSize+len(payload))
+	}
+}

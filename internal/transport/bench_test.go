@@ -6,8 +6,10 @@ import (
 
 // BenchmarkUDPRoundTrip measures one request/response pair of framed
 // datagrams across the loopback interface between two endpoints — the
-// live transport's cost floor, recorded in BENCH_transport.json. Payload
-// is 64 bytes, about one interest with a few attributes.
+// live transport's cost floor. It is a tool for working on this package;
+// the numbers of record are cmd/diffbench's transport.* metrics
+// (`go run ./cmd/diffbench -workload line5_udp -trace 1`). Payload is 64
+// bytes, about one interest with a few attributes.
 func BenchmarkUDPRoundTrip(b *testing.B) {
 	pong := make(chan struct{}, 1)
 	var responder *UDP

@@ -16,7 +16,7 @@ import (
 // unchanged.
 func TestFrameTraceRoundTrip(t *testing.T) {
 	payload := []byte("event-bytes")
-	b := encodeFrameTraced(kindReliable, 4, 3, 0xB007, 99, 0x1A2B, 5, payload)
+	b := appendFrame(nil, kindReliable, 4, 3, 0xB007, 99, 0x1A2B, 5, payload)
 	if b[2]&kindTraceFlag == 0 {
 		t.Fatal("traced frame must set the kind flag bit")
 	}
@@ -41,11 +41,11 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 // decode as unsampled rather than erroring, and a zero flow never emits
 // the extension, keeping our frames byte-identical to the old layout.
 func TestFramePreExtensionPeer(t *testing.T) {
-	legacy := encodeFrame(kindData, 1, 2, 3, 4, []byte("x"))
-	if legacy[2]&kindTraceFlag != 0 {
-		t.Fatal("untraced frame must not set the flag bit")
+	legacy := appendFrame(nil, kindData, 1, 2, 3, 4, 0, 0, []byte("x"))
+	if legacy[2]&kindTraceFlag != 0 || len(legacy) != headerSize+1 {
+		t.Fatal("untraced frame must not set the flag bit or carry the extension")
 	}
-	if got := encodeFrameTraced(kindData, 1, 2, 3, 4, 0, 9, []byte("x")); !bytes.Equal(got, legacy) {
+	if got := appendFrame(nil, kindData, 1, 2, 3, 4, 0, 9, []byte("x")); !bytes.Equal(got, legacy) {
 		t.Error("zero flow must encode byte-identically to the legacy frame")
 	}
 	f, err := decodeFrame(legacy)
@@ -64,7 +64,7 @@ func TestFramePreExtensionPeer(t *testing.T) {
 // a short frame, and the flag does not smuggle unknown kinds past
 // validation.
 func TestFrameTraceErrors(t *testing.T) {
-	b := encodeFrameTraced(kindData, 1, 2, 3, 4, 7, 1, nil)
+	b := appendFrame(nil, kindData, 1, 2, 3, 4, 7, 1, nil)
 	if _, err := decodeFrame(b[:headerSize+1]); !errors.Is(err, errShortFrame) {
 		t.Errorf("truncated extension: %v", err)
 	}

@@ -127,7 +127,7 @@ func (p *simPeer) receive(b []byte) {
 
 // send delivers one frame to u now.
 func (p *simPeer) send(u *UDP, kind uint8, payload []byte) {
-	u.receive(encodeFrame(kind, p.id, Broadcast, p.boot, 0, payload), p.addr)
+	u.receive(appendFrame(nil, kind, p.id, Broadcast, p.boot, 0, 0, 0, payload), p.addr)
 }
 
 // announce sends an announce with this peer's own address, the given

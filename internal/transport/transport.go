@@ -56,8 +56,9 @@ import (
 const Broadcast = uint32(message.Broadcast)
 
 // Deliver is the reception upcall: one payload from a neighbor, owned by
-// the callee. A transport calls it holding no lock of its own, from the
-// goroutine the datagram arrived on.
+// the callee — the transport made this copy for it (the one copy a received
+// datagram gets) and never touches it again. A transport calls it holding no
+// lock of its own, from the goroutine the datagram arrived on.
 type Deliver func(from uint32, payload []byte)
 
 // Frame layout: a fixed header in front of the diffusion payload.
@@ -112,13 +113,12 @@ const maxPayload = 60 * 1024
 
 // Frame errors.
 var (
-	ErrClosed      = errors.New("transport: closed")
-	ErrTooLarge    = fmt.Errorf("transport: payload exceeds %d bytes", maxPayload)
-	errShortFrame  = errors.New("transport: short frame")
-	errBadMagic    = errors.New("transport: bad magic")
-	errBadVersion  = errors.New("transport: unsupported version")
-	errBadKind     = errors.New("transport: unknown frame kind")
-	errNotNeighbor = errors.New("transport: sender is not a configured neighbor")
+	ErrClosed     = errors.New("transport: closed")
+	ErrTooLarge   = fmt.Errorf("transport: payload exceeds %d bytes", maxPayload)
+	errShortFrame = errors.New("transport: short frame")
+	errBadMagic   = errors.New("transport: bad magic")
+	errBadVersion = errors.New("transport: unsupported version")
+	errBadKind    = errors.New("transport: unknown frame kind")
 )
 
 // frame is one decoded transport header plus its payload.
@@ -133,33 +133,22 @@ type frame struct {
 	payload []byte // aliases the receive buffer
 }
 
-// encodeFrame builds the wire form of one untraced frame.
-func encodeFrame(kind uint8, from, dst, boot, seq uint32, payload []byte) []byte {
-	return encodeFrameTraced(kind, from, dst, boot, seq, 0, 0, payload)
-}
-
-// encodeFrameTraced builds the wire form of one frame, appending the
-// trace extension when flow is non-zero.
-func encodeFrameTraced(kind uint8, from, dst, boot, seq uint32, flow uint16, hop uint8, payload []byte) []byte {
-	ext := 0
+// appendFrame appends the wire form of one frame to b, with the trace
+// extension when flow is non-zero, and returns the extended slice.
+func appendFrame(b []byte, kind uint8, from, dst, boot, seq uint32, flow uint16, hop uint8, payload []byte) []byte {
 	if flow != 0 {
-		ext = traceExtSize
 		kind |= kindTraceFlag
 	}
-	b := make([]byte, headerSize+ext+len(payload))
-	b[0] = frameMagic
-	b[1] = frameVersion
-	b[2] = kind
-	binary.BigEndian.PutUint32(b[3:], from)
-	binary.BigEndian.PutUint32(b[7:], dst)
-	binary.BigEndian.PutUint32(b[11:], boot)
-	binary.BigEndian.PutUint32(b[15:], seq)
-	if ext > 0 {
-		binary.BigEndian.PutUint16(b[headerSize:], flow)
-		b[headerSize+2] = hop
+	b = append(b, frameMagic, frameVersion, kind)
+	b = binary.BigEndian.AppendUint32(b, from)
+	b = binary.BigEndian.AppendUint32(b, dst)
+	b = binary.BigEndian.AppendUint32(b, boot)
+	b = binary.BigEndian.AppendUint32(b, seq)
+	if flow != 0 {
+		b = binary.BigEndian.AppendUint16(b, flow)
+		b = append(b, hop)
 	}
-	copy(b[headerSize+ext:], payload)
-	return b
+	return append(b, payload...)
 }
 
 // decodeFrame validates the header and returns its fields. The returned

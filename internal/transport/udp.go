@@ -83,7 +83,8 @@ type UDPConfig struct {
 
 // wire is the datagram medium the driver writes to: the UDP socket live, an
 // in-memory switch under the virtual-time test harness (which hands
-// receptions straight to receive instead of running a reader).
+// receptions straight to receive instead of running a reader). A write
+// borrows b, which is a pooled buffer, for the call.
 type wire interface {
 	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 	LocalAddr() net.Addr
@@ -357,14 +358,20 @@ func (u *UDP) perform(fx *effects) {
 	if fx.span {
 		u.span(telemetry.SpanRecv, fx.rx.from, fx.rx.flow, fx.rx.hop, fx.rx.payload)
 	}
-	for i := 0; i < fx.n; i++ {
-		f := fx.at(i)
-		b := u.encode(f)
-		if _, err := u.wire.WriteToUDPAddrPort(b, f.addr); err != nil {
-			u.stats.SendErrors.Add(1)
-			continue
+	if fx.n > 0 {
+		pooled := framePool.Get().(*[]byte)
+		b := *pooled
+		for i := 0; i < fx.n; i++ {
+			f := fx.at(i)
+			b = u.encode(b[:0], f)
+			if _, err := u.wire.WriteToUDPAddrPort(b, f.addr); err != nil {
+				u.stats.SendErrors.Add(1)
+				continue
+			}
+			u.stats.onSend(len(b))
 		}
-		u.stats.onSend(len(b))
+		*pooled = b // keep what it grew to
+		framePool.Put(pooled)
 	}
 	for _, call := range fx.calls {
 		call()
@@ -375,9 +382,14 @@ func (u *UDP) perform(fx *effects) {
 	}
 }
 
-// encode renders f for the wire, stamping a tx span when it carries a
+// framePool holds the buffers perform encodes frames into; entries run on
+// several goroutines at once, so the endpoint cannot own just one. The wire
+// is done with a buffer when its write returns.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encode appends f's wire form to b, stamping a tx span when it carries a
 // sampled message.
-func (u *UDP) encode(f *outFrame) []byte {
+func (u *UDP) encode(b []byte, f *outFrame) []byte {
 	var flow uint16
 	var hop uint8
 	if u.spans != nil && carriesMessage(f.kind) {
@@ -389,7 +401,7 @@ func (u *UDP) encode(f *outFrame) []byte {
 	if dst == 0 {
 		dst = Broadcast // a seed whose ID is not known yet; every receiver accepts it
 	}
-	return encodeFrameTraced(f.kind, u.id, dst, u.boot, f.seq, flow, hop, f.payload)
+	return appendFrame(b, f.kind, u.id, dst, u.boot, f.seq, flow, hop, f.payload)
 }
 
 // span records one transport-layer flight-path span.

@@ -253,9 +253,10 @@ func BenchmarkTracing(b *testing.B) {
 // with five active sources and four corner sinks per iteration. Sequential
 // (shards=1) is the baseline; the parallel runs produce byte-identical
 // traces (asserted in determinism_test.go), so any wall-clock difference
-// here is pure kernel overhead or speedup. On a single-core host the
-// parallel path can only show its overhead; speedup needs GOMAXPROCS > 1.
-// The checked-in baseline is BENCH_kernel.json.
+// here is pure kernel overhead or speedup. The measured numbers come from
+// `go run ./cmd/diffbench -workload grid1024_sim` (events_per_s, and with
+// -trace 1 sim.shards4_speedup: 0.6 on a 2-core host — four shards are
+// slower than one, see DESIGN.md §8); this benchmark is the CI smoke form.
 func BenchmarkKernelShards(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards-"+itoa(shards), func(b *testing.B) {

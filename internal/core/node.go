@@ -314,48 +314,13 @@ func NewNode(cfg Config) *Node {
 			n.custodyLink = cl
 		}
 	}
-	n.housekeep = everyClock(cfg.Clock, housekeepInterval, n.housekeeping)
+	n.housekeep = sim.Every(cfg.Clock, housekeepInterval, housekeepInterval, n.housekeeping)
 	return n
 }
 
 // housekeepInterval is the period of the state GC pass; it must be well
 // under SeenTTL so table sizes track traffic rate, not run length.
 const housekeepInterval = 5 * time.Second
-
-// everyClock arms a self-rearming timer on any Clock implementation.
-func everyClock(c sim.Clock, period time.Duration, fn func()) sim.Timer {
-	rt := &repeating{}
-	var arm func()
-	arm = func() {
-		rt.inner = c.After(period, func() {
-			if rt.stopped {
-				return
-			}
-			fn()
-			if !rt.stopped {
-				arm()
-			}
-		})
-	}
-	arm()
-	return rt
-}
-
-type repeating struct {
-	inner   sim.Timer
-	stopped bool
-}
-
-func (r *repeating) Cancel() bool {
-	if r.stopped {
-		return false
-	}
-	r.stopped = true
-	if r.inner != nil {
-		return r.inner.Cancel()
-	}
-	return false
-}
 
 // ID returns the node's link-layer identifier.
 func (n *Node) ID() uint32 { return n.cfg.Link.ID() }
@@ -428,7 +393,7 @@ func (n *Node) Restart() {
 			n.armRefresh(s)
 		}
 	}
-	n.housekeep = everyClock(n.cfg.Clock, housekeepInterval, n.housekeeping)
+	n.housekeep = sim.Every(n.cfg.Clock, housekeepInterval, housekeepInterval, n.housekeeping)
 }
 
 // Detached reports whether the node is currently crashed.

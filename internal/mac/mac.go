@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"diffusion/internal/radio"
@@ -147,6 +148,13 @@ type Mac struct {
 	seq      uint16
 
 	reasm map[reasmKey]*partial
+	// freePartials is the reassembly records' free list, nFree its length.
+	freePartials *partial
+	nFree        int
+
+	// attemptEv and fireEv are the transmit pump's two steps, bound once in
+	// Attach; at most one of them is pending at any time.
+	attemptEv, fireEv sim.Event
 
 	// backoffHist, when instrumented, observes every backoff wait (µs).
 	backoffHist *telemetry.Histogram
@@ -176,10 +184,57 @@ type reasmKey struct {
 	seq uint16
 }
 
+// maxFreePartials bounds a Mac's free list. In steady state one or two
+// neighbors are mid-message at a time; a flood briefly needs about ten
+// records, and 1024 nodes each keeping that peak read 23.2 MiB of live heap
+// on the grid against 21.4 capped (20.5 before pooling), to save one
+// allocation per frame in fifteen.
+const maxFreePartials = 2
+
+// partial is one message under reassembly, pooled per Mac: the expiry
+// event is embedded and bound once, and frags keeps its array across uses.
 type partial struct {
+	m       *Mac
+	key     reasmKey
 	frags   [][]byte
 	have    int
-	expires sim.Timer
+	expires sim.Event
+	next    *partial // free list
+}
+
+// newPartial takes a record for key with count empty fragment slots.
+func (m *Mac) newPartial(key reasmKey, count int) *partial {
+	p := m.freePartials
+	if p == nil {
+		p = &partial{m: m}
+		p.expires.Bind(p.expire)
+	} else {
+		m.nFree--
+		m.freePartials, p.next = p.next, nil
+	}
+	p.key = key
+	if cap(p.frags) < count {
+		p.frags = make([][]byte, count)
+	}
+	p.frags = p.frags[:count]
+	return p
+}
+
+// release drops p, whose expiry is not pending, from the table and frees it.
+func (m *Mac) release(p *partial) {
+	delete(m.reasm, p.key)
+	clear(p.frags) // let go of the frames
+	p.have = 0
+	if m.nFree < maxFreePartials {
+		m.nFree++
+		p.next, m.freePartials = m.freePartials, p
+	}
+}
+
+// expire is the reassembly timeout.
+func (p *partial) expire() {
+	p.m.Stats.ReassemblyExpired++
+	p.m.release(p)
 }
 
 // Attach creates a Mac for node id on the channel, delivering reassembled
@@ -189,6 +244,8 @@ type partial struct {
 func Attach(env sim.Env, ch *radio.Channel, id uint32, p Params, h Handler) *Mac {
 	validate(p)
 	m := &Mac{env: env, params: p, handler: h, reasm: map[reasmKey]*partial{}}
+	m.attemptEv.Bind(m.attempt)
+	m.fireEv.Bind(m.fire)
 	m.tx = ch.Attach(id, m.onFrame)
 	return m
 }
@@ -274,9 +331,13 @@ func (m *Mac) Detach() {
 	m.Stats.MessagesDropped += len(m.queue)
 	m.queue = nil
 	m.sending = false
-	for key, p := range m.reasm {
+	// The pump step in flight dies with the queue: left pending, it would
+	// be armed a second time by the first Send after Restart.
+	m.attemptEv.Cancel()
+	m.fireEv.Cancel()
+	for _, p := range m.reasm {
 		p.expires.Cancel()
-		delete(m.reasm, key)
+		m.release(p)
 	}
 }
 
@@ -339,20 +400,21 @@ func (m *Mac) fragment(dst uint32, seq uint16, payload []byte) [][]byte {
 		count = 1 // empty payloads still occupy one fragment
 	}
 	frags := make([][]byte, 0, count)
+	// One backing array for the whole train: the radio copies what it sends.
+	buf := make([]byte, 0, count*fragHeaderSize+len(payload))
 	for i := 0; i < count; i++ {
 		lo := i * fp
 		hi := lo + fp
 		if hi > len(payload) {
 			hi = len(payload)
 		}
-		f := make([]byte, fragHeaderSize, fragHeaderSize+hi-lo)
-		binary.BigEndian.PutUint16(f[0:], toWireID(dst))
-		binary.BigEndian.PutUint16(f[2:], toWireID(m.ID()))
-		binary.BigEndian.PutUint16(f[4:], seq)
-		f[6] = byte(i)
-		f[7] = byte(count)
-		f = append(f, payload[lo:hi]...)
-		frags = append(frags, f)
+		start := len(buf)
+		buf = binary.BigEndian.AppendUint16(buf, toWireID(dst))
+		buf = binary.BigEndian.AppendUint16(buf, toWireID(m.ID()))
+		buf = binary.BigEndian.AppendUint16(buf, seq)
+		buf = append(buf, byte(i), byte(count))
+		buf = append(buf, payload[lo:hi]...)
+		frags = append(frags, buf[start:len(buf):len(buf)])
 	}
 	return frags
 }
@@ -367,7 +429,7 @@ func (m *Mac) kick() {
 	}
 	m.sending = true
 	defer0 := time.Duration(m.env.Rand().Intn(4)) * m.params.SlotTime
-	m.env.After(defer0, m.attempt)
+	m.env.Arm(&m.attemptEv, defer0)
 }
 
 // attempt tries to transmit the current fragment, backing off on carrier.
@@ -386,7 +448,7 @@ func (m *Mac) attempt() {
 			// so deferred senders do not stampede at wake-up.
 			m.Stats.SleepDeferrals++
 			jitter := time.Duration(m.env.Rand().Intn(4)) * m.params.SlotTime
-			m.env.After(m.nextWake(now)-now+jitter, m.attempt)
+			m.env.Arm(&m.attemptEv, m.nextWake(now)-now+jitter)
 			return
 		}
 	}
@@ -395,7 +457,7 @@ func (m *Mac) attempt() {
 		m.Stats.Backoffs++
 		if cur.attempts > m.params.MaxAttempts {
 			// Drop the whole message, as a primitive MAC would.
-			m.queue = m.queue[1:]
+			m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
 			m.Stats.MessagesDropped++
 			if cur.traced && m.spans != nil {
 				sp := cur.span
@@ -404,7 +466,7 @@ func (m *Mac) attempt() {
 				sp.Reason = telemetry.DropLinkRefused
 				m.spans.Record(sp)
 			}
-			m.env.After(0, m.attempt)
+			m.env.Arm(&m.attemptEv, 0)
 			return
 		}
 		// Binary-exponential-flavored backoff bounded by MaxBackoffSlots.
@@ -418,14 +480,14 @@ func (m *Mac) attempt() {
 		if m.backoffHist != nil {
 			m.backoffHist.Observe(wait.Microseconds())
 		}
-		m.env.After(wait, m.attempt)
+		m.env.Arm(&m.attemptEv, wait)
 		return
 	}
 	// Carrier is clear: commit the transmission. After the turnaround the
 	// fragment goes on the air regardless of what the channel does in the
 	// meantime — the hardware cannot abort a committed send, and the
 	// committed timestamp is what gives the sharded kernel its lookahead.
-	m.env.AfterTx(m.params.Turnaround(), m.fire)
+	m.env.ArmTx(&m.fireEv, m.params.Turnaround())
 }
 
 // fire puts the head fragment on the air (a committed transmission) and
@@ -442,7 +504,7 @@ func (m *Mac) fire() {
 		// carrier-sense backoff path. Without this, two senders whose
 		// pumps drift within one turnaround of each other would collide
 		// every fragment forever.
-		m.env.After(0, m.attempt)
+		m.env.Arm(&m.attemptEv, 0)
 		return
 	}
 	cur := m.queue[0]
@@ -451,7 +513,7 @@ func (m *Mac) fire() {
 	cur.next++
 	cur.attempts = 0
 	if cur.next == len(cur.frags) {
-		m.queue = m.queue[1:]
+		m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
 		m.Stats.MessagesSent++
 		if cur.traced && m.spans != nil {
 			sp := cur.span
@@ -460,7 +522,7 @@ func (m *Mac) fire() {
 			m.spans.Record(sp)
 		}
 	}
-	m.env.After(air+m.params.InterFragGap, m.attempt)
+	m.env.Arm(&m.attemptEv, air+m.params.InterFragGap)
 }
 
 // onFrame handles a frame from the radio.
@@ -490,13 +552,8 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 	key := reasmKey{src: src, seq: seq}
 	p, ok := m.reasm[key]
 	if !ok {
-		p = &partial{frags: make([][]byte, count)}
-		p.expires = m.env.After(m.params.ReassemblyTimeout, func() {
-			if _, still := m.reasm[key]; still {
-				delete(m.reasm, key)
-				m.Stats.ReassemblyExpired++
-			}
-		})
+		p = m.newPartial(key, count)
+		m.env.Arm(&p.expires, m.params.ReassemblyTimeout)
 		m.reasm[key] = p
 	}
 	if len(p.frags) != count {
@@ -511,11 +568,15 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 		return
 	}
 	p.expires.Cancel()
-	delete(m.reasm, key)
-	var payload []byte
+	size := 0
+	for _, f := range p.frags {
+		size += len(f)
+	}
+	payload := make([]byte, 0, size)
 	for _, f := range p.frags {
 		payload = append(payload, f...)
 	}
+	m.release(p)
 	m.Stats.MessagesDelivered++
 	if m.handler != nil {
 		m.handler(src, payload)

@@ -337,6 +337,28 @@ func TestDetachDropsReassemblyState(t *testing.T) {
 	}
 }
 
+func TestRestartWhilePumpStepPending(t *testing.T) {
+	// Crash the SENDER mid-message and bring it straight back: the pump
+	// step that was pending must die with the queue, so the first Send
+	// after Restart starts the one and only pump.
+	s, m1, _, _, l2 := twoNodes(43, radio.PerfectParams())
+	m1.Send(Broadcast, make([]byte, 100))
+	s.RunUntil(s.Now() + 60*time.Millisecond)
+	before := s.Pending()
+	m1.Detach()
+	if got := s.Pending(); got != before-1 {
+		t.Errorf("Detach left %d events pending, want %d (the pump step cancelled)", got, before-1)
+	}
+	m1.Restart()
+	if err := m1.Send(Broadcast, []byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(s.Now() + time.Minute)
+	if len(l2.payloads) != 1 || !bytes.Equal(l2.payloads[0], []byte("fresh")) {
+		t.Errorf("delivery after a mid-message restart: %v", l2.payloads)
+	}
+}
+
 func TestRestartResumesService(t *testing.T) {
 	s, m1, m2, _, l2 := twoNodes(42, radio.PerfectParams())
 	m2.Detach()

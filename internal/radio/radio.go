@@ -24,9 +24,9 @@
 // Gilbert–Elliott evolution and loss draws, fault-injection (global)
 // events for blackout flags — so the sharded kernel can execute
 // transceivers in parallel without locks and still reproduce sequential
-// runs bit for bit. Cross-node delivery goes through Port.ScheduleRemote
-// with the propagation delay, which is exactly the lookahead the
-// conservative kernel schedules against.
+// runs bit for bit. Cross-node delivery goes through Port.ArmRemote with the
+// propagation delay, which is exactly the lookahead the conservative kernel
+// schedules against.
 package radio
 
 import (
@@ -120,6 +120,9 @@ type Channel struct {
 	// receivers a transmission must be scheduled at. Precomputing it makes
 	// Transmit O(neighbors) instead of O(nodes).
 	out map[uint32][]outLink
+	// pools holds one reception free list per event shard, indexed by
+	// Port.Shard; see recPool.
+	pools []*recPool
 }
 
 // ChannelStats aggregates medium-wide counters.
@@ -242,6 +245,10 @@ func (c *Channel) Attach(id uint32, h Handler) *Transceiver {
 		panic(fmt.Sprintf("radio: node %d already attached", id))
 	}
 	t := &Transceiver{ch: c, id: id, port: c.eng.Port(id), handler: h}
+	for len(c.pools) <= t.port.Shard() {
+		c.pools = append(c.pools, &recPool{})
+	}
+	t.pool = c.pools[t.port.Shard()]
 	c.nodes[id] = t
 	return t
 }
@@ -350,6 +357,7 @@ type Transceiver struct {
 	ch      *Channel
 	id      uint32
 	port    sim.Port
+	pool    *recPool // this node's shard's free list
 	handler Handler
 
 	txUntil time.Duration // end of our own transmission
@@ -390,10 +398,58 @@ func (t *Transceiver) Busy() bool {
 // Transmitting reports whether this node's own transmitter is active.
 func (t *Transceiver) Transmitting() bool { return t.port.Now() < t.txUntil }
 
-// reception tracks one incoming frame at one receiver.
+// reception is one frame in flight to one receiver. Its one event record
+// fires twice: armed by the sender (ArmRemote) for the arrival, re-armed by
+// the receiver for the end of the frame, after which the receiver frees it.
 type reception struct {
+	ev       sim.Event
+	rx       *Transceiver // the receiver
+	from     uint32
+	l        *link
+	data     []byte
+	air      time.Duration
+	begun    bool
 	collided bool
-	effDist  float64
+	next     *reception // free list
+}
+
+func (r *reception) fire() {
+	if !r.begun {
+		r.begun = true
+		r.rx.beginReception(r)
+		return
+	}
+	r.rx.endReception(r)
+}
+
+// recPool is one event shard's free list of reception records. A sender
+// takes from its own shard's list and the receiver returns to its own
+// shard's, so each list is touched only by its shard's worker and needs no
+// lock; symmetric links keep the lists level. The list is per shard, not
+// per transceiver or per link: a list per transceiver keeps every node's
+// own peak alive (live heap +42 % on the 1024-node grid in a prototype,
+// against +2 % per shard), and a record per directed link cannot be reused
+// back to back (the next arrival is armed while the last end-of-frame is
+// still pending).
+type recPool struct {
+	free *reception
+	_    [56]byte // own cache line: workers of adjacent shards push and pop concurrently
+}
+
+func (p *recPool) get() *reception {
+	r := p.free
+	if r == nil {
+		r = &reception{}
+		r.ev.Bind(r.fire)
+		return r
+	}
+	p.free, r.next = r.next, nil
+	return r
+}
+
+func (p *recPool) put(r *reception) {
+	r.data, r.begun, r.collided = nil, false, false
+	r.next, p.free = p.free, r
 }
 
 // Transmit broadcasts payload on the medium. It returns the airtime. The
@@ -431,26 +487,24 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 			t.chStats.FramesBlackout++
 			continue
 		}
-		t.port.ScheduleRemote(ol.to, c.params.PropDelay, func() {
-			rx.beginReception(t.id, l, data, air)
-		})
+		rec := t.pool.get()
+		rec.rx, rec.from, rec.l, rec.data, rec.air = rx, t.id, l, data, air
+		t.port.ArmRemote(ol.to, &rec.ev, c.params.PropDelay)
 	}
 	return air
 }
 
 // beginReception starts one frame's arrival at this receiver (receiver
 // context).
-func (t *Transceiver) beginReception(from uint32, l *link, data []byte, air time.Duration) {
-	c := t.ch
-	rec := &reception{effDist: l.effDist}
+func (t *Transceiver) beginReception(rec *reception) {
 	// Overlap resolution: without capture both frames corrupt; with
 	// capture, a clearly stronger (closer) frame survives the overlap.
+	ratio := t.ch.params.CaptureRatio
 	for _, other := range t.ongoing {
-		ratio := c.params.CaptureRatio
 		switch {
-		case ratio > 0 && rec.effDist <= ratio*other.effDist:
+		case ratio > 0 && rec.l.effDist <= ratio*other.l.effDist:
 			other.collided = true
-		case ratio > 0 && other.effDist <= ratio*rec.effDist:
+		case ratio > 0 && other.l.effDist <= ratio*rec.l.effDist:
 			rec.collided = true
 		default:
 			other.collided = true
@@ -458,38 +512,43 @@ func (t *Transceiver) beginReception(from uint32, l *link, data []byte, air time
 		}
 	}
 	t.rxCount++
-	t.Stats.RxTime += air
+	t.Stats.RxTime += rec.air
 	t.ongoing = append(t.ongoing, rec)
+	t.port.Arm(&rec.ev, rec.air)
+}
 
-	t.port.After(air, func() {
-		t.rxCount--
-		t.removeOngoing(rec)
-		now := t.port.Now()
-		// Half-duplex: if we transmitted during any part of the reception
-		// window, the frame is missed.
-		if t.txOverlapped(now - air) {
-			t.chStats.FramesHalfDuplex++
-			return
-		}
-		if rec.collided {
-			t.chStats.FramesCollided++
-			return
-		}
-		loss := c.lossProb(l.effDist)
-		if c.linkBad(l, now) {
-			loss = loss + (1-loss)*c.params.BadLoss
-		}
-		if l.rng.Float64() < loss {
-			t.chStats.FramesLost++
-			return
-		}
-		t.Stats.FramesReceived++
-		t.Stats.BytesReceived += len(data)
-		t.chStats.FramesDelivered++
-		if t.handler != nil {
-			t.handler(from, data)
-		}
-	})
+// endReception frees the record and draws the frame's fate: missed, collided,
+// lost, or decoded and handed up.
+func (t *Transceiver) endReception(rec *reception) {
+	c, l, from, data, air, collided := t.ch, rec.l, rec.from, rec.data, rec.air, rec.collided
+	t.rxCount--
+	t.removeOngoing(rec)
+	t.pool.put(rec)
+	now := t.port.Now()
+	// Half-duplex: if we transmitted during any part of the reception
+	// window, the frame is missed.
+	if t.txOverlapped(now - air) {
+		t.chStats.FramesHalfDuplex++
+		return
+	}
+	if collided {
+		t.chStats.FramesCollided++
+		return
+	}
+	loss := c.lossProb(l.effDist)
+	if c.linkBad(l, now) {
+		loss = loss + (1-loss)*c.params.BadLoss
+	}
+	if l.rng.Float64() < loss {
+		t.chStats.FramesLost++
+		return
+	}
+	t.Stats.FramesReceived++
+	t.Stats.BytesReceived += len(data)
+	t.chStats.FramesDelivered++
+	if t.handler != nil {
+		t.handler(from, data)
+	}
 }
 
 func (t *Transceiver) removeOngoing(rec *reception) {

@@ -1,0 +1,58 @@
+//go:build !race
+
+package sim
+
+import (
+	"testing"
+	"time"
+)
+
+// Arming and running a bound record allocates nothing; the closure forms
+// allocate exactly the one record they arm (the callbacks here are built
+// once, so none of the count is the caller's closure).
+func TestAllocsArmAndAfter(t *testing.T) {
+	for _, x := range bothEngines() {
+		ran := 0
+		fn := func() { ran++ }
+		e, tx := bound(fn), bound(fn)
+		x.env.Arm(e, time.Millisecond) // grow the queue once
+		x.run()
+		if n := testing.AllocsPerRun(100, func() {
+			x.env.Arm(e, time.Millisecond)
+			x.env.ArmTx(tx, time.Millisecond)
+			x.run()
+		}); n != 0 {
+			t.Errorf("%s: Arm + ArmTx + run allocate %.0f, want 0", x.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			x.env.After(time.Millisecond, fn)
+			x.run()
+		}); n != 1 {
+			t.Errorf("%s: After + run allocates %.0f, want 1 (the record)", x.name, n)
+		}
+		if want := 1 + 2*101 + 101; ran != want {
+			t.Errorf("%s: ran %d callbacks, want %d", x.name, ran, want)
+		}
+	}
+}
+
+// A cross-node record costs nothing either: the outbox and the target's
+// queue keep their arrays.
+func TestAllocsArmRemote(t *testing.T) {
+	k := newTestKernel(1, 2, 2)
+	p := k.Port(1)
+	ran := 0
+	rx := bound(func() { ran++ })
+	tx := bound(func() { p.ArmRemote(2, rx, 3*time.Microsecond) })
+	round := func() {
+		p.ArmTx(tx, time.Millisecond)
+		k.Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("ArmTx + ArmRemote + run allocate %.0f, want 0", n)
+	}
+	if ran != 102 {
+		t.Errorf("ran %d remote callbacks, want 102", ran)
+	}
+}

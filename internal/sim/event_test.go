@@ -1,0 +1,246 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+	"time"
+)
+
+// execEnv is what the contract tests need of either engine's node context.
+type execEnv struct {
+	name string
+	env  Env
+	run  func()
+}
+
+func bothEngines() []execEnv {
+	s := New(1)
+	k := newTestKernel(1, 2, 2)
+	return []execEnv{{"Scheduler", s, s.Run}, {"Kernel", k.Port(1), k.Run}}
+}
+
+func TestCancelAfterFire(t *testing.T) {
+	// Timer.Cancel "reports whether the callback was still pending": once
+	// the callback has run there is nothing left to cancel.
+	for _, x := range bothEngines() {
+		ran := 0
+		tm := x.env.After(time.Millisecond, func() { ran++ })
+		x.run()
+		if ran != 1 {
+			t.Fatalf("%s: callback ran %d times", x.name, ran)
+		}
+		if tm.Cancel() {
+			t.Errorf("%s: Cancel after the callback fired reported pending", x.name)
+		}
+		tm = x.env.After(time.Millisecond, func() { ran++ })
+		if !tm.Cancel() || tm.Cancel() {
+			t.Errorf("%s: first Cancel of a pending timer must report true, the second false", x.name)
+		}
+		x.run()
+		if ran != 1 {
+			t.Errorf("%s: cancelled callback ran", x.name)
+		}
+	}
+	k := newTestKernel(1, 2, 2)
+	tm := k.After(time.Millisecond, func() {})
+	k.Run()
+	if tm.Cancel() {
+		t.Error("Kernel global timer: Cancel after fire reported pending")
+	}
+}
+
+func TestArmPendingPanics(t *testing.T) {
+	for _, x := range bothEngines() {
+		e := bound(func() {})
+		x.env.Arm(e, time.Second)
+		for name, arm := range map[string]func(){
+			"Arm":   func() { x.env.Arm(e, time.Second) },
+			"ArmTx": func() { x.env.ArmTx(e, time.Second) },
+			"Bind":  func() { e.Bind(func() {}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s on a pending record must panic", x.name, name)
+					}
+				}()
+				arm()
+			}()
+		}
+	}
+	// A record in flight to another node is pending too.
+	k := newTestKernel(1, 2, 2)
+	p := k.Port(1)
+	panicked := false
+	p.AfterTx(time.Millisecond, func() {
+		e := bound(func() {})
+		p.ArmRemote(2, e, 3*time.Microsecond)
+		defer func() { panicked = recover() != nil }()
+		p.ArmRemote(2, e, 3*time.Microsecond)
+	})
+	k.Run()
+	if !panicked {
+		t.Error("ArmRemote of a record already in flight must panic")
+	}
+}
+
+func TestCancelThenRearmFiresOnce(t *testing.T) {
+	for _, x := range bothEngines() {
+		var at []time.Duration
+		e := bound(func() { at = append(at, x.env.Now()) })
+		x.env.Arm(e, time.Second)
+		if !e.Cancel() {
+			t.Fatalf("%s: Cancel of an armed record reported idle", x.name)
+		}
+		x.env.Arm(e, 3*time.Second)
+		x.run()
+		if len(at) != 1 || at[0] != 3*time.Second {
+			t.Errorf("%s: fired at %v, want once at 3s", x.name, at)
+		}
+		if e.Cancel() {
+			t.Errorf("%s: record still pending after it fired", x.name)
+		}
+	}
+}
+
+func TestRecordRearmsItselfFromCallback(t *testing.T) {
+	for _, x := range bothEngines() {
+		n := 0
+		e := &Event{}
+		e.Bind(func() {
+			if n++; n < 5 {
+				x.env.Arm(e, time.Second)
+			}
+		})
+		x.env.Arm(e, time.Second)
+		x.run()
+		if n != 5 || x.env.Now() != 5*time.Second {
+			t.Errorf("%s: %d firings ending at %v, want 5 at 5s", x.name, n, x.env.Now())
+		}
+	}
+}
+
+// armWorkload is kernelWorkload's traffic written twice over: with the
+// closure forms (After, AfterTx and a fresh record per remote event) or with
+// records each node owns and re-arms. Both make the same scheduling calls in
+// the same order, so they must produce the same canonical transcript.
+func armWorkload(shards, nodes int, records bool) []string {
+	k := newTestKernel(11, shards, nodes)
+	logs := make([][]string, nodes+1)
+	for i := 1; i <= nodes; i++ {
+		id := uint32(i)
+		p := k.Port(id)
+		to := id%uint32(nodes) + 1
+		tp := k.Port(to)
+		app := func() { logs[to] = append(logs[to], fmt.Sprintf("%v app", tp.Now())) }
+		appEv, rxEv, txEv := bound(app), &Event{}, &Event{}
+		rx := func() {
+			logs[to] = append(logs[to], fmt.Sprintf("%v rx", tp.Now()))
+			d := time.Duration(tp.Rand().Intn(2000)) * time.Microsecond
+			if records {
+				tp.Arm(appEv, d)
+			} else {
+				tp.After(d, app)
+			}
+		}
+		rxEv.Bind(rx)
+		tx := func() {
+			logs[id] = append(logs[id], fmt.Sprintf("%v tx", p.Now()))
+			d := 3*time.Microsecond + time.Duration(p.Rand().Intn(1000))*time.Microsecond
+			if records {
+				p.ArmRemote(to, rxEv, d)
+			} else {
+				p.ArmRemote(to, bound(rx), d)
+			}
+		}
+		txEv.Bind(tx)
+		step := time.Duration(1+i%3) * 10 * time.Millisecond
+		k.Every(step, step, func() {
+			if records {
+				p.ArmTx(txEv, time.Millisecond)
+			} else {
+				p.AfterTx(time.Millisecond, tx)
+			}
+		})
+	}
+	k.RunUntil(2 * time.Second)
+	var out []string
+	for i := 1; i <= nodes; i++ {
+		for _, line := range logs[i] {
+			out = append(out, fmt.Sprintf("n%d %s", i, line))
+		}
+	}
+	return out
+}
+
+func TestArmFormMatchesAfterForm(t *testing.T) {
+	base := armWorkload(1, 9, false)
+	if len(base) < 1000 {
+		t.Fatalf("workload produced only %d events", len(base))
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, records := range []bool{false, true} {
+			got := armWorkload(shards, 9, records)
+			if len(got) != len(base) {
+				t.Fatalf("shards=%d records=%v: %d events, want %d", shards, records, len(got), len(base))
+			}
+			for i := range base {
+				if got[i] != base[i] {
+					t.Fatalf("shards=%d records=%v: transcript diverges at %d: %q != %q",
+						shards, records, i, got[i], base[i])
+				}
+			}
+		}
+	}
+}
+
+// Random arm/cancel/fire traffic against the typed heap: every entry knows
+// its own index, nothing cancelled ever fires, and what fires comes out in
+// canonical (time, then arming) order.
+func TestHeapRemoveAtAnyIndex(t *testing.T) {
+	s := New(3)
+	rng := s.DeriveRand(1)
+	type rec struct {
+		ev        *Event
+		seq       int
+		cancelled bool
+	}
+	var fired []*rec
+	var live []*rec
+	for i := 0; i < 5000; i++ {
+		r := &rec{seq: i}
+		r.ev = bound(func() { fired = append(fired, r) })
+		s.Arm(r.ev, time.Duration(rng.Intn(50))*time.Millisecond)
+		live = append(live, r)
+		if rng.Intn(3) == 0 {
+			j := rng.Intn(len(live))
+			live[j].cancelled = live[j].ev.Cancel() || live[j].cancelled
+		}
+		if rng.Intn(8) == 0 {
+			s.Step()
+		}
+		for j, en := range s.events.s {
+			if en.ev.index != j || en.ev.h != &s.events || en.key != en.ev.key {
+				t.Fatalf("round %d: entry %d is out of step with its record", i, j)
+			}
+		}
+	}
+	s.Run()
+	want := 0
+	for _, r := range live {
+		if !r.cancelled {
+			want++
+		}
+	}
+	if len(fired) != want {
+		t.Fatalf("%d records fired, want %d", len(fired), want)
+	}
+	for i, r := range fired {
+		if r.cancelled {
+			t.Fatalf("cancelled record %d fired", r.seq)
+		}
+		if i > 0 && r.ev.key.less(fired[i-1].ev.key) {
+			t.Fatalf("record %d fired before %d, against canonical order", fired[i-1].seq, r.seq)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Event-class tags of the canonical order. Every event in a run — whether
 // executed by the sequential Scheduler or by any shard layout of the
@@ -22,179 +19,218 @@ const (
 // per-sender send seq) — both assigned by a single deterministic writer,
 // which is what makes the order shard-count independent.
 type evKey struct {
-	at   time.Duration
-	kind uint8
-	a, b uint64
+	at time.Duration
+	ka uint64 // class in the high half, origin node in the low half
+	b  uint64
+}
+
+func newKey(at time.Duration, kind uint8, a uint32, b uint64) evKey {
+	return evKey{at: at, ka: uint64(kind)<<32 | uint64(a), b: b}
 }
 
 func (k evKey) less(o evKey) bool {
 	if k.at != o.at {
 		return k.at < o.at
 	}
-	if k.kind != o.kind {
-		return k.kind < o.kind
-	}
-	if k.a != o.a {
-		return k.a < o.a
+	if k.ka != o.ka {
+		return k.ka < o.ka
 	}
 	return k.b < o.b
 }
 
-type event struct {
+// Event is a caller-owned event record: the owner embeds it in its own
+// state, binds its callback once, and arms it every time the callback is to
+// run, so a recurring timer or a per-frame event allocates nothing. The
+// closure forms (After, AfterTx) allocate one Event and arm it; there is no
+// other queue. The zero Event is idle; it must not be copied once bound.
+//
+// Ownership. An Event belongs to one scheduling context at a time: the
+// context that arms it through its own Port, until the callback has started
+// or the event has been cancelled. A pending record must not be armed
+// again — Arm panics — but its callback may re-arm it, because the record
+// is idle from the moment the callback starts. Only the context whose queue
+// holds the record may Cancel it. ArmRemote hands the record to the target
+// node's context: the sender must not touch it again, and the target owns
+// it from the moment its callback runs there.
+type Event struct {
 	key evKey
 	fn  func()
-	// h is the owning heap (nil once popped); index is the heap position.
-	h         *eventHeap
-	index     int
-	cancelled bool
-	// tx marks transmission-commit events (AfterTx): the only events
-	// allowed to schedule cross-node work, and the events whose timestamps
-	// bound the Kernel's conservative windows.
+	// h is the queue the record is pending in (nil when idle); index is its
+	// position there, or inFlight between ArmRemote and the window barrier
+	// that merges it into h.
+	h     *eventHeap
+	index int
+	// tx marks transmission-commit events (ArmTx): the only events allowed
+	// to schedule cross-node work, and the events whose timestamps bound
+	// the Kernel's conservative windows.
 	tx bool
 }
 
-// Cancel implements Timer.
-func (e *event) Cancel() bool {
-	if e.cancelled {
+const inFlight = -1
+
+// Bind sets the callback the record runs each time it fires. It panics on
+// a pending record.
+func (e *Event) Bind(fn func()) {
+	if e.h != nil {
+		panic("sim: Bind on a pending event")
+	}
+	e.fn = fn
+}
+
+// Cancel implements Timer: it removes a pending record from its queue at
+// once and reports whether it was pending. It must be called from the
+// context whose queue holds the record; a record in flight to another node
+// (ArmRemote, before the barrier) belongs to nobody and cannot be cancelled.
+func (e *Event) Cancel() bool {
+	if e.h == nil {
 		return false
 	}
-	e.cancelled = true
-	e.fn = nil
-	if e.h != nil {
-		e.h.onCancel()
+	if e.index == inFlight {
+		panic("sim: Cancel of an event in flight to another node")
 	}
+	e.h.remove(e.index)
 	return true
 }
 
-// eventHeap is a min-heap of events in canonical order with O(1) live
-// accounting. Cancelled events are removed lazily: on pop when they reach
-// the head, or in a bulk compaction once they outnumber the live entries —
-// so a workload that arms and cancels many timers (reassembly timeouts,
-// gradient expiries) cannot grow the heap without bound.
-type eventHeap struct {
-	s    evSlice
-	live int
-}
-
-func (h *eventHeap) push(ev *event) {
-	ev.h = h
-	heap.Push(&h.s, ev)
-	h.live++
-}
-
-// peek returns the earliest live event (discarding cancelled heads), or
-// nil when none remain.
-func (h *eventHeap) peek() *event {
-	for len(h.s) > 0 {
-		ev := h.s[0]
-		if !ev.cancelled {
-			return ev
-		}
-		h.drop()
+// claim marks the idle record e as pending for h with key k; the caller
+// then pushes it onto h or onto an outbox bound for h.
+func (e *Event) claim(h *eventHeap, k evKey, tx bool) {
+	if e.h != nil {
+		panic("sim: event armed while pending")
 	}
-	return nil
+	e.h, e.index, e.key, e.tx = h, inFlight, k, tx
 }
 
-// popNext removes and returns the earliest live event, or nil.
-func (h *eventHeap) popNext() *event {
-	ev := h.peek()
-	if ev == nil {
+// eventHeap is a 4-ary min-heap of pending events in canonical order. Keys
+// are stored inline so a sift compares without touching the records, and
+// every record knows its index, so Cancel removes it at once: the heap
+// holds exactly the pending events.
+type eventHeap struct {
+	s []heapEntry
+}
+
+type heapEntry struct {
+	key evKey
+	ev  *Event
+}
+
+const heapArity = 4
+
+// push inserts a record already claimed for h.
+func (h *eventHeap) push(ev *Event) {
+	h.s = append(h.s, heapEntry{})
+	h.up(len(h.s)-1, heapEntry{ev.key, ev})
+}
+
+// peek returns the earliest pending event, or nil when none remain.
+func (h *eventHeap) peek() *Event {
+	if len(h.s) == 0 {
 		return nil
 	}
-	h.drop()
-	h.live--
+	return h.s[0].ev
+}
+
+// popNext removes and returns the earliest pending event, or nil.
+func (h *eventHeap) popNext() *Event {
+	if len(h.s) == 0 {
+		return nil
+	}
+	ev := h.s[0].ev
+	h.remove(0)
 	return ev
 }
 
-// drop removes the head event without live accounting.
-func (h *eventHeap) drop() {
-	ev := heap.Pop(&h.s).(*event)
-	ev.h = nil
-	ev.index = -1
-}
-
-// onCancel is called by event.Cancel while the event is still queued; it
-// triggers compaction once cancelled entries exceed half the heap.
-func (h *eventHeap) onCancel() {
-	h.live--
-	if cancelled := len(h.s) - h.live; cancelled > h.live && cancelled > 16 {
-		h.compact()
+// remove deletes the entry at index i and marks its record idle.
+func (h *eventHeap) remove(i int) {
+	h.s[i].ev.h = nil
+	n := len(h.s) - 1
+	last := h.s[n]
+	h.s[n] = heapEntry{}
+	h.s = h.s[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.key.less(h.s[(i-1)/heapArity].key) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
 	}
 }
 
-// compact removes every cancelled entry and re-heapifies.
-func (h *eventHeap) compact() {
-	kept := h.s[:0]
-	for _, ev := range h.s {
-		if ev.cancelled {
-			ev.h = nil
-			ev.index = -1
-			continue
+// up places x at or above the hole at index i.
+func (h *eventHeap) up(i int, x heapEntry) {
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !x.key.less(h.s[p].key) {
+			break
 		}
-		kept = append(kept, ev)
+		h.s[i] = h.s[p]
+		h.s[i].ev.index = i
+		i = p
 	}
-	for i := len(kept); i < len(h.s); i++ {
-		h.s[i] = nil
+	h.s[i] = x
+	x.ev.index = i
+}
+
+// down places x at or below the hole at index i.
+func (h *eventHeap) down(i int, x heapEntry) {
+	n := len(h.s)
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+heapArity && c < n; c++ {
+			if h.s[c].key.less(h.s[min].key) {
+				min = c
+			}
+		}
+		if !h.s[min].key.less(x.key) {
+			break
+		}
+		h.s[i] = h.s[min]
+		h.s[i].ev.index = i
+		i = min
 	}
-	h.s = kept
-	heap.Init(&h.s)
+	h.s[i] = x
+	x.ev.index = i
 }
 
-// evSlice implements heap.Interface; eventHeap wraps it with live/lazy
-// accounting.
-type evSlice []*event
-
-func (h evSlice) Len() int           { return len(h) }
-func (h evSlice) Less(i, j int) bool { return h[i].key.less(h[j].key) }
-func (h evSlice) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *evSlice) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *evSlice) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-// txHeap is a min-heap of pending transmission-commit timestamps; the
-// Kernel reads its minimum to bound each conservative window. Entries for
+// txTimes holds the pending transmission-commit timestamps in ascending
+// order; the Kernel reads the first to bound each conservative window. A
+// shard's commits are armed in time order a fixed turnaround ahead, so a
+// push lands at the end and a prune takes from the front. Entries for
 // cancelled events are never removed early — that only narrows windows,
 // which is safe.
-type txHeap []time.Duration
+type txTimes []time.Duration
 
-func (h txHeap) Len() int           { return len(h) }
-func (h txHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h txHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *txHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *txHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+func (q *txTimes) push(t time.Duration) {
+	s := append(*q, t)
+	i := len(s) - 1
+	for ; i > 0 && s[i-1] > t; i-- {
+		s[i] = s[i-1]
+	}
+	s[i] = t
+	*q = s
 }
 
 // pruneBelow discards entries earlier than t (transmissions that have
 // already fired).
-func (h *txHeap) pruneBelow(t time.Duration) {
-	for len(*h) > 0 && (*h)[0] < t {
-		heap.Pop(h)
+func (q *txTimes) pruneBelow(t time.Duration) {
+	s, i := *q, 0
+	for i < len(s) && s[i] < t {
+		i++
+	}
+	if i > 0 {
+		*q = s[:copy(s, s[i:])]
 	}
 }
 
 // min returns the earliest pending transmission time.
-func (h txHeap) min() (time.Duration, bool) {
-	if len(h) == 0 {
+func (q txTimes) min() (time.Duration, bool) {
+	if len(q) == 0 {
 		return 0, false
 	}
-	return h[0], true
+	return q[0], true
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -24,8 +23,8 @@ import (
 //	          earliest global event,
 //	          RunUntil horizon )
 //
-// Cross-node effects exist only through Port.ScheduleRemote, which (a) is
-// only legal inside a transmission-commit event (AfterTx), and (b) requires
+// Cross-node effects exist only through Port.ArmRemote, which (a) is only
+// legal inside a transmission-commit event (ArmTx, AfterTx), and (b) requires
 // a delay of at least the propagation time. Any transmission pending at the
 // window start delivers at or after w1 by the first bound; any transmission
 // committed during the window happens at least a turnaround after its
@@ -87,7 +86,7 @@ type KernelConfig struct {
 	// executes windows inline with zero goroutine traffic — the sequential
 	// mode — and is the default.
 	Shards int
-	// Propagation is the minimum ScheduleRemote delay: the radio
+	// Propagation is the minimum ArmRemote delay: the radio
 	// propagation time. It must be positive; it is the irreducible part of
 	// the conservative lookahead.
 	Propagation time.Duration
@@ -119,7 +118,7 @@ func NewKernel(cfg KernelConfig) *Kernel {
 	}
 	k.shards = make([]*kshard, n)
 	for i := range k.shards {
-		k.shards[i] = &kshard{idx: i, out: make([][]*event, n)}
+		k.shards[i] = &kshard{idx: i, out: make([][]*Event, n)}
 	}
 	return k
 }
@@ -184,7 +183,8 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	k.gseq++
-	ev := &event{key: evKey{at: k.now + d, kind: kindGlobal, b: k.gseq}, fn: fn}
+	ev := &Event{fn: fn}
+	ev.claim(&k.gq, newKey(k.now+d, kindGlobal, 0, k.gseq), false)
 	k.gq.push(ev)
 	return ev
 }
@@ -192,7 +192,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 // Every schedules fn at now+d and then every period thereafter until the
 // returned Timer is cancelled. Panics when period is not positive.
 func (k *Kernel) Every(d, period time.Duration, fn func()) Timer {
-	return repeatOn(k, d, period, fn)
+	return Every(k, d, period, fn)
 }
 
 // Stop halts the event loop at the next window barrier.
@@ -220,11 +220,11 @@ func (k *Kernel) NextEventAt() (time.Duration, bool) {
 	return tn, okn
 }
 
-// Pending returns the number of live queued events (O(shards)).
+// Pending returns the number of queued events (O(shards)).
 func (k *Kernel) Pending() int {
-	n := k.gq.live
+	n := len(k.gq.s)
 	for _, sh := range k.shards {
-		n += sh.q.live
+		n += len(sh.q.s)
 	}
 	return n
 }
@@ -312,10 +312,10 @@ func (k *Kernel) runWindow(tn, horizon time.Duration) {
 			var wg sync.WaitGroup
 			for _, sh := range busy[1:] {
 				wg.Add(1)
-				go func(sh *kshard) {
+				go func(sh *kshard, w1 time.Duration) { // w1 by value, or every window allocates it
 					defer wg.Done()
 					sh.run(w1)
-				}(sh)
+				}(sh, w1)
 			}
 			busy[0].run(w1)
 			wg.Wait()
@@ -346,17 +346,17 @@ func (k *Kernel) runWindow(tn, horizon time.Duration) {
 }
 
 // kshard is one shard: a queue of its nodes' events, the pending-
-// transmission lookahead heap, and per-target outboxes. Only the owning
+// transmission lookahead times, and per-target outboxes. Only the owning
 // worker touches it during a window; only the coordinator touches it at
 // barriers.
 type kshard struct {
 	idx int
 	now time.Duration
 	q   eventHeap
-	txq txHeap
-	out [][]*event
+	txq txTimes
+	out [][]*Event
 	// inTx is true while executing a transmission-commit event — the only
-	// context allowed to ScheduleRemote.
+	// context allowed to ArmRemote.
 	inTx bool
 }
 
@@ -401,57 +401,67 @@ func (p *nodePort) Now() time.Duration {
 // Rand returns the node's derived random stream.
 func (p *nodePort) Rand() *rand.Rand { return p.rng }
 
+// Shard returns the index of the shard that executes this node.
+func (p *nodePort) Shard() int { return p.sh.idx }
+
 // After schedules fn in this node's context at now+d.
 func (p *nodePort) After(d time.Duration, fn func()) Timer {
+	e := &Event{fn: fn}
+	p.Arm(e, d)
+	return e
+}
+
+// AfterTx schedules a transmission-commit event; see ArmTx.
+func (p *nodePort) AfterTx(d time.Duration, fn func()) Timer {
+	e := &Event{fn: fn}
+	p.ArmTx(e, d)
+	return e
+}
+
+// Arm schedules the caller-owned record e in this node's context at now+d
+// (negative d is treated as zero). It panics if e is pending.
+func (p *nodePort) Arm(e *Event, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	return p.push(p.Now()+d, fn, false)
+	p.push(e, p.Now()+d, false)
 }
 
-// AfterTx schedules a transmission-commit event; d is clamped up to the
+// ArmTx arms e as a transmission-commit event; d is clamped up to the
 // kernel's turnaround time so committed transmissions can never outrun the
 // conservative window bound.
-func (p *nodePort) AfterTx(d time.Duration, fn func()) Timer {
+func (p *nodePort) ArmTx(e *Event, d time.Duration) {
 	if d < p.k.turn {
 		d = p.k.turn
 	}
 	at := p.Now() + d
-	ev := p.push(at, fn, true)
-	heap.Push(&p.sh.txq, at)
-	return ev
+	p.push(e, at, true)
+	p.sh.txq.push(at)
 }
 
-func (p *nodePort) push(at time.Duration, fn func(), tx bool) *event {
+func (p *nodePort) push(e *Event, at time.Duration, tx bool) {
 	p.seq++
-	ev := &event{
-		key: evKey{at: at, kind: kindLocal, a: uint64(p.id), b: p.seq},
-		fn:  fn,
-		tx:  tx,
-	}
-	p.sh.q.push(ev)
-	return ev
+	e.claim(&p.sh.q, newKey(at, kindLocal, p.id, p.seq), tx)
+	p.sh.q.push(e)
 }
 
-// ScheduleRemote schedules fn in node to's context, d from now, through
-// the window barrier's outbox merge. Only legal inside a transmission-
-// commit event with d >= the propagation delay — the two rules the
-// conservative window bound is derived from.
-func (p *nodePort) ScheduleRemote(to uint32, d time.Duration, fn func()) {
+// ArmRemote schedules e in node to's context, d from now, through the
+// window barrier's outbox merge. Only legal inside a transmission-commit
+// event with d >= the propagation delay — the two rules the conservative
+// window bound is derived from. It panics if e is pending; once armed, e
+// belongs to the target's context.
+func (p *nodePort) ArmRemote(to uint32, e *Event, d time.Duration) {
 	if d < p.k.prop {
-		panic(fmt.Sprintf("sim: ScheduleRemote delay %v below the propagation floor %v", d, p.k.prop))
+		panic(fmt.Sprintf("sim: ArmRemote delay %v below the propagation floor %v", d, p.k.prop))
 	}
 	if !p.sh.inTx {
-		panic("sim: ScheduleRemote outside a transmission-commit (AfterTx) event")
+		panic("sim: ArmRemote outside a transmission-commit (ArmTx) event")
 	}
 	tp, ok := p.k.nodes[to]
 	if !ok {
-		panic(fmt.Sprintf("sim: ScheduleRemote to unregistered node %d", to))
+		panic(fmt.Sprintf("sim: ArmRemote to unregistered node %d", to))
 	}
 	p.rseq++
-	ev := &event{
-		key: evKey{at: p.Now() + d, kind: kindRemote, a: uint64(p.id), b: p.rseq},
-		fn:  fn,
-	}
-	p.sh.out[tp.sh.idx] = append(p.sh.out[tp.sh.idx], ev)
+	e.claim(&tp.sh.q, newKey(p.Now()+d, kindRemote, p.id, p.rseq), false)
+	p.sh.out[tp.sh.idx] = append(p.sh.out[tp.sh.idx], e)
 }

@@ -25,6 +25,13 @@ func newTestKernel(seed int64, shards, nodes int) *Kernel {
 	return k
 }
 
+// bound returns a fresh record bound to fn.
+func bound(fn func()) *Event {
+	e := &Event{}
+	e.Bind(fn)
+	return e
+}
+
 func TestKernelEveryRejectsNonPositivePeriod(t *testing.T) {
 	for _, period := range []time.Duration{0, -time.Second} {
 		func() {
@@ -73,17 +80,19 @@ func TestKernelPortClockExactDuringWindow(t *testing.T) {
 	}
 }
 
+// The two guards below keep the names they had when ArmRemote was the
+// closure-taking ScheduleRemote.
 func TestScheduleRemoteOutsideTxPanics(t *testing.T) {
 	k := newTestKernel(5, 2, 2)
 	p := k.Port(1)
 	panicked := false
 	p.After(time.Millisecond, func() {
 		defer func() { panicked = recover() != nil }()
-		p.ScheduleRemote(2, 3*time.Microsecond, func() {})
+		p.ArmRemote(2, bound(func() {}), 3*time.Microsecond)
 	})
 	k.Run()
 	if !panicked {
-		t.Error("ScheduleRemote outside a transmission-commit event must panic")
+		t.Error("ArmRemote outside a transmission-commit event must panic")
 	}
 }
 
@@ -93,11 +102,25 @@ func TestScheduleRemoteBelowPropagationPanics(t *testing.T) {
 	panicked := false
 	p.AfterTx(time.Millisecond, func() {
 		defer func() { panicked = recover() != nil }()
-		p.ScheduleRemote(2, time.Microsecond, func() {})
+		p.ArmRemote(2, bound(func() {}), time.Microsecond)
 	})
 	k.Run()
 	if !panicked {
-		t.Error("ScheduleRemote below the propagation floor must panic")
+		t.Error("ArmRemote below the propagation floor must panic")
+	}
+}
+
+func TestArmRemoteUnregisteredTargetPanics(t *testing.T) {
+	k := newTestKernel(5, 2, 2)
+	p := k.Port(1)
+	panicked := false
+	p.AfterTx(time.Millisecond, func() {
+		defer func() { panicked = recover() != nil }()
+		p.ArmRemote(99, bound(func() {}), 3*time.Microsecond)
+	})
+	k.Run()
+	if !panicked {
+		t.Error("ArmRemote to an unregistered node must panic")
 	}
 }
 
@@ -128,12 +151,12 @@ func kernelWorkloadDispatch(seed int64, shards, nodes int, serial bool) []string
 					to := nb
 					tp := k.Port(to)
 					jitter := time.Duration(p.Rand().Intn(1000)) * time.Microsecond
-					p.ScheduleRemote(to, 3*time.Microsecond+jitter, func() {
+					p.ArmRemote(to, bound(func() {
 						logs[to] = append(logs[to], fmt.Sprintf("%v rx", tp.Now()))
 						tp.After(time.Duration(tp.Rand().Intn(2000))*time.Microsecond, func() {
 							logs[to] = append(logs[to], fmt.Sprintf("%v app", tp.Now()))
 						})
-					})
+					}), 3*time.Microsecond+jitter)
 				}
 			})
 		})
@@ -255,16 +278,18 @@ func TestKernelPendingAndNextEventAt(t *testing.T) {
 }
 
 func TestEventHeapCompaction(t *testing.T) {
-	// Arm-and-cancel churn must not grow the heap without bound: cancelled
-	// entries are compacted away once they outnumber the live ones.
+	// Cancel removes the entry at once, so after any amount of arm-and-
+	// cancel churn the heap holds exactly the live entries.
 	s := New(1)
-	keep := s.After(time.Hour, func() {})
-	_ = keep
+	s.After(time.Hour, func() {})
+	e := bound(func() {})
 	for i := 0; i < 10_000; i++ {
 		s.After(time.Minute, func() {}).Cancel()
+		s.Arm(e, time.Minute)
+		e.Cancel()
 	}
-	if got := len(s.events.s); got > 32 {
-		t.Errorf("heap holds %d entries after cancel churn, want <= 32", got)
+	if got := len(s.events.s); got != 1 {
+		t.Errorf("heap holds %d entries after cancel churn, want exactly 1", got)
 	}
 	if s.Pending() != 1 {
 		t.Errorf("Pending=%d want 1", s.Pending())

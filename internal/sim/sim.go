@@ -48,21 +48,36 @@ type Env interface {
 	// turnaround time; the MAC models that turnaround explicitly, so the
 	// clamp is never hit in practice.
 	AfterTx(d time.Duration, fn func()) Timer
+	// Arm schedules the caller-owned record e to fire d from now in this
+	// context; After is Arm on a freshly allocated record. e must be bound
+	// and must not be pending (Arm panics if it is); see Event for who owns
+	// a record when.
+	Arm(e *Event, d time.Duration)
+	// ArmTx is Arm for a transmission-commit event (see AfterTx).
+	ArmTx(e *Event, d time.Duration)
 	// Rand returns the stream all of this context's randomness must come
 	// from, so runs are reproducible.
 	Rand() *rand.Rand
 }
 
 // Port is one node's scheduling handle. Everything a node schedules goes
-// through its own Port; cross-node effects go through ScheduleRemote, which
-// is how the Kernel keeps shards from touching each other's queues.
+// through its own Port; cross-node effects go through ArmRemote, which is
+// how the Kernel keeps shards from touching each other's queues.
 type Port interface {
 	Env
-	// ScheduleRemote schedules fn to run in node to's context, d from now.
-	// It may only be called from within a transmission-commit (AfterTx)
-	// event, and d must be at least the engine's configured propagation
-	// delay — together these give the conservative engine its lookahead.
-	ScheduleRemote(to uint32, d time.Duration, fn func())
+	// ArmRemote schedules the record e to fire in node to's context, d from
+	// now. It may only be called from within a transmission-commit (ArmTx,
+	// AfterTx) event, and d must be at least the engine's configured
+	// propagation delay — together these give the conservative engine its
+	// lookahead. e must be bound and idle, as for Arm. Arming hands e over:
+	// the caller must not touch it again (not even to Cancel it), and from
+	// the moment its callback runs it belongs to node to's context, which
+	// may re-arm it on its own Port.
+	ArmRemote(to uint32, e *Event, d time.Duration)
+	// Shard returns the index of the event shard that executes this node
+	// (always 0 on the Scheduler). State indexed by it — a free list, say —
+	// is touched by one worker at a time without locks.
+	Shard() int
 }
 
 // Executor is a deterministic discrete-event engine: the global (network-
@@ -130,10 +145,9 @@ func (s *Scheduler) DeriveRand(tags ...uint64) *rand.Rand {
 
 // After schedules fn at now+d. Negative d is treated as zero.
 func (s *Scheduler) After(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.at(s.now+d, fn)
+	e := &Event{fn: fn}
+	s.Arm(e, d)
+	return e
 }
 
 // AfterTx schedules a transmission-commit event. On the single-queue
@@ -143,64 +157,69 @@ func (s *Scheduler) AfterTx(d time.Duration, fn func()) Timer {
 	return s.After(d, fn)
 }
 
-func (s *Scheduler) at(t time.Duration, fn func()) *event {
+// Arm schedules the caller-owned record e at now+d (negative d is treated
+// as zero). It panics if e is pending.
+func (s *Scheduler) Arm(e *Event, d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
 	s.seq++
-	ev := &event{key: evKey{at: t, kind: kindGlobal, b: s.seq}, fn: fn}
-	s.events.push(ev)
-	return ev
+	e.claim(&s.events, newKey(s.now+d, kindGlobal, 0, s.seq), false)
+	s.events.push(e)
 }
+
+// ArmTx is Arm: the single queue needs no transmission-commit tag.
+func (s *Scheduler) ArmTx(e *Event, d time.Duration) { s.Arm(e, d) }
 
 // Port returns a scheduling handle for node id. On the single-queue
 // Scheduler every port shares the one queue, clock and random stream, so
 // unit tests drive MACs and radios exactly as before sharding existed.
 func (s *Scheduler) Port(id uint32) Port { return schedPort{s} }
 
-// schedPort adapts the Scheduler to the Port interface.
-type schedPort struct{ s *Scheduler }
+// schedPort adapts the Scheduler to the Port interface: the one queue is
+// every node's context, so a remote record is an ordinary one.
+type schedPort struct{ *Scheduler }
 
-func (p schedPort) Now() time.Duration                     { return p.s.now }
-func (p schedPort) After(d time.Duration, fn func()) Timer { return p.s.After(d, fn) }
-func (p schedPort) AfterTx(d time.Duration, fn func()) Timer {
-	return p.s.After(d, fn)
-}
-func (p schedPort) Rand() *rand.Rand { return p.s.rng }
-func (p schedPort) ScheduleRemote(to uint32, d time.Duration, fn func()) {
-	p.s.After(d, fn)
-}
+func (p schedPort) Shard() int                                     { return 0 }
+func (p schedPort) ArmRemote(to uint32, e *Event, d time.Duration) { p.Arm(e, d) }
 
 // Every schedules fn at now+d and then every period thereafter until the
 // returned Timer is cancelled. The first firing is at now+d. It panics when
 // period is not positive: re-arming at the same timestamp would livelock
 // the event loop.
 func (s *Scheduler) Every(d, period time.Duration, fn func()) Timer {
-	return repeatOn(s, d, period, fn)
+	return Every(s, d, period, fn)
 }
 
-// repeatOn implements Every over any Clock, validating the period.
-func repeatOn(c Clock, d, period time.Duration, fn func()) Timer {
+// Every schedules fn on any Clock at now+d and then every period
+// thereafter, until the returned Timer is cancelled. It panics when period
+// is not positive.
+func Every(c Clock, d, period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	rt := &repeatTimer{}
-	var arm func(delay time.Duration)
-	arm = func(delay time.Duration) {
-		rt.inner = c.After(delay, func() {
-			if rt.cancelled {
-				return
-			}
-			fn()
-			if !rt.cancelled {
-				arm(period)
-			}
-		})
-	}
-	arm(d)
-	return rt
+	r := &repeatTimer{c: c, period: period, fn: fn}
+	r.tick = r.fire
+	r.inner = c.After(d, r.tick)
+	return r
 }
 
 type repeatTimer struct {
+	c         Clock
+	period    time.Duration
+	fn, tick  func()
 	inner     Timer
 	cancelled bool
+}
+
+func (r *repeatTimer) fire() {
+	if r.cancelled {
+		return
+	}
+	r.fn()
+	if !r.cancelled {
+		r.inner = r.c.After(r.period, r.tick)
+	}
 }
 
 func (r *repeatTimer) Cancel() bool {
@@ -208,10 +227,7 @@ func (r *repeatTimer) Cancel() bool {
 		return false
 	}
 	r.cancelled = true
-	if r.inner != nil {
-		return r.inner.Cancel()
-	}
-	return false
+	return r.inner.Cancel()
 }
 
 // Step executes the next pending event. It reports false when no events
@@ -267,10 +283,9 @@ func (s *Scheduler) NextEventAt() (time.Duration, bool) {
 	return ev.key.at, true
 }
 
-// Pending returns the number of live queued events (diagnostics). It is
-// O(1): the heap tracks its live count as events are pushed, popped and
-// cancelled.
-func (s *Scheduler) Pending() int { return s.events.live }
+// Pending returns the number of queued events (diagnostics). It is O(1):
+// the heap holds exactly the pending events.
+func (s *Scheduler) Pending() int { return len(s.events.s) }
 
 // RealClock implements Clock over the wall clock, so the same node logic
 // can run live. It is safe for concurrent use; callbacks run on the Go

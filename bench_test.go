@@ -248,31 +248,6 @@ func BenchmarkTracing(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelShards measures event-kernel throughput on a 1024-node
-// grid at increasing shard counts: one virtual minute of the full stack
-// with five active sources and four corner sinks per iteration. Sequential
-// (shards=1) is the baseline; the parallel runs produce byte-identical
-// traces (asserted in determinism_test.go), so any wall-clock difference
-// here is pure kernel overhead or speedup. The measured numbers come from
-// `go run ./cmd/diffbench -workload grid1024_sim` (events_per_s, and with
-// -trace 1 sim.shards4_speedup: 0.6 on a 2-core host — four shards are
-// slower than one, see DESIGN.md §8); this benchmark is the CI smoke form.
-func BenchmarkKernelShards(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards-"+itoa(shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultParallelScale()
-				cfg.Duration = time.Minute
-				wall, delivered, _ := experiments.MeasureParallelScale(cfg, shards)
-				if delivered == 0 {
-					b.Fatal("workload delivered nothing")
-				}
-				_ = wall
-			}
-		})
-	}
-}
-
 // BenchmarkCompiledMatching quantifies the section 6.3 optimization
 // ("segregating actuals from formals can reduce search time"): the
 // pre-indexed matcher against the paper's scan, on the Figure 10 sets

@@ -19,7 +19,6 @@
 //	diffsim -experiment breakdown         # Fig.8 byte decomposition vs model
 //	diffsim -experiment sweep-capture     # ablation: radio capture effect
 //	diffsim -experiment churn             # fault injection: relay kill + MTBF/MTTR churn
-//	diffsim -experiment scale-parallel    # 1024-node grid on the sharded kernel
 //	diffsim -experiment ferry             # disruption tolerance: custody transfer vs baseline
 //	diffsim -experiment broker            # million-subscription node on the inverted match index
 //	diffsim -experiment all               # everything above
@@ -28,10 +27,7 @@
 // the repetition count and per-run virtual time of the simulated
 // experiments. For the churn experiment, -metrics prints the first seed's
 // end-of-run per-layer metrics snapshot and -trace-out FILE exports its
-// relay-kill message trace as JSONL for cmd/difftrace. For scale-parallel,
-// -shards sets the largest shard count compared (the sweep runs 2, 4, ...
-// up to it); every parallel run is checked byte-identical to the
-// sequential baseline.
+// relay-kill message trace as JSONL for cmd/difftrace.
 package main
 
 import (
@@ -47,18 +43,17 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run (fig8, fig9, fig11, model, energy, micro, sweep-exploratory, sweep-asymmetry, ablate-negrf, duty-cycle, scale, push-pull, latency, breakdown, sweep-capture, churn, scale-parallel, ferry, broker, all)")
+		experiment = flag.String("experiment", "all", "which experiment to run (fig8, fig9, fig11, model, energy, micro, sweep-exploratory, sweep-asymmetry, ablate-negrf, duty-cycle, scale, push-pull, latency, breakdown, sweep-capture, churn, ferry, broker, all)")
 		quick      = flag.Bool("quick", false, "shrink runs for a fast smoke pass")
 		seeds      = flag.Int("seeds", 0, "override the number of repetitions")
 		duration   = flag.Duration("duration", 0, "override the per-run virtual duration")
 		metrics    = flag.Bool("metrics", false, "print the end-of-run per-layer metrics snapshot (churn experiment, first seed)")
 		traceOut   = flag.String("trace-out", "", "export the churn experiment's first-seed relay-kill trace as JSONL to this file (analyze with difftrace)")
 		traceSamp  = flag.Float64("trace-sample", 0, "flight-path sampling rate [0,1] for the -trace-out export (difftrace paths/latency)")
-		shards     = flag.Int("shards", 8, "largest shard count in the scale-parallel sweep (doubling from 2)")
 	)
 	flag.Parse()
 
-	if err := run(os.Stdout, *experiment, *quick, *seeds, *duration, *metrics, *traceOut, *traceSamp, *shards); err != nil {
+	if err := run(os.Stdout, *experiment, *quick, *seeds, *duration, *metrics, *traceOut, *traceSamp); err != nil {
 		fmt.Fprintln(os.Stderr, "diffsim:", err)
 		os.Exit(1)
 	}
@@ -72,7 +67,7 @@ func seedList(n int) []int64 {
 	return out
 }
 
-func run(w io.Writer, experiment string, quick bool, seeds int, duration time.Duration, metrics bool, traceOut string, traceSamp float64, shards int) error {
+func run(w io.Writer, experiment string, quick bool, seeds int, duration time.Duration, metrics bool, traceOut string, traceSamp float64) error {
 	if traceSamp < 0 || traceSamp > 1 {
 		return fmt.Errorf("-trace-sample %v out of range [0,1]", traceSamp)
 	}
@@ -239,25 +234,6 @@ func run(w io.Writer, experiment string, quick bool, seeds int, duration time.Du
 		experiments.PrintNegRFAblation(w, experiments.RunNegRFAblation(sl, d))
 	}
 
-	scaleParallel := func() {
-		cfg := experiments.DefaultParallelScale()
-		if quick {
-			cfg.Side = 16
-			cfg.Duration = time.Minute
-		}
-		if duration > 0 {
-			cfg.Duration = duration
-		}
-		cfg.Shards = nil
-		for n := 2; n <= shards; n *= 2 {
-			cfg.Shards = append(cfg.Shards, n)
-		}
-		if len(cfg.Shards) == 0 {
-			cfg.Shards = []int{2}
-		}
-		experiments.PrintParallelScale(w, cfg, experiments.RunParallelScale(cfg))
-	}
-
 	broker := func() {
 		cfg := experiments.DefaultBroker()
 		if quick {
@@ -350,7 +326,6 @@ func run(w io.Writer, experiment string, quick bool, seeds int, duration time.Du
 		{"latency", func() error { latency(); return nil }},
 		{"breakdown", func() error { breakdown(); return nil }},
 		{"sweep-capture", func() error { sweepCapture(); return nil }},
-		{"scale-parallel", func() error { scaleParallel(); return nil }},
 		{"churn", churn},
 		{"ferry", func() error { ferry(); return nil }},
 		{"broker", func() error { broker(); return nil }},

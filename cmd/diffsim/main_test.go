@@ -16,7 +16,7 @@ func TestRunSingleExperiments(t *testing.T) {
 		"micro":  "106 bytes",
 	} {
 		var buf bytes.Buffer
-		if err := run(&buf, exp, false, 0, 0, false, "", 0, 0); err != nil {
+		if err := run(&buf, exp, false, 0, 0, false, "", 0); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if !strings.Contains(buf.String(), want) {
@@ -27,7 +27,7 @@ func TestRunSingleExperiments(t *testing.T) {
 
 func TestRunSimulatedExperimentTiny(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig8", true, 1, 5*time.Minute, false, "", 0, 0); err != nil {
+	if err := run(&buf, "fig8", true, 1, 5*time.Minute, false, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Figure 8") {
@@ -37,7 +37,7 @@ func TestRunSimulatedExperimentTiny(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	err := run(&buf, "bogus", false, 0, 0, false, "", 0, 0)
+	err := run(&buf, "bogus", false, 0, 0, false, "", 0)
 	if err == nil {
 		t.Fatal("unknown experiment must error")
 	}
@@ -50,7 +50,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 		"fig8", "fig9", "fig11", "model", "energy", "micro",
 		"sweep-exploratory", "sweep-asymmetry", "ablate-negrf",
 		"duty-cycle", "scale", "push-pull", "latency", "breakdown",
-		"sweep-capture", "scale-parallel", "churn", "all",
+		"sweep-capture", "churn", "all",
 	} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list experiment %q: %v", name, err)
@@ -72,10 +72,10 @@ func TestRunAllBranchesTiny(t *testing.T) {
 	for _, exp := range []string{
 		"fig9", "fig11", "sweep-exploratory", "sweep-asymmetry",
 		"ablate-negrf", "duty-cycle", "scale", "push-pull", "latency",
-		"breakdown", "sweep-capture", "churn", "scale-parallel", "broker",
+		"breakdown", "sweep-capture", "churn", "broker",
 	} {
 		var buf bytes.Buffer
-		if err := run(&buf, exp, true, 1, 3*time.Minute, false, "", 0, 2); err != nil {
+		if err := run(&buf, exp, true, 1, 3*time.Minute, false, "", 0); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if buf.Len() == 0 {
@@ -86,7 +86,7 @@ func TestRunAllBranchesTiny(t *testing.T) {
 
 func TestRunAllTiny(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "all", true, 1, 2*time.Minute, false, "", 0, 2); err != nil {
+	if err := run(&buf, "all", true, 1, 2*time.Minute, false, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 8", "Figure 9", "Figure 11", "990", "duty-cycle", "Scalability"} {

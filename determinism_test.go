@@ -3,32 +3,44 @@ package diffusion_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
 	"diffusion"
+	"diffusion/internal/experiments"
 )
 
-// The sharded kernel's contract: a run is a pure function of its seed —
-// not of the shard count, not of goroutine scheduling. These tests assert
-// it end to end, on the full protocol stack, by comparing the exported
-// JSONL trace and the metrics snapshot byte for byte.
+// The engine's contract: a run is a pure function of its seed. These tests
+// assert it end to end, on the full protocol stack, over the exported JSONL
+// trace and the metrics snapshot — between two runs of one build, and
+// against fingerprints recorded at the last commit that still had the
+// sharded kernel (PR 14, c398a3a), so the move to one event heap is held to
+// that kernel's bytes.
+
+// fingerprint is the first 8 bytes of SHA-256 over the parts, in hex.
+func fingerprint(parts ...[]byte) string {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
 
 // detRun executes a loaded testbed scenario — four sources reporting to
 // the sink over the lossy default channel, with node churn injected — and
 // returns the exported trace and metrics snapshot.
-func detRun(t *testing.T, seed int64, shards int) (trace, metrics []byte) {
-	return detRunSampled(t, seed, shards, 0)
+func detRun(t *testing.T, seed int64) (trace, metrics []byte) {
+	return detRunSampled(t, seed, 0)
 }
 
 // detRunSampled is detRun with flight-path tracing at the given sampling
 // rate.
-func detRunSampled(t *testing.T, seed int64, shards int, sampling float64) (trace, metrics []byte) {
+func detRunSampled(t *testing.T, seed int64, sampling float64) (trace, metrics []byte) {
 	t.Helper()
 	net := diffusion.NewNetwork(diffusion.NetworkConfig{
 		Seed:          seed,
 		Topology:      diffusion.TestbedTopology(),
-		Shards:        shards,
 		TraceSampling: sampling,
 	})
 	tr := net.NewTrace(0)
@@ -63,87 +75,60 @@ func detRunSampled(t *testing.T, seed int64, shards int, sampling float64) (trac
 }
 
 func TestSameSeedIdenticalTraceHash(t *testing.T) {
-	t1, m1 := detRun(t, 42, 1)
-	t2, m2 := detRun(t, 42, 1)
+	t1, m1 := detRun(t, 42)
+	t2, m2 := detRun(t, 42)
 	if sha256.Sum256(t1) != sha256.Sum256(t2) {
 		t.Error("same seed produced different traces")
 	}
 	if !bytes.Equal(m1, m2) {
 		t.Error("same seed produced different metrics snapshots")
 	}
-	t3, _ := detRun(t, 43, 1)
+	t3, _ := detRun(t, 43)
 	if sha256.Sum256(t1) == sha256.Sum256(t3) {
 		t.Error("different seeds produced identical traces")
 	}
 }
 
-func TestShardCountInvarianceTestbed(t *testing.T) {
-	// Parallel runs at any shard count must be byte-identical to the
-	// sequential run — the acceptance bar for the sharded kernel.
-	baseTrace, baseMetrics := detRun(t, 42, 1)
-	if len(baseTrace) == 0 {
-		t.Fatal("sequential run produced an empty trace")
-	}
-	for _, shards := range []int{2, 4, 7} {
-		tr, m := detRun(t, 42, shards)
-		if !bytes.Equal(tr, baseTrace) {
-			t.Errorf("shards=%d: trace differs from sequential run (%d vs %d bytes)",
-				shards, len(tr), len(baseTrace))
-		}
-		if !bytes.Equal(m, baseMetrics) {
-			t.Errorf("shards=%d: metrics snapshot differs from sequential run", shards)
-		}
+func TestPinnedFingerprintTestbed(t *testing.T) {
+	tr, m := detRun(t, 42)
+	if got := fingerprint(tr, m); got != "b5f79551d6303b31" || len(tr) != 245231 {
+		t.Errorf("testbed run: fingerprint %s over a %d-byte trace, pinned b5f79551d6303b31 over 245231", got, len(tr))
 	}
 }
 
-// TestShardCountInvarianceTraced is shard invariance with flight-path
-// tracing sampled at 100%: the span records merged into the exported
-// trace must be byte-identical at any shard count — per-node rings plus
-// a deterministic merge, never cross-shard state.
-func TestShardCountInvarianceTraced(t *testing.T) {
-	baseTrace, baseMetrics := detRunSampled(t, 42, 1, 1.0)
-	if !bytes.Contains(baseTrace, []byte(`"flow":`)) {
+// TestPinnedFingerprintTraced pins the run with flight-path tracing sampled
+// at 100% (the span records merged into the exported trace) and at 25% (the
+// sampling draws come from the per-node streams), and checks that tracing
+// off stays byte-identical to the untraced scenario.
+func TestPinnedFingerprintTraced(t *testing.T) {
+	tr, m := detRunSampled(t, 42, 1.0)
+	if !bytes.Contains(tr, []byte(`"flow":`)) {
 		t.Fatal("sampled run exported no flight-path spans")
 	}
-	for _, shards := range []int{2, 7} {
-		tr, m := detRunSampled(t, 42, shards, 1.0)
-		if !bytes.Equal(tr, baseTrace) {
-			t.Errorf("shards=%d: traced run differs from sequential run (%d vs %d bytes)",
-				shards, len(tr), len(baseTrace))
-		}
-		if !bytes.Equal(m, baseMetrics) {
-			t.Errorf("shards=%d: traced metrics differ from sequential run", shards)
-		}
+	if got := fingerprint(tr, m); got != "3fe22425e700491d" || len(tr) != 1201286 {
+		t.Errorf("100%% sampling: fingerprint %s over a %d-byte trace, pinned 3fe22425e700491d over 1201286", got, len(tr))
 	}
-	// Sub-unity sampling must be deterministic too (it draws from the
-	// per-node streams), and tracing off must stay byte-identical to the
-	// pre-trace baseline scenario.
-	p1, _ := detRunSampled(t, 42, 1, 0.25)
-	p2, _ := detRunSampled(t, 42, 4, 0.25)
-	if !bytes.Equal(p1, p2) {
-		t.Error("25% sampling: shard count changed the trace")
+	tr, m = detRunSampled(t, 42, 0.25)
+	if got := fingerprint(tr, m); got != "986c2741add7210e" || len(tr) != 448315 {
+		t.Errorf("25%% sampling: fingerprint %s over a %d-byte trace, pinned 986c2741add7210e over 448315", got, len(tr))
 	}
-	off, _ := detRunSampled(t, 42, 1, 0)
-	base, _ := detRun(t, 42, 1)
+	off, _ := detRunSampled(t, 42, 0)
+	base, _ := detRun(t, 42)
 	if !bytes.Equal(off, base) {
 		t.Error("sampling=0 run differs from untraced run")
 	}
 }
 
-// gridRun exercises shard invariance on a 16x16 grid — 256 nodes, many
-// per shard, with shard boundaries cutting through active radio
-// neighborhoods.
-func gridRun(t *testing.T, shards int) (trace, metrics []byte) {
+// gridRun is a 16x16 grid — 256 nodes, sink in one corner, sources in the
+// other three, so traffic crosses the whole grid.
+func gridRun(t *testing.T) (trace, metrics []byte) {
 	t.Helper()
 	net := diffusion.NewNetwork(diffusion.NetworkConfig{
 		Seed:     7,
 		Topology: diffusion.GridTopology(16, 16, 9),
-		Shards:   shards,
 	})
 	tr := net.NewTrace(0)
 	interest, publication := surveillance()
-	// Sink in one corner, sources in the other three: traffic crosses
-	// every strip of the partition.
 	net.Node(1).Subscribe(interest, func(*diffusion.Message) {})
 	for _, id := range []uint32{16, 241, 256} {
 		src := net.Node(id)
@@ -165,21 +150,25 @@ func gridRun(t *testing.T, shards int) (trace, metrics []byte) {
 	return tb.Bytes(), mb.Bytes()
 }
 
-func TestShardCountInvarianceGrid(t *testing.T) {
+func TestPinnedFingerprintGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node grid run")
 	}
-	baseTrace, baseMetrics := gridRun(t, 1)
-	if len(baseTrace) == 0 {
-		t.Fatal("sequential run produced an empty trace")
+	tr, m := gridRun(t)
+	if got := fingerprint(tr, m); got != "47cb0bc0f2fa0195" || len(tr) != 929793 {
+		t.Errorf("grid run: fingerprint %s over a %d-byte trace, pinned 47cb0bc0f2fa0195 over 929793", got, len(tr))
 	}
-	for _, shards := range []int{4, 6} {
-		tr, m := gridRun(t, shards)
-		if !bytes.Equal(tr, baseTrace) {
-			t.Errorf("shards=%d: grid trace differs from sequential run", shards)
-		}
-		if !bytes.Equal(m, baseMetrics) {
-			t.Errorf("shards=%d: grid metrics differ from sequential run", shards)
+	// The 1024-node benchmark workload, seed 1: fingerprint and sink
+	// deliveries after one and two simulated minutes.
+	for _, want := range []struct {
+		d         time.Duration
+		sha       string
+		delivered int
+	}{{time.Minute, "afd4fcd421af192d", 11}, {2 * time.Minute, "97968f076d1a9609", 26}} {
+		cfg := experiments.DefaultParallelScale()
+		cfg.Duration = want.d
+		if _, n, sha := experiments.MeasureParallelScale(cfg, 1); sha != want.sha || n != want.delivered {
+			t.Errorf("1024-node grid, %v: %s/%d deliveries, pinned %s/%d", want.d, sha, n, want.sha, want.delivered)
 		}
 	}
 }

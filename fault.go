@@ -29,7 +29,7 @@ const (
 // Faults fire deterministically from the network seed, so a failure
 // scenario is as replayable as a fault-free run.
 func (net *Network) NewFaultInjector() *FaultInjector {
-	return fault.New(net.kern, (*faultTarget)(net))
+	return fault.New(net.eng, net.rng, (*faultTarget)(net))
 }
 
 // faultTarget adapts Network to fault.Target without exposing the crash

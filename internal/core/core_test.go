@@ -13,7 +13,7 @@ import (
 // testNet is a perfect in-memory link layer with an explicit adjacency
 // graph, so core-protocol tests are independent of the MAC and radio.
 type testNet struct {
-	s     *sim.Scheduler
+	s     *sim.Engine
 	nodes map[uint32]*Node
 	adj   map[uint32]map[uint32]bool
 	dead  map[uint32]bool

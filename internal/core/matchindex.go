@@ -22,8 +22,7 @@ import (
 //     pins this).
 //   - Results are consumed in the same canonical orders as the scans
 //     they replace: entries ascending by attribute hash, subscriptions
-//     and filters ascending by handle. Traces stay byte-identical at any
-//     shard count.
+//     and filters ascending by handle, so traces stay byte-identical.
 //   - Lookups are allocation-free in steady state: tag results land in
 //     pooled buffers (free lists on the node — callbacks can re-enter
 //     the core, so a single scratch buffer would be clobbered mid-use;

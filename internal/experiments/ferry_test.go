@@ -53,20 +53,17 @@ func TestFerryCustodyDeliversWhereBaselineLoses(t *testing.T) {
 	}
 }
 
-// TestFerryDeterministicAcrossShards reruns one seed on the sharded
-// kernel and requires byte-identical results: same sequences delivered,
-// same timestamps, same custody counters.
-func TestFerryDeterministicAcrossShards(t *testing.T) {
+// TestFerryDeterministic reruns one seed and requires byte-identical
+// results: same sequences delivered, same timestamps, same custody counters.
+func TestFerryDeterministic(t *testing.T) {
 	cfg := quickFerry()
 	cfg.Seeds = []int64{1}
-	run := func(shards int) string {
-		c := cfg
-		c.Shards = shards
+	run := func() string {
 		var out bytes.Buffer
-		PrintFerry(&out, RunFerry(c))
+		PrintFerry(&out, RunFerry(cfg))
 		return out.String()
 	}
-	if one, four := run(1), run(4); one != four {
-		t.Errorf("ferry results differ across shard counts:\n--- shards=1\n%s--- shards=4\n%s", one, four)
+	if a, b := run(), run(); a != b {
+		t.Errorf("ferry results differ between two runs of one seed:\n--- first\n%s--- second\n%s", a, b)
 	}
 }

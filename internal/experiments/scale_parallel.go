@@ -5,23 +5,18 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"time"
 
 	"diffusion"
 )
 
-// The parallel-scale experiment: the paper's testbed stopped at 14 nodes,
-// and its section 7 asks what "scaling to larger sensor networks" does to
-// in-network processing. The grid scale sweep (scale.go) answers the
-// protocol side at a few hundred nodes; this experiment answers the
-// simulator side — a 1024-node grid is ~75x the testbed and too slow to
-// sweep sequentially. It runs the same workload on the sharded kernel at
-// several shard counts, checks every parallel run is byte-identical to the
-// sequential one (the kernel's core guarantee), and reports the wall-clock
-// speedup.
+// The 1024-node grid workload: ~75x the paper's 14-node testbed, four corner
+// sinks and five sources. Its callers are the frozen benchmark's
+// sim.shards4_speedup probe and the fingerprint pins in determinism_test.go;
+// the names keep their "Parallel" (from the sharded kernel, DESIGN.md
+// section 8) until that probe is dropped (ROADMAP item 3).
 
-// ParallelScaleConfig parameterizes the 1024-node parallel run.
+// ParallelScaleConfig parameterizes the 1024-node run.
 type ParallelScaleConfig struct {
 	Seed int64
 	// Side is the grid side length (Side x Side nodes; default 32).
@@ -31,9 +26,6 @@ type ParallelScaleConfig struct {
 	Spacing float64
 	// Duration is the virtual time simulated (default 2 minutes).
 	Duration time.Duration
-	// Shards lists the parallel shard counts to compare against the
-	// sequential baseline (default 2, 4, 8).
-	Shards []int
 	// ReportInterval is each source's data cadence (default 5 s).
 	ReportInterval time.Duration
 	// TraceLimit bounds the comparison trace (default 200k events).
@@ -47,44 +39,27 @@ func DefaultParallelScale() ParallelScaleConfig {
 		Side:           32,
 		Spacing:        9,
 		Duration:       2 * time.Minute,
-		Shards:         []int{2, 4, 8},
 		ReportInterval: 5 * time.Second,
 		TraceLimit:     200_000,
 	}
 }
 
-// ParallelScalePoint is one run of the workload at one shard count.
-type ParallelScalePoint struct {
-	Shards int
-	// Wall is the host wall-clock time the run took.
-	Wall time.Duration
-	// Delivered counts sink deliveries summed over all sinks — a
-	// protocol-level progress check that the run did real work.
-	Delivered int
-	// TraceSHA fingerprints the exported trace plus metrics snapshot.
-	TraceSHA string
-	// Identical reports whether this run's fingerprint matches the
-	// sequential baseline (always true for the baseline itself).
-	Identical bool
-	// Speedup is the baseline wall time divided by this run's.
-	Speedup float64
-}
-
-// runParallelScaleOnce executes the workload at one shard count.
-func runParallelScaleOnce(cfg ParallelScaleConfig, shards int) (time.Duration, int, string) {
+// MeasureParallelScale runs the workload once and returns the wall time,
+// the sink delivery count, and a fingerprint of the exported trace plus
+// metrics snapshot. The shard count is accepted for the frozen benchmark
+// and unused.
+func MeasureParallelScale(cfg ParallelScaleConfig, shards int) (time.Duration, int, string) {
 	side := cfg.Side
 	net := diffusion.NewNetwork(diffusion.NetworkConfig{
 		Seed:     cfg.Seed,
 		Topology: diffusion.GridTopology(side, side, cfg.Spacing),
-		Shards:   shards,
 	})
 	tr := net.NewTrace(cfg.TraceLimit)
 	interest, publication := scaleAttrs()
 
 	n := uint32(side * side)
-	// Four corner sinks pull data across every partition strip; sources
-	// sit at the edge midpoints and the center, so reinforced paths run
-	// both along and across the strips.
+	// Four corner sinks pull data across the whole grid; sources sit at
+	// the edge midpoints and the center.
 	sinks := []uint32{1, uint32(side), n - uint32(side) + 1, n}
 	sources := []uint32{
 		uint32(side/2 + 1),             // top edge midpoint
@@ -93,8 +68,6 @@ func runParallelScaleOnce(cfg ParallelScaleConfig, shards int) (time.Duration, i
 		uint32(side*(side-1) + side/2), // bottom edge midpoint
 		uint32(side*(side/2) + side/2), // center
 	}
-	// Per-sink local counters: each subscription callback runs in its own
-	// node's context, so counters must not be shared across sinks.
 	counts := make([]int, len(sinks))
 	for i, id := range sinks {
 		i := i
@@ -138,69 +111,4 @@ func scaleAttrs() (diffusion.Attributes, diffusion.Attributes) {
 		diffusion.String(diffusion.KeyTask, diffusion.IS, "wide-area"),
 	}
 	return interest, publication
-}
-
-// MeasureParallelScale runs the workload once at the given shard count and
-// returns the wall time, the sink delivery count, and the trace
-// fingerprint. It is the single-run entry point the kernel benchmark uses.
-func MeasureParallelScale(cfg ParallelScaleConfig, shards int) (time.Duration, int, string) {
-	return runParallelScaleOnce(cfg, shards)
-}
-
-// RunParallelScale runs the workload sequentially and at each configured
-// shard count.
-func RunParallelScale(cfg ParallelScaleConfig) []ParallelScalePoint {
-	if cfg.Side <= 0 {
-		cfg.Side = 32
-	}
-	if cfg.Spacing <= 0 {
-		cfg.Spacing = 9
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * time.Minute
-	}
-	if cfg.ReportInterval <= 0 {
-		cfg.ReportInterval = 5 * time.Second
-	}
-	if cfg.TraceLimit <= 0 {
-		cfg.TraceLimit = 200_000
-	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{2, 4, 8}
-	}
-	baseWall, baseDelivered, baseSHA := runParallelScaleOnce(cfg, 1)
-	out := []ParallelScalePoint{{
-		Shards: 1, Wall: baseWall, Delivered: baseDelivered,
-		TraceSHA: baseSHA, Identical: true, Speedup: 1,
-	}}
-	for _, shards := range cfg.Shards {
-		wall, delivered, sha := runParallelScaleOnce(cfg, shards)
-		sp := 0.0
-		if wall > 0 {
-			sp = float64(baseWall) / float64(wall)
-		}
-		out = append(out, ParallelScalePoint{
-			Shards: shards, Wall: wall, Delivered: delivered,
-			TraceSHA: sha, Identical: sha == baseSHA, Speedup: sp,
-		})
-	}
-	return out
-}
-
-// PrintParallelScale renders the comparison table.
-func PrintParallelScale(w io.Writer, cfg ParallelScaleConfig, points []ParallelScalePoint) {
-	fmt.Fprintf(w, "Parallel kernel at scale: %dx%d grid (%d nodes), %v simulated\n",
-		cfg.Side, cfg.Side, cfg.Side*cfg.Side, cfg.Duration)
-	fmt.Fprintf(w, "%-8s %12s %10s %10s %12s  %s\n",
-		"shards", "wall", "speedup", "delivered", "trace", "identical")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-8d %12v %9.2fx %10d %12s  %v\n",
-			p.Shards, p.Wall.Round(time.Millisecond), p.Speedup,
-			p.Delivered, p.TraceSHA, p.Identical)
-	}
-	for _, p := range points {
-		if !p.Identical {
-			fmt.Fprintf(w, "WARNING: shards=%d diverged from the sequential run\n", p.Shards)
-		}
-	}
 }

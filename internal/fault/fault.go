@@ -92,30 +92,24 @@ func (s Summary) String() string {
 		s.NodeDowns, s.NodeUps, s.LinkDowns, s.LinkUps)
 }
 
-// Env is the scheduling surface the injector runs on: the global clock
-// and seeded random stream of a sim.Scheduler or sim.Kernel. Faults are
-// global events — they touch radios and MACs across the whole network —
-// so they always run in global context, between the kernel's parallel
-// windows.
-type Env interface {
-	sim.Clock
-	Rand() *rand.Rand
-}
-
 // Injector schedules faults against a target. All randomness (churn
 // inter-fault times) comes from the engine's seeded source, so a fault
 // scenario replays exactly from its seed.
 type Injector struct {
-	sched  Env
+	clock  sim.Clock
+	rng    *rand.Rand
 	target Target
 	down   map[uint32]bool
 	events []Event
 	script []string
 }
 
-// New returns an injector driving target on the engine's global clock.
-func New(s Env, target Target) *Injector {
-	return &Injector{sched: s, target: target, down: map[uint32]bool{}}
+// New returns an injector driving target on clock — the engine's global
+// context: faults touch radios and MACs across the whole network, so they
+// run ahead of any node's events at the same timestamp — drawing churn
+// inter-fault times from rng.
+func New(clock sim.Clock, rng *rand.Rand, target Target) *Injector {
+	return &Injector{clock: clock, rng: rng, target: target, down: map[uint32]bool{}}
 }
 
 // Events returns every fault fired so far, in time order (shared slice; do
@@ -155,7 +149,7 @@ func (in *Injector) note(format string, args ...any) {
 
 // record appends an event stamped now.
 func (in *Injector) record(k Kind, node, peer uint32) {
-	in.events = append(in.events, Event{At: in.sched.Now(), Kind: k, Node: node, Peer: peer})
+	in.events = append(in.events, Event{At: in.clock.Now(), Kind: k, Node: node, Peer: peer})
 }
 
 // crash takes id down immediately (idempotent).
@@ -181,7 +175,7 @@ func (in *Injector) reboot(id uint32) {
 // after schedules fn at absolute simulation time at (immediately if at has
 // passed).
 func (in *Injector) after(at time.Duration, fn func()) {
-	in.sched.After(at-in.sched.Now(), fn)
+	in.clock.After(at-in.clock.Now(), fn)
 }
 
 // CrashAt schedules a node crash at absolute simulation time at.
@@ -260,9 +254,9 @@ func (in *Injector) DepleteEnergy(id uint32, budget float64, checkEvery time.Dur
 			in.crash(id)
 			return
 		}
-		in.sched.After(checkEvery, poll)
+		in.clock.After(checkEvery, poll)
 	}
-	in.sched.After(checkEvery, poll)
+	in.clock.After(checkEvery, poll)
 }
 
 // ChurnConfig drives random node churn: each listed node independently
@@ -305,18 +299,18 @@ func (in *Injector) scheduleFailure(id uint32, cfg ChurnConfig, at time.Duration
 	}
 	in.after(at, func() {
 		in.crash(id)
-		back := in.sched.Now() + in.expDraw(cfg.MTTR)
+		back := in.clock.Now() + in.expDraw(cfg.MTTR)
 		if back >= cfg.Stop {
 			return // the end-of-window sweep reboots it
 		}
 		in.after(back, func() {
 			in.reboot(id)
-			in.scheduleFailure(id, cfg, in.sched.Now()+in.expDraw(cfg.MTBF))
+			in.scheduleFailure(id, cfg, in.clock.Now()+in.expDraw(cfg.MTBF))
 		})
 	})
 }
 
 // expDraw samples an exponential holding time with the given mean.
 func (in *Injector) expDraw(mean time.Duration) time.Duration {
-	return time.Duration(in.sched.Rand().ExpFloat64() * float64(mean))
+	return time.Duration(in.rng.ExpFloat64() * float64(mean))
 }

@@ -33,7 +33,7 @@ func (f *fakeTarget) NodeEnergy(id uint32) float64 {
 func TestScriptedCrashAndReboot(t *testing.T) {
 	s := sim.New(1)
 	ft := newFakeTarget()
-	in := New(s, ft)
+	in := New(s, s.Rand(), ft)
 
 	in.CrashFor(10*time.Second, 7, 30*time.Second)
 	s.RunUntil(15 * time.Second)
@@ -63,7 +63,7 @@ func TestScriptedCrashAndReboot(t *testing.T) {
 func TestCrashIsIdempotent(t *testing.T) {
 	s := sim.New(1)
 	ft := newFakeTarget()
-	in := New(s, ft)
+	in := New(s, s.Rand(), ft)
 	in.CrashAt(time.Second, 3)
 	in.CrashAt(2*time.Second, 3)
 	in.RebootAt(3*time.Second, 3)
@@ -77,7 +77,7 @@ func TestCrashIsIdempotent(t *testing.T) {
 func TestLinkBlackoutAndPartition(t *testing.T) {
 	s := sim.New(1)
 	ft := newFakeTarget()
-	in := New(s, ft)
+	in := New(s, s.Rand(), ft)
 
 	in.LinkDownAt(time.Second, 1, 2)
 	in.LinkUpAt(2*time.Second, 1, 2)
@@ -114,7 +114,7 @@ func TestEnergyDepletionKillsPermanently(t *testing.T) {
 	ft := newFakeTarget()
 	// Energy grows linearly: 1 unit per simulated second.
 	ft.energy = func(uint32) float64 { return s.Now().Seconds() }
-	in := New(s, ft)
+	in := New(s, s.Rand(), ft)
 	in.DepleteEnergy(5, 100, time.Second)
 	s.RunUntil(10 * time.Minute)
 	if len(ft.crashes) != 1 || ft.crashes[0] != 5 {
@@ -132,7 +132,7 @@ func TestEnergyDepletionKillsPermanently(t *testing.T) {
 func TestChurnRespectsWindowAndHeals(t *testing.T) {
 	s := sim.New(42)
 	ft := newFakeTarget()
-	in := New(s, ft)
+	in := New(s, s.Rand(), ft)
 	cfg := ChurnConfig{
 		Start: time.Minute,
 		Stop:  11 * time.Minute,
@@ -168,7 +168,7 @@ func TestChurnRespectsWindowAndHeals(t *testing.T) {
 func TestChurnIsDeterministic(t *testing.T) {
 	run := func() []Event {
 		s := sim.New(7)
-		in := New(s, newFakeTarget())
+		in := New(s, s.Rand(), newFakeTarget())
 		in.Churn(ChurnConfig{
 			Start: 0, Stop: 20 * time.Minute,
 			MTBF: 3 * time.Minute, MTTR: time.Minute,
@@ -190,7 +190,7 @@ func TestChurnIsDeterministic(t *testing.T) {
 
 func TestChurnValidation(t *testing.T) {
 	s := sim.New(1)
-	in := New(s, newFakeTarget())
+	in := New(s, s.Rand(), newFakeTarget())
 	for _, cfg := range []ChurnConfig{
 		{Start: 0, Stop: time.Minute, MTBF: 0, MTTR: time.Second, Nodes: []uint32{1}},
 		{Start: time.Minute, Stop: time.Minute, MTBF: time.Second, MTTR: time.Second, Nodes: []uint32{1}},

@@ -10,7 +10,7 @@ import (
 )
 
 // dutyPair builds two nodes whose MACs duty-cycle with the given fraction.
-func dutyPair(seed int64, duty float64) (*sim.Scheduler, *Mac, *Mac, *rxLog) {
+func dutyPair(seed int64, duty float64) (*sim.Engine, *Mac, *Mac, *rxLog) {
 	s := sim.New(seed)
 	ch := radio.NewChannel(s, topo.Line(2, 5), radio.PerfectParams())
 	p := DefaultParams()

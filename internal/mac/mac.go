@@ -43,9 +43,7 @@ type Params struct {
 	// delay between a clear carrier-sense decision and energy on the air.
 	// The transmission is committed when carrier sense passes and cannot
 	// be aborted during the turnaround, exactly like the paper's
-	// Radiometrix hardware. The sharded kernel also uses it as lookahead:
-	// turnaround plus propagation bounds how soon one node's decision can
-	// affect another. Zero means DefaultTxTurnaround.
+	// Radiometrix hardware. Zero means DefaultTxTurnaround.
 	TxTurnaround time.Duration
 	// DutyCycle enables energy-aware duty cycling (the paper's section
 	// 6.1 analysis: "energy-conscious protocols like PAMAS or TDMA are
@@ -239,8 +237,7 @@ func (p *partial) expire() {
 
 // Attach creates a Mac for node id on the channel, delivering reassembled
 // messages to h. env must be the node's own scheduling context (its
-// sim.Port under the sharded kernel; a Scheduler works directly in unit
-// tests).
+// sim.Port).
 func Attach(env sim.Env, ch *radio.Channel, id uint32, p Params, h Handler) *Mac {
 	validate(p)
 	m := &Mac{env: env, params: p, handler: h, reasm: map[reasmKey]*partial{}}
@@ -485,9 +482,8 @@ func (m *Mac) attempt() {
 	}
 	// Carrier is clear: commit the transmission. After the turnaround the
 	// fragment goes on the air regardless of what the channel does in the
-	// meantime — the hardware cannot abort a committed send, and the
-	// committed timestamp is what gives the sharded kernel its lookahead.
-	m.env.ArmTx(&m.fireEv, m.params.Turnaround())
+	// meantime — the hardware cannot abort a committed send.
+	m.env.Arm(&m.fireEv, m.params.Turnaround())
 }
 
 // fire puts the head fragment on the air (a committed transmission) and

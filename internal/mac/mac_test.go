@@ -28,7 +28,7 @@ func (r *rxLog) handler() Handler {
 }
 
 // twoNodes builds a 2-node link with the given channel params.
-func twoNodes(seed int64, rp radio.Params) (*sim.Scheduler, *Mac, *Mac, *rxLog, *rxLog) {
+func twoNodes(seed int64, rp radio.Params) (*sim.Engine, *Mac, *Mac, *rxLog, *rxLog) {
 	s := sim.New(seed)
 	ch := radio.NewChannel(s, topo.Line(2, 5), rp)
 	l1, l2 := &rxLog{}, &rxLog{}

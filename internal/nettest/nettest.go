@@ -21,7 +21,7 @@ type Receiver interface {
 
 // Net is an in-memory network of diffusion nodes.
 type Net struct {
-	Sched *sim.Scheduler
+	Sched *sim.Engine
 	Nodes map[uint32]*core.Node
 	recvs map[uint32]Receiver
 	adj   map[uint32]map[uint32]bool

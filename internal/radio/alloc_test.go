@@ -12,7 +12,7 @@ import (
 
 // One frame heard by eight receivers allocates its one data copy and
 // nothing per reception: the reception records and both of each one's
-// events come from the shard's free list.
+// events come from the channel's free list.
 func TestAllocsTransmitSteadyState(t *testing.T) {
 	s := sim.New(1)
 	c := NewChannel(s, topo.Grid(3, 3, 5), PerfectParams())
@@ -28,7 +28,7 @@ func TestAllocsTransmitSteadyState(t *testing.T) {
 	var tx sim.Event
 	tx.Bind(func() { center.Transmit(payload) })
 	round := func() {
-		s.ArmTx(&tx, time.Millisecond)
+		s.Arm(&tx, time.Millisecond)
 		s.Run()
 	}
 	round() // fill the free list

@@ -18,15 +18,13 @@
 //     other there (no capture), and a half-duplex transceiver cannot
 //     receive while sending — together these reproduce hidden terminals.
 //
-// The channel runs on any sim.Executor. Every stream of randomness is
-// derived per directed link from the master seed (sim.LinkStream), and all
-// link state is owned by exactly one node's context — the receiver for
-// Gilbert–Elliott evolution and loss draws, fault-injection (global)
-// events for blackout flags — so the sharded kernel can execute
-// transceivers in parallel without locks and still reproduce sequential
-// runs bit for bit. Cross-node delivery goes through Port.ArmRemote with the
-// propagation delay, which is exactly the lookahead the conservative kernel
-// schedules against.
+// The channel runs on a sim.Engine. Every stream of randomness is derived
+// per directed link from the master seed (sim.LinkStream), and all link
+// state is owned by exactly one node's context — the receiver for
+// Gilbert–Elliott evolution and loss draws, fault-injection (global) events
+// for blackout flags — so traffic on one link never perturbs another's
+// draws. Cross-node delivery goes through Port.ArmRemote with the
+// propagation delay.
 package radio
 
 import (
@@ -111,7 +109,7 @@ type Handler func(from uint32, payload []byte)
 
 // Channel is the shared medium.
 type Channel struct {
-	eng    sim.Executor
+	eng    *sim.Engine
 	params Params
 	topo   *topo.Topology
 	nodes  map[uint32]*Transceiver
@@ -120,9 +118,8 @@ type Channel struct {
 	// receivers a transmission must be scheduled at. Precomputing it makes
 	// Transmit O(neighbors) instead of O(nodes).
 	out map[uint32][]outLink
-	// pools holds one reception free list per event shard, indexed by
-	// Port.Shard; see recPool.
-	pools []*recPool
+	// free is the free list of reception records; see getReception.
+	free *reception
 }
 
 // ChannelStats aggregates medium-wide counters.
@@ -179,9 +176,9 @@ func (p Params) audibleCutoff() float64 {
 	return p.MaxRange + 6*p.AsymmetrySigma
 }
 
-// NewChannel builds a channel over the given topology on the executor. All
-// randomness comes from per-link streams derived from the executor's seed.
-func NewChannel(x sim.Executor, tp *topo.Topology, p Params) *Channel {
+// NewChannel builds a channel over the given topology on the engine. All
+// randomness comes from per-link streams derived from the engine's seed.
+func NewChannel(x *sim.Engine, tp *topo.Topology, p Params) *Channel {
 	if p.BitRate <= 0 {
 		panic("radio: BitRate must be positive")
 	}
@@ -245,10 +242,6 @@ func (c *Channel) Attach(id uint32, h Handler) *Transceiver {
 		panic(fmt.Sprintf("radio: node %d already attached", id))
 	}
 	t := &Transceiver{ch: c, id: id, port: c.eng.Port(id), handler: h}
-	for len(c.pools) <= t.port.Shard() {
-		c.pools = append(c.pools, &recPool{})
-	}
-	t.pool = c.pools[t.port.Shard()]
 	c.nodes[id] = t
 	return t
 }
@@ -357,7 +350,6 @@ type Transceiver struct {
 	ch      *Channel
 	id      uint32
 	port    sim.Port
-	pool    *recPool // this node's shard's free list
 	handler Handler
 
 	txUntil time.Duration // end of our own transmission
@@ -367,7 +359,7 @@ type Transceiver struct {
 	// chStats is this node's contribution to the medium-wide counters:
 	// sender-side counts (sent, blackout) accumulate at the transmitter,
 	// receiver-side counts (delivered, lost, collided, half-duplex) at the
-	// receiver — so no counter is shared across shard boundaries.
+	// receiver — so every counter has one writer.
 	chStats ChannelStats
 }
 
@@ -422,41 +414,32 @@ func (r *reception) fire() {
 	r.rx.endReception(r)
 }
 
-// recPool is one event shard's free list of reception records. A sender
-// takes from its own shard's list and the receiver returns to its own
-// shard's, so each list is touched only by its shard's worker and needs no
-// lock; symmetric links keep the lists level. The list is per shard, not
-// per transceiver or per link: a list per transceiver keeps every node's
-// own peak alive (live heap +42 % on the 1024-node grid in a prototype,
-// against +2 % per shard), and a record per directed link cannot be reused
+// getReception takes a record from the channel's free list. The list is
+// per channel, not per transceiver or per link: a list per transceiver keeps
+// every node's own peak alive (live heap +42 % on the 1024-node grid in a
+// prototype, against +2 %), and a record per directed link cannot be reused
 // back to back (the next arrival is armed while the last end-of-frame is
 // still pending).
-type recPool struct {
-	free *reception
-	_    [56]byte // own cache line: workers of adjacent shards push and pop concurrently
-}
-
-func (p *recPool) get() *reception {
-	r := p.free
+func (c *Channel) getReception() *reception {
+	r := c.free
 	if r == nil {
 		r = &reception{}
 		r.ev.Bind(r.fire)
 		return r
 	}
-	p.free, r.next = r.next, nil
+	c.free, r.next = r.next, nil
 	return r
 }
 
-func (p *recPool) put(r *reception) {
+func (c *Channel) putReception(r *reception) {
 	r.data, r.begun, r.collided = nil, false, false
-	r.next, p.free = p.free, r
+	r.next, c.free = c.free, r
 }
 
 // Transmit broadcasts payload on the medium. It returns the airtime. The
 // caller (the MAC) must not call Transmit again until the airtime elapses;
 // doing so panics, because it indicates a MAC bug rather than a channel
-// condition. Under the sharded kernel, Transmit is only legal inside a
-// transmission-commit (AfterTx) event.
+// condition.
 func (t *Transceiver) Transmit(payload []byte) time.Duration {
 	c := t.ch
 	now := t.port.Now()
@@ -487,7 +470,7 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 			t.chStats.FramesBlackout++
 			continue
 		}
-		rec := t.pool.get()
+		rec := c.getReception()
 		rec.rx, rec.from, rec.l, rec.data, rec.air = rx, t.id, l, data, air
 		t.port.ArmRemote(ol.to, &rec.ev, c.params.PropDelay)
 	}
@@ -523,7 +506,7 @@ func (t *Transceiver) endReception(rec *reception) {
 	c, l, from, data, air, collided := t.ch, rec.l, rec.from, rec.data, rec.air, rec.collided
 	t.rxCount--
 	t.removeOngoing(rec)
-	t.pool.put(rec)
+	c.putReception(rec)
 	now := t.port.Now()
 	// Half-duplex: if we transmitted during any part of the reception
 	// window, the frame is missed.

@@ -10,7 +10,7 @@ import (
 )
 
 // pair builds a two-node channel at the given separation.
-func pair(t *testing.T, dist float64, p Params, seed int64) (*sim.Scheduler, *Channel, *Transceiver, *Transceiver, *[]string) {
+func pair(t *testing.T, dist float64, p Params, seed int64) (*sim.Engine, *Channel, *Transceiver, *Transceiver, *[]string) {
 	t.Helper()
 	tp := topo.New("pair")
 	tp.Add(topo.Node{ID: 1, X: 0})

@@ -142,7 +142,7 @@ func (l *Loop) After(d time.Duration, fn func()) sim.Timer {
 }
 
 // Every schedules fn at now+d and then every period thereafter until the
-// returned timer is cancelled, matching sim.Executor.Every. It panics when
+// returned timer is cancelled, matching sim.Engine.Every. It panics when
 // period is not positive.
 func (l *Loop) Every(d, period time.Duration, fn func()) sim.Timer {
 	if period <= 0 {

@@ -11,18 +11,18 @@ import (
 // allocate exactly the one record they arm (the callbacks here are built
 // once, so none of the count is the caller's closure).
 func TestAllocsArmAndAfter(t *testing.T) {
-	for _, x := range bothEngines() {
+	for _, x := range bothContexts() {
 		ran := 0
 		fn := func() { ran++ }
-		e, tx := bound(fn), bound(fn)
+		e, e2 := bound(fn), bound(fn)
 		x.env.Arm(e, time.Millisecond) // grow the queue once
 		x.run()
 		if n := testing.AllocsPerRun(100, func() {
 			x.env.Arm(e, time.Millisecond)
-			x.env.ArmTx(tx, time.Millisecond)
+			x.env.Arm(e2, time.Millisecond)
 			x.run()
 		}); n != 0 {
-			t.Errorf("%s: Arm + ArmTx + run allocate %.0f, want 0", x.name, n)
+			t.Errorf("%s: Arm twice + run allocate %.0f, want 0", x.name, n)
 		}
 		if n := testing.AllocsPerRun(100, func() {
 			x.env.After(time.Millisecond, fn)
@@ -36,21 +36,20 @@ func TestAllocsArmAndAfter(t *testing.T) {
 	}
 }
 
-// A cross-node record costs nothing either: the outbox and the target's
-// queue keep their arrays.
+// A cross-node record costs nothing either.
 func TestAllocsArmRemote(t *testing.T) {
-	k := newTestKernel(1, 2, 2)
+	k := newTestEngine(1, 2)
 	p := k.Port(1)
 	ran := 0
 	rx := bound(func() { ran++ })
 	tx := bound(func() { p.ArmRemote(2, rx, 3*time.Microsecond) })
 	round := func() {
-		p.ArmTx(tx, time.Millisecond)
+		p.Arm(tx, time.Millisecond)
 		k.Run()
 	}
 	round()
 	if n := testing.AllocsPerRun(100, round); n != 0 {
-		t.Errorf("ArmTx + ArmRemote + run allocate %.0f, want 0", n)
+		t.Errorf("Arm + ArmRemote + run allocate %.0f, want 0", n)
 	}
 	if ran != 102 {
 		t.Errorf("ran %d remote callbacks, want 102", ran)

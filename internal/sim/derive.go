@@ -7,9 +7,8 @@ import "math/rand"
 // from the master seed and a tag path with a splitmix64-style mixer, so:
 //
 //   - adding or removing a stream never perturbs any other stream, and
-//   - no stream's draws depend on event execution order, which is what
-//     lets the Kernel run node logic on different shards and still
-//     reproduce a sequential run bit for bit.
+//   - no stream's draws depend on the order in which other contexts'
+//     events execute.
 
 // splitmix64 advances a splitmix64 state and returns the mixed output.
 func splitmix64(state *uint64) uint64 {

@@ -1,23 +1,23 @@
-// Package sim provides the deterministic discrete-event engines that
-// substitute for the paper's wall-clock testbed runs. Node logic is written
+// Package sim provides the deterministic discrete-event engine that
+// substitutes for the paper's wall-clock testbed runs. Node logic is written
 // against the Clock interface and never blocks; events execute in virtual-
 // time order, so a 30-minute experiment completes in milliseconds and every
 // run is reproducible from its seed.
 //
-// Two engines implement the Executor interface:
-//
-//   - Scheduler: the single-queue event loop mirroring the paper's
-//     single-threaded daemon. Simple, and the reference for unit tests.
-//   - Kernel (kernel.go): a sharded conservative parallel engine that
-//     executes the same canonical event order across any shard count, so
-//     parallel runs are bit-for-bit identical to sequential ones.
+// There is one Engine: one heap of pending events in canonical order
+// (heap.go), popped by one loop on the caller's goroutine — the paper's
+// single-threaded event-driven daemon (section 4.1). Each node schedules
+// through its own Port, with its own sequence counters and its own derived
+// random stream (derive.go); the Engine itself is the global context of
+// experiment drivers and fault injection.
 //
 // A RealClock implementation of the same Clock interface lets identical
 // node code run live on goroutine timers: internal/transport's link
-// engines run on it in a live endpoint and on a Scheduler under test.
+// engines run on it in a live endpoint and on an Engine under test.
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 )
@@ -38,157 +38,139 @@ type Timer interface {
 	Cancel() bool
 }
 
-// Env is the scheduling surface one node's protocol stack runs against: a
-// clock, a deterministic random stream, and the transmission-commit timer.
+// Env is the scheduling surface one context's code runs against: a clock,
+// caller-owned event records and a deterministic random stream.
 type Env interface {
 	Clock
-	// AfterTx schedules a transmission-commit event: the only kind of
-	// event allowed to put a frame on the air (and hence to schedule
-	// cross-node work). Engines may clamp d up to the configured radio
-	// turnaround time; the MAC models that turnaround explicitly, so the
-	// clamp is never hit in practice.
-	AfterTx(d time.Duration, fn func()) Timer
 	// Arm schedules the caller-owned record e to fire d from now in this
-	// context; After is Arm on a freshly allocated record. e must be bound
-	// and must not be pending (Arm panics if it is); see Event for who owns
-	// a record when.
+	// context (negative d is treated as zero); After is Arm on a freshly
+	// allocated record. e must be bound and must not be pending (Arm panics
+	// if it is); see Event for who owns a record when.
 	Arm(e *Event, d time.Duration)
-	// ArmTx is Arm for a transmission-commit event (see AfterTx).
-	ArmTx(e *Event, d time.Duration)
 	// Rand returns the stream all of this context's randomness must come
 	// from, so runs are reproducible.
 	Rand() *rand.Rand
 }
 
 // Port is one node's scheduling handle. Everything a node schedules goes
-// through its own Port; cross-node effects go through ArmRemote, which is
-// how the Kernel keeps shards from touching each other's queues.
+// through its own Port; cross-node effects go through ArmRemote.
 type Port interface {
 	Env
 	// ArmRemote schedules the record e to fire in node to's context, d from
-	// now. It may only be called from within a transmission-commit (ArmTx,
-	// AfterTx) event, and d must be at least the engine's configured
-	// propagation delay — together these give the conservative engine its
-	// lookahead. e must be bound and idle, as for Arm. Arming hands e over:
-	// the caller must not touch it again (not even to Cancel it), and from
-	// the moment its callback runs it belongs to node to's context, which
-	// may re-arm it on its own Port.
+	// now; to must have a Port. e must be bound and idle, as for Arm. Arming
+	// hands e over: the caller must not touch it again (not even to Cancel
+	// it), and from the moment its callback runs it belongs to node to's
+	// context, which may re-arm it on its own Port.
 	ArmRemote(to uint32, e *Event, d time.Duration)
-	// Shard returns the index of the event shard that executes this node
-	// (always 0 on the Scheduler). State indexed by it — a free list, say —
-	// is touched by one worker at a time without locks.
-	Shard() int
 }
 
-// Executor is a deterministic discrete-event engine: the global (network-
-// scoped) scheduling context plus per-node ports. Scheduler and Kernel
-// implement it.
-type Executor interface {
-	Clock
-	// Rand returns the global random stream (fault injection, experiment
-	// drivers). Node-scoped code must use its Port's stream instead.
-	Rand() *rand.Rand
-	// Every schedules fn at now+d and then every period thereafter until
-	// the returned Timer is cancelled. It panics when period is not
-	// positive (a zero period would re-arm at the same timestamp forever,
-	// livelocking the event loop).
-	Every(d, period time.Duration, fn func()) Timer
-	// Port returns node id's scheduling handle.
-	Port(id uint32) Port
-	// DeriveRand returns an independent deterministic stream derived from
-	// the engine's seed and a tag path (see DeriveSeed).
-	DeriveRand(tags ...uint64) *rand.Rand
-	// RunUntil executes events with timestamps <= t, then advances the
-	// clock to t.
-	RunUntil(t time.Duration)
-	// Run executes events until none remain (or Stop is called).
-	Run()
-	// Stop halts the event loop.
-	Stop()
-	// NextEventAt returns the timestamp of the next live event, or
-	// ok=false when no events are queued.
-	NextEventAt() (time.Duration, bool)
-	// Pending returns the number of live queued events (diagnostics).
-	Pending() int
-}
-
-// Scheduler is the single-queue deterministic executor implementing Clock.
-// It is not safe for concurrent use; all node logic runs inside its event
-// loop, exactly like the paper's single-threaded event-driven daemon.
-type Scheduler struct {
+// Engine is the deterministic discrete-event executor, and itself the
+// global (network-scoped) scheduling context: at equal timestamps its events
+// run before any node's. It is not safe for concurrent use; all node logic
+// runs inside its event loop, exactly like the paper's single-threaded
+// event-driven daemon.
+type Engine struct {
 	seed    int64
 	now     time.Duration
 	events  eventHeap
-	seq     uint64
+	seq     uint64 // global-context event sequence
 	rng     *rand.Rand
+	nodes   map[uint32]*nodePort
 	stopped bool
 }
 
-// New returns a Scheduler whose randomness derives entirely from seed.
-func New(seed int64) *Scheduler {
-	return &Scheduler{seed: seed, rng: rand.New(rand.NewSource(seed))}
+// New returns an Engine whose randomness derives entirely from seed.
+func New(seed int64) *Engine {
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), nodes: map[uint32]*nodePort{}}
 }
 
-// Now returns the current virtual time.
-func (s *Scheduler) Now() time.Duration { return s.now }
+// Now returns the current virtual time: the executing event's timestamp.
+func (s *Engine) Now() time.Duration { return s.now }
 
-// Rand returns the scheduler's seeded random source. All simulation
-// randomness (jitter, loss draws, backoff) must come from here so runs are
-// reproducible.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// Rand returns the global context's random stream, seeded directly with
+// the engine's seed. Node-scoped code must use its Port's stream instead.
+func (s *Engine) Rand() *rand.Rand { return s.rng }
 
-// DeriveRand returns an independent stream derived from the scheduler's
-// seed and a tag path.
-func (s *Scheduler) DeriveRand(tags ...uint64) *rand.Rand {
+// DeriveRand returns an independent deterministic stream derived from the
+// engine's seed and a tag path (see DeriveSeed).
+func (s *Engine) DeriveRand(tags ...uint64) *rand.Rand {
 	return newDerivedRand(s.seed, tags...)
 }
 
-// After schedules fn at now+d. Negative d is treated as zero.
-func (s *Scheduler) After(d time.Duration, fn func()) Timer {
+// After schedules fn in global context at now+d.
+func (s *Engine) After(d time.Duration, fn func()) Timer {
 	e := &Event{fn: fn}
 	s.Arm(e, d)
 	return e
 }
 
-// AfterTx schedules a transmission-commit event. On the single-queue
-// Scheduler it is equivalent to After; the Kernel uses the tx tag to bound
-// its conservative windows.
-func (s *Scheduler) AfterTx(d time.Duration, fn func()) Timer {
-	return s.After(d, fn)
+// Arm schedules the caller-owned record e in global context at now+d.
+func (s *Engine) Arm(e *Event, d time.Duration) {
+	s.seq++
+	s.events.push(e, newKey(s.at(d), kindGlobal, 0, s.seq))
 }
 
-// Arm schedules the caller-owned record e at now+d (negative d is treated
-// as zero). It panics if e is pending.
-func (s *Scheduler) Arm(e *Event, d time.Duration) {
+// Every schedules fn in global context at now+d and then every period
+// thereafter until the returned Timer is cancelled. It panics when period
+// is not positive: re-arming at the same timestamp would livelock the
+// event loop.
+func (s *Engine) Every(d, period time.Duration, fn func()) Timer {
+	return Every(s, d, period, fn)
+}
+
+// at returns the timestamp d from now, treating negative d as zero.
+func (s *Engine) at(d time.Duration) time.Duration {
 	if d < 0 {
 		d = 0
 	}
-	s.seq++
-	e.claim(&s.events, newKey(s.now+d, kindGlobal, 0, s.seq), false)
-	s.events.push(e)
+	return s.now + d
 }
 
-// ArmTx is Arm: the single queue needs no transmission-commit tag.
-func (s *Scheduler) ArmTx(e *Event, d time.Duration) { s.Arm(e, d) }
+// Port returns node id's scheduling handle, creating it on first use. The
+// node's random stream is derived from the seed and the id alone.
+func (s *Engine) Port(id uint32) Port {
+	p, ok := s.nodes[id]
+	if !ok {
+		p = &nodePort{eng: s, id: id, rng: newDerivedRand(s.seed, NodeStream(id)...)}
+		s.nodes[id] = p
+	}
+	return p
+}
 
-// Port returns a scheduling handle for node id. On the single-queue
-// Scheduler every port shares the one queue, clock and random stream, so
-// unit tests drive MACs and radios exactly as before sharding existed.
-func (s *Scheduler) Port(id uint32) Port { return schedPort{s} }
+// nodePort is one node's scheduling context: the single writer of the
+// sequence numbers in its events' keys.
+type nodePort struct {
+	eng  *Engine
+	id   uint32
+	seq  uint64 // local event sequence
+	rseq uint64 // remote send sequence
+	rng  *rand.Rand
+}
 
-// schedPort adapts the Scheduler to the Port interface: the one queue is
-// every node's context, so a remote record is an ordinary one.
-type schedPort struct{ *Scheduler }
+func (p *nodePort) Now() time.Duration { return p.eng.now }
+func (p *nodePort) Rand() *rand.Rand   { return p.rng }
 
-func (p schedPort) Shard() int                                     { return 0 }
-func (p schedPort) ArmRemote(to uint32, e *Event, d time.Duration) { p.Arm(e, d) }
+// After schedules fn in this node's context at now+d.
+func (p *nodePort) After(d time.Duration, fn func()) Timer {
+	e := &Event{fn: fn}
+	p.Arm(e, d)
+	return e
+}
 
-// Every schedules fn at now+d and then every period thereafter until the
-// returned Timer is cancelled. The first firing is at now+d. It panics when
-// period is not positive: re-arming at the same timestamp would livelock
-// the event loop.
-func (s *Scheduler) Every(d, period time.Duration, fn func()) Timer {
-	return Every(s, d, period, fn)
+// Arm schedules the caller-owned record e in this node's context at now+d.
+func (p *nodePort) Arm(e *Event, d time.Duration) {
+	p.seq++
+	p.eng.events.push(e, newKey(p.eng.at(d), kindLocal, p.id, p.seq))
+}
+
+// ArmRemote schedules e in node to's context at now+d. It panics if to has
+// no Port or e is pending; once armed, e belongs to the target's context.
+func (p *nodePort) ArmRemote(to uint32, e *Event, d time.Duration) {
+	if _, ok := p.eng.nodes[to]; !ok {
+		panic(fmt.Sprintf("sim: ArmRemote to unregistered node %d", to))
+	}
+	p.rseq++
+	p.eng.events.push(e, newKey(p.eng.at(d), kindRemote, p.id, p.rseq))
 }
 
 // Every schedules fn on any Clock at now+d and then every period
@@ -231,8 +213,8 @@ func (r *repeatTimer) Cancel() bool {
 }
 
 // Step executes the next pending event. It reports false when no events
-// remain or the scheduler is stopped.
-func (s *Scheduler) Step() bool {
+// remain or the engine is stopped.
+func (s *Engine) Step() bool {
 	if s.stopped {
 		return false
 	}
@@ -249,14 +231,14 @@ func (s *Scheduler) Step() bool {
 
 // Run executes events until none remain (or Stop is called). Use RunUntil
 // for open-ended workloads with repeating timers.
-func (s *Scheduler) Run() {
+func (s *Engine) Run() {
 	for s.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Pending later events remain queued.
-func (s *Scheduler) RunUntil(t time.Duration) {
+func (s *Engine) RunUntil(t time.Duration) {
 	for !s.stopped {
 		ev := s.events.peek()
 		if ev == nil || ev.key.at > t {
@@ -270,12 +252,12 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 }
 
 // Stop halts the event loop; subsequent Step calls return false.
-func (s *Scheduler) Stop() { s.stopped = true }
+func (s *Engine) Stop() { s.stopped = true }
 
 // NextEventAt returns the timestamp of the next live event, or ok=false
 // when the queue is empty. Real-time pacing drivers use it to sleep until
 // the wall clock catches up with virtual time.
-func (s *Scheduler) NextEventAt() (time.Duration, bool) {
+func (s *Engine) NextEventAt() (time.Duration, bool) {
 	ev := s.events.peek()
 	if ev == nil {
 		return 0, false
@@ -285,7 +267,7 @@ func (s *Scheduler) NextEventAt() (time.Duration, bool) {
 
 // Pending returns the number of queued events (diagnostics). It is O(1):
 // the heap holds exactly the pending events.
-func (s *Scheduler) Pending() int { return len(s.events.s) }
+func (s *Engine) Pending() int { return len(s.events.s) }
 
 // RealClock implements Clock over the wall clock, so the same node logic
 // can run live. It is safe for concurrent use; callbacks run on the Go

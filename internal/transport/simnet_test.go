@@ -12,12 +12,12 @@ import (
 
 // simNet is the virtual-time harness the protocol tests run on: endpoints
 // built by newUDP — the same driver and engines ListenUDP builds — over
-// one sim.Scheduler and an in-memory wire, all on the test's goroutine.
+// one sim.Engine and an in-memory wire, all on the test's goroutine.
 // Time moves only when a test calls run, so "three announce intervals"
 // is exact, and a run is a pure function of the seeds and the schedule.
 type simNet struct {
 	t      testing.TB
-	sched  *sim.Scheduler
+	sched  *sim.Engine
 	delay  time.Duration // one-way wire delay
 	nodes  map[netip.AddrPort]*UDP
 	peers  map[netip.AddrPort]*simPeer

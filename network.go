@@ -3,6 +3,7 @@ package diffusion
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
 	"diffusion/internal/core"
@@ -128,12 +129,6 @@ type NetworkConfig struct {
 	// motes (second tier) instead of full diffusion nodes. Access them
 	// with Mote(id); bridge the tiers with NewGateway.
 	MoteNodes []uint32
-	// Shards is the number of parallel event shards (sim.Kernel). Zero or
-	// one runs the classic sequential path; any value produces bit-for-bit
-	// identical results — sharding only changes wall-clock time. Clamped
-	// to the node count. Networks with MoteNodes force one shard: a
-	// gateway couples a node and a mote into one event context.
-	Shards int
 }
 
 // Network is a simulated sensor network: one diffusion node per topology
@@ -141,7 +136,8 @@ type NetworkConfig struct {
 // clock.
 type Network struct {
 	cfg     NetworkConfig
-	kern    *sim.Kernel
+	eng     *sim.Engine
+	rng     *rand.Rand // global stream (fault injection), derived from the seed
 	channel *radio.Channel
 	nodes   map[uint32]*Node
 	motes   map[uint32]*Mote
@@ -195,39 +191,18 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	if cfg.MAC != nil {
 		mp = *cfg.MAC
 	}
-	if rp.PropDelay <= 0 {
-		// The kernel's conservative lookahead needs a positive propagation
-		// delay; a nanosecond keeps zero-delay configs running unchanged.
-		rp.PropDelay = time.Nanosecond
-	}
-	shards := cfg.Shards
-	if len(cfg.MoteNodes) > 0 {
-		// A gateway hands messages between a node and a mote synchronously,
-		// coupling two event contexts; run those networks sequentially.
-		shards = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if n := cfg.Topology.Len(); n > 0 && shards > n {
-		shards = n
-	}
-	kern := sim.NewKernel(sim.KernelConfig{
-		Seed:         cfg.Seed,
-		Shards:       shards,
-		Propagation:  rp.PropDelay,
-		TxTurnaround: mp.Turnaround(),
-	})
+	eng := sim.New(cfg.Seed)
 	net := &Network{
 		cfg:     cfg,
-		kern:    kern,
-		channel: radio.NewChannel(kern, cfg.Topology, rp),
+		eng:     eng,
+		rng:     eng.DeriveRand(),
+		channel: radio.NewChannel(eng, cfg.Topology, rp),
 		nodes:   map[uint32]*Node{},
 		motes:   map[uint32]*Mote{},
 		ports:   map[uint32]sim.Port{},
 		order:   cfg.Topology.IDs(),
 		down:    map[uint32]bool{},
-		hub:     telemetry.NewHub(kern.Now),
+		hub:     telemetry.NewHub(eng.Now),
 		regs:    map[uint32]*telemetry.Registry{},
 		flights: map[uint32]*telemetry.Flight{},
 		spans:   map[uint32]*telemetry.SpanRing{},
@@ -237,11 +212,8 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	for _, id := range cfg.MoteNodes {
 		moteSet[id] = true
 	}
-	// Topology-aware shard assignment: contiguous spatial strips, so most
-	// radio neighborhoods stay shard-local.
-	partition := cfg.Topology.Partition(shards)
 	for _, id := range net.order {
-		port := kern.AddNode(id, partition[id])
+		port := eng.Port(id)
 		net.ports[id] = port
 		reg := telemetry.NewRegistry(fmt.Sprintf("node-%d", id))
 		net.hub.Register(reg)
@@ -327,7 +299,7 @@ func (net *Network) instrumentLink(reg *telemetry.Registry, m *mac.Mac) {
 	m.Radio().Instrument(reg)
 	reg.AddCollector(func(emit func(string, float64)) {
 		st := m.Radio().Stats
-		b := energy.PaperRatios().Measured(st.TxTime, st.RxTime, net.kern.Now(), 1.0)
+		b := energy.PaperRatios().Measured(st.TxTime, st.RxTime, net.eng.Now(), 1.0)
 		emit("energy.listen_j", b.Listen)
 		emit("energy.receive_j", b.Receive)
 		emit("energy.send_j", b.Send)
@@ -376,16 +348,13 @@ func (net *Network) IDs() []uint32 {
 
 // Clock returns the network's global clock, for timers in experiment
 // drivers and application setup code. Code running inside a node's
-// callbacks must use that node's own clock (NodeEnv) — under a parallel
-// kernel, scheduling globally from node context panics.
-func (net *Network) Clock() sim.Clock { return net.kern }
+// callbacks should use that node's own clock (NodeEnv), which orders its
+// events with the node's rather than ahead of every node's.
+func (net *Network) Clock() sim.Clock { return net.eng }
 
-// Executor exposes the discrete-event engine.
-func (net *Network) Executor() sim.Executor { return net.kern }
-
-// NodeEnv returns the scheduling context of one node: its clock, random
-// stream and transmission timer. Per-node services (filters, responders)
-// run on it. Panics on unknown IDs.
+// NodeEnv returns the scheduling context of one node: its clock, event
+// records and random stream. Per-node services (filters, responders) run on
+// it. Panics on unknown IDs.
 func (net *Network) NodeEnv(id uint32) sim.Port {
 	p, ok := net.ports[id]
 	if !ok {
@@ -395,22 +364,22 @@ func (net *Network) NodeEnv(id uint32) sim.Port {
 }
 
 // Now returns the current simulated time.
-func (net *Network) Now() time.Duration { return net.kern.Now() }
+func (net *Network) Now() time.Duration { return net.eng.Now() }
 
 // After schedules fn once, d from now, in global context.
 func (net *Network) After(d time.Duration, fn func()) sim.Timer {
-	return net.kern.After(d, fn)
+	return net.eng.After(d, fn)
 }
 
 // Every schedules fn every period (first firing after one period), in
 // global context.
 func (net *Network) Every(period time.Duration, fn func()) sim.Timer {
-	return net.kern.Every(period, period, fn)
+	return net.eng.Every(period, period, fn)
 }
 
 // Run advances the simulation by d of virtual time.
 func (net *Network) Run(d time.Duration) {
-	net.kern.RunUntil(net.kern.Now() + d)
+	net.eng.RunUntil(net.eng.Now() + d)
 }
 
 // RunRealtime advances the simulation by d of virtual time, pacing event
@@ -424,11 +393,11 @@ func (net *Network) RunRealtime(d time.Duration, speed float64) {
 		net.Run(d)
 		return
 	}
-	horizon := net.kern.Now() + d
+	horizon := net.eng.Now() + d
 	wallStart := time.Now()
-	virtStart := net.kern.Now()
+	virtStart := net.eng.Now()
 	for {
-		at, ok := net.kern.NextEventAt()
+		at, ok := net.eng.NextEventAt()
 		if !ok || at > horizon {
 			break
 		}
@@ -436,9 +405,9 @@ func (net *Network) RunRealtime(d time.Duration, speed float64) {
 		if wait > 0 {
 			time.Sleep(wait)
 		}
-		net.kern.RunUntil(at)
+		net.eng.RunUntil(at)
 	}
-	net.kern.RunUntil(horizon)
+	net.eng.RunUntil(horizon)
 }
 
 // ChannelStats returns medium-wide radio counters (collisions, losses).

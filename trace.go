@@ -21,17 +21,15 @@ import (
 type Trace struct {
 	net *Network
 	// Recording is per node: each node's filter appends to its own buffer
-	// on its own clock, so under the sharded kernel nodes on different
-	// shards record concurrently without sharing state, and the recorded
-	// timestamps are exact event times at any shard count. Events reads
-	// the buffers merged into one canonical timeline.
+	// on its own clock. Events reads the buffers merged into one canonical
+	// timeline.
 	bufs   map[uint32]*nodeTraceBuf
 	merged []TraceEvent // cached merge; rebuilt when stale
 	faults []FaultEvent
-	// limit bounds message events, divided evenly across the nodes (the
-	// per-node bound is what keeps recording shard-local); faults are far
-	// rarer and get their own bound so a chatty run cannot starve the
-	// fault record (or vice versa).
+	// limit bounds message events, divided evenly across the nodes, so a
+	// chatty node loses the end of its own view and nobody else's; faults
+	// are far rarer and get their own bound so a chatty run cannot starve
+	// the fault record (or vice versa).
 	limit      int
 	faultLimit int
 	// droppedFaults counts fault events lost to the fault bound; message
@@ -146,8 +144,7 @@ func (net *Network) NewTrace(limit int) *Trace {
 
 // Events returns the recorded events merged across nodes into one
 // canonical timeline — ordered by timestamp, ties broken by topology
-// position — independent of the kernel's shard layout (shared slice; do
-// not mutate).
+// position (shared slice; do not mutate).
 func (t *Trace) Events() []TraceEvent {
 	total := 0
 	for _, b := range t.bufs {
@@ -387,7 +384,7 @@ func (t *Trace) Header() TraceRunInfo {
 // (layer "core", verb "org"/"fwd"), fault events (layer "fault", the kind
 // as verb), and — when NetworkConfig.TraceSampling is on — flight-path
 // spans (non-zero flow field, layers core/mac/custody), merged in time
-// order. The merge is deterministic at any shard count.
+// order.
 func (t *Trace) Records() []TraceRecord {
 	events := t.Events()
 	out := make([]TraceRecord, 0, len(events)+len(t.faults))

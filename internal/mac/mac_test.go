@@ -337,6 +337,22 @@ func TestDetachDropsReassemblyState(t *testing.T) {
 	}
 }
 
+func TestDetachWhileFrameInFlight(t *testing.T) {
+	// Crash the RECEIVER while a single-fragment frame is in the air: the
+	// radio still ends the frame there, and the detached MAC drops it.
+	s, m1, m2, _, l2 := twoNodes(42, radio.PerfectParams())
+	m1.Send(Broadcast, []byte("short"))
+	for m1.Stats.FragmentsSent == 0 {
+		s.Step()
+	}
+	s.RunUntil(s.Now() + time.Millisecond) // mid-frame
+	m2.Detach()
+	s.RunUntil(s.Now() + time.Minute)
+	if len(l2.payloads) != 0 || m2.Stats.FragmentsReceived != 0 {
+		t.Errorf("a MAC detached mid-frame delivered %v (stats %+v)", l2.payloads, m2.Stats)
+	}
+}
+
 func TestRestartWhilePumpStepPending(t *testing.T) {
 	// Crash the SENDER mid-message and bring it straight back: the pump
 	// step that was pending must die with the queue, so the first Send
@@ -344,10 +360,12 @@ func TestRestartWhilePumpStepPending(t *testing.T) {
 	s, m1, _, _, l2 := twoNodes(43, radio.PerfectParams())
 	m1.Send(Broadcast, make([]byte, 100))
 	s.RunUntil(s.Now() + 60*time.Millisecond)
+	// Pending counts heap entries: the frame in the air is one (its
+	// end-of-frame fan-out), the pump step another, and only that one goes.
 	before := s.Pending()
 	m1.Detach()
-	if got := s.Pending(); got != before-1 {
-		t.Errorf("Detach left %d events pending, want %d (the pump step cancelled)", got, before-1)
+	if got := s.Pending(); got != before-1 || before < 2 {
+		t.Errorf("Detach left %d of %d heap entries, want %d (the pump step cancelled, the frame in flight kept)", got, before, before-1)
 	}
 	m1.Restart()
 	if err := m1.Send(Broadcast, []byte("fresh")); err != nil {

@@ -10,9 +10,10 @@ import (
 	"diffusion/internal/topo"
 )
 
-// One frame heard by eight receivers allocates its one data copy and
-// nothing per reception: the reception records and both of each one's
-// events come from the channel's free list.
+// One frame heard by eight receivers costs the engine two events — one
+// arrival, one end-of-frame fan-out — and allocates its one data copy: the
+// transmission record, its audience and its keys come from the channel's
+// free list.
 func TestAllocsTransmitSteadyState(t *testing.T) {
 	s := sim.New(1)
 	c := NewChannel(s, topo.Grid(3, 3, 5), PerfectParams())
@@ -27,9 +28,12 @@ func TestAllocsTransmitSteadyState(t *testing.T) {
 	payload := make([]byte, 35)
 	var tx sim.Event
 	tx.Bind(func() { center.Transmit(payload) })
+	steps := 0
 	round := func() {
 		s.Arm(&tx, time.Millisecond)
-		s.Run()
+		for s.Step() {
+			steps++
+		}
 	}
 	round() // fill the free list
 	if n := testing.AllocsPerRun(100, round); n != 1 {
@@ -37,5 +41,8 @@ func TestAllocsTransmitSteadyState(t *testing.T) {
 	}
 	if heard != 8*102 {
 		t.Errorf("%d receptions delivered, want %d", heard, 8*102)
+	}
+	if want := 102 * (1 + 2); steps != want {
+		t.Errorf("%d kernel events for 102 frames, want %d: the driver's own and 2 per frame", steps, want)
 	}
 }

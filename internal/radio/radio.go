@@ -23,14 +23,15 @@
 // state is owned by exactly one node's context — the receiver for
 // Gilbert–Elliott evolution and loss draws, fault-injection (global) events
 // for blackout flags — so traffic on one link never perturbs another's
-// draws. Cross-node delivery goes through Port.ArmRemote with the
-// propagation delay.
+// draws. A frame costs the engine two events whatever its audience: one
+// remote arrival, armed by the sender with the propagation delay, begins it
+// at every receiver, and one sim.Fanout ends it at each in canonical order.
 package radio
 
 import (
 	"fmt"
 	"math/rand"
-
+	"slices"
 	"time"
 
 	"diffusion/internal/sim"
@@ -114,12 +115,15 @@ type Channel struct {
 	topo   *topo.Topology
 	nodes  map[uint32]*Transceiver
 	links  map[linkKey]*link
-	// out lists each sender's audible links in topology order — the
-	// receivers a transmission must be scheduled at. Precomputing it makes
-	// Transmit O(neighbors) instead of O(nodes).
+	// out lists each sender's audible links in receiver-ID order — the
+	// order a transmission's end-of-frame keys must ascend in. Precomputing
+	// it makes Transmit O(neighbors) instead of O(nodes).
 	out map[uint32][]outLink
-	// free is the free list of reception records; see getReception.
-	free *reception
+	// in lists each receiver's inbound links (the senders' out entries), so
+	// Attach and SetNodeDown touch only that node's links.
+	in map[uint32][]*outLink
+	// free is the free list of transmission records; see getTransmission.
+	free *transmission
 }
 
 // ChannelStats aggregates medium-wide counters.
@@ -147,6 +151,7 @@ type linkKey struct{ from, to uint32 }
 type outLink struct {
 	to uint32
 	l  *link
+	rx *Transceiver // nil until the receiver attaches
 }
 
 // link is per-directed-link channel state. Ownership: effDist is frozen at
@@ -192,10 +197,12 @@ func NewChannel(x *sim.Engine, tp *topo.Topology, p Params) *Channel {
 		nodes:  map[uint32]*Transceiver{},
 		links:  map[linkKey]*link{},
 		out:    map[uint32][]outLink{},
+		in:     map[uint32][]*outLink{},
 	}
 	// Freeze per-directed-link effective distances up front so that the
 	// channel realization is independent of traffic order.
 	ids := tp.IDs()
+	slices.Sort(ids)
 	cutoff := p.audibleCutoff()
 	for _, a := range ids {
 		for _, b := range ids {
@@ -224,6 +231,12 @@ func NewChannel(x *sim.Engine, tp *topo.Topology, p Params) *Channel {
 			c.out[a] = append(c.out[a], outLink{to: b, l: l})
 		}
 	}
+	for _, a := range ids {
+		for i := range c.out[a] {
+			ol := &c.out[a][i]
+			c.in[ol.to] = append(c.in[ol.to], ol)
+		}
+	}
 	return c
 }
 
@@ -241,8 +254,11 @@ func (c *Channel) Attach(id uint32, h Handler) *Transceiver {
 	if _, dup := c.nodes[id]; dup {
 		panic(fmt.Sprintf("radio: node %d already attached", id))
 	}
-	t := &Transceiver{ch: c, id: id, port: c.eng.Port(id), handler: h}
+	t := &Transceiver{ch: c, id: id, port: c.eng.Port(id), handler: h, out: c.out[id]}
 	c.nodes[id] = t
+	for _, ol := range c.in[id] {
+		ol.rx = t
+	}
 	return t
 }
 
@@ -331,10 +347,8 @@ func (c *Channel) SetNodeDown(id uint32, down bool) {
 	for _, ol := range c.out[id] {
 		ol.l.forcedDown = down
 	}
-	for _, other := range c.topo.IDs() {
-		if l, ok := c.links[linkKey{other, id}]; ok {
-			l.forcedDown = down
-		}
+	for _, ol := range c.in[id] {
+		ol.l.forcedDown = down
 	}
 }
 
@@ -351,10 +365,10 @@ type Transceiver struct {
 	id      uint32
 	port    sim.Port
 	handler Handler
+	out     []outLink // the channel's out[id]
 
 	txUntil time.Duration // end of our own transmission
-	rxCount int           // ongoing audible receptions
-	ongoing []*reception
+	ongoing []*rxSlot     // audible frames in progress
 	Stats   TransceiverStats
 	// chStats is this node's contribution to the medium-wide counters:
 	// sender-side counts (sent, blackout) accumulate at the transmitter,
@@ -384,56 +398,54 @@ func (t *Transceiver) Airtime(n int) time.Duration { return t.ch.Airtime(n) }
 // Busy reports carrier: true while this node is transmitting or any audible
 // transmission is in progress. MAC carrier sense uses this.
 func (t *Transceiver) Busy() bool {
-	return t.port.Now() < t.txUntil || t.rxCount > 0
+	return t.port.Now() < t.txUntil || len(t.ongoing) > 0
 }
 
 // Transmitting reports whether this node's own transmitter is active.
 func (t *Transceiver) Transmitting() bool { return t.port.Now() < t.txUntil }
 
-// reception is one frame in flight to one receiver. Its one event record
-// fires twice: armed by the sender (ArmRemote) for the arrival, re-armed by
-// the receiver for the end of the frame, after which the receiver frees it.
-type reception struct {
-	ev       sim.Event
-	rx       *Transceiver // the receiver
-	from     uint32
+// transmission is one frame on the air. The sender arms arrive once for
+// the whole audience; its callback begins the frame at every receiver, each
+// of which joins end with its own end-of-frame key. The receiver whose
+// sub-event runs last frees the record.
+type transmission struct {
+	arrive sim.Event
+	end    sim.Fanout
+	ch     *Channel
+	from   uint32
+	data   []byte
+	air    time.Duration
+	rx     []rxSlot      // the audience, in receiver-ID order
+	next   *transmission // free list
+}
+
+// rxSlot is one receiver's share of a transmission; its transceiver's
+// ongoing list points at it for as long as the frame lasts there.
+type rxSlot struct {
+	t        *Transceiver
 	l        *link
-	data     []byte
-	air      time.Duration
-	begun    bool
 	collided bool
-	next     *reception // free list
 }
 
-func (r *reception) fire() {
-	if !r.begun {
-		r.begun = true
-		r.rx.beginReception(r)
-		return
+// getTransmission takes a record from the channel's free list. The list is
+// per channel, not per transceiver: a sender needs two records back to back
+// (the next arrival is armed while the last end of frame is still pending),
+// and a list per node keeps every node's own peak alive.
+func (c *Channel) getTransmission() *transmission {
+	tx := c.free
+	if tx == nil {
+		tx = &transmission{ch: c}
+		tx.arrive.Bind(tx.begin)
+		tx.end.Bind(tx.endAt)
+		return tx
 	}
-	r.rx.endReception(r)
+	c.free, tx.next = tx.next, nil
+	return tx
 }
 
-// getReception takes a record from the channel's free list. The list is
-// per channel, not per transceiver or per link: a list per transceiver keeps
-// every node's own peak alive (live heap +42 % on the 1024-node grid in a
-// prototype, against +2 %), and a record per directed link cannot be reused
-// back to back (the next arrival is armed while the last end-of-frame is
-// still pending).
-func (c *Channel) getReception() *reception {
-	r := c.free
-	if r == nil {
-		r = &reception{}
-		r.ev.Bind(r.fire)
-		return r
-	}
-	c.free, r.next = r.next, nil
-	return r
-}
-
-func (c *Channel) putReception(r *reception) {
-	r.data, r.begun, r.collided = nil, false, false
-	r.next, c.free = c.free, r
+func (c *Channel) putTransmission(tx *transmission) {
+	tx.data, tx.rx = nil, tx.rx[:0]
+	tx.next, c.free = c.free, tx
 }
 
 // Transmit broadcasts payload on the medium. It returns the airtime. The
@@ -453,33 +465,50 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 	t.Stats.TxTime += air
 	t.chStats.FramesSent++
 
-	data := make([]byte, len(payload))
-	copy(data, payload)
-
-	// Audible receivers were precomputed in topology order, so iteration
-	// is deterministic and O(neighbors).
-	for _, ol := range c.out[t.id] {
-		rx, attached := c.nodes[ol.to]
-		if !attached {
-			continue
+	// Audible receivers were precomputed in ID order, so iteration is
+	// deterministic and O(neighbors).
+	tx := c.getTransmission()
+	for i := range t.out {
+		ol := &t.out[i]
+		if ol.rx == nil {
+			continue // not attached
 		}
-		l := ol.l
-		if l.forcedDown {
+		if ol.l.forcedDown {
 			// The link is blacked out by fault injection: the frame would
 			// have been audible here but the severed path swallows it.
 			t.chStats.FramesBlackout++
 			continue
 		}
-		rec := c.getReception()
-		rec.rx, rec.from, rec.l, rec.data, rec.air = rx, t.id, l, data, air
-		t.port.ArmRemote(ol.to, &rec.ev, c.params.PropDelay)
+		tx.rx = append(tx.rx, rxSlot{t: ol.rx, l: ol.l})
 	}
+	if len(tx.rx) == 0 {
+		c.putTransmission(tx)
+		return air
+	}
+	tx.from, tx.air = t.id, air
+	tx.data = make([]byte, len(payload))
+	copy(tx.data, payload)
+	// One arrival for the whole audience, addressed to its first member.
+	t.port.ArmRemote(tx.rx[0].t.id, &tx.arrive, c.params.PropDelay)
 	return air
 }
 
-// beginReception starts one frame's arrival at this receiver (receiver
-// context).
-func (t *Transceiver) beginReception(rec *reception) {
+// begin starts the frame at every receiver and arms its one end of frame.
+// One event can stand for all the arrivals because nothing sorts between
+// one sender's consecutive remote keys and, airtime being positive, nothing
+// an arrival arms is due before the last of them.
+func (tx *transmission) begin() {
+	for i := range tx.rx {
+		r := &tx.rx[i]
+		r.t.beginReception(r, tx.air)
+		r.t.port.Join(&tx.end, tx.air)
+	}
+	tx.ch.eng.ArmFanout(&tx.end)
+}
+
+// beginReception resolves the arriving frame against the ones already in
+// progress at this receiver (receiver context).
+func (t *Transceiver) beginReception(rec *rxSlot, air time.Duration) {
 	// Overlap resolution: without capture both frames corrupt; with
 	// capture, a clearly stronger (closer) frame survives the overlap.
 	ratio := t.ch.params.CaptureRatio
@@ -494,19 +523,21 @@ func (t *Transceiver) beginReception(rec *reception) {
 			rec.collided = true
 		}
 	}
-	t.rxCount++
-	t.Stats.RxTime += rec.air
+	t.Stats.RxTime += air
 	t.ongoing = append(t.ongoing, rec)
-	t.port.Arm(&rec.ev, rec.air)
 }
 
-// endReception frees the record and draws the frame's fate: missed, collided,
-// lost, or decoded and handed up.
-func (t *Transceiver) endReception(rec *reception) {
-	c, l, from, data, air, collided := t.ch, rec.l, rec.from, rec.data, rec.air, rec.collided
-	t.rxCount--
+// endAt ends the frame at its i-th receiver (receiver context): it frees the
+// record after the last one and draws the frame's fate there — missed,
+// collided, lost, or decoded and handed up.
+func (tx *transmission) endAt(i int) {
+	rec := &tx.rx[i]
+	t, l, collided := rec.t, rec.l, rec.collided
+	c, from, data, air := tx.ch, tx.from, tx.data, tx.air
 	t.removeOngoing(rec)
-	c.putReception(rec)
+	if i == len(tx.rx)-1 {
+		c.putTransmission(tx)
+	}
 	now := t.port.Now()
 	// Half-duplex: if we transmitted during any part of the reception
 	// window, the frame is missed.
@@ -534,7 +565,7 @@ func (t *Transceiver) endReception(rec *reception) {
 	}
 }
 
-func (t *Transceiver) removeOngoing(rec *reception) {
+func (t *Transceiver) removeOngoing(rec *rxSlot) {
 	for i, r := range t.ongoing {
 		if r == rec {
 			t.ongoing = append(t.ongoing[:i], t.ongoing[i+1:]...)

@@ -55,3 +55,25 @@ func TestAllocsArmRemote(t *testing.T) {
 		t.Errorf("ran %d remote callbacks, want 102", ran)
 	}
 }
+
+// Nor does a fan-out, once its key slice has grown.
+func TestAllocsFanout(t *testing.T) {
+	k := newTestEngine(1, 8)
+	ran := 0
+	var f Fanout
+	f.Bind(func(int) { ran++ })
+	round := func() {
+		for id := uint32(1); id <= 8; id++ {
+			k.Port(id).Join(&f, time.Millisecond)
+		}
+		k.ArmFanout(&f)
+		k.Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("eight joins + ArmFanout + run allocate %.0f, want 0", n)
+	}
+	if ran != 8*102 {
+		t.Errorf("ran %d sub-events, want %d", ran, 8*102)
+	}
+}

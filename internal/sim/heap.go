@@ -81,7 +81,7 @@ func (e *Event) Cancel() bool {
 // eventHeap is a 4-ary min-heap of pending events in canonical order. Keys
 // are stored inline so a sift compares without touching the records, and
 // every record knows its index, so Cancel removes it at once: the heap
-// holds exactly the pending events.
+// holds exactly the pending records (a Fanout is one, whatever it stands for).
 type eventHeap struct {
 	s []heapEntry
 }

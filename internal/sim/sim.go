@@ -62,6 +62,10 @@ type Port interface {
 	// it), and from the moment its callback runs it belongs to node to's
 	// context, which may re-arm it on its own Port.
 	ArmRemote(to uint32, e *Event, d time.Duration)
+	// Join draws the key an Arm(e, d) here would give e and appends it to
+	// the fan-out f instead: this node's share of an event many nodes have
+	// at once (see Fanout). Nodes must join in ascending ID order.
+	Join(f *Fanout, d time.Duration)
 }
 
 // Engine is the deterministic discrete-event executor, and itself the
@@ -265,8 +269,9 @@ func (s *Engine) NextEventAt() (time.Duration, bool) {
 	return ev.key.at, true
 }
 
-// Pending returns the number of queued events (diagnostics). It is O(1):
-// the heap holds exactly the pending events.
+// Pending returns the number of heap entries (diagnostics, O(1)): one per
+// pending Event — Cancel removes its entry at once — and one per pending
+// Fanout, however many of its sub-events are still to run.
 func (s *Engine) Pending() int { return len(s.events.s) }
 
 // RealClock implements Clock over the wall clock, so the same node logic

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,27 +66,24 @@ func (v Vec) AppendEncode(dst []byte) []byte {
 // Encode returns the wire encoding of v.
 func (v Vec) Encode() []byte { return v.AppendEncode(make([]byte, 0, v.Size())) }
 
-// DecodeVec decodes one attribute vector from the front of b and returns it
-// together with the number of bytes consumed. The result shares nothing with
-// b: string and blob values are windows onto one arena copied out of it, so
-// the decode costs two allocations however many attributes there are, and
-// retaining any one value pins the variable-length bytes of the whole vector.
-func DecodeVec(b []byte) (Vec, int, error) {
+// ScanVec validates the attribute vector encoded at the front of b without
+// building it, and returns its attribute count and encoded length. It is the
+// first half of every decode: whatever it accepts, the fill cannot fail on.
+func ScanVec(b []byte) (n, size int, err error) {
 	if len(b) < vecHeaderSize {
-		return nil, 0, ErrTruncated
+		return 0, 0, ErrTruncated
 	}
-	n := int(binary.BigEndian.Uint16(b))
+	n = int(binary.BigEndian.Uint16(b))
 	if n > maxVecLen {
-		return nil, 0, ErrTooManyAtt
+		return 0, 0, ErrTooManyAtt
 	}
-	// First pass: validate every tuple, find the end, size the arena.
-	off, arenaSize := vecHeaderSize, 0
+	off := vecHeaderSize
 	for i := 0; i < n; i++ {
 		if len(b)-off < attrHeaderSize {
-			return nil, 0, ErrTruncated
+			return 0, 0, ErrTruncated
 		}
 		if op := Op(b[off+4]); !op.Valid() {
-			return nil, 0, fmt.Errorf("%w: %d", ErrBadOp, op)
+			return 0, 0, fmt.Errorf("%w: %d", ErrBadOp, op)
 		}
 		t := Type(b[off+5])
 		off += attrHeaderSize
@@ -97,28 +95,31 @@ func DecodeVec(b []byte) (Vec, int, error) {
 			size = 8
 		case TypeString, TypeBlob:
 			if len(b)-off < 2 {
-				return nil, 0, ErrTruncated
+				return 0, 0, ErrTruncated
 			}
-			l := int(binary.BigEndian.Uint16(b[off:]))
-			size = 2 + l
-			arenaSize += l
+			size = 2 + int(binary.BigEndian.Uint16(b[off:]))
 		default:
-			return nil, 0, fmt.Errorf("%w: %d", ErrBadType, t)
+			return 0, 0, fmt.Errorf("%w: %d", ErrBadType, t)
 		}
 		if len(b)-off < size {
-			return nil, 0, ErrTruncated
+			return 0, 0, ErrTruncated
 		}
 		off += size
 	}
-	// Second pass: fill. Nothing below can fail.
-	v := make(Vec, n)
-	arena := make([]byte, 0, arenaSize)
-	off = vecHeaderSize
+	return n, off, nil
+}
+
+// fillVec is the second half of a decode: it overwrites every element of v
+// from an encoding ScanVec accepted for len(v) attributes. String and blob
+// values become windows onto b.
+func fillVec(v Vec, b []byte) {
+	off := vecHeaderSize
 	for i := range v {
-		a := &v[i]
-		a.Key = Key(binary.BigEndian.Uint32(b[off:]))
-		a.Op = Op(b[off+4])
-		a.Val.Type = Type(b[off+5])
+		a := Attribute{
+			Key: Key(binary.BigEndian.Uint32(b[off:])),
+			Op:  Op(b[off+4]),
+			Val: Value{Type: Type(b[off+5])},
+		}
 		off += attrHeaderSize
 		switch a.Val.Type {
 		case TypeInt32, TypeFloat32:
@@ -130,22 +131,53 @@ func DecodeVec(b []byte) (Vec, int, error) {
 		default:
 			l := int(binary.BigEndian.Uint16(b[off:]))
 			off += 2
-			arena = append(arena, b[off:off+l]...)
-			// Capacity-clipped, so an append to one value reallocates
-			// instead of running into its neighbour.
-			w := arena[len(arena)-l : len(arena) : len(arena)]
 			if a.Val.Type == TypeBlob {
-				a.Val.blob = w
+				// Capacity-clipped, so an append to one value reallocates
+				// instead of running into the bytes behind it.
+				a.Val.blob = b[off : off+l : off+l]
 			} else if l > 0 {
-				// The arena is written only here, before v is returned;
-				// Blob's callers must not modify their window, and no
-				// window overlaps a string's.
-				a.Val.str = unsafe.String(&w[0], l)
+				// Sound while nobody writes b again, which is both callers'
+				// contract; Blob's callers must not modify their window, and
+				// no window overlaps a string's.
+				a.Val.str = unsafe.String(&b[off], l)
 			}
 			off += l
 		}
+		v[i] = a
 	}
-	return v, off, nil
+}
+
+// DecodeVec decodes one attribute vector from the front of b and returns it
+// together with the number of bytes consumed. The result shares nothing with
+// b: string and blob values are windows onto one private copy of the bytes
+// consumed, so the decode costs two allocations however many attributes there
+// are, and retaining any one value pins that copy.
+func DecodeVec(b []byte) (Vec, int, error) {
+	n, size, err := ScanVec(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	v := make(Vec, n)
+	fillVec(v, bytes.Clone(b[:size]))
+	return v, size, nil
+}
+
+// DecodeVecView decodes like DecodeVec but allocates nothing once dst has
+// the capacity: the vector is built over dst's storage (elements past the
+// result's length are left alone; on error, all of them) and its string and
+// blob values are windows onto b itself. The result is valid only while b is
+// never written again, and retaining any one value pins all of b.
+func DecodeVecView(dst Vec, b []byte) (Vec, int, error) {
+	n, size, err := ScanVec(b)
+	if err != nil {
+		return dst[:0], 0, err
+	}
+	if cap(dst) < n {
+		dst = make(Vec, n)
+	}
+	dst = dst[:n]
+	fillVec(dst, b)
+	return dst, size, nil
 }
 
 // Hash returns a canonical 64-bit hash of the vector, insensitive to

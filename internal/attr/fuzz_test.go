@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -70,31 +71,62 @@ func decodeVecOracle(b []byte) (Vec, int, error) {
 	return v, off, nil
 }
 
-// FuzzDecodeVec holds the arena decoder to the oracle and to the ownership
-// rule: what it returns shares nothing with its input, and no decoded value
-// can be reached through another. The seed corpus is the files under
-// testdata/fuzz/FuzzDecodeVec, named for what each one is.
+// FuzzDecodeVec holds both decoders to the oracle and to their ownership
+// rules. DecodeVec: what it returns shares nothing with its input, and no
+// decoded value can be reached through another. DecodeVecView: the same
+// vector out of the caller's storage, nothing left of that storage's last
+// use, blobs that cannot be grown into the input — and windows onto the
+// input, as documented, so overwriting it shows. The seed corpus is the files
+// under testdata/fuzz/FuzzDecodeVec, named for what each one is.
 func FuzzDecodeVec(f *testing.F) {
+	// Four strings and a blob: whatever of them outlives the next decode into
+	// the same storage would show up in that decode's result.
+	viewPrimer := Vec{
+		StringAttr(KeyTask, IS, "stale"), StringAttr(KeyType, IS, "stale"),
+		StringAttr(KeyTask, EQ, "stale"), StringAttr(KeyType, EQ, "stale"),
+		BlobAttr(KeyPayload, IS, []byte("stale")),
+	}.Encode()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		orig := bytes.Clone(b)
 		want, wantN, wantErr := decodeVecOracle(b)
 		v, n, err := DecodeVec(b)
+		// The view decodes into storage another vector just used.
+		dst, _, _ := DecodeVecView(nil, viewPrimer)
+		view, viewN, viewErr := DecodeVecView(dst, b)
 		if err != nil || wantErr != nil {
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("DecodeVec error %v, oracle error %v", err, wantErr)
-			}
-			for _, sentinel := range []error{ErrTruncated, ErrBadOp, ErrBadType, ErrTooManyAtt} {
-				if errors.Is(err, sentinel) != errors.Is(wantErr, sentinel) {
-					t.Fatalf("DecodeVec error %v, oracle error %v", err, wantErr)
+			for _, sentinel := range []error{nil, ErrTruncated, ErrBadOp, ErrBadType, ErrTooManyAtt} {
+				if is := errors.Is(wantErr, sentinel); errors.Is(err, sentinel) != is || errors.Is(viewErr, sentinel) != is {
+					t.Fatalf("DecodeVec error %v, DecodeVecView error %v, oracle error %v", err, viewErr, wantErr)
 				}
 			}
-			if v != nil || n != 0 {
-				t.Fatalf("failed decode returned %v, %d", v, n)
+			if v != nil || n != 0 || len(view) != 0 || viewN != 0 {
+				t.Fatalf("failed decode returned %v, %d; view %v, %d", v, n, view, viewN)
 			}
 			return
 		}
 		if n != wantN || !v.Equal(want) {
 			t.Fatalf("DecodeVec = %v (%d bytes), oracle = %v (%d bytes)", v, n, want, wantN)
+		}
+		if viewN != wantN || !view.Equal(want) {
+			t.Fatalf("DecodeVecView = %v (%d bytes), oracle = %v (%d bytes)", view, viewN, want, wantN)
+		}
+		// Field for field, unexported ones included: a string left behind in
+		// a slot that now holds a number is invisible to Equal.
+		if !reflect.DeepEqual(view, v) {
+			t.Fatalf("DecodeVecView into used storage = %#v, DecodeVec = %#v", view, v)
+		}
+		if len(view) > 0 && len(view) <= cap(dst) && &view[0] != &dst[:1][0] {
+			t.Fatalf("DecodeVecView left storage of capacity %d unused for %d attributes", cap(dst), len(view))
+		}
+		// No neighbours in the view either: growing a blob must reallocate,
+		// not write into the input behind it.
+		for _, a := range view {
+			if a.Val.Type == TypeBlob {
+				_ = append(a.Val.Blob(), 0xA5, 0xA5, 0xA5, 0xA5)
+			}
+		}
+		if !bytes.Equal(b, orig) {
+			t.Fatalf("appending to a view's blob wrote into the input:\n got %x\nwant %x", b, orig)
 		}
 		if enc := v.Encode(); !bytes.Equal(enc, orig[:n]) {
 			t.Fatalf("re-encoding differs from the bytes consumed:\n got %x\nwant %x", enc, orig[:n])
@@ -105,6 +137,12 @@ func FuzzDecodeVec(f *testing.F) {
 		}
 		if !v.Equal(want) {
 			t.Fatalf("overwriting the input changed the decoded vector: %v", v)
+		}
+		// The view does alias it: every string and blob byte just flipped.
+		for i, a := range view {
+			if (a.Val.Type == TypeString || a.Val.Type == TypeBlob) && a.Val.Size() > 2 && attrEqual(a, want[i]) {
+				t.Fatalf("overwriting the input did not change view attribute %d (%v): it is a copy, not a window", i, a)
+			}
 		}
 		// No neighbours: growing one blob must reallocate, not run on into
 		// the value behind it in the arena.

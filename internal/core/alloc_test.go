@@ -5,66 +5,89 @@ package core
 import (
 	"testing"
 
-	"diffusion/internal/attr"
 	"diffusion/internal/message"
-	"diffusion/internal/sim"
 )
 
-// countLink is a Link that counts what it is handed and keeps none of it.
-type countLink struct {
-	id           uint32
-	sends, bytes int
-}
-
-func (l *countLink) ID() uint32 { return l.id }
-func (l *countLink) Send(_ uint32, payload []byte) error {
-	l.sends++
-	l.bytes += len(payload)
-	return nil
-}
-
-// The relay budget: reinforced plain Data passing through a node costs the
-// three decode objects and nothing else — match, forward and marshal add
-// none. Node 2 relays from source 1 to sink 3.
-func TestAllocsRelayReceive(t *testing.T) {
-	s := sim.New(1)
+// allocPath is reinforcedPath with one payload per AllocsPerRun call: 200
+// measured runs and the warm-up.
+func allocPath(t *testing.T) (*Node, *countLink, [][]byte) {
 	link := &countLink{id: 2}
-	n := NewNode(Config{Clock: s, Rand: s.Rand(), Link: link})
-	defer n.Close()
+	n, wires := reinforcedPath(t, link, Config{}, 201, 3)
+	return n, link, wires
+}
 
-	interest := &message.Message{
-		Class: message.Interest, ID: message.ID{RandID: 3, PktNum: 1}, PrevHop: 3, NextHop: message.Broadcast,
-		Attrs: attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, "bench/line"), attr.ClassIsInterest()},
-	}
-	n.Receive(3, interest.Marshal())
-	ev := message.Message{
-		Class: message.ExploratoryData, ID: message.ID{RandID: 1, PktNum: 1}, PrevHop: 1, NextHop: message.Broadcast,
-		Attrs: attr.Vec{
-			attr.StringAttr(attr.KeyType, attr.IS, "diffbench"),
-			attr.StringAttr(attr.KeyTask, attr.IS, "bench/line"),
-			attr.Int32Attr(attr.KeySequence, attr.IS, 12345),
-			attr.BlobAttr(attr.KeyPayload, attr.IS, make([]byte, 32)),
-			attr.ClassIsData(),
-		},
-	}
-	n.Receive(1, ev.Marshal())
-	n.Receive(3, (&message.Message{
-		Class: message.PositiveReinforcement, ID: ev.ID, PrevHop: 3, NextHop: 2, Attrs: interest.Attrs,
-	}).Marshal())
-
-	ev.Class, ev.NextHop = message.Data, 2
-	var wire []byte
-	before := link.sends
-	const runs = 200
-	got := testing.AllocsPerRun(runs, func() {
-		ev.ID.PktNum++ // a new event each time, or the duplicate cache stops it
-		wire = ev.AppendMarshal(wire[:0])
-		n.Receive(1, wire)
+// receiveEach returns the allocations per reception of one payload after
+// another, and fails unless the link saw wantSends transmissions for each.
+func receiveEach(t *testing.T, n *Node, link *countLink, wires [][]byte, wantSends int) float64 {
+	t.Helper()
+	before, i := link.sends, 0
+	got := testing.AllocsPerRun(len(wires)-1, func() {
+		n.Receive(1, wires[i])
+		i++
 	})
-	if forwarded := link.sends - before; forwarded != runs+1 {
-		t.Fatalf("relay forwarded %d of %d events: the reinforced path is not set up", forwarded, runs+1)
+	if sent := link.sends - before; sent != wantSends*len(wires) {
+		t.Fatalf("node forwarded %d times for %d events, want %d each: the reinforced path is not set up",
+			sent, len(wires), wantSends)
 	}
-	if got > 3 {
-		t.Errorf("relaying one reinforced Data allocates %.0f/op, budget 3 (the decode)", got)
+	return got
+}
+
+// The relay budget: reinforced plain Data passing through a node costs
+// nothing — it is decoded in place in the payload the link handed over, and
+// match, forward and marshal add none. Node 2 relays from source 1 to sink 3.
+func TestAllocsRelayReceive(t *testing.T) {
+	n, link, wires := allocPath(t)
+	if got := receiveEach(t, n, link, wires, 1); got != 0 {
+		t.Errorf("relaying one reinforced Data allocates %.0f/op, budget 0", got)
+	}
+}
+
+// A duplicate stops at the seen cache: decoded in place, nothing kept. The
+// copies are of one flooded message, the duplicate a broadcast medium makes
+// (repeated plain Data is a redundant path and draws negative reinforcement).
+func TestAllocsDuplicateReceive(t *testing.T) {
+	n, link, wires := allocPath(t)
+	wires[0][0] = byte(message.ExploratoryData)
+	for i := range wires {
+		wires[i] = wires[0]
+	}
+	n.Receive(1, wires[0])
+	before := n.Stats.Duplicates
+	if got := receiveEach(t, n, link, wires, 0); got != 0 {
+		t.Errorf("dropping one duplicate allocates %.0f/op, budget 0", got)
+	}
+	if dups := n.Stats.Duplicates - before; dups != len(wires) {
+		t.Fatalf("%d of %d receptions were duplicates", dups, len(wires))
+	}
+}
+
+// The sink budget: a matching subscription's callback is user code, so the
+// message it is handed is a copy of the receive message — header and vector,
+// two objects, whatever the number of attributes.
+func TestAllocsSinkReceive(t *testing.T) {
+	n, link, wires := allocPath(t)
+	delivered := 0
+	n.SubscribeLocal(lineTask,
+		func(*message.Message) { delivered++ })
+	if got := receiveEach(t, n, link, wires, 1); got > 2 {
+		t.Errorf("delivering one Data to one subscription allocates %.0f/op, budget 2 (the kept copy)", got)
+	}
+	if delivered != len(wires) {
+		t.Fatalf("delivered %d of %d events", delivered, len(wires))
+	}
+}
+
+// The filter budget: a filter owns the message it is handed, so that is a
+// copy too — made once, however far down the chain and the core it travels.
+func TestAllocsFilteredReceive(t *testing.T) {
+	n, link, wires := allocPath(t)
+	n.AddFilter(lineTask, 10,
+		func(m *message.Message, h FilterHandle) { n.SendMessageToNext(m, h) })
+	before := n.Stats.FilterInvocations
+	if got := receiveEach(t, n, link, wires, 1); got > 2 {
+		t.Errorf("one Data through one pass-through filter allocates %.0f/op, budget 2 (the kept copy)", got)
+	}
+	if ran := n.Stats.FilterInvocations - before; ran != len(wires) {
+		t.Fatalf("the filter saw %d of %d events", ran, len(wires))
 	}
 }

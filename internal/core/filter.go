@@ -106,7 +106,7 @@ func (n *Node) runChainFrom(m *message.Message, start int) {
 		n.midx.putTags(tags)
 		if best != nil {
 			n.Stats.FilterInvocations++
-			best.cb(m, best.handle)
+			best.cb(n.keep(m), best.handle)
 			return
 		}
 	}

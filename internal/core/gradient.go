@@ -713,6 +713,9 @@ func (n *Node) deliverLocal(m *message.Message) {
 		}
 	}
 	n.midx.putTags(tags)
+	if len(subs) > 0 {
+		m = n.keep(m)
+	}
 	delivered := false
 	for _, s := range subs {
 		n.Stats.LocalDeliveries++

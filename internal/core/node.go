@@ -286,6 +286,10 @@ type Node struct {
 
 	// txBuf is the marshal buffer transmit reuses; Link.Send only borrows it.
 	txBuf []byte
+	// rx is the message Receive decodes into, valid until Receive returns;
+	// rxBusy marks a reception in progress (see keep).
+	rx     message.Message
+	rxBusy bool
 
 	Stats Stats
 }
@@ -635,12 +639,23 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 
 // Receive is the link-layer upcall: the MAC delivers every reassembled
 // payload here. Malformed payloads are dropped, and counted.
+//
+// payload belongs to the node from the call on: nobody writes it again,
+// though a link may hand the same bytes, read-only, to every receiver of one
+// broadcast. It is decoded in place — string and blob values are windows
+// onto it — so what the node keeps (an interest entry's attributes, a kept
+// message) keeps payload alive, and a link must never recycle the buffer.
 func (n *Node) Receive(from uint32, payload []byte) {
 	if n.detached {
 		return
 	}
-	m, err := message.Unmarshal(payload)
-	if err != nil {
+	m, nested := &n.rx, n.rxBusy
+	if nested {
+		// A link that delivers synchronously re-entered us from inside the
+		// reception that still reads n.rx.
+		m = new(message.Message)
+	}
+	if err := message.UnmarshalView(m, payload); err != nil {
 		n.Stats.ReceiveMalformed++
 		return
 	}
@@ -656,7 +671,25 @@ func (n *Node) Receive(from uint32, payload []byte) {
 		})
 	}
 	n.span(telemetry.SpanRecv, telemetry.SpanLayerCore, m, from, telemetry.DropNone)
+	n.rxBusy = true
 	n.dispatch(m)
+	if !nested {
+		// An idle node pins no payload.
+		clear(n.rx.Attrs)
+		n.rxBusy = false
+	}
+}
+
+// keep returns a message its receiver may hold: m, or, when m is the receive
+// message the next reception overwrites, a copy of its header and vector
+// (the values stay windows onto the payload). Filter callbacks own their
+// message and data callbacks are user code, so both get keep(m); the core
+// copies what it retains itself.
+func (n *Node) keep(m *message.Message) *message.Message {
+	if m == &n.rx {
+		return m.Clone()
+	}
+	return m
 }
 
 // dispatch runs a message through the filter chain; if no filter consumes

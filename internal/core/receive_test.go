@@ -1,0 +1,238 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"diffusion/internal/attr"
+	"diffusion/internal/custody"
+	"diffusion/internal/message"
+	"diffusion/internal/sim"
+)
+
+// Receive decodes every payload into one message per node and hands the
+// core a view of the payload's own bytes. These tests cover the three ways
+// that message could reach somebody who outlives it; alloc_test.go holds the
+// budgets.
+
+// countLink is a Link that counts what it is handed and keeps none of it.
+type countLink struct {
+	id    uint32
+	sends int
+}
+
+func (l *countLink) ID() uint32 { return l.id }
+func (l *countLink) Send(uint32, []byte) error {
+	l.sends++
+	return nil
+}
+
+var (
+	// lineTask is what a sink subscribes to, lineInterest its wire form.
+	lineTask     = attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, "bench/line")}
+	lineInterest = lineTask.With(attr.ClassIsInterest())
+	// lineEvent is the shape of cmd/diffbench's event.
+	lineEvent = attr.Vec{
+		attr.StringAttr(attr.KeyType, attr.IS, "diffbench"),
+		attr.StringAttr(attr.KeyTask, attr.IS, "bench/line"),
+		attr.Int32Attr(attr.KeySequence, attr.IS, 12345),
+		attr.BlobAttr(attr.KeyPayload, attr.IS, make([]byte, 32)),
+		attr.ClassIsData(),
+	}
+)
+
+// reinforcedPath builds node 2 between source 1 and sinks with the
+// reinforced path to each set up, and returns it with events fresh
+// plain-Data payloads from 1. Receive owns what it is handed, so every
+// payload is a buffer of its own, built here and used once.
+func reinforcedPath(t *testing.T, link Link, cfg Config, events int, sinks ...uint32) (*Node, [][]byte) {
+	if cfg.Clock == nil {
+		s := sim.New(1)
+		cfg.Clock, cfg.Rand = s, s.Rand()
+	}
+	cfg.Link = link
+	n := NewNode(cfg)
+	t.Cleanup(n.Close)
+
+	for _, sink := range sinks {
+		n.Receive(sink, (&message.Message{
+			Class: message.Interest, ID: message.ID{RandID: sink, PktNum: 1}, NextHop: message.Broadcast,
+			Attrs: lineInterest,
+		}).Marshal())
+	}
+	ev := message.Message{
+		Class: message.ExploratoryData, ID: message.ID{RandID: 1, PktNum: 1}, NextHop: message.Broadcast,
+		Attrs: lineEvent,
+	}
+	n.Receive(1, ev.Marshal())
+	for _, sink := range sinks {
+		n.Receive(sink, (&message.Message{
+			Class: message.PositiveReinforcement, ID: ev.ID, NextHop: 2, Attrs: lineInterest,
+		}).Marshal())
+	}
+
+	ev.Class, ev.NextHop = message.Data, 2
+	wires := make([][]byte, events)
+	for i := range wires {
+		ev.ID.PktNum++ // a new event each time, or the duplicate cache stops it
+		wires[i] = ev.Marshal()
+	}
+	return n, wires
+}
+
+// asReceived is what a callback at a node must see for payload from 1.
+func asReceived(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	m, err := message.Unmarshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.PrevHop = 1
+	return m.Marshal()
+}
+
+// A filter owns the message it is handed and a data callback is user code:
+// either may hold on to it, and what it holds must not turn into a later
+// reception. Each case fails if its keep is taken out.
+func TestHeldMessagesSurviveLaterReceptions(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		install func(n *Node, hold func(*message.Message))
+	}{
+		{"filter", func(n *Node, hold func(*message.Message)) {
+			n.AddFilter(lineTask, 10, func(m *message.Message, h FilterHandle) {
+				hold(m)
+				n.SendMessageToNext(m, h)
+			})
+		}},
+		{"data callback", func(n *Node, hold func(*message.Message)) {
+			n.SubscribeLocal(lineTask, hold)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, wires := reinforcedPath(t, &countLink{id: 2}, Config{}, 101, 3)
+			var held []*message.Message
+			tc.install(n, func(m *message.Message) { held = append(held, m) })
+			for _, w := range wires {
+				n.Receive(1, w)
+			}
+			if len(held) != len(wires) {
+				t.Fatalf("handed %d of %d events", len(held), len(wires))
+			}
+			if got, want := held[0].Marshal(), asReceived(t, wires[0]); !bytes.Equal(got, want) {
+				t.Errorf("the first message handed out reads, 100 receptions later,\n got %x\nwant %x", got, want)
+			}
+		})
+	}
+}
+
+// An interest entry takes its attributes from the reception that created
+// it, and those are windows onto that reception's payload: the entry must
+// hash, match and re-encode the same however much traffic follows. This is
+// the guard against pooling payload buffers beneath values that alias them.
+func TestInterestEntrySurvivesLaterReceptions(t *testing.T) {
+	n, wires := reinforcedPath(t, &countLink{id: 2}, Config{}, 1000, 3)
+	e, ok := n.lookupEntry(lineInterest)
+	if !ok {
+		t.Fatal("no entry for the interest the node received")
+	}
+	for _, w := range wires {
+		n.Receive(1, w)
+	}
+	if !bytes.Equal(e.attrs.Encode(), lineInterest.Encode()) {
+		t.Errorf("entry re-encodes as %v, received %v", e.attrs, lineInterest)
+	}
+	if e.attrs.Hash() != e.hash || e.hash != lineInterest.Hash() {
+		t.Errorf("entry hashes to %#x, filed under %#x, interest hashes to %#x", e.attrs.Hash(), e.hash, lineInterest.Hash())
+	}
+	if !attr.Match(e.attrs, lineEvent) {
+		t.Errorf("entry %v no longer matches %v", e.attrs, lineEvent)
+	}
+	if got := n.matchingEntries(lineEvent); len(got) != 1 || got[0] != e {
+		t.Errorf("the match index finds %d entries for the event, want the one", len(got))
+	}
+}
+
+// seamLink connects the nodes of one test either the way every real link
+// does — the receiver runs later, from the scheduler — or synchronously,
+// from inside Send, and logs what each node was handed to send.
+type seamLink struct {
+	id    uint32
+	s     *sim.Engine
+	sync  bool
+	nodes map[uint32]*Node
+	sent  map[uint32][]string
+}
+
+func (l *seamLink) ID() uint32 { return l.id }
+func (l *seamLink) Send(dst uint32, payload []byte) error {
+	data := bytes.Clone(payload)
+	l.sent[l.id] = append(l.sent[l.id], fmt.Sprintf("to %d: %x", dst, data))
+	deliver := func() {
+		if n := l.nodes[dst]; n != nil {
+			n.Receive(l.id, data)
+		}
+	}
+	if l.sync {
+		deliver()
+	} else {
+		l.s.After(0, deliver)
+	}
+	return nil
+}
+
+// A link that delivers synchronously re-enters Receive: in store-and-carry
+// custody every Data a node forwards is acknowledged by the next hop at
+// once, so the ack from sink 3 arrives at relay 2 while 2 is still inside
+// coreData for the message it is forwarding, with sink 4 yet to be served
+// from the same receive message. (Reinforcements cannot nest this way: what
+// triggers them is forwarded from a jitter timer, not from inside Receive.)
+// The outer reception must send and deliver exactly what it does over a
+// queued link.
+func TestNestedReceptionLeavesOuterMessageAlone(t *testing.T) {
+	run := func(sync bool) (sent map[uint32][]string, delivered []string) {
+		s := sim.New(1)
+		nodes, sent := map[uint32]*Node{}, map[uint32][]string{}
+		cfg := func() Config {
+			// Jitter far beyond the test's horizon: no flood forward fires.
+			return Config{Clock: s, Rand: s.Rand(), Custody: custody.NewQueue(0, nil), ForwardJitter: time.Hour}
+		}
+		link := func(id uint32) Link { return &seamLink{id: id, s: s, sync: sync, nodes: nodes, sent: sent} }
+		for _, id := range []uint32{3, 4} {
+			c := cfg()
+			c.Link = link(id)
+			nodes[id] = NewNode(c)
+			t.Cleanup(nodes[id].Close)
+		}
+		relay, wires := reinforcedPath(t, link(2), cfg(), 3, 3, 4)
+		nodes[2] = relay
+		relay.SubscribeLocal(lineTask,
+			func(m *message.Message) { delivered = append(delivered, fmt.Sprintf("%x", m.Marshal())) })
+		s.RunUntil(s.Now() + time.Millisecond)
+		for id := range sent {
+			sent[id] = nil // compare from the first plain Data on
+		}
+		for _, w := range wires {
+			relay.Receive(1, w)
+			s.RunUntil(s.Now() + time.Millisecond)
+		}
+		return sent, delivered
+	}
+	queuedSent, queuedDelivered := run(false)
+	syncSent, syncDelivered := run(true)
+	if len(queuedSent[2]) != 3*3 || len(queuedSent[3]) != 3 || len(queuedSent[4]) != 3 {
+		t.Fatalf("queued link: relay sent %d (want an ack and two forwards per event), sinks acked %d and %d of 3",
+			len(queuedSent[2]), len(queuedSent[3]), len(queuedSent[4]))
+	}
+	for _, id := range []uint32{2, 3, 4} {
+		if !slices.Equal(syncSent[id], queuedSent[id]) {
+			t.Errorf("node %d sent over the synchronous link\n%q\nover the queued link\n%q", id, syncSent[id], queuedSent[id])
+		}
+	}
+	if !slices.Equal(syncDelivered, queuedDelivered) || len(queuedDelivered) != 3 {
+		t.Errorf("relay delivered over the synchronous link\n%q\nover the queued link\n%q", syncDelivered, queuedDelivered)
+	}
+}

@@ -24,7 +24,9 @@ func benchEvent() *Message {
 }
 
 // The decode budget: the message, its vector and one arena, however many
-// strings and blobs it carries. Encoding into a caller's buffer is free.
+// strings and blobs it carries. Decoding in place into a message that has
+// held one of the same shape, validating without decoding, and encoding into
+// a caller's buffer are free.
 func TestAllocsUnmarshalMarshal(t *testing.T) {
 	m := benchEvent()
 	b := m.Marshal()
@@ -34,6 +36,21 @@ func TestAllocsUnmarshalMarshal(t *testing.T) {
 		}
 	}); n > 3 {
 		t.Errorf("Unmarshal allocates %.0f/op, budget 3", n)
+	}
+	var warm Message
+	if n := testing.AllocsPerRun(100, func() {
+		if err := UnmarshalView(&warm, b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("UnmarshalView into a warm message allocates %.0f/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := Check(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Check allocates %.0f/op", n)
 	}
 	buf := make([]byte, 0, m.Size())
 	if n := testing.AllocsPerRun(100, func() { buf = m.AppendMarshal(buf[:0]) }); n != 0 {

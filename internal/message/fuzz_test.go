@@ -2,7 +2,9 @@ package message
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -55,22 +57,49 @@ func TestTruncationsNeverPanic(t *testing.T) {
 	}
 }
 
+// sameError reports whether two decode errors are of the same class.
+func sameError(a, b error) bool {
+	for _, sentinel := range []error{nil, ErrShortHeader, ErrBadClass,
+		attr.ErrTruncated, attr.ErrBadOp, attr.ErrBadType, attr.ErrTooManyAtt} {
+		if errors.Is(a, sentinel) != errors.Is(b, sentinel) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzUnmarshal holds the message decoder to its contract: it never panics,
 // what decodes re-encodes to exactly the bytes consumed, the header agrees
 // with the Peek helpers link layers use on the same bytes, and the message
 // shares nothing with its input. The attribute vector is attr.DecodeVec's,
-// which FuzzDecodeVec compares against the decoder it replaced. The seed
-// corpus is the files under testdata/fuzz/FuzzUnmarshal, named for what
-// each one is.
+// which FuzzDecodeVec compares against the decoder it replaced. UnmarshalView
+// into a message that has just held another, and Check, are held to
+// Unmarshal on the same bytes: the same verdict, the same message, and no
+// attributes left behind by a failure. The seed corpus is the files under
+// testdata/fuzz/FuzzUnmarshal, named for what each one is.
 func FuzzUnmarshal(f *testing.F) {
+	primer := sample()
+	primer.Flow = 0x1234 // a header field the next decode must not inherit
+	primerWire := primer.Marshal()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		orig := bytes.Clone(b)
 		m, err := Unmarshal(b)
+		var view Message
+		if err := UnmarshalView(&view, primerWire); err != nil {
+			t.Fatal(err)
+		}
+		viewErr := UnmarshalView(&view, b)
+		if checkErr := Check(b); !sameError(viewErr, err) || !sameError(checkErr, err) {
+			t.Fatalf("Unmarshal error %v, UnmarshalView error %v, Check error %v", err, viewErr, checkErr)
+		}
 		if err != nil {
-			if m != nil {
-				t.Fatalf("failed decode returned %v", m)
+			if m != nil || len(view.Attrs) != 0 {
+				t.Fatalf("failed decode returned %v, view kept %v", m, view.Attrs)
 			}
 			return
+		}
+		if !reflect.DeepEqual(&view, m) {
+			t.Fatalf("UnmarshalView = %#v, Unmarshal = %#v", &view, m)
 		}
 		if !m.Class.Valid() {
 			t.Fatalf("decoded invalid class %d", m.Class)

@@ -163,39 +163,69 @@ var (
 	ErrBadClass    = errors.New("message: invalid class")
 )
 
-// Unmarshal decodes a message from b. The message shares nothing with b;
-// its string and blob values share one arena (see attr.DecodeVec).
-func Unmarshal(b []byte) (*Message, error) {
+// parseHeader decodes the fixed header (and the trace flow, when flagged)
+// from the front of b into m, leaving m.Attrs alone, and returns the
+// encoded attribute vector behind it.
+func parseHeader(m *Message, b []byte) (attrs []byte, err error) {
 	if len(b) < headerSize {
 		return nil, ErrShortHeader
 	}
-	m := &Message{
-		Class:    Class(b[0] &^ flowFlag),
-		HopCount: b[1],
-		ID: ID{
-			RandID: binary.BigEndian.Uint32(b[2:]),
-			PktNum: binary.BigEndian.Uint32(b[6:]),
-		},
-		PrevHop: NodeID(binary.BigEndian.Uint32(b[10:])),
-		NextHop: NodeID(binary.BigEndian.Uint32(b[14:])),
-	}
-	if !m.Class.Valid() {
+	cls := Class(b[0] &^ flowFlag)
+	if !cls.Valid() {
 		return nil, fmt.Errorf("%w: %d", ErrBadClass, b[0])
 	}
-	rest := b[headerSize:]
+	m.Class, m.HopCount, m.ID, m.Flow = cls, b[1], PeekID(b), 0
+	m.PrevHop = NodeID(binary.BigEndian.Uint32(b[10:]))
+	m.NextHop = NodeID(binary.BigEndian.Uint32(b[14:]))
+	attrs = b[headerSize:]
 	if b[0]&flowFlag != 0 {
-		if len(rest) < 2 {
+		if len(attrs) < 2 {
 			return nil, ErrShortHeader
 		}
-		m.Flow = binary.BigEndian.Uint16(rest)
-		rest = rest[2:]
+		m.Flow = binary.BigEndian.Uint16(attrs)
+		attrs = attrs[2:]
 	}
-	v, _, err := attr.DecodeVec(rest)
+	return attrs, nil
+}
+
+// Unmarshal decodes a message from b. The message shares nothing with b;
+// its string and blob values share one arena (see attr.DecodeVec).
+func Unmarshal(b []byte) (*Message, error) {
+	m := new(Message)
+	rest, err := parseHeader(m, b)
+	if err == nil {
+		m.Attrs, _, err = attr.DecodeVec(rest)
+	}
 	if err != nil {
 		return nil, err
 	}
-	m.Attrs = v
 	return m, nil
+}
+
+// UnmarshalView decodes b into m, reusing m.Attrs' storage: it allocates
+// nothing once that has the capacity. String and blob values are windows
+// onto b (see attr.DecodeVecView), so m is valid only while b is never
+// written again. On error m has no attributes and an unspecified header.
+func UnmarshalView(m *Message, b []byte) error {
+	rest, err := parseHeader(m, b)
+	if err == nil {
+		m.Attrs, _, err = attr.DecodeVecView(m.Attrs, rest)
+	}
+	if err != nil {
+		m.Attrs = m.Attrs[:0]
+	}
+	return err
+}
+
+// Check returns the error Unmarshal would, without building the message: a
+// link that must refuse a malformed payload before vouching for it.
+func Check(b []byte) error {
+	var hdr Message
+	rest, err := parseHeader(&hdr, b)
+	if err == nil {
+		_, _, err = attr.ScanVec(rest)
+	}
+	return err
 }
 
 // PeekClass reads the class of an encoded message without decoding it,

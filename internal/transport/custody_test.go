@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -345,5 +349,66 @@ func TestUDPCustodyToCustodylessPeer(t *testing.T) {
 	}
 	if len(ha.released) != 0 {
 		t.Fatal("custody must not be released without a durable accept")
+	}
+}
+
+// TestUDPCustodyOfferValidation offers message's FuzzUnmarshal corpus —
+// every way a payload is known to be malformed, and every shape of valid
+// one — across the wire. The allocation-free check in acceptOffer must
+// refuse exactly what the full decode it replaced refused, counting each in
+// RecvDropped before the durable accept can see it, and must vouch for the
+// rest under the ID the decode reads.
+func TestUDPCustodyOfferValidation(t *testing.T) {
+	const corpus = "../message/testdata/fuzz/FuzzUnmarshal"
+	files, err := os.ReadDir(corpus)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus under %s: %v", corpus, err)
+	}
+	ha := newCustodyHarness(64)
+	var accepted []message.ID
+	n := newSimNet(t)
+	a, b, _, _ := n.pair(
+		UDPConfig{Custody: ha.options(time.Hour, time.Hour)}, // nothing retransmits within the test
+		UDPConfig{Custody: &CustodyOptions{
+			Accept: func(_ uint32, id message.ID, _ []byte) (held, fresh bool) {
+				accepted = append(accepted, id)
+				return true, true
+			},
+			Release: func(uint32, message.ID) {},
+		}})
+	valid := 0
+	for i, f := range files {
+		raw, err := os.ReadFile(filepath.Join(corpus, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte("...")\n"
+		_, lit, _ := strings.Cut(string(raw), "\n")
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(lit), "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: not a one-value []byte corpus file: %v", f.Name(), err)
+		}
+		payload := []byte(s)
+		dropped, took := b.Stats().RecvDropped.Load(), len(accepted)
+		if err := a.SendCustody(2, message.ID{RandID: 0xfeed, PktNum: uint32(i)}, payload); err != nil {
+			t.Fatal(err)
+		}
+		n.run(n.delay)
+		m, err := message.Unmarshal(payload)
+		if err != nil {
+			if b.Stats().RecvDropped.Load() != dropped+1 || len(accepted) != took {
+				t.Errorf("%s (%v): dropped %d, accepted %d; want refused and counted",
+					f.Name(), err, b.Stats().RecvDropped.Load()-dropped, len(accepted)-took)
+			}
+			continue
+		}
+		valid++
+		if b.Stats().RecvDropped.Load() != dropped || len(accepted) != took+1 || accepted[took] != m.ID {
+			t.Errorf("%s: dropped %d, accepted %v; want custody taken under %v",
+				f.Name(), b.Stats().RecvDropped.Load()-dropped, accepted[took:], m.ID)
+		}
+	}
+	if valid == 0 || valid == len(files) {
+		t.Fatalf("%d of %d corpus payloads decode: the table needs both kinds", valid, len(files))
 	}
 }

@@ -809,12 +809,11 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 // acknowledgment, so the ack must mean the payload is safe here.
 // held-but-not-fresh covers lost acks: re-acked, not re-delivered.
 func (u *UDP) acceptOffer(f frame, size int) {
-	m, err := message.Unmarshal(f.payload)
-	if err != nil {
+	if message.Check(f.payload) != nil {
 		u.stats.RecvDropped.Add(1)
 		return
 	}
-	held, fresh := u.cus.cfg.Accept(f.from, m.ID, f.payload)
+	held, fresh := u.cus.cfg.Accept(f.from, message.PeekID(f.payload), f.payload)
 	if !held {
 		u.stats.CustodyRejected.Add(1)
 		return

@@ -185,21 +185,28 @@ func (v Value) Float64() float64 {
 // String returns the value as a string when it holds one, and otherwise a
 // printable rendering (so Value satisfies fmt.Stringer safely).
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends what String returns to b: the form for callers that
+// build a key or a line in a buffer they reuse.
+func (v Value) AppendString(b []byte) []byte {
 	switch v.Type {
 	case TypeInt32:
-		return strconv.FormatInt(int64(int32(uint32(v.num))), 10)
+		return strconv.AppendInt(b, int64(int32(uint32(v.num))), 10)
 	case TypeInt64:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.AppendInt(b, int64(v.num), 10)
 	case TypeFloat32:
-		return strconv.FormatFloat(float64(math.Float32frombits(uint32(v.num))), 'g', -1, 32)
+		return strconv.AppendFloat(b, float64(math.Float32frombits(uint32(v.num))), 'g', -1, 32)
 	case TypeFloat64:
-		return strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
+		return strconv.AppendFloat(b, math.Float64frombits(v.num), 'g', -1, 64)
 	case TypeString:
-		return strconv.Quote(v.str)
+		return strconv.AppendQuote(b, v.str)
 	case TypeBlob:
-		return "0x" + base64.StdEncoding.EncodeToString(v.blob)
+		return base64.StdEncoding.AppendEncode(append(b, "0x"...), v.blob)
 	default:
-		return fmt.Sprintf("Value(type=%d)", v.Type)
+		return fmt.Appendf(b, "Value(type=%d)", v.Type)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diffusion/internal/message"
+	"diffusion/internal/sim"
 )
 
 // allocPath is reinforcedPath with one payload per AllocsPerRun call: 200
@@ -39,6 +40,28 @@ func TestAllocsRelayReceive(t *testing.T) {
 	n, link, wires := allocPath(t)
 	if got := receiveEach(t, n, link, wires, 1); got != 0 {
 		t.Errorf("relaying one reinforced Data allocates %.0f/op, budget 0", got)
+	}
+}
+
+// Corking adds nothing to it: the uncork the node defers each wake-up is
+// bound once. Every reception here is a wake-up of its own.
+func TestAllocsRelayReceiveCorked(t *testing.T) {
+	s := sim.New(1)
+	clock := &batchEngine{Engine: s}
+	link := &corkCountLink{countLink: countLink{id: 2}}
+	n, wires := reinforcedPath(t, link, Config{Clock: clock, Rand: s.Rand()}, 201, 3)
+	clock.endWakeup()
+	link.corks = 0
+	i := 0
+	if got := testing.AllocsPerRun(len(wires)-1, func() {
+		n.Receive(1, wires[i])
+		clock.endWakeup()
+		i++
+	}); got != 0 {
+		t.Errorf("relaying one reinforced Data over a corked link allocates %.0f/op, budget 0", got)
+	}
+	if link.corks != len(wires) || link.uncorks != link.corks+1 {
+		t.Errorf("%d corks, %d uncorks for %d wake-ups", link.corks, link.uncorks, len(wires))
 	}
 }
 

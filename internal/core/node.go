@@ -55,6 +55,23 @@ type Link interface {
 	Send(dst uint32, payload []byte) error
 }
 
+// batchClock is the optional clock surface with an end-of-wake-up edge:
+// Defer runs fn once the callbacks of the current wake-up have all run
+// (rt.Loop; the simulator's clock has none).
+type batchClock interface {
+	Defer(fn func())
+}
+
+// corkLink is the optional link surface that can hold its writes: between
+// Cork and Uncork the link coalesces what Send hands it, per neighbor, still
+// only borrowing each payload (transport.UDP). A node on a batchClock corks
+// such a link on a wake-up's first transmission and uncorks it at the
+// wake-up's end: a burst costs one datagram per neighbor, not one per message.
+type corkLink interface {
+	Cork()
+	Uncork()
+}
+
 // Broadcast aliases the link broadcast address at the diffusion layer.
 const Broadcast = uint32(message.Broadcast)
 
@@ -292,6 +309,27 @@ type Node struct {
 	rxBusy bool
 
 	Stats Stats
+
+	// cork is per-wake-up coalescing, nil unless the clock and the link
+	// each have their half of it (corkLink).
+	cork *wakeupCork
+}
+
+// wakeupCork corks the link on a wake-up's first transmission and uncorks
+// it at the wake-up's end.
+type wakeupCork struct {
+	link   corkLink
+	clock  batchClock
+	held   bool
+	uncork func() // bound once, so that deferring it allocates nothing
+}
+
+func (c *wakeupCork) take() {
+	if !c.held {
+		c.held = true
+		c.link.Cork()
+		c.clock.Defer(c.uncork)
+	}
 }
 
 // NewNode creates a diffusion node. The node is live immediately; the
@@ -316,6 +354,16 @@ func NewNode(cfg Config) *Node {
 	if cfg.Custody != nil {
 		if cl, ok := cfg.Link.(CustodyLink); ok {
 			n.custodyLink = cl
+		}
+	}
+	if bc, ok := cfg.Clock.(batchClock); ok {
+		if cl, ok := cfg.Link.(corkLink); ok {
+			c := &wakeupCork{link: cl, clock: bc}
+			c.uncork = func() {
+				c.held = false
+				cl.Uncork()
+			}
+			n.cork = c
 		}
 	}
 	n.housekeep = sim.Every(cfg.Clock, housekeepInterval, housekeepInterval, n.housekeeping)
@@ -721,6 +769,9 @@ func (n *Node) dispatch(m *message.Message) {
 func (n *Node) transmit(m *message.Message) error {
 	if n.detached {
 		return nil
+	}
+	if n.cork != nil {
+		n.cork.take()
 	}
 	n.txBuf = m.AppendMarshal(n.txBuf[:0])
 	payload := n.txBuf

@@ -123,7 +123,7 @@ func cacheIdentity(attrs attr.Vec, keys []attr.Key) (string, bool) {
 		}
 		found = true
 		id = append(id, byte(k), ':')
-		id = append(id, a.Val.String()...)
+		id = a.Val.AppendString(id)
 		id = append(id, '|')
 	}
 	return string(id), found

@@ -65,7 +65,8 @@ func (f *Fusion) onMessage(m *message.Message, h core.FilterHandle) {
 		f.node.SendMessageToNext(m, h)
 		return
 	}
-	id, ok := identity(m.Attrs, []attr.Key{attr.KeyTask, attr.KeySequence})
+	key, ok := appendIdentity(nil, m.Attrs, []attr.Key{attr.KeyTask, attr.KeySequence})
+	id := string(key)
 	if !ok {
 		f.node.SendMessageToNext(m, h)
 		return

@@ -27,6 +27,7 @@ type Suppression struct {
 	identityKeys []attr.Key
 	ttl          time.Duration
 	seen         map[string]time.Duration
+	idBuf        []byte // scratch for the identity of the message in hand
 
 	// Suppressed counts swallowed duplicates; Passed counts forwarded
 	// uniques.
@@ -76,19 +77,21 @@ func (s *Suppression) onMessage(m *message.Message, h core.FilterHandle) {
 		s.node.SendMessageToNext(m, h)
 		return
 	}
-	id, ok := identity(m.Attrs, s.identityKeys)
-	if !ok {
+	var ok bool
+	if s.idBuf, ok = appendIdentity(s.idBuf[:0], m.Attrs, s.identityKeys); !ok {
 		// Not an event we can identify: let it through untouched.
 		s.node.SendMessageToNext(m, h)
 		return
 	}
 	now := s.clock.Now()
 	s.gc(now)
-	if at, dup := s.seen[id]; dup && now-at <= s.ttl {
+	// Looking up by string(bytes) allocates nothing; only a first sighting
+	// pays for its key.
+	if at, dup := s.seen[string(s.idBuf)]; dup && now-at <= s.ttl {
 		s.Suppressed++
 		return // consumed: the duplicate stops here
 	}
-	s.seen[id] = now
+	s.seen[string(s.idBuf)] = now
 	s.Passed++
 	s.node.SendMessageToNext(m, h)
 }
@@ -105,22 +108,21 @@ func (s *Suppression) gc(now time.Duration) {
 	}
 }
 
-// identity renders the identity-key actuals of attrs as a map key. The
-// second result is false unless every identity key has an actual: a
-// message without a full identity (for example, no sequence number) is not
-// an aggregatable event and must pass through.
-func identity(attrs attr.Vec, keys []attr.Key) (string, bool) {
-	var id []byte
+// appendIdentity appends the identity-key actuals of attrs, rendered as a
+// map key, to id. The second result is false unless every identity key has
+// an actual: a message without a full identity (for example, no sequence
+// number) is not an aggregatable event and must pass through.
+func appendIdentity(id []byte, attrs attr.Vec, keys []attr.Key) ([]byte, bool) {
 	for _, k := range keys {
 		a, ok := attrs.FindActual(k)
 		if !ok {
-			return "", false
+			return id, false
 		}
 		id = append(id, byte(k), ':')
-		id = append(id, a.Val.String()...)
+		id = a.Val.AppendString(id)
 		id = append(id, '|')
 	}
-	return string(id), true
+	return id, true
 }
 
 // CountingAggregator is the paper's "more sophisticated filter": it delays
@@ -136,6 +138,7 @@ type CountingAggregator struct {
 	identityKeys []attr.Key
 	window       time.Duration
 	pending      map[string]*pendingEvent
+	idBuf        []byte // scratch for the identity of the message in hand
 
 	// Merged counts events folded into a pending message; Flushed counts
 	// forwarded aggregates.
@@ -175,16 +178,17 @@ func (c *CountingAggregator) onMessage(m *message.Message, h core.FilterHandle) 
 		c.node.SendMessageToNext(m, h)
 		return
 	}
-	id, ok := identity(m.Attrs, c.identityKeys)
-	if !ok {
+	var ok bool
+	if c.idBuf, ok = appendIdentity(c.idBuf[:0], m.Attrs, c.identityKeys); !ok {
 		c.node.SendMessageToNext(m, h)
 		return
 	}
-	if p, exists := c.pending[id]; exists {
+	if p, exists := c.pending[string(c.idBuf)]; exists {
 		p.count++
 		c.Merged++
 		return // folded into the pending aggregate
 	}
+	id := string(c.idBuf)
 	p := &pendingEvent{msg: m.Clone(), handle: h, count: 1}
 	c.pending[id] = p
 	c.clock.After(c.window, func() { c.flush(id) })

@@ -4,16 +4,21 @@ package rt
 
 import "testing"
 
-// Steady-state Post and run allocate nothing of their own: the loop's two
-// queue arrays alternate instead of one being re-grown behind a moving
-// head. The closures are built once, so none of the count is the caller's.
+// Steady-state Post, Defer and run allocate nothing of their own: the loop's
+// two queue arrays alternate instead of one being re-grown behind a moving
+// head, and the deferred list is emptied in place. The closures are built
+// once, so none of the count is the caller's.
 func TestAllocsPostRun(t *testing.T) {
 	l := NewLoop()
 	defer l.Stop()
 	const burst = 64
 	done := make(chan struct{}, 1)
-	ran := 0
-	step := func() { ran++ }
+	ran, flushed := 0, 0
+	flush := func() { flushed++ }
+	step := func() {
+		ran++
+		l.Defer(flush)
+	}
 	last := func() { done <- struct{}{} }
 	round := func() {
 		for i := 0; i < burst; i++ {
@@ -26,9 +31,10 @@ func TestAllocsPostRun(t *testing.T) {
 		round() // grow both arrays to the burst size
 	}
 	if n := testing.AllocsPerRun(100, round); n != 0 {
-		t.Errorf("%d posts allocate %.0f/round in steady state", burst+1, n)
+		t.Errorf("%d posts and %d deferrals allocate %.0f/round in steady state", burst+1, burst, n)
 	}
-	if want := (8 + 101) * burst; ran != want {
-		t.Errorf("ran %d callbacks, want %d", ran, want)
+	l.Stop()
+	if want := (8 + 101) * burst; ran != want || flushed != want {
+		t.Errorf("ran %d callbacks and %d deferred calls, want %d of each", ran, flushed, want)
 	}
 }

@@ -41,6 +41,10 @@ type Loop struct {
 	queue    []func()
 	stopping bool
 	done     chan struct{}
+
+	// deferred is what the callbacks of the current wake-up handed Defer;
+	// only the loop goroutine touches it.
+	deferred []func()
 }
 
 // NewLoop starts a loop anchored at the current instant. The caller must
@@ -56,7 +60,8 @@ func NewLoop() *Loop {
 // loop is stopped, then executes whatever was already queued and exits.
 // Each wake-up takes the whole queue in one lock acquisition and leaves
 // Post the previous batch's array to fill, so the two arrays alternate and
-// a steady stream of posts allocates nothing.
+// a steady stream of posts allocates nothing. What the batch deferred runs
+// before the loop looks at the queue again.
 func (l *Loop) run() {
 	defer close(l.done)
 	var batch []func()
@@ -75,8 +80,22 @@ func (l *Loop) run() {
 			batch[i] = nil // a closure that has run must not pin what it captured
 			fn()
 		}
+		for i := 0; i < len(l.deferred); i++ { // a deferred call may defer another
+			fn := l.deferred[i]
+			l.deferred[i] = nil
+			fn()
+		}
+		l.deferred = l.deferred[:0]
 	}
 }
+
+// Defer runs fn on the loop goroutine once the callbacks of the current
+// wake-up — everything that was queued when the loop last looked, the last
+// such batch before Stop returns included — have run, in call order and
+// before anything posted since. It is the loop's end-of-batch edge: work
+// that is cheaper done once per wake-up than once per callback (flushing a
+// corked link) hangs off it. Defer may be called only from a loop callback.
+func (l *Loop) Defer(fn func()) { l.deferred = append(l.deferred, fn) }
 
 // Post enqueues fn to run on the loop goroutine. It never blocks and is
 // safe from any goroutine (link-layer readers, HTTP handlers, timer

@@ -272,3 +272,66 @@ func TestStopAcrossBatchBoundary(t *testing.T) {
 		t.Errorf("%d callbacks were accepted while Stop was pending, %d ran", accepted, ran)
 	}
 }
+
+// TestDeferRunsAtEndOfBatch pins the loop's end-of-batch edge: what a
+// wake-up's callbacks defer runs after the last of them, in call order — a
+// deferred call's own deferral included — and before anything posted since.
+func TestDeferRunsAtEndOfBatch(t *testing.T) {
+	l := NewLoop()
+	defer l.Stop()
+	started, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	l.Post(func() {
+		close(started)
+		<-gate
+		l.Defer(log("a.deferred"))
+	})
+	<-started       // the first batch, this callback alone, is executing
+	l.Post(func() { // the second batch: this callback and the next
+		order = append(order, "b")
+		l.Defer(log("b.first"))
+		l.Defer(func() {
+			order = append(order, "b.second")
+			l.Defer(log("b.nested"))
+		})
+		l.Post(func() { // the third
+			order = append(order, "d")
+			l.Defer(func() { close(done) })
+		})
+	})
+	l.Post(log("c"))
+	close(gate)
+	<-done
+	want := []string{"a.deferred", "b", "c", "b.first", "b.second", "b.nested", "d"}
+	if !slices.Equal(order, want) {
+		t.Errorf("ran %v\nwant %v", order, want)
+	}
+}
+
+// TestDeferRunsInFinalBatch: the last batch before Stop returns has its edge
+// like any other, so what it deferred — a held write — is not lost.
+func TestDeferRunsInFinalBatch(t *testing.T) {
+	l := NewLoop()
+	started, gate := make(chan struct{}), make(chan struct{})
+	l.Post(func() {
+		close(started)
+		<-gate
+	})
+	<-started
+	ran := false
+	l.Post(func() { l.Defer(func() { ran = true }) }) // queued behind the gate
+	stopped := make(chan struct{})
+	go func() {
+		l.Stop()
+		close(stopped)
+	}()
+	for l.Post(func() {}) { // until Stop has taken effect
+		runtime.Gosched()
+	}
+	close(gate)
+	<-stopped
+	if !ran {
+		t.Error("Stop returned without running what the final batch deferred")
+	}
+}

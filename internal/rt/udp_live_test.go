@@ -1,0 +1,191 @@
+package rt_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"diffusion/internal/attr"
+	"diffusion/internal/chaos"
+	"diffusion/internal/core"
+	"diffusion/internal/message"
+	"diffusion/internal/rt"
+	"diffusion/internal/transport"
+)
+
+// udpLine is a line of diffusion nodes over loopback UDP sockets, each on
+// its own loop — cmd/diffnode's wiring — with a sink subscribed at one end
+// and a publication at the other. Set-up is driven by events, not sleeps.
+type udpLine struct {
+	loops []*rt.Loop
+	nodes []*core.Node
+	links []*transport.UDP
+	pub   core.PublicationHandle
+	seq   int32
+	got   chan message.Class // one per delivery at the sink
+}
+
+func newUDPLine(tb testing.TB, n int, interestInterval time.Duration) *udpLine {
+	tb.Helper()
+	ports, err := chaos.FreePorts("udp", n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	addr := func(i int) string { return fmt.Sprintf("127.0.0.1:%d", ports[i]) }
+	ln := &udpLine{nodes: make([]*core.Node, n), got: make(chan message.Class, 1024)}
+	for i := 0; i < n; i++ {
+		i, loop := i, rt.NewLoop()
+		neighbors := map[uint32]string{}
+		if i > 0 {
+			neighbors[uint32(i)] = addr(i - 1)
+		}
+		if i < n-1 {
+			neighbors[uint32(i+2)] = addr(i + 1)
+		}
+		link, err := transport.ListenUDP(transport.UDPConfig{
+			ID: uint32(i + 1), Listen: addr(i), Neighbors: neighbors, Seed: int64(i),
+			Deliver: func(from uint32, payload []byte) {
+				loop.Post(func() { ln.nodes[i].Receive(from, payload) })
+			},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		loop.Call(func() {
+			ln.nodes[i] = core.NewNode(core.Config{
+				Clock:               loop,
+				Rand:                rand.New(rand.NewSource(int64(i))),
+				Link:                link,
+				InterestInterval:    interestInterval,
+				ExploratoryInterval: time.Hour, // only the first send explores
+				ForwardJitter:       time.Millisecond,
+				SeenTTL:             2 * time.Second, // cmd/diffbench's: the cache tracks flight time, not run length
+			})
+		})
+		ln.loops, ln.links = append(ln.loops, loop), append(ln.links, link)
+	}
+	tb.Cleanup(func() {
+		for i, l := range ln.loops {
+			ln.links[i].Close()
+			l.Stop()
+		}
+	})
+
+	ln.loops[n-1].Call(func() {
+		ln.nodes[n-1].Subscribe(attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, "line")},
+			func(m *message.Message) { ln.got <- m.Class })
+	})
+	ready := make(chan struct{}, 1)
+	ln.loops[0].Call(func() {
+		tap := attr.Vec{
+			attr.Int32Attr(attr.KeyClass, attr.EQ, attr.ClassInterest),
+			attr.StringAttr(attr.KeyTask, attr.IS, "line"),
+		}
+		ln.nodes[0].Subscribe(tap, func(*message.Message) {
+			select {
+			case ready <- struct{}{}:
+			default:
+			}
+		})
+		ln.pub = ln.nodes[0].Publish(attr.Vec{attr.StringAttr(attr.KeyTask, attr.IS, "line")})
+	})
+	select {
+	case <-ready:
+	case <-time.After(10 * time.Second):
+		tb.Fatal("the interest never reached the source")
+	}
+	// Offer events until one arrives as plain Data: the first explored and
+	// the sink's reinforcement is back.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		ln.send(1)
+		select {
+		case c := <-ln.got:
+			if c == message.Data {
+				return ln
+			}
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			tb.Fatal("no event crossed the line over a reinforced path")
+		}
+	}
+}
+
+// send publishes k events from one callback on the source's loop: one
+// wake-up, k transmissions.
+func (ln *udpLine) send(k int) {
+	ln.loops[0].Post(func() {
+		for i := 0; i < k; i++ {
+			ln.seq++
+			ln.nodes[0].Send(ln.pub, attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, ln.seq)})
+		}
+	})
+}
+
+// sent sums the endpoints' own datagram and frame counters.
+func (ln *udpLine) sent() (datagrams, frames uint64) {
+	for _, l := range ln.links {
+		datagrams += l.Stats().Sent.Load()
+		frames += l.Stats().FramesSent.Load()
+	}
+	return datagrams, frames
+}
+
+// A burst published in one wake-up leaves the source as one datagram and
+// reaches the sink whole, over real sockets: core.NewNode found the loop's
+// Defer and the endpoint's Cork by itself.
+func TestLiveUDPBurstIsOneDatagram(t *testing.T) {
+	ln := newUDPLine(t, 3, time.Minute) // no interest refresh while the test counts
+	time.Sleep(20 * time.Millisecond)   // the set-up's last frames leave the line
+	for len(ln.got) > 0 {
+		<-ln.got
+	}
+	src := ln.links[0].Stats()
+	datagrams, frames := src.Sent.Load(), src.FramesSent.Load()
+	const burst = 8
+	ln.send(burst)
+	for i := 0; i < burst; i++ {
+		select {
+		case <-ln.got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d events arrived", i, burst)
+		}
+	}
+	ln.loops[0].Call(func() {}) // the source's loop is past the wake-up, and so past counting what it wrote
+	if d, f := src.Sent.Load()-datagrams, src.FramesSent.Load()-frames; d != 1 || f != burst {
+		t.Errorf("the burst left the source as %d datagrams of %d frames, want 1 of %d", d, f, burst)
+	}
+	for i, l := range ln.links {
+		if s := l.Stats(); s.RecvDropped.Load() != 0 || s.SendErrors.Load() != 0 {
+			t.Errorf("node %d dropped %d receptions and failed %d writes", i+1, s.RecvDropped.Load(), s.SendErrors.Load())
+		}
+	}
+}
+
+// BenchmarkLiveLineUDP is cmd/diffbench's line5_udp phase T in miniature —
+// five hops, 32 events in flight — reporting what the frozen benchmark's
+// traced run cannot: datagrams and frames per event from the endpoints' own
+// Stats, with the links corked as they are in a daemon.
+func BenchmarkLiveLineUDP(b *testing.B) {
+	ln := newUDPLine(b, 6, time.Second)
+	const window = 32
+	datagrams, frames := ln.sent()
+	b.ResetTimer()
+	for offered, arrived := 0, 0; arrived < b.N; {
+		for offered < b.N && offered-arrived < window {
+			ln.send(1)
+			offered++
+		}
+		select {
+		case <-ln.got:
+			arrived++
+		case <-time.After(5 * time.Second):
+			b.Fatalf("%d of %d events arrived", arrived, offered)
+		}
+	}
+	b.StopTimer()
+	d, f := ln.sent()
+	b.ReportMetric(float64(d-datagrams)/float64(b.N), "datagrams/event")
+	b.ReportMetric(float64(f-frames)/float64(b.N), "frames/event")
+}

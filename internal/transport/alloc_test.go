@@ -23,7 +23,7 @@ func (w *discardWire) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error
 }
 
 // A fire-and-forget Send borrows the payload and frames it into a pooled
-// buffer: nothing is allocated per datagram.
+// buffer: nothing is allocated per datagram, written at once or held.
 func TestAllocsUDPSend(t *testing.T) {
 	w := &discardWire{}
 	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2, 3), Deliver: func(uint32, []byte) {}}, sim.New(1), w, 1)
@@ -43,5 +43,24 @@ func TestAllocsUDPSend(t *testing.T) {
 	}
 	if want := 101 * (1 + 2); w.frames != want || w.bytes != want*(headerSize+len(payload)) {
 		t.Errorf("wire saw %d frames, %d bytes; want %d frames of %d bytes", w.frames, w.bytes, want, headerSize+len(payload))
+	}
+
+	// Corked, the frames go into buffers from the same pool and the held
+	// list is emptied in place: a wake-up of 8 sends and its Uncork is free
+	// too, and is one datagram.
+	w.frames = 0
+	if n := testing.AllocsPerRun(100, func() {
+		u.Cork()
+		for i := 0; i < 8; i++ {
+			if err := u.Send(2, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		u.Uncork()
+	}); n != 0 {
+		t.Errorf("8 corked sends and Uncork allocate %.0f/wake-up", n)
+	}
+	if w.frames != 101 || u.Stats().FramesSent.Load() != 101*(1+2+8) {
+		t.Errorf("wire saw %d datagrams of %d frames in all; want 101 and %d", w.frames, u.Stats().FramesSent.Load(), 101*(1+2+8))
 	}
 }

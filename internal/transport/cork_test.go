@@ -1,0 +1,365 @@
+package transport
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+)
+
+// These tests hold the cork to exact counts on simnet_test.go's virtual
+// wire: what is on the wire is what n.wire recorded, and time moves only
+// when a test says so.
+
+// splitBundle is the tests' own reading of the bundle layout: the frames of
+// bundle b, and whether anything but whole frames followed the header.
+func splitBundle(b []byte) (frames [][]byte, malformed bool) {
+	b = b[bundleHeaderSize:]
+	for len(b) >= 2 {
+		n := int(b[0])<<8 | int(b[1])
+		if n > len(b)-2 {
+			break
+		}
+		frames, b = append(frames, b[2:2+n]), b[2+n:]
+	}
+	return frames, len(b) > 0 || len(frames) == 0
+}
+
+// unbundle splits a well-formed bundle into its frames, failing on anything
+// else.
+func unbundle(t *testing.T, b []byte) [][]byte {
+	t.Helper()
+	if !isBundle(b) {
+		t.Fatalf("%x is not a bundle", b)
+	}
+	frames, malformed := splitBundle(b)
+	if malformed {
+		t.Fatalf("bundle %x is malformed", b)
+	}
+	return frames
+}
+
+// tags is "p0".."p{k-1}", the payloads of k sends.
+func tags(k int) []string {
+	out := make([]string, k)
+	for i := range out {
+		out[i] = fmt.Sprintf("p%d", i)
+	}
+	return out
+}
+
+func sendAll(t *testing.T, u *UDP, dst uint32, payloads []string) {
+	t.Helper()
+	for _, p := range payloads {
+		if err := u.Send(dst, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestCorkOneDatagramPerNeighbor(t *testing.T) {
+	n := newSimNet(t)
+	c2, c3 := &collector{}, &collector{}
+	a := n.endpoint(UDPConfig{ID: 1, Neighbors: neighbors(2, 3)})
+	n.endpoint(UDPConfig{ID: 2, Neighbors: neighbors(1), Deliver: c2.deliver})
+	n.endpoint(UDPConfig{ID: 3, Neighbors: neighbors(1), Deliver: c3.deliver})
+
+	// k sends to one neighbor: one datagram, k deliveries in order.
+	a.Cork()
+	sendAll(t, a, 2, tags(5))
+	if n.frames != 0 {
+		t.Fatalf("%d datagrams on the wire before Uncork", n.frames)
+	}
+	a.Uncork()
+	if n.frames != 1 || len(unbundle(t, n.wire[0].b)) != 5 {
+		t.Fatalf("5 sends to one neighbor left as %d datagrams", n.frames)
+	}
+	n.run(10 * time.Millisecond)
+	if got, _ := c2.snapshot(); !slices.Equal(got, tags(5)) {
+		t.Errorf("neighbor 2 got %q, want %q", got, tags(5))
+	}
+	if s := a.Stats(); s.Sent.Load() != 1 || s.FramesSent.Load() != 5 {
+		t.Errorf("Sent %d FramesSent %d, want 1 and 5", s.Sent.Load(), s.FramesSent.Load())
+	}
+
+	// Sends to two neighbors, then two broadcasts: a datagram each, every time.
+	a.Cork()
+	sendAll(t, a, 2, []string{"x", "y"})
+	sendAll(t, a, 3, []string{"z", "w"})
+	a.Uncork()
+	if n.frames != 3 || n.wire[1].to != simAddr(2) || n.wire[2].to != simAddr(3) {
+		t.Fatalf("sends to two neighbors left as %d datagrams", n.frames-1)
+	}
+	a.Cork()
+	sendAll(t, a, Broadcast, []string{"b0", "b1"})
+	a.Uncork()
+	if n.frames != 5 {
+		t.Fatalf("two broadcasts to two neighbors left as %d datagrams, want 2", n.frames-3)
+	}
+	n.run(10 * time.Millisecond)
+	got2, _ := c2.snapshot()
+	got3, _ := c3.snapshot()
+	if want := []string{"x", "y", "b0", "b1"}; !slices.Equal(got2[5:], want) {
+		t.Errorf("neighbor 2 got %q, want %q", got2[5:], want)
+	}
+	if want := []string{"z", "w", "b0", "b1"}; !slices.Equal(got3, want) {
+		t.Errorf("neighbor 3 got %q, want %q", got3, want)
+	}
+	if s := a.Stats(); s.Sent.Load() != 5 || s.FramesSent.Load() != 13 {
+		t.Errorf("Sent %d FramesSent %d, want 5 and 13", s.Sent.Load(), s.FramesSent.Load())
+	}
+	if len(a.held) != 0 {
+		t.Errorf("%d datagrams still held after Uncork", len(a.held))
+	}
+}
+
+// A lone held frame is the datagram an un-corked Send writes, byte for
+// byte: only real coalescing changes the wire.
+func TestCorkLoneFrameIsThePlainDatagram(t *testing.T) {
+	n := newSimNet(t)
+	a, _, _, cb := n.pair(UDPConfig{}, UDPConfig{})
+	sendAll(t, a, 2, []string{"alone"})
+	a.Cork()
+	sendAll(t, a, 2, []string{"alone"})
+	a.Uncork()
+	if n.frames != 2 || !bytes.Equal(n.wire[0].b, n.wire[1].b) {
+		t.Fatalf("held frame went out as %x, un-held as %x", n.wire[1].b, n.wire[0].b)
+	}
+	if f, err := decodeFrame(n.wire[1].b); err != nil || f.kind != kindData {
+		t.Fatalf("held frame is not a plain data frame: %v", err)
+	}
+	n.run(10 * time.Millisecond)
+	if cb.count() != 2 {
+		t.Errorf("%d deliveries, want 2", cb.count())
+	}
+}
+
+// A frame that would take the datagram past bundleMax starts the next one,
+// and the full one is on the wire before Uncork.
+func TestCorkFullDatagramLeavesAtOnce(t *testing.T) {
+	n := newSimNet(t)
+	a, _, _, cb := n.pair(UDPConfig{}, UDPConfig{})
+	// 11 frames of 106 bytes fill a bundle to the byte.
+	payload := bytes.Repeat([]byte{'.'}, 106)
+	if got := bundleHeaderSize + 11*(bundlePrefixSize+headerSize+len(payload)); got != bundleMax {
+		t.Fatalf("test arithmetic: 11 frames make %d bytes, not bundleMax", got)
+	}
+	a.Cork()
+	for i := 0; i < 11; i++ {
+		a.Send(2, payload)
+	}
+	if n.frames != 0 {
+		t.Fatalf("a datagram left before it was full")
+	}
+	a.Send(2, payload)
+	if n.frames != 1 || len(n.wire[0].b) != bundleMax || len(unbundle(t, n.wire[0].b)) != 11 {
+		t.Fatalf("after the 12th send: %d datagrams on the wire, want the full one", n.frames)
+	}
+	a.Uncork()
+	if n.frames != 2 || isBundle(n.wire[1].b) {
+		t.Fatalf("the 12th frame should leave alone, un-bundled, at Uncork")
+	}
+	// A frame too long to share travels alone, whole, however it is held.
+	big := bytes.Repeat([]byte{'#'}, 3000)
+	a.Cork()
+	a.Send(2, []byte("before"))
+	a.Send(2, big)
+	a.Send(2, []byte("after"))
+	a.Uncork()
+	if n.frames != 5 || isBundle(n.wire[2].b) || isBundle(n.wire[3].b) || isBundle(n.wire[4].b) {
+		t.Fatalf("small, oversize, small left as %d datagrams, want 3 plain ones", n.frames-2)
+	}
+	n.run(10 * time.Millisecond)
+	got, _ := cb.snapshot()
+	if len(got) != 15 || got[12] != "before" || got[13] != string(big) || got[14] != "after" {
+		t.Errorf("%d deliveries, or out of order", len(got))
+	}
+	if s := a.Stats(); s.Sent.Load() != 5 || s.FramesSent.Load() != 15 {
+		t.Errorf("Sent %d FramesSent %d, want 5 and 15", s.Sent.Load(), s.FramesSent.Load())
+	}
+}
+
+// The cork is the endpoint's, not a goroutine's: an ack the reception entry
+// generates while the loop holds the cork leaves with the loop's frames.
+func TestCorkHoldsAcksFromTheReader(t *testing.T) {
+	n := newSimNet(t)
+	a, b, ca, cb := n.pair(UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
+	b.Cork()
+	sendAll(t, a, 2, []string{"ping"})
+	n.run(10 * time.Millisecond)
+	if cb.count() != 1 || n.frames != 1 || a.rel.pending(2) != 1 {
+		t.Fatalf("delivered %d, %d datagrams, %d pending; want the ack held", cb.count(), n.frames, a.rel.pending(2))
+	}
+	sendAll(t, b, 1, []string{"pong"})
+	b.Uncork()
+	if n.frames != 2 {
+		t.Fatalf("ack and reply left as %d datagrams, want 1", n.frames-1)
+	}
+	if f := unbundle(t, n.wire[1].b); len(f) != 2 || f[0][2] != kindAck || f[1][2] != kindReliable {
+		t.Fatalf("bundle is not ack then reply")
+	}
+	n.run(10 * time.Millisecond)
+	if a.rel.pending(2) != 0 || ca.count() != 1 {
+		t.Errorf("%d pending at a, %d delivered; want the ack and the reply through", a.rel.pending(2), ca.count())
+	}
+}
+
+// Close writes what is held while there is still a wire; Uncork afterwards
+// finds nothing, and Send reports ErrClosed as ever.
+func TestUncorkAfterClose(t *testing.T) {
+	n := newSimNet(t)
+	a, _, _, _ := n.pair(UDPConfig{}, UDPConfig{})
+	a.Cork()
+	sendAll(t, a, 2, []string{"last", "words"})
+	a.Close()
+	if n.frames != 1 || len(a.held) != 0 {
+		t.Fatalf("Close left %d datagrams on the wire and %d held, want 1 and 0", n.frames, len(a.held))
+	}
+	if err := a.Send(2, []byte("late")); !errors.Is(err, ErrClosed) {
+		t.Errorf("Send after Close: %v, want ErrClosed", err)
+	}
+	a.Uncork()
+	if n.frames != 1 || len(a.held) != 0 {
+		t.Errorf("Uncork after Close wrote %d datagrams, holds %d", n.frames-1, len(a.held))
+	}
+}
+
+// The impairments run before the cork, frame by frame: a partition or a
+// loss draw takes single frames out of a would-be bundle.
+func TestCorkImpairmentsDropSingleFrames(t *testing.T) {
+	n := newSimNet(t)
+	c2 := &collector{}
+	a := n.endpoint(UDPConfig{ID: 1, Seed: 5, Neighbors: neighbors(2, 3)})
+	n.endpoint(UDPConfig{ID: 2, Neighbors: neighbors(1), Deliver: c2.deliver})
+	a.Block(3)
+	a.Cork()
+	sendAll(t, a, Broadcast, tags(4))
+	a.Uncork()
+	if n.frames != 1 || n.wire[0].to != simAddr(2) || a.Stats().PartitionDropped.Load() != 4 {
+		t.Fatalf("%d datagrams, %d partition drops; want 1 to neighbor 2 and 4", n.frames, a.Stats().PartitionDropped.Load())
+	}
+	a.SetLoss(0.5)
+	a.Cork()
+	sendAll(t, a, 2, tags(20))
+	a.Uncork()
+	lost := int(a.Stats().LossInjected.Load())
+	if lost == 0 || lost == 20 || n.frames != 2 {
+		t.Fatalf("%d of 20 lost in %d datagrams; want some, in 1", lost, n.frames-1)
+	}
+	if got := len(unbundle(t, n.wire[1].b)); got != 20-lost {
+		t.Errorf("bundle carries %d frames, want the %d that survived", got, 20-lost)
+	}
+	n.run(10 * time.Millisecond)
+	if c2.count() != 4+20-lost {
+		t.Errorf("%d deliveries, want %d", c2.count(), 4+20-lost)
+	}
+}
+
+// A retransmission that travels in a bundle is what it is alone: acked
+// again, suppressed as a duplicate, and the frames around it delivered.
+func TestCorkRetransmitInsideBundle(t *testing.T) {
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
+	b.SetLoss(1) // b hears a, a does not hear b's acks
+	sendAll(t, a, 2, []string{"first"})
+	n.run(10 * time.Millisecond)
+	if cb.count() != 1 || a.rel.pending(2) != 1 {
+		t.Fatalf("delivered %d, pending %d; want 1 and 1", cb.count(), a.rel.pending(2))
+	}
+	b.SetLoss(0)
+	a.Cork()
+	n.run(250 * time.Millisecond) // the retransmission comes due inside the cork
+	sendAll(t, a, 2, []string{"second"})
+	before := n.frames
+	a.Uncork()
+	if n.frames != before+1 || len(unbundle(t, n.wire[before].b)) != 2 {
+		t.Fatalf("retransmission and new frame left as %d datagrams", n.frames-before)
+	}
+	n.run(10 * time.Millisecond)
+	if got, _ := cb.snapshot(); !slices.Equal(got, []string{"first", "second"}) {
+		t.Errorf("b delivered %q", got)
+	}
+	if s := b.Stats(); s.DupSuppressed.Load() != 1 || s.AcksSent.Load() != 2 {
+		t.Errorf("DupSuppressed %d AcksSent %d, want 1 and 2", s.DupSuppressed.Load(), s.AcksSent.Load())
+	}
+	if a.rel.pending(2) != 0 || a.Stats().Retransmits.Load() != 1 {
+		t.Errorf("pending %d, retransmits %d; want 0 and 1", a.rel.pending(2), a.Stats().Retransmits.Load())
+	}
+}
+
+// What the frames before a truncated tail carried stands; the tail is one
+// RecvDropped. So is a bundle of nothing, and a bundle inside a bundle.
+func TestBundleMalformedTail(t *testing.T) {
+	n := newSimNet(t)
+	_, b, _, cb := n.pair(UDPConfig{}, UDPConfig{})
+	frame := func(p string) []byte { return appendFrame(nil, kindData, 1, 2, 1, 0, 0, 0, []byte(p)) }
+	bundle := func(frames ...[]byte) []byte {
+		out := []byte{frameMagic, frameVersion, kindBundle}
+		for _, f := range frames {
+			out = append(out, byte(len(f)>>8), byte(len(f)))
+			out = append(out, f...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name             string
+		b                []byte
+		delivered, drops int
+	}{
+		{"well-formed", bundle(frame("a"), frame("b")), 2, 0},
+		{"length past the end", append(bundle(frame("a")), 0, 40, 1, 2, 3), 1, 1},
+		{"half a length", append(bundle(frame("a")), 0), 1, 1},
+		{"no frames", bundle(), 0, 1},
+		{"empty inner frame", bundle(frame("a"), nil, frame("b")), 2, 1},
+		{"nested bundle", bundle(frame("a"), bundle(frame("x"), frame("y"))), 1, 1},
+	} {
+		got, drops := cb.count(), b.Stats().RecvDropped.Load()
+		b.receive(tc.b, simAddr(1))
+		if d, r := cb.count()-got, int(b.Stats().RecvDropped.Load()-drops); d != tc.delivered || r != tc.drops {
+			t.Errorf("%s: %d delivered, %d dropped; want %d and %d", tc.name, d, r, tc.delivered, tc.drops)
+		}
+	}
+}
+
+// Over real sockets the loop's cork and the reader goroutine's acks meet
+// under the endpoint's lock: a corks, sends and uncorks while its reader
+// acknowledges b's traffic. Everything arrives once and every frame is
+// acknowledged; run under -race this is the edge's concurrency check.
+func TestCorkConcurrentWithReader(t *testing.T) {
+	a, b, ca, cb := socketPair(t, UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
+	const rounds, burst = 6, 5
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds*burst; i++ {
+			if err := b.Send(1, []byte(fmt.Sprintf("b%d", i))); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for r := 0; r < rounds; r++ {
+		a.Cork()
+		for i := 0; i < burst; i++ {
+			if err := a.Send(2, []byte(fmt.Sprintf("a%d", r*burst+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Uncork()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		a.peersMu.Lock()
+		b.peersMu.Lock()
+		defer a.peersMu.Unlock()
+		defer b.peersMu.Unlock()
+		return ca.count() == rounds*burst && cb.count() == rounds*burst && a.rel.pending(2) == 0 && b.rel.pending(1) == 0
+	}, "both sides to deliver and acknowledge everything")
+	if s := a.Stats(); s.FramesSent.Load() < s.Sent.Load() || s.FramesSent.Load() < rounds*burst {
+		t.Errorf("a wrote %d frames in %d datagrams", s.FramesSent.Load(), s.Sent.Load())
+	}
+}

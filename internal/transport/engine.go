@@ -49,6 +49,10 @@ type outFrame struct {
 	kind    uint8
 	seq     uint32
 	payload []byte
+	// pooled marks a datagram the cork finished (udp.go, hold): payload is
+	// its wire bytes, frames already encoded, in this framePool buffer.
+	pooled *[]byte
+	frames int
 }
 
 // carriesMessage reports whether kind frames a diffusion message (as

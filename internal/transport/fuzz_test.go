@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +22,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		fr, err := decodeFrame(b)
 		if err != nil {
 			return
+		}
+		if isBundle(b) {
+			t.Fatalf("a bundle decoded as a kind-%d frame", fr.kind)
 		}
 		if fr.kind >= numKinds {
 			t.Fatalf("decoded unknown kind %d", fr.kind)
@@ -69,24 +74,71 @@ func FuzzDecodeAnnounce(f *testing.F) {
 	})
 }
 
+// fuzzEndpoint is endpoint 1 with every engine on and neighbor 2, on a wire
+// of its own.
+func fuzzEndpoint(t *testing.T) (*simNet, *UDP, *collector) {
+	n, got := newSimNet(t), &collector{}
+	u := n.endpoint(UDPConfig{
+		ID: 1, Seed: 1, Neighbors: neighbors(2), Deliver: got.deliver,
+		Liveness: &LivenessConfig{Interval: 100 * time.Millisecond},
+		Reliable: &ReliableConfig{},
+		Custody: &CustodyOptions{
+			Accept: func(uint32, message.ID, []byte) (bool, bool) { return true, true },
+		},
+		Discovery: &DiscoveryConfig{VocabDigest: testVocab, Interval: 100 * time.Millisecond},
+	})
+	return n, u, got
+}
+
+// counters reads every counter of s, in declaration order.
+func counters(s *Stats) []uint64 {
+	var out []uint64
+	for v, i := reflect.ValueOf(s).Elem(), 0; i < v.NumField(); i++ {
+		out = append(out, v.Field(i).Addr().Interface().(*atomic.Uint64).Load())
+	}
+	return out
+}
+
 // FuzzEndpointDatagram hands arbitrary bytes from an arbitrary source to
 // the receive entry of an endpoint with every engine on, then lets a
 // second of virtual time play out. Nothing may panic, every reject must
 // be counted in Stats.RecvDropped — once — and only a membership frame
-// may grow the peer table.
+// may grow the peer table. A bundle must leave the endpoint exactly as its
+// frames would have, arriving one datagram each: the same deliveries,
+// duplicate windows and counters, but for one RecvDropped if its tail is
+// malformed (or it has no frames at all).
 func FuzzEndpointDatagram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, ip uint32, port uint16) {
-		n := newSimNet(t)
-		u := n.endpoint(UDPConfig{
-			ID: 1, Seed: 1, Neighbors: neighbors(2),
-			Liveness: &LivenessConfig{Interval: 100 * time.Millisecond},
-			Reliable: &ReliableConfig{},
-			Custody: &CustodyOptions{
-				Accept: func(uint32, message.ID, []byte) (bool, bool) { return true, true },
-			},
-			Discovery: &DiscoveryConfig{VocabDigest: testVocab, Interval: 100 * time.Millisecond},
-		})
+		n, u, got := fuzzEndpoint(t)
 		from := netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}), port)
+
+		if isBundle(b) {
+			_, o, want := fuzzEndpoint(t)
+			frames, malformed := splitBundle(b)
+			for _, inner := range frames {
+				o.receiveFrame(inner, from)
+			}
+			if malformed {
+				o.stats.RecvDropped.Add(1)
+			}
+			u.receive(b, from)
+			if g, w := counters(u.Stats()), counters(o.Stats()); !slices.Equal(g, w) {
+				t.Fatalf("bundle %x left counters\n%v, its frames one by one\n%v", b, g, w)
+			}
+			if !slices.Equal(got.got, want.got) || !slices.Equal(got.from, want.from) {
+				t.Fatalf("bundle %x delivered %q, its frames one by one %q", b, got.got, want.got)
+			}
+			if g, w := *u.peers[2], *o.peers[2]; g.relDup != w.relDup || g.cusDup != w.cusDup || g.dataRecv != w.dataRecv {
+				t.Fatalf("bundle %x left neighbor 2 as %+v, its frames one by one %+v", b, g, w)
+			}
+			if !slices.Equal(u.Neighbors(), o.Neighbors()) {
+				t.Fatalf("bundle %x left the peer table as %v, its frames one by one %v", b, u.Neighbors(), o.Neighbors())
+			}
+			n.run(time.Second)
+			u.Close()
+			o.Close()
+			return
+		}
 
 		want := uint64(0)
 		fr, err := decodeFrame(b)

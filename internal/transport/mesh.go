@@ -208,7 +208,7 @@ func (l *MeshLink) Send(dst uint32, payload []byte) error {
 		to := to
 		data := make([]byte, len(payload))
 		copy(data, payload)
-		l.stats.onSend(headerSize + len(data))
+		l.stats.onSend(headerSize+len(data), 1)
 		if latency > 0 {
 			time.AfterFunc(latency, func() { to.enqueue(l.id, data) })
 		} else {

@@ -22,6 +22,13 @@ type simNet struct {
 	nodes  map[netip.AddrPort]*UDP
 	peers  map[netip.AddrPort]*simPeer
 	frames int // datagrams put on the wire
+	wire   []simDatagram
+}
+
+// simDatagram is one datagram as the wire saw it.
+type simDatagram struct {
+	to netip.AddrPort
+	b  []byte
 }
 
 func newSimNet(t testing.TB) *simNet {
@@ -52,6 +59,7 @@ func (w *simWire) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
 	n := w.net
 	n.frames++
 	cp := append([]byte(nil), b...)
+	n.wire = append(n.wire, simDatagram{to: to, b: cp})
 	n.sched.After(n.delay, func() {
 		if u := n.nodes[to]; u != nil {
 			u.receive(cp, w.addr)

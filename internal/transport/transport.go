@@ -35,8 +35,11 @@
 // custody callbacks — is called only with the lock released, from
 // whichever goroutine made the entry: the caller of Send, the socket
 // reader, the timer. Callers that feed a single-threaded core.Node post
-// the upcalls onto the node's rt.Loop; cmd/diffnode wires this up. The
-// same driver over a virtual clock and an in-memory wire is what the
+// the upcalls onto the node's rt.Loop; cmd/diffnode wires this up. A
+// caller with a batch of sends to make — core.Node, once per loop wake-up —
+// brackets it with Cork and Uncork, and the endpoint writes one datagram
+// per destination instead of one per frame (the bundle, below). The same
+// driver over a virtual clock and an in-memory wire is what the
 // package's protocol tests run on (simnet_test.go).
 package transport
 
@@ -84,12 +87,34 @@ type Deliver func(from uint32, payload []byte)
 // the bit and decode exactly as before; frames with the bit are decoded
 // by pre-extension peers as an unknown kind and dropped, never
 // misparsed.
+//
+// Bundle: a datagram whose kind byte is kindBundle is not a frame but a
+// train of them — the frames a corked endpoint (UDP.Cork) held for one
+// address, sent as one datagram:
+//
+//	bytes 0-2   magic, version, kindBundle
+//	then, to the end of the datagram, per frame:
+//	  2 bytes   the frame's length, big endian
+//	  n bytes   the frame, laid out as above
+//
+// A sender never builds a bundle of one frame (a lone frame travels as the
+// plain datagram it always was) nor one longer than bundleMax. The receiver
+// puts each inner frame through the one reception path, so each is
+// validated, checked against the peer table, deduplicated and counted as
+// if it had arrived alone; kindBundle is not a frame kind, so a bundle
+// inside a bundle is malformed, and a node that predates bundles drops
+// them as an unknown kind.
 const (
-	frameMagic    = 0xD1
-	frameVersion  = 2
-	headerSize    = 19
-	kindTraceFlag = 0x80
-	traceExtSize  = 3
+	frameMagic       = 0xD1
+	frameVersion     = 2
+	headerSize       = 19
+	kindTraceFlag    = 0x80
+	traceExtSize     = 3
+	bundleHeaderSize = 3
+	bundlePrefixSize = 2
+	// bundleMax keeps a bundle within one Ethernet MTU: coalescing must not
+	// make the IP layer fragment what it would have sent whole.
+	bundleMax = 1400
 )
 
 // Frame kinds.
@@ -105,6 +130,7 @@ const (
 	kindProbe      = 8 // membership probe: solicits a unicast announce
 	kindLeave      = 9 // graceful departure: demote me now, don't wait for timeouts
 	numKinds       = 10
+	kindBundle     = numKinds // a datagram of several frames, not a frame kind
 )
 
 // maxPayload bounds a single framed message; UDP datagrams beyond this are
@@ -185,6 +211,11 @@ func decodeFrame(b []byte) (frame, error) {
 	return f, nil
 }
 
+// isBundle reports whether datagram b is a bundle.
+func isBundle(b []byte) bool {
+	return len(b) >= bundleHeaderSize && b[0] == frameMagic && b[1] == frameVersion && b[2] == kindBundle
+}
+
 // bootCounter makes boot nonces distinct within a process even when two
 // endpoints start in the same nanosecond.
 var bootCounter atomic.Uint32
@@ -203,8 +234,9 @@ func newBootNonce() uint32 {
 // without it.
 type Stats struct {
 	Sent         atomic.Uint64 // datagrams handed to the medium
+	FramesSent   atomic.Uint64 // frames in them; above Sent by what a corked endpoint coalesced
 	SentBytes    atomic.Uint64
-	Recv         atomic.Uint64 // well-formed datagrams delivered up
+	Recv         atomic.Uint64 // well-formed frames delivered up
 	RecvBytes    atomic.Uint64
 	SendErrors   atomic.Uint64 // socket/medium write failures
 	RecvDropped  atomic.Uint64 // malformed, unknown-sender or oversize
@@ -260,6 +292,7 @@ type Stats struct {
 func (s *Stats) Instrument(reg *telemetry.Registry) {
 	reg.AddCollector(func(emit func(string, float64)) {
 		emit("transport.sent", float64(s.Sent.Load()))
+		emit("transport.frames_sent", float64(s.FramesSent.Load()))
 		emit("transport.sent_bytes", float64(s.SentBytes.Load()))
 		emit("transport.recv", float64(s.Recv.Load()))
 		emit("transport.recv_bytes", float64(s.RecvBytes.Load()))
@@ -305,8 +338,10 @@ func (s *Stats) Instrument(reg *telemetry.Registry) {
 	})
 }
 
-func (s *Stats) onSend(n int) {
+// onSend counts one datagram of n bytes carrying the given number of frames.
+func (s *Stats) onSend(n, frames int) {
 	s.Sent.Add(1)
+	s.FramesSent.Add(uint64(frames))
 	s.SentBytes.Add(uint64(n))
 }
 

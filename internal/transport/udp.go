@@ -2,6 +2,7 @@ package transport
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
@@ -129,6 +130,28 @@ type UDP struct {
 	timerAt  time.Duration
 	timerGen uint64
 	closed   bool
+	// While corked, frames are not written but encoded into held, one
+	// datagram per destination address in first-use order (Cork).
+	corked bool
+	held   []heldDatagram
+}
+
+// heldDatagram is what a corked endpoint holds for one address: a framePool
+// buffer laid out as a bundle — header, then length-prefixed frames.
+type heldDatagram struct {
+	addr   netip.AddrPort
+	buf    *[]byte
+	frames int
+}
+
+// out is d as a finished datagram. A lone frame is written as the plain
+// datagram it always was, so only real coalescing changes the wire.
+func (d *heldDatagram) out() outFrame {
+	b := *d.buf
+	if d.frames == 1 {
+		b = b[bundleHeaderSize+bundlePrefixSize:]
+	}
+	return outFrame{addr: d.addr, payload: b, pooled: d.buf, frames: d.frames}
 }
 
 // ListenUDP binds cfg.Listen and starts the reader goroutine. The caller
@@ -241,11 +264,15 @@ func (u *UDP) enter() (now time.Duration) {
 }
 
 // leave ends an entry: settle what the engines asked of each other, pass
-// the frames through the impairment, re-arm the timer, release the lock,
-// and only then touch the socket and the user.
+// the frames through the impairment, hold them if the endpoint is corked,
+// re-arm the timer, release the lock, and only then touch the socket and
+// the user.
 func (u *UDP) leave(fx *effects, now time.Duration) {
 	u.settle(fx, now)
 	u.admit(fx, &u.stats, now)
+	if u.corked {
+		u.hold(fx)
+	}
 	if !u.closed {
 		u.rearm(now)
 	}
@@ -352,6 +379,82 @@ func (u *UDP) onTimer(gen uint64) {
 	u.leave(&fx, now)
 }
 
+// Cork makes the endpoint hold what it would write: until Uncork, every
+// frame an entry admits — whichever goroutine made it, whatever its kind —
+// is encoded into a buffer for its destination address instead, so Send
+// still only borrows its payload. A held datagram the next frame would push
+// past bundleMax is written at once: a long corked stretch delays its first
+// frames by a datagram's worth and holds one datagram per destination. One
+// goroutine corks at a time; core.Node does, once per rt.Loop wake-up.
+func (u *UDP) Cork() {
+	u.peersMu.Lock()
+	u.corked = true
+	u.peersMu.Unlock()
+}
+
+// Uncork writes what Cork held, one datagram per destination address, and
+// returns the endpoint to writing frames as they come. After Close it finds
+// nothing held.
+func (u *UDP) Uncork() {
+	var fx effects
+	u.peersMu.Lock()
+	u.corked = false
+	u.release(&fx)
+	u.peersMu.Unlock()
+	u.perform(&fx)
+}
+
+// hold moves fx's frames into the held datagrams, leaving in fx only the
+// datagrams that filled up.
+func (u *UDP) hold(fx *effects) {
+	full := 0
+	for i := 0; i < fx.n; i++ {
+		f := *fx.at(i)
+		d := u.heldFor(f.addr)
+		start := len(*d.buf)
+		b := u.encode(append(*d.buf, 0, 0), &f)
+		if len(b) > bundleMax && d.frames > 0 {
+			// f does not fit: what was held goes now and f starts the next
+			// datagram. (At most one per frame, so full never passes i.)
+			*d.buf = b[:start]
+			*fx.at(full) = d.out()
+			full++
+			*d = newHeld(f.addr)
+			b = append(*d.buf, b[start:]...)
+			start = bundleHeaderSize
+		}
+		binary.BigEndian.PutUint16(b[start:], uint16(len(b)-start-bundlePrefixSize))
+		*d.buf = b
+		d.frames++
+	}
+	fx.truncate(full)
+}
+
+// heldFor finds or starts the held datagram for addr.
+func (u *UDP) heldFor(addr netip.AddrPort) *heldDatagram {
+	for i := range u.held {
+		if u.held[i].addr == addr {
+			return &u.held[i]
+		}
+	}
+	u.held = append(u.held, newHeld(addr))
+	return &u.held[len(u.held)-1]
+}
+
+func newHeld(addr netip.AddrPort) heldDatagram {
+	buf := framePool.Get().(*[]byte)
+	*buf = append((*buf)[:0], frameMagic, frameVersion, kindBundle)
+	return heldDatagram{addr: addr, buf: buf}
+}
+
+// release moves every held datagram into fx, to be written by perform.
+func (u *UDP) release(fx *effects) {
+	for i := range u.held {
+		fx.push(u.held[i].out())
+	}
+	u.held = u.held[:0]
+}
+
 // perform does, with the lock released, what an entry decided under it:
 // frames to the wire, then callbacks, then the delivery upcall.
 func (u *UDP) perform(fx *effects) {
@@ -363,12 +466,13 @@ func (u *UDP) perform(fx *effects) {
 		b := *pooled
 		for i := 0; i < fx.n; i++ {
 			f := fx.at(i)
-			b = u.encode(b[:0], f)
-			if _, err := u.wire.WriteToUDPAddrPort(b, f.addr); err != nil {
-				u.stats.SendErrors.Add(1)
+			if f.pooled != nil {
+				u.write(f.payload, f.addr, f.frames)
+				framePool.Put(f.pooled)
 				continue
 			}
-			u.stats.onSend(len(b))
+			b = u.encode(b[:0], f)
+			u.write(b, f.addr, 1)
 		}
 		*pooled = b // keep what it grew to
 		framePool.Put(pooled)
@@ -382,9 +486,18 @@ func (u *UDP) perform(fx *effects) {
 	}
 }
 
-// framePool holds the buffers perform encodes frames into; entries run on
-// several goroutines at once, so the endpoint cannot own just one. The wire
-// is done with a buffer when its write returns.
+// write hands one datagram of the given number of frames to the wire.
+func (u *UDP) write(b []byte, addr netip.AddrPort, frames int) {
+	if _, err := u.wire.WriteToUDPAddrPort(b, addr); err != nil {
+		u.stats.SendErrors.Add(1)
+		return
+	}
+	u.stats.onSend(len(b), frames)
+}
+
+// framePool holds the buffers frames are encoded into, by perform and by
+// hold; entries run on several goroutines at once, so the endpoint cannot
+// own just one. The wire is done with a buffer when its write returns.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // encode appends f's wire form to b, stamping a tx span when it carries a
@@ -693,11 +806,32 @@ func (u *UDP) readLoop(conn *net.UDPConn) {
 	}
 }
 
-// receive is the reception entry: one datagram b from wire address src.
-// It validates the frame and the sender, then dispatches on kind. Any
-// valid frame from a table member counts as proof of life for the failure
-// detector. b is only read, and not after receive returns.
+// receive is the reception entry: one datagram b from wire address src, a
+// frame or a bundle of them. b is only read, and not after receive returns.
 func (u *UDP) receive(b []byte, src netip.AddrPort) {
+	if !isBundle(b) {
+		u.receiveFrame(b, src)
+		return
+	}
+	// Each frame is checked on its own, so those before a malformed tail
+	// stand; a bundle of no frames is malformed too.
+	for rest := b[bundleHeaderSize:]; ; {
+		if len(rest) < bundlePrefixSize || int(binary.BigEndian.Uint16(rest)) > len(rest)-bundlePrefixSize {
+			u.stats.RecvDropped.Add(1)
+			return
+		}
+		n := bundlePrefixSize + int(binary.BigEndian.Uint16(rest))
+		u.receiveFrame(rest[bundlePrefixSize:n], src)
+		if rest = rest[n:]; len(rest) == 0 {
+			return
+		}
+	}
+}
+
+// receiveFrame validates one frame and its sender, then dispatches on kind.
+// Any valid frame from a table member counts as proof of life for the
+// failure detector.
+func (u *UDP) receiveFrame(b []byte, src netip.AddrPort) {
 	f, err := decodeFrame(b)
 	if err != nil || f.from == u.id {
 		u.stats.RecvDropped.Add(1)
@@ -843,7 +977,12 @@ func (u *UDP) Close() error {
 	if u.timer != nil {
 		u.timer.Cancel()
 	}
+	// Frames another goroutine's cork is holding — a Leave just sent — go
+	// out while there is still a socket.
+	var fx effects
+	u.release(&fx)
 	u.peersMu.Unlock()
+	u.perform(&fx)
 	err := u.wire.Close()
 	if u.readerDone != nil {
 		<-u.readerDone

@@ -201,8 +201,7 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 	// deliver it a second time.
 	for _, e := range entries {
 		if len(e.localSubs) > 0 {
-			if !n.wasSeen(m.ID) {
-				n.markSeen(m.ID)
+			if n.firstSighting(m.ID, now) {
 				n.deliverLocal(m)
 			}
 			n.custodyDischarge(it.ID)

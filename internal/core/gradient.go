@@ -227,12 +227,11 @@ func (n *Node) coreInterest(m *message.Message, local bool) {
 		}
 	}
 
-	if n.wasSeen(m.ID) {
+	if !n.firstSighting(m.ID, now) {
 		n.Stats.Duplicates++
 		n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropDuplicate)
 		return
 	}
-	n.markSeen(m.ID)
 	n.Stats.InterestsSeen++
 
 	// Local delivery to passive interest taps ("subscribe for
@@ -268,7 +267,8 @@ func interestFromSub(attrs attr.Vec) attr.Vec {
 
 // coreData handles (exploratory) data.
 func (n *Node) coreData(m *message.Message, local bool) {
-	if n.wasSeen(m.ID) {
+	now := n.cfg.Clock.Now()
+	if !n.firstSighting(m.ID, now) {
 		n.Stats.Duplicates++
 		n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropDuplicate)
 		// A duplicate unicast to us in store-and-carry mode is a custody
@@ -313,7 +313,6 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		}
 		return
 	}
-	n.markSeen(m.ID)
 
 	// Store-and-carry custody: receiving a data message makes this node a
 	// custodian. Admit it durably and confirm to the sender, which keeps
@@ -346,7 +345,6 @@ func (n *Node) coreData(m *message.Message, local bool) {
 	// the reference implementation does.
 	n.deliverLocal(m)
 
-	now := n.cfg.Clock.Now()
 	isSinkFor := false
 	anyForward := false
 	// Reinforced next hops, deduplicated across entries; rarely more than

@@ -36,7 +36,12 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		emit("core.neighbor_recoveries", float64(s.NeighborRecoveries))
 		emit("core.filter_invocations", float64(s.FilterInvocations))
 		emit("core.interest_entries", float64(len(n.entries)))
-		emit("core.seen_cache_size", float64(len(n.seen)))
+		emit("core.seen_cache_size", float64(n.SeenSize()))
+		// Absent means zero: the pinned fingerprints hash this snapshot, and
+		// a run that never filled the cache must hash as it always has.
+		if s.SeenEvicted > 0 {
+			emit("core.seen_evicted", float64(s.SeenEvicted))
+		}
 		emit("core.custody_captured", float64(s.CustodyCaptured))
 		emit("core.energy_shifts", float64(s.EnergyShifts))
 		emit("core.receive_malformed", float64(s.ReceiveMalformed))

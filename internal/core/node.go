@@ -204,6 +204,7 @@ type Stats struct {
 	ReceivedByClass    [message.NumClasses]int
 	Duplicates         int // duplicate-suppression cache hits
 	SeenMisses         int // cache misses (new message IDs cached)
+	SeenEvicted        int // IDs dropped before SeenTTL because the cache was full
 	LocalDeliveries    int
 	DataSuppressed     int // data with no matching gradient state
 	DataNoPath         int // locally originated data with no reinforced path
@@ -277,7 +278,7 @@ type Node struct {
 	subBufs   [][]*subscription
 
 	entries map[uint64]*interestEntry // keyed by attr hash
-	seen    map[message.ID]time.Duration
+	seen    seenCache
 	// expFrom records which neighbor delivered each exploratory data
 	// message, so positive reinforcement can retrace that message's exact
 	// path (reinforcements carry the exploratory ID they reinforce).
@@ -346,10 +347,10 @@ func NewNode(cfg Config) *Node {
 		emptyEntries:    map[uint64]*interestEntry{},
 		nbTouch:         map[message.NodeID]map[uint64]*interestEntry{},
 		entries:         map[uint64]*interestEntry{},
-		seen:            map[message.ID]time.Duration{},
 		expFrom:         map[message.ID]message.NodeID{},
 		expCand:         map[message.ID][]message.NodeID{},
 	}
+	n.seen = seenCache{max: seenMax, gone: n.seenGone}
 	n.midx.init()
 	if cfg.Custody != nil {
 		if cl, ok := cfg.Link.(CustodyLink); ok {
@@ -422,7 +423,7 @@ func (n *Node) Restart() {
 	n.midx.entries.Reset()
 	n.emptyEntries = map[uint64]*interestEntry{}
 	n.nbTouch = map[message.NodeID]map[uint64]*interestEntry{}
-	n.seen = map[message.ID]time.Duration{}
+	n.seen = seenCache{max: seenMax, gone: n.seenGone}
 	n.expFrom = map[message.ID]message.NodeID{}
 	n.expCand = map[message.ID][]message.NodeID{}
 	for _, p := range n.pubs {
@@ -854,13 +855,26 @@ func (n *Node) originateInterest(s *subscription) {
 // insertion is by definition a cache miss (Duplicates counts the hits).
 func (n *Node) markSeen(id message.ID) {
 	n.Stats.SeenMisses++
-	n.seen[id] = n.cfg.Clock.Now()
+	n.seen.mark(id, n.cfg.Clock.Now())
 }
 
-// wasSeen reports whether id is in the cache.
-func (n *Node) wasSeen(id message.ID) bool {
-	_, ok := n.seen[id]
-	return ok
+// firstSighting is markSeen for an ID that may be a duplicate: it reports
+// false, and records nothing, if id is in the cache.
+func (n *Node) firstSighting(id message.ID, now time.Duration) bool {
+	if !n.seen.add(id, now) {
+		return false
+	}
+	n.Stats.SeenMisses++
+	return true
+}
+
+// seenGone drops the reinforcement traces of an ID leaving the cache.
+func (n *Node) seenGone(id message.ID, evicted bool) {
+	if evicted {
+		n.Stats.SeenEvicted++
+	}
+	delete(n.expFrom, id)
+	delete(n.expCand, id)
 }
 
 // housekeeping purges expired gradients, empty entries, and old seen-IDs,
@@ -869,13 +883,7 @@ func (n *Node) wasSeen(id message.ID) bool {
 // from the journal after a warm restart).
 func (n *Node) housekeeping() {
 	now := n.cfg.Clock.Now()
-	for id, at := range n.seen {
-		if now-at > n.cfg.SeenTTL {
-			delete(n.seen, id)
-			delete(n.expFrom, id)
-			delete(n.expCand, id)
-		}
-	}
+	n.seen.expire(now, n.cfg.SeenTTL)
 	for _, e := range n.entries {
 		expired := false
 		for nb, g := range e.gradients {
@@ -964,8 +972,9 @@ func (n *Node) PublicationAttrs(h PublicationHandle) (attr.Vec, bool) {
 func (n *Node) Entries() int { return len(n.entries) }
 
 // SeenSize returns the duplicate-suppression cache population; bounded by
-// traffic rate × SeenTTL, not by run length (soak tests assert this).
-func (n *Node) SeenSize() int { return len(n.seen) }
+// traffic rate × (SeenTTL + housekeepInterval) and by seenMax, not by run
+// length (soak tests assert this).
+func (n *Node) SeenSize() int { return n.seen.live }
 
 // ExpFromSize returns the exploratory-arrival trace population; entries
 // age out with their seen-cache records.

@@ -145,10 +145,10 @@ func TestSeenCacheBounded(t *testing.T) {
 	tn.s.RunUntil(20 * time.Minute)
 	// SeenTTL is 2 minutes in the default config: the cache holds at most
 	// a couple of minutes' worth of IDs, not 20 minutes' worth.
-	if len(nodes[0].seen) > 600 {
-		t.Errorf("seen cache grew to %d entries", len(nodes[0].seen))
+	if nodes[0].SeenSize() > 600 {
+		t.Errorf("seen cache grew to %d entries", nodes[0].SeenSize())
 	}
-	if len(nodes[0].expFrom) > len(nodes[0].seen) {
+	if len(nodes[0].expFrom) > nodes[0].SeenSize() {
 		t.Error("expFrom must not outlive the seen cache")
 	}
 }

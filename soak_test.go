@@ -28,6 +28,7 @@ func TestFullSystemSoak(t *testing.T) {
 		maxEntries int
 		maxSeen    int
 		maxExpFrom int
+		evicted    int
 	}
 	run := func() outcome {
 		var o outcome
@@ -171,6 +172,7 @@ func TestFullSystemSoak(t *testing.T) {
 			if x := n.ExpFromSize(); x > o.maxExpFrom {
 				o.maxExpFrom = x
 			}
+			o.evicted += n.Stats.SeenEvicted
 		}
 		return o
 	}
@@ -201,8 +203,8 @@ func TestFullSystemSoak(t *testing.T) {
 	if o.maxEntries > 20 {
 		t.Errorf("interest table grew to %d entries", o.maxEntries)
 	}
-	if o.maxSeen > 2000 {
-		t.Errorf("seen cache grew to %d entries", o.maxSeen)
+	if o.maxSeen > 2000 || o.evicted != 0 {
+		t.Errorf("seen cache grew to %d entries, %d evicted before their time", o.maxSeen, o.evicted)
 	}
 	if o.maxExpFrom > 2000 {
 		t.Errorf("exploratory-source table grew to %d entries", o.maxExpFrom)
@@ -227,6 +229,7 @@ func TestChurnSoak(t *testing.T) {
 		crashes int
 		reboots int
 		maxSeen int
+		evicted int
 		totalB  int
 	}
 	run := func() outcome {
@@ -276,6 +279,7 @@ func TestChurnSoak(t *testing.T) {
 			if s := n.SeenSize(); s > o.maxSeen {
 				o.maxSeen = s
 			}
+			o.evicted += n.Stats.SeenEvicted
 		}
 		o.totalB = net.TotalDiffusionBytes()
 		return o
@@ -290,8 +294,8 @@ func TestChurnSoak(t *testing.T) {
 	if o.events < 50 {
 		t.Errorf("only %d distinct events delivered under churn", o.events)
 	}
-	if o.maxSeen > 2000 {
-		t.Errorf("seen cache grew to %d entries through crash/reboot cycles", o.maxSeen)
+	if o.maxSeen > 2000 || o.evicted != 0 {
+		t.Errorf("seen cache grew to %d entries, %d evicted, through crash/reboot cycles", o.maxSeen, o.evicted)
 	}
 	if o2 := run(); o != o2 {
 		t.Errorf("churn soak is not deterministic:\n%+v\n%+v", o, o2)

@@ -70,14 +70,15 @@ type Daemon struct {
 	lastSaveMS *telemetry.Gauge
 
 	// flight is the always-on ring of recent protocol activity, dumped to
-	// the log when a neighbor dies. Loop-confined, shared with the core.
-	flight *telemetry.Flight
+	// the log when a neighbor dies; written on the loop, by the core and
+	// the liveness callbacks.
+	flight *telemetry.Ring
 
 	// spans is the flight-path span ring (nil unless cfg.TraceSample > 0),
-	// shared by the core and the transport and served at GET /spans. The
-	// ring is internally locked; core writes happen on the loop, transport
-	// writes on its own goroutines.
-	spans *telemetry.SpanRing
+	// shared by the core and the transport and served at GET /spans. Core
+	// writes happen on the loop, transport writes on its own goroutines;
+	// both rings stamp with the loop's clock.
+	spans *telemetry.Ring
 
 	shutdownOnce sync.Once
 	shutdownErr  error
@@ -105,10 +106,10 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := &Daemon{cfg: cfg, logw: logw, start: time.Now(), loop: rt.NewLoop(),
-		flight: telemetry.NewFlight(0)}
+	d := &Daemon{cfg: cfg, logw: logw, start: time.Now(), loop: rt.NewLoop()}
+	d.flight = telemetry.NewRing(telemetry.DefaultFlightSize, d.loop.Now)
 	if cfg.TraceSample > 0 {
-		d.spans = telemetry.NewSpanRing(telemetry.DefaultSpanSize)
+		d.spans = telemetry.NewRing(telemetry.DefaultSpanSize, d.loop.Now)
 	}
 
 	// Resolve the boot-time application state: a readable state file wins
@@ -235,7 +236,6 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 		Custody:   cusOpts,
 		Discovery: disco,
 		Spans:     d.spans,
-		SpanClock: d.loop.Now,
 		Deliver: func(from uint32, payload []byte) {
 			d.loop.Post(func() {
 				if d.node != nil {
@@ -503,10 +503,7 @@ func (d *Daemon) onMember(peer uint32, ev transport.MemberEvent) {
 		if ev == transport.MemberJoined || ev == transport.MemberRejoined {
 			kind = faultMemberJoined
 		}
-		d.flight.Record(telemetry.FlightRecord{
-			At: d.loop.Now(), Node: d.cfg.ID, Peer: peer,
-			Verb: telemetry.VerbFault, Kind: kind,
-		})
+		d.flight.Record(telemetry.Event{Node: d.cfg.ID, Peer: peer, Verb: telemetry.Fault, Kind: kind})
 		switch ev {
 		case transport.MemberJoined:
 			d.node.NeighborRecovered(peer)
@@ -538,10 +535,7 @@ func (d *Daemon) onPeerState(peer uint32, s transport.PeerState) {
 		case transport.PeerDead:
 			kind = faultPeerDead
 		}
-		d.flight.Record(telemetry.FlightRecord{
-			At: d.loop.Now(), Node: d.cfg.ID, Peer: peer,
-			Verb: telemetry.VerbFault, Kind: kind,
-		})
+		d.flight.Record(telemetry.Event{Node: d.cfg.ID, Peer: peer, Verb: telemetry.Fault, Kind: kind})
 		switch s {
 		case transport.PeerDead:
 			d.node.NeighborDead(peer)
@@ -1082,9 +1076,10 @@ func (d *Daemon) handleChaos(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"loss": d.link.Loss(), "blocked": blocked})
 }
 
-// handleSpans serves the flight-path span ring as JSONL: one header line
-// carrying the node's identity, boot nonce and the ring clock's absolute
-// base, then one telemetry.Record per span with us relative to that base.
+// handleSpans serves the flight-path span ring as a JSONL trace
+// (telemetry.WriteJSONL, so difftrace reads it as saved): the header's run
+// info carries the node's identity, boot nonce and the ring clock's
+// absolute base, and each record's us is relative to that base.
 // cmd/diffscope scrapes this from every node and rebases onto wall time
 // to merge cluster-wide causal timelines. 404 when tracing is off.
 func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
@@ -1092,16 +1087,14 @@ func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "flight-path tracing is not enabled (set trace_sample > 0)")
 		return
 	}
-	spans := d.spans.Spans()
-	w.Header().Set("Content-Type", "application/jsonl")
-	enc := json.NewEncoder(w)
-	enc.Encode(map[string]any{
-		"node":          d.cfg.ID,
-		"boot":          d.link.Boot(),
-		"start_unix_us": d.loop.Start().UnixMicro(),
-		"spans":         len(spans),
-	})
-	for _, sp := range spans {
-		enc.Encode(sp.TraceRecord())
+	events := d.spans.Records()
+	recs := make([]telemetry.Record, len(events))
+	for i, e := range events {
+		recs[i] = e.Record()
 	}
+	w.Header().Set("Content-Type", "application/jsonl")
+	telemetry.WriteJSONL(w, telemetry.RunInfo{
+		Seed: d.cfg.Seed, Topology: "diffnode", Nodes: 1,
+		Node: d.cfg.ID, Boot: d.link.Boot(), StartUnixUS: d.loop.Start().UnixMicro(),
+	}, recs)
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"diffusion/internal/telemetry"
 )
 
 // startTestDaemon boots a daemon on ephemeral loopback ports and registers
@@ -256,31 +258,16 @@ func TestSpansEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/spans: %d %s", resp.StatusCode, body)
 	}
-	lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("/spans served %d lines, want header + spans:\n%s", len(lines), body)
+	info, recs, err := telemetry.ReadJSONL(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/spans is not a JSONL trace: %v\n%s", err, body)
 	}
-	var hdr struct {
-		Node        uint32 `json:"node"`
-		Boot        uint32 `json:"boot"`
-		StartUnixUS int64  `json:"start_unix_us"`
-		Spans       int    `json:"spans"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		t.Fatalf("header line: %v", err)
-	}
-	if hdr.Node != 1 || hdr.Boot == 0 || hdr.StartUnixUS == 0 || hdr.Spans != len(lines)-1 {
-		t.Fatalf("header %+v (lines %d)", hdr, len(lines))
+	if info.Node != 1 || info.Boot == 0 || info.StartUnixUS == 0 || len(recs) == 0 ||
+		!strings.Contains(strings.SplitN(string(body), "\n", 2)[0], fmt.Sprintf(`"records":%d`, len(recs))) {
+		t.Fatalf("run info %+v, %d records:\n%s", info, len(recs), body)
 	}
 	sawFlow, sawDeliver := false, false
-	for _, line := range lines[1:] {
-		var rec struct {
-			Flow uint16 `json:"flow"`
-			Verb string `json:"verb"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("span line %q: %v", line, err)
-		}
+	for _, rec := range recs {
 		if rec.Flow != 0 {
 			sawFlow = true
 		}

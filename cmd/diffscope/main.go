@@ -24,8 +24,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -141,10 +139,9 @@ type scrape struct {
 	recs []telemetry.Record
 }
 
-// scrapeNode fetches and parses one node's span ring. The first JSONL
-// line is the header carrying the node ID, boot nonce and the absolute
-// base of the ring's clock; every following line is one span record with
-// us relative to that base.
+// scrapeNode fetches and parses one node's span ring: a JSONL trace whose
+// run info carries the node ID, boot nonce and the absolute base of the
+// ring's clock, and whose records' us are relative to that base.
 func scrapeNode(client *http.Client, addr string) (scrape, error) {
 	url := addr
 	if !strings.Contains(url, "://") {
@@ -159,32 +156,14 @@ func scrapeNode(client *http.Client, addr string) (scrape, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return scrape{}, fmt.Errorf("GET /spans: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if !sc.Scan() {
-		return scrape{}, errors.New("empty /spans response")
+	info, recs, err := telemetry.ReadJSONL(resp.Body)
+	if err != nil {
+		return scrape{}, fmt.Errorf("GET /spans: %w", err)
 	}
-	var hdr struct {
-		Node        uint32 `json:"node"`
-		Boot        uint32 `json:"boot"`
-		StartUnixUS int64  `json:"start_unix_us"`
+	for i := range recs {
+		recs[i].US += info.StartUnixUS // rebase onto wall time
 	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return scrape{}, fmt.Errorf("header line: %w", err)
-	}
-	s := scrape{addr: addr, node: hdr.Node, boot: hdr.Boot}
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec telemetry.Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return scrape{}, fmt.Errorf("span line: %w", err)
-		}
-		rec.US += hdr.StartUnixUS // rebase onto wall time
-		s.recs = append(s.recs, rec)
-	}
-	return s, sc.Err()
+	return scrape{addr: addr, node: info.Node, boot: info.Boot, recs: recs}, nil
 }
 
 // merge flattens the scrapes onto one timeline, rebased so the earliest

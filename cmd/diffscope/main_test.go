@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,21 +12,14 @@ import (
 	"diffusion/internal/telemetry"
 )
 
-// spanServer serves a canned diffnode /spans response: the header line
-// followed by one record per line, with us relative to startUnixUS.
+// spanServer serves a canned diffnode /spans response: a JSONL trace whose
+// run info names the node, with record us relative to startUnixUS.
 func spanServer(t *testing.T, node, boot uint32, startUnixUS int64, recs []telemetry.Record) *httptest.Server {
 	t.Helper()
 	var b bytes.Buffer
-	fmt.Fprintf(&b, `{"node":%d,"boot":%d,"start_unix_us":%d,"spans":%d}`+"\n", node, boot, startUnixUS, len(recs))
-	for _, r := range recs {
-		fmt.Fprintf(&b, `{"us":%d,"node":%d,"layer":%q,"verb":%q`, r.US, r.Node, r.Layer, r.Verb)
-		if r.Class != "" {
-			fmt.Fprintf(&b, `,"class":%q`, r.Class)
-		}
-		if r.Cause != "" {
-			fmt.Fprintf(&b, `,"cause":%q`, r.Cause)
-		}
-		fmt.Fprintf(&b, `,"hops":%d,"flow":%d}`+"\n", r.Hops, r.Flow)
+	info := telemetry.RunInfo{Topology: "diffnode", Nodes: 1, Node: node, Boot: boot, StartUnixUS: startUnixUS}
+	if err := telemetry.WriteJSONL(&b, info, recs); err != nil {
+		t.Fatal(err)
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/spans" {

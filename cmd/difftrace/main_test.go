@@ -184,6 +184,28 @@ func TestPathsOnGoldenSpans(t *testing.T) {
 	}
 }
 
+// TestPathsOnSpansEndpoint: a body saved from a live diffnode's GET /spans
+// (node 2, the sink of a two-node loopback pair) is a trace as it stands.
+func TestPathsOnSpansEndpoint(t *testing.T) {
+	const saved = "testdata/spans_endpoint.jsonl"
+	info, _, err := load(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Node != 2 || info.Boot == 0 || info.StartUnixUS == 0 {
+		t.Errorf("run info lost the node's identity: %+v", info)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, []string{"paths", saved}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"flight paths:", "EXPLORATORY_DATA", "delivered at node 2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("paths output missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestLatencyOnGoldenSpans(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"latency", goldenSpansPath}); err != nil {

@@ -33,35 +33,72 @@ func receiveEach(t *testing.T, n *Node, link *countLink, wires [][]byte, wantSen
 	return got
 }
 
+// ringCase runs a relay budget bare, or with a flight recorder and a span
+// ring on unsampled or on sampled traffic: recording costs nothing either.
+type ringCase struct {
+	name           string
+	rings, sampled bool
+}
+
+var ringCases = []ringCase{{"bare", false, false}, {"rings", true, false}, {"rings sampled", true, true}}
+
+// path is reinforcedPath over clock (s, or s with an end-of-wake-up edge)
+// set up as the case says.
+func (rc ringCase) path(t *testing.T, s *sim.Engine, clock sim.Clock, link Link) (*Node, [][]byte, Config) {
+	cfg := Config{Clock: clock, Rand: s.Rand()}
+	if rc.rings {
+		cfg = withRings(cfg, s)
+	}
+	n, wires := reinforcedPath(t, link, cfg, 201, 3)
+	if rc.sampled {
+		sample(t, wires, 0x77)
+	}
+	return n, wires, cfg
+}
+
 // The relay budget: reinforced plain Data passing through a node costs
 // nothing — it is decoded in place in the payload the link handed over, and
-// match, forward and marshal add none. Node 2 relays from source 1 to sink 3.
+// match, forward, marshal and the flight and span records add none. Node 2
+// relays from source 1 to sink 3.
 func TestAllocsRelayReceive(t *testing.T) {
-	n, link, wires := allocPath(t)
-	if got := receiveEach(t, n, link, wires, 1); got != 0 {
-		t.Errorf("relaying one reinforced Data allocates %.0f/op, budget 0", got)
+	for _, rc := range ringCases {
+		t.Run(rc.name, func(t *testing.T) {
+			s := sim.New(1)
+			link := &countLink{id: 2}
+			n, wires, cfg := rc.path(t, s, s, link)
+			if got := receiveEach(t, n, link, wires, 1); got != 0 {
+				t.Errorf("relaying one reinforced Data allocates %.0f/op, budget 0", got)
+			}
+			if rc.sampled && cfg.Spans.Total() < uint64(len(wires)) {
+				t.Fatalf("%d spans for %d sampled receptions", cfg.Spans.Total(), len(wires))
+			}
+		})
 	}
 }
 
 // Corking adds nothing to it: the uncork the node defers each wake-up is
 // bound once. Every reception here is a wake-up of its own.
 func TestAllocsRelayReceiveCorked(t *testing.T) {
-	s := sim.New(1)
-	clock := &batchEngine{Engine: s}
-	link := &corkCountLink{countLink: countLink{id: 2}}
-	n, wires := reinforcedPath(t, link, Config{Clock: clock, Rand: s.Rand()}, 201, 3)
-	clock.endWakeup()
-	link.corks = 0
-	i := 0
-	if got := testing.AllocsPerRun(len(wires)-1, func() {
-		n.Receive(1, wires[i])
-		clock.endWakeup()
-		i++
-	}); got != 0 {
-		t.Errorf("relaying one reinforced Data over a corked link allocates %.0f/op, budget 0", got)
-	}
-	if link.corks != len(wires) || link.uncorks != link.corks+1 {
-		t.Errorf("%d corks, %d uncorks for %d wake-ups", link.corks, link.uncorks, len(wires))
+	for _, rc := range ringCases {
+		t.Run(rc.name, func(t *testing.T) {
+			s := sim.New(1)
+			clock := &batchEngine{Engine: s}
+			link := &corkCountLink{countLink: countLink{id: 2}}
+			n, wires, _ := rc.path(t, s, clock, link)
+			clock.endWakeup()
+			link.corks = 0
+			i := 0
+			if got := testing.AllocsPerRun(len(wires)-1, func() {
+				n.Receive(1, wires[i])
+				clock.endWakeup()
+				i++
+			}); got != 0 {
+				t.Errorf("relaying one reinforced Data over a corked link allocates %.0f/op, budget 0", got)
+			}
+			if link.corks != len(wires) || link.uncorks != link.corks+1 {
+				t.Errorf("%d corks, %d uncorks for %d wake-ups", link.corks, link.uncorks, len(wires))
+			}
+		})
 	}
 }
 

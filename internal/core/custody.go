@@ -81,7 +81,7 @@ func (n *Node) custodyAdmit(m *message.Message) {
 		n.Stats.CustodyCaptured++
 	}
 	if held {
-		n.span(telemetry.SpanCustodyAccept, telemetry.SpanLayerCustody, m, uint32(m.PrevHop), telemetry.DropNone)
+		n.span(telemetry.CustodyAccept, telemetry.LayerCustody, m, uint32(m.PrevHop), telemetry.DropNone)
 		n.sendCustodyAck(m.ID, m.PrevHop)
 	}
 }
@@ -136,7 +136,7 @@ func (n *Node) custodyCapture(m *message.Message) bool {
 		n.Stats.CustodyCaptured++
 	}
 	if held {
-		n.span(telemetry.SpanCustodyAccept, telemetry.SpanLayerCustody, m, n.ID(), telemetry.DropNone)
+		n.span(telemetry.CustodyAccept, telemetry.LayerCustody, m, n.ID(), telemetry.DropNone)
 	}
 	return held
 }
@@ -297,7 +297,7 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 			out.PrevHop = selfID(n)
 			out.NextHop = nb
 			n.markSeen(out.ID)
-			n.span(telemetry.SpanCustodyReplay, telemetry.SpanLayerCustody, out, uint32(out.NextHop), telemetry.DropNone)
+			n.span(telemetry.CustodyReplay, telemetry.LayerCustody, out, uint32(out.NextHop), telemetry.DropNone)
 			if n.transmit(out) == nil {
 				n.cfg.Custody.NoteReplay()
 				break
@@ -347,7 +347,7 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 		out.PrevHop = selfID(n)
 		out.NextHop = targets[0]
 		n.markSeen(out.ID)
-		n.span(telemetry.SpanCustodyReplay, telemetry.SpanLayerCustody, out, uint32(out.NextHop), telemetry.DropNone)
+		n.span(telemetry.CustodyReplay, telemetry.LayerCustody, out, uint32(out.NextHop), telemetry.DropNone)
 		if n.transmit(out) != nil {
 			return true
 		}

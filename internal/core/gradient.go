@@ -229,7 +229,7 @@ func (n *Node) coreInterest(m *message.Message, local bool) {
 
 	if !n.firstSighting(m.ID, now) {
 		n.Stats.Duplicates++
-		n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropDuplicate)
+		n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropDuplicate)
 		return
 	}
 	n.Stats.InterestsSeen++
@@ -244,7 +244,7 @@ func (n *Node) coreInterest(m *message.Message, local bool) {
 	// forwarding (ProcessNoForward) suppress this step.
 	if m.HopCount >= n.cfg.TTL || n.suppressForward {
 		if m.HopCount >= n.cfg.TTL {
-			n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropTTL)
+			n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropTTL)
 		}
 		return
 	}
@@ -270,7 +270,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 	now := n.cfg.Clock.Now()
 	if !n.firstSighting(m.ID, now) {
 		n.Stats.Duplicates++
-		n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropDuplicate)
+		n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropDuplicate)
 		// A duplicate unicast to us in store-and-carry mode is a custody
 		// re-offer (the sender never got its ack): re-acknowledge instead
 		// of treating it as a redundant path — negative reinforcement of
@@ -335,10 +335,10 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			return
 		}
 		n.Stats.DataSuppressed++
-		n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropNoGradient)
+		n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropNoGradient)
 		return
 	}
-	n.span(telemetry.SpanMatch, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropNone)
+	n.span(telemetry.Match, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropNone)
 
 	// Data loops back to co-located subscriptions as well — the daemon
 	// delivers a local publication to a local matching subscription, as
@@ -417,7 +417,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 				}
 			})
 		} else if anyForward && m.HopCount >= n.cfg.TTL {
-			n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropTTL)
+			n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropTTL)
 		}
 		// Sink behaviour: reinforce the neighbor that delivered the first
 		// copy of this exploratory message. Intermediate nodes with live
@@ -444,7 +444,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		// point back where it came from, or decayed to nothing) and has
 		// no sink here either is the other disruption case: hold it.
 		if !anyForward && !isSinkFor && !n.custodyCapture(m) {
-			n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropNoPath)
+			n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropNoPath)
 		}
 		// In custody-transfer mode the origin also vouches for exploratory
 		// data it could flood: the broadcast is fire-and-forget — no hop
@@ -470,7 +470,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			// path decayed (partition) or never reformed after a restart.
 			// Custody holds it until reinforcement returns; without custody
 			// this hop is where the flow dies.
-			n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.PrevHop), telemetry.DropNoPath)
+			n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropNoPath)
 		}
 		// Sorted iteration: map order would make runs nondeterministic.
 		sortAscending(targets)
@@ -722,6 +722,6 @@ func (n *Node) deliverLocal(m *message.Message) {
 	}
 	n.putSubBuf(subs)
 	if delivered {
-		n.span(telemetry.SpanDeliver, telemetry.SpanLayerCore, m, n.ID(), telemetry.DropNone)
+		n.span(telemetry.Deliver, telemetry.LayerCore, m, n.ID(), telemetry.DropNone)
 	}
 }

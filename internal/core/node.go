@@ -115,9 +115,9 @@ type Config struct {
 	// reinforcement (on by default; DisableNegRF turns it off).
 	DisableNegRF bool
 	// Flight, when set, records every reception and transmission into the
-	// node's flight-recorder ring (always-on crash diagnostics). Nil
-	// disables recording.
-	Flight *telemetry.Flight
+	// node's flight-recorder ring (always-on crash diagnostics), built
+	// with the node's clock. Nil disables recording.
+	Flight *telemetry.Ring
 	// Custody, when set, enables disruption-tolerant custody transfer
 	// (custody.go): data with no forward path is queued here instead of
 	// dropped and replayed when gradients reform. The same queue is fed by
@@ -139,9 +139,9 @@ type Config struct {
 	// tracing entirely — the sampling draw then consumes no randomness, so
 	// untraced runs are bit-identical to pre-trace builds.
 	TraceSample float64
-	// Spans receives flight-path span events for sampled messages.
-	// Required when TraceSample > 0.
-	Spans *telemetry.SpanRing
+	// Spans receives flight-path events for sampled messages; like Flight,
+	// built with the node's clock. Required when TraceSample > 0.
+	Spans *telemetry.Ring
 }
 
 func (c *Config) fill() {
@@ -476,17 +476,20 @@ func (n *Node) allocFlow() uint16 {
 	return f
 }
 
-// span records a flight-path event for m. A nil ring or an unsampled
-// message (flow zero) costs one branch.
-func (n *Node) span(ev telemetry.SpanEvent, layer telemetry.SpanLayer, m *message.Message, peer uint32, reason telemetry.DropReason) {
-	if n.cfg.Spans == nil || m.Flow == 0 {
+// event describes m at this node for a ring, which stamps the time.
+func (n *Node) event(v telemetry.Verb, m *message.Message, peer uint32) telemetry.Event {
+	return telemetry.Event{Node: n.ID(), Peer: peer, ID: m.ID, Flow: m.Flow, Hop: m.HopCount, Verb: v, Class: m.Class}
+}
+
+// span records a flight-path event for m. An unsampled message (flow zero)
+// costs one branch.
+func (n *Node) span(v telemetry.Verb, layer telemetry.Layer, m *message.Message, peer uint32, reason telemetry.DropReason) {
+	if m.Flow == 0 {
 		return
 	}
-	n.cfg.Spans.Record(telemetry.Span{
-		At: n.cfg.Clock.Now(), Node: n.ID(), Peer: peer, ID: m.ID,
-		Flow: m.Flow, Hop: m.HopCount, Event: ev, Layer: layer,
-		Reason: reason, Class: m.Class,
-	})
+	e := n.event(v, m, peer)
+	e.Layer, e.Reason = layer, reason
+	n.cfg.Spans.Record(e)
 }
 
 // API errors.
@@ -713,13 +716,13 @@ func (n *Node) Receive(from uint32, payload []byte) {
 	if int(m.Class) < len(n.Stats.ReceivedByClass) {
 		n.Stats.ReceivedByClass[m.Class]++
 	}
-	if n.cfg.Flight != nil {
-		n.cfg.Flight.Record(telemetry.FlightRecord{
-			At: n.cfg.Clock.Now(), Node: n.ID(), Peer: from, ID: m.ID,
-			Verb: telemetry.VerbRecv, Class: m.Class, Hops: m.HopCount,
-		})
+	// One fact, two retention policies: every reception is flight-recorded,
+	// a sampled one is a span too.
+	rx := n.event(telemetry.Recv, m, from)
+	n.cfg.Flight.Record(rx)
+	if m.Flow != 0 {
+		n.cfg.Spans.Record(rx)
 	}
-	n.span(telemetry.SpanRecv, telemetry.SpanLayerCore, m, from, telemetry.DropNone)
 	n.rxBusy = true
 	n.dispatch(m)
 	if !nested {
@@ -780,12 +783,7 @@ func (n *Node) transmit(m *message.Message) error {
 	if int(m.Class) < len(n.Stats.SentByClass) {
 		n.Stats.SentByClass[m.Class]++
 	}
-	if n.cfg.Flight != nil {
-		n.cfg.Flight.Record(telemetry.FlightRecord{
-			At: n.cfg.Clock.Now(), Node: n.ID(), Peer: uint32(m.NextHop), ID: m.ID,
-			Verb: telemetry.VerbSend, Class: m.Class, Hops: m.HopCount,
-		})
-	}
+	n.cfg.Flight.Record(n.event(telemetry.Send, m, uint32(m.NextHop)))
 	// Store-and-carry custody holds every outgoing data message until the
 	// next hop's CustodyAck releases it: originations survive first-hop
 	// loss, and forwards (usually already admitted at receive time — the
@@ -803,10 +801,10 @@ func (n *Node) transmit(m *message.Message) error {
 	if m.Class == message.Data && m.NextHop != message.Broadcast &&
 		n.custodyLink != nil && n.custodyOn() {
 		if held, _ := n.cfg.Custody.Accept(m.ID, payload); held {
-			n.span(telemetry.SpanCustodyAccept, telemetry.SpanLayerCustody, m, n.ID(), telemetry.DropNone)
+			n.span(telemetry.CustodyAccept, telemetry.LayerCustody, m, n.ID(), telemetry.DropNone)
 			if err := n.custodyLink.SendCustody(uint32(m.NextHop), m.ID, payload); err != nil {
 				n.Stats.LinkSendErrors++
-				n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.NextHop), telemetry.DropLinkRefused)
+				n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.NextHop), telemetry.DropLinkRefused)
 				return err
 			}
 			return nil
@@ -815,7 +813,7 @@ func (n *Node) transmit(m *message.Message) error {
 	}
 	if err := n.cfg.Link.Send(uint32(m.NextHop), payload); err != nil {
 		n.Stats.LinkSendErrors++
-		n.span(telemetry.SpanDrop, telemetry.SpanLayerCore, m, uint32(m.NextHop), telemetry.DropLinkRefused)
+		n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.NextHop), telemetry.DropLinkRefused)
 		return err
 	}
 	return nil

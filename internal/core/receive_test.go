@@ -11,6 +11,7 @@ import (
 	"diffusion/internal/custody"
 	"diffusion/internal/message"
 	"diffusion/internal/sim"
+	"diffusion/internal/telemetry"
 )
 
 // Receive decodes every payload into one message per node and hands the
@@ -92,6 +93,57 @@ func asReceived(t *testing.T, payload []byte) []byte {
 	}
 	m.PrevHop = 1
 	return m.Marshal()
+}
+
+// withRings gives cfg a flight recorder and a span ring on s's clock.
+func withRings(cfg Config, s *sim.Engine) Config {
+	cfg.Flight = telemetry.NewRing(telemetry.DefaultFlightSize, s.Now)
+	cfg.Spans = telemetry.NewRing(telemetry.DefaultSpanSize, s.Now)
+	return cfg
+}
+
+// sample re-encodes each payload as a sampled message of flow.
+func sample(t *testing.T, wires [][]byte, flow uint16) {
+	t.Helper()
+	for i, w := range wires {
+		m, err := message.Unmarshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Flow = flow
+		wires[i] = m.Marshal()
+	}
+}
+
+// A reception is one fact: the event the flight recorder keeps is the one
+// the span ring keeps when the message is sampled, and only then.
+func TestReceiveRecordsOneEvent(t *testing.T) {
+	s := sim.New(1)
+	cfg := withRings(Config{Clock: s, Rand: s.Rand()}, s)
+	n, wires := reinforcedPath(t, &countLink{id: 2}, cfg, 2, 3)
+	sample(t, wires[:1], 0x77)
+	s.RunUntil(5 * time.Second)
+
+	n.Receive(1, wires[0])
+	spans := cfg.Spans.Records()
+	if len(spans) == 0 || spans[0].Verb != telemetry.Recv {
+		t.Fatalf("span ring after a sampled reception: %+v", spans)
+	}
+	var rx telemetry.Event
+	for _, e := range cfg.Flight.Records() {
+		if e.Verb == telemetry.Recv {
+			rx = e
+		}
+	}
+	if rx != spans[0] || rx.At != 5*time.Second || rx.Flow != 0x77 || rx.Node != 2 || rx.Peer != 1 {
+		t.Errorf("flight recorder holds %+v, span ring %+v: want one event at 5s", rx, spans[0])
+	}
+
+	before := cfg.Spans.Total()
+	n.Receive(1, wires[1])
+	if got := cfg.Spans.Total(); got != before {
+		t.Errorf("an unsampled reception recorded %d spans", got-before)
+	}
 }
 
 // A filter owns the message it is handed and a data callback is user code:

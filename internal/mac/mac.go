@@ -157,11 +157,9 @@ type Mac struct {
 	// backoffHist, when instrumented, observes every backoff wait (µs).
 	backoffHist *telemetry.Histogram
 
-	// spans and peek, when set via Trace, record flight-path span events
-	// for sampled payloads without the MAC knowing the diffusion wire
-	// format.
-	spans *telemetry.SpanRing
-	peek  func(payload []byte) (telemetry.Span, bool)
+	// spans, when set via Trace, records flight-path events for sampled
+	// payloads.
+	spans *telemetry.Ring
 
 	Stats Stats
 }
@@ -172,9 +170,9 @@ type outMsg struct {
 	next     int
 	attempts int
 	// span is the trace-context template captured at enqueue time, so the
-	// eventual tx (or drop) event carries the same flow and message ID.
-	span   telemetry.Span
-	traced bool
+	// eventual tx (or drop) event carries the same flow and message ID;
+	// its flow is zero when the message is not sampled.
+	span telemetry.Event
 }
 
 type reasmKey struct {
@@ -361,16 +359,11 @@ func (m *Mac) Send(dst uint32, payload []byte) error {
 	}
 	m.seq++
 	om := &outMsg{dst: dst, frags: m.fragment(dst, m.seq, payload)}
-	if m.spans != nil && m.peek != nil {
-		if sp, ok := m.peek(payload); ok {
-			sp.At = m.env.Now()
-			sp.Node = m.ID()
-			sp.Peer = dst
-			sp.Event = telemetry.SpanEnqueue
-			sp.Layer = telemetry.SpanLayerMac
-			om.span = sp
-			om.traced = true
-			m.spans.Record(sp)
+	if m.spans != nil {
+		if e := telemetry.PeekEvent(payload); e.Flow != 0 {
+			e.Node, e.Peer, e.Verb, e.Layer = m.ID(), dst, telemetry.Enqueue, telemetry.LayerMac
+			om.span = e
+			m.spans.Record(e)
 		}
 	}
 	m.queue = append(m.queue, om)
@@ -379,15 +372,11 @@ func (m *Mac) Send(dst uint32, payload []byte) error {
 	return nil
 }
 
-// Trace enables flight-path span recording: peek extracts a span template
-// (flow, hop count, message ID, class) from an encoded payload, returning
-// false for unsampled payloads, and ring receives an enqueue event per
-// sampled message admitted plus a tx event when its last fragment goes on
-// the air (or a drop event when backoff exhaustion discards it).
-func (m *Mac) Trace(ring *telemetry.SpanRing, peek func(payload []byte) (telemetry.Span, bool)) {
-	m.spans = ring
-	m.peek = peek
-}
+// Trace enables flight-path recording of the diffusion messages the MAC
+// carries: ring receives an enqueue event per sampled message admitted
+// plus a tx event when its last fragment goes on the air (or a drop event
+// when backoff exhaustion discards it).
+func (m *Mac) Trace(ring *telemetry.Ring) { m.spans = ring }
 
 // fragment splits payload into framed fragments.
 func (m *Mac) fragment(dst uint32, seq uint16, payload []byte) [][]byte {
@@ -456,12 +445,9 @@ func (m *Mac) attempt() {
 			// Drop the whole message, as a primitive MAC would.
 			m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
 			m.Stats.MessagesDropped++
-			if cur.traced && m.spans != nil {
-				sp := cur.span
-				sp.At = m.env.Now()
-				sp.Event = telemetry.SpanDrop
-				sp.Reason = telemetry.DropLinkRefused
-				m.spans.Record(sp)
+			if e := cur.span; e.Flow != 0 {
+				e.Verb, e.Reason = telemetry.Drop, telemetry.DropLinkRefused
+				m.spans.Record(e)
 			}
 			m.env.Arm(&m.attemptEv, 0)
 			return
@@ -511,11 +497,9 @@ func (m *Mac) fire() {
 	if cur.next == len(cur.frags) {
 		m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
 		m.Stats.MessagesSent++
-		if cur.traced && m.spans != nil {
-			sp := cur.span
-			sp.At = m.env.Now()
-			sp.Event = telemetry.SpanTx
-			m.spans.Record(sp)
+		if e := cur.span; e.Flow != 0 {
+			e.Verb = telemetry.Tx
+			m.spans.Record(e)
 		}
 	}
 	m.env.Arm(&m.attemptEv, air+m.params.InterFragGap)

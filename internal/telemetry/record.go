@@ -24,7 +24,8 @@ type Record struct {
 	Class string `json:"class,omitempty"`
 	// ID is the message origination id ("%08x:%d"); empty on faults.
 	ID string `json:"id,omitempty"`
-	// From is the neighbor the message arrived from (0 when originated).
+	// From is the neighbor a trace org/fwd record's message came from (the
+	// recording node itself on org).
 	From uint32 `json:"from,omitempty"`
 	// Peer is the second endpoint of link-fault events.
 	Peer uint32 `json:"peer,omitempty"`
@@ -58,6 +59,12 @@ type RunInfo struct {
 	// memory bounds; non-zero means the tail of the run is missing.
 	DroppedEvents int `json:"dropped_events,omitempty"`
 	DroppedFaults int `json:"dropped_faults,omitempty"`
+	// Node, Boot and StartUnixUS scope a live node's span ring (diffnode's
+	// GET /spans): the node, its boot nonce, and the wall-clock base its
+	// record times count from. Simulator traces leave them out.
+	Node        uint32 `json:"node,omitempty"`
+	Boot        uint32 `json:"boot,omitempty"`
+	StartUnixUS int64  `json:"start_unix_us,omitempty"`
 }
 
 // header is the first JSONL line: a magic marker plus the run info, so a
@@ -94,7 +101,8 @@ func WriteJSONL(w io.Writer, info RunInfo, recs []Record) error {
 // header.
 var ErrNotTrace = errors.New("telemetry: not a diffusion JSONL trace (missing header line)")
 
-// ReadJSONL parses a JSONL trace produced by WriteJSONL.
+// ReadJSONL parses a JSONL trace produced by WriteJSONL. Traces come from
+// files and sockets, so the header's record count sizes nothing.
 func ReadJSONL(r io.Reader) (RunInfo, []Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -108,7 +116,7 @@ func ReadJSONL(r io.Reader) (RunInfo, []Record, error) {
 	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Trace != traceMagic {
 		return RunInfo{}, nil, ErrNotTrace
 	}
-	recs := make([]Record, 0, h.Records)
+	var recs []Record
 	line := 1
 	for sc.Scan() {
 		line++
@@ -193,6 +201,12 @@ func WriteChromeTrace(w io.Writer, info RunInfo, recs []Record) error {
 		}
 		if r.Hops != 0 {
 			args["hops"] = r.Hops
+		}
+		if r.Flow != 0 {
+			args["flow"] = r.Flow
+		}
+		if r.Cause != "" {
+			args["cause"] = r.Cause
 		}
 		if err := emit(chromeEvent{
 			Name: name, Ph: "i", TS: r.US, PID: 1, TID: r.Node, S: "t", Args: args,

@@ -109,18 +109,16 @@ func TestHotPathAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { h.Observe(12345) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %.1f/op", n)
 	}
-	f := NewFlight(64)
-	rec := FlightRecord{At: time.Second, Node: 3, Verb: VerbRecv, Class: message.Data}
-	if n := testing.AllocsPerRun(100, func() { f.Record(rec) }); n != 0 {
-		t.Errorf("Flight.Record allocates %.1f/op", n)
-	}
 }
 
 func TestFlightRing(t *testing.T) {
-	f := NewFlight(4)
-	for i := 1; i <= 6; i++ {
-		f.Record(FlightRecord{At: time.Duration(i) * time.Second, Node: uint32(i)})
+	now := 5 * time.Second
+	f := NewRing(4, clockAt(&now))
+	for i := 1; i <= 5; i++ {
+		f.Record(Event{Node: uint32(i), Peer: 9, ID: message.ID{RandID: 0xab, PktNum: uint32(i)},
+			Verb: Recv, Class: message.Data, Hop: 2})
 	}
+	f.Record(Event{Node: 6, Peer: 2, Verb: Fault, Kind: 3})
 	if f.Len() != 4 || f.Total() != 6 {
 		t.Fatalf("len=%d total=%d", f.Len(), f.Total())
 	}
@@ -130,8 +128,14 @@ func TestFlightRing(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	f.Dump(&buf, nil)
-	if !strings.Contains(buf.String(), "4 records held, 6 total") {
-		t.Errorf("dump:\n%s", buf.String())
+	for _, want := range []string{
+		"4 records held, 6 total",
+		"         5s node=3 recv DATA id=000000ab:3 peer=9 hops=2\n",
+		"         5s node=6 fault kind=3 peer=2\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("dump missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -179,13 +183,16 @@ func TestChromeTraceShape(t *testing.T) {
 	recs := []Record{
 		{US: 1000, Node: 1, Layer: "core", Verb: "org", Class: "DATA", ID: "x:1"},
 		{US: 1500, Node: 2, Layer: "fault", Verb: "node-down"},
+		// A dropped flight path says why it stopped.
+		{US: 1700, Node: 3, Layer: "core", Verb: "drop", Class: "DATA", ID: "x:2", Flow: 0x2a, Cause: "no-path"},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, RunInfo{Seed: 1}, recs); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"traceEvents"`, `"thread_name"`, `"node 1"`, `"DATA"`, `"node-down"`, `"ph":"i"`} {
+	for _, want := range []string{`"traceEvents"`, `"thread_name"`, `"node 1"`, `"DATA"`, `"node-down"`, `"ph":"i"`,
+		`"cause":"no-path"`, `"flow":42`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("chrome trace missing %s:\n%s", want, out)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"diffusion/internal/attr"
 	"diffusion/internal/message"
+	"diffusion/internal/sim"
 	"diffusion/internal/telemetry"
 )
 
@@ -92,7 +93,7 @@ func TestUDPTraceSpans(t *testing.T) {
 	payload := m.Marshal()
 
 	got := make(chan []byte, 1)
-	rxSpans := telemetry.NewSpanRing(16)
+	rxSpans := telemetry.NewRing(16, sim.NewRealClock().Now)
 	rx, err := ListenUDP(UDPConfig{
 		ID: 2, Listen: "127.0.0.1:0",
 		Neighbors: map[uint32]string{1: "127.0.0.1:1"}, // fixed below
@@ -104,7 +105,7 @@ func TestUDPTraceSpans(t *testing.T) {
 	}
 	defer rx.Close()
 
-	txSpans := telemetry.NewSpanRing(16)
+	txSpans := telemetry.NewRing(16, sim.NewRealClock().Now)
 	tx, err := ListenUDP(UDPConfig{
 		ID: 1, Listen: "127.0.0.1:0",
 		Neighbors: map[uint32]string{2: rx.LocalAddr().String()},
@@ -133,8 +134,8 @@ func TestUDPTraceSpans(t *testing.T) {
 		t.Fatal("payload not delivered")
 	}
 
-	txs := txSpans.Spans()
-	if len(txs) != 1 || txs[0].Event != telemetry.SpanTx || txs[0].Flow != 0x77AA ||
+	txs := txSpans.Records()
+	if len(txs) != 1 || txs[0].Verb != telemetry.Tx || txs[0].Flow != 0x77AA ||
 		txs[0].Hop != 4 || txs[0].Peer != 2 || txs[0].ID != m.ID {
 		t.Errorf("sender spans: %+v", txs)
 	}
@@ -142,8 +143,8 @@ func TestUDPTraceSpans(t *testing.T) {
 	for rxSpans.Len() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	rxs := rxSpans.Spans()
-	if len(rxs) != 1 || rxs[0].Event != telemetry.SpanRecv || rxs[0].Flow != 0x77AA ||
+	rxs := rxSpans.Records()
+	if len(rxs) != 1 || rxs[0].Verb != telemetry.Recv || rxs[0].Flow != 0x77AA ||
 		rxs[0].Hop != 4 || rxs[0].Peer != 1 || rxs[0].Node != 2 {
 		t.Errorf("receiver spans: %+v", rxs)
 	}

@@ -69,17 +69,12 @@ type UDPConfig struct {
 	// Requires Liveness. The static Neighbors table remains valid — its
 	// entries are pinned members the discovery layer never evicts.
 	Discovery *DiscoveryConfig
-	// Spans, when non-nil, records flight-path tx/recv spans for sampled
+	// Spans, when non-nil, records flight-path tx/recv events for sampled
 	// payloads (message flow ID non-zero): sampled frames carry the trace
 	// extension on the wire and stamp the ring on both ends. Nil disables
 	// transport-layer tracing; unsampled traffic never pays for it either
 	// way.
-	Spans *telemetry.SpanRing
-	// SpanClock overrides the span timestamp source, so transport spans
-	// share a time base with the node's other layers (the daemon passes
-	// its event loop's Now). Nil means time since the endpoint was
-	// created.
-	SpanClock func() time.Duration
+	Spans *telemetry.Ring
 }
 
 // wire is the datagram medium the driver writes to: the UDP socket live, an
@@ -101,14 +96,13 @@ type wire interface {
 //
 // UDP is also the link engines' driver; the package comment says how.
 type UDP struct {
-	id        uint32
-	boot      uint32
-	wire      wire
-	clock     sim.Clock
-	deliver   Deliver
-	stats     Stats
-	spans     *telemetry.SpanRing
-	spanClock func() time.Duration
+	id      uint32
+	boot    uint32
+	wire    wire
+	clock   sim.Clock
+	deliver Deliver
+	stats   Stats
+	spans   *telemetry.Ring
 	// timed is false for a bare endpoint — no engine, no injected latency —
 	// whose entries then skip reading the clock.
 	timed      bool
@@ -186,14 +180,13 @@ func newUDP(cfg UDPConfig, clock sim.Clock, w wire, boot uint32) (*UDP, error) {
 		return nil, fmt.Errorf("transport: UDPConfig requires Deliver")
 	}
 	u := &UDP{
-		id:        cfg.ID,
-		boot:      boot,
-		wire:      w,
-		clock:     clock,
-		deliver:   cfg.Deliver,
-		spans:     cfg.Spans,
-		spanClock: cfg.SpanClock,
-		timerAt:   never,
+		id:      cfg.ID,
+		boot:    boot,
+		wire:    w,
+		clock:   clock,
+		deliver: cfg.Deliver,
+		spans:   cfg.Spans,
+		timerAt: never,
 		peerTable: peerTable{
 			peers:   make(map[uint32]*peerEntry, len(cfg.Neighbors)),
 			rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -459,7 +452,7 @@ func (u *UDP) release(fx *effects) {
 // frames to the wire, then callbacks, then the delivery upcall.
 func (u *UDP) perform(fx *effects) {
 	if fx.span {
-		u.span(telemetry.SpanRecv, fx.rx.from, fx.rx.flow, fx.rx.hop, fx.rx.payload)
+		u.span(telemetry.Recv, fx.rx.from, fx.rx.payload)
 	}
 	if fx.n > 0 {
 		pooled := framePool.Get().(*[]byte)
@@ -507,7 +500,7 @@ func (u *UDP) encode(b []byte, f *outFrame) []byte {
 	var hop uint8
 	if u.spans != nil && carriesMessage(f.kind) {
 		if flow, hop = message.PeekTrace(f.payload); flow != 0 {
-			u.span(telemetry.SpanTx, f.peer, flow, hop, f.payload)
+			u.span(telemetry.Tx, f.peer, f.payload)
 		}
 	}
 	dst := f.peer
@@ -517,19 +510,12 @@ func (u *UDP) encode(b []byte, f *outFrame) []byte {
 	return appendFrame(b, f.kind, u.id, dst, u.boot, f.seq, flow, hop, f.payload)
 }
 
-// span records one transport-layer flight-path span.
-func (u *UDP) span(ev telemetry.SpanEvent, peer uint32, flow uint16, hop uint8, payload []byte) {
-	at := u.spanClock
-	if at == nil {
-		at = u.clock.Now
+// span records one transport-layer flight-path event for a sampled payload.
+func (u *UDP) span(v telemetry.Verb, peer uint32, payload []byte) {
+	if e := telemetry.PeekEvent(payload); e.Flow != 0 {
+		e.Node, e.Peer, e.Verb, e.Layer = u.id, peer, v, telemetry.LayerTransport
+		u.spans.Record(e)
 	}
-	cls, _ := message.PeekClass(payload)
-	u.spans.Record(telemetry.Span{
-		At: at(), Node: u.id, Peer: peer,
-		ID: message.PeekID(payload), Flow: flow, Hop: hop,
-		Event: ev, Layer: telemetry.SpanLayerTransport,
-		Class: cls,
-	})
 }
 
 // ID returns this node's link-layer identifier (core.Link).

@@ -10,7 +10,6 @@ import (
 	"diffusion/internal/custody"
 	"diffusion/internal/energy"
 	"diffusion/internal/mac"
-	"diffusion/internal/message"
 	"diffusion/internal/microdiff"
 	"diffusion/internal/radio"
 	"diffusion/internal/sim"
@@ -152,11 +151,11 @@ type Network struct {
 	// recorder per full node.
 	hub        *telemetry.Hub
 	regs       map[uint32]*telemetry.Registry
-	flights    map[uint32]*telemetry.Flight
+	flights    map[uint32]*telemetry.Ring
 	flightSink io.Writer
 	// spans holds one flight-path span ring per full node when
 	// TraceSampling is enabled (see trace.go and cmd/difftrace paths).
-	spans map[uint32]*telemetry.SpanRing
+	spans map[uint32]*telemetry.Ring
 }
 
 // Node is one network node: the diffusion engine plus its link stack. The
@@ -204,14 +203,17 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		down:    map[uint32]bool{},
 		hub:     telemetry.NewHub(eng.Now),
 		regs:    map[uint32]*telemetry.Registry{},
-		flights: map[uint32]*telemetry.Flight{},
-		spans:   map[uint32]*telemetry.SpanRing{},
+		flights: map[uint32]*telemetry.Ring{},
+		spans:   map[uint32]*telemetry.Ring{},
 	}
 	net.channel.Instrument(net.hub.Register(telemetry.NewRegistry("channel")))
 	moteSet := map[uint32]bool{}
 	for _, id := range cfg.MoteNodes {
 		moteSet[id] = true
 	}
+	// Every port reads the engine's clock, so the rings share one method
+	// value rather than holding one per node.
+	now := eng.Now
 	for _, id := range net.order {
 		port := eng.Port(id)
 		net.ports[id] = port
@@ -232,7 +234,7 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		m := mac.Attach(port, net.channel, id, mp, func(from uint32, payload []byte) {
 			n.Receive(from, payload)
 		})
-		fl := telemetry.NewFlight(telemetry.DefaultFlightSize)
+		fl := telemetry.NewRing(telemetry.DefaultFlightSize, now)
 		net.flights[id] = fl
 		var cusq *custody.Queue
 		if cfg.Custody {
@@ -241,11 +243,11 @@ func NewNetwork(cfg NetworkConfig) *Network {
 			// the live daemon's concern.
 			cusq = custody.NewQueue(cfg.CustodyLimit, nil)
 		}
-		var ring *telemetry.SpanRing
+		var ring *telemetry.Ring
 		if cfg.TraceSampling > 0 {
-			ring = telemetry.NewSpanRing(telemetry.DefaultSpanSize)
+			ring = telemetry.NewRing(telemetry.DefaultSpanSize, now)
 			net.spans[id] = ring
-			m.Trace(ring, peekSpan)
+			m.Trace(ring)
 		}
 		n = &Node{
 			Node: core.NewNode(core.Config{
@@ -277,20 +279,6 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	// self-diagnose.
 	net.OnFault(net.recordFaultFlight)
 	return net
-}
-
-// peekSpan extracts a MAC-layer span template from an encoded diffusion
-// payload without a full decode; ok only for sampled messages (non-zero
-// flow). It keeps the MAC ignorant of the diffusion wire format.
-func peekSpan(payload []byte) (telemetry.Span, bool) {
-	flow, hop := message.PeekTrace(payload)
-	if flow == 0 {
-		return telemetry.Span{}, false
-	}
-	cls, _ := message.PeekClass(payload)
-	return telemetry.Span{
-		ID: message.PeekID(payload), Flow: flow, Hop: hop, Class: cls,
-	}, true
 }
 
 // instrumentLink wires a node's MAC, radio and energy metrics onto reg.

@@ -19,18 +19,16 @@ type (
 	// MetricsSnapshot is a point-in-time view of every metric, per scope
 	// and summed network-wide.
 	MetricsSnapshot = telemetry.Snapshot
-	// FlightRecorder is a fixed-size always-on ring of recent per-node
-	// protocol activity, dumped when something goes wrong.
-	FlightRecorder = telemetry.Flight
+	// Event is one observed fact at one node: a message received, sent,
+	// processed or traced through a layer, or a fault.
+	Event = telemetry.Event
+	// EventRing is a bounded per-node ring of Events: a node's always-on
+	// flight recorder, and its span ring of sampled messages.
+	EventRing = telemetry.Ring
 	// TraceRecord is one structured (JSONL/Chrome-exportable) trace record.
 	TraceRecord = telemetry.Record
 	// TraceRunInfo is the self-describing header of an exported trace.
 	TraceRunInfo = telemetry.RunInfo
-	// Span is one flight-path event: a sampled message touching one layer
-	// of one node (see NetworkConfig.TraceSampling).
-	Span = telemetry.Span
-	// SpanRing is a bounded per-node ring of flight-path spans.
-	SpanRing = telemetry.SpanRing
 )
 
 // Telemetry returns the network-wide metrics hub (advanced use: register
@@ -55,7 +53,7 @@ func (net *Network) MetricsSnapshot() MetricsSnapshot { return net.hub.Snapshot(
 
 // FlightRecorder returns the node's flight-recorder ring. It panics on
 // unknown or mote IDs (motes are not flight-recorded).
-func (net *Network) FlightRecorder(id uint32) *FlightRecorder {
+func (net *Network) FlightRecorder(id uint32) *EventRing {
 	f, ok := net.flights[id]
 	if !ok {
 		panic(fmt.Sprintf("diffusion: no flight recorder for node %d in topology %q", id, net.cfg.Topology.Name))
@@ -66,7 +64,7 @@ func (net *Network) FlightRecorder(id uint32) *FlightRecorder {
 // Spans returns the node's flight-path span ring, or nil when
 // NetworkConfig.TraceSampling is zero (or for mote IDs — motes are not
 // traced).
-func (net *Network) Spans(id uint32) *SpanRing { return net.spans[id] }
+func (net *Network) Spans(id uint32) *EventRing { return net.spans[id] }
 
 // SpanRecords converts every node's recorded spans into structured trace
 // records, merged across nodes into one deterministic timeline: ordered
@@ -79,8 +77,8 @@ func (net *Network) SpanRecords() []TraceRecord {
 		if !ok {
 			continue
 		}
-		for _, sp := range ring.Spans() {
-			out = append(out, sp.TraceRecord())
+		for _, e := range ring.Records() {
+			out = append(out, e.Record())
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].US < out[j].US })
@@ -104,11 +102,12 @@ func (net *Network) DumpFlightRecorders(w io.Writer) {
 	}
 }
 
-// faultKindName renders a FlightRecord fault kind.
+// faultKindName renders a fault Event's kind.
 func faultKindName(k uint8) string { return FaultKind(k).String() }
 
 // recordFaultFlight stamps ev into the affected nodes' flight recorders
-// and, when a dump sink is set, dumps those rings.
+// (whose clocks read ev.At) and, when a dump sink is set, dumps those
+// rings.
 func (net *Network) recordFaultFlight(ev FaultEvent) {
 	affected := make([]uint32, 0, 2)
 	stamp := func(id, peer uint32) {
@@ -116,10 +115,7 @@ func (net *Network) recordFaultFlight(ev FaultEvent) {
 		if !ok {
 			return
 		}
-		f.Record(telemetry.FlightRecord{
-			At: ev.At, Node: id, Peer: peer,
-			Verb: telemetry.VerbFault, Kind: uint8(ev.Kind),
-		})
+		f.Record(telemetry.Event{Node: id, Peer: peer, Verb: telemetry.Fault, Kind: uint8(ev.Kind)})
 		affected = append(affected, id)
 	}
 	switch ev.Kind {

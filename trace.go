@@ -15,16 +15,16 @@ import (
 // was going on in a network of dozens of physically distributed nodes ...
 // tools are needed to ... permit more flexible logging"). It installs a
 // pass-through tap on every node and records every message each node
-// processes, with summaries by class, node, and flow direction. Because
-// the simulation is deterministic, a trace is a complete, replayable
-// account of a run.
+// processes — an Org or Fwd Event — with summaries by class, node, and
+// flow direction. Because the simulation is deterministic, a trace is a
+// complete, replayable account of a run.
 type Trace struct {
 	net *Network
 	// Recording is per node: each node's filter appends to its own buffer
 	// on its own clock. Events reads the buffers merged into one canonical
 	// timeline.
 	bufs   map[uint32]*nodeTraceBuf
-	merged []TraceEvent // cached merge; rebuilt when stale
+	merged []Event // cached merge; rebuilt when stale
 	faults []FaultEvent
 	// limit bounds message events, divided evenly across the nodes, so a
 	// chatty node loses the end of its own view and nobody else's; faults
@@ -43,25 +43,9 @@ type Trace struct {
 // nodeTraceBuf is one node's recording buffer; only that node's event
 // context touches it during a run.
 type nodeTraceBuf struct {
-	events  []TraceEvent
+	events  []Event
 	limit   int
 	dropped int
-}
-
-// TraceEvent is one message processing record at one node.
-type TraceEvent struct {
-	At    time.Duration
-	Node  uint32
-	Class MessageClass
-	// ID identifies the message origination.
-	ID message.ID
-	// From is the neighbor the message arrived from (equal to Node when
-	// originated locally).
-	From uint32
-	// Local marks messages originated at the recording node.
-	Local bool
-	// Hops is the message's hop count when observed.
-	Hops uint8
 }
 
 // defaultFaultLimit bounds recorded fault events; even brutal churn runs
@@ -115,14 +99,13 @@ func (net *Network) NewTrace(limit int) *Trace {
 		clk := net.NodeEnv(id)
 		node.AddFilter(nil, 30100, func(m *Message, h FilterHandle) {
 			if len(buf.events) < buf.limit {
-				buf.events = append(buf.events, TraceEvent{
-					At:    clk.Now(),
-					Node:  id,
-					Class: m.Class,
-					ID:    m.ID,
-					From:  uint32(m.PrevHop),
-					Local: uint32(m.PrevHop) == id,
-					Hops:  m.HopCount,
+				verb := telemetry.Fwd
+				if uint32(m.PrevHop) == id {
+					verb = telemetry.Org
+				}
+				buf.events = append(buf.events, Event{
+					At: clk.Now(), Node: id, Peer: uint32(m.PrevHop), ID: m.ID,
+					Hop: m.HopCount, Verb: verb, Class: m.Class,
 				})
 			} else {
 				buf.dropped++
@@ -145,7 +128,7 @@ func (net *Network) NewTrace(limit int) *Trace {
 // Events returns the recorded events merged across nodes into one
 // canonical timeline — ordered by timestamp, ties broken by topology
 // position (shared slice; do not mutate).
-func (t *Trace) Events() []TraceEvent {
+func (t *Trace) Events() []Event {
 	total := 0
 	for _, b := range t.bufs {
 		total += len(b.events)
@@ -153,7 +136,7 @@ func (t *Trace) Events() []TraceEvent {
 	if len(t.merged) == total {
 		return t.merged
 	}
-	merged := make([]TraceEvent, 0, total)
+	merged := make([]Event, 0, total)
 	for _, id := range t.net.IDs() {
 		if b, ok := t.bufs[id]; ok {
 			merged = append(merged, b.events...)
@@ -263,7 +246,7 @@ func (t *Trace) Originations() map[MessageClass]int {
 	seen := map[message.ID]bool{}
 	out := map[MessageClass]int{}
 	for _, e := range t.Events() {
-		if e.Local && !seen[e.ID] {
+		if e.Verb == telemetry.Org && !seen[e.ID] {
 			seen[e.ID] = true
 			out[e.Class]++
 		}
@@ -351,12 +334,8 @@ func (t *Trace) WriteLog(w io.Writer) {
 	}
 	for _, e := range t.Events() {
 		emitFaultsThrough(e.At)
-		origin := "fwd"
-		if e.Local {
-			origin = "org"
-		}
 		fmt.Fprintf(w, "%12v node=%d %s %s id=%v hops=%d\n",
-			e.At, e.Node, origin, e.Class, e.ID, e.Hops)
+			e.At, e.Node, e.Verb, e.Class, e.ID, e.Hop)
 	}
 	emitFaultsThrough(time.Duration(1<<62 - 1))
 }
@@ -401,14 +380,7 @@ func (t *Trace) Records() []TraceRecord {
 	}
 	for _, e := range events {
 		emitFaultsThrough(e.At)
-		verb := "fwd"
-		if e.Local {
-			verb = "org"
-		}
-		out = append(out, TraceRecord{
-			US: e.At.Microseconds(), Node: e.Node, Layer: "core", Verb: verb,
-			Class: e.Class.String(), ID: e.ID.String(), From: e.From, Hops: int(e.Hops),
-		})
+		out = append(out, e.Record())
 	}
 	emitFaultsThrough(time.Duration(1<<62 - 1))
 	if spans := t.net.SpanRecords(); len(spans) > 0 {

@@ -81,7 +81,7 @@ func TestTraceLatencyProbe(t *testing.T) {
 	// Find a data origination at node 4 and its first processing at node
 	// 1: latency must be positive and under a second on an idle line.
 	for _, e := range tr.Events() {
-		if e.Local && e.Node == 4 && e.Class == diffusion.ClassData {
+		if e.Verb.String() == "org" && e.Node == 4 && e.Class == diffusion.ClassData {
 			at, ok := tr.FirstDelivery(e.ID, 1)
 			if !ok {
 				continue

@@ -86,12 +86,20 @@ func TestNodeCorksOnlyWithBatchClock(t *testing.T) {
 		if link.uncorks != 1 || link.corked {
 			t.Fatalf("after the wake-up: %d uncorks, corked %v", link.uncorks, link.corked)
 		}
-		// The next wake-up corks afresh; a wake-up that sends nothing does not.
+		// The next wake-up corks afresh; a wake-up that neither receives nor
+		// sends does not, and one that receives but sends nothing — a sink's,
+		// or a duplicate's — does, so that the link's held acks leave.
 		clock.endWakeup()
 		n.Receive(1, wires[3])
 		clock.endWakeup()
 		if link.corks != 2 || link.uncorks != 2 {
 			t.Errorf("second wake-up: %d corks, %d uncorks; want 2 and 2", link.corks, link.uncorks)
+		}
+		sends := link.sends
+		n.Receive(1, wires[3])
+		clock.endWakeup()
+		if link.sends != sends || link.corks != 3 || link.uncorks != 3 {
+			t.Errorf("a duplicate's wake-up: %d sends, %d corks, %d uncorks; want 0, 3 and 3", link.sends-sends, link.corks, link.uncorks)
 		}
 	})
 }

@@ -65,8 +65,9 @@ type batchClock interface {
 // corkLink is the optional link surface that can hold its writes: between
 // Cork and Uncork the link coalesces what Send hands it, per neighbor, still
 // only borrowing each payload (transport.UDP). A node on a batchClock corks
-// such a link on a wake-up's first transmission and uncorks it at the
-// wake-up's end: a burst costs one datagram per neighbor, not one per message.
+// such a link on a wake-up's first reception or transmission and uncorks it
+// at the wake-up's end: a burst costs one datagram per neighbor, not one per
+// message, and the link's acks for what the wake-up received ride along.
 type corkLink interface {
 	Cork()
 	Uncork()
@@ -316,8 +317,8 @@ type Node struct {
 	cork *wakeupCork
 }
 
-// wakeupCork corks the link on a wake-up's first transmission and uncorks
-// it at the wake-up's end.
+// wakeupCork corks the link on a wake-up's first reception or transmission
+// and uncorks it at the wake-up's end.
 type wakeupCork struct {
 	link   corkLink
 	clock  batchClock
@@ -697,9 +698,15 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 // broadcast. It is decoded in place — string and blob values are windows
 // onto it — so what the node keeps (an interest entry's attributes, a kept
 // message) keeps payload alive, and a link must never recycle the buffer.
+//
+// On a corking link Receive corks, as transmit does, malformed payloads
+// included: the link holds its ack of payload until the wake-up's end.
 func (n *Node) Receive(from uint32, payload []byte) {
 	if n.detached {
 		return
+	}
+	if n.cork != nil {
+		n.cork.take()
 	}
 	m, nested := &n.rx, n.rxBusy
 	if nested {

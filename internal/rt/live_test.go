@@ -11,6 +11,7 @@ import (
 	"diffusion/internal/core"
 	"diffusion/internal/message"
 	"diffusion/internal/rt"
+	"diffusion/internal/sim"
 	"diffusion/internal/telemetry"
 	"diffusion/internal/transport"
 )
@@ -102,14 +103,16 @@ func TestLiveDiffusionPhases(t *testing.T) {
 	// report every 50 ms.
 	time.Sleep(700 * time.Millisecond)
 	seq := int32(0)
-	tick := source.loop.Every(0, 50*time.Millisecond, func() {
-		seq++
-		source.node.Send(pub, attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, seq)})
+	var tick sim.Timer
+	source.loop.Call(func() {
+		tick = sim.Every(source.loop, 0, 50*time.Millisecond, func() {
+			seq++
+			source.node.Send(pub, attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, seq)})
+		})
 	})
 	time.Sleep(1500 * time.Millisecond)
-	tick.Cancel()
-	source.loop.Call(func() {})        // drain the in-flight firing, freeze seq
-	time.Sleep(100 * time.Millisecond) // let the last events cross 3 hops
+	source.loop.Call(func() { tick.Cancel() }) // freezes seq
+	time.Sleep(100 * time.Millisecond)         // let the last events cross 3 hops
 
 	mu.Lock()
 	deliveries := append([]message.Class(nil), got...)

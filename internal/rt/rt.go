@@ -160,35 +160,6 @@ func (l *Loop) After(d time.Duration, fn func()) sim.Timer {
 	return t
 }
 
-// Every schedules fn at now+d and then every period thereafter until the
-// returned timer is cancelled, matching sim.Engine.Every. It panics when
-// period is not positive.
-func (l *Loop) Every(d, period time.Duration, fn func()) sim.Timer {
-	if period <= 0 {
-		panic("rt: Every requires a positive period")
-	}
-	rt := &repeatTimer{}
-	var arm func(delay time.Duration)
-	arm = func(delay time.Duration) {
-		rt.mu.Lock()
-		if !rt.cancelled {
-			rt.inner = l.After(delay, func() {
-				rt.mu.Lock()
-				dead := rt.cancelled
-				rt.mu.Unlock()
-				if dead {
-					return
-				}
-				fn()
-				arm(period)
-			})
-		}
-		rt.mu.Unlock()
-	}
-	arm(d)
-	return rt
-}
-
 // timer is one pending loop callback backed by a time.Timer. Its state is
 // guarded by a mutex because Cancel may race with the wall-clock dispatch
 // goroutine, unlike in the simulator where everything shares one thread.
@@ -229,24 +200,4 @@ func (t *timer) Cancel() bool {
 	t.cancelled = true
 	t.t.Stop()
 	return true
-}
-
-// repeatTimer is the cancellation handle for Every.
-type repeatTimer struct {
-	mu        sync.Mutex
-	inner     sim.Timer
-	cancelled bool
-}
-
-func (r *repeatTimer) Cancel() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cancelled {
-		return false
-	}
-	r.cancelled = true
-	if r.inner != nil {
-		return r.inner.Cancel()
-	}
-	return false
 }

@@ -128,27 +128,30 @@ func TestTimerRacingStop(t *testing.T) {
 	}
 }
 
-// TestEveryRacingStop: repeating timers racing Stop must stop re-arming
-// and never fire after Stop returns; Cancel after Stop is a safe no-op.
+// TestEveryRacingStop: repeating timers (sim.Every on the loop's clock)
+// racing Stop must stop re-arming and never fire after Stop returns; Cancel
+// after Stop is a safe no-op.
 func TestEveryRacingStop(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		l := NewLoop()
 		var stopped atomic.Bool
 		var ticks [8]sim.Timer
-		for i := range ticks {
-			ticks[i] = l.Every(0, 100*time.Microsecond, func() {
-				if stopped.Load() {
-					t.Error("Every callback ran after Stop returned")
-				}
-			})
-		}
+		l.Call(func() {
+			for i := range ticks {
+				ticks[i] = sim.Every(l, 0, 100*time.Microsecond, func() {
+					if stopped.Load() {
+						t.Error("Every callback ran after Stop returned")
+					}
+				})
+			}
+		})
 		time.Sleep(300 * time.Microsecond)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < len(ticks); i += 2 {
-				ticks[i].Cancel()
+				l.Call(func() { ticks[i].Cancel() }) // ErrStopped once Stop wins
 			}
 		}()
 		l.Stop()

@@ -23,10 +23,14 @@ type udpLine struct {
 	links []*transport.UDP
 	pub   core.PublicationHandle
 	seq   int32
-	got   chan message.Class // one per delivery at the sink
+	// payload, when set, rides in every event sent from then on.
+	payload []byte
+	got     chan message.Class // one per delivery at the sink
 }
 
-func newUDPLine(tb testing.TB, n int, interestInterval time.Duration) *udpLine {
+// newUDPLine builds the line, every link with reliable unicast when rel is
+// set.
+func newUDPLine(tb testing.TB, n int, interestInterval time.Duration, rel *transport.ReliableConfig) *udpLine {
 	tb.Helper()
 	ports, err := chaos.FreePorts("udp", n)
 	if err != nil {
@@ -44,7 +48,7 @@ func newUDPLine(tb testing.TB, n int, interestInterval time.Duration) *udpLine {
 			neighbors[uint32(i+2)] = addr(i + 1)
 		}
 		link, err := transport.ListenUDP(transport.UDPConfig{
-			ID: uint32(i + 1), Listen: addr(i), Neighbors: neighbors, Seed: int64(i),
+			ID: uint32(i + 1), Listen: addr(i), Neighbors: neighbors, Seed: int64(i), Reliable: rel,
 			Deliver: func(from uint32, payload []byte) {
 				loop.Post(func() { ln.nodes[i].Receive(from, payload) })
 			},
@@ -118,26 +122,31 @@ func (ln *udpLine) send(k int) {
 	ln.loops[0].Post(func() {
 		for i := 0; i < k; i++ {
 			ln.seq++
-			ln.nodes[0].Send(ln.pub, attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, ln.seq)})
+			attrs := attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, ln.seq)}
+			if ln.payload != nil {
+				attrs = append(attrs, attr.BlobAttr(attr.KeyPayload, attr.IS, ln.payload))
+			}
+			ln.nodes[0].Send(ln.pub, attrs)
 		}
 	})
 }
 
-// sent sums the endpoints' own datagram and frame counters.
-func (ln *udpLine) sent() (datagrams, frames uint64) {
+// sent sums the endpoints' own datagram, frame and ack counters.
+func (ln *udpLine) sent() (datagrams, frames, acks uint64) {
 	for _, l := range ln.links {
 		datagrams += l.Stats().Sent.Load()
 		frames += l.Stats().FramesSent.Load()
+		acks += l.Stats().AcksSent.Load()
 	}
-	return datagrams, frames
+	return datagrams, frames, acks
 }
 
 // A burst published in one wake-up leaves the source as one datagram and
 // reaches the sink whole, over real sockets: core.NewNode found the loop's
 // Defer and the endpoint's Cork by itself.
 func TestLiveUDPBurstIsOneDatagram(t *testing.T) {
-	ln := newUDPLine(t, 3, time.Minute) // no interest refresh while the test counts
-	time.Sleep(20 * time.Millisecond)   // the set-up's last frames leave the line
+	ln := newUDPLine(t, 3, time.Minute, nil) // no interest refresh while the test counts
+	time.Sleep(20 * time.Millisecond)        // the set-up's last frames leave the line
 	for len(ln.got) > 0 {
 		<-ln.got
 	}
@@ -163,14 +172,66 @@ func TestLiveUDPBurstIsOneDatagram(t *testing.T) {
 	}
 }
 
-// BenchmarkLiveLineUDP is cmd/diffbench's line5_udp phase T in miniature —
-// five hops, 32 events in flight — reporting what the frozen benchmark's
-// traced run cannot: datagrams and frames per event from the endpoints' own
-// Stats, with the links corked as they are in a daemon.
-func BenchmarkLiveLineUDP(b *testing.B) {
-	ln := newUDPLine(b, 6, time.Second)
+// A burst sent in one wake-up is acknowledged in one datagram: the sink's
+// receptions of it make one wake-up, whose Uncork writes the acks the
+// socket reader held. The sink's loop is kept busy until the reader has
+// handed up the whole burst, so that the receptions are one wake-up however
+// the goroutines are scheduled.
+func TestLiveReliableBurstAcksOnce(t *testing.T) {
+	ln := newUDPLine(t, 2, time.Minute, &transport.ReliableConfig{})
+	time.Sleep(20 * time.Millisecond) // the set-up's last frames leave the line
+	for len(ln.got) > 0 {
+		<-ln.got
+	}
+	src, sink := ln.links[0].Stats(), ln.links[1].Stats()
+	acksRecv, recv := src.AcksRecv.Load(), sink.Recv.Load()
+	datagrams, frames, acks := sink.Sent.Load(), sink.FramesSent.Load(), sink.AcksSent.Load()
+
+	const burst = 8
+	busy, release := make(chan struct{}), make(chan struct{})
+	ln.loops[1].Post(func() { close(busy); <-release })
+	<-busy
+	ln.send(burst)
+	for deadline := time.Now().Add(5 * time.Second); sink.Recv.Load()-recv < burst; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("the sink's reader handed up %d of %d frames", sink.Recv.Load()-recv, burst)
+		}
+	}
+	if d := sink.Sent.Load() - datagrams; d != 0 {
+		t.Errorf("the sink wrote %d datagrams before its loop woke, want its acks held", d)
+	}
+	close(release)
+	for i := 0; i < burst; i++ {
+		select {
+		case <-ln.got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d events arrived", i, burst)
+		}
+	}
+	ln.loops[1].Call(func() {}) // the sink's loop is past the wake-up, and so past its Uncork
+	d, f, a := sink.Sent.Load()-datagrams, sink.FramesSent.Load()-frames, sink.AcksSent.Load()-acks
+	if d != 1 || f != burst || a != burst {
+		t.Errorf("the sink acked the burst in %d datagrams of %d frames (%d acks), want 1 of %d", d, f, a, burst)
+	}
+	for deadline := time.Now().Add(5 * time.Second); src.AcksRecv.Load()-acksRecv < burst; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the source heard %d of %d acks", src.AcksRecv.Load()-acksRecv, burst)
+		}
+	}
+}
+
+// benchLine is cmd/diffbench's phase T in miniature — five hops, 32 events
+// in flight — reporting what the frozen benchmark's traced run cannot:
+// datagrams, frames and acks per event from the endpoints' own Stats, with
+// the links corked as they are in a daemon.
+func benchLine(b *testing.B, rel *transport.ReliableConfig, payload int) {
+	ln := newUDPLine(b, 6, time.Second, rel)
+	if payload > 0 {
+		ln.payload = make([]byte, payload)
+	}
 	const window = 32
-	datagrams, frames := ln.sent()
+	datagrams, frames, acks := ln.sent()
 	b.ResetTimer()
 	for offered, arrived := 0, 0; arrived < b.N; {
 		for offered < b.N && offered-arrived < window {
@@ -185,7 +246,16 @@ func BenchmarkLiveLineUDP(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	d, f := ln.sent()
+	d, f, a := ln.sent()
 	b.ReportMetric(float64(d-datagrams)/float64(b.N), "datagrams/event")
 	b.ReportMetric(float64(f-frames)/float64(b.N), "frames/event")
+	b.ReportMetric(float64(a-acks)/float64(b.N), "acks/event")
 }
+
+// BenchmarkLiveLineUDP is line5_udp's shape: fire-and-forget unicast.
+func BenchmarkLiveLineUDP(b *testing.B) { benchLine(b, nil, 0) }
+
+// BenchmarkLiveLineReliable1K is line5_reliable_1k's: reliable unicast and a
+// 1 KiB payload, so that no two data frames share a datagram and the acks
+// are what the cork can coalesce.
+func BenchmarkLiveLineReliable1K(b *testing.B) { benchLine(b, &transport.ReliableConfig{}, 1024) }

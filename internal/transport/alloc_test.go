@@ -64,3 +64,37 @@ func TestAllocsUDPSend(t *testing.T) {
 		t.Errorf("wire saw %d datagrams of %d frames in all; want 101 and %d", w.frames, u.Stats().FramesSent.Load(), 101*(1+2+8))
 	}
 }
+
+// A reliable reception handed to a corking consumer, and the consumer's
+// wake-up around it, allocate only Deliver's copy: the held ack goes into a
+// pooled buffer like any held frame, and leaves in one datagram at Uncork.
+func TestAllocsReliableReceiveHeld(t *testing.T) {
+	w := &discardWire{}
+	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Reliable: &ReliableConfig{}, Deliver: func(uint32, []byte) {}}, sim.New(1), w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	u.Cork()
+	u.Uncork()
+	frames := make([][]byte, 101)
+	for i := range frames {
+		frames[i] = appendFrame(nil, kindReliable, 2, 1, 2, uint32(i+1), 0, 0, make([]byte, 119))
+	}
+	i, early := 0, 0
+	if n := testing.AllocsPerRun(len(frames)-1, func() {
+		u.receive(frames[i], simAddr(2))
+		if w.frames != i {
+			early++
+		}
+		i++
+		u.Cork()
+		u.Uncork()
+	}); n != 1 {
+		t.Errorf("a reliable reception and its wake-up allocate %.0f/op, budget 1 (Deliver's copy)", n)
+	}
+	if s := u.Stats(); early != 0 || w.frames != len(frames) || s.AcksSent.Load() != uint64(len(frames)) {
+		t.Errorf("%d acks written before the wake-up, %d datagrams, %d acks for %d receptions; want 0 and one ack datagram each",
+			early, w.frames, s.AcksSent.Load(), len(frames))
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"diffusion/internal/message"
 )
 
 // These tests hold the cork to exact counts on simnet_test.go's virtual
@@ -206,6 +208,127 @@ func TestCorkHoldsAcksFromTheReader(t *testing.T) {
 	}
 }
 
+// wakeup is one wake-up of u's corking consumer that sends nothing: the
+// Cork and Uncork core.Node brackets every reception with.
+func wakeup(u *UDP) {
+	u.Cork()
+	u.Uncork()
+}
+
+// acks decodes datagram b's frames, failing unless every one is an ack, and
+// returns their sequence numbers.
+func acks(t *testing.T, b []byte) []uint32 {
+	t.Helper()
+	frames := [][]byte{b}
+	if isBundle(b) {
+		frames = unbundle(t, b)
+	}
+	var seqs []uint32
+	for _, fb := range frames {
+		f, err := decodeFrame(fb)
+		if err != nil || (f.kind != kindAck && f.kind != kindCustodyAck) {
+			t.Fatalf("%x is not an ack (%v)", fb, err)
+		}
+		seqs = append(seqs, f.seq)
+	}
+	return seqs
+}
+
+// Once its consumer corks, a reception that delivers holds its ack for the
+// consumer's Uncork: k reliable frames handed up in one batch go back as one
+// datagram of k acks, and the sender's window empties.
+func TestCorkHeldAcksShareOneDatagram(t *testing.T) {
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
+	wakeup(b)
+	const k = 6
+	a.Cork()
+	sendAll(t, a, 2, tags(k))
+	a.Uncork()
+	n.run(n.delay)
+	if cb.count() != k || n.frames != 1 {
+		t.Fatalf("delivered %d, %d datagrams on the wire; want %d and the bundle alone", cb.count(), n.frames, k)
+	}
+	wakeup(b)
+	if n.frames != 2 || n.wire[1].to != simAddr(1) {
+		t.Fatalf("the wake-up wrote %d datagrams, want 1 to the sender", n.frames-1)
+	}
+	if got, want := acks(t, n.wire[1].b), []uint32{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("the datagram acks %v, want %v", got, want)
+	}
+	n.run(n.delay)
+	if a.rel.pending(2) != 0 || b.Stats().AcksSent.Load() != k || a.Stats().AcksRecv.Load() != k {
+		t.Errorf("pending %d, AcksSent %d, AcksRecv %d; want 0, %d, %d",
+			a.rel.pending(2), b.Stats().AcksSent.Load(), a.Stats().AcksRecv.Load(), k, k)
+	}
+}
+
+// A consumer that corked once and never uncorks again costs each ack one
+// RTO, and nothing else: every frame is delivered once, its first
+// retransmission is a duplicate, and a reception that delivers nothing is
+// acked at once, with no Uncork.
+func TestCorkConsumerThatNeverUncorks(t *testing.T) {
+	n := newSimNet(t)
+	a, b, _, cb := n.pair(UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
+	wakeup(b)
+	const k = 4
+	sendAll(t, a, 2, tags(k))
+	n.run(n.delay)
+	if cb.count() != k || n.frames != k || len(b.held) != 1 {
+		t.Fatalf("delivered %d, %d datagrams, %d held; want %d, %d and the acks held", cb.count(), n.frames, len(b.held), k, k)
+	}
+	n.run(200 * time.Millisecond) // the default RTO: the k retransmissions arrive
+	if n.frames != 3*k {
+		t.Fatalf("%d datagrams on the wire, want %d frames, %d retransmissions and %d acks", n.frames, k, k, k)
+	}
+	for i, d := range n.wire[2*k:] {
+		if got := acks(t, d.b); len(got) != 1 || got[0] != uint32(i+1) || d.to != simAddr(1) {
+			t.Fatalf("datagram %d after the retransmissions acks %v, want [%d] alone", i, got, i+1)
+		}
+	}
+	n.run(2 * time.Second)
+	if got, _ := cb.snapshot(); !slices.Equal(got, tags(k)) {
+		t.Errorf("delivered %q, want %q", got, tags(k))
+	}
+	s := a.Stats()
+	if a.rel.pending(2) != 0 || s.Retransmits.Load() != k || s.ReliableDrops.Load() != 0 || b.Stats().DupSuppressed.Load() != k {
+		t.Errorf("pending %d, retransmits %d, drops %d, duplicates %d; want 0, %d, 0, %d",
+			a.rel.pending(2), s.Retransmits.Load(), s.ReliableDrops.Load(), b.Stats().DupSuppressed.Load(), k, k)
+	}
+}
+
+// A custody ack is held like any ack of a delivering reception, and it
+// still exists only once Accept has returned: an Uncork while Accept runs
+// finds nothing to write.
+func TestCorkHoldsCustodyAckAfterAccept(t *testing.T) {
+	ha, hb := newCustodyHarness(16), newCustodyHarness(16)
+	n := newSimNet(t)
+	opts := hb.options(time.Second, time.Second)
+	var b *UDP
+	duringAccept := -1
+	accept := opts.Accept
+	opts.Accept = func(from uint32, id message.ID, payload []byte) (bool, bool) {
+		wakeup(b) // the consumer's wake-up ends while the offer is persisted
+		duringAccept = n.frames
+		return accept(from, id, payload)
+	}
+	a, b, _, cb := n.pair(UDPConfig{Custody: ha.options(time.Second, time.Second)}, UDPConfig{Custody: opts})
+	wakeup(b)
+	ha.offer(t, a, 1)
+	n.run(n.delay)
+	if duringAccept != 1 || n.frames != 1 || cb.count() != 1 {
+		t.Fatalf("%d datagrams during Accept, %d after, %d delivered; want the offer alone and 1", duringAccept, n.frames, cb.count())
+	}
+	wakeup(b)
+	if n.frames != 2 || len(acks(t, n.wire[1].b)) != 1 {
+		t.Fatalf("the wake-up wrote %d datagrams, want the custody ack", n.frames-1)
+	}
+	n.run(n.delay)
+	if a.CustodyPending() != 0 || len(ha.released) != 1 {
+		t.Errorf("pending %d, released %d; want the offer discharged", a.CustodyPending(), len(ha.released))
+	}
+}
+
 // Close writes what is held while there is still a wire; Uncork afterwards
 // finds nothing, and Send reports ErrClosed as ever.
 func TestUncorkAfterClose(t *testing.T) {
@@ -223,6 +346,23 @@ func TestUncorkAfterClose(t *testing.T) {
 	a.Uncork()
 	if n.frames != 1 || len(a.held) != 0 {
 		t.Errorf("Uncork after Close wrote %d datagrams, holds %d", n.frames-1, len(a.held))
+	}
+}
+
+// So are acks held for a consumer's Uncork.
+func TestCloseWritesHeldAcks(t *testing.T) {
+	n := newSimNet(t)
+	a, b, _, _ := n.pair(UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
+	wakeup(b)
+	sendAll(t, a, 2, tags(3))
+	n.run(n.delay)
+	b.Close()
+	if n.frames != 4 || len(b.held) != 0 || !slices.Equal(acks(t, n.wire[3].b), []uint32{1, 2, 3}) {
+		t.Fatalf("Close left %d datagrams on the wire and %d held, want the 3 acks in one", n.frames-3, len(b.held))
+	}
+	n.run(n.delay)
+	if a.rel.pending(2) != 0 {
+		t.Errorf("%d frames pending at the sender", a.rel.pending(2))
 	}
 }
 

@@ -91,13 +91,6 @@ func (m *Mesh) Connect(a, b uint32) {
 	m.adj[b][a] = true
 }
 
-// Line connects ids into a chain in order.
-func (m *Mesh) Line(ids ...uint32) {
-	for i := 1; i < len(ids); i++ {
-		m.Connect(ids[i-1], ids[i])
-	}
-}
-
 // Close stops every link's delivery goroutine and waits for them to
 // drain. Sends after Close are dropped silently (the medium is gone).
 func (m *Mesh) Close() {

@@ -14,7 +14,8 @@ func TestMeshDeliversAlongAdjacency(t *testing.T) {
 	l1 := m.Attach(1, c1.deliver)
 	m.Attach(2, c2.deliver)
 	m.Attach(3, c3.deliver)
-	m.Line(1, 2, 3)
+	m.Connect(1, 2)
+	m.Connect(2, 3)
 
 	// Broadcast from 1 reaches only its neighbor 2, not 3.
 	if err := l1.Send(Broadcast, []byte("hello")); err != nil {
@@ -149,8 +150,10 @@ func TestMeshCloseStopsDeliveryGoroutines(t *testing.T) {
 	links := make([]*MeshLink, 8)
 	for i := range links {
 		links[i] = m.Attach(uint32(i+1), (&collector{}).deliver)
+		if i > 0 {
+			m.Connect(uint32(i), uint32(i+1))
+		}
 	}
-	m.Line(1, 2, 3, 4, 5, 6, 7, 8)
 	if err := links[0].Send(Broadcast, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,9 @@
 // the upcalls onto the node's rt.Loop; cmd/diffnode wires this up. A
 // caller with a batch of sends to make — core.Node, once per loop wake-up —
 // brackets it with Cork and Uncork, and the endpoint writes one datagram
-// per destination instead of one per frame (the bundle, below). The same
+// per destination instead of one per frame (the bundle, below). A caller
+// that corks at all corks around every reception it is handed, so the acks
+// of what it was handed wait for its Uncork and share those datagrams. The
 // driver over a virtual clock and an in-memory wire is what the
 // package's protocol tests run on (simnet_test.go).
 package transport

@@ -125,9 +125,10 @@ type UDP struct {
 	timerGen uint64
 	closed   bool
 	// While corked, frames are not written but encoded into held, one
-	// datagram per destination address in first-use order (Cork).
-	corked bool
-	held   []heldDatagram
+	// datagram per destination address in first-use order (Cork); corker
+	// is set by the first Cork.
+	corked, corker bool
+	held           []heldDatagram
 }
 
 // heldDatagram is what a corked endpoint holds for one address: a framePool
@@ -257,13 +258,13 @@ func (u *UDP) enter() (now time.Duration) {
 }
 
 // leave ends an entry: settle what the engines asked of each other, pass
-// the frames through the impairment, hold them if the endpoint is corked,
-// re-arm the timer, release the lock, and only then touch the socket and
-// the user.
+// the frames through the impairment, hold them if the endpoint is corked or
+// the entry delivers to a corking consumer, re-arm the timer, release the
+// lock, and only then touch the socket and the user.
 func (u *UDP) leave(fx *effects, now time.Duration) {
 	u.settle(fx, now)
 	u.admit(fx, &u.stats, now)
-	if u.corked {
+	if u.corked || (u.corker && fx.deliver) {
 		u.hold(fx)
 	}
 	if !u.closed {
@@ -379,9 +380,18 @@ func (u *UDP) onTimer(gen uint64) {
 // past bundleMax is written at once: a long corked stretch delays its first
 // frames by a datagram's worth and holds one datagram per destination. One
 // goroutine corks at a time; core.Node does, once per rt.Loop wake-up.
+//
+// The first Cork also makes the caller the endpoint's corking consumer, and
+// that is a contract: it corks around every reception it is handed. From
+// then on a reception that delivers holds its frames — the ack of a
+// reliable frame, of a custody offer once Accept returned — for the
+// consumer's next Uncork, so the acks of one wake-up share a datagram per
+// upstream neighbor. A reception that delivers nothing (a duplicate, a
+// pong, an ack) writes at once. A consumer that breaks the contract costs
+// an ack one RTO: the retransmit is a duplicate, acked at once.
 func (u *UDP) Cork() {
 	u.peersMu.Lock()
-	u.corked = true
+	u.corked, u.corker = true, true
 	u.peersMu.Unlock()
 }
 
@@ -963,8 +973,8 @@ func (u *UDP) Close() error {
 	if u.timer != nil {
 		u.timer.Cancel()
 	}
-	// Frames another goroutine's cork is holding — a Leave just sent — go
-	// out while there is still a socket.
+	// Frames a cork is holding — a Leave just sent, acks awaiting the
+	// consumer's Uncork — go out while there is still a socket.
 	var fx effects
 	u.release(&fx)
 	u.peersMu.Unlock()

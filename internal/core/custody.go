@@ -48,11 +48,6 @@ type CustodyLink interface {
 // custodyOn reports whether custody forwarding is enabled.
 func (n *Node) custodyOn() bool { return n.cfg.Custody != nil }
 
-// CustodyQueue returns the node's custody queue for inspection (length,
-// counters), or nil when custody is disabled. The queue is internally
-// locked, so reads are safe from any goroutine.
-func (n *Node) CustodyQueue() *custody.Queue { return n.cfg.Custody }
-
 // carryMode reports store-and-carry custody: enabled, but with no
 // custody-capable link layer, so hop-by-hop transfer is confirmed by
 // in-band CustodyAck messages instead of the transport's durable-accept

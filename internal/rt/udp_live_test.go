@@ -144,11 +144,26 @@ func (ln *udpLine) sent() (datagrams, frames, acks uint64) {
 // A burst published in one wake-up leaves the source as one datagram and
 // reaches the sink whole, over real sockets: core.NewNode found the loop's
 // Defer and the endpoint's Cork by itself.
-func TestLiveUDPBurstIsOneDatagram(t *testing.T) {
-	ln := newUDPLine(t, 3, time.Minute, nil) // no interest refresh while the test counts
+func TestLiveUDPBurstIsOneDatagram(t *testing.T) { liveBurst(t, nil, 0, 1) }
+
+// On a loopback path 1 KiB frames travel two to a datagram: a burst of
+// eight reliable ones leaves the source as four, each written as its second
+// frame crosses bundleMax.
+func TestLiveReliable1KBurstPairsUp(t *testing.T) {
+	liveBurst(t, &transport.ReliableConfig{}, 1024, 4)
+}
+
+// liveBurst publishes 8 events of the given payload in one wake-up of a
+// 3-node line and wants them to leave the source as the given number of
+// datagrams.
+func liveBurst(t *testing.T, rel *transport.ReliableConfig, payload int, want uint64) {
+	ln := newUDPLine(t, 3, time.Minute, rel) // no interest refresh while the test counts
 	time.Sleep(20 * time.Millisecond)        // the set-up's last frames leave the line
 	for len(ln.got) > 0 {
 		<-ln.got
+	}
+	if payload > 0 {
+		ln.loops[0].Call(func() { ln.payload = make([]byte, payload) }) // the source's loop reads it
 	}
 	src := ln.links[0].Stats()
 	datagrams, frames := src.Sent.Load(), src.FramesSent.Load()
@@ -162,8 +177,8 @@ func TestLiveUDPBurstIsOneDatagram(t *testing.T) {
 		}
 	}
 	ln.loops[0].Call(func() {}) // the source's loop is past the wake-up, and so past counting what it wrote
-	if d, f := src.Sent.Load()-datagrams, src.FramesSent.Load()-frames; d != 1 || f != burst {
-		t.Errorf("the burst left the source as %d datagrams of %d frames, want 1 of %d", d, f, burst)
+	if d, f := src.Sent.Load()-datagrams, src.FramesSent.Load()-frames; d != want || f != burst {
+		t.Errorf("the burst left the source as %d datagrams of %d frames, want %d of %d", d, f, want, burst)
 	}
 	for i, l := range ln.links {
 		if s := l.Stats(); s.RecvDropped.Load() != 0 || s.SendErrors.Load() != 0 {
@@ -256,6 +271,6 @@ func benchLine(b *testing.B, rel *transport.ReliableConfig, payload int) {
 func BenchmarkLiveLineUDP(b *testing.B) { benchLine(b, nil, 0) }
 
 // BenchmarkLiveLineReliable1K is line5_reliable_1k's: reliable unicast and a
-// 1 KiB payload, so that no two data frames share a datagram and the acks
-// are what the cork can coalesce.
+// 1 KiB payload. On loopback two data frames share a datagram, the second
+// taking it past bundleMax, and the acks of a wake-up share one too.
 func BenchmarkLiveLineReliable1K(b *testing.B) { benchLine(b, &transport.ReliableConfig{}, 1024) }

@@ -226,10 +226,6 @@ func (h *Hub) Register(r *Registry) *Registry {
 	return r
 }
 
-// Registries returns the registered scopes in registration order (shared
-// slice; do not mutate).
-func (h *Hub) Registries() []*Registry { return h.regs }
-
 // Snapshot reads every registered scope and sums shared metric names into
 // network-wide totals.
 func (h *Hub) Snapshot() Snapshot {

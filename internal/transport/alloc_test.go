@@ -63,6 +63,29 @@ func TestAllocsUDPSend(t *testing.T) {
 	if w.frames != 101 || u.Stats().FramesSent.Load() != 101*(1+2+8) {
 		t.Errorf("wire saw %d datagrams of %d frames in all; want 101 and %d", w.frames, u.Stats().FramesSent.Load(), 101*(1+2+8))
 	}
+
+	// Toward a loopback address, 8 corked 1 KiB sends leave two to a
+	// datagram as they cross bundleMax, and that wake-up is free as well.
+	lw := &discardWire{}
+	lo, err := newUDP(UDPConfig{ID: 1, Neighbors: map[uint32]string{2: loopAddr(2).String()}, Deliver: func(uint32, []byte) {}}, sim.New(1), lw, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lo.Close()
+	if n := testing.AllocsPerRun(100, func() {
+		lo.Cork()
+		for i := 0; i < 8; i++ {
+			if err := lo.Send(2, kib); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo.Uncork()
+	}); n != 0 {
+		t.Errorf("8 corked 1 KiB sends toward loopback and Uncork allocate %.0f/wake-up", n)
+	}
+	if want := 101 * 4; loopbackCap() >= 2*bundleMax && lw.frames != want {
+		t.Errorf("wire saw %d datagrams, want %d", lw.frames, want)
+	}
 }
 
 // A reliable reception handed to a corking consumer, and the consumer's

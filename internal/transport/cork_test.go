@@ -183,6 +183,167 @@ func TestCorkFullDatagramLeavesAtOnce(t *testing.T) {
 	}
 }
 
+// loopPair is pair on a virtual loopback path, skipped where the host's
+// loopback MTU leaves the path no room past bundleMax.
+func loopPair(t *testing.T, n *simNet, aCfg, bCfg UDPConfig) (a, b *UDP, cb *collector) {
+	t.Helper()
+	if loopbackCap() < 2*bundleMax {
+		t.Skipf("the loopback path's cap is %d bytes", loopbackCap())
+	}
+	a, b, _, cb = n.pairAt(loopAddr, aCfg, bCfg)
+	return a, b, cb
+}
+
+// kib is a 1 KiB payload: one frame of it is under bundleMax, two are over.
+var kib = bytes.Repeat([]byte{'k'}, 1024)
+
+// On a loopback path the frame that takes a held datagram past bundleMax
+// joins it, and the datagram leaves at once: 1 KiB frames travel two to a
+// datagram, before Uncork, where the 10.x path writes each alone.
+func TestCorkLoopbackFramesPairUp(t *testing.T) {
+	n := newSimNet(t)
+	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
+	a.Cork()
+	for i := 1; i <= 8; i++ {
+		a.Send(2, kib)
+		if n.frames != i/2 {
+			t.Fatalf("after %d sends: %d datagrams on the wire, want %d", i, n.frames, i/2)
+		}
+	}
+	a.Uncork()
+	if n.frames != 4 || len(a.held) != 0 {
+		t.Fatalf("Uncork left %d datagrams on the wire and %d held, want 4 and 0", n.frames, len(a.held))
+	}
+	for i, d := range n.wire {
+		if got := len(unbundle(t, d.b)); got != 2 || len(d.b) != 2*(bundlePrefixSize+headerSize+len(kib))+bundleHeaderSize {
+			t.Fatalf("datagram %d: %d frames in %d bytes, want two 1 KiB frames", i, got, len(d.b))
+		}
+	}
+	n.run(10 * time.Millisecond)
+	if s := a.Stats(); cb.count() != 8 || s.Sent.Load() != 4 || s.FramesSent.Load() != 8 {
+		t.Errorf("%d deliveries, Sent %d FramesSent %d; want 8, 4 and 8", cb.count(), s.Sent.Load(), s.FramesSent.Load())
+	}
+
+	eth := newSimNet(t)
+	e, _, _, _ := eth.pair(UDPConfig{}, UDPConfig{})
+	e.Cork()
+	sendAll(t, e, 2, []string{string(kib), string(kib)})
+	e.Uncork()
+	if eth.frames != 2 || isBundle(eth.wire[0].b) || isBundle(eth.wire[1].b) {
+		t.Errorf("on the 10.x path two 1 KiB frames left as %d datagrams, want 2 plain ones", eth.frames)
+	}
+}
+
+// A lone frame of bundleMax bytes or more is written at once, as the plain
+// datagram, where the 10.x path holds it; a bundle of exactly bundleMax
+// bytes has not crossed the mark and is held, as on any path.
+func TestCorkLoopbackLoneFrameAtMark(t *testing.T) {
+	n := newSimNet(t)
+	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
+	a.Cork()
+	a.Send(2, make([]byte, bundleMax-headerSize))
+	if n.frames != 1 || isBundle(n.wire[0].b) || len(n.wire[0].b) != bundleMax {
+		t.Fatalf("a held frame of bundleMax bytes: %d datagrams on the wire, want it alone and plain", n.frames)
+	}
+	eth := newSimNet(t)
+	e, _, _, _ := eth.pair(UDPConfig{}, UDPConfig{})
+	e.Cork()
+	e.Send(2, make([]byte, bundleMax-headerSize))
+	if eth.frames != 0 {
+		t.Fatalf("on the 10.x path a lone frame of bundleMax bytes left before Uncork")
+	}
+	e.Uncork()
+	for i := 0; i < 11; i++ { // 11 frames of 106 bytes fill a bundle to the byte
+		a.Send(2, make([]byte, 106))
+	}
+	if n.frames != 1 {
+		t.Fatalf("a bundle of exactly bundleMax bytes left before Uncork")
+	}
+	a.Uncork()
+	if n.frames != 2 || len(n.wire[1].b) != bundleMax || len(unbundle(t, n.wire[1].b)) != 11 {
+		t.Fatalf("Uncork wrote %d datagrams, want the full bundle", n.frames-1)
+	}
+	n.run(10 * time.Millisecond)
+	if cb.count() != 12 {
+		t.Errorf("%d deliveries, want 12", cb.count())
+	}
+}
+
+// A frame that would take the held datagram past a loopback path's cap
+// starts the next one, which, being past bundleMax alone, leaves at once
+// too; a frame that fills the cap to the byte joins.
+func TestCorkLoopbackCap(t *testing.T) {
+	n := newSimNet(t)
+	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
+	small := make([]byte, 100)
+	fill := make([]byte, loopbackCap()-bundleHeaderSize-2*(bundlePrefixSize+headerSize)-len(small))
+	a.Cork()
+	a.Send(2, small)
+	a.Send(2, fill)
+	if n.frames != 1 || len(n.wire[0].b) != loopbackCap() || len(unbundle(t, n.wire[0].b)) != 2 {
+		t.Fatalf("a bundle that fills the cap to the byte: %d datagrams on the wire, want it", n.frames)
+	}
+	a.Send(2, small)
+	a.Send(2, append(fill, 0))
+	if n.frames != 3 || isBundle(n.wire[1].b) || isBundle(n.wire[2].b) {
+		t.Fatalf("a frame one byte past the cap: %d datagrams on the wire, want 3, the last two plain", n.frames)
+	}
+	a.Uncork()
+	if n.frames != 3 || len(a.held) != 0 {
+		t.Fatalf("Uncork wrote %d datagrams and left %d held, want none", n.frames-3, len(a.held))
+	}
+	n.run(10 * time.Millisecond)
+	if cb.count() != 4 {
+		t.Errorf("%d deliveries, want 4", cb.count())
+	}
+}
+
+// A datagram written at the mark leaves nothing held for it: neither the
+// Uncork nor the Close after it writes an empty bundle.
+func TestCorkLoopbackMarkLeavesNothingHeld(t *testing.T) {
+	n := newSimNet(t)
+	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
+	pair := []string{string(kib), string(kib)}
+	a.Cork()
+	sendAll(t, a, 2, pair)
+	a.Uncork()
+	a.Cork()
+	sendAll(t, a, 2, pair)
+	a.Close()
+	if n.frames != 2 || len(a.held) != 0 {
+		t.Fatalf("%d datagrams on the wire, %d held; want 2 and 0", n.frames, len(a.held))
+	}
+	for _, d := range n.wire {
+		unbundle(t, d.b)
+	}
+	n.run(10 * time.Millisecond)
+	if cb.count() != 4 {
+		t.Errorf("%d deliveries, want 4", cb.count())
+	}
+}
+
+// The frames of one entry pair up too: a timer entry's four retransmissions
+// of 1 KiB frames leave as two datagrams, not one of four.
+func TestCorkLoopbackRetransmitsPairUp(t *testing.T) {
+	n := newSimNet(t)
+	a, b, cb := loopPair(t, n, UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
+	b.SetLoss(1) // b hears a, a does not hear b's acks
+	sendAll(t, a, 2, []string{string(kib), string(kib), string(kib), string(kib)})
+	n.run(10 * time.Millisecond)
+	b.SetLoss(0)
+	sent := a.Stats().Sent.Load()
+	a.Cork()
+	n.run(250 * time.Millisecond) // the four retransmissions come due at one instant
+	if d := a.Stats().Sent.Load() - sent; d != 2 || a.Stats().Retransmits.Load() != 4 {
+		t.Fatalf("four retransmissions left as %d datagrams, want 2", d)
+	}
+	a.Uncork()
+	n.run(10 * time.Millisecond)
+	if a.rel.pending(2) != 0 || cb.count() != 4 || b.Stats().DupSuppressed.Load() != 4 {
+		t.Errorf("pending %d, delivered %d, duplicates %d; want 0, 4, 4", a.rel.pending(2), cb.count(), b.Stats().DupSuppressed.Load())
+	}
+}
+
 // The cork is the endpoint's, not a goroutine's: an ack the reception entry
 // generates while the loop holds the cork leaves with the loop's frames.
 func TestCorkHoldsAcksFromTheReader(t *testing.T) {

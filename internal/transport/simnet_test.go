@@ -46,6 +46,12 @@ func simAddr(id uint32) netip.AddrPort {
 	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(id >> 16), byte(id >> 8), byte(id)}), 7000)
 }
 
+// loopAddr is link ID id's address on a virtual loopback path, whose cap is
+// the host's loopback MTU rather than bundleMax.
+func loopAddr(id uint32) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, byte(id >> 16), byte(id >> 8), byte(id)}), 7000)
+}
+
 // simWire is one endpoint's attachment to the virtual wire.
 type simWire struct {
 	net  *simNet
@@ -71,14 +77,20 @@ func (w *simWire) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
 }
 
 // endpoint attaches an endpoint with link ID cfg.ID at simAddr(cfg.ID).
-// Its boot nonce is fixed (the ID), as is everything else a live endpoint
-// takes from the environment.
 func (n *simNet) endpoint(cfg UDPConfig) *UDP {
+	n.t.Helper()
+	return n.endpointAt(cfg, simAddr(cfg.ID))
+}
+
+// endpointAt attaches an endpoint with link ID cfg.ID at addr. Its boot
+// nonce is fixed (the ID), as is everything else a live endpoint takes
+// from the environment.
+func (n *simNet) endpointAt(cfg UDPConfig, addr netip.AddrPort) *UDP {
 	n.t.Helper()
 	if cfg.Deliver == nil {
 		cfg.Deliver = func(uint32, []byte) {}
 	}
-	w := &simWire{net: n, addr: simAddr(cfg.ID)}
+	w := &simWire{net: n, addr: addr}
 	u, err := newUDP(cfg, n.sched, w, cfg.ID)
 	if err != nil {
 		n.t.Fatal(err)
@@ -101,10 +113,15 @@ func neighbors(ids ...uint32) map[uint32]string {
 
 // pair attaches endpoints 1 and 2 as each other's configured neighbor.
 func (n *simNet) pair(aCfg, bCfg UDPConfig) (a, b *UDP, ca, cb *collector) {
+	return n.pairAt(simAddr, aCfg, bCfg)
+}
+
+// pairAt is pair with endpoint id at addr(id).
+func (n *simNet) pairAt(addr func(uint32) netip.AddrPort, aCfg, bCfg UDPConfig) (a, b *UDP, ca, cb *collector) {
 	ca, cb = &collector{}, &collector{}
-	aCfg.ID, aCfg.Deliver, aCfg.Neighbors = 1, ca.deliver, neighbors(2)
-	bCfg.ID, bCfg.Deliver, bCfg.Neighbors = 2, cb.deliver, neighbors(1)
-	return n.endpoint(aCfg), n.endpoint(bCfg), ca, cb
+	aCfg.ID, aCfg.Deliver, aCfg.Neighbors = 1, ca.deliver, map[uint32]string{2: addr(2).String()}
+	bCfg.ID, bCfg.Deliver, bCfg.Neighbors = 2, cb.deliver, map[uint32]string{1: addr(1).String()}
+	return n.endpointAt(aCfg, addr(1)), n.endpointAt(bCfg, addr(2)), ca, cb
 }
 
 // simPeer is a scripted peer: it hand-crafts frames (boot nonces, digests,

@@ -100,12 +100,12 @@ type Deliver func(from uint32, payload []byte)
 //	  n bytes   the frame, laid out as above
 //
 // A sender never builds a bundle of one frame (a lone frame travels as the
-// plain datagram it always was) nor one longer than bundleMax. The receiver
-// puts each inner frame through the one reception path, so each is
-// validated, checked against the peer table, deduplicated and counted as
-// if it had arrived alone; kindBundle is not a frame kind, so a bundle
-// inside a bundle is malformed, and a node that predates bundles drops
-// them as an unknown kind.
+// plain datagram it always was). A bundle is written at bundleMax; it may
+// pass it only up to the path's cap (UDP.hold). The receiver puts each
+// inner frame through the one reception path, so each is validated, checked
+// against the peer table, deduplicated and counted as if it had arrived
+// alone; kindBundle is not a frame kind, so a bundle inside a bundle is
+// malformed, and a node that predates bundles drops them as an unknown kind.
 const (
 	frameMagic       = 0xD1
 	frameVersion     = 2
@@ -114,8 +114,8 @@ const (
 	traceExtSize     = 3
 	bundleHeaderSize = 3
 	bundlePrefixSize = 2
-	// bundleMax keeps a bundle within one Ethernet MTU: coalescing must not
-	// make the IP layer fragment what it would have sent whole.
+	// bundleMax is where a held datagram is written, and every path's cap
+	// but loopback's: one Ethernet MTU, so IP never fragments a bundle.
 	bundleMax = 1400
 )
 

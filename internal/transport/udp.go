@@ -132,11 +132,12 @@ type UDP struct {
 }
 
 // heldDatagram is what a corked endpoint holds for one address: a framePool
-// buffer laid out as a bundle — header, then length-prefixed frames.
+// buffer laid out as a bundle, and the longest the path lets it grow.
 type heldDatagram struct {
 	addr   netip.AddrPort
 	buf    *[]byte
 	frames int
+	limit  int
 }
 
 // out is d as a finished datagram. A lone frame is written as the plain
@@ -376,10 +377,10 @@ func (u *UDP) onTimer(gen uint64) {
 // Cork makes the endpoint hold what it would write: until Uncork, every
 // frame an entry admits — whichever goroutine made it, whatever its kind —
 // is encoded into a buffer for its destination address instead, so Send
-// still only borrows its payload. A held datagram the next frame would push
-// past bundleMax is written at once: a long corked stretch delays its first
-// frames by a datagram's worth and holds one datagram per destination. One
-// goroutine corks at a time; core.Node does, once per rt.Loop wake-up.
+// still only borrows its payload. A held datagram is written at bundleMax
+// and may pass it only up to the path's cap, so a long corked stretch
+// delays its first frames by a datagram's worth at most. One goroutine
+// corks at a time; core.Node does, once per rt.Loop wake-up.
 //
 // The first Cork also makes the caller the endpoint's corking consumer, and
 // that is a contract: it corks around every reception it is handed. From
@@ -410,15 +411,15 @@ func (u *UDP) Uncork() {
 // hold moves fx's frames into the held datagrams, leaving in fx only the
 // datagrams that filled up.
 func (u *UDP) hold(fx *effects) {
-	full := 0
+	full, crossed := 0, false
 	for i := 0; i < fx.n; i++ {
 		f := *fx.at(i)
 		d := u.heldFor(f.addr)
 		start := len(*d.buf)
 		b := u.encode(append(*d.buf, 0, 0), &f)
-		if len(b) > bundleMax && d.frames > 0 {
-			// f does not fit: what was held goes now and f starts the next
-			// datagram. (At most one per frame, so full never passes i.)
+		if d.frames > 0 && (len(b) > d.limit || start > bundleMax) {
+			// f does not fit, or this entry took the datagram past bundleMax:
+			// it goes now and f starts the next. (One per frame: full ≤ i.)
 			*d.buf = b[:start]
 			*fx.at(full) = d.out()
 			full++
@@ -429,8 +430,20 @@ func (u *UDP) hold(fx *effects) {
 		binary.BigEndian.PutUint16(b[start:], uint16(len(b)-start-bundlePrefixSize))
 		*d.buf = b
 		d.frames++
+		crossed = crossed || (d.limit > bundleMax && len(b) > bundleMax)
 	}
 	fx.truncate(full)
+	if crossed {
+		// The cap allowed more, so the frame that crossed bundleMax rode
+		// along, and its datagram goes now.
+		u.held = slices.DeleteFunc(u.held, func(d heldDatagram) bool {
+			past := d.limit > bundleMax && len(*d.buf) > bundleMax
+			if past {
+				fx.push(d.out())
+			}
+			return past
+		})
+	}
 }
 
 // heldFor finds or starts the held datagram for addr.
@@ -447,8 +460,25 @@ func (u *UDP) heldFor(addr netip.AddrPort) *heldDatagram {
 func newHeld(addr netip.AddrPort) heldDatagram {
 	buf := framePool.Get().(*[]byte)
 	*buf = append((*buf)[:0], frameMagic, frameVersion, kindBundle)
-	return heldDatagram{addr: addr, buf: buf}
+	limit := bundleMax
+	if addr.Addr().Unmap().IsLoopback() {
+		limit = loopbackCap()
+	}
+	return heldDatagram{addr: addr, buf: buf, limit: limit}
 }
+
+// loopbackCap is a loopback path's cap: the loopback interface's MTU less
+// the IPv6 and UDP headers, no longer than a reader's buffer, and bundleMax
+// when no interface says.
+var loopbackCap = sync.OnceValue(func() int {
+	ifs, _ := net.Interfaces() // an error lists none
+	for _, ifc := range ifs {
+		if ifc.Flags&net.FlagLoopback != 0 {
+			return min(max(ifc.MTU-48, bundleMax), maxPayload+headerSize+traceExtSize)
+		}
+	}
+	return bundleMax
+})
 
 // release moves every held datagram into fx, to be written by perform.
 func (u *UDP) release(fx *effects) {

@@ -58,13 +58,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestSeedList(t *testing.T) {
-	s := seedList(3)
-	if len(s) != 3 || s[0] != 1 || s[2] != 3 {
-		t.Errorf("seedList: %v", s)
-	}
-}
-
 func TestRunAllBranchesTiny(t *testing.T) {
 	// Exercise every simulated experiment branch with minimal runs; the
 	// shape assertions live in internal/experiments — this checks the CLI

@@ -32,20 +32,16 @@ func RunExploratorySweep(seeds []int64, duration time.Duration, ratios []int) []
 	var out []ExploratorySweepPoint
 	for _, every := range ratios {
 		cfg := DefaultFig8()
-		cfg.Seeds = seeds
-		cfg.Duration = duration
 		cfg.ExploratoryEvery = every
-		var with, without []float64
-		for _, seed := range seeds {
-			b, _ := runFig8Once(cfg, 4, true, seed)
-			with = append(with, b)
-			b, _ = runFig8Once(cfg, 4, false, seed)
-			without = append(without, b)
-		}
-		w, wo := stats.Mean(with), stats.Mean(without)
+		s := overSeeds(seeds, func(seed int64) []float64 {
+			return []float64{
+				fig8Flow(cfg, 4, true, seed).run(duration).bytesPerEvent(),
+				fig8Flow(cfg, 4, false, seed).run(duration).bytesPerEvent(),
+			}
+		})
 		sv := 0.0
-		if wo > 0 {
-			sv = 1 - w/wo
+		if s[1].Mean > 0 {
+			sv = 1 - s[0].Mean/s[1].Mean
 		}
 		out = append(out, ExploratorySweepPoint{ExploratoryEvery: every, Savings: sv})
 	}
@@ -78,15 +74,8 @@ func RunAsymmetrySweep(seeds []int64, duration time.Duration, sigmas []float64) 
 		rp := diffusion.DefaultRadio()
 		rp.AsymmetrySigma = sigma
 		cfg := DefaultFig8()
-		cfg.Seeds = seeds
-		cfg.Duration = duration
-		cfg.Radio = &rp
-		var rates []float64
-		for _, seed := range seeds {
-			_, r := runFig8Once(cfg, 1, false, seed)
-			rates = append(rates, r)
-		}
-		out = append(out, AsymmetryPoint{Sigma: sigma, Delivery: stats.Summarize(rates)})
+		cfg.Seeds, cfg.Duration, cfg.Radio = seeds, duration, &rp
+		out = append(out, AsymmetryPoint{Sigma: sigma, Delivery: RunFig8Point(cfg, 1, false).DeliveryRate})
 	}
 	return out
 }
@@ -118,15 +107,8 @@ func RunCaptureSweep(seeds []int64, duration time.Duration, ratios []float64) []
 		rp := diffusion.DefaultRadio()
 		rp.CaptureRatio = ratio
 		cfg := DefaultFig8()
-		cfg.Seeds = seeds
-		cfg.Duration = duration
-		cfg.Radio = &rp
-		var rates []float64
-		for _, seed := range seeds {
-			_, r := runFig8Once(cfg, 4, false, seed)
-			rates = append(rates, r)
-		}
-		out = append(out, CapturePoint{CaptureRatio: ratio, Delivery: stats.Summarize(rates)})
+		cfg.Seeds, cfg.Duration, cfg.Radio = seeds, duration, &rp
+		out = append(out, CapturePoint{CaptureRatio: ratio, Delivery: RunFig8Point(cfg, 4, false).DeliveryRate})
 	}
 	return out
 }
@@ -162,67 +144,20 @@ func RunNegRFAblation(seeds []int64, duration time.Duration) []NegRFPoint {
 	var out []NegRFPoint
 	for _, enabled := range []bool{true, false} {
 		cfg := DefaultFig8()
-		cfg.Seeds = seeds
-		cfg.Duration = duration
 		cfg.DisableNegRF = !enabled
-		var bpe, dups []float64
-		for _, seed := range seeds {
-			b, d := runNegRFOnce(cfg, seed)
-			bpe = append(bpe, b)
-			dups = append(dups, d)
-		}
-		out = append(out, NegRFPoint{
-			Enabled:       enabled,
-			BytesPerEvent: stats.Summarize(bpe),
-			Duplicates:    stats.Summarize(dups),
+		// 2 sources without suppression: bytes/event and duplicate data
+		// receptions summed over all nodes.
+		s := overSeeds(seeds, func(seed int64) []float64 {
+			r := fig8Flow(cfg, 2, false, seed).run(duration)
+			dups := 0
+			for _, n := range r.net.Nodes() {
+				dups += n.Stats.Duplicates
+			}
+			return []float64{r.bytesPerEvent(), float64(dups)}
 		})
+		out = append(out, NegRFPoint{Enabled: enabled, BytesPerEvent: s[0], Duplicates: s[1]})
 	}
 	return out
-}
-
-// runNegRFOnce runs 2 sources without suppression and returns
-// (bytes/event, duplicate data receptions summed over all nodes).
-func runNegRFOnce(cfg Fig8Config, seed int64) (float64, float64) {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:                         seed,
-		Topology:                     diffusion.TestbedTopology(),
-		DisableNegativeReinforcement: cfg.DisableNegRF,
-	})
-	distinct := map[int32]bool{}
-	net.Node(diffusion.TestbedSink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			distinct[a.Val.Int32()] = true
-		}
-	})
-	ids := diffusion.TestbedSources()[:2]
-	seq := int32(0)
-	payload := make([]byte, cfg.PayloadBytes)
-	var nodes []*diffusion.Node
-	var pubs []diffusion.PublicationHandle
-	for _, id := range ids {
-		n := net.Node(id)
-		nodes = append(nodes, n)
-		pubs = append(pubs, n.Publish(surveillanceData()))
-	}
-	net.Every(cfg.EventInterval, func() {
-		seq++
-		for i := range nodes {
-			nodes[i].Send(pubs[i], diffusion.Attributes{
-				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-				diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-			})
-		}
-	})
-	net.Run(cfg.Duration)
-	dups := 0
-	for _, n := range net.Nodes() {
-		dups += n.Stats.Duplicates
-	}
-	events := len(distinct)
-	if events == 0 {
-		events = 1
-	}
-	return float64(net.TotalDiffusionBytes()) / float64(events), float64(dups)
 }
 
 // PrintNegRFAblation renders the ablation.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"diffusion"
 	"diffusion/internal/message"
 	"diffusion/internal/stats"
 	"diffusion/internal/trafficmodel"
@@ -31,86 +30,42 @@ type BreakdownPoint struct {
 func RunBreakdown(seeds []int64, duration time.Duration, sources int) []BreakdownPoint {
 	var out []BreakdownPoint
 	for _, suppression := range []bool{true, false} {
-		acc := map[message.Class][]float64{}
-		for _, seed := range seeds {
-			byClass, events := runBreakdownOnce(seed, duration, sources, suppression)
-			if events == 0 {
-				events = 1
-			}
-			for c, b := range byClass {
-				acc[c] = append(acc[c], float64(b)/float64(events))
-			}
-		}
+		s := overSeeds(seeds, func(seed int64) []float64 {
+			return breakdownOnce(fig8Flow(DefaultFig8(), sources, suppression, seed).run(duration))
+		})
 		out = append(out, BreakdownPoint{
 			Sources:        sources,
 			Suppression:    suppression,
-			Interests:      stats.Summarize(acc[message.Interest]),
-			Data:           stats.Summarize(acc[message.Data]),
-			Exploratory:    stats.Summarize(acc[message.ExploratoryData]),
-			Reinforcements: stats.Summarize(acc[message.PositiveReinforcement]),
+			Interests:      s[message.Interest],
+			Data:           s[message.Data],
+			Exploratory:    s[message.ExploratoryData],
+			Reinforcements: s[message.PositiveReinforcement],
 		})
 	}
 	return out
 }
 
-func runBreakdownOnce(seed int64, duration time.Duration, sources int, suppression bool) (map[message.Class]int, int) {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:     seed,
-		Topology: diffusion.TestbedTopology(),
-	})
-	if suppression {
-		for _, id := range net.IDs() {
-			net.NewSuppression(net.Node(id), diffusion.SuppressionOptions{})
-		}
-	}
-	// Count transmitted bytes per class with a near-wire tap on every
-	// node (priority just above the trace range would also see consumed
-	// messages, so instead use the core's own counters).
-	distinct := map[int32]bool{}
-	net.Node(diffusion.TestbedSink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			distinct[a.Val.Int32()] = true
-		}
-	})
-	ids := diffusion.TestbedSources()[:sources]
-	nodes := make([]*diffusion.Node, sources)
-	pubs := make([]diffusion.PublicationHandle, sources)
-	for i, id := range ids {
-		nodes[i] = net.Node(id)
-		pubs[i] = nodes[i].Publish(surveillanceData())
-	}
-	seq := int32(0)
-	payload := make([]byte, 50)
-	net.Every(6*time.Second, func() {
-		seq++
-		for i := range nodes {
-			nodes[i].Send(pubs[i], diffusion.Attributes{
-				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-				diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-			})
-		}
-	})
-	net.Run(duration)
-
-	// Approximate per-class bytes as per-class message counts times the
-	// mean message size (the diffusion layer counts sends per class and
-	// bytes in aggregate).
-	byClass := map[message.Class]int{}
+// breakdownOnce returns bytes per distinct delivered event by message
+// class, indexed by class. The core counts sends per class and bytes in
+// aggregate, so a class's bytes are its message count times the mean
+// message size.
+func breakdownOnce(r *flowRun) []float64 {
+	byClass := make([]int, message.NumClasses)
 	totalMsgs, totalBytes := 0, 0
-	for _, n := range net.Nodes() {
-		for c := 0; c < message.NumClasses; c++ {
-			byClass[message.Class(c)] += n.Stats.SentByClass[c]
+	for _, n := range r.net.Nodes() {
+		for c := range byClass {
+			byClass[c] += n.Stats.SentByClass[c]
 			totalMsgs += n.Stats.SentByClass[c]
 		}
 		totalBytes += n.Stats.BytesSent
 	}
-	if totalMsgs > 0 {
-		mean := float64(totalBytes) / float64(totalMsgs)
-		for c, count := range byClass {
-			byClass[c] = int(float64(count) * mean)
-		}
+	mean := float64(totalBytes) / float64(max(totalMsgs, 1))
+	events := max(len(r.got[0]), 1)
+	out := make([]float64, len(byClass))
+	for c, count := range byClass {
+		out[c] = float64(int(float64(count)*mean)) / float64(events)
 	}
-	return byClass, len(distinct)
+	return out
 }
 
 // PrintBreakdown renders measured components next to the model's.

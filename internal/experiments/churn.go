@@ -112,7 +112,7 @@ func RunRelayKill(cfg ChurnConfig) RelayKillResult {
 	res := RelayKillResult{RepairBound: 2 * cfg.ExploratoryInterval}
 	var ttr, pre, post, overhead []float64
 	for _, seed := range cfg.Seeds {
-		run := runRelayKillOnce(cfg, seed)
+		run, _, _ := relayKill(cfg, seed, false)
 		res.Runs = append(res.Runs, run)
 		pre = append(pre, run.DeliveryPre)
 		post = append(post, run.DeliveryPost)
@@ -129,11 +129,15 @@ func RunRelayKill(cfg ChurnConfig) RelayKillResult {
 	return res
 }
 
-// runRelayKillOnce runs one seed: warm up the reinforced path, kill the
-// relay the sink reinforces, and watch the repair.
-func runRelayKillOnce(cfg ChurnConfig, seed int64) RelayKillRun {
-	run, _, _ := relayKill(cfg, seed, false)
-	return run
+// churnFlow is both scenarios' workload: one source, node 13, 4-5 hops from
+// the testbed sink.
+func churnFlow(cfg ChurnConfig, seed int64) flow {
+	return flow{
+		cfg:      diffusion.NetworkConfig{Seed: seed, ExploratoryInterval: cfg.ExploratoryInterval},
+		sources:  diffusion.TestbedSources()[3:],
+		interval: cfg.EventInterval,
+		payload:  make([]byte, cfg.PayloadBytes),
+	}
 }
 
 // RunRelayKillTraced runs one relay-kill seed with a full message trace
@@ -145,54 +149,30 @@ func RunRelayKillTraced(cfg ChurnConfig, seed int64) (RelayKillRun, *diffusion.T
 	return relayKill(cfg, seed, true)
 }
 
-// relayKill is the shared implementation; traced turns on the trace tap
-// and the closing metrics snapshot.
+// relayKill is the shared implementation: warm up the reinforced path,
+// kill the relay the sink reinforces, and watch the repair. traced turns on
+// the trace tap and the closing metrics snapshot.
 func relayKill(cfg ChurnConfig, seed int64, traced bool) (RelayKillRun, *diffusion.Trace, diffusion.MetricsSnapshot) {
-	netCfg := diffusion.NetworkConfig{
-		Seed:                seed,
-		Topology:            diffusion.TestbedTopology(),
-		ExploratoryInterval: cfg.ExploratoryInterval,
-	}
-	if traced {
-		netCfg.TraceSampling = cfg.TraceSampling
-	}
-	net := diffusion.NewNetwork(netCfg)
-	var tr *diffusion.Trace
-	if traced {
-		tr = net.NewTrace(0)
-	}
 	run := RelayKillRun{Seed: seed}
-	source := diffusion.TestbedSources()[3] // node 13, 4-5 hops from the sink
-
-	sentAt := map[int32]time.Duration{}
-	firstRx := map[int32]time.Duration{}
-	net.Node(diffusion.TestbedSink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			if _, seen := firstRx[a.Val.Int32()]; !seen {
-				firstRx[a.Val.Int32()] = net.Now()
-			}
-		}
-	})
-	src := net.Node(source)
-	pub := src.Publish(surveillanceData())
-	seq := int32(0)
-	payload := make([]byte, cfg.PayloadBytes)
-	// bytesAt samples total diffusion traffic at every event tick, so the
+	f := churnFlow(cfg, seed)
+	source := f.sources[0]
+	// samples holds total diffusion traffic at every event tick, so the
 	// repair window's byte cost can be read off afterwards.
 	type sample struct {
 		at    time.Duration
 		bytes int
 	}
 	var samples []sample
-	net.Every(cfg.EventInterval, func() {
+	f.tick = func(net *diffusion.Network) {
 		samples = append(samples, sample{net.Now(), net.TotalDiffusionBytes()})
-		seq++
-		sentAt[seq] = net.Now()
-		src.Send(pub, diffusion.Attributes{
-			diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-			diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-		})
-	})
+	}
+	var tr *diffusion.Trace
+	if traced {
+		f.cfg.TraceSampling = cfg.TraceSampling
+		f.setup = func(net *diffusion.Network) { tr = net.NewTrace(0) }
+	}
+	r := f.start()
+	net := r.net
 
 	var killSeq int32
 	net.After(cfg.KillAt, func() {
@@ -208,7 +188,7 @@ func relayKill(cfg ChurnConfig, seed int64, traced bool) (RelayKillRun, *diffusi
 		if run.Victim == 0 {
 			return // no reinforced relay (path never converged); no kill
 		}
-		killSeq = seq
+		killSeq = int32(len(r.sent))
 		net.CrashNode(run.Victim)
 		if tr != nil {
 			// The kill bypasses the fault injector, so describe it by hand:
@@ -225,26 +205,22 @@ func relayKill(cfg ChurnConfig, seed int64, traced bool) (RelayKillRun, *diffusi
 	}
 
 	// Delivery ratios on either side of the kill.
-	preSent, preGot, postSent, postGot := 0, 0, 0, 0
-	for s, at := range sentAt {
-		_, got := firstRx[s]
+	preSent, preGot := 0, 0
+	for _, at := range r.sent {
 		if at < cfg.KillAt {
 			preSent++
-			if got {
-				preGot++
-			}
-		} else {
-			postSent++
-			if got {
-				postGot++
-			}
+		}
+	}
+	for _, a := range r.got[0] {
+		if r.sent[a.seq-1] < cfg.KillAt {
+			preGot++
 		}
 	}
 	if preSent > 0 {
 		run.DeliveryPre = float64(preGot) / float64(preSent)
 	}
-	if postSent > 0 {
-		run.DeliveryPost = float64(postGot) / float64(postSent)
+	if postSent := len(r.sent) - preSent; postSent > 0 {
+		run.DeliveryPost = float64(len(r.got[0])-preGot) / float64(postSent)
 	}
 	if run.Victim == 0 {
 		return run, tr, snap
@@ -252,9 +228,10 @@ func relayKill(cfg ChurnConfig, seed int64, traced bool) (RelayKillRun, *diffusi
 
 	// Time to repair: first delivery of an event originated after the kill.
 	repairAt := time.Duration(-1)
-	for s, at := range firstRx {
-		if s > killSeq && (repairAt < 0 || at < repairAt) {
-			repairAt = at
+	for _, a := range r.got[0] {
+		if a.seq > killSeq {
+			repairAt = a.at
+			break
 		}
 	}
 	if repairAt < 0 {
@@ -301,84 +278,35 @@ type ChurnSweepPoint struct {
 func RunChurnSweep(cfg ChurnConfig) []ChurnSweepPoint {
 	var out []ChurnSweepPoint
 	for _, p := range cfg.ChurnPoints {
-		var delivery, bpe, faults []float64
-		for _, seed := range cfg.Seeds {
-			d, b, f := runChurnOnce(cfg, p, seed)
-			delivery = append(delivery, d)
-			bpe = append(bpe, b)
-			faults = append(faults, f)
-		}
-		out = append(out, ChurnSweepPoint{
-			MTBF:          p.MTBF,
-			MTTR:          p.MTTR,
-			Delivery:      stats.Summarize(delivery),
-			BytesPerEvent: stats.Summarize(bpe),
-			Faults:        stats.Summarize(faults),
-		})
+		s := overSeeds(cfg.Seeds, func(seed int64) []float64 { return churnOnce(cfg, p, seed) })
+		out = append(out, ChurnSweepPoint{MTBF: p.MTBF, MTTR: p.MTTR, Delivery: s[0], BytesPerEvent: s[1], Faults: s[2]})
 	}
 	return out
 }
 
-// runChurnOnce returns (delivery ratio, bytes per delivered event, node
+// churnOnce returns (delivery ratio, bytes per delivered event, node
 // crashes) for one seed at one churn point.
-func runChurnOnce(cfg ChurnConfig, p ChurnPoint, seed int64) (float64, float64, float64) {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:                seed,
-		Topology:            diffusion.TestbedTopology(),
-		ExploratoryInterval: cfg.ExploratoryInterval,
-	})
-	source := diffusion.TestbedSources()[3]
-
-	distinct := map[int32]bool{}
-	net.Node(diffusion.TestbedSink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			distinct[a.Val.Int32()] = true
-		}
-	})
-	src := net.Node(source)
-	pub := src.Publish(surveillanceData())
-	seq := int32(0)
-	payload := make([]byte, cfg.PayloadBytes)
-	net.Every(cfg.EventInterval, func() {
-		seq++
-		src.Send(pub, diffusion.Attributes{
-			diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-			diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-		})
-	})
-
+func churnOnce(cfg ChurnConfig, p ChurnPoint, seed int64) []float64 {
+	f := churnFlow(cfg, seed)
+	r := f.start()
 	var relays []uint32
-	for _, id := range net.IDs() {
-		if id != diffusion.TestbedSink && id != source {
+	for _, id := range r.net.IDs() {
+		if id != diffusion.TestbedSink && id != f.sources[0] {
 			relays = append(relays, id)
 		}
 	}
-	inj := net.NewFaultInjector()
+	inj := r.net.NewFaultInjector()
 	// Let the flow establish before the first crash; end the churn early
 	// enough that the final delivery ratio reflects repair, not luck.
-	start := 2 * time.Minute
-	if start > cfg.Duration/4 {
-		start = cfg.Duration / 4
-	}
 	inj.Churn(diffusion.ChurnConfig{
-		Start: start,
+		Start: min(2*time.Minute, cfg.Duration/4),
 		Stop:  cfg.Duration,
 		MTBF:  p.MTBF,
 		MTTR:  p.MTTR,
 		Nodes: relays,
 	})
-	net.Run(cfg.Duration)
-
-	events := len(distinct)
-	bpe := float64(net.TotalDiffusionBytes())
-	if events > 0 {
-		bpe /= float64(events)
-	}
-	var delivery float64
-	if seq > 0 {
-		delivery = float64(events) / float64(seq)
-	}
-	return delivery, bpe, float64(inj.Summarize().NodeDowns)
+	r.net.Run(cfg.Duration)
+	return []float64{r.delivery(0), r.bytesPerEvent(), float64(inj.Summarize().NodeDowns)}
 }
 
 // PrintChurn renders both scenarios.

@@ -32,70 +32,39 @@ type DutyCyclePoint struct {
 func RunDutyCycleSweep(seeds []int64, duration time.Duration, duties []float64) []DutyCyclePoint {
 	var out []DutyCyclePoint
 	for _, duty := range duties {
-		var delivery, listen, perEvent []float64
-		for _, seed := range seeds {
-			d, l, e := runDutyCycleOnce(seed, duration, duty)
-			delivery = append(delivery, d)
-			listen = append(listen, l)
-			perEvent = append(perEvent, e)
-		}
-		out = append(out, DutyCyclePoint{
-			DutyCycle:      duty,
-			Delivery:       stats.Summarize(delivery),
-			ListenShare:    stats.Summarize(listen),
-			EnergyPerEvent: stats.Summarize(perEvent),
-		})
+		s := overSeeds(seeds, func(seed int64) []float64 { return dutyCycleOnce(seed, duration, duty) })
+		out = append(out, DutyCyclePoint{DutyCycle: duty, Delivery: s[0], ListenShare: s[1], EnergyPerEvent: s[2]})
 	}
 	return out
 }
 
-func runDutyCycleOnce(seed int64, duration time.Duration, duty float64) (delivery, listenShare, energyPerEvent float64) {
+// dutyCycleOnce returns (delivery, mean listen share, energy per event) for
+// the single-source flow from node 13 over the duty-cycled MAC.
+func dutyCycleOnce(seed int64, duration time.Duration, duty float64) []float64 {
 	mp := diffusion.DefaultMAC()
 	if duty < 1 {
 		mp.DutyCycle = duty
 		mp.CyclePeriod = 500 * time.Millisecond
 	}
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:     seed,
-		Topology: diffusion.TestbedTopology(),
-		MAC:      &mp,
-	})
-	distinct := map[int32]bool{}
-	net.Node(diffusion.TestbedSink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			distinct[a.Val.Int32()] = true
-		}
-	})
-	src := net.Node(13)
-	pub := src.Publish(surveillanceData())
-	seq := int32(0)
-	payload := make([]byte, 50)
-	net.Every(6*time.Second, func() {
-		seq++
-		src.Send(pub, diffusion.Attributes{
-			diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-			diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-		})
-	})
-	net.Run(duration)
+	r := flow{
+		cfg:     diffusion.NetworkConfig{Seed: seed, MAC: &mp},
+		sources: []uint32{13},
+		payload: make([]byte, 50),
+	}.run(duration)
 
 	ratios := diffusion.PaperEnergyRatios()
 	var listenSum, totalEnergy float64
-	nodes := net.Nodes()
+	nodes := r.net.Nodes()
 	for _, n := range nodes {
 		b := n.Energy(ratios, duration, duty)
 		listenSum += b.ListenFraction()
 		totalEnergy += b.Total()
 	}
-	events := len(distinct)
-	delivery = float64(events) / float64(seq)
-	listenShare = listenSum / float64(len(nodes))
-	if events > 0 {
-		energyPerEvent = totalEnergy / float64(events)
-	} else {
-		energyPerEvent = totalEnergy
+	return []float64{
+		r.delivery(0),
+		listenSum / float64(len(nodes)),
+		totalEnergy / float64(max(len(r.got[0]), 1)),
 	}
-	return delivery, listenShare, energyPerEvent
 }
 
 // PrintDutyCycleSweep renders the sweep next to the analytic predictions.

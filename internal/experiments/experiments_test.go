@@ -16,6 +16,16 @@ func quickFig8() Fig8Config {
 	return cfg
 }
 
+func TestSeedList(t *testing.T) {
+	s := Size{Seeds: 3}.seeds(nil)
+	if len(s) != 3 || s[0] != 1 || s[2] != 3 {
+		t.Errorf("seeds: %v", s)
+	}
+	if def := []int64{7}; len(Size{}.seeds(def)) != 1 {
+		t.Error("a zero Size must keep the default seeds")
+	}
+}
+
 func TestFig8Shape(t *testing.T) {
 	points := RunFig8(quickFig8())
 	if len(points) != 8 {
@@ -43,6 +53,11 @@ func TestFig8Shape(t *testing.T) {
 	// Paper shape 2: without suppression, bytes/event grow with sources.
 	if byKey[[2]int{4, 0}].BytesPerEvent.Mean <= byKey[[2]int{1, 0}].BytesPerEvent.Mean {
 		t.Error("no-suppression bytes/event must grow with sources")
+	}
+	// Paper shape 2b: with suppression, bytes/event are flat in sources
+	// (§6.1).
+	if r := byKey[[2]int{4, 1}].BytesPerEvent.Mean / one; r < 0.7 || r > 1.3 {
+		t.Errorf("with suppression, 4 sources cost %.2fx the bytes/event of 1; want flat (±30%%)", r)
 	}
 	// Paper shape 3: suppression wins clearly at four sources (paper: 42%).
 	if sv := Fig8Savings(points, 4); sv < 0.15 {

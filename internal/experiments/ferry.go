@@ -103,21 +103,14 @@ type FerryResult struct {
 // RunFerry executes both arms across the configured seeds.
 func RunFerry(cfg FerryConfig) FerryResult {
 	res := FerryResult{Config: cfg}
-	var db, dc, lb, lc []float64
-	for _, seed := range cfg.Seeds {
-		base := runFerryOnce(cfg, seed, false)
-		cust := runFerryOnce(cfg, seed, true)
+	s := overSeeds(cfg.Seeds, func(seed int64) []float64 {
+		base, cust := runFerryOnce(cfg, seed, false), runFerryOnce(cfg, seed, true)
 		res.Baseline = append(res.Baseline, base)
 		res.Custody = append(res.Custody, cust)
-		db = append(db, base.Delivery)
-		dc = append(dc, cust.Delivery)
-		lb = append(lb, base.MeanLatency.Seconds())
-		lc = append(lc, cust.MeanLatency.Seconds())
-	}
-	res.DeliveryBaseline = stats.Summarize(db)
-	res.DeliveryCustody = stats.Summarize(dc)
-	res.LatencyBaseline = stats.Summarize(lb)
-	res.LatencyCustody = stats.Summarize(lc)
+		return []float64{base.Delivery, cust.Delivery, base.MeanLatency.Seconds(), cust.MeanLatency.Seconds()}
+	})
+	res.DeliveryBaseline, res.DeliveryCustody = s[0], s[1]
+	res.LatencyBaseline, res.LatencyCustody = s[2], s[3]
 	return res
 }
 
@@ -163,46 +156,30 @@ func ferryShuttle(cycle time.Duration) *topo.Trajectory {
 
 // runFerryOnce runs one seed of one arm.
 func runFerryOnce(cfg FerryConfig, seed int64, withCustody bool) FerryRun {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:             seed,
-		Topology:         diffusion.LineTopology(5, 10),
-		InterestInterval: cfg.InterestInterval,
-		Custody:          withCustody,
-		CustodyLimit:     cfg.CustodyLimit,
-		// Deduplication must span a full disconnection, or a replayed
-		// message whose ID aged out would double-deliver.
-		SeenTTL: 4 * cfg.ContactPeriod,
-	})
-	run := FerryRun{Seed: seed, Custody: withCustody}
-
-	sentAt := map[int32]time.Duration{}
-	firstRx := map[int32]time.Duration{}
-	net.Node(ferrySink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			if _, seen := firstRx[a.Val.Int32()]; seen {
-				run.Duplicates++
-			} else {
-				firstRx[a.Val.Int32()] = net.Now()
-			}
-		}
-	})
-	src := net.Node(ferrySource)
-	pub := src.Publish(surveillanceData())
-	seq := int32(0)
 	// Stop originating two contact periods before the end: the last
 	// events may need a full crossing to reach the ferry-side custodian
 	// and another for the ferry to face the sink again.
-	sendUntil := cfg.Duration - 2*cfg.ContactPeriod
-	net.Every(cfg.EventInterval, func() {
-		if net.Now() > sendUntil {
-			return
-		}
-		seq++
-		sentAt[seq] = net.Now()
-		src.Send(pub, diffusion.Attributes{
-			diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-		})
-	})
+	until := cfg.Duration - 2*cfg.ContactPeriod
+	if until == 0 {
+		until = -1 // as for any shorter run: send nothing
+	}
+	r := flow{
+		cfg: diffusion.NetworkConfig{
+			Seed:             seed,
+			Topology:         diffusion.LineTopology(5, 10),
+			InterestInterval: cfg.InterestInterval,
+			Custody:          withCustody,
+			CustodyLimit:     cfg.CustodyLimit,
+			// Deduplication must span a full disconnection, or a replayed
+			// message whose ID aged out would double-deliver.
+			SeenTTL: 4 * cfg.ContactPeriod,
+		},
+		sinks:    []uint32{ferrySink},
+		sources:  []uint32{ferrySource},
+		interval: cfg.EventInterval,
+		until:    until,
+	}.start()
+	net := r.net
 
 	// The ferry schedule: contact windows derived from the shuttle
 	// trajectory. A window opening brings the link up with
@@ -229,7 +206,6 @@ func runFerryOnce(cfg FerryConfig, seed int64, withCustody bool) FerryRun {
 		[]uint32{ferryEdgeA, ferryEdgeB},
 		ferryContactRadius, cfg.Duration, ferryContactStep)
 	for _, c := range contacts {
-		c := c
 		if c.From == 0 {
 			setLink(c.Peer, true)
 		} else {
@@ -242,14 +218,11 @@ func runFerryOnce(cfg FerryConfig, seed int64, withCustody bool) FerryRun {
 
 	net.Run(cfg.Duration)
 
-	run.Sent = int(seq)
-	run.Delivered = len(firstRx)
-	if run.Sent > 0 {
-		run.Delivery = float64(run.Delivered) / float64(run.Sent)
-	}
+	run := FerryRun{Seed: seed, Custody: withCustody, Sent: len(r.sent), Delivered: len(r.got[0]), Duplicates: r.dups}
+	run.Delivery = r.delivery(0)
 	var lat time.Duration
-	for s, at := range firstRx {
-		lat += at - sentAt[s]
+	for _, a := range r.got[0] {
+		lat += a.at - r.sent[a.seq-1]
 	}
 	if run.Delivered > 0 {
 		run.MeanLatency = lat / time.Duration(run.Delivered)

@@ -1,8 +1,3 @@
-// Package experiments contains one harness per table and figure of the
-// paper's evaluation (section 6), runnable from cmd/diffsim and from the
-// repository's benchmarks. Each harness builds the testbed scenario,
-// repeats it across seeds, and reports the same rows/series the paper
-// does, with 95% confidence intervals.
 package experiments
 
 import (
@@ -11,7 +6,6 @@ import (
 	"time"
 
 	"diffusion"
-	"diffusion/internal/filters"
 	"diffusion/internal/stats"
 )
 
@@ -71,18 +65,7 @@ func RunFig8(cfg Fig8Config) []Fig8Point {
 	var out []Fig8Point
 	for _, suppression := range []bool{true, false} {
 		for s := 1; s <= cfg.MaxSources; s++ {
-			var bpe, rate []float64
-			for _, seed := range cfg.Seeds {
-				b, r := runFig8Once(cfg, s, suppression, seed)
-				bpe = append(bpe, b)
-				rate = append(rate, r)
-			}
-			out = append(out, Fig8Point{
-				Sources:       s,
-				Suppression:   suppression,
-				BytesPerEvent: stats.Summarize(bpe),
-				DeliveryRate:  stats.Summarize(rate),
-			})
+			out = append(out, RunFig8Point(cfg, s, suppression))
 		}
 	}
 	return out
@@ -91,88 +74,40 @@ func RunFig8(cfg Fig8Config) []Fig8Point {
 // RunFig8Point runs one point of the sweep (all seeds at one source count
 // and suppression setting).
 func RunFig8Point(cfg Fig8Config, sources int, suppression bool) Fig8Point {
-	var bpe, rate []float64
-	for _, seed := range cfg.Seeds {
-		b, r := runFig8Once(cfg, sources, suppression, seed)
-		bpe = append(bpe, b)
-		rate = append(rate, r)
-	}
-	return Fig8Point{
-		Sources:       sources,
-		Suppression:   suppression,
-		BytesPerEvent: stats.Summarize(bpe),
-		DeliveryRate:  stats.Summarize(rate),
-	}
-}
-
-// surveillanceInterest and surveillanceData name the Figure 8 event flow.
-func surveillanceInterest() diffusion.Attributes {
-	return diffusion.Attributes{
-		diffusion.String(diffusion.KeyTask, diffusion.EQ, "surveillance"),
-		diffusion.Int32(diffusion.KeyInterval, diffusion.IS, 6000),
-	}
-}
-
-func surveillanceData() diffusion.Attributes {
-	return diffusion.Attributes{
-		diffusion.String(diffusion.KeyTask, diffusion.IS, "surveillance"),
-	}
-}
-
-// runFig8Once executes one 30-minute run and returns (bytes per distinct
-// delivered event, delivery rate).
-func runFig8Once(cfg Fig8Config, sources int, suppression bool, seed int64) (float64, float64) {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:                         seed,
-		Topology:                     diffusion.TestbedTopology(),
-		ExploratoryEvery:             cfg.ExploratoryEvery,
-		Radio:                        cfg.Radio,
-		DisableNegativeReinforcement: cfg.DisableNegRF,
+	s := overSeeds(cfg.Seeds, func(seed int64) []float64 {
+		r := fig8Flow(cfg, sources, suppression, seed).run(cfg.Duration)
+		return []float64{r.bytesPerEvent(), r.delivery(0)}
 	})
+	return Fig8Point{Sources: sources, Suppression: suppression, BytesPerEvent: s[0], DeliveryRate: s[1]}
+}
+
+// fig8Flow is one Figure 8 run: the first sources testbed sources, and
+// with suppression the paper's filter on every node ("aggregation filters
+// that pass the first unique event and suppress subsequent events with
+// identical sequence numbers").
+func fig8Flow(cfg Fig8Config, sources int, suppression bool, seed int64) flow {
+	f := flow{
+		cfg: diffusion.NetworkConfig{
+			Seed:                         seed,
+			ExploratoryEvery:             cfg.ExploratoryEvery,
+			Radio:                        cfg.Radio,
+			DisableNegativeReinforcement: cfg.DisableNegRF,
+		},
+		sources:  diffusion.TestbedSources()[:sources],
+		interval: cfg.EventInterval,
+		payload:  make([]byte, cfg.PayloadBytes),
+	}
 	if suppression {
-		// "All nodes were configured with aggregation filters that pass
-		// the first unique event and suppress subsequent events with
-		// identical sequence numbers."
-		for _, id := range net.IDs() {
-			filters.NewSuppression(net.Node(id).Node, net.NodeEnv(id), filters.SuppressionOptions{})
-		}
+		f.setup = suppressAll
 	}
+	return f
+}
 
-	distinct := map[int32]bool{}
-	net.Node(diffusion.TestbedSink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			distinct[a.Val.Int32()] = true
-		}
-	})
-
-	ids := diffusion.TestbedSources()[:sources]
-	nodes := make([]*diffusion.Node, sources)
-	pubs := make([]diffusion.PublicationHandle, sources)
-	for i, id := range ids {
-		nodes[i] = net.Node(id)
-		pubs[i] = nodes[i].Publish(surveillanceData())
+// suppressAll installs a duplicate-suppression filter on every node.
+func suppressAll(net *diffusion.Network) {
+	for _, id := range net.IDs() {
+		net.NewSuppression(net.Node(id), diffusion.SuppressionOptions{})
 	}
-	// Synchronized sequence numbers, as in the paper ("given sequence
-	// numbers that are synchronized at experiment start").
-	seq := int32(0)
-	payload := make([]byte, cfg.PayloadBytes)
-	net.Every(cfg.EventInterval, func() {
-		seq++
-		for i := range nodes {
-			nodes[i].Send(pubs[i], diffusion.Attributes{
-				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-				diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-			})
-		}
-	})
-	net.Run(cfg.Duration)
-
-	events := len(distinct)
-	if events == 0 {
-		return float64(net.TotalDiffusionBytes()), 0
-	}
-	return float64(net.TotalDiffusionBytes()) / float64(events),
-		float64(events) / float64(seq)
 }
 
 // PrintFig8 renders the series as the paper's figure rows.
@@ -192,18 +127,15 @@ func PrintFig8(w io.Writer, points []Fig8Point) {
 	// sources.
 	var with4, without4 *Fig8Point
 	for i := range points {
-		p := &points[i]
-		if p.Sources == 4 && p.Suppression {
+		if p := &points[i]; p.Sources == 4 && p.Suppression {
 			with4 = p
-		}
-		if p.Sources == 4 && !p.Suppression {
+		} else if p.Sources == 4 {
 			without4 = p
 		}
 	}
 	if with4 != nil && without4 != nil && without4.BytesPerEvent.Mean > 0 {
-		save := 1 - with4.BytesPerEvent.Mean/without4.BytesPerEvent.Mean
 		fmt.Fprintf(w, "suppression saves %.0f%% of bytes/event at 4 sources (paper: up to 42%%)\n",
-			100*save)
+			100*Fig8Savings(points, 4))
 	}
 }
 

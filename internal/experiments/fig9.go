@@ -37,9 +37,6 @@ func DefaultFig9() Fig9Config {
 	}
 }
 
-// fig9Debug enables diagnostic dumps from runFig9Once (tests only).
-var fig9Debug bool
-
 // Fig9Point is one bar of Figure 9.
 type Fig9Point struct {
 	Sensors int
@@ -54,15 +51,7 @@ func RunFig9(cfg Fig9Config) []Fig9Point {
 	var out []Fig9Point
 	for _, nested := range []bool{true, false} {
 		for _, sensors := range cfg.SensorCounts {
-			var rates []float64
-			for _, seed := range cfg.Seeds {
-				rates = append(rates, runFig9Once(cfg, sensors, nested, seed))
-			}
-			out = append(out, Fig9Point{
-				Sensors:   sensors,
-				Nested:    nested,
-				Delivered: stats.Summarize(rates),
-			})
+			out = append(out, RunFig9Point(cfg, sensors, nested))
 		}
 	}
 	return out
@@ -71,11 +60,10 @@ func RunFig9(cfg Fig9Config) []Fig9Point {
 // RunFig9Point runs one bar of the figure (all seeds at one sensor count
 // and query style).
 func RunFig9Point(cfg Fig9Config, sensors int, nested bool) Fig9Point {
-	var rates []float64
-	for _, seed := range cfg.Seeds {
-		rates = append(rates, runFig9Once(cfg, sensors, nested, seed))
-	}
-	return Fig9Point{Sensors: sensors, Nested: nested, Delivered: stats.Summarize(rates)}
+	s := overSeeds(cfg.Seeds, func(seed int64) []float64 {
+		return []float64{runFig9Once(cfg, sensors, nested, seed)}
+	})
+	return Fig9Point{Sensors: sensors, Nested: nested, Delivered: s[0]}
 }
 
 func lightInterest() diffusion.Attributes {
@@ -212,10 +200,6 @@ func runFig9Once(cfg Fig9Config, sensors int, nested bool, seed int64) float64 {
 	}
 
 	net.Run(cfg.Duration)
-
-	if fig9Debug {
-		fmt.Printf("debug: toggles=%d audioAtUser=%v lightAtUser=%v\n", toggles, audioAtUser, lightAtUser)
-	}
 
 	possible := sensors * toggles
 	if possible == 0 {

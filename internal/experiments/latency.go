@@ -33,66 +33,29 @@ func RunLatency(seeds []int64, duration, window time.Duration) []LatencyPoint {
 	for _, mode := range []string{"none", "suppression", "counting"} {
 		var lats []float64
 		for _, seed := range seeds {
-			lats = append(lats, runLatencyOnce(seed, duration, mode, window)...)
+			f := flow{
+				cfg:     diffusion.NetworkConfig{Seed: seed},
+				sources: diffusion.TestbedSources()[:2],
+				payload: make([]byte, 50),
+			}
+			switch mode {
+			case "suppression":
+				f.setup = suppressAll
+			case "counting":
+				f.setup = func(net *diffusion.Network) {
+					for _, id := range net.IDs() {
+						net.NewCountingAggregator(net.Node(id), nil, window)
+					}
+				}
+			}
+			r := f.run(duration)
+			for _, a := range r.got[0] {
+				lats = append(lats, (a.at - r.sent[a.seq-1]).Seconds())
+			}
 		}
 		out = append(out, LatencyPoint{Mode: mode, Latency: stats.Summarize(lats)})
 	}
 	return out
-}
-
-func runLatencyOnce(seed int64, duration time.Duration, mode string, window time.Duration) []float64 {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:     seed,
-		Topology: diffusion.TestbedTopology(),
-	})
-	switch mode {
-	case "suppression":
-		for _, id := range net.IDs() {
-			net.NewSuppression(net.Node(id), diffusion.SuppressionOptions{})
-		}
-	case "counting":
-		for _, id := range net.IDs() {
-			net.NewCountingAggregator(net.Node(id), nil, window)
-		}
-	}
-
-	sentAt := map[int32]time.Duration{}
-	var lats []float64
-	net.Node(diffusion.TestbedSink).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		a, ok := m.Attrs.FindActual(diffusion.KeySequence)
-		if !ok {
-			return
-		}
-		seq := a.Val.Int32()
-		t0, ok := sentAt[seq]
-		if !ok {
-			return
-		}
-		delete(sentAt, seq) // first delivery only
-		lats = append(lats, (net.Now() - t0).Seconds())
-	})
-
-	srcs := diffusion.TestbedSources()[:2]
-	nodes := make([]*diffusion.Node, len(srcs))
-	pubs := make([]diffusion.PublicationHandle, len(srcs))
-	for i, id := range srcs {
-		nodes[i] = net.Node(id)
-		pubs[i] = nodes[i].Publish(surveillanceData())
-	}
-	seq := int32(0)
-	payload := make([]byte, 50)
-	net.Every(6*time.Second, func() {
-		seq++
-		sentAt[seq] = net.Now()
-		for i := range nodes {
-			nodes[i].Send(pubs[i], diffusion.Attributes{
-				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-				diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-			})
-		}
-	})
-	net.Run(duration)
-	return lats
 }
 
 // PrintLatency renders the comparison.

@@ -38,71 +38,28 @@ func RunPushPull(seeds []int64, duration time.Duration, sinkCounts []int) []Push
 	var out []PushPullPoint
 	for _, push := range []bool{false, true} {
 		for _, sinks := range sinkCounts {
-			var bpd, del []float64
-			for _, seed := range seeds {
-				b, d := runPushPullOnce(seed, duration, sinks, push)
-				bpd = append(bpd, b)
-				del = append(del, d)
-			}
-			out = append(out, PushPullPoint{
-				Sinks:            sinks,
-				Push:             push,
-				BytesPerDelivery: stats.Summarize(bpd),
-				Delivery:         stats.Summarize(del),
+			s := overSeeds(seeds, func(seed int64) []float64 {
+				r := flow{
+					cfg:     diffusion.NetworkConfig{Seed: seed},
+					sinks:   pushPullSinks()[:sinks],
+					push:    push,
+					sources: []uint32{13},
+					payload: make([]byte, 50),
+				}.run(duration)
+				deliveries, rateSum := 0, 0.0
+				for i, got := range r.got {
+					deliveries += len(got)
+					rateSum += r.delivery(i)
+				}
+				return []float64{
+					float64(r.net.TotalDiffusionBytes()) / float64(max(deliveries, 1)),
+					rateSum / float64(sinks),
+				}
 			})
+			out = append(out, PushPullPoint{Sinks: sinks, Push: push, BytesPerDelivery: s[0], Delivery: s[1]})
 		}
 	}
 	return out
-}
-
-func runPushPullOnce(seed int64, duration time.Duration, sinks int, push bool) (bytesPerDelivery, delivery float64) {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:     seed,
-		Topology: diffusion.TestbedTopology(),
-	})
-	perSink := make([]map[int32]bool, sinks)
-	for i, id := range pushPullSinks()[:sinks] {
-		i := i
-		perSink[i] = map[int32]bool{}
-		cb := func(m *diffusion.Message) {
-			if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-				perSink[i][a.Val.Int32()] = true
-			}
-		}
-		if push {
-			net.Node(id).SubscribeLocal(surveillanceInterest(), cb)
-		} else {
-			net.Node(id).Subscribe(surveillanceInterest(), cb)
-		}
-	}
-	src := net.Node(13)
-	pub := src.Publish(surveillanceData())
-	seq := int32(0)
-	payload := make([]byte, 50)
-	net.Every(6*time.Second, func() {
-		seq++
-		extra := diffusion.Attributes{
-			diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-			diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-		}
-		if push {
-			src.SendPush(pub, extra)
-		} else {
-			src.Send(pub, extra)
-		}
-	})
-	net.Run(duration)
-
-	deliveries := 0
-	var rateSum float64
-	for _, events := range perSink {
-		deliveries += len(events)
-		rateSum += float64(len(events)) / float64(seq)
-	}
-	if deliveries == 0 {
-		deliveries = 1
-	}
-	return float64(net.TotalDiffusionBytes()) / float64(deliveries), rateSum / float64(sinks)
 }
 
 // PrintPushPull renders the comparison.

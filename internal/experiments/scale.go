@@ -32,51 +32,23 @@ type ScalePoint struct {
 func RunScaleSweep(seeds []int64, duration time.Duration, sizes []int) []ScalePoint {
 	var out []ScalePoint
 	for _, n := range sizes {
-		var delivery, perNode []float64
-		hops := 0
-		for _, seed := range seeds {
-			d, b, h := runScaleOnce(seed, duration, n)
-			delivery = append(delivery, d)
-			perNode = append(perNode, b)
-			hops = h
-		}
+		s := overSeeds(seeds, func(seed int64) []float64 {
+			r := flow{
+				cfg:     diffusion.NetworkConfig{Seed: seed, Topology: diffusion.GridTopology(n, n, 10)},
+				sinks:   []uint32{1},
+				sources: []uint32{uint32(n * n)},
+				payload: make([]byte, 50),
+			}.run(duration)
+			return []float64{r.delivery(0), float64(r.net.TotalDiffusionBytes()) / float64(n*n)}
+		})
 		out = append(out, ScalePoint{
 			Nodes:        n * n,
-			Delivery:     stats.Summarize(delivery),
-			BytesPerNode: stats.Summarize(perNode),
-			PathHops:     hops,
+			Delivery:     s[0],
+			BytesPerNode: s[1],
+			PathHops:     diffusion.GridTopology(n, n, 10).HopDistance(1, uint32(n*n), 13.5),
 		})
 	}
 	return out
-}
-
-func runScaleOnce(seed int64, duration time.Duration, n int) (delivery, bytesPerNode float64, hops int) {
-	tp := diffusion.GridTopology(n, n, 10)
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{Seed: seed, Topology: tp})
-	sinkID, srcID := uint32(1), uint32(n*n)
-	hops = tp.HopDistance(sinkID, srcID, 13.5)
-
-	distinct := map[int32]bool{}
-	net.Node(sinkID).Subscribe(surveillanceInterest(), func(m *diffusion.Message) {
-		if a, ok := m.Attrs.FindActual(diffusion.KeySequence); ok {
-			distinct[a.Val.Int32()] = true
-		}
-	})
-	src := net.Node(srcID)
-	pub := src.Publish(surveillanceData())
-	seq := int32(0)
-	payload := make([]byte, 50)
-	net.Every(6*time.Second, func() {
-		seq++
-		src.Send(pub, diffusion.Attributes{
-			diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-			diffusion.Blob(diffusion.KeyPayload, diffusion.IS, payload),
-		})
-	})
-	net.Run(duration)
-	delivery = float64(len(distinct)) / float64(seq)
-	bytesPerNode = float64(net.TotalDiffusionBytes()) / float64(n*n)
-	return delivery, bytesPerNode, hops
 }
 
 // PrintScaleSweep renders the sweep.

@@ -247,27 +247,3 @@ func BenchmarkTracing(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkCompiledMatching quantifies the section 6.3 optimization
-// ("segregating actuals from formals can reduce search time"): the
-// pre-indexed matcher against the paper's scan, on the Figure 10 sets
-// grown to 30 attributes.
-func BenchmarkCompiledMatching(b *testing.B) {
-	av := experiments.Fig10Interest()
-	bv := experiments.GrowDataSet(experiments.Fig10Data(true), 30, "IS")
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !attr.Match(av, bv) {
-				b.Fatal("must match")
-			}
-		}
-	})
-	ca, cb := attr.Compile(av), attr.Compile(bv)
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !attr.MatchCompiled(ca, cb) {
-				b.Fatal("must match")
-			}
-		}
-	})
-}

@@ -36,11 +36,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	attrs attr.Vec
-	// comp is the compiled form of attrs, built once at store time so
-	// every later interest probe matches without re-partitioning the
-	// vector (satisfying the compiled-predicate fast path).
-	comp *attr.Compiled
-	at   time.Duration
+	at    time.Duration
 }
 
 // CacheOptions configures NewCache.
@@ -95,8 +91,7 @@ func (c *Cache) onMessage(m *message.Message, h core.FilterHandle) {
 		// also caches for duplicate suppression; this cache is the
 		// application-level "recent data" store.
 		if id, ok := cacheIdentity(m.Attrs, c.identityKeys); ok {
-			stored := m.Attrs.Clone()
-			c.entries[id] = cacheEntry{attrs: stored, comp: attr.Compile(stored), at: now}
+			c.entries[id] = cacheEntry{attrs: m.Attrs.Clone(), at: now}
 			c.Cached++
 		}
 	case message.Interest:
@@ -139,9 +134,7 @@ func (c *Cache) maybeReplay(m *message.Message, now time.Duration) {
 			delete(c.entries, id)
 			continue
 		}
-		// Match is symmetric, so probing the compiled cached vector
-		// against the interest is the old attr.Match(m.Attrs, e.attrs).
-		if !e.comp.MatchVec(m.Attrs) {
+		if !attr.Match(e.attrs, m.Attrs) {
 			continue
 		}
 		c.answered[m.ID] = true

@@ -97,44 +97,70 @@ func TestDifferentialAgainstLinear(t *testing.T) {
 				handles := map[uint64]Handle{}
 				var tags []uint64
 				nextTag := uint64(0)
+				add := func() {
+					v := soupVec(r, r.Intn(6))
+					nextTag++
+					handles[nextTag] = ix.Add(v, nextTag)
+					ref.vecs[nextTag] = v
+					tags = append(tags, nextTag)
+				}
+				remove := func() {
+					i := r.Intn(len(tags))
+					tag := tags[i]
+					tags[i] = tags[len(tags)-1]
+					tags = tags[:len(tags)-1]
+					ix.Remove(handles[tag])
+					delete(handles, tag)
+					delete(ref.vecs, tag)
+				}
+				probe := func(msg attr.Vec, where string) {
+					if got, want := lookupTags(ix, msg), ref.lookup(msg); !eqTags(got, want) {
+						t.Fatalf("seed=%d %s msg=%v:\nindex  %v\nlinear %v", seed, where, msg, got, want)
+					}
+				}
+				// Every stored vector probed against itself.
+				probeStored := func(where string) {
+					for _, v := range ref.vecs {
+						probe(v, where)
+					}
+					if ix.Len() != len(ref.vecs) {
+						t.Fatalf("seed=%d %s: Len=%d want %d", seed, where, ix.Len(), len(ref.vecs))
+					}
+				}
 
 				for op := 0; op < 400; op++ {
 					switch x := r.Intn(10); {
-					case x < 5: // add
-						v := soupVec(r, r.Intn(6))
-						nextTag++
-						handles[nextTag] = ix.Add(v, nextTag)
-						ref.vecs[nextTag] = v
-						tags = append(tags, nextTag)
-					case x < 7 && len(tags) > 0: // remove
-						i := r.Intn(len(tags))
-						tag := tags[i]
-						tags[i] = tags[len(tags)-1]
-						tags = tags[:len(tags)-1]
-						ix.Remove(handles[tag])
-						delete(handles, tag)
-						delete(ref.vecs, tag)
-					default: // lookup
-						msg := soupVec(r, r.Intn(6))
-						got := lookupTags(ix, msg)
-						want := ref.lookup(msg)
-						if !eqTags(got, want) {
-							t.Fatalf("seed=%d op=%d msg=%v:\nindex  %v\nlinear %v",
-								seed, op, msg, got, want)
+					case x < 5:
+						add()
+					case x < 7 && len(tags) > 0:
+						remove()
+					default:
+						probe(soupVec(r, r.Intn(6)), fmt.Sprintf("op=%d", op))
+					}
+				}
+				probeStored("self-probe")
+
+				// Remove-heavy: drain with one add per three removes, so the
+				// arenas compact several times; re-probe after each.
+				compactions := 0
+				for len(tags) > 0 {
+					if r.Intn(4) == 0 {
+						add()
+						continue
+					}
+					size := len(ix.formals) + len(ix.actuals)
+					remove()
+					if len(ix.formals)+len(ix.actuals) < size {
+						compactions++
+						where := fmt.Sprintf("compaction %d", compactions)
+						for i := 0; i < 10; i++ {
+							probe(soupVec(r, r.Intn(6)), where)
 						}
+						probeStored(where)
 					}
 				}
-				// Every stored vector probed against itself and a fresh soup.
-				for tag, v := range ref.vecs {
-					got := lookupTags(ix, v)
-					want := ref.lookup(v)
-					if !eqTags(got, want) {
-						t.Fatalf("seed=%d self-probe tag=%d vec=%v:\nindex  %v\nlinear %v",
-							seed, tag, v, got, want)
-					}
-				}
-				if ix.Len() != len(ref.vecs) {
-					t.Fatalf("seed=%d Len=%d want %d", seed, ix.Len(), len(ref.vecs))
+				if compactions < 2 {
+					t.Fatalf("seed=%d: draining compacted %d times, want at least 2", seed, compactions)
 				}
 			}
 		})
@@ -168,6 +194,124 @@ func TestDifferentialWiderKeySpace(t *testing.T) {
 			t.Fatalf("probe=%d msg=%v:\nindex  %v\nlinear %v", probe, msg, got, want)
 		}
 	}
+}
+
+// TestDifferentialRepeatedKeyFlood: a decoded message may carry the
+// decoder's 4096 actuals, here all with one key, so every actual probes the
+// same postings. Lookup still reports each matching tag once, and its
+// candidate scratch stays within a few times the slot count instead of
+// 4096 copies of the key's postings.
+func TestDifferentialRepeatedKeyFlood(t *testing.T) {
+	for _, mode := range []Mode{TwoWay, OneWay} {
+		r := rand.New(rand.NewSource(5))
+		ix := New(mode)
+		ref := &mirror{mode: mode, vecs: map[uint64]attr.Vec{}}
+		for tag := uint64(1); tag <= 200; tag++ {
+			v := soupVec(r, 1+r.Intn(4))
+			ix.Add(v, tag)
+			ref.vecs[tag] = v
+		}
+		flood := make(attr.Vec, 4096)
+		for i := range flood {
+			flood[i] = attr.Attribute{Key: 1, Op: attr.IS, Val: soupValue(r)}
+		}
+		msg, _, err := attr.DecodeVec(flood.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := lookupTags(ix, msg), ref.lookup(msg); len(want) == 0 || !eqTags(got, want) {
+			t.Fatalf("mode %d:\nindex  %v\nlinear %v", mode, got, want)
+		}
+		if c := cap(ix.cand); c > 4*len(ix.slots) {
+			t.Fatalf("mode %d: candidate scratch grew to %d for %d slots", mode, c, len(ix.slots))
+		}
+	}
+}
+
+// TestLongRunsDoNotTruncate: a locally stored vector is not bounded by the
+// decoder's 4096 attributes; runs longer than 65 535 keep their tails.
+func TestLongRunsDoNotTruncate(t *testing.T) {
+	const n = 70_000
+	v := attr.Vec{attr.Int32Attr(1, attr.EQ, 1)}
+	for i := 0; i < n; i++ {
+		v = append(v, attr.Int32Attr(2, attr.GE, 0), attr.Int32Attr(3, attr.IS, int32(i)))
+	}
+	v = append(v, attr.Int32Attr(4, attr.EQ, 7)) // the formal run's last entry
+	ix := New(TwoWay)
+	ix.Add(v, 1)
+	base := attr.Vec{attr.Int32Attr(1, attr.IS, 1), attr.Int32Attr(2, attr.IS, 5)}
+	full := base.With(attr.Int32Attr(4, attr.IS, 7))
+	for _, c := range []struct {
+		msg  attr.Vec
+		want []uint64
+	}{
+		{base, nil},
+		{full, []uint64{1}},
+		{full.With(attr.Int32Attr(3, attr.EQ, n-1)), []uint64{1}}, // the actual run's last entry
+		{full.With(attr.Int32Attr(3, attr.EQ, n)), nil},
+	} {
+		if got := lookupTags(ix, c.msg); !eqTags(got, c.want) {
+			t.Errorf("msg %v: got %v want %v", c.msg, got, c.want)
+		}
+	}
+}
+
+// FuzzIndexAgainstLinear drives a TwoWay and a OneWay index with vectors
+// decoded from the input. Each step is a control byte and an encoded
+// vector; the control byte adds the vector, removes an earlier one or
+// probes with it. Every probe, and at the end every stored vector, must
+// return what the linear oracle returns.
+func FuzzIndexAgainstLinear(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var b []byte
+		for i := 0; i < 24; i++ {
+			b = soupVec(r, r.Intn(6)).AppendEncode(append(b, byte(r.Intn(256))))
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ixs := []*Index{New(TwoWay), New(OneWay)}
+		refs := []*mirror{{mode: TwoWay, vecs: map[uint64]attr.Vec{}}, {mode: OneWay, vecs: map[uint64]attr.Vec{}}}
+		handles := map[uint64][]Handle{}
+		var tags []uint64
+		probe := func(msg attr.Vec) {
+			for i, ix := range ixs {
+				if got, want := lookupTags(ix, msg), refs[i].lookup(msg); !eqTags(got, want) {
+					t.Fatalf("mode %d msg=%v:\nindex  %v\nlinear %v", ix.mode, msg, got, want)
+				}
+			}
+		}
+		for tag := uint64(1); len(b) > 0; tag++ {
+			ctrl := b[0]
+			v, n, err := attr.DecodeVec(b[1:])
+			if err != nil {
+				break
+			}
+			b = b[1+n:]
+			switch {
+			case ctrl%3 == 0:
+				for i, ix := range ixs {
+					handles[tag] = append(handles[tag], ix.Add(v, tag))
+					refs[i].vecs[tag] = v
+				}
+				tags = append(tags, tag)
+			case ctrl%3 == 1 && len(tags) > 0:
+				j := int(ctrl/3) % len(tags)
+				gone := tags[j]
+				tags = append(tags[:j], tags[j+1:]...)
+				for i, ix := range ixs {
+					ix.Remove(handles[gone][i])
+					delete(refs[i].vecs, gone)
+				}
+			default:
+				probe(v)
+			}
+		}
+		for _, v := range refs[0].vecs {
+			probe(v)
+		}
+	})
 }
 
 func ExampleIndex() {

@@ -24,10 +24,19 @@
 // ordered) go on an always-scanned fallback list; Stats.FallbackScanned
 // counts how often that list is paid for.
 //
+// A stored vector is copied into two index-owned arenas, its formals
+// (pivot first) and its actuals each as one contiguous run, so a slot
+// holds offsets instead of pointers and verifying a candidate reads the
+// slot array and one arena run.
+//
 // Lookup gathers candidates from the postings selected by the message's
-// actuals, de-duplicates them with an epoch-stamped mark array, and
-// verifies each against the exact matcher (attr.Compiled, semantically
-// identical to attr.Match/OneWayMatch — those stay the oracle). The
+// actuals and verifies each with the oracle itself: attr.OneWayMatch of
+// the stored formals against the message and, in TwoWay mode when the
+// message carries a formal, of the message against the stored actuals.
+// A pivot its posting already proves (an EQ bucket, EQ_ANY presence) is
+// not checked again. Each slot sits in one key's postings, so only a
+// message that repeats a key can gather a slot twice; only then are the
+// candidates de-duplicated with an epoch-stamped mark array. The
 // pre-filter may over-include, never under-include, so results are
 // exact. Steady-state lookups are allocation-free: candidates live in a
 // reusable scratch buffer and results are appended to a caller-supplied
@@ -86,7 +95,15 @@ const (
 	pivotStrRange
 )
 
-// pivot locates a slot's posting for removal.
+// proven reports whether being gathered through this kind's posting
+// already shows the pivot formal holds: an EQ bucket is keyed by an equal
+// value (a NaN actual, which reaches EQ pivots through numAll, compares
+// equal to every number) and EQ_ANY needs only the key. Range and NE
+// postings over-include, so those pivots are verified with the rest.
+func (k pivotKind) proven() bool { return k >= pivotEQNum && k <= pivotEQAny }
+
+// pivot locates a slot's posting. It is derived from the slot's first
+// formal by classify, not stored.
 type pivot struct {
 	kind pivotKind
 	key  attr.Key
@@ -95,12 +112,16 @@ type pivot struct {
 	str  string  // EQStr/EQBlob bucket key, StrRange threshold
 }
 
+// slot is one stored vector: its tag and its two runs in the index's
+// arenas. It holds no pointer, so a broker's slot array costs the
+// collector nothing to scan.
 type slot struct {
-	comp *attr.Compiled
-	tag  uint64
-	pv   pivot
-	pos  int32 // position on the always list (pivotAlways only)
-	live bool
+	tag        uint64
+	fOff, fLen uint32 // formal run in Index.formals, the pivot formal first
+	aOff, aLen uint32 // actual run in Index.actuals
+	pos        int32  // position on the always list (pivotAlways only)
+	kind       pivotKind
+	live       bool
 }
 
 // Threshold-list indices by comparison operator.
@@ -149,6 +170,10 @@ type keyIndex struct {
 
 	numRange [4][]numPost // sorted ascending by threshold
 	strRange [4][]strPost
+
+	// stamp is the last lookup epoch that probed this key: a second
+	// actual with the key finds it current and asks for dedup.
+	stamp uint32
 }
 
 // Index is an inverted attribute index. The zero value is not usable;
@@ -160,6 +185,11 @@ type Index struct {
 	keys   map[attr.Key]*keyIndex
 	always []Handle
 	live   int
+
+	// The arenas every slot's runs live in. dead counts the entries of
+	// removed slots; once they are more than half, compact rewrites both.
+	formals, actuals attr.Vec
+	dead             int
 
 	// Lookup scratch: candidate buffer plus an epoch-stamped mark per
 	// slot for duplicate suppression. No user code runs during Lookup,
@@ -176,8 +206,9 @@ func New(mode Mode) *Index {
 	return &Index{mode: mode, keys: map[attr.Key]*keyIndex{}}
 }
 
-// Add stores v under tag and returns its handle. The vector is retained
-// and must not be mutated afterwards. Tags need not be unique, but every
+// Add stores a copy of v's attributes under tag and returns its handle.
+// v itself is not retained; its string and blob values, immutable like
+// every attr.Value, are shared. Tags need not be unique, but every
 // matching slot's tag is reported by Lookup, so duplicate tags yield
 // duplicate results.
 func (ix *Index) Add(v attr.Vec, tag uint64) Handle {
@@ -190,12 +221,29 @@ func (ix *Index) Add(v attr.Vec, tag uint64) Handle {
 		ix.mark = append(ix.mark, 0)
 		h = Handle(len(ix.slots) - 1)
 	}
-	s := &ix.slots[h]
-	s.comp = attr.Compile(v)
-	s.tag = tag
-	s.pv = choosePivot(v)
-	s.live = true
-	ix.install(h, s)
+	p, at := choosePivot(v)
+	fOff, aOff := len(ix.formals), len(ix.actuals)
+	if at >= 0 {
+		ix.formals = append(ix.formals, v[at])
+	}
+	for i, a := range v {
+		if i == at {
+			continue
+		}
+		if a.Op.IsFormal() {
+			ix.formals = append(ix.formals, a)
+		} else {
+			ix.actuals = append(ix.actuals, a)
+		}
+	}
+	ix.slots[h] = slot{
+		tag:  tag,
+		fOff: uint32(fOff), fLen: uint32(len(ix.formals) - fOff),
+		aOff: uint32(aOff), aLen: uint32(len(ix.actuals) - aOff),
+		kind: p.kind,
+		live: true,
+	}
+	ix.install(h, p)
 	ix.live++
 	return h
 }
@@ -208,11 +256,30 @@ func (ix *Index) Remove(h Handle) {
 	}
 	s := &ix.slots[h]
 	ix.uninstall(h, s)
-	s.live = false
-	s.comp = nil
-	s.pv = pivot{}
+	ix.dead += int(s.fLen + s.aLen)
+	*s = slot{}
 	ix.free = append(ix.free, h)
 	ix.live--
+	if 2*ix.dead > len(ix.formals)+len(ix.actuals) {
+		ix.compact()
+	}
+}
+
+// compact rewrites both arenas from the live slots' runs.
+func (ix *Index) compact() {
+	var nf, na uint32
+	for _, s := range ix.slots {
+		nf, na = nf+s.fLen, na+s.aLen
+	}
+	formals, actuals := make(attr.Vec, 0, nf), make(attr.Vec, 0, na)
+	for i := range ix.slots {
+		s := &ix.slots[i]
+		fOff, aOff := uint32(len(formals)), uint32(len(actuals))
+		formals = append(formals, ix.formals[s.fOff:s.fOff+s.fLen]...)
+		actuals = append(actuals, ix.actuals[s.aOff:s.aOff+s.aLen]...)
+		s.fOff, s.aOff = fOff, aOff
+	}
+	ix.formals, ix.actuals, ix.dead = formals, actuals, 0
 }
 
 // Reset empties the index, retaining accumulated Stats and allocated
@@ -222,6 +289,7 @@ func (ix *Index) Reset() {
 	ix.free = ix.free[:0]
 	ix.keys = map[attr.Key]*keyIndex{}
 	ix.always = ix.always[:0]
+	ix.formals, ix.actuals, ix.dead = nil, nil, 0
 	ix.mark = ix.mark[:0]
 	ix.gen = 0
 	ix.live = 0
@@ -247,63 +315,81 @@ func (ix *Index) Stats() Stats { return ix.stat }
 func (ix *Index) Lookup(msg attr.Vec, dst []uint64) []uint64 {
 	ix.stat.Lookups++
 	ix.gen++
-	if ix.gen == 0 { // epoch wrap: invalidate all marks once per 2^32 lookups
-		for i := range ix.mark {
-			ix.mark[i] = 0
+	if ix.gen == 0 { // epoch wrap: invalidate all stamps once per 2^32 lookups
+		clear(ix.mark)
+		for _, ki := range ix.keys {
+			ki.stamp = 0
 		}
 		ix.gen = 1
 	}
 	cand := ix.cand[:0]
+	formals := false
+	unique := -1 // once a key repeats, cand[:unique] is deduplicated
 	for _, a := range msg {
 		if !a.Op.IsActual() {
+			formals = true
 			continue
 		}
 		ki := ix.keys[a.Key]
 		if ki == nil {
 			continue
 		}
-		cand = ix.gather(cand, ki, a.Val)
+		if ki.stamp == ix.gen && unique < 0 {
+			unique = 0
+		}
+		ki.stamp = ix.gen
+		cand = gather(cand, ki, a.Val)
+		// Deduplicating as candidates arrive, not at the end, keeps cand
+		// within twice the slot count however often a key repeats.
+		if unique >= 0 {
+			cand = ix.dedup(cand, unique)
+			unique = len(cand)
+		}
 	}
-	for _, h := range ix.always {
-		cand = ix.note(cand, h)
-	}
+	cand = append(cand, ix.always...) // disjoint from every posting
 	ix.stat.FallbackScanned += uint64(len(ix.always))
 	ix.stat.CandidatesScanned += uint64(len(cand))
+	reverse := formals && ix.mode == TwoWay
 	for _, h := range cand {
-		c := ix.slots[h].comp
-		ok := c.MatchAgainst(msg)
-		if ok && ix.mode == TwoWay {
-			ok = c.ActualsSatisfy(msg)
+		s := &ix.slots[h]
+		from := s.fOff
+		if s.kind.proven() {
+			from++
+		}
+		ok := attr.OneWayMatch(ix.formals[from:s.fOff+s.fLen], msg)
+		if ok && reverse {
+			ok = attr.OneWayMatch(msg, ix.actuals[s.aOff:s.aOff+s.aLen])
 		}
 		if ok {
 			ix.stat.Hits++
-			dst = append(dst, ix.slots[h].tag)
+			dst = append(dst, s.tag)
 		}
 	}
 	ix.cand = cand[:0]
 	return dst
 }
 
-// note appends h to cand unless it was already gathered this lookup.
-func (ix *Index) note(cand []Handle, h Handle) []Handle {
-	if ix.mark[h] == ix.gen {
-		return cand
+// dedup drops from cand[from:] every handle marked this lookup, keeping
+// first sightings in order, and marks the ones it keeps.
+func (ix *Index) dedup(cand []Handle, from int) []Handle {
+	out := cand[:from]
+	for _, h := range cand[from:] {
+		if ix.mark[h] != ix.gen {
+			ix.mark[h] = ix.gen
+			out = append(out, h)
+		}
 	}
-	ix.mark[h] = ix.gen
-	return append(cand, h)
+	return out
 }
 
 // gather collects the candidates an actual value v for one key selects.
-func (ix *Index) gather(cand []Handle, ki *keyIndex, v attr.Value) []Handle {
+// A slot sits in at most one of the postings one call reads.
+func gather(cand []Handle, ki *keyIndex, v attr.Value) []Handle {
 	// Presence-based postings: EQ_ANY matches any actual with the key;
 	// NE is satisfied by differing values and by cross-type actuals, so
 	// presence is its only sound cheap pre-filter.
-	for _, h := range ki.eqAny {
-		cand = ix.note(cand, h)
-	}
-	for _, h := range ki.ne {
-		cand = ix.note(cand, h)
-	}
+	cand = append(cand, ki.eqAny...)
+	cand = append(cand, ki.ne...)
 	switch {
 	case v.Numeric():
 		f := v.AsFloat()
@@ -311,60 +397,51 @@ func (ix *Index) gather(cand []Handle, ki *keyIndex, v attr.Value) []Handle {
 			// NaN compares equal to every number (compareFloat yields 0),
 			// so every numeric EQ/LE/GE formal on this key is satisfied;
 			// include the whole numeric side and let verification decide.
-			for _, h := range ki.numAll {
-				cand = ix.note(cand, h)
-			}
-			return cand
+			return append(cand, ki.numAll...)
 		}
 		if f == 0 {
 			f = 0 // fold -0 into +0: they compare equal
 		}
-		for _, h := range ki.eqNum[math.Float64bits(f)] {
-			cand = ix.note(cand, h)
-		}
+		cand = append(cand, ki.eqNum[math.Float64bits(f)]...)
 		// A formal "k OP t" is satisfied when f OP t holds; select the
 		// threshold run on the correct side of f for each operator.
 		posts := ki.numRange[rLT] // f < t: thresholds above f
 		for i := searchNum(posts, f, false); i < len(posts); i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 		posts = ki.numRange[rLE] // f <= t: thresholds at or above f
 		for i := searchNum(posts, f, true); i < len(posts); i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 		posts = ki.numRange[rGT] // f > t: thresholds below f
 		for i, end := 0, searchNum(posts, f, true); i < end; i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 		posts = ki.numRange[rGE] // f >= t: thresholds at or below f
 		for i, end := 0, searchNum(posts, f, false); i < end; i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 	case v.Type == attr.TypeString:
 		s := v.Str()
-		for _, h := range ki.eqStr[s] {
-			cand = ix.note(cand, h)
-		}
+		cand = append(cand, ki.eqStr[s]...)
 		posts := ki.strRange[rLT]
 		for i := searchStr(posts, s, false); i < len(posts); i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 		posts = ki.strRange[rLE]
 		for i := searchStr(posts, s, true); i < len(posts); i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 		posts = ki.strRange[rGT]
 		for i, end := 0, searchStr(posts, s, true); i < end; i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 		posts = ki.strRange[rGE]
 		for i, end := 0, searchStr(posts, s, false); i < end; i++ {
-			cand = ix.note(cand, posts[i].h)
+			cand = append(cand, posts[i].h)
 		}
 	default: // blob: EQ buckets only; blob ranges live on the always list
-		for _, h := range ki.eqBlob[string(v.Blob())] {
-			cand = ix.note(cand, h)
-		}
+		cand = append(cand, ki.eqBlob[string(v.Blob())]...)
 	}
 	return cand
 }
@@ -399,24 +476,21 @@ func searchStr(p []strPost, v string, orEq bool) int {
 
 // choosePivot elects the most selective indexable formal of v:
 // EQ > numeric range > string range > EQ_ANY > NE, first in vector order
-// among equals. Vectors without one fall back to the always list.
-func choosePivot(v attr.Vec) pivot {
-	best := pivot{kind: pivotAlways}
+// among equals, and its position in v. Vectors without one fall back to
+// the always list, at -1.
+func choosePivot(v attr.Vec) (best pivot, at int) {
+	best, at = pivot{kind: pivotAlways}, -1
 	bestRank := 0
-	for _, a := range v {
-		if !a.Op.IsFormal() {
-			continue
-		}
-		p, rank := classify(a)
-		if rank > bestRank {
-			best, bestRank = p, rank
+	for i, a := range v {
+		if p, rank := classify(a); rank > bestRank {
+			best, at, bestRank = p, i, rank
 		}
 	}
-	return best
+	return best, at
 }
 
 // classify maps one formal to its posting location and selectivity rank;
-// rank 0 means not indexable.
+// rank 0 means not indexable, as is every actual.
 func classify(a attr.Attribute) (pivot, int) {
 	switch a.Op {
 	case attr.EQ:
@@ -472,11 +546,10 @@ func (ix *Index) keyIndexFor(k attr.Key) *keyIndex {
 	return ki
 }
 
-// install files h into the posting its pivot names.
-func (ix *Index) install(h Handle, s *slot) {
-	p := s.pv
+// install files h into the posting p names.
+func (ix *Index) install(h Handle, p pivot) {
 	if p.kind == pivotAlways {
-		s.pos = int32(len(ix.always))
+		ix.slots[h].pos = int32(len(ix.always))
 		ix.always = append(ix.always, h)
 		return
 	}
@@ -512,10 +585,10 @@ func (ix *Index) install(h Handle, s *slot) {
 	}
 }
 
-// uninstall removes h from the posting its pivot names.
+// uninstall removes h from the posting its pivot names, recomputed from
+// the slot's first formal.
 func (ix *Index) uninstall(h Handle, s *slot) {
-	p := s.pv
-	if p.kind == pivotAlways {
+	if s.kind == pivotAlways {
 		last := len(ix.always) - 1
 		moved := ix.always[last]
 		ix.always[s.pos] = moved
@@ -523,6 +596,7 @@ func (ix *Index) uninstall(h Handle, s *slot) {
 		ix.always = ix.always[:last]
 		return
 	}
+	p, _ := classify(ix.formals[s.fOff])
 	ki := ix.keys[p.key]
 	switch p.kind {
 	case pivotEQNum:

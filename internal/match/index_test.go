@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -258,6 +259,36 @@ func TestIndexStats(t *testing.T) {
 	}
 	if st.Hits != 2 {
 		t.Errorf("Hits=%d", st.Hits)
+	}
+}
+
+// TestSlotHoldsNoPointers: a broker's slot array stays off the collector's
+// scan list only while slot is pointer-free; a field that adds a pointer
+// fails here by name.
+func TestSlotHoldsNoPointers(t *testing.T) {
+	var pointers func(reflect.Type) bool
+	pointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if pointers(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return ty.Len() > 0 && pointers(ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+			reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+			return true
+		}
+		return false
+	}
+	ty := reflect.TypeOf(slot{})
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); pointers(f.Type) {
+			t.Errorf("slot.%s (%v) holds a pointer", f.Name, f.Type)
+		}
 	}
 }
 

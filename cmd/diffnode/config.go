@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -12,249 +13,250 @@ import (
 
 // Config is one diffnode's deployment description: identity, sockets, the
 // static neighbor table, protocol timings, and the application state to
-// install at boot. It can be loaded from a JSON file (-config) with
-// individual flags overriding, so a cluster is a directory of small JSON
-// files plus one binary.
+// install at boot, so a cluster is a directory of small JSON files plus one
+// binary. options declares each field's flag, file key and meaning; zero
+// values take the defaults named there (see validate and core.Config).
 type Config struct {
-	// ID is this node's link-layer identifier (required, nonzero).
-	ID uint32 `json:"id"`
-	// Listen is the UDP address for diffusion traffic ("127.0.0.1:7001").
-	Listen string `json:"listen"`
-	// HTTP is the control-plane listen address ("127.0.0.1:8001").
-	HTTP string `json:"http"`
-	// Neighbors maps neighbor IDs to their UDP addresses. Optional when
-	// discovery is on (Seeds/Discover): the membership protocol finds
-	// neighbors at runtime, and any static entries are pinned — counted
-	// against the degree cap but never evicted.
-	Neighbors map[uint32]string `json:"neighbors"`
+	ID               uint32
+	Listen, HTTP     string
+	Neighbors        map[uint32]string
+	Seeds            []string
+	Discover         bool
+	DegreeCap        int
+	AnnounceInterval time.Duration
+	Energy           float64
+	Advertise        string
+	AddrFile         string
 
-	// Seeds are UDP addresses of existing mesh members to announce to at
-	// boot. Setting any enables neighbor discovery: the node introduces
-	// itself to the seeds, learns the rest of the mesh by gossip, and
-	// promotes/demotes neighbors at runtime.
-	Seeds []string `json:"seeds"`
-	// Discover enables discovery without seeds — the stance of the first
-	// node in a fresh mesh, which just listens for announces.
-	Discover bool `json:"discover"`
-	// DegreeCap bounds configured + discovered neighbors (0: 8). Slots go
-	// to the highest cluster-head scores; isolated nodes are always
-	// rescued (see transport.DiscoveryConfig).
-	DegreeCap int `json:"degree_cap"`
-	// AnnounceInterval is the discovery announce period (0: 1s).
-	AnnounceInterval time.Duration `json:"announce_interval"`
-	// Energy in (0,1] is the node's advertised energy level, the
-	// cluster-head tiebreak (0: 1.0).
-	Energy float64 `json:"energy"`
-	// Advertise is the UDP address announced to peers, for when the bound
-	// address is not the reachable one (default: the bound address).
-	Advertise string `json:"advertise"`
+	Keys               []string
+	Subscribe, Publish []string
+	Filters            []string
 
-	// AddrFile, when set, is written atomically after the sockets bind
-	// with {"id","udp","http"} — how an orchestrator learns the real ports
-	// when listening on ":0".
-	AddrFile string `json:"addr_file"`
+	Seed                                  int64
+	InterestInterval, ExploratoryInterval time.Duration
+	ExploratoryEvery                      int
+	ForwardJitter                         time.Duration
+	TTL                                   uint8
+	Loss                                  float64
+	Latency                               time.Duration
 
-	// Keys pre-registers application attribute keys, in order. Attribute
-	// keys travel as 32-bit numbers (the paper "assume[s] out-of-band
-	// coordination of their values"); listing the same names in the same
-	// order in every node's config is that coordination. The paper's
-	// well-known vocabulary (type, interval, instance, sequence, ...) is
-	// always pre-registered and needs no entry here.
-	Keys []string `json:"keys"`
+	Heartbeat, SuspectAfter, DeadAfter time.Duration
+	Reliable                           bool
+	ReliableRTO                        time.Duration
+	Custody                            bool
+	CustodyFile                        string
+	CustodyLimit                       int
+	SeenTTL                            time.Duration
+	EnergyAware                        bool
 
-	// Subscribe and Publish are attribute vectors (paper textual
-	// notation) installed at boot; handles are reported on the log and
-	// visible via GET /state.
-	Subscribe []string `json:"subscribe"`
-	Publish   []string `json:"publish"`
-	// Filters names in-network processing filters to install at boot:
-	// "tap", "suppress" or "cache", each optionally followed by
-	// ":<attrs>" restricting the filter to matching messages
-	// (e.g. "suppress:task EQ surveillance").
-	Filters []string `json:"filters"`
-
-	// Seed drives the node's jitter stream (default: the node ID).
-	Seed int64 `json:"seed"`
-	// Protocol timings; zero values take the paper's testbed defaults
-	// (see core.Config).
-	InterestInterval    time.Duration `json:"interest_interval"`
-	ExploratoryInterval time.Duration `json:"exploratory_interval"`
-	ExploratoryEvery    int           `json:"exploratory_every"`
-	ForwardJitter       time.Duration `json:"forward_jitter"`
-	TTL                 uint8         `json:"ttl"`
-
-	// Loss and Latency inject synthetic impairment on the UDP sends, for
-	// parity testing against the simulated radio.
-	Loss    float64       `json:"loss"`
-	Latency time.Duration `json:"latency"`
-
-	// Heartbeat is the neighbor failure detector's probe period. Zero
-	// takes the transport default (1s); a negative value disables the
-	// detector entirely (no heartbeats, no dead-neighbor events).
-	Heartbeat time.Duration `json:"heartbeat"`
-	// SuspectAfter and DeadAfter are the silence thresholds that mark a
-	// neighbor suspect and dead (defaults 3x and 8x the heartbeat).
-	SuspectAfter time.Duration `json:"suspect_after"`
-	DeadAfter    time.Duration `json:"dead_after"`
-
-	// Reliable turns on per-neighbor acknowledged unicast with
-	// retransmission and overload shedding (see transport.ReliableConfig).
-	// Broadcasts stay best-effort, as on a radio.
-	Reliable bool `json:"reliable"`
-	// ReliableRTO is the initial retransmission timeout (0: transport
-	// default, 200ms).
-	ReliableRTO time.Duration `json:"reliable_rto"`
-
-	// Custody enables disruption-tolerant custody transfer: reinforced
-	// data that cannot be forwarded is parked in a bounded custody queue
-	// and replayed when a path appears, with hop-by-hop transfer to the
-	// next custodian acknowledged only after a durable accept. Setting
-	// CustodyFile or CustodyLimit implies Custody.
-	Custody bool `json:"custody"`
-	// CustodyFile is the fsync'd custody journal; custodial data in it
-	// survives SIGKILL and is replayed after a warm restart. Empty keeps
-	// custody memory-only (survives partitions, not crashes).
-	CustodyFile string `json:"custody_file"`
-	// CustodyLimit bounds the custody queue (0: 1024).
-	CustodyLimit int `json:"custody_limit"`
-	// SeenTTL is the duplicate-suppression horizon (0: 2m). Deployments
-	// expecting multi-minute partitions should raise it past the longest
-	// partition they must ride out, so replayed custody is not mistaken
-	// for fresh traffic after its ID aged out of the sink's cache.
-	SeenTTL time.Duration `json:"seen_ttl"`
-	// EnergyAware spreads reinforcement across equally-fresh exploratory
-	// deliverers instead of always reinforcing the first (see
-	// core.Config.EnergyAware).
-	EnergyAware bool `json:"energy_aware"`
-
-	// TraceSample enables flight-path tracing: each origination is
-	// sampled with this probability (0: off, 1: every message) and tagged
-	// with a 16-bit flow ID that rides the wire; every layer records span
-	// events for tagged messages into a bounded ring served at GET /spans
-	// for cmd/diffscope to merge cluster-wide.
-	TraceSample float64 `json:"trace_sample"`
-
-	// Pprof mounts net/http/pprof's profiling endpoints on the control
-	// plane under /debug/pprof/. Off by default: the control plane is
-	// often reachable beyond localhost and profiles leak heap contents.
-	Pprof bool `json:"pprof"`
-
-	// StateFile, when set, persists the application layer (keys,
-	// subscriptions, publications, filters) after every mutation so a
-	// crashed node warm-restarts into the same role. Empty disables
-	// persistence.
-	StateFile string `json:"state_file"`
-
-	// Drain is how long shutdown keeps forwarding after withdrawing the
-	// application layer, letting in-flight traffic and reinforcement
-	// state settle (default 500ms).
-	Drain time.Duration `json:"drain"`
+	TraceSample float64
+	Pprof       bool
+	StateFile   string
+	Drain       time.Duration
 }
 
-// UnmarshalJSON accepts durations as Go strings ("500ms") and neighbor
-// keys as JSON strings, the natural forms in a hand-written config file.
-func (c *Config) UnmarshalJSON(b []byte) error {
-	type raw struct {
-		ID                  uint32            `json:"id"`
-		Listen              string            `json:"listen"`
-		HTTP                string            `json:"http"`
-		Neighbors           map[string]string `json:"neighbors"`
-		Seeds               []string          `json:"seeds"`
-		Discover            bool              `json:"discover"`
-		DegreeCap           int               `json:"degree_cap"`
-		AnnounceInterval    string            `json:"announce_interval"`
-		Energy              float64           `json:"energy"`
-		Advertise           string            `json:"advertise"`
-		AddrFile            string            `json:"addr_file"`
-		Keys                []string          `json:"keys"`
-		Subscribe           []string          `json:"subscribe"`
-		Publish             []string          `json:"publish"`
-		Filters             []string          `json:"filters"`
-		Seed                int64             `json:"seed"`
-		InterestInterval    string            `json:"interest_interval"`
-		ExploratoryInterval string            `json:"exploratory_interval"`
-		ExploratoryEvery    int               `json:"exploratory_every"`
-		ForwardJitter       string            `json:"forward_jitter"`
-		TTL                 uint8             `json:"ttl"`
-		Loss                float64           `json:"loss"`
-		Latency             string            `json:"latency"`
-		Heartbeat           string            `json:"heartbeat"`
-		SuspectAfter        string            `json:"suspect_after"`
-		DeadAfter           string            `json:"dead_after"`
-		Reliable            bool              `json:"reliable"`
-		ReliableRTO         string            `json:"reliable_rto"`
-		Custody             bool              `json:"custody"`
-		CustodyFile         string            `json:"custody_file"`
-		CustodyLimit        int               `json:"custody_limit"`
-		SeenTTL             string            `json:"seen_ttl"`
-		EnergyAware         bool              `json:"energy_aware"`
-		TraceSample         float64           `json:"trace_sample"`
-		Pprof               bool              `json:"pprof"`
-		StateFile           string            `json:"state_file"`
-		Drain               string            `json:"drain"`
+// option is one diffnode setting, declared once: its flag (empty for a
+// file-only setting), its config-file key, its help sentence and its field.
+// The table drives the flag set, the config-file decoder and the README's
+// option table.
+type option struct {
+	flag, key, help string
+	ptr             any
+}
+
+// list is a []string field. Its flag splits the value on sep (empty keeps
+// it whole) and appends to the file's list, or replaces it.
+type list struct {
+	p       *[]string
+	sep     string
+	replace bool
+}
+
+func (l list) set(s string) error {
+	if l.replace {
+		*l.p = nil
 	}
-	var r raw
-	if err := json.Unmarshal(b, &r); err != nil {
-		return err
+	*l.p = append(*l.p, splitList(s, l.sep)...)
+	return nil
+}
+
+// options lists every setting of c.
+func options(c *Config) []option {
+	return []option{
+		{"id", "id", "node ID (nonzero)", &c.ID},
+		{"listen", "listen", "UDP listen address for diffusion traffic", &c.Listen},
+		{"http", "http", "HTTP control-plane listen address", &c.HTTP},
+		// Optional under discovery, where static entries are pinned: counted
+		// against the degree cap, never evicted.
+		{"neighbors", "neighbors", "static neighbor table: ID=HOST:PORT,... (fully overrides the config file's table; empty clears it)", &c.Neighbors},
+		{"seed", "seeds", "comma-separated UDP addresses of running mesh members to join through (enables discovery)", list{&c.Seeds, ",", true}},
+		{"discover", "discover", "enable neighbor discovery without seeds (the first node of a fresh mesh)", &c.Discover},
+		// Slots go to the highest cluster-head scores, and an isolated node
+		// is always rescued (see transport.DiscoveryConfig).
+		{"degree-cap", "degree_cap", "max neighbors, configured + discovered (0: 8)", &c.DegreeCap},
+		{"announce-interval", "announce_interval", "discovery announce period (0: 1s)", &c.AnnounceInterval},
+		{"energy", "energy", "advertised energy level in (0,1], the cluster-head tiebreak (0: 1.0)", &c.Energy},
+		{"advertise", "advertise", "UDP address announced to peers (default: the bound address)", &c.Advertise},
+		// Written atomically: how an orchestrator learns the real ports.
+		{"addr-file", "addr_file", "write {id,udp,http} JSON here once the sockets bind (for orchestrators using :0)", &c.AddrFile},
+		// Attribute keys travel as 32-bit numbers (the paper "assume[s]
+		// out-of-band coordination of their values"): the same names in the
+		// same order on every node is that coordination. The paper's
+		// well-known vocabulary (type, interval, ...) needs no entry.
+		{"keys", "keys", "comma-separated application attribute keys to pre-register, in order", list{&c.Keys, ",", false}},
+		// Attribute vectors in the paper's textual notation; their handles
+		// go to the log and GET /state.
+		{"subscribe", "subscribe", "attribute formals to subscribe at boot", list{&c.Subscribe, "", false}},
+		{"publish", "publish", "attribute actuals to publish at boot", list{&c.Publish, "", false}},
+		{"filters", "filters", "semicolon-separated filters: tap, suppress, cache (optionally name:<attrs>)", list{&c.Filters, ";", false}},
+		{"jitter-seed", "seed", "jitter seed (default: node ID)", &c.Seed},
+		{"interest-interval", "interest_interval", "interest refresh period (0: paper default)", &c.InterestInterval},
+		{"exploratory-interval", "exploratory_interval", "exploratory data period (0: paper default)", &c.ExploratoryInterval},
+		{"", "exploratory_every", "make every Nth data message exploratory instead of timing them (0: use the period)", &c.ExploratoryEvery},
+		{"forward-jitter", "forward_jitter", "broadcast forwarding jitter (0: paper default)", &c.ForwardJitter},
+		{"", "ttl", "hop limit of interest and exploratory flooding (0: paper default)", &c.TTL},
+		// Synthetic impairment of the UDP sends, for parity testing against
+		// the simulated radio.
+		{"loss", "loss", "injected send loss probability [0,1)", &c.Loss},
+		{"latency", "latency", "injected send latency", &c.Latency},
+		{"heartbeat", "heartbeat", "neighbor heartbeat period (0: 1s default, negative: disable failure detection)", &c.Heartbeat},
+		{"suspect-after", "suspect_after", "silence marking a neighbor suspect (0: 3x heartbeat)", &c.SuspectAfter},
+		{"dead-after", "dead_after", "silence marking a neighbor dead (0: 8x heartbeat)", &c.DeadAfter},
+		// Per-neighbor, with overload shedding (see transport.ReliableConfig);
+		// broadcasts stay best-effort, as on a radio.
+		{"reliable", "reliable", "acknowledged unicast with retransmission", &c.Reliable},
+		{"reliable-rto", "reliable_rto", "initial retransmission timeout (0: 200ms default)", &c.ReliableRTO},
+		// Reinforced data with no path waits in a bounded queue; the next
+		// custodian acks only after a durable accept. Without a journal,
+		// custody survives partitions but not crashes.
+		{"custody", "custody", "disruption-tolerant custody transfer for reinforced data", &c.Custody},
+		{"custody-file", "custody_file", "fsync'd custody journal (implies -custody; custody survives SIGKILL)", &c.CustodyFile},
+		{"custody-limit", "custody_limit", "custody queue bound (implies -custody; 0: 1024)", &c.CustodyLimit},
+		// Replayed custody must not look fresh because its ID aged out of
+		// the sink's cache.
+		{"seen-ttl", "seen_ttl", "duplicate-suppression horizon (0: 2m; raise past the longest expected partition)", &c.SeenTTL},
+		{"energy-aware", "energy_aware", "energy-aware reinforcement: spread load across exploratory deliverers", &c.EnergyAware},
+		// A sampled origination carries a 16-bit flow ID on the wire, and
+		// every layer it touches records spans; cmd/diffscope merges them.
+		{"trace-sample", "trace_sample", "flight-path tracing sample probability [0,1]; spans served at GET /spans", &c.TraceSample},
+		// Off by default: the control plane is often reachable beyond
+		// localhost, and profiles leak heap contents.
+		{"pprof", "pprof", "mount net/http/pprof endpoints under /debug/pprof/ on the control plane", &c.Pprof},
+		// Keys, subscriptions, publications and filters, written after every
+		// mutation, so a crashed node warm-restarts into the same role.
+		{"state-file", "state_file", "persist application state here and warm-restart from it", &c.StateFile},
+		{"drain", "drain", "shutdown drain window (default 500ms)", &c.Drain},
 	}
-	c.ID, c.Listen, c.HTTP = r.ID, r.Listen, r.HTTP
-	c.Seeds, c.Discover, c.DegreeCap = r.Seeds, r.Discover, r.DegreeCap
-	c.Energy, c.Advertise, c.AddrFile = r.Energy, r.Advertise, r.AddrFile
-	c.Keys, c.Subscribe, c.Publish, c.Filters = r.Keys, r.Subscribe, r.Publish, r.Filters
-	c.Seed, c.ExploratoryEvery, c.TTL, c.Loss = r.Seed, r.ExploratoryEvery, r.TTL, r.Loss
-	c.Reliable, c.StateFile = r.Reliable, r.StateFile
-	c.Custody, c.CustodyFile, c.CustodyLimit = r.Custody, r.CustodyFile, r.CustodyLimit
-	c.EnergyAware = r.EnergyAware
-	c.TraceSample, c.Pprof = r.TraceSample, r.Pprof
-	if r.Neighbors != nil {
-		c.Neighbors = map[uint32]string{}
-		for k, v := range r.Neighbors {
-			id, err := strconv.ParseUint(k, 10, 32)
-			if err != nil {
-				return fmt.Errorf("neighbor key %q: %w", k, err)
-			}
-			c.Neighbors[uint32(id)] = v
-		}
-	}
-	for _, f := range []struct {
-		s   string
-		dst *time.Duration
-	}{
-		{r.AnnounceInterval, &c.AnnounceInterval},
-		{r.InterestInterval, &c.InterestInterval},
-		{r.ExploratoryInterval, &c.ExploratoryInterval},
-		{r.ForwardJitter, &c.ForwardJitter},
-		{r.Latency, &c.Latency},
-		{r.Heartbeat, &c.Heartbeat},
-		{r.SuspectAfter, &c.SuspectAfter},
-		{r.DeadAfter, &c.DeadAfter},
-		{r.ReliableRTO, &c.ReliableRTO},
-		{r.SeenTTL, &c.SeenTTL},
-		{r.Drain, &c.Drain},
-	} {
-		if f.s == "" {
+}
+
+// flagSet binds every option with a flag to its field in c, plus -config
+// to path. A field's current value is its flag's default.
+func flagSet(c *Config, path *string, h flag.ErrorHandling) *flag.FlagSet {
+	fs := flag.NewFlagSet(os.Args[0], h)
+	fs.StringVar(path, "config", "", "JSON config file (flags override)")
+	for _, o := range options(c) {
+		if o.flag == "" {
 			continue
 		}
-		d, err := time.ParseDuration(f.s)
-		if err != nil {
-			return fmt.Errorf("duration %q: %w", f.s, err)
+		switch p := o.ptr.(type) {
+		case *string:
+			fs.StringVar(p, o.flag, *p, o.help)
+		case *bool:
+			fs.BoolVar(p, o.flag, *p, o.help)
+		case *int:
+			fs.IntVar(p, o.flag, *p, o.help)
+		case *int64:
+			fs.Int64Var(p, o.flag, *p, o.help)
+		case *float64:
+			fs.Float64Var(p, o.flag, *p, o.help)
+		case *time.Duration:
+			fs.DurationVar(p, o.flag, *p, o.help)
+		case *uint32:
+			fs.Func(o.flag, o.help, func(s string) error {
+				n, err := strconv.ParseUint(s, 10, 32)
+				*p = uint32(n)
+				return err
+			})
+		case *map[uint32]string:
+			fs.Func(o.flag, o.help, func(s string) (err error) {
+				*p, err = parseNeighbors(s)
+				return err
+			})
+		case list:
+			fs.Func(o.flag, o.help, p.set)
 		}
-		*f.dst = d
+	}
+	return fs
+}
+
+// loadConfig reads a JSON config file. Durations are Go strings ("500ms")
+// and neighbor IDs string keys, the natural forms in a hand-written file;
+// a key that names no option is an error.
+func loadConfig(path string) (c Config, err error) {
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = c.decode(b)
+	}
+	if err != nil {
+		err = fmt.Errorf("config %s: %w", path, err)
+	}
+	return c, err
+}
+
+func (c *Config) decode(b []byte) error {
+	var file map[string]json.RawMessage
+	if err := json.Unmarshal(b, &file); err != nil {
+		return err
+	}
+	for _, o := range options(c) {
+		v, ok := file[o.key]
+		if !ok {
+			continue
+		}
+		delete(file, o.key)
+		if err := decodeValue(v, o.ptr); err != nil {
+			return fmt.Errorf("%s: %w", o.key, err)
+		}
+	}
+	var unknown []string
+	for k := range file {
+		unknown = append(unknown, strconv.Quote(k))
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return fmt.Errorf("unknown key %s", strings.Join(unknown, ", "))
 	}
 	return nil
 }
 
-// loadConfig reads a JSON config file.
-func loadConfig(path string) (Config, error) {
-	var c Config
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return c, err
+func decodeValue(v json.RawMessage, ptr any) error {
+	switch p := ptr.(type) {
+	case *time.Duration:
+		var s string
+		err := json.Unmarshal(v, &s)
+		if err == nil && s != "" {
+			*p, err = time.ParseDuration(s)
+		}
+		return err
+	case *map[uint32]string:
+		var m map[string]string
+		if err := json.Unmarshal(v, &m); err != nil {
+			return err
+		}
+		*p = map[uint32]string{}
+		for k, addr := range m {
+			id, err := strconv.ParseUint(k, 10, 32)
+			if err != nil {
+				return fmt.Errorf("neighbor key %q: %w", k, err)
+			}
+			(*p)[uint32(id)] = addr
+		}
+	case list:
+		return json.Unmarshal(v, p.p)
+	default:
+		return json.Unmarshal(v, ptr)
 	}
-	if err := json.Unmarshal(b, &c); err != nil {
-		return c, fmt.Errorf("config %s: %w", path, err)
-	}
-	return c, nil
+	return nil
 }
 
 // parseNeighbors parses the -neighbors flag: "2=127.0.0.1:7002,3=...".
@@ -276,6 +278,23 @@ func parseNeighbors(s string) (map[uint32]string, error) {
 		out[uint32(n)] = strings.TrimSpace(addr)
 	}
 	return out, nil
+}
+
+// splitList splits a list flag on sep, trimming blanks; an empty sep keeps
+// the value whole. The -filters flag uses ';' because filter patterns are
+// attribute vectors, whose clauses are comma-separated; -keys uses ','.
+func splitList(s, sep string) []string {
+	parts := []string{s}
+	if sep != "" {
+		parts = strings.Split(s, sep)
+	}
+	var out []string
+	for _, f := range parts {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // validate fills defaults and rejects unusable configs.

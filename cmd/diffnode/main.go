@@ -46,77 +46,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 )
 
 func main() {
-	var (
-		configPath = flag.String("config", "", "JSON config file (flags override)")
-		id         = flag.Uint("id", 0, "node ID (nonzero)")
-		listen     = flag.String("listen", "", "UDP listen address for diffusion traffic")
-		httpAddr   = flag.String("http", "", "HTTP control-plane listen address")
-		neighbors  = flag.String("neighbors", "", "static neighbor table: ID=HOST:PORT,... (fully overrides the config file's table; empty clears it)")
-		seeds      = flag.String("seed", "", "comma-separated UDP addresses of running mesh members to join through (enables discovery)")
-		discover   = flag.Bool("discover", false, "enable neighbor discovery without seeds (the first node of a fresh mesh)")
-		degreeCap  = flag.Int("degree-cap", 0, "max neighbors, configured + discovered (0: 8)")
-		announceIv = flag.Duration("announce-interval", 0, "discovery announce period (0: 1s)")
-		energyLvl  = flag.Float64("energy", 0, "advertised energy level in (0,1], the cluster-head tiebreak (0: 1.0)")
-		advertise  = flag.String("advertise", "", "UDP address announced to peers (default: the bound address)")
-		addrFile   = flag.String("addr-file", "", "write {id,udp,http} JSON here once the sockets bind (for orchestrators using :0)")
-		keys       = flag.String("keys", "", "comma-separated application attribute keys to pre-register, in order")
-		subscribe  = flag.String("subscribe", "", "attribute formals to subscribe at boot")
-		publish    = flag.String("publish", "", "attribute actuals to publish at boot")
-		filtersF   = flag.String("filters", "", "semicolon-separated filters: tap, suppress, cache (optionally name:<attrs>)")
-		seed       = flag.Int64("jitter-seed", 0, "jitter seed (default: node ID)")
-		interestIv = flag.Duration("interest-interval", 0, "interest refresh period (0: paper default)")
-		explIv     = flag.Duration("exploratory-interval", 0, "exploratory data period (0: paper default)")
-		jitter     = flag.Duration("forward-jitter", 0, "broadcast forwarding jitter (0: paper default)")
-		loss       = flag.Float64("loss", 0, "injected send loss probability [0,1)")
-		latency    = flag.Duration("latency", 0, "injected send latency")
-		heartbeat  = flag.Duration("heartbeat", 0, "neighbor heartbeat period (0: 1s default, negative: disable failure detection)")
-		suspectAf  = flag.Duration("suspect-after", 0, "silence marking a neighbor suspect (0: 3x heartbeat)")
-		deadAf     = flag.Duration("dead-after", 0, "silence marking a neighbor dead (0: 8x heartbeat)")
-		reliable   = flag.Bool("reliable", false, "acknowledged unicast with retransmission")
-		relRTO     = flag.Duration("reliable-rto", 0, "initial retransmission timeout (0: 200ms default)")
-		custodyOn  = flag.Bool("custody", false, "disruption-tolerant custody transfer for reinforced data")
-		custFile   = flag.String("custody-file", "", "fsync'd custody journal (implies -custody; custody survives SIGKILL)")
-		custLimit  = flag.Int("custody-limit", 0, "custody queue bound (implies -custody; 0: 1024)")
-		seenTTL    = flag.Duration("seen-ttl", 0, "duplicate-suppression horizon (0: 2m; raise past the longest expected partition)")
-		energy     = flag.Bool("energy-aware", false, "energy-aware reinforcement: spread load across exploratory deliverers")
-		traceSamp  = flag.Float64("trace-sample", 0, "flight-path tracing sample probability [0,1]; spans served at GET /spans")
-		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/ on the control plane")
-		stateFile  = flag.String("state-file", "", "persist application state here and warm-restart from it")
-		drain      = flag.Duration("drain", 0, "shutdown drain window (default 500ms)")
-	)
-	flag.Parse()
-	neighborsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "neighbors" {
-			neighborsSet = true
-		}
-	})
-
-	cfg, err := buildConfig(*configPath, flagOverrides{
-		id: uint32(*id), listen: *listen, http: *httpAddr,
-		neighbors: *neighbors, neighborsSet: neighborsSet,
-		seeds: *seeds, discover: *discover, degreeCap: *degreeCap,
-		announceInterval: *announceIv, energy: *energyLvl,
-		advertise: *advertise, addrFile: *addrFile,
-		keys:      *keys,
-		subscribe: *subscribe, publish: *publish, filters: *filtersF, seed: *seed,
-		interestInterval: *interestIv, exploratoryInterval: *explIv,
-		forwardJitter: *jitter, loss: *loss, latency: *latency,
-		heartbeat: *heartbeat, suspectAfter: *suspectAf, deadAfter: *deadAf,
-		reliable: *reliable, reliableRTO: *relRTO,
-		custody: *custodyOn, custodyFile: *custFile, custodyLimit: *custLimit,
-		seenTTL: *seenTTL, energyAware: *energy,
-		traceSample: *traceSamp, pprof: *pprofOn,
-		stateFile: *stateFile, drain: *drain,
-	})
+	cfg, err := buildConfig(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -139,166 +76,21 @@ func main() {
 	}
 }
 
-// flagOverrides carries the flag values into config assembly; zero values
-// leave the file's settings alone.
-type flagOverrides struct {
-	id                  uint32
-	listen, http        string
-	neighbors, keys     string
-	neighborsSet        bool // -neighbors was given, even if empty (clears the table)
-	seeds               string
-	discover            bool
-	degreeCap           int
-	announceInterval    time.Duration
-	energy              float64
-	advertise, addrFile string
-	subscribe, publish  string
-	filters             string
-	seed                int64
-	interestInterval    time.Duration
-	exploratoryInterval time.Duration
-	forwardJitter       time.Duration
-	loss                float64
-	latency             time.Duration
-	heartbeat           time.Duration
-	suspectAfter        time.Duration
-	deadAfter           time.Duration
-	reliable            bool
-	reliableRTO         time.Duration
-	custody             bool
-	custodyFile         string
-	custodyLimit        int
-	seenTTL             time.Duration
-	energyAware         bool
-	traceSample         float64
-	pprof               bool
-	stateFile           string
-	drain               time.Duration
-}
-
-// buildConfig loads the optional config file and applies flag overrides.
-func buildConfig(path string, f flagOverrides) (Config, error) {
-	var cfg Config
-	if path != "" {
-		c, err := loadConfig(path)
-		if err != nil {
+// buildConfig reads the command line in two passes: the first finds
+// -config, the second binds the flags to the Config loaded from that file.
+// So every flag given wins over the file, whatever its value, except that
+// -keys, -subscribe, -publish and -filters add to the file's lists. A bad
+// flag or -h exits, as flag.Parse does.
+func buildConfig(args []string) (cfg Config, err error) {
+	var path string
+	first := flagSet(&Config{}, &path, flag.ContinueOnError)
+	first.SetOutput(io.Discard)
+	if first.Parse(args) == nil && path != "" {
+		if cfg, err = loadConfig(path); err != nil {
 			return cfg, err
 		}
-		cfg = c
 	}
-	if f.id != 0 {
-		cfg.ID = f.id
-	}
-	if f.listen != "" {
-		cfg.Listen = f.listen
-	}
-	if f.http != "" {
-		cfg.HTTP = f.http
-	}
-	if f.neighborsSet {
-		// The flag is the whole table, not a merge into the file's: an
-		// operator overriding the topology must not inherit stale entries,
-		// and an explicitly empty -neighbors clears the static table (a
-		// discovery-only node driven from a shared config file).
-		nb, err := parseNeighbors(f.neighbors)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Neighbors = nb
-	}
-	if f.seeds != "" {
-		cfg.Seeds = splitList(f.seeds, ',')
-	}
-	if f.discover {
-		cfg.Discover = true
-	}
-	if f.degreeCap != 0 {
-		cfg.DegreeCap = f.degreeCap
-	}
-	if f.announceInterval != 0 {
-		cfg.AnnounceInterval = f.announceInterval
-	}
-	if f.energy != 0 {
-		cfg.Energy = f.energy
-	}
-	if f.advertise != "" {
-		cfg.Advertise = f.advertise
-	}
-	if f.addrFile != "" {
-		cfg.AddrFile = f.addrFile
-	}
-	if f.keys != "" {
-		cfg.Keys = append(cfg.Keys, splitList(f.keys, ',')...)
-	}
-	if f.subscribe != "" {
-		cfg.Subscribe = append(cfg.Subscribe, f.subscribe)
-	}
-	if f.publish != "" {
-		cfg.Publish = append(cfg.Publish, f.publish)
-	}
-	if f.filters != "" {
-		cfg.Filters = append(cfg.Filters, splitList(f.filters, ';')...)
-	}
-	if f.seed != 0 {
-		cfg.Seed = f.seed
-	}
-	if f.interestInterval != 0 {
-		cfg.InterestInterval = f.interestInterval
-	}
-	if f.exploratoryInterval != 0 {
-		cfg.ExploratoryInterval = f.exploratoryInterval
-	}
-	if f.forwardJitter != 0 {
-		cfg.ForwardJitter = f.forwardJitter
-	}
-	if f.loss != 0 {
-		cfg.Loss = f.loss
-	}
-	if f.latency != 0 {
-		cfg.Latency = f.latency
-	}
-	if f.heartbeat != 0 {
-		cfg.Heartbeat = f.heartbeat
-	}
-	if f.suspectAfter != 0 {
-		cfg.SuspectAfter = f.suspectAfter
-	}
-	if f.deadAfter != 0 {
-		cfg.DeadAfter = f.deadAfter
-	}
-	if f.reliable {
-		cfg.Reliable = true
-	}
-	if f.reliableRTO != 0 {
-		cfg.ReliableRTO = f.reliableRTO
-	}
-	if f.custody {
-		cfg.Custody = true
-	}
-	if f.custodyFile != "" {
-		cfg.CustodyFile = f.custodyFile
-	}
-	if f.custodyLimit != 0 {
-		cfg.CustodyLimit = f.custodyLimit
-	}
-	if f.seenTTL != 0 {
-		cfg.SeenTTL = f.seenTTL
-	}
-	if f.energyAware {
-		cfg.EnergyAware = true
-	}
-	if f.traceSample != 0 {
-		cfg.TraceSample = f.traceSample
-	}
-	if f.pprof {
-		cfg.Pprof = true
-	}
-	if f.stateFile != "" {
-		cfg.StateFile = f.stateFile
-	}
-	if f.drain != 0 {
-		cfg.Drain = f.drain
-	}
+	flagSet(&cfg, &path, flag.ExitOnError).Parse(args)
 	// A node with neither a static table nor discovery would sit deaf
 	// forever; catch the misconfiguration at the CLI instead of booting a
 	// useless process. (In-process embedders may still run standalone
@@ -307,17 +99,4 @@ func buildConfig(path string, f flagOverrides) (Config, error) {
 		return cfg, fmt.Errorf("diffnode: no neighbors and no discovery: set -neighbors, -seed, or -discover")
 	}
 	return cfg, nil
-}
-
-// splitList splits a list flag on sep, trimming blanks. The -filters flag
-// uses ';' because filter patterns are attribute vectors, whose clauses
-// are comma-separated; -keys uses ','.
-func splitList(s string, sep byte) []string {
-	var out []string
-	for _, f := range strings.Split(s, string(sep)) {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -130,9 +130,7 @@ func TestNeighborsFlagPrecedence(t *testing.T) {
 	}
 
 	// Flag overrides replace the file's table wholesale.
-	cfg, err := buildConfig(path, flagOverrides{
-		neighborsSet: true, neighbors: "9=127.0.0.1:7009",
-	})
+	cfg, err := buildConfig([]string{"-config", path, "-neighbors", "9=127.0.0.1:7009"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +140,7 @@ func TestNeighborsFlagPrecedence(t *testing.T) {
 
 	// An empty -neighbors clears the static table; with a seed given the
 	// node becomes discovery-only rather than an error.
-	cfg, err = buildConfig(path, flagOverrides{
-		neighborsSet: true, neighbors: "", seeds: "127.0.0.1:7001",
-	})
+	cfg, err = buildConfig([]string{"-config", path, "-neighbors", "", "-seed", "127.0.0.1:7001"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +152,12 @@ func TestNeighborsFlagPrecedence(t *testing.T) {
 	}
 
 	// Clearing the table with no discovery fallback is a config error.
-	if _, err := buildConfig(path, flagOverrides{neighborsSet: true}); err == nil {
+	if _, err := buildConfig([]string{"-config", path, "-neighbors", ""}); err == nil {
 		t.Fatal("no neighbors and no discovery: want error")
 	}
 
 	// Without the flag the file's table stands untouched.
-	cfg, err = buildConfig(path, flagOverrides{})
+	cfg, err = buildConfig([]string{"-config", path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +166,7 @@ func TestNeighborsFlagPrecedence(t *testing.T) {
 	}
 
 	// -discover alone satisfies the check (pure listener seed node).
-	if _, err := buildConfig("", flagOverrides{discover: true}); err != nil {
+	if _, err := buildConfig([]string{"-discover"}); err != nil {
 		t.Fatalf("-discover alone: %v", err)
 	}
 }

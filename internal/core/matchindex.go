@@ -9,8 +9,8 @@ import (
 // matching for data, local subscription delivery, the filter chain,
 // custody replay candidate selection, dead-neighbor purge — runs on the
 // inverted attribute indexes below instead of linear table scans, which
-// is what lets one node carry millions of subscriptions (ROADMAP item 1;
-// the paper's section 6.3 anticipates exactly this class of matching
+// is what lets one node carry millions of subscriptions (a broker; the
+// paper's section 6.3 anticipates exactly this class of matching
 // optimization).
 //
 // Exactness and determinism contract:

@@ -14,7 +14,7 @@ import (
 // sinks and five sources. Its callers are the frozen benchmark's
 // sim.shards4_speedup probe and the fingerprint pins in determinism_test.go;
 // the names keep their "Parallel" (from the sharded kernel, DESIGN.md
-// section 8) until that probe is dropped (ROADMAP item 3).
+// section 8) until a benchmark change drops that probe.
 
 // ParallelScaleConfig parameterizes the 1024-node run.
 type ParallelScaleConfig struct {

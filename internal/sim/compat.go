@@ -5,7 +5,7 @@ import "time"
 // The frozen benchmark (cmd/diffbench) still builds its kernel micro-probe
 // through the sharded kernel's constructor. These names keep it compiling
 // over the one Engine; the shard and propagation arguments are accepted and
-// unused. They go with the sim.shards4_speedup probe (ROADMAP item 3).
+// unused. They go when a benchmark change drops the sim.shards4_speedup probe.
 
 type KernelConfig struct {
 	Seed        int64

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-var update = flag.Bool("update", false, "rewrite the option table in README.md")
+var update = flag.Bool("update", false, "rewrite README.md's option table and testdata/metrics_series.txt")
 
 // everyKey sets each of the config file's keys to a non-zero value.
 const everyKey = `{

@@ -19,7 +19,6 @@ import (
 	"diffusion/internal/attr"
 	"diffusion/internal/chaos"
 	"diffusion/internal/core"
-	"diffusion/internal/custody"
 	"diffusion/internal/filters"
 	"diffusion/internal/message"
 	"diffusion/internal/rt"
@@ -27,27 +26,16 @@ import (
 	"diffusion/internal/transport"
 )
 
-// Daemon is one live diffusion node: a core.Node on a wall-clock rt.Loop,
-// a UDP link layer, and an HTTP control plane. All node state is owned by
-// the loop; HTTP handlers cross onto it with loop.Call, receptions with
-// loop.Post, so the protocol code runs exactly as single-threaded as it
+// Daemon is one live diffusion node: an rt.Stack — a core.Node on a
+// wall-clock loop over a UDP link layer — and an HTTP control plane. All
+// node state is owned by the loop; HTTP handlers cross onto it with
+// Loop.Call, so the protocol code runs exactly as single-threaded as it
 // does in the simulator.
 type Daemon struct {
+	*rt.Stack
 	cfg   Config
 	logw  io.Writer
 	start time.Time
-
-	loop *rt.Loop
-	node *core.Node
-	link *transport.UDP
-	reg  *telemetry.Registry
-	hub  *telemetry.Hub
-
-	// Custody transfer (nil unless cfg.Custody): the bounded queue that
-	// vouches for reinforced data across partitions, and its fsync'd
-	// journal when cfg.CustodyFile is set.
-	cusq     *custody.Queue
-	cusStore *custody.Store
 
 	httpLn   net.Listener
 	httpSrv  *http.Server
@@ -64,21 +52,9 @@ type Daemon struct {
 	// this boot registered — from the state file on a warm restart, from
 	// the config otherwise — persisted as-is so key numbering survives
 	// restarts.
-	warm       bool
 	bootKeys   []string
 	stateSaves *telemetry.Counter
 	lastSaveMS *telemetry.Gauge
-
-	// flight is the always-on ring of recent protocol activity, dumped to
-	// the log when a neighbor dies; written on the loop, by the core and
-	// the liveness callbacks.
-	flight *telemetry.Ring
-
-	// spans is the flight-path span ring (nil unless cfg.TraceSample > 0),
-	// shared by the core and the transport and served at GET /spans. Core
-	// writes happen on the loop, transport writes on its own goroutines;
-	// both rings stamp with the loop's clock.
-	spans *telemetry.Ring
 
 	shutdownOnce sync.Once
 	shutdownErr  error
@@ -100,21 +76,19 @@ type delivery struct {
 // it.
 const deliveryRingCap = 1024
 
-// startDaemon brings a node up: transport, protocol stack, boot-time
-// application state, and the control plane. The caller owns Shutdown.
+// startDaemon brings a node up: the control plane's listener, the
+// protocol stack, boot-time application state, then the control plane
+// itself. The caller owns Shutdown.
 func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := &Daemon{cfg: cfg, logw: logw, start: time.Now(), loop: rt.NewLoop()}
-	d.flight = telemetry.NewRing(telemetry.DefaultFlightSize, d.loop.Now)
-	if cfg.TraceSample > 0 {
-		d.spans = telemetry.NewRing(telemetry.DefaultSpanSize, d.loop.Now)
-	}
+	d := &Daemon{cfg: cfg, logw: logw, start: time.Now()}
 
 	// Resolve the boot-time application state: a readable state file wins
 	// over the config lists (warm restart after a crash); anything else is
 	// a cold boot from the config.
+	warm := false
 	d.bootKeys = cfg.Keys
 	bootSubs, bootPubs, bootFilters := cfg.Subscribe, cfg.Publish, cfg.Filters
 	if cfg.StateFile != "" {
@@ -126,51 +100,11 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 			fmt.Fprintf(logw, "diffnode %d: state file %s belongs to node %d, ignoring\n",
 				cfg.ID, cfg.StateFile, st.ID)
 		case found:
-			d.warm = true
+			warm = true
 			d.bootKeys, bootSubs, bootPubs, bootFilters = st.Keys, st.Subscribe, st.Publish, st.Filters
 			fmt.Fprintf(logw, "diffnode %d: warm restart from %s (%d subscriptions, %d publications, saved %v ago)\n",
 				cfg.ID, cfg.StateFile, len(bootSubs), len(bootPubs),
 				time.Since(time.UnixMilli(st.SavedAtMS)).Round(time.Millisecond))
-		}
-	}
-
-	// Custody store and queue come up before the transport: the endpoint's
-	// Accept callback journals straight into the queue, and an offer must
-	// never be acknowledged before the journal exists.
-	var cusOpts *transport.CustodyOptions
-	if cfg.Custody {
-		var restored []custody.Item
-		// journal stays a nil interface for memory-only custody: a typed
-		// nil *Store in it would pass the queue's != nil guard and crash.
-		var journal custody.Journal
-		if cfg.CustodyFile != "" {
-			store, items, err := custody.OpenStore(cfg.CustodyFile)
-			if err != nil {
-				return nil, fmt.Errorf("diffnode: custody journal: %w", err)
-			}
-			d.cusStore, restored, journal = store, items, store
-		}
-		d.cusq = custody.NewQueue(cfg.CustodyLimit, journal)
-		d.cusq.Restore(restored)
-		if len(restored) > 0 {
-			st := d.cusStore.Stats()
-			fmt.Fprintf(logw, "diffnode %d: custody recovered %d items from %s (%d bytes torn tail discarded)\n",
-				cfg.ID, len(restored), cfg.CustodyFile, st.TailTruncated)
-		}
-		cusOpts = &transport.CustodyOptions{
-			// Accept runs on the endpoint's reader goroutine; the queue is
-			// internally locked and journals (fsync) before reporting held,
-			// so the ack the transport sends is backed by disk. AcceptOffer
-			// (not Accept) because the offerer releases on our ack: an ID
-			// this node held and released earlier must be re-held, or a
-			// custody walk revisiting us under changed topology would
-			// discharge data nobody holds.
-			Accept: func(from uint32, id message.ID, payload []byte) (held, fresh bool) {
-				return d.cusq.AcceptOffer(id, payload)
-			},
-			Release: func(peer uint32, id message.ID) {
-				d.cusq.Release(id)
-			},
 		}
 	}
 
@@ -179,8 +113,6 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 	// GET /neighbors, and that port is only known once the listener binds.
 	ln, err := net.Listen("tcp", cfg.HTTP)
 	if err != nil {
-		d.loop.Stop()
-		d.closeCustody()
 		return nil, fmt.Errorf("diffnode: control plane: %w", err)
 	}
 	d.httpLn = ln
@@ -207,152 +139,103 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 			Energy:      cfg.Energy,
 			Interval:    cfg.AnnounceInterval,
 			DegreeCap:   cfg.DegreeCap,
-			OnMember:    d.onMember,
 		}
 	}
 
 	var live *transport.LivenessConfig
 	if cfg.Heartbeat >= 0 {
 		live = &transport.LivenessConfig{
-			Interval:      cfg.Heartbeat, // 0 takes the transport default
-			SuspectAfter:  cfg.SuspectAfter,
-			DeadAfter:     cfg.DeadAfter,
-			OnStateChange: d.onPeerState,
+			Interval:     cfg.Heartbeat, // 0 takes the transport default
+			SuspectAfter: cfg.SuspectAfter,
+			DeadAfter:    cfg.DeadAfter,
 		}
 	}
 	var rel *transport.ReliableConfig
 	if cfg.Reliable {
 		rel = &transport.ReliableConfig{RTO: cfg.ReliableRTO}
 	}
-	link, err := transport.ListenUDP(transport.UDPConfig{
-		ID:        cfg.ID,
-		Listen:    cfg.Listen,
-		Neighbors: cfg.Neighbors,
-		Loss:      cfg.Loss,
-		Latency:   cfg.Latency,
-		Seed:      cfg.Seed,
-		Liveness:  live,
-		Reliable:  rel,
-		Custody:   cusOpts,
-		Discovery: disco,
-		Spans:     d.spans,
-		Deliver: func(from uint32, payload []byte) {
-			d.loop.Post(func() {
-				if d.node != nil {
-					d.node.Receive(from, payload)
-				}
-			})
+	d.Stack, err = rt.NewStack(rt.StackConfig{
+		Link: transport.UDPConfig{
+			ID:        cfg.ID,
+			Listen:    cfg.Listen,
+			Neighbors: cfg.Neighbors,
+			Loss:      cfg.Loss,
+			Latency:   cfg.Latency,
+			Seed:      cfg.Seed,
+			Liveness:  live,
+			Reliable:  rel,
+			Discovery: disco,
 		},
-	})
-	if err != nil {
-		ln.Close()
-		d.loop.Stop()
-		d.closeCustody()
-		return nil, err
-	}
-	d.link = link
-
-	d.reg = telemetry.NewRegistry(fmt.Sprintf("node%d", cfg.ID))
-	d.hub = telemetry.NewHub(d.loop.Now)
-	d.hub.Register(d.reg)
-
-	err = d.loop.Call(func() {
-		d.node = core.NewNode(core.Config{
-			Clock:               d.loop,
+		Node: core.Config{
 			Rand:                rand.New(rand.NewSource(cfg.Seed)),
-			Link:                link,
 			InterestInterval:    cfg.InterestInterval,
 			ExploratoryInterval: cfg.ExploratoryInterval,
 			ExploratoryEvery:    cfg.ExploratoryEvery,
 			ForwardJitter:       cfg.ForwardJitter,
 			TTL:                 cfg.TTL,
 			SeenTTL:             cfg.SeenTTL,
-			Custody:             d.cusq,
 			EnergyAware:         cfg.EnergyAware,
-			Flight:              d.flight,
 			TraceSample:         cfg.TraceSample,
-			Spans:               d.spans,
-		})
-		d.node.Instrument(d.reg)
-		d.link.Stats().Instrument(d.reg)
-		// Per-neighbor series, labeled with the peer ID via the registry's
-		// "name|peer=N" convention (rendered as a peer label by
-		// telemetry.WritePrometheus). Emitted at snapshot time only.
-		d.reg.AddCollector(func(emit func(string, float64)) {
-			for id, h := range d.link.PeerHealth() {
-				emit(fmt.Sprintf("transport.peer_rtt_us|peer=%d", id), float64(h.RTTMicros))
-				emit(fmt.Sprintf("transport.peer_state|peer=%d", id), float64(h.State))
-				emit(fmt.Sprintf("transport.peer_last_heard_ms|peer=%d", id), float64(h.LastHeard.Milliseconds()))
-			}
-			for id, n := range d.link.PeerRetransmits() {
-				emit(fmt.Sprintf("transport.peer_retransmits|peer=%d", id), float64(n))
-			}
-		})
-		if d.link.DiscoveryEnabled() {
-			d.reg.AddCollector(func(emit func(string, float64)) {
-				for _, m := range d.link.Members() {
-					emit(fmt.Sprintf("discovery.member_state|peer=%d", m.ID), float64(m.MembershipCode))
-				}
-			})
-		}
-		if d.cusStore != nil {
-			d.reg.AddCollector(func(emit func(string, float64)) {
-				st := d.cusStore.Stats()
-				emit("custody.store_appends", float64(st.Appends))
-				emit("custody.store_bytes_fsynced", float64(st.BytesFsynced))
-				emit("custody.store_syncs", float64(st.Syncs))
-				emit("custody.store_compactions", float64(st.Compactions))
-				emit("custody.store_recovered", float64(st.Recovered))
-			})
-		}
-		d.delivered = d.reg.Counter("ctl.deliveries")
-		d.stateSaves = d.reg.Counter("recovery.state_saves")
-		d.lastSaveMS = d.reg.Gauge("recovery.last_save_ms")
-		warmGauge := d.reg.Gauge("recovery.warm_restart")
-		if d.warm {
-			warmGauge.Set(1)
-		}
+		},
+		Custody:      cfg.Custody,
+		CustodyLimit: cfg.CustodyLimit,
+		CustodyFile:  cfg.CustodyFile,
+		Log:          logw,
+		Prefix:       fmt.Sprintf("diffnode %d: ", cfg.ID),
 	})
 	if err != nil {
-		link.Close()
 		ln.Close()
-		d.closeCustody()
-		return nil, err
+		return nil, fmt.Errorf("diffnode: %w", err)
 	}
 
 	// Boot-time application state, all on the loop. Key registration goes
 	// first so the application vocabulary gets identical key numbers on
 	// every node that lists the same names in the same order.
 	var bootErr error
-	d.loop.Call(func() {
+	d.Loop.Call(func() {
+		d.delivered = d.Reg.Counter("ctl.deliveries")
+		d.stateSaves = d.Reg.Counter("recovery.state_saves")
+		d.lastSaveMS = d.Reg.Gauge("recovery.last_save_ms")
+		warmGauge := d.Reg.Gauge("recovery.warm_restart")
+		if warm {
+			warmGauge.Set(1)
+		}
 		for _, name := range d.bootKeys {
 			attr.RegisterKey(name)
 		}
 		for _, spec := range bootFilters {
-			if err := d.installFilter(spec); err != nil {
-				bootErr = err
+			if bootErr = d.installFilter(spec); bootErr != nil {
 				return
 			}
 		}
 		for _, s := range bootSubs {
-			if _, err := d.subscribeLocked(s); err != nil {
-				bootErr = err
+			if _, bootErr = d.subscribeLocked(s); bootErr != nil {
 				return
 			}
 		}
 		for _, s := range bootPubs {
-			if _, err := d.publishLocked(s); err != nil {
-				bootErr = err
+			if _, bootErr = d.publishLocked(s); bootErr != nil {
 				return
 			}
 		}
 		d.saveStateLocked()
 	})
+
+	// The address file is written once every part of the node is up: a
+	// watcher that sees it may rely on all of it, and the control plane's
+	// listener is bound, so a request sent at once is answered as soon as
+	// Serve starts below.
+	if bootErr == nil && cfg.AddrFile != "" {
+		if err := chaos.WriteAddrFile(cfg.AddrFile, chaos.AddrFile{
+			ID: cfg.ID, UDP: d.Link.LocalAddr().String(), HTTP: ln.Addr().String(),
+		}); err != nil {
+			bootErr = fmt.Errorf("diffnode: address file: %w", err)
+		}
+	}
 	if bootErr != nil {
-		link.Close()
+		// A node that never served has nothing to withdraw or drain.
+		d.Stack.Close()
 		ln.Close()
-		d.loop.Stop()
-		d.closeCustody()
 		return nil, bootErr
 	}
 
@@ -365,24 +248,13 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 		}
 	}()
 
-	// The address file is written last: a watcher that sees it may rely on
-	// every part of the node — including the control plane — being up.
-	if cfg.AddrFile != "" {
-		if err := chaos.WriteAddrFile(cfg.AddrFile, chaos.AddrFile{
-			ID: cfg.ID, UDP: link.LocalAddr().String(), HTTP: ln.Addr().String(),
-		}); err != nil {
-			d.Shutdown()
-			return nil, fmt.Errorf("diffnode: address file: %w", err)
-		}
-	}
-
 	discoNote := ""
 	if disco != nil {
 		discoNote = fmt.Sprintf(" discovery on (seeds %d, degree cap %d)",
-			len(cfg.Seeds), d.link.DegreeCap())
+			len(cfg.Seeds), d.Link.DegreeCap())
 	}
 	fmt.Fprintf(d.logw, "diffnode %d: udp %s http %s neighbors [%s]%s\n",
-		cfg.ID, link.LocalAddr(), ln.Addr(), cfg.neighborSummary(), discoNote)
+		cfg.ID, d.Link.LocalAddr(), ln.Addr(), cfg.neighborSummary(), discoNote)
 	return d, nil
 }
 
@@ -390,25 +262,25 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 func (d *Daemon) HTTPAddr() net.Addr { return d.httpLn.Addr() }
 
 // UDPAddr returns the diffusion socket's bound address.
-func (d *Daemon) UDPAddr() *net.UDPAddr { return d.link.LocalAddr() }
+func (d *Daemon) UDPAddr() *net.UDPAddr { return d.Link.LocalAddr() }
 
 // Shutdown is the SIGTERM path: withdraw the application layer (stopping
 // interest refreshes and data origination), keep forwarding while
-// in-flight traffic drains, then stop the control plane, the socket and
-// the loop. Idempotent.
+// in-flight traffic drains, then stop the control plane and the stack.
+// Idempotent.
 func (d *Daemon) Shutdown() error {
 	d.shutdownOnce.Do(func() {
 		fmt.Fprintf(d.logw, "diffnode %d: draining (%v)\n", d.cfg.ID, d.cfg.Drain)
-		d.loop.Call(func() {
+		d.Loop.Call(func() {
 			for _, f := range d.installed {
 				f.Remove()
 			}
 			d.installed = nil
-			for _, h := range d.node.ActivePublications() {
-				d.node.Unpublish(h)
+			for _, h := range d.Node.ActivePublications() {
+				d.Node.Unpublish(h)
 			}
-			for _, h := range d.node.ActiveSubscriptions() {
-				d.node.Unsubscribe(h)
+			for _, h := range d.Node.ActiveSubscriptions() {
+				d.Node.Unsubscribe(h)
 			}
 		})
 		// Gradients toward this node now expire on their own (the paper's
@@ -420,10 +292,7 @@ func (d *Daemon) Shutdown() error {
 		// seconds of protocol activity are the evidence for whatever made
 		// the operator stop this node, and after the loop stops the ring
 		// is unreachable.
-		d.loop.Call(func() {
-			fmt.Fprintf(d.logw, "diffnode %d: flight dump (shutdown drain):\n", d.cfg.ID)
-			d.flight.Dump(d.logw, faultKindName)
-		})
+		d.Loop.Call(func() { d.DumpFlight("shutdown drain") })
 
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -432,123 +301,12 @@ func (d *Daemon) Shutdown() error {
 			d.httpSrv.Close()
 		}
 		<-d.httpDone
-		// A graceful exit tells the mesh: discovered neighbors demote this
-		// node now instead of waiting out the failure detector.
-		d.link.Leave()
-		if err := d.link.Close(); err != nil && d.shutdownErr == nil {
+		if err := d.Stack.Close(); err != nil && d.shutdownErr == nil {
 			d.shutdownErr = err
 		}
-		d.loop.Call(func() { d.node.Close() })
-		d.loop.Stop()
-		d.closeCustody()
 		fmt.Fprintf(d.logw, "diffnode %d: stopped\n", d.cfg.ID)
 	})
 	return d.shutdownErr
-}
-
-// closeCustody closes the custody journal, if any. The queue itself needs
-// no teardown; undelivered custodial data is exactly what the journal is
-// for.
-func (d *Daemon) closeCustody() {
-	if d.cusStore != nil {
-		d.cusStore.Close()
-	}
-}
-
-// Fault kinds the daemon records into the flight ring on liveness and
-// membership transitions.
-const (
-	faultPeerSuspect = iota + 1
-	faultPeerDead
-	faultPeerRecovered
-	faultMemberJoined
-	faultMemberGone
-)
-
-// faultKindName renders daemon fault kinds for flight dumps.
-func faultKindName(k uint8) string {
-	switch k {
-	case faultPeerSuspect:
-		return "peer-suspect"
-	case faultPeerDead:
-		return "peer-dead"
-	case faultPeerRecovered:
-		return "peer-recovered"
-	case faultMemberJoined:
-		return "member-joined"
-	case faultMemberGone:
-		return "member-gone"
-	default:
-		return fmt.Sprintf("kind=%d", k)
-	}
-}
-
-// onMember receives membership verdicts from the discovery engine. It
-// runs on a transport goroutine, so protocol work is posted onto the
-// loop. A joined (or rejoined) peer is primed exactly like a healed
-// configured neighbor — NeighborRecovered re-floods interests and
-// exploratory data so gradients form across the new edge; a rejoin
-// purges state toward the old incarnation first. A departed peer
-// (graceful leave, cap eviction, failed handshake) is a NeighborDead:
-// gradients through it must not linger. A detector-declared death
-// already drove NeighborDead through onPeerState, so MemberDead only
-// records the table removal.
-func (d *Daemon) onMember(peer uint32, ev transport.MemberEvent) {
-	fmt.Fprintf(d.logw, "diffnode %d: member %d %s\n", d.cfg.ID, peer, ev)
-	d.loop.Post(func() {
-		if d.node == nil {
-			return
-		}
-		kind := uint8(faultMemberGone)
-		if ev == transport.MemberJoined || ev == transport.MemberRejoined {
-			kind = faultMemberJoined
-		}
-		d.flight.Record(telemetry.Event{Node: d.cfg.ID, Peer: peer, Verb: telemetry.Fault, Kind: kind})
-		switch ev {
-		case transport.MemberJoined:
-			d.node.NeighborRecovered(peer)
-		case transport.MemberRejoined:
-			d.node.NeighborDead(peer)
-			d.node.NeighborRecovered(peer)
-		case transport.MemberLeft, transport.MemberEvicted, transport.MemberDemoted:
-			d.node.NeighborDead(peer)
-		}
-	})
-}
-
-// onPeerState receives the failure detector's verdicts. It runs on a
-// transport goroutine, so everything protocol-touching is posted onto the
-// loop: a dead neighbor purges the core's state toward it (NeighborDead
-// re-primes interest and exploratory flooding around the hole), and the
-// flight recorder is dumped to the log so the traffic leading up to the
-// death is preserved for diagnosis.
-func (d *Daemon) onPeerState(peer uint32, s transport.PeerState) {
-	fmt.Fprintf(d.logw, "diffnode %d: neighbor %d is %s\n", d.cfg.ID, peer, s)
-	d.loop.Post(func() {
-		if d.node == nil {
-			return
-		}
-		kind := uint8(faultPeerRecovered)
-		switch s {
-		case transport.PeerSuspect:
-			kind = faultPeerSuspect
-		case transport.PeerDead:
-			kind = faultPeerDead
-		}
-		d.flight.Record(telemetry.Event{Node: d.cfg.ID, Peer: peer, Verb: telemetry.Fault, Kind: kind})
-		switch s {
-		case transport.PeerDead:
-			d.node.NeighborDead(peer)
-			fmt.Fprintf(d.logw, "diffnode %d: flight dump (neighbor %d died):\n", d.cfg.ID, peer)
-			d.flight.Dump(d.logw, faultKindName)
-		case transport.PeerAlive:
-			// A recovery: re-prime discovery toward the healed peer and
-			// replay any custodial data that was waiting out the partition.
-			// (The transport has already re-offered its pending custody
-			// frames on this transition.)
-			d.node.NeighborRecovered(peer)
-		}
-	})
 }
 
 // subscribeLocked parses attrs and subscribes; loop-confined.
@@ -557,7 +315,7 @@ func (d *Daemon) subscribeLocked(attrsText string) (core.SubscriptionHandle, err
 	if err != nil {
 		return 0, err
 	}
-	h := d.node.Subscribe(vec, d.onDelivery)
+	h := d.Node.Subscribe(vec, d.onDelivery)
 	fmt.Fprintf(d.logw, "diffnode %d: subscribed #%d %v\n", d.cfg.ID, h, vec)
 	return h, nil
 }
@@ -568,7 +326,7 @@ func (d *Daemon) publishLocked(attrsText string) (core.PublicationHandle, error)
 	if err != nil {
 		return 0, err
 	}
-	h := d.node.Publish(vec)
+	h := d.Node.Publish(vec)
 	fmt.Fprintf(d.logw, "diffnode %d: published #%d %v\n", d.cfg.ID, h, vec)
 	return h, nil
 }
@@ -579,7 +337,7 @@ func (d *Daemon) onDelivery(m *message.Message) {
 	d.delivered.Inc()
 	d.ring = append(d.ring, delivery{
 		Seq:   d.total,
-		AtMS:  d.loop.Now().Milliseconds(),
+		AtMS:  d.Loop.Now().Milliseconds(),
 		Class: m.Class.String(),
 		Attrs: m.Attrs.Notation(),
 	})
@@ -602,12 +360,12 @@ func (d *Daemon) installFilter(spec string) error {
 	}
 	switch name {
 	case "tap":
-		d.installed = append(d.installed, filters.NewTap(d.node, pattern, d.logw))
+		d.installed = append(d.installed, filters.NewTap(d.Node, pattern, d.logw))
 	case "suppress":
-		d.installed = append(d.installed, filters.NewSuppression(d.node, d.loop,
+		d.installed = append(d.installed, filters.NewSuppression(d.Node, d.Loop,
 			filters.SuppressionOptions{Pattern: pattern}))
 	case "cache":
-		d.installed = append(d.installed, filters.NewCache(d.node, d.loop,
+		d.installed = append(d.installed, filters.NewCache(d.Node, d.Loop,
 			filters.CacheOptions{Pattern: pattern}))
 	default:
 		return fmt.Errorf("filter %q: unknown name (want tap, suppress or cache)", spec)
@@ -674,8 +432,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // onLoop runs fn on the node's loop, translating a stopped loop into 503.
 func (d *Daemon) onLoop(w http.ResponseWriter, fn func()) bool {
-	if err := d.loop.Call(fn); err != nil {
+	if err := d.Loop.Call(fn); err != nil {
 		httpError(w, http.StatusServiceUnavailable, "daemon is shutting down")
+		return false
+	}
+	return true
+}
+
+// readJSON reads a bounded request body and decodes it into v, answering
+// 400 with the shape wanted when it does not decode.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, want string) bool {
+	body, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		httpError(w, http.StatusBadRequest, "want JSON %s: %v", want, err)
 		return false
 	}
 	return true
@@ -684,46 +456,34 @@ func (d *Daemon) onLoop(w http.ResponseWriter, fn func()) bool {
 // handleSubscribe installs a subscription. Body: attribute formals in the
 // paper's textual notation.
 func (d *Daemon) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var h core.SubscriptionHandle
-	var err error
-	var rendered string
-	if !d.onLoop(w, func() {
-		h, err = d.subscribeLocked(string(body))
-		if err == nil {
-			if v, ok := d.node.SubscriptionAttrs(h); ok {
-				rendered = v.Notation()
-			}
-			d.saveStateLocked()
-		}
-	}) {
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, map[string]any{"handle": h, "attrs": rendered})
+	d.declare(w, r, func(text string) (int, string, error) {
+		h, err := d.subscribeLocked(text)
+		v, _ := d.Node.SubscriptionAttrs(h)
+		return int(h), v.Notation(), err
+	})
 }
 
 // handlePublish declares a publication. Body: attribute actuals.
 func (d *Daemon) handlePublish(w http.ResponseWriter, r *http.Request) {
+	d.declare(w, r, func(text string) (int, string, error) {
+		h, err := d.publishLocked(text)
+		v, _ := d.Node.PublicationAttrs(h)
+		return int(h), v.Notation(), err
+	})
+}
+
+// declare runs one subscribe or publish on the loop, saves the state file
+// when it took, and answers with the handle and the attributes as stored.
+func (d *Daemon) declare(w http.ResponseWriter, r *http.Request, fn func(string) (int, string, error)) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var h core.PublicationHandle
-	var err error
+	var h int
 	var rendered string
+	var err error
 	if !d.onLoop(w, func() {
-		h, err = d.publishLocked(string(body))
-		if err == nil {
-			if v, ok := d.node.PublicationAttrs(h); ok {
-				rendered = v.Notation()
-			}
+		if h, rendered, err = fn(string(body)); err == nil {
 			d.saveStateLocked()
 		}
 	}) {
@@ -736,50 +496,26 @@ func (d *Daemon) handlePublish(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"handle": h, "attrs": rendered})
 }
 
-// handleRef decodes the {"handle": N} body unsubscribe/unpublish take.
-func handleRef(w http.ResponseWriter, r *http.Request) (int, bool) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return 0, false
-	}
-	var req struct {
-		Handle int `json:"handle"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "want JSON {\"handle\": N}: %v", err)
-		return 0, false
-	}
-	return req.Handle, true
-}
-
 func (d *Daemon) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
-	h, ok := handleRef(w, r)
-	if !ok {
-		return
-	}
-	var err error
-	if !d.onLoop(w, func() {
-		if err = d.node.Unsubscribe(core.SubscriptionHandle(h)); err == nil {
-			d.saveStateLocked()
-		}
-	}) {
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, map[string]any{"ok": true})
+	d.withdraw(w, r, func(h int) error { return d.Node.Unsubscribe(core.SubscriptionHandle(h)) })
 }
 
 func (d *Daemon) handleUnpublish(w http.ResponseWriter, r *http.Request) {
-	h, ok := handleRef(w, r)
-	if !ok {
+	d.withdraw(w, r, func(h int) error { return d.Node.Unpublish(core.PublicationHandle(h)) })
+}
+
+// withdraw decodes the {"handle": N} body unsubscribe and unpublish take,
+// runs drop on the loop and saves the state file when it took.
+func (d *Daemon) withdraw(w http.ResponseWriter, r *http.Request, drop func(h int) error) {
+	var req struct {
+		Handle int `json:"handle"`
+	}
+	if !readJSON(w, r, &req, `{"handle": N}`) {
 		return
 	}
 	var err error
 	if !d.onLoop(w, func() {
-		if err = d.node.Unpublish(core.PublicationHandle(h)); err == nil {
+		if err = drop(req.Handle); err == nil {
 			d.saveStateLocked()
 		}
 	}) {
@@ -795,17 +531,12 @@ func (d *Daemon) handleUnpublish(w http.ResponseWriter, r *http.Request) {
 // handleSend emits one data message. Body: JSON {"publication": N,
 // "attrs": "<actuals>", "exploratory": bool}.
 func (d *Daemon) handleSend(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	var req struct {
 		Publication int    `json:"publication"`
 		Attrs       string `json:"attrs"`
 		Exploratory bool   `json:"exploratory"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "want JSON {\"publication\": N, \"attrs\": \"...\"}: %v", err)
+	if !readJSON(w, r, &req, `{"publication": N, "attrs": "..."}`) {
 		return
 	}
 	extra, err := attr.ParseVec(req.Attrs)
@@ -817,9 +548,9 @@ func (d *Daemon) handleSend(w http.ResponseWriter, r *http.Request) {
 	if !d.onLoop(w, func() {
 		h := core.PublicationHandle(req.Publication)
 		if req.Exploratory {
-			sendErr = d.node.SendExploratory(h, extra)
+			sendErr = d.Node.SendExploratory(h, extra)
 		} else {
-			sendErr = d.node.Send(h, extra)
+			sendErr = d.Node.Send(h, extra)
 		}
 	}) {
 		return
@@ -867,17 +598,17 @@ func (d *Daemon) handleState(w http.ResponseWriter, r *http.Request) {
 	var subs, pubs []entry
 	var entries, seen int
 	if !d.onLoop(w, func() {
-		for _, h := range d.node.ActiveSubscriptions() {
-			if v, ok := d.node.SubscriptionAttrs(h); ok {
+		for _, h := range d.Node.ActiveSubscriptions() {
+			if v, ok := d.Node.SubscriptionAttrs(h); ok {
 				subs = append(subs, entry{int(h), v.Notation()})
 			}
 		}
-		for _, h := range d.node.ActivePublications() {
-			if v, ok := d.node.PublicationAttrs(h); ok {
+		for _, h := range d.Node.ActivePublications() {
+			if v, ok := d.Node.PublicationAttrs(h); ok {
 				pubs = append(pubs, entry{int(h), v.Notation()})
 			}
 		}
-		entries, seen = d.node.Entries(), d.node.SeenSize()
+		entries, seen = d.Node.Entries(), d.Node.SeenSize()
 	}) {
 		return
 	}
@@ -895,7 +626,7 @@ func (d *Daemon) handleState(w http.ResponseWriter, r *http.Request) {
 // rendering happens on the handler goroutine.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var snap telemetry.Snapshot
-	if !d.onLoop(w, func() { snap = d.hub.Snapshot() }) {
+	if !d.onLoop(w, func() { snap = d.Hub.Snapshot() }) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -924,7 +655,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"goroutines": runtime.NumGoroutine(),
 	}
 	isolated := false
-	if ph := d.link.PeerHealth(); ph != nil {
+	if ph := d.Link.PeerHealth(); ph != nil {
 		neighbors := make(map[string]neighborHealth, len(ph))
 		for id, h := range ph {
 			neighbors[strconv.FormatUint(uint64(id), 10)] = neighborHealth{
@@ -933,7 +664,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				RTTMicros:   h.RTTMicros,
 			}
 		}
-		isolated = d.link.Isolated()
+		isolated = d.Link.Isolated()
 		resp["neighbors"] = neighbors
 		resp["isolated"] = isolated
 	}
@@ -967,7 +698,7 @@ func (d *Daemon) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		LastHeardMS int64   `json:"last_heard_ms,omitempty"`
 		RTTMicros   int64   `json:"rtt_us,omitempty"`
 	}
-	members := d.link.Members()
+	members := d.Link.Members()
 	rows := make([]row, 0, len(members))
 	degree := 0
 	for _, m := range members {
@@ -996,10 +727,10 @@ func (d *Daemon) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, map[string]any{
 		"id":        d.cfg.ID,
-		"boot":      d.link.Boot(),
+		"boot":      d.Link.Boot(),
 		"degree":    degree,
-		"cap":       d.link.DegreeCap(),
-		"discovery": d.link.DiscoveryEnabled(),
+		"cap":       d.Link.DegreeCap(),
+		"discovery": d.Link.DiscoveryEnabled(),
 		"neighbors": rows,
 	})
 }
@@ -1009,23 +740,23 @@ func (d *Daemon) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 // configured. 404 when custody is disabled. The queue and store are
 // internally locked, so no loop crossing is needed.
 func (d *Daemon) handleCustody(w http.ResponseWriter, r *http.Request) {
-	if d.cusq == nil {
+	if d.Custody == nil {
 		httpError(w, http.StatusNotFound, "custody is not enabled")
 		return
 	}
-	c := d.cusq.Counters()
+	c := d.Custody.Counters()
 	resp := map[string]any{
-		"len":            d.cusq.Len(),
-		"limit":          d.cusq.Limit(),
-		"pending_offers": d.link.CustodyPending(),
+		"len":            d.Custody.Len(),
+		"limit":          d.Custody.Limit(),
+		"pending_offers": d.Link.CustodyPending(),
 		"accepted":       c.Accepted,
 		"released":       c.Released,
 		"replayed":       c.Replayed,
 		"shed":           c.Shed,
 		"restored":       c.Restored,
 	}
-	if d.cusStore != nil {
-		st := d.cusStore.Stats()
+	if d.Store != nil {
+		st := d.Store.Stats()
 		resp["journal"] = map[string]any{
 			"appends":        st.Appends,
 			"bytes_appended": st.BytesAppended,
@@ -1034,7 +765,7 @@ func (d *Daemon) handleCustody(w http.ResponseWriter, r *http.Request) {
 			"compactions":    st.Compactions,
 			"tail_truncated": st.TailTruncated,
 			"recovered":      st.Recovered,
-			"live":           d.cusStore.Live(),
+			"live":           d.Store.Live(),
 		}
 	}
 	writeJSON(w, resp)
@@ -1046,16 +777,11 @@ func (d *Daemon) handleCustody(w http.ResponseWriter, r *http.Request) {
 // whose traffic is dropped in both directions); omitted fields are left
 // alone. The response reports the impairment now in force.
 func (d *Daemon) handleChaos(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	var req struct {
 		Loss    *float64  `json:"loss"`
 		Blocked *[]uint32 `json:"blocked"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "want JSON {\"loss\": P, \"blocked\": [ID, ...]}: %v", err)
+	if !readJSON(w, r, &req, `{"loss": P, "blocked": [ID, ...]}`) {
 		return
 	}
 	if req.Loss != nil && (*req.Loss < 0 || *req.Loss > 1) {
@@ -1063,17 +789,17 @@ func (d *Daemon) handleChaos(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Loss != nil {
-		d.link.SetLoss(*req.Loss)
+		d.Link.SetLoss(*req.Loss)
 	}
 	if req.Blocked != nil {
-		d.link.SetBlocked(*req.Blocked)
+		d.Link.SetBlocked(*req.Blocked)
 	}
-	blocked := d.link.Blocked()
+	blocked := d.Link.Blocked()
 	if blocked == nil {
 		blocked = []uint32{}
 	}
-	fmt.Fprintf(d.logw, "diffnode %d: chaos loss=%v blocked=%v\n", d.cfg.ID, d.link.Loss(), blocked)
-	writeJSON(w, map[string]any{"loss": d.link.Loss(), "blocked": blocked})
+	fmt.Fprintf(d.logw, "diffnode %d: chaos loss=%v blocked=%v\n", d.cfg.ID, d.Link.Loss(), blocked)
+	writeJSON(w, map[string]any{"loss": d.Link.Loss(), "blocked": blocked})
 }
 
 // handleSpans serves the flight-path span ring as a JSONL trace
@@ -1083,11 +809,11 @@ func (d *Daemon) handleChaos(w http.ResponseWriter, r *http.Request) {
 // cmd/diffscope scrapes this from every node and rebases onto wall time
 // to merge cluster-wide causal timelines. 404 when tracing is off.
 func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if d.spans == nil {
+	if d.Spans == nil {
 		httpError(w, http.StatusNotFound, "flight-path tracing is not enabled (set trace_sample > 0)")
 		return
 	}
-	events := d.spans.Records()
+	events := d.Spans.Records()
 	recs := make([]telemetry.Record, len(events))
 	for i, e := range events {
 		recs[i] = e.Record()
@@ -1095,6 +821,6 @@ func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl")
 	telemetry.WriteJSONL(w, telemetry.RunInfo{
 		Seed: d.cfg.Seed, Topology: "diffnode", Nodes: 1,
-		Node: d.cfg.ID, Boot: d.link.Boot(), StartUnixUS: d.loop.Start().UnixMicro(),
+		Node: d.cfg.ID, Boot: d.Link.Boot(), StartUnixUS: d.Loop.Start().UnixMicro(),
 	}, recs)
 }

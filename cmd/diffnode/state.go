@@ -76,13 +76,13 @@ func (d *Daemon) saveStateLocked() {
 		Keys:      d.bootKeys,
 		Filters:   d.filterSpecs,
 	}
-	for _, h := range d.node.ActiveSubscriptions() {
-		if v, ok := d.node.SubscriptionAttrs(h); ok {
+	for _, h := range d.Node.ActiveSubscriptions() {
+		if v, ok := d.Node.SubscriptionAttrs(h); ok {
 			st.Subscribe = append(st.Subscribe, v.Notation())
 		}
 	}
-	for _, h := range d.node.ActivePublications() {
-		if v, ok := d.node.PublicationAttrs(h); ok {
+	for _, h := range d.Node.ActivePublications() {
+		if v, ok := d.Node.PublicationAttrs(h); ok {
 			st.Publish = append(st.Publish, v.Notation())
 		}
 	}

@@ -1,7 +1,9 @@
 // Package rt is the live runtime: it runs the same single-threaded node
 // code the simulator drives — internal/core.Node, its filters, and the
 // services built on them — against the wall clock, as real processes on
-// real transports (see internal/transport and cmd/diffnode).
+// real transports. NewStack builds one such node over a UDP endpoint, the
+// assembly cmd/diffnode runs, so that the link never delivers before the
+// node exists.
 //
 // The paper's daemon is an event-driven, single-threaded process; the
 // simulator preserves that by executing every node callback on one event

@@ -1,28 +1,23 @@
 package rt_test
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
 	"diffusion/internal/attr"
-	"diffusion/internal/chaos"
 	"diffusion/internal/core"
 	"diffusion/internal/message"
 	"diffusion/internal/rt"
 	"diffusion/internal/transport"
 )
 
-// udpLine is a line of diffusion nodes over loopback UDP sockets, each on
-// its own loop — cmd/diffnode's wiring — with a sink subscribed at one end
-// and a publication at the other. Set-up is driven by events, not sleeps.
+// udpLine is a line of rt.Stacks over loopback UDP sockets — cmd/diffnode's
+// wiring — with a sink subscribed at one end and a publication at the
+// other. Set-up is driven by events, not sleeps.
 type udpLine struct {
-	loops []*rt.Loop
-	nodes []*core.Node
-	links []*transport.UDP
-	pub   core.PublicationHandle
-	seq   int32
+	stacks []*rt.Stack
+	pub    core.PublicationHandle
+	seq    int32
 	// payload, when set, rides in every event sent from then on.
 	payload []byte
 	got     chan message.Class // one per delivery at the sink
@@ -32,67 +27,41 @@ type udpLine struct {
 // set.
 func newUDPLine(tb testing.TB, n int, interestInterval time.Duration, rel *transport.ReliableConfig) *udpLine {
 	tb.Helper()
-	ports, err := chaos.FreePorts("udp", n)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	addr := func(i int) string { return fmt.Sprintf("127.0.0.1:%d", ports[i]) }
-	ln := &udpLine{nodes: make([]*core.Node, n), got: make(chan message.Class, 1024)}
+	ports := freePorts(tb, n)
+	ln := &udpLine{got: make(chan message.Class, 1024)}
 	for i := 0; i < n; i++ {
-		i, loop := i, rt.NewLoop()
-		neighbors := map[uint32]string{}
-		if i > 0 {
-			neighbors[uint32(i)] = addr(i - 1)
-		}
-		if i < n-1 {
-			neighbors[uint32(i+2)] = addr(i + 1)
-		}
-		link, err := transport.ListenUDP(transport.UDPConfig{
-			ID: uint32(i + 1), Listen: addr(i), Neighbors: neighbors, Seed: int64(i), Reliable: rel,
-			Deliver: func(from uint32, payload []byte) {
-				loop.Post(func() { ln.nodes[i].Receive(from, payload) })
-			},
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		loop.Call(func() {
-			ln.nodes[i] = core.NewNode(core.Config{
-				Clock:               loop,
-				Rand:                rand.New(rand.NewSource(int64(i))),
-				Link:                link,
-				InterestInterval:    interestInterval,
-				ExploratoryInterval: time.Hour, // only the first send explores
-				ForwardJitter:       time.Millisecond,
-				SeenTTL:             2 * time.Second, // cmd/diffbench's: the cache tracks flight time, not run length
-			})
-		})
-		ln.loops, ln.links = append(ln.loops, loop), append(ln.links, link)
+		c := lineConfig(ports, i)
+		c.Link.Reliable = rel
+		c.Node.InterestInterval = interestInterval
+		c.Node.ExploratoryInterval = time.Hour // only the first send explores
+		c.Node.ForwardJitter = time.Millisecond
+		c.Node.SeenTTL = 2 * time.Second // cmd/diffbench's: the cache tracks flight time, not run length
+		ln.stacks = append(ln.stacks, newStack(tb, c))
 	}
 	tb.Cleanup(func() {
-		for i, l := range ln.loops {
-			ln.links[i].Close()
-			l.Stop()
+		for _, st := range ln.stacks {
+			st.Close()
 		}
 	})
 
-	ln.loops[n-1].Call(func() {
-		ln.nodes[n-1].Subscribe(attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, "line")},
+	sink, src := ln.stacks[n-1], ln.stacks[0]
+	sink.Loop.Call(func() {
+		sink.Node.Subscribe(attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, "line")},
 			func(m *message.Message) { ln.got <- m.Class })
 	})
 	ready := make(chan struct{}, 1)
-	ln.loops[0].Call(func() {
+	src.Loop.Call(func() {
 		tap := attr.Vec{
 			attr.Int32Attr(attr.KeyClass, attr.EQ, attr.ClassInterest),
 			attr.StringAttr(attr.KeyTask, attr.IS, "line"),
 		}
-		ln.nodes[0].Subscribe(tap, func(*message.Message) {
+		src.Node.Subscribe(tap, func(*message.Message) {
 			select {
 			case ready <- struct{}{}:
 			default:
 			}
 		})
-		ln.pub = ln.nodes[0].Publish(attr.Vec{attr.StringAttr(attr.KeyTask, attr.IS, "line")})
+		ln.pub = src.Node.Publish(attr.Vec{attr.StringAttr(attr.KeyTask, attr.IS, "line")})
 	})
 	select {
 	case <-ready:
@@ -119,24 +88,25 @@ func newUDPLine(tb testing.TB, n int, interestInterval time.Duration, rel *trans
 // send publishes k events from one callback on the source's loop: one
 // wake-up, k transmissions.
 func (ln *udpLine) send(k int) {
-	ln.loops[0].Post(func() {
+	src := ln.stacks[0]
+	src.Loop.Post(func() {
 		for i := 0; i < k; i++ {
 			ln.seq++
 			attrs := attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, ln.seq)}
 			if ln.payload != nil {
 				attrs = append(attrs, attr.BlobAttr(attr.KeyPayload, attr.IS, ln.payload))
 			}
-			ln.nodes[0].Send(ln.pub, attrs)
+			src.Node.Send(ln.pub, attrs)
 		}
 	})
 }
 
 // sent sums the endpoints' own datagram, frame and ack counters.
 func (ln *udpLine) sent() (datagrams, frames, acks uint64) {
-	for _, l := range ln.links {
-		datagrams += l.Stats().Sent.Load()
-		frames += l.Stats().FramesSent.Load()
-		acks += l.Stats().AcksSent.Load()
+	for _, st := range ln.stacks {
+		datagrams += st.Link.Stats().Sent.Load()
+		frames += st.Link.Stats().FramesSent.Load()
+		acks += st.Link.Stats().AcksSent.Load()
 	}
 	return datagrams, frames, acks
 }
@@ -163,9 +133,9 @@ func liveBurst(t *testing.T, rel *transport.ReliableConfig, payload int, want ui
 		<-ln.got
 	}
 	if payload > 0 {
-		ln.loops[0].Call(func() { ln.payload = make([]byte, payload) }) // the source's loop reads it
+		ln.stacks[0].Loop.Call(func() { ln.payload = make([]byte, payload) }) // the source's loop reads it
 	}
-	src := ln.links[0].Stats()
+	src := ln.stacks[0].Link.Stats()
 	datagrams, frames := src.Sent.Load(), src.FramesSent.Load()
 	const burst = 8
 	ln.send(burst)
@@ -176,12 +146,12 @@ func liveBurst(t *testing.T, rel *transport.ReliableConfig, payload int, want ui
 			t.Fatalf("%d of %d events arrived", i, burst)
 		}
 	}
-	ln.loops[0].Call(func() {}) // the source's loop is past the wake-up, and so past counting what it wrote
+	ln.stacks[0].Loop.Call(func() {}) // the source's loop is past the wake-up, and so past counting what it wrote
 	if d, f := src.Sent.Load()-datagrams, src.FramesSent.Load()-frames; d != want || f != burst {
 		t.Errorf("the burst left the source as %d datagrams of %d frames, want %d of %d", d, f, want, burst)
 	}
-	for i, l := range ln.links {
-		if s := l.Stats(); s.RecvDropped.Load() != 0 || s.SendErrors.Load() != 0 {
+	for i, st := range ln.stacks {
+		if s := st.Link.Stats(); s.RecvDropped.Load() != 0 || s.SendErrors.Load() != 0 {
 			t.Errorf("node %d dropped %d receptions and failed %d writes", i+1, s.RecvDropped.Load(), s.SendErrors.Load())
 		}
 	}
@@ -198,13 +168,13 @@ func TestLiveReliableBurstAcksOnce(t *testing.T) {
 	for len(ln.got) > 0 {
 		<-ln.got
 	}
-	src, sink := ln.links[0].Stats(), ln.links[1].Stats()
+	src, sink := ln.stacks[0].Link.Stats(), ln.stacks[1].Link.Stats()
 	acksRecv, recv := src.AcksRecv.Load(), sink.Recv.Load()
 	datagrams, frames, acks := sink.Sent.Load(), sink.FramesSent.Load(), sink.AcksSent.Load()
 
 	const burst = 8
 	busy, release := make(chan struct{}), make(chan struct{})
-	ln.loops[1].Post(func() { close(busy); <-release })
+	ln.stacks[1].Loop.Post(func() { close(busy); <-release })
 	<-busy
 	ln.send(burst)
 	for deadline := time.Now().Add(5 * time.Second); sink.Recv.Load()-recv < burst; time.Sleep(time.Millisecond) {
@@ -224,7 +194,7 @@ func TestLiveReliableBurstAcksOnce(t *testing.T) {
 			t.Fatalf("%d of %d events arrived", i, burst)
 		}
 	}
-	ln.loops[1].Call(func() {}) // the sink's loop is past the wake-up, and so past its Uncork
+	ln.stacks[1].Loop.Call(func() {}) // the sink's loop is past the wake-up, and so past its Uncork
 	d, f, a := sink.Sent.Load()-datagrams, sink.FramesSent.Load()-frames, sink.AcksSent.Load()-acks
 	if d != 1 || f != burst || a != burst {
 		t.Errorf("the sink acked the burst in %d datagrams of %d frames (%d acks), want 1 of %d", d, f, a, burst)

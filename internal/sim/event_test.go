@@ -114,10 +114,15 @@ func TestRecordRearmsItselfFromCallback(t *testing.T) {
 	}
 }
 
+// clockOnly hides everything of a Port but its Clock, so Every on it takes
+// the closure form.
+type clockOnly struct{ Clock }
+
 // armWorkload is kernelWorkload's traffic written twice over: with the
 // closure form (After, and a fresh record per remote event) or with records
 // each node owns and re-arms. Both make the same scheduling calls in the
-// same order, so they must produce the same canonical transcript.
+// same order, so they must produce the same canonical transcript. Each node
+// also runs an Every, and every fourth node one it cancels before it fires.
 func armWorkload(nodes int, records bool) []string {
 	k := newTestEngine(11, nodes)
 	logs := make([][]string, nodes+1)
@@ -156,6 +161,28 @@ func armWorkload(nodes int, records bool) []string {
 				p.After(time.Millisecond, tx)
 			}
 		})
+		// A per-node Every: on the Port in the records form, on a Clock-only
+		// view of it (which has no Arm) in the closure form.
+		var clk Clock = p
+		if !records {
+			clk = clockOnly{p}
+		}
+		fires := 0
+		var tm Timer
+		tm = Every(clk, time.Duration(i)*time.Millisecond, 35*time.Millisecond, func() {
+			logs[id] = append(logs[id], fmt.Sprintf("%v every %d", p.Now(), p.Rand().Intn(100)))
+			if fires++; i%3 == 0 && fires == 20 {
+				logs[id] = append(logs[id], fmt.Sprintf("%v cancel from inside %v", p.Now(), tm.Cancel()))
+			}
+		})
+		if i%4 == 0 {
+			late := Every(clk, 50*time.Millisecond, 10*time.Millisecond, func() {
+				logs[id] = append(logs[id], fmt.Sprintf("%v late", p.Now()))
+			})
+			k.After(5*time.Millisecond, func() {
+				logs[id] = append(logs[id], fmt.Sprintf("%v cancel before the first fire %v", p.Now(), late.Cancel()))
+			})
+		}
 	}
 	k.RunUntil(2 * time.Second)
 	var out []string
@@ -167,13 +194,14 @@ func armWorkload(nodes int, records bool) []string {
 	return out
 }
 
-// The hash was recorded on the sharded kernel this engine replaced (PR 14,
-// c398a3a).
+// The hash was recorded by the engine whose Every re-armed through After,
+// before it gained the record form; the workload without the Every lines
+// reproduced the sharded kernel's pin (c398a3a).
 func TestArmFormMatchesAfterForm(t *testing.T) {
 	for _, records := range []bool{false, true} {
 		got := armWorkload(9, records)
-		if len(got) != 3276 || transcriptHash(got) != "8c6a3f7451fd75c1" {
-			t.Errorf("records=%v: %d events hashing to %s, pinned 3276 and 8c6a3f7451fd75c1",
+		if len(got) != 3687 || transcriptHash(got) != "9eb19d67cf392c54" {
+			t.Errorf("records=%v: %d events hashing to %s, pinned 3687 and 9eb19d67cf392c54",
 				records, len(got), transcriptHash(got))
 		}
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 // A 112-byte message (the paper's event: five 27-byte fragments) from
-// sender to receiver costs nine allocations in steady state: on Send the
-// queue entry, the array of fragment slices and the one backing array of
-// the whole fragment train (3); the radio's copy of each frame it sends (5);
-// the reassembled payload handed up (1). The transmit pump's ten steps, the
-// five receptions, the reassembly record and its expiry timer cost none.
+// sender to receiver costs one allocation in steady state: the reassembled
+// payload handed up, which the receiver keeps. The queue entry with its
+// fragment array and train, the radio's copy of each frame, the transmit
+// pump's ten steps, the five receptions, the reassembly record with its
+// fragment buffer and its expiry timer all come back round and cost none.
 func TestAllocsFiveFragmentMessage(t *testing.T) {
 	s := sim.New(1)
 	ch := radio.NewChannel(s, topo.Line(2, 5), radio.PerfectParams())
@@ -30,8 +30,8 @@ func TestAllocsFiveFragmentMessage(t *testing.T) {
 		s.Run()
 	}
 	round() // fill the free lists
-	if n := testing.AllocsPerRun(100, round); n != 9 {
-		t.Errorf("a 5-fragment message allocates %.0f end to end, want 9", n)
+	if n := testing.AllocsPerRun(100, round); n != 1 {
+		t.Errorf("a 5-fragment message allocates %.0f end to end, want 1", n)
 	}
 	if delivered != 102 || m1.Stats.FragmentsSent != 5*102 {
 		t.Errorf("delivered %d messages in %d fragments, want 102 in %d", delivered, m1.Stats.FragmentsSent, 5*102)

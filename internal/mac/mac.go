@@ -108,7 +108,8 @@ func fromWireID(id uint16) uint32 {
 	return uint32(id)
 }
 
-// Handler receives reassembled messages.
+// Handler receives reassembled messages. The payload is a fresh copy the
+// handler may keep.
 type Handler func(from uint32, payload []byte)
 
 // Errors returned by Send.
@@ -145,10 +146,9 @@ type Mac struct {
 	detached bool
 	seq      uint16
 
-	reasm map[reasmKey]*partial
-	// freePartials is the reassembly records' free list, nFree its length.
-	freePartials *partial
-	nFree        int
+	reasm    map[reasmKey]*partial
+	partials freeList[partial]
+	msgs     freeList[outMsg]
 
 	// attemptEv and fireEv are the transmit pump's two steps, bound once in
 	// Attach; at most one of them is pending at any time.
@@ -164,9 +164,12 @@ type Mac struct {
 	Stats Stats
 }
 
+// outMsg is one queued message, pooled per Mac: frags and the train they
+// view keep their arrays across uses, as the radio copies what it sends.
 type outMsg struct {
 	dst      uint32
 	frags    [][]byte // pre-built frames including headers
+	train    []byte   // one backing array for every fragment
 	next     int
 	attempts int
 	// span is the trace-context template captured at enqueue time, so the
@@ -180,51 +183,73 @@ type reasmKey struct {
 	seq uint16
 }
 
-// maxFreePartials bounds a Mac's free list. In steady state one or two
+// maxFree bounds each of a Mac's free lists. In steady state one or two
 // neighbors are mid-message at a time; a flood briefly needs about ten
-// records, and 1024 nodes each keeping that peak read 23.2 MiB of live heap
-// on the grid against 21.4 capped (20.5 before pooling), to save one
-// allocation per frame in fifteen.
-const maxFreePartials = 2
+// reassembly records, and 1024 nodes each keeping that peak read 23.2 MiB of
+// live heap on the grid against 21.4 capped (20.5 before pooling), to save
+// one allocation per frame in fifteen.
+const maxFree = 2
+
+// freeList keeps up to maxFree idle records for reuse; get returns nil if none.
+type freeList[T any] struct {
+	recs [maxFree]*T
+	n    int
+}
+
+func (f *freeList[T]) get() (x *T) {
+	if f.n > 0 {
+		f.n--
+		x, f.recs[f.n] = f.recs[f.n], nil
+	}
+	return x
+}
+
+func (f *freeList[T]) put(x *T) {
+	if f.n < maxFree {
+		f.recs[f.n] = x
+		f.n++
+	}
+}
 
 // partial is one message under reassembly, pooled per Mac: the expiry
-// event is embedded and bound once, and frags keeps its array across uses.
+// event is embedded and bound once; frags and buf keep their arrays across
+// uses. The radio lends a frame only for the call, so each fragment is
+// copied into buf and frags[i] is its view there (nil until it arrives).
 type partial struct {
 	m       *Mac
 	key     reasmKey
 	frags   [][]byte
+	buf     []byte
 	have    int
 	expires sim.Event
-	next    *partial // free list
 }
 
 // newPartial takes a record for key with count empty fragment slots.
 func (m *Mac) newPartial(key reasmKey, count int) *partial {
-	p := m.freePartials
+	p := m.partials.get()
 	if p == nil {
 		p = &partial{m: m}
 		p.expires.Bind(p.expire)
-	} else {
-		m.nFree--
-		m.freePartials, p.next = p.next, nil
 	}
 	p.key = key
 	if cap(p.frags) < count {
 		p.frags = make([][]byte, count)
 	}
 	p.frags = p.frags[:count]
+	// Room for a whole train of full fragments; never nil, so an empty
+	// fragment's view is not nil either.
+	if n := count * m.params.FragmentPayload; cap(p.buf) < n {
+		p.buf = make([]byte, 0, n)
+	}
 	return p
 }
 
 // release drops p, whose expiry is not pending, from the table and frees it.
 func (m *Mac) release(p *partial) {
 	delete(m.reasm, p.key)
-	clear(p.frags) // let go of the frames
-	p.have = 0
-	if m.nFree < maxFreePartials {
-		m.nFree++
-		p.next, m.freePartials = m.freePartials, p
-	}
+	clear(p.frags)
+	p.buf, p.have = p.buf[:0], 0
+	m.partials.put(p)
 }
 
 // expire is the reassembly timeout.
@@ -358,7 +383,12 @@ func (m *Mac) Send(dst uint32, payload []byte) error {
 		return ErrQueueFull
 	}
 	m.seq++
-	om := &outMsg{dst: dst, frags: m.fragment(dst, m.seq, payload)}
+	om := m.msgs.get()
+	if om == nil {
+		om = &outMsg{}
+	}
+	*om = outMsg{dst: dst, frags: om.frags, train: om.train}
+	m.fragment(om, m.seq, payload)
 	if m.spans != nil {
 		if e := telemetry.PeekEvent(payload); e.Flow != 0 {
 			e.Node, e.Peer, e.Verb, e.Layer = m.ID(), dst, telemetry.Enqueue, telemetry.LayerMac
@@ -378,16 +408,19 @@ func (m *Mac) Send(dst uint32, payload []byte) error {
 // when backoff exhaustion discards it).
 func (m *Mac) Trace(ring *telemetry.Ring) { m.spans = ring }
 
-// fragment splits payload into framed fragments.
-func (m *Mac) fragment(dst uint32, seq uint16, payload []byte) [][]byte {
+// fragment splits payload into framed fragments, into om's frags and train.
+func (m *Mac) fragment(om *outMsg, seq uint16, payload []byte) {
 	fp := m.params.FragmentPayload
 	count := (len(payload) + fp - 1) / fp
 	if count == 0 {
 		count = 1 // empty payloads still occupy one fragment
 	}
-	frags := make([][]byte, 0, count)
-	// One backing array for the whole train: the radio copies what it sends.
-	buf := make([]byte, 0, count*fragHeaderSize+len(payload))
+	om.frags = om.frags[:0]
+	// Sized up front: the fragments are views of it, so it must not move.
+	if n := count*fragHeaderSize + len(payload); cap(om.train) < n {
+		om.train = make([]byte, 0, n)
+	}
+	buf := om.train[:0]
 	for i := 0; i < count; i++ {
 		lo := i * fp
 		hi := lo + fp
@@ -395,14 +428,13 @@ func (m *Mac) fragment(dst uint32, seq uint16, payload []byte) [][]byte {
 			hi = len(payload)
 		}
 		start := len(buf)
-		buf = binary.BigEndian.AppendUint16(buf, toWireID(dst))
+		buf = binary.BigEndian.AppendUint16(buf, toWireID(om.dst))
 		buf = binary.BigEndian.AppendUint16(buf, toWireID(m.ID()))
 		buf = binary.BigEndian.AppendUint16(buf, seq)
 		buf = append(buf, byte(i), byte(count))
 		buf = append(buf, payload[lo:hi]...)
-		frags = append(frags, buf[start:len(buf):len(buf)])
+		om.frags = append(om.frags, buf[start:len(buf):len(buf)])
 	}
-	return frags
 }
 
 // kick starts the transmit pump if idle. The pump defers a random slot
@@ -427,7 +459,7 @@ func (m *Mac) attempt() {
 	cur := m.queue[0]
 	if m.dutyCycled() {
 		now := m.env.Now()
-		needed := m.params.Turnaround() + m.airtimeOf(cur.frags[cur.next]) + m.params.InterFragGap
+		needed := m.params.Turnaround() + m.tx.Airtime(len(cur.frags[cur.next])) + m.params.InterFragGap
 		if !m.awake(now) || m.activeRemaining(now) < needed {
 			// Sleep (or not enough window left for the whole fragment):
 			// defer to the next active window plus a small random offset
@@ -444,6 +476,7 @@ func (m *Mac) attempt() {
 		if cur.attempts > m.params.MaxAttempts {
 			// Drop the whole message, as a primitive MAC would.
 			m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
+			m.msgs.put(cur)
 			m.Stats.MessagesDropped++
 			if e := cur.span; e.Flow != 0 {
 				e.Verb, e.Reason = telemetry.Drop, telemetry.DropLinkRefused
@@ -496,6 +529,7 @@ func (m *Mac) fire() {
 	cur.attempts = 0
 	if cur.next == len(cur.frags) {
 		m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
+		m.msgs.put(cur)
 		m.Stats.MessagesSent++
 		if e := cur.span; e.Flow != 0 {
 			e.Verb = telemetry.Tx
@@ -542,7 +576,9 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 	if p.frags[idx] != nil {
 		return // duplicate fragment
 	}
-	p.frags[idx] = frame[fragHeaderSize:]
+	start := len(p.buf)
+	p.buf = append(p.buf, frame[fragHeaderSize:]...)
+	p.frags[idx] = p.buf[start:]
 	p.have++
 	if p.have < count {
 		return
@@ -562,11 +598,3 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 		m.handler(src, payload)
 	}
 }
-
-// airtimeOf estimates a frame's airtime via the transceiver's channel.
-func (m *Mac) airtimeOf(frame []byte) time.Duration {
-	return m.tx.Airtime(len(frame))
-}
-
-// QueueLen reports the number of queued messages (diagnostics).
-func (m *Mac) QueueLen() int { return len(m.queue) }

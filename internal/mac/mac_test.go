@@ -242,6 +242,63 @@ func TestReassemblyTimeout(t *testing.T) {
 	}
 }
 
+// Frames are lent by the radio for the call only, so reassembly must copy
+// each fragment out: here every frame of three senders' interleaved trains —
+// reordered, with duplicates — reaches onFrame through one scratch buffer
+// that is overwritten after each call. Both complete messages come out as
+// sent, and the train that lost a fragment expires and leaves no record.
+func TestReassemblyCopiesOutOfTheFrame(t *testing.T) {
+	s := sim.New(1)
+	ch := radio.NewChannel(s, topo.Grid(2, 2, 5), radio.PerfectParams())
+	senders := make([]*Mac, 4)
+	for id := uint32(1); id <= 3; id++ {
+		senders[id] = Attach(s.Port(id), ch, id, DefaultParams(), nil)
+	}
+	got := map[uint32][]byte{}
+	rx := Attach(s.Port(4), ch, 4, DefaultParams(), func(from uint32, p []byte) { got[from] = p })
+	sent := map[uint32][]byte{}
+	trains := map[uint32][][]byte{}
+	for id, size := range map[uint32]int{1: 112, 2: 60, 3: 81} {
+		sent[id] = make([]byte, size)
+		for i := range sent[id] {
+			sent[id][i] = byte(int(id)*50 + i)
+		}
+		om := &outMsg{dst: Broadcast}
+		senders[id].fragment(om, 7, sent[id])
+		trains[id] = om.frags
+	}
+	// Sender 3's fragment 1 is lost; 1's fragment 0 and 2's fragment 2
+	// arrive twice.
+	order := []struct {
+		from uint32
+		idx  int
+	}{
+		{1, 0}, {2, 2}, {3, 0}, {1, 2}, {1, 0}, {2, 1}, {1, 1},
+		{3, 2}, {2, 2}, {1, 4}, {2, 0}, {1, 3},
+	}
+	scratch := make([]byte, 64)
+	for _, f := range order {
+		n := copy(scratch, trains[f.from][f.idx])
+		rx.onFrame(f.from, scratch[:n])
+		for i := range scratch {
+			scratch[i] = 0xEE
+		}
+	}
+	for _, id := range []uint32{1, 2} {
+		if !bytes.Equal(got[id], sent[id]) {
+			t.Errorf("from %d: delivered %x, sent %x", id, got[id], sent[id])
+		}
+	}
+	if _, ok := got[3]; ok || len(rx.reasm) != 1 {
+		t.Fatalf("the broken train delivered (%v) or is not the one record left (%d)", ok, len(rx.reasm))
+	}
+	s.RunUntil(DefaultParams().ReassemblyTimeout + time.Second)
+	if rx.Stats.ReassemblyExpired != 1 || len(rx.reasm) != 0 || rx.Stats.MessagesDelivered != 2 {
+		t.Errorf("expired %d, %d records left, delivered %d; want 1, 0, 2",
+			rx.Stats.ReassemblyExpired, len(rx.reasm), rx.Stats.MessagesDelivered)
+	}
+}
+
 func TestBackoffExhaustionDrops(t *testing.T) {
 	// Jam the channel: node 3 transmits long frames continuously so node
 	// 1's carrier sense never clears.

@@ -153,6 +153,3 @@ func (n *Net) Line(k int) []*core.Node {
 
 // Kill disconnects a node permanently.
 func (n *Net) Kill(id uint32) { n.dead[id] = true }
-
-// Revive reconnects a killed node.
-func (n *Net) Revive(id uint32) { delete(n.dead, id) }

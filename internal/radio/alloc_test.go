@@ -11,9 +11,9 @@ import (
 )
 
 // One frame heard by eight receivers costs the engine two events — one
-// arrival, one end-of-frame fan-out — and allocates its one data copy: the
-// transmission record, its audience and its keys come from the channel's
-// free list.
+// arrival, one end-of-frame fan-out — and allocates nothing: the
+// transmission record, its audience, its keys and the buffer its data is
+// copied into come from the channel's free list.
 func TestAllocsTransmitSteadyState(t *testing.T) {
 	s := sim.New(1)
 	c := NewChannel(s, topo.Grid(3, 3, 5), PerfectParams())
@@ -36,8 +36,8 @@ func TestAllocsTransmitSteadyState(t *testing.T) {
 		}
 	}
 	round() // fill the free list
-	if n := testing.AllocsPerRun(100, round); n != 1 {
-		t.Errorf("a frame to 8 receivers allocates %.0f in steady state, want 1 (the data copy)", n)
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a frame to 8 receivers allocates %.0f in steady state, want 0", n)
 	}
 	if heard != 8*102 {
 		t.Errorf("%d receptions delivered, want %d", heard, 8*102)

@@ -29,6 +29,7 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -105,7 +106,8 @@ func PerfectParams() Params {
 }
 
 // Handler receives successfully decoded frames: the link-layer sender ID
-// and the payload bytes.
+// and the payload bytes. The payload is borrowed for the call: the channel
+// reuses its buffer for a later frame, so a handler copies what it keeps.
 type Handler func(from uint32, payload []byte)
 
 // Channel is the shared medium.
@@ -114,10 +116,10 @@ type Channel struct {
 	params Params
 	topo   *topo.Topology
 	nodes  map[uint32]*Transceiver
-	links  map[linkKey]*link
 	// out lists each sender's audible links in receiver-ID order — the
-	// order a transmission's end-of-frame keys must ascend in. Precomputing
-	// it makes Transmit O(neighbors) instead of O(nodes).
+	// order a transmission's end-of-frame keys must ascend in, and the
+	// order link looks a link up in. Precomputing it makes Transmit
+	// O(neighbors) instead of O(nodes).
 	out map[uint32][]outLink
 	// in lists each receiver's inbound links (the senders' out entries), so
 	// Attach and SetNodeDown touch only that node's links.
@@ -145,8 +147,6 @@ func (s *ChannelStats) add(o ChannelStats) {
 	s.FramesHalfDuplex += o.FramesHalfDuplex
 	s.FramesBlackout += o.FramesBlackout
 }
-
-type linkKey struct{ from, to uint32 }
 
 type outLink struct {
 	to uint32
@@ -195,7 +195,6 @@ func NewChannel(x *sim.Engine, tp *topo.Topology, p Params) *Channel {
 		params: p,
 		topo:   tp,
 		nodes:  map[uint32]*Transceiver{},
-		links:  map[linkKey]*link{},
 		out:    map[uint32][]outLink{},
 		in:     map[uint32][]*outLink{},
 	}
@@ -227,7 +226,6 @@ func NewChannel(x *sim.Engine, tp *topo.Topology, p Params) *Channel {
 			if p.MeanBad > 0 {
 				l.nextTransition = x.Now() + holdTime(l.rng, p.MeanGood)
 			}
-			c.links[linkKey{a, b}] = l
 			c.out[a] = append(c.out[a], outLink{to: b, l: l})
 		}
 	}
@@ -330,9 +328,20 @@ func (c *Channel) SetLinkDown(from, to uint32, down bool) {
 	if _, ok := c.topo.Node(to); !ok {
 		panic(fmt.Sprintf("radio: no link %d->%d in topology", from, to))
 	}
-	if l, ok := c.links[linkKey{from, to}]; ok {
+	if l := c.link(from, to); l != nil {
 		l.forcedDown = down
 	}
+}
+
+// link returns the directed link from→to, or nil when it is out of range.
+func (c *Channel) link(from, to uint32) *link {
+	out := c.out[from]
+	if i, ok := slices.BinarySearchFunc(out, to, func(ol outLink, to uint32) int {
+		return cmp.Compare(ol.to, to)
+	}); ok {
+		return out[i].l
+	}
+	return nil
 }
 
 // SetNodeDown blacks out (or restores) every directed link to and from id,
@@ -354,8 +363,8 @@ func (c *Channel) SetNodeDown(id uint32, down bool) {
 
 // LinkDown reports whether the directed link from→to is forced down.
 func (c *Channel) LinkDown(from, to uint32) bool {
-	l, ok := c.links[linkKey{from, to}]
-	return ok && l.forcedDown
+	l := c.link(from, to)
+	return l != nil && l.forcedDown
 }
 
 // Transceiver is one node's half-duplex radio. All mutable state is owned
@@ -407,7 +416,8 @@ func (t *Transceiver) Transmitting() bool { return t.port.Now() < t.txUntil }
 // transmission is one frame on the air. The sender arms arrive once for
 // the whole audience; its callback begins the frame at every receiver, each
 // of which joins end with its own end-of-frame key. The receiver whose
-// sub-event runs last frees the record.
+// sub-event runs last frees the record once its handler has returned, and
+// data keeps its buffer for the record's next frame.
 type transmission struct {
 	arrive sim.Event
 	end    sim.Fanout
@@ -444,7 +454,7 @@ func (c *Channel) getTransmission() *transmission {
 }
 
 func (c *Channel) putTransmission(tx *transmission) {
-	tx.data, tx.rx = nil, tx.rx[:0]
+	tx.rx = tx.rx[:0]
 	tx.next, c.free = c.free, tx
 }
 
@@ -486,8 +496,7 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 		return air
 	}
 	tx.from, tx.air = t.id, air
-	tx.data = make([]byte, len(payload))
-	copy(tx.data, payload)
+	tx.data = append(tx.data[:0], payload...)
 	// One arrival for the whole audience, addressed to its first member.
 	t.port.ArmRemote(tx.rx[0].t.id, &tx.arrive, c.params.PropDelay)
 	return air
@@ -536,7 +545,8 @@ func (tx *transmission) endAt(i int) {
 	c, from, data, air := tx.ch, tx.from, tx.data, tx.air
 	t.removeOngoing(rec)
 	if i == len(tx.rx)-1 {
-		c.putTransmission(tx)
+		// Once the handler has returned: it borrows data and may transmit.
+		defer c.putTransmission(tx)
 	}
 	now := t.port.Now()
 	// Half-duplex: if we transmitted during any part of the reception

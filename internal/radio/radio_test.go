@@ -172,7 +172,7 @@ func TestAsymmetricLinks(t *testing.T) {
 		// A link whose offset pushed it past MaxRange is not stored at all;
 		// treat it as infinitely distant.
 		effDist := func(a, b uint32) float64 {
-			if l, ok := c.links[linkKey{a, b}]; ok {
+			if l := c.link(a, b); l != nil {
 				return l.effDist
 			}
 			return math.Inf(1)
@@ -308,7 +308,7 @@ func TestGilbertElliottLongRunFraction(t *testing.T) {
 	p.MeanBad = 10 * time.Second
 	s := sim.New(5)
 	c := NewChannel(s, topo.Line(2, 5), p)
-	l := c.links[linkKey{1, 2}]
+	l := c.link(1, 2)
 	bad := 0
 	const samples = 20000
 	for i := 0; i < samples; i++ {

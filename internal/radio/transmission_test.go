@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,7 +56,8 @@ func TestSimultaneousEndOfFrameOrder(t *testing.T) {
 // the previous airtime ends, PropDelay before the previous frame's end of
 // frame fires at the receivers, so two frames' records are in flight at once.
 // Every receiver gets every frame once, in order, with its own bytes — which
-// neither the caller's reuse of its buffer nor a later frame disturbs.
+// neither the caller's reuse of its buffer nor a later frame disturbs. A
+// handler borrows its frame, so this one copies what it keeps.
 func TestBackToBackFramesDoNotAlias(t *testing.T) {
 	s := sim.New(4)
 	c := NewChannel(s, topo.Grid(2, 2, 5), PerfectParams())
@@ -67,7 +69,7 @@ func TestBackToBackFramesDoNotAlias(t *testing.T) {
 	var sender *Transceiver
 	for _, id := range c.topo.IDs() {
 		id := id
-		tr := c.Attach(id, func(from uint32, b []byte) { got = append(got, rxd{id, from, b}) })
+		tr := c.Attach(id, func(from uint32, b []byte) { got = append(got, rxd{id, from, slices.Clone(b)}) })
 		if id == 1 {
 			sender = tr
 		}
@@ -98,6 +100,34 @@ func TestBackToBackFramesDoNotAlias(t *testing.T) {
 		if r.to != uint32(2+i%3) || r.from != 1 || string(r.data) != want {
 			t.Errorf("delivery %d: %d<-%d %q, want %d<-1 %q", i, r.to, r.from, r.data, 2+i%3, want)
 		}
+	}
+}
+
+// The last receiver of a frame may transmit from inside its handler and
+// still read its own frame afterwards: the record, whose buffer the handler
+// borrows, is freed only once that handler has returned, so the reply
+// cannot be copied into it.
+func TestHandlerMayTransmitFromLastReception(t *testing.T) {
+	s := sim.New(2)
+	c := NewChannel(s, topo.Line(3, 5), PerfectParams())
+	var log []string
+	tr := map[uint32]*Transceiver{}
+	for _, id := range c.topo.IDs() {
+		tr[id] = c.Attach(id, func(from uint32, b []byte) {
+			log = append(log, fmt.Sprintf("%d<-%d %s", id, from, b))
+			if id == 3 && from == 1 {
+				tr[3].Transmit([]byte("reply"))
+				if string(b) != "hello" {
+					t.Errorf("after its own Transmit the handler reads %q, want hello", b)
+				}
+			}
+		})
+	}
+	tr[1].Transmit([]byte("hello"))
+	s.Run()
+	const want = "2<-1 hello 3<-1 hello 1<-3 reply 2<-3 reply"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("receptions\n got %s\nwant %s", got, want)
 	}
 }
 

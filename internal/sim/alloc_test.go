@@ -77,3 +77,25 @@ func TestAllocsFanout(t *testing.T) {
 		t.Errorf("ran %d sub-events, want %d", ran, 8*102)
 	}
 }
+
+// An Every on an Engine or a Port re-arms its own record: a period
+// allocates nothing.
+func TestAllocsEvery(t *testing.T) {
+	g, k := New(1), newTestEngine(1, 2)
+	for _, x := range []struct {
+		name string
+		eng  *Engine
+		env  Env
+	}{{"global", g, g}, {"node", k, k.Port(1)}} {
+		ran := 0
+		tm := Every(x.env, time.Millisecond, time.Millisecond, func() { ran++ })
+		period := func() { x.eng.RunUntil(x.eng.Now() + time.Millisecond) }
+		period()
+		if n := testing.AllocsPerRun(100, period); n != 0 {
+			t.Errorf("%s: a period of Every allocates %.0f, want 0", x.name, n)
+		}
+		if !tm.Cancel() || ran != 102 {
+			t.Errorf("%s: ran %d periods and then was not pending, want 102 and pending", x.name, ran)
+		}
+	}
+}

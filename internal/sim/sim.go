@@ -179,23 +179,38 @@ func (p *nodePort) ArmRemote(to uint32, e *Event, d time.Duration) {
 
 // Every schedules fn on any Clock at now+d and then every period
 // thereafter, until the returned Timer is cancelled. It panics when period
-// is not positive.
+// is not positive. On an Env (an Engine or a Port) it re-arms one record of
+// its own, which draws the key After would have drawn, so a period costs no
+// allocation; on any other Clock each period is an After.
 func Every(c Clock, d, period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
 	r := &repeatTimer{c: c, period: period, fn: fn}
 	r.tick = r.fire
-	r.inner = c.After(d, r.tick)
+	r.ev.Bind(r.tick)
+	r.inner = &r.ev // on a Clock that is no Env, each After replaces it
+	r.env, _ = c.(Env)
+	r.arm(d)
 	return r
 }
 
 type repeatTimer struct {
 	c         Clock
+	env       Env   // c, when it can arm ev
+	ev        Event // the record re-armed on env
 	period    time.Duration
 	fn, tick  func()
 	inner     Timer
 	cancelled bool
+}
+
+func (r *repeatTimer) arm(d time.Duration) {
+	if r.env != nil {
+		r.env.Arm(&r.ev, d)
+	} else {
+		r.inner = r.c.After(d, r.tick)
+	}
 }
 
 func (r *repeatTimer) fire() {
@@ -204,7 +219,7 @@ func (r *repeatTimer) fire() {
 	}
 	r.fn()
 	if !r.cancelled {
-		r.inner = r.c.After(r.period, r.tick)
+		r.arm(r.period)
 	}
 }
 

@@ -19,9 +19,11 @@ import (
 // (SendDirect), which is how in-network aggregation, nested queries and
 // geographic scoping are built without touching the core.
 
-// FilterCallback is invoked for each message matching the filter. msg is
-// owned by the callback until it passes it on; h identifies the filter for
-// SendMessageToNext.
+// FilterCallback is invoked for each message matching the filter; h
+// identifies the filter for SendMessageToNext. msg and its Attrs are borrowed
+// until the callback returns and must not be written: the callback may pass
+// msg on within the call, and clones what it keeps or rewrites, because msg
+// is often the receive message, which the next reception overwrites.
 type FilterCallback func(msg *message.Message, h FilterHandle)
 
 type filter struct {
@@ -106,7 +108,7 @@ func (n *Node) runChainFrom(m *message.Message, start int) {
 		n.midx.putTags(tags)
 		if best != nil {
 			n.Stats.FilterInvocations++
-			best.cb(n.keep(m), best.handle)
+			best.cb(m, best.handle)
 			return
 		}
 	}

@@ -711,8 +711,10 @@ func (n *Node) deliverLocal(m *message.Message) {
 		}
 	}
 	n.midx.putTags(tags)
-	if len(subs) > 0 {
-		m = n.keep(m)
+	if len(subs) > 0 && m == &n.rx {
+		// Callbacks are user code that may hold m, which the next reception
+		// overwrites: hand them a copy (the values stay windows on the payload).
+		m = m.Clone()
 	}
 	delivered := false
 	for _, s := range subs {

@@ -306,7 +306,7 @@ type Node struct {
 	// txBuf is the marshal buffer transmit reuses; Link.Send only borrows it.
 	txBuf []byte
 	// rx is the message Receive decodes into, valid until Receive returns;
-	// rxBusy marks a reception in progress (see keep).
+	// rxBusy marks a reception in progress (see Receive).
 	rx     message.Message
 	rxBusy bool
 
@@ -737,18 +737,6 @@ func (n *Node) Receive(from uint32, payload []byte) {
 		clear(n.rx.Attrs)
 		n.rxBusy = false
 	}
-}
-
-// keep returns a message its receiver may hold: m, or, when m is the receive
-// message the next reception overwrites, a copy of its header and vector
-// (the values stay windows onto the payload). Filter callbacks own their
-// message and data callbacks are user code, so both get keep(m); the core
-// copies what it retains itself.
-func (n *Node) keep(m *message.Message) *message.Message {
-	if m == &n.rx {
-		return m.Clone()
-	}
-	return m
 }
 
 // dispatch runs a message through the filter chain; if no filter consumes

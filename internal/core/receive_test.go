@@ -146,9 +146,10 @@ func TestReceiveRecordsOneEvent(t *testing.T) {
 	}
 }
 
-// A filter owns the message it is handed and a data callback is user code:
-// either may hold on to it, and what it holds must not turn into a later
-// reception. Each case fails if its keep is taken out.
+// What a filter or a data callback holds must not turn into a later
+// reception. A filter borrows its message and clones what it keeps, so its
+// case fails if that Clone is taken out; a data callback is user code that
+// may hold what it is handed, so its case fails if the core's copy is.
 func TestHeldMessagesSurviveLaterReceptions(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -156,7 +157,7 @@ func TestHeldMessagesSurviveLaterReceptions(t *testing.T) {
 	}{
 		{"filter", func(n *Node, hold func(*message.Message)) {
 			n.AddFilter(lineTask, 10, func(m *message.Message, h FilterHandle) {
-				hold(m)
+				hold(m.Clone())
 				n.SendMessageToNext(m, h)
 			})
 		}},

@@ -1,6 +1,7 @@
 package filters
 
 import (
+	"strings"
 	"time"
 
 	"diffusion/internal/attr"
@@ -27,11 +28,15 @@ type Fusion struct {
 
 	window  time.Duration
 	pending map[string]*fusionEvent
+	idBuf   []byte // scratch for the identity of the message in hand
 
 	// Fused counts detections folded into pending reports; Reports counts
 	// fused messages sent onward.
 	Fused, Reports int
 }
+
+// fusionKeys identify an event: one detection per modality shares them.
+var fusionKeys = []attr.Key{attr.KeyTask, attr.KeySequence}
 
 type fusionEvent struct {
 	msg        *message.Message
@@ -65,9 +70,8 @@ func (f *Fusion) onMessage(m *message.Message, h core.FilterHandle) {
 		f.node.SendMessageToNext(m, h)
 		return
 	}
-	key, ok := appendIdentity(nil, m.Attrs, []attr.Key{attr.KeyTask, attr.KeySequence})
-	id := string(key)
-	if !ok {
+	var ok bool
+	if f.idBuf, ok = appendIdentity(f.idBuf[:0], m.Attrs, fusionKeys); !ok {
 		f.node.SendMessageToNext(m, h)
 		return
 	}
@@ -86,12 +90,13 @@ func (f *Fusion) onMessage(m *message.Message, h core.FilterHandle) {
 		modality = a.Val.Str()
 	}
 
-	if ev, exists := f.pending[id]; exists {
+	if ev, exists := f.pending[string(f.idBuf)]; exists {
 		ev.miss *= 1 - conf
 		ev.modalities = append(ev.modalities, modality)
 		f.Fused++
 		return
 	}
+	id := string(f.idBuf)
 	f.pending[id] = &fusionEvent{
 		msg:        m.Clone(),
 		handle:     h,
@@ -115,19 +120,8 @@ func (f *Fusion) flush(id string) {
 		Without(attr.KeySubtype).
 		With(
 			attr.Float64Attr(attr.KeyConfidence, attr.IS, fused),
-			attr.StringAttr(attr.KeySubtype, attr.IS, joinModalities(ev.modalities)),
+			attr.StringAttr(attr.KeySubtype, attr.IS, strings.Join(ev.modalities, "+")),
 			attr.Int32Attr(attr.KeyCount, attr.IS, int32(len(ev.modalities))),
 		)
 	f.node.SendMessageToNext(out, ev.handle)
-}
-
-func joinModalities(mods []string) string {
-	out := ""
-	for i, m := range mods {
-		if i > 0 {
-			out += "+"
-		}
-		out += m
-	}
-	return out
 }

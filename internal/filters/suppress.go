@@ -6,6 +6,7 @@
 package filters
 
 import (
+	"strings"
 	"time"
 
 	"diffusion/internal/attr"
@@ -27,7 +28,8 @@ type Suppression struct {
 	identityKeys []attr.Key
 	ttl          time.Duration
 	seen         map[string]time.Duration
-	idBuf        []byte // scratch for the identity of the message in hand
+	idBuf        []byte          // scratch for the identity of the message in hand
+	keys         strings.Builder // the arena seen's keys are cut from
 
 	// Suppressed counts swallowed duplicates; Passed counts forwarded
 	// uniques.
@@ -85,16 +87,26 @@ func (s *Suppression) onMessage(m *message.Message, h core.FilterHandle) {
 	}
 	now := s.clock.Now()
 	s.gc(now)
-	// Looking up by string(bytes) allocates nothing; only a first sighting
-	// pays for its key.
+	// Looking up by string(bytes) allocates nothing.
 	if at, dup := s.seen[string(s.idBuf)]; dup && now-at <= s.ttl {
 		s.Suppressed++
 		return // consumed: the duplicate stops here
 	}
-	s.seen[string(s.idBuf)] = now
+	// A first sighting's key is cut from the arena. A full arena is
+	// replaced, not grown, so the keys already cut keep their bytes, and a
+	// chunk is freed once gc has dropped its last key.
+	if s.keys.Cap()-s.keys.Len() < len(s.idBuf) {
+		s.keys = strings.Builder{}
+		s.keys.Grow(max(keyChunk, len(s.idBuf)))
+	}
+	start := s.keys.Len()
+	s.keys.Write(s.idBuf)
+	s.seen[s.keys.String()[start:]] = now
 	s.Passed++
 	s.node.SendMessageToNext(m, h)
 }
+
+const keyChunk = 1024 // bytes in one key arena: a few dozen identities
 
 // gc drops expired identities; called inline, amortized by the small map.
 func (s *Suppression) gc(now time.Duration) {

@@ -1,6 +1,9 @@
 package filters
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,5 +238,64 @@ func TestTap(t *testing.T) {
 	tn.Sched.RunUntil(10 * time.Second)
 	if tap.Total() != before {
 		t.Error("removed tap must not observe")
+	}
+}
+
+// The key arena changes how Suppression stores an identity, never which one
+// it names: over random streams it must pass and suppress exactly as a plain
+// map of identities does. The streams repeat identities, carry identities
+// longer than one arena chunk, jump the clock past the TTL, and hold more
+// than 1 024 live entries, so gc walks and prunes the map under the arena.
+func TestSuppressionMatchesMapOracle(t *testing.T) {
+	const ttl = 2 * time.Second
+	long := strings.Repeat("0123456789abcdef", 3*keyChunk/16)
+	for seed := int64(1); seed <= 3; seed++ {
+		tn := nettest.New(seed)
+		sup := NewSuppression(tn.AddNode(1, nil), tn.Sched, SuppressionOptions{TTL: ttl})
+		oracle := map[string]time.Duration{}
+		rng := rand.New(rand.NewSource(seed))
+		m := &message.Message{Class: message.Data, PrevHop: 2, NextHop: 1}
+		var suppressed, expired, longDups, peak int
+		for i := 0; i < 6000; i++ {
+			step := time.Duration(rng.Intn(2000)) * time.Microsecond
+			if i%1500 == 1499 {
+				step = ttl + time.Duration(rng.Intn(1000))*time.Millisecond
+			}
+			tn.Sched.RunUntil(tn.Sched.Now() + step)
+			task, seq := fmt.Sprintf("task%d", rng.Intn(3)), int32(rng.Intn(2500))
+			if rng.Intn(40) == 0 {
+				task = long[:keyChunk+[]int{0, 1, 7, 2000}[rng.Intn(4)]]
+				seq = int32(rng.Intn(10))
+			}
+			m.ID.PktNum++
+			m.Attrs = append(m.Attrs[:0], attr.StringAttr(attr.KeyTask, attr.IS, task),
+				attr.Int32Attr(attr.KeySequence, attr.IS, seq), attr.ClassIsData())
+
+			id, now := fmt.Sprintf("%s\x00%d", task, seq), tn.Sched.Now()
+			at, known := oracle[id]
+			want := known && now-at <= ttl
+			if want {
+				suppressed++
+				if len(task) >= keyChunk {
+					longDups++
+				}
+			} else {
+				if known {
+					expired++
+				}
+				oracle[id] = now
+			}
+			before := sup.Suppressed
+			sup.onMessage(m, sup.handle)
+			if got := sup.Suppressed > before; got != want {
+				t.Fatalf("seed %d message %d (%.40q, %d) at %v: suppressed %v, the map says %v",
+					seed, i, task, seq, now, got, want)
+			}
+			peak = max(peak, len(sup.seen))
+		}
+		if suppressed == 0 || expired == 0 || longDups == 0 || peak <= 1024 || len(sup.seen) >= len(oracle) {
+			t.Fatalf("seed %d: %d suppressed, %d past the TTL, %d long duplicates, peak %d keys, %d held of %d seen: the stream misses a case",
+				seed, suppressed, expired, longDups, peak, len(sup.seen), len(oracle))
+		}
 	}
 }

@@ -31,6 +31,7 @@ package radio
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -203,9 +204,23 @@ func NewChannel(x *sim.Engine, tp *topo.Topology, p Params) *Channel {
 	ids := tp.IDs()
 	slices.Sort(ids)
 	cutoff := p.audibleCutoff()
-	for _, a := range ids {
-		for _, b := range ids {
+	pos := make([]topo.Node, len(ids))
+	for i, id := range ids {
+		pos[i], _ = tp.Node(id)
+	}
+	for i, a := range ids {
+		for j, b := range ids {
 			if a == b {
+				continue
+			}
+			// Distance is never below the larger axis gap plus the floor
+			// penalty (Hypot never rounds below its larger side), so a pair
+			// whose bound reaches the cutoff is skipped without calling it.
+			bound := max(math.Abs(pos[i].X-pos[j].X), math.Abs(pos[i].Y-pos[j].Y))
+			if pos[i].Floor != pos[j].Floor {
+				bound += tp.FloorPenalty
+			}
+			if bound >= cutoff {
 				continue
 			}
 			d := tp.Distance(a, b)

@@ -2,6 +2,8 @@ package radio
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -423,4 +425,75 @@ func TestSetLinkDownPanicsOnUnknownLink(t *testing.T) {
 		}
 	}()
 	c.SetLinkDown(1, 99, true)
+}
+
+// NewChannel skips most pairs without a Distance call; the links it builds
+// must be exactly those of the plain loop over every ordered pair, kept here
+// as the oracle: same receivers, in the same order, at bit-identical
+// effective distances. Half the nodes sit on whole metres, so some pairs
+// fall exactly on the cutoff, and a negative floor penalty pulls
+// cross-floor pairs closer than their gap on either axis.
+func TestChannelLinksMatchAllPairs(t *testing.T) {
+	type got struct {
+		to uint32
+		d  float64
+	}
+	for _, penalty := range []float64{2, -3} {
+		for _, sigma := range []float64{0, 0.8} {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				tp := topo.New("random")
+				tp.FloorPenalty = penalty
+				for id := uint32(1); id <= 150; id++ {
+					x, y := rng.Float64()*90, rng.Float64()*90
+					if id%2 == 0 {
+						x, y = math.Round(x), math.Round(y)
+					}
+					tp.Add(topo.Node{ID: id, X: x, Y: y, Floor: 10 + rng.Intn(2)})
+				}
+				p := DefaultParams()
+				p.AsymmetrySigma = sigma
+				s := sim.New(seed)
+				c := NewChannel(s, tp, p)
+
+				ids := tp.IDs()
+				slices.Sort(ids)
+				links := 0
+				for _, a := range ids {
+					var want []got
+					for _, b := range ids {
+						if a == b {
+							continue
+						}
+						d := tp.Distance(a, b)
+						if d >= p.audibleCutoff() {
+							continue
+						}
+						lr := s.DeriveRand(sim.LinkStream(a, b)...)
+						if p.AsymmetrySigma > 0 {
+							d += lr.NormFloat64() * p.AsymmetrySigma
+							if d < 0 {
+								d = 0
+							}
+						}
+						if d < p.MaxRange {
+							want = append(want, got{b, d})
+						}
+					}
+					var have []got
+					for _, ol := range c.out[a] {
+						have = append(have, got{ol.to, ol.l.effDist})
+					}
+					if !slices.Equal(have, want) {
+						t.Fatalf("penalty %v sigma %v seed %d: node %d links to %v, all pairs give %v",
+							penalty, sigma, seed, a, have, want)
+					}
+					links += len(want)
+				}
+				if links == 0 {
+					t.Fatalf("penalty %v sigma %v seed %d: no links", penalty, sigma, seed)
+				}
+			}
+		}
+	}
 }

@@ -636,8 +636,8 @@ func (n *Node) Send(h PublicationHandle, extra attr.Vec) error {
 
 // SendExploratory emits one data message for publication h that is always
 // exploratory: it floods along all gradients regardless of reinforcement.
-// Use it for infrequent one-shot reports (monitoring scans, elections)
-// where flooding robustness matters more than path efficiency.
+// Use it for infrequent one-shot reports where flooding robustness
+// matters more than path efficiency.
 func (n *Node) SendExploratory(h PublicationHandle, extra attr.Vec) error {
 	return n.send(h, extra, true)
 }

@@ -1,15 +1,12 @@
 package filters
 
 import (
-	"encoding/binary"
-	"math"
 	"testing"
 	"time"
 
 	"diffusion/internal/attr"
 	"diffusion/internal/core"
 	"diffusion/internal/message"
-	"diffusion/internal/monitor"
 	"diffusion/internal/nettest"
 )
 
@@ -155,45 +152,4 @@ func TestTapHoldsWhatItReceived(t *testing.T) {
 	}
 	rs := receive(t, tn, n, events("tap"), check)
 	check(rs[len(rs)-1])
-}
-
-// monitor.Aggregator keeps a reply's readings, not the reply: they are
-// decoded out of its blob.
-func TestMonitorAggregatorFlushesWhatItReceived(t *testing.T) {
-	tn := nettest.New(1)
-	n := tn.AddNode(1, nil)
-	a := monitor.NewAggregator(n, tn.Sched, "scan", time.Second)
-	got := sink(n, "scan")
-	want := map[uint16]float32{}
-	vecs := make([]attr.Vec, retained)
-	for i := range vecs {
-		id, v := uint16(100+i), float32(i)/8
-		want[id] = v
-		blob := binary.BigEndian.AppendUint16(nil, id)
-		blob = binary.BigEndian.AppendUint32(blob, math.Float32bits(v))
-		vecs[i] = attr.Vec{
-			attr.StringAttr(attr.KeyTask, attr.IS, "scan"),
-			attr.Int32Attr(attr.KeySequence, attr.IS, 1),
-			attr.BlobAttr(attr.KeyPayload, attr.IS, blob),
-		}
-	}
-	receive(t, tn, n, vecs, nil)
-	tn.Sched.RunUntil(tn.Sched.Now() + 2*time.Second)
-	if a.Flushed != 1 || len(*got) != 1 {
-		t.Fatalf("flushed %d composites, delivered %d; want 1", a.Flushed, len(*got))
-	}
-	p, _ := (*got)[0].Attrs.FindActual(attr.KeyPayload)
-	b := p.Val.Blob()
-	folded := map[uint16]float32{}
-	for off := 0; off+6 <= len(b); off += 6 {
-		folded[binary.BigEndian.Uint16(b[off:])] = math.Float32frombits(binary.BigEndian.Uint32(b[off+2:]))
-	}
-	if len(folded) != len(want) || len(b) != 6*len(want) {
-		t.Fatalf("composite covers %d nodes in %d bytes, received %d", len(folded), len(b), len(want))
-	}
-	for id, v := range want {
-		if folded[id] != v {
-			t.Fatalf("composite reads node %d as %v, received %v", id, folded[id], v)
-		}
-	}
 }

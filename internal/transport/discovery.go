@@ -458,10 +458,21 @@ func (d *discovery) notify(fx *effects, peer uint32, ev MemberEvent) {
 // nextDeadline is when the next announce round is due.
 func (d *discovery) nextDeadline() time.Duration { return d.next }
 
-// rec returns id's record, creating it on first sight.
+// maxRecs caps the record table. Gossip entries and sender IDs are
+// untrusted, so past the cap an unknown ID gets no record (counted in
+// Stats.GossipRefused) until silent records expire. It sits well above
+// the largest mesh the tests build (1000 nodes).
+const maxRecs = 4096
+
+// rec returns id's record, creating it on first sight; nil when the table
+// is full.
 func (d *discovery) rec(id uint32) *discoRec {
 	r := d.recs[id]
 	if r == nil {
+		if len(d.recs) >= maxRecs {
+			d.stats.GossipRefused.Add(1)
+			return nil
+		}
 		r = &discoRec{id: id, lastReply: longAgo}
 		if _, r.cfg = d.pinned[id]; r.cfg {
 			r.state = stNeighbor
@@ -758,6 +769,9 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort
 	}
 	var sends []discoSend
 	r := d.rec(from)
+	if r == nil {
+		return
+	}
 	r.lastHeard = now
 
 	// Vocabulary gate: a peer whose ordered key vocabulary differs would
@@ -866,6 +880,9 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort
 			continue
 		}
 		nr := d.rec(g.id)
+		if nr == nil {
+			continue
+		}
 		nr.addr, nr.lastHeard, nr.lastProbe = g.addr, now, now
 		d.stats.GossipLearned.Add(1)
 		if !nr.cfg && d.room() > 0 {
@@ -891,6 +908,9 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort
 // nonce, so it can create a candidate record — never promote.
 func (d *discovery) onProbe(from uint32, src netip.AddrPort, now time.Duration, fx *effects) {
 	r := d.rec(from)
+	if r == nil {
+		return
+	}
 	r.lastHeard = now
 	if !r.addr.IsValid() {
 		r.addr = src

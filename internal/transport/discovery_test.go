@@ -525,6 +525,43 @@ func TestDiscoveryIgnoresHostnames(t *testing.T) {
 	}
 }
 
+// TestDiscoveryTableCapped: gossip entries and sender IDs are untrusted,
+// so one spoofing sender must not grow the record table without limit.
+// Announces carrying 255 fresh gossip IDs each, then a probe and an
+// announce from fresh sender IDs, drive the table past maxRecs: it stops
+// at the cap and every ID turned away is counted.
+func TestDiscoveryTableCapped(t *testing.T) {
+	n := newSimNet(t)
+	u, _ := n.disco(1, DiscoveryConfig{}, nil)
+	x := n.peer(2, 7)
+	gossip := make([]gossipEntry, 255)
+	announces := maxRecs/len(gossip) + 2
+	next := uint32(1000)
+	for range announces {
+		for i := range gossip {
+			gossip[i] = gossipEntry{id: next, addr: simAddr(next)}
+			next++
+		}
+		x.announce(u, 0, testVocab, gossip...)
+	}
+	n.peer(next, 1).send(u, kindProbe, nil)
+	n.peer(next+1, 1).announce(u, 0, testVocab)
+
+	if got := len(u.disco.recs); got != maxRecs {
+		t.Fatalf("table holds %d records, cap %d", got, maxRecs)
+	}
+	offered := 1 + announces*len(gossip) + 2 // peer 2, its gossip, the two fresh senders
+	if got, want := u.Stats().GossipRefused.Load(), uint64(offered-maxRecs); got != want {
+		t.Errorf("refused = %d, want %d", got, want)
+	}
+	if got := u.Stats().GossipLearned.Load(); got != maxRecs-1 {
+		t.Errorf("gossip learned = %d, want %d", got, maxRecs-1)
+	}
+	if m := memberOf(u, next+1); m.Membership != "absent" {
+		t.Errorf("a sender past the cap was recorded: %+v", m)
+	}
+}
+
 // mutual reports whether x holds id as a neighbor that has peered back.
 func mutual(x *UDP, id uint32) bool {
 	m := memberOf(x, id)

@@ -90,6 +90,14 @@ func fuzzEndpoint(t *testing.T) (*simNet, *UDP, *collector) {
 	return n, u, got
 }
 
+// checkRecs fails t if u's discovery table is past its cap.
+func checkRecs(t *testing.T, u *UDP) {
+	t.Helper()
+	if got := len(u.disco.recs); got > maxRecs {
+		t.Fatalf("discovery table holds %d records, cap %d", got, maxRecs)
+	}
+}
+
 // counters reads every counter of s, in declaration order.
 func counters(s *Stats) []uint64 {
 	var out []uint64
@@ -102,8 +110,8 @@ func counters(s *Stats) []uint64 {
 // FuzzEndpointDatagram hands arbitrary bytes from an arbitrary source to
 // the receive entry of an endpoint with every engine on, then lets a
 // second of virtual time play out. Nothing may panic, every reject must
-// be counted in Stats.RecvDropped — once — and only a membership frame
-// may grow the peer table. A bundle must leave the endpoint exactly as its
+// be counted in Stats.RecvDropped — once — only a membership frame may
+// grow the peer table, and the discovery table stays within its cap. A bundle must leave the endpoint exactly as its
 // frames would have, arriving one datagram each: the same deliveries,
 // duplicate windows and counters, but for one RecvDropped if its tail is
 // malformed (or it has no frames at all).
@@ -122,6 +130,7 @@ func FuzzEndpointDatagram(f *testing.F) {
 				o.stats.RecvDropped.Add(1)
 			}
 			u.receive(b, from)
+			checkRecs(t, u)
 			if g, w := counters(u.Stats()), counters(o.Stats()); !slices.Equal(g, w) {
 				t.Fatalf("bundle %x left counters\n%v, its frames one by one\n%v", b, g, w)
 			}
@@ -157,6 +166,7 @@ func FuzzEndpointDatagram(f *testing.F) {
 		}
 
 		u.receive(b, from)
+		checkRecs(t, u)
 		if got := u.Stats().RecvDropped.Load(); got != want {
 			t.Fatalf("RecvDropped = %d, want %d for %x", got, want, b)
 		}

@@ -18,10 +18,10 @@ import (
 //   - every reliable frame carries a per-neighbor sequence number and is
 //     retransmitted on an ack timeout with capped exponential backoff,
 //     up to MaxRetries attempts;
-//   - the per-neighbor send queue is bounded. When it overflows, the
-//     shedding policy mirrors internal/congestion's semantics: interest
-//     and exploratory traffic (the soft state that will be re-originated
-//     anyway) is dropped before reinforced data and reinforcements;
+//   - the per-neighbor send queue is bounded. When it overflows,
+//     interest and exploratory traffic (the soft state that will be
+//     re-originated anyway) is dropped before reinforced data and
+//     reinforcements;
 //   - the receive side suppresses duplicates created by retransmission
 //     with a per-neighbor sliding window keyed on the sender's boot
 //     nonce, so a restarted neighbor's fresh sequence space is not

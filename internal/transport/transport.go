@@ -279,6 +279,7 @@ type Stats struct {
 	LeavesSent        atomic.Uint64
 	LeavesRecv        atomic.Uint64
 	GossipLearned     atomic.Uint64 // peers first learned from a gossip list
+	GossipRefused     atomic.Uint64 // unknown IDs refused a record: the table was full
 	MemberJoins       atomic.Uint64 // discovered peers promoted to neighbors
 	MemberRejoins     atomic.Uint64 // boot-nonce changes on promoted peers
 	MemberEvictions   atomic.Uint64 // neighbors displaced by the degree cap
@@ -330,6 +331,7 @@ func (s *Stats) Instrument(reg *telemetry.Registry) {
 		emit("discovery.leaves_sent", float64(s.LeavesSent.Load()))
 		emit("discovery.leaves_recv", float64(s.LeavesRecv.Load()))
 		emit("discovery.gossip_learned", float64(s.GossipLearned.Load()))
+		emit("discovery.gossip_refused", float64(s.GossipRefused.Load()))
 		emit("discovery.joins", float64(s.MemberJoins.Load()))
 		emit("discovery.rejoins", float64(s.MemberRejoins.Load()))
 		emit("discovery.evictions", float64(s.MemberEvictions.Load()))

@@ -260,3 +260,29 @@ func TestFacadeCache(t *testing.T) {
 		t.Errorf("cache replay: replays=%d seq=%d", cache.Replays, seq)
 	}
 }
+
+func TestFacadeFusion(t *testing.T) {
+	net := diffusion.NewNetwork(diffusion.NetworkConfig{
+		Seed:     25,
+		Topology: diffusion.LineTopology(3, 10),
+		Radio:    ptr(diffusion.PerfectRadio()),
+	})
+	fu := net.NewFusion(net.Node(2), nil, 500*time.Millisecond)
+	got := 0
+	net.Node(1).Subscribe(diffusion.Attributes{
+		diffusion.String(diffusion.KeyTask, diffusion.EQ, "detect"),
+	}, func(*diffusion.Message) { got++ })
+	src := net.Node(3)
+	pub := src.Publish(diffusion.Attributes{diffusion.String(diffusion.KeyTask, diffusion.IS, "detect")})
+	net.After(2*time.Second, func() {
+		src.Send(pub, diffusion.Attributes{
+			diffusion.String(diffusion.KeyType, diffusion.IS, "seismic"),
+			diffusion.Float64(diffusion.KeyConfidence, diffusion.IS, 0.5),
+			diffusion.Int32(diffusion.KeySequence, diffusion.IS, 1),
+		})
+	})
+	net.Run(30 * time.Second)
+	if fu.Reports != 1 || got != 1 {
+		t.Errorf("fusion facade: reports=%d delivered=%d", fu.Reports, got)
+	}
+}

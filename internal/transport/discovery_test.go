@@ -605,6 +605,14 @@ func TestDiscoveryGossipMesh(t *testing.T) {
 // mesh attaches n discovery endpoints, IDs 1..n, everyone but node 1
 // knowing nothing but node 1's address.
 func (sn *simNet) mesh(n, degreeCap int, interval time.Duration) []*UDP {
+	return sn.seededMesh(n, degreeCap, interval, 0)
+}
+
+// seededMesh is mesh with its randomness drawn from seed: every
+// endpoint's random stream and boot nonce — and so its cluster-head
+// score — move with it. Seed 0 is mesh.
+func (sn *simNet) seededMesh(n, degreeCap int, interval time.Duration, seed int64) []*UDP {
+	sn.salt = uint32(seed) * 0x9e3779b9
 	nodes := make([]*UDP, n)
 	for i := range nodes {
 		cfg := DiscoveryConfig{Interval: interval, DegreeCap: degreeCap, VocabDigest: testVocab}
@@ -613,7 +621,7 @@ func (sn *simNet) mesh(n, degreeCap int, interval time.Duration) []*UDP {
 		}
 		nodes[i] = sn.endpoint(UDPConfig{
 			ID:        uint32(i + 1),
-			Seed:      int64(i + 1),
+			Seed:      int64(i+1) + seed<<32,
 			Liveness:  &LivenessConfig{Interval: 4 * interval},
 			Discovery: &cfg,
 		})

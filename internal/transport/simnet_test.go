@@ -23,6 +23,7 @@ type simNet struct {
 	peers  map[netip.AddrPort]*simPeer
 	frames int // datagrams put on the wire
 	wire   []simDatagram
+	salt   uint32 // xored into every endpoint's boot nonce
 }
 
 // simDatagram is one datagram as the wire saw it.
@@ -83,15 +84,15 @@ func (n *simNet) endpoint(cfg UDPConfig) *UDP {
 }
 
 // endpointAt attaches an endpoint with link ID cfg.ID at addr. Its boot
-// nonce is fixed (the ID), as is everything else a live endpoint takes
-// from the environment.
+// nonce is fixed (the ID, xor the net's salt), as is everything else a
+// live endpoint takes from the environment.
 func (n *simNet) endpointAt(cfg UDPConfig, addr netip.AddrPort) *UDP {
 	n.t.Helper()
 	if cfg.Deliver == nil {
 		cfg.Deliver = func(uint32, []byte) {}
 	}
 	w := &simWire{net: n, addr: addr}
-	u, err := newUDP(cfg, n.sched, w, cfg.ID)
+	u, err := newUDP(cfg, n.sched, w, cfg.ID^n.salt)
 	if err != nil {
 		n.t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ type Config struct {
 	Discover         bool
 	DegreeCap        int
 	AnnounceInterval time.Duration
-	Energy           float64
 	Advertise        string
 	AddrFile         string
 
@@ -95,7 +94,6 @@ func options(c *Config) []option {
 		// is always rescued (see transport.DiscoveryConfig).
 		{"degree-cap", "degree_cap", "max neighbors, configured + discovered (0: 8)", &c.DegreeCap},
 		{"announce-interval", "announce_interval", "discovery announce period (0: 1s)", &c.AnnounceInterval},
-		{"energy", "energy", "advertised energy level in (0,1], the cluster-head tiebreak (0: 1.0)", &c.Energy},
 		{"advertise", "advertise", "UDP address announced to peers (default: the bound address)", &c.Advertise},
 		// Written atomically: how an orchestrator learns the real ports.
 		{"addr-file", "addr_file", "write {id,udp,http} JSON here once the sockets bind (for orchestrators using :0)", &c.AddrFile},
@@ -325,12 +323,6 @@ func (c *Config) validate() error {
 	}
 	if c.Drain <= 0 {
 		c.Drain = 500 * time.Millisecond
-	}
-	if c.Energy == 0 {
-		c.Energy = 1
-	}
-	if c.Energy < 0 || c.Energy > 1 {
-		return fmt.Errorf("diffnode: energy %v outside (0,1]", c.Energy)
 	}
 	if c.DegreeCap < 0 {
 		return fmt.Errorf("diffnode: degree cap %d is negative", c.DegreeCap)

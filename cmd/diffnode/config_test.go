@@ -20,7 +20,7 @@ const everyKey = `{
 	"id": 7, "listen": "127.0.0.1:7007", "http": "127.0.0.1:8007",
 	"neighbors": {"2": "127.0.0.1:7002", "3": "127.0.0.1:7003"},
 	"seeds": ["127.0.0.1:7001"], "discover": true, "degree_cap": 4,
-	"announce_interval": "2s", "energy": 0.5, "advertise": "10.0.0.7:7007",
+	"announce_interval": "2s", "advertise": "10.0.0.7:7007",
 	"addr_file": "node.addr", "keys": ["room", "floor"],
 	"subscribe": ["type EQ x"], "publish": ["type IS x"],
 	"filters": ["tap", "suppress:type EQ x"], "seed": 11,
@@ -46,8 +46,8 @@ func TestConfigFileEveryKey(t *testing.T) {
 	if err := json.Unmarshal([]byte(everyKey), &keys); err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 37 {
-		t.Fatalf("fixture sets %d keys, want 37", len(keys))
+	if len(keys) != 36 {
+		t.Fatalf("fixture sets %d keys, want 36", len(keys))
 	}
 	got, err := loadConfig(path)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestConfigFileEveryKey(t *testing.T) {
 		ID: 7, Listen: "127.0.0.1:7007", HTTP: "127.0.0.1:8007",
 		Neighbors: map[uint32]string{2: "127.0.0.1:7002", 3: "127.0.0.1:7003"},
 		Seeds:     []string{"127.0.0.1:7001"}, Discover: true, DegreeCap: 4,
-		AnnounceInterval: 2 * time.Second, Energy: 0.5, Advertise: "10.0.0.7:7007",
+		AnnounceInterval: 2 * time.Second, Advertise: "10.0.0.7:7007",
 		AddrFile: "node.addr", Keys: []string{"room", "floor"},
 		Subscribe: []string{"type EQ x"}, Publish: []string{"type IS x"},
 		Filters: []string{"tap", "suppress:type EQ x"}, Seed: 11,
@@ -159,6 +159,7 @@ func TestConfigUnknownKey(t *testing.T) {
 	for conf, want := range map[string]string{
 		`{"id": 1, "degree-cap": 4}`:                   `unknown key "degree-cap"`,
 		`{"id": 1, "neighbors": {"x": "127.0.0.1:1"}}`: `neighbor key "x"`,
+		`{"id": 1, "energy": 0.5}`:                     `unknown key "energy"`,
 	} {
 		_, err := buildConfig([]string{"-config", writeConfig(t, conf)})
 		if err == nil || !strings.Contains(err.Error(), want) {

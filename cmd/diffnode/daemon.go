@@ -136,7 +136,6 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 			Advertise:   cfg.Advertise,
 			HTTPPort:    uint16(ln.Addr().(*net.TCPAddr).Port),
 			VocabDigest: transport.VocabDigest(names),
-			Energy:      cfg.Energy,
 			Interval:    cfg.AnnounceInterval,
 			DegreeCap:   cfg.DegreeCap,
 		}
@@ -690,7 +689,6 @@ func (d *Daemon) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		Member      string  `json:"member"`
 		Peered      bool    `json:"peered"`
 		Score       uint64  `json:"score,omitempty"`
-		Energy      float64 `json:"energy,omitempty"`
 		Boot        *uint32 `json:"boot,omitempty"`
 		DataRecv    uint64  `json:"data_recv"`
 		DataSent    uint64  `json:"data_sent"`
@@ -707,8 +705,7 @@ func (d *Daemon) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 		rw := row{
 			ID: m.ID, UDP: m.Addr, HTTP: m.HTTPAddr,
-			Origin: m.Origin, Member: m.Membership, Peered: m.Peered,
-			Score: m.Score, Energy: m.Energy,
+			Origin: m.Origin, Member: m.Membership, Peered: m.Peered, Score: m.Score,
 			DataRecv: m.DataRecv, DataSent: m.DataSent,
 		}
 		if m.HasBoot {

@@ -18,8 +18,7 @@ import (
 // framing:
 //
 //   - announce: "here I am" — carries the node's advertised UDP address,
-//     HTTP control-plane port, key-vocabulary digest, energy level, a
-//     peering bit ("I currently have you as my neighbor") and a gossip
+//     HTTP control-plane port, key-vocabulary digest, a peering bit ("I currently have you as my neighbor") and a gossip
 //     sample of other known peers. Boot-nonce-scoped like every frame, so
 //     a restart is recognized as a fresh incarnation.
 //   - probe: "who are you?" — an empty solicitation that asks the target
@@ -37,8 +36,8 @@ import (
 // The degree cap bounds per-node neighbor count so flooding cost stays
 // sub-linear as membership grows (CCIC-WSN's cluster argument). When the
 // cap is hit, slots are contested by cluster-head score — a deterministic
-// splitmix64 hash of (node ID, boot nonce), with an energy-aware
-// tiebreak. Folding the boot nonce in rotates headship across restarts,
+// splitmix64 hash of (node ID, boot nonce), distinct for every peer.
+// Folding the boot nonce in rotates headship across restarts,
 // LEACH-style, so no node is a head forever. Both sides compute identical
 // scores from the wire header alone, so no negotiation is needed. Score
 // decides which links FORM, never breaks ones that work: only one-way
@@ -146,7 +145,6 @@ type Member struct {
 	MembershipCode uint8  // the Membership* constant behind Membership
 	Peered         bool   // the peer currently lists us as its neighbor
 	Score          uint64 // cluster-head score for the peer's current boot
-	Energy         float64
 	Boot           uint32 // the peer's boot nonce from its last full announce
 	HasBoot        bool   // Boot is meaningful (probes carry no nonce)
 	DataRecv       uint64 // payload frames delivered from this peer
@@ -177,17 +175,11 @@ type DiscoveryConfig struct {
 	// numbered in registration order, so a mismatched vocabulary would
 	// silently mis-parse every named interest.
 	VocabDigest uint64
-	// Energy in (0,1] is this node's energy level, the cluster-head
-	// tiebreak (default 1).
-	Energy float64
 	// Interval is the announce period (default 1s).
 	Interval time.Duration
 	// DegreeCap bounds configured + discovered neighbors (default 8).
 	// Configured peers count toward the cap but are never evicted.
 	DegreeCap int
-	// GossipFanout is how many known peers each announce samples
-	// (default 8).
-	GossipFanout int
 	// OnMember, when set, is invoked on membership changes, after the
 	// endpoint has released its lock, from whichever goroutine made the
 	// change happen (the socket reader or the timer). A single-threaded
@@ -202,12 +194,6 @@ func (c *DiscoveryConfig) fill() {
 	}
 	if c.DegreeCap <= 0 {
 		c.DegreeCap = 8
-	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = 8
-	}
-	if c.Energy <= 0 || c.Energy > 1 {
-		c.Energy = 1
 	}
 }
 
@@ -241,7 +227,9 @@ func splitmix64(x uint64) uint64 {
 // clusterScore is a peer's deterministic cluster-head score: any two
 // nodes compute the same value from the wire header alone. Folding the
 // boot nonce in re-rolls the score each restart, rotating headship
-// LEACH-style so no node stays a hot spot across its lifetime.
+// LEACH-style so no node stays a hot spot across its lifetime. The input
+// packs (id, boot) injectively and splitmix64 is a bijection, so two
+// distinct peers never tie.
 func clusterScore(id, boot uint32) uint64 {
 	return splitmix64(uint64(id)<<32 | uint64(boot))
 }
@@ -252,7 +240,7 @@ func clusterScore(id, boot uint32) uint64 {
 //	[1]     flags (bit0: peering — "I have you as my neighbor")
 //	[2:10]  vocabulary digest, big endian
 //	[10:12] HTTP control-plane port, big endian (0 = none)
-//	[12:14] energy, permille, big endian
+//	[12:14] 1000, big endian (a retired energy level; ignored on receipt)
 //	[14]    advertised-UDP-address length, then that many bytes
 //	[...]   gossip count, then per entry: peer ID u32 BE,
 //	        address length byte, address bytes
@@ -267,7 +255,6 @@ type announce struct {
 	flags    byte
 	digest   uint64
 	httpPort uint16
-	energy   uint16 // permille
 	addr     string // advertised UDP address
 	gossip   []gossipEntry
 }
@@ -288,7 +275,7 @@ func encodeAnnounce(a announce) []byte {
 	b = append(b, discoVersion, a.flags)
 	b = binary.BigEndian.AppendUint64(b, a.digest)
 	b = binary.BigEndian.AppendUint16(b, a.httpPort)
-	b = binary.BigEndian.AppendUint16(b, a.energy)
+	b = binary.BigEndian.AppendUint16(b, 1000)
 	b = append(b, byte(len(a.addr)))
 	b = append(b, a.addr...)
 	b = append(b, byte(len(a.gossip)))
@@ -323,7 +310,6 @@ func decodeAnnounce(b []byte) (announce, error) {
 	a.flags = b[1]
 	a.digest = binary.BigEndian.Uint64(b[2:10])
 	a.httpPort = binary.BigEndian.Uint16(b[10:12])
-	a.energy = binary.BigEndian.Uint16(b[12:14])
 	alen := int(b[14])
 	p := 15
 	if len(b) < p+alen+1 {
@@ -368,7 +354,6 @@ type discoRec struct {
 	boot       uint32
 	haveBoot   bool
 	score      uint64
-	energy     uint16 // permille
 	state      memberState
 	peered     bool          // peer's last announce this boot listed us as its neighbor
 	protected  bool          // admitted via the loneliness override: immune to score eviction
@@ -403,7 +388,6 @@ type discovery struct {
 	pinnedIDs idSet
 	advertise string
 	self      netip.AddrPort // advertise, when it is a literal: a seed list may name this node too
-	energy    uint16         // permille
 
 	rng             *rand.Rand
 	recs            map[uint32]*discoRec
@@ -429,7 +413,6 @@ func newDiscovery(cfg DiscoveryConfig, id uint32, seeds []netip.AddrPort, pinned
 		seeds:           seeds,
 		pinned:          pinned,
 		advertise:       cfg.Advertise,
-		energy:          uint16(cfg.Energy * 1000),
 		rng:             rand.New(rand.NewSource(seed)),
 		recs:            map[uint32]*discoRec{},
 		lastLonelyEvict: longAgo,
@@ -607,19 +590,11 @@ func (d *discovery) tick(now time.Duration, fx *effects) {
 // room is the number of free neighbor slots under the degree cap.
 func (d *discovery) room() int { return d.cfg.DegreeCap - len(d.pinned) - len(d.nbrs) }
 
-// better reports whether a is preferred over b for a neighbor slot:
-// higher cluster-head score, then higher energy, then higher ID. Strictly
-// lexicographic and identical on every node, so the mesh-wide matching
+// better reports whether a is preferred over b for a neighbor slot: the
+// higher cluster-head score. Scores never tie and every node computes the
+// same ones, so the mesh-wide order is total and agreed, and the matching
 // converges instead of oscillating.
-func better(a, b *discoRec) bool {
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	if a.energy != b.energy {
-		return a.energy > b.energy
-	}
-	return a.id > b.id
-}
+func better(a, b *discoRec) bool { return a.score > b.score }
 
 // weakest returns the least-preferred evictable dynamic neighbor (nil
 // when there is none). Configured neighbors are pinned by the operator,
@@ -818,7 +793,7 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort
 	}
 	r.boot, r.haveBoot = boot, true
 	r.score = clusterScore(from, boot)
-	r.httpPort, r.energy = a.httpPort, a.energy
+	r.httpPort = a.httpPort
 	peerWantsUs := a.flags&annFlagPeered != 0
 	peerLonely := a.flags&annFlagLonely != 0
 	if peerWantsUs {
@@ -977,13 +952,16 @@ func (d *discovery) swapPool(i, j int) {
 	d.pool[i].slot, d.pool[j].slot = i, j
 }
 
-// gossipSample draws up to GossipFanout known peer addresses uniformly,
+// gossipFanout is how many known peers each announce samples.
+const gossipFanout = 8
+
+// gossipSample draws up to gossipFanout known peer addresses uniformly,
 // excluding the announce's destination: a Fisher–Yates shuffle of the
 // pool that stops as soon as it has dealt enough, so an announce costs
 // the fan-out, not the table.
 func (d *discovery) gossipSample(exclude uint32) []gossipEntry {
-	out := make([]gossipEntry, 0, d.cfg.GossipFanout)
-	for i := 0; i < len(d.pool) && len(out) < d.cfg.GossipFanout; i++ {
+	out := make([]gossipEntry, 0, gossipFanout)
+	for i := 0; i < len(d.pool) && len(out) < gossipFanout; i++ {
 		d.swapPool(i, i+d.rng.Intn(len(d.pool)-i))
 		r := d.pool[i]
 		if r.id != exclude && r.addr.IsValid() && r.state != stQuarantined {
@@ -1017,7 +995,6 @@ func (d *discovery) flush(sends []discoSend, fx *effects) {
 			a := announce{
 				digest:   d.cfg.VocabDigest,
 				httpPort: d.cfg.HTTPPort,
-				energy:   d.energy,
 				addr:     d.advertise,
 				gossip:   d.gossipSample(s.dst),
 			}
@@ -1095,7 +1072,6 @@ func (d *discovery) members(rows []Member) []Member {
 		}
 		m.Peered = r.peered || r.cfg
 		m.Score = r.score
-		m.Energy = float64(r.energy) / 1000
 		m.Boot, m.HasBoot = r.boot, r.haveBoot
 	}
 	return rows

@@ -54,8 +54,8 @@ func (n *simNet) disco(id uint32, disco DiscoveryConfig, mod func(*UDPConfig)) (
 func (n *simNet) rankedPeers() (weak, strong *simPeer) {
 	weak, strong = n.peer(2, 7), n.peer(3, 7)
 	if better(
-		&discoRec{id: weak.id, score: clusterScore(weak.id, weak.boot), energy: 1000},
-		&discoRec{id: strong.id, score: clusterScore(strong.id, strong.boot), energy: 1000},
+		&discoRec{id: weak.id, score: clusterScore(weak.id, weak.boot)},
+		&discoRec{id: strong.id, score: clusterScore(strong.id, strong.boot)},
 	) {
 		weak, strong = strong, weak
 	}
@@ -92,7 +92,6 @@ func TestAnnounceCodecRoundTrip(t *testing.T) {
 		flags:    annFlagPeered,
 		digest:   0xDEADBEEFCAFE1234,
 		httpPort: 8443,
-		energy:   750,
 		addr:     "127.0.0.1:7001",
 		gossip: []gossipEntry{
 			{id: 9, addr: netip.MustParseAddrPort("127.0.0.1:7009")},
@@ -104,7 +103,7 @@ func TestAnnounceCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.flags != in.flags || out.digest != in.digest || out.httpPort != in.httpPort ||
-		out.energy != in.energy || out.addr != in.addr || len(out.gossip) != 2 ||
+		out.addr != in.addr || len(out.gossip) != 2 ||
 		out.gossip[0] != in.gossip[0] || out.gossip[1] != in.gossip[1] {
 		t.Errorf("round trip mismatch: %+v != %+v", out, in)
 	}
@@ -499,7 +498,7 @@ func TestDiscoveryIgnoresHostnames(t *testing.T) {
 	u, _ := n.disco(1, DiscoveryConfig{}, nil)
 	x := n.peer(2, 7)
 
-	a := announce{digest: testVocab, energy: 1000, addr: "example.invalid:7000",
+	a := announce{digest: testVocab, addr: "example.invalid:7000",
 		gossip: []gossipEntry{{id: 8, addr: simAddr(8)}, {id: 9, addr: simAddr(9)}}}
 	// Entry 8's address, rewritten in place to a name of the same length.
 	enc := encodeAnnounce(a)

@@ -68,7 +68,7 @@ func FuzzDecodeAnnounce(f *testing.F) {
 		}
 		again.gossip, a.gossip = nil, nil
 		if again.flags != a.flags || again.digest != a.digest || again.httpPort != a.httpPort ||
-			again.energy != a.energy || again.addr != a.addr {
+			again.addr != a.addr {
 			t.Fatalf("announce changed across the codec: %+v then %+v", a, again)
 		}
 	})

@@ -159,7 +159,7 @@ func (p *simPeer) send(u *UDP, kind uint8, payload []byte) {
 // announce sends an announce with this peer's own address, the given
 // digest and flags (annFlagPeered, annFlagLonely).
 func (p *simPeer) announce(u *UDP, flags byte, digest uint64, gossip ...gossipEntry) {
-	a := announce{flags: flags, digest: digest, httpPort: 8080, energy: 1000, addr: p.addr.String(), gossip: gossip}
+	a := announce{flags: flags, digest: digest, httpPort: 8080, addr: p.addr.String(), gossip: gossip}
 	p.send(u, kindAnnounce, encodeAnnounce(a))
 }
 

@@ -12,57 +12,49 @@ import (
 
 // This file implements the UDP endpoint's membership subsystem: neighbor
 // discovery, runtime join/leave, and a degree cap with deterministic
-// cluster-head preference. The paper's protocol assumes neighbors simply
-// exist — its testbed had fixed placement — but a production mesh must
-// bootstrap itself. Discovery adds three frame kinds on the existing v2
-// framing:
+// cluster-head preference. The paper's testbed had hand-configured
+// neighbor lists; a mesh that bootstraps itself needs the rules below.
+// Each convergence rule is kept because the discovery ledger
+// (discovery_ledger_test.go) measured worse without it. Three frame
+// kinds ride the existing v2 framing:
 //
-//   - announce: "here I am" — carries the node's advertised UDP address,
-//     HTTP control-plane port, key-vocabulary digest, a peering bit ("I currently have you as my neighbor") and a gossip
-//     sample of other known peers. Boot-nonce-scoped like every frame, so
-//     a restart is recognized as a fresh incarnation.
-//   - probe: "who are you?" — an empty solicitation that asks the target
-//     to reply with a unicast announce. Used toward peers learned only
-//     from gossip, whose digest and boot nonce we do not yet know.
-//   - leave: "I am going away" — graceful departure, demote me now
-//     instead of waiting out the failure detector's timeouts.
+//   - announce: "here I am" — the node's advertised UDP address, HTTP
+//     control-plane port, key-vocabulary digest, two flag bits (peering:
+//     "I have you as my neighbor"; lonely: "I have no mutual link") and a
+//     gossip sample of other known peers. Boot-nonce-scoped like every
+//     frame, so a restart is recognized as a fresh incarnation.
+//   - probe: "who are you?" — asks the target for a unicast announce.
+//   - leave: "I am going away" — demote me now, not after the failure
+//     detector's timeouts.
 //
-// A node seeds itself from one or more -seed addresses; everything else
-// spreads by gossip. Peers whose announces check out are promoted to full
-// neighbors — heartbeats, reliable unicast, custody re-offers, the works —
-// and demoted on death or explicit leave, driving the same
-// core.NeighborDead/NeighborRecovered hooks as configured peers.
+// A node starts from one or more -seed addresses, announced to every
+// round; everything else spreads by gossip. A gossip first sighting is a
+// candidate, and each round, while below the cap, probes the few
+// candidates it has waited longest to probe. Only a full announce, with
+// its digest and boot nonce, promotes a peer to a full neighbor —
+// heartbeats, reliable unicast, custody re-offers — and death or leave
+// demotes it through the same core.NeighborDead/NeighborRecovered hooks
+// as configured peers.
 //
-// The degree cap bounds per-node neighbor count so flooding cost stays
-// sub-linear as membership grows (CCIC-WSN's cluster argument). When the
-// cap is hit, slots are contested by cluster-head score — a deterministic
-// splitmix64 hash of (node ID, boot nonce), distinct for every peer.
-// Folding the boot nonce in rotates headship across restarts,
-// LEACH-style, so no node is a head forever. Both sides compute identical
-// scores from the wire header alone, so no negotiation is needed. Score
-// decides which links FORM, never breaks ones that work: only one-way
-// placeholder slots (promoted but never reciprocated) lose to a better
-// candidate. At mesh scale, letting score evict mutual links makes every
-// node chase the same top scorers and the churn cascades — pairs break
-// faster than new ones complete, and the mesh never settles.
+// The degree cap bounds flooding cost (CCIC-WSN's cluster argument).
+// Slots go by cluster-head score, a splitmix64 hash of (node ID, boot
+// nonce) that every node computes alike from the wire header, re-rolled
+// each restart, LEACH-style. Score decides which links form, never breaks
+// working ones: a better candidate may evict only a one-way placeholder,
+// since letting score evict mutual links makes every node chase the same
+// top scorers and the churn never settles.
 //
-// Promotion is a two-way handshake. A neighborhood must be symmetric —
-// the receive path drops frames from unknown senders — so a promoted peer
-// is only useful once it has promoted us back. The announce peering bit
-// carries that fact: a promoted peer that never sets it within three
-// announce intervals is demoted back to candidate (it is full, and we are
-// below its cut), and a previously-peered neighbor that clears it has
-// dropped us, so we drop it too.
+// Promotion is a two-way handshake, carried by the peering bit: a
+// promoted peer that does not set it within three announce intervals is
+// demoted, and one that clears it has dropped us. Either side that gives
+// up tells the other with a bit-clear announce, and retries only after a
+// backoff that doubles per failure and then quiesces.
 //
-// Pure score preference has a starvation mode: once the mesh saturates,
-// the globally lowest-scored nodes beat nobody's weakest neighbor and
-// stay isolated forever (visible already at n = cap+2, where the top
-// cap+1 nodes form a full clique). The loneliness override breaks it,
-// HyParView-style: an announce advertises "I have zero peered neighbors",
-// and a full node admits such a peer by evicting its weakest neighbor
-// regardless of score — rate-limited to one per interval, with the
-// admitted peer's slot protected from score-based eviction so the mesh
-// does not churn it right back out.
+// Score order starves the lowest-scored nodes once the mesh saturates.
+// A node with no mutual link therefore flags every announce lonely, and
+// a full recipient admits it over its cheapest slot (a mutual one as the
+// last resort) at most once per interval, protecting the rescued slot
+// from score eviction, HyParView-style.
 
 // MemberEvent classifies a membership change surfaced through
 // DiscoveryConfig.OnMember.
@@ -362,12 +354,12 @@ type discoRec struct {
 	retryAt    time.Duration // do not re-promote before this (handshake damping)
 	lastHeard  time.Duration // last announce/probe from the peer
 	lastReply  time.Duration // last rate-limited announce we sent it in response
-	lastProbe  time.Duration // last solicitation we sent it
+	lastProbe  time.Duration // last solicitation we sent it (first sighting, if none)
 	slot       int           // index in discovery.pool
 }
 
 // discoSend is one membership frame a step decided to send; flush renders
-// the batch (gossip sample, loneliness bid) once the step's table changes
+// the batch (gossip sample, loneliness flag) once the step's table changes
 // are in.
 type discoSend struct {
 	dst    uint32 // 0 when the peer ID is unknown (header dst = Broadcast)
@@ -396,7 +388,6 @@ type discovery struct {
 	pool            []*discoRec   // and in the order gossipSample's shuffles left them
 	nbrs            []*discoRec   // promoted (not pinned) neighbors, oldest first
 	lastLonelyEvict time.Duration // rate limit on loneliness-override evictions
-	lonelyRR        uint32        // rotates the single per-batch loneliness bid
 	next            time.Duration // next announce round
 }
 
@@ -845,11 +836,11 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort
 		}
 	}
 
-	// Gossip: first sighting of unknown peers. They enter as candidates
-	// and get probed; the probe solicits their full announce, which is
-	// what can promote them. Sampling every record — not just neighbors —
-	// is what lets bottom-scored nodes find each other once the
-	// high-score slots fill up.
+	// Gossip: first sighting of unknown peers. They enter as candidates,
+	// queued behind the candidates tick has waited longest to probe; the
+	// probe solicits their full announce, which is what can promote them.
+	// Sampling every record — not just neighbors — is what lets
+	// bottom-scored nodes find each other once the high-score slots fill.
 	for _, g := range a.gossip {
 		if g.id == d.id || g.id == Broadcast || g.id == from || d.recs[g.id] != nil {
 			continue
@@ -860,9 +851,6 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort
 		}
 		nr.addr, nr.lastHeard, nr.lastProbe = g.addr, now, now
 		d.stats.GossipLearned.Add(1)
-		if !nr.cfg && d.room() > 0 {
-			sends = append(sends, discoSend{dst: g.id, addr: nr.addr, kind: kindProbe})
-		}
 	}
 
 	// Rate-limited reply, so a pair of nodes converges in one exchange
@@ -985,10 +973,13 @@ func (d *discovery) isLonely() bool {
 	return true
 }
 
-// flush renders a step's membership frames into fx.
+// flush renders a step's membership frames into fx. A lonely node flags
+// every announce it sends: each recipient is a possible rescuer, and the
+// rescuers' rate limit and slot protection keep the answers from
+// churning.
 func (d *discovery) flush(sends []discoSend, fx *effects) {
-	lonelyIdx := d.pickLonelyBid(sends)
-	for i, s := range sends {
+	lonely := d.isLonely()
+	for _, s := range sends {
 		var payload []byte
 		switch s.kind {
 		case kindAnnounce:
@@ -1001,7 +992,7 @@ func (d *discovery) flush(sends []discoSend, fx *effects) {
 			if s.peered {
 				a.flags |= annFlagPeered
 			}
-			if i == lonelyIdx {
+			if lonely {
 				a.flags |= annFlagLonely
 			}
 			payload = encodeAnnounce(a)
@@ -1015,37 +1006,6 @@ func (d *discovery) flush(sends []discoSend, fx *effects) {
 		// is the point of discovery.
 		fx.push(outFrame{peer: s.dst, addr: s.addr, kind: s.kind, payload: payload})
 	}
-}
-
-// pickLonelyBid chooses at most one announce per batch to carry the
-// loneliness flag, returning its index (-1: none). The flag solicits a
-// rescue eviction; stamping every outgoing announce would recruit every
-// recipient at once, and a mesh's worth of simultaneous rescues
-// oversubscribes the lonely node — n-1 freshly protected slots pointed
-// at a node with room for a fraction of them, most torn down again in
-// the churn that follows. One bid per batch, rotating targets, finds a
-// single rescuer within a round or two.
-func (d *discovery) pickLonelyBid(sends []discoSend) int {
-	n := 0
-	for _, s := range sends {
-		if s.kind == kindAnnounce {
-			n++
-		}
-	}
-	if n == 0 || !d.isLonely() {
-		return -1
-	}
-	pick := int(d.lonelyRR) % n
-	d.lonelyRR++
-	for i, s := range sends {
-		if s.kind == kindAnnounce {
-			if pick == 0 {
-				return i
-			}
-			pick--
-		}
-	}
-	return -1
 }
 
 // members merges discovery metadata into the peer-table member rows

@@ -290,6 +290,61 @@ func TestDiscoveryLonelyRescue(t *testing.T) {
 	}
 }
 
+// TestDiscoveryLonelyFlagsEveryAnnounce: a node with no mutual link flags
+// every announce it sends, so every recipient is a possible rescuer; once
+// a link is mutual, none is flagged.
+func TestDiscoveryLonelyFlagsEveryAnnounce(t *testing.T) {
+	n := newSimNet(t)
+	peers := []*simPeer{n.peer(2, 7), n.peer(3, 7), n.peer(4, 7)}
+	var seeds []string
+	for _, p := range peers {
+		seeds = append(seeds, p.addr.String())
+	}
+	u, _ := n.disco(1, DiscoveryConfig{Seeds: seeds}, nil)
+
+	// The first round's batch: one announce to each seed.
+	n.run(n.delay)
+	for _, p := range peers {
+		a, ok := p.takeAnnounce()
+		if !ok || a.flags&annFlagLonely == 0 {
+			t.Errorf("lonely node's announce to %d: flags %#x (ok=%v), want the lonely flag", p.id, a.flags, ok)
+		}
+	}
+
+	// A mutual link ends the loneliness: the next batch flags nothing.
+	peers[0].announce(u, annFlagPeered, testVocab)
+	n.run(discoInterval)
+	for _, p := range peers {
+		for a, ok := p.takeAnnounce(); ok; a, ok = p.takeAnnounce() {
+			if a.flags&annFlagLonely != 0 {
+				t.Errorf("announce to %d flagged lonely after a mutual link formed", p.id)
+			}
+		}
+	}
+}
+
+// TestDiscoveryGossipProbedByRound: a peer first seen in gossip is not
+// probed on the spot; the next round's due list probes it.
+func TestDiscoveryGossipProbedByRound(t *testing.T) {
+	n := newSimNet(t)
+	u, _ := n.disco(1, DiscoveryConfig{}, nil)
+	x, y := n.peer(2, 7), n.peer(9, 7)
+
+	x.announce(u, 0, testVocab, gossipEntry{id: y.id, addr: y.addr})
+	if m := memberOf(u, y.id); m.Membership != "candidate" {
+		t.Fatalf("gossip-learned peer: %s, want candidate", m.Membership)
+	}
+	n.run(discoInterval - 1)
+	if _, ok := y.take(kindProbe); ok {
+		t.Fatal("first sighting probed before any round picked it")
+	}
+	// The round at one interval probes it; the probe lands a wire delay on.
+	n.run(n.delay + 1)
+	if _, ok := y.take(kindProbe); !ok {
+		t.Fatal("the round after the first sighting did not probe it")
+	}
+}
+
 func TestDiscoveryHandshakeTimeoutDemotes(t *testing.T) {
 	n := newSimNet(t)
 	u, log := n.disco(1, DiscoveryConfig{}, nil)

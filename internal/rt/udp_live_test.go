@@ -217,6 +217,10 @@ func benchLine(b *testing.B, rel *transport.ReliableConfig, payload int) {
 	}
 	const window = 32
 	datagrams, frames, acks := ln.sent()
+	// One timer, reset per arrival: a time.After per wait would put its
+	// allocations into -benchmem's count.
+	stall := time.NewTimer(5 * time.Second)
+	defer stall.Stop()
 	b.ResetTimer()
 	for offered, arrived := 0, 0; arrived < b.N; {
 		for offered < b.N && offered-arrived < window {
@@ -226,7 +230,8 @@ func benchLine(b *testing.B, rel *transport.ReliableConfig, payload int) {
 		select {
 		case <-ln.got:
 			arrived++
-		case <-time.After(5 * time.Second):
+			stall.Reset(5 * time.Second)
+		case <-stall.C:
 			b.Fatalf("%d of %d events arrived", arrived, offered)
 		}
 	}

@@ -89,8 +89,10 @@ func TestAllocsUDPSend(t *testing.T) {
 }
 
 // A reliable reception handed to a corking consumer, and the consumer's
-// wake-up around it, allocate only Deliver's copy: the held ack goes into a
-// pooled buffer like any held frame, and leaves in one datagram at Uncork.
+// wake-up around it, allocate only the datagram's copy, which Deliver is
+// handed a window on: the held ack goes into a pooled buffer like any held
+// frame, and leaves in one datagram at Uncork. The datagrams come in as the
+// reader's do, through one reused buffer and one reused record.
 func TestAllocsReliableReceiveHeld(t *testing.T) {
 	w := &discardWire{}
 	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Reliable: &ReliableConfig{}, Deliver: func(uint32, []byte) {}}, sim.New(1), w, 1)
@@ -105,8 +107,10 @@ func TestAllocsReliableReceiveHeld(t *testing.T) {
 		frames[i] = appendFrame(nil, kindReliable, 2, 1, 2, uint32(i+1), 0, 0, make([]byte, 119))
 	}
 	i, early := 0, 0
+	buf := make([]byte, 256)
+	var d rxDatagram
 	if n := testing.AllocsPerRun(len(frames)-1, func() {
-		u.receive(frames[i], simAddr(2))
+		u.receive(&d, buf[:copy(buf, frames[i])], simAddr(2))
 		if w.frames != i {
 			early++
 		}
@@ -114,10 +118,66 @@ func TestAllocsReliableReceiveHeld(t *testing.T) {
 		u.Cork()
 		u.Uncork()
 	}); n != 1 {
-		t.Errorf("a reliable reception and its wake-up allocate %.0f/op, budget 1 (Deliver's copy)", n)
+		t.Errorf("a reliable reception and its wake-up allocate %.0f/op, budget 1 (the datagram's copy)", n)
 	}
 	if s := u.Stats(); early != 0 || w.frames != len(frames) || s.AcksSent.Load() != uint64(len(frames)) {
 		t.Errorf("%d acks written before the wake-up, %d datagrams, %d acks for %d receptions; want 0 and one ack datagram each",
 			early, w.frames, s.AcksSent.Load(), len(frames))
+	}
+}
+
+// An 8-frame bundle that delivers all eight costs one allocation, the
+// datagram's copy: each upcall is handed a window on it.
+func TestAllocsBundleReceive(t *testing.T) {
+	upcalls := 0
+	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Deliver: func(uint32, []byte) { upcalls++ }}, sim.New(1), &discardWire{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	bundle := eightFrames('a')
+	buf := make([]byte, 512)
+	var d rxDatagram
+	if n := testing.AllocsPerRun(100, func() {
+		u.receive(&d, buf[:copy(buf, bundle)], simAddr(2))
+	}); n != 1 {
+		t.Errorf("a delivered 8-frame bundle allocates %.0f/op, budget 1 (the datagram's copy)", n)
+	}
+	if upcalls != 101*8 {
+		t.Errorf("%d upcalls, want %d", upcalls, 101*8)
+	}
+}
+
+// Once warm, a window of reliable Sends and the acks that complete them
+// allocate nothing: each payload is copied into a buffer an earlier ack
+// recycled.
+func TestAllocsReliableSendAcked(t *testing.T) {
+	w := &discardWire{}
+	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Reliable: &ReliableConfig{}, Deliver: func(uint32, []byte) {}}, sim.New(1), w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	window := u.rel.cfg.Window
+	buf := make([]byte, 64)
+	var d rxDatagram
+	seq := uint32(0)
+	round := func() {
+		for i := 0; i < window; i++ {
+			if err := u.Send(2, kib); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < window; i++ {
+			seq++
+			u.receive(&d, appendFrame(buf[:0], kindAck, 2, 1, 2, seq, 0, 0, nil), simAddr(2))
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a window of %d reliable sends and their acks allocates %.0f/op, budget 0", window, n)
+	}
+	if want := 102 * window; w.frames != want || u.rel.pending(2) != 0 || len(u.rel.spare) != window {
+		t.Errorf("wire saw %d frames, %d pending, %d spare buffers; want %d, 0 and %d", w.frames, u.rel.pending(2), len(u.rel.spare), want, window)
 	}
 }

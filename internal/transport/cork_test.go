@@ -29,6 +29,16 @@ func splitBundle(b []byte) (frames [][]byte, malformed bool) {
 	return frames, len(b) > 0 || len(frames) == 0
 }
 
+// bundleOf lays frames out as a bundle.
+func bundleOf(frames ...[]byte) []byte {
+	out := []byte{frameMagic, frameVersion, kindBundle}
+	for _, f := range frames {
+		out = append(out, byte(len(f)>>8), byte(len(f)))
+		out = append(out, f...)
+	}
+	return out
+}
+
 // unbundle splits a well-formed bundle into its frames, failing on anything
 // else.
 func unbundle(t *testing.T, b []byte) [][]byte {
@@ -596,31 +606,71 @@ func TestBundleMalformedTail(t *testing.T) {
 	n := newSimNet(t)
 	_, b, _, cb := n.pair(UDPConfig{}, UDPConfig{})
 	frame := func(p string) []byte { return appendFrame(nil, kindData, 1, 2, 1, 0, 0, 0, []byte(p)) }
-	bundle := func(frames ...[]byte) []byte {
-		out := []byte{frameMagic, frameVersion, kindBundle}
-		for _, f := range frames {
-			out = append(out, byte(len(f)>>8), byte(len(f)))
-			out = append(out, f...)
-		}
-		return out
-	}
 	for _, tc := range []struct {
 		name             string
 		b                []byte
 		delivered, drops int
 	}{
-		{"well-formed", bundle(frame("a"), frame("b")), 2, 0},
-		{"length past the end", append(bundle(frame("a")), 0, 40, 1, 2, 3), 1, 1},
-		{"half a length", append(bundle(frame("a")), 0), 1, 1},
-		{"no frames", bundle(), 0, 1},
-		{"empty inner frame", bundle(frame("a"), nil, frame("b")), 2, 1},
-		{"nested bundle", bundle(frame("a"), bundle(frame("x"), frame("y"))), 1, 1},
+		{"well-formed", bundleOf(frame("a"), frame("b")), 2, 0},
+		{"length past the end", append(bundleOf(frame("a")), 0, 40, 1, 2, 3), 1, 1},
+		{"half a length", append(bundleOf(frame("a")), 0), 1, 1},
+		{"no frames", bundleOf(), 0, 1},
+		{"empty inner frame", bundleOf(frame("a"), nil, frame("b")), 2, 1},
+		{"nested bundle", bundleOf(frame("a"), bundleOf(frame("x"), frame("y"))), 1, 1},
 	} {
 		got, drops := cb.count(), b.Stats().RecvDropped.Load()
-		b.receive(tc.b, simAddr(1))
+		b.receive(new(rxDatagram), tc.b, simAddr(1))
 		if d, r := cb.count()-got, int(b.Stats().RecvDropped.Load()-drops); d != tc.delivered || r != tc.drops {
 			t.Errorf("%s: %d delivered, %d dropped; want %d and %d", tc.name, d, r, tc.delivered, tc.drops)
 		}
+	}
+}
+
+// eightFrames is a bundle from neighbor 2 to 1 of eight data frames whose
+// payloads, 10 to 17 bytes long, are each one byte repeated: tag, tag+1, ….
+func eightFrames(tag byte) []byte {
+	frames := make([][]byte, 8)
+	for i := range frames {
+		frames[i] = appendFrame(nil, kindData, 2, 1, 2, 0, 0, 0, bytes.Repeat([]byte{tag + byte(i)}, 10+i))
+	}
+	return bundleOf(frames...)
+}
+
+// The frames of one datagram are delivered as windows on its one copy. Fed
+// through one reused buffer and record, as the reader feeds it, an 8-frame
+// bundle makes 8 upcalls whose payloads are capacity-clipped and stay as
+// they arrived when the buffer carries the next datagram, and when the
+// payload before each is appended to. (TestAllocsBundleReceive holds the
+// copy to one allocation.)
+func TestBundleDeliversWindowsOnOneCopy(t *testing.T) {
+	n, got := newSimNet(t), &collector{}
+	u := n.endpoint(UDPConfig{ID: 1, Neighbors: neighbors(2), Deliver: got.deliver})
+	buf := make([]byte, 512)
+	var d rxDatagram
+	u.receive(&d, buf[:copy(buf, eightFrames('a'))], simAddr(2))
+	if len(got.held) != 8 {
+		t.Fatalf("%d upcalls, want 8", len(got.held))
+	}
+	first := slices.Clone(got.got)
+	for i, p := range got.held {
+		if want := string(bytes.Repeat([]byte{'a' + byte(i)}, 10+i)); string(p) != want || cap(p) != len(p) {
+			t.Fatalf("payload %d is %q with cap %d, want %q with cap %d", i, p, cap(p), want, len(want))
+		}
+	}
+	u.receive(&d, buf[:copy(buf, eightFrames('A'))], simAddr(2))
+	for i := range got.held[:8] {
+		if string(got.held[i]) != first[i] {
+			t.Fatalf("payload %d reads %q once the buffer held the next datagram, was %q", i, got.held[i], first[i])
+		}
+	}
+	for i := 0; i < 7; i++ {
+		_ = append(got.held[i], "scribble"...)
+		if string(got.held[i+1]) != first[i+1] {
+			t.Fatalf("an append to payload %d turned payload %d into %q", i, i+1, got.held[i+1])
+		}
+	}
+	if len(got.held) != 16 || got.got[8] != "AAAAAAAAAA" {
+		t.Fatalf("the second bundle made %d upcalls, the first %q; want 8 and %q", len(got.held)-8, got.got[8], "AAAAAAAAAA")
 	}
 }
 

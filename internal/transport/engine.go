@@ -49,8 +49,11 @@ type outFrame struct {
 	kind    uint8
 	seq     uint32
 	payload []byte
-	// pooled marks a datagram the cork finished (udp.go, hold): payload is
-	// its wire bytes, frames already encoded, in this framePool buffer.
+	// pooled marks a datagram ready for the wire: payload is its bytes, in
+	// this framePool buffer, and frames how many frames they hold. Every
+	// frame leaves the lock encoded (udp.go, leave) — alone, or in a
+	// datagram the cork finished — so nothing written once the lock is
+	// released reads an engine's buffer.
 	pooled *[]byte
 	frames int
 }
@@ -96,11 +99,12 @@ type effects struct {
 	transitions []transition // what the failure detector decided
 
 	// The received frame, when the entry was a reception that owes a
-	// flight-path span or a Deliver upcall; its payload aliases the receive
-	// buffer and rxSize is the datagram's length on the wire.
+	// flight-path span or a Deliver upcall; its payload aliases the datagram
+	// dgram records, and rxSize is the frame's length on the wire.
 	rx            frame
 	rxSize        int
 	span, deliver bool
+	dgram         *rxDatagram
 }
 
 // at returns frame i.

@@ -107,6 +107,20 @@ func counters(s *Stats) []uint64 {
 	return out
 }
 
+// checkHeld fails t unless every payload got was handed is capacity-clipped
+// and still reads as it did when it was handed over.
+func checkHeld(t *testing.T, got *collector) {
+	t.Helper()
+	for i, p := range got.held {
+		if cap(p) != len(p) {
+			t.Fatalf("payload %d has cap %d, len %d", i, cap(p), len(p))
+		}
+		if string(p) != got.got[i] {
+			t.Fatalf("payload %d reads %q after the datagram was overwritten, was %q", i, p, got.got[i])
+		}
+	}
+}
+
 // FuzzEndpointDatagram hands arbitrary bytes from an arbitrary source to
 // the receive entry of an endpoint with every engine on, then lets a
 // second of virtual time play out. Nothing may panic, every reject must
@@ -114,22 +128,33 @@ func counters(s *Stats) []uint64 {
 // grow the peer table, and the discovery table stays within its cap. A bundle must leave the endpoint exactly as its
 // frames would have, arriving one datagram each: the same deliveries,
 // duplicate windows and counters, but for one RecvDropped if its tail is
-// malformed (or it has no frames at all).
+// malformed (or it has no frames at all). Every delivered payload is
+// capacity-clipped and keeps its frame's bytes after the datagram it came
+// in is overwritten, as the reader's buffer is by the next one.
 func FuzzEndpointDatagram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, ip uint32, port uint16) {
 		n, u, got := fuzzEndpoint(t)
 		from := netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}), port)
+		// rb stands in for the reader's buffer; b itself is never written.
+		rb := slices.Clone(b)
+		scribble := func() {
+			for i := range rb {
+				rb[i] = ^rb[i]
+			}
+		}
 
 		if isBundle(b) {
 			_, o, want := fuzzEndpoint(t)
 			frames, malformed := splitBundle(b)
 			for _, inner := range frames {
-				o.receiveFrame(inner, from)
+				o.receiveFrame(&rxDatagram{b: inner}, inner, from)
 			}
 			if malformed {
 				o.stats.RecvDropped.Add(1)
 			}
-			u.receive(b, from)
+			u.receive(new(rxDatagram), rb, from)
+			scribble()
+			checkHeld(t, got)
 			checkRecs(t, u)
 			if g, w := counters(u.Stats()), counters(o.Stats()); !slices.Equal(g, w) {
 				t.Fatalf("bundle %x left counters\n%v, its frames one by one\n%v", b, g, w)
@@ -165,7 +190,12 @@ func FuzzEndpointDatagram(f *testing.F) {
 			}
 		}
 
-		u.receive(b, from)
+		u.receive(new(rxDatagram), rb, from)
+		scribble()
+		checkHeld(t, got)
+		if len(got.got) > 1 || len(got.got) == 1 && got.got[0] != string(fr.payload) {
+			t.Fatalf("a frame of payload %q delivered %q", fr.payload, got.got)
+		}
 		checkRecs(t, u)
 		if got := u.Stats().RecvDropped.Load(); got != want {
 			t.Fatalf("RecvDropped = %d, want %d for %x", got, want, b)

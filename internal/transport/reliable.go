@@ -105,6 +105,11 @@ type reliable struct {
 	// next is the earliest ack timeout. Acks only remove deadlines, so it
 	// may run early; tick recomputes it exactly.
 	next time.Duration
+	// spare holds the buffers of frames acked, abandoned or shed — at most
+	// Window of them — for send to copy the next payloads into. The driver
+	// encodes every frame before it releases its lock, so once the engine
+	// lets go of a buffer nothing else reads it.
+	spare [][]byte
 }
 
 func newReliable(cfg ReliableConfig, stats *Stats) *reliable {
@@ -115,23 +120,35 @@ func newReliable(cfg ReliableConfig, stats *Stats) *reliable {
 // nextDeadline is when the sender next needs a tick.
 func (r *reliable) nextDeadline() time.Duration { return r.next }
 
-// send enqueues buf — which the engine keeps — toward peer, applying the
-// overload-shedding policy, and pumps the window. Shedding is not an
-// error: the link-layer contract is best effort, and the diffusion layer's
-// own refresh machinery recovers what overload drops.
-func (r *reliable) send(peer uint32, buf []byte, now time.Duration, fx *effects) {
+// send enqueues a copy of payload, which it only borrows, toward peer,
+// applying the overload-shedding policy, and pumps the window. The copy
+// goes into the last spare buffer, or a new one if that is too small.
+// Shedding is not an error: the link-layer contract is best effort, and the
+// diffusion layer's own refresh machinery recovers what overload drops.
+func (r *reliable) send(peer uint32, payload []byte, now time.Duration, fx *effects) {
 	p, ok := r.peers[peer]
 	if !ok {
 		p = &relPeer{}
 		r.peers[peer] = p
 		r.order.add(peer)
 	}
-	if len(p.inflight)+len(p.queue) >= r.cfg.QueueLimit && !r.shed(p, buf) {
+	if len(p.inflight)+len(p.queue) >= r.cfg.QueueLimit && !r.shed(p, payload) {
 		return // the new frame itself was shed
 	}
+	var buf []byte
+	if n := len(r.spare); n > 0 {
+		buf, r.spare = r.spare[n-1], r.spare[:n-1]
+	}
 	p.nextSeq++
-	p.queue = append(p.queue, pending{peer: peer, seq: p.nextSeq, payload: buf})
+	p.queue = append(p.queue, pending{peer: peer, seq: p.nextSeq, payload: append(buf[:0], payload...)})
 	r.pump(p, now, fx)
+}
+
+// recycle puts a frame's buffer on the spare list, if the list has room.
+func (r *reliable) recycle(buf []byte) {
+	if len(r.spare) < r.cfg.Window {
+		r.spare = append(r.spare, buf)
+	}
 }
 
 // shed makes room in a full queue. It prefers dropping a queued sheddable
@@ -143,6 +160,7 @@ func (r *reliable) shed(p *relPeer, incoming []byte) bool {
 	r.stats.QueueDrops.Add(1)
 	for i, f := range p.queue {
 		if sheddable(f.payload) {
+			r.recycle(f.payload)
 			p.queue = slices.Delete(p.queue, i, i+1)
 			return true
 		}
@@ -150,6 +168,7 @@ func (r *reliable) shed(p *relPeer, incoming []byte) bool {
 	if sheddable(incoming) || len(p.queue) == 0 {
 		return false
 	}
+	r.recycle(p.queue[0].payload)
 	p.queue = slices.Delete(p.queue, 0, 1)
 	return true
 }
@@ -179,6 +198,7 @@ func (r *reliable) tick(now time.Duration, fx *effects) {
 			if f.due <= now {
 				if f.tries > r.cfg.MaxRetries {
 					r.stats.ReliableDrops.Add(1)
+					r.recycle(f.payload)
 					continue
 				}
 				f.tries++
@@ -207,6 +227,7 @@ func (r *reliable) ack(peer, seq uint32, now time.Duration, fx *effects) {
 	}
 	for i := range p.inflight {
 		if p.inflight[i].seq == seq {
+			r.recycle(p.inflight[i].payload)
 			p.inflight = slices.Delete(p.inflight, i, i+1)
 			r.pump(p, now, fx)
 			return

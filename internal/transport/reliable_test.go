@@ -1,11 +1,19 @@
 package transport
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"net"
+	"net/netip"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"diffusion/internal/message"
+	"diffusion/internal/sim"
 )
 
 // payloadOf builds a minimal payload whose leading byte is the message
@@ -248,5 +256,145 @@ func TestUDPReliableEndToEnd(t *testing.T) {
 	}
 	if cb.count() != 2 {
 		t.Fatalf("deliveries after heal = %d, want still 2", cb.count())
+	}
+}
+
+// Reliable frames are kept in recycled buffers, so a buffer must not be
+// reused while its frame can still be retransmitted. 1 200 frames whose
+// sizes cycle through 1 B–2 KiB cross a wire that loses a quarter of the
+// datagrams each way and duplicates every seventh, so many frames are
+// retransmitted and many recycled buffers are too small for the next
+// payload. Every frame arrives exactly once with the bytes it was sent
+// with, and after every entry the spare list holds at most Window buffers.
+//
+// A frame is sent every 5 ms. Faster, a frame whose data is lost on every
+// try can fall more than 64 sequence numbers behind the receiver's newest,
+// past its duplicate window: it is then acked as a stale replay and never
+// delivered, recycling or not.
+func TestReliableRecycledBuffersKeepTheirBytes(t *testing.T) {
+	rel := &ReliableConfig{RTO: 10 * time.Millisecond, MaxRTO: 40 * time.Millisecond,
+		MaxRetries: 50, Window: 8, QueueLimit: 2048}
+	n := newSimNet(t)
+	n.dup = 7
+	a, _, _, cb := n.pair(UDPConfig{Reliable: rel, Loss: 0.25, Seed: 1}, UDPConfig{Reliable: rel, Loss: 0.25, Seed: 2})
+	checkSpare := func() {
+		t.Helper()
+		if len(a.rel.spare) > rel.Window {
+			t.Fatalf("%d spare buffers, Window %d", len(a.rel.spare), rel.Window)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	sent := map[string]int{}
+	for i := 0; i < 1200; i++ {
+		p := make([]byte, 1+i*193%2048) // 193 is odd: no size repeats within 2048 sends
+		rng.Read(p)
+		sent[string(p)]++
+		if err := a.Send(2, p); err != nil {
+			t.Fatal(err)
+		}
+		rng.Read(p) // the caller reuses its buffer once Send returns
+		checkSpare()
+		for end := n.sched.Now() + 5*time.Millisecond; ; {
+			if at, ok := n.sched.NextEventAt(); !ok || at > end {
+				break
+			}
+			n.sched.Step()
+			checkSpare()
+		}
+	}
+	for n.sched.Step() {
+		checkSpare()
+	}
+	if a.Stats().Retransmits.Load() < 300 || n.frames < 2400 {
+		t.Fatalf("only %d retransmissions in %d datagrams; the wire is not lossy enough to test anything", a.Stats().Retransmits.Load(), n.frames)
+	}
+	for i, p := range cb.got {
+		if sent[p] == 0 {
+			t.Fatalf("delivery %d (%d bytes) was never sent, or was delivered twice", i, len(p))
+		}
+		sent[p]--
+	}
+	if len(cb.got) != 1200 {
+		t.Fatalf("%d of 1200 frames delivered", len(cb.got))
+	}
+}
+
+// checkWire is a wire, safe for several writers, that checks every reliable
+// frame's payload against the index it starts with (see indexed).
+type checkWire struct{ frames, bad atomic.Int64 }
+
+func (w *checkWire) LocalAddr() net.Addr { return net.UDPAddrFromAddrPort(simAddr(1)) }
+func (w *checkWire) Close() error        { return nil }
+func (w *checkWire) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
+	w.frames.Add(1)
+	if f, err := decodeFrame(b); err != nil || f.kind != kindReliable || len(f.payload) < 8 || !slices.Equal(f.payload, indexed(binary.BigEndian.Uint64(f.payload))) {
+		w.bad.Add(1)
+	}
+	return len(b), nil
+}
+
+// indexed is payload i: i, then 8 to 71 copies of byte(i).
+func indexed(i uint64) []byte {
+	b := binary.BigEndian.AppendUint64(nil, i)
+	for j := 0; j < 8+int(i%64); j++ {
+		b = append(b, byte(i))
+	}
+	return b
+}
+
+// A frame's buffer is recycled when its ack arrives, which can be on another
+// goroutine the moment the entry that sent the frame releases the lock; the
+// next Send, on a third, then writes the buffer. Every frame is encoded
+// before the lock is released, so no write reads a recycled buffer: under
+// -race this is that check, and without it the wire still sees every frame
+// whole.
+func TestReliableRecycleRacesNoWrite(t *testing.T) {
+	const perSender = 2000
+	w := &checkWire{}
+	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Deliver: func(uint32, []byte) {},
+		Reliable: &ReliableConfig{RTO: time.Hour, Window: 4, QueueLimit: 1 << 20}}, sim.New(1), w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	inFlight := func(seq uint32) bool {
+		u.peersMu.Lock()
+		defer u.peersMu.Unlock()
+		p := u.rel.peers[2]
+		return p != nil && slices.ContainsFunc(p.inflight, func(f pending) bool { return f.seq == seq })
+	}
+	// A sender waits for window room, so that its own entry puts its frame
+	// on the wire.
+	room := func() bool {
+		u.peersMu.Lock()
+		defer u.peersMu.Unlock()
+		return u.rel.pending(2) < u.rel.cfg.Window
+	}
+	var wg sync.WaitGroup
+	for s := uint64(0); s < 2; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := s; i < 2*perSender; i += 2 {
+				for !room() {
+					runtime.Gosched()
+				}
+				if err := u.Send(2, indexed(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var d rxDatagram
+	for seq := uint32(1); seq <= 2*perSender; seq++ {
+		for !inFlight(seq) {
+			runtime.Gosched()
+		}
+		u.receive(&d, appendFrame(nil, kindAck, 2, 1, 2, seq, 0, 0, nil), simAddr(2))
+	}
+	wg.Wait()
+	if w.frames.Load() != 2*perSender || w.bad.Load() != 0 {
+		t.Errorf("wire saw %d frames, %d of them not as sent; want %d and 0", w.frames.Load(), w.bad.Load(), 2*perSender)
 	}
 }

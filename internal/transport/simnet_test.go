@@ -24,6 +24,9 @@ type simNet struct {
 	frames int // datagrams put on the wire
 	wire   []simDatagram
 	salt   uint32 // xored into every endpoint's boot nonce
+	// dup, when non-zero, delivers every dup-th datagram a second time, one
+	// delay after the first.
+	dup int
 }
 
 // simDatagram is one datagram as the wire saw it.
@@ -67,13 +70,17 @@ func (w *simWire) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
 	n.frames++
 	cp := append([]byte(nil), b...)
 	n.wire = append(n.wire, simDatagram{to: to, b: cp})
-	n.sched.After(n.delay, func() {
+	arrive := func() {
 		if u := n.nodes[to]; u != nil {
-			u.receive(cp, w.addr)
+			u.receive(new(rxDatagram), cp, w.addr)
 		} else if p := n.peers[to]; p != nil {
 			p.receive(cp)
 		}
-	})
+	}
+	n.sched.After(n.delay, arrive)
+	if n.dup > 0 && n.frames%n.dup == 0 {
+		n.sched.After(2*n.delay, arrive)
+	}
 	return len(b), nil
 }
 
@@ -153,7 +160,7 @@ func (p *simPeer) receive(b []byte) {
 
 // send delivers one frame to u now.
 func (p *simPeer) send(u *UDP, kind uint8, payload []byte) {
-	u.receive(appendFrame(nil, kind, p.id, Broadcast, p.boot, 0, 0, 0, payload), p.addr)
+	u.receive(new(rxDatagram), appendFrame(nil, kind, p.id, Broadcast, p.boot, 0, 0, 0, payload), p.addr)
 }
 
 // announce sends an announce with this peer's own address, the given

@@ -61,9 +61,12 @@ import (
 const Broadcast = uint32(message.Broadcast)
 
 // Deliver is the reception upcall: one payload from a neighbor, owned by
-// the callee — the transport made this copy for it (the one copy a received
-// datagram gets) and never touches it again. A transport calls it holding no
-// lock of its own, from the goroutine the datagram arrived on.
+// the callee — the transport copied it out of what it received and never
+// touches it again. Mesh makes each receiver a copy of its own. UDP copies a
+// datagram once, and the payloads of its frames are capacity-clipped
+// windows on that copy: an append to one reallocates rather than reach the
+// next, and keeping one keeps the whole datagram alive. A transport calls it
+// holding no lock of its own, from the goroutine the datagram arrived on.
 type Deliver func(from uint32, payload []byte)
 
 // Frame layout: a fixed header in front of the diffusion payload.

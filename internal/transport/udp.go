@@ -259,14 +259,18 @@ func (u *UDP) enter() (now time.Duration) {
 }
 
 // leave ends an entry: settle what the engines asked of each other, pass
-// the frames through the impairment, hold them if the endpoint is corked or
-// the entry delivers to a corking consumer, re-arm the timer, release the
-// lock, and only then touch the socket and the user.
+// the frames through the impairment, encode them — into the held datagrams
+// if the endpoint is corked or the entry delivers to a corking consumer —
+// re-arm the timer, release the lock, and only then touch the socket and
+// the user. Encoding under the lock is what lets reliable unicast recycle a
+// frame's buffer the moment an ack for it arrives.
 func (u *UDP) leave(fx *effects, now time.Duration) {
 	u.settle(fx, now)
 	u.admit(fx, &u.stats, now)
 	if u.corked || (u.corker && fx.deliver) {
 		u.hold(fx)
+	} else {
+		u.seal(fx)
 	}
 	if !u.closed {
 		u.rearm(now)
@@ -480,6 +484,16 @@ var loopbackCap = sync.OnceValue(func() int {
 	return bundleMax
 })
 
+// seal encodes each of fx's frames into a framePool buffer of its own.
+func (u *UDP) seal(fx *effects) {
+	for i := 0; i < fx.n; i++ {
+		f := fx.at(i)
+		buf := framePool.Get().(*[]byte)
+		*buf = u.encode((*buf)[:0], f)
+		f.payload, f.pooled, f.frames = *buf, buf, 1
+	}
+}
+
 // release moves every held datagram into fx, to be written by perform.
 func (u *UDP) release(fx *effects) {
 	for i := range u.held {
@@ -494,28 +508,17 @@ func (u *UDP) perform(fx *effects) {
 	if fx.span {
 		u.span(telemetry.Recv, fx.rx.from, fx.rx.payload)
 	}
-	if fx.n > 0 {
-		pooled := framePool.Get().(*[]byte)
-		b := *pooled
-		for i := 0; i < fx.n; i++ {
-			f := fx.at(i)
-			if f.pooled != nil {
-				u.write(f.payload, f.addr, f.frames)
-				framePool.Put(f.pooled)
-				continue
-			}
-			b = u.encode(b[:0], f)
-			u.write(b, f.addr, 1)
-		}
-		*pooled = b // keep what it grew to
-		framePool.Put(pooled)
+	for i := 0; i < fx.n; i++ {
+		f := fx.at(i)
+		u.write(f.payload, f.addr, f.frames)
+		framePool.Put(f.pooled)
 	}
 	for _, call := range fx.calls {
 		call()
 	}
 	if fx.deliver {
 		u.stats.onRecv(fx.rxSize)
-		u.deliver(fx.rx.from, slices.Clone(fx.rx.payload))
+		u.deliver(fx.rx.from, fx.dgram.window(fx.rx.payload))
 	}
 }
 
@@ -528,9 +531,9 @@ func (u *UDP) write(b []byte, addr netip.AddrPort, frames int) {
 	u.stats.onSend(len(b), frames)
 }
 
-// framePool holds the buffers frames are encoded into, by perform and by
-// hold; entries run on several goroutines at once, so the endpoint cannot
-// own just one. The wire is done with a buffer when its write returns.
+// framePool holds the buffers frames are encoded into, by seal and by hold;
+// entries run on several goroutines at once, so the endpoint cannot own just
+// one. The wire is done with a buffer when its write returns.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // encode appends f's wire form to b, stamping a tx span when it carries a
@@ -737,17 +740,15 @@ func (u *UDP) Blocked() []uint32 {
 // datagram per destination (core.Link). Sends to unknown unicast
 // destinations are errors; injected loss consumes destinations silently,
 // like the radio it stands in for. With the reliable option enabled,
-// unicast payloads go through the acked/retransmitted path; broadcast is
-// always fire-and-forget (flooding is its own redundancy).
+// unicast payloads go through the acked/retransmitted path, which keeps a
+// copy in a recycled buffer; broadcast is always fire-and-forget (flooding
+// is its own redundancy). Send only borrows payload.
 func (u *UDP) Send(dst uint32, payload []byte) error {
 	if len(payload) > maxPayload {
 		u.stats.SendErrors.Add(1)
 		return ErrTooLarge
 	}
 	reliable := u.rel != nil && dst != Broadcast
-	if reliable {
-		payload = slices.Clone(payload) // the engine keeps it for retransmission
-	}
 	var fx effects
 	var err error
 	now := u.enter()
@@ -816,6 +817,7 @@ func (u *UDP) CustodyPending() int {
 func (u *UDP) readLoop(conn *net.UDPConn) {
 	defer close(u.readerDone)
 	buf := make([]byte, maxPayload+headerSize+traceExtSize)
+	var d rxDatagram
 	for {
 		n, src, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -828,15 +830,37 @@ func (u *UDP) readLoop(conn *net.UDPConn) {
 			}
 			continue
 		}
-		u.receive(buf[:n], netip.AddrPortFrom(src.Addr().Unmap(), src.Port()))
+		u.receive(&d, buf[:n], netip.AddrPortFrom(src.Addr().Unmap(), src.Port()))
 	}
 }
 
+// rxDatagram is the reception entry's record of one datagram. Whoever hands
+// the endpoint datagrams reuses one record for all of them, as the reader
+// does: a new one per datagram would be a heap allocation.
+type rxDatagram struct {
+	b   []byte // the datagram, borrowed until receive returns
+	own []byte // b's one copy, made when the first of its frames delivers
+}
+
+// window returns payload, a slice of d.b, as the same bytes of d's copy,
+// capacity-clipped so that an append to one frame's payload cannot reach
+// the next. payload was cut from d.b without clipping, so the two
+// capacities differ by its offset.
+func (d *rxDatagram) window(payload []byte) []byte {
+	if d.own == nil {
+		d.own = slices.Clone(d.b)
+	}
+	off := cap(d.b) - cap(payload)
+	return d.own[off : off+len(payload) : off+len(payload)]
+}
+
 // receive is the reception entry: one datagram b from wire address src, a
-// frame or a bundle of them. b is only read, and not after receive returns.
-func (u *UDP) receive(b []byte, src netip.AddrPort) {
+// frame or a bundle of them, recorded in d. b is only read, and not after
+// receive returns; what Deliver is handed are windows on d's copy of it.
+func (u *UDP) receive(d *rxDatagram, b []byte, src netip.AddrPort) {
+	d.b, d.own = b, nil
 	if !isBundle(b) {
-		u.receiveFrame(b, src)
+		u.receiveFrame(d, b, src)
 		return
 	}
 	// Each frame is checked on its own, so those before a malformed tail
@@ -847,28 +871,28 @@ func (u *UDP) receive(b []byte, src netip.AddrPort) {
 			return
 		}
 		n := bundlePrefixSize + int(binary.BigEndian.Uint16(rest))
-		u.receiveFrame(rest[bundlePrefixSize:n], src)
+		u.receiveFrame(d, rest[bundlePrefixSize:n], src)
 		if rest = rest[n:]; len(rest) == 0 {
 			return
 		}
 	}
 }
 
-// receiveFrame validates one frame and its sender, then dispatches on kind.
-// Any valid frame from a table member counts as proof of life for the
-// failure detector.
-func (u *UDP) receiveFrame(b []byte, src netip.AddrPort) {
+// receiveFrame validates one frame b of datagram d and its sender, then
+// dispatches on kind. Any valid frame from a table member counts as proof
+// of life for the failure detector.
+func (u *UDP) receiveFrame(d *rxDatagram, b []byte, src netip.AddrPort) {
 	f, err := decodeFrame(b)
 	if err != nil || f.from == u.id {
 		u.stats.RecvDropped.Add(1)
 		return
 	}
-	var fx effects
+	fx := effects{dgram: d}
 	now := u.enter()
 	offer := !u.closed && u.onFrame(f, src, len(b), now, &fx)
 	u.leave(&fx, now)
 	if offer {
-		u.acceptOffer(f, len(b))
+		u.acceptOffer(d, f, len(b))
 	}
 }
 
@@ -968,7 +992,7 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 // accept BEFORE the ack: the sender discharges its custody on our
 // acknowledgment, so the ack must mean the payload is safe here.
 // held-but-not-fresh covers lost acks: re-acked, not re-delivered.
-func (u *UDP) acceptOffer(f frame, size int) {
+func (u *UDP) acceptOffer(d *rxDatagram, f frame, size int) {
 	if message.Check(f.payload) != nil {
 		u.stats.RecvDropped.Add(1)
 		return
@@ -978,7 +1002,7 @@ func (u *UDP) acceptOffer(f frame, size int) {
 		u.stats.CustodyRejected.Add(1)
 		return
 	}
-	var fx effects
+	fx := effects{dgram: d}
 	now := u.enter()
 	if entry := u.peers[f.from]; entry != nil && !u.closed {
 		fx.send(f.from, kindCustodyAck, f.seq, nil)

@@ -16,6 +16,7 @@ import (
 type collector struct {
 	mu      sync.Mutex
 	got     []string
+	held    [][]byte // the payloads as handed over, which Deliver owns
 	from    []uint32
 	arrived chan struct{} // one token per delivery, when a test made it
 }
@@ -23,6 +24,7 @@ type collector struct {
 func (c *collector) deliver(from uint32, payload []byte) {
 	c.mu.Lock()
 	c.got = append(c.got, string(payload))
+	c.held = append(c.held, payload)
 	c.from = append(c.from, from)
 	c.mu.Unlock()
 	if c.arrived != nil {

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
 	"diffusion/internal/attr"
 	"diffusion/internal/custody"
 	"diffusion/internal/message"
+	"diffusion/internal/sim"
 )
 
 // withCustody equips a test node with a (journal-free) custody queue.
@@ -97,6 +100,51 @@ func TestCustodySurvivesPartitionAndReplays(t *testing.T) {
 	}
 	if c := relay.cfg.Custody.Counters(); c.Replayed == 0 {
 		t.Fatal("relay never replayed custodial data")
+	}
+}
+
+// refusingLink is a custody-capable link that refuses every send, as a full
+// MAC queue refuses a frame.
+type refusingLink struct{ id uint32 }
+
+func (l *refusingLink) ID() uint32                                   { return l.id }
+func (l *refusingLink) Send(uint32, []byte) error                    { return errors.New("link queue full") }
+func (l *refusingLink) SendCustody(uint32, message.ID, []byte) error { return nil }
+
+// A jittered exploratory forward the link refuses is a congestion loss, and
+// with custody on the relay holds it instead: the queue gets exactly the
+// forward's bytes, one hop further and sent by the relay. The link is
+// custody-capable, so the relay admits nothing when the message arrives and
+// whatever the queue holds came from the refusal.
+func TestRefusedForwardTakenIntoCustody(t *testing.T) {
+	s := sim.New(1)
+	cfg := Config{Clock: s, Rand: s.Rand(), Link: &refusingLink{id: 2}}
+	withCustody(&cfg)
+	n := NewNode(cfg)
+	defer n.Close()
+	n.Receive(3, (&message.Message{
+		Class: message.Interest, ID: message.ID{RandID: 3, PktNum: 1}, NextHop: message.Broadcast,
+		Attrs: lineInterest,
+	}).Marshal())
+	exp := message.Message{
+		Class: message.ExploratoryData, ID: message.ID{RandID: 1, PktNum: 1}, HopCount: 2,
+		NextHop: message.Broadcast, Attrs: lineEvent,
+	}
+	n.Receive(1, exp.Marshal())
+	if held := n.cfg.Custody.Len(); held != 0 {
+		t.Fatalf("%d items in custody before the forward fired", held)
+	}
+	s.RunUntil(s.Now() + n.cfg.ForwardJitter)
+
+	want := exp
+	want.HopCount, want.PrevHop = 3, 2
+	items := n.cfg.Custody.Items()
+	if len(items) != 1 || items[0].ID != exp.ID || !bytes.Equal(items[0].Payload, want.Marshal()) {
+		t.Fatalf("custody holds %v, want the forward %x", items, want.Marshal())
+	}
+	if n.Stats.LinkSendErrors != 2 || n.Stats.CustodyCaptured != 1 {
+		t.Fatalf("%d refused sends and %d captures, want 2 (interest and exploratory forwards) and 1",
+			n.Stats.LinkSendErrors, n.Stats.CustodyCaptured)
 	}
 }
 

@@ -173,3 +173,35 @@ func TestAllocsSeenSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// The jittered re-flood budget: once warm, a relay on its Port forwards an
+// interest and an exploratory message for nothing — each forward is a
+// pooled record armed on the Port, its attributes copied into the record's
+// own array, not a clone, a closure and an event. Every run is a fresh
+// interest and a fresh exploratory message, and both forwards fire.
+func TestAllocsJitteredForward(t *testing.T) {
+	link := &countLink{id: 2}
+	s, n := forwardRelay(t, link)
+	const runs = 200
+	interests, exps := make([][]byte, runs+1), make([][]byte, runs+1)
+	for i := range interests {
+		id := uint32(i + 1)
+		interests[i] = (&message.Message{Class: message.Interest, ID: message.ID{RandID: 3, PktNum: id},
+			NextHop: message.Broadcast, Attrs: lineInterest}).Marshal()
+		exps[i] = (&message.Message{Class: message.ExploratoryData, ID: message.ID{RandID: 1, PktNum: id},
+			NextHop: message.Broadcast, Attrs: lineEvent}).Marshal()
+	}
+	before, i := link.sends, 0
+	got := testing.AllocsPerRun(runs, func() {
+		n.Receive(3, interests[i])
+		n.Receive(1, exps[i])
+		s.RunUntil(s.Now() + n.cfg.ForwardJitter)
+		i++
+	})
+	if sent := link.sends - before; sent != 2*(runs+1) {
+		t.Fatalf("%d forwards in %d runs, want both each run", sent, runs+1)
+	}
+	if got != 0 {
+		t.Errorf("forwarding an interest and an exploratory message allocates %.0f/op, budget 0", got)
+	}
+}

@@ -248,12 +248,7 @@ func (n *Node) coreInterest(m *message.Message, local bool) {
 		}
 		return
 	}
-	fwd := m.Clone()
-	fwd.HopCount++
-	fwd.PrevHop = selfID(n)
-	fwd.NextHop = message.Broadcast
-	delay := time.Duration(n.cfg.Rand.Int63n(int64(n.cfg.ForwardJitter) + 1))
-	n.cfg.Clock.After(delay, func() { n.transmit(fwd) })
+	n.forwardLater(m)
 }
 
 // interestFromSub derives the on-the-wire interest attributes for a
@@ -401,21 +396,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			// Exploratory data floods along all gradients; one broadcast
 			// reaches every gradient neighbor (the traffic model in 6.1
 			// counts it as flooded from each node).
-			fwd := m.Clone()
-			fwd.HopCount++
-			fwd.PrevHop = selfID(n)
-			fwd.NextHop = message.Broadcast
-			delay := time.Duration(n.cfg.Rand.Int63n(int64(n.cfg.ForwardJitter) + 1))
-			n.cfg.Clock.After(delay, func() {
-				// A link-refused forward (MAC queue overflow, typically
-				// under a custody replay burst) is a congestion loss:
-				// with custody on the message is held like any other
-				// disruption and retried at the link's pace, instead of
-				// becoming drop-tail loss mid-relay.
-				if n.transmit(fwd) != nil {
-					n.custodyCapture(fwd)
-				}
-			})
+			n.forwardLater(m)
 		} else if anyForward && m.HopCount >= n.cfg.TTL {
 			n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropTTL)
 		}

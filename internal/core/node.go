@@ -309,6 +309,8 @@ type Node struct {
 	// rxBusy marks a reception in progress (see Receive).
 	rx     message.Message
 	rxBusy bool
+	// fwdFree holds the idle jittered-forward records (forwardLater).
+	fwdFree []*forward
 
 	Stats Stats
 
@@ -697,7 +699,8 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 // though a link may hand the same bytes, read-only, to every receiver of one
 // broadcast. It is decoded in place — string and blob values are windows
 // onto it — so what the node keeps (an interest entry's attributes, a kept
-// message) keeps payload alive, and a link must never recycle the buffer.
+// message, a pending forward until it fires) keeps payload alive, and a link
+// must never recycle the buffer.
 //
 // On a corking link Receive corks, as transmit does, malformed payloads
 // included: the link holds its ack of payload until the wake-up's end.
@@ -812,6 +815,50 @@ func (n *Node) transmit(m *message.Message) error {
 		return err
 	}
 	return nil
+}
+
+// forward is one jittered re-flood pending on the node's clock, pooled per
+// node. Its message is a copy of the one it forwards, attributes in the
+// record's own array; their values stay windows onto the received payload
+// until it fires.
+type forward struct {
+	n  *Node
+	m  message.Message
+	ev sim.Event
+}
+
+// forwardLater re-floods m one hop further after a random jitter.
+func (n *Node) forwardLater(m *message.Message) {
+	delay := time.Duration(n.cfg.Rand.Int63n(int64(n.cfg.ForwardJitter) + 1))
+	var f *forward
+	if k := len(n.fwdFree); k > 0 {
+		f, n.fwdFree = n.fwdFree[k-1], n.fwdFree[:k-1]
+	} else {
+		f = &forward{n: n}
+		f.ev.Bind(f.fire)
+	}
+	// m is usually the receive message, whose Attrs are cleared when
+	// Receive returns: copy them.
+	attrs := append(f.m.Attrs[:0], m.Attrs...)
+	f.m = *m
+	f.m.Attrs = attrs
+	f.m.HopCount++
+	f.m.PrevHop, f.m.NextHop = selfID(n), message.Broadcast
+	sim.ArmOn(n.cfg.Clock, &f.ev, delay)
+}
+
+func (f *forward) fire() {
+	n := f.n
+	// A link-refused exploratory forward (MAC queue overflow, typically
+	// under a custody replay burst) is a congestion loss: with custody on
+	// the message is held like any other disruption and retried at the
+	// link's pace, instead of becoming drop-tail loss mid-relay. An
+	// interest is no data, so custody leaves a refused one alone.
+	if n.transmit(&f.m) != nil {
+		n.custodyCapture(&f.m)
+	}
+	clear(f.m.Attrs) // an idle record pins no payload
+	n.fwdFree = append(n.fwdFree, f)
 }
 
 // SendDirect transmits m to m.NextHop without further filter or core

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -117,6 +118,40 @@ func TestRecordRearmsItselfFromCallback(t *testing.T) {
 // clockOnly hides everything of a Port but its Clock, so Every on it takes
 // the closure form.
 type clockOnly struct{ Clock }
+
+// ArmOn arms an owned record on a Port itself, so the record is the pending
+// entry and its Timer; on a Clock that is no Env it is an After of the
+// record's callback, which runs at the same instant and cancels through the
+// Timer After returned, while the record itself is never pending.
+func TestArmOnEitherClock(t *testing.T) {
+	for _, plain := range []bool{false, true} {
+		k := newTestEngine(1, 1)
+		var c Clock = k.Port(1)
+		if plain {
+			c = clockOnly{c}
+		}
+		var fired []time.Duration
+		e := bound(func() { fired = append(fired, k.Now()) })
+		if tm := ArmOn(c, e, 3*time.Millisecond); (tm == Timer(e)) == plain {
+			t.Errorf("plain=%v: ArmOn returned %T", plain, tm)
+		}
+		if e.Cancel() == plain {
+			t.Errorf("plain=%v: cancelling the record reported the wrong pending state", plain)
+		}
+		ArmOn(c, e, 5*time.Millisecond)
+		ArmOn(c, bound(func() { t.Error("a cancelled record fired") }), time.Millisecond).Cancel()
+		k.Run()
+		want := []time.Duration{5 * time.Millisecond}
+		if plain {
+			// The record itself was never pending, so cancelling it
+			// cancelled nothing: the first arming fires too.
+			want = []time.Duration{3 * time.Millisecond, 5 * time.Millisecond}
+		}
+		if !slices.Equal(fired, want) {
+			t.Errorf("plain=%v: fired at %v, want %v", plain, fired, want)
+		}
+	}
+}
 
 // armWorkload is kernelWorkload's traffic written twice over: with the
 // closure form (After, and a fresh record per remote event) or with records

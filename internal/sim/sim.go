@@ -179,38 +179,38 @@ func (p *nodePort) ArmRemote(to uint32, e *Event, d time.Duration) {
 
 // Every schedules fn on any Clock at now+d and then every period
 // thereafter, until the returned Timer is cancelled. It panics when period
-// is not positive. On an Env (an Engine or a Port) it re-arms one record of
-// its own, which draws the key After would have drawn, so a period costs no
-// allocation; on any other Clock each period is an After.
+// is not positive. It re-arms one record of its own through ArmOn, so on an
+// Env a period costs no allocation.
 func Every(c Clock, d, period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
 	r := &repeatTimer{c: c, period: period, fn: fn}
-	r.tick = r.fire
-	r.ev.Bind(r.tick)
-	r.inner = &r.ev // on a Clock that is no Env, each After replaces it
-	r.env, _ = c.(Env)
-	r.arm(d)
+	r.ev.Bind(r.fire)
+	r.inner = ArmOn(c, &r.ev, d)
 	return r
+}
+
+// ArmOn schedules the bound, idle record e to fire d from now on any Clock
+// and returns the Timer that cancels it. On an Env (an Engine or a Port) it
+// is Env.Arm, which draws the key After would have drawn and allocates
+// nothing; on any other Clock it is After with e's callback, and e itself
+// is never pending.
+func ArmOn(c Clock, e *Event, d time.Duration) Timer {
+	if env, ok := c.(Env); ok {
+		env.Arm(e, d)
+		return e
+	}
+	return c.After(d, e.fn)
 }
 
 type repeatTimer struct {
 	c         Clock
-	env       Env   // c, when it can arm ev
-	ev        Event // the record re-armed on env
+	ev        Event // the record re-armed each period
 	period    time.Duration
-	fn, tick  func()
+	fn        func()
 	inner     Timer
 	cancelled bool
-}
-
-func (r *repeatTimer) arm(d time.Duration) {
-	if r.env != nil {
-		r.env.Arm(&r.ev, d)
-	} else {
-		r.inner = r.c.After(d, r.tick)
-	}
 }
 
 func (r *repeatTimer) fire() {
@@ -219,7 +219,7 @@ func (r *repeatTimer) fire() {
 	}
 	r.fn()
 	if !r.cancelled {
-		r.arm(r.period)
+		r.inner = ArmOn(r.c, &r.ev, r.period)
 	}
 }
 

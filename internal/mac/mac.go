@@ -184,10 +184,12 @@ type reasmKey struct {
 }
 
 // maxFree bounds each of a Mac's free lists. In steady state one or two
-// neighbors are mid-message at a time; a flood briefly needs about ten
-// reassembly records, and 1024 nodes each keeping that peak read 23.2 MiB of
-// live heap on the grid against 21.4 capped (20.5 before pooling), to save
-// one allocation per frame in fifteen.
+// neighbors are mid-message at a time, but a flood briefly needs about ten
+// reassembly records, so at this cap the lists miss often: on the 1024-node
+// grid (cmd/diffbench grid1024_sim, seed 1) the misses are about 1.6 of the
+// 3.7 allocations per radio frame. A higher cap trades them for live heap:
+// 2 reads 3.73 allocations per frame at 23.2 MiB, 4 reads 2.94 (+0.7 MiB),
+// 8 reads 2.21 (+1.9 MiB) and no cap 2.11 (+2.8 MiB, +12 %).
 const maxFree = 2
 
 // freeList keeps up to maxFree idle records for reuse; get returns nil if none.

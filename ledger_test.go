@@ -19,8 +19,8 @@ import (
 
 // The counts ledger pins what the simulated workloads cost, in counts: for
 // each row, a fixed amount of simulated work is run and its radio frames,
-// MAC messages delivered, distinct deliveries and wire bytes per delivery
-// are written to one line of testdata/ledger.txt. Those are exact and are
+// MAC messages delivered, MAC trains expired unfinished, distinct
+// deliveries and wire bytes per delivery are written to one line of testdata/ledger.txt. Those are exact and are
 // compared exactly. Allocations per radio frame are recorded beside them
 // and must stay within ±1 % of the line, both ways: a rise fails, and so
 // does a fall that was not committed with -update. A change's effect on any
@@ -85,8 +85,8 @@ func ledgerWorks() []ledgerWork {
 		},
 		{
 			// cmd/diffbench's grid1024_sim: corner sinks, sources at the edge
-			// midpoints and the centre, one simulated minute after the
-			// three-period set-up.
+			// midpoints and the centre, five simulated minutes after the
+			// three-period set-up: long enough for over 100 deliveries.
 			name:        "grid1024_sim",
 			topology:    diffusion.GridTopology(side, side, 9),
 			sinks:       []uint32{1, side, n - side + 1, n},
@@ -95,22 +95,22 @@ func ledgerWorks() []ledgerWork {
 			publication: diffusion.Attributes{diffusion.String(diffusion.KeyTask, diffusion.IS, "wide-area")},
 			interval:    5 * time.Second,
 			setup:       3 * 5 * time.Second,
-			run:         time.Minute,
+			run:         5 * time.Minute,
 		},
 	}
 }
 
 // ledgerCounts is one row of the ledger, counted over the row's run.
 type ledgerCounts struct {
-	frames, macDelivered, deliveries, wireBytes int
-	mallocs                                     uint64
+	frames, macDelivered, macExpired, deliveries, wireBytes int
+	mallocs                                                 uint64
 }
 
 func (c ledgerCounts) allocsPerFrame() float64 { return float64(c.mallocs) / float64(c.frames) }
 
 func (c ledgerCounts) line(name string) string {
-	return fmt.Sprintf("%s frames=%d mac_delivered=%d deliveries=%d wire_bytes_per_delivery=%.4f allocs_per_frame=%.2f",
-		name, c.frames, c.macDelivered, c.deliveries, float64(c.wireBytes)/float64(c.deliveries), c.allocsPerFrame())
+	return fmt.Sprintf("%s frames=%d mac_delivered=%d mac_expired=%d deliveries=%d wire_bytes_per_delivery=%.4f allocs_per_frame=%.2f",
+		name, c.frames, c.macDelivered, c.macExpired, c.deliveries, float64(c.wireBytes)/float64(c.deliveries), c.allocsPerFrame())
 }
 
 // runLedgerWork runs w on seed 1 and counts it.
@@ -158,11 +158,12 @@ func runLedgerWork(w ledgerWork) ledgerCounts {
 			src.Send(pubs[i], extra)
 		}
 	})
-	macDelivered := func() (sum int) {
+	macStats := func() (delivered, expired int) {
 		for _, n := range net.Nodes() {
-			sum += n.MAC.Stats.MessagesDelivered
+			delivered += n.MAC.Stats.MessagesDelivered
+			expired += n.MAC.Stats.ReassemblyExpired
 		}
-		return sum
+		return delivered, expired
 	}
 
 	net.Run(w.setup)
@@ -171,12 +172,15 @@ func runLedgerWork(w ledgerWork) ledgerCounts {
 		runtime.ReadMemStats(&ms)
 		m0 = ms.Mallocs
 	}
-	f0, d0, b0, md0 := net.ChannelStats().FramesSent, deliveries, net.TotalDiffusionBytes(), macDelivered()
+	f0, d0, b0 := net.ChannelStats().FramesSent, deliveries, net.TotalDiffusionBytes()
+	md0, me0 := macStats()
 	net.Run(w.run)
 	runtime.ReadMemStats(&ms)
+	md, me := macStats()
 	return ledgerCounts{
 		frames:       int(net.ChannelStats().FramesSent - f0),
-		macDelivered: macDelivered() - md0,
+		macDelivered: md - md0,
+		macExpired:   me - me0,
 		deliveries:   deliveries - d0,
 		wireBytes:    net.TotalDiffusionBytes() - b0,
 		mallocs:      ms.Mallocs - m0,

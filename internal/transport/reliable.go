@@ -40,7 +40,7 @@ type ReliableConfig struct {
 	// the peer dead around the same time).
 	MaxRetries int
 	// Window is the maximum number of unacked frames in flight per
-	// neighbor (default 16).
+	// neighbor (default 16, at most 64).
 	Window int
 	// QueueLimit bounds in-flight plus queued frames per neighbor
 	// (default 64); beyond it the shedding policy applies.
@@ -61,6 +61,7 @@ func (c *ReliableConfig) fill() {
 	if c.Window <= 0 {
 		c.Window = 16
 	}
+	c.Window = min(c.Window, dupSpan)
 	if c.QueueLimit < c.Window {
 		c.QueueLimit = 64
 		if c.QueueLimit < c.Window {
@@ -174,9 +175,12 @@ func (r *reliable) shed(p *relPeer, incoming []byte) bool {
 }
 
 // pump moves queued frames into the in-flight window, putting each on the
-// wire and setting its ack timeout.
+// wire and setting its ack timeout. It stops short of a frame dupSpan
+// sequence numbers past the oldest unacked one: the receiver would call
+// that one stale, after acking it.
 func (r *reliable) pump(p *relPeer, now time.Duration, fx *effects) {
-	for len(p.inflight) < r.cfg.Window && len(p.queue) > 0 {
+	for len(p.inflight) < r.cfg.Window && len(p.queue) > 0 &&
+		(len(p.inflight) == 0 || p.queue[0].seq-p.inflight[0].seq < dupSpan) {
 		f := p.queue[0]
 		p.queue = slices.Delete(p.queue, 0, 1) // shifts down: the queue keeps its capacity
 		f.tries = 1
@@ -254,6 +258,10 @@ func (r *reliable) dropPeer(peer uint32) {
 	r.order.remove(peer)
 }
 
+// dupSpan is how far below the highest sequence number seen a dupWindow
+// still tells a first sighting from a duplicate.
+const dupSpan = 64
+
 // dupWindow is the receive-side duplicate-suppression state toward one
 // neighbor: a 64-entry sliding bitmap below the highest sequence seen,
 // keyed on the sender's boot nonce. It lives in the neighbor's table row
@@ -290,9 +298,9 @@ func (w *dupWindow) fresh(boot, seq uint32) bool {
 		return true
 	default:
 		d := uint64(w.max - seq)
-		if d > 64 {
-			// Older than the window: a stale replay beyond any plausible
-			// retransmission horizon. Count it as a duplicate.
+		if d > dupSpan {
+			// Older than the window: a stale replay beyond the span the
+			// sender keeps (Stats.refused counts it apart).
 			return false
 		}
 		bit := uint64(1) << (d - 1)

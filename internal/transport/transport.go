@@ -263,6 +263,7 @@ type Stats struct {
 	AcksRecv      atomic.Uint64
 	ReliableDrops atomic.Uint64 // frames abandoned after max retries
 	DupSuppressed atomic.Uint64 // duplicate reliable frames not delivered
+	ReliableStale atomic.Uint64 // frames not delivered: below the duplicate window
 
 	// Custody-transfer accounting (custody.go).
 	CustodySent        atomic.Uint64 // first transmissions of custody offers
@@ -290,6 +291,16 @@ type Stats struct {
 	MemberDepartures  atomic.Uint64 // explicit leave frames honored
 	MemberDeadRemoved atomic.Uint64 // discovered neighbors removed on death
 	MemberQuarantined atomic.Uint64 // peers refused for vocabulary mismatch
+}
+
+// refused counts a frame w's fresh turned down at seq: as stale when it
+// fell below the window, else as a duplicate.
+func (s *Stats) refused(w *dupWindow, seq uint32) {
+	if w.max-seq > dupSpan {
+		s.ReliableStale.Add(1)
+	} else {
+		s.DupSuppressed.Add(1)
+	}
 }
 
 // Instrument publishes the transport counters on reg at snapshot time,
@@ -321,6 +332,7 @@ func (s *Stats) Instrument(reg *telemetry.Registry) {
 		emit("transport.acks_recv", float64(s.AcksRecv.Load()))
 		emit("transport.reliable_drops", float64(s.ReliableDrops.Load()))
 		emit("transport.dup_suppressed", float64(s.DupSuppressed.Load()))
+		emit("transport.reliable_stale", float64(s.ReliableStale.Load()))
 		emit("transport.custody_sent", float64(s.CustodySent.Load()))
 		emit("transport.custody_retransmits", float64(s.CustodyRetransmits.Load()))
 		emit("transport.custody_acks_sent", float64(s.CustodyAcksSent.Load()))

@@ -942,7 +942,7 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 		// stop retransmitting whether or not we deliver.
 		fx.send(f.from, kindAck, f.seq, nil)
 		if !entry.relDup.fresh(f.boot, f.seq) {
-			u.stats.DupSuppressed.Add(1)
+			u.stats.refused(&entry.relDup, f.seq)
 			return false
 		}
 		fx.deliverUp(entry, f, size)
@@ -962,7 +962,7 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 		// custody at this node (memory-only suffices) to complete
 		// transfers.
 		if !entry.cusDup.fresh(f.boot, f.seq) {
-			u.stats.DupSuppressed.Add(1)
+			u.stats.refused(&entry.cusDup, f.seq)
 			return false
 		}
 		fx.deliverUp(entry, f, size)

@@ -11,11 +11,11 @@ import (
 )
 
 // A 112-byte message (the paper's event: five 27-byte fragments) from
-// sender to receiver costs one allocation in steady state: the reassembled
-// payload handed up, which the receiver keeps. The queue entry with its
-// fragment array and train, the radio's copy of each frame, the transmit
-// pump's ten steps, the five receptions, the reassembly record with its
-// fragment buffer and its expiry timer all come back round and cost none.
+// sender to receiver costs one allocation in steady state: the buffer it is
+// reassembled in, handed up as the payload, which the receiver keeps. The
+// queue entry with its fragment array and train, the radio's copy of each
+// frame, the transmit pump's ten steps, the five receptions, the
+// reassembly entry and the expiry timer cost none.
 func TestAllocsFiveFragmentMessage(t *testing.T) {
 	s := sim.New(1)
 	ch := radio.NewChannel(s, topo.Line(2, 5), radio.PerfectParams())
@@ -35,5 +35,32 @@ func TestAllocsFiveFragmentMessage(t *testing.T) {
 	}
 	if delivered != 102 || m1.Stats.FragmentsSent != 5*102 {
 		t.Errorf("delivered %d messages in %d fragments, want 102 in %d", delivered, m1.Stats.FragmentsSent, 5*102)
+	}
+}
+
+// Eight senders' trains interleaved at one receiver, fragment by fragment,
+// cost one allocation per message delivered, the buffer handed up: the
+// eight messages under reassembly at once are entries of one slice, timed
+// by one timer.
+func TestAllocsInterleavedTrains(t *testing.T) {
+	_, rx, senders, _ := rig(8)
+	rx.handler = func(uint32, []byte) {} // the log's copy would allocate
+	trains := make([][][]byte, len(senders))
+	for i, m := range senders {
+		trains[i] = train(m, 1, counted(112, byte(i)))
+	}
+	round := func() {
+		for f := range trains[0] {
+			for i, m := range senders {
+				rx.onFrame(m.ID(), trains[i][f])
+			}
+		}
+	}
+	round() // grow the slice of messages under reassembly
+	if n := testing.AllocsPerRun(100, round); n != 8 {
+		t.Errorf("8 interleaved messages allocate %.0f, want 8", n)
+	}
+	if rx.Stats.MessagesDelivered != 8*102 {
+		t.Errorf("%d messages delivered, want %d", rx.Stats.MessagesDelivered, 8*102)
 	}
 }

@@ -44,8 +44,31 @@ func detRunSampled(t *testing.T, seed int64, sampling float64) (trace, metrics [
 		TraceSampling: sampling,
 	})
 	tr := net.NewTrace(0)
+	testbedChurn(net, ignoreDeliveries)
+	net.Run(5 * time.Minute)
+	return exportRun(t, net, tr)
+}
+
+// exportRun returns the run's exported trace and metrics snapshot.
+func exportRun(t *testing.T, net *diffusion.Network, tr *diffusion.Trace) (trace, metrics []byte) {
+	t.Helper()
+	var tb, mb bytes.Buffer
+	if err := tr.ExportJSONL(&tb); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	net.MetricsSnapshot().Write(&mb)
+	return tb.Bytes(), mb.Bytes()
+}
+
+// ignoreDeliveries gives every sink a callback that keeps nothing.
+func ignoreDeliveries(uint32) diffusion.DataCallback { return func(*diffusion.Message) {} }
+
+// testbedChurn loads the testbed: four sources report to the sink every
+// 2 s over the lossy default channel, while nodes 20, 21 and 24 crash and
+// recover from 30 s to 4 min. sink(id) is the sink's delivery callback.
+func testbedChurn(net *diffusion.Network, sink func(id uint32) diffusion.DataCallback) {
 	interest, publication := surveillance()
-	net.Node(diffusion.TestbedSink).Subscribe(interest, func(*diffusion.Message) {})
+	net.Node(diffusion.TestbedSink).Subscribe(interest, sink(diffusion.TestbedSink))
 	for _, id := range diffusion.TestbedSources() {
 		src := net.Node(id)
 		pub := src.Publish(publication)
@@ -65,13 +88,6 @@ func detRunSampled(t *testing.T, seed int64, sampling float64) (trace, metrics [
 		MTTR:  20 * time.Second,
 		Nodes: []uint32{20, 21, 24},
 	})
-	net.Run(5 * time.Minute)
-	var tb, mb bytes.Buffer
-	if err := tr.ExportJSONL(&tb); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	net.MetricsSnapshot().Write(&mb)
-	return tb.Bytes(), mb.Bytes()
 }
 
 func TestSameSeedIdenticalTraceHash(t *testing.T) {
@@ -128,8 +144,16 @@ func gridRun(t *testing.T) (trace, metrics []byte) {
 		Topology: diffusion.GridTopology(16, 16, 9),
 	})
 	tr := net.NewTrace(0)
+	grid16(net, ignoreDeliveries)
+	net.Run(2 * time.Minute)
+	return exportRun(t, net, tr)
+}
+
+// grid16 is gridRun's traffic: sources 16, 241 and 256 report to sink 1
+// every 5 s.
+func grid16(net *diffusion.Network, sink func(id uint32) diffusion.DataCallback) {
 	interest, publication := surveillance()
-	net.Node(1).Subscribe(interest, func(*diffusion.Message) {})
+	net.Node(1).Subscribe(interest, sink(1))
 	for _, id := range []uint32{16, 241, 256} {
 		src := net.Node(id)
 		pub := src.Publish(publication)
@@ -141,13 +165,6 @@ func gridRun(t *testing.T) (trace, metrics []byte) {
 			})
 		})
 	}
-	net.Run(2 * time.Minute)
-	var tb, mb bytes.Buffer
-	if err := tr.ExportJSONL(&tb); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	net.MetricsSnapshot().Write(&mb)
-	return tb.Bytes(), mb.Bytes()
 }
 
 func TestPinnedFingerprintGrid(t *testing.T) {

@@ -127,6 +127,8 @@ type Channel struct {
 	in map[uint32][]*outLink
 	// free is the free list of transmission records; see getTransmission.
 	free *transmission
+	// decoded, when set, sees every decoded frame before its handler does.
+	decoded func(at time.Duration, from, to uint32, data []byte)
 }
 
 // ChannelStats aggregates medium-wide counters.
@@ -273,6 +275,13 @@ func (c *Channel) Attach(id uint32, h Handler) *Transceiver {
 		ol.rx = t
 	}
 	return t
+}
+
+// OnDecode has fn see every frame a receiver decodes, before the receiver's
+// handler: the instant, the sender, the receiver and the bytes, borrowed
+// for the call. It observes only; set it before the run starts.
+func (c *Channel) OnDecode(fn func(at time.Duration, from, to uint32, data []byte)) {
+	c.decoded = fn
 }
 
 // Stats sums the per-transceiver channel counters into the medium-wide
@@ -585,6 +594,9 @@ func (tx *transmission) endAt(i int) {
 	t.Stats.FramesReceived++
 	t.Stats.BytesReceived += len(data)
 	t.chStats.FramesDelivered++
+	if c.decoded != nil {
+		c.decoded(now, from, t.id, data)
+	}
 	if t.handler != nil {
 		t.handler(from, data)
 	}

@@ -11,10 +11,11 @@ import (
 )
 
 // The 1024-node grid workload: ~75x the paper's 14-node testbed, four corner
-// sinks and five sources. Its callers are the frozen benchmark's
-// sim.shards4_speedup probe and the fingerprint pins in determinism_test.go;
-// the names keep their "Parallel" (from the sharded kernel, DESIGN.md
-// section 8) until a benchmark change drops that probe.
+// sinks and five sources. Its one caller is the frozen benchmark's
+// sim.shards4_speedup probe, which compares two runs' fingerprints; the
+// protocol itself is pinned by the root counts ledger (its grid1024_sim
+// and grid64 rows). The names keep their "Parallel" (from the sharded
+// kernel, DESIGN.md section 8) until a benchmark change drops that probe.
 
 // ParallelScaleConfig parameterizes the 1024-node run.
 type ParallelScaleConfig struct {

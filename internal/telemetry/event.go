@@ -185,9 +185,9 @@ const (
 // scrapes it), Record never allocates, and a nil ring records nothing.
 //
 // The root package's Trace is not a Ring: it keeps a filter tap on every
-// node that buffers Org/Fwd events for the whole run. Pinned fingerprints
-// hash the tap's filter invocations, so it stays a tap until they are
-// re-pinned.
+// node that buffers Org/Fwd events for the whole run. No pin hashes the
+// tap (the counts ledger hashes the air), so it can become a retention
+// policy of the ring.
 type Ring struct {
 	mu  sync.Mutex
 	now func() time.Duration

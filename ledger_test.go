@@ -132,6 +132,24 @@ func cornerSinks(side uint32) func(*diffusion.Network, func(uint32) diffusion.Da
 	}
 }
 
+// grid16 is a 16×16 grid's traffic: sources 16, 241 and 256, in three
+// corners, report to sink 1 in the fourth every 5 s.
+func grid16(net *diffusion.Network, sink func(id uint32) diffusion.DataCallback) {
+	interest, publication := surveillance()
+	net.Node(1).Subscribe(interest, sink(1))
+	for _, id := range []uint32{16, 241, 256} {
+		src := net.Node(id)
+		pub := src.Publish(publication)
+		seq := int32(0)
+		net.Every(5*time.Second, func() {
+			seq++
+			src.Send(pub, diffusion.Attributes{
+				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
+			})
+		})
+	}
+}
+
 // traceTap installs NewTrace's filter tap on every node.
 func traceTap(net *diffusion.Network) { net.NewTrace(0) }
 
@@ -176,11 +194,11 @@ func ledgerWorks() []ledgerWork {
 			setup: 3 * 5 * time.Second,
 			run:   5 * time.Minute,
 		},
-		// The determinism scenarios, each with its seed and call order:
-		// the churned testbed untraced and with flight-path tracing at
-		// 100 % and 25 % (the sampling draws come from the per-node
-		// streams), the 16×16 grid, and experiments.MeasureParallelScale
-		// on an 8×8 grid.
+		// The protocol pins, each from t = 0 with the trace tap on: the
+		// churned testbed of determinism_test.go untraced and with
+		// flight-path tracing at 100 % and 25 % (the sampling draws come
+		// from the per-node streams), a 16×16 grid, and
+		// experiments.MeasureParallelScale's traffic on an 8×8 grid.
 		{
 			name:     "testbed_churn",
 			cfg:      diffusion.NetworkConfig{Seed: 42, Topology: diffusion.TestbedTopology()},

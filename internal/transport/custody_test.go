@@ -352,6 +352,38 @@ func TestUDPCustodyToCustodylessPeer(t *testing.T) {
 	}
 }
 
+// TestUDPCustodyOfferOutlastsOffersElsewhere: a custody-less receiver
+// deduplicates offers in a window of dupSpan numbers per sender, and a
+// retransmission must still reach it however many offers the sender made
+// meanwhile. Offer X to B is lost, 65 offers go to C, then offer Y to B
+// arrives; X's retransmission must be delivered, not refused as stale.
+func TestUDPCustodyOfferOutlastsOffersElsewhere(t *testing.T) {
+	ha := newCustodyHarness(128)
+	n := newSimNet(t)
+	a := n.endpoint(UDPConfig{ID: 1, Neighbors: neighbors(2, 3), Custody: ha.options(100*ms, 100*ms)})
+	b := &collector{}
+	n.endpoint(UDPConfig{ID: 2, Neighbors: neighbors(1), Deliver: b.deliver})
+	n.endpoint(UDPConfig{ID: 3, Neighbors: neighbors(1), Custody: newCustodyHarness(128).options(time.Hour, time.Hour)})
+	offer := func(peer, seq uint32) {
+		payload, id := custodyPayload(seq)
+		ha.q.Accept(id, payload)
+		if err := a.SendCustody(peer, id, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Block(2)
+	offer(2, 1) // X, lost
+	a.Unblock(2)
+	for seq := uint32(100); seq < 165; seq++ {
+		offer(3, seq)
+	}
+	offer(2, 2) // Y
+	n.run(250 * ms)
+	if got, _ := b.snapshot(); len(got) != 2 {
+		t.Fatalf("B got %d offers, want X and Y (%d refused as stale)", len(got), n.nodes[simAddr(2)].Stats().ReliableStale.Load())
+	}
+}
+
 // TestUDPCustodyOfferValidation offers message's FuzzUnmarshal corpus —
 // every way a payload is known to be malformed, and every shape of valid
 // one — across the wire. The allocation-free check in acceptOffer must

@@ -64,11 +64,14 @@ func (c *CustodyOptions) fill() {
 // custodian is the sender half of custody transfer for one endpoint
 // (engine contract: engine.go).
 type custodian struct {
-	cfg     CustodyOptions
-	stats   *Stats
-	nextSeq uint32
-	byID    map[message.ID]*pending // pending offers, keyed by message ID
-	bySeq   map[uint32]*pending     // the same offers, keyed by wire seq
+	cfg   CustodyOptions
+	stats *Stats
+	// seqs numbers offers per peer: a custody-less receiver deduplicates
+	// them in a window of dupSpan numbers per sender, which offers to other
+	// peers must not move past a pending one.
+	seqs  map[uint32]uint32
+	byID  map[message.ID]*pending // pending offers, keyed by message ID
+	bySeq map[offerKey]*pending   // the same offers, keyed by peer and wire seq
 	// next is the earliest retransmission. Acks only remove deadlines, so
 	// it may run early; tick recomputes it exactly.
 	next time.Duration
@@ -80,8 +83,9 @@ func newCustodian(cfg CustodyOptions, stats *Stats) *custodian {
 	return &custodian{
 		cfg:   cfg,
 		stats: stats,
+		seqs:  map[uint32]uint32{},
 		byID:  map[message.ID]*pending{},
-		bySeq: map[uint32]*pending{},
+		bySeq: map[offerKey]*pending{},
 		next:  never,
 	}
 }
@@ -100,10 +104,10 @@ func (c *custodian) send(peer uint32, id message.ID, buf []byte, now time.Durati
 		}
 		c.drop(f)
 	}
-	c.nextSeq++
-	f := &pending{peer: peer, seq: c.nextSeq, id: id, payload: buf, tries: 1}
+	c.seqs[peer]++
+	f := &pending{peer: peer, seq: c.seqs[peer], id: id, payload: buf, tries: 1}
 	c.byID[id] = f
-	c.bySeq[f.seq] = f
+	c.bySeq[offerKey{peer, f.seq}] = f
 	c.next = min(c.next, f.arm(now, c.cfg.RTO, c.cfg.MaxRTO))
 	c.stats.CustodySent.Add(1)
 	fx.send(peer, kindCustody, f.seq, buf)
@@ -112,10 +116,11 @@ func (c *custodian) send(peer uint32, id message.ID, buf []byte, now time.Durati
 // drop forgets a pending offer (superseded or acked).
 func (c *custodian) drop(f *pending) {
 	delete(c.byID, f.id)
-	delete(c.bySeq, f.seq)
+	delete(c.bySeq, offerKey{f.peer, f.seq})
 }
 
-// collect fills the work list with the offers pick selects, in seq order.
+// collect fills the work list with the offers pick selects, in seq order
+// (peer order among equal seqs).
 func (c *custodian) collect(pick func(*pending) bool) []*pending {
 	c.due = c.due[:0]
 	for _, f := range c.bySeq {
@@ -123,7 +128,9 @@ func (c *custodian) collect(pick func(*pending) bool) []*pending {
 			c.due = append(c.due, f)
 		}
 	}
-	slices.SortFunc(c.due, func(a, b *pending) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(c.due, func(a, b *pending) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.peer, b.peer))
+	})
 	return c.due
 }
 
@@ -151,8 +158,8 @@ func (c *custodian) retransmit(f *pending, now time.Duration, fx *effects) {
 // so local custody is discharged via the Release callback.
 func (c *custodian) ack(peer, seq uint32, fx *effects) {
 	c.stats.CustodyAcksRecv.Add(1)
-	f, ok := c.bySeq[seq]
-	if !ok || f.peer != peer {
+	f, ok := c.bySeq[offerKey{peer, seq}]
+	if !ok {
 		return
 	}
 	c.drop(f)
@@ -182,6 +189,9 @@ func (c *custodian) dropPeer(peer uint32) {
 		}
 	}
 }
+
+// offerKey names a pending offer on the wire: its peer and that peer's seq.
+type offerKey struct{ peer, seq uint32 }
 
 // pending returns the number of outstanding custody offers.
 func (c *custodian) pending() int { return len(c.bySeq) }

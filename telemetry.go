@@ -31,10 +31,6 @@ type (
 	TraceRunInfo = telemetry.RunInfo
 )
 
-// Telemetry returns the network-wide metrics hub (advanced use: register
-// extra scopes; most callers want MetricsSnapshot).
-func (net *Network) Telemetry() *telemetry.Hub { return net.hub }
-
 // Metrics returns the metrics registry of the node (or mote) with the
 // given topology ID; application code and filters register their own
 // counters here. It panics on unknown IDs (a configuration error).

@@ -395,9 +395,3 @@ func (t *Trace) Records() []TraceRecord {
 func (t *Trace) ExportJSONL(w io.Writer) error {
 	return telemetry.WriteJSONL(w, t.Header(), t.Records())
 }
-
-// ExportChromeTrace writes the trace in Chrome trace_event format: open
-// it in chrome://tracing or Perfetto to see one lane per node.
-func (t *Trace) ExportChromeTrace(w io.Writer) error {
-	return telemetry.WriteChromeTrace(w, t.Header(), t.Records())
-}

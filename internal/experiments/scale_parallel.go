@@ -56,7 +56,8 @@ func MeasureParallelScale(cfg ParallelScaleConfig, shards int) (time.Duration, i
 		Topology: diffusion.GridTopology(side, side, cfg.Spacing),
 	})
 	tr := net.NewTrace(cfg.TraceLimit)
-	interest, publication := scaleAttrs()
+	interest := diffusion.Attributes{diffusion.String(diffusion.KeyTask, diffusion.EQ, "wide-area")}
+	publication := diffusion.Attributes{diffusion.String(diffusion.KeyTask, diffusion.IS, "wide-area")}
 
 	n := uint32(side * side)
 	// Four corner sinks pull data across the whole grid; sources sit at
@@ -101,15 +102,4 @@ func MeasureParallelScale(cfg ParallelScaleConfig, shards int) (time.Duration, i
 		delivered += c
 	}
 	return wall, delivered, hex.EncodeToString(sum[:8])
-}
-
-// scaleAttrs returns the workload's interest and publication attributes.
-func scaleAttrs() (diffusion.Attributes, diffusion.Attributes) {
-	interest := diffusion.Attributes{
-		diffusion.String(diffusion.KeyTask, diffusion.EQ, "wide-area"),
-	}
-	publication := diffusion.Attributes{
-		diffusion.String(diffusion.KeyTask, diffusion.IS, "wide-area"),
-	}
-	return interest, publication
 }

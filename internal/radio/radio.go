@@ -280,9 +280,7 @@ func (c *Channel) Attach(id uint32, h Handler) *Transceiver {
 // OnDecode has fn see every frame a receiver decodes, before the receiver's
 // handler: the instant, the sender, the receiver and the bytes, borrowed
 // for the call. It observes only; set it before the run starts.
-func (c *Channel) OnDecode(fn func(at time.Duration, from, to uint32, data []byte)) {
-	c.decoded = fn
-}
+func (c *Channel) OnDecode(fn func(at time.Duration, from, to uint32, data []byte)) { c.decoded = fn }
 
 // Stats sums the per-transceiver channel counters into the medium-wide
 // view, in topology order.

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -42,6 +43,30 @@ func TestDeliveryInRange(t *testing.T) {
 	}
 	if t1.Stats.BytesSent != 5 || t1.Stats.FramesSent != 1 {
 		t.Errorf("tx stats: %+v", t1.Stats)
+	}
+}
+
+// TestOnDecodeSeesWhatHandlersGet: the decode hook sees each decoded frame
+// once, at the end of its airtime and before its handler, and never a
+// frame the receiver missed.
+func TestOnDecodeSeesWhatHandlersGet(t *testing.T) {
+	s, c, t1, t2, log := pair(t, 10, PerfectParams(), 1)
+	var seen []string
+	c.OnDecode(func(at time.Duration, from, to uint32, data []byte) {
+		if at != s.Now() || len(*log) != len(seen) {
+			t.Errorf("decode at %v, now %v, after %d deliveries and %d decodes", at, s.Now(), len(*log), len(seen))
+		}
+		seen = append(seen, fmt.Sprintf("%d->%d %s", from, to, data))
+	})
+	// Both send at once: each is transmitting while the other's frame
+	// arrives, so neither decodes anything.
+	t1.Transmit([]byte("hello"))
+	t2.Transmit([]byte("clash"))
+	s.Run()
+	t1.Transmit([]byte("again"))
+	s.Run()
+	if !slices.Equal(seen, []string{"1->2 again"}) || !slices.Equal(*log, []string{"2<-again"}) {
+		t.Fatalf("decodes %q, deliveries %q; want the one frame 2 decoded", seen, *log)
 	}
 }
 

@@ -47,17 +47,7 @@ func detRunSampled(t *testing.T, seed int64, sampling float64) (trace, metrics [
 func testbedChurn(net *diffusion.Network, sink func(id uint32) diffusion.DataCallback) {
 	interest, publication := surveillance()
 	net.Node(diffusion.TestbedSink).Subscribe(interest, sink(diffusion.TestbedSink))
-	for _, id := range diffusion.TestbedSources() {
-		src := net.Node(id)
-		pub := src.Publish(publication)
-		seq := int32(0)
-		net.Every(2*time.Second, func() {
-			seq++
-			src.Send(pub, diffusion.Attributes{
-				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-			})
-		})
-	}
+	reportEach(net, diffusion.TestbedSources(), publication, 2*time.Second)
 	inj := net.NewFaultInjector()
 	inj.Churn(diffusion.ChurnConfig{
 		Start: 30 * time.Second,
@@ -66,6 +56,22 @@ func testbedChurn(net *diffusion.Network, sink func(id uint32) diffusion.DataCal
 		MTTR:  20 * time.Second,
 		Nodes: []uint32{20, 21, 24},
 	})
+}
+
+// reportEach has each source, in order, publish publication and then send
+// its own sequence number, counting from 1, every period.
+func reportEach(net *diffusion.Network, sources []uint32, publication diffusion.Attributes, period time.Duration) {
+	for _, id := range sources {
+		src := net.Node(id)
+		pub := src.Publish(publication)
+		seq := int32(0)
+		net.Every(period, func() {
+			seq++
+			src.Send(pub, diffusion.Attributes{
+				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
+			})
+		})
+	}
 }
 
 func TestSameSeedIdenticalTraceHash(t *testing.T) {

@@ -118,17 +118,8 @@ func cornerSinks(side uint32) func(*diffusion.Network, func(uint32) diffusion.Da
 		for _, id := range []uint32{1, side, n - side + 1, n} {
 			net.Node(id).Subscribe(interest, sink(id))
 		}
-		for _, id := range []uint32{side/2 + 1, side*(side/2) + 1, side*(side/2) + side, side*(side-1) + side/2, side*(side/2) + side/2} {
-			src := net.Node(id)
-			pub := src.Publish(publication)
-			seq := int32(0)
-			net.Every(5*time.Second, func() {
-				seq++
-				src.Send(pub, diffusion.Attributes{
-					diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-				})
-			})
-		}
+		reportEach(net, []uint32{side/2 + 1, side*(side/2) + 1, side*(side/2) + side, side*(side-1) + side/2, side*(side/2) + side/2},
+			publication, 5*time.Second)
 	}
 }
 
@@ -137,17 +128,7 @@ func cornerSinks(side uint32) func(*diffusion.Network, func(uint32) diffusion.Da
 func grid16(net *diffusion.Network, sink func(id uint32) diffusion.DataCallback) {
 	interest, publication := surveillance()
 	net.Node(1).Subscribe(interest, sink(1))
-	for _, id := range []uint32{16, 241, 256} {
-		src := net.Node(id)
-		pub := src.Publish(publication)
-		seq := int32(0)
-		net.Every(5*time.Second, func() {
-			seq++
-			src.Send(pub, diffusion.Attributes{
-				diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
-			})
-		})
-	}
+	reportEach(net, []uint32{16, 241, 256}, publication, 5*time.Second)
 }
 
 // traceTap installs NewTrace's filter tap on every node.

@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -57,7 +56,7 @@ func run(w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	flowID, err := parseFlowID(*flowHex)
+	flowID, err := flightpath.ParseFlowID(*flowHex)
 	if err != nil {
 		return err
 	}
@@ -124,7 +123,7 @@ func run(w io.Writer, args []string) error {
 		return nil
 	}
 	if flowID != 0 {
-		return flowTimeline(w, flows, flowID)
+		return flightpath.WriteTimeline(w, flows, flowID, annotatedPath)
 	}
 	report(w, flows)
 	return nil
@@ -189,20 +188,6 @@ func merge(scrapes []scrape) []telemetry.Record {
 	return out
 }
 
-// parseFlowID parses a 16-bit flow ID in the hex spelling the reports
-// use; empty means no flow selected.
-func parseFlowID(s string) (uint16, error) {
-	if s == "" {
-		return 0, nil
-	}
-	s = strings.TrimPrefix(s, "0x")
-	v, err := strconv.ParseUint(s, 16, 16)
-	if err != nil || v == 0 {
-		return 0, fmt.Errorf("bad flow ID %q: want the 4-digit hex ID from the listing", s)
-	}
-	return uint16(v), nil
-}
-
 // report prints the full cluster view: flight paths with per-hop
 // latencies, latency percentiles, reinforcement evolution, and drop
 // verdicts.
@@ -221,20 +206,8 @@ func report(w io.Writer, flows []*flightpath.Flow) {
 		fmt.Fprintf(w, "       %s\n", flightpath.Localize(f))
 	}
 
-	line := func(name string, samples []int64) {
-		if len(samples) == 0 {
-			fmt.Fprintf(w, "  %-10s (no samples)\n", name)
-			return
-		}
-		fmt.Fprintf(w, "  %-10s n=%-6d p50=%-10v p90=%-10v p99=%-10v max=%v\n", name, len(samples),
-			time.Duration(flightpath.Percentile(samples, 50))*time.Microsecond,
-			time.Duration(flightpath.Percentile(samples, 90))*time.Microsecond,
-			time.Duration(flightpath.Percentile(samples, 99))*time.Microsecond,
-			time.Duration(flightpath.Percentile(samples, 100))*time.Microsecond)
-	}
 	fmt.Fprintln(w, "latency:")
-	line("per-hop", flightpath.PerHopLatencies(flows))
-	line("end-to-end", flightpath.E2ELatencies(flows))
+	flightpath.WriteLatencies(w, flows)
 
 	// Reinforcement-path evolution: every reinforcement sighting across
 	// every flow, in time order — the gradient field being sharpened (and
@@ -292,25 +265,4 @@ func annotatedPath(f *flightpath.Flow) string {
 		}
 	}
 	return b.String()
-}
-
-// flowTimeline prints one flow's merged cross-node event sequence.
-func flowTimeline(w io.Writer, flows []*flightpath.Flow, flowID uint16) error {
-	for _, f := range flows {
-		if f.Flow != flowID {
-			continue
-		}
-		fmt.Fprintf(w, "flow %04x %s id=%s %s\n", f.Flow, f.Class, f.ID, annotatedPath(f))
-		for _, r := range f.Events {
-			fmt.Fprintf(w, "  +%-12v node=%-4d %-9s %-9s hops=%d",
-				time.Duration(r.US-f.StartUS)*time.Microsecond, r.Node, r.Layer, r.Verb, r.Hops)
-			if r.Cause != "" {
-				fmt.Fprintf(w, " cause=%s", r.Cause)
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "  %s\n", flightpath.Localize(f))
-		return nil
-	}
-	return fmt.Errorf("no spans for flow %04x", flowID)
 }

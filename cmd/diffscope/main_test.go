@@ -161,16 +161,6 @@ func TestScrapeErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "tracing is not enabled") {
 		t.Errorf("404 scrape: got err %v", err)
 	}
-
-	if _, err := parseFlowID("zz"); err == nil {
-		t.Error("parseFlowID(zz): want error")
-	}
-	if _, err := parseFlowID("0"); err == nil {
-		t.Error("parseFlowID(0): want error")
-	}
-	if id, err := parseFlowID("0x00a3"); err != nil || id != 0xa3 {
-		t.Errorf("parseFlowID(0x00a3) = %x, %v", id, err)
-	}
 }
 
 func TestEmptyRing(t *testing.T) {

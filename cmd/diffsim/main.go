@@ -103,11 +103,12 @@ func names() string {
 	return strings.Join(out, ", ")
 }
 
-// traceChurn re-runs the churn experiment's first seed traced: the tap is
-// pass-through, so with sampling off the traced run reproduces the printed
-// one exactly. -trace-sample > 0 adds flight-path spans to the export at
-// the cost of extra per-origination random draws (the traced re-run's
-// jitter then differs from the printed run's).
+// traceChurn re-runs the churn experiment's first seed traced: a trace only
+// keeps what the flight recorders write, so with sampling off the traced
+// run reproduces the printed one exactly, metrics included. -trace-sample
+// > 0 adds flight-path spans to the export at the cost of extra
+// per-origination random draws (the traced re-run's jitter then differs
+// from the printed run's).
 func traceChurn(w io.Writer, cfg experiments.ChurnConfig, metrics bool, traceOut string, traceSamp float64) error {
 	cfg.TraceSampling = traceSamp
 	_, tr, snap := experiments.RunRelayKillTraced(cfg, cfg.Seeds[0])

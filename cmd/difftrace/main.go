@@ -24,8 +24,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"diffusion/internal/flightpath"
@@ -91,7 +89,7 @@ func run(w io.Writer, args []string) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		flowID, err := parseFlowID(*flowHex)
+		flowID, err := flightpath.ParseFlowID(*flowHex)
 		if err != nil {
 			return err
 		}
@@ -451,20 +449,6 @@ func gradientReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record
 	return nil
 }
 
-// parseFlowID parses a 16-bit flow ID in the hex spelling the reports
-// use ("0f5a", optionally 0x-prefixed); empty means no flow selected.
-func parseFlowID(s string) (uint16, error) {
-	if s == "" {
-		return 0, nil
-	}
-	s = strings.TrimPrefix(s, "0x")
-	v, err := strconv.ParseUint(s, 16, 16)
-	if err != nil || v == 0 {
-		return 0, fmt.Errorf("bad flow ID %q: want the 4-digit hex ID from the paths listing", s)
-	}
-	return uint16(v), nil
-}
-
 // pathsReport prints every sampled flight path: the relay chain, the
 // delivery or drop verdict, and reinforcement activity the flow triggered.
 // With flowID != 0, it prints that flow's full event timeline instead.
@@ -475,23 +459,7 @@ func pathsReport(w io.Writer, recs []telemetry.Record, flowID uint16) error {
 		return nil
 	}
 	if flowID != 0 {
-		for _, f := range flows {
-			if f.Flow != flowID {
-				continue
-			}
-			fmt.Fprintf(w, "flow %04x %s id=%s %s\n", f.Flow, f.Class, f.ID, flightpath.PathString(f))
-			for _, r := range f.Events {
-				fmt.Fprintf(w, "  +%-12v node=%-4d %-9s %-9s hops=%d", time.Duration(r.US-f.StartUS)*time.Microsecond,
-					r.Node, r.Layer, r.Verb, r.Hops)
-				if r.Cause != "" {
-					fmt.Fprintf(w, " cause=%s", r.Cause)
-				}
-				fmt.Fprintln(w)
-			}
-			fmt.Fprintf(w, "  %s\n", flightpath.Localize(f))
-			return nil
-		}
-		return fmt.Errorf("no spans for flow %04x", flowID)
+		return flightpath.WriteTimeline(w, flows, flowID, flightpath.PathString)
 	}
 	delivered, dropped := 0, 0
 	for _, f := range flows {
@@ -527,20 +495,8 @@ func latencyReport(w io.Writer, recs []telemetry.Record) error {
 		fmt.Fprintln(w, "no flight-path spans in trace (run with TraceSampling > 0)")
 		return nil
 	}
-	line := func(name string, samples []int64) {
-		if len(samples) == 0 {
-			fmt.Fprintf(w, "  %-10s (no samples)\n", name)
-			return
-		}
-		fmt.Fprintf(w, "  %-10s n=%-6d p50=%-10v p90=%-10v p99=%-10v max=%v\n", name, len(samples),
-			time.Duration(flightpath.Percentile(samples, 50))*time.Microsecond,
-			time.Duration(flightpath.Percentile(samples, 90))*time.Microsecond,
-			time.Duration(flightpath.Percentile(samples, 99))*time.Microsecond,
-			time.Duration(flightpath.Percentile(samples, 100))*time.Microsecond)
-	}
 	fmt.Fprintf(w, "latency over %d sampled flows:\n", len(flows))
-	line("per-hop", flightpath.PerHopLatencies(flows))
-	line("end-to-end", flightpath.E2ELatencies(flows))
+	flightpath.WriteLatencies(w, flows)
 	return nil
 }
 

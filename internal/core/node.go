@@ -115,9 +115,9 @@ type Config struct {
 	// NegativeReinforcement enables duplicate-triggered negative
 	// reinforcement (on by default; DisableNegRF turns it off).
 	DisableNegRF bool
-	// Flight, when set, records every reception and transmission into the
-	// node's flight-recorder ring (always-on crash diagnostics), built
-	// with the node's clock. Nil disables recording.
+	// Flight, when set, records every origination, reception and
+	// transmission into the node's flight-recorder ring (always-on crash
+	// diagnostics), built with the node's clock. Nil disables recording.
 	Flight *telemetry.Ring
 	// Custody, when set, enables disruption-tolerant custody transfer
 	// (custody.go): data with no forward path is queued here instead of
@@ -757,6 +757,11 @@ func (n *Node) dispatch(m *message.Message) {
 			n.custodyDischarge(m.ID)
 		}
 		return
+	}
+	// A reception is already flight-recorded; an origination is recorded
+	// here, once it is known to enter the chain.
+	if m.PrevHop == selfID(n) {
+		n.cfg.Flight.Record(n.event(telemetry.Org, m, n.ID()))
 	}
 	n.runChainFrom(m, 0)
 }

@@ -141,17 +141,18 @@ func churnFlow(cfg ChurnConfig, seed int64) flow {
 }
 
 // RunRelayKillTraced runs one relay-kill seed with a full message trace
-// installed and returns the run outcome, the trace (fault script set, ready
-// for export), and the end-of-run metrics snapshot. The trace tap is
-// pass-through and draws no randomness, so the returned RelayKillRun is
-// bit-identical to the untraced RunRelayKill run for the same seed.
+// kept and returns the run outcome, the trace (fault script set, ready for
+// export), and the end-of-run metrics snapshot. A trace only keeps what the
+// flight recorders write and draws no randomness, so with sampling off the
+// returned RelayKillRun is bit-identical to the untraced RunRelayKill run
+// for the same seed.
 func RunRelayKillTraced(cfg ChurnConfig, seed int64) (RelayKillRun, *diffusion.Trace, diffusion.MetricsSnapshot) {
 	return relayKill(cfg, seed, true)
 }
 
 // relayKill is the shared implementation: warm up the reinforced path,
-// kill the relay the sink reinforces, and watch the repair. traced turns on
-// the trace tap and the closing metrics snapshot.
+// kill the relay the sink reinforces, and watch the repair. traced keeps a
+// trace and takes the closing metrics snapshot.
 func relayKill(cfg ChurnConfig, seed int64, traced bool) (RelayKillRun, *diffusion.Trace, diffusion.MetricsSnapshot) {
 	run := RelayKillRun{Seed: seed}
 	f := churnFlow(cfg, seed)

@@ -5,12 +5,17 @@
 // (cmd/difftrace) and over span records scraped from a live cluster
 // (cmd/diffscope) — both speak telemetry.Record, with timestamps already
 // on one common base (virtual time in the simulator; collector-rebased
-// absolute time live).
+// absolute time live) — and both render a flow's timeline and the latency
+// percentiles with the writers here.
 package flightpath
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
+	"strings"
+	"time"
 
 	"diffusion/internal/telemetry"
 )
@@ -296,4 +301,59 @@ func PathString(f *Flow) string {
 		}
 	}
 	return out
+}
+
+// ParseFlowID parses a 16-bit flow ID in the hex spelling the reports use
+// ("0f5a", optionally 0x-prefixed); empty means no flow selected.
+func ParseFlowID(s string) (uint16, error) {
+	if s == "" {
+		return 0, nil
+	}
+	s = strings.TrimPrefix(s, "0x")
+	v, err := strconv.ParseUint(s, 16, 16)
+	if err != nil || v == 0 {
+		return 0, fmt.Errorf("bad flow ID %q: want the 4-digit hex ID from the listing", s)
+	}
+	return uint16(v), nil
+}
+
+// WriteLatencies writes the per-hop and end-to-end latency percentiles
+// over the flows, one line each.
+func WriteLatencies(w io.Writer, flows []*Flow) {
+	line := func(name string, samples []int64) {
+		if len(samples) == 0 {
+			fmt.Fprintf(w, "  %-10s (no samples)\n", name)
+			return
+		}
+		fmt.Fprintf(w, "  %-10s n=%-6d p50=%-10v p90=%-10v p99=%-10v max=%v\n", name, len(samples),
+			time.Duration(Percentile(samples, 50))*time.Microsecond,
+			time.Duration(Percentile(samples, 90))*time.Microsecond,
+			time.Duration(Percentile(samples, 99))*time.Microsecond,
+			time.Duration(Percentile(samples, 100))*time.Microsecond)
+	}
+	line("per-hop", PerHopLatencies(flows))
+	line("end-to-end", E2ELatencies(flows))
+}
+
+// WriteTimeline writes one flow's cross-node event sequence: a header
+// with its relay chain, rendered by path, then every event relative to
+// the flow's start, then its verdict.
+func WriteTimeline(w io.Writer, flows []*Flow, flowID uint16, path func(*Flow) string) error {
+	for _, f := range flows {
+		if f.Flow != flowID {
+			continue
+		}
+		fmt.Fprintf(w, "flow %04x %s id=%s %s\n", f.Flow, f.Class, f.ID, path(f))
+		for _, r := range f.Events {
+			fmt.Fprintf(w, "  +%-12v node=%-4d %-9s %-9s hops=%d",
+				time.Duration(r.US-f.StartUS)*time.Microsecond, r.Node, r.Layer, r.Verb, r.Hops)
+			if r.Cause != "" {
+				fmt.Fprintf(w, " cause=%s", r.Cause)
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "  %s\n", Localize(f))
+		return nil
+	}
+	return fmt.Errorf("no spans for flow %04x", flowID)
 }

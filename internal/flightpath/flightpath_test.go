@@ -152,3 +152,17 @@ func TestLatencyCollectors(t *testing.T) {
 		t.Errorf("e2e latencies: %v", e2e)
 	}
 }
+
+func TestParseFlowID(t *testing.T) {
+	for _, bad := range []string{"zz", "0", "10000"} {
+		if _, err := ParseFlowID(bad); err == nil {
+			t.Errorf("ParseFlowID(%q): want error", bad)
+		}
+	}
+	if id, err := ParseFlowID("0x00a3"); err != nil || id != 0xa3 {
+		t.Errorf("ParseFlowID(0x00a3) = %x, %v", id, err)
+	}
+	if id, err := ParseFlowID(""); err != nil || id != 0 {
+		t.Errorf("ParseFlowID(\"\") = %x, %v: want no flow selected", id, err)
+	}
+}

@@ -15,8 +15,8 @@ import (
 type Verb uint8
 
 // Event verbs. Recv through Drop are the steps of a sampled message's
-// flight path, in rough lifecycle order; Send is a core transmission;
-// Org and Fwd are the trace tap's originated and forwarded processing;
+// flight path, in rough lifecycle order; Send is a core transmission; Org
+// is a local origination, and Fwd is how a Trace exports a reception;
 // Fault carries a fault kind in Event.Kind.
 const (
 	// Recv: the message arrived from a neighbor.
@@ -171,29 +171,34 @@ const (
 )
 
 // Ring is a node's bounded record of its most recent Events: one record
-// type, kept under two retention policies. A node's flight recorder is an
-// always-on ring of every reception, transmission and fault — the last N,
-// dumped when something goes wrong. Its span ring holds only sampled
-// messages (flow non-zero) across every layer that touches them, which an
-// offline analyzer (internal/flightpath) merges on (flow, hop, node) into
-// per-message timelines. A reception is one Event written to both.
+// type, kept under three retention policies. A node's flight recorder is an
+// always-on ring of every origination, reception, transmission and fault —
+// the last N, dumped when something goes wrong. Its span ring holds only
+// sampled messages (flow non-zero) across every layer that touches them,
+// which an offline analyzer (internal/flightpath) merges on (flow, hop,
+// node) into per-message timelines. A reception is one Event written to
+// both. Keep adds the third: the first n events a predicate accepts, for
+// the whole run, which is how the root package's Trace reads a flight
+// recorder.
 //
 // The ring is built with its node's clock and stamps At itself, under its
 // lock, so every layer writing to one ring shares one time base and the
 // ring reads in time order. It is safe for concurrent use (a live diffnode
 // records from its loop and its transport's goroutines while /spans
-// scrapes it), Record never allocates, and a nil ring records nothing.
-//
-// The root package's Trace is not a Ring: it keeps a filter tap on every
-// node that buffers Org/Fwd events for the whole run. No pin hashes the
-// tap (the counts ledger hashes the air), so it can become a retention
-// policy of the ring.
+// scrapes it), Record never allocates unless Keep is on, and a nil ring
+// records nothing.
 type Ring struct {
 	mu  sync.Mutex
 	now func() time.Duration
 	buf []Event // a power of two long: event n lives at n & (len-1)
 	// total counts the events ever recorded, Len plus overwrites.
 	total uint64
+	// Whole-run retention (Keep): the first keepN events want accepts, and
+	// a count of those past the bound.
+	want    func(Event) bool
+	kept    []Event
+	keepN   int
+	dropped int
 }
 
 // NewRing returns a ring holding the last size events, rounded up to a
@@ -215,7 +220,32 @@ func (r *Ring) Record(e Event) {
 	e.At = r.now()
 	r.buf[r.total&uint64(len(r.buf)-1)] = e
 	r.total++
+	if r.want != nil && r.want(e) {
+		if len(r.kept) < r.keepN {
+			r.kept = append(r.kept, e)
+		} else {
+			r.dropped++
+		}
+	}
 	r.mu.Unlock()
+}
+
+// Keep turns on whole-run retention: from the call on, the ring also keeps
+// the first n events that want accepts, past its overwrite window, and
+// counts the rest as dropped. A second call starts the retention afresh.
+// want runs under the ring's lock, so it must not touch the ring.
+func (r *Ring) Keep(n int, want func(Event) bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.want, r.keepN, r.kept, r.dropped = want, n, nil, 0
+}
+
+// Kept returns the events Keep retained, in record order (shared; do not
+// mutate), and how many it dropped at its bound.
+func (r *Ring) Kept() ([]Event, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.kept, r.dropped
 }
 
 // Len returns the number of events currently held.

@@ -33,6 +33,35 @@ func TestSpanRingWraps(t *testing.T) {
 	nilRing.Record(Event{}) // a nil ring records nothing
 }
 
+// Keep retains, from the call on and past the overwrite window, the first
+// n events its predicate accepts, and counts the rest.
+func TestRingKeep(t *testing.T) {
+	var now time.Duration
+	r := NewRing(2, clockAt(&now))
+	r.Record(Event{Flow: 1}) // before Keep: not retained
+	r.Keep(3, func(e Event) bool { return e.Flow%2 == 1 })
+	for i := 2; i <= 10; i++ {
+		now = time.Duration(i) * time.Second
+		r.Record(Event{Flow: uint16(i)})
+	}
+	kept, dropped := r.Kept()
+	if len(kept) != 3 || dropped != 1 {
+		t.Fatalf("kept %d, dropped %d: want 3 of the 4 odd flows after Keep, 1 dropped", len(kept), dropped)
+	}
+	for i, e := range kept {
+		if want := uint16(2*i + 3); e.Flow != want || e.At != time.Duration(want)*time.Second {
+			t.Errorf("kept[%d] = flow %d at %v, want flow %d, stamped", i, e.Flow, e.At, want)
+		}
+	}
+	if r.Len() != 2 || r.Total() != 10 {
+		t.Errorf("Len=%d Total=%d: the ring itself still keeps the last 2 of 10", r.Len(), r.Total())
+	}
+	r.Keep(1, func(Event) bool { return true })
+	if kept, dropped := r.Kept(); len(kept) != 0 || dropped != 0 {
+		t.Errorf("a second Keep holds %d, dropped %d: want a fresh start", len(kept), dropped)
+	}
+}
+
 func TestSpanRingDefaultSize(t *testing.T) {
 	if got := NewRing(0, nil).buf; len(got) != DefaultSpanSize {
 		t.Errorf("default ring size %d, want %d", len(got), DefaultSpanSize)

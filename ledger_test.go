@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,8 +132,9 @@ func grid16(net *diffusion.Network, sink func(id uint32) diffusion.DataCallback)
 	reportEach(net, []uint32{16, 241, 256}, publication, 5*time.Second)
 }
 
-// traceTap installs NewTrace's filter tap on every node.
-func traceTap(net *diffusion.Network) { net.NewTrace(0) }
+// withTrace keeps every node's originations and receptions for the whole
+// run (NewTrace).
+func withTrace(net *diffusion.Network) { net.NewTrace(0) }
 
 func ledgerWorks() []ledgerWork {
 	const side = 32
@@ -175,7 +177,7 @@ func ledgerWorks() []ledgerWork {
 			setup: 3 * 5 * time.Second,
 			run:   5 * time.Minute,
 		},
-		// The protocol pins, each from t = 0 with the trace tap on: the
+		// The protocol pins, each from t = 0 with a trace kept: the
 		// churned testbed of determinism_test.go untraced and with
 		// flight-path tracing at 100 % and 25 % (the sampling draws come
 		// from the per-node streams), a 16×16 grid, and
@@ -183,35 +185,35 @@ func ledgerWorks() []ledgerWork {
 		{
 			name:     "testbed_churn",
 			cfg:      diffusion.NetworkConfig{Seed: 42, Topology: diffusion.TestbedTopology()},
-			observe:  traceTap,
+			observe:  withTrace,
 			scenario: testbedChurn,
 			run:      5 * time.Minute,
 		},
 		{
 			name:     "testbed_churn_spans100",
 			cfg:      diffusion.NetworkConfig{Seed: 42, Topology: diffusion.TestbedTopology(), TraceSampling: 1},
-			observe:  traceTap,
+			observe:  withTrace,
 			scenario: testbedChurn,
 			run:      5 * time.Minute,
 		},
 		{
 			name:     "testbed_churn_spans25",
 			cfg:      diffusion.NetworkConfig{Seed: 42, Topology: diffusion.TestbedTopology(), TraceSampling: 0.25},
-			observe:  traceTap,
+			observe:  withTrace,
 			scenario: testbedChurn,
 			run:      5 * time.Minute,
 		},
 		{
 			name:     "grid256",
 			cfg:      diffusion.NetworkConfig{Seed: 7, Topology: diffusion.GridTopology(16, 16, 9)},
-			observe:  traceTap,
+			observe:  withTrace,
 			scenario: grid16,
 			run:      2 * time.Minute,
 		},
 		{
 			name:     "grid64",
 			cfg:      diffusion.NetworkConfig{Seed: 3, Topology: diffusion.GridTopology(8, 8, 9)},
-			observe:  traceTap,
+			observe:  withTrace,
 			scenario: cornerSinks(8),
 			run:      45 * time.Second,
 		},
@@ -224,6 +226,8 @@ type ledgerCounts struct {
 	frames, macDelivered, macExpired, deliveries, wireBytes int
 	wire, log                                               uint64
 	mallocs                                                 uint64
+	// metrics is the end-of-run snapshot, which no row records.
+	metrics diffusion.MetricsSnapshot
 }
 
 func (c ledgerCounts) allocsPerFrame() float64 { return float64(c.mallocs) / float64(c.frames) }
@@ -313,6 +317,7 @@ func runLedgerWork(w ledgerWork) ledgerCounts {
 		wire:         tx.wire.Sum64(),
 		log:          tx.log.Sum64(),
 		mallocs:      ms.Mallocs - m0,
+		metrics:      net.MetricsSnapshot(),
 	}
 }
 
@@ -365,9 +370,9 @@ func TestCountsLedger(t *testing.T) {
 
 // TestTranscriptIgnoresObservers holds the premise the ledger's hashes
 // rest on: watching a run does not change it. On the churned testbed and
-// the 1024-node grid, wire and log hash the same with no observer, with
-// NewTrace's filter tap, and with the tap and every node's registry
-// scraped mid-run.
+// the 1024-node grid, wire, log and the end-of-run metrics are the same
+// with no observer, with a trace kept, and with a trace kept and every
+// node's registry scraped mid-run.
 func TestTranscriptIgnoresObservers(t *testing.T) {
 	for _, w := range ledgerWorks() {
 		if w.name != "testbed_churn" && w.name != "grid1024_sim" {
@@ -380,9 +385,9 @@ func TestTranscriptIgnoresObservers(t *testing.T) {
 			observe func(*diffusion.Network)
 		}{
 			{"no observer", nil},
-			{"trace tap", traceTap},
-			{"trace tap and a mid-run scrape", func(net *diffusion.Network) {
-				traceTap(net)
+			{"trace", withTrace},
+			{"trace and a mid-run scrape", func(net *diffusion.Network) {
+				withTrace(net)
 				net.After(mid, func() { net.MetricsSnapshot() })
 			}},
 		} {
@@ -390,10 +395,49 @@ func TestTranscriptIgnoresObservers(t *testing.T) {
 			got := runLedgerWork(w)
 			if i == 0 {
 				want = got
-			} else if got.wire != want.wire || got.log != want.log {
+				continue
+			}
+			if got.wire != want.wire || got.log != want.log {
 				t.Errorf("%s, %s: wire=%016x log=%016x, with no observer wire=%016x log=%016x",
 					w.name, o.name, got.wire, got.log, want.wire, want.log)
 			}
+			if moved := metricsMoved(got.metrics, want.metrics); len(moved) > 0 {
+				t.Errorf("%s, %s: metrics differ from the unobserved run's: %s",
+					w.name, o.name, strings.Join(moved, ", "))
+			}
 		}
 	}
+}
+
+// metricsMoved names the series whose value differs between a and b in any
+// scope, sorted.
+func metricsMoved(a, b diffusion.MetricsSnapshot) []string {
+	moved := map[string]bool{}
+	diff := func(x, y map[string]float64) {
+		for name, v := range x {
+			if u, ok := y[name]; !ok || u != v && !(math.IsNaN(u) && math.IsNaN(v)) {
+				moved[name] = true
+			}
+		}
+		for name := range y {
+			if _, ok := x[name]; !ok {
+				moved[name] = true
+			}
+		}
+	}
+	for scope, m := range a.Scopes {
+		diff(m, b.Scopes[scope])
+	}
+	for scope, m := range b.Scopes {
+		if _, ok := a.Scopes[scope]; !ok {
+			diff(nil, m)
+		}
+	}
+	diff(a.Totals, b.Totals)
+	names := make([]string, 0, len(moved))
+	for name := range moved {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -13,105 +13,68 @@ import (
 // Trace is the network-wide analysis tool the paper asks for (section 7:
 // "we were repeatedly challenged by the difficulty in understanding what
 // was going on in a network of dozens of physically distributed nodes ...
-// tools are needed to ... permit more flexible logging"). It installs a
-// pass-through tap on every node and records every message each node
-// processes — an Org or Fwd Event — with summaries by class, node, and
-// flow direction. Because the simulation is deterministic, a trace is a
-// complete, replayable account of a run.
+// tools are needed to ... permit more flexible logging"). It keeps, for the
+// whole run, the originations and receptions every node's flight recorder
+// already writes — an Org or Fwd Event — with summaries by class, node, and
+// flow direction. It watches without touching the run: a traced run is the
+// untraced run, so a trace is a complete, replayable account of it.
 type Trace struct {
 	net *Network
-	// Recording is per node: each node's filter appends to its own buffer
-	// on its own clock. Events reads the buffers merged into one canonical
-	// timeline.
-	bufs   map[uint32]*nodeTraceBuf
+	// rings are the traced nodes' flight recorders in topology order, each
+	// keeping its node's share of the event bound on its own clock. Events
+	// reads them merged into one canonical timeline.
+	rings  []*telemetry.Ring
 	merged []Event // cached merge; rebuilt when stale
 	faults []FaultEvent
-	// limit bounds message events, divided evenly across the nodes, so a
-	// chatty node loses the end of its own view and nobody else's; faults
-	// are far rarer and get their own bound so a chatty run cannot starve
-	// the fault record (or vice versa).
-	limit      int
+	// faultLimit bounds fault events apart from message events, so a
+	// chatty run cannot starve the fault record (or vice versa).
 	faultLimit int
 	// droppedFaults counts fault events lost to the fault bound; message
-	// drops are counted per node. Dropping truncates each node's view of
+	// drops are counted per ring. Dropping truncates each node's view of
 	// the *end* of the run, so summaries must warn when non-zero.
 	droppedFaults int
 	header        TraceRunInfo
 	faultScript   []string
 }
 
-// nodeTraceBuf is one node's recording buffer; only that node's event
-// context touches it during a run.
-type nodeTraceBuf struct {
-	events  []Event
-	limit   int
-	dropped int
-}
-
 // defaultFaultLimit bounds recorded fault events; even brutal churn runs
 // inject orders of magnitude fewer faults than messages.
 const defaultFaultLimit = 100_000
 
-// NewTrace installs the trace across every full-diffusion node. limit
-// bounds message-event memory (0 means one million events); once reached,
-// new events are dropped — truncating the end of the run — and counted in
-// Dropped, which Summary warns about. Fault events have their own bound.
+// traced is the trace's view of a flight recorder: originations, and
+// receptions other than custody acks, which never enter the filter chain.
+func traced(e telemetry.Event) bool {
+	return e.Verb == telemetry.Org || e.Verb == telemetry.Recv && e.Class != message.CustodyAck
+}
+
+// NewTrace turns on whole-run retention in every full-diffusion node's
+// flight recorder (a network has one trace; a second NewTrace starts it
+// afresh). limit bounds message events (0 means one million), divided
+// across the nodes so that a chatty node loses the end of its own view and
+// nobody else's; past it, events are dropped and counted in Dropped, which
+// Summary warns about. Fault events have their own bound.
 func (net *Network) NewTrace(limit int) *Trace {
 	if limit <= 0 {
 		limit = 1_000_000
 	}
 	t := &Trace{
 		net:        net,
-		bufs:       map[uint32]*nodeTraceBuf{},
-		limit:      limit,
 		faultLimit: defaultFaultLimit,
 		header:     net.RunInfo(),
 	}
-	traced := 0
-	for _, id := range net.IDs() {
-		if _, ok := net.nodes[id]; ok {
-			traced++ // mote tiers are not traced
+	for _, id := range net.order {
+		if r, ok := net.flights[id]; ok { // mote tiers are not traced
+			t.rings = append(t.rings, r)
 		}
 	}
-	perNode, extra := limit, 0
-	if traced > 0 {
-		perNode = limit / traced
-		// The first limit%traced nodes (topology order) take one more, so
-		// the per-node bounds sum exactly to the requested limit.
-		extra = limit % traced
-		if perNode < 1 {
-			perNode, extra = 1, 0
+	// The first limit%len nodes (topology order) take one more, so the
+	// per-node bounds sum exactly to the requested limit.
+	for i, r := range t.rings {
+		n := limit / len(t.rings)
+		if i < limit%len(t.rings) {
+			n++
 		}
-	}
-	for _, id := range net.IDs() {
-		n, ok := net.nodes[id]
-		if !ok {
-			continue
-		}
-		id := id
-		node := n
-		buf := &nodeTraceBuf{limit: perNode}
-		if extra > 0 {
-			buf.limit++
-			extra--
-		}
-		t.bufs[id] = buf
-		clk := net.NodeEnv(id)
-		node.AddFilter(nil, 30100, func(m *Message, h FilterHandle) {
-			if len(buf.events) < buf.limit {
-				verb := telemetry.Fwd
-				if uint32(m.PrevHop) == id {
-					verb = telemetry.Org
-				}
-				buf.events = append(buf.events, Event{
-					At: clk.Now(), Node: id, Peer: uint32(m.PrevHop), ID: m.ID,
-					Hop: m.HopCount, Verb: verb, Class: m.Class,
-				})
-			} else {
-				buf.dropped++
-			}
-			node.SendMessageToNext(m, h)
-		})
+		r.Keep(n, traced)
 	}
 	// Fault events (node-down/up, link-down/up) are part of the run's
 	// story: record them so traces from churn runs are self-describing.
@@ -127,19 +90,26 @@ func (net *Network) NewTrace(limit int) *Trace {
 
 // Events returns the recorded events merged across nodes into one
 // canonical timeline — ordered by timestamp, ties broken by topology
-// position (shared slice; do not mutate).
+// position (shared slice; do not mutate). A reception reads as Fwd, and
+// no event carries its flow: spans are the flow's record.
 func (t *Trace) Events() []Event {
 	total := 0
-	for _, b := range t.bufs {
-		total += len(b.events)
+	for _, r := range t.rings {
+		kept, _ := r.Kept()
+		total += len(kept)
 	}
 	if len(t.merged) == total {
 		return t.merged
 	}
 	merged := make([]Event, 0, total)
-	for _, id := range t.net.IDs() {
-		if b, ok := t.bufs[id]; ok {
-			merged = append(merged, b.events...)
+	for _, r := range t.rings {
+		kept, _ := r.Kept()
+		for _, e := range kept {
+			if e.Verb == telemetry.Recv {
+				e.Verb = telemetry.Fwd
+			}
+			e.Flow = 0
+			merged = append(merged, e)
 		}
 	}
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].At < merged[j].At })
@@ -155,8 +125,9 @@ func (t *Trace) Faults() []FaultEvent { return t.faults }
 // limits. Non-zero means the tail of the run is missing from Events.
 func (t *Trace) Dropped() int {
 	n := 0
-	for _, b := range t.bufs {
-		n += b.dropped
+	for _, r := range t.rings {
+		_, dropped := r.Kept()
+		n += dropped
 	}
 	return n
 }
@@ -240,31 +211,6 @@ func (t *Trace) CountByNode() map[uint32]int {
 	return out
 }
 
-// Originations returns the distinct message originations observed, per
-// class.
-func (t *Trace) Originations() map[MessageClass]int {
-	seen := map[message.ID]bool{}
-	out := map[MessageClass]int{}
-	for _, e := range t.Events() {
-		if e.Verb == telemetry.Org && !seen[e.ID] {
-			seen[e.ID] = true
-			out[e.Class]++
-		}
-	}
-	return out
-}
-
-// FirstDelivery returns when a given message origination was first
-// processed at the given node, or ok=false (per-message latency probing).
-func (t *Trace) FirstDelivery(id message.ID, node uint32) (time.Duration, bool) {
-	for _, e := range t.Events() {
-		if e.ID == id && e.Node == node {
-			return e.At, true
-		}
-	}
-	return 0, false
-}
-
 // Summary writes a human-readable report: totals by class, then the
 // busiest nodes — the at-a-glance view of "what was going on in the
 // network".
@@ -314,30 +260,6 @@ func (t *Trace) Summary(w io.Writer) {
 		fmt.Fprintf(w, "WARNING: %d events and %d faults dropped at the trace limit; the end of the run is missing\n",
 			t.Dropped(), t.droppedFaults)
 	}
-}
-
-// WriteLog streams every event as one line, for offline analysis. Fault
-// events interleave with message events in time order, so an outage reads
-// in place in the log.
-func (t *Trace) WriteLog(w io.Writer) {
-	fi := 0
-	emitFaultsThrough := func(at time.Duration) {
-		for fi < len(t.faults) && t.faults[fi].At <= at {
-			f := t.faults[fi]
-			if f.Kind == FaultLinkDown || f.Kind == FaultLinkUp {
-				fmt.Fprintf(w, "%12v fault %v %d<->%d\n", f.At, f.Kind, f.Node, f.Peer)
-			} else {
-				fmt.Fprintf(w, "%12v fault %v node=%d\n", f.At, f.Kind, f.Node)
-			}
-			fi++
-		}
-	}
-	for _, e := range t.Events() {
-		emitFaultsThrough(e.At)
-		fmt.Fprintf(w, "%12v node=%d %s %s id=%v hops=%d\n",
-			e.At, e.Node, e.Verb, e.Class, e.ID, e.Hop)
-	}
-	emitFaultsThrough(time.Duration(1<<62 - 1))
 }
 
 func (t *Trace) span() time.Duration {

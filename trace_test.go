@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"diffusion"
+	"diffusion/internal/message"
 )
 
 func tracedRun(t *testing.T) (*diffusion.Network, *diffusion.Trace) {
@@ -57,7 +58,20 @@ func TestTraceRecordsAllClasses(t *testing.T) {
 
 func TestTraceOriginations(t *testing.T) {
 	_, tr := tracedRun(t)
-	orig := tr.Originations()
+	orig := map[diffusion.MessageClass]int{}
+	seen := map[message.ID]bool{}
+	for _, e := range tr.Events() {
+		if e.Verb.String() == "org" {
+			if seen[e.ID] {
+				t.Errorf("origination %v traced twice", e.ID)
+			}
+			seen[e.ID] = true
+			orig[e.Class]++
+			if e.Peer != e.Node || e.Hop != 0 {
+				t.Errorf("origination %+v: want its own node as peer, hop 0", e)
+			}
+		}
+	}
 	// The sink originates interests (one per refresh); the source
 	// originates data.
 	if orig[diffusion.ClassInterest] < 2 {
@@ -67,11 +81,7 @@ func TestTraceOriginations(t *testing.T) {
 		t.Errorf("data originations: %v", orig)
 	}
 	// Originations are a subset of processing events.
-	total := 0
-	for _, c := range orig {
-		total += c
-	}
-	if total >= tr.Len() {
+	if len(seen) >= tr.Len() {
 		t.Error("originations must be fewer than processing events")
 	}
 }
@@ -80,9 +90,15 @@ func TestTraceLatencyProbe(t *testing.T) {
 	_, tr := tracedRun(t)
 	// Find a data origination at node 4 and its first processing at node
 	// 1: latency must be positive and under a second on an idle line.
+	first := map[message.ID]time.Duration{}
+	for _, e := range tr.Events() {
+		if _, ok := first[e.ID]; !ok && e.Node == 1 {
+			first[e.ID] = e.At
+		}
+	}
 	for _, e := range tr.Events() {
 		if e.Verb.String() == "org" && e.Node == 4 && e.Class == diffusion.ClassData {
-			at, ok := tr.FirstDelivery(e.ID, 1)
+			at, ok := first[e.ID]
 			if !ok {
 				continue
 			}
@@ -104,10 +120,29 @@ func TestTraceReports(t *testing.T) {
 		t.Errorf("summary:\n%s", buf.String())
 	}
 	buf.Reset()
-	tr.WriteLog(&buf)
-	if !strings.Contains(buf.String(), "org") || !strings.Contains(buf.String(), "fwd") {
-		t.Error("log should mark originations and forwards")
+	if err := tr.ExportJSONL(&buf); err != nil {
+		t.Fatal(err)
 	}
+	if !strings.Contains(buf.String(), `"verb":"org"`) || !strings.Contains(buf.String(), `"verb":"fwd"`) {
+		t.Error("export should mark originations and forwards")
+	}
+}
+
+// faultRecords returns the trace's exported fault records, checking that
+// they sit in time order among the message records.
+func faultRecords(t *testing.T, tr *diffusion.Trace) []diffusion.TraceRecord {
+	t.Helper()
+	var out []diffusion.TraceRecord
+	recs := tr.Records()
+	for i, r := range recs {
+		if i > 0 && r.US < recs[i-1].US {
+			t.Fatalf("record %d at %dus follows one at %dus", i, r.US, recs[i-1].US)
+		}
+		if r.Layer == "fault" {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func TestTraceRecordsFaultsAndRepairs(t *testing.T) {
@@ -153,12 +188,10 @@ func TestTraceRecordsFaultsAndRepairs(t *testing.T) {
 		!strings.Contains(buf.String(), "repairs: 1/1") {
 		t.Errorf("summary missing fault line:\n%s", buf.String())
 	}
-	buf.Reset()
-	tr.WriteLog(&buf)
-	for _, want := range []string{"fault node-down node=2", "fault node-up node=2"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("log missing %q", want)
-		}
+	recs := faultRecords(t, tr)
+	if len(recs) != 2 || recs[0].Verb != "node-down" || recs[0].Node != 2 ||
+		recs[1].Verb != "node-up" || recs[1].Node != 2 {
+		t.Errorf("exported faults %+v, want node-down and node-up of node 2", recs)
 	}
 }
 
@@ -185,11 +218,12 @@ func TestTraceRecordsLinkFaults(t *testing.T) {
 	if downs != 2 || ups != 2 {
 		t.Errorf("link faults: %d down, %d up, want 2 each", downs, ups)
 	}
-	var buf bytes.Buffer
-	tr.WriteLog(&buf)
-	if !strings.Contains(buf.String(), "fault link-down 1<->2") {
-		t.Errorf("log missing link fault:\n%s", buf.String())
+	for _, r := range faultRecords(t, tr) {
+		if r.Verb == "link-down" && r.Node == 1 && r.Peer == 2 {
+			return
+		}
 	}
+	t.Errorf("export missing link-down 1<->2: %+v", tr.Faults())
 }
 
 func TestTraceLimit(t *testing.T) {
@@ -204,5 +238,16 @@ func TestTraceLimit(t *testing.T) {
 	net.Run(5 * time.Minute)
 	if tr.Len() > 10 {
 		t.Errorf("trace exceeded its limit: %d", tr.Len())
+	}
+
+	// A limit below the node count is still the bound: the testbed's 14
+	// nodes share 5 events, and the rest are counted as dropped.
+	net = diffusion.NewNetwork(diffusion.NetworkConfig{Seed: 1, Topology: diffusion.TestbedTopology()})
+	tr = net.NewTrace(5)
+	interest, _ := surveillance()
+	net.Node(diffusion.TestbedSink).Subscribe(interest, nil)
+	net.Run(2 * time.Minute)
+	if tr.Len() > 5 || tr.Dropped() == 0 {
+		t.Errorf("NewTrace(5) on 14 nodes holds %d events, dropped %d", tr.Len(), tr.Dropped())
 	}
 }

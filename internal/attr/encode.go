@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -178,6 +179,14 @@ func DecodeVecView(dst Vec, b []byte) (Vec, int, error) {
 	dst = dst[:n]
 	fillVec(dst, b)
 	return dst, size, nil
+}
+
+// Own returns a copy of v that shares nothing with it: v encoded into buf and
+// decoded over dst (DecodeVecView), both reused. Values must fit the wire.
+func (v Vec) Own(dst Vec, buf []byte) (Vec, []byte) {
+	buf = v.AppendEncode(slices.Grow(buf[:0], v.Size()))
+	dst, _, _ = DecodeVecView(dst, buf)
+	return dst, buf
 }
 
 // Hash returns a canonical 64-bit hash of the vector, insensitive to

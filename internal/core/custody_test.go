@@ -115,14 +115,16 @@ func (l *refusingLink) SendCustody(uint32, message.ID, []byte) error { return ni
 // with custody on the relay holds it instead: the queue gets exactly the
 // forward's bytes, one hop further and sent by the relay. The link is
 // custody-capable, so the relay admits nothing when the message arrives and
-// whatever the queue holds came from the refusal.
+// whatever the queue holds came from the refusal. The receptions are lent,
+// so the bytes can only come from the forward's own copy.
 func TestRefusedForwardTakenIntoCustody(t *testing.T) {
 	s := sim.New(1)
 	cfg := Config{Clock: s, Rand: s.Rand(), Link: &refusingLink{id: 2}}
 	withCustody(&cfg)
 	n := NewNode(cfg)
 	defer n.Close()
-	n.Receive(3, (&message.Message{
+	var l lender
+	l.receive(n, 3, (&message.Message{
 		Class: message.Interest, ID: message.ID{RandID: 3, PktNum: 1}, NextHop: message.Broadcast,
 		Attrs: lineInterest,
 	}).Marshal())
@@ -130,7 +132,7 @@ func TestRefusedForwardTakenIntoCustody(t *testing.T) {
 		Class: message.ExploratoryData, ID: message.ID{RandID: 1, PktNum: 1}, HopCount: 2,
 		NextHop: message.Broadcast, Attrs: lineEvent,
 	}
-	n.Receive(1, exp.Marshal())
+	l.receive(n, 1, exp.Marshal())
 	if held := n.cfg.Custody.Len(); held != 0 {
 		t.Fatalf("%d items in custody before the forward fired", held)
 	}

@@ -109,8 +109,8 @@ func (e *interestEntry) hasReinforcedDownstream(now time.Duration) bool {
 	return false
 }
 
-// entryFor finds or creates the interest entry for the given attributes.
-func (n *Node) entryFor(attrs attr.Vec) *interestEntry {
+// entryFor finds or creates the entry for attrs, copying values too if lent.
+func (n *Node) entryFor(attrs attr.Vec, lent bool) *interestEntry {
 	h := attrs.Hash()
 	if e, ok := n.entries[h]; ok {
 		return e
@@ -118,7 +118,12 @@ func (n *Node) entryFor(attrs attr.Vec) *interestEntry {
 	// Inner maps are allocated lazily at their write sites: a broker-scale
 	// node carries one entry per local subscription, and most of those
 	// never see a gradient, a duplicate or an energy-aware load sample.
-	e := &interestEntry{attrs: attrs.Clone(), hash: h}
+	e := &interestEntry{hash: h}
+	if lent {
+		e.attrs, _ = attrs.Own(nil, nil)
+	} else {
+		e.attrs = attrs.Clone()
+	}
 	e.slot = n.midx.entries.Add(e.attrs, h)
 	n.entries[h] = e
 	n.noteEntryEmptiness(e)
@@ -182,7 +187,7 @@ func (n *Node) processCore(m *message.Message) {
 // coreInterest handles an interest message (local origination or from a
 // neighbor).
 func (n *Node) coreInterest(m *message.Message, local bool) {
-	e := n.entryFor(m.Attrs)
+	e := n.entryFor(m.Attrs, !local)
 	now := n.cfg.Clock.Now()
 
 	if local {
@@ -509,7 +514,7 @@ func isPush(attrs attr.Vec) bool {
 func (n *Node) coreReinforce(m *message.Message) {
 	e, ok := n.lookupEntry(m.Attrs)
 	if !ok {
-		e = n.entryFor(m.Attrs)
+		e = n.entryFor(m.Attrs, true)
 	}
 	now := n.cfg.Clock.Now()
 	g, ok := e.gradients[m.PrevHop]
@@ -694,8 +699,9 @@ func (n *Node) deliverLocal(m *message.Message) {
 	n.midx.putTags(tags)
 	if len(subs) > 0 && m == &n.rx {
 		// Callbacks are user code that may hold m, which the next reception
-		// overwrites: hand them a copy (the values stay windows on the payload).
-		m = m.Clone()
+		// overwrites: copy header and vector (values stay lent windows).
+		c := *m
+		m, c.Attrs = &c, slices.Clone(m.Attrs)
 	}
 	delivered := false
 	for _, s := range subs {

@@ -192,9 +192,9 @@ type (
 
 // DataCallback is invoked on local delivery of a matching message (paper:
 // "a callback function is then invoked whenever relevant data arrives at
-// the node"). m is borrowed: the callback must not retain or mutate it, and
-// a value it does keep (an attribute's string or blob) pins the message's
-// whole decode arena.
+// the node"). m is borrowed: the callback must not retain or mutate it. Its
+// string and blob values are windows onto a payload the node was lent, so a
+// callback that keeps one keeps a copy (m.Clone(), strings.Clone).
 type DataCallback func(m *message.Message)
 
 // Stats counts a node's diffusion-layer activity. BytesSent over all nodes,
@@ -439,7 +439,7 @@ func (n *Node) Restart() {
 		case s.local:
 			// Re-install the local sink entry (SubscribeLocal does this at
 			// subscription time).
-			e := n.entryFor(interestFromSub(s.attrs))
+			e := n.entryFor(interestFromSub(s.attrs), false)
 			if e.localSubs == nil {
 				e.localSubs = map[SubscriptionHandle]bool{}
 			}
@@ -566,7 +566,7 @@ func (n *Node) SubscribeLocal(attrs attr.Vec, cb DataCallback) SubscriptionHandl
 	h := n.nextSub
 	n.installSub(h, &subscription{attrs: attrs.Clone(), cb: cb, passive: true, local: true})
 	// Install the local entry so matching data finds a sink here.
-	e := n.entryFor(interestFromSub(attrs))
+	e := n.entryFor(interestFromSub(attrs), false)
 	if e.localSubs == nil {
 		e.localSubs = map[SubscriptionHandle]bool{}
 	}
@@ -695,12 +695,10 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 // Receive is the link-layer upcall: the MAC delivers every reassembled
 // payload here. Malformed payloads are dropped, and counted.
 //
-// payload belongs to the node from the call on: nobody writes it again,
-// though a link may hand the same bytes, read-only, to every receiver of one
-// broadcast. It is decoded in place — string and blob values are windows
-// onto it — so what the node keeps (an interest entry's attributes, a kept
-// message, a pending forward until it fires) keeps payload alive, and a link
-// must never recycle the buffer.
+// payload is borrowed for the call: a link may reuse it once Receive returns,
+// as the MAC does. It is decoded in place, values being windows onto it, so
+// what outlives the call is copied: an entry's or a pending forward's
+// attributes (attr.Vec.Own), a message a filter or custody keeps (a Clone).
 //
 // On a corking link Receive corks, as transmit does, malformed payloads
 // included: the link holds its ack of payload until the wake-up's end.
@@ -823,13 +821,14 @@ func (n *Node) transmit(m *message.Message) error {
 }
 
 // forward is one jittered re-flood pending on the node's clock, pooled per
-// node. Its message is a copy of the one it forwards, attributes in the
-// record's own array; their values stay windows onto the received payload
-// until it fires.
+// node. Its message is a copy of the one it forwards that shares nothing
+// with it: attributes in the record's own array, their values windows onto
+// the record's own buffer (attr.Vec.Own), both reused.
 type forward struct {
-	n  *Node
-	m  message.Message
-	ev sim.Event
+	n   *Node
+	m   message.Message
+	buf []byte
+	ev  sim.Event
 }
 
 // forwardLater re-floods m one hop further after a random jitter.
@@ -842,10 +841,9 @@ func (n *Node) forwardLater(m *message.Message) {
 		f = &forward{n: n}
 		f.ev.Bind(f.fire)
 	}
-	// m is usually the receive message, whose Attrs are cleared when
-	// Receive returns: copy them.
-	attrs := append(f.m.Attrs[:0], m.Attrs...)
-	f.m = *m
+	// m is usually the receive message, whose payload is only lent: copy it.
+	attrs, buf := m.Attrs.Own(f.m.Attrs, f.buf)
+	f.m, f.buf = *m, buf
 	f.m.Attrs = attrs
 	f.m.HopCount++
 	f.m.PrevHop, f.m.NextHop = selfID(n), message.Broadcast
@@ -862,7 +860,6 @@ func (f *forward) fire() {
 	if n.transmit(&f.m) != nil {
 		n.custodyCapture(&f.m)
 	}
-	clear(f.m.Attrs) // an idle record pins no payload
 	n.fwdFree = append(n.fwdFree, f)
 }
 

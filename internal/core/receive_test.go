@@ -15,9 +15,22 @@ import (
 )
 
 // Receive decodes every payload into one message per node and hands the
-// core a view of the payload's own bytes. These tests cover the three ways
-// that message could reach somebody who outlives it; alloc_test.go holds the
-// budgets.
+// core a view of the payload's own bytes, which the node only borrows. These
+// tests cover the ways that message could reach somebody who outlives it;
+// alloc_test.go holds the budgets.
+
+// lender is the receiving half of a link that lends, as the MAC does: it
+// hands every reception to Receive in one buffer and overwrites that with
+// 0xDB once Receive returns, so a window kept past the call reads 0xDB.
+type lender struct{ buf []byte }
+
+func (l *lender) receive(n *Node, from uint32, payload []byte) {
+	l.buf = append(l.buf[:0], payload...)
+	n.Receive(from, l.buf)
+	for i := range l.buf {
+		l.buf[i] = 0xDB
+	}
+}
 
 // countLink is a Link that counts what it is handed and keeps none of it.
 type countLink struct {
@@ -47,8 +60,8 @@ var (
 
 // reinforcedPath builds node 2 between source 1 and sinks with the
 // reinforced path to each set up, and returns it with events fresh
-// plain-Data payloads from 1. Receive owns what it is handed, so every
-// payload is a buffer of its own, built here and used once.
+// plain-Data payloads from 1. Every payload is a buffer of its own, built
+// here and never written again, as the live transport hands them.
 func reinforcedPath(t *testing.T, link Link, cfg Config, events int, sinks ...uint32) (*Node, [][]byte) {
 	if cfg.Clock == nil {
 		s := sim.New(1)
@@ -149,7 +162,11 @@ func TestReceiveRecordsOneEvent(t *testing.T) {
 // What a filter or a data callback holds must not turn into a later
 // reception. A filter borrows its message and clones what it keeps, so its
 // case fails if that Clone is taken out; a data callback is user code that
-// may hold what it is handed, so its case fails if the core's copy is.
+// may hold the message it is handed, so its case fails if the core's copy
+// of the header and vector is. The payloads here are never written again,
+// as the live transport's are; over a lending link (the MAC) the held
+// message's values would read what the link overwrote, which is why a
+// callback copies the values it keeps.
 func TestHeldMessagesSurviveLaterReceptions(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -183,17 +200,26 @@ func TestHeldMessagesSurviveLaterReceptions(t *testing.T) {
 }
 
 // An interest entry takes its attributes from the reception that created
-// it, and those are windows onto that reception's payload: the entry must
-// hash, match and re-encode the same however much traffic follows. This is
-// the guard against pooling payload buffers beneath values that alias them.
+// it, whose payload the node only borrows, so the entry owns a copy: over a
+// lending link it must hash, match and re-encode the same however much
+// traffic follows through the buffer the interest came in. It fails if the
+// entry keeps windows onto the payload.
 func TestInterestEntrySurvivesLaterReceptions(t *testing.T) {
-	n, wires := reinforcedPath(t, &countLink{id: 2}, Config{}, 1000, 3)
+	_, wires := reinforcedPath(t, &countLink{id: 2}, Config{}, 1000, 3)
+	s := sim.New(1)
+	n := NewNode(Config{Clock: s, Rand: s.Rand(), Link: &countLink{id: 2}})
+	t.Cleanup(n.Close)
+	var l lender
+	l.receive(n, 3, (&message.Message{
+		Class: message.Interest, ID: message.ID{RandID: 3, PktNum: 1}, NextHop: message.Broadcast,
+		Attrs: lineInterest,
+	}).Marshal())
 	e, ok := n.lookupEntry(lineInterest)
 	if !ok {
 		t.Fatal("no entry for the interest the node received")
 	}
 	for _, w := range wires {
-		n.Receive(1, w)
+		l.receive(n, 1, w)
 	}
 	if !bytes.Equal(e.attrs.Encode(), lineInterest.Encode()) {
 		t.Errorf("entry re-encodes as %v, received %v", e.attrs, lineInterest)

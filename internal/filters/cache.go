@@ -91,7 +91,7 @@ func (c *Cache) onMessage(m *message.Message, h core.FilterHandle) {
 		// also caches for duplicate suppression; this cache is the
 		// application-level "recent data" store.
 		if id, ok := cacheIdentity(m.Attrs, c.identityKeys); ok {
-			c.entries[id] = cacheEntry{attrs: m.Attrs.Clone(), at: now}
+			c.entries[id] = cacheEntry{attrs: m.Clone().Attrs, at: now}
 			c.Cached++
 		}
 	case message.Interest:

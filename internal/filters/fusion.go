@@ -1,7 +1,6 @@
 package filters
 
 import (
-	"strings"
 	"time"
 
 	"diffusion/internal/attr"
@@ -42,7 +41,8 @@ type fusionEvent struct {
 	msg        *message.Message
 	handle     core.FilterHandle
 	miss       float64 // ∏(1−pᵢ)
-	modalities []string
+	modalities []byte  // joined with "+", copied out of the lent messages
+	count      int32
 }
 
 // NewFusion installs the fusion filter on n for messages matching pattern.
@@ -92,7 +92,8 @@ func (f *Fusion) onMessage(m *message.Message, h core.FilterHandle) {
 
 	if ev, exists := f.pending[string(f.idBuf)]; exists {
 		ev.miss *= 1 - conf
-		ev.modalities = append(ev.modalities, modality)
+		ev.modalities = append(append(ev.modalities, '+'), modality...)
+		ev.count++
 		f.Fused++
 		return
 	}
@@ -101,7 +102,8 @@ func (f *Fusion) onMessage(m *message.Message, h core.FilterHandle) {
 		msg:        m.Clone(),
 		handle:     h,
 		miss:       1 - conf,
-		modalities: []string{modality},
+		modalities: []byte(modality),
+		count:      1,
 	}
 	f.clock.After(f.window, func() { f.flush(id) })
 }
@@ -120,8 +122,8 @@ func (f *Fusion) flush(id string) {
 		Without(attr.KeySubtype).
 		With(
 			attr.Float64Attr(attr.KeyConfidence, attr.IS, fused),
-			attr.StringAttr(attr.KeySubtype, attr.IS, strings.Join(ev.modalities, "+")),
-			attr.Int32Attr(attr.KeyCount, attr.IS, int32(len(ev.modalities))),
+			attr.StringAttr(attr.KeySubtype, attr.IS, string(ev.modalities)),
+			attr.Int32Attr(attr.KeyCount, attr.IS, ev.count),
 		)
 	f.node.SendMessageToNext(out, ev.handle)
 }

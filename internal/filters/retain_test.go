@@ -11,11 +11,12 @@ import (
 )
 
 // A filter borrows its message: usually the node's receive message, which
-// the next reception overwrites and which is cleared once Receive returns.
-// Every filter here holds something past its call, so it clones it. These
-// tests feed real wire receptions through core.Node.Receive and check that
-// what each filter held or flushed is what arrived; each fails if the
-// filter's own clone is taken out.
+// the next reception overwrites and which is cleared once Receive returns,
+// its values windows onto a payload the node was lent. Every filter here
+// holds something past its call, so it clones it. These tests feed real wire
+// receptions through core.Node.Receive, lent as the MAC lends them, and
+// check that what each filter held or flushed is what arrived; each fails if
+// the filter's own clone is taken out, or shares the payload's bytes.
 
 const retained = 60
 
@@ -27,10 +28,12 @@ type reception struct {
 }
 
 // receive encodes one exploratory Data message per vector and hands each to
-// n, a millisecond apart, as neighbor 5 sent it.
+// n, a millisecond apart, as neighbor 5 sent it: in one buffer, overwritten
+// with 0xDB once Receive returns.
 func receive(t *testing.T, tn *nettest.Net, n *core.Node, vecs []attr.Vec, each func(reception)) []reception {
 	t.Helper()
 	var rs []reception
+	var lent []byte
 	for i, v := range vecs {
 		wire := (&message.Message{
 			Class:   message.ExploratoryData,
@@ -44,7 +47,11 @@ func receive(t *testing.T, tn *nettest.Net, n *core.Node, vecs []attr.Vec, each 
 			t.Fatal(err)
 		}
 		tn.Sched.RunUntil(tn.Sched.Now() + time.Millisecond)
-		n.Receive(5, wire)
+		lent = append(lent[:0], wire...)
+		n.Receive(5, lent)
+		for i := range lent {
+			lent[i] = 0xDB
+		}
 		r := reception{wire, msg}
 		if each != nil {
 			each(r)
@@ -123,6 +130,11 @@ func TestFusionFlushesWhatItReceived(t *testing.T) {
 		t.Fatalf("fused %d reports of %d events", f.Reports, retained)
 	}
 	checkFlushed(t, *got, rs, attr.KeyConfidence, attr.KeySubtype, attr.KeyCount)
+	for _, m := range *got {
+		if a, _ := m.Attrs.FindActual(attr.KeySubtype); a.Val.Str() != "seismic" {
+			t.Fatalf("fused report names modalities %q, want \"seismic\"", a.Val.Str())
+		}
+	}
 }
 
 func TestCacheHoldsWhatItReceived(t *testing.T) {

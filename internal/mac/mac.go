@@ -108,9 +108,9 @@ func fromWireID(id uint16) uint32 {
 	return uint32(id)
 }
 
-// Handler receives reassembled messages. The payload is the buffer the
-// message was reassembled in, handed over: the MAC never touches it again,
-// so the handler may keep it.
+// Handler receives reassembled messages. The payload is lent for the call:
+// it is the buffer the message was reassembled in, which the MAC clears and
+// reuses once the handler returns, so the handler copies what it keeps.
 type Handler func(from uint32, payload []byte)
 
 // Errors returned by Send.
@@ -148,10 +148,10 @@ type Mac struct {
 	seq      uint16
 
 	// reasm holds the messages under reassembly in the order they started,
-	// which under one fixed timeout is also deadline order. spare is the
-	// buffer of the last one to expire, kept for the next to reuse.
+	// which under one fixed timeout is also deadline order. A new message
+	// takes the first of bufs, at most maxBufs idle buffers, with room for it.
 	reasm []partial
-	spare []byte
+	bufs  [][]byte
 	msgs  freeList[outMsg]
 
 	// attemptEv and fireEv are the transmit pump's two steps, bound once in
@@ -215,13 +215,14 @@ func (f *freeList[T]) put(x *T) {
 	}
 }
 
-// partial is one message under reassembly. The radio lends a frame only
-// for the call, so fragment i is copied to buf[i*FragmentPayload:], in
-// whatever order the fragments come, and got has bit i set. buf's capacity
-// is the train's fragment count times FragmentPayload; its length is cut
-// to the payload's when the last fragment arrives.
+// partial is one message under reassembly, a train of count fragments. The
+// radio lends a frame only for the call, so fragment i is copied to
+// buf[i*FragmentPayload:], in whatever order the fragments come, and got has
+// bit i set. buf is count*FragmentPayload long until the last fragment cuts
+// it to the payload's length.
 type partial struct {
 	key      reasmKey
+	count    int
 	got      uint64
 	deadline time.Duration
 	buf      []byte
@@ -229,6 +230,16 @@ type partial struct {
 
 // maxFragments bounds a train, so that got has a bit for every fragment.
 const maxFragments = 64
+
+// maxBufs bounds the idle reassembly buffers a MAC keeps.
+const maxBufs = 8
+
+// putBuf makes b idle, unless maxBufs are.
+func (m *Mac) putBuf(b []byte) {
+	if len(m.bufs) < maxBufs {
+		m.bufs = append(m.bufs, b)
+	}
+}
 
 // expire is the reassembly timer: it expires what is due and re-arms for
 // the oldest message left.
@@ -247,7 +258,9 @@ func (m *Mac) expireDue() {
 	}
 	if n > 0 {
 		m.Stats.ReassemblyExpired += n
-		m.spare = m.reasm[n-1].buf
+		for _, p := range m.reasm[:n] {
+			m.putBuf(p.buf)
+		}
 		m.reasm = slices.Delete(m.reasm, 0, n)
 	}
 }
@@ -257,7 +270,7 @@ func (m *Mac) expireDue() {
 // sim.Port).
 func Attach(env sim.Env, ch *radio.Channel, id uint32, p Params, h Handler) *Mac {
 	validate(p)
-	m := &Mac{env: env, params: p, handler: h}
+	m := &Mac{env: env, params: p, handler: h, bufs: make([][]byte, 0, maxBufs)}
 	m.attemptEv.Bind(m.attempt)
 	m.fireEv.Bind(m.fire)
 	m.expiryEv.Bind(m.expire)
@@ -569,9 +582,10 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 		i++
 	}
 	if i == len(m.reasm) {
-		buf, n := m.spare, count*fp
-		if cap(buf) >= n {
-			buf, m.spare = buf[:n:n], nil
+		buf, n := []byte(nil), count*fp
+		if j := slices.IndexFunc(m.bufs, func(b []byte) bool { return cap(b) >= n }); j >= 0 {
+			buf = m.bufs[j][:n]
+			m.bufs = slices.Delete(m.bufs, j, j+1)
 		} else {
 			buf = make([]byte, n)
 		}
@@ -579,10 +593,10 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 			m.expiryEv.Cancel() // still pending if the last message completed
 			m.env.Arm(&m.expiryEv, m.params.ReassemblyTimeout)
 		}
-		m.reasm = append(m.reasm, partial{key: key, deadline: m.env.Now() + m.params.ReassemblyTimeout, buf: buf})
+		m.reasm = append(m.reasm, partial{key: key, count: count, deadline: m.env.Now() + m.params.ReassemblyTimeout, buf: buf})
 	}
 	p := &m.reasm[i]
-	if cap(p.buf) != count*fp || p.got&(1<<idx) != 0 {
+	if p.count != count || p.got&(1<<idx) != 0 {
 		return // inconsistent fragment train, or a duplicate fragment
 	}
 	copy(p.buf[idx*fp:], frag)
@@ -592,10 +606,12 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 	if p.got |= 1 << idx; p.got != 1<<count-1 {
 		return
 	}
-	payload := slices.Clip(p.buf)
+	buf := p.buf
 	m.reasm = slices.Delete(m.reasm, i, i+1)
 	m.Stats.MessagesDelivered++
 	if m.handler != nil {
-		m.handler(src, payload)
+		m.handler(src, slices.Clip(buf))
 	}
+	clear(buf)
+	m.putBuf(buf)
 }

@@ -247,7 +247,9 @@ func TestReassemblyTimeout(t *testing.T) {
 // each fragment out: here every frame of three senders' interleaved trains —
 // reordered, with duplicates — reaches onFrame through one scratch buffer
 // that is overwritten after each call. Both complete messages come out as
-// sent, and the train that lost a fragment expires and leaves no record.
+// sent, as the handler sees them; the MAC lends its own buffer in turn, so
+// after the call it reads zero. The train that lost a fragment expires and
+// leaves no record.
 func TestReassemblyCopiesOutOfTheFrame(t *testing.T) {
 	s := sim.New(1)
 	ch := radio.NewChannel(s, topo.Grid(2, 2, 5), radio.PerfectParams())
@@ -255,8 +257,10 @@ func TestReassemblyCopiesOutOfTheFrame(t *testing.T) {
 	for id := uint32(1); id <= 3; id++ {
 		senders[id] = Attach(s.Port(id), ch, id, DefaultParams(), nil)
 	}
-	got := map[uint32][]byte{}
-	rx := Attach(s.Port(4), ch, 4, DefaultParams(), func(from uint32, p []byte) { got[from] = p })
+	got, lent := map[uint32][]byte{}, map[uint32][]byte{}
+	rx := Attach(s.Port(4), ch, 4, DefaultParams(), func(from uint32, p []byte) {
+		got[from], lent[from] = bytes.Clone(p), p
+	})
 	sent := map[uint32][]byte{}
 	trains := map[uint32][][]byte{}
 	for id, size := range map[uint32]int{1: 112, 2: 60, 3: 81} {
@@ -288,6 +292,9 @@ func TestReassemblyCopiesOutOfTheFrame(t *testing.T) {
 	for _, id := range []uint32{1, 2} {
 		if !bytes.Equal(got[id], sent[id]) {
 			t.Errorf("from %d: delivered %x, sent %x", id, got[id], sent[id])
+		}
+		if !bytes.Equal(lent[id], make([]byte, len(sent[id]))) {
+			t.Errorf("from %d: the lent payload reads %x after the handler returned, want zeros", id, lent[id])
 		}
 	}
 	if _, ok := got[3]; ok || len(rx.reasm) != 1 {
@@ -624,5 +631,66 @@ func TestFragmentAtDeadlineSeesItExpired(t *testing.T) {
 	if early != 1 || rx.Stats.ReassemblyExpired != 2 || len(log.payloads) != 0 || len(rx.reasm) != 1 {
 		t.Errorf("expired %d then %d, delivered %d, %d pending; want 1, 2, 0 and 1 (the late fragment's own)",
 			early, rx.Stats.ReassemblyExpired, len(log.payloads), len(rx.reasm))
+	}
+}
+
+// The idle reassembly buffers never number more than maxBufs: twelve trains
+// under reassembly at once all expire, and eight of their buffers stay.
+func TestReassemblyKeepsAtMostMaxBufs(t *testing.T) {
+	s, rx, senders, _ := rig(12)
+	for _, m := range senders {
+		rx.onFrame(m.ID(), train(m, 1, counted(60, 1))[0])
+	}
+	s.RunUntil(DefaultParams().ReassemblyTimeout)
+	if rx.Stats.ReassemblyExpired != 12 || len(rx.bufs) != maxBufs {
+		t.Errorf("%d expired, %d idle buffers; want 12, %d", rx.Stats.ReassemblyExpired, len(rx.bufs), maxBufs)
+	}
+}
+
+// A train takes the first idle buffer with room for it, or a new one of
+// exactly its size when none has.
+func TestReassemblyTakesAFreshBufferForALargerTrain(t *testing.T) {
+	_, rx, senders, log := rig(1)
+	m, fp := senders[0], DefaultParams().FragmentPayload
+	for _, f := range train(m, 1, counted(fp, 1)) {
+		rx.onFrame(m.ID(), f)
+	}
+	small := rx.bufs[0]
+	big := train(m, 2, counted(4*fp+3, 2))
+	rx.onFrame(m.ID(), big[0])
+	if got := rx.reasm[0].buf; cap(got) != 5*fp || len(rx.bufs) != 1 || &rx.bufs[0][:1][0] != &small[:1][0] {
+		t.Fatalf("a 5-fragment train took a buffer of %d bytes and left %d idle; want a new one of %d and the 1-fragment one idle",
+			cap(got), len(rx.bufs), 5*fp)
+	}
+	for _, f := range big[1:] {
+		rx.onFrame(m.ID(), f)
+	}
+	if len(log.payloads) != 2 || len(rx.bufs) != 2 {
+		t.Errorf("delivered %d, %d idle buffers; want 2 and 2", len(log.payloads), len(rx.bufs))
+	}
+}
+
+// An expired train's buffer goes back to the idle ones, and the next train
+// that fits takes it.
+func TestReassemblyReusesAnExpiredBuffer(t *testing.T) {
+	s, rx, senders, log := rig(1)
+	m := senders[0]
+	rx.onFrame(m.ID(), train(m, 1, counted(112, 1))[0])
+	expired := &rx.reasm[0].buf[0]
+	s.RunUntil(DefaultParams().ReassemblyTimeout)
+	if rx.Stats.ReassemblyExpired != 1 || len(rx.bufs) != 1 {
+		t.Fatalf("%d expired, %d idle buffers; want 1 and 1", rx.Stats.ReassemblyExpired, len(rx.bufs))
+	}
+	sent := counted(100, 9)
+	frags := train(m, 2, sent)
+	rx.onFrame(m.ID(), frags[0])
+	if &rx.reasm[0].buf[0] != expired || len(rx.bufs) != 0 {
+		t.Fatalf("the next train took a buffer of its own, %d idle", len(rx.bufs))
+	}
+	for _, f := range frags[1:] {
+		rx.onFrame(m.ID(), f)
+	}
+	if len(log.payloads) != 1 || !bytes.Equal(log.payloads[0], sent) {
+		t.Errorf("delivered %x, sent %x", log.payloads, sent)
 	}
 }

@@ -128,11 +128,11 @@ func (m *Message) Size() int {
 	return n
 }
 
-// Clone returns a copy of the message with a copied attribute vector, so
-// filters can rewrite messages without aliasing.
+// Clone returns a copy of m that shares nothing with it (attr.Vec.Own), as
+// Unmarshal's result shares nothing with its input: keep a Clone of a lent m.
 func (m *Message) Clone() *Message {
 	c := *m
-	c.Attrs = m.Attrs.Clone()
+	c.Attrs, _ = m.Attrs.Own(nil, nil)
 	return &c
 }
 

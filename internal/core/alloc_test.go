@@ -121,19 +121,85 @@ func TestAllocsDuplicateReceive(t *testing.T) {
 	}
 }
 
-// The sink budget: a matching subscription's callback is user code, so the
-// message it is handed is a copy of the receive message — header and vector,
-// two objects, whatever the number of attributes.
+// The sink budget: a matching subscription's callback borrows the receive
+// message itself, as a filter does, so delivery costs nothing.
 func TestAllocsSinkReceive(t *testing.T) {
 	n, link, wires := allocPath(t)
 	delivered := 0
 	n.SubscribeLocal(lineTask,
 		func(*message.Message) { delivered++ })
-	if got := receiveEach(t, n, link, wires, 1); got > 2 {
-		t.Errorf("delivering one Data to one subscription allocates %.0f/op, budget 2 (the kept copy)", got)
+	if got := receiveEach(t, n, link, wires, 1); got != 0 {
+		t.Errorf("delivering one Data to one subscription allocates %.0f/op, budget 0", got)
 	}
 	if delivered != len(wires) {
 		t.Fatalf("delivered %d of %d events", delivered, len(wires))
+	}
+}
+
+// The send budget: once warm, Send builds its event in the node's one
+// origination message, whose vector it reuses, so a source with a reinforced
+// downstream gradient sends plain Data for nothing, and an exploratory
+// message, flooded from a pooled forward once its jitter runs out, for
+// nothing too. Every send must reach the link: a source without a reinforced
+// path drops its Data (DataNoPath), and a dropped send proves nothing.
+func TestAllocsSendReinforced(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		exploratory bool
+	}{{"data", false}, {"exploratory", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			link := &countLink{id: 1}
+			n, s, h := reinforcedSource(t, link)
+			send := n.Send
+			if tc.exploratory {
+				send = n.SendExploratory
+			}
+			const runs = 200
+			before, noPath := link.sends, n.Stats.DataNoPath
+			got := testing.AllocsPerRun(runs, func() {
+				if err := send(h, lineExtra); err != nil {
+					t.Fatal(err)
+				}
+				if tc.exploratory {
+					s.RunUntil(s.Now() + n.cfg.ForwardJitter)
+				}
+			})
+			if sent := link.sends - before; sent != runs+1 || n.Stats.DataNoPath != noPath {
+				t.Fatalf("%d transmissions for %d sends (%d without a path), want one each",
+					sent, runs+1, n.Stats.DataNoPath-noPath)
+			}
+			if got != 0 {
+				t.Errorf("sending one event allocates %.0f/op, budget 0", got)
+			}
+		})
+	}
+}
+
+// The reinforcement budget: a relay whose entry is warm passes each positive
+// reinforcement from its sink upstream, and sends a negative one upstream
+// once the sink tears its only reinforced gradient down, for nothing. Both
+// messages name the entry's own attributes, which transmit only marshals.
+func TestAllocsReinforce(t *testing.T) {
+	n, link, _ := allocPath(t)
+	const runs = 200
+	pos, neg := make([][]byte, runs+1), make([][]byte, runs+1)
+	for i := range pos {
+		id := message.ID{RandID: 3, PktNum: uint32(i + 100)}
+		pos[i] = (&message.Message{Class: message.PositiveReinforcement, ID: id, NextHop: 2, Attrs: lineInterest}).Marshal()
+		neg[i] = (&message.Message{Class: message.NegativeReinforcement, ID: id, NextHop: 2, Attrs: lineInterest}).Marshal()
+	}
+	before, negs, i := link.sends, n.Stats.NegReinforcements, 0
+	got := testing.AllocsPerRun(runs, func() {
+		n.Receive(3, pos[i])
+		n.Receive(3, neg[i])
+		i++
+	})
+	if sent := link.sends - before; sent != 2*(runs+1) || n.Stats.NegReinforcements-negs != runs+1 {
+		t.Fatalf("%d transmissions, %d negative, for %d runs: want a positive and a negative reinforcement each",
+			sent, n.Stats.NegReinforcements-negs, runs+1)
+	}
+	if got != 0 {
+		t.Errorf("passing on a reinforcement and a negative reinforcement allocates %.0f/op, budget 0", got)
 	}
 }
 

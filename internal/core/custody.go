@@ -387,7 +387,7 @@ func (n *Node) NeighborRecovered(peer uint32) {
 			PrevHop:  selfID(n),
 			NextHop:  nb,
 			HopCount: e.hops,
-			Attrs:    e.attrs.Clone(),
+			Attrs:    e.attrs,
 		}
 		n.markSeen(m.ID)
 		n.transmit(m)

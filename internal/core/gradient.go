@@ -496,7 +496,7 @@ func (n *Node) reinforceUpstream(e *interestEntry, nb message.NodeID, cause mess
 		PrevHop: selfID(n),
 		NextHop: nb,
 		Flow:    flow,
-		Attrs:   e.attrs.Clone(),
+		Attrs:   e.attrs,
 	})
 }
 
@@ -626,7 +626,7 @@ func (n *Node) coreNegReinforce(m *message.Message) {
 			ID:      n.nextID(),
 			PrevHop: selfID(n),
 			NextHop: up,
-			Attrs:   e.attrs.Clone(),
+			Attrs:   e.attrs,
 		})
 		n.Stats.NegReinforcements++
 	}
@@ -671,13 +671,15 @@ func (n *Node) noteDuplicateData(m *message.Message) {
 		PrevHop: selfID(n),
 		NextHop: m.PrevHop,
 		Flow:    m.Flow,
-		Attrs:   e.attrs.Clone(),
+		Attrs:   e.attrs,
 	})
 	n.Stats.NegReinforcements++
 }
 
 // deliverLocal invokes the callbacks of every subscription matching m, in
-// ascending handle order (the order the old full-table walk produced).
+// ascending handle order (the order the old full-table walk produced). Each
+// borrows m itself, usually the node's receive or origination message,
+// whose attributes are cleared once the reception or origination returns.
 func (n *Node) deliverLocal(m *message.Message) {
 	tags := n.midx.getTags()
 	tags = n.midx.subs.Lookup(m.Attrs, tags)
@@ -697,12 +699,6 @@ func (n *Node) deliverLocal(m *message.Message) {
 		}
 	}
 	n.midx.putTags(tags)
-	if len(subs) > 0 && m == &n.rx {
-		// Callbacks are user code that may hold m, which the next reception
-		// overwrites: copy header and vector (values stay lent windows).
-		c := *m
-		m, c.Attrs = &c, slices.Clone(m.Attrs)
-	}
 	delivered := false
 	for _, s := range subs {
 		n.Stats.LocalDeliveries++

@@ -192,9 +192,11 @@ type (
 
 // DataCallback is invoked on local delivery of a matching message (paper:
 // "a callback function is then invoked whenever relevant data arrives at
-// the node"). m is borrowed: the callback must not retain or mutate it. Its
-// string and blob values are windows onto a payload the node was lent, so a
-// callback that keeps one keeps a copy (m.Clone(), strings.Clone).
+// the node"). m is borrowed for the call and must not be written: it is the
+// node's receive or origination message, whose attributes the node clears
+// when the call returns, and its string and blob values may be windows onto
+// a payload the node was lent. A callback copies what it keeps (m.Clone(),
+// strings.Clone).
 type DataCallback func(m *message.Message)
 
 // Stats counts a node's diffusion-layer activity. BytesSent over all nodes,
@@ -305,10 +307,12 @@ type Node struct {
 
 	// txBuf is the marshal buffer transmit reuses; Link.Send only borrows it.
 	txBuf []byte
-	// rx is the message Receive decodes into, valid until Receive returns;
-	// rxBusy marks a reception in progress (see Receive).
-	rx     message.Message
-	rxBusy bool
+	// rx is the message Receive decodes into and tx the one an origination
+	// builds (originate). Each is lent to filters and callbacks for the call
+	// and its attributes are cleared on return; rxBusy and txBusy mark a call
+	// in progress, and a call nested in it uses a message of its own.
+	rx, tx         message.Message
+	rxBusy, txBusy bool
 	// fwdFree holds the idle jittered-forward records (forwardLater).
 	fwdFree []*forward
 
@@ -537,7 +541,7 @@ func (n *Node) armRefresh(s *subscription) {
 		if n.detached {
 			return
 		}
-		n.originateInterest(s)
+		n.originate(message.Interest, s.attrs, nil, attr.ClassIsInterest())
 		jitter := time.Duration(n.cfg.Rand.Int63n(int64(n.cfg.InterestInterval) / 10))
 		s.refresh = n.cfg.Clock.After(n.cfg.InterestInterval+jitter-n.cfg.InterestInterval/20, arm)
 	}
@@ -627,9 +631,10 @@ func (n *Node) Unpublish(h PublicationHandle) error {
 }
 
 // Send emits one data message for publication h, merging the publication
-// attributes with extra. Following the paper, "if there are no active
-// subscriptions, published data does not leave the node": without matching
-// gradient state the message is counted in DataSuppressed and dropped.
+// attributes with extra, which is borrowed for the call. Following the
+// paper, "if there are no active subscriptions, published data does not
+// leave the node": without matching gradient state the message is counted
+// in DataSuppressed and dropped.
 // Messages are periodically marked exploratory (time-based by default,
 // count-based when ExploratoryEvery is set); the first message always is.
 func (n *Node) Send(h PublicationHandle, extra attr.Vec) error {
@@ -659,11 +664,6 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 	if !ok {
 		return fmt.Errorf("%w: publication %d", ErrUnknownHandle, h)
 	}
-	attrs := make(attr.Vec, 0, len(p.attrs)+len(extra)+1)
-	attrs = append(append(attrs, p.attrs...), extra...)
-	if _, ok := attrs.FindActual(attr.KeyClass); !ok {
-		attrs = append(attrs, attr.ClassIsData())
-	}
 	cls := message.Data
 	switch {
 	case forceExploratory:
@@ -680,16 +680,33 @@ func (n *Node) send(h PublicationHandle, extra attr.Vec, forceExploratory bool) 
 	}
 	p.sentAny = true
 	p.count++
-	m := &message.Message{
-		Class:   cls,
-		ID:      n.nextID(),
-		PrevHop: selfID(n),
-		NextHop: message.Broadcast,
-		Flow:    n.allocFlow(),
-		Attrs:   attrs,
-	}
-	n.dispatch(m)
+	n.originate(cls, p.attrs, extra, attr.ClassIsData())
 	return nil
+}
+
+// originate dispatches one message this node starts, published data or an
+// interest: attributes base, then extra, then class unless they carry one.
+// The message is n.tx, lent to filters and callbacks for the call; an
+// origination nested in another (a filter or callback on this node that
+// sends) builds in a message of its own.
+func (n *Node) originate(cls message.Class, base, extra attr.Vec, class attr.Attribute) {
+	m, nested := &n.tx, n.txBusy
+	if nested {
+		m = new(message.Message)
+	}
+	attrs := append(append(m.Attrs[:0], base...), extra...)
+	if _, ok := attrs.FindActual(attr.KeyClass); !ok {
+		attrs = append(attrs, class)
+	}
+	*m = message.Message{Class: cls, ID: n.nextID(), PrevHop: selfID(n),
+		NextHop: message.Broadcast, Flow: n.allocFlow(), Attrs: attrs}
+	n.txBusy = true
+	n.dispatch(m)
+	if !nested {
+		// An idle node pins nothing it was handed.
+		clear(n.tx.Attrs)
+		n.txBusy = false
+	}
 }
 
 // Receive is the link-layer upcall: the MAC delivers every reassembled
@@ -867,30 +884,13 @@ func (f *forward) fire() {
 // processing. Filters use it to take over forwarding decisions (for
 // example the geographic scoping filter).
 func (n *Node) SendDirect(m *message.Message) {
-	out := m.Clone()
+	out := *m // transmit only marshals: the header copy shares Attrs
 	out.PrevHop = selfID(n)
 	if out.ID == (message.ID{}) {
 		out.ID = n.nextID()
 	}
 	n.markSeen(out.ID)
-	n.transmit(out)
-}
-
-// originateInterest floods one interest for subscription s.
-func (n *Node) originateInterest(s *subscription) {
-	attrs := s.attrs
-	if _, ok := attrs.FindActual(attr.KeyClass); !ok {
-		attrs = attrs.With(attr.ClassIsInterest())
-	}
-	m := &message.Message{
-		Class:   message.Interest,
-		ID:      n.nextID(),
-		PrevHop: selfID(n),
-		NextHop: message.Broadcast,
-		Flow:    n.allocFlow(),
-		Attrs:   attrs,
-	}
-	n.dispatch(m)
+	n.transmit(&out)
 }
 
 // markSeen records a message ID in the duplicate-suppression cache. Every

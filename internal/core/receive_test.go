@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -15,9 +16,10 @@ import (
 )
 
 // Receive decodes every payload into one message per node and hands the
-// core a view of the payload's own bytes, which the node only borrows. These
-// tests cover the ways that message could reach somebody who outlives it;
-// alloc_test.go holds the budgets.
+// core a view of the payload's own bytes, which the node only borrows; Send
+// builds every event in one message per node too. These tests cover the ways
+// either message could reach somebody who outlives it; alloc_test.go holds
+// the budgets.
 
 // lender is the receiving half of a link that lends, as the MAC does: it
 // hands every reception to Receive in one buffer and overwrites that with
@@ -56,6 +58,9 @@ var (
 		attr.BlobAttr(attr.KeyPayload, attr.IS, make([]byte, 32)),
 		attr.ClassIsData(),
 	}
+	// linePub and lineExtra split lineEvent between a publication and what
+	// each Send adds to it; the node adds the class.
+	linePub, lineExtra = lineEvent[:2], lineEvent[2:4]
 )
 
 // reinforcedPath builds node 2 between source 1 and sinks with the
@@ -97,15 +102,26 @@ func reinforcedPath(t *testing.T, link Link, cfg Config, events int, sinks ...ui
 	return n, wires
 }
 
-// asReceived is what a callback at a node must see for payload from 1.
-func asReceived(t *testing.T, payload []byte) []byte {
-	t.Helper()
-	m, err := message.Unmarshal(payload)
-	if err != nil {
+// reinforcedSource builds source 1, publishing linePub, with a reinforced
+// gradient toward sink 3 set up, so each plain Data it sends is transmitted
+// to 3 within the call. Its first send, exploratory, has gone out.
+func reinforcedSource(t *testing.T, link Link) (*Node, *sim.Engine, PublicationHandle) {
+	s := sim.New(1)
+	n := NewNode(Config{Clock: s, Rand: s.Rand(), Link: link})
+	t.Cleanup(n.Close)
+	n.Receive(3, (&message.Message{
+		Class: message.Interest, ID: message.ID{RandID: 3, PktNum: 1}, NextHop: message.Broadcast,
+		Attrs: lineInterest,
+	}).Marshal())
+	h := n.Publish(linePub)
+	if err := n.Send(h, lineExtra); err != nil {
 		t.Fatal(err)
 	}
-	m.PrevHop = 1
-	return m.Marshal()
+	s.RunUntil(s.Now() + n.cfg.ForwardJitter)
+	n.Receive(3, (&message.Message{
+		Class: message.PositiveReinforcement, ID: message.ID{RandID: 3, PktNum: 2}, NextHop: 1, Attrs: lineInterest,
+	}).Marshal())
+	return n, s, h
 }
 
 // withRings gives cfg a flight recorder and a span ring on s's clock.
@@ -159,44 +175,92 @@ func TestReceiveRecordsOneEvent(t *testing.T) {
 	}
 }
 
-// What a filter or a data callback holds must not turn into a later
-// reception. A filter borrows its message and clones what it keeps, so its
-// case fails if that Clone is taken out; a data callback is user code that
-// may hold the message it is handed, so its case fails if the core's copy
-// of the header and vector is. The payloads here are never written again,
-// as the live transport's are; over a lending link (the MAC) the held
-// message's values would read what the link overwrote, which is why a
-// callback copies the values it keeps.
-func TestHeldMessagesSurviveLaterReceptions(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		install func(n *Node, hold func(*message.Message))
-	}{
-		{"filter", func(n *Node, hold func(*message.Message)) {
-			n.AddFilter(lineTask, 10, func(m *message.Message, h FilterHandle) {
-				hold(m.Clone())
-				n.SendMessageToNext(m, h)
-			})
-		}},
-		{"data callback", func(n *Node, hold func(*message.Message)) {
-			n.SubscribeLocal(lineTask, hold)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			n, wires := reinforcedPath(t, &countLink{id: 2}, Config{}, 101, 3)
+// holders are the ways a filter or a data callback can hold the message it
+// borrows: a copy (m.Clone()), which must read what m read in the call
+// however many calls follow, or m itself, which the node clears once the
+// call returns, so that it reads zero attributes.
+var holders = []struct {
+	name    string
+	itself  bool
+	install func(n *Node, hold func(*message.Message))
+}{
+	{"filter", false, func(n *Node, hold func(*message.Message)) {
+		n.AddFilter(lineTask, 10, func(m *message.Message, h FilterHandle) {
+			hold(m.Clone())
+			n.SendMessageToNext(m, h)
+		})
+	}},
+	{"filter keeping m", true, func(n *Node, hold func(*message.Message)) {
+		n.AddFilter(lineTask, 10, func(m *message.Message, h FilterHandle) {
+			hold(m)
+			n.SendMessageToNext(m, h)
+		})
+	}},
+	{"data callback", false, func(n *Node, hold func(*message.Message)) {
+		n.SubscribeLocal(lineTask, func(m *message.Message) { hold(m.Clone()) })
+	}},
+	{"data callback keeping m", true, func(n *Node, hold func(*message.Message)) {
+		n.SubscribeLocal(lineTask, hold)
+	}},
+}
+
+// cleared reports whether v holds zero attributes only.
+func cleared(v attr.Vec) bool {
+	return !slices.ContainsFunc(v, func(a attr.Attribute) bool { return !reflect.ValueOf(a).IsZero() })
+}
+
+// holdAcross installs each holder on a node from build and lends it the
+// message of each of 101 calls, then checks what it held. A copy fails if
+// its Clone is taken out; m itself fails if the node does not clear it.
+func holdAcross(t *testing.T, build func(t *testing.T) (n *Node, call func(i int))) {
+	for _, hc := range holders {
+		t.Run(hc.name, func(t *testing.T) {
+			n, call := build(t)
 			var held []*message.Message
-			tc.install(n, func(m *message.Message) { held = append(held, m) })
-			for _, w := range wires {
-				n.Receive(1, w)
+			var inCall [][]byte
+			hc.install(n, func(m *message.Message) {
+				held, inCall = append(held, m), append(inCall, m.Marshal())
+			})
+			const calls = 101
+			for i := 0; i < calls; i++ {
+				call(i)
+				if len(held) != i+1 {
+					t.Fatalf("handed out %d messages in %d calls", len(held), i+1)
+				}
+				if m := held[i]; hc.itself && !cleared(m.Attrs) {
+					t.Fatalf("the message lent in call %d reads %v once the call has returned, want zero attributes", i, m.Attrs)
+				}
 			}
-			if len(held) != len(wires) {
-				t.Fatalf("handed %d of %d events", len(held), len(wires))
-			}
-			if got, want := held[0].Marshal(), asReceived(t, wires[0]); !bytes.Equal(got, want) {
-				t.Errorf("the first message handed out reads, 100 receptions later,\n got %x\nwant %x", got, want)
+			if got := held[0].Marshal(); !hc.itself && !bytes.Equal(got, inCall[0]) {
+				t.Errorf("the first copy kept reads, %d calls later,\n got %x\nwant %x", calls-1, got, inCall[0])
 			}
 		})
 	}
+}
+
+// What a filter or a data callback holds must not turn into a later
+// reception. The payloads here are never written again, as the live
+// transport's are; over a lending link (the MAC) a held copy's values would
+// read what the link overwrote, which is why a holder copies the values it
+// keeps.
+func TestHeldMessagesSurviveLaterReceptions(t *testing.T) {
+	holdAcross(t, func(t *testing.T) (*Node, func(int)) {
+		n, wires := reinforcedPath(t, &countLink{id: 2}, Config{}, 101, 3)
+		return n, func(i int) { n.Receive(1, wires[i]) }
+	})
+}
+
+// Nor into a later origination: a filter and a data callback on the
+// publishing node borrow what Send lent them.
+func TestHeldMessagesSurviveLaterSends(t *testing.T) {
+	holdAcross(t, func(t *testing.T) (*Node, func(int)) {
+		n, _, h := reinforcedSource(t, &countLink{id: 1})
+		return n, func(int) {
+			if err := n.Send(h, lineExtra); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // An interest entry takes its attributes from the reception that created
@@ -313,5 +377,47 @@ func TestNestedReceptionLeavesOuterMessageAlone(t *testing.T) {
 	}
 	if !slices.Equal(syncDelivered, queuedDelivered) || len(queuedDelivered) != 3 {
 		t.Errorf("relay delivered over the synchronous link\n%q\nover the queued link\n%q", syncDelivered, queuedDelivered)
+	}
+}
+
+// A filter or a callback on the publishing node may originate in turn, and
+// hand the message it was lent on as it does. Here source 1's own sink sends
+// the event it is handed on as the extra attributes of a second one, a view
+// of the origination message's own vector, and subscribes to it. The inner
+// origination must build in a message of its own, or it overwrites the outer
+// one the node has still to forward; and the node must end up idle.
+func TestNestedOriginationLeavesOuterMessageAlone(t *testing.T) {
+	link := &seamLink{id: 1, sync: true, nodes: map[uint32]*Node{}, sent: map[uint32][]string{}}
+	n, _, h := reinforcedSource(t, link)
+	var inner SubscriptionHandle
+	n.SubscribeLocal(lineTask, func(m *message.Message) {
+		if inner != 0 {
+			return
+		}
+		inner = n.Subscribe(m.Attrs, nil)
+		if err := n.Send(h, m.Attrs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	link.sent[1] = nil
+	pkt := n.pktNum
+	if err := n.Send(h, lineExtra); err != nil {
+		t.Fatal(err)
+	}
+	want := func(pkt uint32, attrs attr.Vec) string {
+		return fmt.Sprintf("to 3: %x", (&message.Message{
+			Class: message.Data, ID: message.ID{RandID: n.randID, PktNum: pkt},
+			PrevHop: 1, NextHop: 3, HopCount: 1, Attrs: attrs,
+		}).Marshal())
+	}
+	// The inner event goes out first, from inside the outer one's delivery.
+	if got, want := link.sent[1], []string{want(pkt+2, append(slices.Clone(linePub), lineEvent...)), want(pkt+1, lineEvent)}; !slices.Equal(got, want) {
+		t.Errorf("source sent\n%q\nwant the inner event, then the outer one\n%q", got, want)
+	}
+	if got, _ := n.SubscriptionAttrs(inner); !bytes.Equal(got.Encode(), lineEvent.Encode()) {
+		t.Errorf("the subscription made from the lent message holds %v, want %v", got, lineEvent)
+	}
+	if n.txBusy || !cleared(n.tx.Attrs) {
+		t.Errorf("after the send the node is busy %v, its origination message holds %v", n.txBusy, n.tx.Attrs)
 	}
 }

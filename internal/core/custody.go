@@ -20,8 +20,8 @@ import (
 //
 // Two transfer modes share the one queue:
 //
-//   - With a custody-capable link (the UDP transport's kindCustody
-//     frames), plain data moves hop-by-hop under custody transfer: the
+//   - With a custody-capable link (the UDP transport's custody
+//     offers), plain data moves hop-by-hop under custody transfer: the
 //     sender keeps the item queued until the receiver durably accepts
 //     and acknowledges it, so a crash or partition anywhere between two
 //     custodians loses nothing. Local delivery at a sink discharges

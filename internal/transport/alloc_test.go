@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"diffusion/internal/message"
 	"diffusion/internal/sim"
 )
 
@@ -179,5 +180,46 @@ func TestAllocsReliableSendAcked(t *testing.T) {
 	}
 	if want := 102 * window; w.frames != want || u.rel.pending(2) != 0 || len(u.rel.spare) != window {
 		t.Errorf("wire saw %d frames, %d pending, %d spare buffers; want %d, 0 and %d", w.frames, u.rel.pending(2), len(u.rel.spare), want, window)
+	}
+}
+
+// Once warm, a window of custody offers and the held acks that discharge
+// them allocate only what the Release owed costs, two per offer: the
+// callback's closure and the list of calls owed. Each payload is copied
+// into a buffer an earlier ack recycled, and the ID index reuses its room.
+func TestAllocsCustodyOfferHeld(t *testing.T) {
+	w := &discardWire{}
+	released := 0
+	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Deliver: func(uint32, []byte) {},
+		Custody: &CustodyOptions{
+			Accept:  func(uint32, message.ID, []byte) (bool, bool) { return true, true },
+			Release: func(uint32, message.ID) { released++ },
+		}}, sim.New(1), w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	window := u.rel.cfg.Window
+	buf := make([]byte, 64)
+	var d rxDatagram
+	seq := uint32(0)
+	round := func() {
+		for i := 1; i <= window; i++ {
+			if err := u.SendCustody(2, message.ID{RandID: 7, PktNum: seq + uint32(i)}, kib); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < window; i++ {
+			seq++
+			u.receive(&d, appendFrame(buf[:0], kindAck|kindCustodyFlag, 2, 1, 2, seq, 0, 0, nil), simAddr(2))
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != float64(2*window) {
+		t.Errorf("a window of %d custody offers and their held acks allocates %.0f/op, budget %d", window, n, 2*window)
+	}
+	if want := 102 * window; w.frames != want || released != want || u.CustodyPending() != 0 || len(u.rel.spare) != window {
+		t.Errorf("wire saw %d frames, %d released, %d pending, %d spare buffers; want %d, %d, 0 and %d",
+			w.frames, released, u.CustodyPending(), len(u.rel.spare), want, want, window)
 	}
 }

@@ -544,6 +544,75 @@ func TestDiscoveryRebootClearsRetransmitState(t *testing.T) {
 	}
 }
 
+// checkEngineBound fails t unless the reliable engine's per-peer map holds
+// only neighbor-table members, and its custody ID index only offers toward
+// them: the bound on both is the table's, which discovery caps.
+func checkEngineBound(t *testing.T, u *UDP, step string) {
+	t.Helper()
+	if len(u.rel.order) != len(u.rel.peers) {
+		t.Errorf("%s: engine orders %v over %d peers", step, u.rel.order, len(u.rel.peers))
+	}
+	for id := range u.rel.peers {
+		if u.peers[id] == nil {
+			t.Errorf("%s: engine keeps state toward %d, not in the table %v", step, id, u.ids)
+		}
+	}
+	for id, to := range u.rel.byID {
+		if u.peers[to] == nil {
+			t.Errorf("%s: offer %v stands toward %d, not in the table %v", step, id, to, u.ids)
+		}
+	}
+}
+
+// Under churn the engine holds state toward table members only. With
+// reliable frames and custody offers pending toward two discovered peers,
+// one leaves (removed from the table) and the other restarts under a new
+// boot nonce (still a member, but a fresh incarnation, owed none of the old
+// frames).
+func TestEngineStateOnlyTowardMembers(t *testing.T) {
+	n := newSimNet(t)
+	u, _ := n.disco(1, DiscoveryConfig{}, func(cfg *UDPConfig) {
+		// Huge RTOs: nothing retires on its own during the test.
+		cfg.Reliable = &ReliableConfig{RTO: time.Hour, MaxRTO: time.Hour}
+		cfg.Custody = &CustodyOptions{
+			RTO: time.Hour, MaxRTO: time.Hour,
+			Accept: func(uint32, message.ID, []byte) (bool, bool) { return true, true },
+		}
+	})
+	x, y := n.peer(2, 1), n.peer(3, 1)
+	for _, p := range []*simPeer{x, y} {
+		p.announce(u, annFlagPeered, testVocab)
+		for i := uint32(0); i < 3; i++ {
+			if err := u.Send(p.id, []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			if err := u.SendCustody(p.id, message.ID{RandID: p.id, PktNum: i}, []byte("custody")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if u.rel.pending(2) != 3 || u.rel.pending(3) != 3 || u.CustodyPending() != 6 {
+		t.Fatalf("pending: reliable %d and %d, custody %d; want 3, 3 and 6", u.rel.pending(2), u.rel.pending(3), u.CustodyPending())
+	}
+	checkEngineBound(t, u, "before churn")
+
+	x.send(u, kindLeave, nil)
+	if slices.Contains(u.Neighbors(), 2) {
+		t.Fatal("peer 2 left but is still in the table")
+	}
+	checkEngineBound(t, u, "after 2 left")
+
+	y.boot = 2
+	y.announce(u, annFlagPeered, testVocab)
+	if !slices.Contains(u.Neighbors(), 3) {
+		t.Fatal("peer 3 restarted and left the table")
+	}
+	checkEngineBound(t, u, "after 3 restarted")
+	if u.rel.pending(3) != 0 || u.CustodyPending() != 0 {
+		t.Errorf("after 3 restarted: reliable %d, custody %d still pending toward the old incarnation", u.rel.pending(3), u.CustodyPending())
+	}
+}
+
 // TestDiscoveryIgnoresHostnames: addresses inside an announce come from
 // the network, possibly from a peer not even in the table, and must never
 // reach a resolver. A hostname in the advertised address falls back to

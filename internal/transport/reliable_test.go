@@ -22,13 +22,18 @@ func payloadOf(c message.Class, tag string) []byte {
 	return append([]byte{byte(c)}, tag...)
 }
 
-// pending returns in-flight plus queued frames toward peer.
+// pending returns in-flight plus queued reliable frames toward peer;
+// CustodyPending counts the offers.
 func (r *reliable) pending(peer uint32) int {
-	p, ok := r.peers[peer]
-	if !ok {
-		return 0
+	n := 0
+	if p, ok := r.peers[peer]; ok {
+		for _, f := range slices.Concat(p.inflight, p.queue) {
+			if !f.custody() {
+				n++
+			}
+		}
 	}
-	return len(p.inflight) + len(p.queue)
+	return n
 }
 
 // wireLog is what a reliable sender put on the wire, step by step.
@@ -170,7 +175,7 @@ func TestReliableShedsInterestBeforeData(t *testing.T) {
 	// data, in order, with the shed frames never transmitted.
 	for i := 0; i < 3; i++ {
 		fx := &effects{}
-		r.ack(9, log.seqs[len(log.seqs)-1], 0, fx)
+		r.ack(9, log.seqs[len(log.seqs)-1], false, 0, fx)
 		log.add(fx)
 	}
 	if want := []string{"d1", "d3", "d4"}; !slices.Equal(log.tags, want) {

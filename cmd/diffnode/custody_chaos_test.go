@@ -190,6 +190,7 @@ func TestChaosCustodyLongPartition(t *testing.T) {
 	if err := chaos.Heal(procs[1], custodian); err != nil {
 		t.Fatal(err)
 	}
+	healedAt := time.Now()
 
 	// Let the gradients rebuild and the custody chains drain, then stop
 	// the stream and require completeness.
@@ -233,8 +234,8 @@ func TestChaosCustodyLongPartition(t *testing.T) {
 	if len(dup) > 0 {
 		t.Errorf("duplicate deliveries: %v", dup)
 	}
-	t.Logf("partition %v, %d sequences, %d delivered exactly once",
-		time.Since(partitionStart).Round(time.Second), sent, len(counts))
+	t.Logf("partition %v, %d sequences, %d delivered exactly once, drained %v after the heal",
+		healedAt.Sub(partitionStart).Round(time.Second), sent, len(counts), time.Since(healedAt).Round(100*time.Millisecond))
 
 	// Custody metrics on every node; the restarted custodian shows
 	// restored journal items and a positive replay count somewhere on the

@@ -135,7 +135,7 @@ func options(c *Config) []option {
 		{"seen-ttl", "seen_ttl", "duplicate-suppression horizon (0: 2m; raise past the longest expected partition)", &c.SeenTTL},
 		{"energy-aware", "energy_aware", "energy-aware reinforcement: spread load across exploratory deliverers", &c.EnergyAware},
 		// A sampled origination carries a 16-bit flow ID on the wire, and
-		// every layer it touches records spans; cmd/diffscope merges them.
+		// every layer it touches records spans; cmd/difftrace merges them.
 		{"trace-sample", "trace_sample", "flight-path tracing sample probability [0,1]; spans served at GET /spans", &c.TraceSample},
 		// Off by default: the control plane is often reachable beyond
 		// localhost, and profiles leak heap contents.

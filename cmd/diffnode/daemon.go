@@ -677,9 +677,9 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleNeighbors reports the node's membership view: every peer in the
 // live neighbor table plus every discovery record still being tracked
 // (candidates, quarantined peers, recent departures). This is the
-// surface cmd/diffscope's mesh walk rides on — each row's http address
-// points at that peer's own /neighbors. Works with discovery off too:
-// configured neighbors show up with origin "configured".
+// surface difftrace -walk rides on — each row's http address points at
+// that peer's own /neighbors. Works with discovery off too: configured
+// neighbors show up with origin "configured".
 func (d *Daemon) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	type row struct {
 		ID          uint32  `json:"id"`
@@ -803,8 +803,8 @@ func (d *Daemon) handleChaos(w http.ResponseWriter, r *http.Request) {
 // (telemetry.WriteJSONL, so difftrace reads it as saved): the header's run
 // info carries the node's identity, boot nonce and the ring clock's
 // absolute base, and each record's us is relative to that base.
-// cmd/diffscope scrapes this from every node and rebases onto wall time
-// to merge cluster-wide causal timelines. 404 when tracing is off.
+// Given several nodes, difftrace rebases each onto wall time and merges
+// them. 404 when tracing is off.
 func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if d.Spans == nil {
 		httpError(w, http.StatusNotFound, "flight-path tracing is not enabled (set trace_sample > 0)")

@@ -28,13 +28,13 @@
 //	                   (503 when partitioned from every configured neighbor)
 //	GET  /neighbors    membership table: every neighbor and discovery
 //	                   record with origin, liveness state and RTT
-//	                   (cmd/diffscope -walk crawls the mesh through it)
+//	                   (difftrace -walk crawls the mesh through it)
 //	GET  /custody      custody-transfer introspection: queue depth and
 //	                   counters, journal stats, pending offers
 //	POST /chaos        body: {"loss": P, "blocked": [ID, ...]} — live
 //	                   transport impairment for fault experiments
 //	GET  /spans        flight-path span ring as JSONL (requires
-//	                   -trace-sample > 0; scraped by cmd/diffscope)
+//	                   -trace-sample > 0; read by cmd/difftrace)
 //	GET  /debug/pprof/ net/http/pprof profiling (requires -pprof)
 //
 // SIGTERM/SIGINT triggers a graceful shutdown: the application layer is

@@ -96,7 +96,7 @@ func TestDaemonDiscoveryJoin(t *testing.T) {
 	}, "seed never saw the joiner reciprocate")
 
 	// Announces carry the HTTP port: each side can derive the other's
-	// control plane — the contract diffscope's mesh walk depends on.
+	// control plane — the contract difftrace -walk depends on.
 	if got, want := waitMember(t, seed, 2, "neighbor")["http"], join.HTTPAddr().String(); got != want {
 		t.Errorf("seed's http for joiner = %v, want %v", got, want)
 	}

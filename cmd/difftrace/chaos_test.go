@@ -21,9 +21,9 @@ import (
 
 // TestChaosFlightPathReconstruction is the live acceptance test for
 // cluster-wide flight-path tracing: a 5-process line 1(sink)-2-3-4-5
-// (source) over loopback UDP with -trace-sample 1, scraped by the
-// diffscope merger (run() in-process). Before any fault, the merged
-// report must reconstruct a complete source→sink flight path — every
+// (source) over loopback UDP with -trace-sample 1, scraped and merged by
+// difftrace (run() in-process). Before any fault, the merged reports must
+// reconstruct a complete source→sink flight path — every
 // relay hop annotated with its latency — plus end-to-end percentiles.
 // Then the reinforced relay (node 3) is SIGKILLed while the source keeps
 // sending; once its neighbors' failure detectors purge the gradients
@@ -104,7 +104,7 @@ func TestChaosFlightPathReconstruction(t *testing.T) {
 	sink, relay, source := procs[0], procs[2], procs[4]
 	addrs := make([]string, n)
 	for i, p := range procs {
-		addrs[i] = p.HTTPAddr()
+		addrs[i] = "http://" + p.HTTPAddr()
 	}
 
 	// Workload: sink subscribes, source publishes and streams events.
@@ -135,18 +135,14 @@ func TestChaosFlightPathReconstruction(t *testing.T) {
 	}
 
 	// --- Healthy-cluster scrape: complete path, per-hop latencies. ---
-	var buf bytes.Buffer
-	if err := run(&buf, addrs); err != nil {
-		t.Fatalf("diffscope (healthy): %v", err)
-	}
-	out := buf.String()
+	out := runEach(t, []string{"info", "paths", "latency"}, addrs...)
 	t.Logf("healthy-cluster report:\n%s", out)
 	fullPath := regexp.MustCompile(
 		`n5 -\([^)]+\)-> n4 -\([^)]+\)-> n3 -\([^)]+\)-> n2 -\([^)]+\)-> n1`)
 	if !fullPath.MatchString(out) {
 		t.Errorf("no complete source→sink path with per-hop latencies in report:\n%s", out)
 	}
-	for _, want := range []string{"diffscope: 5 nodes", "delivered at node 1", "per-hop", "end-to-end", "p99="} {
+	for _, want := range []string{"nodes=5", "delivered at node 1", "per-hop", "end-to-end", "p99="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("healthy report missing %q:\n%s", want, out)
 		}
@@ -179,11 +175,7 @@ func TestChaosFlightPathReconstruction(t *testing.T) {
 
 	// --- Survivor scrape: the drop is localized at node 4. ---
 	survivors := []string{addrs[0], addrs[1], addrs[3], addrs[4]}
-	buf.Reset()
-	if err := run(&buf, survivors); err != nil {
-		t.Fatalf("diffscope (survivors): %v", err)
-	}
-	out = buf.String()
+	out = runEach(t, []string{"paths"}, survivors...)
 	t.Logf("survivor report:\n%s", out)
 	// The interest entry at node 4 survives the death — only the gradient
 	// toward node 3 was purged — so the flows die one hop in with

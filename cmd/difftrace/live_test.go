@@ -2,15 +2,36 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"diffusion/internal/telemetry"
 )
+
+// load reads inputs as the subcommands do, without -walk.
+func load(inputs ...string) (telemetry.RunInfo, []telemetry.Record, error) {
+	t, err := readTrace(inputs, false)
+	if err != nil {
+		return telemetry.RunInfo{}, nil, err
+	}
+	return t.info, t.recs, nil
+}
+
+// runEach runs each subcommand over the same arguments and returns the
+// outputs concatenated.
+func runEach(t *testing.T, cmds []string, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, cmd := range cmds {
+		if err := run(&buf, append([]string{cmd}, args...)); err != nil {
+			t.Fatalf("%s: %v\n%s", cmd, err, buf.String())
+		}
+	}
+	return buf.String()
+}
 
 // spanServer serves a canned diffnode /spans response: a JSONL trace whose
 // run info names the node, with record us relative to startUnixUS.
@@ -56,24 +77,17 @@ func clusterServers(t *testing.T) []string {
 		{US: 80, Node: 1, Layer: "mac", Verb: "recv", Class: cls, Hops: 2, Flow: 7},
 		{US: 95, Node: 1, Layer: "core", Verb: "deliver", Class: cls, Hops: 2, Flow: 7},
 	})
-	return []string{
-		strings.TrimPrefix(n3.URL, "http://"),
-		strings.TrimPrefix(n2.URL, "http://"),
-		strings.TrimPrefix(n1.URL, "http://"),
-	}
+	return []string{n3.URL, n2.URL, n1.URL}
 }
 
 func TestScrapeMergeReport(t *testing.T) {
-	addrs := clusterServers(t)
-	var buf bytes.Buffer
-	if err := run(&buf, addrs); err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
+	out := runEach(t, []string{"info", "paths", "latency"}, clusterServers(t)...)
 	for _, want := range []string{
-		"diffscope: 3 nodes, 11 spans, 2 flows",
+		"nodes=3",
+		"records: 11",
+		"2 sampled flows",
 		"boot 000000aa",
-		"flight paths (1 delivered, 1 dropped):",
+		"(1 delivered, 1 dropped)",
 		"0007",
 		// Wall-rebased hop latencies: recv@2 (base 1_000_200 + 150) minus
 		// tx@3 (base 1_000_000 + 150) = 200µs; recv@1 minus tx@2 = 180µs.
@@ -93,8 +107,8 @@ func TestScrapeMergeReport(t *testing.T) {
 func TestFlowTimeline(t *testing.T) {
 	addrs := clusterServers(t)
 	var buf bytes.Buffer
-	if err := run(&buf, append([]string{"-flow", "0007"}, addrs...)); err != nil {
-		t.Fatalf("run -flow: %v\n%s", err, buf.String())
+	if err := run(&buf, append([]string{"paths", "-flow", "0007"}, addrs...)); err != nil {
+		t.Fatalf("paths -flow: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
 	for _, want := range []string{"flow 0007", "enqueue", "recv", "deliver", "delivered at node 1"} {
@@ -104,27 +118,17 @@ func TestFlowTimeline(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := run(&buf, append([]string{"-flow", "00ff"}, addrs...)); err == nil ||
+	if err := run(&buf, append([]string{"paths", "-flow", "00ff"}, addrs...)); err == nil ||
 		!strings.Contains(err.Error(), "no spans for flow 00ff") {
 		t.Errorf("unknown flow: got err %v", err)
 	}
 }
 
+// TestMergedTraceOutput: several inputs merge onto one timeline.
 func TestMergedTraceOutput(t *testing.T) {
-	addrs := clusterServers(t)
-	path := filepath.Join(t.TempDir(), "merged.jsonl")
-	var buf bytes.Buffer
-	if err := run(&buf, append([]string{"-o", path}, addrs...)); err != nil {
-		t.Fatalf("run -o: %v", err)
-	}
-	f, err := os.Open(path)
+	info, recs, err := load(clusterServers(t)...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer f.Close()
-	info, recs, err := telemetry.ReadJSONL(f)
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
 	}
 	if info.Topology != "live-scrape" || info.Nodes != 3 {
 		t.Errorf("run info = %+v", info)
@@ -150,23 +154,36 @@ func TestScrapeErrors(t *testing.T) {
 		t.Errorf("no args: got err %v", err)
 	}
 
-	// A node without tracing enabled answers 404; diffscope should surface
+	// A node without tracing enabled answers 404; difftrace should surface
 	// the body text so the operator knows which knob to turn.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "flight-path tracing is not enabled (set trace_sample > 0)", http.StatusNotFound)
 	}))
 	t.Cleanup(srv.Close)
 	buf.Reset()
-	err := run(&buf, []string{strings.TrimPrefix(srv.URL, "http://")})
+	err := run(&buf, []string{"paths", srv.URL})
 	if err == nil || !strings.Contains(err.Error(), "tracing is not enabled") {
 		t.Errorf("404 scrape: got err %v", err)
+	}
+}
+
+// TestOversizedBody: a body past maxBody is refused, and the error names
+// the bound.
+func TestOversizedBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(bytes.Repeat([]byte{'x'}, maxBody+1))
+	}))
+	t.Cleanup(srv.Close)
+	err := run(&bytes.Buffer{}, []string{"paths", srv.URL})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxBody)) {
+		t.Errorf("oversized body: got err %v", err)
 	}
 }
 
 func TestEmptyRing(t *testing.T) {
 	srv := spanServer(t, 4, 0xdd, 42, nil)
 	var buf bytes.Buffer
-	if err := run(&buf, []string{strings.TrimPrefix(srv.URL, "http://")}); err != nil {
+	if err := run(&buf, []string{"paths", srv.URL}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(buf.String(), "no flight-path spans scraped") {

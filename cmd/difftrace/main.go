@@ -1,8 +1,9 @@
 // Command difftrace analyzes the structured JSONL traces the simulator
-// exports (Trace.ExportJSONL, diffsim -trace-out). The paper's section 7
-// asks for exactly this kind of tooling: "we were repeatedly challenged by
-// the difficulty in understanding what was going on in a network of dozens
-// of physically distributed nodes". A trace is a complete, deterministic
+// exports (Trace.ExportJSONL, diffsim -trace-out) and the span rings of
+// live nodes (diffnode's GET /spans). The paper's section 7 asks for
+// exactly this kind of tooling: "we were repeatedly challenged by the
+// difficulty in understanding what was going on in a network of dozens of
+// physically distributed nodes". A trace is a complete, deterministic
 // account of a run; difftrace turns it into answers.
 //
 // Usage:
@@ -11,26 +12,36 @@
 //	difftrace budget trace.jsonl                # message budget by class, control vs data
 //	difftrace flows [-top N] [-id ID] trace.jsonl   # per-flow hop-by-hop latency
 //	difftrace gradients -node N trace.jsonl     # gradient-table timeline for one node
-//	difftrace paths [-flow F] trace.jsonl       # causal flight paths (needs TraceSampling > 0)
+//	difftrace paths [-flow F] trace.jsonl       # causal flight paths and drop verdicts (needs TraceSampling > 0)
 //	difftrace latency trace.jsonl               # per-hop and end-to-end latency percentiles
 //	difftrace diff a.jsonl b.jsonl              # where two runs diverge
 //	difftrace chrome [-o out.json] trace.jsonl  # convert for chrome://tracing
+//
+// An input is a trace file or a node's control-plane address
+// (http://host:port), whose GET /spans body is read. Several inputs, or
+// any address, are merged onto one wall-clock timeline. With -walk, given
+// before the subcommand, the inputs are entry points: difftrace walks
+// GET /neighbors breadth-first and reads every node it finds, so
+// `difftrace -walk paths http://host:port` follows flows across a whole
+// live mesh and `difftrace -walk info ...` prints its membership census.
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"diffusion/internal/flightpath"
 	"diffusion/internal/telemetry"
 )
 
-const usage = "usage: difftrace <info|budget|flows|gradients|paths|latency|diff|chrome> [flags] trace.jsonl [trace2.jsonl]"
+const usage = "usage: difftrace [-walk] <info|budget|flows|gradients|paths|latency|diff|chrome> [flags] trace.jsonl|http://host:port ..."
 
 func main() {
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
@@ -40,23 +51,28 @@ func main() {
 }
 
 func run(w io.Writer, args []string) error {
-	if len(args) < 1 {
+	fs := flag.NewFlagSet("difftrace", flag.ContinueOnError)
+	walk := fs.Bool("walk", false, "treat the inputs as entry points: walk GET /neighbors and read every node found")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() < 1 {
 		return errors.New(usage)
 	}
-	cmd, rest := args[0], args[1:]
+	cmd, rest := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "info":
-		info, recs, err := loadOne(rest)
+		t, err := readTrace(rest, *walk)
 		if err != nil {
 			return err
 		}
-		infoReport(w, info, recs)
+		infoReport(w, t)
 	case "budget":
-		info, recs, err := loadOne(rest)
+		t, err := readTrace(rest, *walk)
 		if err != nil {
 			return err
 		}
-		budgetReport(w, info, recs)
+		budgetReport(w, t.info, t.recs)
 	case "flows":
 		fs := flag.NewFlagSet("flows", flag.ContinueOnError)
 		top := fs.Int("top", 0, "also list the N slowest flows")
@@ -64,25 +80,25 @@ func run(w io.Writer, args []string) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		_, recs, err := loadOne(fs.Args())
+		t, err := readTrace(fs.Args(), *walk)
 		if err != nil {
 			return err
 		}
 		if *id != "" {
-			return flowDetail(w, recs, *id)
+			return flowDetail(w, t.recs, *id)
 		}
-		flowsReport(w, recs, *top)
+		flowsReport(w, t.recs, *top)
 	case "gradients":
 		fs := flag.NewFlagSet("gradients", flag.ContinueOnError)
 		node := fs.Uint("node", 0, "node whose gradient table to reconstruct")
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		info, recs, err := loadOne(fs.Args())
+		t, err := readTrace(fs.Args(), *walk)
 		if err != nil {
 			return err
 		}
-		return gradientReport(w, info, recs, uint32(*node))
+		return gradientReport(w, t.info, t.recs, uint32(*node))
 	case "paths":
 		fs := flag.NewFlagSet("paths", flag.ContinueOnError)
 		flowHex := fs.String("flow", "", "print one flow's full event timeline (hex flow ID as listed)")
@@ -93,37 +109,50 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		_, recs, err := loadOne(fs.Args())
+		t, err := readTrace(fs.Args(), *walk)
 		if err != nil {
 			return err
 		}
-		return pathsReport(w, recs, flowID)
+		flows := flightpath.Assemble(t.recs)
+		switch {
+		case len(flows) == 0:
+			noSpans(w, t)
+		case flowID != 0:
+			return flightpath.WriteTimeline(w, flows, flowID)
+		default:
+			flightpath.WritePaths(w, flows)
+		}
 	case "latency":
-		_, recs, err := loadOne(rest)
+		t, err := readTrace(rest, *walk)
 		if err != nil {
 			return err
 		}
-		return latencyReport(w, recs)
+		if flows := flightpath.Assemble(t.recs); len(flows) == 0 {
+			noSpans(w, t)
+		} else {
+			fmt.Fprintf(w, "latency over %d sampled flows:\n", len(flows))
+			flightpath.WriteLatencies(w, flows)
+		}
 	case "diff":
 		if len(rest) != 2 {
 			return errors.New("usage: difftrace diff a.jsonl b.jsonl")
 		}
-		ia, ra, err := load(rest[0])
+		a, err := readTrace(rest[:1], *walk)
 		if err != nil {
 			return err
 		}
-		ib, rb, err := load(rest[1])
+		b, err := readTrace(rest[1:], *walk)
 		if err != nil {
 			return err
 		}
-		diffReport(w, rest[0], rest[1], ia, ib, ra, rb)
+		diffReport(w, rest[0], rest[1], a.info, b.info, a.recs, b.recs)
 	case "chrome":
 		fs := flag.NewFlagSet("chrome", flag.ContinueOnError)
 		out := fs.String("o", "", "output file (default stdout)")
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		info, recs, err := loadOne(fs.Args())
+		t, err := readTrace(fs.Args(), *walk)
 		if err != nil {
 			return err
 		}
@@ -136,29 +165,120 @@ func run(w io.Writer, args []string) error {
 			defer f.Close()
 			dst = f
 		}
-		return telemetry.WriteChromeTrace(dst, info, recs)
+		return telemetry.WriteChromeTrace(dst, t.info, t.recs)
 	default:
 		return fmt.Errorf("unknown subcommand %q\n%s", cmd, usage)
 	}
 	return nil
 }
 
-// load reads one exported trace.
-func load(path string) (telemetry.RunInfo, []telemetry.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return telemetry.RunInfo{}, nil, err
-	}
-	defer f.Close()
-	return telemetry.ReadJSONL(f)
+// liveScrape is the topology of a merged trace.
+const liveScrape = "live-scrape"
+
+// trace is what the inputs hold: one file as written, or every input
+// merged.
+type trace struct {
+	info    telemetry.RunInfo
+	recs    []telemetry.Record
+	sources []source   // the merged inputs, in argument order
+	walked  []meshNode // the -walk census
 }
 
-// loadOne expects exactly one positional argument: the trace file.
-func loadOne(args []string) (telemetry.RunInfo, []telemetry.Record, error) {
-	if len(args) != 1 {
-		return telemetry.RunInfo{}, nil, errors.New("expected exactly one trace file\n" + usage)
+// source is one merged input and what it contributed.
+type source struct {
+	name       string
+	node, boot uint32
+	spans      int
+}
+
+// readTrace is difftrace's one loader. A single file reads as written.
+// Several inputs, or any http:// address, are merged: each input's
+// records are rebased by its run info's StartUnixUS (a node's ring clock
+// base; 0 in a simulator trace), the earliest record becomes time zero,
+// and records are stably time-ordered, so ties keep argument order. With
+// walk the inputs are entry points, and every node the walk finds is
+// read; one that fails is skipped with a notice on stderr (its tracing
+// may be off, or it died after the census).
+func readTrace(inputs []string, walk bool) (*trace, error) {
+	if len(inputs) == 0 {
+		return nil, errors.New("expected a trace file or node address\n" + usage)
 	}
-	return load(args[0])
+	t := &trace{}
+	if walk {
+		nodes, err := walkMesh(os.Stderr, client, inputs)
+		if err != nil {
+			return nil, err
+		}
+		t.walked, inputs = nodes, nil
+		for _, n := range nodes {
+			inputs = append(inputs, "http://"+n.Addr)
+		}
+	}
+	if len(inputs) == 1 && !isAddr(inputs[0]) {
+		info, recs, err := readInput(inputs[0])
+		t.info, t.recs = info, recs
+		return t, err
+	}
+	for _, in := range inputs {
+		info, recs, err := readInput(in)
+		if err != nil {
+			if !walk {
+				return nil, err
+			}
+			fmt.Fprintf(os.Stderr, "difftrace: skipping %s: %v\n", in, err)
+			continue
+		}
+		for i := range recs {
+			recs[i].US += info.StartUnixUS
+		}
+		t.sources = append(t.sources, source{in, info.Node, info.Boot, len(recs)})
+		t.recs = append(t.recs, recs...)
+	}
+	t.info = telemetry.RunInfo{Topology: liveScrape, Nodes: len(t.sources)}
+	if len(t.recs) > 0 {
+		base := t.recs[0].US
+		for _, r := range t.recs {
+			base = min(base, r.US)
+		}
+		for i := range t.recs {
+			t.recs[i].US -= base
+		}
+		sort.SliceStable(t.recs, func(i, j int) bool { return t.recs[i].US < t.recs[j].US })
+	}
+	return t, nil
+}
+
+// isAddr reports whether an input names a node rather than a file.
+func isAddr(in string) bool { return strings.HasPrefix(in, "http://") }
+
+// readInput reads one input: a trace file, or a node's GET /spans body.
+func readInput(in string) (telemetry.RunInfo, []telemetry.Record, error) {
+	if !isAddr(in) {
+		f, err := os.Open(in)
+		if err != nil {
+			return telemetry.RunInfo{}, nil, err
+		}
+		defer f.Close()
+		return telemetry.ReadJSONL(f)
+	}
+	body, err := get(client, in, "/spans")
+	if err != nil {
+		return telemetry.RunInfo{}, nil, fmt.Errorf("%s: %w", in, err)
+	}
+	info, recs, err := telemetry.ReadJSONL(bytes.NewReader(body))
+	if err != nil {
+		return telemetry.RunInfo{}, nil, fmt.Errorf("%s: GET /spans: %w", in, err)
+	}
+	return info, recs, nil
+}
+
+// noSpans reports a trace without flight-path spans, and how to get them.
+func noSpans(w io.Writer, t *trace) {
+	if t.info.Topology == liveScrape {
+		fmt.Fprintln(w, "no flight-path spans scraped (start nodes with -trace-sample > 0)")
+	} else {
+		fmt.Fprintln(w, "no flight-path spans in trace (run with TraceSampling > 0)")
+	}
 }
 
 // span returns the time covered by the records.
@@ -169,8 +289,10 @@ func span(recs []telemetry.Record) time.Duration {
 	return recs[len(recs)-1].At() - recs[0].At()
 }
 
-// infoReport prints the run header and coarse counts.
-func infoReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record) {
+// infoReport prints the run header and coarse counts, then the -walk
+// census and the merged inputs.
+func infoReport(w io.Writer, t *trace) {
+	info, recs := t.info, t.recs
 	fmt.Fprintf(w, "run: seed=%d topology=%s nodes=%d\n", info.Seed, info.Topology, info.Nodes)
 	fmt.Fprintf(w, "rates: interest=%s gradient-lifetime=%s", info.InterestInterval, info.GradientLifetime)
 	if info.ExploratoryInterval != "" {
@@ -198,6 +320,15 @@ func infoReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record) {
 		for _, line := range info.FaultScript {
 			fmt.Fprintf(w, "  %s\n", line)
 		}
+	}
+	if t.walked != nil {
+		walkReport(w, t.walked)
+	}
+	if len(t.sources) > 0 {
+		fmt.Fprintln(w, "sources:")
+	}
+	for _, s := range t.sources {
+		fmt.Fprintf(w, "  node %d (%s): %d spans, boot %08x\n", s.node, s.name, s.spans, s.boot)
 	}
 }
 
@@ -446,57 +577,6 @@ func gradientReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record
 	if lines == 0 {
 		fmt.Fprintf(w, "  (no gradient activity recorded for node %d)\n", node)
 	}
-	return nil
-}
-
-// pathsReport prints every sampled flight path: the relay chain, the
-// delivery or drop verdict, and reinforcement activity the flow triggered.
-// With flowID != 0, it prints that flow's full event timeline instead.
-func pathsReport(w io.Writer, recs []telemetry.Record, flowID uint16) error {
-	flows := flightpath.Assemble(recs)
-	if len(flows) == 0 {
-		fmt.Fprintln(w, "no flight-path spans in trace (run with TraceSampling > 0)")
-		return nil
-	}
-	if flowID != 0 {
-		return flightpath.WriteTimeline(w, flows, flowID, flightpath.PathString)
-	}
-	delivered, dropped := 0, 0
-	for _, f := range flows {
-		if f.Delivered {
-			delivered++
-		} else if f.Dropped {
-			dropped++
-		}
-	}
-	fmt.Fprintf(w, "flight paths: %d sampled flows (%d delivered, %d dropped)\n", len(flows), delivered, dropped)
-	for _, f := range flows {
-		fmt.Fprintf(w, "  %04x %-18s %-28s %s\n", f.Flow, f.Class, flightpath.PathString(f), flightpath.Localize(f))
-		if len(f.Reinforcements) > 0 {
-			pos, neg := 0, 0
-			for _, e := range f.Reinforcements {
-				if e.Negative {
-					neg++
-				} else {
-					pos++
-				}
-			}
-			fmt.Fprintf(w, "       reinforcement: %d positive, %d negative events\n", pos, neg)
-		}
-	}
-	return nil
-}
-
-// latencyReport prints per-hop and end-to-end latency percentiles over
-// the sampled flows.
-func latencyReport(w io.Writer, recs []telemetry.Record) error {
-	flows := flightpath.Assemble(recs)
-	if len(flows) == 0 {
-		fmt.Fprintln(w, "no flight-path spans in trace (run with TraceSampling > 0)")
-		return nil
-	}
-	fmt.Fprintf(w, "latency over %d sampled flows:\n", len(flows))
-	flightpath.WriteLatencies(w, flows)
 	return nil
 }
 

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -83,8 +85,8 @@ func TestWalkMesh(t *testing.T) {
 	}
 }
 
-// TestRunWalk drives run() end to end with -walk: the census prints for
-// every discovered node, and nodes without tracing are skipped rather
+// TestRunWalk drives run() end to end with -walk: info prints the census
+// for every discovered node, and nodes without tracing are skipped rather
 // than failing the scrape.
 func TestRunWalk(t *testing.T) {
 	addr := map[uint32]string{}
@@ -98,8 +100,10 @@ func TestRunWalk(t *testing.T) {
 	addr[2] = strings.TrimPrefix(s2.URL, "http://")
 
 	var out bytes.Buffer
-	if err := run(&out, []string{"-walk", addr[1]}); err != nil {
-		t.Fatal(err)
+	for _, cmd := range []string{"info", "paths"} {
+		if err := run(&out, []string{"-walk", cmd, "http://" + addr[1]}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := out.String()
 	for _, want := range []string{"walked 2 nodes", "node 1 (", "node 2 (",
@@ -107,5 +111,37 @@ func TestRunWalk(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestWalkBoundsAttempts: a /neighbors view listing thousands of forged
+// addresses that never answer costs at most walkLimit fetches in all.
+func TestWalkBoundsAttempts(t *testing.T) {
+	var requests atomic.Int64
+	var self string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		if r.URL.Path != "/neighbors" {
+			http.NotFound(w, r)
+			return
+		}
+		rows := make([]map[string]any, 2*walkLimit)
+		for i := range rows {
+			rows[i] = map[string]any{"id": i + 2, "http": fmt.Sprintf("%s/forged/%d", self, i), "member": "candidate"}
+		}
+		json.NewEncoder(w).Encode(map[string]any{"id": 1, "neighbors": rows})
+	}))
+	t.Cleanup(srv.Close)
+	self = strings.TrimPrefix(srv.URL, "http://")
+
+	var out bytes.Buffer
+	if _, err := walkMesh(&out, http.DefaultClient, []string{srv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	if n := requests.Load(); n > walkLimit {
+		t.Errorf("walk made %d requests, limit %d", n, walkLimit)
+	}
+	if !strings.Contains(out.String(), "(limit)") {
+		t.Errorf("walk did not report the limit:\n%s", out.String()[max(0, out.Len()-500):])
 	}
 }

@@ -13,7 +13,7 @@ import (
 // names to the tree, so a deleted or renamed package cannot linger in
 // prose.
 
-var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "examples/README.md"}
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "examples/README.md", ".github/workflows/ci.yml"}
 
 // repoPath matches a path-like token; only those rooted at internal/,
 // cmd/ or examples/ are checked.

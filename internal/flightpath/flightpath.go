@@ -1,12 +1,9 @@
 // Package flightpath reconstructs causal flight paths from flight-path
 // span records: the per-layer events (recv, match, enqueue, tx, deliver,
 // drop, custody-accept, custody-replay) that every node records for
-// sampled messages. The same analysis runs over a simulator trace
-// (cmd/difftrace) and over span records scraped from a live cluster
-// (cmd/diffscope) — both speak telemetry.Record, with timestamps already
-// on one common base (virtual time in the simulator; collector-rebased
-// absolute time live) — and both render a flow's timeline and the latency
-// percentiles with the writers here.
+// sampled messages. cmd/difftrace runs it over a simulator trace and over
+// spans scraped from live nodes alike, since both are telemetry.Records
+// on one time base, and prints its reports with the writers here.
 package flightpath
 
 import (
@@ -289,18 +286,23 @@ func Percentile(samples []int64, p float64) int64 {
 	return s[rank]
 }
 
-// PathString renders the relay chain as "n1 -> n2 -> n3", using each
-// hop's receiving node (the origin leads). Missing receivers render "?".
+// PathString renders the relay chain as "n1 -(50µs)-> n2 -> n3", using
+// each hop's receiving node (the origin leads) and its latency when both
+// ends were observed. Missing receivers render "?".
 func PathString(f *Flow) string {
-	out := fmt.Sprintf("n%d", f.Origin)
+	var b strings.Builder
+	fmt.Fprintf(&b, "n%d", f.Origin)
 	for _, h := range f.Hops {
-		if h.RxUS >= 0 {
-			out += fmt.Sprintf(" -> n%d", h.RxNode)
-		} else if h.TxUS >= 0 {
-			out += " -> ?"
+		switch {
+		case h.LatencyUS() >= 0:
+			fmt.Fprintf(&b, " -(%v)-> n%d", time.Duration(h.LatencyUS())*time.Microsecond, h.RxNode)
+		case h.RxUS >= 0:
+			fmt.Fprintf(&b, " -> n%d", h.RxNode)
+		case h.TxUS >= 0:
+			b.WriteString(" -> ?")
 		}
 	}
-	return out
+	return b.String()
 }
 
 // ParseFlowID parses a 16-bit flow ID in the hex spelling the reports use
@@ -335,15 +337,62 @@ func WriteLatencies(w io.Writer, flows []*Flow) {
 	line("end-to-end", E2ELatencies(flows))
 }
 
+// WritePaths writes the flight-path report: every flow's relay chain and
+// verdict, the reinforcement-path evolution (every reinforcement sighting
+// of every flow in time order: the gradient field being sharpened and
+// pruned), and the undelivered flows' verdicts gathered at the end.
+func WritePaths(w io.Writer, flows []*Flow) {
+	type sighting struct {
+		flow uint16
+		e    Edge
+	}
+	var evo []sighting
+	delivered, dropped := 0, 0
+	for _, f := range flows {
+		if f.Delivered {
+			delivered++
+		} else if f.Dropped {
+			dropped++
+		}
+		for _, e := range f.Reinforcements {
+			evo = append(evo, sighting{f.Flow, e})
+		}
+	}
+	fmt.Fprintf(w, "flight paths: %d sampled flows (%d delivered, %d dropped)\n", len(flows), delivered, dropped)
+	for _, f := range flows {
+		fmt.Fprintf(w, "  %04x %-18s %s\n       %s\n", f.Flow, f.Class, PathString(f), Localize(f))
+	}
+	sort.SliceStable(evo, func(i, j int) bool { return evo[i].e.US < evo[j].e.US })
+	if len(evo) > 0 {
+		fmt.Fprintln(w, "reinforcement-path evolution:")
+	}
+	for _, s := range evo {
+		sign := "positive"
+		if s.e.Negative {
+			sign = "negative"
+		}
+		fmt.Fprintf(w, "  +%-12v flow %04x %s %s at node %d\n",
+			time.Duration(s.e.US)*time.Microsecond, s.flow, sign, s.e.Verb, s.e.Node)
+	}
+	if delivered < len(flows) {
+		fmt.Fprintln(w, "undelivered flows:")
+	}
+	for _, f := range flows {
+		if !f.Delivered {
+			fmt.Fprintf(w, "  %s\n", Localize(f))
+		}
+	}
+}
+
 // WriteTimeline writes one flow's cross-node event sequence: a header
-// with its relay chain, rendered by path, then every event relative to
-// the flow's start, then its verdict.
-func WriteTimeline(w io.Writer, flows []*Flow, flowID uint16, path func(*Flow) string) error {
+// with its relay chain, then every event relative to the flow's start,
+// then its verdict.
+func WriteTimeline(w io.Writer, flows []*Flow, flowID uint16) error {
 	for _, f := range flows {
 		if f.Flow != flowID {
 			continue
 		}
-		fmt.Fprintf(w, "flow %04x %s id=%s %s\n", f.Flow, f.Class, f.ID, path(f))
+		fmt.Fprintf(w, "flow %04x %s id=%s %s\n", f.Flow, f.Class, f.ID, PathString(f))
 		for _, r := range f.Events {
 			fmt.Fprintf(w, "  +%-12v node=%-4d %-9s %-9s hops=%d",
 				time.Duration(r.US-f.StartUS)*time.Microsecond, r.Node, r.Layer, r.Verb, r.Hops)

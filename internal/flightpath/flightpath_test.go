@@ -48,7 +48,7 @@ func TestAssembleDeliveredFlow(t *testing.T) {
 	if f.Hops[1].TxNode != 2 || f.Hops[1].RxNode != 3 || f.Hops[1].LatencyUS() != 70 {
 		t.Errorf("hop1: %+v", f.Hops[1])
 	}
-	if got := PathString(f); got != "n1 -> n2 -> n3" {
+	if got := PathString(f); got != "n1 -(50µs)-> n2 -(70µs)-> n3" {
 		t.Errorf("path %q", got)
 	}
 	if !strings.Contains(Localize(f), "delivered at node 3") {

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzReadJSONL feeds ReadJSONL what difftrace and diffscope read: files
-// named on a command line and /spans bodies off the network. It must never
-// panic, whatever the header claims, and the records it accepts must
-// survive a write and a second read unchanged.
+// FuzzReadJSONL feeds ReadJSONL what difftrace reads: files named on a
+// command line and /spans bodies off the network. It must never panic,
+// whatever the header claims, and the records it accepts must survive a
+// write and a second read unchanged.
 func FuzzReadJSONL(f *testing.F) {
 	const hdr = `{"trace":"diffusion","version":1,"run":{"seed":1,"topology":"t","nodes":2},"records":%s}` + "\n"
 	rec := `{"us":5,"node":1,"layer":"core","verb":"recv","class":"DATA","id":"0000000a:1","peer":2,"hops":1,"flow":7}` + "\n"

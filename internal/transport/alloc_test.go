@@ -90,10 +90,11 @@ func TestAllocsUDPSend(t *testing.T) {
 }
 
 // A reliable reception handed to a corking consumer, and the consumer's
-// wake-up around it, allocate only the datagram's copy, which Deliver is
-// handed a window on: the held ack goes into a pooled buffer like any held
-// frame, and leaves in one datagram at Uncork. The datagrams come in as the
-// reader's do, through one reused buffer and one reused record.
+// wake-up around it, allocate nothing once amortised: the datagram's copy,
+// which Deliver is handed a window on, is carved from the record's slab,
+// and the held ack goes into a pooled buffer like any held frame, and
+// leaves in one datagram at Uncork. The datagrams come in as the reader's
+// do, through one reused buffer and one reused record.
 func TestAllocsReliableReceiveHeld(t *testing.T) {
 	w := &discardWire{}
 	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Reliable: &ReliableConfig{}, Deliver: func(uint32, []byte) {}}, sim.New(1), w, 1)
@@ -118,8 +119,8 @@ func TestAllocsReliableReceiveHeld(t *testing.T) {
 		i++
 		u.Cork()
 		u.Uncork()
-	}); n != 1 {
-		t.Errorf("a reliable reception and its wake-up allocate %.0f/op, budget 1 (the datagram's copy)", n)
+	}); n != 0 {
+		t.Errorf("a reliable reception and its wake-up allocate %.0f/op, budget 0 (the datagram's copy is carved from a slab)", n)
 	}
 	if s := u.Stats(); early != 0 || w.frames != len(frames) || s.AcksSent.Load() != uint64(len(frames)) {
 		t.Errorf("%d acks written before the wake-up, %d datagrams, %d acks for %d receptions; want 0 and one ack datagram each",
@@ -127,8 +128,9 @@ func TestAllocsReliableReceiveHeld(t *testing.T) {
 	}
 }
 
-// An 8-frame bundle that delivers all eight costs one allocation, the
-// datagram's copy: each upcall is handed a window on it.
+// An 8-frame bundle that delivers all eight allocates nothing once
+// amortised: each upcall is handed a window on the datagram's copy, and the
+// copy is carved from the record's slab.
 func TestAllocsBundleReceive(t *testing.T) {
 	upcalls := 0
 	u, err := newUDP(UDPConfig{ID: 1, Neighbors: neighbors(2), Deliver: func(uint32, []byte) { upcalls++ }}, sim.New(1), &discardWire{}, 1)
@@ -141,11 +143,37 @@ func TestAllocsBundleReceive(t *testing.T) {
 	var d rxDatagram
 	if n := testing.AllocsPerRun(100, func() {
 		u.receive(&d, buf[:copy(buf, bundle)], simAddr(2))
-	}); n != 1 {
-		t.Errorf("a delivered 8-frame bundle allocates %.0f/op, budget 1 (the datagram's copy)", n)
+	}); n != 0 {
+		t.Errorf("a delivered 8-frame bundle allocates %.0f/op, budget 0 (the datagram's copy is carved from a slab)", n)
 	}
 	if upcalls != 101*8 {
 		t.Errorf("%d upcalls, want %d", upcalls, 101*8)
+	}
+}
+
+// A warm Mesh Send, unicast or broadcast, allocates nothing once
+// amortised: each receiver's copy is carved from the sender's slab and
+// queued without leaving the mesh lock.
+func TestAllocsMeshSend(t *testing.T) {
+	m := NewMesh(1)
+	defer m.Close()
+	l1 := m.Attach(1, nil)
+	for id := uint32(2); id <= 4; id++ {
+		m.Attach(id, func(uint32, []byte) {})
+		m.Connect(1, id)
+	}
+	payload := make([]byte, 119)
+	for _, dst := range []uint32{2, Broadcast} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := l1.Send(dst, payload); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Mesh Send to %d allocates %.0f/op", dst, n)
+		}
+	}
+	if s := l1.Stats(); s.Sent.Load() != 101*(1+3) {
+		t.Errorf("%d receivers reached, want %d", s.Sent.Load(), 101*(1+3))
 	}
 }
 

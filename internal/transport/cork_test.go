@@ -674,6 +674,73 @@ func TestBundleDeliversWindowsOnOneCopy(t *testing.T) {
 	}
 }
 
+// Deliver's payloads are carved from the receiving link's slab, and each
+// stays as it arrived for as long as the callee keeps it. On both
+// transports, across several slab turnovers with one payload larger than a
+// slab among them, every kept payload still reads as it did when it was
+// handed over, and an append to each, long enough to cross into the next,
+// leaves the next alone. UDP is fed as the reader feeds it, through one
+// reused buffer and record.
+func TestDeliveredWindowsOutliveSlabTurnovers(t *testing.T) {
+	n, viaUDP := newSimNet(t), &collector{}
+	u := n.endpoint(UDPConfig{ID: 1, Neighbors: neighbors(2), Deliver: viaUDP.deliver})
+	buf := make([]byte, maxPayload+headerSize)
+	var d rxDatagram
+	m, viaMesh := NewMesh(1), &collector{arrived: make(chan struct{}, 1)}
+	defer m.Close()
+	l1 := m.Attach(1, nil)
+	m.Attach(2, viaMesh.deliver)
+	m.Connect(1, 2)
+	for _, tc := range []struct {
+		name    string
+		got     *collector
+		receive func(p []byte) *slab // hands p over, returns the slab it was carved from
+	}{
+		{"udp", viaUDP, func(p []byte) *slab {
+			u.receive(&d, buf[:copy(buf, appendFrame(nil, kindData, 2, 1, 2, 0, 0, 0, p))], simAddr(2))
+			return &d.slab
+		}},
+		{"mesh", viaMesh, func(p []byte) *slab {
+			if err := l1.Send(2, p); err != nil {
+				t.Fatal(err)
+			}
+			viaMesh.next(t, "a mesh delivery")
+			return &l1.slab
+		}},
+	} {
+		held := func(i int) []byte { tc.got.mu.Lock(); defer tc.got.mu.Unlock(); return tc.got.held[i] }
+		slabs, slabStart := 0, (*byte)(nil)
+		for i := 0; i < 40; i++ {
+			size := 1500 + 97*i
+			if i == 20 {
+				size = slabSize + 1000
+			}
+			s := tc.receive(bytes.Repeat([]byte{byte(i)}, size))
+			if tc.got.count() != i+1 || len(held(i)) != size || cap(held(i)) != size {
+				t.Fatalf("%s reception %d: %d upcalls, the last %d bytes with cap %d; want %d, %d and %d",
+					tc.name, i, tc.got.count(), len(held(i)), cap(held(i)), i+1, size, size)
+			}
+			if &(*s)[0] != slabStart {
+				slabs, slabStart = slabs+1, &(*s)[0]
+			}
+			if i > 0 {
+				_ = append(held(i-1), bytes.Repeat([]byte{0xEE}, headerSize+size)...)
+				if !bytes.Equal(held(i), bytes.Repeat([]byte{byte(i)}, size)) {
+					t.Fatalf("%s: an append to payload %d reached payload %d", tc.name, i-1, i)
+				}
+			}
+		}
+		for i := 0; i < 40; i++ {
+			if p := held(i); !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, len(p))) {
+				t.Errorf("%s: kept payload %d changed in the %d receptions after it", tc.name, i, 39-i)
+			}
+		}
+		if slabs < 4 {
+			t.Errorf("%s: %d slabs were used, want at least 4", tc.name, slabs)
+		}
+	}
+}
+
 // Over real sockets the loop's cork and the reader goroutine's acks meet
 // under the endpoint's lock: a corks, sends and uncorks while its reader
 // acknowledges b's traffic. Everything arrives once and every frame is

@@ -43,7 +43,7 @@ func TestMeshDeliversAlongAdjacency(t *testing.T) {
 	}
 }
 
-func TestMeshLossAndLatency(t *testing.T) {
+func TestMeshLoss(t *testing.T) {
 	m := NewMesh(3)
 	defer m.Close()
 	m.Loss = 1.0
@@ -59,17 +59,6 @@ func TestMeshLossAndLatency(t *testing.T) {
 	if c2.count() != 0 || l1.Stats().LossInjected.Load() != 10 {
 		t.Fatalf("loss=1.0: delivered %d, accounted %d",
 			c2.count(), l1.Stats().LossInjected.Load())
-	}
-
-	m.Loss = 0
-	m.Latency = 30 * time.Millisecond
-	start := time.Now()
-	if err := l1.Send(2, []byte("slow")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return c2.count() == 1 }, "delayed mesh delivery")
-	if el := time.Since(start); el < m.Latency {
-		t.Fatalf("delivered after %v, want >= %v", el, m.Latency)
 	}
 }
 

@@ -827,10 +827,12 @@ func (u *UDP) readLoop(conn *net.UDPConn) {
 
 // rxDatagram is the reception entry's record of one datagram. Whoever hands
 // the endpoint datagrams reuses one record for all of them, as the reader
-// does: a new one per datagram would be a heap allocation.
+// does: a new one per datagram would be a heap allocation. The record's
+// owner is the only goroutine that touches its slab, so it needs no lock.
 type rxDatagram struct {
-	b   []byte // the datagram, borrowed until receive returns
-	own []byte // b's one copy, made when the first of its frames delivers
+	b    []byte // the datagram, borrowed until receive returns
+	own  []byte // b's one copy, made when the first of its frames delivers
+	slab slab   // what the copies are carved from
 }
 
 // window returns payload, a slice of d.b, as the same bytes of d's copy,
@@ -839,7 +841,7 @@ type rxDatagram struct {
 // capacities differ by its offset.
 func (d *rxDatagram) window(payload []byte) []byte {
 	if d.own == nil {
-		d.own = slices.Clone(d.b)
+		d.own = d.slab.copyOf(d.b)
 	}
 	off := cap(d.b) - cap(payload)
 	return d.own[off : off+len(payload) : off+len(payload)]

@@ -800,24 +800,14 @@ func (d *Daemon) handleChaos(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSpans serves the flight-path span ring as a JSONL trace
-// (telemetry.WriteJSONL, so difftrace reads it as saved): the header's run
-// info carries the node's identity, boot nonce and the ring clock's
-// absolute base, and each record's us is relative to that base.
-// Given several nodes, difftrace rebases each onto wall time and merges
-// them. 404 when tracing is off.
+// (rt.Stack.WriteSpans, so difftrace reads it as saved). Given several
+// nodes, difftrace rebases each onto wall time and merges them. 404 when
+// tracing is off.
 func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if d.Spans == nil {
 		httpError(w, http.StatusNotFound, "flight-path tracing is not enabled (set trace_sample > 0)")
 		return
 	}
-	events := d.Spans.Records()
-	recs := make([]telemetry.Record, len(events))
-	for i, e := range events {
-		recs[i] = e.Record()
-	}
 	w.Header().Set("Content-Type", "application/jsonl")
-	telemetry.WriteJSONL(w, telemetry.RunInfo{
-		Seed: d.cfg.Seed, Topology: "diffnode", Nodes: 1,
-		Node: d.cfg.ID, Boot: d.Link.Boot(), StartUnixUS: d.Loop.Start().UnixMicro(),
-	}, recs)
+	d.WriteSpans(w, d.cfg.Seed)
 }

@@ -262,6 +262,12 @@ func TestSpansEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/spans is not a JSONL trace: %v\n%s", err, body)
 	}
+	// The rates as core resolved them: the configured interest interval,
+	// and the paper defaults derived from it or left in place.
+	if info.InterestInterval != "100ms" || info.GradientLifetime != "250ms" || info.ExploratoryInterval != "1m0s" {
+		t.Errorf("header rates interest=%q gradient_lifetime=%q exploratory=%q, want 100ms, 250ms and 1m0s",
+			info.InterestInterval, info.GradientLifetime, info.ExploratoryInterval)
+	}
 	if info.Node != 1 || info.Boot == 0 || info.StartUnixUS == 0 || len(recs) == 0 ||
 		!strings.Contains(strings.SplitN(string(body), "\n", 2)[0], fmt.Sprintf(`"records":%d`, len(recs))) {
 		t.Fatalf("run info %+v, %d records:\n%s", info, len(recs), body)

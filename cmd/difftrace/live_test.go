@@ -3,12 +3,21 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"diffusion/internal/attr"
+	"diffusion/internal/chaos"
+	"diffusion/internal/core"
+	"diffusion/internal/message"
+	"diffusion/internal/rt"
 	"diffusion/internal/telemetry"
+	"diffusion/internal/transport"
 )
 
 // load reads inputs as the subcommands do, without -walk.
@@ -67,14 +76,14 @@ func clusterServers(t *testing.T) []string {
 		{US: 550, Node: 3, Layer: "mac", Verb: "tx", Class: cls, Hops: 1, Flow: 9},
 	})
 	n2 := spanServer(t, 2, 0xbb, 1_000_200, []telemetry.Record{
-		{US: 150, Node: 2, Layer: "mac", Verb: "recv", Class: cls, Hops: 1, Flow: 7},
+		{US: 150, Node: 2, Layer: "mac", Verb: "recv", Class: cls, Peer: 3, Hops: 1, Flow: 7},
 		{US: 160, Node: 2, Layer: "core", Verb: "match", Class: cls, Hops: 1, Flow: 7},
 		{US: 200, Node: 2, Layer: "mac", Verb: "tx", Class: cls, Hops: 2, Flow: 7},
-		{US: 600, Node: 2, Layer: "mac", Verb: "recv", Class: cls, Hops: 1, Flow: 9},
+		{US: 600, Node: 2, Layer: "mac", Verb: "recv", Class: cls, Peer: 3, Hops: 1, Flow: 9},
 		{US: 640, Node: 2, Layer: "core", Verb: "drop", Class: cls, Hops: 1, Flow: 9, Cause: "no-gradient"},
 	})
 	n1 := spanServer(t, 1, 0xcc, 1_000_500, []telemetry.Record{
-		{US: 80, Node: 1, Layer: "mac", Verb: "recv", Class: cls, Hops: 2, Flow: 7},
+		{US: 80, Node: 1, Layer: "mac", Verb: "recv", Class: cls, Peer: 2, Hops: 2, Flow: 7},
 		{US: 95, Node: 1, Layer: "core", Verb: "deliver", Class: cls, Hops: 2, Flow: 7},
 	})
 	return []string{n3.URL, n2.URL, n1.URL}
@@ -188,5 +197,100 @@ func TestEmptyRing(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no flight-path spans scraped") {
 		t.Errorf("missing empty-ring hint:\n%s", buf.String())
+	}
+}
+
+// servedSpans boots two traced live stacks on loopback, node 1 subscribing
+// and node 2 publishing, sends from node 2, once it has heard node 1's
+// interest, until node 1 has a delivery, and
+// serves node 2's span ring as a diffnode serves GET /spans.
+func servedSpans(t *testing.T) string {
+	t.Helper()
+	ports, err := chaos.FreePorts("udp", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacks := make([]*rt.Stack, 2)
+	for i := range stacks {
+		st, err := rt.NewStack(rt.StackConfig{
+			Link: transport.UDPConfig{ID: uint32(i + 1), Listen: fmt.Sprintf("127.0.0.1:%d", ports[i]),
+				Neighbors: map[uint32]string{uint32(2 - i): fmt.Sprintf("127.0.0.1:%d", ports[1-i])}},
+			Node: core.Config{Rand: rand.New(rand.NewSource(int64(i))), TraceSample: 1,
+				InterestInterval: 100 * time.Millisecond, ForwardJitter: time.Millisecond},
+			Log: io.Discard,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		stacks[i] = st
+	}
+	sink, source := stacks[0], stacks[1]
+	delivered := make(chan struct{}, 1)
+	sink.Loop.Call(func() {
+		sink.Node.Subscribe(attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, "served")}, func(*message.Message) {
+			select {
+			case delivered <- struct{}{}:
+			default:
+			}
+		})
+	})
+	var pub core.PublicationHandle
+	source.Loop.Call(func() { pub = source.Node.Publish(attr.Vec{attr.StringAttr(attr.KeyTask, attr.IS, "served")}) })
+	for deadline, heard := time.Now().Add(10*time.Second), false; ; {
+		// The first Send explores, so it waits for the sink's interest.
+		source.Loop.Call(func() {
+			if heard = heard || source.Node.Stats.ReceivedByClass[message.Interest] > 0; heard {
+				source.Node.Send(pub, nil)
+			}
+		})
+		select {
+		case <-delivered:
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				source.WriteSpans(w, 0)
+			}))
+			t.Cleanup(srv.Close)
+			return srv.URL
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no delivery at node 1 within 10s")
+		}
+	}
+}
+
+// gradients and budget work on a live node's served span body: its header
+// carries the node's rates, an interest's arrival is its core-layer recv
+// span, and transport tx and recv spans are not processing events.
+func TestGradientsAndBudgetOnServedSpans(t *testing.T) {
+	addr := servedSpans(t)
+	out := runEach(t, []string{"gradients"}, "-node", "2", addr)
+	if !strings.Contains(out, "(lifetime 250ms)") || !strings.Contains(out, "gradient -> 1    created") {
+		t.Errorf("gradients on a served body:\n%s", out)
+	}
+	_, recs, err := load(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coreRecv, transport := 0, 0
+	for _, r := range recs {
+		if r.Layer == "core" && r.Verb == "recv" {
+			coreRecv++
+		} else if r.Layer == "transport" {
+			transport++
+		}
+	}
+	out = runEach(t, []string{"budget"}, addr)
+	if want := fmt.Sprintf("message budget: %d processing events", coreRecv); coreRecv == 0 || transport == 0 || !strings.Contains(out, want) {
+		t.Errorf("budget over %d core recv and %d transport spans, want %q:\n%s", coreRecv, transport, want, out)
+	}
+}
+
+// On a header without rates, gradients names the field it needs.
+func TestGradientsWithoutRates(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(&buf, append([]string{"gradients", "-node", "2"}, clusterServers(t)...))
+	if err == nil || !strings.Contains(err.Error(), "no gradient_lifetime") {
+		t.Errorf("gradients on a header without rates: %v", err)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -219,6 +220,7 @@ func readTrace(inputs []string, walk bool) (*trace, error) {
 		t.info, t.recs = info, recs
 		return t, err
 	}
+	var rates [3]string // the inputs' protocol rates, kept while they agree
 	for _, in := range inputs {
 		info, recs, err := readInput(in)
 		if err != nil {
@@ -231,10 +233,16 @@ func readTrace(inputs []string, walk bool) (*trace, error) {
 		for i := range recs {
 			recs[i].US += info.StartUnixUS
 		}
+		if r := [3]string{info.InterestInterval, info.GradientLifetime, info.ExploratoryInterval}; len(t.sources) == 0 || r == rates {
+			rates = r
+		} else {
+			rates = [3]string{}
+		}
 		t.sources = append(t.sources, source{in, info.Node, info.Boot, len(recs)})
 		t.recs = append(t.recs, recs...)
 	}
-	t.info = telemetry.RunInfo{Topology: liveScrape, Nodes: len(t.sources)}
+	t.info = telemetry.RunInfo{Topology: liveScrape, Nodes: len(t.sources),
+		InterestInterval: rates[0], GradientLifetime: rates[1], ExploratoryInterval: rates[2]}
 	if len(t.recs) > 0 {
 		base := t.recs[0].US
 		for _, r := range t.recs {
@@ -355,13 +363,31 @@ func controlClass(class string) bool {
 	return false
 }
 
+// processing returns the faults and the processing events among recs:
+// org and fwd records, or, in a trace that has neither (a node's /spans
+// body), the core layer's recv spans, as fwd records naming their sender
+// From. Link-layer tx and recv spans are not processing events.
+func processing(recs []telemetry.Record) []telemetry.Record {
+	spansOnly := !slices.ContainsFunc(recs, func(r telemetry.Record) bool { return r.Verb == "org" || r.Verb == "fwd" })
+	var out []telemetry.Record
+	for _, r := range recs {
+		if spansOnly && r.Layer == "core" && r.Verb == "recv" {
+			r.Verb, r.From, r.Peer = "fwd", r.Peer, 0
+		}
+		if r.Layer == "fault" || r.Verb == "org" || r.Verb == "fwd" {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // budgetReport prints the message budget: per-class processing counts with
 // the originated/forwarded split, then the control-vs-data share — the
 // paper's Figure 9 accounting, read off a trace instead of a model.
 func budgetReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record) {
 	type row struct{ org, fwd int }
 	byClass := map[string]*row{}
-	for _, r := range recs {
+	for _, r := range processing(recs) {
 		if r.Layer == "fault" {
 			continue
 		}
@@ -526,6 +552,9 @@ func flowDetail(w io.Writer, recs []telemetry.Record, id string) error {
 // interleave. This is the per-node timeline view of the paper's gradient
 // machinery.
 func gradientReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record, node uint32) error {
+	if info.GradientLifetime == "" {
+		return errors.New("trace header has no gradient_lifetime: gradients needs the node's rates (merged inputs must agree on them)")
+	}
 	lifetime, err := time.ParseDuration(info.GradientLifetime)
 	if err != nil {
 		return fmt.Errorf("bad gradient_lifetime %q in trace header: %v", info.GradientLifetime, err)
@@ -544,7 +573,7 @@ func gradientReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record
 		return n
 	}
 	lines := 0
-	for _, r := range recs {
+	for _, r := range processing(recs) {
 		at := r.At()
 		if r.Layer == "fault" {
 			if r.Node == node || r.Peer == node {

@@ -385,6 +385,18 @@ const housekeepInterval = 5 * time.Second
 // ID returns the node's link-layer identifier.
 func (n *Node) ID() uint32 { return n.cfg.Link.ID() }
 
+// RunInfo returns info with the protocol rates a trace header records
+// filled in as the node resolved them, defaults applied.
+func (n *Node) RunInfo(info telemetry.RunInfo) telemetry.RunInfo {
+	c := n.cfg
+	info.InterestInterval, info.GradientLifetime = c.InterestInterval.String(), c.GradientLifetime.String()
+	info.ExploratoryEvery, info.TTL = c.ExploratoryEvery, int(c.TTL)
+	if c.ExploratoryInterval > 0 {
+		info.ExploratoryInterval = c.ExploratoryInterval.String()
+	}
+	return info
+}
+
 // Close cancels the node's timers. The node must not be used afterwards.
 func (n *Node) Close() {
 	n.housekeep.Cancel()

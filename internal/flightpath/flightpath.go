@@ -9,11 +9,13 @@ package flightpath
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"diffusion/internal/message"
 	"diffusion/internal/telemetry"
 )
 
@@ -54,19 +56,18 @@ type Flow struct {
 	Events []telemetry.Record
 }
 
-// Hop is one hop-counter value of a flow's primary message: the node that
-// transmitted at that hop count and the first node that received it.
-// A flood can have several receivers per hop; RxNode is the earliest.
+// Hop is one link of a flow's relay chain: a recv at RxNode from TxNode,
+// paired with TxNode's tx at the same hop count toward RxNode or toward
+// broadcast. Only such pairs are hops, so a chain never joins two nodes
+// that did not hand each other the message.
 type Hop struct {
 	Hop uint8
-	// TxNode transmitted the message carrying this hop count; TxUS is the
-	// tx event time (MAC or transport layer), -1 when only enqueued or
-	// unobserved.
+	// TxNode transmitted the message carrying this hop count; TxUS is its
+	// first such tx (MAC or transport layer).
 	TxNode uint32
 	TxUS   int64
-	// RxNode is the first node that recorded a recv at this hop count;
-	// RxUS its time. -1 when the hop was transmitted but never received
-	// (the loss hop).
+	// RxNode received it from TxNode, at RxUS; -1 when no node recorded
+	// receiving that tx (the loss hop).
 	RxNode uint32
 	RxUS   int64
 }
@@ -138,20 +139,17 @@ func Assemble(recs []telemetry.Record) []*Flow {
 	return flows
 }
 
-// analyze fills a flow's derived fields from its sorted events.
+// analyze fills a flow's derived fields from its sorted events. A node is
+// reached by its first paired reception from the origin or from a node
+// already reached: that is the copy a relay forwards. The chain follows
+// those links back from the delivering node, or, undelivered, from the
+// first node reached at the highest hop count, and ends in a loss hop when
+// nobody recorded receiving what that node transmitted.
 func analyze(f *Flow) {
-	hops := map[uint8]*Hop{}
-	var hopOrder []uint8
-	hop := func(h uint8) *Hop {
-		p, ok := hops[h]
-		if !ok {
-			p = &Hop{Hop: h, TxUS: -1, RxUS: -1}
-			hops[h] = p
-			hopOrder = append(hopOrder, h)
-		}
-		return p
-	}
-	custody := map[uint32]bool{}
+	txs := map[uint32][]*telemetry.Record{} // each node's primary txs, in time order
+	heard := map[uint32]bool{}              // nodes some node recorded receiving from
+	first := map[uint32]Hop{}               // how each reached node was reached
+	end := f.Origin
 	var lastPrimary *telemetry.Record
 	for i := range f.Events {
 		r := &f.Events[i]
@@ -169,17 +167,25 @@ func analyze(f *Flow) {
 			f.ID = r.ID
 		}
 		lastPrimary = r
-		h := uint8(r.Hops)
 		switch r.Verb {
 		case "tx":
-			p := hop(h)
-			if p.TxUS < 0 || r.US < p.TxUS {
-				p.TxNode, p.TxUS = r.Node, r.US
-			}
+			txs[r.Node] = append(txs[r.Node], r)
 		case "recv":
-			p := hop(h)
-			if p.RxUS < 0 || r.US < p.RxUS {
-				p.RxNode, p.RxUS = r.Node, r.US
+			i := slices.IndexFunc(txs[r.Peer], func(tx *telemetry.Record) bool {
+				return tx.Hops == r.Hops && (tx.Peer == r.Node || tx.Peer == uint32(message.Broadcast) || tx.Peer == 0)
+			})
+			if i < 0 {
+				break
+			}
+			heard[r.Peer] = true
+			_, reached := first[r.Peer]
+			if _, ok := first[r.Node]; ok || r.Node == f.Origin || !reached && r.Peer != f.Origin {
+				break
+			}
+			tx := txs[r.Peer][i]
+			first[r.Node] = Hop{Hop: uint8(r.Hops), TxNode: tx.Node, TxUS: tx.US, RxNode: r.Node, RxUS: r.US}
+			if end == f.Origin || first[r.Node].Hop > first[end].Hop {
+				end = r.Node
 			}
 		case "deliver":
 			if !f.Delivered {
@@ -188,17 +194,21 @@ func analyze(f *Flow) {
 				f.DeliverUS = r.US
 			}
 		case "custody-accept":
-			custody[r.Node] = true
+			if !slices.Contains(f.CustodyNodes, r.Node) {
+				f.CustodyNodes = append(f.CustodyNodes, r.Node)
+			}
 		}
 	}
-	sort.Slice(hopOrder, func(i, j int) bool { return hopOrder[i] < hopOrder[j] })
-	for _, h := range hopOrder {
-		f.Hops = append(f.Hops, *hops[h])
+	if _, ok := first[f.DeliverNode]; f.Delivered && ok {
+		end = f.DeliverNode
 	}
-	for n := range custody {
-		f.CustodyNodes = append(f.CustodyNodes, n)
+	for h, ok := first[end]; ok; h, ok = first[h.TxNode] {
+		f.Hops = append([]Hop{h}, f.Hops...)
 	}
-	sort.Slice(f.CustodyNodes, func(i, j int) bool { return f.CustodyNodes[i] < f.CustodyNodes[j] })
+	if tx := txs[end]; !f.Delivered && !heard[end] && len(tx) > 0 {
+		f.Hops = append(f.Hops, Hop{Hop: uint8(tx[0].Hops), TxNode: end, TxUS: tx[0].US, RxUS: -1})
+	}
+	slices.Sort(f.CustodyNodes)
 	// A flow whose primary story ends in a drop — and was never locally
 	// delivered — died at that hop.
 	if !f.Delivered && lastPrimary != nil && lastPrimary.Verb == "drop" {
@@ -225,16 +235,8 @@ func Localize(f *Flow) string {
 		return fmt.Sprintf("flow %04x in custody at node %d, awaiting a path",
 			f.Flow, f.CustodyNodes[len(f.CustodyNodes)-1])
 	default:
-		return fmt.Sprintf("flow %04x in flight (last seen node %d)", f.Flow, lastNode(f))
+		return fmt.Sprintf("flow %04x in flight (last seen node %d)", f.Flow, f.Events[len(f.Events)-1].Node)
 	}
-}
-
-// lastNode returns the node of the flow's final event.
-func lastNode(f *Flow) uint32 {
-	if len(f.Events) == 0 {
-		return f.Origin
-	}
-	return f.Events[len(f.Events)-1].Node
 }
 
 // PerHopLatencies collects every observed tx-to-recv hop latency (µs)
@@ -268,22 +270,9 @@ func Percentile(samples []int64, p float64) int64 {
 	if len(samples) == 0 {
 		return -1
 	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(p/100*float64(len(s))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	return s[min(max(int(p/100*float64(len(s))+0.5)-1, 0), len(s)-1)]
 }
 
 // PathString renders the relay chain as "n1 -(50µs)-> n2 -> n3", using

@@ -15,15 +15,22 @@ func rec(us int64, node uint32, verb, class string, hops int, flow uint16, cause
 	}
 }
 
+// recvFrom builds a recv span record, which names the neighbor it came from.
+func recvFrom(us int64, node, peer uint32, class string, hops int, flow uint16) telemetry.Record {
+	r := rec(us, node, "recv", class, hops, flow, "")
+	r.Peer = peer
+	return r
+}
+
 // TestAssembleDeliveredFlow reconstructs a 3-node chain: node 1
 // originates, node 2 relays, node 3 delivers.
 func TestAssembleDeliveredFlow(t *testing.T) {
 	recs := []telemetry.Record{
 		rec(100, 1, "enqueue", "DATA", 0, 7, ""),
 		rec(150, 1, "tx", "DATA", 0, 7, ""),
-		rec(200, 2, "recv", "DATA", 0, 7, ""),
+		recvFrom(200, 2, 1, "DATA", 0, 7),
 		rec(250, 2, "tx", "DATA", 1, 7, ""),
-		rec(320, 3, "recv", "DATA", 1, 7, ""),
+		recvFrom(320, 3, 2, "DATA", 1, 7),
 		rec(330, 3, "deliver", "DATA", 1, 7, ""),
 		// A second, unrelated flow interleaves.
 		rec(artTime, 9, "recv", "DATA", 0, 9, ""),
@@ -98,7 +105,7 @@ func TestAssembleCustodyFlow(t *testing.T) {
 func TestReinforcementEdges(t *testing.T) {
 	recs := []telemetry.Record{
 		rec(10, 1, "tx", "EXPLORATORY_DATA", 0, 8, ""),
-		rec(20, 2, "recv", "EXPLORATORY_DATA", 0, 8, ""),
+		recvFrom(20, 2, 1, "EXPLORATORY_DATA", 0, 8),
 		rec(30, 2, "tx", "POSITIVE_REINFORCEMENT", 0, 8, ""),
 		rec(40, 1, "recv", "NEGATIVE_REINFORCEMENT", 0, 8, ""),
 	}
@@ -111,6 +118,55 @@ func TestReinforcementEdges(t *testing.T) {
 	}
 	if f.Class != "EXPLORATORY_DATA" {
 		t.Errorf("class %q", f.Class)
+	}
+}
+
+// A flood's chain follows the copy each relay forwarded: the origin and
+// relays hear each other's re-floods, but those receptions are not hops.
+// On a line 1-2-3 the chain reads n1 -> n2 -> n3, and node 3's re-flood,
+// heard by node 2, is no loss hop.
+func TestFloodChainSkipsEchoes(t *testing.T) {
+	const bc = 0xffffffff
+	tx := func(us int64, node, dst uint32, hops int) telemetry.Record {
+		r := rec(us, node, "tx", "INTEREST", hops, 4, "")
+		r.Peer = dst
+		return r
+	}
+	f := Assemble([]telemetry.Record{
+		tx(100, 1, bc, 1),
+		recvFrom(150, 2, 1, "INTEREST", 1, 4),
+		tx(200, 2, bc, 2),
+		recvFrom(250, 1, 2, "INTEREST", 2, 4),
+		recvFrom(250, 3, 2, "INTEREST", 2, 4),
+		tx(300, 3, bc, 3),
+		recvFrom(330, 2, 3, "INTEREST", 3, 4),
+	})[0]
+	if got := PathString(f); got != "n1 -(50µs)-> n2 -(50µs)-> n3" {
+		t.Errorf("flood chain %q, want n1 -(50µs)-> n2 -(50µs)-> n3", got)
+	}
+	if got := PerHopLatencies([]*Flow{f}); len(got) != 2 || got[0] != 50 || got[1] != 50 {
+		t.Errorf("per-hop latencies %v, want [50 50]", got)
+	}
+}
+
+// On a line 1-2-3-4-5 after node 3 died, node 2's tx toward 3 is the loss
+// hop. Node 5's reception from node 4, which no record shows reached,
+// pairs with nothing: it is neither a hop nor a per-hop latency.
+func TestDeadRelayPairsNothing(t *testing.T) {
+	tx := rec(200, 2, "tx", "DATA", 2, 6, "")
+	tx.Peer = 3
+	f := Assemble([]telemetry.Record{
+		rec(100, 1, "tx", "DATA", 1, 6, ""),
+		recvFrom(150, 2, 1, "DATA", 1, 6),
+		tx,
+		recvFrom(314, 5, 4, "DATA", 2, 6),
+		rec(315, 5, "drop", "DATA", 2, 6, "duplicate"),
+	})[0]
+	if got := PathString(f); got != "n1 -(50µs)-> n2 -> ?" {
+		t.Errorf("chain %q, want n1 -(50µs)-> n2 -> ?", got)
+	}
+	if got := PerHopLatencies([]*Flow{f}); len(got) != 1 || got[0] != 50 {
+		t.Errorf("per-hop latencies %v, want [50]", got)
 	}
 }
 
@@ -139,7 +195,7 @@ func TestPercentile(t *testing.T) {
 func TestLatencyCollectors(t *testing.T) {
 	recs := []telemetry.Record{
 		rec(100, 1, "tx", "DATA", 0, 7, ""),
-		rec(150, 2, "recv", "DATA", 0, 7, ""),
+		recvFrom(150, 2, 1, "DATA", 0, 7),
 		rec(160, 2, "deliver", "DATA", 0, 7, ""),
 	}
 	flows := Assemble(recs)

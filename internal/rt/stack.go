@@ -167,6 +167,22 @@ func NewStack(c StackConfig) (*Stack, error) {
 	return s, nil
 }
 
+// WriteSpans writes the span ring as a JSONL trace, the body of a live
+// node's GET /spans: the header's run info carries the node's identity,
+// boot nonce, protocol rates as the node resolved them and the ring clock's
+// absolute base, and each record's us is relative to that base.
+func (s *Stack) WriteSpans(w io.Writer, seed int64) error {
+	events := s.Spans.Records()
+	recs := make([]telemetry.Record, len(events))
+	for i, e := range events {
+		recs[i] = e.Record()
+	}
+	return telemetry.WriteJSONL(w, s.Node.RunInfo(telemetry.RunInfo{
+		Seed: seed, Topology: "diffnode", Nodes: 1,
+		Node: s.Link.ID(), Boot: s.Link.Boot(), StartUnixUS: s.Loop.Start().UnixMicro(),
+	}), recs)
+}
+
 // Close tells the mesh this node is leaving, so discovered neighbors
 // demote it at once instead of waiting out the failure detector, then
 // closes the endpoint, the node (behind every reception already queued),

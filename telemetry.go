@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"diffusion/internal/telemetry"
 )
@@ -135,34 +134,9 @@ func (net *Network) recordFaultFlight(ev FaultEvent) {
 // seed, topology and the protocol rates with defaults applied — enough to
 // rebuild the network and replay the run.
 func (net *Network) RunInfo() TraceRunInfo {
-	cfg := net.cfg
-	ii := cfg.InterestInterval
-	if ii <= 0 {
-		ii = 60 * time.Second
+	info := TraceRunInfo{Seed: net.cfg.Seed, Topology: net.cfg.Topology.Name, Nodes: len(net.order)}
+	if len(net.order) == 0 {
+		return info
 	}
-	gl := cfg.GradientLifetime
-	if gl <= 0 {
-		gl = ii*2 + ii/2
-	}
-	ei := cfg.ExploratoryInterval
-	if ei <= 0 && cfg.ExploratoryEvery <= 0 {
-		ei = 60 * time.Second
-	}
-	ttl := int(cfg.TTL)
-	if ttl == 0 {
-		ttl = 16
-	}
-	info := TraceRunInfo{
-		Seed:             cfg.Seed,
-		Topology:         cfg.Topology.Name,
-		Nodes:            len(net.order),
-		InterestInterval: ii.String(),
-		GradientLifetime: gl.String(),
-		ExploratoryEvery: cfg.ExploratoryEvery,
-		TTL:              ttl,
-	}
-	if ei > 0 {
-		info.ExploratoryInterval = ei.String()
-	}
-	return info
+	return net.nodes[net.order[0]].Node.RunInfo(info)
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"diffusion"
+	"diffusion/internal/experiments"
 	"diffusion/internal/filters"
 	"diffusion/internal/message"
 )
@@ -33,8 +34,9 @@ import (
 // them. Allocations per radio frame are recorded beside them and must stay
 // within ±1 % of the line, both ways: a rise fails, and so does a fall that
 // was not committed with -update. A change's effect on any of them is
-// therefore the diff of the ledger. The file is !race, as the allocation
-// budgets are: the detector allocates.
+// therefore the diff of the ledger. One row, brokerRow, counts the match
+// index behind a broker's local subscriptions instead, all exactly. The
+// file is !race, as the allocation budgets are: the detector allocates.
 //
 // Regenerate, for an intended change only, with
 //
@@ -321,15 +323,27 @@ func runLedgerWork(w ledgerWork) ledgerCounts {
 	}
 }
 
+// brokerRow is experiments.RunBroker at 10⁴ local subscriptions, all
+// distinct, every third with a confidence floor: what 2 000 messages cost
+// the match index, in deliveries, keys with postings and candidates
+// verified per message. It runs one node and no radio, so it has no
+// frames to count allocations by.
+func brokerRow() string {
+	p := experiments.RunBroker(experiments.BrokerConfig{Sizes: []int{10000}, Msgs: 2000, RangeEvery: 3, Seed: 1})[0]
+	return fmt.Sprintf("broker_10k subs=%d deliveries=%d index_keys=%d candidates_per_msg=%.4f",
+		p.Subs, p.Deliveries, p.IndexKeys, p.CandPerMsg)
+}
+
 // TestCountsLedger runs every row and compares it with the pinned ledger.
 func TestCountsLedger(t *testing.T) {
 	works := ledgerWorks()
-	got := make([]string, len(works))
+	got := make([]string, len(works), len(works)+1)
 	counts := make([]ledgerCounts, len(works))
 	for i, w := range works {
 		counts[i] = runLedgerWork(w)
 		got[i] = counts[i].line(w.name)
 	}
+	got = append(got, brokerRow())
 	header := "# Counts ledger: one line per simulated workload; see ledger_test.go.\n" +
 		"# allocs_per_frame may drift by 1 %, everything else is exact. Rewrite with -update,\n" +
 		"# for an intended change only.\n"
@@ -350,20 +364,24 @@ func TestCountsLedger(t *testing.T) {
 			want[name] = line
 		}
 	}
-	for i, w := range works {
-		exact, _, _ := strings.Cut(got[i], " allocs_per_frame=")
-		wantExact, wantAllocs, ok := strings.Cut(want[w.name], " allocs_per_frame=")
-		if !ok || exact != wantExact {
-			t.Errorf("ledger moved:\n got %s\nwant %s", got[i], want[w.name])
+	for i, line := range got {
+		name, _, _ := strings.Cut(line, " ")
+		exact, _, framed := strings.Cut(line, " allocs_per_frame=")
+		wantExact, wantAllocs, _ := strings.Cut(want[name], " allocs_per_frame=")
+		if exact != wantExact {
+			t.Errorf("ledger moved:\n got %s\nwant %s", line, want[name])
+			continue
+		}
+		if !framed {
 			continue
 		}
 		pinned, err := strconv.ParseFloat(wantAllocs, 64)
 		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if a := counts[i].allocsPerFrame(); math.Abs(a-pinned) > ledgerAllocSlack*pinned {
 			t.Errorf("%s: %.4f allocations per frame, ledger %.2f (±%.0f %%): rewrite the ledger with -update if the change is intended",
-				w.name, a, pinned, 100*ledgerAllocSlack)
+				name, a, pinned, 100*ledgerAllocSlack)
 		}
 	}
 }

@@ -687,18 +687,20 @@ func (n *Node) deliverLocal(m *message.Message) {
 		n.midx.putTags(tags)
 		return
 	}
-	sortAscending(tags) // tags are subscription handles
-	// Resolve handles to subscriptions before any callback runs: this is
-	// the snapshot the pre-index delivery loop took, so a callback that
-	// unsubscribes another matched subscription does not suppress its
-	// delivery mid-message.
+	// Resolve each leader's handle to it and its twins before any callback
+	// runs: this is the snapshot the pre-index delivery loop took, so a
+	// callback that unsubscribes another matched subscription does not
+	// suppress its delivery mid-message.
 	subs := n.getSubBuf()
 	for _, t := range tags {
-		if s, ok := n.subs[SubscriptionHandle(t)]; ok && s.cb != nil {
-			subs = append(subs, s)
+		for s := n.subs[SubscriptionHandle(t)]; s != nil; s = s.twin {
+			if s.cb != nil {
+				subs = append(subs, s)
+			}
 		}
 	}
 	n.midx.putTags(tags)
+	sortSubsByHandle(subs)
 	delivered := false
 	for _, s := range subs {
 		n.Stats.LocalDeliveries++

@@ -32,6 +32,13 @@ func sortEntriesByHash(s []*interestEntry) {
 	})
 }
 
+// sortSubsByHandle orders subscriptions by handle.
+func sortSubsByHandle(s []*subscription) {
+	slices.SortFunc(s, func(a, b *subscription) int {
+		return cmp.Compare(a.h, b.h)
+	})
+}
+
 // entriesInOrder returns a fresh snapshot of every interest entry in
 // canonical hash order (control-plane paths: neighbor recovery re-offers).
 func (n *Node) entriesInOrder() []*interestEntry {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -261,7 +262,8 @@ func servedSpans(t *testing.T) string {
 
 // gradients and budget work on a live node's served span body: its header
 // carries the node's rates, an interest's arrival is its core-layer recv
-// span, and transport tx and recv spans are not processing events.
+// span, the source's own data is its core-layer org spans, and transport
+// tx and recv spans are not processing events.
 func TestGradientsAndBudgetOnServedSpans(t *testing.T) {
 	addr := servedSpans(t)
 	out := runEach(t, []string{"gradients"}, "-node", "2", addr)
@@ -272,17 +274,30 @@ func TestGradientsAndBudgetOnServedSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coreRecv, transport := 0, 0
+	coreRecv, org, transport := 0, 0, 0
 	for _, r := range recs {
-		if r.Layer == "core" && r.Verb == "recv" {
+		switch {
+		case r.Layer == "core" && r.Verb == "recv":
 			coreRecv++
-		} else if r.Layer == "transport" {
+		case r.Layer == "core" && r.Verb == "org":
+			org++
+		case r.Layer == "transport":
 			transport++
 		}
 	}
 	out = runEach(t, []string{"budget"}, addr)
-	if want := fmt.Sprintf("message budget: %d processing events", coreRecv); coreRecv == 0 || transport == 0 || !strings.Contains(out, want) {
-		t.Errorf("budget over %d core recv and %d transport spans, want %q:\n%s", coreRecv, transport, want, out)
+	if want := fmt.Sprintf("message budget: %d processing events", coreRecv+org); coreRecv == 0 || transport == 0 || !strings.Contains(out, want) {
+		t.Errorf("budget over %d core recv, %d org and %d transport spans, want %q:\n%s", coreRecv, org, transport, want, out)
+	}
+	dataOrg := 0
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && strings.HasSuffix(f[0], "DATA") {
+			n, _ := strconv.Atoi(f[1])
+			dataOrg += n
+		}
+	}
+	if dataOrg == 0 {
+		t.Errorf("the source's budget shows no data originations:\n%s", out)
 	}
 }
 

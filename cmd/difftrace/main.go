@@ -364,11 +364,12 @@ func controlClass(class string) bool {
 }
 
 // processing returns the faults and the processing events among recs:
-// org and fwd records, or, in a trace that has neither (a node's /spans
-// body), the core layer's recv spans, as fwd records naming their sender
-// From. Link-layer tx and recv spans are not processing events.
+// org and fwd records, or, in a trace without fwd records (a node's /spans
+// body, whose originations are core-layer org spans), org records and the
+// core layer's recv spans, as fwd records naming their sender From.
+// Link-layer tx and recv spans are not processing events.
 func processing(recs []telemetry.Record) []telemetry.Record {
-	spansOnly := !slices.ContainsFunc(recs, func(r telemetry.Record) bool { return r.Verb == "org" || r.Verb == "fwd" })
+	spansOnly := !slices.ContainsFunc(recs, func(r telemetry.Record) bool { return r.Verb == "fwd" })
 	var out []telemetry.Record
 	for _, r := range recs {
 		if spansOnly && r.Layer == "core" && r.Verb == "recv" {
@@ -582,7 +583,7 @@ func gradientReport(w io.Writer, info telemetry.RunInfo, recs []telemetry.Record
 			}
 			continue
 		}
-		if r.Node != node {
+		if r.Node != node || r.Verb == "org" { // its own messages make no gradient here
 			continue
 		}
 		switch r.Class {

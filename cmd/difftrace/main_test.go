@@ -303,6 +303,14 @@ func TestGradientsOnGolden(t *testing.T) {
 	if !strings.Contains(out, "fault link-down") {
 		t.Errorf("gradients output missing the node's fault events:\n%s", out)
 	}
+	// The sink's own interests make no gradient toward itself.
+	buf.Reset()
+	if err := run(&buf, []string{"gradients", "-node", "1", goldenPath}); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, "gradient -> 1 ") || !strings.Contains(out, "gradient -> 2 ") {
+		t.Errorf("sink's gradients output:\n%s", out)
+	}
 }
 
 func TestDiffIdenticalAndDivergent(t *testing.T) {

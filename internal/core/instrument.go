@@ -43,7 +43,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		emit("core.receive_malformed", float64(s.ReceiveMalformed))
 		ms := n.MatchStats()
 		emit("match.index_keys", float64(ms.IndexKeys))
-		emit("match.index_size", float64(ms.IndexSize))
+		emit("match.index_size", float64(ms.IndexSize)) // distinct stored vectors, not subscriptions
 		emit("match.fallback_size", float64(ms.FallbackSize))
 		emit("match.lookups", float64(ms.Lookups))
 		emit("match.candidates_scanned", float64(ms.CandidatesScanned))

@@ -31,8 +31,8 @@ type matchIndexes struct {
 	// entries indexes interest-entry attributes; tag = entry hash.
 	// Two-way: data matches an entry iff attr.Match(entry, data).
 	entries *match.Index
-	// subs indexes subscription attributes; tag = subscription handle.
-	// Two-way, like deliverLocal's attr.Match.
+	// subs indexes distinct subscription vectors; tag = the handle of the
+	// vector's leader subscription. Two-way, like deliverLocal's attr.Match.
 	subs *match.Index
 	// filters indexes filter patterns; tag = filter handle. One-way:
 	// every formal of the filter satisfied by an actual of the message.
@@ -145,7 +145,9 @@ func (n *Node) noteEntryEmptiness(e *interestEntry) {
 type MatchStats struct {
 	// IndexKeys is the number of distinct attribute keys with postings.
 	IndexKeys int
-	// IndexSize is the number of indexed vectors.
+	// IndexSize is the number of indexed vectors: interest entries,
+	// filters and distinct subscription vectors, not subscriptions (twin
+	// subscriptions share one).
 	IndexSize int
 	// FallbackSize is the number of vectors with no indexable pivot
 	// (scanned on every lookup).

@@ -3,6 +3,7 @@ package diffusion
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -285,7 +286,7 @@ func (t *Trace) Header() TraceRunInfo {
 // (layer "core", verb "org"/"fwd"), fault events (layer "fault", the kind
 // as verb), and — when NetworkConfig.TraceSampling is on — flight-path
 // spans (non-zero flow field, layers core/mac/custody), merged in time
-// order.
+// order. An org span repeats an org event, so it is left out.
 func (t *Trace) Records() []TraceRecord {
 	events := t.Events()
 	out := make([]TraceRecord, 0, len(events)+len(t.faults))
@@ -306,7 +307,7 @@ func (t *Trace) Records() []TraceRecord {
 	}
 	emitFaultsThrough(time.Duration(1<<62 - 1))
 	if spans := t.net.SpanRecords(); len(spans) > 0 {
-		out = append(out, spans...)
+		out = append(out, slices.DeleteFunc(spans, func(r TraceRecord) bool { return r.Verb == "org" })...)
 		sort.SliceStable(out, func(i, j int) bool { return out[i].US < out[j].US })
 	}
 	return out

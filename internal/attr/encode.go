@@ -193,27 +193,29 @@ func (v Vec) Own(dst Vec, buf []byte) (Vec, []byte) {
 // attribute order. The diffusion core compares hashes instead of complete
 // attribute sets for duplicate suppression, the optimization section 3.1
 // describes ("hashes of attributes can be computed and compared rather than
-// complete data").
-func (v Vec) Hash() uint64 {
+// complete data"). v.Hash(x...) is v.With(x...).Hash() without building it.
+func (v Vec) Hash(extra ...Attribute) uint64 {
 	// Hash each attribute independently, then combine order-insensitively.
 	var sum, xor uint64
-	for _, a := range v {
-		h := fnv.New64a()
-		var buf [attrHeaderSize + 8]byte
-		binary.BigEndian.PutUint32(buf[:], uint32(a.Key))
-		buf[4] = byte(a.Op)
-		buf[5] = byte(a.Val.Type)
-		binary.BigEndian.PutUint64(buf[6:], a.Val.num)
-		h.Write(buf[:])
-		switch a.Val.Type {
-		case TypeString:
-			h.Write([]byte(a.Val.str))
-		case TypeBlob:
-			h.Write(a.Val.blob)
+	for _, w := range [2]Vec{v, extra} {
+		for _, a := range w {
+			h := fnv.New64a()
+			var buf [attrHeaderSize + 8]byte
+			binary.BigEndian.PutUint32(buf[:], uint32(a.Key))
+			buf[4] = byte(a.Op)
+			buf[5] = byte(a.Val.Type)
+			binary.BigEndian.PutUint64(buf[6:], a.Val.num)
+			h.Write(buf[:])
+			switch a.Val.Type {
+			case TypeString:
+				h.Write([]byte(a.Val.str))
+			case TypeBlob:
+				h.Write(a.Val.blob)
+			}
+			hv := h.Sum64()
+			sum += hv
+			xor ^= hv
 		}
-		hv := h.Sum64()
-		sum += hv
-		xor ^= hv
 	}
 	return sum ^ (xor * 0x9e3779b97f4a7c15)
 }

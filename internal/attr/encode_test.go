@@ -88,6 +88,9 @@ func TestHashOrderInsensitive(t *testing.T) {
 	if a.Hash() != b.Hash() {
 		t.Error("hash must be order-insensitive")
 	}
+	if a[:1].Hash(a[1:]...) != b.Hash() {
+		t.Error("extra attributes must hash as if appended")
+	}
 	c := a.Clone()
 	c[0] = Int32Attr(KeyX, IS, 2)
 	if a.Hash() == c.Hash() {

@@ -93,7 +93,7 @@ func (n *Node) custodyReoffer(m *message.Message) {
 	entries := n.matchingEntries(m.Attrs)
 	sink := false
 	for _, e := range entries {
-		if len(e.localSubs) > 0 {
+		if len(e.sinks) > 0 {
 			sink = true
 			break
 		}
@@ -195,7 +195,7 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 	// deliverUp dispatch for the same frame must not let coreData
 	// deliver it a second time.
 	for _, e := range entries {
-		if len(e.localSubs) > 0 {
+		if len(e.sinks) > 0 {
 			if n.firstSighting(m.ID, now) {
 				n.deliverLocal(m)
 			}
@@ -378,7 +378,7 @@ func (n *Node) NeighborRecovered(peer uint32) {
 	n.Stats.NeighborRecoveries++
 	nb := message.NodeID(peer)
 	for _, e := range n.entriesInOrder() {
-		if len(e.localSubs) > 0 {
+		if len(e.sinks) > 0 {
 			continue // our own subscriptions re-flood below
 		}
 		m := &message.Message{
@@ -395,14 +395,6 @@ func (n *Node) NeighborRecovered(peer uint32) {
 	for _, p := range n.pubs {
 		p.sentAny = false
 	}
-	for _, s := range n.subs {
-		if s.passive || s.local {
-			continue
-		}
-		if s.refresh != nil {
-			s.refresh.Cancel()
-		}
-		n.armRefresh(s)
-	}
+	n.rearm()
 	n.ReplayCustody()
 }

@@ -79,13 +79,5 @@ func (n *Node) NeighborDead(peer uint32) {
 		// surviving gradients.
 		p.sentAny = false
 	}
-	for _, s := range n.subs {
-		if s.passive || s.local {
-			continue
-		}
-		if s.refresh != nil {
-			s.refresh.Cancel()
-		}
-		n.armRefresh(s)
-	}
+	n.rearm()
 }

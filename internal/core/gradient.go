@@ -20,9 +20,9 @@ type interestEntry struct {
 	hash  uint64
 	// gradients maps a downstream neighbor (toward a sink) to its state.
 	gradients map[message.NodeID]*gradient
-	// localSubs are this node's own subscriptions fed by the entry: the
-	// node is a sink for the interest.
-	localSubs map[SubscriptionHandle]bool
+	// sinks are this node's subscription groups fed by the entry: the node
+	// is a sink for the interest.
+	sinks []*subGroup
 	// lastExpFrom is the neighbor that delivered the most recent new
 	// exploratory data for this entry; reinforcement propagates to it.
 	lastExpFrom message.NodeID
@@ -142,7 +142,7 @@ func (n *Node) lookupEntry(attrs attr.Vec) (*interestEntry, bool) {
 // Fault-injection harnesses walk this hop-by-hop from the sink to locate
 // the reinforced relay chain.
 func (n *Node) ReinforcedUpstream(attrs attr.Vec) (uint32, bool) {
-	for _, v := range []attr.Vec{attrs, interestFromSub(attrs)} {
+	for _, v := range []attr.Vec{attrs, attrs.With(interestClass(attrs)...)} {
 		if e, ok := n.lookupEntry(v); ok && e.hasReinforcedUpstream {
 			return uint32(e.reinforcedUpstream), true
 		}
@@ -191,18 +191,13 @@ func (n *Node) coreInterest(m *message.Message, local bool) {
 	now := n.cfg.Clock.Now()
 
 	if local {
-		// Local origination: mark our subscriptions as sinks of the entry.
-		// The interest-hash grouping yields exactly the subscriptions whose
-		// wire form is this entry's attributes.
-		for _, h := range n.subsByHash[e.hash] {
-			if s := n.subs[h]; s != nil && !s.passive {
-				if e.localSubs == nil {
-					e.localSubs = map[SubscriptionHandle]bool{}
-				}
-				e.localSubs[h] = true
+		// Local origination: every group with this interest form and an
+		// active member is a sink of the entry.
+		for _, g := range n.groups[e.hash] {
+			if g.has(subActive) {
+				n.addSink(e, g)
 			}
 		}
-		n.noteEntryEmptiness(e)
 	} else {
 		// Gradient setup/refresh toward the sending neighbor. Every copy
 		// of the interest refreshes its sender's gradient, even if the
@@ -256,13 +251,13 @@ func (n *Node) coreInterest(m *message.Message, local bool) {
 	n.forwardLater(m)
 }
 
-// interestFromSub derives the on-the-wire interest attributes for a
-// subscription (adding the implicit class).
-func interestFromSub(attrs attr.Vec) attr.Vec {
+// interestClass is what a subscription's on-the-wire interest form appends
+// to its attributes: the implicit class, unless they carry a class actual.
+func interestClass(attrs attr.Vec) attr.Vec {
 	if _, ok := attrs.FindActual(attr.KeyClass); ok {
-		return attrs
+		return nil
 	}
-	return attrs.With(attr.ClassIsInterest())
+	return attr.Vec{attr.ClassIsInterest()}
 }
 
 // coreData handles (exploratory) data.
@@ -304,7 +299,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		if n.custodyOn() && n.cfg.Custody.Has(m.ID) {
 			entries := n.matchingEntries(m.Attrs)
 			for _, e := range entries {
-				if len(e.localSubs) > 0 {
+				if len(e.sinks) > 0 {
 					n.custodyDischarge(m.ID)
 					break
 				}
@@ -371,7 +366,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			}
 			e.load[m.PrevHop]++
 		}
-		if len(e.localSubs) > 0 {
+		if len(e.sinks) > 0 {
 			isSinkFor = true
 		}
 		for nb, g := range e.gradients {
@@ -415,7 +410,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		// parallel paths from accumulating.
 		if !local {
 			for _, e := range entries {
-				sink := len(e.localSubs) > 0
+				sink := len(e.sinks) > 0
 				refresh := e.hasReinforcedDownstream(now) &&
 					e.hasReinforcedUpstream && e.reinforcedUpstream == m.PrevHop
 				switch {
@@ -612,7 +607,7 @@ func (n *Node) coreNegReinforce(m *message.Message) {
 	// If nobody downstream wants high-rate data and we are not a sink,
 	// propagate the teardown upstream (3.1: "this negative reinforcement
 	// propagates neighbor-to-neighbor, removing gradients").
-	if len(e.localSubs) > 0 {
+	if len(e.sinks) > 0 {
 		return
 	}
 	if e.hasReinforcedDownstream(n.cfg.Clock.Now()) {
@@ -687,13 +682,13 @@ func (n *Node) deliverLocal(m *message.Message) {
 		n.midx.putTags(tags)
 		return
 	}
-	// Resolve each leader's handle to it and its twins before any callback
-	// runs: this is the snapshot the pre-index delivery loop took, so a
-	// callback that unsubscribes another matched subscription does not
-	// suppress its delivery mid-message.
+	// Resolve each matched group to its members before any callback runs:
+	// this is the snapshot the pre-index delivery loop took, so a callback
+	// that unsubscribes another matched subscription does not suppress its
+	// delivery mid-message.
 	subs := n.getSubBuf()
 	for _, t := range tags {
-		for s := n.subs[SubscriptionHandle(t)]; s != nil; s = s.twin {
+		for _, s := range n.groupsByTag[t].members {
 			if s.cb != nil {
 				subs = append(subs, s)
 			}

@@ -31,8 +31,8 @@ type matchIndexes struct {
 	// entries indexes interest-entry attributes; tag = entry hash.
 	// Two-way: data matches an entry iff attr.Match(entry, data).
 	entries *match.Index
-	// subs indexes distinct subscription vectors; tag = the handle of the
-	// vector's leader subscription. Two-way, like deliverLocal's attr.Match.
+	// subs indexes subscription groups, one per distinct live vector; tag =
+	// subGroup.tag. Two-way, like deliverLocal's attr.Match.
 	subs *match.Index
 	// filters indexes filter patterns; tag = filter handle. One-way:
 	// every formal of the filter satisfied by an actual of the message.
@@ -129,11 +129,11 @@ func (n *Node) touchNeighbor(e *interestEntry, nb message.NodeID) {
 }
 
 // noteEntryEmptiness keeps the empty-entry set (no gradients, no local
-// sinks — the GC condition) in sync after any gradient or localSubs
+// sinks — the GC condition) in sync after any gradient or sinks
 // mutation. NeighborDead's sweep uses it to preserve the old full-scan
 // GC semantics without the full scan.
 func (n *Node) noteEntryEmptiness(e *interestEntry) {
-	if len(e.gradients) == 0 && len(e.localSubs) == 0 {
+	if len(e.gradients) == 0 && len(e.sinks) == 0 {
 		n.emptyEntries[e.hash] = e
 	} else {
 		delete(n.emptyEntries, e.hash)
@@ -146,8 +146,8 @@ type MatchStats struct {
 	// IndexKeys is the number of distinct attribute keys with postings.
 	IndexKeys int
 	// IndexSize is the number of indexed vectors: interest entries,
-	// filters and distinct subscription vectors, not subscriptions (twin
-	// subscriptions share one).
+	// filters and subscription groups, one per distinct subscribed vector
+	// however many subscriptions it has.
 	IndexSize int
 	// FallbackSize is the number of vectors with no indexable pivot
 	// (scanned on every lookup).

@@ -225,25 +225,46 @@ type Stats struct {
 	ReceiveMalformed   int // payloads from the link that did not unmarshal
 }
 
-// A subscription whose vector equals a live one's is a twin: it shares the
-// first one's (its leader's) attribute copy and delivery index slot, whose
-// tag is the leader's handle, and hangs on the leader's twin list.
+type subKind uint8
+
+const (
+	subActive  subKind = iota // Subscribe: its group floods the interest
+	subPassive                // Subscribe on an interest tap
+	subLocal                  // SubscribeLocal: its group is a sink
+)
+
 type subscription struct {
-	attrs   attr.Vec
-	cb      DataCallback
-	refresh sim.Timer
-	// twin is the next subscription on this vector, in ascending handle
-	// order: the leader's list of its twins.
-	twin *subscription
 	h    SubscriptionHandle
-	// ihash is the hash of the subscription's on-the-wire interest form,
-	// precomputed so interest origination finds its sibling subscriptions
-	// by table lookup instead of rehashing every subscription.
-	ihash uint64
-	// slot is the subscription's handle in the delivery match index.
+	cb   DataCallback
+	g    *subGroup
+	kind subKind
+}
+
+// subGroup is one distinct live subscribed vector. An interest is named by
+// its attributes, so the node keeps one of each of these per vector,
+// whatever its number of subscriptions.
+type subGroup struct {
+	// attrs is the vector and wire its interest form, in one array.
+	attrs, wire attr.Vec
+	ihash       uint64 // wire.Hash(): the key in groups and of its entry
+	// tag names the group in midx.subs and groupsByTag for its whole life:
+	// the handle of the subscription that created it.
+	tag     uint64
 	slot    match.Handle
-	passive bool // taps interests locally, originates no interest flood
-	local   bool // SubscribeLocal: sink entry installed, no interest flood
+	members []*subscription // ascending handles
+	refresh sim.Timer       // armed while the group has an active member
+}
+
+// has reports whether the group has a member of kind k.
+func (g *subGroup) has(k subKind) bool {
+	return slices.ContainsFunc(g.members, func(s *subscription) bool { return s.kind == k })
+}
+
+func (g *subGroup) stopRefresh() {
+	if g.refresh != nil {
+		g.refresh.Cancel()
+		g.refresh = nil
+	}
 }
 
 type publication struct {
@@ -266,10 +287,10 @@ type Node struct {
 	nextPub PublicationHandle
 	nextFil FilterHandle
 
-	// subsByHash groups subscription handles by their interest-form hash,
-	// so a locally originated interest finds its sibling subscriptions
-	// without scanning the subscription table.
-	subsByHash map[uint64][]SubscriptionHandle
+	// groups holds the subscription groups by interest-form hash (distinct
+	// vectors can share one), groupsByTag by delivery index tag.
+	groups      map[uint64][]*subGroup
+	groupsByTag map[uint64]*subGroup
 	// filtersByHandle resolves a filter handle to its chain entry in O(1)
 	// (SendMessageToNext and indexed chain dispatch).
 	filtersByHandle map[FilterHandle]*filter
@@ -357,7 +378,8 @@ func NewNode(cfg Config) *Node {
 		randID:          cfg.Rand.Uint32(),
 		subs:            map[SubscriptionHandle]*subscription{},
 		pubs:            map[PublicationHandle]*publication{},
-		subsByHash:      map[uint64][]SubscriptionHandle{},
+		groups:          map[uint64][]*subGroup{},
+		groupsByTag:     map[uint64]*subGroup{},
 		filtersByHandle: map[FilterHandle]*filter{},
 		emptyEntries:    map[uint64]*interestEntry{},
 		nbTouch:         map[message.NodeID]map[uint64]*interestEntry{},
@@ -408,10 +430,8 @@ func (n *Node) RunInfo(info telemetry.RunInfo) telemetry.RunInfo {
 // Close cancels the node's timers. The node must not be used afterwards.
 func (n *Node) Close() {
 	n.housekeep.Cancel()
-	for _, s := range n.subs {
-		if s.refresh != nil {
-			s.refresh.Cancel()
-		}
+	for _, g := range n.groupsByTag {
+		g.stopRefresh()
 	}
 }
 
@@ -426,11 +446,8 @@ func (n *Node) Detach() {
 	}
 	n.detached = true
 	n.housekeep.Cancel()
-	for _, s := range n.subs {
-		if s.refresh != nil {
-			s.refresh.Cancel()
-			s.refresh = nil
-		}
+	for _, g := range n.groupsByTag {
+		g.stopRefresh()
 	}
 }
 
@@ -458,21 +475,14 @@ func (n *Node) Restart() {
 		p.lastExp = 0
 		p.sentAny = false
 	}
-	for h, s := range n.subs {
-		switch {
-		case s.local:
+	for _, g := range n.groupsByTag {
+		if g.has(subLocal) {
 			// Re-install the local sink entry (SubscribeLocal does this at
 			// subscription time).
-			e := n.entryFor(interestFromSub(s.attrs), false)
-			if e.localSubs == nil {
-				e.localSubs = map[SubscriptionHandle]bool{}
-			}
-			e.localSubs[h] = true
-			n.noteEntryEmptiness(e)
-		case !s.passive:
-			n.armRefresh(s)
+			n.addSink(n.entryFor(g.wire, false), g)
 		}
 	}
+	n.rearm()
 	n.housekeep = sim.Every(n.cfg.Clock, housekeepInterval, housekeepInterval, n.housekeeping)
 }
 
@@ -529,68 +539,95 @@ var (
 // Subscribe registers interest in the given attributes and returns a
 // handle. Unless the subscription is a passive interest tap (it contains a
 // "class EQ interest" formal — the paper's "subscribe for subscriptions"
-// idiom), an interest is originated immediately and refreshed every
-// InterestInterval.
+// idiom), the vector's interest is originated after a small jitter and
+// refreshed every InterestInterval: once per vector, however many
+// subscriptions it has.
 func (n *Node) Subscribe(attrs attr.Vec, cb DataCallback) SubscriptionHandle {
+	return n.subscribe(attrs, cb, subscribeKind(attrs))
+}
+
+// subscribe adds a subscription of kind k on attrs to the group of that
+// vector, creating the group on a vector no live subscription has. Its
+// members stay in ascending handle order because handles only grow.
+func (n *Node) subscribe(attrs attr.Vec, cb DataCallback, k subKind) SubscriptionHandle {
 	n.nextSub++
-	h := n.nextSub
-	s := &subscription{cb: cb, passive: isPassive(attrs)}
-	n.installSub(h, s, attrs, interestFromSub(attrs))
-	if !s.passive {
-		n.armRefresh(s)
-	}
-	return h
-}
-
-// installSub registers a new subscription on attrs, whose interest form is
-// wire, in the table and the secondary structures: the interest-hash
-// grouping and the delivery match index. On a vector a live subscription
-// has, it joins the end of that leader's twin list instead, which stays in
-// ascending handle order because handles only grow.
-func (n *Node) installSub(h SubscriptionHandle, s *subscription, attrs, wire attr.Vec) {
-	s.h, s.ihash = h, wire.Hash()
-	group := n.subsByHash[s.ihash]
-	if i := slices.IndexFunc(group, func(o SubscriptionHandle) bool { return n.subs[o].attrs.Equal(attrs) }); i >= 0 {
-		last := n.subs[group[i]]
-		for last.twin != nil {
-			last = last.twin
-		}
-		last.twin, s.attrs, s.slot = s, last.attrs, last.slot
+	s := &subscription{h: n.nextSub, cb: cb, kind: k}
+	ihash := attrs.Hash(interestClass(attrs)...)
+	bucket := n.groups[ihash]
+	if i := slices.IndexFunc(bucket, func(g *subGroup) bool { return g.attrs.Equal(attrs) }); i >= 0 {
+		s.g = bucket[i]
 	} else {
-		s.attrs = attrs.Clone()
-		s.slot = n.midx.subs.Add(s.attrs, uint64(h))
+		wire := attrs.With(interestClass(attrs)...)
+		s.g = &subGroup{attrs: wire[:len(attrs):len(attrs)], wire: wire, ihash: ihash, tag: uint64(s.h)}
+		s.g.slot = n.midx.subs.Add(s.g.attrs, s.g.tag)
+		n.groups[ihash] = append(bucket, s.g)
+		n.groupsByTag[s.g.tag] = s.g
 	}
-	n.subs[h] = s
-	n.subsByHash[s.ihash] = append(group, h)
+	s.g.members = append(s.g.members, s)
+	n.subs[s.h] = s
+	switch {
+	case k == subLocal:
+		// Install the local entry so matching data finds a sink here.
+		n.addSink(n.entryFor(s.g.wire, false), s.g)
+	case k == subActive && s.g.refresh == nil:
+		n.armRefresh(s.g)
+	}
+	return s.h
 }
 
-// armRefresh starts (or restarts) a subscription's periodic interest
-// origination, with a small initial jitter so co-located sinks do not
-// synchronize floods.
-func (n *Node) armRefresh(s *subscription) {
+// addSink records group g as a sink of entry e.
+func (n *Node) addSink(e *interestEntry, g *subGroup) {
+	if !slices.Contains(e.sinks, g) {
+		e.sinks = append(e.sinks, g)
+		n.noteEntryEmptiness(e)
+	}
+}
+
+// armRefresh starts (or restarts) a group's periodic interest origination,
+// with a small initial jitter so co-located sinks do not synchronize
+// floods.
+func (n *Node) armRefresh(g *subGroup) {
+	g.stopRefresh()
 	first := time.Duration(n.cfg.Rand.Int63n(int64(n.cfg.ForwardJitter) + 1))
+	var t sim.Timer
 	var arm func()
 	arm = func() {
 		if n.detached {
 			return
 		}
-		n.originate(message.Interest, s.attrs, nil, attr.ClassIsInterest())
+		n.originate(message.Interest, g.wire, nil, attr.ClassIsInterest())
+		if g.refresh != t {
+			return // stopped or re-armed by a callback of the origination
+		}
 		jitter := time.Duration(n.cfg.Rand.Int63n(int64(n.cfg.InterestInterval) / 10))
-		s.refresh = n.cfg.Clock.After(n.cfg.InterestInterval+jitter-n.cfg.InterestInterval/20, arm)
+		t = n.cfg.Clock.After(n.cfg.InterestInterval+jitter-n.cfg.InterestInterval/20, arm)
+		g.refresh = t
 	}
-	s.refresh = n.cfg.Clock.After(first, arm)
+	t = n.cfg.Clock.After(first, arm)
+	g.refresh = t
 }
 
-// isPassive reports whether attrs describe an interest tap rather than a
+// rearm restarts the interest refresh of every group with an active
+// member, in ascending order of their lowest handles, so the jitter draws
+// follow the node's seed.
+func (n *Node) rearm() {
+	for _, h := range n.ActiveSubscriptions() {
+		if g := n.subs[h].g; g.members[0].h == h && g.has(subActive) {
+			n.armRefresh(g)
+		}
+	}
+}
+
+// subscribeKind says whether a Subscribe on attrs is an interest tap or a
 // data subscription.
-func isPassive(attrs attr.Vec) bool {
+func subscribeKind(attrs attr.Vec) subKind {
 	for _, a := range attrs {
 		if a.Key == attr.KeyClass && a.Op == attr.EQ &&
 			a.Val.Numeric() && int32(a.Val.AsFloat()) == attr.ClassInterest {
-			return true
+			return subPassive
 		}
 	}
-	return false
+	return subActive
 }
 
 // SubscribeLocal registers a subscription that never floods an interest —
@@ -599,18 +636,7 @@ func isPassive(attrs attr.Vec) bool {
 // reinforcements (not interests) install the delivery path hop-by-hop
 // back to the sources.
 func (n *Node) SubscribeLocal(attrs attr.Vec, cb DataCallback) SubscriptionHandle {
-	n.nextSub++
-	h := n.nextSub
-	wire := interestFromSub(attrs)
-	n.installSub(h, &subscription{cb: cb, passive: true, local: true}, attrs, wire)
-	// Install the local entry so matching data finds a sink here.
-	e := n.entryFor(wire, false)
-	if e.localSubs == nil {
-		e.localSubs = map[SubscriptionHandle]bool{}
-	}
-	e.localSubs[h] = true
-	n.noteEntryEmptiness(e)
-	return h
+	return n.subscribe(attrs, cb, subLocal)
 }
 
 // Unsubscribe cancels a subscription. Gradients elsewhere expire on their
@@ -620,32 +646,25 @@ func (n *Node) Unsubscribe(h SubscriptionHandle) error {
 	if !ok {
 		return fmt.Errorf("%w: subscription %d", ErrUnknownHandle, h)
 	}
-	if s.refresh != nil {
-		s.refresh.Cancel()
-	}
-	// A twin leaves its leader's list; a leader hands its slot to its first
-	// twin, or frees it if it has none.
-	list := n.subsByHash[s.ihash]
-	if i := slices.IndexFunc(list, func(o SubscriptionHandle) bool { return n.subs[o].twin == s }); i >= 0 {
-		n.subs[list[i]].twin = s.twin
-	} else if s.twin != nil {
-		n.midx.subs.Retag(s.slot, uint64(s.twin.h))
-	} else {
-		n.midx.subs.Remove(s.slot)
-	}
 	delete(n.subs, h)
-	if list = slices.DeleteFunc(list, func(o SubscriptionHandle) bool { return o == h }); len(list) == 0 {
-		delete(n.subsByHash, s.ihash)
-	} else {
-		n.subsByHash[s.ihash] = list
+	g := s.g
+	g.members = slices.DeleteFunc(g.members, func(o *subscription) bool { return o == s })
+	if !g.has(subActive) {
+		g.stopRefresh()
+		// A group is a sink of its own interest entry, the only one keyed
+		// by g.ihash, while it has a local or an active member.
+		if e, ok := n.entries[g.ihash]; ok && !g.has(subLocal) {
+			e.sinks = slices.DeleteFunc(e.sinks, func(o *subGroup) bool { return o == g })
+			n.noteEntryEmptiness(e)
+		}
 	}
-	// Drop local-sink membership. The only entry that can hold h as a sink
-	// is the subscription's own interest entry: every membership site
-	// (coreInterest's local branch, SubscribeLocal, Restart) keys by exactly
-	// interestFromSub(s.attrs).Hash(), which is s.ihash.
-	if e, ok := n.entries[s.ihash]; ok {
-		delete(e.localSubs, h)
-		n.noteEntryEmptiness(e)
+	if len(g.members) == 0 {
+		n.midx.subs.Remove(g.slot)
+		delete(n.groupsByTag, g.tag)
+		n.groups[g.ihash] = slices.DeleteFunc(n.groups[g.ihash], func(o *subGroup) bool { return o == g })
+		if len(n.groups[g.ihash]) == 0 {
+			delete(n.groups, g.ihash)
+		}
 	}
 	return nil
 }
@@ -998,7 +1017,7 @@ func (n *Node) housekeeping() {
 		// must still know *what* is wanted to re-offer the interest and
 		// route its custodial data at the next contact. The cache is
 		// bounded by the number of distinct interests, not by traffic.
-		if len(e.gradients) == 0 && len(e.localSubs) == 0 && !n.custodyOn() {
+		if len(e.gradients) == 0 && len(e.sinks) == 0 && !n.custodyOn() {
 			n.dropEntry(e)
 		}
 	}
@@ -1035,7 +1054,7 @@ func (n *Node) SubscriptionAttrs(h SubscriptionHandle) (attr.Vec, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.attrs.Clone(), true
+	return s.g.attrs.Clone(), true
 }
 
 // PublicationAttrs returns the attributes of a live publication; ok is

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"diffusion/internal/attr"
-	"diffusion/internal/message"
 	"diffusion/internal/sim"
 )
 
@@ -30,8 +29,6 @@ func brokerNode() *Node {
 	s := sim.New(1)
 	return NewNode(Config{Clock: s, Rand: s.Rand(), Link: &countLink{id: 1}})
 }
-
-func nopCallback(*message.Message) {}
 
 // subscriptionHeap installs n SubscribeLocals on a fresh node, perVec of
 // them on each vector, and returns the live heap they hold per
@@ -55,11 +52,11 @@ func subscriptionHeap(n, perVec int) float64 {
 
 // The subscription heap budget: 20 000 SubscribeLocals, all on distinct
 // vectors (the broker experiment) or eight on each (cmd/diffbench's
-// broker_mesh holds eight per topic). A distinct vector costs what it did
-// before subscriptions shared vectors, 1 290–1 293 B (the heap the process
-// already holds moves it by a few bytes); eight on a vector cost 459 B
-// each then and 268 B now, as a twin holds no attribute copy and no index
-// slot of its own (go 1.24, linux/amd64: the figures follow the runtime's
+// broker_mesh holds eight per topic). A distinct vector costs 1 288–1 290 B
+// (the heap the process already holds moves it by a few bytes); eight on a
+// vector cost 225 B each, as the vector's group holds its attribute copy,
+// index slot and sink record once and each further subscription adds only
+// its own record (go 1.24, linux/amd64: the figures follow the runtime's
 // map layout).
 func TestSubscriptionHeap(t *testing.T) {
 	for _, c := range []struct {
@@ -68,7 +65,7 @@ func TestSubscriptionHeap(t *testing.T) {
 		budget float64
 	}{
 		{"distinct", 1, 1300},
-		{"8 per vector", 8, 300},
+		{"8 per vector", 8, 257},
 	} {
 		if got := subscriptionHeap(20000, c.perVec); got > c.budget {
 			t.Errorf("%s: %.2f live heap bytes per subscription, budget %.0f", c.name, got, c.budget)
@@ -79,9 +76,9 @@ func TestSubscriptionHeap(t *testing.T) {
 }
 
 // A SubscribeLocal on a vector already subscribed allocates less than one
-// on a new vector (10): no attribute copy, no index slot, no interest
-// entry, only its record and its interest form (growth of the node's maps
-// is below AllocsPerRun's whole-number average).
+// on a new vector (10): no attribute copy, no interest form, no index slot,
+// no interest entry, only its record (growth of the node's maps and of the
+// group's member list is below AllocsPerRun's whole-number average).
 func TestAllocsTwinSubscribeLocal(t *testing.T) {
 	vecs := brokerVecs(201)
 	node, i := brokerNode(), 0
@@ -91,7 +88,7 @@ func TestAllocsTwinSubscribeLocal(t *testing.T) {
 	})
 	node = brokerNode()
 	twin := testing.AllocsPerRun(200, func() { node.SubscribeLocal(vecs[0], nopCallback) })
-	if twin >= distinct || twin > 2 {
-		t.Errorf("a twin SubscribeLocal allocates %.0f/op, a distinct one %.0f/op: budget 2, and below a distinct one", twin, distinct)
+	if twin >= distinct || twin > 1 {
+		t.Errorf("a twin SubscribeLocal allocates %.0f/op, a distinct one %.0f/op: budget 1, and below a distinct one", twin, distinct)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"diffusion/internal/attr"
 	"diffusion/internal/message"
@@ -177,9 +179,9 @@ func TestTwinUnsubscribedMidDelivery(t *testing.T) {
 	}
 }
 
-// When the leader leaves, its first twin takes over the index slot: the
-// twins go on receiving, in handle order among another vector's
-// subscriptions, and the slot is freed only when the last of them leaves.
+// When the first subscriber on a vector leaves, the others go on
+// receiving, in handle order among another vector's subscriptions, through
+// the same index slot, which is freed only when the last of them leaves.
 func TestTwinPromotedWhenLeaderLeaves(t *testing.T) {
 	r := newTwinRig(t)
 	v := attr.Vec{taskA, floor}
@@ -194,5 +196,111 @@ func TestTwinPromotedWhenLeaderLeaves(t *testing.T) {
 	}
 	if len(r.got) != 2 {
 		t.Fatalf("delivered %v once all three on %v left, want the sink and the reordered vector", r.got, v)
+	}
+}
+
+func nopCallback(*message.Message) {}
+
+// interestsSent runs a lone node (10 s interest interval, seed 3) for a
+// simulated minute: setup makes its subscriptions at t = 0 and, when
+// change is not nil, change runs at 25 s. It returns the interests the
+// node sent before and after the change.
+func interestsSent(setup func(*Node), change func(*Node)) (before, after int) {
+	tn := newTestNet(3)
+	n := tn.addNode(1, nil)
+	setup(n)
+	tn.s.RunUntil(25 * time.Second)
+	before = n.Stats.SentByClass[message.Interest]
+	if change != nil {
+		change(n)
+	}
+	tn.s.RunUntil(time.Minute)
+	return before, n.Stats.SentByClass[message.Interest] - before
+}
+
+// N subscriptions on one vector send one interest flood, the one a single
+// subscription sends; it goes on while an active subscriber is left, and
+// stops once only a SubscribeLocal subscriber is.
+func TestOneFloodPerVector(t *testing.T) {
+	v := attr.Vec{taskA}
+	twins := func(k int) func(*Node) {
+		return func(n *Node) {
+			for i := 0; i < k; i++ {
+				n.Subscribe(v, nopCallback)
+			}
+		}
+	}
+	b1, a1 := interestsSent(twins(1), nil)
+	if b1 == 0 || a1 == 0 {
+		t.Fatalf("one subscription sent %d interests before 25 s and %d after", b1, a1)
+	}
+	if b8, a8 := interestsSent(twins(8), nil); b8 != b1 || a8 != a1 {
+		t.Errorf("8 twin Subscribes sent %d+%d interests, one sends %d+%d", b8, a8, b1, a1)
+	}
+	unsubscribeFirst := func(n *Node) { n.Unsubscribe(n.ActiveSubscriptions()[0]) }
+	if b, a := interestsSent(twins(8), unsubscribeFirst); b != b1 || a != a1 {
+		t.Errorf("8 twins, the first unsubscribed at 25 s, sent %d+%d interests, one sends %d+%d", b, a, b1, a1)
+	}
+	var active []SubscriptionHandle
+	withLocal := func(n *Node) {
+		active = append(active, n.Subscribe(v, nopCallback))
+		n.SubscribeLocal(v, nopCallback)
+		active = append(active, n.Subscribe(v, nopCallback))
+	}
+	leaveLocal := func(n *Node) {
+		for _, h := range active {
+			n.Unsubscribe(h)
+		}
+	}
+	if b, a := interestsSent(withLocal, leaveLocal); b != b1 || a != 0 {
+		t.Errorf("2 active and a local twin sent %d interests, and %d after the active ones left; want %d and 0", b, a, b1)
+	}
+	// An interest tap that unsubscribes the vector's only subscriber when
+	// its first interest goes out stops the flood from within it.
+	tapUnsubscribes := func(n *Node) {
+		h := n.Subscribe(v, nopCallback)
+		n.Subscribe(attr.Vec{attr.Int32Attr(attr.KeyClass, attr.EQ, attr.ClassInterest), attr.StringAttr(attr.KeyTask, attr.IS, "a")}, func(*message.Message) { n.Unsubscribe(h) })
+	}
+	if b, a := interestsSent(tapUnsubscribes, nil); b != 1 || a != 0 {
+		t.Errorf("a subscriber unsubscribed by a tap on its first interest sent %d+%d interests, want 1+0", b, a)
+	}
+}
+
+// logLink records every send: its time, destination and bytes.
+type logLink struct {
+	clock sim.Clock
+	log   []string
+}
+
+func (l *logLink) ID() uint32 { return 1 }
+func (l *logLink) Send(dst uint32, p []byte) error {
+	l.log = append(l.log, fmt.Sprintf("%v %d %x", l.clock.Now(), dst, p))
+	return nil
+}
+
+// A node with several active subscriptions re-arms their interest
+// refreshes in one order after Restart, NeighborDead and NeighborRecovered,
+// so one seed gives one send transcript.
+func TestRearmDeterministic(t *testing.T) {
+	transcripts := map[string]bool{}
+	for run := 0; run < 20; run++ {
+		s := sim.New(1)
+		l := &logLink{clock: s}
+		n := NewNode(Config{Clock: s, Rand: s.Rand(), Link: l, InterestInterval: 10 * time.Second})
+		for i := 0; i < 6; i++ {
+			n.Subscribe(attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, fmt.Sprint("t", i))}, nopCallback)
+		}
+		s.RunUntil(15 * time.Second)
+		n.Detach()
+		n.Restart()
+		s.RunUntil(30 * time.Second)
+		n.NeighborDead(2)
+		s.RunUntil(45 * time.Second)
+		n.NeighborRecovered(2)
+		s.RunUntil(time.Minute)
+		transcripts[strings.Join(l.log, "\n")] = true
+	}
+	if len(transcripts) != 1 {
+		t.Fatalf("20 runs of one seed gave %d send transcripts", len(transcripts))
 	}
 }

@@ -248,9 +248,6 @@ func (ix *Index) Add(v attr.Vec, tag uint64) Handle {
 	return h
 }
 
-// Retag makes Lookup report tag for the slot h from now on.
-func (ix *Index) Retag(h Handle, tag uint64) { ix.slots[h].tag = tag }
-
 // Remove deletes the slot h. Removing an already-removed handle is a
 // no-op.
 func (ix *Index) Remove(h Handle) {

@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -92,4 +93,36 @@ func TestDesignPackageTable(t *testing.T) {
 			t.Errorf("DESIGN.md §3 has %d rows for package %s, want 1", rows[p], p)
 		}
 	}
+}
+
+// TestChangesEntriesCapped holds each CHANGES.md entry from number 41 on
+// to 1 KiB, not counting its MENDED: lines: full measurements belong in
+// the commit message, which git keeps. Entry n is the line that starts
+// "PR n:" and the lines under it, up to a blank line or the next entry.
+func TestChangesEntriesCapped(t *testing.T) {
+	b, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := regexp.MustCompile(`^PR (\d+):`)
+	num, size := 0, 0
+	check := func() {
+		if num >= 41 && size > 1024 {
+			t.Errorf("CHANGES.md entry %d is %d bytes without its MENDED: lines, cap 1024", num, size)
+		}
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if m := head.FindStringSubmatch(line); m != nil {
+			check()
+			num, _ = strconv.Atoi(m[1])
+			size = 0
+		} else if line == "" {
+			check()
+			num, size = 0, 0
+		}
+		if !strings.HasPrefix(line, "MENDED:") {
+			size += len(line) + 1
+		}
+	}
+	check()
 }

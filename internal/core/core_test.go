@@ -146,11 +146,11 @@ func TestInterestPropagatesAndSetsGradients(t *testing.T) {
 		t.Fatalf("node 2 entries = %d, want 1", nodes[1].Entries())
 	}
 	e2 := firstEntry(nodes[1])
-	if g, ok := e2.gradients[1]; !ok || g == nil {
+	if r := e2.find(1); r == nil || !r.grad {
 		t.Error("node 2 must have a gradient toward node 1")
 	}
 	e3 := firstEntry(nodes[2])
-	if _, ok := e3.gradients[2]; !ok {
+	if r := e3.find(2); r == nil || !r.grad {
 		t.Error("node 3 must have a gradient toward node 2")
 	}
 }
@@ -203,8 +203,8 @@ func TestDiffusionPhases(t *testing.T) {
 	// side.
 	e := firstEntry(nodes[2]) // node 3
 	reinforced := false
-	for _, g := range e.gradients {
-		if g.reinforced(tn.s.Now()) {
+	for _, r := range e.nbs {
+		if r.reinforced(tn.s.Now()) {
 			reinforced = true
 		}
 	}
@@ -428,9 +428,9 @@ func TestPathRepairAfterNodeFailure(t *testing.T) {
 	// Kill the relay on the reinforced path.
 	e := firstEntry(n4)
 	victim := uint32(2)
-	for nb, g := range e.gradients {
-		if g.reinforced(tn.s.Now()) {
-			victim = uint32(nb)
+	for _, r := range e.nbs {
+		if r.reinforced(tn.s.Now()) {
+			victim = uint32(r.nb)
 		}
 	}
 	tn.dead[victim] = true

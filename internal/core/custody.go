@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"diffusion/internal/custody"
@@ -106,19 +107,6 @@ func (n *Node) custodyReoffer(m *message.Message) {
 	n.custodyAdmit(m)
 }
 
-// noteStaleHop records a purged gradient's neighbor as a last-known next
-// hop for custody replay (see interestEntry.staleHops). Only custody
-// needs the memory; without it the purge is total, as before.
-func (n *Node) noteStaleHop(e *interestEntry, nb message.NodeID) {
-	if !n.custodyOn() {
-		return
-	}
-	if e.staleHops == nil {
-		e.staleHops = map[message.NodeID]bool{}
-	}
-	e.staleHops[nb] = true
-}
-
 // custodyCapture takes local custody of a data message with no forward
 // path. Returns true when the message is now (or already was) vouched
 // for, so the caller can treat it as handled rather than dropped.
@@ -207,23 +195,21 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 		return false
 	}
 
-	// Collect live forwarding options, deterministically ordered.
+	// Collect live forwarding options, ascending. A neighbor counts as
+	// reinforced when the first matching entry with a gradient toward it
+	// holds that gradient reinforced.
 	var reinforced, gradients []message.NodeID
-	seenNb := map[message.NodeID]bool{}
 	for _, e := range entries {
-		for nb, g := range e.gradients {
-			if nb == avoid || seenNb[nb] {
+		for _, r := range e.nbs {
+			if !r.grad || r.nb == avoid {
 				continue
 			}
-			seenNb[nb] = true
-			gradients = append(gradients, nb)
-			if g.reinforced(now) {
-				reinforced = append(reinforced, nb)
+			var fresh bool
+			if gradients, fresh = insertNb(gradients, r.nb); fresh && r.reinforced(now) {
+				reinforced, _ = insertNb(reinforced, r.nb)
 			}
 		}
 	}
-	sortAscending(reinforced)
-	sortAscending(gradients)
 
 	switch {
 	case n.custodyLink != nil:
@@ -260,24 +246,20 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 				hops uint8
 			}
 			var cands []cand
-			candSeen := map[message.NodeID]bool{}
 			for _, e := range entries {
 				if !e.hasFreshHops {
 					continue
 				}
-				for nb, g := range e.gradients {
-					if nb == avoid || !g.hasHops || g.hops >= e.freshHops || candSeen[nb] {
+				for _, r := range e.nbs {
+					if !r.grad || r.nb == avoid || !r.hasHops || r.hops >= e.freshHops ||
+						slices.ContainsFunc(cands, func(c cand) bool { return c.nb == r.nb }) {
 						continue
 					}
-					candSeen[nb] = true
-					cands = append(cands, cand{nb, g.hops})
+					cands = append(cands, cand{r.nb, r.hops})
 				}
 			}
 			slices.SortFunc(cands, func(a, b cand) int {
-				if a.hops != b.hops {
-					return int(a.hops) - int(b.hops)
-				}
-				return int(a.nb) - int(b.nb)
+				return cmp.Or(cmp.Compare(a.hops, b.hops), cmp.Compare(a.nb, b.nb))
 			})
 			for _, c := range cands {
 				targets = append(targets, c.nb)
@@ -322,17 +304,13 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 			// without this, draining depends on an interest making it
 			// back across the partition first, one lost frame away
 			// from stranding data for a whole contact cycle.
-			var stale []message.NodeID
 			for _, e := range entries {
-				for nb := range e.staleHops {
-					if nb != avoid && !seenNb[nb] {
-						seenNb[nb] = true
-						stale = append(stale, nb)
+				for _, r := range e.nbs {
+					if r.stale && r.nb != avoid {
+						targets, _ = insertNb(targets, r.nb)
 					}
 				}
 			}
-			sortAscending(stale)
-			targets = stale
 		}
 		if len(targets) == 0 {
 			return false

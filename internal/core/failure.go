@@ -33,20 +33,18 @@ func (n *Node) NeighborDead(peer uint32) {
 	}
 	nb := message.NodeID(peer)
 	n.Stats.NeighborDeaths++
-	// Only entries that ever referenced the dead neighbor can hold state
-	// naming it; the per-neighbor touch index yields exactly those, so the
-	// purge is proportional to the peer's footprint, not the entry table.
-	touched := n.getEntryBuf()
+	// Only entries with a record for the dead neighbor can hold state
+	// naming it, and nbTouch yields exactly those, so the purge is
+	// proportional to the peer's footprint, not the entry table. The
+	// purge of each entry is independent of the others, and compact
+	// deletes only the entry in hand from the set, so the walk needs no
+	// snapshot and no order.
 	for _, e := range n.nbTouch[nb] {
-		touched = append(touched, e)
-	}
-	for _, e := range touched {
-		if _, ok := e.gradients[nb]; ok {
-			delete(e.gradients, nb)
-			n.Stats.GradientsExpired++
-			n.noteStaleHop(e, nb)
-			n.noteEntryEmptiness(e)
+		r := e.find(nb)
+		if r.grad {
+			n.dropGradient(e, r)
 		}
+		r.dups = 0
 		if e.hasReinforcedUpstream && e.reinforcedUpstream == nb {
 			e.hasReinforcedUpstream = false
 			// Forget the reinforcement cause too: the next exploratory
@@ -57,9 +55,8 @@ func (n *Node) NeighborDead(peer uint32) {
 		if e.hasExpFrom && e.lastExpFrom == nb {
 			e.hasExpFrom = false
 		}
-		delete(e.dupFrom, nb)
+		n.compact(e)
 	}
-	n.putEntryBuf(touched)
 	// Custody retains gradient-less entries as cached interests (see
 	// housekeeping). Without it, collect every empty entry — the old full
 	// scan purged any empty entry here, touched by this neighbor or not,

@@ -263,7 +263,7 @@ func TestProcessNoForward(t *testing.T) {
 	if relay.Entries() != 1 {
 		t.Fatal("relay should hold the interest entry")
 	}
-	if _, ok := firstEntry(relay).gradients[1]; !ok {
+	if r := firstEntry(relay).find(1); r == nil || !r.grad {
 		t.Error("gradient toward the sink must exist")
 	}
 	// ... but never re-flooded it, so node 3 knows nothing.

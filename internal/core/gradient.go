@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -11,15 +12,18 @@ import (
 )
 
 // interestEntry is the per-interest state a task-aware node keeps: the
-// interest's attributes and a gradient per neighbor that sent it (paper:
-// "each sensor node that receives an interest remembers which neighbor or
+// interest's attributes and a record per neighbor it refers to, which holds
+// the gradient toward each neighbor that sent the interest (paper: "each
+// sensor node that receives an interest remembers which neighbor or
 // neighbors sent it that interest; to each such neighbor, it sets up a
 // gradient").
 type interestEntry struct {
 	attrs attr.Vec
 	hash  uint64
-	// gradients maps a downstream neighbor (toward a sink) to its state.
-	gradients map[message.NodeID]*gradient
+	// nbs holds one record per neighbor the entry refers to, in ascending
+	// ID, so every walk over it runs in one order. nbTouch on the node is
+	// its exact inverse: record, compact and dropEntry keep the two in step.
+	nbs []nbRecord
 	// sinks are this node's subscription groups fed by the entry: the node
 	// is a sink for the interest.
 	sinks []*subGroup
@@ -34,9 +38,8 @@ type interestEntry struct {
 	// lastReinforcedID suppresses repeat reinforcements for the same
 	// exploratory message.
 	lastReinforcedID message.ID
-	// dup tracking for dampened negative reinforcement: duplicates per
-	// sending neighbor within the current window.
-	dupFrom  map[message.NodeID]int
+	// dupSince opens the current window of duplicate counting
+	// (nbRecord.dups) for dampened negative reinforcement.
 	dupSince time.Duration
 	// freshHops is this node's distance from the sink measured within the
 	// newest interest flood epoch only (distinguished by interest message
@@ -54,59 +57,120 @@ type interestEntry struct {
 	// re-offered the interest with an honest TTL budget.
 	hops    uint8
 	hasHops bool
-	// load counts plain data recently received per upstream neighbor —
-	// the energy-aware reinforcement signal, halved every housekeeping
-	// pass.
-	load map[message.NodeID]int
-	// staleHops remembers neighbors whose gradients for this entry decayed
-	// or died while custody was enabled: the last known next hops toward a
-	// sink. Store-and-carry replay falls back to them when no live
-	// gradient exists — the unicast, ack-gated re-offer is harmless toward
-	// an absent neighbor (no ack, so the item is retained), and it lets a
-	// custodian drain at the instant of the next contact instead of
-	// waiting for an interest to re-cross the partition. Bounded by the
-	// entry's historical neighbor count.
-	staleHops map[message.NodeID]bool
 	// slot is the entry's handle in the gradient match index.
 	slot match.Handle
-	// touched is the conservative, grow-only set of neighbors whose
-	// NeighborDead-purged state (gradients, reinforcement traces,
-	// exploratory arrivals, duplicate counters) this entry has ever
-	// referenced; nbTouch on the node is its inverse.
-	touched map[message.NodeID]bool
 }
 
-// gradient is the per-neighbor demand state. Reinforced gradients carry
-// high-rate (non-exploratory) data; the reinforcement decays unless
-// periodically refreshed by positive reinforcement, so stale high-rate
-// paths fade instead of accumulating.
-type gradient struct {
+// nbRecord is an entry's state toward one neighbor. It lives while live
+// says so; the next compact drops it after that.
+type nbRecord struct {
+	nb message.NodeID
+	// load counts plain data recently received from nb — the energy-aware
+	// reinforcement signal, halved every housekeeping pass.
+	load int32
+	// The gradient toward nb (toward a sink), present while grad is set.
+	// Reinforced, it carries high-rate data until reinforcedUntil, so a
+	// high-rate path fades unless positive reinforcement refreshes it.
 	expires         time.Duration
 	reinforcedUntil time.Duration
-	// hops is the neighbor's own distance from the sink, as carried by
-	// the last interest it forwarded here (its HopCount on arrival).
-	// Custody replay uses it to walk stranded items strictly sinkward
-	// when no reinforced path exists; refreshed on every interest copy,
-	// so it tracks the live topology at the interest cadence.
+	// hops is nb's own distance from the sink, the HopCount of the last
+	// interest it forwarded here: custody replay walks stranded items
+	// strictly sinkward by it when no reinforced path exists.
 	hops    uint8
 	hasHops bool
+	grad    bool
+	// stale marks nb as a last known next hop toward a sink: its gradient
+	// decayed or died while custody was on. Store-and-carry replay falls
+	// back on stale hops when no gradient is live, so a custodian drains at
+	// the next contact; a re-offer toward an absent neighbor goes unacked
+	// and the item stays. Never cleared.
+	stale bool
+	// dups counts duplicate plain data from nb in the entry's current
+	// negative-reinforcement window.
+	dups uint8
 }
 
-// reinforced reports whether the gradient carries high-rate data at time
-// now.
-func (g *gradient) reinforced(now time.Duration) bool {
-	return now < g.reinforcedUntil
+// live reports whether r still holds state, or the entry's reinforcement
+// or exploratory trace names its neighbor (so NeighborDead finds the entry).
+func (e *interestEntry) live(r *nbRecord) bool {
+	return r.grad || r.stale || r.dups > 0 || r.load > 0 ||
+		e.hasReinforcedUpstream && e.reinforcedUpstream == r.nb ||
+		e.hasExpFrom && e.lastExpFrom == r.nb
+}
+
+func byNb(r nbRecord, nb message.NodeID) int { return cmp.Compare(r.nb, nb) }
+
+// find returns e's record for nb, or nil.
+func (e *interestEntry) find(nb message.NodeID) *nbRecord {
+	if i, ok := slices.BinarySearchFunc(e.nbs, nb, byNb); ok {
+		return &e.nbs[i]
+	}
+	return nil
+}
+
+// record returns e's record for nb, inserting an empty one, indexed in
+// nbTouch, if there is none. The pointer is good until the next insert.
+func (n *Node) record(e *interestEntry, nb message.NodeID) *nbRecord {
+	i, ok := slices.BinarySearchFunc(e.nbs, nb, byNb)
+	if !ok {
+		e.nbs = slices.Insert(e.nbs, i, nbRecord{nb: nb})
+		set := n.nbTouch[nb]
+		if set == nil {
+			set = map[uint64]*interestEntry{}
+			n.nbTouch[nb] = set
+		}
+		set[e.hash] = e
+	}
+	return &e.nbs[i]
+}
+
+// compact drops e's dead records and their nbTouch index entries.
+func (n *Node) compact(e *interestEntry) {
+	kept := e.nbs[:0]
+	for _, r := range e.nbs {
+		if e.live(&r) {
+			kept = append(kept, r)
+		} else {
+			n.untouch(e, r.nb)
+		}
+	}
+	e.nbs = kept
+}
+
+// gradient returns e's gradient toward nb, setting one up if there is none.
+func (n *Node) gradient(e *interestEntry, nb message.NodeID) *nbRecord {
+	r := n.record(e, nb)
+	if !r.grad {
+		r.grad = true
+		n.Stats.GradientsCreated++
+		n.noteEntryEmptiness(e)
+	}
+	return r
+}
+
+// dropGradient ends e's gradient r, expired or toward a dead neighbor;
+// with custody on, the neighbor stays on as a stale hop.
+func (n *Node) dropGradient(e *interestEntry, r *nbRecord) {
+	r.grad, r.expires, r.reinforcedUntil, r.hops, r.hasHops = false, 0, 0, 0, false
+	r.stale = r.stale || n.custodyOn()
+	n.Stats.GradientsExpired++
+	n.noteEntryEmptiness(e)
+}
+
+// reinforced reports whether r's gradient carries high-rate data at now.
+func (r *nbRecord) reinforced(now time.Duration) bool {
+	return r.grad && now < r.reinforcedUntil
+}
+
+// hasGradient reports whether any neighbor holds a gradient on this entry.
+func (e *interestEntry) hasGradient() bool {
+	return slices.ContainsFunc(e.nbs, func(r nbRecord) bool { return r.grad })
 }
 
 // hasReinforcedDownstream reports whether any neighbor holds a reinforced
 // gradient on this entry (someone downstream wants high-rate data).
 func (e *interestEntry) hasReinforcedDownstream(now time.Duration) bool {
-	for _, g := range e.gradients {
-		if g.reinforced(now) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(e.nbs, func(r nbRecord) bool { return r.reinforced(now) })
 }
 
 // entryFor finds or creates the entry for attrs, copying values too if lent.
@@ -115,9 +179,9 @@ func (n *Node) entryFor(attrs attr.Vec, lent bool) *interestEntry {
 	if e, ok := n.entries[h]; ok {
 		return e
 	}
-	// Inner maps are allocated lazily at their write sites: a broker-scale
-	// node carries one entry per local subscription, and most of those
-	// never see a gradient, a duplicate or an energy-aware load sample.
+	// The records slice grows at its first insert: a broker-scale node
+	// carries one entry per local subscription, and most of those never
+	// see a gradient, a duplicate or an energy-aware load sample.
 	e := &interestEntry{hash: h}
 	if lent {
 		e.attrs, _ = attrs.Own(nil, nil)
@@ -158,7 +222,7 @@ func (n *Node) ReinforcedUpstream(attrs attr.Vec) (uint32, bool) {
 func (n *Node) matchingEntries(data attr.Vec) []*interestEntry {
 	tags := n.midx.getTags()
 	tags = n.midx.entries.Lookup(data, tags)
-	sortAscending(tags) // tags are entry hashes
+	slices.Sort(tags) // tags are entry hashes
 	out := n.getEntryBuf()
 	for _, h := range tags {
 		if e, ok := n.entries[h]; ok {
@@ -202,17 +266,7 @@ func (n *Node) coreInterest(m *message.Message, local bool) {
 		// Gradient setup/refresh toward the sending neighbor. Every copy
 		// of the interest refreshes its sender's gradient, even if the
 		// message ID was already seen via another neighbor.
-		g, ok := e.gradients[m.PrevHop]
-		if !ok {
-			g = &gradient{}
-			if e.gradients == nil {
-				e.gradients = map[message.NodeID]*gradient{}
-			}
-			e.gradients[m.PrevHop] = g
-			n.Stats.GradientsCreated++
-			n.touchNeighbor(e, m.PrevHop)
-			n.noteEntryEmptiness(e)
-		}
+		g := n.gradient(e, m.PrevHop)
 		g.expires = now + n.cfg.GradientLifetime
 		g.hops = m.HopCount
 		g.hasHops = true
@@ -342,8 +396,8 @@ func (n *Node) coreData(m *message.Message, local bool) {
 
 	isSinkFor := false
 	anyForward := false
-	// Reinforced next hops, deduplicated across entries; rarely more than
-	// one or two, so they live on the stack.
+	// Reinforced next hops, ascending and deduplicated across entries;
+	// rarely more than one or two, so they live on the stack.
 	var targetBuf [8]message.NodeID
 	targets := targetBuf[:0]
 	if m.Class == message.ExploratoryData && !local {
@@ -356,27 +410,24 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		if m.Class == message.ExploratoryData && !local {
 			e.lastExpFrom = m.PrevHop
 			e.hasExpFrom = true
-			n.touchNeighbor(e, m.PrevHop)
+			n.record(e, m.PrevHop)
 		}
 		// The per-neighbor load signal feeds energy-aware reinforcement
 		// only; skip the bookkeeping entirely when that mode is off.
 		if m.Class == message.Data && !local && n.cfg.EnergyAware {
-			if e.load == nil {
-				e.load = map[message.NodeID]int{}
-			}
-			e.load[m.PrevHop]++
+			n.record(e, m.PrevHop).load++
 		}
 		if len(e.sinks) > 0 {
 			isSinkFor = true
 		}
-		for nb, g := range e.gradients {
-			if nb == m.PrevHop {
+		for _, r := range e.nbs {
+			if !r.grad || r.nb == m.PrevHop {
 				continue // never send data back where it came from
 			}
 			if m.Class == message.ExploratoryData {
 				anyForward = true
-			} else if g.reinforced(now) && !slices.Contains(targets, nb) {
-				targets = append(targets, nb)
+			} else if r.reinforced(now) {
+				targets, _ = insertNb(targets, r.nb)
 			}
 		}
 	}
@@ -453,8 +504,6 @@ func (n *Node) coreData(m *message.Message, local bool) {
 			// this hop is where the flow dies.
 			n.span(telemetry.Drop, telemetry.LayerCore, m, uint32(m.PrevHop), telemetry.DropNoPath)
 		}
-		// Sorted iteration: map order would make runs nondeterministic.
-		sortAscending(targets)
 		for _, nb := range targets {
 			// The forward differs from m in its header only; Attrs is
 			// immutable and shared.
@@ -484,7 +533,7 @@ func (n *Node) reinforceUpstream(e *interestEntry, nb message.NodeID, cause mess
 	e.lastReinforcedID = cause
 	e.reinforcedUpstream = nb
 	e.hasReinforcedUpstream = true
-	n.touchNeighbor(e, nb)
+	n.record(e, nb)
 	n.transmit(&message.Message{
 		Class:   message.PositiveReinforcement,
 		ID:      cause,
@@ -512,17 +561,7 @@ func (n *Node) coreReinforce(m *message.Message) {
 		e = n.entryFor(m.Attrs, true)
 	}
 	now := n.cfg.Clock.Now()
-	g, ok := e.gradients[m.PrevHop]
-	if !ok {
-		g = &gradient{}
-		if e.gradients == nil {
-			e.gradients = map[message.NodeID]*gradient{}
-		}
-		e.gradients[m.PrevHop] = g
-		n.Stats.GradientsCreated++
-		n.touchNeighbor(e, m.PrevHop)
-		n.noteEntryEmptiness(e)
-	}
+	g := n.gradient(e, m.PrevHop)
 	// Reinforcement is live evidence of demand: it refreshes the gradient
 	// lifetime too. In one-phase push this is the only refresh there is
 	// (no interests ever flood).
@@ -578,12 +617,12 @@ func (n *Node) reinforceEnergyAware(e *interestEntry, first message.NodeID, caus
 			return
 		}
 		best := first
-		bestLoad := e.load[first]
+		bestLoad := e.loadFrom(first)
 		for _, c := range n.expCand[cause] {
 			if c == best {
 				continue
 			}
-			if l := e.load[c]; l < bestLoad {
+			if l := e.loadFrom(c); l < bestLoad {
 				best, bestLoad = c, l
 			}
 		}
@@ -594,6 +633,14 @@ func (n *Node) reinforceEnergyAware(e *interestEntry, first message.NodeID, caus
 	})
 }
 
+// loadFrom returns nb's nbRecord.load, 0 without a record.
+func (e *interestEntry) loadFrom(nb message.NodeID) int32 {
+	if r := e.find(nb); r != nil {
+		return r.load
+	}
+	return 0
+}
+
 // coreNegReinforce handles negative reinforcement: the sending neighbor no
 // longer wants high-rate data from us.
 func (n *Node) coreNegReinforce(m *message.Message) {
@@ -601,8 +648,8 @@ func (n *Node) coreNegReinforce(m *message.Message) {
 	if !ok {
 		return
 	}
-	if g, ok := e.gradients[m.PrevHop]; ok {
-		g.reinforcedUntil = 0
+	if r := e.find(m.PrevHop); r != nil {
+		r.reinforcedUntil = 0
 	}
 	// If nobody downstream wants high-rate data and we are not a sink,
 	// propagate the teardown upstream (3.1: "this negative reinforcement
@@ -647,19 +694,15 @@ func (n *Node) noteDuplicateData(m *message.Message) {
 	now := n.cfg.Clock.Now()
 	if now-e.dupSince > negRFWindow {
 		e.dupSince = now
-		for k := range e.dupFrom {
-			delete(e.dupFrom, k)
+		for i := range e.nbs {
+			e.nbs[i].dups = 0
 		}
 	}
-	if e.dupFrom == nil {
-		e.dupFrom = map[message.NodeID]int{}
-	}
-	e.dupFrom[m.PrevHop]++
-	n.touchNeighbor(e, m.PrevHop)
-	if e.dupFrom[m.PrevHop] < negRFThreshold {
+	r := n.record(e, m.PrevHop)
+	if r.dups++; r.dups < negRFThreshold {
 		return
 	}
-	delete(e.dupFrom, m.PrevHop)
+	r.dups = 0
 	n.transmit(&message.Message{
 		Class:   message.NegativeReinforcement,
 		ID:      n.nextID(),

@@ -98,34 +98,18 @@ func (n *Node) dropEntry(e *interestEntry) {
 	delete(n.entries, e.hash)
 	n.midx.entries.Remove(e.slot)
 	delete(n.emptyEntries, e.hash)
-	for nb := range e.touched {
-		set := n.nbTouch[nb]
-		delete(set, e.hash)
-		if len(set) == 0 {
-			delete(n.nbTouch, nb)
-		}
+	for _, r := range e.nbs {
+		n.untouch(e, r.nb)
 	}
 }
 
-// touchNeighbor records that entry e references neighbor nb (a gradient,
-// reinforcement trace, exploratory arrival or duplicate counter), so
-// NeighborDead can purge by neighbor instead of scanning every entry.
-// The set is conservative — it only grows while the entry lives — and is
-// bounded by the entry's historical neighbor count.
-func (n *Node) touchNeighbor(e *interestEntry, nb message.NodeID) {
-	if e.touched[nb] {
-		return
-	}
-	if e.touched == nil {
-		e.touched = map[message.NodeID]bool{}
-	}
-	e.touched[nb] = true
+// untouch removes e from neighbor nb's nbTouch set, and the set once empty.
+func (n *Node) untouch(e *interestEntry, nb message.NodeID) {
 	set := n.nbTouch[nb]
-	if set == nil {
-		set = map[uint64]*interestEntry{}
-		n.nbTouch[nb] = set
+	delete(set, e.hash)
+	if len(set) == 0 {
+		delete(n.nbTouch, nb)
 	}
-	set[e.hash] = e
 }
 
 // noteEntryEmptiness keeps the empty-entry set (no gradients, no local
@@ -133,7 +117,7 @@ func (n *Node) touchNeighbor(e *interestEntry, nb message.NodeID) {
 // mutation. NeighborDead's sweep uses it to preserve the old full-scan
 // GC semantics without the full scan.
 func (n *Node) noteEntryEmptiness(e *interestEntry) {
-	if len(e.gradients) == 0 && len(e.sinks) == 0 {
+	if !e.hasGradient() && len(e.sinks) == 0 {
 		n.emptyEntries[e.hash] = e
 	} else {
 		delete(n.emptyEntries, e.hash)

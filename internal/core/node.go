@@ -301,8 +301,8 @@ type Node struct {
 	// emptyEntries tracks entries with no gradients and no local sinks —
 	// the GC condition — so purge paths need not scan the entry table.
 	emptyEntries map[uint64]*interestEntry
-	// nbTouch maps a neighbor to the entries whose state references it
-	// (conservatively), so NeighborDead purges by neighbor.
+	// nbTouch maps a neighbor to the entries holding a record for it
+	// (exactly: see interestEntry.nbs), so NeighborDead purges by neighbor.
 	nbTouch map[message.NodeID]map[uint64]*interestEntry
 	// entryBufs/subBufs are free lists for pooled match-result snapshots
 	// (see matchindex.go).
@@ -984,40 +984,27 @@ func (n *Node) housekeeping() {
 	now := n.cfg.Clock.Now()
 	n.seen.expire(now, n.cfg.SeenTTL)
 	for _, e := range n.entries {
-		expired := false
-		for nb, g := range e.gradients {
-			if now > g.expires {
-				delete(e.gradients, nb)
-				n.Stats.GradientsExpired++
-				n.noteStaleHop(e, nb)
-				expired = true
+		// A closed negative-reinforcement window's duplicate counts are
+		// stale; the load decays so energy-aware reinforcement tracks
+		// recent traffic, not history.
+		dupsStale := now-e.dupSince > negRFWindow
+		for i := range e.nbs {
+			r := &e.nbs[i]
+			if r.grad && now > r.expires {
+				n.dropGradient(e, r)
 			}
-		}
-		if expired {
-			n.noteEntryEmptiness(e)
-		}
-		// Stale duplicate counters from a closed negative-reinforcement
-		// window would otherwise pin one map entry per neighbor forever.
-		if len(e.dupFrom) > 0 && now-e.dupSince > negRFWindow {
-			for k := range e.dupFrom {
-				delete(e.dupFrom, k)
+			if dupsStale {
+				r.dups = 0
 			}
+			r.load /= 2
 		}
-		// Decay the per-neighbor data-forwarding load so energy-aware
-		// reinforcement tracks recent traffic, not history.
-		for nb, v := range e.load {
-			if v <= 1 {
-				delete(e.load, nb)
-			} else {
-				e.load[nb] = v / 2
-			}
-		}
+		n.compact(e)
 		// With custody on, an interest whose gradients all decayed is
 		// retained as a cached interest: a mobile custodian (the ferry)
 		// must still know *what* is wanted to re-offer the interest and
 		// route its custodial data at the next contact. The cache is
 		// bounded by the number of distinct interests, not by traffic.
-		if len(e.gradients) == 0 && len(e.sinks) == 0 && !n.custodyOn() {
+		if !e.hasGradient() && len(e.sinks) == 0 && !n.custodyOn() {
 			n.dropEntry(e)
 		}
 	}
@@ -1032,7 +1019,7 @@ func (n *Node) ActiveSubscriptions() []SubscriptionHandle {
 	for h := range n.subs {
 		out = append(out, h)
 	}
-	sortAscending(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -1043,7 +1030,7 @@ func (n *Node) ActivePublications() []PublicationHandle {
 	for h := range n.pubs {
 		out = append(out, h)
 	}
-	sortAscending(out)
+	slices.Sort(out)
 	return out
 }
 

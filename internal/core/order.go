@@ -3,33 +3,32 @@ package core
 import (
 	"cmp"
 	"slices"
+
+	"diffusion/internal/message"
 )
 
-// Determinism-ordering utilities. Every snapshot of a Go map the core
-// iterates with externally visible effects (transmissions, callback
-// invocations, stats in a fixed order) funnels through these, so the
-// canonical orders live in one place:
+// Determinism-ordering utilities. Whatever the core walks with externally
+// visible effects (transmissions, callback invocations, stats in a fixed
+// order) it walks in a canonical order:
 //
 //   - interest entries: ascending attribute hash,
 //   - subscriptions/filters: ascending handle (tag),
-//   - neighbor IDs: ascending numeric ID.
+//   - neighbor IDs: ascending numeric ID. An entry keeps one record per
+//     neighbor in that order (interestEntry.nbs), and neighbor sets
+//     gathered across entries are built with insertNb, so no neighbor walk
+//     snapshots a map or sorts.
 //
-// They used to be four hand-rolled insertion sorts (entriesInOrder,
-// subsInOrder, matchingEntries, sortNodeIDs); a broker-scale node can see
-// thousands of matches per message, so the shared implementation is the
-// standard-library pattern-defeating quicksort, which allocates nothing.
+// Snapshots of entries, subscriptions, tags and handles are sorted with
+// the standard library's pattern-defeating quicksort, which allocates
+// nothing: a broker-scale node can see thousands of matches per message.
 
-// sortAscending orders any snapshot of ordered elements — message IDs,
-// handles-as-tags, neighbor IDs.
-func sortAscending[T cmp.Ordered](s []T) {
-	slices.Sort(s)
-}
-
-// sortEntriesByHash orders interest entries by their canonical hash.
-func sortEntriesByHash(s []*interestEntry) {
-	slices.SortFunc(s, func(a, b *interestEntry) int {
-		return cmp.Compare(a.hash, b.hash)
-	})
+// insertNb adds nb to the ascending set s and reports whether it was new.
+func insertNb(s []message.NodeID, nb message.NodeID) ([]message.NodeID, bool) {
+	i, found := slices.BinarySearch(s, nb)
+	if found {
+		return s, false
+	}
+	return slices.Insert(s, i, nb), true
 }
 
 // sortSubsByHandle orders subscriptions by handle.
@@ -46,6 +45,8 @@ func (n *Node) entriesInOrder() []*interestEntry {
 	for _, e := range n.entries {
 		out = append(out, e)
 	}
-	sortEntriesByHash(out)
+	slices.SortFunc(out, func(a, b *interestEntry) int {
+		return cmp.Compare(a.hash, b.hash)
+	})
 	return out
 }

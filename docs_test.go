@@ -126,3 +126,37 @@ func TestChangesEntriesCapped(t *testing.T) {
 	}
 	check()
 }
+
+// TestDocMetricsListed fails when README.md, DESIGN.md or EXPERIMENTS.md
+// names a core., transport., discovery., match. or custody. metric that a
+// live node does not serve: metric a.b is the series diffusion_a_b, and
+// cmd/diffnode/testdata/metrics_series.txt lists every series. A Go file
+// such as custody.go is no metric.
+func TestDocMetricsListed(t *testing.T) {
+	b, err := os.ReadFile("cmd/diffnode/testdata/metrics_series.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := map[string]bool{}
+	for _, line := range strings.Fields(string(b)) {
+		name, _, _ := strings.Cut(line, "{")
+		served[name] = true
+	}
+	metric := regexp.MustCompile(`\b(?:core|transport|discovery|match|custody)\.[a-z][a-z0-9_]*\b`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, name := range metric.FindAllString(line, -1) {
+				if strings.HasSuffix(name, ".go") {
+					continue
+				}
+				if !served["diffusion_"+strings.ReplaceAll(name, ".", "_")] {
+					t.Errorf("%s:%d names metric %s, which metrics_series.txt does not list", doc, i+1, name)
+				}
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"diffusion/internal/attr"
 	"diffusion/internal/message"
 )
 
@@ -231,5 +232,47 @@ func TestSeenCacheEvictsOldestWhenFull(t *testing.T) {
 	if n.Stats.SeenEvicted != 4 || n.SeenSize() != 8 || !n.seen.has(id(4)) {
 		t.Errorf("after a refresh: %d evicted, %d IDs held, ID 4 present %v; want 4, 8, true",
 			n.Stats.SeenEvicted, n.SeenSize(), n.seen.has(id(4)))
+	}
+}
+
+// expFrom is keyed by exploratory message IDs and seenGone deletes each
+// with its seen-cache record, so the cache's live count bounds it. Drive
+// exploratory data through a diamond (sink 1, relays 2 and 3, source 4),
+// every message exploratory, and hold the bound at every node each second;
+// once the source stops, the traces must drain to nothing with the IDs.
+func TestExpFromBoundedBySeenCache(t *testing.T) {
+	tn := newTestNet(11)
+	every := func(c *Config) { c.ExploratoryEvery = 1 }
+	nodes := []*Node{tn.addNode(1, every), tn.addNode(2, every), tn.addNode(3, every), tn.addNode(4, every)}
+	tn.connect(1, 2)
+	tn.connect(1, 3)
+	tn.connect(2, 4)
+	tn.connect(3, 4)
+	nodes[0].Subscribe(surveillanceInterest(), nil)
+	pub := nodes[3].Publish(surveillancePublication())
+	const sending = 5 * time.Minute
+	var seq int32
+	peak := 0
+	tn.s.Every(time.Second, time.Second, func() {
+		if tn.s.Now() <= sending {
+			seq++
+			nodes[3].Send(pub, attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, seq)})
+		}
+		for _, n := range nodes {
+			if n.ExpFromSize() > n.SeenSize() {
+				t.Fatalf("t=%v node %d: %d exploratory traces, %d IDs in the seen cache",
+					tn.s.Now(), n.ID(), n.ExpFromSize(), n.SeenSize())
+			}
+			peak = max(peak, n.ExpFromSize())
+		}
+	})
+	tn.s.RunUntil(sending + 2*nodes[0].cfg.SeenTTL)
+	if peak == 0 {
+		t.Fatal("no exploratory data was traced")
+	}
+	for _, n := range nodes {
+		if n.ExpFromSize() != 0 {
+			t.Errorf("node %d keeps %d exploratory traces after their IDs expired", n.ID(), n.ExpFromSize())
+		}
 	}
 }

@@ -37,7 +37,6 @@ type Config struct {
 	ForwardJitter                         time.Duration
 	TTL                                   uint8
 	Loss                                  float64
-	Latency                               time.Duration
 
 	Heartbeat, SuspectAfter, DeadAfter time.Duration
 	Reliable                           bool
@@ -46,7 +45,6 @@ type Config struct {
 	CustodyFile                        string
 	CustodyLimit                       int
 	SeenTTL                            time.Duration
-	EnergyAware                        bool
 
 	TraceSample float64
 	Pprof       bool
@@ -116,7 +114,6 @@ func options(c *Config) []option {
 		// Synthetic impairment of the UDP sends, for parity testing against
 		// the simulated radio.
 		{"loss", "loss", "injected send loss probability [0,1)", &c.Loss},
-		{"latency", "latency", "injected send latency", &c.Latency},
 		{"heartbeat", "heartbeat", "neighbor heartbeat period (0: 1s default, negative: disable failure detection)", &c.Heartbeat},
 		{"suspect-after", "suspect_after", "silence marking a neighbor suspect (0: 3x heartbeat)", &c.SuspectAfter},
 		{"dead-after", "dead_after", "silence marking a neighbor dead (0: 8x heartbeat)", &c.DeadAfter},
@@ -133,7 +130,6 @@ func options(c *Config) []option {
 		// Replayed custody must not look fresh because its ID aged out of
 		// the sink's cache.
 		{"seen-ttl", "seen_ttl", "duplicate-suppression horizon (0: 2m; raise past the longest expected partition)", &c.SeenTTL},
-		{"energy-aware", "energy_aware", "energy-aware reinforcement: spread load across exploratory deliverers", &c.EnergyAware},
 		// A sampled origination carries a 16-bit flow ID on the wire, and
 		// every layer it touches records spans; cmd/difftrace merges them.
 		{"trace-sample", "trace_sample", "flight-path tracing sample probability [0,1]; spans served at GET /spans", &c.TraceSample},

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-var update = flag.Bool("update", false, "rewrite README.md's option table and testdata/metrics_series.txt")
+var update = flag.Bool("update", false, "rewrite README.md's option table, testdata/usage.txt and testdata/metrics_series.txt")
 
 // everyKey sets each of the config file's keys to a non-zero value.
 const everyKey = `{
@@ -26,10 +26,10 @@ const everyKey = `{
 	"filters": ["tap", "suppress:type EQ x"], "seed": 11,
 	"interest_interval": "3s", "exploratory_interval": "4s",
 	"exploratory_every": 5, "forward_jitter": "6ms", "ttl": 9,
-	"loss": 0.1, "latency": "7ms", "heartbeat": "8ms",
+	"loss": 0.1, "heartbeat": "8ms",
 	"suspect_after": "9ms", "dead_after": "10ms", "reliable": true,
 	"reliable_rto": "11ms", "custody": true, "custody_file": "node.custody",
-	"custody_limit": 12, "seen_ttl": "13m", "energy_aware": true,
+	"custody_limit": 12, "seen_ttl": "13m",
 	"trace_sample": 0.25, "pprof": true, "state_file": "node.state",
 	"drain": "14ms"
 }`
@@ -46,8 +46,8 @@ func TestConfigFileEveryKey(t *testing.T) {
 	if err := json.Unmarshal([]byte(everyKey), &keys); err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 36 {
-		t.Fatalf("fixture sets %d keys, want 36", len(keys))
+	if len(keys) != 34 {
+		t.Fatalf("fixture sets %d keys, want 34", len(keys))
 	}
 	got, err := loadConfig(path)
 	if err != nil {
@@ -63,10 +63,10 @@ func TestConfigFileEveryKey(t *testing.T) {
 		Filters: []string{"tap", "suppress:type EQ x"}, Seed: 11,
 		InterestInterval: 3 * time.Second, ExploratoryInterval: 4 * time.Second,
 		ExploratoryEvery: 5, ForwardJitter: 6 * time.Millisecond, TTL: 9,
-		Loss: 0.1, Latency: 7 * time.Millisecond, Heartbeat: 8 * time.Millisecond,
+		Loss: 0.1, Heartbeat: 8 * time.Millisecond,
 		SuspectAfter: 9 * time.Millisecond, DeadAfter: 10 * time.Millisecond, Reliable: true,
 		ReliableRTO: 11 * time.Millisecond, Custody: true, CustodyFile: "node.custody",
-		CustodyLimit: 12, SeenTTL: 13 * time.Minute, EnergyAware: true,
+		CustodyLimit: 12, SeenTTL: 13 * time.Minute,
 		TraceSample: 0.25, Pprof: true, StateFile: "node.state",
 		Drain: 14 * time.Millisecond,
 	}
@@ -82,12 +82,18 @@ func TestConfigFileEveryKey(t *testing.T) {
 }
 
 // TestUsagePinned holds diffnode -h to testdata/usage.txt: the same flags,
-// help sentences and defaults.
+// help sentences and defaults. -update rewrites the file.
 func TestUsagePinned(t *testing.T) {
 	var got bytes.Buffer
 	fs := flagSet(&Config{}, new(string), flag.ContinueOnError)
 	fs.SetOutput(&got)
 	fs.PrintDefaults()
+	if *update {
+		if err := os.WriteFile(filepath.Join("testdata", "usage.txt"), got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile(filepath.Join("testdata", "usage.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -112,20 +118,20 @@ func writeConfig(t *testing.T, conf string) string {
 // -neighbors clears the table.
 func TestFlagBeatsFile(t *testing.T) {
 	path := writeConfig(t, `{"id": 1, "reliable": true, "heartbeat": "2s",
-		"loss": 0.1, "energy_aware": true, "keys": ["room"],
+		"loss": 0.1, "pprof": true, "keys": ["room"],
 		"subscribe": ["type EQ a"], "publish": ["type IS a"], "filters": ["tap"],
 		"seeds": ["127.0.0.1:7001"], "neighbors": {"2": "127.0.0.1:7002"}}`)
 	cfg, err := buildConfig([]string{"-config", path,
-		"-reliable=false", "-heartbeat", "0", "-loss", "0", "-energy-aware=false",
+		"-reliable=false", "-heartbeat", "0", "-loss", "0", "-pprof=false",
 		"-keys", "floor,wing", "-subscribe", "type EQ b", "-publish", "type IS b",
 		"-filters", "cache;suppress", "-seed", "127.0.0.1:7009",
 		"-neighbors", "9=127.0.0.1:7009"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Reliable || cfg.Heartbeat != 0 || cfg.Loss != 0 || cfg.EnergyAware {
-		t.Errorf("reliable %v, heartbeat %v, loss %v, energy-aware %v: want all zero",
-			cfg.Reliable, cfg.Heartbeat, cfg.Loss, cfg.EnergyAware)
+	if cfg.Reliable || cfg.Heartbeat != 0 || cfg.Loss != 0 || cfg.Pprof {
+		t.Errorf("reliable %v, heartbeat %v, loss %v, pprof %v: want all zero",
+			cfg.Reliable, cfg.Heartbeat, cfg.Loss, cfg.Pprof)
 	}
 	for _, c := range []struct {
 		name      string
@@ -154,12 +160,15 @@ func TestFlagBeatsFile(t *testing.T) {
 }
 
 // TestConfigUnknownKey: a key that names no option is an error naming it,
-// and a neighbor ID that is not a number is still rejected.
+// and a neighbor ID that is not a number is still rejected. energy_aware
+// and latency named options that are gone.
 func TestConfigUnknownKey(t *testing.T) {
 	for conf, want := range map[string]string{
 		`{"id": 1, "degree-cap": 4}`:                   `unknown key "degree-cap"`,
 		`{"id": 1, "neighbors": {"x": "127.0.0.1:1"}}`: `neighbor key "x"`,
 		`{"id": 1, "energy": 0.5}`:                     `unknown key "energy"`,
+		`{"id": 1, "energy_aware": true}`:              `unknown key "energy_aware"`,
+		`{"id": 1, "latency": "7ms"}`:                  `unknown key "latency"`,
 	} {
 		_, err := buildConfig([]string{"-config", writeConfig(t, conf)})
 		if err == nil || !strings.Contains(err.Error(), want) {

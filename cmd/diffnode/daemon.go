@@ -159,7 +159,6 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 			Listen:    cfg.Listen,
 			Neighbors: cfg.Neighbors,
 			Loss:      cfg.Loss,
-			Latency:   cfg.Latency,
 			Seed:      cfg.Seed,
 			Liveness:  live,
 			Reliable:  rel,
@@ -173,7 +172,6 @@ func startDaemon(cfg Config, logw io.Writer) (*Daemon, error) {
 			ForwardJitter:       cfg.ForwardJitter,
 			TTL:                 cfg.TTL,
 			SeenTTL:             cfg.SeenTTL,
-			EnergyAware:         cfg.EnergyAware,
 			TraceSample:         cfg.TraceSample,
 		},
 		Custody:      cfg.Custody,

@@ -191,41 +191,3 @@ func TestNeighborRecoveredReoffersInterests(t *testing.T) {
 		t.Fatal("relay entry lost its hop budget")
 	}
 }
-
-// TestEnergyAwareReinforcementSpreadsLoad runs the diamond (sink 1,
-// relays 2 and 3, source 4) with energy-aware reinforcement: the sink
-// must rotate the reinforced path across both relays instead of pinning
-// the first deliverer forever.
-func TestEnergyAwareReinforcementSpreadsLoad(t *testing.T) {
-	tn := newTestNet(47)
-	aware := func(c *Config) { c.EnergyAware = true }
-	sink := tn.addNode(1, aware)
-	r2 := tn.addNode(2, aware)
-	r3 := tn.addNode(3, aware)
-	source := tn.addNode(4, aware)
-	tn.connect(1, 2)
-	tn.connect(1, 3)
-	tn.connect(2, 4)
-	tn.connect(3, 4)
-
-	delivered := 0
-	sink.Subscribe(surveillanceInterest(), func(*message.Message) { delivered++ })
-	pub := source.Publish(surveillancePublication())
-	var seq int32
-	tn.s.Every(100*time.Millisecond, 500*time.Millisecond, func() {
-		seq++
-		source.Send(pub, attr.Vec{attr.Int32Attr(attr.KeySequence, attr.IS, seq)})
-	})
-	tn.s.RunUntil(60 * time.Second)
-
-	if delivered == 0 {
-		t.Fatal("no deliveries")
-	}
-	if r2.Stats.SentByClass[message.Data] == 0 || r3.Stats.SentByClass[message.Data] == 0 {
-		t.Fatalf("load not spread: relay data sends %d / %d",
-			r2.Stats.SentByClass[message.Data], r3.Stats.SentByClass[message.Data])
-	}
-	if sink.Stats.EnergyShifts == 0 {
-		t.Fatal("sink never shifted reinforcement off the first deliverer")
-	}
-}

@@ -65,9 +65,6 @@ type interestEntry struct {
 // says so; the next compact drops it after that.
 type nbRecord struct {
 	nb message.NodeID
-	// load counts plain data recently received from nb — the energy-aware
-	// reinforcement signal, halved every housekeeping pass.
-	load int32
 	// The gradient toward nb (toward a sink), present while grad is set.
 	// Reinforced, it carries high-rate data until reinforcedUntil, so a
 	// high-rate path fades unless positive reinforcement refreshes it.
@@ -93,7 +90,7 @@ type nbRecord struct {
 // live reports whether r still holds state, or the entry's reinforcement
 // or exploratory trace names its neighbor (so NeighborDead finds the entry).
 func (e *interestEntry) live(r *nbRecord) bool {
-	return r.grad || r.stale || r.dups > 0 || r.load > 0 ||
+	return r.grad || r.stale || r.dups > 0 ||
 		e.hasReinforcedUpstream && e.reinforcedUpstream == r.nb ||
 		e.hasExpFrom && e.lastExpFrom == r.nb
 }
@@ -181,7 +178,7 @@ func (n *Node) entryFor(attrs attr.Vec, lent bool) *interestEntry {
 	}
 	// The records slice grows at its first insert: a broker-scale node
 	// carries one entry per local subscription, and most of those never
-	// see a gradient, a duplicate or an energy-aware load sample.
+	// see a gradient or a duplicate.
 	e := &interestEntry{hash: h}
 	if lent {
 		e.attrs, _ = attrs.Own(nil, nil)
@@ -339,11 +336,6 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		if m.Class == message.Data && !local && !n.cfg.DisableNegRF {
 			n.noteDuplicateData(m)
 		}
-		// Duplicate exploratory deliverers are exactly the alternative
-		// paths energy-aware reinforcement chooses between.
-		if m.Class == message.ExploratoryData && !local && n.cfg.EnergyAware {
-			n.addExpCand(m.ID, m.PrevHop)
-		}
 		// A duplicate arriving where custody of the same ID is still held
 		// is a custody replay racing the original: the flood copy beat the
 		// custody walk here. If this node is a sink for the message, the
@@ -402,20 +394,12 @@ func (n *Node) coreData(m *message.Message, local bool) {
 	targets := targetBuf[:0]
 	if m.Class == message.ExploratoryData && !local {
 		n.expFrom[m.ID] = m.PrevHop
-		if n.cfg.EnergyAware {
-			n.addExpCand(m.ID, m.PrevHop)
-		}
 	}
 	for _, e := range entries {
 		if m.Class == message.ExploratoryData && !local {
 			e.lastExpFrom = m.PrevHop
 			e.hasExpFrom = true
 			n.record(e, m.PrevHop)
-		}
-		// The per-neighbor load signal feeds energy-aware reinforcement
-		// only; skip the bookkeeping entirely when that mode is off.
-		if m.Class == message.Data && !local && n.cfg.EnergyAware {
-			n.record(e, m.PrevHop).load++
 		}
 		if len(e.sinks) > 0 {
 			isSinkFor = true
@@ -461,13 +445,9 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		// parallel paths from accumulating.
 		if !local {
 			for _, e := range entries {
-				sink := len(e.sinks) > 0
 				refresh := e.hasReinforcedDownstream(now) &&
 					e.hasReinforcedUpstream && e.reinforcedUpstream == m.PrevHop
-				switch {
-				case sink && n.cfg.EnergyAware:
-					n.reinforceEnergyAware(e, m.PrevHop, m.ID, m.Flow)
-				case sink || refresh:
+				if len(e.sinks) > 0 || refresh {
 					n.reinforceUpstream(e, m.PrevHop, m.ID, m.Flow)
 				}
 			}
@@ -579,66 +559,6 @@ func (n *Node) coreReinforce(m *message.Message) {
 	// A fresh reinforced gradient is exactly what stuck custodial data has
 	// been waiting for.
 	n.ReplayCustody()
-}
-
-// expCandLimit bounds the per-message candidate set for energy-aware
-// reinforcement; a sink has few enough neighbors that more is noise.
-const expCandLimit = 8
-
-// addExpCand records nb as a deliverer of exploratory message id.
-func (n *Node) addExpCand(id message.ID, nb message.NodeID) {
-	cands := n.expCand[id]
-	if len(cands) >= expCandLimit {
-		return
-	}
-	for _, c := range cands {
-		if c == nb {
-			return
-		}
-	}
-	n.expCand[id] = append(cands, nb)
-}
-
-// reinforceEnergyAware is the sink-side reinforcement decision with
-// EnergyAware set: instead of reinforcing the first deliverer
-// immediately, wait two forwarding-jitter windows for the duplicate
-// copies of the same exploratory message to arrive, then reinforce the
-// candidate that has forwarded the least plain data to us recently
-// (ties keep the first deliverer — the paper's low-delay choice). The
-// deferral costs one round-trip of path-switch latency per exploratory
-// cycle and in exchange rotates the high-rate path off relays that have
-// been burning energy.
-func (n *Node) reinforceEnergyAware(e *interestEntry, first message.NodeID, cause message.ID, flow uint16) {
-	if e.lastReinforcedID == cause {
-		return
-	}
-	n.cfg.Clock.After(2*n.cfg.ForwardJitter, func() {
-		if n.detached || e.lastReinforcedID == cause {
-			return
-		}
-		best := first
-		bestLoad := e.loadFrom(first)
-		for _, c := range n.expCand[cause] {
-			if c == best {
-				continue
-			}
-			if l := e.loadFrom(c); l < bestLoad {
-				best, bestLoad = c, l
-			}
-		}
-		if best != first {
-			n.Stats.EnergyShifts++
-		}
-		n.reinforceUpstream(e, best, cause, flow)
-	})
-}
-
-// loadFrom returns nb's nbRecord.load, 0 without a record.
-func (e *interestEntry) loadFrom(nb message.NodeID) int32 {
-	if r := e.find(nb); r != nil {
-		return r.load
-	}
-	return 0
 }
 
 // coreNegReinforce handles negative reinforcement: the sending neighbor no

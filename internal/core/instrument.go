@@ -39,7 +39,6 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		emit("core.seen_cache_size", float64(n.SeenSize()))
 		emit("core.seen_evicted", float64(s.SeenEvicted))
 		emit("core.custody_captured", float64(s.CustodyCaptured))
-		emit("core.energy_shifts", float64(s.EnergyShifts))
 		emit("core.receive_malformed", float64(s.ReceiveMalformed))
 		ms := n.MatchStats()
 		emit("match.index_keys", float64(ms.IndexKeys))

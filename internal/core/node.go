@@ -113,8 +113,8 @@ type Config struct {
 	// SeenTTL is how long message IDs stay in the duplicate-suppression
 	// cache.
 	SeenTTL time.Duration
-	// NegativeReinforcement enables duplicate-triggered negative
-	// reinforcement (on by default; DisableNegRF turns it off).
+	// DisableNegRF turns off duplicate-triggered negative reinforcement,
+	// which is on by default (ablation).
 	DisableNegRF bool
 	// Flight, when set, records every origination, reception and
 	// transmission into the node's flight-recorder ring (always-on crash
@@ -126,14 +126,6 @@ type Config struct {
 	// the live transport's custody accepts; back it with a custody.Store
 	// for crash durability.
 	Custody *custody.Queue
-	// EnergyAware enables energy-aware reinforcement at sinks: instead of
-	// always reinforcing the first neighbor to deliver new exploratory
-	// data, the sink briefly collects the duplicate deliverers and picks
-	// the candidate that has carried the least plain data recently,
-	// spreading the high-rate path across relays (Raicu et al.'s
-	// e3D-style load balancing). Off by default: the paper's low-delay
-	// heuristic.
-	EnergyAware bool
 	// TraceSample, in (0,1], enables flight-path tracing: each locally
 	// originated message (published data, interest floods) is tagged with
 	// a random 16-bit flow ID with this probability, and every layer that
@@ -221,7 +213,6 @@ type Stats struct {
 	NeighborDeaths     int // dead-neighbor events from the failure detector
 	NeighborRecoveries int // recovered-neighbor events
 	CustodyCaptured    int // data taken into local custody (no forward path)
-	EnergyShifts       int // reinforcements steered off the first deliverer
 	ReceiveMalformed   int // payloads from the link that did not unmarshal
 }
 
@@ -315,10 +306,6 @@ type Node struct {
 	// message, so positive reinforcement can retrace that message's exact
 	// path (reinforcements carry the exploratory ID they reinforce).
 	expFrom map[message.ID]message.NodeID
-	// expCand collects every neighbor that delivered a copy of an
-	// exploratory message (first arrival and duplicates), the candidate
-	// set for energy-aware reinforcement. Populated only with EnergyAware.
-	expCand map[message.ID][]message.NodeID
 
 	// custodyLink is the link's custody-transfer surface, when it has one
 	// (the UDP transport). Nil means store-and-carry replay (simulator).
@@ -385,7 +372,6 @@ func NewNode(cfg Config) *Node {
 		nbTouch:         map[message.NodeID]map[uint64]*interestEntry{},
 		entries:         map[uint64]*interestEntry{},
 		expFrom:         map[message.ID]message.NodeID{},
-		expCand:         map[message.ID][]message.NodeID{},
 	}
 	n.seen = seenCache{max: seenMax, gone: n.seenGone}
 	n.midx.init()
@@ -469,7 +455,6 @@ func (n *Node) Restart() {
 	n.nbTouch = map[message.NodeID]map[uint64]*interestEntry{}
 	n.seen = seenCache{max: seenMax, gone: n.seenGone}
 	n.expFrom = map[message.ID]message.NodeID{}
-	n.expCand = map[message.ID][]message.NodeID{}
 	for _, p := range n.pubs {
 		p.count = 0
 		p.lastExp = 0
@@ -967,13 +952,12 @@ func (n *Node) firstSighting(id message.ID, now time.Duration) bool {
 	return true
 }
 
-// seenGone drops the reinforcement traces of an ID leaving the cache.
+// seenGone drops the reinforcement trace of an ID leaving the cache.
 func (n *Node) seenGone(id message.ID, evicted bool) {
 	if evicted {
 		n.Stats.SeenEvicted++
 	}
 	delete(n.expFrom, id)
-	delete(n.expCand, id)
 }
 
 // housekeeping purges expired gradients, empty entries, and old seen-IDs,
@@ -985,8 +969,7 @@ func (n *Node) housekeeping() {
 	n.seen.expire(now, n.cfg.SeenTTL)
 	for _, e := range n.entries {
 		// A closed negative-reinforcement window's duplicate counts are
-		// stale; the load decays so energy-aware reinforcement tracks
-		// recent traffic, not history.
+		// stale.
 		dupsStale := now-e.dupSince > negRFWindow
 		for i := range e.nbs {
 			r := &e.nbs[i]
@@ -996,7 +979,6 @@ func (n *Node) housekeeping() {
 			if dupsStale {
 				r.dups = 0
 			}
-			r.load /= 2
 		}
 		n.compact(e)
 		// With custody on, an interest whose gradients all decayed is

@@ -11,9 +11,9 @@ import (
 
 // This file states the contract the UDP endpoint's link engines — failure
 // detector (liveness.go), reliable unicast and its custody offers
-// (reliable.go, custody.go), membership (discovery.go) and the
-// peer/impairment table (peers.go) — are written to. An engine is a plain
-// state machine:
+// (reliable.go, custody.go) and membership (discovery.go) — and the
+// peer/impairment table every frame leaves through (peers.go) are written
+// to. An engine is a plain state machine:
 //
 //	step(frame | tick, now) → frames to send, events, table changes
 //

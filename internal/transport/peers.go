@@ -4,14 +4,12 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"slices"
-	"time"
 )
 
 // This file is the endpoint's neighbor table and the impairment applied on
-// the way out of it — the fifth link engine (contract: engine.go). The
-// other engines name frames by peer ID; admit turns those into frames for
-// the wire, or into counted drops.
+// the way out of it (contract: engine.go). The engines name frames by peer
+// ID; admit turns those into frames for the wire, or into counted drops.
+// It holds nothing back, so the timer never ticks it.
 
 // peerEntry is one row of the live neighbor table: the peer's address,
 // whether the operator pinned it (configured) or discovery promoted it,
@@ -35,23 +33,15 @@ func addrPort(a *net.UDPAddr) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// delayedFrame is an admitted frame waiting out the injected latency.
-type delayedFrame struct {
-	at time.Duration
-	f  outFrame
-}
-
 // peerTable is the neighbor table plus the runtime impairment — blocked
-// peers, injected loss, injected latency — every outgoing frame passes.
-// Static without discovery; discovery adds and removes rows at runtime.
+// peers and injected loss — every outgoing frame passes. Static without
+// discovery; discovery adds and removes rows at runtime.
 type peerTable struct {
 	peers   map[uint32]*peerEntry
 	ids     idSet // the table's IDs in order: broadcast fan-out order
 	rng     *rand.Rand
 	loss    float64
-	latency time.Duration
 	blocked map[uint32]bool
-	delayed []delayedFrame // FIFO: the latency is one constant
 }
 
 // put installs or re-addresses a row.
@@ -76,22 +66,13 @@ func (t *peerTable) drop(id uint32) bool {
 	return true
 }
 
-// nextDeadline is when the oldest delayed frame is due on the wire.
-func (t *peerTable) nextDeadline() time.Duration {
-	if len(t.delayed) == 0 {
-		return never
-	}
-	return t.delayed[0].at
-}
-
 // admit is the single egress point: data, reliable frames,
 // retransmissions, acks, heartbeats and membership frames all pass through
 // it, so a partition or loss ramp affects every frame kind, exactly like
-// a real bad link. It rewrites fx's frames to what should be written now —
+// a real bad link. It rewrites fx's frames to what should be written now,
 // dropping frames to peers no longer in the table, to blocked peers and to
-// the injected loss, in that order, parking the rest for the injected
-// latency — and then appends the parked frames that have come due.
-func (t *peerTable) admit(fx *effects, stats *Stats, now time.Duration) {
+// the injected loss, in that order.
+func (t *peerTable) admit(fx *effects, stats *Stats) {
 	kept := 0
 	for i := 0; i < fx.n; i++ {
 		f := *fx.at(i)
@@ -124,19 +105,8 @@ func (t *peerTable) admit(fx *effects, stats *Stats, now time.Duration) {
 		case kindAck | kindCustodyFlag:
 			stats.CustodyAcksSent.Add(1)
 		}
-		if t.latency > 0 {
-			// The caller may reuse its payload buffer once Send returns.
-			f.payload = slices.Clone(f.payload)
-			t.delayed = append(t.delayed, delayedFrame{at: now + t.latency, f: f})
-			continue
-		}
 		*fx.at(kept) = f
 		kept++
 	}
 	fx.truncate(kept)
-	for len(t.delayed) > 0 && t.delayed[0].at <= now {
-		fx.push(t.delayed[0].f)
-		t.delayed[0] = delayedFrame{}
-		t.delayed = t.delayed[1:]
-	}
 }

@@ -5,10 +5,9 @@
 // paper's radio inside the simulator.
 //
 // Both transports share the same framing, neighbor-table broadcast
-// semantics, per-packet telemetry accounting, and optional injected loss
-// (and, on UDP, latency) so a live run can be parity-tested against the
-// simulated radio's loss models (internal/radio) without real packet
-// drops. Delivery is best effort and unordered, exactly the service the
+// semantics, per-packet telemetry accounting, and optional injected loss,
+// so a live run can be parity-tested against the simulated radio's loss
+// models (internal/radio) without real packet drops. Delivery is best effort and unordered, exactly the service the
 // diffusion core was designed for: duplicate suppression, exploratory
 // flooding and reinforcement already assume a lossy link.
 //

@@ -39,9 +39,6 @@ type UDPConfig struct {
 	// simulated radio. Zero means lossless. Adjustable at runtime with
 	// SetLoss.
 	Loss float64
-	// Latency delays each outgoing datagram by this much before it is
-	// written to the socket, emulating propagation plus airtime.
-	Latency time.Duration
 	// Seed seeds the loss-draw and probe-jitter streams.
 	Seed int64
 	// Liveness, when non-nil, enables the heartbeat failure detector
@@ -103,8 +100,8 @@ type UDP struct {
 	deliver Deliver
 	stats   Stats
 	spans   *telemetry.Ring
-	// timed is false for a bare endpoint — no engine, no injected latency —
-	// whose entries then skip reading the clock.
+	// timed is false for a bare endpoint — no engine — whose entries then
+	// skip reading the clock.
 	timed      bool
 	readerDone chan struct{} // closed when the reader goroutine exits; nil without one
 
@@ -192,7 +189,6 @@ func newUDP(cfg UDPConfig, clock sim.Clock, w wire, boot uint32) (*UDP, error) {
 			peers:   make(map[uint32]*peerEntry, len(cfg.Neighbors)),
 			rng:     rand.New(rand.NewSource(cfg.Seed)),
 			loss:    cfg.Loss,
-			latency: cfg.Latency,
 			blocked: map[uint32]bool{},
 		},
 	}
@@ -247,7 +243,7 @@ func newUDP(cfg UDPConfig, clock sim.Clock, w wire, boot uint32) (*UDP, error) {
 		}
 		u.engines = append(u.engines, u.disco)
 	}
-	u.timed = len(u.engines) > 0 || u.latency > 0
+	u.timed = len(u.engines) > 0
 	u.peersMu.Lock()
 	u.rearm(now)
 	u.peersMu.Unlock()
@@ -271,7 +267,7 @@ func (u *UDP) enter() (now time.Duration) {
 // frame's buffer the moment an ack for it arrives.
 func (u *UDP) leave(fx *effects, now time.Duration) {
 	u.settle(fx, now)
-	u.admit(fx, &u.stats, now)
+	u.admit(fx, &u.stats)
 	if u.corked || (u.corker && fx.deliver) {
 		u.hold(fx)
 	} else {
@@ -339,7 +335,7 @@ func (u *UDP) forgetPeer(id uint32) {
 
 // nextDeadline is the earliest deadline of any engine.
 func (u *UDP) nextDeadline() time.Duration {
-	next := u.peerTable.nextDeadline()
+	next := never
 	for _, e := range u.engines {
 		next = min(next, e.nextDeadline())
 	}

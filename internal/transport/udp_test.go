@@ -231,19 +231,6 @@ func TestUDPInjectedLossDropsEverything(t *testing.T) {
 	}
 }
 
-func TestUDPInjectedLatencyDelays(t *testing.T) {
-	const lat = 50 * time.Millisecond
-	a, _, _, cb := socketPair(t, UDPConfig{Latency: lat}, UDPConfig{})
-	start := time.Now()
-	if err := a.Send(2, []byte("slow")); err != nil {
-		t.Fatal(err)
-	}
-	cb.next(t, "delayed delivery")
-	if el := time.Since(start); el < lat {
-		t.Fatalf("delivery after %v, want >= %v", el, lat)
-	}
-}
-
 func TestUDPCloseIsIdempotentAndLeakFree(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {

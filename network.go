@@ -114,9 +114,6 @@ type NetworkConfig struct {
 	// and partitioned scenarios must keep it longer than the longest
 	// disconnection, so replayed custody is still deduplicated.
 	SeenTTL time.Duration
-	// EnergyAware spreads reinforcement across exploratory deliverers
-	// (see core.Config.EnergyAware).
-	EnergyAware bool
 	// TraceSampling, in (0,1], enables causal flight-path tracing: each
 	// locally originated message is tagged with a 16-bit flow ID with this
 	// probability, and every layer touching a sampled message (core, MAC,
@@ -263,7 +260,6 @@ func NewNetwork(cfg NetworkConfig) *Network {
 				SeenTTL:             cfg.SeenTTL,
 				DisableNegRF:        cfg.DisableNegativeReinforcement,
 				Custody:             cusq,
-				EnergyAware:         cfg.EnergyAware,
 				Flight:              fl,
 				TraceSample:         cfg.TraceSampling,
 				Spans:               ring,

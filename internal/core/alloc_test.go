@@ -5,6 +5,7 @@ package core
 import (
 	"testing"
 
+	"diffusion/internal/attr"
 	"diffusion/internal/message"
 	"diffusion/internal/sim"
 )
@@ -269,5 +270,64 @@ func TestAllocsJitteredForward(t *testing.T) {
 	}
 	if got != 0 {
 		t.Errorf("forwarding an interest and an exploratory message allocates %.0f/op, budget 0", got)
+	}
+}
+
+// brokerTable is a node with 10⁴ entries, each with a gradient toward
+// neighbor 2, and the three entries of it that NeighborDead(9) purges.
+func brokerTable() (*Node, []*interestEntry) {
+	n := newHandRig(&countLink{id: 1}, false).n
+	var named []*interestEntry
+	for i := range 10000 {
+		e := n.entryFor(lineInterest.With(attr.Int32Attr(attr.KeySequence, attr.EQ, int32(i))), false)
+		n.gradient(e, 2)
+		if i%4000 == 17 {
+			named = append(named, e)
+		}
+	}
+	return n, named
+}
+
+// A neighbor's death at a broker-scale node walks the whole entry table
+// and purges exactly the entries with a record for it, allocating
+// nothing: of 10⁴ entries three hold a gradient toward the dead neighbor,
+// which each run sets up again.
+func TestAllocsNeighborDeadBroker(t *testing.T) {
+	n, named := brokerTable()
+	runs := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, e := range named {
+			n.gradient(e, 9)
+		}
+		before := n.Stats.GradientsExpired
+		n.NeighborDead(9)
+		if got := n.Stats.GradientsExpired - before; got != len(named) {
+			t.Fatalf("NeighborDead expired %d gradients, want %d", got, len(named))
+		}
+		runs++
+	})
+	if allocs != 0 {
+		t.Errorf("NeighborDead over 10⁴ entries allocates %.0f, want 0", allocs)
+	}
+	for _, e := range n.entries {
+		if len(e.nbs) != 1 || e.nbs[0].nb != 2 || !e.nbs[0].grad {
+			t.Fatalf("entry %x holds %+v after %d deaths, want one gradient toward 2", e.hash, e.nbs, runs)
+		}
+	}
+	if n.Entries() != 10000 {
+		t.Errorf("%d entries left, want 10000", n.Entries())
+	}
+}
+
+// BenchmarkNeighborDeadBroker times that walk: one NeighborDead over 10⁴
+// entries, three of them with a gradient toward the dead neighbor.
+func BenchmarkNeighborDeadBroker(b *testing.B) {
+	n, named := brokerTable()
+	b.ResetTimer()
+	for range b.N {
+		for _, e := range named {
+			n.gradient(e, 9)
+		}
+		n.NeighborDead(9)
 	}
 }

@@ -34,13 +34,16 @@ func (n *Node) NeighborDead(peer uint32) {
 	nb := message.NodeID(peer)
 	n.Stats.NeighborDeaths++
 	// Only entries with a record for the dead neighbor can hold state
-	// naming it, and nbTouch yields exactly those, so the purge is
-	// proportional to the peer's footprint, not the entry table. The
-	// purge of each entry is independent of the others, and compact
-	// deletes only the entry in hand from the set, so the walk needs no
-	// snapshot and no order.
-	for _, e := range n.nbTouch[nb] {
+	// naming it (see interestEntry.live), and a binary search of each
+	// entry's records finds it: a neighbor dies rarely, so a walk of the
+	// table costs less than an index kept up on every record. The purge
+	// of each entry is independent of the others and changes no entry
+	// but the one in hand, so the walk needs no snapshot and no order.
+	for _, e := range n.entries {
 		r := e.find(nb)
+		if r == nil {
+			continue
+		}
 		if r.grad {
 			n.dropGradient(e, r)
 		}
@@ -55,7 +58,7 @@ func (n *Node) NeighborDead(peer uint32) {
 		if e.hasExpFrom && e.lastExpFrom == nb {
 			e.hasExpFrom = false
 		}
-		n.compact(e)
+		e.compact()
 	}
 	// Custody retains gradient-less entries as cached interests (see
 	// housekeeping). Without it, collect every empty entry — the old full

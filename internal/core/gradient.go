@@ -21,8 +21,8 @@ type interestEntry struct {
 	attrs attr.Vec
 	hash  uint64
 	// nbs holds one record per neighbor the entry refers to, in ascending
-	// ID, so every walk over it runs in one order. nbTouch on the node is
-	// its exact inverse: record, compact and dropEntry keep the two in step.
+	// ID, so every walk over it runs in one order and a lookup is a binary
+	// search.
 	nbs []nbRecord
 	// sinks are this node's subscription groups fed by the entry: the node
 	// is a sink for the interest.
@@ -105,38 +105,24 @@ func (e *interestEntry) find(nb message.NodeID) *nbRecord {
 	return nil
 }
 
-// record returns e's record for nb, inserting an empty one, indexed in
-// nbTouch, if there is none. The pointer is good until the next insert.
-func (n *Node) record(e *interestEntry, nb message.NodeID) *nbRecord {
+// record returns e's record for nb, inserting an empty one if there is
+// none. The pointer is good until the next insert.
+func (e *interestEntry) record(nb message.NodeID) *nbRecord {
 	i, ok := slices.BinarySearchFunc(e.nbs, nb, byNb)
 	if !ok {
 		e.nbs = slices.Insert(e.nbs, i, nbRecord{nb: nb})
-		set := n.nbTouch[nb]
-		if set == nil {
-			set = map[uint64]*interestEntry{}
-			n.nbTouch[nb] = set
-		}
-		set[e.hash] = e
 	}
 	return &e.nbs[i]
 }
 
-// compact drops e's dead records and their nbTouch index entries.
-func (n *Node) compact(e *interestEntry) {
-	kept := e.nbs[:0]
-	for _, r := range e.nbs {
-		if e.live(&r) {
-			kept = append(kept, r)
-		} else {
-			n.untouch(e, r.nb)
-		}
-	}
-	e.nbs = kept
+// compact drops e's dead records, keeping the array.
+func (e *interestEntry) compact() {
+	e.nbs = slices.DeleteFunc(e.nbs, func(r nbRecord) bool { return !e.live(&r) })
 }
 
 // gradient returns e's gradient toward nb, setting one up if there is none.
 func (n *Node) gradient(e *interestEntry, nb message.NodeID) *nbRecord {
-	r := n.record(e, nb)
+	r := e.record(nb)
 	if !r.grad {
 		r.grad = true
 		n.Stats.GradientsCreated++
@@ -399,7 +385,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 		if m.Class == message.ExploratoryData && !local {
 			e.lastExpFrom = m.PrevHop
 			e.hasExpFrom = true
-			n.record(e, m.PrevHop)
+			e.record(m.PrevHop)
 		}
 		if len(e.sinks) > 0 {
 			isSinkFor = true
@@ -513,7 +499,7 @@ func (n *Node) reinforceUpstream(e *interestEntry, nb message.NodeID, cause mess
 	e.lastReinforcedID = cause
 	e.reinforcedUpstream = nb
 	e.hasReinforcedUpstream = true
-	n.record(e, nb)
+	e.record(nb)
 	n.transmit(&message.Message{
 		Class:   message.PositiveReinforcement,
 		ID:      cause,
@@ -618,7 +604,7 @@ func (n *Node) noteDuplicateData(m *message.Message) {
 			e.nbs[i].dups = 0
 		}
 	}
-	r := n.record(e, m.PrevHop)
+	r := e.record(m.PrevHop)
 	if r.dups++; r.dups < negRFThreshold {
 		return
 	}

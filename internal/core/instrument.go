@@ -11,6 +11,15 @@ var classSlugs = [message.NumClasses]string{
 	"positive_reinforcement", "negative_reinforcement", "custody_ack",
 }
 
+// classSeries are the per-class counter names, sent and received, built
+// once so that a scrape makes none.
+var classSeries = func() (names [message.NumClasses][2]string) {
+	for c, slug := range classSlugs {
+		names[c] = [2]string{"core.sent." + slug, "core.received." + slug}
+	}
+	return names
+}()
+
 // Instrument publishes the diffusion core's counters and live table sizes
 // on reg. Everything is read at snapshot time from the node's existing
 // Stats struct and maps; the message hot path is untouched.
@@ -18,9 +27,9 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 	reg.AddCollector(func(emit func(string, float64)) {
 		s := &n.Stats
 		emit("core.bytes_sent", float64(s.BytesSent))
-		for c, slug := range classSlugs {
-			emit("core.sent."+slug, float64(s.SentByClass[c]))
-			emit("core.received."+slug, float64(s.ReceivedByClass[c]))
+		for c, names := range classSeries {
+			emit(names[0], float64(s.SentByClass[c]))
+			emit(names[1], float64(s.ReceivedByClass[c]))
 		}
 		emit("core.cache_hits", float64(s.Duplicates))
 		emit("core.cache_misses", float64(s.SeenMisses))

@@ -1,17 +1,13 @@
 package core
 
-import (
-	"diffusion/internal/match"
-	"diffusion/internal/message"
-)
+import "diffusion/internal/match"
 
 // The unified MatchIndex: every match site of the node — gradient-entry
 // matching for data, local subscription delivery, the filter chain,
-// custody replay candidate selection, dead-neighbor purge — runs on the
-// inverted attribute indexes below instead of linear table scans, which
-// is what lets one node carry millions of subscriptions (a broker; the
-// paper's section 6.3 anticipates exactly this class of matching
-// optimization).
+// custody replay candidate selection — runs on the inverted attribute
+// indexes below instead of linear table scans, which is what lets one
+// node carry millions of subscriptions (a broker; the paper's section 6.3
+// anticipates exactly this class of matching optimization).
 //
 // Exactness and determinism contract:
 //
@@ -98,18 +94,6 @@ func (n *Node) dropEntry(e *interestEntry) {
 	delete(n.entries, e.hash)
 	n.midx.entries.Remove(e.slot)
 	delete(n.emptyEntries, e.hash)
-	for _, r := range e.nbs {
-		n.untouch(e, r.nb)
-	}
-}
-
-// untouch removes e from neighbor nb's nbTouch set, and the set once empty.
-func (n *Node) untouch(e *interestEntry, nb message.NodeID) {
-	set := n.nbTouch[nb]
-	delete(set, e.hash)
-	if len(set) == 0 {
-		delete(n.nbTouch, nb)
-	}
 }
 
 // noteEntryEmptiness keeps the empty-entry set (no gradients, no local

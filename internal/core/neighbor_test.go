@@ -60,11 +60,10 @@ func (r *handRig) interest(v attr.Vec, hops func(nb uint32) uint8, nbs ...uint32
 
 func oneHop(uint32) uint8 { return 1 }
 
-// checkTouchExact fails unless every entry's records are ascending and
-// live, and nbTouch indexes exactly the records that exist.
-func checkTouchExact(t *testing.T, n *Node, when string) {
+// checkRecordsLive fails unless every entry's records are ascending and
+// live.
+func checkRecordsLive(t *testing.T, n *Node, when string) {
 	t.Helper()
-	refs := 0
 	for _, e := range n.entries {
 		for i, r := range e.nbs {
 			if i > 0 && e.nbs[i-1].nb >= r.nb {
@@ -73,22 +72,22 @@ func checkTouchExact(t *testing.T, n *Node, when string) {
 			if !e.live(&r) {
 				t.Errorf("%s: entry %x keeps a dead record for %d", when, e.hash, r.nb)
 			}
-			if n.nbTouch[r.nb][e.hash] != e {
-				t.Errorf("%s: entry %x has a record for %d that nbTouch misses", when, e.hash, r.nb)
-			}
-			refs++
 		}
 	}
-	for nb, set := range n.nbTouch {
-		for _, e := range set {
-			if e.find(nb) == nil {
-				t.Errorf("%s: nbTouch[%d] names entry %x, which has no record for it", when, nb, e.hash)
-			}
-			refs--
+}
+
+// checkDeadForgotten fails unless no state routes through dead neighbor
+// nb: no entry's reinforcement or exploratory trace names it, and its one
+// possible record is custody's stale mark.
+func checkDeadForgotten(t *testing.T, n *Node, nb message.NodeID, custody bool) {
+	t.Helper()
+	for _, e := range n.entries {
+		if e.hasReinforcedUpstream && e.reinforcedUpstream == nb || e.hasExpFrom && e.lastExpFrom == nb {
+			t.Errorf("entry %x still traces through dead neighbor %d", e.hash, nb)
 		}
-	}
-	if refs != 0 {
-		t.Errorf("%s: records and nbTouch differ in size by %d", when, refs)
+		if r := e.find(nb); r != nil && (!custody || *r != nbRecord{nb: nb, stale: true}) {
+			t.Errorf("entry %x keeps %+v for dead neighbor %d", e.hash, *r, nb)
+		}
 	}
 }
 
@@ -103,10 +102,11 @@ func recordsFor(n *Node, nb message.NodeID) []nbRecord {
 	return out
 }
 
-// The per-neighbor table holds what is live and nothing else. Without
-// custody a dead neighbor, or one whose last gradient expired, leaves no
-// record and no nbTouch key behind; with custody the one thing left is
-// the stale mark that store-and-carry replay falls back on.
+// The per-neighbor table holds what is live and nothing else: after every
+// compact each record is live, and a dead neighbor, or one whose last
+// gradient expired, leaves no record behind without custody; with custody
+// the one thing left is the stale mark that store-and-carry replay falls
+// back on.
 func TestNeighborTableExact(t *testing.T) {
 	for _, custody := range []bool{false, true} {
 		t.Run(fmt.Sprintf("custody=%v", custody), func(t *testing.T) {
@@ -133,11 +133,13 @@ func TestNeighborTableExact(t *testing.T) {
 			if up, ok := n.ReinforcedUpstream(lineTask); !ok || up != 5 {
 				t.Fatalf("reinforced upstream %d/%v, want 5", up, ok)
 			}
-			checkTouchExact(t, n, "set-up")
+			checkRecordsLive(t, n, "set-up")
 
 			n.NeighborDead(3)
 			n.NeighborDead(5)
-			checkTouchExact(t, n, "after NeighborDead")
+			checkRecordsLive(t, n, "after NeighborDead")
+			checkDeadForgotten(t, n, 3, custody)
+			checkDeadForgotten(t, n, 5, custody)
 			// 2 refreshes, 4 goes silent: its gradients expire.
 			for at := 5 * time.Second; at < time.Minute; at += 5 * time.Second {
 				r.s.After(at, func() {
@@ -146,7 +148,7 @@ func TestNeighborTableExact(t *testing.T) {
 				})
 			}
 			r.s.RunUntil(time.Minute)
-			checkTouchExact(t, n, "after expiry")
+			checkRecordsLive(t, n, "after expiry")
 
 			if n.Entries() != 2 || len(recordsFor(n, 2)) != 2 {
 				t.Fatalf("%d entries, %d with a record for 2; want 2 and 2", n.Entries(), len(recordsFor(n, 2)))
@@ -157,14 +159,14 @@ func TestNeighborTableExact(t *testing.T) {
 			for _, nb := range []message.NodeID{3, 4} {
 				got := recordsFor(n, nb)
 				if !custody {
-					if len(got) != 0 || n.nbTouch[nb] != nil {
-						t.Errorf("neighbor %d: records %+v and nbTouch %v, want none", nb, got, n.nbTouch[nb])
+					if len(got) != 0 {
+						t.Errorf("neighbor %d: records %+v, want none", nb, got)
 					}
 					continue
 				}
 				want := nbRecord{nb: nb, stale: true}
-				if len(got) != 2 || got[0] != want || got[1] != want || len(n.nbTouch[nb]) != 2 {
-					t.Errorf("neighbor %d: records %+v and %d nbTouch entries, want two stale marks", nb, got, len(n.nbTouch[nb]))
+				if len(got) != 2 || got[0] != want || got[1] != want {
+					t.Errorf("neighbor %d: records %+v, want two stale marks", nb, got)
 				}
 			}
 		})

@@ -292,9 +292,6 @@ type Node struct {
 	// emptyEntries tracks entries with no gradients and no local sinks —
 	// the GC condition — so purge paths need not scan the entry table.
 	emptyEntries map[uint64]*interestEntry
-	// nbTouch maps a neighbor to the entries holding a record for it
-	// (exactly: see interestEntry.nbs), so NeighborDead purges by neighbor.
-	nbTouch map[message.NodeID]map[uint64]*interestEntry
 	// entryBufs/subBufs are free lists for pooled match-result snapshots
 	// (see matchindex.go).
 	entryBufs [][]*interestEntry
@@ -369,7 +366,6 @@ func NewNode(cfg Config) *Node {
 		groupsByTag:     map[uint64]*subGroup{},
 		filtersByHandle: map[FilterHandle]*filter{},
 		emptyEntries:    map[uint64]*interestEntry{},
-		nbTouch:         map[message.NodeID]map[uint64]*interestEntry{},
 		entries:         map[uint64]*interestEntry{},
 		expFrom:         map[message.ID]message.NodeID{},
 	}
@@ -452,7 +448,6 @@ func (n *Node) Restart() {
 	n.entries = map[uint64]*interestEntry{}
 	n.midx.entries.Reset()
 	n.emptyEntries = map[uint64]*interestEntry{}
-	n.nbTouch = map[message.NodeID]map[uint64]*interestEntry{}
 	n.seen = seenCache{max: seenMax, gone: n.seenGone}
 	n.expFrom = map[message.ID]message.NodeID{}
 	for _, p := range n.pubs {
@@ -980,7 +975,7 @@ func (n *Node) housekeeping() {
 				r.dups = 0
 			}
 		}
-		n.compact(e)
+		e.compact()
 		// With custody on, an interest whose gradients all decayed is
 		// retained as a cached interest: a mobile custodian (the ferry)
 		// must still know *what* is wanted to re-offer the interest and

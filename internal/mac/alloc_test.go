@@ -12,7 +12,7 @@ import (
 
 // A 112-byte message (the paper's event: five 27-byte fragments) from
 // sender to receiver allocates nothing in steady state: the queue entry
-// with its fragment array and train, the radio's copy of each frame, the
+// with its train of fragments, the radio's copy of each frame, the
 // transmit pump's ten steps, the five receptions, the reassembly entry, the
 // buffer it is reassembled in (lent to the handler, then idle again) and the
 // expiry timer are all reused.
@@ -40,8 +40,8 @@ func TestAllocsFiveFragmentMessage(t *testing.T) {
 
 // Eight senders' trains interleaved at one receiver, fragment by fragment,
 // allocate nothing once warm: the eight messages under reassembly at once
-// are entries of one slice, timed by one timer, and their buffers are the
-// eight idle ones the MAC keeps.
+// are entries of one slice, timed by one timer, and their buffers are
+// eight of the idle ones the MAC keeps.
 func TestAllocsInterleavedTrains(t *testing.T) {
 	_, rx, senders, _ := rig(8)
 	rx.handler = func(uint32, []byte) {} // the log's copy would allocate
@@ -62,5 +62,67 @@ func TestAllocsInterleavedTrains(t *testing.T) {
 	}
 	if rx.Stats.MessagesDelivered != 8*102 {
 		t.Errorf("%d messages delivered, want %d", rx.Stats.MessagesDelivered, 8*102)
+	}
+}
+
+// Twelve senders' trains of 2 to 6 fragments, interleaved at one receiver
+// fragment by fragment, with a quarter of them one fragment short and left
+// to expire, allocate nothing once warm: twelve trains of five sizes are
+// under reassembly at once, and each takes the smallest idle buffer with
+// room.
+func TestAllocsInterleavedTrainsExpiring(t *testing.T) {
+	s, rx, senders, _ := rig(12)
+	rx.handler = func(uint32, []byte) {}
+	trains := make([][][]byte, len(senders))
+	for i, m := range senders {
+		trains[i] = train(m, 1, counted((2+i%5)*DefaultParams().FragmentPayload-i, byte(i)))
+		if i%4 == 3 {
+			trains[i] = trains[i][:len(trains[i])-1]
+		}
+	}
+	round := func() {
+		for f := range 6 {
+			for i, m := range senders {
+				if f < len(trains[i]) {
+					rx.onFrame(m.ID(), trains[i][f])
+				}
+			}
+		}
+		s.RunUntil(s.Now() + DefaultParams().ReassemblyTimeout)
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("12 interleaved trains, 3 expiring, allocate %.0f, want 0", n)
+	}
+	if rx.Stats.MessagesDelivered != 9*102 || rx.Stats.ReassemblyExpired != 3*102 {
+		t.Errorf("%d delivered and %d expired, want %d and %d",
+			rx.Stats.MessagesDelivered, rx.Stats.ReassemblyExpired, 9*102, 3*102)
+	}
+}
+
+// A sender that queues ten messages of different sizes before its pump
+// runs allocates nothing once warm: it keeps a queue entry for each, so
+// no Send makes one, and each entry's train has grown to fit.
+func TestAllocsQueuedBurst(t *testing.T) {
+	s := sim.New(1)
+	ch := radio.NewChannel(s, topo.Line(2, 5), radio.PerfectParams())
+	delivered := 0
+	m1 := Attach(s, ch, 1, DefaultParams(), nil)
+	Attach(s, ch, 2, DefaultParams(), func(uint32, []byte) { delivered++ })
+	payload := make([]byte, 112)
+	round := func() {
+		for i := range 10 {
+			if err := m1.Send(Broadcast, payload[:10+10*i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("10 queued messages allocate %.0f, want 0", n)
+	}
+	if delivered != 10*102 {
+		t.Errorf("delivered %d messages, want %d", delivered, 10*102)
 	}
 }

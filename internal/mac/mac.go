@@ -8,6 +8,7 @@
 package mac
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -149,10 +150,13 @@ type Mac struct {
 
 	// reasm holds the messages under reassembly in the order they started,
 	// which under one fixed timeout is also deadline order. A new message
-	// takes the first of bufs, at most maxBufs idle buffers, with room for it.
+	// takes the smallest of bufs with room for it; see maxBufs.
 	reasm []partial
 	bufs  [][]byte
-	msgs  freeList[outMsg]
+	// idle holds the queue entries not in use. An entry is made only when
+	// none is idle, and the queue holds at most QueueLimit, so there are
+	// never more than QueueLimit entries, queued and idle together.
+	idle []*outMsg
 
 	// attemptEv and fireEv are the transmit pump's two steps, bound once in
 	// Attach; at most one of them is pending at any time. expiryEv is the
@@ -170,12 +174,14 @@ type Mac struct {
 	Stats Stats
 }
 
-// outMsg is one queued message, pooled per Mac: frags and the train they
-// view keep their arrays across uses, as the radio copies what it sends.
+// outMsg is one queued message, pooled per Mac: train keeps its array
+// across uses, as the radio copies what it sends.
 type outMsg struct {
-	dst      uint32
-	frags    [][]byte // pre-built frames including headers
-	train    []byte   // one backing array for every fragment
+	dst uint32
+	// train holds the count framed fragments, headers included, back to
+	// back; see frame.
+	train    []byte
+	count    int
 	next     int
 	attempts int
 	// span is the trace-context template captured at enqueue time, so the
@@ -187,32 +193,6 @@ type outMsg struct {
 type reasmKey struct {
 	src uint32
 	seq uint16
-}
-
-// maxFree bounds the free list of queue entries (outMsg). Entries leave
-// the queue one at a time, as each message finishes or is dropped, and the
-// next Send takes one back, so a short list covers the turnover.
-const maxFree = 2
-
-// freeList keeps up to maxFree idle records for reuse; get returns nil if none.
-type freeList[T any] struct {
-	recs [maxFree]*T
-	n    int
-}
-
-func (f *freeList[T]) get() (x *T) {
-	if f.n > 0 {
-		f.n--
-		x, f.recs[f.n] = f.recs[f.n], nil
-	}
-	return x
-}
-
-func (f *freeList[T]) put(x *T) {
-	if f.n < maxFree {
-		f.recs[f.n] = x
-		f.n++
-	}
 }
 
 // partial is one message under reassembly, a train of count fragments. The
@@ -231,13 +211,36 @@ type partial struct {
 // maxFragments bounds a train, so that got has a bit for every fragment.
 const maxFragments = 64
 
-// maxBufs bounds the idle reassembly buffers a MAC keeps.
-const maxBufs = 8
+// maxBufs bounds the idle reassembly buffers a MAC keeps, in ascending
+// capacity: at most maxBufs of them, each of at most maxFragments times
+// FragmentPayload bytes, the size of the largest train it heard. Each
+// buffer is made to its train's size, so the idle ones are the largest
+// that came back, and a new train takes the smallest with room.
+const maxBufs = 16
 
-// putBuf makes b idle, unless maxBufs are.
+// byCap orders buffers by capacity.
+func byCap(b []byte, n int) int { return cmp.Compare(cap(b), n) }
+
+// takeBuf returns n bytes: the smallest idle buffer with room, or a new one.
+func (m *Mac) takeBuf(n int) []byte {
+	i, _ := slices.BinarySearchFunc(m.bufs, n, byCap)
+	if i == len(m.bufs) {
+		return make([]byte, n)
+	}
+	b := m.bufs[i][:n]
+	m.bufs = slices.Delete(m.bufs, i, i+1)
+	return b
+}
+
+// putBuf makes b idle; when maxBufs already are, the smallest of them and b
+// is dropped.
 func (m *Mac) putBuf(b []byte) {
+	i, _ := slices.BinarySearchFunc(m.bufs, cap(b), byCap)
 	if len(m.bufs) < maxBufs {
-		m.bufs = append(m.bufs, b)
+		m.bufs = slices.Insert(m.bufs, i, b)
+	} else if i > 0 {
+		copy(m.bufs, m.bufs[1:i])
+		m.bufs[i-1] = b
 	}
 }
 
@@ -392,11 +395,13 @@ func (m *Mac) Send(dst uint32, payload []byte) error {
 		return ErrQueueFull
 	}
 	m.seq++
-	om := m.msgs.get()
-	if om == nil {
+	var om *outMsg
+	if l := len(m.idle); l > 0 {
+		om, m.idle = m.idle[l-1], m.idle[:l-1]
+	} else {
 		om = &outMsg{}
 	}
-	*om = outMsg{dst: dst, frags: om.frags, train: om.train}
+	*om = outMsg{dst: dst, train: om.train}
 	m.fragment(om, m.seq, payload)
 	if m.spans != nil {
 		if e := telemetry.PeekEvent(payload); e.Flow != 0 {
@@ -417,33 +422,26 @@ func (m *Mac) Send(dst uint32, payload []byte) error {
 // when backoff exhaustion discards it).
 func (m *Mac) Trace(ring *telemetry.Ring) { m.spans = ring }
 
-// fragment splits payload into framed fragments, into om's frags and train.
+// fragment splits payload into framed fragments, into om's train.
 func (m *Mac) fragment(om *outMsg, seq uint16, payload []byte) {
 	fp := m.params.FragmentPayload
-	count := (len(payload) + fp - 1) / fp
-	if count == 0 {
-		count = 1 // empty payloads still occupy one fragment
-	}
-	om.frags = om.frags[:0]
-	// Sized up front: the fragments are views of it, so it must not move.
-	if n := count*fragHeaderSize + len(payload); cap(om.train) < n {
-		om.train = make([]byte, 0, n)
-	}
-	buf := om.train[:0]
-	for i := 0; i < count; i++ {
-		lo := i * fp
-		hi := lo + fp
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		start := len(buf)
+	om.count = max(1, (len(payload)+fp-1)/fp) // empty payloads still occupy one fragment
+	buf := slices.Grow(om.train[:0], om.count*fragHeaderSize+len(payload))
+	for i := 0; i < om.count; i++ {
 		buf = binary.BigEndian.AppendUint16(buf, toWireID(om.dst))
 		buf = binary.BigEndian.AppendUint16(buf, toWireID(m.ID()))
 		buf = binary.BigEndian.AppendUint16(buf, seq)
-		buf = append(buf, byte(i), byte(count))
-		buf = append(buf, payload[lo:hi]...)
-		om.frags = append(om.frags, buf[start:len(buf):len(buf)])
+		buf = append(buf, byte(i), byte(om.count))
+		buf = append(buf, payload[i*fp:min((i+1)*fp, len(payload))]...)
 	}
+	om.train = buf
+}
+
+// frame returns om's fragment i: every fragment but the last is a full
+// one, so they lie at a fixed stride in the train.
+func (m *Mac) frame(om *outMsg, i int) []byte {
+	stride := fragHeaderSize + m.params.FragmentPayload
+	return om.train[i*stride : min((i+1)*stride, len(om.train))]
 }
 
 // kick starts the transmit pump if idle. The pump defers a random slot
@@ -468,7 +466,7 @@ func (m *Mac) attempt() {
 	cur := m.queue[0]
 	if m.dutyCycled() {
 		now := m.env.Now()
-		needed := m.params.Turnaround() + m.tx.Airtime(len(cur.frags[cur.next])) + m.params.InterFragGap
+		needed := m.params.Turnaround() + m.tx.Airtime(len(m.frame(cur, cur.next))) + m.params.InterFragGap
 		if !m.awake(now) || m.activeRemaining(now) < needed {
 			// Sleep (or not enough window left for the whole fragment):
 			// defer to the next active window plus a small random offset
@@ -485,7 +483,7 @@ func (m *Mac) attempt() {
 		if cur.attempts > m.params.MaxAttempts {
 			// Drop the whole message, as a primitive MAC would.
 			m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
-			m.msgs.put(cur)
+			m.idle = append(m.idle, cur)
 			m.Stats.MessagesDropped++
 			if e := cur.span; e.Flow != 0 {
 				e.Verb, e.Reason = telemetry.Drop, telemetry.DropLinkRefused
@@ -532,13 +530,13 @@ func (m *Mac) fire() {
 		return
 	}
 	cur := m.queue[0]
-	air := m.tx.Transmit(cur.frags[cur.next])
+	air := m.tx.Transmit(m.frame(cur, cur.next))
 	m.Stats.FragmentsSent++
 	cur.next++
 	cur.attempts = 0
-	if cur.next == len(cur.frags) {
+	if cur.next == cur.count {
 		m.queue = slices.Delete(m.queue, 0, 1) // keeps the array
-		m.msgs.put(cur)
+		m.idle = append(m.idle, cur)
 		m.Stats.MessagesSent++
 		if e := cur.span; e.Flow != 0 {
 			e.Verb = telemetry.Tx
@@ -582,18 +580,11 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 		i++
 	}
 	if i == len(m.reasm) {
-		buf, n := []byte(nil), count*fp
-		if j := slices.IndexFunc(m.bufs, func(b []byte) bool { return cap(b) >= n }); j >= 0 {
-			buf = m.bufs[j][:n]
-			m.bufs = slices.Delete(m.bufs, j, j+1)
-		} else {
-			buf = make([]byte, n)
-		}
 		if i == 0 {
 			m.expiryEv.Cancel() // still pending if the last message completed
 			m.env.Arm(&m.expiryEv, m.params.ReassemblyTimeout)
 		}
-		m.reasm = append(m.reasm, partial{key: key, count: count, deadline: m.env.Now() + m.params.ReassemblyTimeout, buf: buf})
+		m.reasm = append(m.reasm, partial{key: key, count: count, deadline: m.env.Now() + m.params.ReassemblyTimeout, buf: m.takeBuf(count * fp)})
 	}
 	p := &m.reasm[i]
 	if p.count != count || p.got&(1<<idx) != 0 {

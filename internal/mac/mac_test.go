@@ -268,9 +268,7 @@ func TestReassemblyCopiesOutOfTheFrame(t *testing.T) {
 		for i := range sent[id] {
 			sent[id][i] = byte(int(id)*50 + i)
 		}
-		om := &outMsg{dst: Broadcast}
-		senders[id].fragment(om, 7, sent[id])
-		trains[id] = om.frags
+		trains[id] = train(senders[id], 7, sent[id])
 	}
 	// Sender 3's fragment 1 is lost; 1's fragment 0 and 2's fragment 2
 	// arrive twice.
@@ -484,7 +482,11 @@ func rig(n int) (*sim.Engine, *Mac, []*Mac, *rxLog) {
 func train(m *Mac, seq uint16, payload []byte) [][]byte {
 	om := &outMsg{dst: Broadcast}
 	m.fragment(om, seq, payload)
-	return om.frags
+	frags := make([][]byte, om.count)
+	for i := range frags {
+		frags[i] = slices.Clip(m.frame(om, i))
+	}
+	return frags
 }
 
 // counted fills a payload of n bytes, each one different from its
@@ -634,39 +636,104 @@ func TestFragmentAtDeadlineSeesItExpired(t *testing.T) {
 	}
 }
 
-// The idle reassembly buffers never number more than maxBufs: twelve trains
-// under reassembly at once all expire, and eight of their buffers stay.
+// The idle reassembly buffers never number more than maxBufs, and they are
+// the largest that came back: twenty trains of 2 to 21 fragments under
+// reassembly at once all expire, and the buffers of the largest maxBufs
+// stay, in ascending size.
 func TestReassemblyKeepsAtMostMaxBufs(t *testing.T) {
-	s, rx, senders, _ := rig(12)
-	for _, m := range senders {
-		rx.onFrame(m.ID(), train(m, 1, counted(60, 1))[0])
+	s, rx, senders, _ := rig(20)
+	fp := DefaultParams().FragmentPayload
+	for i, m := range senders {
+		rx.onFrame(m.ID(), train(m, 1, counted((i+2)*fp, 1))[0])
 	}
 	s.RunUntil(DefaultParams().ReassemblyTimeout)
-	if rx.Stats.ReassemblyExpired != 12 || len(rx.bufs) != maxBufs {
-		t.Errorf("%d expired, %d idle buffers; want 12, %d", rx.Stats.ReassemblyExpired, len(rx.bufs), maxBufs)
+	if rx.Stats.ReassemblyExpired != 20 || len(rx.bufs) != maxBufs {
+		t.Fatalf("%d expired, %d idle buffers; want 20, %d", rx.Stats.ReassemblyExpired, len(rx.bufs), maxBufs)
+	}
+	for i, b := range rx.bufs {
+		if want := (20 - maxBufs + 2 + i) * fp; cap(b) != want {
+			t.Errorf("idle buffer %d holds %d bytes, want %d", i, cap(b), want)
+		}
 	}
 }
 
-// A train takes the first idle buffer with room for it, or a new one of
-// exactly its size when none has.
+// A train takes the smallest idle buffer with room for it, or a new one
+// of exactly its size when none has.
 func TestReassemblyTakesAFreshBufferForALargerTrain(t *testing.T) {
-	_, rx, senders, log := rig(1)
-	m, fp := senders[0], DefaultParams().FragmentPayload
-	for _, f := range train(m, 1, counted(fp, 1)) {
+	_, rx, senders, log := rig(3)
+	fp := DefaultParams().FragmentPayload
+	// Trains of 1, 5 and 3 fragments at once leave three idle buffers.
+	var trains [][][]byte
+	for i, frags := range []int{1, 5, 3} {
+		trains = append(trains, train(senders[i], 1, counted(frags*fp, byte(i))))
+		rx.onFrame(senders[i].ID(), trains[i][0])
+	}
+	for i, tr := range trains {
+		for _, f := range tr[1:] {
+			rx.onFrame(senders[i].ID(), f)
+		}
+	}
+	idle := func() (caps []int) {
+		for _, b := range rx.bufs {
+			caps = append(caps, cap(b)/fp)
+		}
+		return caps
+	}
+	if got := idle(); !slices.Equal(got, []int{1, 3, 5}) {
+		t.Fatalf("idle buffers of %v fragments, want [1 3 5]", got)
+	}
+	m := senders[0]
+	two, six := train(m, 2, counted(2*fp, 7)), train(m, 3, counted(5*fp+3, 8))
+	rx.onFrame(m.ID(), two[0])
+	rx.onFrame(m.ID(), six[0])
+	if got := idle(); cap(rx.reasm[0].buf) != 3*fp || cap(rx.reasm[1].buf) != 6*fp || !slices.Equal(got, []int{1, 5}) {
+		t.Fatalf("2- and 6-fragment trains took buffers of %d and %d bytes, leaving %v idle; want %d, a new %d, and [1 5]",
+			cap(rx.reasm[0].buf), cap(rx.reasm[1].buf), got, 3*fp, 6*fp)
+	}
+	for _, f := range append(two[1:], six[1:]...) {
 		rx.onFrame(m.ID(), f)
 	}
-	small := rx.bufs[0]
-	big := train(m, 2, counted(4*fp+3, 2))
-	rx.onFrame(m.ID(), big[0])
-	if got := rx.reasm[0].buf; cap(got) != 5*fp || len(rx.bufs) != 1 || &rx.bufs[0][:1][0] != &small[:1][0] {
-		t.Fatalf("a 5-fragment train took a buffer of %d bytes and left %d idle; want a new one of %d and the 1-fragment one idle",
-			cap(got), len(rx.bufs), 5*fp)
+	if got := idle(); len(log.payloads) != 5 || !slices.Equal(got, []int{1, 3, 5, 6}) {
+		t.Errorf("delivered %d, idle buffers of %v fragments; want 5 and [1 3 5 6]", len(log.payloads), got)
 	}
-	for _, f := range big[1:] {
-		rx.onFrame(m.ID(), f)
+}
+
+// Sixty-four senders that start trains of every size up to maxFragments,
+// finish a third of them and leave the rest to expire, over and over,
+// never push the idle buffers past maxBufs, each at most maxFragments
+// fragments long, kept in ascending size.
+func TestReassemblyIdleBoundedUnderHostileSenders(t *testing.T) {
+	s, rx, senders, _ := rig(64)
+	fp := DefaultParams().FragmentPayload
+	check := func(when string) {
+		t.Helper()
+		if len(rx.bufs) > maxBufs {
+			t.Fatalf("%s: %d idle buffers, bound %d", when, len(rx.bufs), maxBufs)
+		}
+		for i, b := range rx.bufs {
+			if cap(b) > maxFragments*fp || i > 0 && cap(b) < cap(rx.bufs[i-1]) {
+				t.Fatalf("%s: idle buffer %d holds %d bytes after one of %d, bound %d",
+					when, i, cap(b), cap(rx.bufs[max(i-1, 0)]), maxFragments*fp)
+			}
+		}
 	}
-	if len(log.payloads) != 2 || len(rx.bufs) != 2 {
-		t.Errorf("delivered %d, %d idle buffers; want 2 and 2", len(log.payloads), len(rx.bufs))
+	for round := range 6 {
+		for i, m := range senders {
+			frags := train(m, uint16(round), counted(1+(i*37+round*11)%(maxFragments*fp), byte(i)))
+			if i%3 != round%3 {
+				frags = frags[:len(frags)-1]
+			}
+			for _, f := range frags {
+				rx.onFrame(m.ID(), f)
+				check("reassembling")
+			}
+		}
+		s.RunUntil(s.Now() + DefaultParams().ReassemblyTimeout)
+		check("after expiry")
+	}
+	if len(rx.bufs) != maxBufs || rx.Stats.ReassemblyExpired == 0 || rx.Stats.MessagesDelivered == 0 {
+		t.Errorf("%d idle buffers, %d expired, %d delivered; want %d and both above 0",
+			len(rx.bufs), rx.Stats.ReassemblyExpired, rx.Stats.MessagesDelivered, maxBufs)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,9 +35,12 @@ import (
 // that spends the most sets the network's lifetime). Those are
 // exact and are compared exactly, so the rows pin the protocol itself:
 // what an observer reads (traces, metrics) is not hashed and cannot move
-// them. Allocations per radio frame are recorded beside them and must stay
-// within ±1 % of the line, both ways: a rise fails, and so does a fall that
-// was not committed with -update. A change's effect on any of them is
+// them. Allocations are recorded beside them, those that build the network
+// and install its observers and traffic (build_allocs) apart from those
+// per radio frame of the run (allocs_per_frame), so that the second is the
+// steady state; each must stay within ±1 % of the line, both ways: a rise
+// fails, and so does a fall that was not committed with -update. A
+// change's effect on any of them is
 // therefore the diff of the ledger. One row, brokerRow, counts the match
 // index behind a broker's local subscriptions instead, all exactly. The
 // file is !race, as the allocation budgets are: the detector allocates.
@@ -51,9 +53,9 @@ var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.txt")
 
 const ledgerFile = "testdata/ledger.txt"
 
-// ledgerAllocSlack is how far allocations per frame may drift from the
-// ledger: a run's count varies by a few hundredths of a percent from one
-// run to the next, so the line rounds it to two decimals.
+// ledgerAllocSlack is how far allocation counts may drift from the ledger:
+// a run's count varies by a few hundredths of a percent from one run to
+// the next, so the line gives allocations per frame to four decimals.
 const ledgerAllocSlack = 0.01
 
 // ledgerWork is one simulated workload: a network built from cfg, on which
@@ -247,7 +249,8 @@ func ledgerWorks() []ledgerWork {
 type ledgerCounts struct {
 	frames, macDelivered, macExpired, deliveries, wireBytes int
 	wire, log                                               uint64
-	mallocs                                                 uint64
+	// buildMallocs count the network's construction, mallocs the run.
+	buildMallocs, mallocs uint64
 	// load is the radio frames each node sent over the run, reduced
 	// (nodeLoad.String), and, if the work names a reinforced path, whether
 	// the busiest sender lies on it.
@@ -259,8 +262,8 @@ type ledgerCounts struct {
 func (c ledgerCounts) allocsPerFrame() float64 { return float64(c.mallocs) / float64(c.frames) }
 
 func (c ledgerCounts) line(name string) string {
-	return fmt.Sprintf("%s frames=%d mac_delivered=%d mac_expired=%d deliveries=%d wire_bytes_per_delivery=%.4f wire=%016x log=%016x %s allocs_per_frame=%.2f",
-		name, c.frames, c.macDelivered, c.macExpired, c.deliveries, float64(c.wireBytes)/float64(c.deliveries), c.wire, c.log, c.load, c.allocsPerFrame())
+	return fmt.Sprintf("%s frames=%d mac_delivered=%d mac_expired=%d deliveries=%d wire_bytes_per_delivery=%.4f wire=%016x log=%016x %s build_allocs=%d allocs_per_frame=%.4f",
+		name, c.frames, c.macDelivered, c.macExpired, c.deliveries, float64(c.wireBytes)/float64(c.deliveries), c.wire, c.log, c.load, c.buildMallocs, c.allocsPerFrame())
 }
 
 // nodeLoad is a count per node, in topology order.
@@ -357,12 +360,13 @@ func runLedgerWork(w ledgerWork) ledgerCounts {
 		return delivered, expired
 	}
 
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	built := ms.Mallocs - m0
 	net.Run(w.setup)
-	if w.setup > 0 {
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		m0 = ms.Mallocs
-	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	m0 = ms.Mallocs
 	f0, d0, b0 := net.ChannelStats().FramesSent, deliveries, net.TotalDiffusionBytes()
 	md0, me0 := macStats()
 	load := framesSent(net)
@@ -384,6 +388,7 @@ func runLedgerWork(w ledgerWork) ledgerCounts {
 		wireBytes:    net.TotalDiffusionBytes() - b0,
 		wire:         tx.wire.Sum64(),
 		log:          tx.log.Sum64(),
+		buildMallocs: built,
 		mallocs:      ms.Mallocs - m0,
 		load:         loadFields,
 		metrics:      net.MetricsSnapshot(),
@@ -412,8 +417,8 @@ func TestCountsLedger(t *testing.T) {
 	}
 	got = append(got, brokerRow())
 	header := "# Counts ledger: one line per simulated workload; see ledger_test.go.\n" +
-		"# allocs_per_frame may drift by 1 %, everything else is exact. Rewrite with -update,\n" +
-		"# for an intended change only.\n"
+		"# build_allocs and allocs_per_frame may drift by 1 %, everything else is exact.\n" +
+		"# Rewrite with -update, for an intended change only.\n"
 	if *updateLedger {
 		if err := os.WriteFile(ledgerFile, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -433,22 +438,30 @@ func TestCountsLedger(t *testing.T) {
 	}
 	for i, line := range got {
 		name, _, _ := strings.Cut(line, " ")
-		exact, _, framed := strings.Cut(line, " allocs_per_frame=")
-		wantExact, wantAllocs, _ := strings.Cut(want[name], " allocs_per_frame=")
+		exact, _, counted := strings.Cut(line, " build_allocs=")
+		wantExact, wantAllocs, _ := strings.Cut(want[name], " build_allocs=")
 		if exact != wantExact {
 			t.Errorf("ledger moved:\n got %s\nwant %s", line, want[name])
 			continue
 		}
-		if !framed {
+		if !counted {
 			continue
 		}
-		pinned, err := strconv.ParseFloat(wantAllocs, 64)
-		if err != nil {
+		var build, perFrame float64
+		if _, err := fmt.Sscanf(wantAllocs, "%g allocs_per_frame=%g", &build, &perFrame); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if a := counts[i].allocsPerFrame(); math.Abs(a-pinned) > ledgerAllocSlack*pinned {
-			t.Errorf("%s: %.4f allocations per frame, ledger %.2f (±%.0f %%): rewrite the ledger with -update if the change is intended",
-				name, a, pinned, 100*ledgerAllocSlack)
+		for _, a := range []struct {
+			field       string
+			got, pinned float64
+		}{
+			{"build_allocs", float64(counts[i].buildMallocs), build},
+			{"allocs_per_frame", counts[i].allocsPerFrame(), perFrame},
+		} {
+			if math.Abs(a.got-a.pinned) > ledgerAllocSlack*a.pinned {
+				t.Errorf("%s: %s=%.4f, ledger %g (±%.0f %%): rewrite the ledger with -update if the change is intended",
+					name, a.field, a.got, a.pinned, 100*ledgerAllocSlack)
+			}
 		}
 	}
 }

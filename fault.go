@@ -66,14 +66,14 @@ func (net *Network) notifyFault(k FaultKind, node, peer uint32) {
 // testbed node loses power. Crashing a crashed node is a no-op; motes
 // cannot be crashed (Node panics on mote IDs).
 func (net *Network) CrashNode(id uint32) {
-	n := net.Node(id)
-	if net.down[id] {
+	p := net.must(id, "diffusion node", (*part).full)
+	if p.down {
 		return
 	}
-	net.down[id] = true
+	p.down = true
 	net.channel.SetNodeDown(id, true)
-	n.MAC.Detach()
-	n.Node.Detach()
+	p.node.MAC.Detach()
+	p.node.Node.Detach()
 	net.notifyFault(FaultNodeDown, id, 0)
 }
 
@@ -83,19 +83,22 @@ func (net *Network) CrashNode(id uint32) {
 // floods; each publication's next message is exploratory). Rebooting a
 // live node is a no-op.
 func (net *Network) RebootNode(id uint32) {
-	n := net.Node(id)
-	if !net.down[id] {
+	p := net.must(id, "diffusion node", (*part).full)
+	if !p.down {
 		return
 	}
-	delete(net.down, id)
+	p.down = false
 	net.channel.SetNodeDown(id, false)
-	n.MAC.Restart()
-	n.Node.Restart()
+	p.node.MAC.Restart()
+	p.node.Node.Restart()
 	net.notifyFault(FaultNodeUp, id, 0)
 }
 
 // NodeDown reports whether id is currently crashed.
-func (net *Network) NodeDown(id uint32) bool { return net.down[id] }
+func (net *Network) NodeDown(id uint32) bool {
+	p := net.part(id)
+	return p != nil && p.down
+}
 
 // SetLinkDown forces the directed radio link a→b into or out of blackout
 // (see radio.Channel.SetLinkDown). Use a FaultInjector for scheduled,
@@ -131,14 +134,14 @@ func (net *Network) ReinforcedPath(sink uint32, attrs Attributes, maxHops int) [
 	visited := map[uint32]bool{sink: true}
 	cur := sink
 	for len(path) <= maxHops {
-		if net.down[cur] {
+		if net.NodeDown(cur) {
 			break
 		}
 		next, ok := net.Node(cur).ReinforcedUpstream(attrs)
 		if !ok || visited[next] {
 			break
 		}
-		if _, isNode := net.nodes[next]; !isNode {
+		if p := net.part(next); p == nil || !p.full() {
 			break // upstream is a mote or unknown; stop the walk
 		}
 		path = append(path, next)

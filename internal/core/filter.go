@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"diffusion/internal/attr"
 	"diffusion/internal/match"
@@ -52,11 +53,9 @@ func (n *Node) AddFilter(attrs attr.Vec, priority int16, cb FilterCallback) Filt
 	f := &filter{handle: n.nextFil, attrs: attrs.Clone(), priority: priority, cb: cb}
 	n.filters = append(n.filters, f)
 	// Keep the chain sorted: higher priority first, then insertion order.
-	sort.SliceStable(n.filters, func(i, j int) bool {
-		return n.filters[i].priority > n.filters[j].priority
-	})
+	slices.SortStableFunc(n.filters, func(a, b *filter) int { return cmp.Compare(b.priority, a.priority) })
 	n.renumberFilters()
-	n.filtersByHandle[f.handle] = f
+	put(&n.filtersByHandle, f.handle, f)
 	f.slot = n.midx.filters.Add(f.attrs, uint64(f.handle))
 	return f.handle
 }

@@ -172,7 +172,7 @@ func (n *Node) entryFor(attrs attr.Vec, lent bool) *interestEntry {
 		e.attrs = attrs.Clone()
 	}
 	e.slot = n.midx.entries.Add(e.attrs, h)
-	n.entries[h] = e
+	put(&n.entries, h, e)
 	n.noteEntryEmptiness(e)
 	return e
 }
@@ -379,7 +379,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 	var targetBuf [8]message.NodeID
 	targets := targetBuf[:0]
 	if m.Class == message.ExploratoryData && !local {
-		n.expFrom[m.ID] = m.PrevHop
+		put(&n.expFrom, m.ID, m.PrevHop)
 	}
 	for _, e := range entries {
 		if m.Class == message.ExploratoryData && !local {

@@ -26,22 +26,19 @@ import "diffusion/internal/match"
 type matchIndexes struct {
 	// entries indexes interest-entry attributes; tag = entry hash.
 	// Two-way: data matches an entry iff attr.Match(entry, data).
-	entries *match.Index
+	entries match.Index
 	// subs indexes subscription groups, one per distinct live vector; tag =
 	// subGroup.tag. Two-way, like deliverLocal's attr.Match.
-	subs *match.Index
+	subs match.Index
 	// filters indexes filter patterns; tag = filter handle. One-way:
 	// every formal of the filter satisfied by an actual of the message.
-	filters *match.Index
+	filters match.Index
 
 	tagBufs [][]uint64
 }
 
-func (x *matchIndexes) init() {
-	x.entries = match.New(match.TwoWay)
-	x.subs = match.New(match.TwoWay)
-	x.filters = match.New(match.OneWay)
-}
+// init sets the filters index one-way; the other two are zero, two-way.
+func (x *matchIndexes) init() { x.filters = *match.New(match.OneWay) }
 
 // getTags hands out a pooled tag buffer; putTags returns it. Buffers must
 // be returned before any user callback runs — nested core entry then
@@ -102,7 +99,7 @@ func (n *Node) dropEntry(e *interestEntry) {
 // GC semantics without the full scan.
 func (n *Node) noteEntryEmptiness(e *interestEntry) {
 	if !e.hasGradient() && len(e.sinks) == 0 {
-		n.emptyEntries[e.hash] = e
+		put(&n.emptyEntries, e.hash, e)
 	} else {
 		delete(n.emptyEntries, e.hash)
 	}
@@ -131,7 +128,7 @@ type MatchStats struct {
 // MatchStats returns the node's aggregated match-index counters.
 func (n *Node) MatchStats() MatchStats {
 	var out MatchStats
-	for _, ix := range []*match.Index{n.midx.entries, n.midx.subs, n.midx.filters} {
+	for _, ix := range []*match.Index{&n.midx.entries, &n.midx.subs, &n.midx.filters} {
 		out.IndexKeys += ix.Keys()
 		out.IndexSize += ix.Len()
 		out.FallbackSize += ix.FallbackLen()

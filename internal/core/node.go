@@ -357,18 +357,7 @@ func (c *wakeupCork) take() {
 // caller must wire its Receive method as the link-layer upcall.
 func NewNode(cfg Config) *Node {
 	cfg.fill()
-	n := &Node{
-		cfg:             cfg,
-		randID:          cfg.Rand.Uint32(),
-		subs:            map[SubscriptionHandle]*subscription{},
-		pubs:            map[PublicationHandle]*publication{},
-		groups:          map[uint64][]*subGroup{},
-		groupsByTag:     map[uint64]*subGroup{},
-		filtersByHandle: map[FilterHandle]*filter{},
-		emptyEntries:    map[uint64]*interestEntry{},
-		entries:         map[uint64]*interestEntry{},
-		expFrom:         map[message.ID]message.NodeID{},
-	}
+	n := &Node{cfg: cfg, randID: cfg.Rand.Uint32()}
 	n.seen = seenCache{max: seenMax, gone: n.seenGone}
 	n.midx.init()
 	if cfg.Custody != nil {
@@ -388,6 +377,15 @@ func NewNode(cfg Config) *Node {
 	}
 	n.housekeep = sim.Every(cfg.Clock, housekeepInterval, housekeepInterval, n.housekeeping)
 	return n
+}
+
+// put sets (*m)[k] = v, making the map on first use: most nodes never
+// write most of their tables, so NewNode makes none.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = map[K]V{}
+	}
+	(*m)[k] = v
 }
 
 // housekeepInterval is the period of the state GC pass; it must be well
@@ -427,10 +425,7 @@ func (n *Node) Detach() {
 		return
 	}
 	n.detached = true
-	n.housekeep.Cancel()
-	for _, g := range n.groupsByTag {
-		g.stopRefresh()
-	}
+	n.Close()
 }
 
 // Restart reboots a detached node: gradients, the duplicate-suppression
@@ -445,11 +440,9 @@ func (n *Node) Restart() {
 		return
 	}
 	n.detached = false
-	n.entries = map[uint64]*interestEntry{}
+	n.entries, n.emptyEntries, n.expFrom = nil, nil, nil
 	n.midx.entries.Reset()
-	n.emptyEntries = map[uint64]*interestEntry{}
 	n.seen = seenCache{max: seenMax, gone: n.seenGone}
-	n.expFrom = map[message.ID]message.NodeID{}
 	for _, p := range n.pubs {
 		p.count = 0
 		p.lastExp = 0
@@ -540,11 +533,11 @@ func (n *Node) subscribe(attrs attr.Vec, cb DataCallback, k subKind) Subscriptio
 		wire := attrs.With(interestClass(attrs)...)
 		s.g = &subGroup{attrs: wire[:len(attrs):len(attrs)], wire: wire, ihash: ihash, tag: uint64(s.h)}
 		s.g.slot = n.midx.subs.Add(s.g.attrs, s.g.tag)
-		n.groups[ihash] = append(bucket, s.g)
-		n.groupsByTag[s.g.tag] = s.g
+		put(&n.groups, ihash, append(bucket, s.g))
+		put(&n.groupsByTag, s.g.tag, s.g)
 	}
 	s.g.members = append(s.g.members, s)
-	n.subs[s.h] = s
+	put(&n.subs, s.h, s)
 	switch {
 	case k == subLocal:
 		// Install the local entry so matching data finds a sink here.
@@ -653,7 +646,7 @@ func (n *Node) Unsubscribe(h SubscriptionHandle) error {
 // attributes given must cover what later Send calls emit.
 func (n *Node) Publish(attrs attr.Vec) PublicationHandle {
 	n.nextPub++
-	n.pubs[n.nextPub] = &publication{attrs: attrs.Clone()}
+	put(&n.pubs, n.nextPub, &publication{attrs: attrs.Clone()})
 	return n.nextPub
 }
 

@@ -215,7 +215,7 @@ func TestSeenCacheEvictsOldestWhenFull(t *testing.T) {
 	id := func(i int) message.ID { return message.ID{RandID: 9, PktNum: uint32(i)} }
 	for i := 0; i < 12; i++ {
 		n.markSeen(id(i))
-		n.expFrom[id(i)] = 2
+		put(&n.expFrom, id(i), 2)
 	}
 	if n.Stats.SeenEvicted != 4 || n.SeenSize() != 8 || n.ExpFromSize() != 8 {
 		t.Fatalf("%d evicted, %d IDs and %d traces held; want 4, 8, 8",

@@ -101,7 +101,9 @@ type Injector struct {
 	target Target
 	down   map[uint32]bool
 	events []Event
-	script []string
+	// script's lines are formatted when read: fmt's printer pool, emptied
+	// by every collection, would make a scenario's allocations vary.
+	script []func() string
 }
 
 // New returns an injector driving target on clock — the engine's global
@@ -140,11 +142,17 @@ func (in *Injector) NodeDown(id uint32) bool { return in.down[id] }
 // Script returns one human-readable line per scheduled fault scenario, in
 // scheduling order — the self-describing fault script exported in trace
 // headers.
-func (in *Injector) Script() []string { return in.script }
+func (in *Injector) Script() []string {
+	out := make([]string, len(in.script))
+	for i, line := range in.script {
+		out[i] = line()
+	}
+	return out
+}
 
 // note appends one script line.
 func (in *Injector) note(format string, args ...any) {
-	in.script = append(in.script, fmt.Sprintf(format, args...))
+	in.script = append(in.script, func() string { return fmt.Sprintf(format, args...) })
 }
 
 // record appends an event stamped now.

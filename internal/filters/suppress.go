@@ -28,6 +28,7 @@ type Suppression struct {
 	identityKeys []attr.Key
 	ttl          time.Duration
 	seen         map[string]time.Duration
+	sweep        time.Duration   // when gc next drops expired identities
 	idBuf        []byte          // scratch for the identity of the message in hand
 	keys         strings.Builder // the arena seen's keys are cut from
 
@@ -108,11 +109,13 @@ func (s *Suppression) onMessage(m *message.Message, h core.FilterHandle) {
 
 const keyChunk = 1024 // bytes in one key arena: a few dozen identities
 
-// gc drops expired identities; called inline, amortized by the small map.
+// gc drops expired identities once per TTL, so seen holds at most two
+// TTLs of them; an expired one already counts as unseen.
 func (s *Suppression) gc(now time.Duration) {
-	if len(s.seen) < 1024 {
+	if now < s.sweep {
 		return
 	}
+	s.sweep = now + s.ttl
 	for k, at := range s.seen {
 		if now-at > s.ttl {
 			delete(s.seen, k)

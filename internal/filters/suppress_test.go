@@ -241,11 +241,32 @@ func TestTap(t *testing.T) {
 	}
 }
 
+// Under steady traffic seen holds at most two TTLs of identities, however
+// long the run: gc sweeps once per TTL, not once the map is large.
+func TestSuppressionSeenBoundedByTwoTTLs(t *testing.T) {
+	const ttl, every = 10 * time.Second, time.Second
+	tn := nettest.New(1)
+	sup := NewSuppression(tn.AddNode(1, nil), tn.Sched, SuppressionOptions{TTL: ttl})
+	m := &message.Message{Class: message.Data, PrevHop: 2, NextHop: 1}
+	bound, peak := int(2*ttl/every)+1, 0
+	for seq := int32(1); seq <= int32(6*ttl/every); seq++ {
+		tn.Sched.RunUntil(tn.Sched.Now() + every)
+		m.Attrs = append(m.Attrs[:0], attr.StringAttr(attr.KeyTask, attr.IS, "surveillance"),
+			attr.Int32Attr(attr.KeySequence, attr.IS, seq), attr.ClassIsData())
+		sup.onMessage(m, sup.handle)
+		peak = max(peak, len(sup.seen))
+	}
+	if sup.Passed != int(6*ttl/every) || peak > bound {
+		t.Errorf("%d identities passed over six TTLs, seen peaked at %d, want at most %d (two TTLs)",
+			sup.Passed, peak, bound)
+	}
+}
+
 // The key arena changes how Suppression stores an identity, never which one
 // it names: over random streams it must pass and suppress exactly as a plain
 // map of identities does. The streams repeat identities, carry identities
 // longer than one arena chunk, jump the clock past the TTL, and hold more
-// than 1 024 live entries, so gc walks and prunes the map under the arena.
+// than 1 024 live entries, so gc prunes a large map under the arena.
 func TestSuppressionMatchesMapOracle(t *testing.T) {
 	const ttl = 2 * time.Second
 	long := strings.Repeat("0123456789abcdef", 3*keyChunk/16)

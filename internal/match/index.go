@@ -176,8 +176,8 @@ type keyIndex struct {
 	stamp uint32
 }
 
-// Index is an inverted attribute index. The zero value is not usable;
-// call New.
+// Index is an inverted attribute index. The zero value is an empty
+// two-way index.
 type Index struct {
 	mode   Mode
 	slots  []slot
@@ -202,9 +202,7 @@ type Index struct {
 }
 
 // New returns an empty index verifying the given mode's semantics.
-func New(mode Mode) *Index {
-	return &Index{mode: mode, keys: map[attr.Key]*keyIndex{}}
-}
+func New(mode Mode) *Index { return &Index{mode: mode} }
 
 // Add stores a copy of v's attributes under tag and returns its handle.
 // v itself is not retained; its string and blob values, immutable like
@@ -287,7 +285,7 @@ func (ix *Index) compact() {
 func (ix *Index) Reset() {
 	ix.slots = ix.slots[:0]
 	ix.free = ix.free[:0]
-	ix.keys = map[attr.Key]*keyIndex{}
+	ix.keys = nil
 	ix.always = ix.always[:0]
 	ix.formals, ix.actuals, ix.dead = nil, nil, 0
 	ix.mark = ix.mark[:0]
@@ -540,6 +538,9 @@ func classify(a attr.Attribute) (pivot, int) {
 func (ix *Index) keyIndexFor(k attr.Key) *keyIndex {
 	ki := ix.keys[k]
 	if ki == nil {
+		if ix.keys == nil {
+			ix.keys = map[attr.Key]*keyIndex{}
+		}
 		ki = &keyIndex{}
 		ix.keys[k] = ki
 	}

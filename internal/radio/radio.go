@@ -111,20 +111,21 @@ func PerfectParams() Params {
 // reuses its buffer for a later frame, so a handler copies what it keeps.
 type Handler func(from uint32, payload []byte)
 
-// Channel is the shared medium.
+// Channel is the shared medium. It is built in slabs: one for the
+// transceivers and one for the links, each sized once, so a network's
+// construction allocates the same whatever its number of links.
 type Channel struct {
 	eng    *sim.Engine
 	params Params
-	topo   *topo.Topology
-	nodes  map[uint32]*Transceiver
-	// out lists each sender's audible links in receiver-ID order — the
-	// order a transmission's end-of-frame keys must ascend in, and the
-	// order link looks a link up in. Precomputing it makes Transmit
-	// O(neighbors) instead of O(nodes).
-	out map[uint32][]outLink
-	// in lists each receiver's inbound links (the senders' out entries), so
-	// Attach and SetNodeDown touch only that node's links.
-	in map[uint32][]*outLink
+	// ids are the topology's node IDs ascending; node ids[i]'s transceiver
+	// is trx[i], attached or not.
+	ids []uint32
+	trx []Transceiver
+	// links holds every audible directed link, by sender in ID order and
+	// each sender's in receiver-ID order — the order a transmission's
+	// end-of-frame keys must ascend in, and the order link looks a link up
+	// in. A transceiver's out is its run, so Transmit is O(neighbors).
+	links []link
 	// free is the free list of transmission records; see getTransmission.
 	free *transmission
 	// decoded, when set, sees every decoded frame before its handler does.
@@ -151,22 +152,18 @@ func (s *ChannelStats) add(o ChannelStats) {
 	s.FramesBlackout += o.FramesBlackout
 }
 
-type outLink struct {
-	to uint32
-	l  *link
-	rx *Transceiver // nil until the receiver attaches
-}
-
 // link is per-directed-link channel state. Ownership: effDist is frozen at
 // construction; forcedDown is written only by global (fault-injection)
 // events; bad/nextTransition and the rng evolve only in the receiver's
 // context.
 type link struct {
+	rx      *Transceiver // the receiver, which receives once attached
 	effDist float64
-	// rng is the link's derived random stream (Gilbert–Elliott sojourns,
-	// loss draws); independent of every other stream, so traffic on one
-	// link never perturbs another.
-	rng *rand.Rand
+	// rng is the link's derived random stream, sim.LinkStream (Gilbert–
+	// Elliott sojourns, loss draws); independent of every other stream, so
+	// traffic on one link never perturbs another.
+	rng sim.Stream
+	to  uint32 // the receiver's ID
 	// forcedDown blacks the link out entirely (fault injection): the
 	// transmitter is inaudible at the receiver — no delivery, no carrier,
 	// no collisions — as if an obstruction severed the path.
@@ -193,67 +190,69 @@ func NewChannel(x *sim.Engine, tp *topo.Topology, p Params) *Channel {
 	if p.MaxRange < p.SolidRange {
 		panic("radio: MaxRange must be >= SolidRange")
 	}
-	c := &Channel{
-		eng:    x,
-		params: p,
-		topo:   tp,
-		nodes:  map[uint32]*Transceiver{},
-		out:    map[uint32][]outLink{},
-		in:     map[uint32][]*outLink{},
-	}
-	// Freeze per-directed-link effective distances up front so that the
-	// channel realization is independent of traffic order.
 	ids := tp.IDs()
 	slices.Sort(ids)
+	c := &Channel{eng: x, params: p, ids: ids, trx: make([]Transceiver, len(ids))}
+	// Freeze per-directed-link effective distances up front so that the
+	// channel realization is independent of traffic order.
 	cutoff := p.audibleCutoff()
 	pos := make([]topo.Node, len(ids))
 	for i, id := range ids {
 		pos[i], _ = tp.Node(id)
 	}
-	for i, a := range ids {
-		for j, b := range ids {
-			if a == b {
-				continue
-			}
-			// Distance is never below the larger axis gap plus the floor
-			// penalty (Hypot never rounds below its larger side), so a pair
-			// whose bound reaches the cutoff is skipped without calling it.
-			bound := max(math.Abs(pos[i].X-pos[j].X), math.Abs(pos[i].Y-pos[j].Y))
-			if pos[i].Floor != pos[j].Floor {
-				bound += tp.FloorPenalty
-			}
-			if bound >= cutoff {
-				continue
-			}
-			d := tp.Distance(a, b)
-			if d >= cutoff {
-				continue // inaudible regardless of the offset draw
-			}
-			rng := x.DeriveRand(sim.LinkStream(a, b)...)
-			if p.AsymmetrySigma > 0 {
-				d += rng.NormFloat64() * p.AsymmetrySigma
-				if d < 0 {
-					d = 0
+	// rng is each candidate link's stream in turn, declared once because a
+	// drawn stream escapes; a link that is kept keeps a copy.
+	var rng sim.Stream
+	// The first pass counts the audible links and the second fills a slab
+	// of that many, so the links cost one allocation.
+	n := 0
+	for pass := range 2 {
+		c.links = make([]link, 0, n)
+		for i, a := range ids {
+			first := len(c.links)
+			for j, b := range ids {
+				if i == j {
+					continue
+				}
+				// Distance is never below the larger axis gap plus the floor
+				// penalty (Hypot never rounds below its larger side), so a
+				// pair whose bound reaches the cutoff is skipped without
+				// calling it.
+				bound := max(math.Abs(pos[i].X-pos[j].X), math.Abs(pos[i].Y-pos[j].Y))
+				if pos[i].Floor != pos[j].Floor {
+					bound += tp.FloorPenalty
+				}
+				if bound >= cutoff {
+					continue
+				}
+				d := tp.Distance(a, b)
+				if d >= cutoff {
+					continue // inaudible regardless of the offset draw
+				}
+				rng = x.Stream(sim.LinkStream(a, b)...)
+				if p.AsymmetrySigma > 0 {
+					d = max(d+rand.New(&rng).NormFloat64()*p.AsymmetrySigma, 0)
+				}
+				if d >= p.MaxRange {
+					continue // inaudible; carries nothing, stores nothing
+				}
+				if pass == 0 {
+					n++
+					continue
+				}
+				c.links = append(c.links, link{to: b, rx: &c.trx[j], effDist: d, rng: rng})
+				if l := &c.links[len(c.links)-1]; p.MeanBad > 0 {
+					l.nextTransition = x.Now() + holdTime(rand.New(&l.rng), p.MeanGood)
 				}
 			}
-			if d >= p.MaxRange {
-				continue // inaudible; carries nothing, stores nothing
-			}
-			l := &link{effDist: d, rng: rng}
-			if p.MeanBad > 0 {
-				l.nextTransition = x.Now() + holdTime(l.rng, p.MeanGood)
-			}
-			c.out[a] = append(c.out[a], outLink{to: b, l: l})
-		}
-	}
-	for _, a := range ids {
-		for i := range c.out[a] {
-			ol := &c.out[a][i]
-			c.in[ol.to] = append(c.in[ol.to], ol)
+			c.trx[i] = Transceiver{ch: c, id: a, out: c.links[first:len(c.links):len(c.links)]}
 		}
 	}
 	return c
 }
+
+// index returns node id's position in ids.
+func (c *Channel) index(id uint32) (int, bool) { return slices.BinarySearch(c.ids, id) }
 
 // Airtime returns the serialization time of an n-byte frame.
 func (c *Channel) Airtime(n int) time.Duration {
@@ -263,17 +262,15 @@ func (c *Channel) Airtime(n int) time.Duration {
 
 // Attach registers a transceiver for node id delivering frames to h.
 func (c *Channel) Attach(id uint32, h Handler) *Transceiver {
-	if _, ok := c.topo.Node(id); !ok {
+	i, ok := c.index(id)
+	if !ok {
 		panic(fmt.Sprintf("radio: node %d not in topology", id))
 	}
-	if _, dup := c.nodes[id]; dup {
+	t := &c.trx[i]
+	if t.port != nil {
 		panic(fmt.Sprintf("radio: node %d already attached", id))
 	}
-	t := &Transceiver{ch: c, id: id, port: c.eng.Port(id), handler: h, out: c.out[id]}
-	c.nodes[id] = t
-	for _, ol := range c.in[id] {
-		ol.rx = t
-	}
+	t.port, t.handler = c.eng.Port(id), h
 	return t
 }
 
@@ -283,13 +280,11 @@ func (c *Channel) Attach(id uint32, h Handler) *Transceiver {
 func (c *Channel) OnDecode(fn func(at time.Duration, from, to uint32, data []byte)) { c.decoded = fn }
 
 // Stats sums the per-transceiver channel counters into the medium-wide
-// view, in topology order.
+// view.
 func (c *Channel) Stats() ChannelStats {
 	var s ChannelStats
-	for _, id := range c.topo.IDs() {
-		if t, ok := c.nodes[id]; ok {
-			s.add(t.chStats)
-		}
+	for i := range c.trx {
+		s.add(c.trx[i].chStats)
 	}
 	return s
 }
@@ -312,7 +307,7 @@ func (c *Channel) linkBad(l *link, now time.Duration) bool {
 		if l.bad {
 			mean = c.params.MeanBad
 		}
-		l.nextTransition = at + holdTime(l.rng, mean)
+		l.nextTransition = at + holdTime(rand.New(&l.rng), mean)
 		if l.nextTransition <= at {
 			l.nextTransition = at + time.Nanosecond
 		}
@@ -344,10 +339,8 @@ func (c *Channel) lossProb(d float64) float64 {
 // of radio range is a no-op. Must be called from global (fault-injection)
 // context, never from node event handlers.
 func (c *Channel) SetLinkDown(from, to uint32, down bool) {
-	if _, ok := c.topo.Node(from); !ok {
-		panic(fmt.Sprintf("radio: no link %d->%d in topology", from, to))
-	}
-	if _, ok := c.topo.Node(to); !ok {
+	_, okFrom := c.index(from)
+	if _, okTo := c.index(to); !okFrom || !okTo {
 		panic(fmt.Sprintf("radio: no link %d->%d in topology", from, to))
 	}
 	if l := c.link(from, to); l != nil {
@@ -357,11 +350,15 @@ func (c *Channel) SetLinkDown(from, to uint32, down bool) {
 
 // link returns the directed link from→to, or nil when it is out of range.
 func (c *Channel) link(from, to uint32) *link {
-	out := c.out[from]
-	if i, ok := slices.BinarySearchFunc(out, to, func(ol outLink, to uint32) int {
-		return cmp.Compare(ol.to, to)
+	i, ok := c.index(from)
+	if !ok {
+		return nil
+	}
+	out := c.trx[i].out
+	if j, ok := slices.BinarySearchFunc(out, to, func(l link, to uint32) int {
+		return cmp.Compare(l.to, to)
 	}); ok {
-		return out[i].l
+		return &out[j]
 	}
 	return nil
 }
@@ -372,14 +369,17 @@ func (c *Channel) link(from, to uint32) *link {
 // Restoring a node clears any per-link blackouts previously set on its
 // links with SetLinkDown. Global (fault-injection) context only.
 func (c *Channel) SetNodeDown(id uint32, down bool) {
-	if _, ok := c.topo.Node(id); !ok {
+	i, ok := c.index(id)
+	if !ok {
 		panic(fmt.Sprintf("radio: node %d not in topology", id))
 	}
-	for _, ol := range c.out[id] {
-		ol.l.forcedDown = down
+	for j := range c.trx[i].out {
+		c.trx[i].out[j].forcedDown = down
 	}
-	for _, ol := range c.in[id] {
-		ol.l.forcedDown = down
+	for _, from := range c.ids {
+		if l := c.link(from, id); l != nil {
+			l.forcedDown = down
+		}
 	}
 }
 
@@ -394,9 +394,9 @@ func (c *Channel) LinkDown(from, to uint32) bool {
 type Transceiver struct {
 	ch      *Channel
 	id      uint32
-	port    sim.Port
+	port    sim.Port // nil until the node attaches
 	handler Handler
-	out     []outLink // the channel's out[id]
+	out     []link // the links this node sends on
 
 	txUntil time.Duration // end of our own transmission
 	ongoing []*rxSlot     // audible frames in progress
@@ -451,10 +451,9 @@ type transmission struct {
 	next   *transmission // free list
 }
 
-// rxSlot is one receiver's share of a transmission; its transceiver's
-// ongoing list points at it for as long as the frame lasts there.
+// rxSlot is one receiver's share of a transmission, over link l; its
+// receiver's ongoing list points at it for as long as the frame lasts there.
 type rxSlot struct {
-	t        *Transceiver
 	l        *link
 	collided bool
 }
@@ -501,17 +500,17 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 	// deterministic and O(neighbors).
 	tx := c.getTransmission()
 	for i := range t.out {
-		ol := &t.out[i]
-		if ol.rx == nil {
+		l := &t.out[i]
+		if l.rx.port == nil {
 			continue // not attached
 		}
-		if ol.l.forcedDown {
+		if l.forcedDown {
 			// The link is blacked out by fault injection: the frame would
 			// have been audible here but the severed path swallows it.
 			t.chStats.FramesBlackout++
 			continue
 		}
-		tx.rx = append(tx.rx, rxSlot{t: ol.rx, l: ol.l})
+		tx.rx = append(tx.rx, rxSlot{l: l})
 	}
 	if len(tx.rx) == 0 {
 		c.putTransmission(tx)
@@ -520,7 +519,7 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 	tx.from, tx.air = t.id, air
 	tx.data = append(tx.data[:0], payload...)
 	// One arrival for the whole audience, addressed to its first member.
-	t.port.ArmRemote(tx.rx[0].t.id, &tx.arrive, c.params.PropDelay)
+	t.port.ArmRemote(tx.rx[0].l.to, &tx.arrive, c.params.PropDelay)
 	return air
 }
 
@@ -531,8 +530,8 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 func (tx *transmission) begin() {
 	for i := range tx.rx {
 		r := &tx.rx[i]
-		r.t.beginReception(r, tx.air)
-		r.t.port.Join(&tx.end, tx.air)
+		r.l.rx.beginReception(r, tx.air)
+		r.l.rx.port.Join(&tx.end, tx.air)
 	}
 	tx.ch.eng.ArmFanout(&tx.end)
 }
@@ -563,7 +562,8 @@ func (t *Transceiver) beginReception(rec *rxSlot, air time.Duration) {
 // collided, lost, or decoded and handed up.
 func (tx *transmission) endAt(i int) {
 	rec := &tx.rx[i]
-	t, l, collided := rec.t, rec.l, rec.collided
+	l, collided := rec.l, rec.collided
+	t := l.rx
 	c, from, data, air := tx.ch, tx.from, tx.data, tx.air
 	t.removeOngoing(rec)
 	if i == len(tx.rx)-1 {
@@ -572,8 +572,9 @@ func (tx *transmission) endAt(i int) {
 	}
 	now := t.port.Now()
 	// Half-duplex: if we transmitted during any part of the reception
-	// window, the frame is missed.
-	if t.txOverlapped(now - air) {
+	// window, the frame is missed. txUntil only moves forward, so the most
+	// recent transmission is the one to check.
+	if t.txUntil > now-air {
 		t.chStats.FramesHalfDuplex++
 		return
 	}
@@ -607,11 +608,4 @@ func (t *Transceiver) removeOngoing(rec *rxSlot) {
 			return
 		}
 	}
-}
-
-// txOverlapped reports whether our transmitter was active at any point
-// since the given instant. txUntil only moves forward, so checking the most
-// recent transmission suffices.
-func (t *Transceiver) txOverlapped(since time.Duration) bool {
-	return t.txUntil > since
 }

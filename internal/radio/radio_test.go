@@ -506,8 +506,9 @@ func TestChannelLinksMatchAllPairs(t *testing.T) {
 						}
 					}
 					var have []got
-					for _, ol := range c.out[a] {
-						have = append(have, got{ol.to, ol.l.effDist})
+					i, _ := c.index(a)
+					for _, l := range c.trx[i].out {
+						have = append(have, got{l.to, l.effDist})
 					}
 					if !slices.Equal(have, want) {
 						t.Fatalf("penalty %v sigma %v seed %d: node %d links to %v, all pairs give %v",
@@ -517,6 +518,37 @@ func TestChannelLinksMatchAllPairs(t *testing.T) {
 				}
 				if links == 0 {
 					t.Fatalf("penalty %v sigma %v seed %d: no links", penalty, sigma, seed)
+				}
+			}
+		}
+	}
+}
+
+// Every audible link of a testbed channel draws what a stream derived the
+// old way, DeriveRand(LinkStream(a, b)), draws: its effective distance, its
+// first Gilbert–Elliott sojourn and the 16 loss draws after them, so a
+// reseeded link fails here by name.
+func TestLinkStreamsMatchDeriveRand(t *testing.T) {
+	tp, p := topo.Testbed(), DefaultParams()
+	s := sim.New(7)
+	c := NewChannel(s, tp, p)
+	if len(c.links) == 0 {
+		t.Fatal("no links")
+	}
+	for i := range c.trx {
+		for _, l := range c.trx[i].out {
+			a, b := c.trx[i].id, l.to
+			old := s.DeriveRand(sim.LinkStream(a, b)...)
+			d := max(tp.Distance(a, b)+old.NormFloat64()*p.AsymmetrySigma, 0)
+			next := holdTime(old, p.MeanGood)
+			if l.effDist != d || l.nextTransition != next {
+				t.Errorf("link %d->%d: distance %v, first sojourn %v; DeriveRand gives %v, %v", a, b, l.effDist, l.nextTransition, d, next)
+				continue
+			}
+			for k := 0; k < 16; k++ {
+				if got, want := l.rng.Float64(), old.Float64(); got != want {
+					t.Errorf("link %d->%d: draw %d is %v, DeriveRand's %v", a, b, k, got, want)
+					break
 				}
 			}
 		}

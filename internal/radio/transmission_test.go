@@ -67,7 +67,7 @@ func TestBackToBackFramesDoNotAlias(t *testing.T) {
 	}
 	var got []rxd
 	var sender *Transceiver
-	for _, id := range c.topo.IDs() {
+	for _, id := range c.ids {
 		id := id
 		tr := c.Attach(id, func(from uint32, b []byte) { got = append(got, rxd{id, from, slices.Clone(b)}) })
 		if id == 1 {
@@ -112,7 +112,7 @@ func TestHandlerMayTransmitFromLastReception(t *testing.T) {
 	c := NewChannel(s, topo.Line(3, 5), PerfectParams())
 	var log []string
 	tr := map[uint32]*Transceiver{}
-	for _, id := range c.topo.IDs() {
+	for _, id := range c.ids {
 		tr[id] = c.Attach(id, func(from uint32, b []byte) {
 			log = append(log, fmt.Sprintf("%d<-%d %s", id, from, b))
 			if id == 3 && from == 1 {

@@ -1,7 +1,5 @@
 package sim
 
-import "math/rand"
-
 // Seed-stream derivation. Every random stream in a simulation — the
 // global stream, one per node, one per directed radio link — is derived
 // from the master seed and a tag path with a splitmix64-style mixer, so:
@@ -31,19 +29,23 @@ func DeriveSeed(seed int64, tags ...uint64) int64 {
 	return int64(out)
 }
 
-// smSource is a splitmix64 rand.Source64: two words of state, so a
-// thousand-node network can afford one independent stream per directed
-// link (math/rand's default source is ~5 KB per instance).
-type smSource struct{ state uint64 }
+// Stream is a derived random stream held by value: a splitmix64
+// rand.Source64 of eight bytes, so one slab of them serves every directed
+// link of a thousand-node network (math/rand's default source is ~5 KB).
+// A rand.New(&s) made for the draws at hand and not kept allocates nothing.
+type Stream struct{ state uint64 }
 
-func (s *smSource) Uint64() uint64  { return splitmix64(&s.state) }
-func (s *smSource) Int63() int64    { return int64(s.Uint64() >> 1) }
-func (s *smSource) Seed(seed int64) { s.state = uint64(seed) }
+func (s *Stream) Uint64() uint64  { return splitmix64(&s.state) }
+func (s *Stream) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *Stream) Seed(seed int64) { s.state = uint64(seed) }
 
-// newDerivedRand returns a lightweight deterministic *rand.Rand for the
-// derived stream (seed, tags...).
-func newDerivedRand(seed int64, tags ...uint64) *rand.Rand {
-	return rand.New(&smSource{state: uint64(DeriveSeed(seed, tags...))})
+// Float64 is rand.New(s).Float64() without the Rand, for a per-frame draw.
+func (s *Stream) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
 }
 
 // Well-known stream tags.

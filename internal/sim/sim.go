@@ -98,8 +98,13 @@ func (s *Engine) Rand() *rand.Rand { return s.rng }
 // DeriveRand returns an independent deterministic stream derived from the
 // engine's seed and a tag path (see DeriveSeed).
 func (s *Engine) DeriveRand(tags ...uint64) *rand.Rand {
-	return newDerivedRand(s.seed, tags...)
+	st := s.Stream(tags...)
+	return rand.New(&st)
 }
+
+// Stream returns the derived stream (seed, tags...) by value: DeriveRand's
+// draws, for a caller that keeps its streams in a slab.
+func (s *Engine) Stream(tags ...uint64) Stream { return Stream{uint64(DeriveSeed(s.seed, tags...))} }
 
 // After schedules fn in global context at now+d.
 func (s *Engine) After(d time.Duration, fn func()) Timer {
@@ -135,7 +140,8 @@ func (s *Engine) at(d time.Duration) time.Duration {
 func (s *Engine) Port(id uint32) Port {
 	p, ok := s.nodes[id]
 	if !ok {
-		p = &nodePort{eng: s, id: id, rng: newDerivedRand(s.seed, NodeStream(id)...)}
+		p = &nodePort{eng: s, id: id, src: s.Stream(NodeStream(id)...)}
+		p.rng = *rand.New(&p.src)
 		s.nodes[id] = p
 	}
 	return p
@@ -148,11 +154,12 @@ type nodePort struct {
 	id   uint32
 	seq  uint64 // local event sequence
 	rseq uint64 // remote send sequence
-	rng  *rand.Rand
+	src  Stream
+	rng  rand.Rand // draws from src
 }
 
 func (p *nodePort) Now() time.Duration { return p.eng.now }
-func (p *nodePort) Rand() *rand.Rand   { return p.rng }
+func (p *nodePort) Rand() *rand.Rand   { return &p.rng }
 
 // After schedules fn in this node's context at now+d.
 func (p *nodePort) After(d time.Duration, fn func()) Timer {

@@ -142,14 +142,11 @@ type Registry struct {
 	collectors []Collector
 }
 
-// NewRegistry returns an empty registry for the named scope.
+// NewRegistry returns an empty registry for the named scope. Its maps are
+// made on first use, as most scopes hold collectors only, and it has room
+// for a simulated node's four (core, MAC, radio, energy).
 func NewRegistry(name string) *Registry {
-	return &Registry{
-		name:     name,
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-	}
+	return &Registry{name: name, collectors: make([]Collector, 0, 4)}
 }
 
 // Name returns the scope name.
@@ -157,32 +154,30 @@ func (r *Registry) Name() string { return r.name }
 
 // Counter returns the named counter, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrMake(&r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrMake(&r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it if needed.
 func (r *Registry) Histogram(name string) *Histogram {
-	h, ok := r.hists[name]
+	return getOrMake(&r.hists, name)
+}
+
+// getOrMake returns (*m)[name], making it, and the map, if needed.
+func getOrMake[T any](m *map[string]*T, name string) *T {
+	v, ok := (*m)[name]
 	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+		if *m == nil {
+			*m = map[string]*T{}
+		}
+		v = new(T)
+		(*m)[name] = v
 	}
-	return h
+	return v
 }
 
 // AddCollector registers a snapshot-time metrics source.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"strconv"
 	"time"
 
 	"diffusion/internal/core"
@@ -135,25 +137,52 @@ type Network struct {
 	eng     *sim.Engine
 	rng     *rand.Rand // global stream (fault injection), derived from the seed
 	channel *radio.Channel
-	nodes   map[uint32]*Node
-	motes   map[uint32]*Mote
-	ports   map[uint32]sim.Port
-	order   []uint32
-	// down tracks crashed nodes; faultHooks observe every injected fault
-	// (see fault.go).
-	down       map[uint32]bool
+	// parts holds node ids[i]'s parts at i, in topology order, one slab;
+	// index maps a topology ID to its position there.
+	ids   []uint32
+	parts []part
+	index map[uint32]int
+	// faultHooks observe every injected fault (see fault.go).
 	faultHooks []func(FaultEvent)
-	// Telemetry wiring (see telemetry.go): one registry per node plus one
-	// for the shared channel, aggregated by the hub; one always-on flight
-	// recorder per full node.
+	// Telemetry wiring (see telemetry.go): the nodes' registries plus one
+	// for the shared channel, aggregated by the hub.
 	hub        *telemetry.Hub
-	regs       map[uint32]*telemetry.Registry
-	flights    map[uint32]*telemetry.Ring
 	flightSink io.Writer
-	// spans holds one flight-path span ring per full node when
-	// TraceSampling is enabled (see trace.go and cmd/difftrace paths).
-	spans map[uint32]*telemetry.Ring
 }
+
+// part is what the network holds for one topology node: a full node or a
+// mote, its scheduling context and its telemetry.
+type part struct {
+	port sim.Port
+	reg  *telemetry.Registry
+	node Node // its core is nil for a mote
+	mote *Mote
+	// flight is a full node's always-on flight recorder, spans its
+	// flight-path span ring when TraceSampling is enabled (see trace.go and
+	// cmd/difftrace paths).
+	flight, spans *telemetry.Ring
+	down          bool // crashed (see fault.go)
+}
+
+// part returns node id's parts, or nil when id is not in the topology.
+func (net *Network) part(id uint32) *part {
+	if i, ok := net.index[id]; ok {
+		return &net.parts[i]
+	}
+	return nil
+}
+
+// must returns node id's parts when has (if set) holds of them, and panics
+// naming what is missing otherwise: a configuration error.
+func (net *Network) must(id uint32, what string, has func(*part) bool) *part {
+	if p := net.part(id); p != nil && (has == nil || has(p)) {
+		return p
+	}
+	panic(fmt.Sprintf("diffusion: no %s %d in topology %q", what, id, net.cfg.Topology.Name))
+}
+
+// full reports whether the parts are a full diffusion node's, not a mote's.
+func (p *part) full() bool { return p.node.Node != nil }
 
 // Node is one network node: the diffusion engine plus its link stack. The
 // embedded core node provides the paper's NR API — Subscribe, Unsubscribe,
@@ -188,51 +217,41 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		mp = *cfg.MAC
 	}
 	eng := sim.New(cfg.Seed)
+	ids := cfg.Topology.IDs()
 	net := &Network{
 		cfg:     cfg,
 		eng:     eng,
 		rng:     eng.DeriveRand(),
 		channel: radio.NewChannel(eng, cfg.Topology, rp),
-		nodes:   map[uint32]*Node{},
-		motes:   map[uint32]*Mote{},
-		ports:   map[uint32]sim.Port{},
-		order:   cfg.Topology.IDs(),
-		down:    map[uint32]bool{},
+		ids:     ids,
+		parts:   make([]part, len(ids)),
+		index:   make(map[uint32]int, len(ids)),
 		hub:     telemetry.NewHub(eng.Now),
-		regs:    map[uint32]*telemetry.Registry{},
-		flights: map[uint32]*telemetry.Ring{},
-		spans:   map[uint32]*telemetry.Ring{},
 	}
 	net.channel.Instrument(net.hub.Register(telemetry.NewRegistry("channel")))
-	moteSet := map[uint32]bool{}
-	for _, id := range cfg.MoteNodes {
-		moteSet[id] = true
-	}
 	// Every port reads the engine's clock, so the rings share one method
 	// value rather than holding one per node.
 	now := eng.Now
-	for _, id := range net.order {
-		port := eng.Port(id)
-		net.ports[id] = port
-		reg := telemetry.NewRegistry(fmt.Sprintf("node-%d", id))
-		net.hub.Register(reg)
-		net.regs[id] = reg
-		if moteSet[id] {
-			var mote *Mote
-			m := mac.Attach(port, net.channel, id, mp, func(from uint32, payload []byte) {
-				mote.Receive(from, payload)
+	for i, id := range ids {
+		net.index[id] = i
+		pt := &net.parts[i]
+		pt.port = eng.Port(id)
+		// Not fmt: its printer pool, emptied by a collection, makes the
+		// count of a build's allocations vary from run to run.
+		pt.reg = net.hub.Register(telemetry.NewRegistry("node-" + strconv.FormatUint(uint64(id), 10)))
+		if slices.Contains(cfg.MoteNodes, id) {
+			m := mac.Attach(pt.port, net.channel, id, mp, func(from uint32, payload []byte) {
+				pt.mote.Receive(from, payload)
 			})
-			mote = microdiff.NewMote(m)
-			net.motes[id] = mote
-			net.instrumentLink(reg, m)
+			pt.mote = microdiff.NewMote(m)
+			net.instrumentLink(pt.reg, m)
 			continue
 		}
-		var n *Node
-		m := mac.Attach(port, net.channel, id, mp, func(from uint32, payload []byte) {
+		n := &pt.node
+		m := mac.Attach(pt.port, net.channel, id, mp, func(from uint32, payload []byte) {
 			n.Receive(from, payload)
 		})
-		fl := telemetry.NewRing(telemetry.DefaultFlightSize, now)
-		net.flights[id] = fl
+		pt.flight = telemetry.NewRing(telemetry.DefaultFlightSize, now)
 		var cusq *custody.Queue
 		if cfg.Custody {
 			// Journal-less in the simulator: the queue's partition
@@ -240,16 +259,14 @@ func NewNetwork(cfg NetworkConfig) *Network {
 			// the live daemon's concern.
 			cusq = custody.NewQueue(cfg.CustodyLimit, nil)
 		}
-		var ring *telemetry.Ring
 		if cfg.TraceSampling > 0 {
-			ring = telemetry.NewRing(telemetry.DefaultSpanSize, now)
-			net.spans[id] = ring
-			m.Trace(ring)
+			pt.spans = telemetry.NewRing(telemetry.DefaultSpanSize, now)
+			m.Trace(pt.spans)
 		}
-		n = &Node{
+		*n = Node{
 			Node: core.NewNode(core.Config{
-				Clock:               port,
-				Rand:                port.Rand(),
+				Clock:               pt.port,
+				Rand:                pt.port.Rand(),
 				Link:                m,
 				InterestInterval:    cfg.InterestInterval,
 				GradientLifetime:    cfg.GradientLifetime,
@@ -260,15 +277,14 @@ func NewNetwork(cfg NetworkConfig) *Network {
 				SeenTTL:             cfg.SeenTTL,
 				DisableNegRF:        cfg.DisableNegativeReinforcement,
 				Custody:             cusq,
-				Flight:              fl,
+				Flight:              pt.flight,
 				TraceSample:         cfg.TraceSampling,
-				Spans:               ring,
+				Spans:               pt.spans,
 			}),
 			MAC: m,
 		}
-		net.nodes[id] = n
-		n.Node.Instrument(reg)
-		net.instrumentLink(reg, m)
+		n.Node.Instrument(pt.reg)
+		net.instrumentLink(pt.reg, m)
 	}
 	// Stamp every fault into the affected nodes' flight recorders, and dump
 	// them when a sink is set (SetFlightDump) so fault-laden runs
@@ -293,42 +309,28 @@ func (net *Network) instrumentLink(reg *telemetry.Registry, m *mac.Mac) {
 
 // Node returns the node with the given topology ID; it panics on unknown
 // IDs (a configuration error).
-func (net *Network) Node(id uint32) *Node {
-	n, ok := net.nodes[id]
-	if !ok {
-		panic(fmt.Sprintf("diffusion: no diffusion node %d in topology %q", id, net.cfg.Topology.Name))
-	}
-	return n
-}
+func (net *Network) Node(id uint32) *Node { return &net.must(id, "diffusion node", (*part).full).node }
 
 // Mote returns the micro-diffusion mote at the given topology ID (listed
 // in NetworkConfig.MoteNodes); it panics on unknown IDs.
 func (net *Network) Mote(id uint32) *Mote {
-	m, ok := net.motes[id]
-	if !ok {
-		panic(fmt.Sprintf("diffusion: no mote %d in topology %q", id, net.cfg.Topology.Name))
-	}
-	return m
+	return net.must(id, "mote", func(p *part) bool { return p.mote != nil }).mote
 }
 
 // Nodes returns all full-diffusion nodes in topology order (motes are not
 // included; see Mote).
 func (net *Network) Nodes() []*Node {
-	out := make([]*Node, 0, len(net.order))
-	for _, id := range net.order {
-		if n, ok := net.nodes[id]; ok {
-			out = append(out, n)
+	out := make([]*Node, 0, len(net.parts))
+	for i := range net.parts {
+		if p := &net.parts[i]; p.full() {
+			out = append(out, &p.node)
 		}
 	}
 	return out
 }
 
 // IDs returns the node IDs in topology order.
-func (net *Network) IDs() []uint32 {
-	out := make([]uint32, len(net.order))
-	copy(out, net.order)
-	return out
-}
+func (net *Network) IDs() []uint32 { return slices.Clone(net.ids) }
 
 // Clock returns the network's global clock, for timers in experiment
 // drivers and application setup code. Code running inside a node's
@@ -339,13 +341,7 @@ func (net *Network) Clock() sim.Clock { return net.eng }
 // NodeEnv returns the scheduling context of one node: its clock, event
 // records and random stream. Per-node services (filters, responders) run on
 // it. Panics on unknown IDs.
-func (net *Network) NodeEnv(id uint32) sim.Port {
-	p, ok := net.ports[id]
-	if !ok {
-		panic(fmt.Sprintf("diffusion: no node %d in topology %q", id, net.cfg.Topology.Name))
-	}
-	return p
-}
+func (net *Network) NodeEnv(id uint32) sim.Port { return net.must(id, "node", nil).port }
 
 // Now returns the current simulated time.
 func (net *Network) Now() time.Duration { return net.eng.Now() }
@@ -401,8 +397,10 @@ func (net *Network) ChannelStats() radio.ChannelStats { return net.channel.Stats
 // the paper's Figure 8 metric ("bytes sent from all diffusion modules").
 func (net *Network) TotalDiffusionBytes() int {
 	total := 0
-	for _, n := range net.nodes {
-		total += n.Stats.BytesSent
+	for _, p := range net.parts {
+		if p.full() {
+			total += p.node.Stats.BytesSent
+		}
 	}
 	return total
 }

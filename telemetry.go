@@ -34,11 +34,7 @@ type (
 // given topology ID; application code and filters register their own
 // counters here. It panics on unknown IDs (a configuration error).
 func (net *Network) Metrics(id uint32) *MetricsRegistry {
-	r, ok := net.regs[id]
-	if !ok {
-		panic(fmt.Sprintf("diffusion: no node %d in topology %q", id, net.cfg.Topology.Name))
-	}
-	return r
+	return net.must(id, "node", nil).reg
 }
 
 // MetricsSnapshot reads every layer's counters across every node — radio,
@@ -49,17 +45,18 @@ func (net *Network) MetricsSnapshot() MetricsSnapshot { return net.hub.Snapshot(
 // FlightRecorder returns the node's flight-recorder ring. It panics on
 // unknown or mote IDs (motes are not flight-recorded).
 func (net *Network) FlightRecorder(id uint32) *EventRing {
-	f, ok := net.flights[id]
-	if !ok {
-		panic(fmt.Sprintf("diffusion: no flight recorder for node %d in topology %q", id, net.cfg.Topology.Name))
-	}
-	return f
+	return net.must(id, "flight recorder for node", func(p *part) bool { return p.flight != nil }).flight
 }
 
 // Spans returns the node's flight-path span ring, or nil when
 // NetworkConfig.TraceSampling is zero (or for mote IDs — motes are not
 // traced).
-func (net *Network) Spans(id uint32) *EventRing { return net.spans[id] }
+func (net *Network) Spans(id uint32) *EventRing {
+	if p := net.part(id); p != nil {
+		return p.spans
+	}
+	return nil
+}
 
 // SpanRecords converts every node's recorded spans into structured trace
 // records, merged across nodes into one deterministic timeline: ordered
@@ -67,12 +64,11 @@ func (net *Network) Spans(id uint32) *EventRing { return net.spans[id] }
 // already in its own event order). Empty when tracing is off.
 func (net *Network) SpanRecords() []TraceRecord {
 	var out []TraceRecord
-	for _, id := range net.order {
-		ring, ok := net.spans[id]
-		if !ok {
+	for _, p := range net.parts {
+		if p.spans == nil {
 			continue
 		}
-		for _, e := range ring.Records() {
+		for _, e := range p.spans.Records() {
 			out = append(out, e.Record())
 		}
 	}
@@ -89,10 +85,10 @@ func (net *Network) SetFlightDump(w io.Writer) { net.flightSink = w }
 // topology order — call it from a failing test to make the run
 // self-diagnosing.
 func (net *Network) DumpFlightRecorders(w io.Writer) {
-	for _, id := range net.order {
-		if f, ok := net.flights[id]; ok {
-			fmt.Fprintf(w, "--- node %d ---\n", id)
-			f.Dump(w, faultKindName)
+	for i, p := range net.parts {
+		if p.flight != nil {
+			fmt.Fprintf(w, "--- node %d ---\n", net.ids[i])
+			p.flight.Dump(w, faultKindName)
 		}
 	}
 }
@@ -106,11 +102,11 @@ func faultKindName(k uint8) string { return FaultKind(k).String() }
 func (net *Network) recordFaultFlight(ev FaultEvent) {
 	affected := make([]uint32, 0, 2)
 	stamp := func(id, peer uint32) {
-		f, ok := net.flights[id]
-		if !ok {
+		p := net.part(id)
+		if p == nil || p.flight == nil {
 			return
 		}
-		f.Record(telemetry.Event{Node: id, Peer: peer, Verb: telemetry.Fault, Kind: uint8(ev.Kind)})
+		p.flight.Record(telemetry.Event{Node: id, Peer: peer, Verb: telemetry.Fault, Kind: uint8(ev.Kind)})
 		affected = append(affected, id)
 	}
 	switch ev.Kind {
@@ -126,7 +122,7 @@ func (net *Network) recordFaultFlight(ev FaultEvent) {
 	fmt.Fprintf(net.flightSink, "flight dump on fault: %v\n", ev)
 	for _, id := range affected {
 		fmt.Fprintf(net.flightSink, "--- node %d ---\n", id)
-		net.flights[id].Dump(net.flightSink, faultKindName)
+		net.part(id).flight.Dump(net.flightSink, faultKindName)
 	}
 }
 
@@ -134,9 +130,9 @@ func (net *Network) recordFaultFlight(ev FaultEvent) {
 // seed, topology and the protocol rates with defaults applied — enough to
 // rebuild the network and replay the run.
 func (net *Network) RunInfo() TraceRunInfo {
-	info := TraceRunInfo{Seed: net.cfg.Seed, Topology: net.cfg.Topology.Name, Nodes: len(net.order)}
-	if len(net.order) == 0 {
+	info := TraceRunInfo{Seed: net.cfg.Seed, Topology: net.cfg.Topology.Name, Nodes: len(net.parts)}
+	if len(net.parts) == 0 {
 		return info
 	}
-	return net.nodes[net.order[0]].Node.RunInfo(info)
+	return net.parts[0].node.Node.RunInfo(info)
 }

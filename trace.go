@@ -63,9 +63,9 @@ func (net *Network) NewTrace(limit int) *Trace {
 		faultLimit: defaultFaultLimit,
 		header:     net.RunInfo(),
 	}
-	for _, id := range net.order {
-		if r, ok := net.flights[id]; ok { // mote tiers are not traced
-			t.rings = append(t.rings, r)
+	for _, p := range net.parts {
+		if p.flight != nil { // mote tiers are not traced
+			t.rings = append(t.rings, p.flight)
 		}
 	}
 	// The first limit%len nodes (topology order) take one more, so the

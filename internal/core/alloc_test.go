@@ -279,7 +279,7 @@ func brokerTable() (*Node, []*interestEntry) {
 	n := newHandRig(&countLink{id: 1}, false).n
 	var named []*interestEntry
 	for i := range 10000 {
-		e := n.entryFor(lineInterest.With(attr.Int32Attr(attr.KeySequence, attr.EQ, int32(i))), false)
+		e := n.entryFor(lineInterest.With(attr.Int32Attr(attr.KeySequence, attr.EQ, int32(i))), nil)
 		n.gradient(e, 2)
 		if i%4000 == 17 {
 			named = append(named, e)

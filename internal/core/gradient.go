@@ -156,8 +156,11 @@ func (e *interestEntry) hasReinforcedDownstream(now time.Duration) bool {
 	return slices.ContainsFunc(e.nbs, func(r nbRecord) bool { return r.reinforced(now) })
 }
 
-// entryFor finds or creates the entry for attrs, copying values too if lent.
-func (n *Node) entryFor(attrs attr.Vec, lent bool) *interestEntry {
+// entryFor finds or creates the entry for attrs. A new entry keeps
+// keep(attrs), or attrs itself when keep is nil: a vector its owner never
+// changes, as a group's interest form, is shared with the entry and its
+// index slot.
+func (n *Node) entryFor(attrs attr.Vec, keep func(attr.Vec) attr.Vec) *interestEntry {
 	h := attrs.Hash()
 	if e, ok := n.entries[h]; ok {
 		return e
@@ -165,16 +168,20 @@ func (n *Node) entryFor(attrs attr.Vec, lent bool) *interestEntry {
 	// The records slice grows at its first insert: a broker-scale node
 	// carries one entry per local subscription, and most of those never
 	// see a gradient or a duplicate.
-	e := &interestEntry{hash: h}
-	if lent {
-		e.attrs, _ = attrs.Own(nil, nil)
-	} else {
-		e.attrs = attrs.Clone()
+	e := &interestEntry{hash: h, attrs: attrs}
+	if keep != nil {
+		e.attrs = keep(attrs)
 	}
 	e.slot = n.midx.entries.Add(e.attrs, h)
 	put(&n.entries, h, e)
 	n.noteEntryEmptiness(e)
 	return e
+}
+
+// ownVec copies a vector decoded in a lent buffer, values included.
+func ownVec(v attr.Vec) attr.Vec {
+	v, _ = v.Own(nil, nil)
+	return v
 }
 
 // lookupEntry returns the entry with exactly these attributes, if any.
@@ -234,7 +241,11 @@ func (n *Node) processCore(m *message.Message) {
 // coreInterest handles an interest message (local origination or from a
 // neighbor).
 func (n *Node) coreInterest(m *message.Message, local bool) {
-	e := n.entryFor(m.Attrs, !local)
+	keep := ownVec // a neighbor's interest, decoded in a lent buffer
+	if local {
+		keep = attr.Vec.Clone // the node's reused origination vector
+	}
+	e := n.entryFor(m.Attrs, keep)
 	now := n.cfg.Clock.Now()
 
 	if local {
@@ -524,7 +535,7 @@ func isPush(attrs attr.Vec) bool {
 func (n *Node) coreReinforce(m *message.Message) {
 	e, ok := n.lookupEntry(m.Attrs)
 	if !ok {
-		e = n.entryFor(m.Attrs, true)
+		e = n.entryFor(m.Attrs, ownVec)
 	}
 	now := n.cfg.Clock.Now()
 	g := n.gradient(e, m.PrevHop)

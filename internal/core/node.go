@@ -235,7 +235,8 @@ type subscription struct {
 // its attributes, so the node keeps one of each of these per vector,
 // whatever its number of subscriptions.
 type subGroup struct {
-	// attrs is the vector and wire its interest form, in one array.
+	// attrs is the vector and wire its interest form, in one array that
+	// is never written: midx.subs keeps attrs, a local sink's entry wire.
 	attrs, wire attr.Vec
 	ihash       uint64 // wire.Hash(): the key in groups and of its entry
 	// tag names the group in midx.subs and groupsByTag for its whole life:
@@ -452,7 +453,7 @@ func (n *Node) Restart() {
 		if g.has(subLocal) {
 			// Re-install the local sink entry (SubscribeLocal does this at
 			// subscription time).
-			n.addSink(n.entryFor(g.wire, false), g)
+			n.addSink(n.entryFor(g.wire, nil), g)
 		}
 	}
 	n.rearm()
@@ -541,7 +542,7 @@ func (n *Node) subscribe(attrs attr.Vec, cb DataCallback, k subKind) Subscriptio
 	switch {
 	case k == subLocal:
 		// Install the local entry so matching data finds a sink here.
-		n.addSink(n.entryFor(s.g.wire, false), s.g)
+		n.addSink(n.entryFor(s.g.wire, nil), s.g)
 	case k == subActive && s.g.refresh == nil:
 		n.armRefresh(s.g)
 	}

@@ -52,20 +52,21 @@ func subscriptionHeap(n, perVec int) float64 {
 
 // The subscription heap budget: 20 000 SubscribeLocals, all on distinct
 // vectors (the broker experiment) or eight on each (cmd/diffbench's
-// broker_mesh holds eight per topic). A distinct vector costs 1 288–1 290 B
-// (the heap the process already holds moves it by a few bytes); eight on a
-// vector cost 225 B each, as the vector's group holds its attribute copy,
-// index slot and sink record once and each further subscription adds only
-// its own record (go 1.24, linux/amd64: the figures follow the runtime's
-// map layout).
+// broker_mesh holds eight per topic). A distinct vector costs 889 B (the
+// heap the process already holds moves it by a few bytes): its one
+// attribute array serves the group, the interest entry and both index
+// slots. Eight on a vector cost 173 B each, as the vector's group holds
+// its attribute copy, index slots and sink record once and each further
+// subscription adds only its own record (go 1.24, linux/amd64: the
+// figures follow the runtime's map layout).
 func TestSubscriptionHeap(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		perVec int
 		budget float64
 	}{
-		{"distinct", 1, 1300},
-		{"8 per vector", 8, 257},
+		{"distinct", 1, 915},
+		{"8 per vector", 8, 178},
 	} {
 		if got := subscriptionHeap(20000, c.perVec); got > c.budget {
 			t.Errorf("%s: %.2f live heap bytes per subscription, budget %.0f", c.name, got, c.budget)
@@ -75,9 +76,10 @@ func TestSubscriptionHeap(t *testing.T) {
 	}
 }
 
-// A SubscribeLocal on a vector already subscribed allocates less than one
-// on a new vector (10): no attribute copy, no interest form, no index slot,
-// no interest entry, only its record (growth of the node's maps and of the
+// A SubscribeLocal on a new vector allocates 9 times, its interest entry
+// sharing the group's interest form. One on a vector already subscribed
+// allocates less: no attribute copy, no interest form, no index slot, no
+// interest entry, only its record (growth of the node's maps and of the
 // group's member list is below AllocsPerRun's whole-number average).
 func TestAllocsTwinSubscribeLocal(t *testing.T) {
 	vecs := brokerVecs(201)
@@ -88,6 +90,9 @@ func TestAllocsTwinSubscribeLocal(t *testing.T) {
 	})
 	node = brokerNode()
 	twin := testing.AllocsPerRun(200, func() { node.SubscribeLocal(vecs[0], nopCallback) })
+	if distinct > 9 {
+		t.Errorf("a SubscribeLocal on a new vector allocates %.0f/op, budget 9", distinct)
+	}
 	if twin >= distinct || twin > 1 {
 		t.Errorf("a twin SubscribeLocal allocates %.0f/op, a distinct one %.0f/op: budget 1, and below a distinct one", twin, distinct)
 	}

@@ -104,14 +104,16 @@ func TestDifferentialAgainstLinear(t *testing.T) {
 					ref.vecs[nextTag] = v
 					tags = append(tags, nextTag)
 				}
-				remove := func() {
+				remove := func() attr.Vec {
 					i := r.Intn(len(tags))
 					tag := tags[i]
 					tags[i] = tags[len(tags)-1]
 					tags = tags[:len(tags)-1]
 					ix.Remove(handles[tag])
+					v := ref.vecs[tag]
 					delete(handles, tag)
 					delete(ref.vecs, tag)
+					return v
 				}
 				probe := func(msg attr.Vec, where string) {
 					if got, want := lookupTags(ix, msg), ref.lookup(msg); !eqTags(got, want) {
@@ -140,28 +142,23 @@ func TestDifferentialAgainstLinear(t *testing.T) {
 				}
 				probeStored("self-probe")
 
-				// Remove-heavy: drain with one add per three removes, so the
-				// arenas compact several times; re-probe after each.
-				compactions := 0
-				for len(tags) > 0 {
+				// Remove-heavy: drain with one add per three removes, so
+				// handles are recycled; after every removal re-probe the
+				// removed vector, random ones and stored ones.
+				for removals := 0; len(tags) > 0; {
 					if r.Intn(4) == 0 {
 						add()
 						continue
 					}
-					size := len(ix.formals) + len(ix.actuals)
-					remove()
-					if len(ix.formals)+len(ix.actuals) < size {
-						compactions++
-						where := fmt.Sprintf("compaction %d", compactions)
-						for i := 0; i < 10; i++ {
-							probe(soupVec(r, r.Intn(6)), where)
-						}
-						probeStored(where)
+					removals++
+					where := fmt.Sprintf("removal %d", removals)
+					probe(remove(), where)
+					for i := 0; i < 3 && len(tags) > 0; i++ {
+						probe(soupVec(r, r.Intn(6)), where)
+						probe(ref.vecs[tags[r.Intn(len(tags))]], where)
 					}
 				}
-				if compactions < 2 {
-					t.Fatalf("seed=%d: draining compacted %d times, want at least 2", seed, compactions)
-				}
+				probeStored("drained")
 			}
 		})
 	}

@@ -24,15 +24,13 @@
 // ordered) go on an always-scanned fallback list; Stats.FallbackScanned
 // counts how often that list is paid for.
 //
-// A stored vector is copied into two index-owned arenas, its formals
-// (pivot first) and its actuals each as one contiguous run, so a slot
-// holds offsets instead of pointers and verifying a candidate reads the
-// slot array and one arena run.
+// The index keeps the caller's vector, not a copy, in a slice beside the
+// slot array; a slot holds only its tag and pivot position, no pointer.
 //
 // Lookup gathers candidates from the postings selected by the message's
 // actuals and verifies each with the oracle itself: attr.OneWayMatch of
-// the stored formals against the message and, in TwoWay mode when the
-// message carries a formal, of the message against the stored actuals.
+// the stored vector against the message and, in TwoWay mode when the
+// message carries a formal, of the message against the stored vector.
 // A pivot its posting already proves (an EQ bucket, EQ_ANY presence) is
 // not checked again. Each slot sits in one key's postings, so only a
 // message that repeats a key can gather a slot twice; only then are the
@@ -102,7 +100,7 @@ const (
 // postings over-include, so those pivots are verified with the rest.
 func (k pivotKind) proven() bool { return k >= pivotEQNum && k <= pivotEQAny }
 
-// pivot locates a slot's posting. It is derived from the slot's first
+// pivot locates a slot's posting. It is derived from the slot's pivot
 // formal by classify, not stored.
 type pivot struct {
 	kind pivotKind
@@ -112,16 +110,19 @@ type pivot struct {
 	str  string  // EQStr/EQBlob bucket key, StrRange threshold
 }
 
-// slot is one stored vector: its tag and its two runs in the index's
-// arenas. It holds no pointer, so a broker's slot array costs the
-// collector nothing to scan.
+// slot is one stored vector's tag and pivot; the vector is Index.vecs[h].
+// It holds no pointer, so a broker's slot array costs the collector
+// nothing to scan.
 type slot struct {
-	tag        uint64
-	fOff, fLen uint32 // formal run in Index.formals, the pivot formal first
-	aOff, aLen uint32 // actual run in Index.actuals
-	pos        int32  // position on the always list (pivotAlways only)
-	kind       pivotKind
-	live       bool
+	tag uint64
+	// at is the pivot formal's position in the vector; a pivotAlways
+	// slot, which has none, keeps its position on the always list here.
+	at   int32
+	kind pivotKind
+	live bool
+	// more is set when the vector has a formal besides its pivot: a
+	// proven pivot then leaves something to verify.
+	more bool
 }
 
 // Threshold-list indices by comparison operator.
@@ -181,15 +182,11 @@ type keyIndex struct {
 type Index struct {
 	mode   Mode
 	slots  []slot
+	vecs   []attr.Vec // by handle: the vector each slot stores
 	free   []Handle
 	keys   map[attr.Key]*keyIndex
 	always []Handle
 	live   int
-
-	// The arenas every slot's runs live in. dead counts the entries of
-	// removed slots; once they are more than half, compact rewrites both.
-	formals, actuals attr.Vec
-	dead             int
 
 	// Lookup scratch: candidate buffer plus an epoch-stamped mark per
 	// slot for duplicate suppression. No user code runs during Lookup,
@@ -204,11 +201,10 @@ type Index struct {
 // New returns an empty index verifying the given mode's semantics.
 func New(mode Mode) *Index { return &Index{mode: mode} }
 
-// Add stores a copy of v's attributes under tag and returns its handle.
-// v itself is not retained; its string and blob values, immutable like
-// every attr.Value, are shared. Tags need not be unique, but every
-// matching slot's tag is reported by Lookup, so duplicate tags yield
-// duplicate results.
+// Add stores v under tag and returns its handle. v is kept, not copied:
+// the caller must not modify it until Remove or Reset. Tags need not be
+// unique, but every matching slot's tag is reported by Lookup, so
+// duplicate tags yield duplicate results.
 func (ix *Index) Add(v attr.Vec, tag uint64) Handle {
 	var h Handle
 	if n := len(ix.free); n > 0 {
@@ -216,31 +212,16 @@ func (ix *Index) Add(v attr.Vec, tag uint64) Handle {
 		ix.free = ix.free[:n-1]
 	} else {
 		ix.slots = append(ix.slots, slot{})
+		ix.vecs = append(ix.vecs, nil)
 		ix.mark = append(ix.mark, 0)
 		h = Handle(len(ix.slots) - 1)
 	}
 	p, at := choosePivot(v)
-	fOff, aOff := len(ix.formals), len(ix.actuals)
-	if at >= 0 {
-		ix.formals = append(ix.formals, v[at])
-	}
+	s := slot{tag: tag, at: int32(at), kind: p.kind, live: true}
 	for i, a := range v {
-		if i == at {
-			continue
-		}
-		if a.Op.IsFormal() {
-			ix.formals = append(ix.formals, a)
-		} else {
-			ix.actuals = append(ix.actuals, a)
-		}
+		s.more = s.more || i != at && a.Op.IsFormal()
 	}
-	ix.slots[h] = slot{
-		tag:  tag,
-		fOff: uint32(fOff), fLen: uint32(len(ix.formals) - fOff),
-		aOff: uint32(aOff), aLen: uint32(len(ix.actuals) - aOff),
-		kind: p.kind,
-		live: true,
-	}
+	ix.slots[h], ix.vecs[h] = s, v
 	ix.install(h, p)
 	ix.live++
 	return h
@@ -252,42 +233,21 @@ func (ix *Index) Remove(h Handle) {
 	if int(h) >= len(ix.slots) || !ix.slots[h].live {
 		return
 	}
-	s := &ix.slots[h]
-	ix.uninstall(h, s)
-	ix.dead += int(s.fLen + s.aLen)
-	*s = slot{}
+	ix.uninstall(h, &ix.slots[h])
+	ix.slots[h], ix.vecs[h] = slot{}, nil
 	ix.free = append(ix.free, h)
 	ix.live--
-	if 2*ix.dead > len(ix.formals)+len(ix.actuals) {
-		ix.compact()
-	}
-}
-
-// compact rewrites both arenas from the live slots' runs.
-func (ix *Index) compact() {
-	var nf, na uint32
-	for _, s := range ix.slots {
-		nf, na = nf+s.fLen, na+s.aLen
-	}
-	formals, actuals := make(attr.Vec, 0, nf), make(attr.Vec, 0, na)
-	for i := range ix.slots {
-		s := &ix.slots[i]
-		fOff, aOff := uint32(len(formals)), uint32(len(actuals))
-		formals = append(formals, ix.formals[s.fOff:s.fOff+s.fLen]...)
-		actuals = append(actuals, ix.actuals[s.aOff:s.aOff+s.aLen]...)
-		s.fOff, s.aOff = fOff, aOff
-	}
-	ix.formals, ix.actuals, ix.dead = formals, actuals, 0
 }
 
 // Reset empties the index, retaining accumulated Stats and allocated
 // scratch capacity.
 func (ix *Index) Reset() {
 	ix.slots = ix.slots[:0]
+	clear(ix.vecs)
+	ix.vecs = ix.vecs[:0]
 	ix.free = ix.free[:0]
 	ix.keys = nil
 	ix.always = ix.always[:0]
-	ix.formals, ix.actuals, ix.dead = nil, nil, 0
 	ix.mark = ix.mark[:0]
 	ix.gen = 0
 	ix.live = 0
@@ -349,14 +309,15 @@ func (ix *Index) Lookup(msg attr.Vec, dst []uint64) []uint64 {
 	ix.stat.CandidatesScanned += uint64(len(cand))
 	reverse := formals && ix.mode == TwoWay
 	for _, h := range cand {
-		s := &ix.slots[h]
-		from := s.fOff
-		if s.kind.proven() {
-			from++
+		s, v := &ix.slots[h], ix.vecs[h]
+		var ok bool
+		if s.kind.proven() { // every formal but the pivot
+			ok = !s.more || attr.OneWayMatch(v[:s.at], msg) && attr.OneWayMatch(v[s.at+1:], msg)
+		} else {
+			ok = attr.OneWayMatch(v, msg)
 		}
-		ok := attr.OneWayMatch(ix.formals[from:s.fOff+s.fLen], msg)
 		if ok && reverse {
-			ok = attr.OneWayMatch(msg, ix.actuals[s.aOff:s.aOff+s.aLen])
+			ok = attr.OneWayMatch(msg, v)
 		}
 		if ok {
 			ix.stat.Hits++
@@ -550,7 +511,7 @@ func (ix *Index) keyIndexFor(k attr.Key) *keyIndex {
 // install files h into the posting p names.
 func (ix *Index) install(h Handle, p pivot) {
 	if p.kind == pivotAlways {
-		ix.slots[h].pos = int32(len(ix.always))
+		ix.slots[h].at = int32(len(ix.always))
 		ix.always = append(ix.always, h)
 		return
 	}
@@ -587,17 +548,17 @@ func (ix *Index) install(h Handle, p pivot) {
 }
 
 // uninstall removes h from the posting its pivot names, recomputed from
-// the slot's first formal.
+// the stored pivot formal.
 func (ix *Index) uninstall(h Handle, s *slot) {
 	if s.kind == pivotAlways {
 		last := len(ix.always) - 1
 		moved := ix.always[last]
-		ix.always[s.pos] = moved
-		ix.slots[moved].pos = s.pos
+		ix.always[s.at] = moved
+		ix.slots[moved].at = s.at
 		ix.always = ix.always[:last]
 		return
 	}
-	p, _ := classify(ix.formals[s.fOff])
+	p, _ := classify(ix.vecs[h][s.at])
 	ki := ix.keys[p.key]
 	switch p.kind {
 	case pivotEQNum:

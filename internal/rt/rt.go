@@ -40,13 +40,22 @@ type Loop struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []func()
+	queue    []job
 	stopping bool
 	done     chan struct{}
 
 	// deferred is what the callbacks of the current wake-up handed Defer;
 	// only the loop goroutine touches it.
 	deferred []func()
+}
+
+// job is one queued piece of loop work: fn, or else a frame handed to a
+// receiver bound once, so that a received frame costs no closure.
+type job struct {
+	fn      func()
+	recv    func(from uint32, payload []byte)
+	from    uint32
+	payload []byte
 }
 
 // NewLoop starts a loop anchored at the current instant. The caller must
@@ -58,7 +67,7 @@ func NewLoop() *Loop {
 	return l
 }
 
-// run is the loop goroutine: it drains posted callbacks in order until the
+// run is the loop goroutine: it drains posted jobs in order until the
 // loop is stopped, then executes whatever was already queued and exits.
 // Each wake-up takes the whole queue in one lock acquisition and leaves
 // Post the previous batch's array to fill, so the two arrays alternate and
@@ -66,7 +75,7 @@ func NewLoop() *Loop {
 // before the loop looks at the queue again.
 func (l *Loop) run() {
 	defer close(l.done)
-	var batch []func()
+	var batch []job
 	for {
 		l.mu.Lock()
 		for len(l.queue) == 0 && !l.stopping {
@@ -78,9 +87,14 @@ func (l *Loop) run() {
 		}
 		batch, l.queue = l.queue, batch[:0]
 		l.mu.Unlock()
-		for i, fn := range batch {
-			batch[i] = nil // a closure that has run must not pin what it captured
-			fn()
+		for i := range batch {
+			j := batch[i]
+			batch[i] = job{} // a job that has run must not pin what it held
+			if j.fn != nil {
+				j.fn()
+			} else {
+				j.recv(j.from, j.payload)
+			}
 		}
 		for i := 0; i < len(l.deferred); i++ { // a deferred call may defer another
 			fn := l.deferred[i]
@@ -102,13 +116,22 @@ func (l *Loop) Defer(fn func()) { l.deferred = append(l.deferred, fn) }
 // Post enqueues fn to run on the loop goroutine. It never blocks and is
 // safe from any goroutine (link-layer readers, HTTP handlers, timer
 // dispatch). After Stop, posts are dropped and Post reports false.
-func (l *Loop) Post(fn func()) bool {
+func (l *Loop) Post(fn func()) bool { return l.push(job{fn: fn}) }
+
+// PostFrame enqueues recv(from, payload) as Post enqueues a callback, in
+// one order with the posts: a link's delivery hands its frames up this
+// way, recv built once instead of a closure per frame.
+func (l *Loop) PostFrame(recv func(from uint32, payload []byte), from uint32, payload []byte) bool {
+	return l.push(job{recv: recv, from: from, payload: payload})
+}
+
+func (l *Loop) push(j job) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.stopping {
 		return false
 	}
-	l.queue = append(l.queue, fn)
+	l.queue = append(l.queue, j)
 	l.cond.Signal()
 	return true
 }

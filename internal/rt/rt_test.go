@@ -69,6 +69,37 @@ func TestLoopPreservesPostOrder(t *testing.T) {
 	})
 }
 
+// Callbacks and frames share one FIFO: posted alternately from one
+// goroutine, each runs in its posting order, the frames with their own
+// sender and payload.
+func TestLoopInterleavesPostsAndFrames(t *testing.T) {
+	l := NewLoop()
+	defer l.Stop()
+	var got []int
+	recv := func(from uint32, payload []byte) { got = append(got, int(from)+int(payload[0])) }
+	for i := 0; i < 100; i++ {
+		if i%3 == 0 {
+			i := i
+			l.Post(func() { got = append(got, i) })
+		} else {
+			l.PostFrame(recv, uint32(i-1), []byte{1})
+		}
+	}
+	if err := l.Call(func() {}); err != nil {
+		t.Fatal(err)
+	}
+	l.Call(func() {
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("position %d holds %d; posts and frames reordered", i, v)
+			}
+		}
+		if len(got) != 100 {
+			t.Fatalf("ran %d of 100 jobs", len(got))
+		}
+	})
+}
+
 // TestAfterFiresOnLoop checks timers dispatch onto the loop goroutine and
 // observe the clock monotonically.
 func TestAfterFiresOnLoop(t *testing.T) {
@@ -196,8 +227,8 @@ func goroutinesSettle(base int) bool {
 	return false
 }
 
-// TestLoopReleasesRunClosures: a callback that has run is no longer
-// reachable from the loop, nor is what it captured. The queue used to
+// TestLoopReleasesRunClosures: a callback or frame that has run is no
+// longer reachable from the loop, nor is what it captured or carried. The queue used to
 // advance a slice head over one backing array, which kept every executed
 // closure — and the datagram it carried — alive until the array was next
 // re-grown.
@@ -213,10 +244,15 @@ func TestLoopReleasesRunClosures(t *testing.T) {
 	base := heap()
 	const n, size = 16, 1 << 20
 	sum := 0
+	recv := func(_ uint32, payload []byte) { sum += int(payload[size-1]) }
 	for i := 0; i < n; i++ {
 		payload := make([]byte, size)
 		payload[size-1] = 1
-		l.Post(func() { sum += int(payload[size-1]) })
+		if i%2 == 0 {
+			l.Post(func() { sum += int(payload[size-1]) })
+		} else {
+			l.PostFrame(recv, 0, payload) // a frame's payload is released too
+		}
 	}
 	if err := l.Call(func() {}); err != nil {
 		t.Fatal(err)

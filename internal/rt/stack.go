@@ -115,9 +115,8 @@ func NewStack(c StackConfig) (*Stack, error) {
 	s.Hub = telemetry.NewHub(s.Loop.Now)
 	s.Reg = s.Hub.Register(telemetry.NewRegistry(fmt.Sprintf("node%d", c.Link.ID)))
 	c.Link.Spans = s.Spans
-	c.Link.Deliver = func(from uint32, payload []byte) {
-		s.Loop.Post(func() { s.Node.Receive(from, payload) })
-	}
+	receive := func(from uint32, payload []byte) { s.Node.Receive(from, payload) }
+	c.Link.Deliver = func(from uint32, payload []byte) { s.Loop.PostFrame(receive, from, payload) }
 	c.Node.Clock, c.Node.Custody, c.Node.Flight, c.Node.Spans = s.Loop, s.Custody, s.Flight, s.Spans
 	var err error
 	s.Loop.Call(func() {

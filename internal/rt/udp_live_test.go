@@ -23,6 +23,10 @@ type udpLine struct {
 	got     chan message.Class // one per delivery at the sink
 }
 
+// lineSeenTTL is cmd/diffbench's: the duplicate cache tracks flight time,
+// not run length.
+const lineSeenTTL = 2 * time.Second
+
 // newUDPLine builds the line, every link with reliable unicast when rel is
 // set.
 func newUDPLine(tb testing.TB, n int, interestInterval time.Duration, rel *transport.ReliableConfig) *udpLine {
@@ -35,7 +39,7 @@ func newUDPLine(tb testing.TB, n int, interestInterval time.Duration, rel *trans
 		c.Node.InterestInterval = interestInterval
 		c.Node.ExploratoryInterval = time.Hour // only the first send explores
 		c.Node.ForwardJitter = time.Millisecond
-		c.Node.SeenTTL = 2 * time.Second // cmd/diffbench's: the cache tracks flight time, not run length
+		c.Node.SeenTTL = lineSeenTTL
 		ln.stacks = append(ln.stacks, newStack(tb, c))
 	}
 	tb.Cleanup(func() {

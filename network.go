@@ -362,34 +362,6 @@ func (net *Network) Run(d time.Duration) {
 	net.eng.RunUntil(net.eng.Now() + d)
 }
 
-// RunRealtime advances the simulation by d of virtual time, pacing event
-// execution against the wall clock scaled by speed (1 = real time, 10 =
-// ten times faster). All node logic still runs deterministically on the
-// single simulation thread; only the pacing is real — this is how the
-// examples run "live" without any concurrency in the protocol code.
-// Speeds <= 0 behave like Run.
-func (net *Network) RunRealtime(d time.Duration, speed float64) {
-	if speed <= 0 {
-		net.Run(d)
-		return
-	}
-	horizon := net.eng.Now() + d
-	wallStart := time.Now()
-	virtStart := net.eng.Now()
-	for {
-		at, ok := net.eng.NextEventAt()
-		if !ok || at > horizon {
-			break
-		}
-		wait := time.Duration(float64(at-virtStart)/speed) - time.Since(wallStart)
-		if wait > 0 {
-			time.Sleep(wait)
-		}
-		net.eng.RunUntil(at)
-	}
-	net.eng.RunUntil(horizon)
-}
-
 // ChannelStats returns medium-wide radio counters (collisions, losses).
 func (net *Network) ChannelStats() radio.ChannelStats { return net.channel.Stats() }
 

@@ -184,31 +184,3 @@ func TestFourSourcesCongestTheNetwork(t *testing.T) {
 		t.Error("four-source load should collide at hidden terminals")
 	}
 }
-
-func TestRunRealtimePacing(t *testing.T) {
-	net := diffusion.NewNetwork(diffusion.NetworkConfig{
-		Seed:     31,
-		Topology: diffusion.LineTopology(2, 10),
-	})
-	fired := 0
-	net.Every(50*time.Millisecond, func() { fired++ })
-	// 400ms of virtual time at 100x: should take ~4ms of wall time but
-	// still fire all 8 ticks; generous bounds keep CI-stable.
-	start := time.Now()
-	net.RunRealtime(400*time.Millisecond, 100)
-	elapsed := time.Since(start)
-	if fired != 8 {
-		t.Errorf("fired %d ticks, want 8", fired)
-	}
-	if net.Now() != 400*time.Millisecond {
-		t.Errorf("virtual clock at %v", net.Now())
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("pacing too slow: %v", elapsed)
-	}
-	// Zero speed degrades to plain Run.
-	net.RunRealtime(100*time.Millisecond, 0)
-	if net.Now() != 500*time.Millisecond {
-		t.Errorf("virtual clock at %v after speed-0 run", net.Now())
-	}
-}

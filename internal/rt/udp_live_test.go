@@ -1,6 +1,7 @@
 package rt_test
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -21,6 +22,8 @@ type udpLine struct {
 	// payload, when set, rides in every event sent from then on.
 	payload []byte
 	got     chan message.Class // one per delivery at the sink
+	// onDeliver, when set, is handed each delivery on the sink's loop.
+	onDeliver func(*message.Message)
 }
 
 // lineSeenTTL is cmd/diffbench's: the duplicate cache tracks flight time,
@@ -51,7 +54,12 @@ func newUDPLine(tb testing.TB, n int, interestInterval time.Duration, rel *trans
 	sink, src := ln.stacks[n-1], ln.stacks[0]
 	sink.Loop.Call(func() {
 		sink.Node.Subscribe(attr.Vec{attr.StringAttr(attr.KeyTask, attr.EQ, "line")},
-			func(m *message.Message) { ln.got <- m.Class })
+			func(m *message.Message) {
+				if ln.onDeliver != nil {
+					ln.onDeliver(m)
+				}
+				ln.got <- m.Class
+			})
 	})
 	ready := make(chan struct{}, 1)
 	src.Loop.Call(func() {
@@ -120,11 +128,10 @@ func (ln *udpLine) sent() (datagrams, frames, acks uint64) {
 // Defer and the endpoint's Cork by itself.
 func TestLiveUDPBurstIsOneDatagram(t *testing.T) { liveBurst(t, nil, 0, 1) }
 
-// On a loopback path 1 KiB frames travel two to a datagram: a burst of
-// eight reliable ones leaves the source as four, each written as its second
-// frame crosses bundleMax.
-func TestLiveReliable1KBurstPairsUp(t *testing.T) {
-	liveBurst(t, &transport.ReliableConfig{}, 1024, 4)
+// On a loopback path a wake-up's 1 KiB frames share a datagram up to the
+// path's cap: a burst of eight reliable ones leaves the source as one.
+func TestLiveReliable1KBurstIsOneDatagram(t *testing.T) {
+	liveBurst(t, &transport.ReliableConfig{}, 1024, 1)
 }
 
 // liveBurst publishes 8 events of the given payload in one wake-up of a
@@ -143,13 +150,7 @@ func liveBurst(t *testing.T, rel *transport.ReliableConfig, payload int, want ui
 	datagrams, frames := src.Sent.Load(), src.FramesSent.Load()
 	const burst = 8
 	ln.send(burst)
-	for i := 0; i < burst; i++ {
-		select {
-		case <-ln.got:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%d of %d events arrived", i, burst)
-		}
-	}
+	waitEvents(t, ln, burst)
 	ln.stacks[0].Loop.Call(func() {}) // the source's loop is past the wake-up, and so past counting what it wrote
 	if d, f := src.Sent.Load()-datagrams, src.FramesSent.Load()-frames; d != want || f != burst {
 		t.Errorf("the burst left the source as %d datagrams of %d frames, want %d of %d", d, f, want, burst)
@@ -157,6 +158,90 @@ func liveBurst(t *testing.T, rel *transport.ReliableConfig, payload int, want ui
 	for i, st := range ln.stacks {
 		if s := st.Link.Stats(); s.RecvDropped.Load() != 0 || s.SendErrors.Load() != 0 {
 			t.Errorf("node %d dropped %d receptions and failed %d writes", i+1, s.RecvDropped.Load(), s.SendErrors.Load())
+		}
+	}
+}
+
+// loopbackCap is the transport's cap on a loopback datagram, computed as
+// udp.go's loopbackCap does: the loopback interface's MTU less the IPv6 and
+// UDP headers, at least 1400 bytes and at most a reader's buffer (a 60 KiB
+// payload, the 19-byte header and the 3-byte trace extension).
+func loopbackCap(tb testing.TB) int {
+	ifs, _ := net.Interfaces()
+	for _, ifc := range ifs {
+		if ifc.Flags&net.FlagLoopback != 0 {
+			return min(max(ifc.MTU-48, 1400), 60*1024+19+3)
+		}
+	}
+	tb.Skip("no loopback interface")
+	return 0
+}
+
+// A burst of reliable 1 KiB frames larger than a loopback path's cap,
+// published in one wake-up, leaves the source as the fewest datagrams of
+// at most the cap that carry its whole frames, each a bundle (a 3-byte
+// header, then per frame a 2-byte length and the frame; the frames are of
+// one size, which the bytes written give). Every event reaches the sink
+// once and in order, and no endpoint drops a reception, fails a write or
+// retransmits.
+func TestLiveReliableBurstOverTheCap(t *testing.T) {
+	capBytes := loopbackCap(t)
+	const burst = 64 // the most a reliable window puts in flight at once
+	ln := newUDPLine(t, 2, time.Minute, &transport.ReliableConfig{Window: burst})
+	time.Sleep(20 * time.Millisecond) // the set-up's last frames leave the line
+	for len(ln.got) > 0 {
+		<-ln.got
+	}
+	var seqs []int32
+	ln.stacks[1].Loop.Call(func() {
+		ln.onDeliver = func(m *message.Message) {
+			a, _ := m.Attrs.FindActual(attr.KeySequence)
+			seqs = append(seqs, a.Val.Int32())
+		}
+	})
+	src := ln.stacks[0].Link.Stats()
+	var first int32
+	ln.stacks[0].Loop.Call(func() { ln.payload, first = make([]byte, 1024), ln.seq+1 })
+	datagrams, frames, sentBytes := src.Sent.Load(), src.FramesSent.Load(), src.SentBytes.Load()
+	ln.send(burst)
+	waitEvents(t, ln, burst)
+	ln.stacks[0].Loop.Call(func() {}) // the source's loop is past the wake-up, and so past counting what it wrote
+	d, f, b := src.Sent.Load()-datagrams, src.FramesSent.Load()-frames, src.SentBytes.Load()-sentBytes
+	frame := (b-3*d)/burst - 2
+	if 3+burst*(2+frame) <= uint64(capBytes) {
+		t.Skipf("the loopback path's cap, %d bytes, holds the whole burst", capBytes)
+	}
+	perDatagram := (uint64(capBytes) - 3) / (2 + frame)
+	if want := (burst + perDatagram - 1) / perDatagram; d != want || f != burst || (b-3*d)%burst != 0 {
+		t.Errorf("%d frames left as %d datagrams of %d frames, %d bytes; want %d bundles of frames of one size, at most %d bytes each",
+			burst, d, f, b, want, capBytes)
+	}
+	var got []int32
+	ln.stacks[1].Loop.Call(func() { got = seqs })
+	for i, seq := range got {
+		if seq != first+int32(i) {
+			t.Fatalf("the sink got events %v, want %d in order from %d", got, burst, first)
+		}
+	}
+	if len(got) != burst {
+		t.Errorf("the sink got %d events, want %d", len(got), burst)
+	}
+	for i, st := range ln.stacks {
+		if s := st.Link.Stats(); s.RecvDropped.Load() != 0 || s.SendErrors.Load() != 0 || s.Retransmits.Load() != 0 {
+			t.Errorf("node %d dropped %d receptions, failed %d writes and retransmitted %d frames",
+				i+1, s.RecvDropped.Load(), s.SendErrors.Load(), s.Retransmits.Load())
+		}
+	}
+}
+
+// waitEvents waits for k deliveries at the line's sink.
+func waitEvents(t *testing.T, ln *udpLine, k int) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		select {
+		case <-ln.got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d events arrived", i, k)
 		}
 	}
 }
@@ -191,13 +276,7 @@ func TestLiveReliableBurstAcksOnce(t *testing.T) {
 		t.Errorf("the sink wrote %d datagrams before its loop woke, want its acks held", d)
 	}
 	close(release)
-	for i := 0; i < burst; i++ {
-		select {
-		case <-ln.got:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%d of %d events arrived", i, burst)
-		}
-	}
+	waitEvents(t, ln, burst)
 	ln.stacks[1].Loop.Call(func() {}) // the sink's loop is past the wake-up, and so past its Uncork
 	d, f, a := sink.Sent.Load()-datagrams, sink.FramesSent.Load()-frames, sink.AcksSent.Load()-acks
 	if d != 1 || f != burst || a != burst {
@@ -250,6 +329,6 @@ func benchLine(b *testing.B, rel *transport.ReliableConfig, payload int) {
 func BenchmarkLiveLineUDP(b *testing.B) { benchLine(b, nil, 0) }
 
 // BenchmarkLiveLineReliable1K is line5_reliable_1k's: reliable unicast and a
-// 1 KiB payload. On loopback two data frames share a datagram, the second
-// taking it past bundleMax, and the acks of a wake-up share one too.
+// 1 KiB payload. On loopback a wake-up's data frames share a datagram up to
+// the path's cap, and its acks share one too.
 func BenchmarkLiveLineReliable1K(b *testing.B) { benchLine(b, &transport.ReliableConfig{}, 1024) }

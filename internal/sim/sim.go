@@ -281,8 +281,8 @@ func (s *Engine) RunUntil(t time.Duration) {
 func (s *Engine) Stop() { s.stopped = true }
 
 // NextEventAt returns the timestamp of the next live event, or ok=false
-// when the queue is empty. Real-time pacing drivers use it to sleep until
-// the wall clock catches up with virtual time.
+// when the queue is empty. Its callers are tests that check what is
+// scheduled.
 func (s *Engine) NextEventAt() (time.Duration, bool) {
 	ev := s.events.peek()
 	if ev == nil {

@@ -65,8 +65,8 @@ func TestAllocsUDPSend(t *testing.T) {
 		t.Errorf("wire saw %d datagrams of %d frames in all; want 101 and %d", w.frames, u.Stats().FramesSent.Load(), 101*(1+2+8))
 	}
 
-	// Toward a loopback address, 8 corked 1 KiB sends leave two to a
-	// datagram as they cross bundleMax, and that wake-up is free as well.
+	// Toward a loopback address, 8 corked 1 KiB sends leave as one datagram
+	// at Uncork, and that wake-up is free as well.
 	lw := &discardWire{}
 	lo, err := newUDP(UDPConfig{ID: 1, Neighbors: map[uint32]string{2: loopAddr(2).String()}, Deliver: func(uint32, []byte) {}}, sim.New(1), lw, 1)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestAllocsUDPSend(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("8 corked 1 KiB sends toward loopback and Uncork allocate %.0f/wake-up", n)
 	}
-	if want := 101 * 4; loopbackCap() >= 2*bundleMax && lw.frames != want {
+	if want := 101; loopbackCap() >= eightKiB && lw.frames != want {
 		t.Errorf("wire saw %d datagrams, want %d", lw.frames, want)
 	}
 }

@@ -194,10 +194,10 @@ func TestCorkFullDatagramLeavesAtOnce(t *testing.T) {
 }
 
 // loopPair is pair on a virtual loopback path, skipped where the host's
-// loopback MTU leaves the path no room past bundleMax.
+// loopback MTU leaves the path no room for eight 1 KiB frames.
 func loopPair(t *testing.T, n *simNet, aCfg, bCfg UDPConfig) (a, b *UDP, cb *collector) {
 	t.Helper()
-	if loopbackCap() < 2*bundleMax {
+	if loopbackCap() < eightKiB {
 		t.Skipf("the loopback path's cap is %d bytes", loopbackCap())
 	}
 	a, b, _, cb = n.pairAt(loopAddr, aCfg, bCfg)
@@ -207,31 +207,32 @@ func loopPair(t *testing.T, n *simNet, aCfg, bCfg UDPConfig) (a, b *UDP, cb *col
 // kib is a 1 KiB payload: one frame of it is under bundleMax, two are over.
 var kib = bytes.Repeat([]byte{'k'}, 1024)
 
-// On a loopback path the frame that takes a held datagram past bundleMax
-// joins it, and the datagram leaves at once: 1 KiB frames travel two to a
-// datagram, before Uncork, where the 10.x path writes each alone.
+// eightKiB is the size of a bundle of eight kib frames.
+var eightKiB = bundleHeaderSize + 8*(bundlePrefixSize+headerSize+len(kib))
+
+// On a loopback path a corked wake-up's 1 KiB frames share one datagram,
+// written at Uncork, where the 10.x path, whose cap is bundleMax, writes
+// each alone.
 func TestCorkLoopbackFramesPairUp(t *testing.T) {
 	n := newSimNet(t)
 	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
 	a.Cork()
 	for i := 1; i <= 8; i++ {
 		a.Send(2, kib)
-		if n.frames != i/2 {
-			t.Fatalf("after %d sends: %d datagrams on the wire, want %d", i, n.frames, i/2)
+		if n.frames != 0 {
+			t.Fatalf("after %d sends: %d datagrams on the wire, want 0", i, n.frames)
 		}
 	}
 	a.Uncork()
-	if n.frames != 4 || len(a.held) != 0 {
-		t.Fatalf("Uncork left %d datagrams on the wire and %d held, want 4 and 0", n.frames, len(a.held))
+	if n.frames != 1 || len(a.held) != 0 {
+		t.Fatalf("Uncork left %d datagrams on the wire and %d held, want 1 and 0", n.frames, len(a.held))
 	}
-	for i, d := range n.wire {
-		if got := len(unbundle(t, d.b)); got != 2 || len(d.b) != 2*(bundlePrefixSize+headerSize+len(kib))+bundleHeaderSize {
-			t.Fatalf("datagram %d: %d frames in %d bytes, want two 1 KiB frames", i, got, len(d.b))
-		}
+	if got := len(unbundle(t, n.wire[0].b)); got != 8 || len(n.wire[0].b) != eightKiB {
+		t.Fatalf("%d frames in %d bytes, want eight 1 KiB frames", got, len(n.wire[0].b))
 	}
 	n.run(10 * time.Millisecond)
-	if s := a.Stats(); cb.count() != 8 || s.Sent.Load() != 4 || s.FramesSent.Load() != 8 {
-		t.Errorf("%d deliveries, Sent %d FramesSent %d; want 8, 4 and 8", cb.count(), s.Sent.Load(), s.FramesSent.Load())
+	if s := a.Stats(); cb.count() != 8 || s.Sent.Load() != 1 || s.FramesSent.Load() != 8 {
+		t.Errorf("%d deliveries, Sent %d FramesSent %d; want 8, 1 and 8", cb.count(), s.Sent.Load(), s.FramesSent.Load())
 	}
 
 	eth := newSimNet(t)
@@ -244,14 +245,18 @@ func TestCorkLoopbackFramesPairUp(t *testing.T) {
 	}
 }
 
-// A lone frame of bundleMax bytes or more is written at once, as the plain
-// datagram, where the 10.x path holds it; a bundle of exactly bundleMax
-// bytes has not crossed the mark and is held, as on any path.
+// A lone frame of bundleMax bytes is held until Uncork and written as the
+// plain datagram, as on the 10.x path; so is a bundle of exactly bundleMax
+// bytes.
 func TestCorkLoopbackLoneFrameAtMark(t *testing.T) {
 	n := newSimNet(t)
 	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
 	a.Cork()
 	a.Send(2, make([]byte, bundleMax-headerSize))
+	if n.frames != 0 {
+		t.Fatalf("a held frame of bundleMax bytes left before Uncork")
+	}
+	a.Uncork()
 	if n.frames != 1 || isBundle(n.wire[0].b) || len(n.wire[0].b) != bundleMax {
 		t.Fatalf("a held frame of bundleMax bytes: %d datagrams on the wire, want it alone and plain", n.frames)
 	}
@@ -263,6 +268,7 @@ func TestCorkLoopbackLoneFrameAtMark(t *testing.T) {
 		t.Fatalf("on the 10.x path a lone frame of bundleMax bytes left before Uncork")
 	}
 	e.Uncork()
+	a.Cork()
 	for i := 0; i < 11; i++ { // 11 frames of 106 bytes fill a bundle to the byte
 		a.Send(2, make([]byte, 106))
 	}
@@ -279,61 +285,75 @@ func TestCorkLoopbackLoneFrameAtMark(t *testing.T) {
 	}
 }
 
-// A frame that would take the held datagram past a loopback path's cap
-// starts the next one, which, being past bundleMax alone, leaves at once
-// too; a frame that fills the cap to the byte joins.
+// capFill is the payload that, after n-1 frames of small, fills a bundle of
+// n frames to a loopback path's cap to the byte.
+func capFill(n int, small []byte) []byte {
+	return make([]byte, loopbackCap()-bundleHeaderSize-n*(bundlePrefixSize+headerSize)-(n-1)*len(small))
+}
+
+// A bundle that fills a loopback path's cap to the byte is held until
+// Uncork; a frame one byte longer does not fit, so the held bundle is
+// written at once and that frame starts the next datagram.
 func TestCorkLoopbackCap(t *testing.T) {
 	n := newSimNet(t)
 	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
 	small := make([]byte, 100)
-	fill := make([]byte, loopbackCap()-bundleHeaderSize-2*(bundlePrefixSize+headerSize)-len(small))
+	fill := capFill(3, small)
 	a.Cork()
-	a.Send(2, small)
-	a.Send(2, fill)
-	if n.frames != 1 || len(n.wire[0].b) != loopbackCap() || len(unbundle(t, n.wire[0].b)) != 2 {
-		t.Fatalf("a bundle that fills the cap to the byte: %d datagrams on the wire, want it", n.frames)
-	}
-	a.Send(2, small)
-	a.Send(2, append(fill, 0))
-	if n.frames != 3 || isBundle(n.wire[1].b) || isBundle(n.wire[2].b) {
-		t.Fatalf("a frame one byte past the cap: %d datagrams on the wire, want 3, the last two plain", n.frames)
+	sendAll(t, a, 2, []string{string(small), string(small), string(fill)})
+	if n.frames != 0 {
+		t.Fatalf("a bundle that fills the cap to the byte left before Uncork")
 	}
 	a.Uncork()
-	if n.frames != 3 || len(a.held) != 0 {
-		t.Fatalf("Uncork wrote %d datagrams and left %d held, want none", n.frames-3, len(a.held))
+	if n.frames != 1 || len(n.wire[0].b) != loopbackCap() || len(unbundle(t, n.wire[0].b)) != 3 {
+		t.Fatalf("Uncork wrote %d datagrams, want the bundle that fills the cap", n.frames)
+	}
+	a.Cork()
+	sendAll(t, a, 2, []string{string(small), string(small), string(fill) + "!"})
+	if n.frames != 2 || len(unbundle(t, n.wire[1].b)) != 2 {
+		t.Fatalf("a frame one byte past the cap: %d datagrams on the wire, want the held bundle of 2 written", n.frames-1)
+	}
+	a.Uncork()
+	if n.frames != 3 || isBundle(n.wire[2].b) || len(n.wire[2].b) != headerSize+len(fill)+1 || len(a.held) != 0 {
+		t.Fatalf("Uncork wrote %d datagrams and left %d held, want the long frame alone and plain", n.frames-2, len(a.held))
 	}
 	n.run(10 * time.Millisecond)
-	if cb.count() != 4 {
-		t.Errorf("%d deliveries, want 4", cb.count())
+	if cb.count() != 6 {
+		t.Errorf("%d deliveries, want 6", cb.count())
 	}
 }
 
-// A datagram written at the mark leaves nothing held for it: neither the
-// Uncork nor the Close after it writes an empty bundle.
+// A datagram written at the path's one mark, its cap, leaves held only the
+// frame that did not fit: the Uncork or the Close after it writes that
+// frame, and no empty bundle.
 func TestCorkLoopbackMarkLeavesNothingHeld(t *testing.T) {
 	n := newSimNet(t)
 	a, _, cb := loopPair(t, n, UDPConfig{}, UDPConfig{})
-	pair := []string{string(kib), string(kib)}
+	small := make([]byte, 100)
+	burst := []string{string(small), string(capFill(2, small)), string(small)}
 	a.Cork()
-	sendAll(t, a, 2, pair)
+	sendAll(t, a, 2, burst)
 	a.Uncork()
 	a.Cork()
-	sendAll(t, a, 2, pair)
+	sendAll(t, a, 2, burst)
 	a.Close()
-	if n.frames != 2 || len(a.held) != 0 {
-		t.Fatalf("%d datagrams on the wire, %d held; want 2 and 0", n.frames, len(a.held))
+	if n.frames != 4 || len(a.held) != 0 {
+		t.Fatalf("%d datagrams on the wire, %d held; want 4 and 0", n.frames, len(a.held))
 	}
-	for _, d := range n.wire {
-		unbundle(t, d.b)
+	for i, d := range n.wire {
+		if bundled := isBundle(d.b); bundled != (i%2 == 0) || !bundled && len(d.b) != headerSize+len(small) {
+			t.Fatalf("datagram %d: bundle %v, %d bytes; want bundles at the cap and the small frame alone", i, bundled, len(d.b))
+		}
 	}
 	n.run(10 * time.Millisecond)
-	if cb.count() != 4 {
-		t.Errorf("%d deliveries, want 4", cb.count())
+	if cb.count() != 6 {
+		t.Errorf("%d deliveries, want 6", cb.count())
 	}
 }
 
-// The frames of one entry pair up too: a timer entry's four retransmissions
-// of 1 KiB frames leave as two datagrams, not one of four.
+// The frames of one entry are held like any: a timer entry's four
+// retransmissions of 1 KiB frames wait for Uncork and leave as one
+// datagram.
 func TestCorkLoopbackRetransmitsPairUp(t *testing.T) {
 	n := newSimNet(t)
 	a, b, cb := loopPair(t, n, UDPConfig{Reliable: &ReliableConfig{}}, UDPConfig{Reliable: &ReliableConfig{}})
@@ -344,10 +364,13 @@ func TestCorkLoopbackRetransmitsPairUp(t *testing.T) {
 	sent := a.Stats().Sent.Load()
 	a.Cork()
 	n.run(250 * time.Millisecond) // the four retransmissions come due at one instant
-	if d := a.Stats().Sent.Load() - sent; d != 2 || a.Stats().Retransmits.Load() != 4 {
-		t.Fatalf("four retransmissions left as %d datagrams, want 2", d)
+	if d := a.Stats().Sent.Load() - sent; d != 0 || a.Stats().Retransmits.Load() != 4 {
+		t.Fatalf("four retransmissions: %d datagrams before Uncork, want 0", d)
 	}
 	a.Uncork()
+	if d := a.Stats().Sent.Load() - sent; d != 1 {
+		t.Fatalf("four retransmissions left as %d datagrams, want 1", d)
+	}
 	n.run(10 * time.Millisecond)
 	if a.rel.pending(2) != 0 || cb.count() != 4 || b.Stats().DupSuppressed.Load() != 4 {
 		t.Errorf("pending %d, delivered %d, duplicates %d; want 0, 4, 4", a.rel.pending(2), cb.count(), b.Stats().DupSuppressed.Load())

@@ -129,8 +129,8 @@ func (s *slab) copyOf(b []byte) []byte {
 //	  n bytes   the frame, laid out as above
 //
 // A sender never builds a bundle of one frame (a lone frame travels as the
-// plain datagram it always was). A bundle is written at bundleMax; it may
-// pass it only up to the path's cap (UDP.hold). The receiver puts each
+// plain datagram it always was). A bundle is written when the next frame
+// would not fit under the path's cap (UDP.hold). The receiver puts each
 // inner frame through the one reception path, so each is validated, checked
 // against the peer table, deduplicated and counted as if it had arrived
 // alone; kindBundle is not a frame kind, so a bundle inside a bundle is
@@ -144,8 +144,8 @@ const (
 	traceExtSize     = 3
 	bundleHeaderSize = 3
 	bundlePrefixSize = 2
-	// bundleMax is where a held datagram is written, and every path's cap
-	// but loopback's: one Ethernet MTU, so IP never fragments a bundle.
+	// bundleMax is every path's cap but loopback's: one Ethernet MTU, so
+	// IP never fragments a bundle.
 	bundleMax = 1400
 )
 

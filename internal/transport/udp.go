@@ -380,9 +380,9 @@ func (u *UDP) onTimer(gen uint64) {
 // Cork makes the endpoint hold what it would write: until Uncork, every
 // frame an entry admits — whichever goroutine made it, whatever its kind —
 // is encoded into a buffer for its destination address instead, so Send
-// still only borrows its payload. A held datagram is written at bundleMax
-// and may pass it only up to the path's cap, so a long corked stretch
-// delays its first frames by a datagram's worth at most. One goroutine
+// still only borrows its payload. A held datagram is written when the next
+// frame would not fit under its path's cap, so a long corked stretch
+// delays its first frames by a cap's worth at most. One goroutine
 // corks at a time; core.Node does, once per rt.Loop wake-up.
 //
 // The first Cork also makes the caller the endpoint's corking consumer, and
@@ -414,15 +414,15 @@ func (u *UDP) Uncork() {
 // hold moves fx's frames into the held datagrams, leaving in fx only the
 // datagrams that filled up.
 func (u *UDP) hold(fx *effects) {
-	full, crossed := 0, false
+	full := 0
 	for i := 0; i < fx.n; i++ {
 		f := *fx.at(i)
 		d := u.heldFor(f.addr)
 		start := len(*d.buf)
 		b := u.encode(append(*d.buf, 0, 0), &f)
-		if d.frames > 0 && (len(b) > d.limit || start > bundleMax) {
-			// f does not fit, or this entry took the datagram past bundleMax:
-			// it goes now and f starts the next. (One per frame: full ≤ i.)
+		if d.frames > 0 && len(b) > d.limit {
+			// f does not fit under the path's cap: the held datagram goes
+			// now and f starts the next. (One per frame: full ≤ i.)
 			*d.buf = b[:start]
 			*fx.at(full) = d.out()
 			full++
@@ -433,20 +433,8 @@ func (u *UDP) hold(fx *effects) {
 		binary.BigEndian.PutUint16(b[start:], uint16(len(b)-start-bundlePrefixSize))
 		*d.buf = b
 		d.frames++
-		crossed = crossed || (d.limit > bundleMax && len(b) > bundleMax)
 	}
 	fx.truncate(full)
-	if crossed {
-		// The cap allowed more, so the frame that crossed bundleMax rode
-		// along, and its datagram goes now.
-		u.held = slices.DeleteFunc(u.held, func(d heldDatagram) bool {
-			past := d.limit > bundleMax && len(*d.buf) > bundleMax
-			if past {
-				fx.push(d.out())
-			}
-			return past
-		})
-	}
 }
 
 // heldFor finds or starts the held datagram for addr.

@@ -194,9 +194,6 @@ type Node struct {
 	MAC *mac.Mac
 }
 
-// RadioStats returns the node's physical-layer counters.
-func (n *Node) RadioStats() radio.TransceiverStats { return n.MAC.Radio().Stats }
-
 // Energy evaluates the energy model on this node's measured radio times.
 func (n *Node) Energy(r EnergyRatios, elapsed time.Duration, dutyCycle float64) energy.Breakdown {
 	st := n.MAC.Radio().Stats

@@ -137,16 +137,6 @@ func (t *Trace) Dropped() int {
 // bound.
 func (t *Trace) DroppedFaults() int { return t.droppedFaults }
 
-// SetFaultLimit overrides the fault-event bound (non-positive restores the
-// default). Fault events beyond it are dropped and counted in
-// DroppedFaults.
-func (t *Trace) SetFaultLimit(n int) {
-	if n <= 0 {
-		n = defaultFaultLimit
-	}
-	t.faultLimit = n
-}
-
 // SetFaultScript attaches a human-readable description of the run's
 // scheduled fault scenario; it is exported in the trace header so faulted
 // traces are self-describing.

@@ -55,9 +55,8 @@ type outFrame struct {
 	offerAck bool
 	// pooled marks a datagram ready for the wire: payload is its bytes, in
 	// this framePool buffer, and frames how many frames they hold. Every
-	// frame leaves the lock encoded (udp.go, leave) — alone, or in a
-	// datagram the cork finished — so nothing written once the lock is
-	// released reads an engine's buffer.
+	// frame leaves the lock encoded (udp.go, step) into a datagram, so
+	// nothing written once the lock is released reads an engine's buffer.
 	pooled *[]byte
 	frames int
 }
@@ -91,24 +90,34 @@ type tableOp struct {
 
 // effects is everything one entry into the endpoint produced. It lives on
 // the entering goroutine's stack and holds no pointer into itself, so the
-// common one- or two-frame step allocates nothing.
+// common one- or two-frame step allocates nothing (a reception lends it
+// its record's spill slices).
 type effects struct {
 	// The frames, in order: the first len(buf) inline, the rest in more.
-	n    int
-	buf  [4]outFrame
-	more []outFrame
+	// The first done are datagrams ready for the wire; delivered marks the
+	// new frames as answering a Deliver upcall.
+	n         int
+	buf       [4]outFrame
+	more      []outFrame
+	done      int
+	delivered bool
 
 	calls       []func()     // user callbacks owed, run once the lock is released
 	ops         []tableOp    // what discovery wants done to the table
 	transitions []transition // what the failure detector decided
 
-	// The received frame, when the entry was a reception that owes a
-	// flight-path span or a Deliver upcall; its payload aliases the datagram
-	// dgram records, and rxSize is the frame's length on the wire.
-	rx            frame
-	rxSize        int
-	span, deliver bool
-	dgram         *rxDatagram
+	// What a reception's frames owe once the lock is released, in frame
+	// order; their payloads alias the datagram dgram records.
+	rx    []reception
+	dgram *rxDatagram
+}
+
+// reception is a received frame that owes a Deliver upcall of its payload,
+// size bytes on the wire, or else a flight-path recv span.
+type reception struct {
+	f       frame
+	size    int
+	deliver bool
 }
 
 // at returns frame i.
@@ -144,7 +153,8 @@ func (fx *effects) send(peer uint32, kind uint8, seq uint32, payload []byte) {
 // counting it against the sender's table row.
 func (fx *effects) deliverUp(from *peerEntry, f frame, size int) {
 	from.dataRecv++
-	fx.rx, fx.rxSize, fx.deliver = f, size, true
+	fx.rx = append(fx.rx, reception{f: f, size: size, deliver: true})
+	fx.delivered = true
 }
 
 // idSet is a sorted set of link IDs: the iteration order of an engine's

@@ -98,13 +98,28 @@ func checkRecs(t *testing.T, u *UDP) {
 	}
 }
 
-// counters reads every counter of s, in declaration order.
-func counters(s *Stats) []uint64 {
+// counters reads every counter of s but those named in skip, in
+// declaration order.
+func counters(s *Stats, skip ...string) []uint64 {
 	var out []uint64
 	for v, i := reflect.ValueOf(s).Elem(), 0; i < v.NumField(); i++ {
-		out = append(out, v.Field(i).Addr().Interface().(*atomic.Uint64).Load())
+		if !slices.Contains(skip, v.Type().Field(i).Name) {
+			out = append(out, v.Field(i).Addr().Interface().(*atomic.Uint64).Load())
+		}
 	}
 	return out
+}
+
+// framing is how many of the bytes w carried are bundle framing: a header
+// per bundle and a length per frame in one.
+func framing(w []simDatagram) (n uint64) {
+	for _, d := range w {
+		if isBundle(d.b) {
+			frames, _ := splitBundle(d.b)
+			n += bundleHeaderSize + bundlePrefixSize*uint64(len(frames))
+		}
+	}
+	return n
 }
 
 // checkHeld fails t unless every payload got was handed is capacity-clipped
@@ -125,10 +140,14 @@ func checkHeld(t *testing.T, got *collector) {
 // the receive entry of an endpoint with every engine on, then lets a
 // second of virtual time play out. Nothing may panic, every reject must
 // be counted in Stats.RecvDropped — once — only a membership frame may
-// grow the peer table, and the discovery table stays within its cap. A bundle must leave the endpoint exactly as its
-// frames would have, arriving one datagram each: the same deliveries,
-// duplicate windows and counters, but for one RecvDropped if its tail is
-// malformed (or it has no frames at all). Every delivered payload is
+// grow the peer table, and the discovery table stays within its cap. A
+// bundle must leave the endpoint as its frames would have, arriving one
+// datagram each: the same deliveries, duplicate windows, peer table and
+// counters, but for one RecvDropped if its tail is malformed (or it has no
+// frames at all). Only the datagrams the frames owe may differ: the bundle's
+// one entry writes them in as many datagrams or fewer (Sent), with the same
+// frames (FramesSent) and the same bytes but for the bundle framing
+// (SentBytes). Every delivered payload is
 // capacity-clipped and keeps its frame's bytes after the datagram it came
 // in is overwritten, as the reader's buffer is by the next one.
 func FuzzEndpointDatagram(f *testing.F) {
@@ -144,10 +163,14 @@ func FuzzEndpointDatagram(f *testing.F) {
 		}
 
 		if isBundle(b) {
-			_, o, want := fuzzEndpoint(t)
+			on, o, want := fuzzEndpoint(t)
 			frames, malformed := splitBundle(b)
 			for _, inner := range frames {
-				o.receiveFrame(&rxDatagram{b: inner}, inner, from)
+				if isBundle(inner) {
+					o.stats.RecvDropped.Add(1) // a bundle inside a bundle is malformed
+				} else {
+					o.receive(new(rxDatagram), inner, from)
+				}
 			}
 			if malformed {
 				o.stats.RecvDropped.Add(1)
@@ -156,8 +179,14 @@ func FuzzEndpointDatagram(f *testing.F) {
 			scribble()
 			checkHeld(t, got)
 			checkRecs(t, u)
-			if g, w := counters(u.Stats()), counters(o.Stats()); !slices.Equal(g, w) {
+			if g, w := counters(u.Stats(), "Sent", "SentBytes"), counters(o.Stats(), "Sent", "SentBytes"); !slices.Equal(g, w) {
 				t.Fatalf("bundle %x left counters\n%v, its frames one by one\n%v", b, g, w)
+			}
+			if g, w := u.Stats().Sent.Load(), o.Stats().Sent.Load(); g > w {
+				t.Fatalf("bundle %x was answered in %d datagrams, its frames one by one in %d", b, g, w)
+			}
+			if g, w := u.Stats().SentBytes.Load()-framing(n.wire), o.Stats().SentBytes.Load()-framing(on.wire); g != w {
+				t.Fatalf("bundle %x was answered with %d bytes of frames, its frames one by one with %d", b, g, w)
 			}
 			if !slices.Equal(got.got, want.got) || !slices.Equal(got.from, want.from) {
 				t.Fatalf("bundle %x delivered %q, its frames one by one %q", b, got.got, want.got)

@@ -69,12 +69,12 @@ func (t *peerTable) drop(id uint32) bool {
 // admit is the single egress point: data, reliable frames,
 // retransmissions, acks, heartbeats and membership frames all pass through
 // it, so a partition or loss ramp affects every frame kind, exactly like
-// a real bad link. It rewrites fx's frames to what should be written now,
-// dropping frames to peers no longer in the table, to blocked peers and to
-// the injected loss, in that order.
+// a real bad link. It rewrites fx's new frames to what should be written
+// now, dropping frames to peers no longer in the table, to blocked peers
+// and to the injected loss, in that order.
 func (t *peerTable) admit(fx *effects, stats *Stats) {
-	kept := 0
-	for i := 0; i < fx.n; i++ {
+	kept := fx.done
+	for i := fx.done; i < fx.n; i++ {
 		f := *fx.at(i)
 		if !f.addr.IsValid() {
 			e := t.peers[f.peer]

@@ -120,9 +120,9 @@ type reliable struct {
 	// may run early; tick recomputes it exactly.
 	next time.Duration
 	// spare holds the buffers of frames acked, abandoned, shed or withdrawn —
-	// at most Window of them — for the next payloads to be copied into. The
-	// driver encodes every frame before it releases its lock, so once the
-	// engine lets go of a buffer nothing else reads it.
+	// at most QueueLimit, a full queue's worth — for the next payloads to be
+	// copied into. The driver encodes every frame before it releases its
+	// lock, so once the engine lets go of a buffer nothing else reads it.
 	spare [][]byte
 }
 
@@ -169,7 +169,7 @@ func (r *reliable) enqueue(f pending, payload []byte, now time.Duration, fx *eff
 
 // recycle puts a frame's buffer on the spare list, if the list has room.
 func (r *reliable) recycle(buf []byte) {
-	if len(r.spare) < r.cfg.Window {
+	if len(r.spare) < r.cfg.QueueLimit {
 		r.spare = append(r.spare, buf)
 	}
 }

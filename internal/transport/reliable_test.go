@@ -292,7 +292,8 @@ func TestUDPReliableEndToEnd(t *testing.T) {
 // datagrams each way and duplicates every seventh, so many frames are
 // retransmitted and many recycled buffers are too small for the next
 // payload. Every frame arrives exactly once with the bytes it was sent
-// with, and after every entry the spare list holds at most Window buffers.
+// with, and after every entry the spare list holds at most QueueLimit
+// buffers.
 //
 // A frame is sent every 5 ms. Faster, a frame whose data is lost on every
 // try can fall more than 64 sequence numbers behind the receiver's newest,
@@ -306,8 +307,8 @@ func TestReliableRecycledBuffersKeepTheirBytes(t *testing.T) {
 	a, _, _, cb := n.pair(UDPConfig{Reliable: rel, Loss: 0.25, Seed: 1}, UDPConfig{Reliable: rel, Loss: 0.25, Seed: 2})
 	checkSpare := func() {
 		t.Helper()
-		if len(a.rel.spare) > rel.Window {
-			t.Fatalf("%d spare buffers, Window %d", len(a.rel.spare), rel.Window)
+		if len(a.rel.spare) > rel.QueueLimit {
+			t.Fatalf("%d spare buffers, QueueLimit %d", len(a.rel.spare), rel.QueueLimit)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))

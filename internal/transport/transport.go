@@ -34,12 +34,13 @@
 // custody callbacks — is called only with the lock released, from
 // whichever goroutine made the entry: the caller of Send, the socket
 // reader, the timer. Callers that feed a single-threaded core.Node post
-// the upcalls onto the node's rt.Loop; cmd/diffnode wires this up. A
+// the upcalls onto the node's rt.Loop; cmd/diffnode wires this up. An
+// entry — one Send, one timer tick, one received datagram — writes one
+// datagram per destination, not one per frame (the bundle, below). A
 // caller with a batch of sends to make — core.Node, once per loop wake-up —
-// brackets it with Cork and Uncork, and the endpoint writes one datagram
-// per destination instead of one per frame (the bundle, below). A caller
-// that corks at all corks around every reception it is handed, so the acks
-// of what it was handed wait for its Uncork and share those datagrams. The
+// brackets it with Cork and Uncork, and the batch shares those datagrams. A
+// caller that corks at all corks around every reception it is handed, so
+// the acks of what it was handed wait for its Uncork and share them too. The
 // driver over a virtual clock and an in-memory wire is what the
 // package's protocol tests run on (simnet_test.go).
 package transport
@@ -48,6 +49,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -64,8 +66,9 @@ const Broadcast = uint32(message.Broadcast)
 // touches it again. On both transports the payload is a capacity-clipped
 // window on a slab (the UDP reader's, or the sending Mesh link's): an
 // append to it reallocates rather than reach the next payload, and keeping
-// it keeps that whole slab (up to slabSize bytes) alive. A transport calls
-// it holding no lock of its own, from the goroutine the datagram arrived on.
+// it keeps that whole slab (slabSize bytes, or a longer datagram alone)
+// alive. A transport calls it holding no lock of its own, from the
+// goroutine the datagram arrived on.
 type Deliver func(from uint32, payload []byte)
 
 // slabSize is how much one slab holds: a link allocates once per slabSize
@@ -73,15 +76,19 @@ type Deliver func(from uint32, payload []byte)
 const slabSize = 16 << 10
 
 // slab is where a link copies what it hands to Deliver. copyOf appends b
-// and returns it as a capacity-clipped window, starting a new slab of
-// max(slabSize, len(b)) when b does not fit. Nothing below len is written
-// again, so a window is the callee's for as long as it keeps it, and the
-// collector frees a slab once no window on it is left.
+// and returns it as a capacity-clipped window, starting a new slab when b
+// does not fit; b longer than a slab is cloned on its own, unzeroed, and
+// the slab kept. Nothing below len is written again, so a window is the
+// callee's for as long as it keeps it, and the collector frees a slab once
+// no window on it is left.
 type slab []byte
 
 func (s *slab) copyOf(b []byte) []byte {
+	if len(b) > slabSize {
+		return slices.Clip(append([]byte(nil), b...))
+	}
 	if cap(*s)-len(*s) < len(b) {
-		*s = make(slab, 0, max(slabSize, len(b)))
+		*s = make(slab, 0, slabSize)
 	}
 	n := len(*s)
 	*s = append(*s, b...)
@@ -120,7 +127,7 @@ func (s *slab) copyOf(b []byte) []byte {
 // are retired and dropped the same way.
 //
 // Bundle: a datagram whose kind byte is kindBundle is not a frame but a
-// train of them — the frames a corked endpoint (UDP.Cork) held for one
+// train of them — the frames an entry, or a cork (UDP.Cork), had for one
 // address, sent as one datagram:
 //
 //	bytes 0-2   magic, version, kindBundle
@@ -274,7 +281,7 @@ func newBootNonce() uint32 {
 // without it.
 type Stats struct {
 	Sent         atomic.Uint64 // datagrams handed to the medium
-	FramesSent   atomic.Uint64 // frames in them; above Sent by what a corked endpoint coalesced
+	FramesSent   atomic.Uint64 // frames in them; above Sent by what the endpoint coalesced: an entry's or a cork's frames to one address
 	SentBytes    atomic.Uint64
 	Recv         atomic.Uint64 // well-formed frames delivered up
 	RecvBytes    atomic.Uint64

@@ -120,14 +120,15 @@ type UDP struct {
 	timerAt  time.Duration
 	timerGen uint64
 	closed   bool
-	// While corked, frames are not written but encoded into held, one
-	// datagram per destination address in first-use order (Cork); corker
-	// is set by the first Cork.
+	// An entry encodes its frames into outgoing, one datagram per
+	// destination address in first-use order, and writes them as it
+	// leaves; while corked, into held until Uncork. corker is set by the
+	// first Cork.
 	corked, corker bool
-	held           []heldDatagram
+	held, outgoing []heldDatagram
 }
 
-// heldDatagram is what a corked endpoint holds for one address: a framePool
+// heldDatagram is a datagram being filled for one address: a framePool
 // buffer laid out as a bundle, and the longest the path lets it grow.
 type heldDatagram struct {
 	addr   netip.AddrPort
@@ -259,25 +260,35 @@ func (u *UDP) enter() (now time.Duration) {
 	return now
 }
 
-// leave ends an entry: settle what the engines asked of each other, pass
-// the frames through the impairment, encode them — into the held datagrams
-// if the endpoint is corked or the entry delivers to a corking consumer —
-// re-arm the timer, release the lock, and only then touch the socket and
-// the user. Encoding under the lock is what lets reliable unicast recycle a
-// frame's buffer the moment an ack for it arrives.
+// leave ends an entry: step, take the entry's own datagrams, re-arm the
+// timer, release the lock, and only then touch the socket and the user.
 func (u *UDP) leave(fx *effects, now time.Duration) {
-	u.settle(fx, now)
-	u.admit(fx, &u.stats)
-	if u.corked || (u.corker && fx.deliver) {
-		u.hold(fx)
-	} else {
-		u.seal(fx)
-	}
+	u.step(fx, now)
+	u.release(fx, &u.outgoing)
 	if !u.closed {
 		u.rearm(now)
 	}
 	u.peersMu.Unlock()
 	u.perform(fx)
+}
+
+// step settles what the engines asked of each other, passes the new frames
+// through the impairment and encodes them — into held if the endpoint is
+// corked or they answer a delivery to a corking consumer, else into the
+// entry's own — so that reliable unicast may recycle a frame's buffer the
+// moment an ack for it arrives. A reception steps after each frame, so
+// each meets the table and the buffers as it would have alone.
+func (u *UDP) step(fx *effects, now time.Duration) {
+	u.settle(fx, now)
+	if fx.n > fx.done {
+		u.admit(fx, &u.stats)
+		to := &u.outgoing
+		if u.corked || u.corker && fx.delivered {
+			to = &u.held
+		}
+		u.hold(fx, to)
+	}
+	fx.delivered = false
 }
 
 // settle routes the failure detector's transitions and carries out
@@ -387,12 +398,13 @@ func (u *UDP) onTimer(gen uint64) {
 //
 // The first Cork also makes the caller the endpoint's corking consumer, and
 // that is a contract: it corks around every reception it is handed. From
-// then on a reception that delivers holds its frames — the ack of a
+// then on a received frame that delivers holds its frames — the ack of a
 // reliable frame, of a custody offer once Accept returned — for the
 // consumer's next Uncork, so the acks of one wake-up share a datagram per
-// upstream neighbor. A reception that delivers nothing (a duplicate, a
-// pong, an ack) writes at once. A consumer that breaks the contract costs
-// an ack one RTO: the retransmit is a duplicate, acked at once.
+// upstream neighbor. What other frames answer (a duplicate, a pong, an ack
+// that frees queued frames) leaves with their datagram's entry. A consumer
+// that breaks the contract costs an ack one RTO: the retransmit is a
+// duplicate, acked at once.
 func (u *UDP) Cork() {
 	u.peersMu.Lock()
 	u.corked, u.corker = true, true
@@ -406,18 +418,18 @@ func (u *UDP) Uncork() {
 	var fx effects
 	u.peersMu.Lock()
 	u.corked = false
-	u.release(&fx)
+	u.release(&fx, &u.held)
 	u.peersMu.Unlock()
 	u.perform(&fx)
 }
 
-// hold moves fx's frames into the held datagrams, leaving in fx only the
-// datagrams that filled up.
-func (u *UDP) hold(fx *effects) {
-	full := 0
-	for i := 0; i < fx.n; i++ {
+// hold encodes fx's new frames into list's datagrams, leaving in fx only
+// the datagrams that filled up.
+func (u *UDP) hold(fx *effects, list *[]heldDatagram) {
+	full := fx.done
+	for i := fx.done; i < fx.n; i++ {
 		f := *fx.at(i)
-		d := u.heldFor(f.addr)
+		d := heldFor(list, f.addr)
 		start := len(*d.buf)
 		b := u.encode(append(*d.buf, 0, 0), &f)
 		if d.frames > 0 && len(b) > d.limit {
@@ -435,17 +447,18 @@ func (u *UDP) hold(fx *effects) {
 		d.frames++
 	}
 	fx.truncate(full)
+	fx.done = full
 }
 
-// heldFor finds or starts the held datagram for addr.
-func (u *UDP) heldFor(addr netip.AddrPort) *heldDatagram {
-	for i := range u.held {
-		if u.held[i].addr == addr {
-			return &u.held[i]
+// heldFor finds or starts list's datagram for addr.
+func heldFor(list *[]heldDatagram, addr netip.AddrPort) *heldDatagram {
+	for i := range *list {
+		if (*list)[i].addr == addr {
+			return &(*list)[i]
 		}
 	}
-	u.held = append(u.held, newHeld(addr))
-	return &u.held[len(u.held)-1]
+	*list = append(*list, newHeld(addr))
+	return &(*list)[len(*list)-1]
 }
 
 func newHeld(addr netip.AddrPort) heldDatagram {
@@ -471,30 +484,18 @@ var loopbackCap = sync.OnceValue(func() int {
 	return bundleMax
 })
 
-// seal encodes each of fx's frames into a framePool buffer of its own.
-func (u *UDP) seal(fx *effects) {
-	for i := 0; i < fx.n; i++ {
-		f := fx.at(i)
-		buf := framePool.Get().(*[]byte)
-		*buf = u.encode((*buf)[:0], f)
-		f.payload, f.pooled, f.frames = *buf, buf, 1
+// release moves every datagram of list into fx, to be written by perform.
+func (u *UDP) release(fx *effects, list *[]heldDatagram) {
+	for i := range *list {
+		fx.push((*list)[i].out())
 	}
-}
-
-// release moves every held datagram into fx, to be written by perform.
-func (u *UDP) release(fx *effects) {
-	for i := range u.held {
-		fx.push(u.held[i].out())
-	}
-	u.held = u.held[:0]
+	*list = (*list)[:0]
 }
 
 // perform does, with the lock released, what an entry decided under it:
-// frames to the wire, then callbacks, then the delivery upcall.
+// datagrams to the wire, then callbacks, then recv spans and Deliver
+// upcalls in frame order.
 func (u *UDP) perform(fx *effects) {
-	if fx.span {
-		u.span(telemetry.Recv, fx.rx.from, fx.rx.payload)
-	}
 	for i := 0; i < fx.n; i++ {
 		f := fx.at(i)
 		u.write(f.payload, f.addr, f.frames)
@@ -503,9 +504,13 @@ func (u *UDP) perform(fx *effects) {
 	for _, call := range fx.calls {
 		call()
 	}
-	if fx.deliver {
-		u.stats.onRecv(fx.rxSize)
-		u.deliver(fx.rx.from, fx.dgram.window(fx.rx.payload))
+	for i := range fx.rx {
+		if r := &fx.rx[i]; r.deliver {
+			u.stats.onRecv(r.size)
+			u.deliver(r.f.from, fx.dgram.window(r.f.payload))
+		} else {
+			u.span(telemetry.Recv, r.f.from, r.f.payload)
+		}
 	}
 }
 
@@ -518,9 +523,9 @@ func (u *UDP) write(b []byte, addr netip.AddrPort, frames int) {
 	u.stats.onSend(len(b), frames)
 }
 
-// framePool holds the buffers frames are encoded into, by seal and by hold;
-// entries run on several goroutines at once, so the endpoint cannot own just
-// one. The wire is done with a buffer when its write returns.
+// framePool holds the buffers hold encodes frames into; entries run on
+// several goroutines at once, so the endpoint cannot own just one. The wire
+// is done with a buffer when its write returns.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // encode appends f's wire form to b, stamping a tx span when it carries a
@@ -814,9 +819,11 @@ func (u *UDP) readLoop(conn *net.UDPConn) {
 // does: a new one per datagram would be a heap allocation. The record's
 // owner is the only goroutine that touches its slab, so it needs no lock.
 type rxDatagram struct {
-	b    []byte // the datagram, borrowed until receive returns
-	own  []byte // b's one copy, made when the first of its frames delivers
-	slab slab   // what the copies are carved from
+	b    []byte     // the datagram, borrowed until receive returns
+	own  []byte     // b's one copy, made when the first of its frames delivers
+	slab slab       // what the copies are carved from
+	more []outFrame // the room an entry's spill slices grew, lent to the next
+	rx   []reception
 }
 
 // window returns payload, a slice of d.b, as the same bytes of d's copy,
@@ -832,50 +839,54 @@ func (d *rxDatagram) window(payload []byte) []byte {
 }
 
 // receive is the reception entry: one datagram b from wire address src, a
-// frame or a bundle of them, recorded in d. b is only read, and not after
+// frame or a bundle of them, recorded in d, under one lock and clock read.
+// Each frame is checked on its own, so those before a malformed tail stand;
+// a bundle of no frames is malformed too. b is only read, and not after
 // receive returns; what Deliver is handed are windows on d's copy of it.
 func (u *UDP) receive(d *rxDatagram, b []byte, src netip.AddrPort) {
 	d.b, d.own = b, nil
-	if !isBundle(b) {
-		u.receiveFrame(d, b, src)
-		return
-	}
-	// Each frame is checked on its own, so those before a malformed tail
-	// stand; a bundle of no frames is malformed too.
-	for rest := b[bundleHeaderSize:]; ; {
-		if len(rest) < bundlePrefixSize || int(binary.BigEndian.Uint16(rest)) > len(rest)-bundlePrefixSize {
-			u.stats.RecvDropped.Add(1)
-			return
-		}
-		n := bundlePrefixSize + int(binary.BigEndian.Uint16(rest))
-		u.receiveFrame(d, rest[bundlePrefixSize:n], src)
-		if rest = rest[n:]; len(rest) == 0 {
-			return
-		}
-	}
-}
-
-// receiveFrame validates one frame b of datagram d and its sender, then
-// dispatches on kind. Any valid frame from a table member counts as proof
-// of life for the failure detector.
-func (u *UDP) receiveFrame(d *rxDatagram, b []byte, src netip.AddrPort) {
-	f, err := decodeFrame(b)
-	if err != nil || f.from == u.id {
-		u.stats.RecvDropped.Add(1)
-		return
-	}
-	fx := effects{dgram: d}
+	var fx effects // filled in place: a literal would be built aside and copied
+	fx.more, fx.rx, fx.dgram = d.more, d.rx, d
 	now := u.enter()
-	offer := !u.closed && u.onFrame(f, src, len(b), now, &fx)
-	u.leave(&fx, now)
-	if offer {
-		u.acceptOffer(d, f, len(b))
+	rest, bundle := b, isBundle(b)
+	if bundle {
+		rest = b[bundleHeaderSize:]
 	}
+	for fb := rest; ; fb = rest {
+		if !bundle {
+			rest = nil
+		} else if len(rest) < bundlePrefixSize || int(binary.BigEndian.Uint16(rest)) > len(rest)-bundlePrefixSize {
+			u.stats.RecvDropped.Add(1)
+			break
+		} else {
+			n := bundlePrefixSize + int(binary.BigEndian.Uint16(rest))
+			fb, rest = rest[bundlePrefixSize:n], rest[n:]
+		}
+		f, err := decodeFrame(fb)
+		switch {
+		case err != nil || f.from == u.id:
+			u.stats.RecvDropped.Add(1)
+		case u.closed:
+		case u.onFrame(f, src, len(fb), now, &fx):
+			// Accept runs with the lock released: this entry leaves with
+			// what the frames before the offer owe, the next takes the rest.
+			u.leave(&fx, now)
+			fx = effects{more: fx.more[:0], rx: fx.rx[:0], dgram: d}
+			now = u.acceptOffer(f, len(fb), &fx)
+		}
+		if len(rest) == 0 {
+			break
+		}
+		u.step(&fx, now)
+	}
+	u.leave(&fx, now)
+	d.more, d.rx = fx.more[:0], fx.rx[:0]
 }
 
-// onFrame handles one decoded frame under the lock. It reports true for a
-// custody offer this node can vouch for, which the caller must put through
-// Accept — an fsync — with the lock released.
+// onFrame handles one decoded frame under the lock. Any valid frame from a
+// table member counts as proof of life for the failure detector. It reports
+// true for a custody offer this node can vouch for, which the caller must
+// put through Accept — an fsync — with the lock released.
 func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, fx *effects) (offer bool) {
 	membership := f.kind == kindAnnounce || f.kind == kindProbe || f.kind == kindLeave
 	entry := u.peers[f.from]
@@ -907,7 +918,9 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 		}
 		u.det.heard(f.from, now, fx)
 	}
-	fx.rx, fx.span = f, u.spans != nil && f.flow != 0
+	if u.spans != nil && f.flow != 0 {
+		fx.rx = append(fx.rx, reception{f: f}) // a recv span, delivered or not
+	}
 	switch f.kind {
 	case kindPing:
 		u.stats.HeartbeatsRecv.Add(1)
@@ -954,13 +967,14 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 	return false
 }
 
-// acceptOffer finishes a custody offer with the lock released. Durable
-// accept BEFORE the held ack: the sender discharges its custody on it, so
-// it must mean the payload is safe here. held-but-not-fresh covers lost
-// acks: re-acked, not re-delivered. A payload this node cannot read it
-// cannot vouch for either; its plain ack parks the offer at the sender,
-// which keeps custody, instead of leaving it a window slot for ever.
-func (u *UDP) acceptOffer(d *rxDatagram, f frame, size int) {
+// acceptOffer finishes a custody offer with the lock released, then enters
+// again and owes its ack in fx. Durable accept BEFORE the held ack: the
+// sender discharges its custody on it, so it must mean the payload is safe
+// here. held-but-not-fresh covers lost acks: re-acked, not re-delivered. A
+// payload this node cannot read it cannot vouch for either; its plain ack
+// parks the offer at the sender, which keeps custody, instead of leaving
+// it a window slot for ever.
+func (u *UDP) acceptOffer(f frame, size int, fx *effects) (now time.Duration) {
 	ack, held, fresh := uint8(kindAck), false, false
 	if message.Check(f.payload) != nil {
 		u.stats.RecvDropped.Add(1)
@@ -968,17 +982,16 @@ func (u *UDP) acceptOffer(d *rxDatagram, f frame, size int) {
 		ack |= kindCustodyFlag
 	} else {
 		u.stats.CustodyRejected.Add(1)
-		return
+		return u.enter()
 	}
-	fx := effects{dgram: d}
-	now := u.enter()
+	now = u.enter()
 	if entry := u.peers[f.from]; entry != nil && !u.closed {
 		fx.push(outFrame{peer: f.from, kind: ack, seq: f.seq, offerAck: !held})
 		if fresh {
 			fx.deliverUp(entry, f, size)
 		}
 	}
-	u.leave(&fx, now)
+	return now
 }
 
 // Close shuts the endpoint down — timer, engines, socket — and waits for
@@ -995,12 +1008,10 @@ func (u *UDP) Close() error {
 	if u.timer != nil {
 		u.timer.Cancel()
 	}
+	u.peersMu.Unlock()
 	// Frames a cork is holding — a Leave just sent, acks awaiting the
 	// consumer's Uncork — go out while there is still a socket.
-	var fx effects
-	u.release(&fx)
-	u.peersMu.Unlock()
-	u.perform(&fx)
+	u.Uncork()
 	err := u.wire.Close()
 	if u.readerDone != nil {
 		<-u.readerDone

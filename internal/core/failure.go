@@ -36,38 +36,30 @@ func (n *Node) NeighborDead(peer uint32) {
 	// Only entries with a record for the dead neighbor can hold state
 	// naming it (see interestEntry.live), and a binary search of each
 	// entry's records finds it: a neighbor dies rarely, so a walk of the
-	// table costs less than an index kept up on every record. The purge
-	// of each entry is independent of the others and changes no entry
-	// but the one in hand, so the walk needs no snapshot and no order.
+	// table costs less than an index kept up on every record. The same
+	// walk collects every empty entry, touched by this neighbor or not.
+	// The purge of each entry is independent of the others and changes no
+	// entry but the one in hand, which a range may delete, so the walk
+	// needs no snapshot and no order.
 	for _, e := range n.entries {
-		r := e.find(nb)
-		if r == nil {
-			continue
+		if r := e.find(nb); r != nil {
+			if r.grad {
+				n.dropGradient(e, r)
+			}
+			r.dups = 0
+			if e.hasReinforcedUpstream && e.reinforcedUpstream == nb {
+				e.hasReinforcedUpstream = false
+				// Forget the reinforcement cause too: the next exploratory
+				// arrival must be allowed to reinforce a fresh upstream even
+				// if it reuses an ID this entry already acted on.
+				e.lastReinforcedID = message.ID{}
+			}
+			if e.hasExpFrom && e.lastExpFrom == nb {
+				e.hasExpFrom = false
+			}
+			e.compact()
 		}
-		if r.grad {
-			n.dropGradient(e, r)
-		}
-		r.dups = 0
-		if e.hasReinforcedUpstream && e.reinforcedUpstream == nb {
-			e.hasReinforcedUpstream = false
-			// Forget the reinforcement cause too: the next exploratory
-			// arrival must be allowed to reinforce a fresh upstream even if
-			// it reuses an ID this entry already acted on.
-			e.lastReinforcedID = message.ID{}
-		}
-		if e.hasExpFrom && e.lastExpFrom == nb {
-			e.hasExpFrom = false
-		}
-		e.compact()
-	}
-	// Custody retains gradient-less entries as cached interests (see
-	// housekeeping). Without it, collect every empty entry — the old full
-	// scan purged any empty entry here, touched by this neighbor or not,
-	// and the empty-entry set preserves exactly that behaviour.
-	if !n.custodyOn() {
-		for _, e := range n.emptyEntries {
-			n.dropEntry(e)
-		}
+		n.collect(e)
 	}
 	for id, from := range n.expFrom {
 		if from == nb {

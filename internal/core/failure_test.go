@@ -109,3 +109,28 @@ func TestNeighborDeadRepairsAroundDeadRelay(t *testing.T) {
 		t.Fatalf("only %d deliveries in 5s after repair", delivered-before)
 	}
 }
+
+// NeighborDead collects every empty entry — no gradient, no local sink —
+// when custody is off, the ones the dead neighbor never touched included;
+// with custody on it keeps them all as cached interests.
+func TestNeighborDeadCollectsEmptyEntries(t *testing.T) {
+	for _, custody := range []bool{false, true} {
+		n := newHandRig(&countLink{id: 1}, custody).n
+		entry := func(i int32) *interestEntry {
+			return n.entryFor(lineInterest.With(attr.Int32Attr(attr.KeySequence, attr.EQ, i)), nil)
+		}
+		untouched, emptied, live := entry(1), entry(2), entry(3)
+		n.gradient(emptied, 9)
+		n.gradient(live, 2)
+		n.NeighborDead(9)
+		for _, c := range []struct {
+			name string
+			e    *interestEntry
+			want bool
+		}{{"untouched empty", untouched, custody}, {"emptied", emptied, custody}, {"live", live, true}} {
+			if _, kept := n.entries[c.e.hash]; kept != c.want {
+				t.Errorf("custody %v: %s entry kept = %v, want %v", custody, c.name, kept, c.want)
+			}
+		}
+	}
+}

@@ -126,7 +126,6 @@ func (n *Node) gradient(e *interestEntry, nb message.NodeID) *nbRecord {
 	if !r.grad {
 		r.grad = true
 		n.Stats.GradientsCreated++
-		n.noteEntryEmptiness(e)
 	}
 	return r
 }
@@ -137,7 +136,6 @@ func (n *Node) dropGradient(e *interestEntry, r *nbRecord) {
 	r.grad, r.expires, r.reinforcedUntil, r.hops, r.hasHops = false, 0, 0, 0, false
 	r.stale = r.stale || n.custodyOn()
 	n.Stats.GradientsExpired++
-	n.noteEntryEmptiness(e)
 }
 
 // reinforced reports whether r's gradient carries high-rate data at now.
@@ -174,7 +172,6 @@ func (n *Node) entryFor(attrs attr.Vec, keep func(attr.Vec) attr.Vec) *interestE
 	}
 	e.slot = n.midx.entries.Add(e.attrs, h)
 	put(&n.entries, h, e)
-	n.noteEntryEmptiness(e)
 	return e
 }
 

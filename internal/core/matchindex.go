@@ -90,18 +90,16 @@ func (n *Node) putSubBuf(b []*subscription) {
 func (n *Node) dropEntry(e *interestEntry) {
 	delete(n.entries, e.hash)
 	n.midx.entries.Remove(e.slot)
-	delete(n.emptyEntries, e.hash)
 }
 
-// noteEntryEmptiness keeps the empty-entry set (no gradients, no local
-// sinks — the GC condition) in sync after any gradient or sinks
-// mutation. NeighborDead's sweep uses it to preserve the old full-scan
-// GC semantics without the full scan.
-func (n *Node) noteEntryEmptiness(e *interestEntry) {
-	if !e.hasGradient() && len(e.sinks) == 0 {
-		put(&n.emptyEntries, e.hash, e)
-	} else {
-		delete(n.emptyEntries, e.hash)
+// collect drops e if nothing holds it: no gradient and no local sink. With
+// custody on such an entry stays as a cached interest: a mobile custodian
+// (the ferry) must still know *what* is wanted to re-offer the interest
+// and route its custodial data at the next contact. The cache is bounded
+// by the number of distinct interests, not by traffic.
+func (n *Node) collect(e *interestEntry) {
+	if !e.hasGradient() && len(e.sinks) == 0 && !n.custodyOn() {
+		n.dropEntry(e)
 	}
 }
 

@@ -290,9 +290,6 @@ type Node struct {
 	// midx holds the inverted match indexes behind every match site; see
 	// matchindex.go for the exactness and determinism contract.
 	midx matchIndexes
-	// emptyEntries tracks entries with no gradients and no local sinks —
-	// the GC condition — so purge paths need not scan the entry table.
-	emptyEntries map[uint64]*interestEntry
 	// entryBufs/subBufs are free lists for pooled match-result snapshots
 	// (see matchindex.go).
 	entryBufs [][]*interestEntry
@@ -441,7 +438,7 @@ func (n *Node) Restart() {
 		return
 	}
 	n.detached = false
-	n.entries, n.emptyEntries, n.expFrom = nil, nil, nil
+	n.entries, n.expFrom = nil, nil
 	n.midx.entries.Reset()
 	n.seen = seenCache{max: seenMax, gone: n.seenGone}
 	for _, p := range n.pubs {
@@ -553,7 +550,6 @@ func (n *Node) subscribe(attrs attr.Vec, cb DataCallback, k subKind) Subscriptio
 func (n *Node) addSink(e *interestEntry, g *subGroup) {
 	if !slices.Contains(e.sinks, g) {
 		e.sinks = append(e.sinks, g)
-		n.noteEntryEmptiness(e)
 	}
 }
 
@@ -629,7 +625,6 @@ func (n *Node) Unsubscribe(h SubscriptionHandle) error {
 		// by g.ihash, while it has a local or an active member.
 		if e, ok := n.entries[g.ihash]; ok && !g.has(subLocal) {
 			e.sinks = slices.DeleteFunc(e.sinks, func(o *subGroup) bool { return o == g })
-			n.noteEntryEmptiness(e)
 		}
 	}
 	if len(g.members) == 0 {
@@ -970,14 +965,7 @@ func (n *Node) housekeeping() {
 			}
 		}
 		e.compact()
-		// With custody on, an interest whose gradients all decayed is
-		// retained as a cached interest: a mobile custodian (the ferry)
-		// must still know *what* is wanted to re-offer the interest and
-		// route its custodial data at the next contact. The cache is
-		// bounded by the number of distinct interests, not by traffic.
-		if !e.hasGradient() && len(e.sinks) == 0 && !n.custodyOn() {
-			n.dropEntry(e)
-		}
+		n.collect(e)
 	}
 	n.ReplayCustody()
 }

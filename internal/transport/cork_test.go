@@ -41,7 +41,7 @@ func bundleOf(frames ...[]byte) []byte {
 
 // unbundle splits a well-formed bundle into its frames, failing on anything
 // else.
-func unbundle(t *testing.T, b []byte) [][]byte {
+func unbundle(t testing.TB, b []byte) [][]byte {
 	t.Helper()
 	if !isBundle(b) {
 		t.Fatalf("%x is not a bundle", b)
@@ -696,7 +696,7 @@ func TestCorkImpairmentsDropSingleFrames(t *testing.T) {
 	c2 := &collector{}
 	a := n.endpoint(UDPConfig{ID: 1, Seed: 5, Neighbors: neighbors(2, 3)})
 	n.endpoint(UDPConfig{ID: 2, Neighbors: neighbors(1), Deliver: c2.deliver})
-	a.Block(3)
+	a.SetBlocked([]uint32{3})
 	a.Cork()
 	sendAll(t, a, Broadcast, tags(4))
 	a.Uncork()

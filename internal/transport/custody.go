@@ -32,7 +32,7 @@ import (
 //     parks the offer: out of the window, not retransmitted, not released,
 //     but standing in the ID index (CustodyPending counts it, a re-offer is
 //     a no-op) until superseded or the peer is dropped — removed, or heard
-//     under a new boot nonce (udp.go, forgetPeer).
+//     under a new boot nonce (reliable.go, forget).
 //
 // An unacknowledged offer holds a window slot whether it waits on a
 // partitioned peer or on a full custodian, so reliable frames toward that
@@ -68,33 +68,33 @@ func (c *CustodyOptions) fill() {
 	}
 }
 
-// offer queues custody of (id, payload) toward peer, copying payload as
-// send does. A standing offer of the same ID to the same peer makes this a
+// offer queues custody of (id, payload) toward row e's peer, copying
+// payload as send does. A standing offer of the same ID to the same peer makes this a
 // no-op (the core replays periodically; the wire must not amplify that).
 // An offer to a different peer supersedes the old one — the reinforced
 // path moved.
-func (r *reliable) offer(peer uint32, id message.ID, payload []byte, now time.Duration, fx *effects) {
+func (r *reliable) offer(e *peerEntry, id message.ID, payload []byte, now time.Duration, fx *effects) {
 	if to, ok := r.byID[id]; ok {
-		if to == peer {
+		if to == e.id {
 			return
 		}
-		r.withdraw(to, id, now, fx)
+		r.withdraw(r.tab.peers[to], id, now, fx)
 	}
-	r.byID[id] = peer
-	r.enqueue(pending{peer: peer, kind: kindReliable | kindCustodyFlag, id: id}, payload, now, fx)
+	r.byID[id] = e.id
+	r.enqueue(e, pending{kind: kindReliable | kindCustodyFlag, id: id}, payload, now, fx)
 }
 
-// withdraw drops the standing offer of id toward peer: from the window or
-// the queue, or, parked, from the ID index alone.
-func (r *reliable) withdraw(peer uint32, id message.ID, now time.Duration, fx *effects) {
+// withdraw drops the standing offer of id toward row e's peer: from the
+// window or the queue, or, parked, from the ID index alone.
+func (r *reliable) withdraw(e *peerEntry, id message.ID, now time.Duration, fx *effects) {
 	delete(r.byID, id)
-	p := r.peers[peer]
+	p := &e.rel
 	is := func(f pending) bool { return f.custody() && f.id == id }
 	if i := slices.IndexFunc(p.inflight, is); i >= 0 {
 		p.offers--
 		r.recycle(p.inflight[i].payload)
 		p.inflight = slices.Delete(p.inflight, i, i+1)
-		r.pump(p, now, fx)
+		r.pump(e, now, fx)
 	} else if i := slices.IndexFunc(p.queue, is); i >= 0 {
 		p.offers--
 		r.recycle(p.queue[i].payload)
@@ -102,27 +102,22 @@ func (r *reliable) withdraw(peer uint32, id message.ID, now time.Duration, fx *e
 	}
 }
 
-// release discharges offer f, which its peer durably holds: the ID index
-// lets go of it and the Release callback fires.
-func (r *reliable) release(f *pending, fx *effects) {
-	delete(r.byID, f.id)
+// release discharges the offer of id, which peer durably holds: the ID
+// index lets go of it and the Release callback fires.
+func (r *reliable) release(peer uint32, id message.ID, fx *effects) {
+	delete(r.byID, id)
 	if cb := r.cus.Release; cb != nil {
-		peer, id := f.peer, f.id
 		fx.calls = append(fx.calls, func() { cb(peer, id) })
 	}
 }
 
-// reoffer re-sends every in-flight offer toward peer immediately, resetting
-// its backoff — the failure detector just heard from it again.
-func (r *reliable) reoffer(peer uint32, now time.Duration, fx *effects) {
-	p := r.peers[peer]
-	if p == nil {
-		return
-	}
-	for i := range p.inflight {
-		if f := &p.inflight[i]; f.custody() {
+// reoffer re-sends every in-flight offer toward row e's peer immediately,
+// resetting its backoff — the failure detector just heard from it again.
+func (r *reliable) reoffer(e *peerEntry, now time.Duration, fx *effects) {
+	for i := range e.rel.inflight {
+		if f := &e.rel.inflight[i]; f.custody() {
 			f.tries = 1
-			r.retransmit(p, f, now, fx)
+			r.retransmit(e, f, now, fx)
 		}
 	}
 }

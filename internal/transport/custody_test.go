@@ -116,7 +116,7 @@ func TestUDPCustodyRetransmitsAcrossPartition(t *testing.T) {
 		UDPConfig{Custody: ha.options(10*ms, 40*ms)},
 		UDPConfig{Custody: hb.options(10*ms, 40*ms)})
 
-	a.Block(2)
+	a.SetBlocked([]uint32{2})
 	ha.offer(t, a, 7)
 
 	// The offer keeps retrying into the partition, not abandoned:
@@ -132,7 +132,7 @@ func TestUDPCustodyRetransmitsAcrossPartition(t *testing.T) {
 		t.Fatalf("pending = %d, want 1 (never abandoned)", a.CustodyPending())
 	}
 
-	a.Unblock(2)
+	a.SetBlocked(nil)
 	n.run(40*ms + 2*n.delay)
 	if cb.count() != 1 || a.CustodyPending() != 0 {
 		t.Fatalf("one capped RTO after the heal: delivered %d, pending %d", cb.count(), a.CustodyPending())
@@ -239,8 +239,8 @@ func TestUDPCustodyReofferOnRecovery(t *testing.T) {
 		UDPConfig{Liveness: &lb, Custody: hb.options(2*time.Second, 4*time.Second)})
 
 	// Partition both directions until a has declared 2 dead.
-	a.Block(2)
-	b.Block(1)
+	a.SetBlocked([]uint32{2})
+	b.SetBlocked([]uint32{1})
 	n.run(lv.DeadAfter)
 	if a.Stats().PeerDeaths.Load() != 1 {
 		t.Fatalf("peer deaths after DeadAfter of partition = %d, want 1", a.Stats().PeerDeaths.Load())
@@ -252,8 +252,8 @@ func TestUDPCustodyReofferOnRecovery(t *testing.T) {
 		t.Fatal("payload crossed the partition")
 	}
 
-	a.Unblock(2)
-	b.Unblock(1)
+	a.SetBlocked(nil)
+	b.SetBlocked(nil)
 	// Heartbeats resume within the 20ms probe cap (plus jitter), the
 	// detector flips 2 back to alive, and the recovery hook re-offers well
 	// before the 2 s RTO would fire.
@@ -280,8 +280,7 @@ func TestUDPCustodySupersede(t *testing.T) {
 
 	payload, id := custodyPayload(11)
 	ha.q.Accept(id, payload)
-	a.Block(2)
-	a.Block(3)
+	a.SetBlocked([]uint32{2, 3})
 	if err := a.SendCustody(2, id, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -370,9 +369,9 @@ func TestUDPCustodyOfferOutlastsOffersElsewhere(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a.Block(2)
+	a.SetBlocked([]uint32{2})
 	offer(2, 1) // X, lost
-	a.Unblock(2)
+	a.SetBlocked(nil)
 	for seq := uint32(100); seq < 165; seq++ {
 		offer(3, seq)
 	}
@@ -391,9 +390,9 @@ func TestUDPCustodyLostOfferToCustodylessPeer(t *testing.T) {
 	ha := newCustodyHarness(128)
 	n := newSimNet(t)
 	a, b, _, cb := n.pair(UDPConfig{Custody: ha.options(100*ms, 100*ms)}, UDPConfig{})
-	a.Block(2)
+	a.SetBlocked([]uint32{2})
 	ha.offer(t, a, 1) // lost
-	a.Unblock(2)
+	a.SetBlocked(nil)
 	for seq := uint32(2); seq <= dupSpan+2; seq++ {
 		ha.offer(t, a, seq)
 	}
@@ -438,7 +437,7 @@ func TestUDPCustodyOffersOutsideQueueLimit(t *testing.T) {
 	a, _, _, cb := n.pair(
 		UDPConfig{Reliable: &ReliableConfig{}, Custody: ha.options(10*ms, 40*ms)},
 		UDPConfig{Custody: newCustodyHarness(128).options(time.Hour, time.Hour)})
-	a.Block(2)
+	a.SetBlocked([]uint32{2})
 	offers := a.rel.cfg.QueueLimit + 8
 	for seq := 1; seq <= offers; seq++ {
 		ha.offer(t, a, uint32(seq))
@@ -448,7 +447,7 @@ func TestUDPCustodyOffersOutsideQueueLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.run(time.Second)
-	a.Unblock(2)
+	a.SetBlocked(nil)
 	n.run(time.Second)
 	got, _ := cb.snapshot()
 	if len(got) != offers+1 || !slices.Contains(got, string(after)) || a.CustodyPending() != 0 || a.Stats().QueueDrops.Load() != 0 {

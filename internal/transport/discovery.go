@@ -375,9 +375,9 @@ type discovery struct {
 	cfg       DiscoveryConfig
 	id        uint32 // this node
 	stats     *Stats
-	seeds     []netip.AddrPort          // operator input, resolved once at start-up
-	pinned    map[uint32]netip.AddrPort // so are the operator's neighbors
-	pinnedIDs idSet
+	seeds     []netip.AddrPort // operator input, resolved once at start-up
+	tab       *peerTable       // the neighbor table: its configured rows are pinned
+	fixed     int              // how many configured rows it has, set at start-up
 	advertise string
 	self      netip.AddrPort // advertise, when it is a literal: a seed list may name this node too
 
@@ -392,9 +392,9 @@ type discovery struct {
 }
 
 // newDiscovery builds the engine; its first round is due at now. seeds
-// and pinned (the configured neighbor table) are already resolved, local
-// is the bound address.
-func newDiscovery(cfg DiscoveryConfig, id uint32, seeds []netip.AddrPort, pinned map[uint32]netip.AddrPort,
+// are already resolved, tab holds the configured rows alone, local is the
+// bound address.
+func newDiscovery(cfg DiscoveryConfig, id uint32, seeds []netip.AddrPort, tab *peerTable,
 	local string, seed int64, stats *Stats, now time.Duration) (*discovery, error) {
 	cfg.fill()
 	d := &discovery{
@@ -402,7 +402,8 @@ func newDiscovery(cfg DiscoveryConfig, id uint32, seeds []netip.AddrPort, pinned
 		id:              id,
 		stats:           stats,
 		seeds:           seeds,
-		pinned:          pinned,
+		tab:             tab,
+		fixed:           len(tab.ids),
 		advertise:       cfg.Advertise,
 		rng:             rand.New(rand.NewSource(seed)),
 		recs:            map[uint32]*discoRec{},
@@ -416,9 +417,6 @@ func newDiscovery(cfg DiscoveryConfig, id uint32, seeds []netip.AddrPort, pinned
 		return nil, fmt.Errorf("transport: advertise address %q too long", d.advertise)
 	}
 	d.self, _ = netip.ParseAddrPort(d.advertise)
-	for id := range pinned {
-		d.pinnedIDs.add(id)
-	}
 	return d, nil
 }
 
@@ -448,7 +446,7 @@ func (d *discovery) rec(id uint32) *discoRec {
 			return nil
 		}
 		r = &discoRec{id: id, lastReply: longAgo}
-		if _, r.cfg = d.pinned[id]; r.cfg {
+		if r.cfg = d.configured(id) != nil; r.cfg {
 			r.state = stNeighbor
 		}
 		d.recs[id] = r
@@ -551,9 +549,9 @@ func (d *discovery) tick(now time.Duration, fx *effects) {
 	covered := func(a netip.AddrPort) bool {
 		return slices.ContainsFunc(announces, func(s discoSend) bool { return s.addr == a })
 	}
-	for _, id := range d.pinnedIDs {
-		if !covered(d.pinned[id]) {
-			announces = append(announces, discoSend{dst: id, addr: d.pinned[id], kind: kindAnnounce, peered: true})
+	for _, id := range d.tab.ids {
+		if e := d.configured(id); e != nil && !covered(e.addr) {
+			announces = append(announces, discoSend{dst: id, addr: e.addr, kind: kindAnnounce, peered: true})
 		}
 	}
 	// Seeds are announced to every round regardless of membership: they
@@ -579,7 +577,15 @@ func (d *discovery) tick(now time.Duration, fx *effects) {
 }
 
 // room is the number of free neighbor slots under the degree cap.
-func (d *discovery) room() int { return d.cfg.DegreeCap - len(d.pinned) - len(d.nbrs) }
+func (d *discovery) room() int { return d.cfg.DegreeCap - d.fixed - len(d.nbrs) }
+
+// configured returns id's table row if the operator pinned it, else nil.
+func (d *discovery) configured(id uint32) *peerEntry {
+	if e := d.tab.peers[id]; e != nil && e.configured {
+		return e
+	}
+	return nil
+}
 
 // better reports whether a is preferred over b for a neighbor slot: the
 // higher cluster-head score. Scores never tie and every node computes the
@@ -776,7 +782,7 @@ func (d *discovery) onAnnounce(from, boot uint32, a announce, src netip.AddrPort
 		r.peered = false
 		r.backoff = 0
 		if r.state == stNeighbor {
-			fx.ops = append(fx.ops, tableOp{kind: opForget, peer: from}, tableOp{kind: opRefresh, peer: from})
+			fx.ops = append(fx.ops, tableOp{kind: opRejoin, peer: from})
 			r.promotedAt = now
 			d.stats.MemberRejoins.Add(1)
 			d.notify(fx, from, MemberRejoined)
@@ -889,7 +895,7 @@ func (d *discovery) onProbe(from uint32, src netip.AddrPort, now time.Duration, 
 // from the table, so it is force-marked dead in the detector — any later
 // frame from it recovers it as usual.
 func (d *discovery) onLeave(from uint32, fx *effects) {
-	if _, pinned := d.pinned[from]; pinned {
+	if d.configured(from) != nil {
 		fx.ops = append(fx.ops, tableOp{kind: opForceDead, peer: from})
 		return
 	}
@@ -928,8 +934,10 @@ func (d *discovery) leave(fx *effects) {
 			sends = append(sends, discoSend{dst: r.id, addr: r.addr, kind: kindLeave})
 		}
 	}
-	for _, id := range d.pinnedIDs {
-		sends = append(sends, discoSend{dst: id, addr: d.pinned[id], kind: kindLeave})
+	for _, id := range d.tab.ids {
+		if e := d.configured(id); e != nil {
+			sends = append(sends, discoSend{dst: id, addr: e.addr, kind: kindLeave})
+		}
 	}
 	d.flush(sends, fx)
 }
@@ -962,7 +970,7 @@ func (d *discovery) gossipSample(exclude uint32) []gossipEntry {
 // isLonely reports whether this node currently has no mutual neighbor
 // link at all — the condition the announce loneliness flag advertises.
 func (d *discovery) isLonely() bool {
-	if len(d.pinned) > 0 {
+	if d.fixed > 0 {
 		return false
 	}
 	for _, r := range d.nbrs {

@@ -544,19 +544,12 @@ func TestDiscoveryRebootClearsRetransmitState(t *testing.T) {
 	}
 }
 
-// checkEngineBound fails t unless the reliable engine's per-peer map holds
-// only neighbor-table members, and its custody ID index only offers toward
-// them: the bound on both is the table's, which discovery caps.
+// checkEngineBound fails t unless the custody ID index only offers toward
+// neighbor-table members. The engines' per-peer state lives in the table's
+// rows, so its bound is the table's, which discovery caps; the ID index is
+// the one per-peer reference kept outside a row.
 func checkEngineBound(t *testing.T, u *UDP, step string) {
 	t.Helper()
-	if len(u.rel.order) != len(u.rel.peers) {
-		t.Errorf("%s: engine orders %v over %d peers", step, u.rel.order, len(u.rel.peers))
-	}
-	for id := range u.rel.peers {
-		if u.peers[id] == nil {
-			t.Errorf("%s: engine keeps state toward %d, not in the table %v", step, id, u.ids)
-		}
-	}
 	for id, to := range u.rel.byID {
 		if u.peers[to] == nil {
 			t.Errorf("%s: offer %v stands toward %d, not in the table %v", step, id, to, u.ids)
@@ -610,6 +603,75 @@ func TestEngineStateOnlyTowardMembers(t *testing.T) {
 	checkEngineBound(t, u, "after 3 restarted")
 	if u.rel.pending(3) != 0 || u.CustodyPending() != 0 {
 		t.Errorf("after 3 restarted: reliable %d, custody %d still pending toward the old incarnation", u.rel.pending(3), u.CustodyPending())
+	}
+}
+
+// A discovered neighbor that leaves and is promoted again gets a fresh
+// table row: nothing sent toward it before the leave is retransmitted, its
+// sequence space starts over at 1, and the failure detector grants it a
+// full DeadAfter from the promotion.
+func TestRemovedNeighborReturnsToAFreshRow(t *testing.T) {
+	const rto = 10 * time.Millisecond
+	n := newSimNet(t)
+	u, _ := n.disco(1, DiscoveryConfig{}, func(cfg *UDPConfig) {
+		cfg.Reliable = &ReliableConfig{RTO: rto, MaxRTO: rto, MaxRetries: 1000}
+		cfg.Custody = &CustodyOptions{
+			RTO: rto, MaxRTO: rto,
+			Accept: func(uint32, message.ID, []byte) (bool, bool) { return true, true },
+		}
+	})
+	deadAfter := 8 * u.det.cfg.Interval // the default
+	x := n.peer(2, 1)
+	x.announce(u, annFlagPeered, testVocab)
+	for i := 0; i < 3; i++ {
+		if err := u.Send(2, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.SendCustody(2, message.ID{RandID: 2}, []byte("custody")); err != nil {
+		t.Fatal(err)
+	}
+	n.run(3 * rto) // the scripted peer acks nothing: all four are retransmitted
+	if u.rel.pending(2) != 3 || u.CustodyPending() != 1 || u.PeerRetransmits()[2] == 0 {
+		t.Fatalf("before the leave: reliable %d, custody %d, retransmits %v; want 3, 1 and some",
+			u.rel.pending(2), u.CustodyPending(), u.PeerRetransmits())
+	}
+
+	x.send(u, kindLeave, nil)
+	x.announce(u, annFlagPeered, testVocab)
+	promoted := n.sched.Now()
+	if m := memberOf(u, 2); m.Membership != "neighbor" || m.Health != (PeerHealth{State: PeerAlive}) {
+		t.Fatalf("after the return: %s %+v, want a neighbor heard just now", m.Membership, m.Health)
+	}
+	if _, ok := u.PeerRetransmits()[2]; ok || u.rel.pending(2) != 0 || u.CustodyPending() != 0 {
+		t.Fatalf("after the return: retransmits %v, reliable %d, custody %d; want no sequence space and nothing pending",
+			u.PeerRetransmits(), u.rel.pending(2), u.CustodyPending())
+	}
+	n.run(n.delay) // what was on the wire before the leave arrives
+	x.inbox = nil
+	if err := u.Send(2, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	n.run(deadAfter - n.delay - 1)
+	var seqs []uint32
+	for f, ok := x.take(kindReliable); ok; f, ok = x.take(kindReliable) {
+		if string(f.payload) != "new" {
+			t.Fatalf("%q retransmitted to the returned neighbor", f.payload)
+		}
+		seqs = append(seqs, f.seq)
+	}
+	if _, ok := x.take(kindReliable | kindCustodyFlag); ok {
+		t.Fatal("the old custody offer was retransmitted to the returned neighbor")
+	}
+	if len(seqs) == 0 || slices.ContainsFunc(seqs, func(s uint32) bool { return s != 1 }) {
+		t.Fatalf("the new frame went out as seqs %v, want only 1", seqs)
+	}
+	if m := memberOf(u, 2); m.Membership != "neighbor" || m.Health.State == PeerDead {
+		t.Fatalf("%v after the return: %s %v, want a neighbor not yet dead", n.sched.Now()-promoted, m.Membership, m.Health.State)
+	}
+	n.run(1)
+	if m := memberOf(u, 2); m.Membership != "dead" {
+		t.Fatalf("DeadAfter after the return: %s, want removed as dead", m.Membership)
 	}
 }
 

@@ -3,7 +3,6 @@ package transport
 import (
 	"math"
 	"net/netip"
-	"slices"
 	"time"
 
 	"diffusion/internal/message"
@@ -12,19 +11,20 @@ import (
 // This file states the contract the UDP endpoint's link engines — failure
 // detector (liveness.go), reliable unicast and its custody offers
 // (reliable.go, custody.go) and membership (discovery.go) — and the
-// peer/impairment table every frame leaves through (peers.go) are written
-// to. An engine is a plain state machine:
+// neighbor/impairment table every frame leaves through (peers.go) are
+// written to. An engine is a plain state machine:
 //
 //	step(frame | tick, now) → frames to send, events, table changes
 //
 // collected in an effects value, plus nextDeadline(), the earliest time it
 // wants a tick. It holds no lock, starts no goroutine, never reads a
 // clock and never touches a socket or a resolver: time is the `now`
-// argument, randomness an injected stream, and every per-peer map is
-// walked in ID order wherever the order reaches an RNG draw, a tie-break
-// or the wire. A run is therefore a pure function of (seed, schedule), on
-// the wall clock and on internal/sim's virtual clock alike. The driver in
-// udp.go owns the lock, the timer and the socket.
+// argument, randomness an injected stream. What an engine keeps per
+// neighbor lives in that neighbor's one table row, and every walk of the
+// rows goes in ID order, so no RNG draw, tie-break or frame on the wire
+// depends on map order. A run is therefore a pure function of (seed,
+// schedule), on the wall clock and on internal/sim's virtual clock alike.
+// The driver in udp.go owns the lock, the timer and the socket.
 
 // engine is the scheduling half of that contract, all the driver's timer
 // needs to know.
@@ -74,9 +74,8 @@ type opKind uint8
 
 const (
 	opAdd       opKind = iota // install (or re-address) peer as a neighbor
-	opRemove                  // drop peer from the table with all its link state
-	opForget                  // drop retransmission state toward peer (new incarnation)
-	opRefresh                 // reset peer's failure-detector record to freshly alive
+	opRemove                  // drop peer's row, and with it all its link state
+	opRejoin                  // peer's new incarnation: reset its sender state and detector record
 	opForceDead               // mark a pinned peer dead now (it said goodbye)
 )
 
@@ -157,29 +156,12 @@ func (fx *effects) deliverUp(from *peerEntry, f frame, size int) {
 	fx.delivered = true
 }
 
-// idSet is a sorted set of link IDs: the iteration order of an engine's
-// per-peer map.
-type idSet []uint32
-
-func (s *idSet) add(id uint32) {
-	if i, ok := slices.BinarySearch(*s, id); !ok {
-		*s = slices.Insert(*s, i, id)
-	}
-}
-
-func (s *idSet) remove(id uint32) {
-	if i, ok := slices.BinarySearch(*s, id); ok {
-		*s = slices.Delete(*s, i, i+1)
-	}
-}
-
-// pending is one unacknowledged frame toward peer: a reliable frame, or a
-// custody offer (kind has kindCustodyFlag). Both take the sender's one
-// sequence space and window toward peer and retransmit on the same capped
-// doubling schedule, each kind on its own RTOs. They differ in when they
-// stop: a reliable frame is abandoned after MaxRetries, an offer never.
+// pending is one unacknowledged frame toward a peer: a reliable frame, or
+// a custody offer (kind has kindCustodyFlag). Both take the sender's one
+// sequence space and window toward the peer and retransmit on the same
+// capped doubling schedule, each kind on its own RTOs. They differ in when
+// they stop: a reliable frame is abandoned after MaxRetries, an offer never.
 type pending struct {
-	peer    uint32
 	seq     uint32
 	kind    uint8
 	id      message.ID // custody offers only

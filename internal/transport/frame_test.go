@@ -119,7 +119,7 @@ func TestUDPTraceSpans(t *testing.T) {
 	// Point rx's neighbor table at tx's real port so the sender passes
 	// validation.
 	rx.peersMu.Lock()
-	rx.peers[1] = &peerEntry{addr: tx.LocalAddr(), configured: true}
+	rx.put(1, addrPort(tx.LocalAddr()), true)
 	rx.peersMu.Unlock()
 
 	if err := tx.Send(2, payload); err != nil {

@@ -72,8 +72,6 @@ type LivenessConfig struct {
 	// made the transition happen (the socket reader or the timer). A
 	// single-threaded consumer posts onto its own loop.
 	OnStateChange func(peer uint32, state PeerState)
-	// Seed drives the probe jitter stream (0 takes the endpoint's seed).
-	Seed int64
 }
 
 // fill applies defaults.
@@ -95,8 +93,9 @@ func (c *LivenessConfig) fill() {
 	}
 }
 
-// peerLiveness is the detector's per-neighbor record. Times are clock
-// readings (offsets from the endpoint's start), not wall-clock instants.
+// peerLiveness is the detector's record of one neighbor, kept in the
+// neighbor's table row (peers.go). Times are clock readings (offsets from
+// the endpoint's start), not wall-clock instants.
 type peerLiveness struct {
 	state     PeerState
 	lastHeard time.Duration
@@ -115,13 +114,12 @@ type transition struct {
 }
 
 // detector is one endpoint's failure detector (engine contract:
-// engine.go).
+// engine.go). It watches every row of the neighbor table.
 type detector struct {
 	cfg     LivenessConfig
 	stats   *Stats
 	rng     *rand.Rand
-	peers   map[uint32]*peerLiveness
-	order   idSet
+	tab     *peerTable
 	nextSeq uint32
 	// next is the earliest probe or classification deadline. Hearing from
 	// a peer only moves its deadlines later, so next may run early; tick
@@ -129,21 +127,18 @@ type detector struct {
 	next time.Duration
 }
 
-// newDetector builds a detector watching peers from now.
-func newDetector(cfg LivenessConfig, seed int64, peers []uint32, stats *Stats, now time.Duration) *detector {
+// newDetector builds a detector watching tab's rows from now.
+func newDetector(cfg LivenessConfig, seed int64, tab *peerTable, stats *Stats, now time.Duration) *detector {
 	cfg.fill()
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
-	}
 	d := &detector{
 		cfg:   cfg,
 		stats: stats,
 		rng:   rand.New(rand.NewSource(seed)),
-		peers: make(map[uint32]*peerLiveness, len(peers)),
+		tab:   tab,
 		next:  never,
 	}
-	for _, id := range peers {
-		d.add(id, now)
+	for _, id := range tab.ids {
+		d.add(tab.peers[id], now)
 	}
 	return d
 }
@@ -167,8 +162,8 @@ func (d *detector) deadline(p *peerLiveness) time.Duration {
 // tick classifies every peer and queues due probes, in ID order.
 func (d *detector) tick(now time.Duration, fx *effects) {
 	d.next = never
-	for _, id := range d.order {
-		p := d.peers[id]
+	for _, id := range d.tab.ids {
+		p := &d.tab.peers[id].live
 		silence := now - p.lastHeard
 		want := p.state
 		switch {
@@ -211,13 +206,10 @@ func (d *detector) tick(now time.Duration, fx *effects) {
 	}
 }
 
-// heard records proof of life from a peer (any well-formed frame), which
-// revives a suspect or dead one.
-func (d *detector) heard(peer uint32, now time.Duration, fx *effects) {
-	p, ok := d.peers[peer]
-	if !ok {
-		return
-	}
+// heard records proof of life from row e's peer (any well-formed frame),
+// which revives a suspect or dead one.
+func (d *detector) heard(e *peerEntry, now time.Duration, fx *effects) {
+	p := &e.live
 	p.lastHeard = now
 	if p.state == PeerAlive {
 		return
@@ -227,22 +219,16 @@ func (d *detector) heard(peer uint32, now time.Duration, fx *effects) {
 	p.nextProbe = now + p.backoff
 	d.next = min(d.next, p.nextProbe)
 	d.stats.PeerRecoveries.Add(1)
-	fx.transitions = append(fx.transitions, transition{peer, PeerAlive})
+	fx.transitions = append(fx.transitions, transition{e.id, PeerAlive})
 }
 
-// add registers a peer, or resets an existing record to freshly-alive.
-// Discovery asks for it when a peer is promoted to neighbor and again
-// when a promoted peer re-announces with a new boot nonce: either way the
-// peer earns a full DeadAfter of grace and is probed at once so an RTT
-// appears early, and no transition is reported (membership events cover
-// the promotion itself).
-func (d *detector) add(peer uint32, now time.Duration) {
-	p, ok := d.peers[peer]
-	if !ok {
-		p = &peerLiveness{}
-		d.peers[peer] = p
-		d.order.add(peer)
-	}
+// add resets row e's record to freshly alive. The driver asks for it when
+// a row is installed and when a promoted peer rejoins under a new boot
+// nonce: either way the peer earns a full DeadAfter of grace and is probed
+// at once so an RTT appears early, and no transition is reported
+// (membership events cover the promotion itself).
+func (d *detector) add(e *peerEntry, now time.Duration) {
+	p := &e.live
 	p.state = PeerAlive
 	p.lastHeard = now
 	p.nextProbe = now
@@ -250,20 +236,13 @@ func (d *detector) add(peer uint32, now time.Duration) {
 	d.next = min(d.next, now)
 }
 
-// remove forgets a peer entirely: no more probes, no snapshot entry, no
-// further transitions.
-func (d *detector) remove(peer uint32) {
-	delete(d.peers, peer)
-	d.order.remove(peer)
-}
-
-// forceDead marks a peer dead immediately, as if DeadAfter of silence had
-// elapsed — the reaction to an explicit leave frame from a configured
-// neighbor. Any later frame from the peer recovers it through heard as
-// normal.
-func (d *detector) forceDead(peer uint32, now time.Duration, fx *effects) {
-	p, ok := d.peers[peer]
-	if !ok || p.state == PeerDead {
+// forceDead marks row e's peer dead immediately, as if DeadAfter of
+// silence had elapsed — the reaction to an explicit leave frame from a
+// configured neighbor. Any later frame from the peer recovers it through
+// heard as normal.
+func (d *detector) forceDead(e *peerEntry, now time.Duration, fx *effects) {
+	p := &e.live
+	if p.state == PeerDead {
 		return
 	}
 	p.state = PeerDead
@@ -271,13 +250,14 @@ func (d *detector) forceDead(peer uint32, now time.Duration, fx *effects) {
 	// probe path treats the peer like any other dead one.
 	p.lastHeard = now - d.cfg.DeadAfter
 	d.stats.PeerDeaths.Add(1)
-	fx.transitions = append(fx.transitions, transition{peer, PeerDead})
+	fx.transitions = append(fx.transitions, transition{e.id, PeerDead})
 }
 
-// pong completes an outstanding probe, recording its round trip.
-func (d *detector) pong(peer, seq uint32, now time.Duration) {
-	p, ok := d.peers[peer]
-	if !ok || seq == 0 || p.pingSeq != seq {
+// pong completes an outstanding probe toward row e's peer, recording its
+// round trip.
+func (d *detector) pong(e *peerEntry, seq uint32, now time.Duration) {
+	p := &e.live
+	if seq == 0 || p.pingSeq != seq {
 		return
 	}
 	rtt := (now - p.pingAt).Microseconds()
@@ -287,15 +267,16 @@ func (d *detector) pong(peer, seq uint32, now time.Duration) {
 	d.stats.RTTCount.Add(1)
 }
 
+// health is row e's liveness snapshot at now.
+func (e *peerEntry) health(now time.Duration) PeerHealth {
+	return PeerHealth{State: e.live.state, LastHeard: now - e.live.lastHeard, RTTMicros: e.live.rttMicros}
+}
+
 // snapshot returns every peer's health.
 func (d *detector) snapshot(now time.Duration) map[uint32]PeerHealth {
-	out := make(map[uint32]PeerHealth, len(d.peers))
-	for id, p := range d.peers {
-		out[id] = PeerHealth{
-			State:     p.state,
-			LastHeard: now - p.lastHeard,
-			RTTMicros: p.rttMicros,
-		}
+	out := make(map[uint32]PeerHealth, len(d.tab.ids))
+	for id, e := range d.tab.peers {
+		out[id] = e.health(now)
 	}
 	return out
 }
@@ -303,13 +284,10 @@ func (d *detector) snapshot(now time.Duration) map[uint32]PeerHealth {
 // allDead reports whether the endpoint has neighbors and every one of
 // them is dead — the "isolated node" condition health checks act on.
 func (d *detector) allDead() bool {
-	if len(d.peers) == 0 {
-		return false
-	}
-	for _, p := range d.peers {
-		if p.state != PeerDead {
+	for _, e := range d.tab.peers {
+		if e.live.state != PeerDead {
 			return false
 		}
 	}
-	return true
+	return len(d.tab.peers) > 0
 }

@@ -23,7 +23,7 @@ func pings(fx *effects) int {
 func TestDetectorClassifiesSilence(t *testing.T) {
 	var stats Stats
 	var seen []PeerState
-	d := newDetector(LivenessConfig{Interval: time.Second}, 1, []uint32{2}, &stats, 0)
+	d := newDetector(LivenessConfig{Interval: time.Second}, 1, testTable(2), &stats, 0)
 	tick := func(now time.Duration) *effects {
 		fx := &effects{}
 		d.tick(now, fx)
@@ -84,7 +84,7 @@ func TestDetectorClassifiesSilence(t *testing.T) {
 
 	// Any frame heard revives instantly.
 	fx := &effects{}
-	d.heard(2, 11*time.Second, fx)
+	d.heard(d.tab.peers[2], 11*time.Second, fx)
 	if len(fx.transitions) != 1 || fx.transitions[0] != (transition{2, PeerAlive}) {
 		t.Fatalf("heard reported %v, want the recovery", fx.transitions)
 	}
@@ -98,7 +98,7 @@ func TestDetectorClassifiesSilence(t *testing.T) {
 	if d.allDead() {
 		t.Fatal("recovered peer still counted dead")
 	}
-	if d.heard(2, 12*time.Second, fx); len(fx.transitions) != 1 {
+	if d.heard(d.tab.peers[2], 12*time.Second, fx); len(fx.transitions) != 1 {
 		t.Fatal("hearing from an alive peer is not a recovery")
 	}
 	if want := []PeerState{PeerSuspect, PeerDead, PeerAlive}; !slices.Equal(seen, want) {
@@ -112,7 +112,7 @@ func TestDetectorClassifiesSilence(t *testing.T) {
 func TestDetectorProbeBackoff(t *testing.T) {
 	var stats Stats
 	cfg := LivenessConfig{Interval: time.Second, MaxProbeBackoff: 4 * time.Second}
-	d := newDetector(cfg, 1, []uint32{7}, &stats, 0)
+	d := newDetector(cfg, 1, testTable(7), &stats, 0)
 
 	// Wake the detector exactly when it asks, over two minutes of silence;
 	// with backoff doubling 1s → 2s → 4s (cap), far fewer probes must go
@@ -131,12 +131,13 @@ func TestDetectorProbeBackoff(t *testing.T) {
 	}
 
 	// A pong matching the outstanding probe seq records the RTT.
-	p := d.peers[7]
-	d.pong(7, p.pingSeq+1, p.pingAt+time.Millisecond)
+	e := d.tab.peers[7]
+	p := &e.live
+	d.pong(e, p.pingSeq+1, p.pingAt+time.Millisecond)
 	if stats.RTTCount.Load() != 0 {
 		t.Fatal("a pong for another probe must not record an RTT")
 	}
-	d.pong(7, p.pingSeq, p.pingAt+3*time.Millisecond)
+	d.pong(e, p.pingSeq, p.pingAt+3*time.Millisecond)
 	if stats.RTTCount.Load() != 1 || stats.RTTMicrosSum.Load() != 3000 {
 		t.Fatalf("rtt accounting: count=%d sum=%dus, want 1 and 3000",
 			stats.RTTCount.Load(), stats.RTTMicrosSum.Load())
@@ -144,7 +145,7 @@ func TestDetectorProbeBackoff(t *testing.T) {
 }
 
 // TestUDPLivenessEndToEnd runs the detector between two endpoints: a
-// partition (Block) silences the peer, which must go suspect then dead
+// partition (SetBlocked) silences the peer, which must go suspect then dead
 // exactly on the configured thresholds; healing it must revive the peer.
 func TestUDPLivenessEndToEnd(t *testing.T) {
 	live := &LivenessConfig{
@@ -171,7 +172,7 @@ func TestUDPLivenessEndToEnd(t *testing.T) {
 	// from the last frame heard, at most one heartbeat interval (plus
 	// jitter) ago.
 	lastHeard := n.sched.Now() - a.PeerHealth()[2].LastHeard
-	a.Block(2)
+	a.SetBlocked([]uint32{2})
 	n.run(lastHeard + live.SuspectAfter - n.sched.Now() - 1)
 	if got := a.PeerHealth()[2].State; got != PeerAlive {
 		t.Fatalf("just before SuspectAfter: %v, want alive", got)
@@ -198,7 +199,7 @@ func TestUDPLivenessEndToEnd(t *testing.T) {
 	// Heal: the next probe exchange revives the peer. Probes toward a dead
 	// peer have backed off, at most to MaxProbeBackoff (default 8×Interval)
 	// plus 25% jitter.
-	a.Unblock(2)
+	a.SetBlocked(nil)
 	n.run(10*live.Interval + 2*n.delay)
 	if got := a.PeerHealth()[2].State; got != PeerAlive {
 		t.Fatalf("after heal: %v, want alive", got)

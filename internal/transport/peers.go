@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"slices"
 )
 
 // This file is the endpoint's neighbor table and the impairment applied on
@@ -11,20 +12,25 @@ import (
 // ID; admit turns those into frames for the wire, or into counted drops.
 // It holds nothing back, so the timer never ticks it.
 
-// peerEntry is one row of the live neighbor table: the peer's address,
-// whether the operator pinned it (configured) or discovery promoted it,
-// per-peer payload traffic counters (announce/heartbeat chatter is
-// excluded, so the counters identify which links actually carry data),
-// the boot nonce its frames last carried, and the receive-side duplicate
-// window.
+// peerEntry is one row of the live neighbor table, and everything the
+// endpoint keeps about that neighbor: its address, whether the operator
+// pinned it (configured) or discovery promoted it, per-peer payload traffic
+// counters (announce/heartbeat chatter is excluded, so the counters
+// identify which links actually carry data), the boot nonce its frames last
+// carried, the receive-side duplicate window, the failure detector's record
+// and the reliable sender's state. Deleting the row deletes all of it, so
+// every per-peer table has the neighbor table's bound.
 type peerEntry struct {
-	addr       *net.UDPAddr
+	id         uint32
+	addr       netip.AddrPort
 	configured bool
 	dataRecv   uint64
 	dataSent   uint64
 	boot       uint32
-	booted     bool      // boot was read off a frame
-	dup        dupWindow // reliable frames, and offers when this node has no custody
+	booted     bool         // boot was read off a frame
+	dup        dupWindow    // reliable frames, and offers when this node has no custody
+	live       peerLiveness // the failure detector's record (liveness.go)
+	rel        relPeer      // reliable frames and custody offers toward it (reliable.go)
 }
 
 // addrPort is a's value form, IPv4 as IPv4 whatever form a holds it in.
@@ -38,20 +44,23 @@ func addrPort(a *net.UDPAddr) netip.AddrPort {
 // discovery; discovery adds and removes rows at runtime.
 type peerTable struct {
 	peers   map[uint32]*peerEntry
-	ids     idSet // the table's IDs in order: broadcast fan-out order
+	ids     idSet // the table's IDs in order: every walk of the rows
 	rng     *rand.Rand
 	loss    float64
 	blocked map[uint32]bool
 }
 
-// put installs or re-addresses a row.
-func (t *peerTable) put(id uint32, addr *net.UDPAddr, configured bool) {
-	if e, ok := t.peers[id]; ok {
+// put installs or re-addresses a row and returns it.
+func (t *peerTable) put(id uint32, addr netip.AddrPort, configured bool) *peerEntry {
+	e, ok := t.peers[id]
+	if ok {
 		e.addr = addr
-		return
+		return e
 	}
-	t.peers[id] = &peerEntry{addr: addr, configured: configured}
+	e = &peerEntry{id: id, addr: addr, configured: configured}
+	t.peers[id] = e
 	t.ids.add(id)
+	return e
 }
 
 // drop removes a discovered row and reports whether it did; configured
@@ -64,6 +73,22 @@ func (t *peerTable) drop(id uint32) bool {
 	delete(t.peers, id)
 	t.ids.remove(id)
 	return true
+}
+
+// idSet is a sorted set of link IDs: the order the table's rows are
+// walked in.
+type idSet []uint32
+
+func (s *idSet) add(id uint32) {
+	if i, ok := slices.BinarySearch(*s, id); !ok {
+		*s = slices.Insert(*s, i, id)
+	}
+}
+
+func (s *idSet) remove(id uint32) {
+	if i, ok := slices.BinarySearch(*s, id); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
 }
 
 // admit is the single egress point: data, reliable frames,
@@ -81,7 +106,7 @@ func (t *peerTable) admit(fx *effects, stats *Stats) {
 			if e == nil {
 				continue
 			}
-			f.addr = addrPort(e.addr)
+			f.addr = e.addr
 			if carriesMessage(f.kind) {
 				e.dataSent++
 			}

@@ -90,7 +90,9 @@ func sheddable(payload []byte) bool {
 	return false
 }
 
-// relPeer is the sender-side state toward one neighbor.
+// relPeer is the sender-side state toward one neighbor, kept in the
+// neighbor's table row (peers.go). Its sequence space has started once
+// nextSeq is non-zero.
 type relPeer struct {
 	nextSeq  uint32
 	inflight []pending // on the wire, unacked, in send order
@@ -111,8 +113,7 @@ type reliable struct {
 	unicast bool
 	cus     *CustodyOptions // nil without custody
 	stats   *Stats
-	peers   map[uint32]*relPeer
-	order   idSet
+	tab     *peerTable
 	// byID is every standing custody offer — in flight, queued or parked —
 	// by message ID: the peer it is toward.
 	byID map[message.ID]uint32
@@ -126,32 +127,27 @@ type reliable struct {
 	spare [][]byte
 }
 
-func newReliable(cfg ReliableConfig, stats *Stats) *reliable {
+func newReliable(cfg ReliableConfig, tab *peerTable, stats *Stats) *reliable {
 	cfg.fill()
-	return &reliable{cfg: cfg, stats: stats, peers: map[uint32]*relPeer{}, byID: map[message.ID]uint32{}, next: never}
+	return &reliable{cfg: cfg, stats: stats, tab: tab, byID: map[message.ID]uint32{}, next: never}
 }
 
 // nextDeadline is when the sender next needs a tick.
 func (r *reliable) nextDeadline() time.Duration { return r.next }
 
-// send enqueues a reliable frame of payload toward peer.
-func (r *reliable) send(peer uint32, payload []byte, now time.Duration, fx *effects) {
-	r.enqueue(pending{peer: peer, kind: kindReliable}, payload, now, fx)
+// send enqueues a reliable frame of payload toward row e's peer.
+func (r *reliable) send(e *peerEntry, payload []byte, now time.Duration, fx *effects) {
+	r.enqueue(e, pending{kind: kindReliable}, payload, now, fx)
 }
 
-// enqueue queues frame f with a copy of payload, which it only borrows,
-// applying the overload-shedding policy to a reliable frame, and pumps the
-// window. The copy goes into the last spare buffer, or a new one if that is
-// too small. Shedding is not an error: the link-layer contract is best
-// effort, and the diffusion layer's own refresh machinery recovers what
-// overload drops.
-func (r *reliable) enqueue(f pending, payload []byte, now time.Duration, fx *effects) {
-	p, ok := r.peers[f.peer]
-	if !ok {
-		p = &relPeer{}
-		r.peers[f.peer] = p
-		r.order.add(f.peer)
-	}
+// enqueue queues frame f toward row e's peer with a copy of payload, which
+// it only borrows, applying the overload-shedding policy to a reliable
+// frame, and pumps the window. The copy goes into the last spare buffer, or
+// a new one if that is too small. Shedding is not an error: the link-layer
+// contract is best effort, and the diffusion layer's own refresh machinery
+// recovers what overload drops.
+func (r *reliable) enqueue(e *peerEntry, f pending, payload []byte, now time.Duration, fx *effects) {
+	p := &e.rel
 	if f.custody() {
 		p.offers++
 	} else if len(p.inflight)+len(p.queue)-p.offers >= r.cfg.QueueLimit && !r.shed(p, payload) {
@@ -164,7 +160,7 @@ func (r *reliable) enqueue(f pending, payload []byte, now time.Duration, fx *eff
 	p.nextSeq++
 	f.seq, f.payload = p.nextSeq, append(buf[:0], payload...)
 	p.queue = append(p.queue, f)
-	r.pump(p, now, fx)
+	r.pump(e, now, fx)
 }
 
 // recycle puts a frame's buffer on the spare list, if the list has room.
@@ -193,11 +189,12 @@ func (r *reliable) shed(p *relPeer, incoming []byte) bool {
 	return true
 }
 
-// pump moves queued frames into the in-flight window, putting each on the
-// wire and setting its ack timeout. It stops short of a frame dupSpan
+// pump moves row e's queued frames into its in-flight window, putting each
+// on the wire and setting its ack timeout. It stops short of a frame dupSpan
 // sequence numbers past the oldest unacked one: the receiver would call
 // that one stale, after acking it.
-func (r *reliable) pump(p *relPeer, now time.Duration, fx *effects) {
+func (r *reliable) pump(e *peerEntry, now time.Duration, fx *effects) {
+	p := &e.rel
 	for len(p.inflight) < r.cfg.Window && len(p.queue) > 0 &&
 		(len(p.inflight) == 0 || p.queue[0].seq-p.inflight[0].seq < dupSpan) {
 		f := p.queue[0]
@@ -208,7 +205,7 @@ func (r *reliable) pump(p *relPeer, now time.Duration, fx *effects) {
 		if f.custody() {
 			r.stats.CustodySent.Add(1)
 		}
-		fx.send(f.peer, f.kind, f.seq, f.payload)
+		fx.send(e.id, f.kind, f.seq, f.payload)
 	}
 }
 
@@ -232,8 +229,9 @@ func (r *reliable) arm(f *pending, now time.Duration) {
 // windows that frees — peers in ID order, frames in send order.
 func (r *reliable) tick(now time.Duration, fx *effects) {
 	r.next = never
-	for _, id := range r.order {
-		p := r.peers[id]
+	for _, id := range r.tab.ids {
+		e := r.tab.peers[id]
+		p := &e.rel
 		kept := p.inflight[:0]
 		for _, f := range p.inflight {
 			if f.due <= now {
@@ -243,41 +241,39 @@ func (r *reliable) tick(now time.Duration, fx *effects) {
 					continue
 				}
 				f.tries++
-				r.retransmit(p, &f, now, fx)
+				r.retransmit(e, &f, now, fx)
 			}
 			kept = append(kept, f)
 		}
 		clear(p.inflight[len(kept):]) // release abandoned payloads
 		p.inflight = kept
-		r.pump(p, now, fx)
+		r.pump(e, now, fx)
 		for i := range p.inflight {
 			r.next = min(r.next, p.inflight[i].due)
 		}
 	}
 }
 
-// retransmit puts in-flight frame f toward p on the wire again and
-// re-arms it.
-func (r *reliable) retransmit(p *relPeer, f *pending, now time.Duration, fx *effects) {
+// retransmit puts in-flight frame f toward row e's peer on the wire again
+// and re-arms it.
+func (r *reliable) retransmit(e *peerEntry, f *pending, now time.Duration, fx *effects) {
 	if f.custody() {
 		r.stats.CustodyRetransmits.Add(1)
 	} else {
-		p.retransmits++
+		e.rel.retransmits++
 		r.stats.Retransmits.Add(1)
 	}
 	r.arm(f, now)
-	fx.send(f.peer, f.kind, f.seq, f.payload)
+	fx.send(e.id, f.kind, f.seq, f.payload)
 }
 
-// ack completes the in-flight frame seq toward peer and pumps the window.
-// A held ack discharges a custody offer; a plain one parks it (custody.go).
-// A plain ack matching nothing in flight counts as a reliable frame's.
-func (r *reliable) ack(peer, seq uint32, held bool, now time.Duration, fx *effects) {
-	p := r.peers[peer]
-	i := -1
-	if p != nil {
-		i = slices.IndexFunc(p.inflight, func(f pending) bool { return f.seq == seq })
-	}
+// ack completes the in-flight frame seq toward row e's peer and pumps the
+// window. A held ack discharges a custody offer; a plain one parks it
+// (custody.go). A plain ack matching nothing in flight counts as a reliable
+// frame's.
+func (r *reliable) ack(e *peerEntry, seq uint32, held bool, now time.Duration, fx *effects) {
+	p := &e.rel
+	i := slices.IndexFunc(p.inflight, func(f pending) bool { return f.seq == seq })
 	offer := i >= 0 && p.inflight[i].custody()
 	switch {
 	case held && r.cus != nil:
@@ -291,35 +287,37 @@ func (r *reliable) ack(peer, seq uint32, held bool, now time.Duration, fx *effec
 	if offer {
 		p.offers--
 		if held {
-			r.release(&p.inflight[i], fx)
+			r.release(e.id, p.inflight[i].id, fx)
 		}
 	}
 	r.recycle(p.inflight[i].payload)
 	p.inflight = slices.Delete(p.inflight, i, i+1)
-	r.pump(p, now, fx)
+	r.pump(e, now, fx)
 }
 
-// perPeerRetransmits snapshots every neighbor's retransmission count.
+// perPeerRetransmits snapshots the retransmission count toward every
+// neighbor whose sequence space has started.
 func (r *reliable) perPeerRetransmits() map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(r.peers))
-	for id, p := range r.peers {
-		out[id] = p.retransmits
+	out := map[uint32]uint64{}
+	for id, e := range r.tab.peers {
+		if e.rel.nextSeq > 0 {
+			out[id] = e.rel.retransmits
+		}
 	}
 	return out
 }
 
-// dropPeer discards all sender-side state toward one peer: in-flight
+// forget discards all sender-side state toward row e's peer: in-flight
 // frames, queue, sequence space, standing custody offers. Asked for when a
 // peer is removed or is heard under a new boot nonce — the restarted
 // peer's receive windows reset with its boot, so retransmitting old frames
 // at it would only produce spurious deliveries. The custody queue still
 // holds the offers' data — nothing is released — so the core's
 // NeighborRecovered replay re-offers it under fresh sequence numbers.
-func (r *reliable) dropPeer(peer uint32) {
-	delete(r.peers, peer)
-	r.order.remove(peer)
+func (r *reliable) forget(e *peerEntry) {
+	e.rel = relPeer{}
 	for id, to := range r.byID {
-		if to == peer {
+		if to == e.id {
 			delete(r.byID, id)
 		}
 	}

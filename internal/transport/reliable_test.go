@@ -26,8 +26,8 @@ func payloadOf(c message.Class, tag string) []byte {
 // CustodyPending counts the offers.
 func (r *reliable) pending(peer uint32) int {
 	n := 0
-	if p, ok := r.peers[peer]; ok {
-		for _, f := range slices.Concat(p.inflight, p.queue) {
+	if e := r.tab.peers[peer]; e != nil {
+		for _, f := range slices.Concat(e.rel.inflight, e.rel.queue) {
 			if !f.custody() {
 				n++
 			}
@@ -141,10 +141,10 @@ func TestReliableShedsInterestBeforeData(t *testing.T) {
 	var log wireLog
 	r := newReliable(ReliableConfig{
 		RTO: time.Hour, Window: 1, QueueLimit: 3, MaxRetries: 1,
-	}, &stats)
+	}, testTable(9), &stats)
 	send := func(c message.Class, tag string) {
 		fx := &effects{}
-		r.send(9, payloadOf(c, tag), 0, fx)
+		r.send(r.tab.peers[9], payloadOf(c, tag), 0, fx)
 		log.add(fx)
 	}
 
@@ -175,7 +175,7 @@ func TestReliableShedsInterestBeforeData(t *testing.T) {
 	// data, in order, with the shed frames never transmitted.
 	for i := 0; i < 3; i++ {
 		fx := &effects{}
-		r.ack(9, log.seqs[len(log.seqs)-1], false, 0, fx)
+		r.ack(r.tab.peers[9], log.seqs[len(log.seqs)-1], false, 0, fx)
 		log.add(fx)
 	}
 	if want := []string{"d1", "d3", "d4"}; !slices.Equal(log.tags, want) {
@@ -195,10 +195,10 @@ func TestReliableRetransmitsThenGivesUp(t *testing.T) {
 	r := newReliable(ReliableConfig{
 		RTO: 5 * time.Millisecond, MaxRTO: 15 * time.Millisecond,
 		MaxRetries: 3, Window: 4, QueueLimit: 8,
-	}, &stats)
+	}, testTable(3), &stats)
 
 	fx := &effects{}
-	r.send(3, payloadOf(message.Data, "lost"), 0, fx)
+	r.send(r.tab.peers[3], payloadOf(message.Data, "lost"), 0, fx)
 	log.add(fx)
 	// Wake the sender exactly when it asks: 5ms after the send, then 10ms
 	// later, then at the 15ms cap twice — the last wake-up abandons.
@@ -420,8 +420,7 @@ func TestReliableRecycleRacesNoWrite(t *testing.T) {
 	inFlight := func(seq uint32) bool {
 		u.peersMu.Lock()
 		defer u.peersMu.Unlock()
-		p := u.rel.peers[2]
-		return p != nil && slices.ContainsFunc(p.inflight, func(f pending) bool { return f.seq == seq })
+		return slices.ContainsFunc(u.peers[2].rel.inflight, func(f pending) bool { return f.seq == seq })
 	}
 	// A sender waits for window room, so that its own entry puts its frame
 	// on the wire.

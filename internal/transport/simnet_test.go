@@ -110,6 +110,16 @@ func (n *simNet) endpointAt(cfg UDPConfig, addr netip.AddrPort) *UDP {
 // run advances virtual time by d, executing everything that falls due.
 func (n *simNet) run(d time.Duration) { n.sched.RunUntil(n.sched.Now() + d) }
 
+// testTable is a neighbor table of configured rows at their simAddr, for
+// driving an engine without an endpoint.
+func testTable(ids ...uint32) *peerTable {
+	t := &peerTable{peers: map[uint32]*peerEntry{}}
+	for _, id := range ids {
+		t.put(id, simAddr(id), true)
+	}
+	return t
+}
+
 // neighbors is the Neighbors table entry for peers: their simAddr.
 func neighbors(ids ...uint32) map[uint32]string {
 	m := map[uint32]string{}
@@ -149,13 +159,20 @@ func (n *simNet) peer(id, boot uint32) *simPeer {
 	return p
 }
 
+// receive records the frames of datagram b, a frame or a bundle.
 func (p *simPeer) receive(b []byte) {
-	f, err := decodeFrame(b)
-	if err != nil {
-		p.net.t.Errorf("peer %d got a malformed frame: %v", p.id, err)
-		return
+	frames := [][]byte{b}
+	if isBundle(b) {
+		frames = unbundle(p.net.t, b)
 	}
-	p.inbox = append(p.inbox, f)
+	for _, fb := range frames {
+		f, err := decodeFrame(fb)
+		if err != nil {
+			p.net.t.Errorf("peer %d got a malformed frame: %v", p.id, err)
+			return
+		}
+		p.inbox = append(p.inbox, f)
+	}
 }
 
 // send delivers one frame to u now.

@@ -193,18 +193,16 @@ func newUDP(cfg UDPConfig, clock sim.Clock, w wire, boot uint32) (*UDP, error) {
 			blocked: map[uint32]bool{},
 		},
 	}
-	pinned := make(map[uint32]netip.AddrPort, len(cfg.Neighbors))
 	for id, addr := range cfg.Neighbors {
 		a, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
 			return nil, fmt.Errorf("transport: neighbor %d %q: %w", id, addr, err)
 		}
-		pinned[id] = addrPort(a)
-		u.put(id, a, true)
+		u.put(id, addrPort(a), true)
 	}
 	now := clock.Now()
 	if cfg.Liveness != nil {
-		u.det = newDetector(*cfg.Liveness, cfg.Seed^int64(cfg.ID), u.ids, &u.stats, now)
+		u.det = newDetector(*cfg.Liveness, cfg.Seed^int64(cfg.ID), &u.peerTable, &u.stats, now)
 		u.engines = append(u.engines, u.det)
 	}
 	if cfg.Reliable != nil || cfg.Custody != nil {
@@ -212,7 +210,7 @@ func newUDP(cfg UDPConfig, clock sim.Clock, w wire, boot uint32) (*UDP, error) {
 		if cfg.Reliable != nil {
 			rc = *cfg.Reliable
 		}
-		u.rel = newReliable(rc, &u.stats)
+		u.rel = newReliable(rc, &u.peerTable, &u.stats)
 		u.rel.unicast = cfg.Reliable != nil
 		if cfg.Custody != nil {
 			if cfg.Custody.Accept == nil {
@@ -237,7 +235,7 @@ func newUDP(cfg UDPConfig, clock sim.Clock, w wire, boot uint32) (*UDP, error) {
 			seeds = append(seeds, addrPort(a))
 		}
 		var err error
-		u.disco, err = newDiscovery(*cfg.Discovery, cfg.ID, seeds, pinned, w.LocalAddr().String(),
+		u.disco, err = newDiscovery(*cfg.Discovery, cfg.ID, seeds, &u.peerTable, w.LocalAddr().String(),
 			cfg.Seed^int64(cfg.ID), &u.stats, now)
 		if err != nil {
 			return nil, err
@@ -301,7 +299,7 @@ func (u *UDP) settle(fx *effects, now time.Duration) {
 	for len(fx.transitions) > 0 || len(fx.ops) > 0 {
 		for _, tr := range fx.transitions {
 			if tr.state == PeerAlive && u.rel != nil {
-				u.rel.reoffer(tr.peer, now, fx)
+				u.rel.reoffer(u.peers[tr.peer], now, fx)
 			}
 			if cb := u.det.cfg.OnStateChange; cb != nil {
 				fx.calls = append(fx.calls, func() { cb(tr.peer, tr.state) })
@@ -312,35 +310,33 @@ func (u *UDP) settle(fx *effects, now time.Duration) {
 		}
 		fx.transitions = fx.transitions[:0]
 		for _, op := range fx.ops {
+			e := u.peers[op.peer]
 			switch op.kind {
 			case opAdd:
-				u.put(op.peer, net.UDPAddrFromAddrPort(op.addr), false)
-				u.det.add(op.peer, now)
+				u.det.add(u.put(op.peer, op.addr, false), now)
 			case opRemove:
 				if u.drop(op.peer) {
-					u.det.remove(op.peer)
-					u.forgetPeer(op.peer)
+					u.forgetPeer(e)
 				}
-			case opForget:
-				u.forgetPeer(op.peer)
-			case opRefresh:
-				u.det.add(op.peer, now)
+			case opRejoin:
+				u.forgetPeer(e)
+				u.det.add(e, now)
 			case opForceDead:
-				u.det.forceDead(op.peer, now, fx)
+				u.det.forceDead(e, now, fx)
 			}
 		}
 		fx.ops = fx.ops[:0]
 	}
 }
 
-// forgetPeer drops retransmission state toward a peer that was removed or
-// whose incarnation changed (seen by onFrame, or by discovery first): its
-// receive windows reset with its boot nonce, so old reliable frames and
-// custody offers are noise at best. Custody data itself stays in the queue
-// — the core's replay re-offers it under fresh sequence numbers.
-func (u *UDP) forgetPeer(id uint32) {
+// forgetPeer drops retransmission state toward row e's peer, which was
+// removed or whose incarnation changed (seen by onFrame, or by discovery
+// first): its receive windows reset with its boot nonce, so old reliable
+// frames and custody offers are noise at best. Custody data itself stays in
+// the queue — the core's replay re-offers it under fresh sequence numbers.
+func (u *UDP) forgetPeer(e *peerEntry) {
 	if u.rel != nil {
-		u.rel.dropPeer(id)
+		u.rel.forget(e)
 	}
 }
 
@@ -582,10 +578,6 @@ func (u *UDP) Neighbors() []uint32 {
 func (u *UDP) Members() []Member {
 	now := u.enter()
 	defer u.peersMu.Unlock()
-	var health map[uint32]PeerHealth
-	if u.det != nil {
-		health = u.det.snapshot(now)
-	}
 	rows := make([]Member, 0, len(u.ids))
 	for _, id := range u.ids {
 		e := u.peers[id]
@@ -601,7 +593,9 @@ func (u *UDP) Members() []Member {
 		if e.configured {
 			m.Origin = "configured"
 		}
-		m.Health, m.HasHealth = health[id]
+		if u.det != nil {
+			m.Health, m.HasHealth = e.health(now), true
+		}
 		rows = append(rows, m)
 	}
 	if u.disco != nil {
@@ -688,25 +682,11 @@ func (u *UDP) Loss() float64 {
 	return u.loss
 }
 
-// Block partitions this endpoint from peer: frames to and from it are
-// dropped (and counted in Stats.PartitionDropped) until Unblock. The
-// failure detector keeps probing through the partition, so it will mark
-// the peer suspect and then dead.
-func (u *UDP) Block(peer uint32) {
-	u.peersMu.Lock()
-	u.blocked[peer] = true
-	u.peersMu.Unlock()
-}
-
-// Unblock heals a partition created by Block.
-func (u *UDP) Unblock(peer uint32) {
-	u.peersMu.Lock()
-	delete(u.blocked, peer)
-	u.peersMu.Unlock()
-}
-
-// SetBlocked replaces the whole blocked-peer set (chaos harness: one call
-// describes the partition).
+// SetBlocked replaces the whole blocked-peer set: frames to and from those
+// peers are dropped (and counted in Stats.PartitionDropped) until a later
+// call lifts the partition. One call describes the partition. The failure
+// detector keeps probing through it, so it marks a blocked peer suspect and
+// then dead.
 func (u *UDP) SetBlocked(peers []uint32) {
 	set := make(map[uint32]bool, len(peers))
 	for _, p := range peers {
@@ -760,6 +740,7 @@ func (u *UDP) send(dst uint32, payload []byte, custody bool, id message.ID) erro
 	var fx effects
 	var err error
 	now := u.enter()
+	e := u.peers[dst]
 	switch {
 	case u.closed:
 		err = ErrClosed
@@ -767,13 +748,13 @@ func (u *UDP) send(dst uint32, payload []byte, custody bool, id message.ID) erro
 		for _, peer := range u.ids {
 			fx.send(peer, kindData, 0, payload)
 		}
-	case u.peers[dst] == nil:
+	case e == nil:
 		u.stats.SendErrors.Add(1)
 		err = fmt.Errorf("transport: %d is not a neighbor of %d", dst, u.id)
 	case custody:
-		u.rel.offer(dst, id, payload, now, &fx)
+		u.rel.offer(e, id, payload, now, &fx)
 	case u.rel != nil && u.rel.unicast:
-		u.rel.send(dst, payload, now, &fx)
+		u.rel.send(e, payload, now, &fx)
 	default:
 		fx.send(dst, kindData, 0, payload)
 	}
@@ -909,14 +890,14 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 		return false
 	}
 	if entry.booted && entry.boot != f.boot {
-		u.forgetPeer(f.from) // a new incarnation, configured or discovered
+		u.forgetPeer(entry) // a new incarnation, configured or discovered
 	}
 	entry.boot, entry.booted = f.boot, true
 	if u.det != nil {
 		if f.kind == kindPong {
-			u.det.pong(f.from, f.seq, now) // the RTT, before the proof of life
+			u.det.pong(entry, f.seq, now) // the RTT, before the proof of life
 		}
-		u.det.heard(f.from, now, fx)
+		u.det.heard(entry, now, fx)
 	}
 	if u.spans != nil && f.flow != 0 {
 		fx.rx = append(fx.rx, reception{f: f}) // a recv span, delivered or not
@@ -929,7 +910,7 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 		u.stats.HeartbeatsRecv.Add(1)
 	case kindAck, kindAck | kindCustodyFlag:
 		if u.rel != nil {
-			u.rel.ack(f.from, f.seq, f.kind&kindCustodyFlag != 0, now, fx)
+			u.rel.ack(entry, f.seq, f.kind&kindCustodyFlag != 0, now, fx)
 		}
 	case kindReliable | kindCustodyFlag:
 		if u.rel != nil && u.rel.cus != nil {
@@ -961,7 +942,7 @@ func (u *UDP) onFrame(f frame, src netip.AddrPort, size int, now time.Duration, 
 			// instantly dead so the diffusion layer repairs now rather than
 			// after DeadAfter of silence.
 			u.stats.LeavesRecv.Add(1)
-			u.det.forceDead(f.from, now, fx)
+			u.det.forceDead(entry, now, fx)
 		}
 	}
 	return false

@@ -210,7 +210,7 @@ func TestUDPInjectedLossDropsEverything(t *testing.T) {
 		t.Fatalf("LossInjected = %d, want 20", got)
 	}
 	a.SetLoss(0)
-	a.Block(2)
+	a.SetBlocked([]uint32{2})
 	if err := a.Send(2, []byte("partitioned")); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestUDPInjectedLossDropsEverything(t *testing.T) {
 		t.Fatalf("loss=1.0 and a partition still sent %d datagrams", got)
 	}
 	// With both healed the next datagram is the first b ever sees.
-	a.Unblock(2)
+	a.SetBlocked(nil)
 	if err := a.Send(2, []byte("through")); err != nil {
 		t.Fatal(err)
 	}

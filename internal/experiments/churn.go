@@ -142,8 +142,8 @@ func churnFlow(cfg ChurnConfig, seed int64) flow {
 
 // RunRelayKillTraced runs one relay-kill seed with a full message trace
 // kept and returns the run outcome, the trace (fault script set, ready for
-// export), and the end-of-run metrics snapshot. A trace only keeps what the
-// flight recorders write and draws no randomness, so with sampling off the
+// export), and the end-of-run metrics snapshot. A trace only records what
+// the nodes do and draws no randomness, so with sampling off the
 // returned RelayKillRun is bit-identical to the untraced RunRelayKill run
 // for the same seed.
 func RunRelayKillTraced(cfg ChurnConfig, seed int64) (RelayKillRun, *diffusion.Trace, diffusion.MetricsSnapshot) {

@@ -171,15 +171,16 @@ const (
 )
 
 // Ring is a node's bounded record of its most recent Events: one record
-// type, kept under three retention policies. A node's flight recorder is an
-// always-on ring of every origination, reception, transmission and fault —
-// the last N, dumped when something goes wrong. Its span ring holds only
-// sampled messages (flow non-zero) across every layer that touches them,
-// which an offline analyzer (internal/flightpath) merges on (flow, hop,
-// node) into per-message timelines. A reception is one Event written to
-// both. Keep adds the third: the first n events a predicate accepts, for
-// the whole run, which is how the root package's Trace reads a flight
-// recorder.
+// type, kept under three retention policies. A live node's flight recorder
+// is an always-on ring of every origination, reception, transmission and
+// fault — the last N, dumped when something goes wrong; a simulated node
+// has none, as its run is re-read from the seed with a Trace. A node's
+// span ring holds only sampled messages (flow non-zero) across every
+// layer that touches them, which an offline analyzer (internal/flightpath)
+// merges on (flow, hop, node) into per-message timelines. A reception is
+// one Event written to both. Keep adds the third: the first n events a
+// predicate accepts, for the whole run, which is how the root package's
+// Trace records a simulated node.
 //
 // The ring is built with its node's clock and stamps At itself, under its
 // lock, so every layer writing to one ring shares one time base and the

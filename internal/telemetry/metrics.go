@@ -11,8 +11,9 @@
 //     snapshot time only.
 //   - A structured trace record schema with JSONL and Chrome trace_event
 //     exporters (record.go), consumed by cmd/difftrace.
-//   - A per-node flight recorder (flight.go): a fixed-size always-on ring
-//     of recent protocol activity, dumped when something goes wrong.
+//   - A per-node event ring (event.go): the live daemon's fixed-size
+//     always-on flight recorder of recent protocol activity, dumped when
+//     something goes wrong, a node's span ring, and a Trace's record.
 package telemetry
 
 import (

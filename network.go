@@ -2,7 +2,6 @@ package diffusion
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -146,8 +145,7 @@ type Network struct {
 	faultHooks []func(FaultEvent)
 	// Telemetry wiring (see telemetry.go): the nodes' registries plus one
 	// for the shared channel, aggregated by the hub.
-	hub        *telemetry.Hub
-	flightSink io.Writer
+	hub *telemetry.Hub
 }
 
 // part is what the network holds for one topology node: a full node or a
@@ -157,11 +155,10 @@ type part struct {
 	reg  *telemetry.Registry
 	node Node // its core is nil for a mote
 	mote *Mote
-	// flight is a full node's always-on flight recorder, spans its
-	// flight-path span ring when TraceSampling is enabled (see trace.go and
-	// cmd/difftrace paths).
-	flight, spans *telemetry.Ring
-	down          bool // crashed (see fault.go)
+	// spans is a full node's flight-path span ring when TraceSampling is
+	// enabled (see cmd/difftrace paths).
+	spans *telemetry.Ring
+	down  bool // crashed (see fault.go)
 }
 
 // part returns node id's parts, or nil when id is not in the topology.
@@ -226,8 +223,8 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		hub:     telemetry.NewHub(eng.Now),
 	}
 	net.channel.Instrument(net.hub.Register(telemetry.NewRegistry("channel")))
-	// Every port reads the engine's clock, so the rings share one method
-	// value rather than holding one per node.
+	// Every port reads the engine's clock, so the span rings share one
+	// method value rather than holding one per node.
 	now := eng.Now
 	for i, id := range ids {
 		net.index[id] = i
@@ -248,7 +245,6 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		m := mac.Attach(pt.port, net.channel, id, mp, func(from uint32, payload []byte) {
 			n.Receive(from, payload)
 		})
-		pt.flight = telemetry.NewRing(telemetry.DefaultFlightSize, now)
 		var cusq *custody.Queue
 		if cfg.Custody {
 			// Journal-less in the simulator: the queue's partition
@@ -274,7 +270,6 @@ func NewNetwork(cfg NetworkConfig) *Network {
 				SeenTTL:             cfg.SeenTTL,
 				DisableNegRF:        cfg.DisableNegativeReinforcement,
 				Custody:             cusq,
-				Flight:              pt.flight,
 				TraceSample:         cfg.TraceSampling,
 				Spans:               pt.spans,
 			}),
@@ -283,10 +278,6 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		n.Node.Instrument(pt.reg)
 		net.instrumentLink(pt.reg, m)
 	}
-	// Stamp every fault into the affected nodes' flight recorders, and dump
-	// them when a sink is set (SetFlightDump) so fault-laden runs
-	// self-diagnose.
-	net.OnFault(net.recordFaultFlight)
 	return net
 }
 

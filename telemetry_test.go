@@ -74,48 +74,6 @@ func TestMetricsFreezeWhileDetachedResumeAfterRestart(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderDumpsOnFault(t *testing.T) {
-	net := telemetryRun(63, 3)
-	var dump bytes.Buffer
-	net.SetFlightDump(&dump)
-	net.Run(2 * time.Minute)
-	if net.FlightRecorder(2).Total() == 0 {
-		t.Fatal("flight recorder saw no traffic before the fault")
-	}
-	net.CrashNode(2)
-	out := dump.String()
-	for _, want := range []string{"flight dump on fault", "--- node 2 ---", "node-down"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fault dump missing %q:\n%s", want, out)
-		}
-	}
-	// The ring itself carries the fault record too.
-	recs := net.FlightRecorder(2).Records()
-	last := recs[len(recs)-1]
-	if last.Verb.String() != "fault" {
-		t.Errorf("last flight record is %v, want the fault", last)
-	}
-
-	// DumpFlightRecorders renders every node.
-	var all bytes.Buffer
-	net.DumpFlightRecorders(&all)
-	for _, want := range []string{"--- node 1 ---", "--- node 2 ---", "--- node 3 ---"} {
-		if !strings.Contains(all.String(), want) {
-			t.Errorf("full dump missing %q", want)
-		}
-	}
-}
-
-func TestFlightDumpDisabledByDefault(t *testing.T) {
-	net := telemetryRun(64, 3)
-	net.Run(time.Minute)
-	net.CrashNode(2) // no sink set: must not panic, ring still records
-	recs := net.FlightRecorder(2).Records()
-	if len(recs) == 0 || recs[len(recs)-1].Verb.String() != "fault" {
-		t.Error("flight ring did not record the fault without a dump sink")
-	}
-}
-
 func TestTraceDropAccounting(t *testing.T) {
 	net := telemetryRun(65, 3)
 	tr := net.NewTrace(10)

@@ -205,7 +205,7 @@ func TestKernelRunUntilAdvancesClock(t *testing.T) {
 
 func TestKernelPendingAndNextEventAt(t *testing.T) {
 	k := newTestEngine(1, 3)
-	if _, ok := k.NextEventAt(); ok {
+	if _, ok := headAt(k); ok {
 		t.Error("empty engine reports a next event")
 	}
 	k.Port(1).After(2*time.Second, func() {})
@@ -214,15 +214,15 @@ func TestKernelPendingAndNextEventAt(t *testing.T) {
 	if n := k.Pending(); n != 3 {
 		t.Errorf("Pending=%d want 3", n)
 	}
-	if at, ok := k.NextEventAt(); !ok || at != time.Second {
-		t.Errorf("NextEventAt=%v,%v want 1s", at, ok)
+	if at, ok := headAt(k); !ok || at != time.Second {
+		t.Errorf("next event at %v,%v want 1s", at, ok)
 	}
 	tm.Cancel()
 	if n := k.Pending(); n != 2 {
 		t.Errorf("Pending=%d after cancel, want 2", n)
 	}
-	if at, ok := k.NextEventAt(); !ok || at != 2*time.Second {
-		t.Errorf("NextEventAt=%v,%v after cancel, want 2s", at, ok)
+	if at, ok := headAt(k); !ok || at != 2*time.Second {
+		t.Errorf("next event at %v,%v after cancel, want 2s", at, ok)
 	}
 }
 

@@ -210,11 +210,20 @@ func fanoutSchedule(seed int64, fan, stop, chunked bool) []string {
 }
 
 func nextAt(k *Engine) string {
-	at, ok := k.NextEventAt()
+	at, ok := headAt(k)
 	if !ok {
 		return "none"
 	}
 	return at.String()
+}
+
+// headAt returns the time of the heap's head, the next event to run, or
+// ok=false when nothing is pending.
+func headAt(k *Engine) (at time.Duration, ok bool) {
+	if ev := k.events.peek(); ev != nil {
+		return ev.key.at, true
+	}
+	return 0, false
 }
 
 // Fan-out ≡ one Event per key, over 300 seeds × {Run, RunUntil per

@@ -280,17 +280,6 @@ func (s *Engine) RunUntil(t time.Duration) {
 // Stop halts the event loop; subsequent Step calls return false.
 func (s *Engine) Stop() { s.stopped = true }
 
-// NextEventAt returns the timestamp of the next live event, or ok=false
-// when the queue is empty. Its callers are tests that check what is
-// scheduled.
-func (s *Engine) NextEventAt() (time.Duration, bool) {
-	ev := s.events.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.key.at, true
-}
-
 // Pending returns the number of heap entries (diagnostics, O(1)): one per
 // pending Event — Cancel removes its entry at once — and one per pending
 // Fanout, however many of its sub-events are still to run.

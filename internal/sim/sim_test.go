@@ -234,15 +234,15 @@ func TestRealClock(t *testing.T) {
 
 func TestNextEventAt(t *testing.T) {
 	s := New(1)
-	if _, ok := s.NextEventAt(); ok {
+	if _, ok := headAt(s); ok {
 		t.Error("empty queue has no next event")
 	}
 	tm := s.After(5*time.Second, func() {})
-	if at, ok := s.NextEventAt(); !ok || at != 5*time.Second {
+	if at, ok := headAt(s); !ok || at != 5*time.Second {
 		t.Errorf("next event at %v, %v", at, ok)
 	}
 	tm.Cancel()
-	if _, ok := s.NextEventAt(); ok {
+	if _, ok := headAt(s); ok {
 		t.Error("cancelled events must not count as next")
 	}
 }

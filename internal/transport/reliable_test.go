@@ -322,11 +322,9 @@ func TestReliableRecycledBuffersKeepTheirBytes(t *testing.T) {
 		}
 		rng.Read(p) // the caller reuses its buffer once Send returns
 		checkSpare()
-		for end := n.sched.Now() + 5*time.Millisecond; ; {
-			if at, ok := n.sched.NextEventAt(); !ok || at > end {
-				break
-			}
-			n.sched.Step()
+		stop := false
+		n.sched.After(5*time.Millisecond, func() { stop = true })
+		for !stop && n.sched.Step() {
 			checkSpare()
 		}
 	}

@@ -203,8 +203,10 @@ func TestEmptyRing(t *testing.T) {
 
 // servedSpans boots two traced live stacks on loopback, node 1 subscribing
 // and node 2 publishing, sends from node 2, once it has heard node 1's
-// interest, until node 1 has a delivery, and
-// serves node 2's span ring as a diffnode serves GET /spans.
+// interest, until node 1 has a delivery, and serves node 2's span ring as
+// a diffnode serves GET /spans. The ring is read once, at the delivery:
+// the stacks keep working, so every request gets that one body, and the
+// commands and a test's own count read the same bytes.
 func servedSpans(t *testing.T) string {
 	t.Helper()
 	ports, err := chaos.FreePorts("udp", 2)
@@ -247,8 +249,12 @@ func servedSpans(t *testing.T) string {
 		})
 		select {
 		case <-delivered:
+			var body bytes.Buffer
+			if err := source.WriteSpans(&body, 0); err != nil {
+				t.Fatal(err)
+			}
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				source.WriteSpans(w, 0)
+				w.Write(body.Bytes())
 			}))
 			t.Cleanup(srv.Close)
 			return srv.URL

@@ -186,14 +186,14 @@ func TestChaosKillRelayRecovery(t *testing.T) {
 	t.Logf("delivery resumed %v after relay restart", time.Since(restartAt).Round(100*time.Millisecond))
 
 	// --- Partition fault: isolate the sink. ---
-	if err := chaos.Partition(sink, procs[1]); err != nil {
+	if err := chaos.PartitionGroups([]*chaos.Proc{sink}, []*chaos.Proc{procs[1]}); err != nil {
 		t.Fatal(err)
 	}
 	waitCluster(t, 10*time.Second, "sink to report isolation via 503", func() bool {
 		code, body, err := sink.Healthz()
 		return err == nil && code == http.StatusServiceUnavailable && body["isolated"] == true
 	})
-	if err := chaos.Heal(sink, procs[1]); err != nil {
+	if err := chaos.HealAll(sink, procs[1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.WaitHealthy(10 * time.Second); err != nil {
@@ -204,8 +204,8 @@ func TestChaosKillRelayRecovery(t *testing.T) {
 		return delivered() >= healed+3
 	})
 
-	// --- Loss ramp: the reliable link must deliver through 20% loss. ---
-	if err := procs[1].LossRamp(0.2, 2, 200*time.Millisecond); err != nil {
+	// --- Loss: the reliable link must deliver through 20% loss. ---
+	if err := procs[1].SetLoss(0.2); err != nil {
 		t.Fatal(err)
 	}
 	rampStart := delivered()

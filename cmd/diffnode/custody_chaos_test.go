@@ -158,7 +158,7 @@ func TestChaosCustodyLongPartition(t *testing.T) {
 	// source side: at 3 until its gradients from 4 decay, then at 4 and
 	// the source itself.
 	partitionStart := time.Now()
-	if err := chaos.Partition(procs[1], custodian); err != nil {
+	if err := chaos.PartitionGroups([]*chaos.Proc{procs[1]}, []*chaos.Proc{custodian}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +187,7 @@ func TestChaosCustodyLongPartition(t *testing.T) {
 	if rest := 6*time.Second - time.Since(partitionStart); rest > 0 {
 		time.Sleep(rest)
 	}
-	if err := chaos.Heal(procs[1], custodian); err != nil {
+	if err := chaos.HealAll(procs[1], custodian); err != nil {
 		t.Fatal(err)
 	}
 	healedAt := time.Now()

@@ -37,7 +37,7 @@ func generateGolden(t *testing.T) []byte {
 	inj := net.NewFaultInjector()
 	inj.LinkDownAt(90*time.Second, 2, 3)
 	inj.LinkUpAt(150*time.Second, 2, 3)
-	tr.SetFaultScript(inj.Script())
+	tr.SetFaultScript([]string{"link 2<->3 down at 1m30s", "link 2<->3 up at 2m30s"})
 
 	sink := net.Node(1)
 	sink.Subscribe(diffusion.Attributes{

@@ -45,17 +45,12 @@ func (t *faultTarget) NodeEnergy(id uint32) float64 {
 	return (*Network)(t).NodeEnergyConsumed(id)
 }
 
-// OnFault registers fn to observe every fault applied to the network
-// (crashes, reboots, link blackouts), however injected. Traces use it to
-// make churn runs self-describing.
-func (net *Network) OnFault(fn func(FaultEvent)) {
-	net.faultHooks = append(net.faultHooks, fn)
-}
-
+// notifyFault hands a fault applied to the network (a crash, reboot or
+// link blackout, however injected) to the newest trace, so traces of churn
+// runs are self-describing.
 func (net *Network) notifyFault(k FaultKind, node, peer uint32) {
-	ev := FaultEvent{At: net.Now(), Kind: k, Node: node, Peer: peer}
-	for _, fn := range net.faultHooks {
-		fn(ev)
+	if net.trace != nil {
+		net.trace.recordFault(FaultEvent{At: net.Now(), Kind: k, Node: node, Peer: peer})
 	}
 }
 

@@ -16,7 +16,7 @@ func TestAllocsVecOwn(t *testing.T) {
 		Float64Attr(KeyConfidence, GT, 0.85),
 		BlobAttr(KeyPayload, IS, []byte{0, 1, 2, 254, 255}),
 		StringAttr(KeyInstance, IS, "elephant"),
-	}.Encode()
+	}.AppendEncode(nil)
 	want, _, err := DecodeVec(wire)
 	if err != nil {
 		t.Fatal(err)

@@ -95,12 +95,7 @@ const (
 	TypeFloat64
 	TypeString
 	TypeBlob
-
-	numTypes
 )
-
-// Valid reports whether t is one of the defined value types.
-func (t Type) Valid() bool { return t < numTypes }
 
 // String returns a short name for the type.
 func (t Type) String() string {
@@ -324,16 +319,6 @@ func (v Vec) Clone() Vec {
 	out := make(Vec, len(v))
 	copy(out, v)
 	return out
-}
-
-// Find returns the first attribute with the given key, or ok=false.
-func (v Vec) Find(k Key) (Attribute, bool) {
-	for _, a := range v {
-		if a.Key == k {
-			return a, true
-		}
-	}
-	return Attribute{}, false
 }
 
 // FindActual returns the first actual (IS) attribute with the given key.

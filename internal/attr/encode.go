@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"unsafe"
 )
 
@@ -63,9 +62,6 @@ func (v Vec) AppendEncode(dst []byte) []byte {
 	}
 	return dst
 }
-
-// Encode returns the wire encoding of v.
-func (v Vec) Encode() []byte { return v.AppendEncode(make([]byte, 0, v.Size())) }
 
 // ScanVec validates the attribute vector encoded at the front of b without
 // building it, and returns its attribute count and encoded length. It is the
@@ -218,26 +214,6 @@ func (v Vec) Hash(extra ...Attribute) uint64 {
 		}
 	}
 	return sum ^ (xor * 0x9e3779b97f4a7c15)
-}
-
-// Canonical returns a copy of v sorted by (key, op, type, value string),
-// giving a deterministic rendering for logs and tests.
-func (v Vec) Canonical() Vec {
-	out := v.Clone()
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		if a.Op != b.Op {
-			return a.Op < b.Op
-		}
-		if a.Val.Type != b.Val.Type {
-			return a.Val.Type < b.Val.Type
-		}
-		return a.Val.String() < b.Val.String()
-	})
-	return out
 }
 
 // Equal reports whether a and b contain the same attributes in the same

@@ -85,7 +85,7 @@ func FuzzDecodeVec(f *testing.F) {
 		StringAttr(KeyTask, IS, "stale"), StringAttr(KeyType, IS, "stale"),
 		StringAttr(KeyTask, EQ, "stale"), StringAttr(KeyType, EQ, "stale"),
 		BlobAttr(KeyPayload, IS, []byte("stale")),
-	}.Encode()
+	}.AppendEncode(nil)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		orig := bytes.Clone(b)
 		want, wantN, wantErr := decodeVecOracle(b)
@@ -128,7 +128,7 @@ func FuzzDecodeVec(f *testing.F) {
 		if !bytes.Equal(b, orig) {
 			t.Fatalf("appending to a view's blob wrote into the input:\n got %x\nwant %x", b, orig)
 		}
-		if enc := v.Encode(); !bytes.Equal(enc, orig[:n]) {
+		if enc := v.AppendEncode(nil); !bytes.Equal(enc, orig[:n]) {
 			t.Fatalf("re-encoding differs from the bytes consumed:\n got %x\nwant %x", enc, orig[:n])
 		}
 		// No aliasing: the input is the caller's to overwrite.

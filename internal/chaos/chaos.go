@@ -3,14 +3,14 @@
 // network under a virtual clock, this package attacks real diffnode
 // processes the way production does: SIGKILL and re-exec for crash
 // faults, and each member's POST /chaos control endpoint for
-// transport-level partitions and loss ramps.
+// transport-level partitions and loss.
 //
 // A Proc wraps one member process. Kill delivers an unhandleable
 // SIGKILL — no drain, no state save beyond what the daemon already
 // persisted — and Restart re-execs the identical argv, so a member
 // configured with -state-file exercises the daemon's warm-restart path
 // exactly as a supervisor (systemd, a k8s kubelet) would. The
-// impairment levers (SetLoss, Block, Partition) mirror the daemon's
+// impairment levers (SetLoss, Block, PartitionGroups) mirror the daemon's
 // chaos endpoint and keep a local copy of the intended state so
 // successive calls compose.
 package chaos
@@ -30,7 +30,7 @@ import (
 
 // ProcSpec describes how to run and reach one member process.
 type ProcSpec struct {
-	// ID is the member's diffusion node ID (used in logs and Partition).
+	// ID is the member's diffusion node ID (used in logs and PartitionGroups).
 	ID uint32
 	// Argv is the full command line, Argv[0] being the binary. Restart
 	// re-execs it verbatim.
@@ -108,16 +108,6 @@ func (p *Proc) HTTPAddr() string {
 	return p.spec.HTTP
 }
 
-// Pid returns the current process ID (-1 when not running).
-func (p *Proc) Pid() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cmd == nil || p.cmd.Process == nil {
-		return -1
-	}
-	return p.cmd.Process.Pid
-}
-
 // Alive reports whether the process is currently running.
 func (p *Proc) Alive() bool {
 	p.mu.Lock()
@@ -190,22 +180,6 @@ func (p *Proc) Restart() error {
 	return p.startLocked()
 }
 
-// WaitExit blocks until the process exits or the timeout passes.
-func (p *Proc) WaitExit(timeout time.Duration) error {
-	p.mu.Lock()
-	exited := p.exited
-	p.mu.Unlock()
-	if exited == nil {
-		return nil
-	}
-	select {
-	case <-exited:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("chaos: member %d: still running after %v", p.spec.ID, timeout)
-	}
-}
-
 // Healthz fetches the member's /healthz. The decoded body is returned
 // even on 503 (an isolated node still reports per-neighbor state).
 func (p *Proc) Healthz() (int, map[string]any, error) {
@@ -256,17 +230,6 @@ func (p *Proc) Block(peers ...uint32) error {
 	return p.postChaos(map[string]any{"blocked": set})
 }
 
-// Unblock removes peers from the member's blocked set.
-func (p *Proc) Unblock(peers ...uint32) error {
-	p.mu.Lock()
-	for _, id := range peers {
-		delete(p.blocked, id)
-	}
-	set := p.blockedLocked()
-	p.mu.Unlock()
-	return p.postChaos(map[string]any{"blocked": set})
-}
-
 // blockedLocked renders the blocked set sorted; caller holds p.mu.
 func (p *Proc) blockedLocked() []uint32 {
 	set := make([]uint32, 0, len(p.blocked))
@@ -294,43 +257,6 @@ func (p *Proc) postChaos(body map[string]any) error {
 		return fmt.Errorf("chaos: member %d: /chaos answered %d", p.spec.ID, resp.StatusCode)
 	}
 	return nil
-}
-
-// LossRamp steps the member's egress loss from its current value to
-// target in steps equal increments, holding each level for hold. The
-// classic ramp experiment: watch retransmits climb and delivery hold.
-func (p *Proc) LossRamp(target float64, steps int, hold time.Duration) error {
-	if steps < 1 {
-		steps = 1
-	}
-	p.mu.Lock()
-	from := p.loss
-	p.mu.Unlock()
-	for i := 1; i <= steps; i++ {
-		f := from + (target-from)*float64(i)/float64(steps)
-		if err := p.SetLoss(f); err != nil {
-			return err
-		}
-		time.Sleep(hold)
-	}
-	return nil
-}
-
-// Partition blocks all traffic between two members, both directions on
-// both ends — a symmetric network split.
-func Partition(a, b *Proc) error {
-	if err := a.Block(b.ID()); err != nil {
-		return err
-	}
-	return b.Block(a.ID())
-}
-
-// Heal lifts a Partition.
-func Heal(a, b *Proc) error {
-	if err := a.Unblock(b.ID()); err != nil {
-		return err
-	}
-	return b.Unblock(a.ID())
 }
 
 // ClearBlocked empties the member's blocked set in one update,

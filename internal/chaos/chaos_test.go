@@ -83,9 +83,6 @@ func TestKillAndRestartLifecycle(t *testing.T) {
 	if !p.Alive() {
 		t.Fatal("not alive after Start")
 	}
-	if p.Pid() <= 0 {
-		t.Fatalf("pid = %d", p.Pid())
-	}
 	if err := p.Restart(); err == nil {
 		t.Fatal("Restart of a running member must fail")
 	}
@@ -95,15 +92,11 @@ func TestKillAndRestartLifecycle(t *testing.T) {
 	if p.Alive() {
 		t.Fatal("alive after Kill returned")
 	}
-	if err := p.WaitExit(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	pid := p.Pid()
 	if err := p.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Alive() || p.Pid() == pid {
-		t.Fatalf("restart: alive=%v pid %d -> %d", p.Alive(), pid, p.Pid())
+	if !p.Alive() {
+		t.Fatal("not alive after Restart")
 	}
 	if err := p.WaitHealthy(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -132,19 +125,15 @@ func TestTerminateEscalates(t *testing.T) {
 	}
 }
 
-// TestImpairmentLevers checks SetLoss/Block/Unblock/Partition compose a
-// consistent blocked set and post it to the member's /chaos endpoint.
+// TestImpairmentLevers checks SetLoss and Block compose a consistent
+// blocked set and post it to the member's /chaos endpoint.
 func TestImpairmentLevers(t *testing.T) {
-	stubA, stubB := newStubMember(t), newStubMember(t)
+	stubA := newStubMember(t)
 	a, err := Start(ProcSpec{ID: 1, Argv: sleepArgv(t), HTTP: stubA.addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Start(ProcSpec{ID: 2, Argv: sleepArgv(t), HTTP: stubB.addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Kill(); b.Kill() })
+	t.Cleanup(func() { a.Kill() })
 
 	if err := a.SetLoss(0.5); err != nil {
 		t.Fatal(err)
@@ -161,25 +150,6 @@ func TestImpairmentLevers(t *testing.T) {
 	if got, _ := json.Marshal(stubA.last(t)["blocked"]); string(got) != "[2,7]" {
 		t.Fatalf("blocked posted = %s", got)
 	}
-	if err := a.Unblock(7); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := json.Marshal(stubA.last(t)["blocked"]); string(got) != "[2]" {
-		t.Fatalf("blocked after unblock = %s", got)
-	}
-
-	if err := Partition(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := json.Marshal(stubB.last(t)["blocked"]); string(got) != "[1]" {
-		t.Fatalf("partition on b = %s", got)
-	}
-	if err := Heal(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := json.Marshal(stubB.last(t)["blocked"]); string(got) != "[]" {
-		t.Fatalf("heal on b = %s", got)
-	}
 
 	// A restart resets the impairment mirror: the next Block posts a set
 	// without the pre-crash entries.
@@ -194,36 +164,6 @@ func TestImpairmentLevers(t *testing.T) {
 	}
 	if got, _ := json.Marshal(stubA.last(t)["blocked"]); string(got) != "[9]" {
 		t.Fatalf("blocked after restart = %s", got)
-	}
-}
-
-// TestLossRamp steps loss in increments and leaves it at the target.
-func TestLossRamp(t *testing.T) {
-	stub := newStubMember(t)
-	p, err := Start(ProcSpec{ID: 5, Argv: sleepArgv(t), HTTP: stub.addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Kill() })
-	if err := p.LossRamp(0.4, 4, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	stub.mu.Lock()
-	var losses []float64
-	for _, c := range stub.chaos {
-		if v, ok := c["loss"].(float64); ok {
-			losses = append(losses, v)
-		}
-	}
-	stub.mu.Unlock()
-	want := []float64{0.1, 0.2, 0.3, 0.4}
-	if len(losses) != len(want) {
-		t.Fatalf("ramp steps = %v", losses)
-	}
-	for i, v := range want {
-		if diff := losses[i] - v; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("ramp steps = %v, want %v", losses, want)
-		}
 	}
 }
 

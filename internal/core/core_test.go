@@ -544,7 +544,7 @@ func TestDetachFreezesAndRestartRejoins(t *testing.T) {
 	}
 
 	relay.Detach()
-	if !relay.Detached() {
+	if !relay.detached {
 		t.Error("Detached() must report true after Detach")
 	}
 	if err := relay.Send(0, nil); err != ErrDetached {
@@ -562,7 +562,7 @@ func TestDetachFreezesAndRestartRejoins(t *testing.T) {
 	}
 
 	relay.Restart()
-	if relay.Detached() {
+	if relay.detached {
 		t.Error("Detached() must report false after Restart")
 	}
 	if relay.Entries() != 0 {

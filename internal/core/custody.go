@@ -99,7 +99,7 @@ func (n *Node) custodyReoffer(m *message.Message) {
 			break
 		}
 	}
-	n.putEntryBuf(entries)
+	n.midx.entryBufs.put(entries)
 	if sink {
 		n.sendCustodyAck(m.ID, m.PrevHop)
 		return
@@ -172,7 +172,7 @@ func (n *Node) replayItem(it custody.Item) (stop bool) {
 	avoid := m.PrevHop
 	now := n.cfg.Clock.Now()
 	entries := n.matchingEntries(m.Attrs)
-	defer n.putEntryBuf(entries)
+	defer n.midx.entryBufs.put(entries)
 
 	// The role may have moved here since capture (warm restart):
 	// deliver locally and discharge. A seen-cache hit means the message

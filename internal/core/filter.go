@@ -95,7 +95,7 @@ func (n *Node) runChainFrom(m *message.Message, start int) {
 		// One-way index lookup yields every matching filter; the earliest
 		// chain position at or past start is exactly the filter the old
 		// in-order scan would have stopped at.
-		tags := n.midx.getTags()
+		tags := n.midx.tagBufs.get()
 		tags = n.midx.filters.Lookup(m.Attrs, tags)
 		var best *filter
 		for _, t := range tags {
@@ -104,7 +104,7 @@ func (n *Node) runChainFrom(m *message.Message, start int) {
 				best = f
 			}
 		}
-		n.midx.putTags(tags)
+		n.midx.tagBufs.put(tags)
 		if best != nil {
 			n.Stats.FilterInvocations++
 			best.cb(m, best.handle)
@@ -141,9 +141,6 @@ func (n *Node) InjectMessage(m *message.Message) {
 	out.PrevHop = selfID(n)
 	n.dispatch(out)
 }
-
-// Filters returns the number of installed filters (diagnostics).
-func (n *Node) Filters() int { return len(n.filters) }
 
 // ProcessNoForward runs the diffusion core on m (gradient setup, local
 // delivery, reinforcement handling) but suppresses any re-flooding, so a

@@ -158,7 +158,7 @@ func TestRemoveFilter(t *testing.T) {
 		hits++
 		n.SendMessageToNext(m, fh)
 	})
-	if n.Filters() != 1 {
+	if len(n.filters) != 1 {
 		t.Fatal("filter count")
 	}
 	if err := n.RemoveFilter(h); err != nil {

@@ -204,19 +204,20 @@ func (n *Node) ReinforcedUpstream(attrs attr.Vec) (uint32, bool) {
 // matchingEntries returns entries whose interest attributes two-way match
 // the given data attributes, ascending by hash (the same canonical order
 // the old full-table scan produced). The result comes from the node's
-// snapshot pool; callers must release it with putEntryBuf, and may hold it
-// across re-entrant core calls — nested lookups draw distinct buffers.
+// snapshot pool; callers must release it with n.midx.entryBufs.put, and
+// may hold it across re-entrant core calls — nested lookups draw distinct
+// buffers.
 func (n *Node) matchingEntries(data attr.Vec) []*interestEntry {
-	tags := n.midx.getTags()
+	tags := n.midx.tagBufs.get()
 	tags = n.midx.entries.Lookup(data, tags)
 	slices.Sort(tags) // tags are entry hashes
-	out := n.getEntryBuf()
+	out := n.midx.entryBufs.get()
 	for _, h := range tags {
 		if e, ok := n.entries[h]; ok {
 			out = append(out, e)
 		}
 	}
-	n.midx.putTags(tags)
+	n.midx.tagBufs.put(tags)
 	return out
 }
 
@@ -344,7 +345,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 					break
 				}
 			}
-			n.putEntryBuf(entries)
+			n.midx.entryBufs.put(entries)
 		}
 		return
 	}
@@ -358,7 +359,7 @@ func (n *Node) coreData(m *message.Message, local bool) {
 	}
 
 	entries := n.matchingEntries(m.Attrs)
-	defer n.putEntryBuf(entries)
+	defer n.midx.entryBufs.put(entries)
 	if len(entries) == 0 && !(m.Class == message.ExploratoryData && isPush(m.Attrs)) {
 		// No gradient state: nothing to do ("data is sent only where
 		// interests have established gradients"). One-phase-push
@@ -600,7 +601,7 @@ const (
 // negative reinforcement to the sender once duplicates persist.
 func (n *Node) noteDuplicateData(m *message.Message) {
 	entries := n.matchingEntries(m.Attrs)
-	defer n.putEntryBuf(entries)
+	defer n.midx.entryBufs.put(entries)
 	if len(entries) == 0 {
 		return
 	}
@@ -633,17 +634,17 @@ func (n *Node) noteDuplicateData(m *message.Message) {
 // borrows m itself, usually the node's receive or origination message,
 // whose attributes are cleared once the reception or origination returns.
 func (n *Node) deliverLocal(m *message.Message) {
-	tags := n.midx.getTags()
+	tags := n.midx.tagBufs.get()
 	tags = n.midx.subs.Lookup(m.Attrs, tags)
 	if len(tags) == 0 {
-		n.midx.putTags(tags)
+		n.midx.tagBufs.put(tags)
 		return
 	}
 	// Resolve each matched group to its members before any callback runs:
 	// this is the snapshot the pre-index delivery loop took, so a callback
 	// that unsubscribes another matched subscription does not suppress its
 	// delivery mid-message.
-	subs := n.getSubBuf()
+	subs := n.midx.subBufs.get()
 	for _, t := range tags {
 		for _, s := range n.groupsByTag[t].members {
 			if s.cb != nil {
@@ -651,7 +652,7 @@ func (n *Node) deliverLocal(m *message.Message) {
 			}
 		}
 	}
-	n.midx.putTags(tags)
+	n.midx.tagBufs.put(tags)
 	sortSubsByHandle(subs)
 	delivered := false
 	for _, s := range subs {
@@ -659,7 +660,7 @@ func (n *Node) deliverLocal(m *message.Message) {
 		delivered = true
 		s.cb(m)
 	}
-	n.putSubBuf(subs)
+	n.midx.subBufs.put(subs)
 	if delivered {
 		n.span(telemetry.Deliver, telemetry.LayerCore, m, n.ID(), telemetry.DropNone)
 	}

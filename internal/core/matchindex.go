@@ -19,10 +19,8 @@ import "diffusion/internal/match"
 //   - Results are consumed in the same canonical orders as the scans
 //     they replace: entries ascending by attribute hash, subscriptions
 //     and filters ascending by handle, so traces stay byte-identical.
-//   - Lookups are allocation-free in steady state: tag results land in
-//     pooled buffers (free lists on the node — callbacks can re-enter
-//     the core, so a single scratch buffer would be clobbered mid-use;
-//     the pool hands nested calls distinct buffers).
+//   - Lookups are allocation-free in steady state: results land in
+//     pooled buffers (see freeList).
 type matchIndexes struct {
 	// entries indexes interest-entry attributes; tag = entry hash.
 	// Two-way: data matches an entry iff attr.Match(entry, data).
@@ -34,56 +32,40 @@ type matchIndexes struct {
 	// every formal of the filter satisfied by an actual of the message.
 	filters match.Index
 
-	tagBufs [][]uint64
+	// tagBufs hold lookup results; each is put back before any user
+	// callback runs. entryBufs (matchingEntries snapshots) and subBufs
+	// stay live across callbacks.
+	tagBufs   freeList[uint64]
+	entryBufs freeList[*interestEntry]
+	subBufs   freeList[*subscription]
 }
 
-// init sets the filters index one-way; the other two are zero, two-way.
-func (x *matchIndexes) init() { x.filters = *match.New(match.OneWay) }
+// init sets the filters index one-way (the other two are zero, two-way)
+// and the buffers' first capacities.
+func (x *matchIndexes) init() {
+	x.filters = *match.New(match.OneWay)
+	x.tagBufs.size, x.entryBufs.size, x.subBufs.size = 16, 8, 8
+}
 
-// getTags hands out a pooled tag buffer; putTags returns it. Buffers must
-// be returned before any user callback runs — nested core entry then
-// draws a fresh buffer instead of clobbering a live one.
-func (x *matchIndexes) getTags() []uint64 {
-	if n := len(x.tagBufs); n > 0 {
-		b := x.tagBufs[n-1]
-		x.tagBufs = x.tagBufs[:n-1]
+// freeList pools buffers: get hands out a spare one emptied, or a new one
+// of capacity size, and put takes one back. Callbacks can re-enter the
+// core, so a single scratch buffer would be clobbered mid-use; the list
+// hands nested calls distinct buffers.
+type freeList[T any] struct {
+	bufs [][]T
+	size int
+}
+
+func (l *freeList[T]) get() []T {
+	if n := len(l.bufs); n > 0 {
+		b := l.bufs[n-1]
+		l.bufs = l.bufs[:n-1]
 		return b[:0]
 	}
-	return make([]uint64, 0, 16)
+	return make([]T, 0, l.size)
 }
 
-func (x *matchIndexes) putTags(b []uint64) {
-	x.tagBufs = append(x.tagBufs, b)
-}
-
-// getEntryBuf hands out a pooled entry snapshot buffer (matchingEntries
-// results). Unlike tag buffers these stay live across callbacks — nested
-// calls pull distinct buffers from the free list.
-func (n *Node) getEntryBuf() []*interestEntry {
-	if l := len(n.entryBufs); l > 0 {
-		b := n.entryBufs[l-1]
-		n.entryBufs = n.entryBufs[:l-1]
-		return b[:0]
-	}
-	return make([]*interestEntry, 0, 8)
-}
-
-func (n *Node) putEntryBuf(b []*interestEntry) {
-	n.entryBufs = append(n.entryBufs, b)
-}
-
-func (n *Node) getSubBuf() []*subscription {
-	if l := len(n.subBufs); l > 0 {
-		b := n.subBufs[l-1]
-		n.subBufs = n.subBufs[:l-1]
-		return b[:0]
-	}
-	return make([]*subscription, 0, 8)
-}
-
-func (n *Node) putSubBuf(b []*subscription) {
-	n.subBufs = append(n.subBufs, b)
-}
+func (l *freeList[T]) put(b []T) { l.bufs = append(l.bufs, b) }
 
 // dropEntry removes an interest entry from the table and every secondary
 // index. All entry deletions go through here.

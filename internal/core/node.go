@@ -291,10 +291,6 @@ type Node struct {
 	// midx holds the inverted match indexes behind every match site; see
 	// matchindex.go for the exactness and determinism contract.
 	midx matchIndexes
-	// entryBufs/subBufs are free lists for pooled match-result snapshots
-	// (see matchindex.go).
-	entryBufs [][]*interestEntry
-	subBufs   [][]*subscription
 
 	entries map[uint64]*interestEntry // keyed by attr hash
 	seen    seenCache
@@ -461,9 +457,6 @@ func (n *Node) Restart() {
 	n.housekeep = sim.Every(n.cfg.Clock, housekeepInterval, housekeepInterval, n.housekeeping)
 }
 
-// Detached reports whether the node is currently crashed.
-func (n *Node) Detached() bool { return n.detached }
-
 // nextID allocates a fresh message ID.
 func (n *Node) nextID() message.ID {
 	n.pktNum++
@@ -514,7 +507,6 @@ func (n *Node) span(v telemetry.Verb, layer telemetry.Layer, m *message.Message,
 // API errors.
 var (
 	ErrUnknownHandle = errors.New("core: unknown handle")
-	ErrNoGradient    = errors.New("core: no matching gradient state")
 	ErrDetached      = errors.New("core: node is detached (crashed)")
 )
 

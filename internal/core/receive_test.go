@@ -285,7 +285,7 @@ func TestInterestEntrySurvivesLaterReceptions(t *testing.T) {
 	for _, w := range wires {
 		l.receive(n, 1, w)
 	}
-	if !bytes.Equal(e.attrs.Encode(), lineInterest.Encode()) {
+	if !bytes.Equal(e.attrs.AppendEncode(nil), lineInterest.AppendEncode(nil)) {
 		t.Errorf("entry re-encodes as %v, received %v", e.attrs, lineInterest)
 	}
 	if e.attrs.Hash() != e.hash || e.hash != lineInterest.Hash() {
@@ -414,7 +414,7 @@ func TestNestedOriginationLeavesOuterMessageAlone(t *testing.T) {
 	if got, want := link.sent[1], []string{want(pkt+2, append(slices.Clone(linePub), lineEvent...)), want(pkt+1, lineEvent)}; !slices.Equal(got, want) {
 		t.Errorf("source sent\n%q\nwant the inner event, then the outer one\n%q", got, want)
 	}
-	if got, _ := n.SubscriptionAttrs(inner); !bytes.Equal(got.Encode(), lineEvent.Encode()) {
+	if got, _ := n.SubscriptionAttrs(inner); !bytes.Equal(got.AppendEncode(nil), lineEvent.AppendEncode(nil)) {
 		t.Errorf("the subscription made from the lent message holds %v, want %v", got, lineEvent)
 	}
 	if n.txBusy || !cleared(n.tx.Attrs) {

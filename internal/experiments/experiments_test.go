@@ -105,7 +105,7 @@ func TestFig9Shape(t *testing.T) {
 	}
 	// Paper shape 2: the nested advantage is material at 4 sensors
 	// (paper: 15-30% loss reduction).
-	if gap := Fig9Gap(points, 4); gap < 0.05 {
+	if gap := fig9Gap(points, 4); gap < 0.05 {
 		t.Errorf("nested advantage at 4 sensors = %.0f%%, want >5%%", 100*gap)
 	}
 	// Deliveries are nonzero everywhere.
@@ -129,10 +129,10 @@ func TestFig11Shape(t *testing.T) {
 	if len(points) != 4*len(cfg.Sizes) {
 		t.Fatalf("points: %d", len(points))
 	}
-	firstEQ, lastEQ := Fig11SeriesSlope(points, "match/EQ")
-	firstIS, lastIS := Fig11SeriesSlope(points, "match/IS")
-	_, lastNoEQ := Fig11SeriesSlope(points, "no-match/EQ")
-	_, lastNoIS := Fig11SeriesSlope(points, "no-match/IS")
+	firstEQ, lastEQ := fig11SeriesSlope(points, "match/EQ")
+	firstIS, lastIS := fig11SeriesSlope(points, "match/IS")
+	_, lastNoEQ := fig11SeriesSlope(points, "no-match/EQ")
+	_, lastNoIS := fig11SeriesSlope(points, "no-match/IS")
 
 	// Paper shape 1: matching cost grows with set size.
 	if lastEQ <= firstEQ {
@@ -440,4 +440,38 @@ func TestCaptureSweep(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Error("print output")
 	}
+}
+
+// fig9Gap returns nested minus flat delivery at the given sensor count
+// (the paper reports nested queries reduce loss rates by 15-30%).
+func fig9Gap(points []Fig9Point, sensors int) float64 {
+	var nested, flat float64
+	for _, p := range points {
+		if p.Sensors != sensors {
+			continue
+		}
+		if p.Nested {
+			nested = p.Delivered.Mean
+		} else {
+			flat = p.Delivered.Mean
+		}
+	}
+	return nested - flat
+}
+
+// fig11SeriesSlope returns (first, last) ns/match for one series, letting
+// callers check growth shape.
+func fig11SeriesSlope(points []Fig11Point, series string) (first, last float64) {
+	got := false
+	for _, p := range points {
+		if p.Series != series {
+			continue
+		}
+		if !got {
+			first = p.NsPerMatch
+			got = true
+		}
+		last = p.NsPerMatch
+	}
+	return
 }

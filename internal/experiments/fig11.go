@@ -177,20 +177,3 @@ func PrintFig11(w io.Writer, points []Fig11Point) {
 		fmt.Fprintf(w, "%-12s  %3d   %8.0f\n", p.Series, p.AttrsInB, p.NsPerMatch)
 	}
 }
-
-// Fig11SeriesSlope returns (first, last) ns/match for one series, letting
-// callers check growth shape.
-func Fig11SeriesSlope(points []Fig11Point, series string) (first, last float64) {
-	got := false
-	for _, p := range points {
-		if p.Series != series {
-			continue
-		}
-		if !got {
-			first = p.NsPerMatch
-			got = true
-		}
-		last = p.NsPerMatch
-	}
-	return
-}

@@ -236,20 +236,3 @@ func PrintFig9(w io.Writer, points []Fig9Point) {
 			p.Sensors, mode, 100*p.Delivered.Mean, 100*p.Delivered.CI95)
 	}
 }
-
-// Fig9Gap returns nested minus flat delivery at the given sensor count
-// (the paper reports nested queries reduce loss rates by 15-30%).
-func Fig9Gap(points []Fig9Point, sensors int) float64 {
-	var nested, flat float64
-	for _, p := range points {
-		if p.Sensors != sensors {
-			continue
-		}
-		if p.Nested {
-			nested = p.Delivered.Mean
-		} else {
-			flat = p.Delivered.Mean
-		}
-	}
-	return nested - flat
-}

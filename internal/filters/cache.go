@@ -79,10 +79,6 @@ func NewCache(n *core.Node, clock sim.Clock, opt CacheOptions) *Cache {
 // Remove uninstalls the cache.
 func (c *Cache) Remove() { _ = c.node.RemoveFilter(c.handle) }
 
-// Len returns the number of cached items (expired entries included until
-// touched).
-func (c *Cache) Len() int { return len(c.entries) }
-
 func (c *Cache) onMessage(m *message.Message, h core.FilterHandle) {
 	now := c.clock.Now()
 	switch m.Class {

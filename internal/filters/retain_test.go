@@ -142,8 +142,8 @@ func TestCacheHoldsWhatItReceived(t *testing.T) {
 	n := tn.AddNode(1, nil)
 	c := NewCache(n, tn.Sched, CacheOptions{})
 	rs := receive(t, tn, n, events("cache", attr.StringAttr(attr.KeyType, attr.IS, "light")), nil)
-	if c.Len() != retained {
-		t.Fatalf("cached %d of %d readings", c.Len(), retained)
+	if len(c.entries) != retained {
+		t.Fatalf("cached %d of %d readings", len(c.entries), retained)
 	}
 	for _, r := range rs {
 		id, _ := cacheIdentity(r.msg.Attrs, c.identityKeys)

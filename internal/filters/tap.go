@@ -36,15 +36,6 @@ func NewTap(n *core.Node, pattern attr.Vec, w io.Writer) *Tap {
 // Remove uninstalls the tap.
 func (t *Tap) Remove() { _ = t.node.RemoveFilter(t.handle) }
 
-// Total returns the number of observed messages.
-func (t *Tap) Total() int {
-	n := 0
-	for _, c := range t.Count {
-		n += c
-	}
-	return n
-}
-
 func (t *Tap) onMessage(m *message.Message, h core.FilterHandle) {
 	if int(m.Class) < len(t.Count) {
 		t.Count[m.Class]++

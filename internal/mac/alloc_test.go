@@ -27,7 +27,8 @@ func TestAllocsFiveFragmentMessage(t *testing.T) {
 		if err := m1.Send(Broadcast, payload); err != nil {
 			t.Fatal(err)
 		}
-		s.Run()
+		for s.Step() {
+		}
 	}
 	round() // fill the free lists
 	if n := testing.AllocsPerRun(100, round); n != 0 {
@@ -116,7 +117,8 @@ func TestAllocsQueuedBurst(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.Run()
+		for s.Step() {
+		}
 	}
 	round()
 	if n := testing.AllocsPerRun(100, round); n != 0 {

@@ -378,9 +378,6 @@ func (m *Mac) Detach() {
 // no-op.
 func (m *Mac) Restart() { m.detached = false }
 
-// Detached reports whether the MAC is currently detached.
-func (m *Mac) Detached() bool { return m.detached }
-
 // Send queues payload for dst (a neighbor ID or Broadcast). The message is
 // fragmented; delivery is best-effort.
 func (m *Mac) Send(dst uint32, payload []byte) error {

@@ -44,7 +44,8 @@ func TestSingleFragmentDelivery(t *testing.T) {
 	if err := m1.Send(Broadcast, payload); err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if len(l2.payloads) != 1 || !bytes.Equal(l2.payloads[0], payload) {
 		t.Fatalf("delivery: %v", l2.payloads)
 	}
@@ -65,7 +66,8 @@ func TestFragmentationAndReassembly(t *testing.T) {
 	if err := m1.Send(2, payload); err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
+	for s.Step() {
+	}
 	// 112 bytes / 27 per fragment = 5 fragments.
 	if m1.Stats.FragmentsSent != 5 {
 		t.Errorf("fragments sent = %d, want 5", m1.Stats.FragmentsSent)
@@ -80,7 +82,8 @@ func TestEmptyPayload(t *testing.T) {
 	if err := m1.Send(Broadcast, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if len(l2.payloads) != 1 || len(l2.payloads[0]) != 0 {
 		t.Fatalf("empty payload should still deliver: %v", l2.payloads)
 	}
@@ -94,7 +97,8 @@ func TestUnicastFiltering(t *testing.T) {
 	Attach(s, ch, 2, DefaultParams(), l2.handler())
 	Attach(s, ch, 3, DefaultParams(), l3.handler())
 	m1.Send(2, []byte("for-two"))
-	s.Run()
+	for s.Step() {
+	}
 	if len(l2.payloads) != 1 {
 		t.Error("addressed node must receive")
 	}
@@ -111,7 +115,8 @@ func TestBroadcastReachesAll(t *testing.T) {
 	Attach(s, ch, 2, DefaultParams(), l2.handler())
 	Attach(s, ch, 3, DefaultParams(), l3.handler())
 	m1.Send(Broadcast, []byte("all"))
-	s.Run()
+	for s.Step() {
+	}
 	// Node 3 is 10m from node 1: in range.
 	if len(l2.payloads) != 1 || len(l3.payloads) != 1 {
 		t.Errorf("broadcast delivery: %d, %d", len(l2.payloads), len(l3.payloads))
@@ -131,7 +136,8 @@ func TestLostFragmentLosesWholeMessage(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		s, m1, _, _, l2 := twoNodes(seed, p)
 		m1.Send(Broadcast, payload)
-		s.Run()
+		for s.Step() {
+		}
 		delivered += len(l2.payloads)
 		for _, got := range l2.payloads {
 			if bytes.Equal(got, payload) {
@@ -170,7 +176,8 @@ func TestCarrierSenseDefersAndDelivers(t *testing.T) {
 	// Start m2 mid-way through m1's first fragment: m2 must defer.
 	m1.Send(Broadcast, make([]byte, 100))
 	s.After(5*time.Millisecond, func() { m2.Send(Broadcast, make([]byte, 100)) })
-	s.Run()
+	for s.Step() {
+	}
 	if len(l3.payloads) != 2 {
 		t.Errorf("carrier sense should let both messages through, got %d (backoffs=%d)",
 			len(l3.payloads), m2.Stats.Backoffs)
@@ -193,7 +200,8 @@ func TestHiddenTerminalsCollide(t *testing.T) {
 		m3 := Attach(s, ch, 3, DefaultParams(), nil)
 		m1.Send(Broadcast, make([]byte, 100))
 		m3.Send(Broadcast, make([]byte, 100))
-		s.Run()
+		for s.Step() {
+		}
 		if len(l2.payloads) < 2 {
 			collided++
 		}
@@ -215,7 +223,8 @@ func TestQueueOverflow(t *testing.T) {
 	if m1.Stats.MessagesDropped == 0 {
 		t.Error("drop must be counted")
 	}
-	s.Run()
+	for s.Step() {
+	}
 }
 
 func TestTooLarge(t *testing.T) {
@@ -339,7 +348,8 @@ func TestQuickReassemblyRoundTrip(t *testing.T) {
 		if m1.Send(Broadcast, payload) != nil {
 			return false
 		}
-		s.Run()
+		for s.Step() {
+		}
 		return len(l2.payloads) == 1 && bytes.Equal(l2.payloads[0], payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rng}); err != nil {
@@ -367,7 +377,7 @@ func TestDetachDropsQueueAndRejectsSends(t *testing.T) {
 		}
 	}
 	m1.Detach()
-	if !m1.Detached() {
+	if !m1.detached {
 		t.Error("Detached() must report true")
 	}
 	if err := m1.Send(Broadcast, []byte("x")); !errors.Is(err, ErrDetached) {
@@ -446,7 +456,7 @@ func TestRestartResumesService(t *testing.T) {
 	m1.Send(Broadcast, []byte("lost"))
 	s.RunUntil(s.Now() + time.Second)
 	m2.Restart()
-	if m2.Detached() {
+	if m2.detached {
 		t.Error("Detached() must report false after Restart")
 	}
 	m1.Send(Broadcast, []byte("heard"))

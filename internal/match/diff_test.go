@@ -212,7 +212,7 @@ func TestDifferentialRepeatedKeyFlood(t *testing.T) {
 		for i := range flood {
 			flood[i] = attr.Attribute{Key: 1, Op: attr.IS, Val: soupValue(r)}
 		}
-		msg, _, err := attr.DecodeVec(flood.Encode())
+		msg, _, err := attr.DecodeVec(flood.AppendEncode(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

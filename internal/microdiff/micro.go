@@ -124,10 +124,6 @@ func (m *Mote) Subscribe(tag Tag, h Handler) {
 	m.broadcastPacket(classInterest, tag, uint16(m.ID()), m.seq, 0)
 }
 
-// Unsubscribe removes the local handler. Gradients at other motes persist
-// until evicted (motes have no timers to expire them).
-func (m *Mote) Unsubscribe(tag Tag) { delete(m.subs, tag) }
-
 // SetFilter installs the per-tag filter; a nil f removes it.
 func (m *Mote) SetFilter(tag Tag, f FilterFunc) {
 	if f == nil {

@@ -383,12 +383,6 @@ func (c *Channel) SetNodeDown(id uint32, down bool) {
 	}
 }
 
-// LinkDown reports whether the directed link from→to is forced down.
-func (c *Channel) LinkDown(from, to uint32) bool {
-	l := c.link(from, to)
-	return l != nil && l.forcedDown
-}
-
 // Transceiver is one node's half-duplex radio. All mutable state is owned
 // by the node's own event context.
 type Transceiver struct {
@@ -431,9 +425,6 @@ func (t *Transceiver) Airtime(n int) time.Duration { return t.ch.Airtime(n) }
 func (t *Transceiver) Busy() bool {
 	return t.port.Now() < t.txUntil || len(t.ongoing) > 0
 }
-
-// Transmitting reports whether this node's own transmitter is active.
-func (t *Transceiver) Transmitting() bool { return t.port.Now() < t.txUntil }
 
 // transmission is one frame on the air. The sender arms arrive once for
 // the whole audience; its callback begins the frame at every receiver, each

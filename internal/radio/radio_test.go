@@ -34,7 +34,8 @@ func TestDeliveryInRange(t *testing.T) {
 	if want := c.Airtime(5); air != want {
 		t.Errorf("airtime %v want %v", air, want)
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if len(*log) != 1 || (*log)[0] != "2<-hello" {
 		t.Fatalf("delivery log: %v", *log)
 	}
@@ -62,9 +63,11 @@ func TestOnDecodeSeesWhatHandlersGet(t *testing.T) {
 	// arrives, so neither decodes anything.
 	t1.Transmit([]byte("hello"))
 	t2.Transmit([]byte("clash"))
-	s.Run()
+	for s.Step() {
+	}
 	t1.Transmit([]byte("again"))
-	s.Run()
+	for s.Step() {
+	}
 	if !slices.Equal(seen, []string{"1->2 again"}) || !slices.Equal(*log, []string{"2<-again"}) {
 		t.Fatalf("decodes %q, deliveries %q; want the one frame 2 decoded", seen, *log)
 	}
@@ -73,7 +76,8 @@ func TestOnDecodeSeesWhatHandlersGet(t *testing.T) {
 func TestNoDeliveryBeyondMaxRange(t *testing.T) {
 	s, c, t1, t2, log := pair(t, 25, PerfectParams(), 1)
 	t1.Transmit([]byte("x"))
-	s.Run()
+	for s.Step() {
+	}
 	if len(*log) != 0 {
 		t.Fatalf("should not deliver beyond MaxRange: %v", *log)
 	}
@@ -90,7 +94,8 @@ func TestFadeZoneLossy(t *testing.T) {
 	for seed := int64(0); seed < trials; seed++ {
 		s, _, t1, t2, _ := pair(t, 17, p, seed)
 		t1.Transmit([]byte("x"))
-		s.Run()
+		for s.Step() {
+		}
 		delivered += t2.Stats.FramesReceived
 	}
 	if delivered == 0 || delivered == trials {
@@ -115,7 +120,7 @@ func TestCarrierSense(t *testing.T) {
 		t.Fatal("idle medium must not be busy")
 	}
 	t1.Transmit(make([]byte, 100))
-	if !t1.Busy() || !t1.Transmitting() {
+	if !t1.Busy() || t1.port.Now() >= t1.txUntil {
 		t.Error("transmitter must be busy during its own send")
 	}
 	// After propagation delay the peer hears carrier.
@@ -123,7 +128,8 @@ func TestCarrierSense(t *testing.T) {
 	if !t2.Busy() {
 		t.Error("receiver in range must sense carrier")
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if t1.Busy() || t2.Busy() {
 		t.Error("medium must go idle after airtime")
 	}
@@ -141,7 +147,8 @@ func TestCollisionAtSharedReceiver(t *testing.T) {
 	tx1.Transmit(make([]byte, 50))
 	// Overlapping transmission from the other side.
 	s.After(time.Millisecond, func() { tx3.Transmit(make([]byte, 50)) })
-	s.Run()
+	for s.Step() {
+	}
 	if got != 0 {
 		t.Errorf("collided frames must not deliver, got %d", got)
 	}
@@ -160,7 +167,8 @@ func TestNoCollisionWhenSequential(t *testing.T) {
 	t3 := c.Attach(3, nil)
 	air := t1.Transmit(make([]byte, 50))
 	s.After(air+10*time.Millisecond, func() { t3.Transmit(make([]byte, 50)) })
-	s.Run()
+	for s.Step() {
+	}
 	if got != 2 {
 		t.Errorf("sequential frames should both deliver, got %d", got)
 	}
@@ -171,7 +179,8 @@ func TestHalfDuplex(t *testing.T) {
 	s, c, t1, t2, log := pair(t, 10, PerfectParams(), 1)
 	t1.Transmit(make([]byte, 100))
 	s.After(2*time.Millisecond, func() { t2.Transmit(make([]byte, 10)) })
-	s.Run()
+	for s.Step() {
+	}
 	for _, l := range *log {
 		if l[0] == '2' {
 			t.Error("node 2 must miss the frame while transmitting")
@@ -227,7 +236,8 @@ func TestGilbertElliottIntermittency(t *testing.T) {
 		d := time.Duration(i) * 100 * time.Millisecond
 		s.After(d, func() { t1.Transmit(make([]byte, 10)) })
 	}
-	s.Run()
+	for s.Step() {
+	}
 	got := t2.Stats.FramesReceived
 	if got == 0 || got == frames {
 		t.Errorf("intermittent link delivered %d/%d, want partial", got, frames)
@@ -249,7 +259,8 @@ func TestDeterministicRealization(t *testing.T) {
 			tx := tx
 			s.After(d, func() { tx.Transmit(make([]byte, 60)) })
 		}
-		s.Run()
+		for s.Step() {
+		}
 		return rx, c.Stats().FramesLost
 	}
 	r1, l1 := run()
@@ -295,7 +306,8 @@ func TestAttachValidation(t *testing.T) {
 func TestEnergyTimeAccounting(t *testing.T) {
 	s, c, t1, t2, _ := pair(t, 5, PerfectParams(), 1)
 	air := t1.Transmit(make([]byte, 100))
-	s.Run()
+	for s.Step() {
+	}
 	if t1.Stats.TxTime != air {
 		t.Errorf("TxTime=%v want %v", t1.Stats.TxTime, air)
 	}
@@ -340,7 +352,8 @@ func TestGilbertElliottLongRunFraction(t *testing.T) {
 	const samples = 20000
 	for i := 0; i < samples; i++ {
 		s.After(100*time.Millisecond, func() {})
-		s.Run()
+		for s.Step() {
+		}
 		if c.linkBad(l, s.Now()) {
 			bad++
 		}
@@ -367,7 +380,8 @@ func TestCaptureEffect(t *testing.T) {
 	t3 := c.Attach(3, nil)
 	t3.Transmit([]byte("far"))
 	s.After(time.Millisecond, func() { t2.Transmit([]byte("near")) })
-	s.Run()
+	for s.Step() {
+	}
 	near := false
 	for _, g := range got {
 		if g == "far" {
@@ -382,13 +396,19 @@ func TestCaptureEffect(t *testing.T) {
 	}
 }
 
+// linkDown reports whether the directed link from→to is forced down.
+func linkDown(c *Channel, from, to uint32) bool {
+	l := c.link(from, to)
+	return l != nil && l.forcedDown
+}
+
 func TestForcedLinkBlackout(t *testing.T) {
 	s, c, t1, _, log := pair(t, 10, PerfectParams(), 30)
 	c.SetLinkDown(1, 2, true)
-	if !c.LinkDown(1, 2) {
+	if !linkDown(c, 1, 2) {
 		t.Error("LinkDown(1,2) must report the blackout")
 	}
-	if c.LinkDown(2, 1) {
+	if linkDown(c, 2, 1) {
 		t.Error("SetLinkDown is directional; 2->1 must stay up")
 	}
 	t1.Transmit([]byte("hi"))
@@ -437,7 +457,7 @@ func TestSetNodeDownRestoreClearsPerLinkBlackouts(t *testing.T) {
 	c.SetLinkDown(1, 2, true)
 	c.SetNodeDown(2, true)
 	c.SetNodeDown(2, false)
-	if c.LinkDown(1, 2) || c.LinkDown(2, 1) {
+	if linkDown(c, 1, 2) || linkDown(c, 2, 1) {
 		t.Error("restoring a node must clear its links' blackouts")
 	}
 }

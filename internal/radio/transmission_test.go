@@ -42,7 +42,8 @@ func TestSimultaneousEndOfFrameOrder(t *testing.T) {
 	end := 100 * time.Millisecond
 	s.After(end-c.Airtime(40), func() { tr[20].Transmit(make([]byte, 40)) })
 	s.After(end-c.Airtime(20), func() { tr[10].Transmit(make([]byte, 20)) })
-	s.Run()
+	for s.Step() {
+	}
 	const want = "1<-10 z1 2<-20 z2 3<-10 z3 4<-20 z4 5<-10 z5 6<-20 z6 8<-10 z8 9<-20 z9"
 	if got := strings.Join(log, " "); got != want {
 		t.Errorf("handler order\n got %s\nwant %s", got, want)
@@ -90,7 +91,8 @@ func TestBackToBackFramesDoNotAlias(t *testing.T) {
 		}
 	})
 	s.Port(1).Arm(&next, time.Millisecond)
-	s.Run()
+	for s.Step() {
+	}
 	if len(got) != 3*frames {
 		t.Fatalf("%d deliveries, want %d", len(got), 3*frames)
 	}
@@ -124,7 +126,8 @@ func TestHandlerMayTransmitFromLastReception(t *testing.T) {
 		})
 	}
 	tr[1].Transmit([]byte("hello"))
-	s.Run()
+	for s.Step() {
+	}
 	const want = "2<-1 hello 3<-1 hello 1<-3 reply 2<-3 reply"
 	if got := strings.Join(log, " "); got != want {
 		t.Errorf("receptions\n got %s\nwant %s", got, want)

@@ -45,7 +45,8 @@ func TestAllocsArmRemote(t *testing.T) {
 	tx := bound(func() { p.ArmRemote(2, rx, 3*time.Microsecond) })
 	round := func() {
 		p.Arm(tx, time.Millisecond)
-		k.Run()
+		for k.Step() {
+		}
 	}
 	round()
 	if n := testing.AllocsPerRun(100, round); n != 0 {
@@ -67,7 +68,8 @@ func TestAllocsFanout(t *testing.T) {
 			k.Port(id).Join(&f, time.Millisecond)
 		}
 		k.ArmFanout(&f)
-		k.Run()
+		for k.Step() {
+		}
 	}
 	round()
 	if n := testing.AllocsPerRun(100, round); n != 0 {

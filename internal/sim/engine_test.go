@@ -55,7 +55,8 @@ func TestKernelGlobalBeforeNodeAtEqualTime(t *testing.T) {
 	var order []string
 	k.Port(1).After(time.Second, func() { order = append(order, "node") })
 	k.After(time.Second, func() { order = append(order, "global") })
-	k.Run()
+	for k.Step() {
+	}
 	if len(order) != 2 || order[0] != "global" || order[1] != "node" {
 		t.Errorf("order = %v, want [global node]", order)
 	}
@@ -79,7 +80,8 @@ func TestCanonicalOrder(t *testing.T) {
 	p2.Arm(log("local 2.2"), time.Second)
 	k.Arm(log("global 2"), time.Second)
 	p1.Arm(log("local 1.2"), time.Second)
-	k.Run()
+	for k.Step() {
+	}
 	want := []string{
 		"global 1", "global 2",
 		"local 1.1", "local 1.2", "local 2.1", "local 2.2", "local 3.1",
@@ -100,7 +102,8 @@ func TestGlobalArmedFromNodeContextRunsAtItsOwnTime(t *testing.T) {
 	p.After(time.Millisecond, func() {
 		k.After(time.Millisecond, func() { order = append(order, fmt.Sprintf("global %v", k.Now())) })
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if want := []string{"global 2ms", "node 3ms"}; fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("order = %v, want %v", order, want)
 	}
@@ -114,7 +117,8 @@ func TestArmRemoteUnregisteredTargetPanics(t *testing.T) {
 		defer func() { panicked = recover() != nil }()
 		p.ArmRemote(99, bound(func() {}), 3*time.Microsecond)
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if !panicked {
 		t.Error("ArmRemote to an unregistered node must panic")
 	}
@@ -267,7 +271,8 @@ func TestPendingConstantTimeAccounting(t *testing.T) {
 	if s.Pending() != 50 {
 		t.Errorf("Pending=%d after double cancel, want 50", s.Pending())
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending=%d after Run, want 0", s.Pending())
 	}

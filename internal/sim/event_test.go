@@ -18,7 +18,13 @@ type execEnv struct {
 // of another.
 func bothContexts() []execEnv {
 	g, n := New(1), newTestEngine(1, 2)
-	return []execEnv{{"global", g, g.Run}, {"node", n.Port(1), n.Run}}
+	return []execEnv{{"global", g, func() { drain(g) }}, {"node", n.Port(1), func() { drain(n) }}}
+}
+
+// drain runs s until no event remains.
+func drain(s *Engine) {
+	for s.Step() {
+	}
 }
 
 func TestCancelAfterFire(t *testing.T) {
@@ -73,7 +79,8 @@ func TestArmPendingPanics(t *testing.T) {
 		defer func() { panicked = recover() != nil }()
 		p.ArmRemote(2, e, 3*time.Microsecond)
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if !panicked {
 		t.Error("ArmRemote of a record already armed must panic")
 	}
@@ -140,7 +147,8 @@ func TestArmOnEitherClock(t *testing.T) {
 		}
 		ArmOn(c, e, 5*time.Millisecond)
 		ArmOn(c, bound(func() { t.Error("a cancelled record fired") }), time.Millisecond).Cancel()
-		k.Run()
+		for k.Step() {
+		}
 		want := []time.Duration{5 * time.Millisecond}
 		if plain {
 			// The record itself was never pending, so cancelling it
@@ -273,7 +281,8 @@ func TestHeapRemoveAtAnyIndex(t *testing.T) {
 			}
 		}
 	}
-	s.Run()
+	for s.Step() {
+	}
 	want := 0
 	for _, r := range live {
 		if !r.cancelled {

@@ -10,7 +10,7 @@ import "time"
 // the next key only while that key is due now and still below the heap's
 // top; otherwise it re-pushes itself under it. Every sub-event therefore
 // runs exactly where its own Event would have: a timestamp tie with another
-// node's event, a zero-delay event armed by a sub-event, Stop and a RunUntil
+// node's event, a zero-delay event armed by a sub-event and a RunUntil
 // boundary all land as they would between separate events.
 //
 // Ownership is the Event rule: the owner binds once, and the record is idle
@@ -56,7 +56,7 @@ func (f *Fanout) run() {
 		}
 		f.fn(i)
 		k := f.keys[f.next]
-		if s.stopped || k.at > s.now || (len(s.events.s) > 0 && s.events.s[0].key.less(k)) {
+		if k.at > s.now || (len(s.events.s) > 0 && s.events.s[0].key.less(k)) {
 			s.events.push(&f.ev, k)
 			return
 		}

@@ -36,7 +36,8 @@ func TestFanoutRunsInCanonicalPosition(t *testing.T) {
 	if k.Pending() != 6 {
 		t.Errorf("Pending = %d, want 6: a fan-out is one heap entry", k.Pending())
 	}
-	k.Run()
+	for k.Step() {
+	}
 	want := []string{
 		"global", "sub 0", "zero-delay local 1", "local 2", "sub 1", "zero-delay global",
 		"local 4", "sub 2", "local 5, armed after the join", "remote",
@@ -64,7 +65,8 @@ func TestFanoutRearmsFromLastSubEvent(t *testing.T) {
 		}
 	})
 	join()
-	k.Run()
+	for k.Step() {
+	}
 	if want := "1s/0 1s/1 1s/2 2s/0 2s/1 2s/2 3s/0 3s/1 3s/2"; strings.Join(got, " ") != want {
 		t.Errorf("sub-events %v, want %s", got, want)
 	}
@@ -120,13 +122,13 @@ func TestFanoutMisusePanics(t *testing.T) {
 // transcript. Frames begin and end on a one-millisecond grid shared with
 // ordinary locals on every node and globals, so nearly every end of frame
 // ties with other nodes' events and with other frames' ends; sub-events arm
-// zero-delay locals and globals, cancel ordinary events (pending ones at a
-// later node included) and, when stop is set, may Stop the engine; chunked
-// drives the run with one RunUntil per grid point, each some fan-out's
-// timestamp, and a frame may end a millisecond later at its higher-numbered
-// receivers, so boundaries fall inside a fan-out too. With fan unset every key is its own Event armed at the call
-// site where the fan-out joins it: the oracle.
-func fanoutSchedule(seed int64, fan, stop, chunked bool) []string {
+// zero-delay locals and globals, and cancel ordinary events (pending ones
+// at a later node included); chunked drives the run with one RunUntil per
+// grid point, each some fan-out's timestamp, and a frame may end a
+// millisecond later at its higher-numbered receivers, so boundaries fall
+// inside a fan-out too. With fan unset every key is its own Event armed at
+// the call site where the fan-out joins it: the oracle.
+func fanoutSchedule(seed int64, fan, chunked bool) []string {
 	const nodes = 6
 	k := newTestEngine(seed, nodes)
 	rng := k.DeriveRand(99)
@@ -174,11 +176,6 @@ func fanoutSchedule(seed int64, fan, stop, chunked bool) []string {
 			case 3, 4:
 				v := victims[p.Rand().Intn(len(victims))]
 				log(id, fmt.Sprintf("cancel %v", v.Cancel()))
-			case 5:
-				if stop {
-					log(id, "stop")
-					k.Stop()
-				}
 			}
 		}
 		f := &Fanout{}
@@ -199,7 +196,8 @@ func fanoutSchedule(seed int64, fan, stop, chunked bool) []string {
 		k.Port(from).After(start, func() { k.Port(from).ArmRemote(audience[0], bound(begin), 0) })
 	}
 	if !chunked {
-		k.Run()
+		for k.Step() {
+		}
 		return out
 	}
 	for t := ms(1); t <= ms(20); t += ms(1) {
@@ -226,22 +224,21 @@ func headAt(k *Engine) (at time.Duration, ok bool) {
 	return 0, false
 }
 
-// Fan-out ≡ one Event per key, over 300 seeds × {Run, RunUntil per
-// timestamp} × {with and without Stop}.
+// Fan-out ≡ one Event per key, over 600 seeds × {Step to the end,
+// RunUntil per timestamp}.
 func TestFanoutMatchesEventPerKeyOracle(t *testing.T) {
 	ends := 0
-	for seed := int64(1); seed <= 300; seed++ {
-		for mode := 0; mode < 4; mode++ {
-			stop, chunked := mode&1 != 0, mode&2 != 0
-			want := fanoutSchedule(seed, false, stop, chunked)
-			got := fanoutSchedule(seed, true, stop, chunked)
+	for seed := int64(1); seed <= 600; seed++ {
+		for _, chunked := range []bool{false, true} {
+			want := fanoutSchedule(seed, false, chunked)
+			got := fanoutSchedule(seed, true, chunked)
 			if !slices.Equal(got, want) {
 				i := 0
 				for i < len(got) && i < len(want) && got[i] == want[i] {
 					i++
 				}
-				t.Fatalf("seed %d stop=%v chunked=%v: transcripts (%d and %d lines) part at line %d:\n fan-out %q\n oracle  %q",
-					seed, stop, chunked, len(got), len(want), i, got[i:min(i+4, len(got))], want[i:min(i+4, len(want))])
+				t.Fatalf("seed %d chunked=%v: transcripts (%d and %d lines) part at line %d:\n fan-out %q\n oracle  %q",
+					seed, chunked, len(got), len(want), i, got[i:min(i+4, len(got))], want[i:min(i+4, len(want))])
 			}
 			for _, line := range want {
 				if strings.Contains(line, " end ") {

@@ -74,13 +74,12 @@ type Port interface {
 // runs inside its event loop, exactly like the paper's single-threaded
 // event-driven daemon.
 type Engine struct {
-	seed    int64
-	now     time.Duration
-	events  eventHeap
-	seq     uint64 // global-context event sequence
-	rng     *rand.Rand
-	nodes   map[uint32]*nodePort
-	stopped bool
+	seed   int64
+	now    time.Duration
+	events eventHeap
+	seq    uint64 // global-context event sequence
+	rng    *rand.Rand
+	nodes  map[uint32]*nodePort
 }
 
 // New returns an Engine whose randomness derives entirely from seed.
@@ -239,11 +238,8 @@ func (r *repeatTimer) Cancel() bool {
 }
 
 // Step executes the next pending event. It reports false when no events
-// remain or the engine is stopped.
+// remain.
 func (s *Engine) Step() bool {
-	if s.stopped {
-		return false
-	}
 	ev := s.events.popNext()
 	if ev == nil {
 		return false
@@ -255,17 +251,10 @@ func (s *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain (or Stop is called). Use RunUntil
-// for open-ended workloads with repeating timers.
-func (s *Engine) Run() {
-	for s.Step() {
-	}
-}
-
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Pending later events remain queued.
 func (s *Engine) RunUntil(t time.Duration) {
-	for !s.stopped {
+	for {
 		ev := s.events.peek()
 		if ev == nil || ev.key.at > t {
 			break
@@ -276,9 +265,6 @@ func (s *Engine) RunUntil(t time.Duration) {
 		s.now = t
 	}
 }
-
-// Stop halts the event loop; subsequent Step calls return false.
-func (s *Engine) Stop() { s.stopped = true }
 
 // Pending returns the number of heap entries (diagnostics, O(1)): one per
 // pending Event — Cancel removes its entry at once — and one per pending

@@ -13,7 +13,8 @@ func TestEventOrdering(t *testing.T) {
 	s.After(30*time.Millisecond, func() { got = append(got, 3) })
 	s.After(10*time.Millisecond, func() { got = append(got, 1) })
 	s.After(20*time.Millisecond, func() { got = append(got, 2) })
-	s.Run()
+	for s.Step() {
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("events out of order: %v", got)
 	}
@@ -29,7 +30,8 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		s.After(5*time.Millisecond, func() { got = append(got, i) })
 	}
-	s.Run()
+	for s.Step() {
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("simultaneous events must run FIFO: %v", got)
@@ -44,7 +46,8 @@ func TestNestedScheduling(t *testing.T) {
 		fired = append(fired, s.Now())
 		s.After(5*time.Millisecond, func() { fired = append(fired, s.Now()) })
 	})
-	s.Run()
+	for s.Step() {
+	}
 	if len(fired) != 2 || fired[0] != 10*time.Millisecond || fired[1] != 15*time.Millisecond {
 		t.Errorf("nested scheduling: %v", fired)
 	}
@@ -60,7 +63,8 @@ func TestCancel(t *testing.T) {
 	if tm.Cancel() {
 		t.Error("second Cancel should report not pending")
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if ran {
 		t.Error("cancelled event must not run")
 	}
@@ -70,7 +74,8 @@ func TestNegativeDelayRunsImmediately(t *testing.T) {
 	s := New(1)
 	ran := false
 	s.After(-time.Second, func() { ran = true })
-	s.Run()
+	for s.Step() {
+	}
 	if !ran || s.Now() != 0 {
 		t.Errorf("negative delay: ran=%v now=%v", ran, s.Now())
 	}
@@ -131,35 +136,14 @@ func TestEveryCancelBeforeFirst(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New(1)
-	n := 0
-	s.Every(time.Second, time.Second, func() {
-		n++
-		if n == 3 {
-			s.Stop()
-		}
-	})
-	s.Run()
-	if n != 3 {
-		t.Errorf("Stop: ran %d events", n)
-	}
-	if s.Step() {
-		t.Error("Step after Stop must return false")
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func(seed int64) []int {
 		s := New(seed)
 		var draws []int
 		s.Every(time.Second, time.Second, func() {
 			draws = append(draws, s.Rand().Intn(1000))
-			if len(draws) == 50 {
-				s.Stop()
-			}
 		})
-		s.Run()
+		s.RunUntil(50 * time.Second)
 		return draws
 	}
 	a, b := run(42), run(42)
@@ -198,7 +182,8 @@ func TestQuickOrdering(t *testing.T) {
 			}
 			s.After(d, func() { times = append(times, s.Now()) })
 		}
-		s.Run()
+		for s.Step() {
+		}
 		if len(times) != n || s.Now() != maxT {
 			return false
 		}

@@ -82,14 +82,3 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.1f ± %.1f (n=%d)", s.Mean, s.CI95, s.N)
 }
-
-// Lo and Hi return the confidence interval bounds.
-func (s Summary) Lo() float64 { return s.Mean - s.CI95 }
-
-// Hi returns the upper bound of the 95% interval.
-func (s Summary) Hi() float64 { return s.Mean + s.CI95 }
-
-// Overlaps reports whether two summaries' 95% intervals overlap.
-func (s Summary) Overlaps(o Summary) bool {
-	return s.Lo() <= o.Hi() && o.Lo() <= s.Hi()
-}

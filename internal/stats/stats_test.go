@@ -62,9 +62,6 @@ func TestSummarize(t *testing.T) {
 	if math.Abs(s.CI95-1.963) > 0.01 {
 		t.Errorf("CI95 = %v", s.CI95)
 	}
-	if math.Abs(s.Lo()-(11-s.CI95)) > 1e-12 || math.Abs(s.Hi()-(11+s.CI95)) > 1e-12 {
-		t.Error("interval bounds")
-	}
 	if s.String() == "" {
 		t.Error("String")
 	}
@@ -78,18 +75,6 @@ func TestSummarizeSmall(t *testing.T) {
 	s = Summarize(nil)
 	if s.N != 0 || s.Mean != 0 || s.CI95 != 0 {
 		t.Errorf("empty: %+v", s)
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	a := Summarize([]float64{10, 10.1, 9.9, 10, 10})
-	b := Summarize([]float64{10.05, 10.1, 10, 10.02, 9.98})
-	c := Summarize([]float64{20, 20.1, 19.9, 20, 20})
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("near-identical samples should overlap")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("distant samples should not overlap")
 	}
 }
 

@@ -249,18 +249,12 @@ func (r *Ring) Kept() ([]Event, int) {
 	return r.kept, r.dropped
 }
 
-// Len returns the number of events currently held.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lenLocked()
-}
-
 func (r *Ring) lenLocked() int {
 	return int(min(r.total, uint64(len(r.buf))))
 }
 
-// Total returns the number of events ever recorded (Len plus overwrites).
+// Total returns the number of events ever recorded, those held and those
+// overwritten.
 func (r *Ring) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

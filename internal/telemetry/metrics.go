@@ -32,9 +32,6 @@ type Counter struct{ v uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v++ }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
@@ -43,9 +40,6 @@ type Gauge struct{ v float64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v }
@@ -86,9 +80,6 @@ func (h *Histogram) Observe(v int64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum }
 
 // Mean returns the mean observation (0 when empty).
 func (h *Histogram) Mean() float64 {
@@ -260,9 +251,6 @@ type Snapshot struct {
 
 // Total returns the network-wide sum for a metric name (0 if absent).
 func (s Snapshot) Total(name string) float64 { return s.Totals[name] }
-
-// Scope returns one scope's metrics (nil if absent).
-func (s Snapshot) Scope(name string) map[string]float64 { return s.Scopes[name] }
 
 // Write renders the totals as a sorted table — the at-a-glance health
 // view of a run.

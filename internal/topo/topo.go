@@ -130,38 +130,6 @@ func (t *Topology) HopDistance(a, b uint32, r float64) int {
 	return -1
 }
 
-// Connected reports whether the graph induced by range r is connected.
-func (t *Topology) Connected(r float64) bool {
-	if len(t.order) == 0 {
-		return true
-	}
-	first := t.order[0]
-	for _, id := range t.order[1:] {
-		if t.HopDistance(first, id, r) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Diameter returns the maximum pairwise hop distance at range r, or -1 if
-// the graph is disconnected.
-func (t *Topology) Diameter(r float64) int {
-	max := 0
-	for i, a := range t.order {
-		for _, b := range t.order[i+1:] {
-			h := t.HopDistance(a, b, r)
-			if h < 0 {
-				return -1
-			}
-			if h > max {
-				max = h
-			}
-		}
-	}
-	return max
-}
-
 // Well-known testbed roles (paper section 6).
 const (
 	// TestbedSink is node "D" of the Figure 8 aggregation experiment.

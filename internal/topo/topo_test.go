@@ -25,11 +25,11 @@ func TestTestbedTopology(t *testing.T) {
 			t.Errorf("node %d should be on floor 10", id)
 		}
 	}
-	if !tb.Connected(solidRange) {
+	if !connected(tb, solidRange) {
 		t.Fatal("testbed must be connected at solid radio range")
 	}
 	// Paper: "the network is typically 5 hops across".
-	if d := tb.Diameter(solidRange); d < 4 || d > 7 {
+	if d := diameter(tb, solidRange); d < 4 || d > 7 {
 		t.Errorf("diameter %d, want about 5", d)
 	}
 	// Paper: sink D at 28, sources typically 4 hops away.
@@ -133,13 +133,13 @@ func TestGrid(t *testing.T) {
 	if n.X != 30 || n.Y != 20 {
 		t.Errorf("node 12 at (%v,%v)", n.X, n.Y)
 	}
-	if !g.Connected(10.1) {
+	if !connected(g, 10.1) {
 		t.Error("grid should be connected at spacing range")
 	}
-	if g.Connected(9.9) {
+	if connected(g, 9.9) {
 		t.Error("grid should be disconnected below spacing")
 	}
-	if d := g.Diameter(10.1); d != 5 {
+	if d := diameter(g, 10.1); d != 5 {
 		t.Errorf("4x3 grid manhattan diameter = %d, want 5", d)
 	}
 }
@@ -181,7 +181,7 @@ func TestUnknownNodePanics(t *testing.T) {
 
 func TestEmptyTopology(t *testing.T) {
 	e := New("empty")
-	if !e.Connected(10) {
+	if !connected(e, 10) {
 		t.Error("empty topology is vacuously connected")
 	}
 	if e.Len() != 0 || len(e.IDs()) != 0 {
@@ -282,4 +282,36 @@ func TestContacts(t *testing.T) {
 			t.Fatal("contact schedule is not deterministic")
 		}
 	}
+}
+
+// connected reports whether the graph induced by range r is connected.
+func connected(t *Topology, r float64) bool {
+	if len(t.order) == 0 {
+		return true
+	}
+	first := t.order[0]
+	for _, id := range t.order[1:] {
+		if t.HopDistance(first, id, r) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// diameter returns the maximum pairwise hop distance at range r, or -1 if
+// the graph is disconnected.
+func diameter(t *Topology, r float64) int {
+	max := 0
+	for i, a := range t.order {
+		for _, b := range t.order[i+1:] {
+			h := t.HopDistance(a, b, r)
+			if h < 0 {
+				return -1
+			}
+			if h > max {
+				max = h
+			}
+		}
+	}
+	return max
 }

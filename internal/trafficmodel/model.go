@@ -56,22 +56,6 @@ func Testbed() Params {
 	}
 }
 
-// Simulation returns the parameters of the paper's earlier ns-2 study
-// ([23]: exploratory every 50 s, data every 0.5 s, 64-byte messages), used
-// by the section 6.1 discussion of why simulation showed 3-5x savings but
-// the testbed only 1.7x: the exploratory:data ratio is 1:100 instead of
-// 1:10.
-func Simulation() Params {
-	return Params{
-		Nodes:            50,
-		MessageBytes:     64,
-		PathHops:         5,
-		EventInterval:    500 * time.Millisecond,
-		InterestInterval: 60 * time.Second,
-		ExploratoryRatio: 0.01,
-	}
-}
-
 // Components is the per-event byte breakdown.
 type Components struct {
 	Interests      float64
@@ -144,14 +128,4 @@ func (p Params) Savings(sources int) float64 {
 	with := p.BytesPerEvent(sources, true).Total()
 	without := p.BytesPerEvent(sources, false).Total()
 	return 1 - with/without
-}
-
-// Series returns bytes/event for sources 1..maxSources, matching the
-// Figure 8 x-axis.
-func (p Params) Series(maxSources int, aggregated bool) []float64 {
-	out := make([]float64, maxSources)
-	for s := 1; s <= maxSources; s++ {
-		out[s-1] = p.BytesPerEvent(s, aggregated).Total()
-	}
-	return out
 }

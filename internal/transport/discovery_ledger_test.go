@@ -114,7 +114,7 @@ func runLedgerSeed(t testing.TB, c ledgerCell, seed int64) ledgerRun {
 func meshConverged(nodes []*UDP) (converged bool, maxDegree int) {
 	tables := make([][]uint32, len(nodes))
 	for i, u := range nodes {
-		tables[i] = u.Neighbors()
+		tables[i] = neighborIDs(u)
 		maxDegree = max(maxDegree, len(tables[i]))
 	}
 	// Union-find over mutual links; node IDs are 1..n.

@@ -23,6 +23,15 @@ var testVocab = VocabDigest([]string{"class", "temperature", "seq"})
 // endpoint's rounds run at 0, discoInterval, 2×discoInterval, ...
 const discoInterval = 40 * time.Millisecond
 
+// neighborIDs returns u's neighbor-table IDs — configured plus
+// discovery-promoted — in ascending order: the neighbor rows of Members,
+// read without building the rest of the view.
+func neighborIDs(u *UDP) []uint32 {
+	u.peersMu.Lock()
+	defer u.peersMu.Unlock()
+	return slices.Clone(u.ids)
+}
+
 // disco attaches a discovery-enabled endpoint and runs its first round.
 func (n *simNet) disco(id uint32, disco DiscoveryConfig, mod func(*UDPConfig)) (*UDP, *memberLog) {
 	log := &memberLog{}
@@ -210,7 +219,7 @@ func TestDiscoveryDegreeCapEviction(t *testing.T) {
 	if !log.has(fmt.Sprintf("%d:evicted", weak.id)) {
 		t.Errorf("missing evicted event, got %v", log.evs)
 	}
-	if got := u.Neighbors(); !slices.Equal(got, []uint32{strong.id}) {
+	if got := neighborIDs(u); !slices.Equal(got, []uint32{strong.id}) {
 		t.Errorf("degree cap violated: table %v", got)
 	}
 	// The evictee is told immediately: after its promotion announce
@@ -477,8 +486,8 @@ func TestDiscoveryChurnToRemoval(t *testing.T) {
 	if !log.has("2:dead") {
 		t.Errorf("missing dead event, got %v", log.evs)
 	}
-	if len(u.Neighbors()) != 0 {
-		t.Errorf("dead peer still in the table: %v", u.Neighbors())
+	if len(neighborIDs(u)) != 0 {
+		t.Errorf("dead peer still in the table: %v", neighborIDs(u))
 	}
 	if health := u.PeerHealth(); len(health) != 0 {
 		t.Errorf("dead peer still probed: %v", health)
@@ -590,14 +599,14 @@ func TestEngineStateOnlyTowardMembers(t *testing.T) {
 	checkEngineBound(t, u, "before churn")
 
 	x.send(u, kindLeave, nil)
-	if slices.Contains(u.Neighbors(), 2) {
+	if slices.Contains(neighborIDs(u), 2) {
 		t.Fatal("peer 2 left but is still in the table")
 	}
 	checkEngineBound(t, u, "after 2 left")
 
 	y.boot = 2
 	y.announce(u, annFlagPeered, testVocab)
-	if !slices.Contains(u.Neighbors(), 3) {
+	if !slices.Contains(neighborIDs(u), 3) {
 		t.Fatal("peer 3 restarted and left the table")
 	}
 	checkEngineBound(t, u, "after 3 restarted")
@@ -869,7 +878,7 @@ func edges(t *testing.T, nodes []*UDP, degreeCap int) [][2]uint32 {
 	t.Helper()
 	has := map[[2]uint32]bool{}
 	for _, u := range nodes {
-		nbrs := u.Neighbors()
+		nbrs := neighborIDs(u)
 		if len(nbrs) > degreeCap {
 			t.Errorf("node %d has degree %d, cap %d", u.ID(), len(nbrs), degreeCap)
 		}

@@ -140,7 +140,7 @@ func TestUDPTraceSpans(t *testing.T) {
 		t.Errorf("sender spans: %+v", txs)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for rxSpans.Len() == 0 && time.Now().Before(deadline) {
+	for rxSpans.Total() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	rxs := rxSpans.Records()
@@ -159,7 +159,7 @@ func TestUDPTraceSpans(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("unsampled payload not delivered")
 	}
-	if txSpans.Len() != 1 || rxSpans.Len() != 1 {
-		t.Errorf("unsampled send recorded spans: tx=%d rx=%d", txSpans.Len(), rxSpans.Len())
+	if txSpans.Total() != 1 || rxSpans.Total() != 1 {
+		t.Errorf("unsampled send recorded spans: tx=%d rx=%d", txSpans.Total(), rxSpans.Total())
 	}
 }

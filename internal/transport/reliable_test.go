@@ -361,7 +361,8 @@ func TestReliableAckMeansDelivery(t *testing.T) {
 		}
 		n.sched.RunUntil(n.sched.Now() + time.Millisecond)
 	}
-	n.sched.Run()
+	for n.sched.Step() {
+	}
 	if a.Stats().ReliableDrops.Load() != 0 {
 		t.Fatalf("%d frames abandoned; the test needs every frame through", a.Stats().ReliableDrops.Load())
 	}

@@ -563,14 +563,6 @@ func (u *UDP) LocalAddr() *net.UDPAddr { return u.wire.LocalAddr().(*net.UDPAddr
 // Stats returns the endpoint's packet accounting.
 func (u *UDP) Stats() *Stats { return &u.stats }
 
-// Neighbors returns the current neighbor-table IDs — configured plus
-// discovery-promoted — as a fresh slice.
-func (u *UDP) Neighbors() []uint32 {
-	u.peersMu.Lock()
-	defer u.peersMu.Unlock()
-	return append([]uint32{}, u.ids...)
-}
-
 // Members returns the endpoint's full membership view: every neighbor-
 // table row (with per-peer traffic counters and liveness health) merged
 // with every discovery record, sorted by ID. Without discovery it is just

@@ -141,8 +141,8 @@ type Network struct {
 	ids   []uint32
 	parts []part
 	index map[uint32]int
-	// faultHooks observe every injected fault (see fault.go).
-	faultHooks []func(FaultEvent)
+	// trace is the newest Trace, which records the faults (see fault.go).
+	trace *Trace
 	// Telemetry wiring (see telemetry.go): the nodes' registries plus one
 	// for the shared channel, aggregated by the hub.
 	hub *telemetry.Hub

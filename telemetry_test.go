@@ -35,11 +35,11 @@ func TestMetricsSnapshotCoversAllLayers(t *testing.T) {
 			t.Errorf("network total %q = %v, want > 0", key, snap.Total(key))
 		}
 	}
-	ch := snap.Scope("channel")
+	ch := snap.Scopes["channel"]
 	if ch == nil || ch["radio.channel.frames_sent"] <= 0 {
 		t.Errorf("channel scope missing frame counts: %v", ch)
 	}
-	relay := snap.Scope("node-2")
+	relay := snap.Scopes["node-2"]
 	if relay == nil || relay["core.interests_seen"] <= 0 {
 		t.Errorf("node-2 scope missing core counters: %v", relay)
 	}
@@ -54,10 +54,10 @@ func TestMetricsFreezeWhileDetachedResumeAfterRestart(t *testing.T) {
 	net := telemetryRun(62, 3)
 	net.Run(2 * time.Minute)
 	net.CrashNode(2)
-	down := net.MetricsSnapshot().Scope("node-2")
+	down := net.MetricsSnapshot().Scopes["node-2"]
 
 	net.Run(3 * time.Minute)
-	still := net.MetricsSnapshot().Scope("node-2")
+	still := net.MetricsSnapshot().Scopes["node-2"]
 	for _, key := range []string{"radio.frames_sent", "mac.messages_sent", "core.sent.interest"} {
 		if still[key] != down[key] {
 			t.Errorf("%s moved while node 2 was down: %v -> %v", key, down[key], still[key])
@@ -66,7 +66,7 @@ func TestMetricsFreezeWhileDetachedResumeAfterRestart(t *testing.T) {
 
 	net.RebootNode(2)
 	net.Run(3 * time.Minute)
-	after := net.MetricsSnapshot().Scope("node-2")
+	after := net.MetricsSnapshot().Scopes["node-2"]
 	for _, key := range []string{"radio.frames_sent", "mac.messages_sent"} {
 		if after[key] <= still[key] {
 			t.Errorf("%s did not resume after reboot: %v -> %v", key, still[key], after[key])
@@ -141,7 +141,7 @@ func TestTraceHeaderDescribesRun(t *testing.T) {
 	tr := net.NewTrace(0)
 	inj := net.NewFaultInjector()
 	inj.CrashFor(30*time.Second, 2, 20*time.Second)
-	tr.SetFaultScript(inj.Script())
+	tr.SetFaultScript([]string{"crash node 2 at 30s", "reboot node 2 at 50s"})
 	net.Run(2 * time.Minute)
 
 	h := tr.Header()

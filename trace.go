@@ -51,10 +51,11 @@ func traced(e telemetry.Event) bool {
 // NewTrace gives every full-diffusion node a flight ring that keeps its
 // originations and receptions from now on (a network records into its
 // newest trace: a second NewTrace starts afresh, and the first records no
-// more messages). limit bounds message events (0 means one million), divided
-// across the nodes so that a chatty node loses the end of its own view and
-// nobody else's; past it, events are dropped and counted in Dropped, which
-// Summary warns about. Fault events have their own bound.
+// more messages or faults). limit bounds message events (0 means one
+// million), divided across the nodes so that a chatty node loses the end
+// of its own view and nobody else's; past it, events are dropped and
+// counted in Dropped, which Summary warns about. Fault events have their
+// own bound.
 func (net *Network) NewTrace(limit int) *Trace {
 	if limit <= 0 {
 		limit = 1_000_000
@@ -83,16 +84,18 @@ func (net *Network) NewTrace(limit int) *Trace {
 		}
 		r.Keep(n, traced)
 	}
-	// Fault events (node-down/up, link-down/up) are part of the run's
-	// story: record them so traces from churn runs are self-describing.
-	net.OnFault(func(ev FaultEvent) {
-		if len(t.faults) < t.faultLimit {
-			t.faults = append(t.faults, ev)
-		} else {
-			t.droppedFaults++
-		}
-	})
+	net.trace = t
 	return t
+}
+
+// recordFault keeps a fault event (node-down/up, link-down/up), within the
+// fault bound: faults are part of the run's story.
+func (t *Trace) recordFault(ev FaultEvent) {
+	if len(t.faults) < t.faultLimit {
+		t.faults = append(t.faults, ev)
+	} else {
+		t.droppedFaults++
+	}
 }
 
 // Events returns the recorded events merged across nodes into one

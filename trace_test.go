@@ -226,6 +226,24 @@ func TestTraceRecordsLinkFaults(t *testing.T) {
 	t.Errorf("export missing link-down 1<->2: %+v", tr.Faults())
 }
 
+// A network records into its newest trace, faults as well as messages: an
+// older trace keeps what it holds and gains nothing.
+func TestOnlyNewestTraceRecordsFaults(t *testing.T) {
+	net := diffusion.NewNetwork(diffusion.NetworkConfig{
+		Seed:     17,
+		Topology: diffusion.LineTopology(3, 10),
+	})
+	first := net.NewTrace(0)
+	second := net.NewTrace(0)
+	net.CrashNode(2)
+	if f := first.Faults(); len(f) != 0 {
+		t.Errorf("the first trace recorded %v after a second one began", f)
+	}
+	if f := second.Faults(); len(f) != 1 || f[0].Kind != diffusion.FaultNodeDown || f[0].Node != 2 {
+		t.Errorf("the newest trace recorded %v, want node 2 down", f)
+	}
+}
+
 func TestTraceLimit(t *testing.T) {
 	net := diffusion.NewNetwork(diffusion.NetworkConfig{
 		Seed:     14,

@@ -127,13 +127,7 @@ func TestEnergyDepletionKillsNode(t *testing.T) {
 	if !net.NodeDown(2) {
 		t.Errorf("relay energy consumed %v, but node never died", net.NodeEnergyConsumed(2))
 	}
-	downs := 0
-	for _, ev := range inj.Events() {
-		if ev.Kind == diffusion.FaultNodeDown {
-			downs++
-		}
-	}
-	if downs != 1 {
+	if downs := inj.Summarize().NodeDowns; downs != 1 {
 		t.Errorf("depletion recorded %d node-down events, want exactly 1", downs)
 	}
 }

@@ -40,18 +40,18 @@ func TestScriptedCrashAndReboot(t *testing.T) {
 	if len(ft.crashes) != 1 || ft.crashes[0] != 7 {
 		t.Fatalf("crashes = %v", ft.crashes)
 	}
-	if !in.NodeDown(7) {
+	if !in.down[7] {
 		t.Error("node 7 should be down")
 	}
 	s.RunUntil(time.Minute)
 	if len(ft.reboots) != 1 || ft.reboots[0] != 7 {
 		t.Fatalf("reboots = %v", ft.reboots)
 	}
-	if in.NodeDown(7) {
+	if in.down[7] {
 		t.Error("node 7 should be back up")
 	}
 
-	evs := in.Events()
+	evs := in.events
 	if len(evs) != 2 || evs[0].Kind != NodeDown || evs[1].Kind != NodeUp {
 		t.Fatalf("events = %v", evs)
 	}
@@ -123,7 +123,7 @@ func TestEnergyDepletionKillsPermanently(t *testing.T) {
 	if len(ft.reboots) != 0 {
 		t.Errorf("depleted node rebooted: %v", ft.reboots)
 	}
-	evs := in.Events()
+	evs := in.events
 	if len(evs) != 1 || evs[0].At > 101*time.Second {
 		t.Errorf("depletion events = %v (budget 100 at 1 unit/s)", evs)
 	}
@@ -151,11 +151,11 @@ func TestChurnRespectsWindowAndHeals(t *testing.T) {
 		t.Errorf("unbalanced churn: %v", sum)
 	}
 	for _, id := range cfg.Nodes {
-		if in.NodeDown(id) {
+		if in.down[id] {
 			t.Errorf("node %d still down after churn window", id)
 		}
 	}
-	for _, e := range in.Events() {
+	for _, e := range in.events {
 		if e.At < cfg.Start {
 			t.Errorf("event %v fired before the churn window", e)
 		}
@@ -175,7 +175,7 @@ func TestChurnIsDeterministic(t *testing.T) {
 			Nodes: []uint32{1, 2, 3, 4},
 		})
 		s.RunUntil(20 * time.Minute)
-		return in.Events()
+		return in.events
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

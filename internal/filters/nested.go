@@ -60,20 +60,14 @@ func NewNestedQueryResponder(cfg NestedQueryConfig) *NestedQueryResponder {
 // Active reports whether the nested query has been activated.
 func (r *NestedQueryResponder) Active() bool { return r.active }
 
-// Deactivate tears down the sub-task and publication (the watch remains,
-// so a later query re-activates).
-func (r *NestedQueryResponder) Deactivate() {
-	if !r.active {
-		return
-	}
-	r.active = false
-	_ = r.cfg.Node.Unsubscribe(r.sub)
-	_ = r.cfg.Node.Unpublish(r.pub)
-}
-
-// Close removes all responder state from the node.
+// Close removes all responder state from the node: the sub-task, the
+// publication and the watch.
 func (r *NestedQueryResponder) Close() {
-	r.Deactivate()
+	if r.active {
+		r.active = false
+		_ = r.cfg.Node.Unsubscribe(r.sub)
+		_ = r.cfg.Node.Unpublish(r.pub)
+	}
 	_ = r.cfg.Node.Unsubscribe(r.watch)
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,10 +35,9 @@ func generateGolden(t *testing.T) []byte {
 		Topology: diffusion.LineTopology(4, 10),
 	})
 	tr := net.NewTrace(0)
-	inj := net.NewFaultInjector()
-	inj.LinkDownAt(90*time.Second, 2, 3)
-	inj.LinkUpAt(150*time.Second, 2, 3)
-	tr.SetFaultScript([]string{"link 2<->3 down at 1m30s", "link 2<->3 up at 2m30s"})
+	if err := net.ScheduleFaults("link 2<->3 down at 1m30s", "link 2<->3 up at 2m30s"); err != nil {
+		t.Fatal(err)
+	}
 
 	sink := net.Node(1)
 	sink.Subscribe(diffusion.Attributes{
@@ -412,8 +412,16 @@ func TestBudgetMatchesExperimentSummary(t *testing.T) {
 	if got := len(recs) - len(tr.Faults()); got != total {
 		t.Errorf("exported %d message records, trace holds %d events", got, total)
 	}
-	if len(info.FaultScript) == 0 {
-		t.Error("exported churn trace has no fault script")
+	// The header's fault script is the kill the trace recorded, line for
+	// line.
+	var kills []string
+	for _, f := range tr.Faults() {
+		if f.Kind == diffusion.FaultNodeDown {
+			kills = append(kills, f.String())
+		}
+	}
+	if len(kills) == 0 || !slices.Equal(info.FaultScript, kills) {
+		t.Errorf("exported fault script %q, want the recorded node-down faults %q", info.FaultScript, kills)
 	}
 	if snap.Total("core.sent.data") == 0 {
 		t.Error("metrics snapshot shows no reinforced data sent")

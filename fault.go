@@ -1,6 +1,8 @@
 package diffusion
 
 import (
+	"fmt"
+
 	"diffusion/internal/fault"
 )
 
@@ -9,7 +11,8 @@ type (
 	// FaultInjector schedules scripted and randomized faults on the
 	// simulation clock; build one with NewFaultInjector.
 	FaultInjector = fault.Injector
-	// FaultEvent is one injected fault with its simulation timestamp.
+	// FaultEvent is one fault with its simulation time: a line of
+	// ScheduleFaults' script, and the record a Trace keeps.
 	FaultEvent = fault.Event
 	// FaultKind classifies fault events.
 	FaultKind = fault.Kind
@@ -29,20 +32,39 @@ const (
 // Faults fire deterministically from the network seed, so a failure
 // scenario is as replayable as a fault-free run.
 func (net *Network) NewFaultInjector() *FaultInjector {
-	return fault.New(net.eng, net.rng, (*faultTarget)(net))
+	return fault.New(net.eng, net.rng, net)
 }
 
-// faultTarget adapts Network to fault.Target without exposing the crash
-// plumbing as part of the injector itself.
-type faultTarget Network
-
-func (t *faultTarget) CrashNode(id uint32)  { (*Network)(t).CrashNode(id) }
-func (t *faultTarget) RebootNode(id uint32) { (*Network)(t).RebootNode(id) }
-func (t *faultTarget) SetLinkDown(a, b uint32, down bool) {
-	(*Network)(t).SetLinkDown(a, b, down)
-}
-func (t *faultTarget) NodeEnergy(id uint32) float64 {
-	return (*Network)(t).NodeEnergyConsumed(id)
+// ScheduleFaults scripts faults, one per line, each in the form
+// FaultEvent.String writes: "crash node N at D", "reboot node N at D",
+// "link A<->B down at D" or "link A<->B up at D", where D is an absolute
+// simulation time such as 1m30s. A link fault blacks out both directions.
+// Every line is checked before any is scheduled: it must parse, its time
+// must not have passed, and each node it names must be a diffusion node. A
+// fault due now fires within the call. The network keeps the lines, and
+// every trace's header lists them as its fault script.
+func (net *Network) ScheduleFaults(lines ...string) error {
+	evs := make([]FaultEvent, len(lines))
+	for i, line := range lines {
+		e, err := fault.Parse(line)
+		if err != nil {
+			return err
+		}
+		if e.At < net.Now() {
+			return fmt.Errorf("diffusion: fault %q: %v has passed (now %v)", line, e.At, net.Now())
+		}
+		for _, id := range [2]uint32{e.Node, e.Peer} {
+			if p := net.part(id); id != 0 && (p == nil || !p.full()) {
+				return fmt.Errorf("diffusion: fault %q: no diffusion node %d in topology %q", line, id, net.cfg.Topology.Name)
+			}
+		}
+		evs[i] = e
+	}
+	for _, e := range evs {
+		net.faultScript = append(net.faultScript, e.String())
+	}
+	fault.New(net.eng, net.rng, net).Schedule(evs...)
+	return nil
 }
 
 // notifyFault hands a fault applied to the network (a crash, reboot or
@@ -96,8 +118,8 @@ func (net *Network) NodeDown(id uint32) bool {
 }
 
 // SetLinkDown forces the directed radio link a→b into or out of blackout
-// (see radio.Channel.SetLinkDown). Use a FaultInjector for scheduled,
-// bidirectional blackouts and partitions.
+// (see radio.Channel.SetLinkDown). ScheduleFaults scripts bidirectional
+// blackouts.
 func (net *Network) SetLinkDown(a, b uint32, down bool) {
 	net.channel.SetLinkDown(a, b, down)
 	if down {
@@ -105,13 +127,6 @@ func (net *Network) SetLinkDown(a, b uint32, down bool) {
 	} else {
 		net.notifyFault(FaultLinkUp, a, b)
 	}
-}
-
-// NodeEnergyConsumed returns the node's consumed radio energy in the
-// paper's model units at full listen duty cycle — the budget the
-// energy-depletion fault counts down.
-func (net *Network) NodeEnergyConsumed(id uint32) float64 {
-	return net.Node(id).Energy(PaperEnergyRatios(), net.Now(), 1.0).Total()
 }
 
 // ReinforcedPath walks the reinforced gradient chain for the given

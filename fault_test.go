@@ -57,8 +57,9 @@ func TestCrashNodeSilencesRadioAndCore(t *testing.T) {
 
 func TestRebootNodeRestoresDelivery(t *testing.T) {
 	net, got, _ := faultRun(22, 3)
-	net.After(2*time.Minute, func() { net.CrashNode(2) })
-	net.After(4*time.Minute, func() { net.RebootNode(2) })
+	if err := net.ScheduleFaults("crash node 2 at 2m", "reboot node 2 at 4m"); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(4 * time.Minute)
 	if net.NodeDown(2) {
 		t.Error("NodeDown(2) must be false after RebootNode")
@@ -117,17 +118,52 @@ func TestChurnedRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestEnergyDepletionKillsNode(t *testing.T) {
-	net, _, _ := faultRun(25, 3)
-	inj := net.NewFaultInjector()
-	// The budget is tiny, so the relay dies as soon as the poll notices any
-	// radio activity; it must never come back.
-	inj.DepleteEnergy(2, 1e-9, 30*time.Second)
-	net.Run(5 * time.Minute)
-	if !net.NodeDown(2) {
-		t.Errorf("relay energy consumed %v, but node never died", net.NodeEnergyConsumed(2))
+// ScheduleFaults checks every line before it schedules any: a batch with
+// one bad line leaves the network, its traces and its script untouched.
+func TestScheduleFaultsRejectsTheWholeBatch(t *testing.T) {
+	net := diffusion.NewNetwork(diffusion.NetworkConfig{
+		Seed:      26,
+		Topology:  diffusion.LineTopology(4, 10),
+		MoteNodes: []uint32{4},
+	})
+	tr := net.NewTrace(0)
+	net.Run(time.Minute)
+	for _, bad := range []string{
+		"custody-split node 2 at 2m", // a verb the simulator does not know
+		"crash node 2 at 30s",        // already passed
+		"crash node 4 at 2m",         // a mote
+		"link 2<->9 down at 2m",      // no such node
+	} {
+		if err := net.ScheduleFaults("crash node 2 at 90s", "link 1<->2 down at 90s", bad); err == nil {
+			t.Errorf("ScheduleFaults accepted %q", bad)
+		}
 	}
-	if downs := inj.Summarize().NodeDowns; downs != 1 {
-		t.Errorf("depletion recorded %d node-down events, want exactly 1", downs)
+	net.Run(2 * time.Minute)
+	if net.NodeDown(2) || len(tr.Faults()) != 0 || tr.Header().FaultScript != nil {
+		t.Errorf("a rejected batch was scheduled: faults %v, script %q", tr.Faults(), tr.Header().FaultScript)
+	}
+}
+
+// A scheduled link fault blacks out both directions: on a two-node line no
+// frame is decoded either way until the link is up again.
+func TestScheduledLinkFaultBlocksBothDirections(t *testing.T) {
+	net, got, _ := faultRun(27, 2)
+	var decoded [2][3]int // [from-1][before, during, after the blackout]
+	net.OnDecode(func(at time.Duration, from, _ uint32, _ []byte) {
+		decoded[from-1][min(int(at/(2*time.Minute)), 2)]++
+	})
+	if err := net.ScheduleFaults("link 1<->2 down at 2m", "link 2<->1 up at 4m"); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(2 * time.Minute)
+	before := *got
+	net.Run(4 * time.Minute)
+	for i, d := range decoded {
+		if d[0] == 0 || d[1] != 0 || d[2] == 0 {
+			t.Errorf("frames from node %d decoded before, during and after the blackout: %v", i+1, d)
+		}
+	}
+	if before == 0 || *got == before {
+		t.Errorf("deliveries: %d before the blackout, %d in all", before, *got)
 	}
 }

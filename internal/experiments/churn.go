@@ -190,13 +190,11 @@ func relayKill(cfg ChurnConfig, seed int64, traced bool) (RelayKillRun, *diffusi
 			return // no reinforced relay (path never converged); no kill
 		}
 		killSeq = int32(len(r.sent))
-		net.CrashNode(run.Victim)
-		if tr != nil {
-			// The kill bypasses the fault injector, so describe it by hand:
-			// exported traces must carry the scenario that shaped them.
-			tr.SetFaultScript([]string{
-				fmt.Sprintf("crash node %d (reinforced relay) at %v", run.Victim, cfg.KillAt),
-			})
+		// Scheduled now, the kill fires at once, and a trace's header
+		// names it.
+		kill := diffusion.FaultEvent{At: net.Now(), Kind: diffusion.FaultNodeDown, Node: run.Victim}
+		if err := net.ScheduleFaults(kill.String()); err != nil {
+			panic(err)
 		}
 	})
 	net.Run(cfg.Duration)
@@ -307,7 +305,7 @@ func churnOnce(cfg ChurnConfig, p ChurnPoint, seed int64) []float64 {
 		Nodes: relays,
 	})
 	r.net.Run(cfg.Duration)
-	return []float64{r.delivery(0), r.bytesPerEvent(), float64(inj.Summarize().NodeDowns)}
+	return []float64{r.delivery(0), r.bytesPerEvent(), float64(inj.Summarize()[diffusion.FaultNodeDown])}
 }
 
 // PrintChurn renders both scenarios.

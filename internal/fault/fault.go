@@ -3,10 +3,11 @@
 // that directed diffusion self-heals: periodic exploratory data
 // re-discovers routes after node death and reinforcement re-converges onto
 // a working path. This package supplies the failures that claim is about —
-// node crashes and reboots, link blackouts, partitions, energy-depletion
-// death, and MTBF/MTTR-driven random churn — all driven by the simulation
-// clock so every fault scenario is scripted or seeded and exactly
-// reproducible.
+// node crashes and reboots, link blackouts, and MTBF/MTTR-driven random
+// churn — all driven by the simulation clock so every fault scenario is
+// scripted or seeded and exactly reproducible. A scripted fault is one line
+// of text (Event.String, Parse), which both schedules it and names it in a
+// trace's header.
 //
 // The injector manipulates the network through the small Target interface,
 // which diffusion.Network implements; the package itself knows nothing
@@ -16,25 +17,25 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"diffusion/internal/sim"
 )
 
 // Target is what the injector breaks: the network-level fault surface.
-// diffusion.Network implements it. Implementations must tolerate repeated
-// calls (crashing a crashed node is a no-op).
+// diffusion.Network implements it.
 type Target interface {
 	// CrashNode freezes a node: radio off, link queue dropped, protocol
 	// timers cancelled.
 	CrashNode(id uint32)
 	// RebootNode brings a crashed node back with fresh protocol state.
 	RebootNode(id uint32)
+	// NodeDown reports whether a node is crashed.
+	NodeDown(id uint32) bool
 	// SetLinkDown forces the directed link a→b into or out of blackout.
 	SetLinkDown(a, b uint32, down bool)
-	// NodeEnergy returns the node's consumed radio energy in model units
-	// (energy-depletion faults poll it against a budget).
-	NodeEnergy(id uint32) float64
 }
 
 // Kind classifies a fault event.
@@ -48,24 +49,26 @@ const (
 	LinkUp
 )
 
-// String renders the kind.
-func (k Kind) String() string {
-	switch k {
-	case NodeDown:
-		return "node-down"
-	case NodeUp:
-		return "node-up"
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
+// kinds names each kind (a trace record's verb) and gives its schedule
+// line (Event.String).
+var kinds = [...]struct{ name, line string }{
+	NodeDown: {"node-down", "crash node %d at %v"},
+	NodeUp:   {"node-up", "reboot node %d at %v"},
+	LinkDown: {"link-down", "link %d<->%d down at %v"},
+	LinkUp:   {"link-up", "link %d<->%d up at %v"},
 }
 
-// Event is one injected fault, stamped with the simulation time it fired.
-// Link events carry both endpoints; node events leave Peer zero.
+// String renders the kind.
+func (k Kind) String() string {
+	if k < 0 || int(k) >= len(kinds) {
+		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+	return kinds[k].name
+}
+
+// Event is one fault at an absolute simulation time: a line of a schedule
+// before it fires, the record of it once it has. Link events carry both
+// endpoints; node events leave Peer zero.
 type Event struct {
 	At   time.Duration
 	Kind Kind
@@ -73,23 +76,73 @@ type Event struct {
 	Peer uint32
 }
 
-// String renders the event.
+// String writes the event as a schedule line, the form Parse reads.
 func (e Event) String() string {
-	if e.Kind == LinkDown || e.Kind == LinkUp {
-		return fmt.Sprintf("%12v %v %d<->%d", e.At, e.Kind, e.Node, e.Peer)
+	switch e.Kind {
+	case NodeDown, NodeUp:
+		return fmt.Sprintf(kinds[e.Kind].line, e.Node, e.At)
+	case LinkDown, LinkUp:
+		return fmt.Sprintf(kinds[e.Kind].line, e.Node, e.Peer, e.At)
 	}
-	return fmt.Sprintf("%12v %v %d", e.At, e.Kind, e.Node)
+	return fmt.Sprintf("%v %d %d at %v", e.Kind, e.Node, e.Peer, e.At)
 }
 
-// Summary counts injected faults by kind.
-type Summary struct {
-	NodeDowns, NodeUps, LinkDowns, LinkUps int
+// lineForms are the schedule lines Parse reads, D a time.Duration.
+const lineForms = `"crash node N at D", "reboot node N at D", "link A<->B down at D" or "link A<->B up at D"`
+
+// Parse reads one schedule line, written as Event.String writes it. It
+// rejects any other verb by name, a node ID that is zero or not a number,
+// a link without two ends, and a time that is malformed or negative.
+func Parse(line string) (Event, error) {
+	f := strings.Fields(line)
+	if len(f) > 0 && f[0] != "crash" && f[0] != "reboot" && f[0] != "link" {
+		return Event{}, fmt.Errorf("fault: %q: unknown verb %q", line, f[0])
+	}
+	var e Event
+	var err error
+	shaped := len(f) == 5 && f[3] == "at"
+	switch {
+	case shaped && f[0] != "link" && f[1] == "node":
+		e.Kind = map[string]Kind{"crash": NodeDown, "reboot": NodeUp}[f[0]]
+		e.Node, err = parseID(f[2])
+	case shaped && f[0] == "link" && (f[2] == "down" || f[2] == "up"):
+		e.Kind = map[string]Kind{"down": LinkDown, "up": LinkUp}[f[2]]
+		a, b, ok := strings.Cut(f[1], "<->")
+		if !ok {
+			return Event{}, fmt.Errorf("fault: %q: a link names two ends, A<->B", line)
+		}
+		if e.Node, err = parseID(a); err == nil {
+			e.Peer, err = parseID(b)
+		}
+	default:
+		return Event{}, fmt.Errorf("fault: %q: want %s", line, lineForms)
+	}
+	if err != nil {
+		return Event{}, fmt.Errorf("fault: %q: %w", line, err)
+	}
+	if e.At, err = time.ParseDuration(f[4]); err != nil || e.At < 0 {
+		return Event{}, fmt.Errorf("fault: %q: bad time %q", line, f[4])
+	}
+	return e, nil
 }
+
+// parseID reads a node ID, which is a positive decimal number.
+func parseID(s string) (uint32, error) {
+	id, err := strconv.ParseUint(s, 10, 32)
+	if err != nil || id == 0 {
+		return 0, fmt.Errorf("bad node ID %q", s)
+	}
+	return uint32(id), nil
+}
+
+// Summary counts fired faults by kind; a link fault counts once for both
+// directions.
+type Summary [len(kinds)]int
 
 // String renders the summary.
 func (s Summary) String() string {
 	return fmt.Sprintf("%d node-down, %d node-up, %d link-down, %d link-up",
-		s.NodeDowns, s.NodeUps, s.LinkDowns, s.LinkUps)
+		s[NodeDown], s[NodeUp], s[LinkDown], s[LinkUp])
 }
 
 // Injector schedules faults against a target. All randomness (churn
@@ -99,8 +152,7 @@ type Injector struct {
 	clock  sim.Clock
 	rng    *rand.Rand
 	target Target
-	down   map[uint32]bool
-	events []Event
+	sum    Summary
 }
 
 // New returns an injector driving target on clock — the engine's global
@@ -108,51 +160,11 @@ type Injector struct {
 // run ahead of any node's events at the same timestamp — drawing churn
 // inter-fault times from rng.
 func New(clock sim.Clock, rng *rand.Rand, target Target) *Injector {
-	return &Injector{clock: clock, rng: rng, target: target, down: map[uint32]bool{}}
+	return &Injector{clock: clock, rng: rng, target: target}
 }
 
-// Summarize tallies the fired events by kind.
-func (in *Injector) Summarize() Summary {
-	var s Summary
-	for _, e := range in.events {
-		switch e.Kind {
-		case NodeDown:
-			s.NodeDowns++
-		case NodeUp:
-			s.NodeUps++
-		case LinkDown:
-			s.LinkDowns++
-		case LinkUp:
-			s.LinkUps++
-		}
-	}
-	return s
-}
-
-// record appends an event stamped now.
-func (in *Injector) record(k Kind, node, peer uint32) {
-	in.events = append(in.events, Event{At: in.clock.Now(), Kind: k, Node: node, Peer: peer})
-}
-
-// crash takes id down immediately (idempotent).
-func (in *Injector) crash(id uint32) {
-	if in.down[id] {
-		return
-	}
-	in.down[id] = true
-	in.target.CrashNode(id)
-	in.record(NodeDown, id, 0)
-}
-
-// reboot brings id back up immediately (idempotent).
-func (in *Injector) reboot(id uint32) {
-	if !in.down[id] {
-		return
-	}
-	delete(in.down, id)
-	in.target.RebootNode(id)
-	in.record(NodeUp, id, 0)
-}
+// Summarize returns the counts of the faults fired so far.
+func (in *Injector) Summarize() Summary { return in.sum }
 
 // after schedules fn at absolute simulation time at (immediately if at has
 // passed).
@@ -160,80 +172,33 @@ func (in *Injector) after(at time.Duration, fn func()) {
 	in.clock.After(at-in.clock.Now(), fn)
 }
 
-// CrashAt schedules a node crash at absolute simulation time at.
-func (in *Injector) CrashAt(at time.Duration, id uint32) {
-	in.after(at, func() { in.crash(id) })
-}
-
-// RebootAt schedules a reboot at absolute simulation time at.
-func (in *Injector) RebootAt(at time.Duration, id uint32) {
-	in.after(at, func() { in.reboot(id) })
-}
-
-// CrashFor schedules an outage: crash at at, reboot outage later.
-func (in *Injector) CrashFor(at time.Duration, id uint32, outage time.Duration) {
-	in.CrashAt(at, id)
-	in.RebootAt(at+outage, id)
-}
-
-// LinkDownAt schedules a bidirectional blackout of the a↔b link at the
-// given absolute time.
-func (in *Injector) LinkDownAt(at time.Duration, a, b uint32) {
-	in.after(at, func() {
-		in.target.SetLinkDown(a, b, true)
-		in.target.SetLinkDown(b, a, true)
-		in.record(LinkDown, a, b)
-	})
-}
-
-// LinkUpAt schedules the a↔b link's restoration.
-func (in *Injector) LinkUpAt(at time.Duration, a, b uint32) {
-	in.after(at, func() {
-		in.target.SetLinkDown(a, b, false)
-		in.target.SetLinkDown(b, a, false)
-		in.record(LinkUp, a, b)
-	})
-}
-
-// PartitionAt schedules a network partition: every link between groupA and
-// groupB goes dark at at. Heal it with HealAt.
-func (in *Injector) PartitionAt(at time.Duration, groupA, groupB []uint32) {
-	for _, a := range groupA {
-		for _, b := range groupB {
-			in.LinkDownAt(at, a, b)
+// Schedule fires each event at its time; one that is due already fires
+// now, within the call.
+func (in *Injector) Schedule(evs ...Event) {
+	for _, e := range evs {
+		if e.At <= in.clock.Now() {
+			in.fire(e)
+		} else {
+			in.after(e.At, func() { in.fire(e) })
 		}
 	}
 }
 
-// HealAt schedules the partition's repair.
-func (in *Injector) HealAt(at time.Duration, groupA, groupB []uint32) {
-	for _, a := range groupA {
-		for _, b := range groupB {
-			in.LinkUpAt(at, a, b)
-		}
+// fire applies one event now, whatever its At. A link event acts on both
+// directions; crashing a crashed node or rebooting a live one does nothing.
+func (in *Injector) fire(e Event) {
+	switch {
+	case e.Kind == NodeDown && !in.target.NodeDown(e.Node):
+		in.target.CrashNode(e.Node)
+	case e.Kind == NodeUp && in.target.NodeDown(e.Node):
+		in.target.RebootNode(e.Node)
+	case e.Kind == LinkDown || e.Kind == LinkUp:
+		in.target.SetLinkDown(e.Node, e.Peer, e.Kind == LinkDown)
+		in.target.SetLinkDown(e.Peer, e.Node, e.Kind == LinkDown)
+	default:
+		return
 	}
-}
-
-// DepleteEnergy kills id permanently once its consumed radio energy
-// reaches budget (model units, per Target.NodeEnergy), polling every
-// checkEvery. This is the energy-depletion death mode: unlike churn
-// outages the node never reboots — batteries do not recharge.
-func (in *Injector) DepleteEnergy(id uint32, budget float64, checkEvery time.Duration) {
-	if checkEvery <= 0 {
-		checkEvery = 10 * time.Second
-	}
-	var poll func()
-	poll = func() {
-		if in.down[id] {
-			return // crashed by something else; stay down
-		}
-		if in.target.NodeEnergy(id) >= budget {
-			in.crash(id)
-			return
-		}
-		in.clock.After(checkEvery, poll)
-	}
-	in.clock.After(checkEvery, poll)
+	in.sum[e.Kind]++
 }
 
 // ChurnConfig drives random node churn: each listed node independently
@@ -261,7 +226,7 @@ func (in *Injector) Churn(cfg ChurnConfig) {
 	}
 	in.after(cfg.Stop, func() {
 		for _, id := range cfg.Nodes {
-			in.reboot(id)
+			in.fire(Event{Kind: NodeUp, Node: id})
 		}
 	})
 }
@@ -273,13 +238,13 @@ func (in *Injector) scheduleFailure(id uint32, cfg ChurnConfig, at time.Duration
 		return
 	}
 	in.after(at, func() {
-		in.crash(id)
+		in.fire(Event{Kind: NodeDown, Node: id})
 		back := in.clock.Now() + in.expDraw(cfg.MTTR)
 		if back >= cfg.Stop {
 			return // the end-of-window sweep reboots it
 		}
 		in.after(back, func() {
-			in.reboot(id)
+			in.fire(Event{Kind: NodeUp, Node: id})
 			in.scheduleFailure(id, cfg, in.clock.Now()+in.expDraw(cfg.MTBF))
 		})
 	})

@@ -2,6 +2,7 @@ package filters
 
 import (
 	"math"
+	"slices"
 
 	"diffusion/internal/attr"
 	"diffusion/internal/core"
@@ -23,12 +24,19 @@ type GeoScope struct {
 
 	x, y      float64
 	neighbors map[uint32][2]float64
-	seen      map[message.ID]bool
+	// seen holds the interest originations this node scoped, oldest
+	// first, at most geoSeenCap of them.
+	seen []message.ID
 
 	// Unicasts counts scoped greedy forwards; Floods counts interests
 	// passed through to normal core flooding.
 	Unicasts, Floods int
 }
+
+// geoSeenCap bounds GeoScope.seen. An origination needs its entry only
+// while copies of its interest flood still arrive, a few hops' time, far
+// less than it takes one node to scope this many.
+const geoSeenCap = 256
 
 // NewGeoScope installs the scoping filter on n. The node knows its own
 // position and its neighbors' positions (the paper assumes "sensors know
@@ -39,7 +47,6 @@ func NewGeoScope(n *core.Node, x, y float64, neighbors map[uint32][2]float64) *G
 		x:         x,
 		y:         y,
 		neighbors: neighbors,
-		seen:      map[message.ID]bool{},
 	}
 	// Trigger on interests only: they carry a "class IS interest" actual.
 	pattern := attr.Vec{attr.Int32Attr(attr.KeyClass, attr.EQ, attr.ClassInterest)}
@@ -102,7 +109,7 @@ func (g *GeoScope) onMessage(m *message.Message, h core.FilterHandle) {
 		g.node.SendMessageToNext(m, h)
 		return
 	}
-	if g.seen[m.ID] {
+	if slices.Contains(g.seen, m.ID) {
 		// Already scoped this interest origination once; let the core's
 		// duplicate suppression handle the copy (no re-unicast).
 		g.node.SendMessageToNext(m, h)
@@ -127,7 +134,10 @@ func (g *GeoScope) onMessage(m *message.Message, h core.FilterHandle) {
 		g.node.SendMessageToNext(m, h)
 		return
 	}
-	g.seen[m.ID] = true
+	if len(g.seen) == geoSeenCap {
+		g.seen = slices.Delete(g.seen, 0, 1)
+	}
+	g.seen = append(g.seen, m.ID)
 	// Let the core absorb the interest (gradient setup, local delivery)
 	// without re-flooding, then forward a single unicast copy greedily.
 	g.node.ProcessNoForward(m)

@@ -150,6 +150,35 @@ func TestGeoScopeCutsInterestTraffic(t *testing.T) {
 	}
 }
 
+// TestGeoScopeSeenIsBounded drives ten times geoSeenCap distinct scoped
+// interest originations through one filter: every one is scoped, and the
+// filter remembers at most geoSeenCap of them, the newest.
+func TestGeoScopeSeenIsBounded(t *testing.T) {
+	tn, nodes, scopes := geoChain(5)
+	g := scopes[1]
+	const n = 10 * geoSeenCap
+	for i := uint32(1); i <= n; i++ {
+		wire := (&message.Message{
+			Class:   message.Interest,
+			ID:      message.ID{RandID: 1, PktNum: i},
+			PrevHop: 1,
+			NextHop: message.Broadcast,
+			Attrs:   append(attr.Vec{attr.ClassIsInterest()}, regionInterest()...),
+		}).Marshal()
+		nodes[1].Receive(1, wire)
+		tn.Sched.RunUntil(tn.Sched.Now() + time.Millisecond)
+	}
+	if g.Unicasts != n {
+		t.Fatalf("node 2 scoped %d of %d interests", g.Unicasts, n)
+	}
+	if len(g.seen) != geoSeenCap {
+		t.Fatalf("seen holds %d IDs, cap %d", len(g.seen), geoSeenCap)
+	}
+	if g.seen[0] != (message.ID{RandID: 1, PktNum: n - geoSeenCap + 1}) || g.seen[geoSeenCap-1] != (message.ID{RandID: 1, PktNum: n}) {
+		t.Errorf("seen runs %v to %v, want the newest %d originations", g.seen[0], g.seen[len(g.seen)-1], geoSeenCap)
+	}
+}
+
 func TestGeoScopePassesUnscopedInterests(t *testing.T) {
 	tn, nodes, scopes := geoChain(3)
 	nodes[0].Subscribe(attr.Vec{

@@ -143,6 +143,9 @@ type Network struct {
 	index map[uint32]int
 	// trace is the newest Trace, which records the faults (see fault.go).
 	trace *Trace
+	// faultScript holds the lines ScheduleFaults scheduled, in order: the
+	// fault script of every trace's header.
+	faultScript []string
 	// Telemetry wiring (see telemetry.go): the nodes' registries plus one
 	// for the shared channel, aggregated by the hub.
 	hub *telemetry.Hub

@@ -531,6 +531,72 @@ func TestProtocolPackagesClockFree(t *testing.T) {
 	}
 }
 
+// goStatements pins where a goroutine starts under internal/: the live
+// runtime's loop, the UDP reader, each mesh link's delivery loop and the
+// chaos runner's wait on a member process, one go statement each.
+var goStatements = map[string]int{
+	"internal/rt/rt.go":          1,
+	"internal/transport/udp.go":  1,
+	"internal/transport/mesh.go": 1,
+	"internal/chaos/chaos.go":    1,
+}
+
+// TestOneOwnerGoroutine holds DESIGN.md §5's rule that one goroutine owns a
+// node's state: under internal/, go statements appear only where
+// goStatements says, and the protocol packages neither start a goroutine
+// nor touch a channel (no channel type, send, receive, range over a
+// channel, or select).
+func TestOneOwnerGoroutine(t *testing.T) {
+	m := loadModule(t)
+	found := map[string]int{}
+	for _, path := range sortedKeys(m.pkgs) {
+		pkg, ok := strings.CutPrefix(path, modulePath+"/internal/")
+		if !ok {
+			continue
+		}
+		p := m.pkgs[path]
+		protocol := slices.Contains(protocolPackages, pkg)
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var use string
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					found[filepath.ToSlash(m.fset.Position(n.Pos()).Filename)]++
+					use = "go statement"
+				case *ast.ChanType:
+					use = "channel type"
+				case *ast.SendStmt:
+					use = "channel send"
+				case *ast.UnaryExpr:
+					if n.Op == token.ARROW {
+						use = "channel receive"
+					}
+				case *ast.RangeStmt:
+					if _, ok := p.info.TypeOf(n.X).Underlying().(*types.Chan); ok {
+						use = "range over a channel"
+					}
+				case *ast.SelectStmt:
+					use = "select"
+				}
+				if protocol && use != "" {
+					t.Errorf("%s: %s in a protocol package (%s)", m.fset.Position(n.Pos()), use, pkg)
+				}
+				return true
+			})
+		}
+	}
+	for _, file := range sortedKeys(goStatements) {
+		if found[file] != goStatements[file] {
+			t.Errorf("%s has %d go statements, want %d", file, found[file], goStatements[file])
+		}
+	}
+	for _, file := range sortedKeys(found) {
+		if _, ok := goStatements[file]; !ok {
+			t.Errorf("%s starts a goroutine (%d go statements): only the files in goStatements may", file, found[file])
+		}
+	}
+}
+
 // declName names a top-level function "F" or method "T.M"; other
 // declarations are "".
 func declName(decl ast.Decl) string {

@@ -232,7 +232,7 @@ func TestChurnSoak(t *testing.T) {
 		var o outcome
 		o.events = len(distinct)
 		sum := inj.Summarize()
-		o.crashes, o.reboots = sum.NodeDowns, sum.NodeUps
+		o.crashes, o.reboots = sum[diffusion.FaultNodeDown], sum[diffusion.FaultNodeUp]
 		for _, n := range net.Nodes() {
 			if s := n.SeenSize(); s > o.maxSeen {
 				o.maxSeen = s

@@ -2,6 +2,7 @@ package diffusion_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -139,9 +140,9 @@ func TestTraceNoWarningUnderLimit(t *testing.T) {
 func TestTraceHeaderDescribesRun(t *testing.T) {
 	net := telemetryRun(68, 3)
 	tr := net.NewTrace(0)
-	inj := net.NewFaultInjector()
-	inj.CrashFor(30*time.Second, 2, 20*time.Second)
-	tr.SetFaultScript([]string{"crash node 2 at 30s", "reboot node 2 at 50s"})
+	if err := net.ScheduleFaults("crash node 2 at 30s", "reboot node 2 at 50s"); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(2 * time.Minute)
 
 	h := tr.Header()
@@ -151,10 +152,12 @@ func TestTraceHeaderDescribesRun(t *testing.T) {
 	if h.InterestInterval == "" || h.GradientLifetime == "" || h.TTL == 0 {
 		t.Errorf("header missing protocol rates: %+v", h)
 	}
-	if len(h.FaultScript) != 2 ||
-		!strings.Contains(h.FaultScript[0], "crash node 2") ||
-		!strings.Contains(h.FaultScript[1], "reboot node 2") {
-		t.Errorf("fault script: %v", h.FaultScript)
+	if want := []string{"crash node 2 at 30s", "reboot node 2 at 50s"}; !slices.Equal(h.FaultScript, want) {
+		t.Errorf("fault script: %q, want %q", h.FaultScript, want)
+	}
+	// A trace begun after the faults were scheduled lists them too.
+	if late := net.NewTrace(0).Header(); !slices.Equal(late.FaultScript, h.FaultScript) {
+		t.Errorf("a later trace's fault script: %q, want %q", late.FaultScript, h.FaultScript)
 	}
 
 	// The exported JSONL round-trips the header.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"diffusion/internal/fault"
 	"diffusion/internal/message"
 	"diffusion/internal/telemetry"
 )
@@ -35,7 +36,6 @@ type Trace struct {
 	// the *end* of the run, so summaries must warn when non-zero.
 	droppedFaults int
 	header        TraceRunInfo
-	faultScript   []string
 }
 
 // defaultFaultLimit bounds recorded fault events; even brutal churn runs
@@ -146,11 +146,6 @@ func (t *Trace) Dropped() int {
 // bound.
 func (t *Trace) DroppedFaults() int { return t.droppedFaults }
 
-// SetFaultScript attaches a human-readable description of the run's
-// scheduled fault scenario; it is exported in the trace header so faulted
-// traces are self-describing.
-func (t *Trace) SetFaultScript(lines []string) { t.faultScript = lines }
-
 // Repairs counts the node-down faults after which positive-reinforcement
 // traffic was observed again before the next node-down — the visible
 // signature of the paper's repair machinery re-converging onto a working
@@ -177,17 +172,6 @@ func (t *Trace) Repairs() int {
 		}
 	}
 	return repairs
-}
-
-// nodeDowns counts node-down faults.
-func (t *Trace) nodeDowns() int {
-	n := 0
-	for _, f := range t.faults {
-		if f.Kind == FaultNodeDown {
-			n++
-		}
-	}
-	return n
 }
 
 // Len returns the number of recorded events.
@@ -247,14 +231,11 @@ func (t *Trace) Summary(w io.Writer) {
 		fmt.Fprintf(w, "  node %-4d %6d events\n", l.node, l.count)
 	}
 	if len(t.faults) > 0 {
-		counts := map[FaultKind]int{}
+		var counts fault.Summary
 		for _, f := range t.faults {
 			counts[f.Kind]++
 		}
-		fmt.Fprintf(w, "faults: %d node-down, %d node-up, %d link-down, %d link-up; repairs: %d/%d\n",
-			counts[FaultNodeDown], counts[FaultNodeUp],
-			counts[FaultLinkDown], counts[FaultLinkUp],
-			t.Repairs(), t.nodeDowns())
+		fmt.Fprintf(w, "faults: %v; repairs: %d/%d\n", counts, t.Repairs(), counts[FaultNodeDown])
 	}
 	if t.Dropped() > 0 || t.droppedFaults > 0 {
 		fmt.Fprintf(w, "WARNING: %d events and %d faults dropped at the trace limit; the end of the run is missing\n",
@@ -271,11 +252,12 @@ func (t *Trace) span() time.Duration {
 }
 
 // Header returns the trace's self-describing run header: the network
-// configuration captured at NewTrace, the fault script (SetFaultScript),
-// and drop accounting.
+// configuration captured at NewTrace, the network's fault script (the
+// lines of Network.ScheduleFaults, whenever they were scheduled), and drop
+// accounting.
 func (t *Trace) Header() TraceRunInfo {
 	h := t.header
-	h.FaultScript = t.faultScript
+	h.FaultScript = t.net.faultScript
 	h.DroppedEvents = t.Dropped()
 	h.DroppedFaults = t.droppedFaults
 	return h

@@ -164,8 +164,9 @@ func TestTraceRecordsFaultsAndRepairs(t *testing.T) {
 	// Crash the only relay mid-run and bring it back: on a line there is no
 	// alternate path, so repair can only complete after the reboot — and
 	// the positive reinforcement that follows is the repair signature.
-	net.After(2*time.Minute, func() { net.CrashNode(2) })
-	net.After(3*time.Minute, func() { net.RebootNode(2) })
+	if err := net.ScheduleFaults("crash node 2 at 2m", "reboot node 2 at 3m"); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(6 * time.Minute)
 
 	faults := tr.Faults()
@@ -201,9 +202,9 @@ func TestTraceRecordsLinkFaults(t *testing.T) {
 		Topology: diffusion.LineTopology(3, 10),
 	})
 	tr := net.NewTrace(0)
-	inj := net.NewFaultInjector()
-	inj.LinkDownAt(time.Minute, 1, 2)
-	inj.LinkUpAt(2*time.Minute, 1, 2)
+	if err := net.ScheduleFaults("link 1<->2 down at 1m", "link 1<->2 up at 2m"); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(3 * time.Minute)
 	downs, ups := 0, 0
 	for _, f := range tr.Faults() {
@@ -214,7 +215,7 @@ func TestTraceRecordsLinkFaults(t *testing.T) {
 			ups++
 		}
 	}
-	// LinkDownAt/LinkUpAt act on both directions.
+	// A scheduled link fault acts on both directions.
 	if downs != 2 || ups != 2 {
 		t.Errorf("link faults: %d down, %d up, want 2 each", downs, ups)
 	}
